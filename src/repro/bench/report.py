@@ -65,9 +65,9 @@ EXPECTED_SHAPES = {
            "pooled WAL connections keep readers running during write "
            "transactions; the serialized shared connection stalls them "
            "for each transaction's whole lock-hold window.",
-    "E15": "(Extension beyond the paper.)  Epoch-invalidated plan/"
-           "result caching answers the repeated ordered mix at least "
-           "2x faster at steady state on every encoding, and an "
+    "E15": "(Extension beyond the paper.)  Plan/result caching with "
+           "per-document invalidation answers the repeated ordered mix "
+           "at least 2x faster at steady state on every encoding, and an "
            "interleaved update/query workload produces zero result "
            "mismatches against a caching-off store.",
     "E16": "(Extension beyond the paper.)  On a workload that shifts "
@@ -77,11 +77,18 @@ EXPECTED_SHAPES = {
            "migration's own copy traffic — while every static choice "
            "overpays in one regime.",
     "E17": "(Extension beyond the paper.)  Under a mixed load with a "
-           "paced writer, a 4-shard cluster sustains >= 1.5x the "
-           "aggregate read throughput of the single-process daemon — "
-           "on one core the win is cache-epoch isolation (a write "
-           "invalidates result caches only on its own shard), not CPU "
-           "parallelism.",
+           "paced writer, sharding no longer buys read throughput on "
+           "one small box: a commit invalidates only the documents it "
+           "wrote, so the single-process daemon keeps the rest of the "
+           "corpus's cached results live by itself and sustains at "
+           "least two thirds of any sharded configuration's aggregate "
+           "reads (measured 0.9-1.15x of the 4-shard cluster across "
+           "runs), where it used to sustain 0.4x.  What sharding still "
+           "provides is fault isolation — a killed shard takes only "
+           "its own documents offline and "
+           "recovers pre-or-post (`repro crashtest --shard-kill`) — and "
+           "room to scale across cores, which needs more cores than "
+           "this box has to show.",
     "E18": "(Extension beyond the paper.)  Secondary path and value "
            "indexes answer selective deep // descents and value "
            "predicates at least 2x faster than the structural-join "
@@ -241,16 +248,15 @@ def compute_verdicts(
 
     t = by_id.get("E17")
     if t is not None:
-        top = max(r for r in t.rows if r[0] != 1)  # most shards
+        single = next(r for r in t.rows if r[0] == 1)
+        sharded = [r for r in t.rows if r[0] != 1]
         record(
             "E17",
-            "Sharded serving >= 1.5x single-process read throughput "
-            "at the highest shard count, p50/p99 reported, no read "
-            "errors",
-            top[2] >= 1.5
-            and top[3] > 0
-            and top[4] > 0
-            and all(r[6] == 0 for r in t.rows),
+            "Single-process daemon >= 0.67x the best sharded "
+            "configuration's read throughput (per-document "
+            "invalidation; was 0.4x), p50/p99 reported, no read errors",
+            single[1] >= 0.67 * max(r[1] for r in sharded)
+            and all(r[3] > 0 and r[4] > 0 and r[6] == 0 for r in t.rows),
         )
 
     t = by_id.get("E18")

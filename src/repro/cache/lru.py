@@ -1,34 +1,55 @@
-"""Epoch-invalidated LRU caching for one :class:`~repro.store.XmlStore`.
+"""LRU caching for one :class:`~repro.store.XmlStore`, invalidated by
+exactly what each commit wrote.
 
-A :class:`StoreCache` holds three independent LRU layers:
+A :class:`StoreCache` holds three LRU layers:
 
 * **plan** — :class:`~repro.core.relalg.CompiledPlan` objects, keyed
-  on ``(dialect, encoding, xpath-shape, max_depth)``.  The shape is
-  the XPath with predicate literals lifted into parameter slots, so
-  one plan serves every document and every literal value; the doc id,
-  context node, and literals bind per request via ``plan.bind()``.
-  The depth is part of the key because Local's depth-bounded ``//``
-  and ``following::`` expansion is exactly tight: a plan compiled for
-  a shallower document silently drops nodes once an insert deepens it.
-* **catalog** — :class:`~repro.store.DocumentInfo` rows, keyed on the
-  doc id, so translation stops issuing a catalogue SELECT per query.
+  on ``(dialect, encoding, xpath-shape, max_depth, index
+  fingerprint)``.  The shape is the XPath with predicate literals
+  lifted into parameter slots, so one plan serves every document and
+  every literal value; the doc id, context node, and literals bind per
+  request via ``plan.bind()``.  The depth is part of the key because
+  Local's depth-bounded ``//`` and ``following::`` expansion is exactly
+  tight, and the fingerprint ``(doc, stats_version)`` names the
+  statistics a cost decision was made from.  The key therefore
+  *determines* the plan: no committed write can make a cached plan
+  wrong for its key, so plans carry **no epoch** and no write ever
+  drops one — a write changes which key the next read asks for (a
+  deeper document, refreshed statistics), never what a key means.
+* **catalog** — per-document catalogue state, keyed on the doc id:
+  the :class:`~repro.store.DocumentInfo` row and the index planner
+  context (:class:`~repro.index.IndexContext`, or "no index").
 * **result** — materialized query results, keyed on
   ``(doc, xpath, context_id)``.
 
-All three are invalidated together by one per-store **update epoch**:
+Catalog and result entries belong to one document each, and are
+invalidated **per document** under this protocol:
 
-1. A reader calls :meth:`current_epoch` *before* touching any backend
-   state, computes its value, then calls ``put_*`` with that observed
-   epoch.
-2. Every committed write bumps the epoch (:meth:`bump`), which clears
-   all layers.
-3. A ``put_*`` whose observed epoch no longer matches is refused, so a
-   value computed from pre-commit state can never outlive the writer's
-   bump — the classic read-during-write race stores nothing instead of
-   storing a stale entry.
+1. A reader calls :meth:`StoreCache.epoch` for its document *before*
+   touching any backend state, computes its value, then calls
+   ``put_*`` with that observed epoch.
+2. Every commit hands :meth:`StoreCache.bump` its **write set** — the
+   documents its transaction wrote.  The bump advances those
+   documents' epochs and drops their catalog and result entries;
+   every other document's entries stay.  A commit that cannot name
+   its write set passes none, and the bump falls back to dropping the
+   catalog and result entries of *every* document.
+3. A ``put_*`` whose observed epoch no longer matches its document's
+   is refused, so a value computed from pre-commit state can never
+   outlive the writer's bump — the classic read-during-write race
+   stores nothing instead of storing a stale entry.
 
-Pool semantics: the epoch is one integer behind one lock, shared by
-every thread of the store, while
+Epochs are drawn from one monotonic per-store clock, and a document
+without an entry reads as the clock itself.  Document ids are reused
+after a delete, and this is what makes that safe: whatever a reader
+captured for the old document — an entry or the clock — every later
+write advances the clock past it, so neither dropping a deleted
+document's entry (:meth:`StoreCache.forget`) nor re-creating the id
+can ever make a stale capture match again.  Bookkeeping is one integer
+per document written since it was last forgotten.
+
+Pool semantics: the clock, the per-document epochs and the layers sit
+behind one lock, shared by every thread of the store, while
 :class:`~repro.backends.pooled_sqlite.PooledSqliteBackend` readers run
 on per-thread WAL connections.  Invalidation is prompt but not atomic
 with COMMIT — for the instant between a writer's COMMIT and its bump, a
@@ -48,7 +69,8 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, Optional
+from operator import itemgetter
+from typing import Any, Callable, Hashable, Iterable, Optional
 
 from repro.obs import METRICS
 
@@ -68,62 +90,152 @@ def cache_enabled_from_env() -> bool:
 
 
 class _LruLayer:
-    """One LRU layer.  Not self-locking: StoreCache holds the lock."""
+    """One LRU layer.  Not self-locking: StoreCache holds the lock.
 
-    __slots__ = ("name", "capacity", "entries", "hits", "misses",
-                 "evictions", "invalidations")
+    A per-document layer is built with *doc_of* (key -> doc id) and
+    keeps ``keys_of`` — each document's live keys — in step with every
+    insert and eviction, so dropping a document costs its own entries,
+    not a scan of the layer.
+    """
 
-    def __init__(self, name: str, capacity: int) -> None:
+    __slots__ = ("name", "capacity", "doc_of", "entries", "keys_of",
+                 "hits", "misses", "evictions", "invalidations")
+
+    def __init__(
+        self,
+        name: str,
+        capacity: int,
+        doc_of: Optional[Callable[[Any], int]] = None,
+    ) -> None:
         self.name = name
         self.capacity = capacity
+        self.doc_of = doc_of
         self.entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self.keys_of: dict[int, set] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
 
+    def put(self, key: Hashable, value: Any) -> int:
+        """Insert as most recent; returns how many entries it evicted."""
+        self.entries[key] = value
+        self.entries.move_to_end(key)
+        doc_of = self.doc_of
+        if doc_of is not None:
+            self.keys_of.setdefault(doc_of(key), set()).add(key)
+        evicted = 0
+        while len(self.entries) > self.capacity:
+            old, _value = self.entries.popitem(last=False)
+            if doc_of is not None:
+                doc = doc_of(old)
+                keys = self.keys_of[doc]
+                keys.discard(old)
+                if not keys:
+                    del self.keys_of[doc]
+            evicted += 1
+        self.evictions += evicted
+        return evicted
+
+    def drop(self, doc: int) -> int:
+        """Invalidate every entry of *doc*; returns how many."""
+        keys = self.keys_of.pop(doc, ())
+        for key in keys:
+            del self.entries[key]
+        self.invalidations += len(keys)
+        return len(keys)
+
+    def clear(self) -> int:
+        """Invalidate every entry; returns how many."""
+        count = len(self.entries)
+        self.entries.clear()
+        self.keys_of.clear()
+        self.invalidations += count
+        return count
+
+
+#: Per-document keys lead with their doc id.
+_DOC_FIRST = itemgetter(0)
+
 
 class StoreCache:
-    """Plan/catalog/result caches of one store, epoch-invalidated."""
+    """Plan/catalog/result caches of one store (see the module doc)."""
 
     def __init__(
         self,
         enabled: bool = True,
         plan_capacity: int = 256,
-        catalog_capacity: int = 64,
+        catalog_capacity: int = 128,
         result_capacity: int = 512,
     ) -> None:
         self.enabled = enabled
         self._lock = threading.Lock()
-        self._epoch = 0
+        #: Monotonic source of every epoch; ticks once per bump.
+        self._clock = 0
+        #: doc -> epoch of its last write (absent: reads as the clock).
+        self._doc_epochs: dict[int, int] = {}
         self._plan = _LruLayer("plan", plan_capacity)
-        self._catalog = _LruLayer("catalog", catalog_capacity)
-        self._result = _LruLayer("result", result_capacity)
+        self._catalog = _LruLayer("catalog", catalog_capacity, _DOC_FIRST)
+        self._result = _LruLayer("result", result_capacity, _DOC_FIRST)
         self._layers = (self._plan, self._catalog, self._result)
+        self._doc_layers = (self._catalog, self._result)
 
     # -- epoch protocol ---------------------------------------------------
 
-    def current_epoch(self) -> int:
-        """The epoch a reader must capture before reading backend state."""
+    def epoch(self, doc: int) -> int:
+        """The epoch a reader of *doc* must capture before reading
+        backend state, and hand back with its ``put_*``."""
         with self._lock:
-            return self._epoch
+            return self._doc_epochs.get(doc, self._clock)
 
-    def bump(self) -> None:
-        """A write committed: advance the epoch and drop every entry."""
+    def bump(self, docs: Iterable[int] = ()) -> None:
+        """A write committed: invalidate what it can have changed.
+
+        *docs* is the commit's write set.  Those documents' epochs
+        advance and their catalog and result entries go; with an empty
+        (unknown) write set, every document's do.  Plans are never
+        touched — their key is their validity.
+        """
         if not self.enabled:
             return
-        cleared: list[tuple[str, int]] = []
+        docs = tuple(docs)
+        dropped: list[tuple[str, int]] = []
         with self._lock:
-            self._epoch += 1
-            for layer in self._layers:
-                if layer.entries:
-                    count = len(layer.entries)
-                    layer.entries.clear()
-                    layer.invalidations += count
-                    cleared.append((layer.name, count))
-        for name, count in cleared:
-            METRICS.inc("cache.invalidate", count)
-            METRICS.inc(f"cache.{name}.invalidate", count)
+            self._clock += 1
+            if docs:
+                for doc in docs:
+                    self._doc_epochs[doc] = self._clock
+                for layer in self._doc_layers:
+                    count = sum(layer.drop(doc) for doc in docs)
+                    dropped.append((layer.name, count))
+            else:
+                # Every document now reads as the new clock value.
+                self._doc_epochs.clear()
+                for layer in self._doc_layers:
+                    dropped.append((layer.name, layer.clear()))
+        self._count_invalidations(dropped)
+
+    def forget(self, doc: int) -> None:
+        """*doc* was deleted (its delete already bumped): drop its
+        epoch bookkeeping.  Safe at any time — see the module doc."""
+        with self._lock:
+            self._doc_epochs.pop(doc, None)
+
+    def clear(self) -> None:
+        """Empty every layer, plans included — for experiments and
+        tests that need a cold cache; no commit path calls this."""
+        with self._lock:
+            self._clock += 1
+            self._doc_epochs.clear()
+            dropped = [(layer.name, layer.clear()) for layer in self._layers]
+        self._count_invalidations(dropped)
+
+    @staticmethod
+    def _count_invalidations(dropped: list[tuple[str, int]]) -> None:
+        for name, count in dropped:
+            if count:
+                METRICS.inc("cache.invalidate", count)
+                METRICS.inc(f"cache.{name}.invalidate", count)
 
     # -- generic get/put --------------------------------------------------
 
@@ -148,20 +260,17 @@ class StoreCache:
 
     def _put(
         self, layer: _LruLayer, key: Hashable, value: Any,
-        observed_epoch: int,
+        observed_epoch: Optional[int] = None,
     ) -> bool:
-        evicted = 0
         with self._lock:
-            if observed_epoch != self._epoch:
-                # The value was computed from state a writer has since
-                # superseded (or raced past): refuse it.
+            # Only per-document layers carry an epoch (plans: none).
+            if layer.doc_of is not None and observed_epoch != (
+                self._doc_epochs.get(layer.doc_of(key), self._clock)
+            ):
+                # The value was computed from state a writer of this
+                # document has since superseded (or raced past).
                 return False
-            layer.entries[key] = value
-            layer.entries.move_to_end(key)
-            while len(layer.entries) > layer.capacity:
-                layer.entries.popitem(last=False)
-                layer.evictions += 1
-                evicted += 1
+            evicted = layer.put(key, value)
         if evicted:
             METRICS.inc("cache.evict", evicted)
             METRICS.inc(f"cache.{layer.name}.evict", evicted)
@@ -172,22 +281,33 @@ class StoreCache:
     def get_plan(self, key: Hashable) -> Optional[Any]:
         return self._get(self._plan, key)
 
-    def put_plan(self, key: Hashable, value: Any, observed_epoch: int
-                 ) -> bool:
-        return self._put(self._plan, key, value, observed_epoch)
+    def put_plan(self, key: Hashable, value: Any) -> bool:
+        return self._put(self._plan, key, value)
 
-    def get_catalog(self, key: Hashable) -> Optional[Any]:
-        return self._get(self._catalog, key)
+    def get_catalog(self, doc: int) -> Optional[Any]:
+        return self._get(self._catalog, (doc, "info"))
 
-    def put_catalog(self, key: Hashable, value: Any, observed_epoch: int
+    def put_catalog(self, doc: int, value: Any, observed_epoch: int
                     ) -> bool:
-        return self._put(self._catalog, key, value, observed_epoch)
+        return self._put(self._catalog, (doc, "info"), value,
+                         observed_epoch)
 
-    def get_result(self, key: Hashable) -> Optional[Any]:
+    def get_index_context(self, doc: int) -> Optional[tuple]:
+        """The cached planner context of *doc* as a 1-tuple (so a
+        cached "no index" is distinguishable from a miss)."""
+        return self._get(self._catalog, (doc, "index"))
+
+    def put_index_context(self, doc: int, value: tuple,
+                          observed_epoch: int) -> bool:
+        return self._put(self._catalog, (doc, "index"), value,
+                         observed_epoch)
+
+    def get_result(self, key: tuple) -> Optional[Any]:
         return self._get(self._result, key)
 
-    def put_result(self, key: Hashable, value: Any, observed_epoch: int
+    def put_result(self, key: tuple, value: Any, observed_epoch: int
                    ) -> bool:
+        """*key* is ``(doc, xpath, context_id)``."""
         return self._put(self._result, key, value, observed_epoch)
 
     # -- introspection ----------------------------------------------------
@@ -197,7 +317,8 @@ class StoreCache:
         with self._lock:
             return {
                 "enabled": self.enabled,
-                "epoch": self._epoch,
+                "epoch": self._clock,
+                "doc_epochs": len(self._doc_epochs),
                 "layers": {
                     layer.name: {
                         "size": len(layer.entries),

@@ -82,11 +82,15 @@ class FuzzConfig:
     max_depth: int = 4
     max_children: int = 3
     #: Differential cache checking: pair every store (caching forced
-    #: on) with a caching-off twin, interleave a fixed per-cell pool of
-    #: cache-warming queries with the update stream, and require
-    #: byte-identical results from both after every check round.  The
-    #: fixed pool is what makes the warming real: the same plan/result
-    #: keys recur across updates, so every invalidation path is hit.
+    #: on) with a caching-off twin, each holding
+    #: :data:`TWIN_DOCUMENTS` documents; spread the update stream
+    #: across them, and after *every* operation run a fixed per-cell
+    #: pool of cache-warming queries against every document, requiring
+    #: byte-identical results from both stores.  The fixed pool is
+    #: what makes the warming real: the same plan/result keys recur
+    #: across updates, so every invalidation path is hit — and the
+    #: unwritten documents are what catch an invalidation that lands
+    #: on the wrong document.
     cache_twin: bool = False
     #: Differential index checking: pair every store (secondary
     #: indexes forced on, built at load and maintained through every
@@ -523,6 +527,13 @@ def _twin_mismatch(
 # -- the driver ---------------------------------------------------------
 
 
+#: Documents per store in a ``--cache-twin`` cell.  Invalidation is
+#: per document, so a store holding one document cannot tell a commit
+#: that invalidated the document it wrote from one that invalidated
+#: the wrong one, or everything; several documents can.
+TWIN_DOCUMENTS = 3
+
+
 def _run_cell(
     config: FuzzConfig,
     seed: int,
@@ -532,13 +543,19 @@ def _run_cell(
     report: FuzzReport,
 ) -> Optional[FuzzFailure]:
     """Fuzz one (seed, gap) cell; returns its first failure, if any."""
-    document = random_document(
-        seed, max_depth=config.max_depth,
-        max_children=config.max_children,
-    )
+    documents = [
+        random_document(
+            seed if n == 0 else seed * 1009 + n,
+            max_depth=config.max_depth,
+            max_children=config.max_children,
+        )
+        for n in range(TWIN_DOCUMENTS if config.cache_twin else 1)
+    ]
     twin_mode = config.cache_twin or config.index_twin
-    stores: list[tuple[str, str, XmlStore, int]] = []
-    twins: list[Optional[tuple[XmlStore, int]]] = []
+    # Stores and their twins load the same documents in the same
+    # order, so a slot's doc id is the same in every one of them.
+    stores: list[tuple[str, str, XmlStore, list[int]]] = []
+    twins: list[Optional[tuple[XmlStore, list[int]]]] = []
     for backend in config.backends:
         for encoding in config.encodings:
             store = XmlStore(
@@ -552,8 +569,8 @@ def _run_cell(
                 # plans regardless of REPRO_INDEX (built at load,
                 # maintained through every update op).
                 store.indexes.force_mode = "on"
-            doc = store.load(document)
-            stores.append((backend, encoding, store, doc))
+            docs = [store.load(document) for document in documents]
+            stores.append((backend, encoding, store, docs))
             if twin_mode:
                 twin = XmlStore(
                     backend=backend, encoding=encoding, gap=gap,
@@ -561,7 +578,9 @@ def _run_cell(
                 )
                 if config.index_twin:
                     twin.indexes.force_mode = "off"
-                twins.append((twin, twin.load(document)))
+                twins.append(
+                    (twin, [twin.load(document) for document in documents])
+                )
             else:
                 twins.append(None)
 
@@ -583,49 +602,61 @@ def _run_cell(
     rng = random.Random(seed * 7919 + gap)
     reference = stores[0]
 
+    def failed(backend: str, encoding: str, op_index: int,
+               op_describe: str, kind: str, detail: str) -> FuzzFailure:
+        return FuzzFailure(
+            seed=seed, gap=gap, backend=backend, encoding=encoding,
+            op_index=op_index, op=op_describe, kind=kind, detail=detail,
+            update_heavy=config.update_heavy,
+        )
+
+    def twin_round(op_index: int, op_describe: str
+                   ) -> Optional[FuzzFailure]:
+        """Diff the warm pool against the twin, for *every* document:
+        the one the last operation wrote must have been invalidated,
+        and the others must still answer correctly from their caches."""
+        if config.cache_twin:
+            kind = "cache-twin"
+            labels = ("caching store", "REPRO_CACHE=off twin")
+        else:
+            kind = "index-twin"
+            labels = ("indexed store", "REPRO_INDEX=off twin")
+        for (backend, encoding, store, docs), twin_entry in zip(
+            stores, twins
+        ):
+            if twin_entry is None:
+                continue
+            twin, twin_docs = twin_entry
+            for doc, twin_doc in zip(docs, twin_docs):
+                detail = _twin_mismatch(
+                    store, doc, twin, twin_doc, warm_queries, *labels
+                )
+                if detail is not None:
+                    if len(docs) > 1:
+                        detail = f"document {doc}: {detail}"
+                    return failed(backend, encoding, op_index,
+                                  op_describe, kind, detail)
+        return None
+
     def check_round(op_index: int, op_describe: str
                     ) -> Optional[FuzzFailure]:
         qrng = random.Random(seed * 1_000_003 + op_index)
         queries = [
             random_xpath(qrng) for _ in range(config.queries_per_check)
         ]
-        reference_tree: Optional[Document] = None
-        for index, (backend, encoding, store, doc) in enumerate(stores):
+        reference_trees: list[Optional[Document]] = [None] * len(documents)
+        for backend, encoding, store, docs in stores:
             report.checks += 1
-            problem, tree = _check_store(
-                store, doc, queries, reference_tree
-            )
-            if problem is not None:
-                kind, detail = problem
-                return FuzzFailure(
-                    seed=seed, gap=gap, backend=backend,
-                    encoding=encoding, op_index=op_index,
-                    op=op_describe, kind=kind, detail=detail,
-                    update_heavy=config.update_heavy,
+            for slot, doc in enumerate(docs):
+                problem, tree = _check_store(
+                    store, doc, queries, reference_trees[slot]
                 )
-            twin_entry = twins[index]
-            if twin_entry is not None:
-                twin, twin_doc = twin_entry
-                if config.cache_twin:
-                    twin_kind = "cache-twin"
-                    labels = ("caching store", "REPRO_CACHE=off twin")
-                else:
-                    twin_kind = "index-twin"
-                    labels = ("indexed store", "REPRO_INDEX=off twin")
-                detail = _twin_mismatch(
-                    store, doc, twin, twin_doc, warm_queries, *labels
-                )
-                if detail is not None:
-                    return FuzzFailure(
-                        seed=seed, gap=gap, backend=backend,
-                        encoding=encoding, op_index=op_index,
-                        op=op_describe, kind=twin_kind,
-                        detail=detail,
-                        update_heavy=config.update_heavy,
-                    )
-            if reference_tree is None:
-                reference_tree = tree
-        return None
+                if problem is not None:
+                    return failed(backend, encoding, op_index,
+                                  op_describe, *problem)
+                if reference_trees[slot] is None:
+                    reference_trees[slot] = tree
+        return twin_round(op_index, op_describe)
 
     last_describe = "initial load"
     failure = check_round(0, last_describe)
@@ -633,47 +664,48 @@ def _run_cell(
         return failure
 
     for op_index in range(1, max_ops + 1):
+        # Spread the operations across the cell's documents.
+        slot = rng.randrange(len(documents)) if len(documents) > 1 else 0
         op = plan_operation(
-            rng, reference[2], reference[3],
+            rng, reference[2], reference[3][slot],
             update_heavy=config.update_heavy,
         )
         last_describe = op["describe"]
         costs: list[tuple[int, int]] = []
-        for index, (backend, encoding, store, doc) in enumerate(stores):
+        for (backend, encoding, store, docs), twin_entry in zip(
+            stores, twins
+        ):
             try:
-                result = apply_operation(store, doc, op)
-                twin_entry = twins[index]
+                result = apply_operation(store, docs[slot], op)
                 if twin_entry is not None:
-                    apply_operation(twin_entry[0], twin_entry[1], op)
+                    apply_operation(
+                        twin_entry[0], twin_entry[1][slot], op
+                    )
             except Exception as exc:
-                return FuzzFailure(
-                    seed=seed, gap=gap, backend=backend,
-                    encoding=encoding, op_index=op_index,
-                    op=last_describe, kind="crash",
-                    detail=f"{type(exc).__name__}: {exc}",
-                    update_heavy=config.update_heavy,
-                )
+                return failed(backend, encoding, op_index, last_describe,
+                              "crash", f"{type(exc).__name__}: {exc}")
             costs.append((result.inserted, result.deleted))
         report.operations += 1
         if len(set(costs)) > 1:
             backend, encoding = stores[-1][0], stores[-1][1]
-            return FuzzFailure(
-                seed=seed, gap=gap, backend=backend, encoding=encoding,
-                op_index=op_index, op=last_describe,
-                kind="cost-mismatch",
-                update_heavy=config.update_heavy,
-                detail=(
-                    "insert/delete counts diverge across stores: "
-                    + ", ".join(
-                        f"{b}/{e}={c}"
-                        for (b, e, _s, _d), c in zip(stores, costs)
-                    )
+            return failed(
+                backend, encoding, op_index, last_describe,
+                "cost-mismatch",
+                "insert/delete counts diverge across stores: "
+                + ", ".join(
+                    f"{b}/{e}={c}"
+                    for (b, e, _s, _d), c in zip(stores, costs)
                 ),
             )
+        failure = None
         if op_index % check_every == 0 or op_index == max_ops:
             failure = check_round(op_index, last_describe)
-            if failure is not None:
-                return failure
+        elif config.cache_twin:
+            # A per-document invalidation bug shows between check
+            # rounds too: diff every document after every operation.
+            failure = twin_round(op_index, last_describe)
+        if failure is not None:
+            return failure
     return None
 
 

@@ -950,7 +950,10 @@ def _print_metrics_snapshot(snapshot: dict) -> None:
 
 def _print_cache_stats(cache: dict) -> None:
     state = "on" if cache["enabled"] else "off (REPRO_CACHE)"
-    print(f"cache: {state}, epoch {cache['epoch']}")
+    print(
+        f"cache: {state}, store epoch {cache['epoch']}, "
+        f"{cache['doc_epochs']} live document epoch(s)"
+    )
     for name, layer in cache["layers"].items():
         total = layer["hits"] + layer["misses"]
         rate = 100.0 * layer["hits"] / total if total else 0.0

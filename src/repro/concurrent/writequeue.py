@@ -16,8 +16,11 @@ Semantics preserved from the single-threaded store:
   error.
 * **Retry** — the store's :class:`~repro.robust.retry.RetryPolicy` (if
   any) wraps whole batch attempts, exactly like it wraps whole update
-  transactions today: a transient fault rolls the batch back and
-  replays it from scratch.
+  transactions: a batch *is* one ``XmlStore._commit``, so a transient
+  fault rolls the batch back and replays it from scratch.
+* **Invalidation** — each operation's write set is collected on the
+  writer thread; the commit invalidates their union before any
+  submitter's future resolves.
 * **Crash** — a :class:`~repro.robust.faults.SimulatedCrash` (or any
   ``BaseException`` outside ``Exception``) marks the queue dead: every
   in-flight and queued future is failed with the crash, and later
@@ -30,7 +33,7 @@ from __future__ import annotations
 import queue
 import threading
 from concurrent.futures import Future
-from typing import TYPE_CHECKING, Any, Callable, Optional, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 from repro.errors import WriteQueueClosedError
 from repro.obs import METRICS
@@ -142,57 +145,18 @@ class WriteQueue:
         # Fail anything that raced in after the sentinel.
         self._fail_pending(WriteQueueClosedError("write queue is closed"))
 
-    def _journalled(self, body: Callable[[], T]) -> T:
-        """One transaction attempt wired to the migration journal.
-
-        Mirrors :meth:`XmlStore.transactionally`: entries the attempt
-        stages are promoted inside the transaction scope just before
-        COMMIT (so a migration cutover serialized behind this batch
-        sees them), a retried attempt discards its stale staging
-        first, and a COMMIT that fails *after* promote poisons the
-        journal — the migration aborts rather than replay an entry
-        the live store never published.  As there, ``_migration`` is
-        read after BEGIN so a migration install serialized just ahead
-        of this batch is observed.
-        """
-        store = self.store
-        mig = None
-        promoted = False
-        try:
-            with store.backend.transaction():
-                mig = store._migration
-                if mig is None:
-                    return body()
-                journal = mig.journal
-                journal.discard()
-                result = body()
-                journal.promote()
-                promoted = True
-                return result
-        except BaseException:
-            if mig is not None:
-                if promoted:
-                    mig.journal.poison()
-                mig.journal.discard()
-            raise
-
     def _execute_batch(self, batch: list) -> bool:
         """Run one batch; returns False when the writer must die."""
-        store = self.store
-        results: list[Any] = [None] * len(batch)
-
-        def run_operations() -> None:
-            for i, (operation, _future) in enumerate(batch):
-                results[i] = operation()
-
-        def attempt() -> None:
-            self._journalled(run_operations)
-
         try:
-            if store.retry is not None:
-                store.retry.run(attempt)
-            else:
-                attempt()
+            # One transaction for the whole batch, committed through
+            # the store's own commit path: migration journalling,
+            # whole-attempt retry, and — before any submitter's future
+            # resolves — invalidation of the union of the operations'
+            # write sets, so a submitter that queries right after its
+            # ``call()`` returns can never see a pre-batch result.
+            results = self.store._commit(
+                [operation for operation, _future in batch]
+            )
         except Exception as exc:
             if len(batch) == 1:
                 batch[0][1].set_exception(exc)
@@ -203,34 +167,17 @@ class WriteQueue:
         except BaseException as death:  # SimulatedCrash, KeyboardInterrupt
             self._die(batch, death)
             return False
-        # The group commit just published every operation in the batch:
-        # invalidate the store's caches before any submitter's future
-        # resolves, so a submitter that queries right after its
-        # ``call()`` returns can never see a pre-batch plan or result.
-        store.cache.bump()
         for (_operation, future), result in zip(batch, results):
             future.set_result(result)
-        self.batches += 1
-        self.operations += len(batch)
-        if len(batch) > 1:
-            self.grouped_operations += len(batch)
-        METRICS.inc("writequeue.batches")
-        METRICS.inc("writequeue.operations", len(batch))
-        METRICS.observe("writequeue.batch_size", len(batch))
+        self._count_batch(len(batch))
         return True
 
     def _replay_individually(self, batch: list) -> bool:
-        store = self.store
         for operation, future in batch:
-
-            def attempt(operation=operation):
-                return self._journalled(operation)
-
             try:
-                if store.retry is not None:
-                    result = store.retry.run(attempt)
-                else:
-                    result = attempt()
+                # Per-op commit: same journalling, retry and
+                # invalidate-before-resolve rule as the group's.
+                result = self.store._commit([operation])[0]
             except Exception as exc:
                 future.set_exception(exc)
             except BaseException as death:
@@ -243,14 +190,18 @@ class WriteQueue:
                 self._die(remaining, death)
                 return False
             else:
-                store.cache.bump()  # per-op commit: same rule as above
                 future.set_result(result)
-                self.batches += 1
-                self.operations += 1
-                METRICS.inc("writequeue.batches")
-                METRICS.inc("writequeue.operations")
-                METRICS.observe("writequeue.batch_size", 1)
+                self._count_batch(1)
         return True
+
+    def _count_batch(self, size: int) -> None:
+        self.batches += 1
+        self.operations += size
+        if size > 1:
+            self.grouped_operations += size
+        METRICS.inc("writequeue.batches")
+        METRICS.inc("writequeue.operations", size)
+        METRICS.observe("writequeue.batch_size", size)
 
     def _die(self, in_flight: list, death: BaseException) -> None:
         """The 'process' died mid-batch: fail everything, go dark."""

@@ -107,12 +107,6 @@ class UpdateManager:
 
     def _record(self, op: str, report: UpdateReport) -> UpdateReport:
         """Account one finished operation in the metrics registry."""
-        # The operation's transaction has committed (transactionally
-        # already bumped); bump again so any write path wired around
-        # the store facade still invalidates plans/results — a
-        # deepening insert especially, whose new max_depth obsoletes
-        # Local's depth-bounded plans.
-        self.store.cache.bump()
         if self.store.is_shadow:
             # Shadow replays mirror already-counted live operations;
             # counting them again would double the workload counters
@@ -142,8 +136,11 @@ class UpdateManager:
         queue's writer thread, under group commit).  Staged entries are
         promoted by the commit path and replayed into the migration's
         shadow tables; nested operations stage nothing — the enclosing
-        operation's entry replays them.
+        operation's entry replays them.  Every operation, nested or
+        not, declares *doc* in the transaction's write set, which is
+        what the commit invalidates cache entries by.
         """
+        self.store.note_write(doc)
         tls = self._tls
         depth = getattr(tls, "depth", 0)
         tls.depth = depth + 1

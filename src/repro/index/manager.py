@@ -35,9 +35,11 @@ byte-identical tables.
 The statistics refresh lazily: ``updates_since`` counts update
 operations since the last refresh, and crossing
 :data:`STATS_REFRESH_THRESHOLD` (or an explicit ``refresh_stats``)
-recomputes them and bumps the stats version — the component of the
-plan-cache fingerprint that keeps cost decisions aligned with the
-statistics that justified them.
+recomputes them and allocates a new stats version — the component of
+the plan-cache fingerprint that keeps cost decisions aligned with the
+statistics that justified them.  Versions are drawn from one persisted
+store-wide clock, so a fingerprint is never reused and a cached plan
+may safely outlive every write.
 """
 
 from __future__ import annotations
@@ -153,8 +155,6 @@ class IndexManager:
         #: (tests raise it to 1.0 to keep tiny documents on the
         #: incremental path).
         self.fallback_fraction: Optional[float] = None
-        # context() memo: doc -> (cache epoch, IndexContext | None).
-        self._contexts: dict[int, tuple[int, Optional[IndexContext]]] = {}
 
     # -- mode --------------------------------------------------------------
 
@@ -190,9 +190,9 @@ class IndexManager:
         self.store.document_info(doc)  # raises StorageError if unknown
 
         def build() -> dict:
+            self.store.note_write(doc)
             survey = self._rebuild_rows(doc)
-            meta = self._read_meta(doc)
-            version = int(meta.get("stats_version", 0)) + 1
+            version = self._next_stats_version(doc)
             self._write_stats(doc, survey, version)
             return {
                 "doc": doc,
@@ -212,6 +212,7 @@ class IndexManager:
         present = self.exists(doc)
 
         def purge() -> None:
+            self.store.note_write(doc)
             self.purge_in_transaction(doc)
 
         self.store.transactionally(purge)
@@ -246,9 +247,9 @@ class IndexManager:
             return self.create(doc)
 
         def refresh() -> dict:
+            self.store.note_write(doc)
             survey = self._survey(doc)
-            meta = self._read_meta(doc)
-            version = int(meta.get("stats_version", 0)) + 1
+            version = self._next_stats_version(doc)
             self._write_stats(doc, survey, version)
             return {
                 "doc": doc,
@@ -307,11 +308,10 @@ class IndexManager:
             survey = self._rebuild_rows(doc)
         meta = self._read_meta(doc)
         updates = int(meta.get("updates_since", 0)) + 1
-        version = int(meta.get("stats_version", 1))
         if updates >= STATS_REFRESH_THRESHOLD:
             if survey is None:
                 survey = self._survey(doc)
-            self._write_stats(doc, survey, version + 1)
+            self._write_stats(doc, survey, self._next_stats_version(doc))
             METRICS.inc("index.stats_refreshed")
         else:
             self._set_meta(doc, "updates_since", updates)
@@ -355,26 +355,29 @@ class IndexManager:
 
         ``None`` means compile scan plans: mode ``off``, or no index
         present (mode ``on`` builds one on first use so pre-existing
-        stores pick indexes up without a reload).  Memoized per cache
-        epoch — the same epoch discipline as the plan cache itself.
+        stores pick indexes up without a reload).  Cached beside the
+        document's catalogue row under the same per-document epoch, so
+        only a write to *doc* makes the next call re-read its
+        ``idx_stats`` rows.
         """
         mode = self.mode()
         if mode == "off":
             return None
         cache = self.store.cache
-        memo_ok = cache.enabled and not self.store._in_own_transaction()
-        if memo_ok:
-            epoch = cache.current_epoch()
-            hit = self._contexts.get(doc)
-            if hit is not None and hit[0] == epoch:
-                return hit[1]
+        use_cache = cache.enabled and not self.store._in_own_transaction()
+        if use_cache:
+            hit = cache.get_index_context(doc)
+            if hit is not None:
+                return hit[0]
+            epoch = cache.epoch(doc)
         ctx = self._load_context(doc)
         if ctx is None and mode == "on":
             self.create(doc)
+            if use_cache:
+                epoch = cache.epoch(doc)  # create() just advanced it
             ctx = self._load_context(doc)
-        if memo_ok:
-            # Re-read the epoch: create() above bumped it.
-            self._contexts[doc] = (cache.current_epoch(), ctx)
+        if use_cache:
+            cache.put_index_context(doc, (ctx,), epoch)
         return ctx
 
     def _load_context(self, doc: int) -> Optional[IndexContext]:
@@ -839,6 +842,41 @@ class IndexManager:
         backend.executemany(
             "INSERT INTO idx_stats VALUES (?, ?, ?, ?)", meta_rows
         )
+
+    def _next_stats_version(self, doc: int) -> int:
+        """Allocate *doc*'s next statistics version (txn caller-owned).
+
+        Versions come from one persisted store-wide clock — the
+        ``idx_stats`` row of document 0, which no purge touches — so a
+        plan-cache fingerprint ``(doc, stats_version)`` is never
+        reused: not after drop + create, and not after the doc id
+        itself is reused.  Cached plans outlive writes, so a reused
+        fingerprint would serve a cost decision made from statistics
+        that no longer exist.
+        """
+        backend = self.store.backend
+        rows = backend.execute(
+            "SELECT value FROM idx_stats "
+            "WHERE doc = 0 AND kind = 'clock' AND skey = 'stats_version'",
+        ).rows
+        # A store written before the clock existed may hold a version
+        # above it; never allocate at or below the document's own.
+        current = int(self._read_meta(doc).get("stats_version", 0))
+        version = max(int(rows[0][0]) if rows else 0, current) + 1
+        if rows:
+            backend.execute(
+                "UPDATE idx_stats SET value = ? "
+                "WHERE doc = 0 AND kind = 'clock' "
+                "AND skey = 'stats_version'",
+                (str(version),),
+            )
+        else:
+            backend.execute(
+                "INSERT INTO idx_stats VALUES (0, 'clock', "
+                "'stats_version', ?)",
+                (str(version),),
+            )
+        return version
 
     def _read_meta(self, doc: int) -> dict[str, str]:
         result = self.store.backend.execute(

@@ -33,6 +33,11 @@ machine:
     post-commit: bump the store's migration epoch (in-flight queries
     re-run), drop the shadow tables, clear the migration state.
 
+Every stage transaction declares the migrating document as its write
+set, so its commit invalidates that document's cached catalogue row
+and results and nothing else; replay through the shadow store touches
+no cache at all (the shadow's is disabled).
+
 Crash safety: nothing outside the shadow tables changes until the
 single cutover transaction commits, and the shadow tables are dropped
 by :meth:`~repro.store.XmlStore._recover_shadow_state` on the next
@@ -54,8 +59,9 @@ migration.)
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import Callable, TypeVar, Union
 
 from repro.cache import StoreCache
 from repro.core.encodings import OrderEncoding, get_encoding
@@ -139,6 +145,7 @@ class _ShadowStore(XmlStore):
         self.retry = base.retry
         self.write_queue = None
         self.cache = StoreCache(enabled=False)
+        self._scope = threading.local()
         self._docs_table = documents_table()
         self._migration = None
         self._migration_epoch = 0
@@ -290,6 +297,8 @@ def _check_journal(journal: MigrationJournal) -> None:
         )
 
 
+_T = TypeVar("_T")
+
 #: How many drain-and-replay rounds to run before forcing cutover (the
 #: cutover transaction replays whatever is still pending, so this only
 #: bounds how much work lands inside that single transaction).
@@ -341,10 +350,22 @@ def migrate_document(
     _bootstrap_tables(store, shadow_encoding)
     _bootstrap_tables(store, target)
 
+    def staged(operation: Callable[[], _T]) -> _T:
+        """One stage transaction.  Its write set is the migrating
+        document — the only one whose cached entries a stage can
+        outdate — so every other document's entries survive the whole
+        migration."""
+
+        def body() -> _T:
+            store.note_write(doc)
+            return operation()
+
+        return store.transactionally(body)
+
     def install() -> None:
         store._migration = state
 
-    store.transactionally(install)
+    staged(install)
 
     try:
         # SNAPSHOT -- one transaction over catalogue + rows.  Entries
@@ -376,9 +397,7 @@ def migrate_document(
             )
 
         with span("migrate.snapshot"):
-            snap_info, source_rows, attr_rows = (
-                store.transactionally(snapshot)
-            )
+            snap_info, source_rows, attr_rows = staged(snapshot)
 
         # COPY -- convert and land in bounded batches.
         with span("migrate.copy"):
@@ -393,7 +412,7 @@ def migrate_document(
             ]
             for start in range(0, len(node_rows), batch_size):
                 batch = node_rows[start:start + batch_size]
-                store.transactionally(
+                staged(
                     lambda b=batch: store.backend.executemany(node_sql, b)
                 )
                 report.rows_copied += len(batch)
@@ -404,7 +423,7 @@ def migrate_document(
             )
             for start in range(0, len(attr_rows), batch_size):
                 batch = attr_rows[start:start + batch_size]
-                store.transactionally(
+                staged(
                     lambda b=batch: store.backend.executemany(attr_sql, b)
                 )
                 report.attrs_copied += len(batch)
@@ -504,7 +523,7 @@ def migrate_document(
             return len(remainder)
 
         with span("migrate.cutover"):
-            report.journal_replayed += store.transactionally(cutover)
+            report.journal_replayed += staged(cutover)
     except BaseException:
         # Abort: the live document is untouched; discard the shadow.
         # Clearing the state first stops new entries from staging; the
@@ -515,15 +534,15 @@ def migrate_document(
             _drop_shadow_tables(store, shadow_encoding)
         except BaseException:
             pass  # crashed backend: the reopen-time sweep drops them
-        store.cache.bump()
         METRICS.inc("migrate.aborted")
         raise
 
-    # CLEANUP -- post-commit: wake in-flight queries, then discard the
-    # published shadow copy.  A crash in here leaves only orphan shadow
-    # tables (the cutover is durable), dropped on the next open.
+    # CLEANUP -- post-commit (the cutover's commit already invalidated
+    # the document's cached catalogue row and results): wake in-flight
+    # queries, then discard the published shadow copy.  A crash in here
+    # leaves only orphan shadow tables (the cutover is durable),
+    # dropped on the next open.
     store._migration_epoch += 1
-    store.cache.bump()
     _drop_shadow_tables(store, shadow_encoding)
     store._migration = None
     METRICS.inc("migrate.completed")

@@ -141,7 +141,11 @@ class ShardWorker:
         )
 
     def _op_update_batch(self, request: dict) -> dict:
-        """Apply a list of operations atomically (one transaction)."""
+        """Apply a list of operations atomically (one transaction).
+
+        Each operation notes its document into the outer scope's write
+        set, so the one commit invalidates this document's cached
+        entries and no other's."""
         doc = int(request["doc"])
         changes = request["changes"]
         pause = float(request.get("pause_ms", 0)) / 1000.0

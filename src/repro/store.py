@@ -63,7 +63,7 @@ def _parse_and_extract(xpath: str):
     """Parse *xpath* and abstract its safe literals into slots.
 
     Returns ``(shaped_path, shape_key, literals)``.  Pure function of
-    the text, so it is cached process-wide across stores and epochs —
+    the text, so it is cached process-wide across stores and writes —
     parsing never repeats for a hot query, and the shape key string is
     computed once.  The shaped path is an immutable AST, safe to share.
     """
@@ -77,7 +77,7 @@ def _is_already_exists(exc: Exception) -> bool:
     return "already exists" in str(exc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultItem:
     """One query result: a node row or an attribute.
 
@@ -100,7 +100,7 @@ class ResultItem:
         return ("node", self.node_id)
 
 
-@dataclass
+@dataclass(slots=True)
 class DocumentInfo:
     """Catalogue entry of one stored document.
 
@@ -184,12 +184,16 @@ class XmlStore:
             get_encoding(encoding) if isinstance(encoding, str) else encoding
         )
         self.gap = gap
-        #: Epoch-invalidated plan/catalog/result caches.  Every
-        #: committed write bumps the epoch (see :meth:`transactionally`
-        #: and the write queue), which drops all three layers at once.
+        #: Plan/catalog/result caches.  Every commit invalidates the
+        #: catalog and result entries of the documents it wrote (see
+        #: :meth:`transactionally`); plans are never invalidated.
         self.cache = StoreCache(
             enabled=cache_enabled_from_env() if cache is None else bool(cache)
         )
+        #: Per thread: ``writes`` is the write set of the submitted
+        #: operation now running inside this thread's top-level
+        #: transaction (see :meth:`note_write`), ``None`` outside one.
+        self._scope = threading.local()
         self._docs_table = documents_table()
         #: In-flight encoding migration (``repro.migrate.MigrationState``)
         #: or ``None``.  While set, committed update transactions are
@@ -307,14 +311,19 @@ class XmlStore:
         into one commit; calls already on the writer thread, or nested
         inside this thread's own transaction, run locally and join it.
 
-        Every successful top-level call bumps the cache epoch: all
-        writers (loads, deletes, update operations) funnel through
-        here, so a commit can never leave a stale plan, catalogue row,
-        or cached result behind.  Nested calls leave the bump to the
-        outermost scope, whose commit actually publishes the change.
+        **Write-set contract.**  All writers (loads, deletes, update
+        operations, index and migration stages) funnel through here,
+        and every top-level commit invalidates the cache entries of
+        exactly the documents it wrote, before its caller sees the
+        result.  An operation names those documents by calling
+        :meth:`note_write` from inside the transaction; one that notes
+        any document thereby declares its *complete* write set.  An
+        operation that notes none (a raw callable) has an unknown
+        write set, and its commit invalidates every document's
+        catalog and result entries instead — never fewer.  Nested
+        calls note into the outermost scope, whose commit actually
+        publishes the change.
         """
-        backend = self.backend
-
         queue = self.write_queue
         if (
             queue is not None
@@ -322,58 +331,88 @@ class XmlStore:
             and not queue.on_writer_thread()
             and not self._in_own_transaction()
         ):
-            # The writer thread bumps right after each group commit
-            # (other submitters' operations publish there too); this
-            # caller-side bump is belt and braces for its own op.
-            result = queue.call(operation)
-            self.cache.bump()
-            return result
-
-        def attempt() -> _T:
-            # An in-flight migration journals every committed update
-            # for replay into its shadow tables.  Entries staged by the
-            # operation are promoted *inside* the transaction scope
-            # (after the last statement, before COMMIT) so a cutover —
-            # serialized behind this transaction — always sees the
-            # committed entry; discard-on-entry keeps a retried attempt
-            # from staging twice.  ``self._migration`` must be read
-            # *after* BEGIN: a migration installs itself under the same
-            # backend lock this BEGIN blocks on, so a pre-BEGIN read
-            # could see None while the operation (running after the
-            # install committed) stages entries — which would then
-            # never promote and be silently discarded, losing the
-            # update from the shadow replay.
-            mig = None
-            promoted = False
-            try:
-                with backend.transaction():
-                    mig = self._migration
-                    if mig is None:
-                        return operation()
-                    journal = mig.journal
-                    journal.discard()
-                    result = operation()
-                    journal.promote()
-                    promoted = True
-                    return result
-            except BaseException:
-                if mig is not None:
-                    if promoted:
-                        # Promoted but the COMMIT failed: the journal
-                        # now holds an entry the live store never
-                        # published.  Poisoning makes the migration
-                        # abort instead of replaying it into the
-                        # shadow.
-                        mig.journal.poison()
-                    mig.journal.discard()
-                raise
-
+            # The writer thread invalidates right after the group
+            # commit, before this call's future resolves.
+            return queue.call(operation)
         if self._in_own_transaction():
-            with backend.transaction():
+            with self.backend.transaction():
                 return operation()
-        result = attempt() if self.retry is None else self.retry.run(attempt)
-        self.cache.bump()
-        return result
+        return self._commit([operation])[0]
+
+    def note_write(self, doc: int) -> None:
+        """Declare that the running transaction writes document *doc*
+        (see the write-set contract on :meth:`transactionally`)."""
+        writes = getattr(self._scope, "writes", None)
+        if writes is not None:
+            writes.add(doc)
+
+    def _commit(self, operations: Sequence[Callable[[], _T]]) -> list[_T]:
+        """Run *operations* as one top-level transaction (a write-queue
+        batch is several), retried whole per the store's policy, then
+        invalidate what they wrote.  Returns their results in order."""
+        if self.retry is None:
+            results, writes = self._attempt(operations)
+        else:
+            results, writes = self.retry.run(
+                lambda: self._attempt(operations)
+            )
+        self.cache.bump(writes)
+        return results
+
+    def _attempt(
+        self, operations: Sequence[Callable[[], _T]]
+    ) -> tuple[list[_T], set[int]]:
+        """One BEGIN ... COMMIT around *operations*; returns their
+        results and the union of their write sets — empty when any of
+        them noted nothing, i.e. when the commit's write set is
+        unknown.  Every attempt starts from empty write sets, and a
+        rolled-back one returns nothing to invalidate.
+
+        An in-flight migration journals every committed update for
+        replay into its shadow tables.  Entries staged by the
+        operations are promoted *inside* the transaction scope (after
+        the last statement, before COMMIT) so a cutover — serialized
+        behind this transaction — always sees the committed entry;
+        discard-on-entry keeps a retried attempt from staging twice.
+        ``self._migration`` must be read *after* BEGIN: a migration
+        installs itself under the same backend lock this BEGIN blocks
+        on, so a pre-BEGIN read could see None while an operation
+        (running after the install committed) stages entries — which
+        would then never promote and be silently discarded, losing the
+        update from the shadow replay.
+        """
+        scope = self._scope
+        results: list[_T] = []
+        written: set[int] = set()
+        known = True
+        mig = None
+        promoted = False
+        try:
+            with self.backend.transaction():
+                mig = self._migration
+                if mig is not None:
+                    mig.journal.discard()
+                for operation in operations:
+                    scope.writes = noted = set()
+                    results.append(operation())
+                    known = known and bool(noted)
+                    written |= noted
+                if mig is not None:
+                    mig.journal.promote()
+                    promoted = True
+        except BaseException:
+            if mig is not None:
+                if promoted:
+                    # Promoted but the COMMIT failed: the journal now
+                    # holds an entry the live store never published.
+                    # Poisoning makes the migration abort instead of
+                    # replaying it into the shadow.
+                    mig.journal.poison()
+                mig.journal.discard()
+            raise
+        finally:
+            scope.writes = None
+        return results, (written if known else set())
 
     def _in_own_transaction(self) -> bool:
         return (
@@ -464,6 +503,7 @@ class XmlStore:
 
             def load_in_transaction() -> int:
                 doc_id = self._next_doc_id()
+                self.note_write(doc_id)
                 self._bulk_insert(doc_id, shredded)
                 self.backend.execute(
                     "INSERT INTO documents VALUES (?, ?, ?, ?, ?, ?)",
@@ -524,10 +564,10 @@ class XmlStore:
             # Inside a transaction the catalogue may hold uncommitted
             # state (updates read-modify-write it); always go direct.
             return self._document_info_uncached(doc)
-        epoch = cache.current_epoch()
         cached = cache.get_catalog(doc)
         if cached is not None:
             return replace(cached)  # callers may mutate their copy
+        epoch = cache.epoch(doc)
         info = self._document_info_uncached(doc)
         cache.put_catalog(doc, replace(info), epoch)
         return info
@@ -557,6 +597,7 @@ class XmlStore:
         def drop_in_transaction() -> int:
             # Resolve the tables inside the transaction: a concurrent
             # migration cutover may have just moved the rows.
+            self.note_write(doc)
             encoding = self.encoding_for(doc)
             nodes = self.backend.execute(
                 f"DELETE FROM {encoding.node_table.name} WHERE doc = ?",
@@ -572,7 +613,9 @@ class XmlStore:
             self.indexes.purge_in_transaction(doc)
             return max(nodes.rowcount, 0) + max(attrs.rowcount, 0)
 
-        return self.transactionally(drop_in_transaction)
+        removed = self.transactionally(drop_in_transaction)
+        self.cache.forget(doc)
+        return removed
 
     def documents(self) -> list[DocumentInfo]:
         result = self._execute(
@@ -592,16 +635,21 @@ class XmlStore:
         id); absolute paths start at the document.
 
         Compiled plans are cached per
-        ``(dialect, encoding, shape, depth)`` where *shape* is the
-        query with its safe predicate literals abstracted away — one
-        plan serves every document and every literal value
-        (``//item[@id='a']`` and ``//item[@id='b']`` share a plan; the
-        values bind as parameters).  The context kind is part of the
-        shape string (absolute vs relative), and the depth bound is
-        part of the key (not just the epoch): Local's
-        ``//``/``following::`` expansion is exactly as deep as
-        ``max_depth``, so a plan compiled before a deepening insert
-        would silently drop the new nodes if it were ever reused.
+        ``(dialect, encoding, shape, depth, index fingerprint)`` where
+        *shape* is the query with its safe predicate literals
+        abstracted away — one plan serves every document and every
+        literal value (``//item[@id='a']`` and ``//item[@id='b']``
+        share a plan; the values bind as parameters).  The context
+        kind is part of the shape string (absolute vs relative).  The
+        key determines the plan, so plans outlive every write; what a
+        write changes is the key the next translation derives.  The
+        depth bound comes from the catalogue row, which that
+        document's writes invalidate: Local's ``//``/``following::``
+        expansion is exactly as deep as ``max_depth``, so after a
+        deepening insert the fresh row selects (and if need be
+        compiles) the deeper plan, and the shallower one — still
+        cached under its own key — is never served for the deepened
+        document.
         """
         shaped, shape_key, literals = _parse_and_extract(xpath)
         cache = self.cache
@@ -610,10 +658,9 @@ class XmlStore:
             plan = self._compile_uncached(shaped, doc, ictx)
             self._note_access_path(plan, xpath, ictx is not None)
             return plan.bind(doc, context_id, literals)
+        info = self.document_info(doc)  # first: raises if unknown
         ictx = self.indexes.context(doc)
         fingerprint = None if ictx is None else ictx.fingerprint
-        epoch = cache.current_epoch()
-        info = self.document_info(doc)
         encoding_name = info.encoding or self.encoding.name
         depth = max(info.max_depth, 2)
         dialect = self.backend.dialect
@@ -622,7 +669,7 @@ class XmlStore:
         if plan is None:
             translator = make_translator(encoding_name, max_depth=depth)
             plan = translator.compile(shaped, dialect=dialect, index=ictx)
-            cache.put_plan(key, plan, epoch)
+            cache.put_plan(key, plan)
         else:
             METRICS.inc("translate.plan_shared")
         self._note_access_path(plan, xpath, ictx is not None)
@@ -688,10 +735,12 @@ class XmlStore:
         use_cache = cache.enabled and not self._in_own_transaction()
         if use_cache:
             result_key = (doc, xpath, context_id)
-            epoch = cache.current_epoch()
             cached = cache.get_result(result_key)
             if cached is not None:
                 return list(cached)
+            # Captured before any backend state is read: a write to
+            # this document committing from here on refuses the put.
+            epoch = cache.epoch(doc)
         log = slow_log()
         if log is None:
             with span("query", xpath=xpath):

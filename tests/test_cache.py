@@ -1,16 +1,21 @@
-"""Plan/catalog/result caching: epoch invalidation and satellites.
+"""Plan/catalog/result caching: per-document invalidation and satellites.
 
 Covers the :mod:`repro.cache` layer itself (LRU mechanics, the
-refuse-stale-put race rule), its wiring through :class:`XmlStore` and
-the write queue, the deepening-insert regression (a warmed plan whose
-``max_depth`` bound went stale must never drop nodes), the statement-
-verb ``rows_written`` classification, the slow-log short-circuit, and
-the cache-twin mode of the differential fuzzer.
+per-document key index, the refuse-stale-put race rule, doc-id reuse),
+its wiring through :class:`XmlStore`, the write queue, the index
+manager and the migration engine (a write to one document drops that
+document's entries and no other's; a commit that cannot name its write
+set drops every document's; plans survive every write), the
+deepening-insert regression (a stale ``max_depth`` must never select a
+plan that drops nodes), the statement-verb ``rows_written``
+classification, the slow-log short-circuit, and the multi-document
+cache-twin mode of the differential fuzzer.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -19,10 +24,43 @@ from repro.backends.base import is_write_statement
 from repro.backends.pooled_sqlite import PooledSqliteBackend
 from repro.backends.sqlite_backend import SqliteBackend
 from repro.cache import StoreCache, cache_enabled_from_env
+from repro.errors import StorageError
+from repro.obs import METRICS
 from repro.store import XmlStore
 
 SHALLOW = "<r><a><b>x</b></a><a><b>y</b></a></r>"
 DEEP_FRAGMENT = "<c><d><e><f>deep</f></e></d></c>"
+
+
+@contextmanager
+def counters():
+    """Enable the metrics registry; yields a name -> count reader."""
+    was_enabled = METRICS.enabled
+    METRICS.reset()
+    METRICS.enabled = True
+    try:
+        yield lambda name: METRICS.snapshot()["counters"].get(name, 0)
+    finally:
+        METRICS.enabled = was_enabled
+        METRICS.reset()
+
+
+def layer(store_or_cache, name: str) -> dict:
+    cache = getattr(store_or_cache, "cache", store_or_cache)
+    return cache.stats()["layers"][name]
+
+
+def served_from_cache(store: XmlStore, xpath: str, doc: int) -> bool:
+    """Run the query; True when the result layer answered it."""
+    hits = layer(store, "result")["hits"]
+    store.query(xpath, doc)
+    return layer(store, "result")["hits"] == hits + 1
+
+
+def catalog_cached(store: XmlStore, doc: int) -> bool:
+    hits = layer(store, "catalog")["hits"]
+    store.document_info(doc)
+    return layer(store, "catalog")["hits"] == hits + 1
 
 
 # -- the cache object itself ---------------------------------------------
@@ -30,10 +68,9 @@ DEEP_FRAGMENT = "<c><d><e><f>deep</f></e></d></c>"
 
 def test_lru_eviction_and_counters():
     cache = StoreCache(plan_capacity=2)
-    epoch = cache.current_epoch()
-    cache.put_plan("a", 1, epoch)
-    cache.put_plan("b", 2, epoch)
-    cache.put_plan("c", 3, epoch)  # evicts "a"
+    cache.put_plan("a", 1)
+    cache.put_plan("b", 2)
+    cache.put_plan("c", 3)  # evicts "a"
     assert cache.get_plan("a") is None
     assert cache.get_plan("b") == 2
     assert cache.get_plan("c") == 3
@@ -43,38 +80,126 @@ def test_lru_eviction_and_counters():
     assert stats["hits"] == 2 and stats["misses"] == 1
 
 
-def test_bump_clears_every_layer_and_advances_epoch():
+def test_result_key_index_stays_consistent_with_lru_eviction():
+    """An evicted entry leaves its document's key index too: a later
+    bump of that document counts (and drops) only live entries, and
+    the bookkeeping does not grow past the layer's capacity."""
+    cache = StoreCache(result_capacity=2)
+    for n, doc in enumerate((1, 1, 2, 2, 1)):
+        assert cache.put_result((doc, f"q{n}", None), n, cache.epoch(doc))
+    # Live: (2, q3) and (1, q4); everything older was evicted.
+    assert layer(cache, "result")["evictions"] == 3
+    assert sum(len(k) for k in cache._result.keys_of.values()) == 2
+    cache.bump([1])
+    stats = layer(cache, "result")
+    assert stats["invalidations"] == 1 and stats["size"] == 1
+    assert cache.get_result((2, "q3", None)) == 3
+    cache.bump([2])
+    assert cache._result.keys_of == {} and not cache._result.entries
+
+
+def test_bump_drops_the_written_documents_entries_only():
     cache = StoreCache()
-    epoch = cache.current_epoch()
-    cache.put_plan("p", 1, epoch)
-    cache.put_catalog("c", 2, epoch)
-    cache.put_result("r", 3, epoch)
-    cache.bump()
-    assert cache.current_epoch() == epoch + 1
-    assert cache.get_plan("p") is None
-    assert cache.get_catalog("c") is None
-    assert cache.get_result("r") is None
+    cache.bump([1, 2])  # both documents were loaded in this process
+    cache.put_plan("p", 0)
+    for doc in (1, 2):
+        epoch = cache.epoch(doc)
+        cache.put_catalog(doc, f"info{doc}", epoch)
+        cache.put_index_context(doc, (None,), epoch)
+        cache.put_result((doc, "//a", None), f"rows{doc}", epoch)
+    untouched = cache.epoch(2)
+    cache.bump([1])
+    cache.bump([1])  # a second write to the same document
+    assert cache.get_catalog(1) is None
+    assert cache.get_index_context(1) is None
+    assert cache.get_result((1, "//a", None)) is None
+    assert cache.get_catalog(2) == "info2"
+    assert cache.get_index_context(2) == (None,)
+    assert cache.get_result((2, "//a", None)) == "rows2"
+    assert cache.get_plan("p") == 0, "plans carry no epoch"
     layers = cache.stats()["layers"]
-    assert all(v["invalidations"] == 1 for v in layers.values())
+    assert layers["plan"]["invalidations"] == 0
+    assert layers["catalog"]["invalidations"] == 2
+    assert layers["result"]["invalidations"] == 1
+    # Document 2's epoch is intact: a reader that captured it before
+    # the writes to document 1 may still put.
+    assert cache.put_result((2, "//b", None), "late", untouched) is True
+
+
+def test_bump_without_a_write_set_invalidates_every_document():
+    cache = StoreCache()
+    cache.put_plan("p", 0)
+    captured = {}
+    for doc in (1, 2):
+        captured[doc] = cache.epoch(doc)
+        cache.put_catalog(doc, "info", captured[doc])
+        cache.put_result((doc, "//a", None), "rows", captured[doc])
+    cache.bump()
+    for doc in (1, 2):
+        assert cache.get_catalog(doc) is None
+        assert cache.get_result((doc, "//a", None)) is None
+        assert cache.epoch(doc) != captured[doc]
+        assert cache.put_result((doc, "//a", None), "x", captured[doc]) is False
+    assert cache.get_plan("p") == 0
+    assert cache.stats()["doc_epochs"] == 0  # nothing to remember
 
 
 def test_put_with_stale_epoch_is_refused():
     """The read-during-write race: a value computed from pre-commit
-    state arrives after the writer's bump and must not be stored."""
+    state arrives after the writer's bump and must not be stored — for
+    the written document.  A reader of another document is unaffected."""
     cache = StoreCache()
-    epoch = cache.current_epoch()
-    cache.bump()  # the "writer" commits and invalidates
-    assert cache.put_plan("p", "stale", epoch) is False
-    assert cache.get_plan("p") is None
+    cache.bump([1, 2])  # both documents were loaded in this process
+    reader_1, reader_2 = cache.epoch(1), cache.epoch(2)
+    cache.bump([1])  # the "writer" commits to document 1
+    assert cache.put_result((1, "//a", None), "stale", reader_1) is False
+    assert cache.put_catalog(1, "stale", reader_1) is False
+    assert cache.get_result((1, "//a", None)) is None
+    assert cache.put_result((2, "//a", None), "fine", reader_2) is True
     # A put with the fresh epoch is accepted.
-    assert cache.put_plan("p", "fresh", cache.current_epoch()) is True
-    assert cache.get_plan("p") == "fresh"
+    assert cache.put_result((1, "//a", None), "fresh", cache.epoch(1)) is True
+    assert cache.get_result((1, "//a", None)) == "fresh"
+
+
+def test_forgotten_document_cannot_resurrect_a_stale_capture():
+    """The ABA case on the cache object: whatever a reader captured
+    for a document — an entry or the bare clock — stops matching at the
+    document's next write, even once its bookkeeping was dropped and
+    the id reused."""
+    cache = StoreCache()
+    never_written = cache.epoch(5)  # no entry: reads as the clock
+    cache.bump([5])
+    written = cache.epoch(5)
+    assert written != never_written
+    cache.bump([5])  # delete_document(5) commits ...
+    cache.forget(5)  # ... and drops the bookkeeping
+    assert cache.stats()["doc_epochs"] == 0
+    for stale in (never_written, written):
+        assert cache.put_result((5, "//a", None), "old doc", stale) is False
+    cache.bump([5])  # a load reuses id 5
+    for stale in (never_written, written):
+        assert cache.put_result((5, "//a", None), "old doc", stale) is False
+    assert cache.put_result((5, "//a", None), "new", cache.epoch(5)) is True
+
+
+def test_clear_empties_every_layer_plans_included():
+    cache = StoreCache()
+    epoch = cache.epoch(1)
+    cache.put_plan("p", 0)
+    cache.put_catalog(1, "info", epoch)
+    cache.put_result((1, "//a", None), "rows", epoch)
+    cache.clear()
+    assert all(v["size"] == 0 for v in cache.stats()["layers"].values())
+    assert cache.put_result((1, "//a", None), "rows", epoch) is False
 
 
 def test_disabled_cache_bump_is_inert():
     cache = StoreCache(enabled=False)
+    before = cache.epoch(1)
+    cache.bump([1])
     cache.bump()
-    assert cache.current_epoch() == 0
+    assert cache.epoch(1) == before
+    assert cache.stats()["epoch"] == 0
 
 
 def test_env_escape_hatch(monkeypatch):
@@ -121,8 +246,9 @@ def test_repeated_query_hits_every_layer(encoding):
 def test_deepening_insert_returns_new_nodes(encoding, backend):
     """Regression: warm every cache layer, then insert a fragment
     deeper than ``document_info.max_depth``.  Local's depth-bounded
-    ``//`` expansion silently drops the new nodes if the stale plan
-    (or stale catalogue row) survives the insert."""
+    ``//`` expansion silently drops the new nodes if the stale
+    catalogue row (and with it the shallow plan's key) survives the
+    insert."""
     store = XmlStore(backend=backend, encoding=encoding, cache=True)
     doc = store.load(SHALLOW)
     old_depth = store.document_info(doc).max_depth
@@ -152,45 +278,228 @@ def test_deepening_insert_returns_new_nodes(encoding, backend):
         assert got == want, (encoding, backend, xpath)
 
 
+def test_deepening_insert_keeps_the_shallow_plan_cached_but_unserved():
+    """The depth hazard stays closed without dropping plans: the
+    deepened document asks for a deeper key, while the shallow plan
+    stays cached and keeps serving a document that is still shallow."""
+    store = XmlStore(encoding="local", cache=True)
+    store.indexes.force_mode = "off"  # scan plans are shared across docs
+    deepened = store.load(SHALLOW)
+    shallow = store.load(SHALLOW)
+    assert store.query("//f", deepened) == []
+    plans = layer(store, "plan")["size"]
+
+    store.updates.insert(deepened, 2, 0, DEEP_FRAGMENT)
+
+    assert [i.value for i in store.query("//f", deepened)] == ["deep"]
+    stats = layer(store, "plan")
+    assert stats["invalidations"] == 0
+    assert stats["size"] == plans + 1, "the deeper plan joined the old one"
+    with counters() as count:
+        assert store.query("//f", shallow) == []
+        assert count("translate.compile") == 0, "shallow plan reused"
+
+
+def _every_commit_path(store: XmlStore, doc: int):
+    """(name, operation) for every committing operation on *doc* that
+    names its write set; each leaves *doc* in place."""
+    from repro.migrate import migrate_document
+
+    updates, indexes = store.updates, store.indexes
+    target = "global" if store.encoding.name != "global" else "dewey"
+    return [
+        ("insert", lambda: updates.insert(doc, 1, 0, "<z/>")),
+        ("set_text", lambda: updates.set_text(doc, 2, "new")),
+        ("rename", lambda: updates.rename(doc, 2, "aa")),
+        ("set_attribute", lambda: updates.set_attribute(doc, 2, "k", "v")),
+        ("delete", lambda: updates.delete(doc, 2)),
+        ("index create", lambda: indexes.create(doc)),
+        ("index refresh", lambda: indexes.refresh_stats(doc)),
+        ("index drop", lambda: indexes.drop(doc)),
+        ("migration", lambda: migrate_document(store, doc, target)),
+    ]
+
+
 def test_every_update_kind_bumps_the_epoch():
+    """Every commit path advances the epoch of the document it wrote,
+    drops that document's result and catalogue entries, and leaves
+    another document's entries (and every plan) where they were."""
+    store = XmlStore(cache=True)
+    written = store.load(SHALLOW)
+    other = store.load(SHALLOW)
+    other_epoch = store.cache.epoch(other)
+
+    def warm() -> None:
+        for doc in (written, other):
+            store.query("//b", doc)
+            store.document_info(doc)
+
+    for name, operation in _every_commit_path(store, written):
+        warm()
+        before = store.cache.epoch(written)
+        operation()
+        assert store.cache.epoch(written) > before, name
+        assert store.cache.epoch(other) == other_epoch, name
+        assert catalog_cached(store, other), name
+        assert served_from_cache(store, "//b", other), name
+        assert not catalog_cached(store, written), name
+        assert not served_from_cache(store, "//b", written), name
+        assert layer(store, "plan")["invalidations"] == 0, name
+
+    # load and delete_document name the document they create / remove.
+    warm()
+    third = store.load("<other/>")
+    assert store.cache.epoch(third) > other_epoch
+    assert served_from_cache(store, "//b", other)
+    assert served_from_cache(store, "//b", written)
+    store.delete_document(written)
+    assert catalog_cached(store, other)
+    assert served_from_cache(store, "//b", other)
+    with pytest.raises(StorageError):
+        store.query("//b", written)
+
+
+@pytest.mark.parametrize("kind", ["raw-callable", "rebalance"])
+def test_unknown_write_set_invalidates_store_wide(kind):
+    """A commit that cannot name what it wrote falls back to dropping
+    every document's results and catalogue rows — never fewer."""
+    store = XmlStore(encoding="dewey", gap=4, cache=True)
+    first = store.load(SHALLOW)
+    second = store.load(SHALLOW)
+    for doc in (first, second):
+        store.query("//b", doc)
+    plans = layer(store, "plan")["size"]
+    if kind == "rebalance":
+        store.updates.rebalance(first)
+    else:
+        store.transactionally(
+            lambda: store.backend.execute(
+                "UPDATE documents SET name = ? WHERE doc = ?",
+                ("renamed", second),
+            )
+        )
+        assert store.document_info(second).name == "renamed"
+    for doc in (first, second):
+        assert not served_from_cache(store, "//b", doc)
+    assert layer(store, "plan")["size"] == plans
+    assert layer(store, "plan")["invalidations"] == 0
+
+
+def test_one_unnoted_operation_makes_the_whole_batch_unknown():
+    """Group commit: one submitted operation that names no document
+    makes the whole batch's write set unknown, even though its
+    neighbour named one."""
+    store = XmlStore(cache=True)
+    first = store.load(SHALLOW)
+    second = store.load(SHALLOW)
+    for doc in (first, second):
+        store.query("//b", doc)
+    queue = store.enable_write_queue(autostart=False)
+    try:
+        futures = [
+            queue.submit(lambda: store.updates.insert(first, 1, 0, "<z/>")),
+            queue.submit(lambda: store.backend.execute(
+                "UPDATE documents SET name = 'n' WHERE doc = ?", (second,)
+            )),
+        ]
+        queue.start()
+        for future in futures:
+            future.result(10)
+        assert queue.grouped_operations == 2
+        assert not served_from_cache(store, "//b", second)
+        assert store.document_info(second).name == "n"
+    finally:
+        store.close()
+
+
+def test_plan_survives_a_write_and_is_not_recompiled():
     store = XmlStore(cache=True)
     doc = store.load(SHALLOW)
+    store.query("//b", doc)
+    with counters() as count:
+        store.updates.insert(doc, 1, 0, "<b>z</b>")
+        assert len(store.query("//b", doc)) == 3  # re-executed ...
+        assert count("translate.compile") == 0  # ... from the old plan
+        assert count("query.executed") == 1
+    assert layer(store, "plan")["invalidations"] == 0
 
-    def epoch() -> int:
-        return store.cache.current_epoch()
 
-    before = epoch()
-    store.updates.insert(doc, 1, 0, "<z/>")
-    after_insert = epoch()
-    assert after_insert > before
-    store.updates.set_text(doc, 2, "new")
-    assert epoch() > after_insert
-    before = epoch()
-    store.updates.rename(doc, 2, "aa")
-    assert epoch() > before
-    before = epoch()
-    store.updates.set_attribute(doc, 2, "k", "v")
-    assert epoch() > before
-    before = epoch()
-    store.updates.delete(doc, 2)
-    assert epoch() > before
-    before = epoch()
-    store.load("<other/>")
-    assert epoch() > before
-    before = epoch()
-    store.delete_document(doc)
-    assert epoch() > before
+def test_rolled_back_transaction_invalidates_nothing():
+    store = XmlStore(cache=True)
+    doc = store.load(SHALLOW)
+    store.query("//b", doc)
+    epoch = store.cache.epoch(doc)
+
+    def failing() -> None:
+        store.updates.insert(doc, 1, 0, "<z/>")
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError):
+        store.transactionally(failing)
+    assert store.cache.epoch(doc) == epoch
+    assert served_from_cache(store, "//b", doc)
+    assert store.query("//z", doc) == []
+
+
+def test_retried_attempt_starts_with_an_empty_write_set():
+    """Only the attempt that commits contributes to the write set: a
+    document noted by an attempt that rolled back is not invalidated."""
+    from repro.robust.faults import TransientInjectedError
+    from repro.robust.retry import RetryPolicy
+
+    store = XmlStore(cache=True, retry=RetryPolicy(attempts=3, base_delay=0))
+    first = store.load(SHALLOW)
+    second = store.load(SHALLOW)
+    for doc in (first, second):
+        store.query("//b", doc)
+    attempts = []
+
+    def flaky() -> None:
+        attempts.append(1)
+        if len(attempts) == 1:
+            store.note_write(second)
+            raise TransientInjectedError("transient")
+        store.updates.insert(first, 1, 0, "<z/>")
+
+    store.transactionally(flaky)
+    assert len(attempts) == 2
+    assert served_from_cache(store, "//b", second)
+    assert not served_from_cache(store, "//b", first)
 
 
 def test_delete_document_invalidates_cached_results():
     store = XmlStore(cache=True)
     doc = store.load(SHALLOW)
     assert len(store.query("//b", doc)) == 2
+    assert store.cache.stats()["doc_epochs"] == 1
     store.delete_document(doc)
-    from repro.errors import StorageError
-
     with pytest.raises(StorageError):
         store.query("//b", doc)
+    # Per-document bookkeeping goes with the document.
+    assert store.cache.stats()["doc_epochs"] == 0
+    assert layer(store, "catalog")["size"] == 0
+    assert layer(store, "result")["size"] == 0
+
+
+def test_doc_id_reuse_cannot_resurrect_a_result():
+    """Document ids are reused (``MAX(doc) + 1``).  A reader that
+    captured its epoch before the delete and puts after the id was
+    re-loaded must be refused, or the new document would answer with
+    the old one's nodes."""
+    store = XmlStore(cache=True)
+    doc = store.load(SHALLOW)
+    key = (doc, "//b", None)
+    slow_reader_epoch = store.cache.epoch(doc)
+    slow_reader_rows = tuple(store.query("//b", doc))
+    assert len(slow_reader_rows) == 2
+
+    store.delete_document(doc)
+    assert store.load("<r><b>only</b></r>") == doc  # the id is reused
+
+    assert store.cache.put_result(
+        key, slow_reader_rows, slow_reader_epoch
+    ) is False
+    assert [i.value for i in store.query("//b", doc)] == ["only"]
 
 
 def test_result_cache_hands_out_fresh_lists():
@@ -219,16 +528,56 @@ def test_write_queue_commit_bumps_epoch():
     store.query("//b", doc)  # warm
     store.enable_write_queue()
     try:
-        before = store.cache.current_epoch()
+        before = store.cache.epoch(doc)
         store.updates.insert(doc, 1, 0, "<z>q</z>")
-        assert store.cache.current_epoch() > before
+        assert store.cache.epoch(doc) > before
         assert len(store.query("//z", doc)) == 1
     finally:
         store.close()
 
 
+def test_write_queue_batch_invalidates_both_documents_before_futures_resolve():
+    """Group commit unions the batch's write sets and invalidates
+    before *any* submitter's future resolves; a third document the
+    batch did not write keeps its entries."""
+    store = XmlStore(cache=True)
+    docs = [store.load(SHALLOW) for _ in range(3)]
+    for doc in docs:
+        store.query("//b", doc)
+    queue = store.enable_write_queue(autostart=False)
+    seen_at_resolution: list[dict] = []
+
+    def snapshot(_future) -> None:
+        # Runs on the writer thread, inside set_result().
+        seen_at_resolution.append({
+            doc: (doc, "//b", None) in store.cache._result.entries
+            for doc in docs
+        })
+
+    try:
+        futures = [
+            queue.submit(
+                lambda doc=doc: store.updates.insert(doc, 1, 0, "<b>n</b>")
+            )
+            for doc in docs[:2]
+        ]
+        for future in futures:
+            future.add_done_callback(snapshot)
+        queue.start()
+        for future in futures:
+            future.result(10)
+        assert queue.grouped_operations == 2
+        assert seen_at_resolution == [
+            {docs[0]: False, docs[1]: False, docs[2]: True}
+        ] * 2
+        assert len(store.query("//b", docs[0])) == 3
+        assert served_from_cache(store, "//b", docs[2])
+    finally:
+        store.close()
+
+
 def test_pooled_backend_concurrent_queries_stay_correct(tmp_path):
-    """Readers on pooled per-thread connections share one epoch; a
+    """Readers on pooled per-thread connections share one cache; a
     writer's inserts must become visible to every thread's queries."""
     backend = PooledSqliteBackend(str(tmp_path / "cache.db"))
     store = XmlStore(backend=backend, encoding="dewey", cache=True)
@@ -256,6 +605,95 @@ def test_pooled_backend_concurrent_queries_stay_correct(tmp_path):
     assert not errors, errors
     assert len(store.query("//b", doc)) == 10
     store.close()
+
+
+def test_concurrent_writers_to_other_documents_never_leave_a_stale_result(
+    tmp_path,
+):
+    """Stress the shared per-document bookkeeping: more threads than
+    cores, a shortened switch interval, each writer hammering its own
+    document while readers cache all of them.  A lost or misdirected
+    invalidation would leave a count behind the writer's."""
+    import sys
+
+    backend = PooledSqliteBackend(str(tmp_path / "stress.db"))
+    store = XmlStore(backend=backend, encoding="dewey", cache=True)
+    store.enable_write_queue()
+    docs = [store.load(SHALLOW) for _ in range(3)]
+    inserts = 12
+    errors: list[str] = []
+    stop = threading.Event()
+
+    def writer(doc: int) -> None:
+        for n in range(inserts):
+            store.updates.insert(doc, 1, 0, "<b>w</b>")
+            seen = len(store.query("//b", doc))
+            if seen != 3 + n:
+                errors.append(f"doc {doc}: {seen} after {n + 1} inserts")
+                return
+
+    def reader() -> None:
+        while not stop.is_set():
+            for doc in docs:
+                store.query("//b", doc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    writers = [threading.Thread(target=writer, args=(d,)) for d in docs]
+    readers = [threading.Thread(target=reader) for _ in range(3)]
+    try:
+        for thread in (*readers, *writers):
+            thread.start()
+        for thread in writers:
+            thread.join(60)
+    finally:
+        stop.set()
+        for thread in readers:
+            thread.join(60)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in (*writers, *readers))
+    assert not errors, errors
+    for doc in docs:
+        assert len(store.query("//b", doc)) == 2 + inserts
+    store.close()
+
+
+# -- the index planner context lives under the per-document epoch ----------
+
+
+def test_index_context_is_cached_per_document():
+    """A write to A re-reads A's ``idx_stats`` rows and nothing of
+    B's: B's next translation issues no backend statement at all."""
+    store = XmlStore(cache=True)
+    store.indexes.force_mode = "auto"
+    a = store.load(SHALLOW)
+    b = store.load(SHALLOW)
+    store.indexes.create(a)
+    store.indexes.create(b)
+    for doc in (a, b):
+        store.translate("//b", doc)
+    assert not hasattr(store.indexes, "_contexts")
+    with counters() as count:
+        store.updates.insert(a, 1, 0, "<b>z</b>")
+        before = count("backend.statements")
+        assert store.indexes.context(b).doc == b
+        store.translate("//b", b)
+        assert count("backend.statements") == before, "B was reloaded"
+        assert store.indexes.context(a).updates_since == 1
+        assert count("backend.statements") > before
+
+
+def test_deleted_document_leaves_no_cached_context():
+    store = XmlStore(cache=True)
+    store.indexes.force_mode = "auto"
+    doc = store.load(SHALLOW)
+    store.indexes.create(doc)
+    assert store.indexes.context(doc) is not None
+    store.delete_document(doc)
+    assert layer(store, "catalog")["size"] == 0
+    reused = store.load(SHALLOW)
+    assert reused == doc
+    assert store.indexes.context(reused) is None  # not the old index's
 
 
 # -- satellite: statement-verb write classification -----------------------
@@ -347,40 +785,61 @@ def test_fuzz_cache_twin_fixed_seeds(backend):
     assert report.ok(), "\n".join(str(f) for f in report.failures)
 
 
-@pytest.mark.skip_audit
-def test_fuzz_cache_twin_catches_missing_invalidation(monkeypatch):
-    """Sanity check that the harness actually detects stale caches: a
-    store whose epoch never advances must fail the battery."""
-    from repro.cache.lru import StoreCache
+def _twin_battery(**overrides):
     from repro.check import FuzzConfig, run_fuzz
 
-    monkeypatch.setattr(StoreCache, "bump", lambda self: None)
-    report = run_fuzz(FuzzConfig(
-        seeds=3, ops=12, encodings=("local",),
-        backends=("sqlite",), gaps=(1,), check_every=2,
-        queries_per_check=3, cache_twin=True,
-    ))
-    assert not report.ok()
-    kinds = {failure.kind for failure in report.failures}
+    settings = dict(
+        seeds=3, ops=12, encodings=("local",), backends=("sqlite",),
+        gaps=(1,), check_every=2, queries_per_check=3, cache_twin=True,
+    )
+    settings.update(overrides)
+    return run_fuzz(FuzzConfig(**settings))
+
+
+@pytest.mark.skip_audit
+def test_fuzz_cache_twin_catches_missing_invalidation(monkeypatch):
+    """Sanity check that the harness actually detects stale caches.
+
+    Two seeded defects.  A store that never invalidates must fail the
+    battery.  So must one that invalidates the *wrong document* —
+    every commit bumps the store's first document instead of the one
+    it wrote — which a twin holding a single document cannot see (its
+    only document *is* the first), and the multi-document twin does.
+    """
+    from repro.check import fuzz
+
     # Stale state surfaces as a twin mismatch, an oracle divergence,
     # or an invariant violation (the audit reads the stale catalogue
     # row), depending on which check reaches it first.
-    assert kinds & {"cache-twin", "oracle", "invariant"}, kinds
+    stale = {"cache-twin", "oracle", "invariant"}
+    bump = StoreCache.bump
+
+    with monkeypatch.context() as patch:
+        patch.setattr(StoreCache, "bump", lambda self, docs=(): None)
+        report = _twin_battery()
+        assert {f.kind for f in report.failures} & stale, report.summary()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            StoreCache, "bump",
+            lambda self, docs=(): bump(self, [1] if docs else ()),
+        )
+        patch.setattr(fuzz, "TWIN_DOCUMENTS", 1)
+        assert _twin_battery().ok(), "one document hides the defect"
+        patch.setattr(fuzz, "TWIN_DOCUMENTS", 3)
+        report = _twin_battery()
+        assert {f.kind for f in report.failures} & stale, report.summary()
+        assert any("document" in f.detail for f in report.failures)
 
 
-# -- compiled-plan sharing and the compile/invalidate race -----------------
+# -- compiled-plan sharing and the put race --------------------------------
 
 
 def test_plan_shared_across_documents_and_literals():
     """One compiled plan serves both documents and both literal values:
     the plan key is the query *shape* (dialect, encoding, shape, depth),
     with doc/context/literals bound as parameters afterwards."""
-    from repro.obs import METRICS
-
-    was_enabled = METRICS.enabled
-    METRICS.reset()
-    METRICS.enabled = True
-    try:
+    with counters() as count:
         store = XmlStore(cache=True)
         # Pin indexes off: with an index context the plan key carries
         # the per-document statistics fingerprint, which legitimately
@@ -398,47 +857,48 @@ def test_plan_shared_across_documents_and_literals():
         layers = store.cache.stats()["layers"]
         assert layers["plan"]["misses"] == 1
         assert layers["plan"]["hits"] == 2
-        counters = METRICS.snapshot()["counters"]
-        assert counters["translate.compile"] == 1
-        assert counters["translate.plan_shared"] == 2
-    finally:
-        METRICS.enabled = was_enabled
-        METRICS.reset()
+        assert count("translate.compile") == 1
+        assert count("translate.plan_shared") == 2
 
 
 @pytest.mark.skip_audit
-def test_compile_then_invalidate_race_refuses_stale_plan(monkeypatch):
-    """The observed epoch is captured before compilation starts; a
-    writer committing mid-compile (simulated by bumping inside the
-    catalogue read) must prevent the freshly compiled plan from being
-    stored — the shape-level compile cache above the plan cache does
-    not weaken the epoch check."""
+@pytest.mark.parametrize("writer_hits", ["same-document", "another-document"])
+def test_racing_put_result_is_refused_for_the_written_document_only(
+    monkeypatch, writer_hits
+):
+    """The reader captures its document's epoch before touching the
+    backend; a writer committing to that document mid-read (simulated
+    by bumping inside the catalogue read) must keep the computed
+    result out of the cache, while a writer committing to another
+    document must not.  The plan compiled meanwhile is kept either
+    way: it is right for its key whatever was committed."""
     store = XmlStore(cache=True)
     doc = store.load(SHALLOW)
+    other = store.load(SHALLOW)
     original = XmlStore.document_info
+    target = doc if writer_hits == "same-document" else other
 
     def racing_info(self, d, **kwargs):
         info = original(self, d, **kwargs)
-        self.cache.bump()  # a concurrent writer commits mid-translate
+        self.cache.bump([target])  # a concurrent writer commits
         return info
 
     monkeypatch.setattr(XmlStore, "document_info", racing_info)
-    translated = store.translate("//b", doc)
-    assert translated.sql  # translation itself still succeeds
-    plan_layer = store.cache.stats()["layers"]["plan"]
-    assert plan_layer["size"] == 0, "stale plan put must be refused"
+    assert len(store.query("//b", doc)) == 2  # the read itself succeeds
+    monkeypatch.setattr(XmlStore, "document_info", original)
+    cached = (doc, "//b", None) in store.cache._result.entries
+    assert cached == (writer_hits == "another-document")
+    assert layer(store, "plan")["size"] == 1
 
 
 @pytest.mark.skip_audit
 def test_missed_invalidation_serves_stale_depth_plan(monkeypatch):
     """Negative control for the deepening-insert regression: with the
-    epoch bump disabled, the stale depth-bounded plan (and result)
-    survive the insert and the new deep nodes are dropped — proving
-    the bump, not the pure shape-extraction cache above it, is what
-    keeps plans fresh."""
-    from repro.cache.lru import StoreCache
-
-    monkeypatch.setattr(StoreCache, "bump", lambda self: None)
+    bump disabled, the stale catalogue row keeps selecting the shallow
+    depth-bounded plan (and the stale result survives), so the new
+    deep nodes are dropped — proving the per-document bump, not the
+    pure shape-extraction cache above it, is what keeps reads fresh."""
+    monkeypatch.setattr(StoreCache, "bump", lambda self, docs=(): None)
     store = XmlStore(encoding="local", cache=True)
     doc = store.load(SHALLOW)
     assert store.query("//f", doc) == []  # warm plan + result layers
@@ -447,7 +907,7 @@ def test_missed_invalidation_serves_stale_depth_plan(monkeypatch):
 
     got = [i.value for i in store.query("//f", doc)]
     assert got != ["deep"], (
-        "epoch bump disabled yet the deep nodes appeared — the "
+        "bump disabled yet the deep nodes appeared — the "
         "missed-invalidation harness would no longer detect stale "
         "caches"
     )

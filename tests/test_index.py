@@ -262,6 +262,33 @@ class TestIndexLifecycle:
         store.indexes.drop(doc)
         assert store.translate(xpath, doc).access_path == "scan"
 
+    def test_fingerprint_is_never_reused_after_drop_or_doc_id_reuse(self):
+        """Regression: plans outlive writes, so the plan key's
+        ``(doc, stats_version)`` must never name two different sets of
+        statistics.  create -> query -> drop -> mutate -> create used
+        to restart the version at 1 (the meta row it counted from was
+        purged), and the path-index plan compiled for the big document
+        was then served for the shrunken one, where a fresh compile
+        picks the scan."""
+        store, doc = self._bulk_store()
+        xpath = "//product//comment"
+        first = store.indexes.create(doc)["stats_version"]
+        assert store.translate(xpath, doc).access_path == "path-index"
+        store.indexes.drop(doc)
+        for product in store.query("/catalog/product", doc)[1:]:
+            store.updates.delete(doc, product.node_id)
+        second = store.indexes.create(doc)["stats_version"]
+        assert second > first
+        assert store.indexes.context(doc).fingerprint == (doc, second)
+        assert store.translate(xpath, doc).access_path == "scan"
+        # The doc id itself is reused after a delete; its statistics
+        # versions still never are.
+        store.delete_document(doc)
+        assert store.load(catalog_corpus(products=30)) == doc
+        third = store.indexes.create(doc)["stats_version"]
+        assert third > second
+        assert store.translate(xpath, doc).access_path == "path-index"
+
     def test_value_index_plan_on_big_document(self):
         store, doc = self._bulk_store()
         store.indexes.create(doc)

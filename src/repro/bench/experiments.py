@@ -722,375 +722,6 @@ def run_e14_concurrency(
 
 
 # ---------------------------------------------------------------------------
-
-
-# ---------------------------------------------------------------------------
-# E15: plan/result caching (extension beyond the paper)
-# ---------------------------------------------------------------------------
-
-
-def run_e15_cache(
-    articles: int = 12,
-    repeat: int = 30,
-    operations: int = 24,
-    backend: str = "sqlite",
-) -> ExperimentTable:
-    """Repeated-query throughput cached vs. uncached, plus a mixed
-    update/query correctness check against the uncached store.
-
-    The throughput half re-runs the E3 ordered query mix ``repeat``
-    times against a warm cache and against a caching-off store of the
-    same corpus.  The correctness half replays a seeded E7-style
-    interleaving of updates and the full query mix on both stores
-    simultaneously and counts result mismatches (must be zero: every
-    update invalidates its document's catalogue row and results, so
-    the caching store may never serve a pre-update depth or result).
-    """
-    import random
-
-    from repro.check.fuzz import apply_operation, plan_operation
-
-    document = article_corpus(articles=articles)
-    table = ExperimentTable(
-        "E15",
-        "Plan/result caching: repeated E3 mix, cached vs uncached",
-        ("encoding", "uncached q/s", "cached q/s", "speedup",
-         "hit rate %", "mixed mismatches"),
-    )
-
-    def run_mix(store: XmlStore, doc: int) -> int:
-        answered = 0
-        for query in ORDERED_QUERIES:
-            try:
-                store.query(query.xpath, doc)
-                answered += 1
-            except TranslationError:
-                pass
-        return answered
-
-    for name in (*ENCODING_NAMES, "ordpath"):
-        cached = XmlStore(backend=backend, encoding=name, cache=True)
-        uncached = XmlStore(backend=backend, encoding=name, cache=False)
-        doc_c = cached.load(document)
-        doc_u = uncached.load(document)
-
-        run_mix(cached, doc_c)  # steady state: warm every cache layer
-        rates = {}
-        for store, doc in ((uncached, doc_u), (cached, doc_c)):
-            answered = 0
-            started = time.perf_counter()
-            for _ in range(repeat):
-                answered += run_mix(store, doc)
-            elapsed = time.perf_counter() - started
-            rates[store] = answered / elapsed if elapsed > 0 else 0.0
-
-        mismatches = 0
-        rng = random.Random(151_515)
-        for _ in range(operations):
-            op = plan_operation(rng, cached, doc_c)
-            apply_operation(cached, doc_c, op)
-            apply_operation(uncached, doc_u, op)
-            for query in ORDERED_QUERIES:
-                try:
-                    got = [
-                        (i.kind, i.node_id, i.label, i.value)
-                        for i in cached.query(query.xpath, doc_c)
-                    ]
-                    want = [
-                        (i.kind, i.node_id, i.label, i.value)
-                        for i in uncached.query(query.xpath, doc_u)
-                    ]
-                except TranslationError:
-                    continue
-                if got != want:
-                    mismatches += 1
-
-        speedup = (
-            rates[cached] / rates[uncached] if rates[uncached] else 0.0
-        )
-        table.add_row(
-            name,
-            round(rates[uncached], 1),
-            round(rates[cached], 1),
-            round(speedup, 2),
-            round(100.0 * cached.cache.hit_rate(), 1),
-            mismatches,
-        )
-        cached.close()
-        uncached.close()
-    table.add_note(
-        f"{repeat} steady-state passes of the ordered mix; mixed check "
-        f"interleaves {operations} seeded updates with the full mix on "
-        f"both stores."
-    )
-    return table
-
-
-# ---------------------------------------------------------------------------
-# E16: adaptive encoding migration
-# ---------------------------------------------------------------------------
-
-
-def run_e16_adaptive_migration(
-    articles: int = 4,
-    query_ops: int = 240,
-    update_ops: int = 96,
-    probe_ops: int = 6,
-    backend: str = "sqlite",
-) -> ExperimentTable:
-    """Advisor-triggered online migration vs. every static encoding.
-
-    A two-regime workload — a query-heavy phase followed by an
-    update-heavy one — runs against three static stores (one per
-    encoding) and one *adaptive* store that starts on ``global`` and
-    lets :class:`~repro.migrate.MigrationAdvisor` inspect the counter
-    deltas of each slice, calling
-    :func:`~repro.migrate.migrate_document` when the workload crosses
-    the E7 crossover.  Cost is logical I/O (backend rows read plus
-    written), so the migration's own copy traffic is charged to the
-    adaptive strategy.
-    """
-    from repro.migrate import MigrationAdvisor, migrate_document
-    from repro.obs import METRICS
-
-    document = article_corpus(articles=articles)
-    queries = [
-        q
-        for q in ORDERED_QUERIES + UNORDERED_QUERIES
-        if q.local_translatable
-    ]
-    # The probe is carved out of the update-heavy phase: the advisor
-    # needs one observed slice of the new regime before it can react,
-    # and it pays for that slice at the old encoding's prices.
-    slices = (
-        ("query-heavy", query_ops, 0.0),
-        ("probe", probe_ops, 0.9),
-        ("update-heavy", update_ops - probe_ops, 0.9),
-    )
-    table = ExperimentTable(
-        "E16",
-        "Adaptive encoding migration vs. static choices (logical I/O)",
-        (
-            "strategy",
-            "query-phase rows",
-            "update-phase rows",
-            "migration rows",
-            "total rows",
-            "migrations",
-        ),
-    )
-
-    def counters() -> dict:
-        return dict(METRICS.snapshot()["counters"])
-
-    def rows_between(before: dict, after: dict) -> int:
-        return sum(
-            after.get(name, 0) - before.get(name, 0)
-            for name in ("backend.rows_read", "backend.rows_written")
-        )
-
-    def run_strategy(label: str, adaptive: bool) -> tuple:
-        encoding = "global" if adaptive else label
-        store, doc = build_store(document, encoding, backend)
-        advisor = MigrationAdvisor(min_samples=min(10, probe_ops))
-        phase_rows = {"query-heavy": 0, "update": 0}
-        migration_rows = 0
-        migrations: list[str] = []
-        for slice_name, ops, fraction in slices:
-            if ops <= 0:
-                continue
-            # Inserting articles near the top of the journal is the
-            # encoding-separating workload: Global renumbers everything
-            # after the insert point, Dewey rewrites the dkey of every
-            # following article's whole subtree, Local touches only the
-            # sibling positions under the journal root.
-            mix = MixedWorkload(
-                store,
-                doc,
-                queries,
-                insert_parent_xpath="/journal",
-            )
-            before = counters()
-            mix.run(ops, fraction)
-            after = counters()
-            key = "query-heavy" if slice_name == "query-heavy" else "update"
-            phase_rows[key] += rows_between(before, after)
-            if not adaptive:
-                continue
-            window = {
-                "counters": {
-                    "query.executed": after.get("query.executed", 0)
-                    - before.get("query.executed", 0),
-                    "updates.renumber_ops": after.get(
-                        "updates.renumber_ops", 0
-                    )
-                    - before.get("updates.renumber_ops", 0),
-                }
-            }
-            current = store.encoding_for(doc).name
-            recommendation = advisor.decide(window, current)
-            if recommendation.migrate:
-                mark = counters()
-                migrate_document(store, doc, recommendation.target)
-                migration_rows += rows_between(mark, counters())
-                migrations.append(f"{current}->{recommendation.target}")
-        store.close()
-        total = (
-            phase_rows["query-heavy"]
-            + phase_rows["update"]
-            + migration_rows
-        )
-        return (
-            phase_rows["query-heavy"],
-            phase_rows["update"],
-            migration_rows,
-            total,
-            ",".join(migrations) or "-",
-        )
-
-    # Direct callers may have metrics off; the deltas need them on.
-    # No reset: under ``_observed`` the registry is shared with the
-    # suite-level snapshot this experiment will be reported with.
-    was_enabled = METRICS.enabled
-    METRICS.enabled = True
-    try:
-        totals = {}
-        for name in ENCODING_NAMES:
-            cells = run_strategy(name, adaptive=False)
-            totals[name] = cells[3]
-            table.add_row(name, *cells)
-        cells = run_strategy("adaptive", adaptive=True)
-        totals["adaptive"] = cells[3]
-        table.add_row("adaptive", *cells)
-    finally:
-        METRICS.enabled = was_enabled
-    best_static = min(ENCODING_NAMES, key=lambda n: totals[n])
-    table.add_note(
-        f"best static: {best_static} ({totals[best_static]} rows); "
-        f"adaptive: {totals['adaptive']} rows incl. migration copy "
-        f"traffic. Workload: {query_ops} read-only ops, then "
-        f"{update_ops} ops at 90% top-of-document inserts; the "
-        f"advisor reacts after a {probe_ops}-op probe slice of the "
-        f"update regime."
-    )
-    return table
-
-
-# ---------------------------------------------------------------------------
-# E17: sharded serving
-# ---------------------------------------------------------------------------
-
-
-#: The same experiment at the parent of the per-document invalidation
-#: change (PR 11: every commit dropped every cached result of its
-#: store), same box, same sizes — kept beside the live table because
-#: the 1-shard row is what that change moved.
-_E17_BEFORE = (
-    "Before per-document invalidation this run read 500 / 882 / 1255 "
-    "ops/s at 1 / 2 / 4 shards (p50 3.41 / 2.17 / 1.75 ms): the 2.5x "
-    "was one write flushing a whole store's results, which a single "
-    "process no longer does."
-)
-
-
-def run_e17_sharding(
-    shard_counts: Sequence[int] = (1, 2, 4),
-    documents: int = 8,
-    clients: int = 3,
-    duration: float = 4.0,
-    write_rate_hz: float = 20.0,
-) -> ExperimentTable:
-    """Sharded serving vs. a single-process daemon under a mixed load.
-
-    Each configuration stands up a real cluster (``repro serve``
-    machinery: supervisor, shard worker processes, asyncio front door)
-    and drives it with the closed-loop multi-process load generator:
-    *clients* reader processes drawing random (query, document) pairs,
-    plus one paced writer spreading ``write_rate_hz`` updates
-    round-robin across the corpus.
-
-    The 1-shard row *is* the single-process baseline: same wire
-    protocol, same worker code, all documents in one store.  A commit
-    invalidates only the documents it wrote, so that one process keeps
-    every unwritten document's cached results live by itself, and on a
-    2-core box running three reader processes the sharded rows have no
-    read-throughput advantage left to show (``_E17_BEFORE``, rendered
-    into the table's note, records the rows from when they did).  What
-    sharding still buys — fault isolation (``repro crashtest
-    --shard-kill``) and room to scale across cores — is not a ratio
-    this box can measure.
-    """
-    import tempfile
-
-    from repro.backends.pooled_sqlite import PooledSqliteBackend
-    from repro.backends.sqlite_backend import SqliteBackend
-    from repro.check import audit_store
-    from repro.workload.mixer import ConcurrentWorkload
-
-    document = article_corpus(articles=articles)
-    table = ExperimentTable(
-        "E14",
-        "Concurrent serving: reader ops/s with one writer active",
-        ("mode", "readers", "read ops/s", "write ops/s",
-         "vs serialized", "violations"),
-    )
-    baseline: dict[int, float] = {}
-    with tempfile.TemporaryDirectory(prefix="repro-e14-") as tmp:
-        for mode in ("serialized", "pooled"):
-            if mode == "pooled":
-                backend: object = PooledSqliteBackend(
-                    f"{tmp}/pooled.db",
-                    capacity=max(reader_counts) + 2,
-                )
-            else:
-                backend = SqliteBackend(f"{tmp}/serialized.db")
-            store = XmlStore(backend=backend, encoding=encoding)
-            try:
-                doc = store.load(document)
-                if mode == "pooled":
-                    store.enable_write_queue()
-                workload = ConcurrentWorkload(
-                    store, doc,
-                    ORDERED_QUERIES + UNORDERED_QUERIES,
-                    insert_parent_xpath="/journal",
-                    writer_position="front",
-                )
-                for readers in reader_counts:
-                    result = workload.run(readers, seconds, writer=True)
-                    if result.read_errors or result.write_error:
-                        raise RuntimeError(
-                            f"E14 {mode}/{readers} worker failure: "
-                            f"{result.read_errors or result.write_error}"
-                        )
-                    violations = len(audit_store(store))
-                    if mode == "serialized":
-                        baseline[readers] = result.read_ops_per_second
-                        ratio = 1.0
-                    else:
-                        ratio = result.read_ops_per_second / max(
-                            baseline.get(readers, 0.0), 1e-9
-                        )
-                    table.add_row(
-                        mode, readers,
-                        round(result.read_ops_per_second, 1),
-                        round(result.write_ops_per_second, 1),
-                        round(ratio, 2),
-                        violations,
-                    )
-            finally:
-                store.close()
-    table.add_note(
-        "writer front-inserts fragments (Global's relabeling worst "
-        "case) throughout; 'vs serialized' compares read throughput "
-        "at equal reader count against the shared-connection baseline"
-    )
-    return table
-
-
-# ---------------------------------------------------------------------------
-
-
-# ---------------------------------------------------------------------------
 # E15: plan/result caching (extension beyond the paper)
 # ---------------------------------------------------------------------------
 

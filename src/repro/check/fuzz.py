@@ -33,7 +33,11 @@ import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.check.invariants import audit_document, audit_store
+from repro.check.invariants import (
+    audit_document,
+    audit_store,
+    summarize_violations,
+)
 from repro.core.reconstruct import reconstruct_document_with_ids
 from repro.errors import TranslationError, UnsupportedXPathError
 from repro.migrate import migrate_document
@@ -447,11 +451,8 @@ def _check_store(
     The reconstructed tree is returned so the first store of a cell can
     serve as the cross-store reference.
     """
-    violations = audit_document(store, doc)
-    if violations:
-        listing = "; ".join(str(v) for v in violations[:5])
-        if len(violations) > 5:
-            listing += f" (+{len(violations) - 5} more)"
+    listing = summarize_violations(audit_document(store, doc))
+    if listing is not None:
         return ("invariant", listing), None
 
     tree, id_map = reconstruct_document_with_ids(store, doc)
@@ -848,11 +849,8 @@ def _run_migrate_pair(
             f"document ended on {final!r}, expected {target!r}",
         )
 
-    violations = audit_store(store)
-    if violations:
-        listing = "; ".join(str(v) for v in violations[:5])
-        if len(violations) > 5:
-            listing += f" (+{len(violations) - 5} more)"
+    listing = summarize_violations(audit_store(store))
+    if listing is not None:
         return failure(config.ops, last_describe, "invariant", listing)
 
     # Post-migration battery: audit + round trip on both stores (empty

@@ -27,7 +27,7 @@ store-level test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.encodings import ENCODINGS, AuditView
 from repro.core.schema import KIND_ELEMENT, KIND_TEXT, SHADOW_PREFIX
@@ -232,6 +232,19 @@ def audit_document(store, doc: int) -> list[Violation]:
     )
     violations.extend(_catalog_violations(store, info, view))
     return violations
+
+
+def summarize_violations(
+    violations: Sequence, limit: int = 5
+) -> Optional[str]:
+    """One-line listing of the first *limit* violations (``None`` =
+    clean) — the detail text every harness failure carries."""
+    if not violations:
+        return None
+    listing = "; ".join(str(v) for v in violations[:limit])
+    if len(violations) > limit:
+        listing += f" (+{len(violations) - limit} more)"
+    return listing
 
 
 def _existing_tables(store) -> Optional[set[str]]:

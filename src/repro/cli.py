@@ -455,6 +455,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         report = run_fuzz(config)
     except ValueError as exc:
         raise ReproError(str(exc)) from exc
+    return _print_report(report)
+
+
+def _print_report(report) -> int:
+    """Print a fuzz/crashtest report — each failure with its repro
+    line, then the summary; the exit status."""
     for failure in report.failures:
         print(failure)
         print()
@@ -489,98 +495,45 @@ def _parse_matrix(args) -> tuple[tuple[str, ...], tuple[str, ...],
 
 
 def cmd_crashtest(args: argparse.Namespace) -> int:
-    from repro.robust.crashtest import (
-        CrashTestConfig,
-        CrashTestReport,
-        run_crashtest,
-        run_writer_crashtest,
-    )
+    from repro.robust import crashtest
+    from repro.serve.crashtest import run_shard_kill_crashtest
 
     encodings, backends, gaps = _parse_matrix(args)
-    report = CrashTestReport()
-    if args.shard_kill:
-        from repro.serve.crashtest import run_shard_kill_crashtest
-
-        report.merge(
-            run_shard_kill_crashtest(
-                seeds=args.seeds,
-                rounds=args.shard_rounds,
-                ops_per_round=max(args.ops, 2),
-                base_seed=args.base_seed,
-                encoding=encodings[0] if encodings else None,
-                gap=gaps[0] if gaps else None,
-            )
-        )
-        for failure in report.failures:
-            print(failure)
-            print()
-        print(report.summary())
-        return 0 if report.ok() else 1
-    if args.index:
-        from repro.robust.crashtest import run_index_crashtest
-
-        config = CrashTestConfig(
-            seeds=args.seeds,
-            encodings=encodings,
-            backends=backends,
-            gaps=gaps,
-            base_seed=args.base_seed,
-            crashes_per_op=0 if args.sweep else args.crashes_per_op,
-        )
-        report.merge(run_index_crashtest(config))
-        for failure in report.failures:
-            print(failure)
-            print()
-        print(report.summary())
-        return 0 if report.ok() else 1
-    if args.migrate:
-        from repro.robust.crashtest import run_migration_crashtest
-
-        config = CrashTestConfig(
-            seeds=args.seeds,
-            ops=args.ops,
-            encodings=encodings,
-            backends=backends,
-            gaps=gaps,
-            base_seed=args.base_seed,
-            crashes_per_op=0 if args.sweep else args.crashes_per_op,
-        )
-        report.merge(run_migration_crashtest(config))
-        for failure in report.failures:
-            print(failure)
-            print()
-        print(report.summary())
-        return 0 if report.ok() else 1
-    if args.ops > 0:
-        config = CrashTestConfig(
-            seeds=args.seeds,
-            ops=args.ops,
-            encodings=encodings,
-            backends=backends,
-            gaps=gaps,
-            base_seed=args.base_seed,
-            crashes_per_op=0 if args.sweep else args.crashes_per_op,
-            transient_rate=args.transient_rate,
-            snapshot_fault_rate=args.snapshot_fault_rate,
-        )
-        report.merge(run_crashtest(config))
-    if args.writer_batches > 0 and "sqlite" in backends:
-        report.merge(
-            run_writer_crashtest(
-                seeds=args.seeds,
-                batches=args.writer_batches,
-                encodings=encodings,
-                crashes_per_batch=(
-                    0 if args.sweep else args.crashes_per_op
-                ),
-                base_seed=args.base_seed,
-            )
-        )
-    for failure in report.failures:
-        print(failure)
-        print()
-    print(report.summary())
-    return 0 if report.ok() else 1
+    config = crashtest.CrashTestConfig(
+        seeds=args.seeds,
+        ops=args.ops,
+        encodings=encodings,
+        backends=backends,
+        gaps=gaps,
+        base_seed=args.base_seed,
+        crashes_per_op=0 if args.sweep else args.crashes_per_op,
+        transient_rate=args.transient_rate,
+        snapshot_fault_rate=args.snapshot_fault_rate,
+    )
+    runners = {
+        "shard_kill": lambda: run_shard_kill_crashtest(
+            seeds=args.seeds, rounds=args.shard_rounds,
+            ops_per_round=max(args.ops, 2), base_seed=args.base_seed,
+            encoding=encodings[0], gap=gaps[0],
+        ),
+        "index": lambda: crashtest.run_index_crashtest(config),
+        "migrate": lambda: crashtest.run_migration_crashtest(config),
+        "ops": lambda: crashtest.run_crashtest(config),
+        "writer": lambda: crashtest.run_writer_crashtest(
+            config, batches=args.writer_batches
+        ),
+    }
+    # The first mode flag set wins; without one the statement-level
+    # ops and writer harnesses both run (each unless its count is 0).
+    flags = ("shard_kill", "index", "migrate")
+    flagged = [mode for mode in flags if getattr(args, mode)]
+    writer = args.writer_batches > 0 and "sqlite" in backends
+    wanted = (("ops", args.ops > 0), ("writer", writer))
+    default = [mode for mode, on in wanted if on]
+    report = crashtest.CrashTestReport()
+    for mode in flagged[:1] or default:
+        report.merge(runners[mode]())
+    return _print_report(report)
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
@@ -1278,7 +1231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_crashtest)
 
     p = sub.add_parser("experiments",
-                       help="run the E1-E14 experiment suite")
+                       help="run the E1-E18 experiment suite")
     p.add_argument("--fast", action="store_true")
     p.set_defaults(func=cmd_experiments)
 

@@ -15,9 +15,12 @@ machinery:
   whole update transactions, surfacing
   :class:`repro.errors.TransientStorageError` after exhaustion;
 * :mod:`repro.robust.crashtest` — the verification loop
-  (``repro crashtest``): replay seeded update streams, crash at sampled
-  statement boundaries, reopen, audit invariants, and assert the store
-  equals either the pre-op or post-op state.
+  (``repro crashtest``): one ``sweep`` driver that measures an action,
+  crashes it at sampled (or all) statement boundaries, reopens, audits
+  invariants and asserts the store equals either the pre or the post
+  state — and the scenarios it is run over (update streams,
+  migrations, index create/update/drop, group-committed writer
+  batches), each a declaration.
 
 Together with the atomic generation-rotating snapshots in
 :mod:`repro.minidb.persist` and sqlite's WAL + busy-timeout, this is the

@@ -1,42 +1,46 @@
-"""Crash-recovery verification: seeded update streams under simulated
-process death.
+"""Crash-recovery verification: one sweep driver, five scenarios.
 
-One crashtest *cell* is a ``(seed, gap, backend, encoding)`` tuple over
-a *durable* medium — a file-backed sqlite database, or a minidb engine
-checkpointed to an atomic snapshot after every committed operation.
-For each operation of a seeded update stream (the same generator the
-differential fuzzer uses), the harness:
+Every statement-level crashtest is the same experiment: run an action
+against a *durable* medium — a file-backed sqlite database, or a minidb
+engine checkpointed to an atomic snapshot — kill the engine at a chosen
+statement, reopen, and require the store to be clean and to equal the
+state before or after the action, never anything in between.
+:func:`sweep` owns that experiment; a :class:`CrashScenario` declares
+what varies (the action, the state signature, the audit, which of
+pre/post may survive).  Per scenario the driver:
 
-1. plans the operation against the current durable state and records
-   the pre-op state;
-2. measures the operation on a scratch clone of the durable medium:
-   how many statements it issues, and the post-op state;
-3. for each sampled crash point ``c`` in ``[1, statements]``, re-runs
-   the operation against the real durable medium with a
-   :class:`~repro.robust.faults.FaultInjectingBackend` armed to crash
-   at statement ``c`` — the engine is discarded mid-flight exactly as a
-   process death would leave it;
-4. reopens the store from the durable medium, runs the full invariant
-   auditor, and asserts **atomicity**: the recovered state must equal
-   either the pre-op or the post-op state, never anything in between;
-5. finally applies the operation for real (optionally interrupting the
-   minidb snapshot save at a random stage, which must never lose the
-   previous good generation) and moves to the next operation.
+1. saves the durable baseline and records the **pre** signature;
+2. measures the action on a scratch clone: its statement count, its
+   **post** signature, a clean audit;
+3. picks crash points in ``[1, statements]`` (:func:`crash_points`:
+   sampled, or every one under ``--sweep``);
+4. per point restores the baseline, opens, arms a crash at that
+   statement, runs the action and requires the crash (*determinism*);
+   reopens, audits (*invariant*) and requires the signature to be a
+   permitted survivor (*atomicity*);
+5. applies the action for real through the medium's checkpoint —
+   which on minidb sometimes dies mid-save, and must then leave a good
+   generation from which the action is redone — and requires the
+   measured post state (*replay*).
 
-A second phase (``transient_rate > 0``) replays each cell's full stream
-through a store wired with a :class:`~repro.robust.retry.RetryPolicy`
-while the backend injects transient BUSY-style faults: the stream must
-complete with no caller-visible errors and a clean final audit.
+The scenarios, each a baseline setup plus a declaration:
 
-:func:`run_writer_crashtest` extends the harness to the concurrent
-write path: a pooled store with a single-writer group-commit queue
-stages a whole batch of insert operations, the backend is armed to
-crash at a sampled statement inside the batch transaction, and after
-the simulated process death the file is reopened and must audit clean
-at **exactly** the pre-batch state (the group transaction rolled back
-wholly) — never a partially applied batch.
+* **ops** (:func:`run_crashtest`) — each operation of a seeded update
+  stream (the differential fuzzer's generator); a second phase
+  (``transient_rate > 0``) replays the stream under injected BUSY-style
+  faults with a :class:`~repro.robust.retry.RetryPolicy`, which must
+  hide every one of them;
+* **migrate** (:func:`run_migration_crashtest`) — a whole online
+  re-encoding; the signature includes the catalogued encoding;
+* **index** (:func:`run_index_crashtest`) — index create, an indexed
+  update and index drop, over one node-tables + index-tables signature;
+* **writer** (:func:`run_writer_crashtest`) — a group-committed batch
+  on the pooled backend; only the pre-batch state may survive.
 
-``repro crashtest`` exposes both harnesses on the command line;
+The fifth, **shard-kill** (:mod:`repro.serve.crashtest`), SIGKILLs a
+real process and has no statement count to sweep; it keeps its own cell
+and shares :func:`recovery_verdict`, :class:`CrashFailure` and
+:class:`CrashTestReport`.  ``repro crashtest`` exposes all five;
 failures carry a replaying command line just like fuzz failures.
 """
 
@@ -45,18 +49,28 @@ from __future__ import annotations
 import random
 import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
+from repro.backends import make_backend
 from repro.backends.minidb_backend import MiniDbBackend
+from repro.backends.pooled_sqlite import PooledSqliteBackend
 from repro.backends.sqlite_backend import SqliteBackend
 from repro.check.fuzz import (
     DEFAULT_ENCODINGS,
     apply_operation,
     plan_operation,
 )
-from repro.check.invariants import audit_document, audit_store
+from repro.check.invariants import (
+    audit_document,
+    audit_store,
+    summarize_violations,
+)
+from repro.errors import ReproError
+from repro.migrate import migrate_document
 from repro.minidb import persist
 from repro.minidb.engine import MiniDb
 from repro.robust.faults import (
@@ -69,6 +83,7 @@ from repro.robust.faults import (
 from repro.robust.retry import RetryPolicy
 from repro.store import XmlStore
 from repro.workload.docgen import random_document
+from repro.workload.update_ops import make_fragment
 from repro.xmldom import serialize
 
 DEFAULT_BACKENDS = ("sqlite", "minidb")
@@ -111,6 +126,21 @@ class CrashTestConfig:
         ]
 
 
+#: ``CrashFailure.mode`` -> the ``repro crashtest`` flags that select
+#: that harness and pin the failing cell.
+_MODE_FLAGS = {
+    "ops": "--ops {index} --gaps {gap} --encodings {encodings} "
+           "--backends {backend}",
+    "writer": "--ops 0 --writer-batches {index} --encodings {encodings} "
+              "--backends sqlite",
+    "migrate": "--migrate --encodings {encodings} --backends {backend}",
+    "index": "--index --gaps {gap} --encodings {encodings} "
+             "--backends {backend}",
+    "shard-kill": "--shard-kill --shard-rounds {index} --gaps {gap} "
+                  "--encodings {encodings}",
+}
+
+
 @dataclass(frozen=True)
 class CrashFailure:
     """One crashtest failure."""
@@ -118,8 +148,10 @@ class CrashFailure:
     seed: int
     gap: int
     backend: str
+    #: The cell's encoding; ``source->target`` for a migration.
     encoding: str
-    #: 1-based index of the operation under test (0 = initial load).
+    #: 1-based index of the operation, writer batch or kill round under
+    #: test (0 = baseline setup).
     op_index: int
     #: Statement the crash was injected at (0 = no crash injected).
     crash_at: int
@@ -128,38 +160,18 @@ class CrashFailure:
     #: invariant | atomicity | determinism | replay | transient | crash
     kind: str
     detail: str
-    #: "ops" = per-operation harness, "writer" = writer-crash harness,
-    #: "migrate" = migration sweep, "index" = index-lifecycle sweep.
+    #: Which harness found it: a key of ``_MODE_FLAGS``.
     mode: str = "ops"
 
     def repro_command(self) -> str:
         """A CLI line that replays exactly this cell."""
-        if self.mode == "writer":
-            return (
-                f"repro crashtest --seeds 1 --base-seed {self.seed} "
-                f"--ops 0 --writer-batches {self.op_index or 1} "
-                f"--encodings {self.encoding} --backends sqlite"
-            )
-        if self.mode == "migrate":
-            encodings = self.encoding.replace("->", ",")
-            return (
-                f"repro crashtest --migrate --seeds 1 "
-                f"--base-seed {self.seed} "
-                f"--encodings {encodings} --backends {self.backend} "
-                "--sweep"
-            )
-        if self.mode == "index":
-            return (
-                f"repro crashtest --index --seeds 1 "
-                f"--base-seed {self.seed} --gaps {self.gap} "
-                f"--encodings {self.encoding} --backends {self.backend} "
-                "--sweep"
-            )
+        flags = _MODE_FLAGS[self.mode].format(
+            index=self.op_index or 1, gap=self.gap, backend=self.backend,
+            encodings=self.encoding.replace("->", ","),
+        )
         return (
             f"repro crashtest --seeds 1 --base-seed {self.seed} "
-            f"--ops {self.op_index or 1} --gaps {self.gap} "
-            f"--encodings {self.encoding} --backends {self.backend} "
-            "--sweep"
+            f"{flags} --sweep"
         )
 
     def __str__(self) -> str:
@@ -211,94 +223,100 @@ class CrashTestReport:
 # -- durable media ------------------------------------------------------
 
 
-class _SqliteMedium:
-    """A file-backed sqlite store: every commit is already durable."""
+def _clone_db(path: Path, clone: Path) -> None:
+    """Copy a database file and its sqlite sidecars over *clone*."""
+    for suffix in ("", "-wal", "-shm"):
+        target = Path(str(clone) + suffix)
+        target.unlink(missing_ok=True)
+        source = Path(str(path) + suffix)
+        if source.exists():
+            shutil.copyfile(source, target)
+
+
+class _Medium:
+    """Where a cell's durable state lives, and how to reopen it."""
+
+    filename: str
 
     def __init__(self, workdir: Path, encoding: str, gap: int) -> None:
-        self.path = workdir / "store.db"
-        self.clone = workdir / "scratch.db"
+        self.path = workdir / self.filename
+        self.baseline = workdir / (self.filename + ".baseline")
         self.encoding = encoding
         self.gap = gap
 
-    def _open(
-        self, path: Path, retry: Optional[RetryPolicy] = None
-    ) -> tuple[XmlStore, FaultInjectingBackend]:
-        backend = FaultInjectingBackend(SqliteBackend(str(path)))
+    def _backend(self, clone: bool):
+        raise NotImplementedError
+
+    @contextmanager
+    def session(
+        self, clone: bool = False
+    ) -> Iterator[tuple[XmlStore, FaultInjectingBackend]]:
+        """Open the durable state (or a discardable scratch *clone* of
+        it) behind a disarmed fault injector; closed on exit."""
+        injector = FaultInjectingBackend(self._backend(clone))
         store = XmlStore(
-            backend=backend, encoding=self.encoding, gap=self.gap,
-            retry=retry,
+            backend=injector, encoding=self.encoding, gap=self.gap
         )
-        backend.arm(None)  # schema bootstrap must not consume the plan
-        return store, backend
-
-    def open(self, retry: Optional[RetryPolicy] = None):
-        return self._open(self.path, retry)
-
-    def open_clone(self):
-        """A scratch copy of the durable state (discardable)."""
-        for suffix in ("", "-wal", "-shm"):
-            target = Path(str(self.clone) + suffix)
-            target.unlink(missing_ok=True)
-            source = Path(str(self.path) + suffix)
-            if source.exists():
-                shutil.copyfile(source, target)
-        return self._open(self.clone)
+        injector.arm(None)  # schema bootstrap must not consume the plan
+        try:
+            yield store, injector
+        finally:
+            store.close()
 
     def checkpoint(self, store: XmlStore, rng: random.Random,
-                   fault_rate: float) -> None:
-        pass  # sqlite transactions are durable at commit
+                   fault_rate: float) -> bool:
+        """Make *store*'s committed state durable; False when the
+        process 'died' mid-save instead."""
+        return True  # by default a commit is already durable
 
     def save_baseline(self) -> None:
-        """Remember the current durable state for :meth:`restore`."""
-        self._baseline = Path(str(self.path) + ".baseline")
-        _clone_db(self.path, self._baseline)
+        """Remember the durable state for :meth:`restore_baseline`."""
+        _clone_db(self.path, self.baseline)
 
     def restore_baseline(self) -> None:
-        """Reset the durable state to the saved baseline.  The
-        migration harness needs this between crash trials: a crash
-        *after* the cutover commit legitimately leaves the durable
-        file post-migration, which would turn every later trial into
-        a no-op."""
-        _clone_db(self._baseline, self.path)
-
-    def close(self, store: XmlStore) -> None:
-        store.backend.close()
+        """Reset the durable state to the saved baseline: a crash
+        *after* a commit (a migration's cutover, say) legitimately
+        leaves the post state behind, which would turn every later
+        trial into a no-op."""
+        _clone_db(self.baseline, self.path)
 
 
-class _MiniDbMedium:
+class _SqliteMedium(_Medium):
+    """A file-backed sqlite store: every commit is already durable.
+    *pooled* opens it through the connection pool (the write queue's
+    backend)."""
+
+    filename = "store.db"
+
+    def __init__(self, workdir: Path, encoding: str, gap: int,
+                 pooled: bool = False) -> None:
+        super().__init__(workdir, encoding, gap)
+        self.backend_class = PooledSqliteBackend if pooled else SqliteBackend
+
+    def _backend(self, clone: bool):
+        path = self.path
+        if clone:
+            path = self.path.with_name("scratch.db")
+            _clone_db(self.path, path)
+        return self.backend_class(str(path))
+
+
+class _MiniDbMedium(_Medium):
     """An in-memory minidb engine checkpointed to atomic snapshots;
     durability is the last good snapshot generation."""
 
-    def __init__(self, workdir: Path, encoding: str, gap: int) -> None:
-        self.snapshot = workdir / "store.mdb"
-        self.encoding = encoding
-        self.gap = gap
+    filename = "store.mdb"
 
-    def _engine(self) -> MiniDb:
+    def _backend(self, clone: bool):
+        inner = MiniDbBackend()  # loading the snapshot *is* a clone
         try:
-            return MiniDb.open(self.snapshot)
+            inner.db = MiniDb.open(self.path)
         except FileNotFoundError:
-            return MiniDb()  # nothing durable yet: fresh engine
-
-    def _open(self, retry: Optional[RetryPolicy] = None):
-        inner = MiniDbBackend()
-        inner.db = self._engine()
-        backend = FaultInjectingBackend(inner)
-        store = XmlStore(
-            backend=backend, encoding=self.encoding, gap=self.gap,
-            retry=retry,
-        )
-        backend.arm(None)
-        return store, backend
-
-    def open(self, retry: Optional[RetryPolicy] = None):
-        return self._open(retry)
-
-    def open_clone(self):
-        return self._open()  # loading the snapshot *is* a clone
+            pass  # nothing durable yet: keep the fresh engine
+        return inner
 
     def checkpoint(self, store: XmlStore, rng: random.Random,
-                   fault_rate: float) -> None:
+                   fault_rate: float) -> bool:
         """Persist the engine; sometimes die mid-save instead.
 
         An interrupted save must never lose the previous generation:
@@ -308,29 +326,191 @@ class _MiniDbMedium:
         db = store.backend.inner.db
         if fault_rate > 0.0 and rng.random() < fault_rate:
             stage = rng.choice(SAVE_CRASH_STAGES)
-            simulate_crash_during_save(db, self.snapshot, stage, rng)
-            raise SimulatedCrash(f"simulated crash during save ({stage})")
-        persist.save(db, self.snapshot)
-
-    def save_baseline(self) -> None:
-        pass  # trials never checkpoint: the snapshot already is the baseline
-
-    def restore_baseline(self) -> None:
-        pass
-
-    def close(self, store: XmlStore) -> None:
-        store.backend.close()
+            simulate_crash_during_save(db, self.path, stage, rng)
+            return False
+        persist.save(db, self.path)
+        return True
 
 
-def _medium(backend: str, workdir: Path, encoding: str, gap: int):
-    if backend == "sqlite":
-        return _SqliteMedium(workdir, encoding, gap)
-    if backend == "minidb":
-        return _MiniDbMedium(workdir, encoding, gap)
-    raise ValueError(f"unknown backend {backend!r}")
+_MEDIA = {"sqlite": _SqliteMedium, "minidb": _MiniDbMedium}
+
+
+def make_medium(backend: str, workdir: Path, encoding: str, gap: int
+                ) -> _Medium:
+    if backend not in _MEDIA:
+        raise ValueError(f"unknown backend {backend!r}")
+    return _MEDIA[backend](workdir, encoding, gap)
 
 
 # -- the driver ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CrashScenario:
+    """One crashable action and how recovery from it is judged."""
+
+    #: ``CrashFailure.op`` of every failure the sweep reports.
+    label: str
+    #: The work under test; all its statements go through the store.
+    action: Callable[[XmlStore], object]
+    #: Canonical durable state, compared for pre-or-post equality.
+    signature: Callable[[XmlStore], tuple]
+    #: Invariant audit of a reopened store (violations, empty = clean).
+    audit: Callable[[XmlStore], list]
+    #: Which of the pre/post states a crashed run may recover to.
+    survivors: tuple[str, ...] = ("pre", "post")
+    #: What the measured post signature must satisfy for the sweep to
+    #: mean anything (e.g. "the migration really changed the encoding").
+    post_ok: Optional[Callable[[tuple], bool]] = None
+
+
+def crash_points(
+    rng: random.Random, statements: int, per_op: int
+) -> list[int]:
+    """The statements to crash at: *per_op* sampled ones, or all of
+    ``1..statements`` when *per_op* is 0 (sweep) or covers them."""
+    if per_op <= 0 or per_op >= statements:
+        return list(range(1, statements + 1))
+    return sorted(rng.sample(range(1, statements + 1), per_op))
+
+
+def recovery_verdict(
+    listing: Optional[str], state, pre, post,
+    survivors: Sequence[str] = ("pre", "post"),
+) -> Optional[tuple[str, str]]:
+    """Judge one recovery; ``(kind, detail)`` when it is unacceptable.
+
+    *listing* is the audit's violation summary (``None`` = clean);
+    *state* must equal one of the *survivors* among *pre* and *post*.
+    """
+    if listing is not None:
+        return "invariant", listing
+    matched = [
+        name for name, known in (("pre", pre), ("post", post))
+        if state == known
+    ]
+    if set(matched) & set(survivors):
+        return None
+    found = " and ".join(matched) or "neither pre nor post"
+    return "atomicity", (
+        f"recovered state equals {found}; only "
+        f"{' or '.join(survivors)} may survive this crash"
+    )
+
+
+def _attempt(action, store: XmlStore) -> Optional[BaseException]:
+    """Run *action*; what it raised (a crash included), else ``None``."""
+    try:
+        action(store)
+    except (SimulatedCrash, Exception) as exc:
+        return exc
+    return None
+
+
+def _inspect(scenario: CrashScenario, store: XmlStore):
+    """``(violation listing, signature)``; a store that fails its
+    audit is not reconstructed."""
+    listing = summarize_violations(scenario.audit(store))
+    return listing, None if listing else scenario.signature(store)
+
+
+def sweep(
+    medium: _Medium,
+    scenario: CrashScenario,
+    config: CrashTestConfig,
+    crash_rng: random.Random,
+    fail: Callable[..., CrashFailure],
+    report: CrashTestReport,
+) -> Optional[CrashFailure]:
+    """Crash *scenario* at sampled (or all) statements; first failure.
+
+    *medium* holds the durable pre state and is left holding the post
+    state.  *fail* builds a :class:`CrashFailure` from ``crash_at``,
+    ``op``, ``kind`` and ``detail`` — the caller has bound the cell's
+    identity; *crash_rng* draws the crash points, then the checkpoint
+    faults.
+    """
+
+    def failed(kind: str, detail: str, crash_at: int = 0) -> CrashFailure:
+        return fail(
+            crash_at=crash_at, op=scenario.label, kind=kind, detail=detail
+        )
+
+    medium.save_baseline()
+    with medium.session() as (store, _):
+        pre = scenario.signature(store)
+
+    with medium.session(clone=True) as (scratch, counter):
+        raised = _attempt(scenario.action, scratch)
+        if raised is not None:
+            return failed("replay", f"clean run on a clone raised {raised!r}")
+        statements = counter.statements_executed
+        listing, post = _inspect(scenario, scratch)
+    if listing is not None:
+        return failed("invariant", f"after the clean run: {listing}")
+    if scenario.post_ok is not None and not scenario.post_ok(post):
+        return failed(
+            "replay", "clean run left a post state the scenario rejects"
+        )
+
+    for crash_at in crash_points(crash_rng, statements, config.crashes_per_op):
+        medium.restore_baseline()
+        report.crashes += 1
+        with medium.session() as (store, injector):
+            injector.arm(FaultPlan(crash_at_statement=crash_at))
+            raised = _attempt(scenario.action, store)
+        if not isinstance(raised, SimulatedCrash):
+            outcome = "completed" if raised is None else f"raised {raised!r}"
+            return failed(
+                "determinism",
+                f"crash point {crash_at} <= measured statement count "
+                f"{statements} but the action {outcome}",
+                crash_at,
+            )
+        with medium.session() as (recovered, _):
+            listing, state = _inspect(scenario, recovered)
+        report.recoveries += 1
+        verdict = recovery_verdict(
+            listing, state, pre, post, scenario.survivors
+        )
+        if verdict is not None:
+            return failed(*verdict, crash_at)
+
+    # Apply for real; the durable state must land exactly on post.
+    medium.restore_baseline()
+    with medium.session() as (store, _):
+        raised = _attempt(scenario.action, store)
+        if raised is not None:
+            return failed("replay", f"clean run raised {raised!r}")
+        saved = medium.checkpoint(
+            store, crash_rng, config.snapshot_fault_rate
+        )
+        if saved:
+            listing, state = _inspect(scenario, store)
+    if not saved:
+        # Died mid-save: whichever generation survived must be clean,
+        # and if it is the previous one the lost action is redone.
+        with medium.session() as (store, _):
+            listing, state = _inspect(scenario, store)
+            if listing is None and state == pre:
+                scenario.action(store)
+                state = scenario.signature(store)
+            medium.checkpoint(store, crash_rng, 0.0)
+    if listing is not None:
+        return failed("invariant", f"after the real run: {listing}")
+    if state != post:
+        if saved:
+            return failed(
+                "replay", "real run diverged from the measured post state"
+            )
+        return failed(
+            "atomicity",
+            "state after interrupted checkpoint equals neither generation",
+        )
+    return None
+
+
+# -- shared cell plumbing ------------------------------------------------
 
 
 def _state(store: XmlStore, doc: int) -> tuple:
@@ -342,149 +522,66 @@ def _state(store: XmlStore, doc: int) -> tuple:
     )
 
 
-def _audit_detail(store: XmlStore, doc: int) -> Optional[str]:
-    violations = audit_document(store, doc)
-    if not violations:
-        return None
-    listing = "; ".join(str(v) for v in violations[:5])
-    if len(violations) > 5:
-        listing += f" (+{len(violations) - 5} more)"
-    return listing
+def _run_cells(
+    mode: str,
+    cells: Iterable[tuple[int, int, str, str]],
+    cell: Callable[..., Optional[CrashFailure]],
+    workdir: Optional[Union[str, Path]],
+) -> CrashTestReport:
+    """Run ``cell(directory, fail, report, seed, gap, backend,
+    encoding)`` for every key in *cells*, each in a fresh directory;
+    *fail* builds a :class:`CrashFailure` with the key and *mode*
+    bound."""
+    report = CrashTestReport()
+    for seed, gap, backend, encoding in cells:
+        report.cells += 1
+        fail = partial(
+            CrashFailure, seed=seed, gap=gap, backend=backend,
+            encoding=encoding, mode=mode,
+        )
+        with tempfile.TemporaryDirectory(
+            dir=None if workdir is None else str(workdir),
+            prefix="crashtest-",
+        ) as directory:
+            failure = cell(
+                Path(directory), fail, report, seed, gap, backend, encoding
+            )
+        if failure is not None:
+            report.failures.append(failure)
+    return report
 
 
-def _run_cell(
+def _load_baseline(
+    medium: _Medium,
     config: CrashTestConfig,
     seed: int,
-    gap: int,
-    backend_name: str,
-    encoding: str,
-    workdir: Path,
-    report: CrashTestReport,
-) -> Optional[CrashFailure]:
-    """Crash-test one cell; returns its first failure, if any."""
-
-    def failure(op_index, crash_at, op, kind, detail) -> CrashFailure:
-        return CrashFailure(
-            seed=seed, gap=gap, backend=backend_name, encoding=encoding,
-            op_index=op_index, crash_at=crash_at, op=op, kind=kind,
-            detail=detail,
-        )
-
-    medium = _medium(backend_name, workdir, encoding, gap)
+    fail: Callable[..., CrashFailure],
+    updates_rng: Optional[random.Random] = None,
+    prepare: Callable[[XmlStore], None] = lambda store: None,
+) -> tuple[int, Optional[CrashFailure]]:
+    """Make the seeded document durable — after two seeded updates when
+    *updates_rng* is given, so order values, attributes and string
+    values are non-trivial — and audit it: ``(doc, failure)``."""
     document = random_document(
-        seed, max_depth=config.max_depth,
-        max_children=config.max_children,
+        seed, max_depth=config.max_depth, max_children=config.max_children
+    )
+    with medium.session() as (store, _):
+        prepare(store)
+        doc = store.load(document)
+        for _ in range(2 if updates_rng is not None else 0):
+            op = plan_operation(updates_rng, store, doc)
+            apply_operation(store, doc, op)
+        medium.checkpoint(store, random.Random(seed), 0.0)
+        listing = summarize_violations(audit_store(store))
+    if listing is None:
+        return doc, None
+    return doc, fail(
+        op_index=0, crash_at=0, op="baseline", kind="invariant",
+        detail=listing,
     )
 
-    store, _ = medium.open()
-    doc = store.load(document)
-    medium.checkpoint(store, random.Random(seed), 0.0)
-    detail = _audit_detail(store, doc)
-    medium.close(store)
-    if detail is not None:
-        return failure(0, 0, "initial load", "invariant", detail)
 
-    rng = random.Random(seed * 7919 + gap)
-    crash_rng = random.Random(seed * 104729 + gap)
-
-    for op_index in range(1, config.ops + 1):
-        # 1. Plan against the durable state; record the pre-op state.
-        store, _ = medium.open()
-        op = plan_operation(rng, store, doc)
-        pre = _state(store, doc)
-        medium.close(store)
-
-        # 2. Measure on a scratch clone: statement count + post state.
-        scratch, counter = medium.open_clone()
-        apply_operation(scratch, doc, op)
-        statements = counter.statements_executed
-        post = _state(scratch, doc)
-        medium.close(scratch)
-        report.operations += 1
-
-        # 3. Crash trials at sampled (or all) statement boundaries.
-        if config.crashes_per_op <= 0 or config.crashes_per_op >= statements:
-            points = list(range(1, statements + 1))
-        else:
-            points = sorted(
-                crash_rng.sample(
-                    range(1, statements + 1), config.crashes_per_op
-                )
-            )
-        for crash_at in points:
-            store, injector = medium.open()
-            injector.arm(FaultPlan(crash_at_statement=crash_at))
-            crashed = False
-            try:
-                apply_operation(store, doc, op)
-            except SimulatedCrash:
-                crashed = True
-            report.crashes += 1
-            if not crashed:
-                return failure(
-                    op_index, crash_at, op["describe"], "determinism",
-                    f"crash point {crash_at} <= measured statement "
-                    f"count {statements} but the operation completed",
-                )
-
-            # 4. Recover and verify atomicity + invariants.
-            recovered, _ = medium.open()
-            detail = _audit_detail(recovered, doc)
-            if detail is not None:
-                medium.close(recovered)
-                return failure(
-                    op_index, crash_at, op["describe"], "invariant",
-                    detail,
-                )
-            state = _state(recovered, doc)
-            medium.close(recovered)
-            report.recoveries += 1
-            if state != pre and state != post:
-                return failure(
-                    op_index, crash_at, op["describe"], "atomicity",
-                    "recovered state equals neither the pre-op nor the "
-                    "post-op document",
-                )
-
-        # 5. Apply for real; checkpoint (possibly dying mid-save).
-        store, _ = medium.open()
-        apply_operation(store, doc, op)
-        try:
-            medium.checkpoint(store, crash_rng, config.snapshot_fault_rate)
-        except SimulatedCrash:
-            medium.close(store)
-            recovered, _ = medium.open()
-            detail = _audit_detail(recovered, doc)
-            if detail is not None:
-                medium.close(recovered)
-                return failure(
-                    op_index, 0, op["describe"], "invariant",
-                    f"after interrupted checkpoint: {detail}",
-                )
-            state = _state(recovered, doc)
-            if state == pre:
-                # The checkpoint never became durable: the previous
-                # generation survived; redo the lost operation.
-                apply_operation(recovered, doc, op)
-                state = _state(recovered, doc)
-            if state != post:
-                medium.close(recovered)
-                return failure(
-                    op_index, 0, op["describe"], "atomicity",
-                    "state after interrupted checkpoint equals neither "
-                    "generation",
-                )
-            medium.checkpoint(recovered, crash_rng, 0.0)
-            store = recovered
-        else:
-            if _state(store, doc) != post:
-                medium.close(store)
-                return failure(
-                    op_index, 0, op["describe"], "replay",
-                    "clean replay diverged from the measured post state",
-                )
-        medium.close(store)
-    return None
+# -- ops: each operation of a seeded update stream ------------------------
 
 
 def _run_transient_stream(
@@ -493,6 +590,7 @@ def _run_transient_stream(
     gap: int,
     backend_name: str,
     encoding: str,
+    fail: Callable[..., CrashFailure],
     report: CrashTestReport,
 ) -> Optional[CrashFailure]:
     """Replay a cell's stream with transient faults + retry enabled.
@@ -508,8 +606,6 @@ def _run_transient_stream(
         attempts=6, base_delay=0.0005, max_delay=0.005,
         seed=seed, sleep=lambda _delay: None,
     )
-    from repro.backends import make_backend
-
     injected = FaultInjectingBackend(make_backend(backend_name))
     faulty = XmlStore(
         backend=injected, encoding=encoding, gap=gap, retry=retry
@@ -522,20 +618,14 @@ def _run_transient_stream(
 
     rng = random.Random(seed * 7919 + gap)
     report.transient_streams += 1
-
-    def failure(op_index, op, kind, detail) -> CrashFailure:
-        return CrashFailure(
-            seed=seed, gap=gap, backend=backend_name, encoding=encoding,
-            op_index=op_index, crash_at=0, op=op, kind=kind,
-            detail=detail,
-        )
+    fail = partial(fail, crash_at=0)
 
     try:
         doc = faulty.load(document)
     except Exception as exc:
-        return failure(
-            0, "initial load", "transient",
-            f"{type(exc).__name__}: {exc}",
+        return fail(
+            op_index=0, op="initial load", kind="transient",
+            detail=f"{type(exc).__name__}: {exc}",
         )
     twin_doc = twin.load(document)
 
@@ -545,10 +635,10 @@ def _run_transient_stream(
         try:
             apply_operation(faulty, doc, op)
         except Exception as exc:
-            return failure(
-                op_index, op["describe"], "transient",
-                "retry policy leaked a caller-visible error: "
-                f"{type(exc).__name__}: {exc}",
+            return fail(
+                op_index=op_index, op=op["describe"], kind="transient",
+                detail="retry policy leaked a caller-visible error: "
+                       f"{type(exc).__name__}: {exc}",
             )
 
     # The stream is over; the audit and the twin comparison are
@@ -556,13 +646,15 @@ def _run_transient_stream(
     # directly on the backend (no retry), so the plan must be disarmed
     # or a late fault would surface as a spurious audit error.
     injected.arm(None)
-    detail = _audit_detail(faulty, doc)
-    if detail is not None:
-        return failure(config.ops, "end of stream", "invariant", detail)
+    fail = partial(fail, op_index=config.ops, op="end of stream")
+    listing = summarize_violations(audit_document(faulty, doc))
+    if listing is not None:
+        return fail(kind="invariant", detail=listing)
     if _state(faulty, doc) != _state(twin, twin_doc):
-        return failure(
-            config.ops, "end of stream", "transient",
-            "faulty-but-retried store diverged from the fault-free twin",
+        return fail(
+            kind="transient",
+            detail="faulty-but-retried store diverged from the "
+                   "fault-free twin",
         )
     return None
 
@@ -571,31 +663,47 @@ def run_crashtest(
     config: CrashTestConfig,
     workdir: Optional[Union[str, Path]] = None,
 ) -> CrashTestReport:
-    """Run the crash-recovery harness; returns an aggregate report."""
-    report = CrashTestReport()
-    for seed, gap, backend_name, encoding in config.cells():
-        report.cells += 1
-        with tempfile.TemporaryDirectory(
-            dir=None if workdir is None else str(workdir),
-            prefix="crashtest-",
-        ) as cell_dir:
-            cell_failure = _run_cell(
-                config, seed, gap, backend_name, encoding,
-                Path(cell_dir), report,
+    """Crash every operation of a seeded update stream.
+
+    One cell is ``(seed, gap, backend, encoding)``: a seeded document,
+    then ``config.ops`` operations each planned against the durable
+    state and swept by :func:`sweep`; with ``transient_rate > 0`` the
+    same stream is then replayed under transient faults and retry.
+    """
+
+    def cell(directory, fail, report, seed, gap, backend, encoding):
+        medium = make_medium(backend, directory, encoding, gap)
+        doc, failure = _load_baseline(medium, config, seed, fail)
+        if failure is not None:
+            return failure
+        rng = random.Random(seed * 7919 + gap)
+        crash_rng = random.Random(seed * 104729 + gap)
+        for op_index in range(1, config.ops + 1):
+            with medium.session() as (store, _):
+                op = plan_operation(rng, store, doc)
+            report.operations += 1
+            failure = sweep(
+                medium,
+                CrashScenario(
+                    label=op["describe"],
+                    action=partial(apply_operation, doc=doc, op=op),
+                    signature=partial(_state, doc=doc),
+                    audit=partial(audit_document, doc=doc),
+                ),
+                config, crash_rng, partial(fail, op_index=op_index), report,
             )
-        if cell_failure is not None:
-            report.failures.append(cell_failure)
-            continue
+            if failure is not None:
+                return failure
         if config.transient_rate > 0.0:
-            stream_failure = _run_transient_stream(
-                config, seed, gap, backend_name, encoding, report
+            return _run_transient_stream(
+                config, seed, gap, backend, encoding, fail, report
             )
-            if stream_failure is not None:
-                report.failures.append(stream_failure)
-    return report
+        return None
+
+    return _run_cells("ops", config.cells(), cell, workdir)
 
 
-# -- migration-crash harness (online re-encoding atomicity) --------------
+# -- migrate: a whole online re-encoding ----------------------------------
 
 
 def _migration_state(store: XmlStore, doc: int) -> tuple:
@@ -610,197 +718,55 @@ def _migration_state(store: XmlStore, doc: int) -> tuple:
     )
 
 
-def _audit_store_detail(store: XmlStore) -> Optional[str]:
-    """Full-store audit — includes the shadow-orphan and
-    wrong-encoding-table checks a crashed migration could trip."""
-    violations = audit_store(store)
-    if not violations:
-        return None
-    listing = "; ".join(str(v) for v in violations[:5])
-    if len(violations) > 5:
-        listing += f" (+{len(violations) - 5} more)"
-    return listing
-
-
 def run_migration_crashtest(
     config: CrashTestConfig,
     workdir: Optional[Union[str, Path]] = None,
 ) -> CrashTestReport:
     """Crash a migration at sampled (or all) statement boundaries.
 
-    One cell is ``(seed, backend, source -> target)`` over every
-    ordered pair of the configured encodings.  Per cell the harness
-    loads a seeded document under *source*, applies a couple of seeded
-    updates, measures a full migration to *target* on a scratch clone
-    (statement count + post state), then for each crash point kills
-    the store mid-migration, reopens from the durable medium, and
-    asserts a clean full-store audit (no orphaned shadow tables, no
-    rows in a wrong-encoding table) plus **atomicity**: the recovered
-    state — document bytes, catalogue row, *and* encoding — equals
-    exactly the pre- or the post-migration state.
+    One cell is ``(seed, backend, source, target)`` over every ordered
+    pair of the configured encodings: a seeded, twice-updated document
+    under *source*, then one :func:`sweep` of the full migration to
+    *target*.  The audit is the full-store one (no orphaned shadow
+    tables, no rows in a wrong-encoding table) and the signature —
+    document bytes, catalogue row, *and* encoding — must equal exactly
+    the pre- or the post-migration state.
     """
-    report = CrashTestReport()
-    pairs = [
-        (src, dst)
-        for src in config.encodings
-        for dst in config.encodings
-        if src != dst
+
+    def cell(directory, fail, report, seed, gap, backend, pair):
+        source, target = pair.split("->")
+        medium = make_medium(backend, directory, source, gap)
+        doc, failure = _load_baseline(
+            medium, config, seed, fail, random.Random(seed * 6389 + 11)
+        )
+        if failure is not None:
+            return failure
+        report.operations += 1
+        return sweep(
+            medium,
+            CrashScenario(
+                label=f"migrate {source} -> {target}",
+                action=partial(migrate_document, doc=doc, target=target),
+                signature=partial(_migration_state, doc=doc),
+                audit=audit_store,
+                post_ok=lambda post: post[2] == target,
+            ),
+            config, random.Random(seed * 104729 + 29),
+            partial(fail, op_index=1), report,
+        )
+
+    cells = [
+        (config.base_seed + i, 1, backend, f"{source}->{target}")
+        for i in range(config.seeds)
+        for backend in config.backends
+        for source in config.encodings
+        for target in config.encodings
+        if source != target
     ]
-    for i in range(config.seeds):
-        seed = config.base_seed + i
-        for backend_name in config.backends:
-            for source, target in pairs:
-                report.cells += 1
-                with tempfile.TemporaryDirectory(
-                    dir=None if workdir is None else str(workdir),
-                    prefix="migrate-crash-",
-                ) as cell_dir:
-                    cell_failure = _run_migration_cell(
-                        config, seed, backend_name, source, target,
-                        Path(cell_dir), report,
-                    )
-                if cell_failure is not None:
-                    report.failures.append(cell_failure)
-    return report
+    return _run_cells("migrate", cells, cell, workdir)
 
 
-def _run_migration_cell(
-    config: CrashTestConfig,
-    seed: int,
-    backend_name: str,
-    source: str,
-    target: str,
-    workdir: Path,
-    report: CrashTestReport,
-) -> Optional[CrashFailure]:
-    from repro.migrate import migrate_document
-
-    def failure(crash_at, kind, detail) -> CrashFailure:
-        return CrashFailure(
-            seed=seed, gap=1, backend=backend_name,
-            encoding=f"{source}->{target}", op_index=1,
-            crash_at=crash_at, op=f"migrate {source} -> {target}",
-            kind=kind, detail=detail, mode="migrate",
-        )
-
-    medium = _medium(backend_name, workdir, source, 1)
-    document = random_document(
-        seed, max_depth=config.max_depth,
-        max_children=config.max_children,
-    )
-
-    # Durable baseline: the document plus two seeded updates, so the
-    # migration moves non-trivial order values and attributes.
-    rng = random.Random(seed * 6389 + 11)
-    store, _ = medium.open()
-    doc = store.load(document)
-    for _ in range(2):
-        op = plan_operation(rng, store, doc)
-        apply_operation(store, doc, op)
-    medium.checkpoint(store, rng, 0.0)
-    pre = _migration_state(store, doc)
-    detail = _audit_store_detail(store)
-    medium.close(store)
-    if detail is not None:
-        return failure(0, "invariant", f"before migration: {detail}")
-    medium.save_baseline()
-
-    # Measure the migration on a scratch clone.
-    scratch, counter = medium.open_clone()
-    try:
-        migrate_document(scratch, doc, target)
-    except Exception as exc:
-        medium.close(scratch)
-        return failure(
-            0, "replay", f"clean migration raised on the clone: {exc!r}"
-        )
-    statements = counter.statements_executed
-    post = _migration_state(scratch, doc)
-    detail = _audit_store_detail(scratch)
-    medium.close(scratch)
-    report.operations += 1
-    if detail is not None:
-        return failure(0, "invariant", f"after clean migration: {detail}")
-    if post[2] != target:
-        return failure(
-            0, "replay",
-            f"clean migration left encoding {post[2]!r}, not {target!r}",
-        )
-
-    # Crash trials at sampled (or all) statement boundaries.
-    if config.crashes_per_op <= 0 or config.crashes_per_op >= statements:
-        points = list(range(1, statements + 1))
-    else:
-        crash_rng = random.Random(seed * 104729 + 29)
-        points = sorted(
-            crash_rng.sample(
-                range(1, statements + 1), config.crashes_per_op
-            )
-        )
-    for crash_at in points:
-        medium.restore_baseline()
-        store, injector = medium.open()
-        injector.arm(FaultPlan(crash_at_statement=crash_at))
-        crashed = False
-        try:
-            migrate_document(store, doc, target)
-        except SimulatedCrash:
-            crashed = True
-        report.crashes += 1
-        if not crashed:
-            return failure(
-                crash_at, "determinism",
-                f"crash point {crash_at} <= measured statement count "
-                f"{statements} but the migration completed",
-            )
-
-        recovered, _ = medium.open()
-        detail = _audit_store_detail(recovered)
-        if detail is not None:
-            medium.close(recovered)
-            return failure(crash_at, "invariant", detail)
-        state = _migration_state(recovered, doc)
-        medium.close(recovered)
-        report.recoveries += 1
-        if state != pre and state != post:
-            hybrid = (
-                "hybrid encoding state"
-                if state[2] not in (pre[2], post[2])
-                or (state[0], state[1]) not in (
-                    (pre[0], pre[1]), (post[0], post[1])
-                )
-                else "mixed pre/post state"
-            )
-            return failure(
-                crash_at, "atomicity",
-                f"recovered state equals neither the pre- nor the "
-                f"post-migration store ({hybrid}; "
-                f"encoding {state[2]!r})",
-            )
-
-    # Apply for real; the durable state must land exactly on post.
-    medium.restore_baseline()
-    store, _ = medium.open()
-    try:
-        migrate_document(store, doc, target)
-    except Exception as exc:
-        medium.close(store)
-        return failure(0, "replay", f"final migration raised: {exc!r}")
-    medium.checkpoint(store, rng, 0.0)
-    state = _migration_state(store, doc)
-    detail = _audit_store_detail(store)
-    medium.close(store)
-    if detail is not None:
-        return failure(0, "invariant", f"after final migration: {detail}")
-    if state != post:
-        return failure(
-            0, "replay",
-            "final migration diverged from the measured post state",
-        )
-    return None
-
-
-# -- index-lifecycle crash harness (create/drop atomicity) ----------------
+# -- index: create, indexed update, drop ----------------------------------
 
 
 def _index_signature(store: XmlStore, doc: int) -> Optional[tuple]:
@@ -821,532 +787,182 @@ def _index_signature(store: XmlStore, doc: int) -> Optional[tuple]:
     )
 
 
+def _pin_index_auto(store: XmlStore) -> None:
+    # Under REPRO_INDEX=on the load itself would build the index and
+    # the unindexed baseline would not be.
+    store.indexes.force_mode = "auto"
+
+
 def run_index_crashtest(
     config: CrashTestConfig,
     workdir: Optional[Union[str, Path]] = None,
 ) -> CrashTestReport:
-    """Crash index creates and drops at sampled statement boundaries.
+    """Crash an index create, an indexed update and an index drop.
 
-    Per ``(seed, gap, backend, encoding)`` cell the harness loads a
-    seeded document (plus a couple of seeded updates, so the string
-    values and path dictionary are non-trivial), measures a full
-    ``indexes.create`` on a scratch clone, then kills the store at each
-    crash point mid-create, reopens, and asserts the document audits
-    clean, the node tables are untouched, and the recovered index is
-    either **absent or byte-identical to the measured complete index**
-    — never partial.  A second phase crashes a seeded **update** (with
-    incremental maintenance pinned on) from the fully indexed baseline:
-    recovery must land on exactly the pre-update or post-update
-    node+index state.  A third phase does the same for ``drop``:
-    recovery must land on exactly the complete or the empty index
-    state.
+    Per ``(seed, gap, backend, encoding)`` cell: a seeded, twice-
+    updated, unindexed document, then three :func:`sweep` s in a row,
+    each starting from the state the previous one left durable —
+    ``indexes.create``, a seeded update with incremental maintenance
+    pinned on, ``indexes.drop``.  All three share one signature, node
+    tables plus the full contents of the index tables, so "a crashed
+    create or drop changed the node tables", "the recovered index is
+    partial" and "the update tore nodes from index" are all the same
+    finding: neither pre nor post.
     """
-    report = CrashTestReport()
-    for seed, gap, backend_name, encoding in config.cells():
-        report.cells += 1
-        with tempfile.TemporaryDirectory(
-            dir=None if workdir is None else str(workdir),
-            prefix="index-crash-",
-        ) as cell_dir:
-            cell_failure = _run_index_cell(
-                config, seed, gap, backend_name, encoding,
-                Path(cell_dir), report,
+
+    def cell(directory, fail, report, seed, gap, backend, encoding):
+        medium = make_medium(backend, directory, encoding, gap)
+        doc, failure = _load_baseline(
+            medium, config, seed, fail, random.Random(seed * 6389 + 17),
+            prepare=_pin_index_auto,
+        )
+        if failure is not None:
+            return failure
+
+        def run(salt: int, label: str, action, **declared):
+            report.operations += 1
+            return sweep(
+                medium,
+                CrashScenario(
+                    label=label,
+                    action=action,
+                    signature=lambda store: (
+                        _state(store, doc), _index_signature(store, doc)
+                    ),
+                    audit=partial(audit_document, doc=doc),
+                    **declared,
+                ),
+                config, random.Random(seed * 104729 + salt),
+                partial(fail, op_index=1), report,
             )
-        if cell_failure is not None:
-            report.failures.append(cell_failure)
-    return report
 
+        def indexed(post: tuple) -> bool:
+            return post[1] is not None
 
-def _index_crash_points(
-    config: CrashTestConfig, seed: int, salt: int, statements: int
-) -> list[int]:
-    if config.crashes_per_op <= 0 or config.crashes_per_op >= statements:
-        return list(range(1, statements + 1))
-    crash_rng = random.Random(seed * 104729 + salt)
-    return sorted(
-        crash_rng.sample(range(1, statements + 1), config.crashes_per_op)
-    )
+        failure = run(
+            37, "create index", lambda store: store.indexes.create(doc),
+            post_ok=indexed,
+        )
+        if failure is not None:
+            return failure
+        with medium.session() as (store, _):
+            op = plan_operation(random.Random(seed * 9791 + 7), store, doc)
 
+        def indexed_update(store: XmlStore) -> None:
+            # Incremental maintenance rides the update's own
+            # transaction, so node tables and index rows must tear
+            # together or not at all.
+            store.indexes.force_incremental = True
+            apply_operation(store, doc, op)
 
-def _run_index_cell(
-    config: CrashTestConfig,
-    seed: int,
-    gap: int,
-    backend_name: str,
-    encoding: str,
-    workdir: Path,
-    report: CrashTestReport,
-) -> Optional[CrashFailure]:
-    def failure(crash_at, op, kind, detail) -> CrashFailure:
-        return CrashFailure(
-            seed=seed, gap=gap, backend=backend_name, encoding=encoding,
-            op_index=1, crash_at=crash_at, op=op, kind=kind,
-            detail=detail, mode="index",
+        return run(
+            71, "indexed update", indexed_update, post_ok=indexed,
+        ) or run(
+            53, "drop index", lambda store: store.indexes.drop(doc),
+            post_ok=lambda post: not indexed(post),
         )
 
-    medium = _medium(backend_name, workdir, encoding, gap)
-    document = random_document(
-        seed, max_depth=config.max_depth,
-        max_children=config.max_children,
-    )
-
-    # Durable baseline: document + two seeded updates, unindexed.
-    # Mode is pinned to auto: under REPRO_INDEX=on the load itself
-    # would build the index and the unindexed baseline would not be.
-    rng = random.Random(seed * 6389 + 17)
-    store, _ = medium.open()
-    store.indexes.force_mode = "auto"
-    doc = store.load(document)
-    for _ in range(2):
-        op = plan_operation(rng, store, doc)
-        apply_operation(store, doc, op)
-    medium.checkpoint(store, rng, 0.0)
-    pre_doc = _state(store, doc)
-    detail = _audit_detail(store, doc)
-    medium.close(store)
-    if detail is not None:
-        return failure(0, "baseline", "invariant", detail)
-    medium.save_baseline()
-
-    # Measure a clean create on a scratch clone.
-    scratch, counter = medium.open_clone()
-    scratch.indexes.create(doc)
-    statements = counter.statements_executed
-    post_sig = _index_signature(scratch, doc)
-    medium.close(scratch)
-    report.operations += 1
-    if post_sig is None:
-        return failure(0, "create index", "replay",
-                       "clean create left no index behind")
-
-    for crash_at in _index_crash_points(config, seed, 37, statements):
-        medium.restore_baseline()
-        store, injector = medium.open()
-        injector.arm(FaultPlan(crash_at_statement=crash_at))
-        crashed = False
-        try:
-            store.indexes.create(doc)
-        except SimulatedCrash:
-            crashed = True
-        report.crashes += 1
-        if not crashed:
-            return failure(
-                crash_at, "create index", "determinism",
-                f"crash point {crash_at} <= measured statement count "
-                f"{statements} but the create completed",
-            )
-        recovered, _ = medium.open()
-        detail = _audit_detail(recovered, doc)
-        if detail is not None:
-            medium.close(recovered)
-            return failure(crash_at, "create index", "invariant", detail)
-        state = _state(recovered, doc)
-        sig = _index_signature(recovered, doc)
-        medium.close(recovered)
-        report.recoveries += 1
-        if state != pre_doc:
-            return failure(
-                crash_at, "create index", "atomicity",
-                "a crashed index create changed the node tables",
-            )
-        if sig is not None and sig != post_sig:
-            return failure(
-                crash_at, "create index", "atomicity",
-                "recovered index is neither absent nor identical to "
-                "the complete index",
-            )
-
-    # Build the index for real: the durable state must land on post.
-    medium.restore_baseline()
-    store, _ = medium.open()
-    store.indexes.create(doc)
-    medium.checkpoint(store, rng, 0.0)
-    pre_sig = _index_signature(store, doc)
-    medium.close(store)
-    if pre_sig != post_sig:
-        return failure(0, "create index", "replay",
-                       "real create diverged from the measured clone")
-    medium.save_baseline()
-
-    # Phase 2: crash an update from the fully indexed baseline.
-    # Incremental maintenance rides the update's own transaction, so
-    # recovery must land on exactly the pre-update or the post-update
-    # (node tables + index) state — never a torn mix of the two.
-    op_rng = random.Random(seed * 9791 + 7)
-    store, _ = medium.open()
-    store.indexes.force_incremental = True
-    update_op = plan_operation(op_rng, store, doc)
-    medium.close(store)
-
-    scratch, counter = medium.open_clone()
-    scratch.indexes.force_incremental = True
-    apply_operation(scratch, doc, update_op)
-    statements = counter.statements_executed
-    post_upd_doc = _state(scratch, doc)
-    post_upd_sig = _index_signature(scratch, doc)
-    medium.close(scratch)
-    report.operations += 1
-    if post_upd_sig is None:
-        return failure(0, "indexed update", "replay",
-                       "an indexed update dropped the index")
-
-    for crash_at in _index_crash_points(config, seed, 71, statements):
-        medium.restore_baseline()
-        store, injector = medium.open()
-        store.indexes.force_incremental = True
-        injector.arm(FaultPlan(crash_at_statement=crash_at))
-        crashed = False
-        try:
-            apply_operation(store, doc, update_op)
-        except SimulatedCrash:
-            crashed = True
-        report.crashes += 1
-        if not crashed:
-            return failure(
-                crash_at, "indexed update", "determinism",
-                f"crash point {crash_at} <= measured statement count "
-                f"{statements} but the update completed",
-            )
-        recovered, _ = medium.open()
-        detail = _audit_detail(recovered, doc)
-        if detail is not None:
-            medium.close(recovered)
-            return failure(
-                crash_at, "indexed update", "invariant", detail
-            )
-        state = _state(recovered, doc)
-        sig = _index_signature(recovered, doc)
-        medium.close(recovered)
-        report.recoveries += 1
-        if (state, sig) not in (
-            (pre_doc, pre_sig), (post_upd_doc, post_upd_sig)
-        ):
-            return failure(
-                crash_at, "indexed update", "atomicity",
-                "recovery is neither exactly the pre-update nor the "
-                "post-update node+index state",
-            )
-
-    # Back to the pristine indexed baseline for the drop phase.
-    medium.restore_baseline()
-
-    # Phase 3: crash drops from the fully indexed baseline.
-    scratch, counter = medium.open_clone()
-    scratch.indexes.drop(doc)
-    statements = counter.statements_executed
-    drop_sig = _index_signature(scratch, doc)
-    medium.close(scratch)
-    report.operations += 1
-    if drop_sig is not None:
-        return failure(0, "drop index", "replay",
-                       "clean drop left index rows behind")
-
-    for crash_at in _index_crash_points(config, seed, 53, statements):
-        medium.restore_baseline()
-        store, injector = medium.open()
-        injector.arm(FaultPlan(crash_at_statement=crash_at))
-        crashed = False
-        try:
-            store.indexes.drop(doc)
-        except SimulatedCrash:
-            crashed = True
-        report.crashes += 1
-        if not crashed:
-            return failure(
-                crash_at, "drop index", "determinism",
-                f"crash point {crash_at} <= measured statement count "
-                f"{statements} but the drop completed",
-            )
-        recovered, _ = medium.open()
-        detail = _audit_detail(recovered, doc)
-        if detail is not None:
-            medium.close(recovered)
-            return failure(crash_at, "drop index", "invariant", detail)
-        state = _state(recovered, doc)
-        sig = _index_signature(recovered, doc)
-        medium.close(recovered)
-        report.recoveries += 1
-        if state != pre_doc:
-            return failure(
-                crash_at, "drop index", "atomicity",
-                "a crashed index drop changed the node tables",
-            )
-        if sig is not None and sig != pre_sig:
-            return failure(
-                crash_at, "drop index", "atomicity",
-                "recovered index is neither complete nor fully dropped",
-            )
-
-    # Drop for real; durably absent afterwards.
-    medium.restore_baseline()
-    store, _ = medium.open()
-    store.indexes.drop(doc)
-    medium.checkpoint(store, rng, 0.0)
-    sig = _index_signature(store, doc)
-    detail = _audit_detail(store, doc)
-    medium.close(store)
-    if detail is not None:
-        return failure(0, "drop index", "invariant", detail)
-    if sig is not None:
-        return failure(0, "drop index", "replay",
-                       "real drop left index rows behind")
-    return None
+    return _run_cells("index", config.cells(), cell, workdir)
 
 
-# -- writer-crash harness (group-commit atomicity) -----------------------
+# -- writer: one group-committed batch ------------------------------------
 
 
-def _open_pooled(
-    path: Path, encoding: str
-) -> tuple[XmlStore, FaultInjectingBackend]:
-    """A pooled file store behind a fault injector (counter reset)."""
-    from repro.backends.pooled_sqlite import PooledSqliteBackend
-
-    backend = FaultInjectingBackend(PooledSqliteBackend(str(path)))
-    store = XmlStore(backend=backend, encoding=encoding)
-    backend.arm(None)  # schema bootstrap must not consume the plan
-    return store, backend
-
-
-def _clone_db(path: Path, clone: Path) -> None:
-    for suffix in ("", "-wal", "-shm"):
-        target = Path(str(clone) + suffix)
-        target.unlink(missing_ok=True)
-        source = Path(str(path) + suffix)
-        if source.exists():
-            shutil.copyfile(source, target)
-
-
-def _run_writer_batch(
-    store: XmlStore,
-    backend: FaultInjectingBackend,
-    doc: int,
-    root_id: int,
-    start_index: int,
+def _writer_batch(
+    store: XmlStore, doc: int, root_id: int, start_index: int,
     batch_size: int,
-    plan: Optional[FaultPlan],
-) -> tuple[list, int]:
+) -> None:
     """Stage *batch_size* inserts, drain them as ONE group commit.
 
     ``autostart=False`` queues every operation before the writer thread
     exists, so the drain is guaranteed to group them into a single
-    ``BEGIN ... COMMIT``.  Returns ``(exceptions, statements)`` — the
-    exception each future raised (empty on success) and the statement
-    count the batch executed.
+    ``BEGIN ... COMMIT``.  Raises :class:`SimulatedCrash` only when
+    *every* future saw it — a submitter left without one would hang —
+    and an ordinary error for any other way the batch can go wrong.
     """
-    from repro.workload.update_ops import make_fragment
-
-    queue = store.enable_write_queue(
-        max_batch=batch_size, autostart=False
-    )
-    futures = []
-    for i in range(batch_size):
-
-        def operation(i: int = i):
-            fragment = make_fragment("wc", payload_nodes=2)
-            return store.updates.insert(
-                doc, root_id, start_index + i, fragment
-            )
-
-        futures.append(queue.submit(operation))
-    backend.arm(plan)
+    queue = store.enable_write_queue(max_batch=batch_size, autostart=False)
+    futures = [
+        queue.submit(lambda i=i: store.updates.insert(
+            doc, root_id, start_index + i,
+            make_fragment("wc", payload_nodes=2),
+        ))
+        for i in range(batch_size)
+    ]
     queue.start()
-    errors = []
-    for future in futures:
-        try:
-            future.result(timeout=60)
-        except BaseException as exc:
-            errors.append(exc)
-    return errors, backend.statements_executed
+    errors = [
+        error for future in futures
+        if (error := future.exception(timeout=60)) is not None
+    ]
+    if len(errors) == batch_size and all(
+        isinstance(error, SimulatedCrash) for error in errors
+    ):
+        raise errors[0]
+    if errors:
+        raise ReproError(
+            f"{len(errors)} of {batch_size} future(s) failed, "
+            f"first with {errors[0]!r}"
+        )
+    if queue.batches != 1:
+        raise ReproError(
+            f"expected one group commit, writer used {queue.batches} "
+            "batch(es)"
+        )
 
 
 def run_writer_crashtest(
-    seeds: int = 1,
+    config: CrashTestConfig,
     batches: int = 2,
     batch_size: int = 4,
-    encodings: Sequence[str] = ("global", "dewey"),
-    crashes_per_batch: int = 3,
-    base_seed: int = 0,
-    max_depth: int = 3,
-    max_children: int = 3,
     workdir: Optional[Union[str, Path]] = None,
 ) -> CrashTestReport:
     """Crash the single writer mid-group-commit; reopen; audit.
 
-    Each cell is a pooled file-backed sqlite store with the write
-    queue.  Per batch round: a whole batch of deterministic inserts is
-    staged, its statement count measured on a scratch clone, then for
-    sampled crash points the real store's writer is killed inside the
-    batch transaction.  The reopened file must audit clean at exactly
-    the pre-batch state — group commit makes the whole batch one unit
-    of atomicity, so no partially applied batch may ever survive.
+    Each ``(seed, encoding)`` cell is a pooled file-backed sqlite store
+    with the write queue.  Per batch round a whole batch of
+    deterministic inserts is one :func:`sweep`: group commit makes the
+    batch one unit of atomicity and the crash always lands before its
+    ``COMMIT``, so the only state allowed to survive is the pre-batch
+    one — never a partially, or a wholly, applied batch.
     """
-    report = CrashTestReport()
-    for cell_index in range(seeds):
-        seed = base_seed + cell_index
-        for encoding in encodings:
-            report.cells += 1
-            failure = None
-            with tempfile.TemporaryDirectory(
-                dir=None if workdir is None else str(workdir),
-                prefix="writer-crash-",
-            ) as cell_dir:
-                failure = _run_writer_cell(
-                    seed, encoding, batches, batch_size,
-                    crashes_per_batch, max_depth, max_children,
-                    Path(cell_dir), report,
-                )
+
+    def cell(directory, fail, report, seed, gap, backend, encoding):
+        medium = _SqliteMedium(directory, encoding, gap, pooled=True)
+        doc, failure = _load_baseline(medium, config, seed, fail)
+        if failure is not None:
+            return failure
+        with medium.session() as (store, _):
+            root_id = next(
+                row["id"] for row in store.fetch_children(doc, 0)
+                if row["kind"] == "elem"
+            )
+            start_index = len(store.fetch_children(doc, root_id))
+        crash_rng = random.Random(seed * 104729 + 17)
+        for batch_index in range(1, batches + 1):
+            report.writer_batches += 1
+            report.operations += batch_size
+            failure = sweep(
+                medium,
+                CrashScenario(
+                    label=f"writer batch of {batch_size} insert(s)",
+                    action=partial(
+                        _writer_batch, doc=doc, root_id=root_id,
+                        start_index=start_index, batch_size=batch_size,
+                    ),
+                    signature=partial(_state, doc=doc),
+                    audit=partial(audit_document, doc=doc),
+                    survivors=("pre",),
+                ),
+                config, crash_rng, partial(fail, op_index=batch_index),
+                report,
+            )
             if failure is not None:
-                report.failures.append(failure)
-    return report
+                return failure
+            start_index += batch_size
+        return None
 
-
-def _run_writer_cell(
-    seed: int,
-    encoding: str,
-    batches: int,
-    batch_size: int,
-    crashes_per_batch: int,
-    max_depth: int,
-    max_children: int,
-    workdir: Path,
-    report: CrashTestReport,
-) -> Optional[CrashFailure]:
-    path = workdir / "store.db"
-    clone = workdir / "scratch.db"
-
-    def failure(batch_index, crash_at, kind, detail) -> CrashFailure:
-        return CrashFailure(
-            seed=seed, gap=1, backend="sqlite", encoding=encoding,
-            op_index=batch_index, crash_at=crash_at,
-            op=f"writer batch of {batch_size} insert(s)", kind=kind,
-            detail=detail, mode="writer",
-        )
-
-    document = random_document(
-        seed, max_depth=max_depth, max_children=max_children
-    )
-    store, _ = _open_pooled(path, encoding)
-    doc = store.load(document)
-    root_rows = [
-        row for row in store.fetch_children(doc, 0)
-        if row["kind"] == "elem"
+    cells = [
+        (config.base_seed + i, 1, "sqlite", encoding)
+        for i in range(config.seeds)
+        for encoding in config.encodings
     ]
-    root_id = root_rows[0]["id"]
-    start_index = len(store.fetch_children(doc, root_id))
-    store.close()
-
-    crash_rng = random.Random(seed * 104729 + 17)
-
-    for batch_index in range(1, batches + 1):
-        report.writer_batches += 1
-        report.operations += batch_size
-
-        # Pre-batch state, from the durable file.
-        store, _ = _open_pooled(path, encoding)
-        pre = _state(store, doc)
-        store.close()
-
-        # Measure the batch on a scratch clone: statements + post state.
-        _clone_db(path, clone)
-        scratch, counter = _open_pooled(clone, encoding)
-        errors, statements = _run_writer_batch(
-            scratch, counter, doc, root_id, start_index,
-            batch_size, plan=None,
-        )
-        if errors:
-            scratch.close()
-            return failure(
-                batch_index, 0, "replay",
-                f"clean batch raised on the clone: {errors[0]!r}",
-            )
-        post = _state(scratch, doc)
-        scratch.close()
-
-        # Crash trials inside the batch transaction.
-        if crashes_per_batch <= 0 or crashes_per_batch >= statements:
-            points = list(range(1, statements + 1))
-        else:
-            points = sorted(
-                crash_rng.sample(
-                    range(1, statements + 1), crashes_per_batch
-                )
-            )
-        for crash_at in points:
-            store, injector = _open_pooled(path, encoding)
-            errors, _ = _run_writer_batch(
-                store, injector, doc, root_id, start_index, batch_size,
-                plan=FaultPlan(crash_at_statement=crash_at),
-            )
-            report.crashes += 1
-            crashed = bool(errors) and all(
-                isinstance(e, SimulatedCrash) for e in errors
-            )
-            store.close()
-            if not crashed:
-                return failure(
-                    batch_index, crash_at, "determinism",
-                    f"crash point {crash_at} <= measured statement "
-                    f"count {statements} but the batch completed "
-                    f"({len(errors)} error(s))",
-                )
-            if len(errors) != batch_size:
-                return failure(
-                    batch_index, crash_at, "crash",
-                    f"only {len(errors)} of {batch_size} futures saw "
-                    "the crash — some submitter would hang",
-                )
-
-            # Recover: reopen the file; the batch must have vanished
-            # wholly (the group transaction never committed).
-            recovered, _ = _open_pooled(path, encoding)
-            detail = _audit_detail(recovered, doc)
-            if detail is not None:
-                recovered.close()
-                return failure(
-                    batch_index, crash_at, "invariant", detail
-                )
-            state = _state(recovered, doc)
-            recovered.close()
-            report.recoveries += 1
-            if state != pre:
-                detail = (
-                    "recovered state matches the post-batch document "
-                    "although the group transaction never committed"
-                    if state == post
-                    else "recovered state equals neither the "
-                         "pre-batch nor the post-batch document"
-                )
-                return failure(
-                    batch_index, crash_at, "atomicity", detail
-                )
-
-        # Apply the batch for real and verify the clean replay.
-        store, backend = _open_pooled(path, encoding)
-        errors, _ = _run_writer_batch(
-            store, backend, doc, root_id, start_index, batch_size,
-            plan=None,
-        )
-        if errors:
-            store.close()
-            return failure(
-                batch_index, 0, "replay",
-                f"clean batch raised: {errors[0]!r}",
-            )
-        queue = store.write_queue
-        if queue is not None and queue.batches != 1:
-            store.close()
-            return failure(
-                batch_index, 0, "determinism",
-                "expected one group commit, writer used "
-                f"{queue.batches} batch(es)",
-            )
-        state = _state(store, doc)
-        store.close()
-        if state != post:
-            return failure(
-                batch_index, 0, "replay",
-                "clean replay diverged from the measured post state",
-            )
-        start_index += batch_size
-    return None
+    return _run_cells("writer", cells, cell, workdir)

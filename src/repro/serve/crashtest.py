@@ -8,6 +8,10 @@ worker takes SIGKILL in the middle of an ``update_batch`` transaction
 the supervisor respawns it on the same database file, and the recovered
 state must be **exactly** the pre-batch or post-batch document — sqlite's
 WAL discards the half-written batch — with a clean invariant audit.
+There is no statement count to sweep, so this module keeps its own
+cell, but the verdict on a recovery (:func:`~repro.robust.crashtest.
+recovery_verdict`), the failure record and its ``--shard-kill`` repro
+line, and the report are the statement-level driver's.
 
 An in-process twin store receives the same seeded operation stream, so
 the expected pre/post states come from the same machinery the
@@ -24,11 +28,17 @@ import random
 import tempfile
 import threading
 import time
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from repro.check.fuzz import apply_operation, plan_operation
+from repro.check.invariants import summarize_violations
 from repro.errors import ReproError
-from repro.robust.crashtest import CrashFailure, CrashTestReport
+from repro.robust.crashtest import (
+    CrashFailure,
+    CrashTestReport,
+    recovery_verdict,
+)
 from repro.serve.client import ConnectionFailed, ShardClient
 from repro.serve.supervisor import Supervisor
 from repro.store import XmlStore
@@ -69,7 +79,6 @@ def run_shard_kill_crashtest(
     encoding: Optional[str] = None,
     gap: Optional[int] = None,
     pause_ms: int = 25,
-    progress=None,
 ) -> CrashTestReport:
     """Kill a live shard worker mid-batch *seeds* times; audit recovery.
 
@@ -83,24 +92,22 @@ def run_shard_kill_crashtest(
     report = CrashTestReport()
     for seed in range(base_seed, base_seed + seeds):
         report.cells += 1
-        failure = None
+        fail = partial(
+            CrashFailure, seed=seed, gap=gap or 1, backend="sqlite",
+            encoding=encoding or "dewey", crash_at=0, mode="shard-kill",
+        )
         with tempfile.TemporaryDirectory(prefix="shardkill-") as tmp:
             try:
                 failure = _run_cell(
                     tmp, seed, rounds, ops_per_round,
-                    encoding, gap, pause_ms, report,
+                    encoding, gap, pause_ms, fail, report,
                 )
             except ReproError as exc:
-                failure = CrashFailure(
-                    seed=seed, gap=gap or 1, backend="sqlite",
-                    encoding=encoding or "dewey", op_index=0,
-                    crash_at=0, op="cluster", kind="crash",
-                    detail=str(exc), mode="ops",
+                failure = fail(
+                    op_index=0, op="cluster", kind="crash", detail=str(exc)
                 )
         if failure is not None:
             report.failures.append(failure)
-        if progress is not None:
-            progress(seed, failure)
     return report
 
 
@@ -112,6 +119,7 @@ def _run_cell(
     encoding: Optional[str],
     gap: Optional[int],
     pause_ms: int,
+    fail: Callable[..., CrashFailure],
     report: CrashTestReport,
 ) -> Optional[CrashFailure]:
     rng = random.Random(seed * 7919 + 23)
@@ -123,14 +131,6 @@ def _run_cell(
     )
     twin_doc = twin.load(document)
 
-    def fail(op_index: int, op: str, kind: str, detail: str
-             ) -> CrashFailure:
-        return CrashFailure(
-            seed=seed, gap=gap or 1, backend="sqlite",
-            encoding=encoding or "dewey", op_index=op_index,
-            crash_at=0, op=op, kind=kind, detail=detail, mode="ops",
-        )
-
     supervisor = Supervisor(directory, 1, encoding=encoding, gap=gap)
     try:
         supervisor.start()
@@ -138,8 +138,10 @@ def _run_cell(
         client = ShardClient(spec.socket_path, timeout=10.0)
         response = client.request({"op": "load", "xml": xml})
         if not response.get("ok"):
-            return fail(0, "load", "crash",
-                        f"initial load failed: {response}")
+            return fail(
+                op_index=0, op="load", kind="crash",
+                detail=f"initial load failed: {response}",
+            )
         doc = int(response["doc"])
 
         for round_index in range(1, rounds + 1):
@@ -151,7 +153,10 @@ def _run_cell(
                 batch.append(op)
                 report.operations += 1
             post = _twin_state(twin, twin_doc)
-            describe = "; ".join(op["describe"] for op in batch)
+            failed = partial(
+                fail, op_index=round_index,
+                op="; ".join(op["describe"] for op in batch),
+            )
 
             # Send the stretched batch from a side thread; the SIGKILL
             # below lands while it is inside the batch transaction.
@@ -180,23 +185,23 @@ def _run_cell(
 
             respawned = supervisor.ensure_alive()
             if 0 not in respawned:
-                return fail(
-                    round_index, describe, "crash",
-                    "supervisor did not respawn the killed worker",
+                return failed(
+                    kind="crash",
+                    detail="supervisor did not respawn the killed worker",
                 )
             if supervisor.generations[0] != generation + 1:
-                return fail(
-                    round_index, describe, "crash",
-                    f"generation not bumped: {supervisor.generations}",
+                return failed(
+                    kind="crash",
+                    detail=f"generation not bumped: {supervisor.generations}",
                 )
 
             recovered = _wire_state(client, doc)
-            violations = _wire_violations(client, doc)
-            if violations:
-                return fail(
-                    round_index, describe, "invariant",
-                    f"audit after recovery: {violations}",
-                )
+            verdict = recovery_verdict(
+                summarize_violations(_wire_violations(client, doc)),
+                recovered, pre, post,
+            )
+            if verdict is not None:
+                return failed(kind=verdict[0], detail=verdict[1])
             if recovered == pre:
                 # Whole batch rolled back: replay it (no pause) and the
                 # store must land exactly on the twin's post state.
@@ -207,21 +212,16 @@ def _run_cell(
                     "pause_ms": 0,
                 })
                 if not response.get("ok"):
-                    return fail(
-                        round_index, describe, "replay",
-                        f"replay after rollback failed: {response}",
+                    return failed(
+                        kind="replay",
+                        detail=f"replay after rollback failed: {response}",
                     )
-                final = _wire_state(client, doc)
-                if final != post:
-                    return fail(
-                        round_index, describe, "determinism",
-                        "replayed batch diverged from twin post-state",
+                if _wire_state(client, doc) != post:
+                    return failed(
+                        kind="determinism",
+                        detail="replayed batch diverged from twin "
+                               "post-state",
                     )
-            elif recovered != post:
-                return fail(
-                    round_index, describe, "atomicity",
-                    "recovered state is neither pre- nor post-batch",
-                )
             report.recoveries += 1
         client.close()
     finally:

@@ -387,11 +387,14 @@ def test_stress_minidb(encoding):
 
 @pytest.mark.skip_audit  # crashed stores can't be audited at teardown
 def test_writer_crash_mid_batch_recovers_to_pre_batch_state():
-    from repro.robust.crashtest import run_writer_crashtest
+    from repro.robust.crashtest import (
+        CrashTestConfig,
+        run_writer_crashtest,
+    )
 
     report = run_writer_crashtest(
-        seeds=1, batches=1, batch_size=3,
-        encodings=("global",), crashes_per_batch=2,
+        CrashTestConfig(seeds=1, encodings=("global",), crashes_per_op=2),
+        batches=1, batch_size=3,
     )
     assert report.ok(), [str(f) for f in report.failures]
     assert report.writer_batches == 1

@@ -15,15 +15,12 @@ from typing import Iterable, Optional, Sequence
 
 from repro.backends.base import Backend, BackendResult, is_write_statement
 from repro.core.dewey import (
-    dewey_depth_bytes,
-    dewey_local_bytes,
     dewey_parent_bytes,
     dewey_successor_bytes,
 )
 from repro.core.numeric import xpath_number_value
 from repro.core.pathmatch import path_match
 from repro.core.ordpath import (
-    ordpath_depth_bytes,
     ordpath_parent_bytes,
     ordpath_successor_bytes,
 )
@@ -66,11 +63,8 @@ def connect_sqlite(
     for fn_name, fn, arity in (
         ("dewey_parent", dewey_parent_bytes, 1),
         ("dewey_successor", dewey_successor_bytes, 1),
-        ("dewey_local", dewey_local_bytes, 1),
-        ("dewey_depth", dewey_depth_bytes, 1),
         ("ordpath_parent", ordpath_parent_bytes, 1),
         ("ordpath_successor", ordpath_successor_bytes, 1),
-        ("ordpath_depth", ordpath_depth_bytes, 1),
         ("xpath_number", xpath_number_value, 1),
         ("path_match", path_match, 2),
     ):

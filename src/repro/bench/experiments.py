@@ -3,8 +3,9 @@
 Each ``run_eN_*`` function executes one experiment and returns an
 :class:`~repro.bench.harness.ExperimentTable`.  ``run_all`` executes the
 whole suite (used by ``benchmarks/run_experiments.py`` to regenerate
-EXPERIMENTS.md); the ``benchmarks/bench_eN_*.py`` files wrap the same
-building blocks in pytest-benchmark fixtures.
+EXPERIMENTS.md, and by ``repro experiments`` / ``repro bench``).  These
+functions are the only implementation of E1-E18: DESIGN.md's experiment
+index points at them by name.
 
 Defaults are sized to finish in seconds on a laptop while preserving the
 paper's comparative shapes; every function takes size parameters for

@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 
 from repro.core.encodings import ENCODINGS, AuditView
 from repro.core.schema import KIND_ELEMENT, KIND_TEXT, SHADOW_PREFIX
+from repro.core.shredder import group_siblings
 
 #: Node kinds that may own child rows.
 _PARENT_KINDS = (KIND_ELEMENT,)
@@ -68,12 +69,7 @@ def _fetch_rows(store, doc: int, encoding) -> list[dict]:
 
 def _build_view(store, rows: list[dict], encoding) -> AuditView:
     by_id = {row["id"]: row for row in rows}
-    children: dict[int, list[dict]] = {}
-    for row in rows:
-        children.setdefault(row["parent"], []).append(row)
-    order = encoding.sibling_order_column
-    for siblings in children.values():
-        siblings.sort(key=lambda r: r[order])
+    children = group_siblings(rows, encoding.sibling_order_column)
     preorder: list[int] = []
     stack = [row["id"] for row in reversed(children.get(0, []))]
     visited: set[int] = set()

@@ -262,13 +262,3 @@ def dewey_parent_bytes(data: bytes) -> Optional[bytes]:
 def dewey_successor_bytes(data: bytes) -> bytes:
     """SQL scalar: binary upper bound of the node's subtree range."""
     return DeweyKey.decode(data).sibling_successor().encode()
-
-
-def dewey_local_bytes(data: bytes) -> int:
-    """SQL scalar: the key's last component (gapped sibling slot)."""
-    return DeweyKey.decode(data).local_position()
-
-
-def dewey_depth_bytes(data: bytes) -> int:
-    """SQL scalar: number of components."""
-    return DeweyKey.decode(data).depth()

@@ -1,4 +1,4 @@
-"""The three order encodings: Global, Local, and Dewey.
+"""The four order encodings: Global, Local, Dewey, and ORDPATH.
 
 An :class:`OrderEncoding` bundles everything encoding-specific:
 
@@ -8,7 +8,13 @@ An :class:`OrderEncoding` bundles everything encoding-specific:
   insertions can be absorbed without renumbering),
 * the SQL fragment that sorts rows into document order (Local has none;
   its results need a client-side order-resolution pass, which is exactly
-  the weakness the paper attributes to local order).
+  the weakness the paper attributes to local order),
+* the contiguous range of the order column that holds a node's subtree
+  (again Local has none and must chase parent pointers),
+* the order invariants the auditor checks.
+
+Dewey and ORDPATH differ only in their key codec and in where a new
+child key goes; :class:`PrefixKeyEncoding` carries the rest for both.
 
 The encodings share the structural columns, so the SQL translator only
 varies in axis conditions and order keys.
@@ -18,10 +24,15 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.core import schema
-from repro.core.dewey import DeweyKey
+from repro.core.dewey import DeweyKey, dewey_successor_bytes
+from repro.core.ordpath import (
+    OrdpathKey,
+    ordpath_successor_bytes,
+    suffix_between,
+)
 from repro.core.schema import Table
 from repro.core.shredder import ShreddedNode
 from repro.errors import EncodingError
@@ -54,9 +65,9 @@ class AuditView:
 
 
 class OrderEncoding(ABC):
-    """Common interface of the three encodings."""
+    """Common interface of the four encodings."""
 
-    #: Encoding name: "global", "local", or "dewey".
+    #: Encoding name: "global", "local", "dewey", or "ordpath".
     name: str
 
     #: The node and attribute tables of this encoding.
@@ -100,6 +111,34 @@ class OrderEncoding(ABC):
             node.value,
             node.depth,
             *self.order_values(node, gap),
+        )
+
+    @abstractmethod
+    def subtree_range(
+        self, row: dict
+    ) -> Optional[tuple[str, object, object, bool]]:
+        """Where the subtree of the node in *row* lives in the order
+        column: ``(column, low, high, high_inclusive)``.
+
+        ``low`` is the node's own order value, so ``column >= low`` is
+        the subtree with its root and ``column > low`` the proper
+        descendants.  ``None`` when the encoding has no such range
+        (Local): callers must walk parent pointers instead.
+        """
+
+    def subtree_where(
+        self, row: dict, include_root: bool
+    ) -> Optional[tuple[str, tuple]]:
+        """:meth:`subtree_range` as a SQL condition and its two bound
+        values, with or without the root row itself."""
+        bounds = self.subtree_range(row)
+        if bounds is None:
+            return None
+        column, low, high, high_inclusive = bounds
+        return (
+            f"{column} {'>=' if include_root else '>'} ? "
+            f"AND {column} {'<=' if high_inclusive else '<'} ?",
+            (low, high),
         )
 
     def order_invariants(
@@ -148,6 +187,9 @@ class GlobalEncoding(OrderEncoding):
 
     def order_values(self, node: ShreddedNode, gap: int) -> tuple:
         return (node.rank * gap, node.end_rank * gap)
+
+    def subtree_range(self, row: dict) -> tuple[str, int, int, bool]:
+        return ("pos", row["pos"], row["endpos"], True)
 
     def order_invariants(
         self, view: AuditView
@@ -218,6 +260,9 @@ class LocalEncoding(OrderEncoding):
     def order_values(self, node: ShreddedNode, gap: int) -> tuple:
         return (node.sibling_index * gap,)
 
+    def subtree_range(self, row: dict) -> None:
+        return None
+
     def order_invariants(
         self, view: AuditView
     ) -> Iterator[InvariantViolation]:
@@ -240,88 +285,183 @@ class LocalEncoding(OrderEncoding):
                 seen[lpos] = row["id"]
 
 
-class DeweyEncoding(OrderEncoding):
-    """Binary Dewey keys: the balanced encoding.
+class PrefixKeyEncoding(OrderEncoding):
+    """What Dewey and ORDPATH share: one binary key per node.
 
     The key embeds the whole root path, so ancestor/descendant tests are
-    prefix (byte-range) tests on one indexed BLOB column, document order is
-    bytewise key order, and an insertion only relabels the following
-    siblings' subtrees.
+    prefix (byte-range) tests on one indexed BLOB column, document order
+    is bytewise key order, and a node's subtree is the half-open key
+    range ``[key, successor(key))``.  A concrete encoding names its key
+    codec, its two SQL scalars, how load-time sibling indexes become key
+    components, and where a new child key goes — everything else (rows,
+    subtree range, audit, translation, insertion) is written once
+    against this class.
     """
 
-    name = "dewey"
+    #: The one order column.
+    key_column: str
+    #: The key codec: ``decode``/``encode`` plus ``depth()``/``parent()``.
+    key_type: type
+    #: SQL scalars both backends register: the upper bound of a key's
+    #: subtree range, and the key of its parent.
+    successor_function: str
+    parent_function: str
+    #: Python form of :attr:`successor_function`.
+    successor_bytes: Callable[[bytes], bytes]
 
-    def __init__(self) -> None:
-        self.node_table, self.attr_table = schema.dewey_tables()
-        self.order_columns = ("dkey",)
-        self.order_by_column = "dkey"
-        self.sibling_order_column = "dkey"
+    def __init__(self, tables: tuple[Table, Table]) -> None:
+        self.node_table, self.attr_table = tables
+        self.order_columns = (self.key_column,)
+        self.order_by_column = self.key_column
+        self.sibling_order_column = self.key_column
+
+    @abstractmethod
+    def fresh_components(
+        self, sibling_indexes: tuple[int, ...], gap: int
+    ) -> tuple[int, ...]:
+        """Key components for a path of 1-based load-time sibling
+        indexes (a whole document's at load, a fragment's on insert)."""
+
+    @abstractmethod
+    def child_slot(
+        self, parent, left, right, gap: int
+    ) -> tuple[tuple[int, ...], int]:
+        """Where a new child of *parent* goes between siblings *left*
+        and *right* (decoded keys; ``None`` = no sibling on that side).
+
+        Returns the new key's components and the *shift*: how far the
+        following siblings' subtrees must move up first to make room
+        (0 when the key fits without touching an existing row).
+        """
+
+    def shifted_key(self, key: bytes, level: int, shift: int) -> bytes:
+        """*key* with component *level* moved up by *shift*: how every
+        key of a subtree follows its root to a later sibling slot."""
+        components = list(self.key_type.decode(key).components)
+        components[level] += shift
+        return self.key_type(components).encode()
 
     def order_values(self, node: ShreddedNode, gap: int) -> tuple:
-        key = DeweyKey(c * gap for c in node.dewey)
-        return (key.encode(),)
+        components = self.fresh_components(node.dewey, gap)
+        return (self.key_type(components).encode(),)
+
+    def subtree_range(self, row: dict) -> tuple[str, bytes, bytes, bool]:
+        key = bytes(row[self.key_column])
+        return (self.key_column, key, self.successor_bytes(key), False)
+
+    def _key_invariants(
+        self, row: dict, key, raw: bytes
+    ) -> Iterator[InvariantViolation]:
+        """Per-key checks only one concrete codec needs."""
+        return iter(())
 
     def order_invariants(
         self, view: AuditView
     ) -> Iterator[InvariantViolation]:
+        name, column = self.name, self.key_column
         seen: dict[bytes, int] = {}
         for row in view.rows:
-            raw = row["dkey"]
+            raw = bytes(row[column])
             try:
-                key = DeweyKey.decode(raw)
+                key = self.key_type.decode(raw)
+                key_depth = key.depth()  # validates ORDPATH levels
             except EncodingError as exc:
-                yield ("dewey-key-corrupt", row["id"], str(exc))
+                yield (f"{name}-key-corrupt", row["id"], str(exc))
                 continue
-            if key.encode() != bytes(raw):
+            yield from self._key_invariants(row, key, raw)
+            if raw in seen:
                 yield (
-                    "dewey-key-corrupt", row["id"],
-                    f"non-canonical encoding of key {key}",
+                    f"{name}-key-duplicate", row["id"],
+                    f"key {key} already used by node {seen[raw]}",
                 )
-            if bytes(raw) in seen:
+            seen[raw] = row["id"]
+            if row["depth"] != key_depth:
                 yield (
-                    "dewey-key-duplicate", row["id"],
-                    f"key {key} already used by node {seen[bytes(raw)]}",
-                )
-            seen[bytes(raw)] = row["id"]
-            if any(c < 1 for c in key.components):
-                yield (
-                    "dewey-component-nonpositive", row["id"],
-                    f"key {key} has a component < 1",
-                )
-            if row["depth"] != key.depth():
-                yield (
-                    "dewey-depth-mismatch", row["id"],
+                    f"{name}-depth-mismatch", row["id"],
                     f"depth column {row['depth']} != key depth "
-                    f"{key.depth()} ({key})",
+                    f"{key_depth} ({key})",
                 )
             # Key-prefix <=> parent-pointer agreement.
             parent_key = key.parent()
             if row["parent"] == 0:
                 if parent_key is not None:
                     yield (
-                        "dewey-parent-mismatch", row["id"],
+                        f"{name}-parent-mismatch", row["id"],
                         f"top-level node carries nested key {key}",
                     )
             else:
                 parent = view.by_id.get(row["parent"])
                 if parent is None:
-                    continue
+                    continue  # orphan reported by the structural checks
                 if parent_key is None or (
-                    parent_key.encode() != bytes(parent["dkey"])
+                    parent_key.encode() != bytes(parent[column])
                 ):
                     yield (
-                        "dewey-parent-mismatch", row["id"],
+                        f"{name}-parent-mismatch", row["id"],
                         f"key {key} is not a child key of parent "
                         f"{parent['id']}",
                     )
         if self._sorted_order_ids(view) != view.preorder:
             yield (
-                "dewey-preorder", None,
-                "byte order of dkey does not yield structural preorder",
+                f"{name}-preorder", None,
+                f"byte order of {column} does not yield structural "
+                "preorder",
             )
 
 
-class OrdpathEncoding(OrderEncoding):
+class DeweyEncoding(PrefixKeyEncoding):
+    """Binary Dewey keys: the balanced encoding.
+
+    Components are (gapped) sibling positions; an insertion that finds
+    no free position between its neighbours relabels the following
+    siblings' subtrees.
+    """
+
+    name = "dewey"
+    key_column = "dkey"
+    key_type = DeweyKey
+    successor_function = "dewey_successor"
+    parent_function = "dewey_parent"
+    successor_bytes = staticmethod(dewey_successor_bytes)
+
+    def __init__(self) -> None:
+        super().__init__(schema.dewey_tables())
+
+    def fresh_components(
+        self, sibling_indexes: tuple[int, ...], gap: int
+    ) -> tuple[int, ...]:
+        return tuple(c * gap for c in sibling_indexes)
+
+    def child_slot(
+        self, parent: DeweyKey, left: Optional[DeweyKey],
+        right: Optional[DeweyKey], gap: int,
+    ) -> tuple[tuple[int, ...], int]:
+        before = left.local_position() if left is not None else 0
+        if right is None:
+            return parent.child(before + gap).components, 0
+        after = right.local_position()
+        if after - before > 1:
+            return parent.child((before + after) // 2).components, 0
+        # Gap exhausted: take the right neighbour's position once it
+        # and everything after it have moved up by one gap unit.
+        return parent.child(after).components, gap
+
+    def _key_invariants(
+        self, row: dict, key: DeweyKey, raw: bytes
+    ) -> Iterator[InvariantViolation]:
+        if key.encode() != raw:
+            yield (
+                "dewey-key-corrupt", row["id"],
+                f"non-canonical encoding of key {key}",
+            )
+        if any(c < 1 for c in key.components):
+            yield (
+                "dewey-component-nonpositive", row["id"],
+                f"key {key} has a component < 1",
+            )
+
+
+class OrdpathEncoding(PrefixKeyEncoding):
     """ORDPATH keys: the insert-friendly Dewey variant (extension).
 
     Children are labelled with odd components at load time; insertions
@@ -332,69 +472,29 @@ class OrdpathEncoding(OrderEncoding):
     """
 
     name = "ordpath"
+    key_column = "okey"
+    key_type = OrdpathKey
+    successor_function = "ordpath_successor"
+    parent_function = "ordpath_parent"
+    successor_bytes = staticmethod(ordpath_successor_bytes)
 
     def __init__(self) -> None:
-        self.node_table, self.attr_table = schema.ordpath_tables()
-        self.order_columns = ("okey",)
-        self.order_by_column = "okey"
-        self.sibling_order_column = "okey"
+        super().__init__(schema.ordpath_tables())
 
-    def order_values(self, node: ShreddedNode, gap: int) -> tuple:
-        from repro.core.ordpath import OrdpathKey
+    def fresh_components(
+        self, sibling_indexes: tuple[int, ...], gap: int
+    ) -> tuple[int, ...]:
+        return tuple(2 * gap * c - 1 for c in sibling_indexes)
 
-        components = tuple(2 * gap * c - 1 for c in node.dewey)
-        return (OrdpathKey(components).encode(),)
-
-    def order_invariants(
-        self, view: AuditView
-    ) -> Iterator[InvariantViolation]:
-        from repro.core.ordpath import OrdpathKey
-
-        seen: dict[bytes, int] = {}
-        for row in view.rows:
-            raw = row["okey"]
-            try:
-                key = OrdpathKey.decode(raw)
-                key_depth = key.depth()  # validates level structure
-            except EncodingError as exc:
-                yield ("ordpath-key-corrupt", row["id"], str(exc))
-                continue
-            if bytes(raw) in seen:
-                yield (
-                    "ordpath-key-duplicate", row["id"],
-                    f"key {key} already used by node {seen[bytes(raw)]}",
-                )
-            seen[bytes(raw)] = row["id"]
-            if row["depth"] != key_depth:
-                yield (
-                    "ordpath-depth-mismatch", row["id"],
-                    f"depth column {row['depth']} != key depth "
-                    f"{key_depth} ({key})",
-                )
-            parent_key = key.parent()
-            if row["parent"] == 0:
-                if parent_key is not None:
-                    yield (
-                        "ordpath-parent-mismatch", row["id"],
-                        f"top-level node carries nested key {key}",
-                    )
-            else:
-                parent = view.by_id.get(row["parent"])
-                if parent is None:
-                    continue
-                if parent_key is None or (
-                    parent_key.encode() != bytes(parent["okey"])
-                ):
-                    yield (
-                        "ordpath-parent-mismatch", row["id"],
-                        f"key {key} is not a child key of parent "
-                        f"{parent['id']}",
-                    )
-        if self._sorted_order_ids(view) != view.preorder:
-            yield (
-                "ordpath-preorder", None,
-                "byte order of okey does not yield structural preorder",
-            )
+    def child_slot(
+        self, parent: OrdpathKey, left: Optional[OrdpathKey],
+        right: Optional[OrdpathKey], gap: int,
+    ) -> tuple[tuple[int, ...], int]:
+        suffix = suffix_between(
+            left.suffix_after(parent) if left is not None else None,
+            right.suffix_after(parent) if right is not None else None,
+        )
+        return (*parent.components, *suffix), 0
 
 
 #: Singleton instances, keyed by name.  The first three are the paper's;
@@ -411,7 +511,8 @@ ENCODINGS: dict[str, OrderEncoding] = {
 
 
 def get_encoding(name: str) -> OrderEncoding:
-    """Look up an encoding by name ("global", "local", or "dewey")."""
+    """Look up an encoding by name ("global", "local", "dewey", or
+    "ordpath")."""
     try:
         return ENCODINGS[name]
     except KeyError:

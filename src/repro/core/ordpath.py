@@ -213,11 +213,6 @@ def ordpath_parent_bytes(data: bytes) -> Optional[bytes]:
     return parent.encode() if parent is not None else None
 
 
-def ordpath_depth_bytes(data: bytes) -> int:
-    """SQL scalar: number of levels in the key."""
-    return OrdpathKey.decode(data).depth()
-
-
 def suffix_between(
     left: Optional[Sequence[int]], right: Optional[Sequence[int]]
 ) -> tuple[int, ...]:

@@ -6,11 +6,14 @@ sorting siblings by the encoding's order column.
 
 Subtree reconstruction shows the encodings' asymmetry (experiment E8):
 
-* Global fetches exactly one ``pos BETWEEN`` range;
-* Dewey fetches exactly one key range (prefix scan);
+* Global fetches exactly one ``pos`` range;
+* Dewey and ORDPATH fetch exactly one key range (prefix scan);
 * Local has no subtree range — it must chase children level by level
   (one query per level, batched over the frontier), the same weakness
   that makes its descendant-axis queries slow.
+
+Which of the two applies is the encoding's answer to
+:meth:`~repro.core.encodings.OrderEncoding.subtree_range`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.core.schema import (
     KIND_PI,
     KIND_TEXT,
 )
+from repro.core.shredder import group_siblings
 from repro.errors import StorageError
 from repro.xmldom.dom import (
     Comment,
@@ -35,8 +39,6 @@ from repro.xmldom.dom import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store import XmlStore
-
-_ID_BATCH = 400
 
 
 def _make_node(kind: str, tag: Optional[str], value: Optional[str]) -> Node:
@@ -64,34 +66,33 @@ def _build_tree(
     surrogate id`` for every materialised node (the identity bridge the
     differential fuzzer's oracle comparisons need).
     """
-    order_column = store.encoding_for(doc).sibling_order_column
-    by_parent: dict[int, list[dict]] = {}
-    for row in rows:
-        by_parent.setdefault(row["parent"], []).append(row)
-    for siblings in by_parent.values():
-        siblings.sort(key=lambda r: r[order_column])
+    by_parent = group_siblings(
+        rows, store.encoding_for(doc).sibling_order_column
+    )
 
     element_ids = [r["id"] for r in rows if r["kind"] == KIND_ELEMENT]
     attributes: dict[int, list[tuple[str, str]]] = {}
     for owner, name, value in store.fetch_attributes(doc, element_ids):
         attributes.setdefault(owner, []).append((name, value))
 
+    # No traversal, so no recursion: stored documents may nest deeper
+    # than the interpreter's recursion limit.  Materialise every row,
+    # then hang each sibling list (already in order) under its parent.
     nodes: dict[int, Node] = {}
-
-    def materialise(row: dict) -> Node:
+    for row in rows:
         node = _make_node(row["kind"], row["tag"], row["value"])
         if isinstance(node, Element):
             for name, value in sorted(attributes.get(row["id"], [])):
                 node.set(name, value)
-        nodes[row["id"]] = node
         if id_map is not None:
             id_map[id(node)] = row["id"]
-        for child_row in by_parent.get(row["id"], []):
-            node_child = materialise(child_row)
-            node.append(node_child)
-        return node
-
-    return [materialise(row) for row in by_parent.get(root_parent, [])]
+        nodes[row["id"]] = node
+    for parent_id, siblings in by_parent.items():
+        parent = nodes.get(parent_id)
+        if parent is not None:
+            for row in siblings:
+                parent.append(nodes[row["id"]])
+    return [nodes[row["id"]] for row in by_parent.get(root_parent, [])]
 
 
 def reconstruct_document(store: "XmlStore", doc: int) -> Document:
@@ -147,44 +148,24 @@ def fetch_subtree_rows(
     encoding = store.encoding_for(doc)
     columns = encoding.node_columns()
     select = f"SELECT {', '.join(columns)} FROM {encoding.node_table.name} "
-    name = encoding.name
-    if name == "global":
+    subtree = encoding.subtree_where(root_row, include_root=False)
+    if subtree is not None:
+        where, bounds = subtree
         result = store.backend.execute(
-            select + "WHERE doc = ? AND pos > ? AND pos <= ?",
-            (doc, root_row["pos"], root_row["endpos"]),
-        )
-        return [dict(zip(columns, r)) for r in result.rows]
-    if name == "dewey":
-        from repro.core.dewey import DeweyKey
-
-        key = DeweyKey.decode(root_row["dkey"])
-        result = store.backend.execute(
-            select + "WHERE doc = ? AND dkey > ? AND dkey < ?",
-            (doc, key.encode(), key.sibling_successor().encode()),
-        )
-        return [dict(zip(columns, r)) for r in result.rows]
-    if name == "ordpath":
-        from repro.core.ordpath import OrdpathKey
-
-        key = OrdpathKey.decode(root_row["okey"])
-        result = store.backend.execute(
-            select + "WHERE doc = ? AND okey > ? AND okey < ?",
-            (doc, key.encode(), key.encode_successor()),
+            select + f"WHERE doc = ? AND {where}", (doc, *bounds)
         )
         return [dict(zip(columns, r)) for r in result.rows]
     # Local: frontier expansion, one query batch per level.
     rows: list[dict] = []
     frontier = [root_row["id"]]
     while frontier:
-        level: list[dict] = []
-        for start in range(0, len(frontier), _ID_BATCH):
-            batch = frontier[start : start + _ID_BATCH]
-            placeholders = ", ".join("?" for _ in batch)
-            result = store.backend.execute(
-                select + f"WHERE doc = ? AND parent IN ({placeholders})",
-                (doc, *batch),
+        level = [
+            dict(zip(columns, r))
+            for sql, params in store.in_batches(
+                select + "WHERE doc = ?", "parent", frontier, (doc,)
             )
-            level.extend(dict(zip(columns, r)) for r in result.rows)
+            for r in store.backend.execute(sql, params).rows
+        ]
         rows.extend(level)
         frontier = [
             r["id"] for r in level if r["kind"] == KIND_ELEMENT

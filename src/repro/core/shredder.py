@@ -1,7 +1,7 @@
 """Shredding: DOM documents -> encoding-independent node records.
 
 The shredder performs a single preorder walk of the document and computes,
-for every node, all the quantities any of the three encodings needs:
+for every node, all the quantities any of the four encodings needs:
 
 * a surrogate ``id`` (dense, assigned in document order at shred time),
 * the parent's surrogate id (0 for top-level nodes),
@@ -9,10 +9,12 @@ for every node, all the quantities any of the three encodings needs:
 * the preorder ``rank`` and the rank of the node's last descendant
   (``end_rank``) — the Global encoding's interval,
 * the 1-based ``sibling_index`` — the Local encoding's order value,
-* the tuple of sibling indexes from the root — the Dewey key.
+* the tuple of sibling indexes from the root — the Dewey and ORDPATH key.
 
 Each encoding then materialises its own rows from these records (applying
 its gap factor for sparse variants); see :mod:`repro.core.encodings`.
+:func:`relabel` recomputes the same quantities from stored rows, which is
+how a rebalance and an encoding migration renumber a document.
 """
 
 from __future__ import annotations
@@ -147,3 +149,58 @@ def shred(document: Document) -> ShreddedDocument:
     for index, child in enumerate(document.children, start=1):
         walk(child, DOCUMENT_PARENT, 1, index, ())
     return result
+
+
+def group_siblings(
+    rows: list[dict], sibling_column: str
+) -> dict[int, list[dict]]:
+    """Stored node rows grouped by parent id, each sibling list sorted
+    by *sibling_column* — the tree shape every walk over rows needs."""
+    by_parent: dict[int, list[dict]] = {}
+    for row in rows:
+        by_parent.setdefault(row["parent"], []).append(row)
+    for siblings in by_parent.values():
+        siblings.sort(key=lambda r: r[sibling_column])
+    return by_parent
+
+
+def relabel(rows: list[dict], sibling_column: str) -> list[ShreddedNode]:
+    """Recompute every order quantity of a stored document from its rows.
+
+    *rows* are one document's node rows (column -> value); structure
+    comes from their parent pointers, sibling order from
+    *sibling_column*.  Ids, kinds, values and depths are kept; ranks,
+    sibling indexes and Dewey paths are assigned densely from 1, exactly
+    as :func:`shred` would label the same tree — so writing them back
+    compacts whatever gaps and carets updates have accumulated.
+    Records come back in document order.
+
+    Iterative: updates can legally nest a document deeper than the
+    interpreter's recursion limit.
+    """
+    by_parent = group_siblings(rows, sibling_column)
+    records: list[ShreddedNode] = []
+    # One frame per open ancestor: its record (None for the document
+    # node) and an iterator over its numbered children.
+    stack = [(None, enumerate(by_parent.get(DOCUMENT_PARENT, ()), 1))]
+    while stack:
+        parent, children = stack[-1]
+        step = next(children, None)
+        if step is None:
+            # Subtree finished: its last rank closes this node and, so
+            # far, every ancestor still open.
+            stack.pop()
+            if parent is not None and stack[-1][0] is not None:
+                stack[-1][0].end_rank = parent.end_rank
+            continue
+        sibling_index, row = step
+        rank = len(records) + 1
+        record = ShreddedNode(
+            id=row["id"], parent=row["parent"], kind=row["kind"],
+            tag=row["tag"], value=row["value"], depth=row["depth"],
+            rank=rank, end_rank=rank, sibling_index=sibling_index,
+            dewey=(*(parent.dewey if parent else ()), sibling_index),
+        )
+        records.append(record)
+        stack.append((record, enumerate(by_parent.get(row["id"], ()), 1)))
+    return records

@@ -1,5 +1,7 @@
-"""XPath -> SQL translators, one per order encoding."""
+"""XPath -> SQL translators: Global, Local, and one for the prefix-key
+encodings (Dewey and ORDPATH)."""
 
+from repro.core.encodings import get_encoding
 from repro.core.relalg import CompiledPlan
 from repro.core.translator.base import (
     NODE_PROJECTION,
@@ -9,23 +11,22 @@ from repro.core.translator.base import (
     normalize_steps,
 )
 from repro.core.translator.shape import extract_shape
-from repro.core.translator.dewey_sql import DeweySqlTranslator
 from repro.core.translator.global_sql import GlobalSqlTranslator
 from repro.core.translator.local_sql import LocalSqlTranslator
-from repro.core.translator.ordpath_sql import OrdpathSqlTranslator
+from repro.core.translator.prefix_sql import PrefixKeySqlTranslator
+
+_TRANSLATORS = {
+    "global": GlobalSqlTranslator,
+    "local": LocalSqlTranslator,
+    "dewey": PrefixKeySqlTranslator,
+    "ordpath": PrefixKeySqlTranslator,
+}
 
 
 def make_translator(encoding: str, max_depth: int = 16) -> SqlTranslator:
     """Create the translator for an encoding name."""
-    if encoding == "global":
-        return GlobalSqlTranslator(max_depth)
-    if encoding == "local":
-        return LocalSqlTranslator(max_depth)
-    if encoding == "dewey":
-        return DeweySqlTranslator(max_depth)
-    if encoding == "ordpath":
-        return OrdpathSqlTranslator(max_depth)
-    raise ValueError(f"unknown encoding {encoding!r}")
+    enc = get_encoding(encoding)
+    return _TRANSLATORS[enc.name](enc, max_depth)
 
 
 __all__ = [
@@ -35,10 +36,9 @@ __all__ = [
     "SqlTranslator",
     "TranslatedQuery",
     "extract_shape",
-    "DeweySqlTranslator",
     "GlobalSqlTranslator",
     "LocalSqlTranslator",
-    "OrdpathSqlTranslator",
+    "PrefixKeySqlTranslator",
     "make_translator",
     "normalize_steps",
 ]

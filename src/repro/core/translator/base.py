@@ -34,8 +34,8 @@ Encoding subclasses provide the axis conditions, sibling/document-order
 comparisons, and result ordering:
 
 * Global — integer comparisons on ``pos``/``endpos``;
-* Dewey — byte-range comparisons on the binary key (via the
-  ``dewey_successor`` scalar);
+* Dewey and ORDPATH — byte-range comparisons on the binary key (via
+  the encoding's ``*_successor`` scalar), one translator for both;
 * Local — only parent/sibling axes are direct; everything that needs
   document order or transitive closure expands into depth-bounded
   ``EXISTS`` chains, and result ordering falls back to a client-side
@@ -101,7 +101,7 @@ from repro.xpath.ast import (
 _COMPARISON_OPS = {"=", "!=", "<", "<=", ">", ">="}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 
-#: Structural projection columns shared by the three encodings, in the
+#: Structural projection columns shared by the four encodings, in the
 #: order the store expects result rows.
 NODE_PROJECTION = ("id", "parent", "kind", "tag", "value", "depth")
 
@@ -263,7 +263,6 @@ class SqlTranslator(ABC):
 
     # -- per-encoding hooks ------------------------------------------------
 
-    @abstractmethod
     def axis_condition(
         self,
         axis: str,
@@ -273,25 +272,46 @@ class SqlTranslator(ABC):
     ) -> Optional[RelExpr]:
         """Condition relating candidate alias to context alias.
 
-        ``ctx`` is ``None`` when the context is the document node; a
-        ``None`` result means "no restriction".
+        ``ctx`` is ``None`` when the context is the document node —
+        the same few conditions for every encoding; a ``None`` result
+        means "no restriction".
         """
+        if ctx is None:
+            return _document_axis(axis, cand)
+        return self.node_axis_condition(axis, ctx, cand, t)
 
     @abstractmethod
+    def node_axis_condition(
+        self, axis: str, ctx: str, cand: str, t: "_Translation"
+    ) -> RelExpr:
+        """The encoding's axis table: the condition placing candidate
+        alias *cand* on *axis* of the stored node at alias *ctx*."""
+
     def sibling_before(self, a: str, b: str) -> RelExpr:
         """``a`` strictly before ``b`` among siblings (same parent assumed)."""
+        column = self.encoding.sibling_order_column
+        return Cmp("<", Col(a, column), Col(b, column))
 
-    @abstractmethod
     def doc_before(self, a: str, b: str) -> RelExpr:
         """``a`` strictly before ``b`` in document order.
 
-        Local order cannot express this; its implementation raises
-        :class:`TranslationError`.
+        An encoding without a document-order column (Local) cannot
+        express this; :class:`TranslationError` is raised for it.
         """
+        column = self.encoding.order_by_column
+        if column is None:
+            raise TranslationError(
+                f"{self.encoding.name} order cannot compare document "
+                "order of arbitrary nodes; positional predicates on "
+                "document-order axes are not translatable"
+            )
+        return Cmp("<", Col(a, column), Col(b, column))
 
-    @abstractmethod
     def order_by_columns(self, alias: str) -> Optional[list[Col]]:
-        """ORDER BY columns yielding document order, or ``None``."""
+        """ORDER BY columns yielding document order, or ``None`` when
+        results need the client-side order-resolution pass."""
+        column = self.encoding.order_by_column
+        return None if column is None else [Col(alias, column)]
 
     # -- public API -----------------------------------------------------------
 
@@ -1231,7 +1251,6 @@ class SqlTranslator(ABC):
             )
         return Col(alias, "value")
 
-    @abstractmethod
     def string_value_query(
         self, cand: str, t: "_Translation"
     ) -> RelQuery:
@@ -1241,7 +1260,22 @@ class SqlTranslator(ABC):
         order-key columns) and order rows in document order, so that
         ``GROUP_CONCAT(v, '')`` over the result is exactly the element's
         XPath string-value.
+
+        This default serves every encoding whose ``descendant`` axis is
+        a range of its ORDER BY column (one ordered range scan); Local
+        has neither and overrides it.
         """
+        s = t.aliases.next()
+        sub = SelectBuilder()
+        sub.select = [SelectItem(Col(s, "value"), "v")]
+        sub.count_joins = False
+        sub.add_from(self.node_table, s)
+        sub.add_where(t.doc_cond(s))
+        sub.add_where(Cmp("=", Col(s, "kind"), Const(KIND_TEXT)))
+        for bound in self.axis_condition("descendant", cand, s, t).items:
+            sub.add_where(bound)
+        sub.order_by = self.order_by_columns(s)
+        return sub.build()
 
     def _count_path(
         self, path: LocationPath, context: str, t: "_Translation"
@@ -1267,6 +1301,21 @@ class _Translation:
 
 
 # -- small helpers ------------------------------------------------------------
+
+
+def _document_axis(axis: str, cand: str) -> Optional[RelExpr]:
+    """Axis conditions when the context is the document node itself
+    (the same for every encoding: only ``parent = 0`` is involved)."""
+    if axis == "child":
+        return Cmp("=", Col(cand, "parent"), Const(0))
+    if axis in ("descendant", "descendant-or-self"):
+        return None  # every stored node descends from the document
+    if axis in ("self", "parent", "ancestor", "ancestor-or-self"):
+        raise TranslationError(
+            "the document node itself has no relational representation"
+        )
+    # following/preceding/sibling axes of the document are empty.
+    return Bool(False)
 
 
 def _is_literal(expr: Expr) -> bool:

@@ -22,10 +22,8 @@ Local order stores nothing but the position among siblings, so:
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.encodings import LocalEncoding
 from repro.core.relalg import (
+    And,
     Cmp,
     Col,
     Const,
@@ -43,9 +41,6 @@ from repro.errors import TranslationError
 
 class LocalSqlTranslator(SqlTranslator):
     """XPath -> SQL over ``node_local``."""
-
-    def __init__(self, max_depth: int = 16) -> None:
-        super().__init__(LocalEncoding(), max_depth)
 
     # -- expansion helpers -------------------------------------------------
 
@@ -93,15 +88,9 @@ class LocalSqlTranslator(SqlTranslator):
 
     # -- axis conditions -------------------------------------------------------
 
-    def axis_condition(
-        self,
-        axis: str,
-        ctx: Optional[str],
-        cand: str,
-        t: _Translation,
-    ) -> Optional[RelExpr]:
-        if ctx is None:
-            return _document_axis(axis, cand)
+    def node_axis_condition(
+        self, axis: str, ctx: str, cand: str, t: _Translation
+    ) -> RelExpr:
         if axis == "child":
             return Cmp("=", Col(cand, "parent"), Col(ctx, "id"))
         if axis == "descendant":
@@ -153,19 +142,6 @@ class LocalSqlTranslator(SqlTranslator):
             sub.add_where(Cmp("<", Col(f, "lpos"), Col(a, "lpos")))
         return exists(sub)
 
-    def sibling_before(self, a: str, b: str) -> RelExpr:
-        return Cmp("<", Col(a, "lpos"), Col(b, "lpos"))
-
-    def doc_before(self, a: str, b: str) -> RelExpr:
-        raise TranslationError(
-            "local order cannot compare document order of arbitrary "
-            "nodes; positional predicates on document-order axes are "
-            "not translatable"
-        )
-
-    def order_by_columns(self, alias: str) -> Optional[list[Col]]:
-        return None  # client-side order resolution required
-
     def string_value_query(
         self, cand: str, t: _Translation
     ) -> RelQuery:
@@ -212,23 +188,7 @@ class LocalSqlTranslator(SqlTranslator):
 
 def all_of_siblings(cand: str, ctx: str, op: str) -> RelExpr:
     """Same parent plus an lpos comparison."""
-    from repro.core.relalg import And
-
     return And((
         Cmp("=", Col(cand, "parent"), Col(ctx, "parent")),
         Cmp(op, Col(cand, "lpos"), Col(ctx, "lpos")),
     ))
-
-
-def _document_axis(axis: str, cand: str) -> Optional[RelExpr]:
-    from repro.core.relalg import Bool
-
-    if axis == "child":
-        return Cmp("=", Col(cand, "parent"), Const(0))
-    if axis in ("descendant", "descendant-or-self"):
-        return None
-    if axis in ("self", "parent", "ancestor", "ancestor-or-self"):
-        raise TranslationError(
-            "the document node itself has no relational representation"
-        )
-    return Bool(False)

@@ -10,7 +10,8 @@ This module implements the paper's update cost model:
   (O(fan-out)), the encoding's strength;
 * **Dewey** — inserting relabels the following siblings *and all their
   descendants* (their keys share the shifted component), the middle
-  ground;
+  ground; **ORDPATH** runs the same routine but its carets always find
+  a key between two neighbours, so it never relabels;
 * **Sparse variants** (``gap > 1``) — order values are spaced out at load
   time, so an insertion that fits in an existing gap relabels *nothing*;
   renumbering only happens when a gap is exhausted (experiment E10);
@@ -30,10 +31,13 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.core.dewey import DeweyKey
-from repro.core.encodings import OrderEncoding, get_encoding
+from repro.core.encodings import (
+    OrderEncoding,
+    PrefixKeyEncoding,
+    get_encoding,
+)
 from repro.core.schema import KIND_ELEMENT, KIND_TEXT
-from repro.core.shredder import ShreddedDocument, ShreddedNode, shred
+from repro.core.shredder import ShreddedDocument, relabel, shred
 from repro.errors import UpdateError, XmlSyntaxError
 from repro.obs import METRICS, span
 from repro.xmldom.dom import Document, Node, Text
@@ -41,8 +45,6 @@ from repro.xmldom.parser import parse_fragment
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store import XmlStore
-
-_ID_BATCH = 400
 
 
 @dataclass
@@ -234,24 +236,10 @@ class UpdateManager:
             )
 
         enc = self._doc_encoding(info)
-        if enc.name == "global":
-            report = self._insert_global(
-                doc, parent_row, children, index, shredded, info, enc
-            )
-        elif enc.name == "local":
-            report = self._insert_local(
-                doc, parent_id, children, index, shredded, info, enc
-            )
-        elif enc.name == "ordpath":
-            report = self._insert_ordpath(
-                doc, parent_id, parent_row, children, index, shredded,
-                info, enc,
-            )
-        else:
-            report = self._insert_dewey(
-                doc, parent_id, parent_row, children, index, shredded,
-                info, enc,
-            )
+        report = _INSERT_ROUTINES[enc.name](
+            self, doc, parent_id, parent_row, children, index, shredded,
+            info, enc,
+        )
 
         # Maintain the parent's direct-text value when inserting text.
         if shredded.nodes[0].kind == KIND_TEXT and parent_id != 0:
@@ -463,46 +451,10 @@ class UpdateManager:
             (doc,),
         )
         rows = [dict(zip(columns, r)) for r in result.rows]
-        by_parent: dict[int, list[dict]] = {}
-        order_column = enc.sibling_order_column
-        for row in rows:
-            by_parent.setdefault(row["parent"], []).append(row)
-        for siblings in by_parent.values():
-            siblings.sort(key=lambda r: r[order_column])
-
-        # One DFS assigns every quantity any encoding labels from.
-        fresh: list[tuple[int, ShreddedNode]] = []
-        counter = 0
-
-        def walk(row: dict, sibling_index: int,
-                 dewey_prefix: tuple[int, ...]) -> int:
-            nonlocal counter
-            counter += 1
-            rank = counter
-            dewey = (*dewey_prefix, sibling_index)
-            record = ShreddedNode(
-                id=row["id"], parent=row["parent"], kind=row["kind"],
-                tag=row["tag"], value=row["value"], depth=row["depth"],
-                rank=rank, end_rank=rank, sibling_index=sibling_index,
-                dewey=dewey,
-            )
-            fresh.append((row["id"], record))
-            last = rank
-            for index, child in enumerate(
-                by_parent.get(row["id"], []), start=1
-            ):
-                last = walk(child, index, dewey)
-            record.end_rank = last
-            return last
-
-        for index, top in enumerate(by_parent.get(0, []), start=1):
-            walk(top, index, ())
-
-        order_columns = enc.order_columns
-        assignments = ", ".join(f"{c} = ?" for c in order_columns)
+        assignments = ", ".join(f"{c} = ?" for c in enc.order_columns)
         updates = [
-            (*enc.order_values(record, self.store.gap), doc, node_id)
-            for node_id, record in fresh
+            (*enc.order_values(record, self.store.gap), doc, record.id)
+            for record in relabel(rows, enc.sibling_order_column)
         ]
         # Not journalled: a rebalance rewrites order values only — the
         # migration's shadow rows carry fresh target-encoding values
@@ -611,7 +563,8 @@ class UpdateManager:
     # -- Global encoding -----------------------------------------------------------
 
     def _insert_global(
-        self, doc, parent_row, children, index, shredded, info, enc
+        self, doc, parent_id, parent_row, children, index, shredded,
+        info, enc,
     ) -> UpdateReport:
         gap = self.store.gap
         n = shredded.node_count()
@@ -658,16 +611,10 @@ class UpdateManager:
 
         last_slot = slots[-1]
         relabeled += self._extend_global_ancestors(
-            doc,
-            parent_row["id"] if parent_row is not None else 0,
-            last_slot,
-            table,
+            doc, parent_id, last_slot, table
         )
 
-        ids, parents = self._new_ids(
-            info, shredded,
-            parent_row["id"] if parent_row is not None else 0,
-        )
+        ids, parents = self._new_ids(info, shredded, parent_id)
         order_values = [
             (slots[node.rank - 1], slots[node.end_rank - 1])
             for node in shredded.nodes
@@ -706,7 +653,8 @@ class UpdateManager:
     # -- Local encoding ------------------------------------------------------------------
 
     def _insert_local(
-        self, doc, parent_id, children, index, shredded, info, enc
+        self, doc, parent_id, parent_row, children, index, shredded,
+        info, enc,
     ) -> UpdateReport:
         gap = self.store.gap
         table = enc.node_table.name
@@ -752,51 +700,42 @@ class UpdateManager:
         row = self.store.fetch_node(doc, parent_id)
         return row["depth"] if row is not None else 0
 
-    # -- Dewey encoding --------------------------------------------------------------------
+    # -- prefix-key encodings (Dewey, ORDPATH) ---------------------------------------------
 
-    def _insert_dewey(
+    def _insert_prefix_key(
         self, doc, parent_id, parent_row, children, index, shredded,
-        info, enc,
+        info, enc: PrefixKeyEncoding,
     ) -> UpdateReport:
+        """A fresh key between the two neighbours, chosen by the
+        encoding: Dewey takes a free position or asks for the following
+        siblings to be shifted, ORDPATH carets and never relabels an
+        existing row — the property the paper's update analysis
+        motivates and ORDPATH delivers."""
         gap = self.store.gap
-        parent_key = (
-            DeweyKey.decode(parent_row["dkey"])
-            if parent_row is not None
-            else DeweyKey(())
+        column = enc.key_column
+        decode = enc.key_type.decode
+        root_components, shift = enc.child_slot(
+            decode(parent_row[column] if parent_row is not None else b""),
+            decode(children[index - 1][column]) if index > 0 else None,
+            decode(children[index][column])
+            if index < len(children) else None,
+            gap,
         )
-        comp_before = (
-            DeweyKey.decode(children[index - 1]["dkey"]).local_position()
-            if index > 0
-            else 0
-        )
-        comp_after = (
-            DeweyKey.decode(children[index]["dkey"]).local_position()
-            if index < len(children)
-            else None
-        )
-
         relabeled = 0
-        if comp_after is None:
-            new_component = comp_before + gap
-        elif comp_after - comp_before > 1:
-            new_component = (comp_before + comp_after) // 2
-        else:
-            # Gap exhausted: shift the following siblings' subtrees up by
-            # one gap unit, relabelling every key under them.  Last
-            # sibling first, so shifted keys never collide.
+        if shift:
+            # Gap exhausted: shift the following siblings' subtrees up,
+            # relabelling every key under them.  Last sibling first, so
+            # shifted keys never collide.
             for sibling in reversed(children[index:]):
-                relabeled += self._shift_dewey_subtree(
-                    doc, DeweyKey.decode(sibling["dkey"]), gap,
-                    enc.node_table.name,
-                )
-            new_component = comp_after
+                relabeled += self._shift_subtree(doc, sibling, shift, enc)
 
-        new_root_key = parent_key.child(new_component)
         ids, parents = self._new_ids(info, shredded, parent_id)
         order_values = []
         for node in shredded.nodes:
-            relative = tuple(c * gap for c in node.dewey[1:])
-            key = DeweyKey((*new_root_key.components, *relative))
+            # Fragment-internal nodes are labelled under the new root
+            # exactly as a load would label them.
+            relative = enc.fresh_components(node.dewey[1:], gap)
+            key = enc.key_type((*root_components, *relative))
             order_values.append((key.encode(),))
         depth_base = parent_row["depth"] if parent_row is not None else 0
         self._insert_rows(
@@ -808,87 +747,30 @@ class UpdateManager:
             new_root_id=ids[0],
         )
 
-    def _shift_dewey_subtree(
-        self, doc: int, old_key: DeweyKey, shift: int, table: str
+    def _shift_subtree(
+        self, doc: int, root_row: dict, shift: int,
+        enc: PrefixKeyEncoding,
     ) -> int:
-        """Relabel a sibling's whole subtree ``old_key -> old_key+shift``."""
-        new_key = old_key.with_local_position(
-            old_key.local_position() + shift
-        )
+        """Relabel a sibling's whole subtree *shift* positions up."""
+        table = enc.node_table.name
+        column = enc.key_column
+        level = len(enc.key_type.decode(root_row[column])) - 1
+        where, bounds = enc.subtree_where(root_row, include_root=True)
         result = self.store.backend.execute(
-            f"SELECT id, dkey FROM {table} "
-            f"WHERE doc = ? AND dkey >= ? AND dkey < ?",
-            (doc, old_key.encode(),
-             old_key.sibling_successor().encode()),
+            f"SELECT id, {column} FROM {table} "
+            f"WHERE doc = ? AND {where}",
+            (doc, *bounds),
         )
-        updates = []
-        for node_id, key_bytes in result.rows:
-            rebased = DeweyKey.decode(key_bytes).replace_prefix(
-                old_key, new_key
-            )
-            updates.append((rebased.encode(), doc, node_id))
+        updates = [
+            (enc.shifted_key(key, level, shift), doc, node_id)
+            for node_id, key in result.rows
+        ]
         self.store.backend.executemany(
-            f"UPDATE {table} SET dkey = ? "
+            f"UPDATE {table} SET {column} = ? "
             f"WHERE doc = ? AND id = ?",
             updates,
         )
         return len(updates)
-
-    # -- ORDPATH encoding (extension) ------------------------------------------------------
-
-    def _insert_ordpath(
-        self, doc, parent_id, parent_row, children, index, shredded,
-        info, enc,
-    ) -> UpdateReport:
-        """Careted insertion: a fresh key *between* the neighbours.
-
-        Never relabels an existing row — the property the paper's update
-        analysis motivates and ORDPATH delivers.
-        """
-        from repro.core.ordpath import OrdpathKey, suffix_between
-
-        gap = self.store.gap
-        parent_key = (
-            OrdpathKey.decode(parent_row["okey"])
-            if parent_row is not None
-            else OrdpathKey(())
-        )
-        left = (
-            OrdpathKey.decode(children[index - 1]["okey"])
-            .suffix_after(parent_key)
-            if index > 0
-            else None
-        )
-        right = (
-            OrdpathKey.decode(children[index]["okey"])
-            .suffix_after(parent_key)
-            if index < len(children)
-            else None
-        )
-        root_suffix = suffix_between(left, right)
-        new_root_key = OrdpathKey(
-            (*parent_key.components, *root_suffix)
-        )
-
-        ids, parents = self._new_ids(info, shredded, parent_id)
-        order_values = []
-        for node in shredded.nodes:
-            # Fragment-internal children get fresh odd slots under the
-            # new root, mirroring load-time labelling.
-            relative = tuple(
-                2 * gap * c - 1 for c in node.dewey[1:]
-            )
-            key = OrdpathKey((*new_root_key.components, *relative))
-            order_values.append((key.encode(),))
-        depth_base = parent_row["depth"] if parent_row is not None else 0
-        self._insert_rows(
-            doc, shredded, ids, parents, depth_base, order_values, enc
-        )
-        return UpdateReport(
-            inserted=shredded.node_count(),
-            relabeled=0,
-            new_root_id=ids[0],
-        )
 
     # -- deletion -------------------------------------------------------------------------
 
@@ -902,54 +784,34 @@ class UpdateManager:
     def _delete_attributes(
         self, doc: int, ids: list[int], enc: OrderEncoding
     ) -> None:
-        for start in range(0, len(ids), _ID_BATCH):
-            batch = ids[start : start + _ID_BATCH]
-            placeholders = ", ".join("?" for _ in batch)
-            self.store.backend.execute(
-                f"DELETE FROM {enc.attr_table.name} "
-                f"WHERE doc = ? AND owner IN ({placeholders})",
-                (doc, *batch),
-            )
+        for sql, params in self.store.in_batches(
+            f"DELETE FROM {enc.attr_table.name} WHERE doc = ?",
+            "owner", ids, (doc,),
+        ):
+            self.store.backend.execute(sql, params)
 
     def _delete_rows(
         self, doc: int, row: dict, subtree_ids: list[int],
         enc: OrderEncoding,
     ) -> int:
-        table = enc.node_table.name
-        name = enc.name
-        if name == "global":
-            result = self.store.backend.execute(
-                f"DELETE FROM {table} "
-                f"WHERE doc = ? AND pos >= ? AND pos <= ?",
-                (doc, row["pos"], row["endpos"]),
+        delete = f"DELETE FROM {enc.node_table.name} WHERE doc = ?"
+        subtree = enc.subtree_where(row, include_root=True)
+        if subtree is None:
+            statements = self.store.in_batches(
+                delete, "id", subtree_ids, (doc,)
             )
-            return max(result.rowcount, 0)
-        if name == "dewey":
-            key = DeweyKey.decode(row["dkey"])
-            result = self.store.backend.execute(
-                f"DELETE FROM {table} "
-                f"WHERE doc = ? AND dkey >= ? AND dkey < ?",
-                (doc, key.encode(), key.sibling_successor().encode()),
-            )
-            return max(result.rowcount, 0)
-        if name == "ordpath":
-            from repro.core.ordpath import OrdpathKey
+        else:
+            where, bounds = subtree
+            statements = [(f"{delete} AND {where}", (doc, *bounds))]
+        return sum(
+            max(self.store.backend.execute(sql, params).rowcount, 0)
+            for sql, params in statements
+        )
 
-            key = OrdpathKey.decode(row["okey"])
-            result = self.store.backend.execute(
-                f"DELETE FROM {table} "
-                f"WHERE doc = ? AND okey >= ? AND okey < ?",
-                (doc, key.encode(), key.encode_successor()),
-            )
-            return max(result.rowcount, 0)
-        deleted = 0
-        for start in range(0, len(subtree_ids), _ID_BATCH):
-            batch = subtree_ids[start : start + _ID_BATCH]
-            placeholders = ", ".join("?" for _ in batch)
-            result = self.store.backend.execute(
-                f"DELETE FROM {table} "
-                f"WHERE doc = ? AND id IN ({placeholders})",
-                (doc, *batch),
-            )
-            deleted += max(result.rowcount, 0)
-        return deleted
+
+_INSERT_ROUTINES = {
+    "global": UpdateManager._insert_global,
+    "local": UpdateManager._insert_local,
+    "dewey": UpdateManager._insert_prefix_key,
+    "ordpath": UpdateManager._insert_prefix_key,
+}

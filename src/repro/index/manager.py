@@ -70,9 +70,6 @@ INCR_FALLBACK_FRACTION = 0.25
 _OFF_VALUES = frozenset({"off", "0", "false", "no", "disabled"})
 _ON_VALUES = frozenset({"on", "1", "true", "yes", "enabled"})
 
-#: Ids per ``IN (...)`` batch in incremental-maintenance DML.
-_ID_BATCH = 400
-
 
 def index_mode_from_env() -> str:
     """The ``REPRO_INDEX`` escape hatch: ``on`` | ``off`` | ``auto``.
@@ -635,14 +632,11 @@ class IndexManager:
         # (a) Drop the stale rows.
         stale_ids = [*removed, *covered]
         for table in ("idx_sval", "idx_pathmap"):
-            for start in range(0, len(stale_ids), _ID_BATCH):
-                batch = stale_ids[start:start + _ID_BATCH]
-                marks = ", ".join("?" for _ in batch)
-                backend.execute(
-                    f"DELETE FROM {table} "
-                    f"WHERE doc = ? AND id IN ({marks})",
-                    (doc, *batch),
-                )
+            for sql, params in self.store.in_batches(
+                f"DELETE FROM {table} WHERE doc = ?",
+                "id", stale_ids, (doc,),
+            ):
+                backend.execute(sql, params)
 
         # (b) Shred the new subtrees.
         paths = self._load_paths(doc)
@@ -766,15 +760,11 @@ class IndexManager:
             if child["kind"] == KIND_ELEMENT
         ]
         svals: dict[int, str] = {}
-        for start in range(0, len(element_ids), _ID_BATCH):
-            batch = element_ids[start:start + _ID_BATCH]
-            marks = ", ".join("?" for _ in batch)
-            result = backend.execute(
-                f"SELECT id, sval FROM idx_sval "
-                f"WHERE doc = ? AND id IN ({marks})",
-                (doc, *batch),
-            )
-            svals.update(dict(result.rows))
+        for sql, params in self.store.in_batches(
+            "SELECT id, sval FROM idx_sval WHERE doc = ?",
+            "id", element_ids, (doc,),
+        ):
+            svals.update(dict(backend.execute(sql, params).rows))
         parts: list[str] = []
         for child in children:
             if child["kind"] == KIND_TEXT:

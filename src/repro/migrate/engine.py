@@ -59,6 +59,7 @@ migration.)
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass, replace
 from typing import Callable, TypeVar, Union
@@ -66,7 +67,7 @@ from typing import Callable, TypeVar, Union
 from repro.cache import StoreCache
 from repro.core.encodings import OrderEncoding, get_encoding
 from repro.core.schema import documents_table, shadow_table
-from repro.core.shredder import ShreddedNode
+from repro.core.shredder import relabel
 from repro.errors import MigrationAborted, MigrationError
 from repro.migrate.journal import MigrationJournal
 from repro.obs import METRICS, span
@@ -97,25 +98,17 @@ class MigrationReport:
     replay_rounds: int = 0
 
 
-class _ShadowEncoding(OrderEncoding):
+def _shadow_encoding(target: OrderEncoding) -> OrderEncoding:
     """The target encoding with its tables renamed ``mig_*``.
 
-    Delegates every order computation to the real target singleton, so
-    shadow rows carry exactly the values the target's real tables will
-    receive at cutover.
+    A copy of the real target singleton, so every order computation —
+    and with it the values shadow rows carry — is exactly what the
+    target's real tables will receive at cutover.
     """
-
-    def __init__(self, target: OrderEncoding) -> None:
-        self._target = target
-        self.name = target.name
-        self.node_table = shadow_table(target.node_table)
-        self.attr_table = shadow_table(target.attr_table)
-        self.order_columns = target.order_columns
-        self.order_by_column = target.order_by_column
-        self.sibling_order_column = target.sibling_order_column
-
-    def order_values(self, node: ShreddedNode, gap: int) -> tuple:
-        return self._target.order_values(node, gap)
+    shadow = copy.copy(target)
+    shadow.node_table = shadow_table(target.node_table)
+    shadow.attr_table = shadow_table(target.attr_table)
+    return shadow
 
 
 class _ShadowStore(XmlStore):
@@ -134,7 +127,7 @@ class _ShadowStore(XmlStore):
     is_shadow = True
 
     def __init__(
-        self, base: XmlStore, encoding: _ShadowEncoding, info
+        self, base: XmlStore, encoding: OrderEncoding, info
     ) -> None:
         # Deliberately no super().__init__(): the backend is shared and
         # already bootstrapped, and a shadow must never recover (drop)
@@ -208,7 +201,7 @@ def _bootstrap_tables(store: XmlStore, encoding: OrderEncoding) -> None:
 
 
 def _drop_shadow_tables(
-    store: XmlStore, encoding: _ShadowEncoding
+    store: XmlStore, encoding: OrderEncoding
 ) -> bool:
     """Best-effort drop; returns False when any drop failed (the
     reopen-time recovery sweep picks the leftovers up)."""
@@ -219,49 +212,6 @@ def _drop_shadow_tables(
         except Exception:
             clean = False
     return clean
-
-
-def _convert_rows(
-    source: OrderEncoding, rows: list[dict]
-) -> list[ShreddedNode]:
-    """Recompute every encoding-independent order quantity from the
-    source rows: one DFS over parent pointers, siblings ordered by the
-    source's sibling column (identical to the rebalance walk, so a
-    migration also compacts accumulated gaps and carets)."""
-    by_parent: dict[int, list[dict]] = {}
-    order_column = source.sibling_order_column
-    for row in rows:
-        by_parent.setdefault(row["parent"], []).append(row)
-    for siblings in by_parent.values():
-        siblings.sort(key=lambda r: r[order_column])
-
-    records: list[ShreddedNode] = []
-    counter = 0
-
-    def walk(row: dict, sibling_index: int,
-             dewey_prefix: tuple[int, ...]) -> int:
-        nonlocal counter
-        counter += 1
-        rank = counter
-        dewey = (*dewey_prefix, sibling_index)
-        record = ShreddedNode(
-            id=row["id"], parent=row["parent"], kind=row["kind"],
-            tag=row["tag"], value=row["value"], depth=row["depth"],
-            rank=rank, end_rank=rank, sibling_index=sibling_index,
-            dewey=dewey,
-        )
-        records.append(record)
-        last = rank
-        for index, child in enumerate(
-            by_parent.get(row["id"], []), start=1
-        ):
-            last = walk(child, index, dewey)
-        record.end_rank = last
-        return last
-
-    for index, top in enumerate(by_parent.get(0, []), start=1):
-        walk(top, index, ())
-    return records
 
 
 def _apply_entry(shadow: _ShadowStore, doc: int, entry: tuple) -> None:
@@ -337,7 +287,7 @@ def migrate_document(
         report.outcome = "noop"
         return report
 
-    shadow_encoding = _ShadowEncoding(target)
+    shadow_encoding = _shadow_encoding(target)
     journal = MigrationJournal()
     state = MigrationState(doc=doc, source=source, target=target,
                            journal=journal)
@@ -401,7 +351,9 @@ def migrate_document(
 
         # COPY -- convert and land in bounded batches.
         with span("migrate.copy"):
-            records = _convert_rows(source, source_rows)
+            # The rebalance walk: a migration also compacts whatever
+            # gaps and carets the source has accumulated.
+            records = relabel(source_rows, source.sibling_order_column)
             node_sql = (
                 f"INSERT INTO {shadow_encoding.node_table.name} VALUES "
                 f"({', '.join('?' * len(shadow_encoding.node_columns()))})"

@@ -23,8 +23,6 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.concurrent.latch import RWLatch
 from repro.core.dewey import (
-    dewey_depth_bytes,
-    dewey_local_bytes,
     dewey_parent_bytes,
     dewey_successor_bytes,
 )
@@ -65,7 +63,6 @@ class MiniDb:
     def _register_dewey_functions(self) -> None:
         from repro.core.numeric import xpath_number_value
         from repro.core.ordpath import (
-            ordpath_depth_bytes,
             ordpath_parent_bytes,
             ordpath_successor_bytes,
         )
@@ -73,11 +70,8 @@ class MiniDb:
 
         self.create_function("dewey_parent", dewey_parent_bytes)
         self.create_function("dewey_successor", dewey_successor_bytes)
-        self.create_function("dewey_local", dewey_local_bytes)
-        self.create_function("dewey_depth", dewey_depth_bytes)
         self.create_function("ordpath_parent", ordpath_parent_bytes)
         self.create_function("ordpath_successor", ordpath_successor_bytes)
-        self.create_function("ordpath_depth", ordpath_depth_bytes)
         self.create_function("xpath_number", xpath_number_value)
         self.create_function("path_match", path_match)
 

@@ -3,9 +3,9 @@
 The function registry starts with the SQL built-ins the translations use
 (``length``, ``substr``, ``instr``, ``upper``, ``lower``, ``abs``,
 ``coalesce``, ``min``/``max`` as aggregates, etc.).  The engine registers
-the Dewey helpers (``dewey_parent``, ``dewey_successor``, ``dewey_local``,
-``dewey_depth``) on top, exactly as the sqlite3 backend registers them via
-``create_function`` — keeping the SQL dialect identical across backends.
+the key helpers (``dewey_parent``, ``dewey_successor`` and their
+``ordpath_*`` twins) on top, exactly as the sqlite3 backend registers them
+via ``create_function`` — keeping the SQL dialect identical across backends.
 """
 
 from __future__ import annotations

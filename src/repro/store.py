@@ -29,12 +29,12 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from time import perf_counter
 from typing import (
-    TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TypeVar, Union,
+    TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence,
+    TypeVar, Union,
 )
 
 from repro.backends import Backend, make_backend
 from repro.cache import StoreCache, cache_enabled_from_env
-from repro.core.dewey import DeweyKey
 from repro.obs import METRICS, slow_log, span
 from repro.core.encodings import OrderEncoding, get_encoding
 from repro.core.schema import SHADOW_PREFIX, documents_table, index_tables
@@ -52,7 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.concurrent.writequeue import WriteQueue
     from repro.robust.retry import RetryPolicy
 
-#: How many ids one ``IN (...)`` batch may carry during order resolution.
+#: How many ids one ``IN (...)`` statement may carry (see
+#: :meth:`XmlStore.in_batches`).
 _ID_BATCH = 400
 
 _T = TypeVar("_T")
@@ -147,8 +148,8 @@ class XmlStore:
         backend:
             A backend name (``"sqlite"`` / ``"minidb"``) or instance.
         encoding:
-            An encoding name (``"global"`` / ``"local"`` / ``"dewey"``)
-            or instance.
+            An encoding name (``"global"`` / ``"local"`` / ``"dewey"`` /
+            ``"ordpath"``) or instance.
         gap:
             Sparse-numbering gap factor.  1 means dense numbering (the
             paper's base case); larger values space order values out so
@@ -289,6 +290,26 @@ class XmlStore:
                 statement=translated.statement,
             )
         )
+
+    @staticmethod
+    def in_batches(
+        sql_prefix: str, column: str, ids: Iterable[int],
+        params: Sequence = (),
+    ) -> Iterator[tuple[str, tuple]]:
+        """``<sql_prefix> AND <column> IN (?, ...)`` over *ids*, at most
+        :data:`_ID_BATCH` per statement, as ``(sql, params)`` pairs.
+        *params* bind the placeholders of *sql_prefix*, which must end
+        inside its ``WHERE`` clause.  The caller executes each pair:
+        reads go through the statement-level retry, DML inside an
+        update's transaction does not (see :meth:`transactionally`)."""
+        pending = list(ids)
+        for start in range(0, len(pending), _ID_BATCH):
+            batch = pending[start:start + _ID_BATCH]
+            placeholders = ", ".join("?" for _ in batch)
+            yield (
+                f"{sql_prefix} AND {column} IN ({placeholders})",
+                (*params, *batch),
+            )
 
     def _executemany(self, sql: str, param_rows):
         if self.retry is None:
@@ -842,21 +863,17 @@ class XmlStore:
         """Fetch ``id -> (parent, sibling order value)`` for the ids."""
         encoding = self.encoding_for(doc)
         order_column = encoding.sibling_order_column
-        out: dict[int, tuple[int, int]] = {}
-        pending = [i for i in set(ids) if i != 0]
-        while pending:
-            batch = pending[:_ID_BATCH]
-            pending = pending[_ID_BATCH:]
-            placeholders = ", ".join("?" for _ in batch)
-            result = self._execute(
-                f"SELECT id, parent, {order_column} "
-                f"FROM {encoding.node_table.name} "
-                f"WHERE doc = ? AND id IN ({placeholders})",
-                (doc, *batch),
-            )
-            for node_id, parent, order_value in result.rows:
-                out[node_id] = (parent, order_value)
-        return out
+        statements = self.in_batches(
+            f"SELECT id, parent, {order_column} "
+            f"FROM {encoding.node_table.name} WHERE doc = ?",
+            "id", [i for i in set(ids) if i != 0], (doc,),
+        )
+        return {
+            node_id: (parent, order_value)
+            for sql, params in statements
+            for node_id, parent, order_value
+            in self._execute(sql, params).rows
+        }
 
     def _order_keys(
         self, doc: int, ids: list[int]
@@ -927,36 +944,17 @@ class XmlStore:
         if row["kind"] != "elem":
             return row["value"] or ""
         encoding = self.encoding_for(doc)
-        name = encoding.name
-        node_table = encoding.node_table.name
-        if name == "global":
-            result = self._execute(
-                f"SELECT value FROM {node_table} "
-                "WHERE doc = ? AND pos >= ? AND pos <= ? "
-                "AND kind = 'text' ORDER BY pos",
-                (doc, row["pos"], row["endpos"]),
-            )
-        elif name == "dewey":
-            key = DeweyKey.decode(row["dkey"])
-            result = self._execute(
-                f"SELECT value FROM {node_table} "
-                f"WHERE doc = ? AND dkey > ? AND dkey < ? "
-                f"AND kind = 'text' ORDER BY dkey",
-                (doc, key.encode(), key.sibling_successor().encode()),
-            )
-        elif name == "ordpath":
-            from repro.core.ordpath import OrdpathKey
-
-            key = OrdpathKey.decode(row["okey"])
-            result = self._execute(
-                f"SELECT value FROM {node_table} "
-                f"WHERE doc = ? AND okey > ? AND okey < ? "
-                f"AND kind = 'text' ORDER BY okey",
-                (doc, key.encode(), key.encode_successor()),
-            )
-        else:
+        subtree = encoding.subtree_where(row, include_root=False)
+        if subtree is None:
             node = self.reconstruct_subtree(doc, node_id)
             return node.text_value()  # type: ignore[union-attr]
+        where, bounds = subtree
+        result = self._execute(
+            f"SELECT value FROM {encoding.node_table.name} "
+            f"WHERE doc = ? AND {where} "
+            f"AND kind = 'text' ORDER BY {encoding.order_by_column}",
+            (doc, *bounds),
+        )
         return "".join(r[0] for r in result.rows if r[0] is not None)
 
     def query_string_values(self, xpath: str, doc: int) -> list[str]:
@@ -998,23 +996,16 @@ class XmlStore:
 
     def fetch_attributes(self, doc: int, owner_ids: Sequence[int]) -> list[tuple]:
         """Fetch (owner, name, value) for the given owners."""
-        out: list[tuple] = []
-        attr_table = self.attr_table_for(doc)
-        owner_list = list(owner_ids)
-        for start in range(0, len(owner_list), _ID_BATCH):
-            batch = owner_list[start : start + _ID_BATCH]
-            placeholders = ", ".join("?" for _ in batch)
-            result = self._execute(
-                f"SELECT owner, name, value FROM {attr_table} "
-                f"WHERE doc = ? AND owner IN ({placeholders})",
-                (doc, *batch),
-            )
-            out.extend(result.rows)
-        return out
-
-    def dewey_key_of(self, row: dict) -> DeweyKey:
-        """Decode the Dewey key of a fetched row (Dewey encoding only)."""
-        return DeweyKey.decode(row["dkey"])
+        statements = self.in_batches(
+            f"SELECT owner, name, value FROM {self.attr_table_for(doc)} "
+            f"WHERE doc = ?",
+            "owner", owner_ids, (doc,),
+        )
+        return [
+            row
+            for sql, params in statements
+            for row in self._execute(sql, params).rows
+        ]
 
     def node_count(self, doc: int) -> int:
         result = self._execute(

@@ -89,11 +89,11 @@ class TestBackendContract:
             (DeweyKey.parse("1.2.3").encode(),),
         )
         result = backend.execute(
-            "SELECT dewey_local(k), dewey_depth(k) FROM d"
+            "SELECT dewey_parent(k), dewey_successor(k) FROM d"
         )
-        assert result.rows == [(3, 3)]
-        result = backend.execute("SELECT dewey_parent(k) FROM d")
-        assert DeweyKey.decode(result.rows[0][0]) == DeweyKey.parse("1.2")
+        parent, successor = result.rows[0]
+        assert DeweyKey.decode(parent) == DeweyKey.parse("1.2")
+        assert DeweyKey.decode(successor) == DeweyKey.parse("1.2.4")
 
 
 class TestHarness:

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.dewey import (
     DeweyKey,
     decode_components,
-    dewey_depth_bytes,
-    dewey_local_bytes,
     dewey_parent_bytes,
     dewey_successor_bytes,
     encode_component,
@@ -171,9 +169,3 @@ class TestSqlScalars:
         key = DeweyKey.parse("1.2.3")
         assert dewey_successor_bytes(key.encode()) == \
             DeweyKey.parse("1.2.4").encode()
-
-    def test_dewey_local_bytes(self):
-        assert dewey_local_bytes(DeweyKey.parse("1.2.7").encode()) == 7
-
-    def test_dewey_depth_bytes(self):
-        assert dewey_depth_bytes(DeweyKey.parse("1.2.7").encode()) == 3

@@ -1,14 +1,18 @@
 """Edge-case tests across the stack: self-value predicates, dot/dotdot
 navigation, deep documents, unusual content, minidb corner cases."""
 
+import sys
+
 import pytest
 
+from repro.migrate import migrate_document
 from repro.minidb import MiniDb
 from repro.store import XmlStore
-from repro.xmldom import parse
+from repro.xmldom import parse, serialize
 from repro.xpath import evaluate, string_value
 from tests.conftest import (
     ALL_ENCODINGS,
+    BACKENDS,
     assert_query_matches_oracle,
 )
 
@@ -100,6 +104,52 @@ class TestUnusualContent:
         doc = store.load(document)
         assert store.reconstruct(doc).structurally_equal(document)
         assert store.query_values("/r/s/text()", doc) == [" "]
+
+
+class TestDeeperThanTheRecursionLimit:
+    """Updates can legally nest a stored document deeper than any one
+    parse could: no store operation may recurse once per level."""
+
+    @staticmethod
+    def _nest(levels: int) -> str:
+        # The serializer's own form (innermost element self-closed).
+        return "<a>" * (levels - 1) + "<a/>" + "</a>" * (levels - 1)
+
+    @staticmethod
+    def _serialized(document) -> str:
+        # The DOM serializer recurses per level (parse/serialize depth
+        # limits are a separate ROADMAP item), so only this call gets a
+        # deeper stack; the operations under test run at the default.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(20_000)
+        try:
+            return serialize(document)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "encoding, target",
+        [("global", "local"), ("local", "dewey"),
+         ("dewey", "ordpath"), ("ordpath", "global")],
+    )
+    def test_rebalance_migrate_reconstruct_round_trip(
+        self, backend, encoding, target
+    ):
+        store = XmlStore(backend=backend, encoding=encoding)
+        doc = store.load(self._nest(600))
+        # Ids are preorder ranks, so node 600 is the innermost element.
+        store.updates.insert(doc, 600, 0, self._nest(600))
+        assert store.document_info(doc).max_depth == 1200
+        expected = self._nest(1200)
+
+        store.updates.rebalance(doc)
+        assert self._serialized(store.reconstruct(doc)) == expected
+
+        migrate_document(store, doc, target)
+        assert store.encoding_for(doc).name == target
+        assert self._serialized(store.reconstruct(doc)) == expected
+        assert store.string_value(doc, 1) == ""
 
 
 class TestMiniDbCorners:

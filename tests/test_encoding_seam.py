@@ -1,0 +1,111 @@
+"""Keep the encoding seam shut.
+
+Everything that differs between the order encodings lives behind
+:class:`repro.core.encodings.OrderEncoding` (see "Encoding seam" in
+DESIGN.md).  This scan fails when code outside ``core/encodings.py``
+starts deciding by encoding *name* again — the ``if name == "global" /
+"dewey" / ...`` ladders the seam replaced — or when one of the helpers
+the seam made single grows a second copy.  Name-keyed registries (a
+dict from encoding name to a class or routine) are fine: they hold no
+comparison.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from repro.core.encodings import ENCODINGS
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: Where an encoding-name comparison is a seam leak.
+SCANNED = ("core", "store.py", "migrate", "index", "check")
+#: The one module allowed to know the encodings by name.
+SEAM = SRC / "core" / "encodings.py"
+
+
+def _scanned_files() -> list[Path]:
+    files: list[Path] = []
+    for entry in SCANNED:
+        path = SRC / entry
+        files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
+    return [f for f in files if f != SEAM]
+
+
+def _literals(node: ast.expr) -> set:
+    """String constants in *node*, looking inside ``in (...)`` tuples."""
+    return {
+        n.value for n in ast.walk(node)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    }
+
+
+def encoding_comparisons(source: str) -> list[int]:
+    """Line numbers of comparisons against an encoding-name literal."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(
+            _literals(operand) & ENCODINGS.keys()
+            for operand in (node.left, *node.comparators)
+        )
+    ]
+
+
+def _definitions(name: str) -> list[str]:
+    """``file:line`` of every def / assignment of *name* under src."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                bound = [node.name]
+            elif isinstance(node, ast.Assign):
+                bound = [
+                    t.id for t in node.targets if isinstance(t, ast.Name)
+                ]
+            else:
+                continue
+            if name in bound:
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    return found
+
+
+def test_scan_covers_the_seam_modules():
+    names = {str(f.relative_to(SRC)) for f in _scanned_files()}
+    assert {"store.py", "core/updates.py", "core/reconstruct.py",
+            "core/translator/__init__.py", "migrate/engine.py",
+            "index/manager.py", "check/invariants.py"} <= names
+    assert "core/encodings.py" not in names
+
+
+def test_scanner_catches_a_ladder_and_allows_a_registry():
+    ladder = (
+        "def f(enc):\n"
+        "    if enc.name == 'global':\n        return 1\n"
+        "    elif enc.name in ('dewey', 'ordpath'):\n        return 2\n"
+        "    return 3 if 'local' != enc.name else 4\n"
+    )
+    assert encoding_comparisons(ladder) == [2, 4, 6]
+    registry = "ROUTINES = {'global': int, 'dewey': str}\nf = ROUTINES[n]\n"
+    assert encoding_comparisons(registry) == []
+
+
+def test_no_encoding_name_ladder():
+    leaks = {
+        str(path.relative_to(SRC)): lines
+        for path in _scanned_files()
+        if (lines := encoding_comparisons(path.read_text()))
+    }
+    assert not leaks, (
+        f"comparison against an encoding name at {leaks}; put the "
+        "decision behind OrderEncoding (core/encodings.py) instead"
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["_document_axis", "_ID_BATCH", "relabel", "group_siblings"]
+)
+def test_defined_once(name):
+    assert len(_definitions(name)) == 1, _definitions(name)

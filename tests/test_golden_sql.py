@@ -33,7 +33,10 @@ MAX_DEPTH = 6
 
 #: Fixed corpus for the SQL-text snapshots: one query per structural
 #: family (join chain, descendant, deep attribute, positional, value
-#: predicate, last(), document order, union, count, boolean-not).
+#: predicate, last(), document order, union, count, boolean-not), then
+#: one query per remaining axis so all twelve axis conditions of every
+#: encoding are pinned, and a second element-valued comparison (the
+#: ``string_value_query`` subselect) under a ``//`` step.
 SNAPSHOT_QUERIES = (
     "/bib/book/title",
     "/bib//title",
@@ -45,6 +48,16 @@ SNAPSHOT_QUERIES = (
     "//title | //author",
     "/bib/book[count(author) > 1]/title",
     "/bib/book[not(@id)]",
+    "/bib/book/title/parent::book",
+    "/bib/book/self::book",
+    "/bib/book/ancestor::bib",
+    "//book/ancestor-or-self::*",
+    "/bib/book/descendant::text()",
+    "/bib/book/descendant-or-self::*",
+    "/bib/book/author[1]/following-sibling::author",
+    "/bib/book[3]/preceding-sibling::book",
+    "/bib/book[3]/preceding::title",
+    "//book[title = 'Smith']/@id",
 )
 
 #: Per-query relational-operation counts reported by the pre-refactor

@@ -370,8 +370,8 @@ class TestFunctionsAndCache:
         from repro.core.dewey import DeweyKey
 
         key = DeweyKey.parse("1.2.3").encode()
-        result = db.execute("SELECT dewey_local(?)", (key,))
-        assert result.rows == [(3,)]
+        result = db.execute("SELECT dewey_successor(?)", (key,))
+        assert result.rows == [(DeweyKey.parse("1.2.4").encode(),)]
 
     def test_stats_track_reads_and_writes(self, db):
         db.reset_stats()

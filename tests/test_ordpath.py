@@ -10,7 +10,6 @@ from repro.core.ordpath import (
     OrdpathKey,
     decode_signed_components,
     encode_signed_component,
-    ordpath_depth_bytes,
     ordpath_parent_bytes,
     ordpath_successor_bytes,
     suffix_between,
@@ -176,9 +175,6 @@ class TestSqlScalars:
             ordpath_parent_bytes(key.encode())
         ) == OrdpathKey.parse("1.6.1")
         assert ordpath_parent_bytes(OrdpathKey.parse("3").encode()) is None
-
-    def test_depth(self):
-        assert ordpath_depth_bytes(OrdpathKey.parse("1.6.1.3").encode()) == 3
 
 
 class TestOrdpathStore:

@@ -17,7 +17,15 @@ rows of a store:
   and byte-order agreement for Dewey/ORDPATH);
 * **catalogue** — ``documents.node_count`` equals the live row count,
   ``next_id`` stays above every allocated id, ``max_depth`` bounds the
-  real depth, and no node/attribute rows exist for unknown documents.
+  real depth, and no node/attribute rows exist for unknown documents;
+* **secondary indexes** — the ``idx_sval`` / ``idx_pathmap`` rows of an
+  indexed document are exactly what its node rows imply (one value row
+  and one path occurrence per live element, none for anything else),
+  an unindexed document has none, and no ``idx_*`` rows exist for
+  unknown documents.  The expected rows are derived here, from the
+  same :class:`~repro.core.encodings.AuditView` every other check
+  reads, and not by :mod:`repro.index` — the auditor is the index
+  producer's independent reference.
 
 The auditor only reads; it never repairs.  ``repro check <db>`` exposes
 it on the command line, and the test suite runs it after every
@@ -30,7 +38,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.encodings import ENCODINGS, AuditView
-from repro.core.schema import KIND_ELEMENT, KIND_TEXT, SHADOW_PREFIX
+from repro.core.numeric import xpath_number_value
+from repro.core.schema import (
+    KIND_ELEMENT, KIND_TEXT, SHADOW_PREFIX, index_tables,
+)
 from repro.core.shredder import group_siblings
 
 #: Node kinds that may own child rows.
@@ -211,6 +222,114 @@ def _catalog_violations(store, info, view: AuditView):
         )
 
 
+def _expected_index_rows(view: AuditView) -> tuple[dict, dict]:
+    """What an index over *view* must hold: ``id -> (parent, tag, sval,
+    nval)`` and ``id -> root path`` for every reachable element.
+
+    Preorder puts a parent before its children, so one forward pass
+    extends root paths and one reverse pass folds XPath string-values
+    (text contributes its value, comments and PIs nothing).
+    """
+    paths: dict[int, str] = {}
+    for node_id in view.preorder:
+        row = view.by_id[node_id]
+        if row["kind"] == KIND_ELEMENT:
+            paths[node_id] = f"{paths.get(row['parent'], '')}/{row['tag']}"
+    svals: dict[int, str] = {}
+    for node_id in reversed(view.preorder):
+        row = view.by_id[node_id]
+        if row["kind"] == KIND_TEXT:
+            svals[node_id] = row["value"] or ""
+        elif row["kind"] == KIND_ELEMENT:
+            svals[node_id] = "".join(
+                svals[child["id"]]
+                for child in view.children.get(node_id, [])
+            )
+        else:
+            svals[node_id] = ""
+    values = {
+        node_id: (
+            view.by_id[node_id]["parent"], view.by_id[node_id]["tag"],
+            svals[node_id], xpath_number_value(svals[node_id]),
+        )
+        for node_id in paths
+    }
+    return values, paths
+
+
+def _occurrence_violations(doc, table, stored, expected, stale_code):
+    """Compare one occurrence table (``(id, what the row says)`` pairs)
+    against ``id -> what it must say``: every expected id exactly once
+    and with that content, and no row for any other id."""
+    seen: set[int] = set()
+    for node_id, content in stored:
+        if node_id not in expected:
+            yield Violation(
+                "index-orphan-row", doc, node_id,
+                f"{table} row for a node that is not a live element "
+                "of an indexed document",
+            )
+        elif node_id in seen:
+            yield Violation(
+                "index-duplicate-row", doc, node_id,
+                f"more than one {table} row",
+            )
+        elif content != expected[node_id]:
+            yield Violation(
+                stale_code, doc, node_id,
+                f"{table} says {content!r}, document says "
+                f"{expected[node_id]!r}",
+            )
+        seen.add(node_id)
+    for node_id in sorted(expected.keys() - seen):
+        yield Violation(
+            "index-row-missing", doc, node_id,
+            f"live element has no {table} row",
+        )
+
+
+def _index_violations(store, doc: int, view: AuditView):
+    """The value and path indexes against the rows they derive from.
+
+    An index is *present* when ``idx_stats`` carries the document's
+    marker row; without it the document must have no occurrence rows at
+    all.  Path-dictionary entries no element uses any more are legal
+    (the dictionary is append-only so path ids stay stable).
+    """
+    execute = store.backend.execute
+    present = execute(
+        "SELECT value FROM idx_stats "
+        "WHERE doc = ? AND kind = 'meta' AND skey = 'present'",
+        (doc,),
+    ).rows
+    values, paths = _expected_index_rows(view) if present else ({}, {})
+    yield from _occurrence_violations(
+        doc, "idx_sval",
+        (
+            (row[0], tuple(row[1:])) for row in execute(
+                "SELECT id, parent, tag, sval, nval FROM idx_sval "
+                "WHERE doc = ?", (doc,),
+            ).rows
+        ),
+        values,
+        "index-sval-stale",
+    )
+    dictionary = dict(execute(
+        "SELECT pathid, path FROM idx_paths WHERE doc = ?", (doc,)
+    ).rows)
+    yield from _occurrence_violations(
+        doc, "idx_pathmap",
+        (
+            (node_id, dictionary.get(pathid))
+            for pathid, node_id in execute(
+                "SELECT pathid, id FROM idx_pathmap WHERE doc = ?", (doc,)
+            ).rows
+        ),
+        paths,
+        "index-path-stale",
+    )
+
+
 def audit_document(store, doc: int) -> list[Violation]:
     """Audit one document; returns all violations found (empty = clean)."""
     # fresh=True: the auditor verifies the stored catalogue row itself,
@@ -227,6 +346,7 @@ def audit_document(store, doc: int) -> list[Violation]:
         for code, node_id, message in encoding.order_invariants(view)
     )
     violations.extend(_catalog_violations(store, info, view))
+    violations.extend(_index_violations(store, doc, view))
     return violations
 
 
@@ -293,6 +413,23 @@ def _stray_document_violations(store, infos, existing: Optional[set[str]]):
                 )
 
 
+def _stray_index_violations(store, infos):
+    """``idx_*`` rows of documents the catalogue does not know
+    (``idx_stats`` document 0 is the store-wide statistics clock)."""
+    known = {info.doc for info in infos}
+    for table in index_tables():
+        result = store.backend.execute(
+            f"SELECT DISTINCT doc FROM {table.name}"
+        )
+        for (doc,) in result.rows:
+            if doc not in known and (table.name, doc) != ("idx_stats", 0):
+                yield Violation(
+                    "index-missing-doc", doc, None,
+                    f"rows in {table.name} for a document with no "
+                    "catalogue entry",
+                )
+
+
 def _shadow_table_violations(store, existing: Optional[set[str]]):
     """Orphaned ``mig_*`` shadow tables: legitimate only while this
     store object has a migration in flight."""
@@ -327,6 +464,7 @@ def audit_store(
         violations.extend(audit_document(store, info.doc))
     existing = _existing_tables(store)
     violations.extend(_stray_document_violations(store, infos, existing))
+    violations.extend(_stray_index_violations(store, infos))
     violations.extend(_shadow_table_violations(store, existing))
     return violations
 

@@ -1137,8 +1137,8 @@ def run_e18_indexing(
     """Deep descent and value predicates, indexed vs. unindexed.
 
     Two stores per (backend, encoding) cell hold the same data-centric
-    catalogue; one has the secondary indexes (path, value, statistics)
-    forced on, the other forced off.  The query mix is exactly the
+    catalogue; one builds the secondary indexes (path, value,
+    statistics) after the load, the other never does.  The query mix is exactly the
     workload the indexes target: selective deep ``//`` descents that
     the path index answers with a pathid probe instead of per-step
     structural joins, and value predicates that the value index
@@ -1155,11 +1155,12 @@ def run_e18_indexing(
 
     An update-heavy phase then bursts structural updates (text
     rewrites plus subtree inserts) at two *indexed* twins of the same
-    document — one maintaining incrementally from each op's touched
-    set, one eagerly rebuilding every ``idx_*`` row — timing both and
-    byte-comparing their index tables afterwards.  The maintenance
-    speedup is the tentpole claim: repair cost tracks the touched
-    rows, not the document, so incremental must beat eager by at
+    document — one left to the maintenance every update performs
+    (repair from the op's touched set), the baseline arm rebuilding
+    every occurrence row with an explicit ``indexes.create`` after
+    every op — timing both and byte-comparing their index data tables
+    afterwards.  Repair cost tracks the touched rows, not the
+    document, so maintaining must beat rebuilding after every op by at
     least 2x on a large document (any table divergence counts into
     the mismatches column).
     """
@@ -1185,7 +1186,7 @@ def run_e18_indexing(
         "Secondary indexes: deep // and value predicates, "
         "indexed vs unindexed",
         ("backend", "encoding", "unindexed q/s", "indexed q/s",
-         "speedup", "access paths", "incr upd/s", "eager upd/s",
+         "speedup", "access paths", "incr upd/s", "rebuild upd/s",
          "maint speedup", "mismatches"),
     )
 
@@ -1227,22 +1228,27 @@ def run_e18_indexing(
                 ops.append(("set_text", first["id"], f"v{k}"))
         return ops
 
-    def run_burst(store: XmlStore, doc: int, ops: list[tuple]) -> float:
+    def run_burst(
+        store: XmlStore, doc: int, ops: list[tuple], rebuild: bool
+    ) -> float:
         started = time.perf_counter()
         for op in ops:
             if op[0] == "insert":
                 store.updates.insert(doc, op[1], 0, op[2])
             else:
                 store.updates.set_text(doc, op[1], op[2])
+            if rebuild:
+                store.indexes.create(doc)
         return time.perf_counter() - started
 
     def index_tables(store: XmlStore, doc: int) -> tuple:
+        # The data tables only: every ``create`` restarts the
+        # statistics bookkeeping in ``idx_stats``.
         return tuple(
             tuple(sorted(store.backend.execute(
                 f"SELECT * FROM {t} WHERE doc = ?", (doc,)
             ).rows))
-            for t in ("idx_sval", "idx_paths", "idx_pathmap",
-                      "idx_stats")
+            for t in ("idx_sval", "idx_paths", "idx_pathmap")
         )
 
     for backend in backends:
@@ -1255,10 +1261,11 @@ def run_e18_indexing(
                 store.cache = StoreCache(
                     enabled=True, result_capacity=0
                 )
-            indexed.indexes.force_mode = "on"
-            plain.indexes.force_mode = "off"
             doc_i = indexed.load(document)
             doc_p = plain.load(document)
+            indexed.indexes.create(doc_i)
+            # The load's ANALYZE ran before the index rows existed.
+            indexed.backend.analyze()
 
             mismatches = 0
             for xpath in queries:
@@ -1290,22 +1297,21 @@ def run_e18_indexing(
                 rates[indexed] / rates[plain] if rates[plain] else 0.0
             )
 
-            # Update-heavy phase: identical burst at an incremental
-            # and an eager indexed twin, then byte-compare the tables.
-            incr = XmlStore(
-                backend=backend, encoding=name, index_incremental=True
-            )
-            eager = XmlStore(
-                backend=backend, encoding=name, index_incremental=False
-            )
+            # Update-heavy phase: identical burst at two indexed
+            # twins, one rebuilt after every op, then byte-compare
+            # the tables.
+            incr = XmlStore(backend=backend, encoding=name)
+            eager = XmlStore(backend=backend, encoding=name)
             for store in (incr, eager):
                 store.cache = StoreCache(enabled=True, result_capacity=0)
-                store.indexes.force_mode = "on"
             doc_n = incr.load(document)
             doc_e = eager.load(document)
+            for store, doc in ((incr, doc_n), (eager, doc_e)):
+                store.indexes.create(doc)
+                store.backend.analyze()
             ops = plan_burst(incr, doc_n)
-            incr_elapsed = run_burst(incr, doc_n, ops)
-            eager_elapsed = run_burst(eager, doc_e, ops)
+            incr_elapsed = run_burst(incr, doc_n, ops, rebuild=False)
+            eager_elapsed = run_burst(eager, doc_e, ops, rebuild=True)
             if index_tables(incr, doc_n) != index_tables(eager, doc_e):
                 mismatches += 1
             incr_rate = (
@@ -1339,9 +1345,11 @@ def run_e18_indexing(
         f"{len(queries)} queries ({len(deep_queries)} deep descents, "
         f"{len(value_queries)} value predicates); result caching off "
         "on both stores so the comparison isolates the access path. "
-        f"Maintenance phase: {burst_ops}-op structural burst at an "
-        "incremental-maintenance twin vs an eager-rebuild twin, index "
-        "tables byte-compared afterwards."
+        f"Maintenance phase: {burst_ops}-op structural burst at a twin "
+        "whose index the updates maintain vs a twin that also rebuilds "
+        "it (`indexes.create`) after every op — so the ratio reads "
+        "1 + rebuild/repair — index data tables byte-compared "
+        "afterwards."
     )
     return table
 

@@ -31,9 +31,9 @@ def build_store(
 ) -> tuple[XmlStore, int]:
     """Create a fresh store and load *document*; returns (store, doc).
 
-    Caching is off regardless of ``REPRO_CACHE``: these stores measure
-    raw per-encoding engine cost, and a result-cache hit would time the
-    cache instead of the query.  Experiments that study caching itself
+    Caching is off: these stores measure raw per-encoding engine cost,
+    and a result-cache hit would time the cache instead of the query.
+    Experiments that study caching itself
     (E9b, E15) construct their stores explicitly.
     """
     store = XmlStore(

@@ -4,6 +4,6 @@ See :mod:`repro.cache.lru` for the invalidation protocol and DESIGN.md
 ("Caching") for the key scheme and pool semantics.
 """
 
-from repro.cache.lru import StoreCache, cache_enabled_from_env
+from repro.cache.lru import StoreCache
 
-__all__ = ["StoreCache", "cache_enabled_from_env"]
+__all__ = ["StoreCache"]

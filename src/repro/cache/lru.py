@@ -66,27 +66,12 @@ stay fresh.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Optional
 
 from repro.obs import METRICS
-
-#: Values of ``REPRO_CACHE`` that disable caching store-wide.
-_OFF_VALUES = frozenset({"off", "0", "false", "no", "disabled"})
-
-
-def cache_enabled_from_env() -> bool:
-    """True unless ``REPRO_CACHE`` is set to an off value.
-
-    The escape hatch for debugging and for A/B measurement (CI runs the
-    tier-1 matrix both ways; the fuzzer's twin mode forces it off for
-    the reference store explicitly instead of via the environment).
-    """
-    value = os.environ.get("REPRO_CACHE", "on")
-    return value.strip().lower() not in _OFF_VALUES
 
 
 class _LruLayer:

@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 from repro.check.invariants import (
     audit_document,
     audit_store,
+    fetch_rows,
     summarize_violations,
 )
 from repro.core.reconstruct import reconstruct_document_with_ids
@@ -85,8 +86,8 @@ class FuzzConfig:
     #: Shape of the generated documents.
     max_depth: int = 4
     max_children: int = 3
-    #: Differential cache checking: pair every store (caching forced
-    #: on) with a caching-off twin, each holding
+    #: Differential cache checking: pair every store with a
+    #: ``cache=False`` twin, each holding
     #: :data:`TWIN_DOCUMENTS` documents; spread the update stream
     #: across them, and after *every* operation run a fixed per-cell
     #: pool of cache-warming queries against every document, requiring
@@ -96,9 +97,9 @@ class FuzzConfig:
     #: unwritten documents are what catch an invalidation that lands
     #: on the wrong document.
     cache_twin: bool = False
-    #: Differential index checking: pair every store (secondary
-    #: indexes forced on, built at load and maintained through every
-    #: update) with an indexes-off twin, bias the fixed per-cell query
+    #: Differential index checking: pair every store (indexed after
+    #: load, the index maintained through every update) with a twin
+    #: that is never indexed, bias the fixed per-cell query
     #: pool toward indexable shapes (absolute paths, ``//`` descents,
     #: child-value predicates) so the value/path rewrites actually
     #: fire, and require byte-identical results after every check
@@ -319,13 +320,9 @@ def plan_operation(
     the mix toward structural churn (see
     :attr:`FuzzConfig.update_heavy`).
     """
-    columns = reference.encoding.node_columns()
-    result = reference.backend.execute(
-        f"SELECT {', '.join(columns)} FROM {reference.node_table} "
-        f"WHERE doc = ?",
-        (doc,),
-    )
-    rows = [dict(zip(columns, r)) for r in result.rows]
+    # The document's own encoding: it may have migrated off the
+    # store's default.
+    rows = fetch_rows(reference, doc, reference.encoding_for(doc))
     elements = sorted(r["id"] for r in rows if r["kind"] == "elem")
     deletable = sorted(r["id"] for r in rows if r["parent"] != 0)
 
@@ -492,8 +489,8 @@ def _twin_mismatch(
     store: XmlStore, doc: int,
     twin: XmlStore, twin_doc: int,
     queries: list[str],
-    store_label: str = "caching store",
-    twin_label: str = "REPRO_CACHE=off twin",
+    store_label: str,
+    twin_label: str,
 ) -> Optional[str]:
     """Compare a store against its feature-off twin.
 
@@ -559,26 +556,19 @@ def _run_cell(
     twins: list[Optional[tuple[XmlStore, list[int]]]] = []
     for backend in config.backends:
         for encoding in config.encodings:
-            store = XmlStore(
-                backend=backend, encoding=encoding, gap=gap,
-                # Twin mode measures caching against no-caching, so the
-                # primary forces caching on regardless of REPRO_CACHE.
-                cache=True if config.cache_twin else None,
-            )
-            if config.index_twin:
-                # Likewise the index twin pins the primary to indexed
-                # plans regardless of REPRO_INDEX (built at load,
-                # maintained through every update op).
-                store.indexes.force_mode = "on"
+            store = XmlStore(backend=backend, encoding=encoding, gap=gap)
             docs = [store.load(document) for document in documents]
+            if config.index_twin:
+                # The primary is indexed after load and maintained
+                # through every update op; the twin never is.
+                for doc in docs:
+                    store.indexes.create(doc)
             stores.append((backend, encoding, store, docs))
             if twin_mode:
                 twin = XmlStore(
                     backend=backend, encoding=encoding, gap=gap,
-                    cache=False if config.cache_twin else None,
+                    cache=not config.cache_twin,
                 )
-                if config.index_twin:
-                    twin.indexes.force_mode = "off"
                 twins.append(
                     (twin, [twin.load(document) for document in documents])
                 )
@@ -618,10 +608,10 @@ def _run_cell(
         and the others must still answer correctly from their caches."""
         if config.cache_twin:
             kind = "cache-twin"
-            labels = ("caching store", "REPRO_CACHE=off twin")
+            labels = ("caching store", "cache=False twin")
         else:
             kind = "index-twin"
-            labels = ("indexed store", "REPRO_INDEX=off twin")
+            labels = ("indexed store", "unindexed twin")
         for (backend, encoding, store, docs), twin_entry in zip(
             stores, twins
         ):

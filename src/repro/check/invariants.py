@@ -17,15 +17,15 @@ rows of a store:
   and byte-order agreement for Dewey/ORDPATH);
 * **catalogue** — ``documents.node_count`` equals the live row count,
   ``next_id`` stays above every allocated id, ``max_depth`` bounds the
-  real depth, and no node/attribute rows exist for unknown documents;
+  real depth, and no node, attribute or index rows exist for unknown
+  documents;
 * **secondary indexes** — the ``idx_sval`` / ``idx_pathmap`` rows of an
   indexed document are exactly what its node rows imply (one value row
   and one path occurrence per live element, none for anything else),
-  an unindexed document has none, and no ``idx_*`` rows exist for
-  unknown documents.  The expected rows are derived here, from the
-  same :class:`~repro.core.encodings.AuditView` every other check
-  reads, and not by :mod:`repro.index` — the auditor is the index
-  producer's independent reference.
+  and an unindexed document has none.  The expected rows are derived
+  here, from the :class:`~repro.core.encodings.AuditView` every other
+  check reads, and not by :mod:`repro.index` — the auditor is the
+  index producer's independent reference.
 
 The auditor only reads; it never repairs.  ``repro check <db>`` exposes
 it on the command line, and the test suite runs it after every
@@ -68,7 +68,8 @@ class Violation:
         return f"[{self.code}] {where}: {self.message}"
 
 
-def _fetch_rows(store, doc: int, encoding) -> list[dict]:
+def fetch_rows(store, doc: int, encoding) -> list[dict]:
+    """Every node row of *doc* as a column->value dict."""
     columns = encoding.node_columns()
     result = store.backend.execute(
         f"SELECT {', '.join(columns)} FROM {encoding.node_table.name} "
@@ -257,77 +258,65 @@ def _expected_index_rows(view: AuditView) -> tuple[dict, dict]:
     return values, paths
 
 
-def _occurrence_violations(doc, table, stored, expected, stale_code):
-    """Compare one occurrence table (``(id, what the row says)`` pairs)
-    against ``id -> what it must say``: every expected id exactly once
-    and with that content, and no row for any other id."""
-    seen: set[int] = set()
-    for node_id, content in stored:
-        if node_id not in expected:
-            yield Violation(
-                "index-orphan-row", doc, node_id,
-                f"{table} row for a node that is not a live element "
-                "of an indexed document",
-            )
-        elif node_id in seen:
-            yield Violation(
-                "index-duplicate-row", doc, node_id,
-                f"more than one {table} row",
-            )
-        elif content != expected[node_id]:
-            yield Violation(
-                stale_code, doc, node_id,
-                f"{table} says {content!r}, document says "
-                f"{expected[node_id]!r}",
-            )
-        seen.add(node_id)
-    for node_id in sorted(expected.keys() - seen):
-        yield Violation(
-            "index-row-missing", doc, node_id,
-            f"live element has no {table} row",
-        )
-
-
 def _index_violations(store, doc: int, view: AuditView):
     """The value and path indexes against the rows they derive from.
 
     An index is *present* when ``idx_stats`` carries the document's
     marker row; without it the document must have no occurrence rows at
-    all.  Path-dictionary entries no element uses any more are legal
-    (the dictionary is append-only so path ids stay stable).
+    all.  Each occurrence table must say, exactly once per live
+    element, what the document says.  Path-dictionary entries no
+    element uses any more are legal (the dictionary is append-only so
+    path ids stay stable).
     """
     execute = store.backend.execute
-    present = execute(
+    values, paths = {}, {}
+    if execute(
         "SELECT value FROM idx_stats "
-        "WHERE doc = ? AND kind = 'meta' AND skey = 'present'",
-        (doc,),
-    ).rows
-    values, paths = _expected_index_rows(view) if present else ({}, {})
-    yield from _occurrence_violations(
-        doc, "idx_sval",
-        (
+        "WHERE doc = ? AND kind = 'meta' AND skey = 'present'", (doc,),
+    ).rows:
+        values, paths = _expected_index_rows(view)
+    dictionary = dict(execute(
+        "SELECT pathid, path FROM idx_paths WHERE doc = ?", (doc,)
+    ).rows)
+    tables = (
+        ("idx_sval", "index-sval-stale", values, [
             (row[0], tuple(row[1:])) for row in execute(
                 "SELECT id, parent, tag, sval, nval FROM idx_sval "
                 "WHERE doc = ?", (doc,),
             ).rows
-        ),
-        values,
-        "index-sval-stale",
-    )
-    dictionary = dict(execute(
-        "SELECT pathid, path FROM idx_paths WHERE doc = ?", (doc,)
-    ).rows)
-    yield from _occurrence_violations(
-        doc, "idx_pathmap",
-        (
-            (node_id, dictionary.get(pathid))
-            for pathid, node_id in execute(
+        ]),
+        ("idx_pathmap", "index-path-stale", paths, [
+            (node_id, dictionary.get(pathid)) for pathid, node_id in execute(
                 "SELECT pathid, id FROM idx_pathmap WHERE doc = ?", (doc,)
             ).rows
-        ),
-        paths,
-        "index-path-stale",
+        ]),
     )
+    for table, stale_code, expected, stored in tables:
+        seen: set[int] = set()
+        for node_id, content in stored:
+            if node_id not in expected:
+                yield Violation(
+                    "index-orphan-row", doc, node_id,
+                    f"{table} row for a node that is not a live element "
+                    "of an indexed document",
+                )
+            elif node_id in seen:
+                yield Violation(
+                    "index-duplicate-row", doc, node_id,
+                    f"more than one {table} row",
+                )
+            elif content != expected[node_id]:
+                yield Violation(
+                    stale_code, doc, node_id,
+                    f"{table} says {content!r}, document says "
+                    f"{expected[node_id]!r}",
+                )
+            seen.add(node_id)
+        for node_id in sorted(expected.keys() - seen):
+            yield Violation(
+                "index-row-missing", doc, node_id,
+                f"live element has no {table} row",
+            )
 
 
 def audit_document(store, doc: int) -> list[Violation]:
@@ -337,7 +326,7 @@ def audit_document(store, doc: int) -> list[Violation]:
     # legitimately lag when another store object writes the same file).
     info = store.document_info(doc, fresh=True)
     encoding = store.encoding_for(doc)
-    rows = _fetch_rows(store, doc, encoding)
+    rows = fetch_rows(store, doc, encoding)
     view = _build_view(store, rows, encoding)
     violations = list(_structural_violations(store, doc, view))
     violations.extend(_attribute_violations(store, doc, view, encoding))
@@ -376,13 +365,16 @@ def _stray_document_violations(store, infos, existing: Optional[set[str]]):
     """Store-level checks that look across *every* encoding's tables.
 
     * ``catalog-missing-doc`` — rows for a document with no catalogue
-      entry, in any encoding table that exists;
+      entry, in any encoding table that exists or in an ``idx_*`` side
+      table (which all encodings share, so they have no owner);
     * ``store-wrong-encoding-table`` — a document's rows leaked into a
       table that is not its catalogued encoding's (a migration that
       cut over without deleting its source rows, or vice versa).
     """
     known = {info.doc: info for info in infos}
-    table_owner: dict[str, str] = {}
+    table_owner: dict[str, Optional[str]] = {
+        table.name: None for table in index_tables()
+    }
     for encoding in ENCODINGS.values():
         table_owner[encoding.node_table.name] = encoding.name
         table_owner[encoding.attr_table.name] = encoding.name
@@ -397,6 +389,8 @@ def _stray_document_violations(store, infos, existing: Optional[set[str]]):
             continue  # table absent on backends without list_tables()
         for (doc,) in result.rows:
             info = known.get(doc)
+            if (table, doc) == ("idx_stats", 0):
+                continue  # the store-wide statistics clock
             if info is None:
                 yield Violation(
                     "catalog-missing-doc", doc, None,
@@ -405,28 +399,11 @@ def _stray_document_violations(store, infos, existing: Optional[set[str]]):
                 )
                 continue
             doc_encoding = info.encoding or store.encoding.name
-            if owner != doc_encoding:
+            if owner is not None and owner != doc_encoding:
                 yield Violation(
                     "store-wrong-encoding-table", doc, None,
                     f"rows in {table} but document is catalogued "
                     f"as {doc_encoding!r}",
-                )
-
-
-def _stray_index_violations(store, infos):
-    """``idx_*`` rows of documents the catalogue does not know
-    (``idx_stats`` document 0 is the store-wide statistics clock)."""
-    known = {info.doc for info in infos}
-    for table in index_tables():
-        result = store.backend.execute(
-            f"SELECT DISTINCT doc FROM {table.name}"
-        )
-        for (doc,) in result.rows:
-            if doc not in known and (table.name, doc) != ("idx_stats", 0):
-                yield Violation(
-                    "index-missing-doc", doc, None,
-                    f"rows in {table.name} for a document with no "
-                    "catalogue entry",
                 )
 
 
@@ -464,7 +441,6 @@ def audit_store(
         violations.extend(audit_document(store, info.doc))
     existing = _existing_tables(store)
     violations.extend(_stray_document_violations(store, infos, existing))
-    violations.extend(_stray_index_violations(store, infos))
     violations.extend(_shadow_table_violations(store, existing))
     return violations
 

@@ -902,7 +902,7 @@ def _print_metrics_snapshot(snapshot: dict) -> None:
 
 
 def _print_cache_stats(cache: dict) -> None:
-    state = "on" if cache["enabled"] else "off (REPRO_CACHE)"
+    state = "on" if cache["enabled"] else "off"
     print(
         f"cache: {state}, store epoch {cache['epoch']}, "
         f"{cache['doc_epochs']} live document epoch(s)"
@@ -1163,8 +1163,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pair every store with a caching-off twin and "
                         "require byte-identical query results")
     p.add_argument("--index-twin", action="store_true",
-                   help="pair every store (secondary indexes forced "
-                        "on) with an indexes-off twin and require "
+                   help="pair every store, indexed after load, with "
+                        "a twin that never is and require "
                         "byte-identical query results")
     p.add_argument("--update-heavy", action="store_true",
                    help="bias the op mix toward structural churn "

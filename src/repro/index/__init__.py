@@ -9,13 +9,13 @@ Three index families (see DESIGN.md, "Indexing"):
 * **catalog statistics** — tag counts, depth histograms and
   distinct-value estimates feeding the scan-vs-index cost model.
 
-``REPRO_INDEX`` (``on`` / ``off`` / unset = ``auto``) is the escape
-hatch the differential plan-testing harness flips: index-on and
-index-off runs of the same query must return byte-identical results.
-``REPRO_INDEX_INCR`` (on unless ``off``) picks between incremental
-maintenance from each update's touched set and the eager
-rebuild-everything fallback; the two must produce byte-identical
-``idx_*`` tables.
+An index is used when it exists: ``IndexManager.create(doc)`` builds
+one, ``drop(doc)`` removes it, and the planner consults whatever is
+there — an indexed and an unindexed store must answer every query
+byte-identically.  Updates repair an existing index from their touched
+set, or rebuild it when the touched set is too large; either way the
+rows come from one producer and are checked by the invariant auditor
+(:mod:`repro.check.invariants`), which derives them independently.
 """
 
 from repro.index.advisor import (
@@ -38,8 +38,6 @@ from repro.index.manager import (
     STATS_REFRESH_THRESHOLD,
     IndexContext,
     IndexManager,
-    index_incremental_from_env,
-    index_mode_from_env,
 )
 
 __all__ = [
@@ -57,7 +55,5 @@ __all__ = [
     "choose_path_plan",
     "choose_value_plan",
     "estimate_value_matches",
-    "index_incremental_from_env",
-    "index_mode_from_env",
     "is_indexable_xpath",
 ]

@@ -18,19 +18,25 @@ surrogate ``id``, so they are encoding-independent and index create /
 drop / maintenance is plain transactional DML — crash safety falls out
 of transaction rollback, with no DDL recovery path.
 
-Maintenance is *incremental* by default: each update operation hands
-its touched set (removed ids, reshred subtree roots, string-value
-anchors — see :class:`repro.core.updates.UpdateReport`) down into the
-same transaction, and only those rows are repaired.  Index rows carry
-no order columns, so renumbering never invalidates them; relabels only
-feed the fallback budget.  Ops that invalidate more than
-:data:`INCR_FALLBACK_FRACTION` of the document (or that cannot account
-exactly for what they touched) fall back to the eager
-:meth:`IndexManager._rebuild_rows` full pass, and the whole incremental
-path sits behind the ``REPRO_INDEX_INCR=on|off`` hatch.  The path
-dictionary is append-only in both modes — path ids are stable across
-rebuilds, which is what makes incremental and eager maintenance produce
-byte-identical tables.
+An index is used when it exists: :meth:`IndexManager.create` writes a
+document's rows, :meth:`IndexManager.drop` removes them, and the
+planner consults them iff they are there.  Nothing else selects it.
+
+Every index row has one producer, :meth:`IndexManager._index_rows`,
+which walks a forest of node rows under the stored path of its parent.
+``create`` (and :meth:`IndexManager._rebuild_rows` generally) hands it
+the whole document; maintenance hands it one reshredded subtree at a
+time: each update operation passes its touched set (removed ids,
+reshred subtree roots, string-value anchors — see
+:class:`repro.core.updates.UpdateReport`) down into the same
+transaction, and only those rows are repaired.  Index rows carry no
+order columns, so renumbering never invalidates them.  An update that
+invalidates more than :data:`INCR_FALLBACK_FRACTION` of the document
+(or that cannot account exactly for what it touched) rebuilds instead —
+a choice made from the update's size, not a setting.  The path
+dictionary is append-only — path ids are stable across rebuilds, which
+is what makes piecewise repair and a full rebuild produce byte-identical
+tables.
 
 The statistics refresh lazily: ``updates_since`` counts update
 operations since the last refresh, and crossing
@@ -44,13 +50,13 @@ may safely outlive every write.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.core.numeric import xpath_number_value
 from repro.core.schema import KIND_ELEMENT, KIND_TEXT
+from repro.core.shredder import group_siblings
 from repro.obs import METRICS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,43 +65,12 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Update operations between automatic statistics refreshes.
 STATS_REFRESH_THRESHOLD = 32
 
-#: Incremental maintenance falls back to an eager rebuild once an
-#: update invalidates more than this fraction of the document's rows
-#: (removed + reshredded) — past that point a single full pass is
-#: cheaper than piecewise repair.  Relabeled rows don't count: the
-#: idx_* tables carry no order columns, so renumbering never
-#: invalidates an index row.
+#: Maintenance rebuilds the whole document once an update invalidates
+#: more than this fraction of its rows (removed + reshredded) — past
+#: that point a single full pass is cheaper than piecewise repair.
+#: Relabeled rows don't count: the idx_* tables carry no order columns,
+#: so renumbering never invalidates an index row.
 INCR_FALLBACK_FRACTION = 0.25
-
-_OFF_VALUES = frozenset({"off", "0", "false", "no", "disabled"})
-_ON_VALUES = frozenset({"on", "1", "true", "yes", "enabled"})
-
-
-def index_mode_from_env() -> str:
-    """The ``REPRO_INDEX`` escape hatch: ``on`` | ``off`` | ``auto``.
-
-    ``on`` builds indexes at load time and uses them; ``off`` never
-    uses them (existing index rows are kept but ignored); ``auto`` —
-    the default — uses an index when the document has one and never
-    builds one implicitly.
-    """
-    value = os.environ.get("REPRO_INDEX", "").strip().lower()
-    if value in _ON_VALUES:
-        return "on"
-    if value in _OFF_VALUES:
-        return "off"
-    return "auto"
-
-
-def index_incremental_from_env() -> bool:
-    """The ``REPRO_INDEX_INCR`` escape hatch: incremental maintenance
-    is on by default; ``off`` forces the eager full rebuild on every
-    update (the pre-incremental behaviour, kept as a safety valve and
-    as the differential twin for the equivalence tests)."""
-    value = os.environ.get("REPRO_INDEX_INCR", "").strip().lower()
-    if value in _OFF_VALUES:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -140,39 +115,11 @@ class IndexManager:
 
     def __init__(self, store: "XmlStore") -> None:
         self.store = store
-        #: Per-store override of the ``REPRO_INDEX`` mode; the
-        #: differential harnesses use it to pin one store of a twin
-        #: pair to ``on`` and the other to ``off`` within one process.
-        self.force_mode: Optional[str] = None
-        #: Per-store override of ``REPRO_INDEX_INCR``; the equivalence
-        #: tests pin one store of a twin pair to incremental and the
-        #: other to eager within one process.
-        self.force_incremental: Optional[bool] = None
-        #: Per-store override of :data:`INCR_FALLBACK_FRACTION`
-        #: (tests raise it to 1.0 to keep tiny documents on the
-        #: incremental path).
-        self.fallback_fraction: Optional[float] = None
-
-    # -- mode --------------------------------------------------------------
-
-    def mode(self) -> str:
-        if self.force_mode is not None:
-            return self.force_mode
-        return index_mode_from_env()
-
-    def incremental(self) -> bool:
-        """Is incremental maintenance enabled for this store?"""
-        if self.force_incremental is not None:
-            return self.force_incremental
-        return index_incremental_from_env()
-
-    def auto_create(self) -> bool:
-        """Should loads build the index implicitly (mode ``on``)?"""
-        return self.mode() == "on"
 
     # -- presence ----------------------------------------------------------
 
     def exists(self, doc: int) -> bool:
+        """Does *doc* have an index (its ``present`` marker row)?"""
         result = self.store._execute(
             "SELECT value FROM idx_stats "
             "WHERE doc = ? AND kind = 'meta' AND skey = 'present'",
@@ -185,24 +132,26 @@ class IndexManager:
     def create(self, doc: int) -> dict:
         """(Re)build *doc*'s indexes and statistics; returns a report."""
         self.store.document_info(doc)  # raises StorageError if unknown
-
-        def build() -> dict:
-            self.store.note_write(doc)
-            survey = self._rebuild_rows(doc)
-            version = self._next_stats_version(doc)
-            self._write_stats(doc, survey, version)
-            return {
-                "doc": doc,
-                "elements": survey["element_count"],
-                "paths": survey["path_count"],
-                "nodes": survey["node_count"],
-                "stats_version": version,
-            }
-
-        report = self.store.transactionally(build)
+        report = self.store.transactionally(
+            lambda: self._publish_stats(doc, self._rebuild_rows(doc))
+        )
         METRICS.inc("index.created")
         METRICS.inc("index.rows", report["elements"])
         return report
+
+    def _publish_stats(self, doc: int, survey: dict) -> dict:
+        """Write *survey* as *doc*'s statistics under a fresh version
+        (txn caller-owned); returns the create/refresh report."""
+        self.store.note_write(doc)
+        version = self._next_stats_version(doc)
+        self._write_stats(doc, survey, version)
+        return {
+            "doc": doc,
+            "elements": survey["element_count"],
+            "paths": survey["path_count"],
+            "nodes": survey["node_count"],
+            "stats_version": version,
+        }
 
     def drop(self, doc: int) -> bool:
         """Remove *doc*'s index rows; True if an index was present."""
@@ -223,12 +172,6 @@ class IndexManager:
         for table in ("idx_sval", "idx_paths", "idx_pathmap", "idx_stats"):
             backend.execute(f"DELETE FROM {table} WHERE doc = ?", (doc,))
 
-    def _purge_data_in_transaction(self, doc: int) -> None:
-        """Delete *doc*'s index data rows, keeping ``idx_stats``."""
-        backend = self.store.backend
-        for table in ("idx_sval", "idx_paths", "idx_pathmap"):
-            backend.execute(f"DELETE FROM {table} WHERE doc = ?", (doc,))
-
     def refresh_stats(self, doc: int) -> dict:
         """Recompute *doc*'s statistics unconditionally.
 
@@ -242,21 +185,9 @@ class IndexManager:
         self.store.document_info(doc)  # raises StorageError if unknown
         if not self.exists(doc):
             return self.create(doc)
-
-        def refresh() -> dict:
-            self.store.note_write(doc)
-            survey = self._survey(doc)
-            version = self._next_stats_version(doc)
-            self._write_stats(doc, survey, version)
-            return {
-                "doc": doc,
-                "elements": survey["element_count"],
-                "paths": survey["path_count"],
-                "nodes": survey["node_count"],
-                "stats_version": version,
-            }
-
-        report = self.store.transactionally(refresh)
+        report = self.store.transactionally(
+            lambda: self._publish_stats(doc, self._survey(doc))
+        )
         METRICS.inc("index.stats_refreshed")
         return report
 
@@ -272,14 +203,14 @@ class IndexManager:
 
         *report* is the outermost operation's
         :class:`~repro.core.updates.UpdateReport` carrying the touched
-        set.  When incremental maintenance is enabled and the report
-        accounts exactly for what it touched, only the affected rows
-        are repaired (``index.incremental``); otherwise — no report,
-        inexact accounting, or a touched set past the fallback budget —
-        the eager full rebuild runs (``index.fallback_rebuild``).  A
-        zero-row no-op (removing an absent attribute, an empty batch
-        entry) skips maintenance entirely: no row writes, no
-        ``updates_since`` bump.
+        set.  When the report accounts exactly for what it touched and
+        the touched set fits the fallback budget, only the affected
+        rows are repaired (``index.incremental``); a touched set past
+        the budget rebuilds the document's rows instead
+        (``index.fallback_rebuild``), as does an update with no report
+        or inexact accounting.  A zero-row no-op (removing an absent
+        attribute, an empty batch entry) skips maintenance entirely:
+        no row writes, no ``updates_since`` bump.
 
         Statistics refresh only when the update counter crosses the
         threshold; in between, the recorded statistics go stale on
@@ -287,21 +218,15 @@ class IndexManager:
         """
         if report is not None and report.rows_touched() == 0:
             return
-        if not self._present_in_transaction(doc):
+        if not self.exists(doc):
             return
         survey = None
-        applied = False
-        if (
-            self.incremental()
-            and report is not None
-            and report.index_exact
-        ):
-            applied = self._apply_delta_in_transaction(doc, report)
-            if applied:
-                METRICS.inc("index.incremental")
-            else:
+        exact = report is not None and report.index_exact
+        if exact and self._apply_delta_in_transaction(doc, report):
+            METRICS.inc("index.incremental")
+        else:
+            if exact:
                 METRICS.inc("index.fallback_rebuild")
-        if not applied:
             survey = self._rebuild_rows(doc)
         meta = self._read_meta(doc)
         updates = int(meta.get("updates_since", 0)) + 1
@@ -313,14 +238,6 @@ class IndexManager:
         else:
             self._set_meta(doc, "updates_since", updates)
         METRICS.inc("index.maintained")
-
-    def _present_in_transaction(self, doc: int) -> bool:
-        result = self.store.backend.execute(
-            "SELECT value FROM idx_stats "
-            "WHERE doc = ? AND kind = 'meta' AND skey = 'present'",
-            (doc,),
-        )
-        return bool(result.rows)
 
     # -- staleness ---------------------------------------------------------
 
@@ -350,16 +267,11 @@ class IndexManager:
     def context(self, doc: int) -> Optional[IndexContext]:
         """The planner's view of *doc*'s index, or ``None``.
 
-        ``None`` means compile scan plans: mode ``off``, or no index
-        present (mode ``on`` builds one on first use so pre-existing
-        stores pick indexes up without a reload).  Cached beside the
-        document's catalogue row under the same per-document epoch, so
-        only a write to *doc* makes the next call re-read its
-        ``idx_stats`` rows.
+        ``None`` means *doc* has no index: compile scan plans.  Cached
+        beside the document's catalogue row under the same
+        per-document epoch, so only a write to *doc* makes the next
+        call re-read its ``idx_stats`` rows.
         """
-        mode = self.mode()
-        if mode == "off":
-            return None
         cache = self.store.cache
         use_cache = cache.enabled and not self.store._in_own_transaction()
         if use_cache:
@@ -368,11 +280,6 @@ class IndexManager:
                 return hit[0]
             epoch = cache.epoch(doc)
         ctx = self._load_context(doc)
-        if ctx is None and mode == "on":
-            self.create(doc)
-            if use_cache:
-                epoch = cache.epoch(doc)  # create() just advanced it
-            ctx = self._load_context(doc)
         if use_cache:
             cache.put_index_context(doc, (ctx,), epoch)
         return ctx
@@ -432,9 +339,6 @@ class IndexManager:
             "path_count": ctx.path_count,
             "updates_since": ctx.updates_since,
             "stale": self.stats_stale(doc),
-            "maintenance": (
-                "incremental" if self.incremental() else "eager"
-            ),
             "tags": dict(
                 sorted(ctx.tag_counts.items(),
                        key=lambda kv: (-kv[1], kv[0]))[:10]
@@ -443,163 +347,169 @@ class IndexManager:
 
     # -- the build pass ----------------------------------------------------
 
-    def _scan_document(self, doc: int) -> tuple[dict, list, dict, dict]:
-        """One full pass over *doc*'s node table (txn caller-owned).
+    def _index_rows(
+        self,
+        doc: int,
+        rows: list[dict],
+        order: str,
+        parent_id: int,
+        parent_path: str,
+        paths: dict[str, int],
+    ) -> tuple[list[tuple], list[tuple], list[tuple]]:
+        """The one producer of index rows: ``(idx_sval rows,
+        idx_pathmap rows, fresh idx_paths rows)`` for a forest.
 
-        Children sorted by the encoding's sibling-order column, a
-        preorder walk assigning root paths and a reverse-preorder pass
-        accumulating XPath string-values (every descendant sits after
+        *rows* are the node rows of whole subtrees whose roots are
+        children of *parent_id* — the document node (0) for a rebuild,
+        a reshredded subtree's parent for a repair — and *parent_path*
+        is that parent's rooted path (``""`` for the document).
+        Children sort by the encoding's sibling-order column *order*;
+        a preorder walk assigns root paths and a reverse-preorder pass
+        accumulates XPath string-values (every descendant sits after
         its ancestor in preorder, so reversed preorder sees children
         before parents).  Iterative throughout — document depth must
         not be bounded by the Python stack.
 
-        The path dictionary is seeded from the stored ``idx_paths``
-        rows and only ever appended to: path ids are stable across
-        rebuilds (orphaned paths are retained — a probe for one simply
-        finds no occurrences), which keeps eager and incremental
-        maintenance byte-identical.
-
-        Returns ``(survey, sval_rows, paths, node_path)``.
+        *paths* is the document's path dictionary and is only ever
+        appended to: an unseen path takes the next id and is returned
+        as a fresh row.  Path ids are therefore stable across rebuilds
+        (orphaned paths are retained — a probe for one simply finds no
+        occurrences), and because a subtree's preorder is the
+        document's preorder restricted to it, first-encounter
+        allocation assigns a repair the same ids a rebuild would.
         """
-        backend = self.store.backend
-        encoding = self.store.encoding_for(doc)
-        table = encoding.node_table.name
-        order = encoding.sibling_order_column
-        rows = backend.execute(
-            f"SELECT id, parent, kind, tag, value, depth, {order} "
-            f"FROM {table} WHERE doc = ?",
-            (doc,),
-        ).rows
-        nodes: dict[int, tuple] = {}
-        children: dict[int, list] = {}
-        for node_id, parent, kind, tag, value, depth, okey in rows:
-            nodes[node_id] = (parent, kind, tag, value, depth)
-            children.setdefault(parent, []).append((okey, node_id))
-        for siblings in children.values():
-            siblings.sort(key=lambda pair: pair[0])
-
-        preorder: list[int] = []
-        paths = self._load_paths(doc)
-        node_path: dict[int, int] = {}
+        children = group_siblings(rows, order)
+        preorder: list[tuple[dict, Optional[int]]] = []
+        fresh_paths: list[tuple] = []
         stack = [
-            (node_id, "")
-            for _okey, node_id in reversed(children.get(0, []))
+            (row, parent_path)
+            for row in reversed(children.get(parent_id, []))
         ]
         while stack:
-            node_id, parent_path = stack.pop()
-            preorder.append(node_id)
-            _parent, kind, tag, _value, _depth = nodes[node_id]
-            child_path = parent_path
-            if kind == KIND_ELEMENT:
-                child_path = f"{parent_path}/{tag}"
-                pathid = paths.setdefault(child_path, len(paths) + 1)
-                node_path[node_id] = pathid
-            for _okey, child in reversed(children.get(node_id, [])):
-                stack.append((child, child_path))
+            row, above = stack.pop()
+            path, pathid = above, None
+            if row["kind"] == KIND_ELEMENT:
+                path = f"{above}/{row['tag']}"
+                pathid = paths.get(path)
+                if pathid is None:
+                    pathid = paths[path] = len(paths) + 1
+                    fresh_paths.append((doc, pathid, path))
+            preorder.append((row, pathid))
+            for child in reversed(children.get(row["id"], [])):
+                stack.append((child, path))
 
         svals: dict[int, str] = {}
-        for node_id in reversed(preorder):
-            _parent, kind, _tag, value, _depth = nodes[node_id]
-            if kind == KIND_TEXT:
-                svals[node_id] = value or ""
-            elif kind == KIND_ELEMENT:
-                svals[node_id] = "".join(
-                    svals[child]
-                    for _okey, child in children.get(node_id, [])
+        for row, _pathid in reversed(preorder):
+            if row["kind"] == KIND_TEXT:
+                svals[row["id"]] = row["value"] or ""
+            elif row["kind"] == KIND_ELEMENT:
+                svals[row["id"]] = "".join(
+                    svals[child["id"]]
+                    for child in children.get(row["id"], [])
                 )
             else:  # comments and PIs contribute nothing upward
-                svals[node_id] = ""
+                svals[row["id"]] = ""
 
-        tag_counts: Counter = Counter()
-        depth_histogram: Counter = Counter()
-        tag_values: dict[str, set] = {}
-        sval_rows = []
-        max_depth = 0
-        for node_id in preorder:
-            parent, kind, tag, _value, depth = nodes[node_id]
-            max_depth = max(max_depth, depth)
-            if kind != KIND_ELEMENT:
+        sval_rows: list[tuple] = []
+        pathmap_rows: list[tuple] = []
+        for row, pathid in preorder:
+            if pathid is None:
                 continue
-            sval = svals[node_id]
+            sval = svals[row["id"]]
             sval_rows.append(
-                (doc, node_id, parent, tag, sval,
+                (doc, row["id"], row["parent"], row["tag"], sval,
                  xpath_number_value(sval))
             )
-            tag_counts[tag] += 1
-            depth_histogram[depth] += 1
-            tag_values.setdefault(tag, set()).add(sval)
+            pathmap_rows.append((doc, pathid, row["id"]))
+        return sval_rows, pathmap_rows, fresh_paths
 
+    def _scan_document(self, doc: int) -> tuple[dict, tuple]:
+        """One full pass over *doc*'s node table (txn caller-owned):
+        the statistics survey, and every index row the document
+        implies as :meth:`_index_rows` returns them."""
+        encoding = self.store.encoding_for(doc)
+        order = encoding.sibling_order_column
+        columns = ("id", "parent", "kind", "tag", "value", "depth", order)
+        rows = [
+            dict(zip(columns, row))
+            for row in self.store.backend.execute(
+                f"SELECT {', '.join(columns)} "
+                f"FROM {encoding.node_table.name} WHERE doc = ?",
+                (doc,),
+            ).rows
+        ]
+        paths = self._load_paths(doc)
+        produced = self._index_rows(doc, rows, order, 0, "", paths)
+        sval_rows = produced[0]
+        depth_of = {row["id"]: row["depth"] for row in rows}
+        tag_values: dict[str, set] = {}
+        for _doc, _id, _parent, tag, sval, _nval in sval_rows:
+            tag_values.setdefault(tag, set()).add(sval)
         survey = {
             "node_count": len(rows),
             "element_count": len(sval_rows),
             "path_count": len(paths),
-            "max_depth": max_depth,
-            "tag_counts": tag_counts,
-            "depth_histogram": depth_histogram,
+            "max_depth": max(depth_of.values(), default=0),
+            "tag_counts": Counter(row[3] for row in sval_rows),
+            "depth_histogram": Counter(
+                depth_of[row[1]] for row in sval_rows
+            ),
             "distinct_counts": {
                 tag: len(values) for tag, values in tag_values.items()
             },
         }
-        return survey, sval_rows, paths, node_path
+        return survey, produced
 
     def _survey(self, doc: int) -> dict:
         """Survey *doc* without touching any rows (txn caller-owned)."""
-        survey, _sval_rows, _paths, _node_path = self._scan_document(doc)
-        return survey
+        return self._scan_document(doc)[0]
 
     def _rebuild_rows(self, doc: int) -> dict:
-        """Recompute every ``idx_*`` data row of *doc* (txn caller-owned)."""
+        """Recompute every occurrence row of *doc* (txn caller-owned);
+        returns the survey taken on the way."""
+        survey, produced = self._scan_document(doc)
+        for table in ("idx_sval", "idx_pathmap"):
+            self.store.backend.execute(
+                f"DELETE FROM {table} WHERE doc = ?", (doc,)
+            )
+        self._insert_rows(*produced)
+        METRICS.inc("index.row_writes", sum(map(len, produced)))
+        return survey
+
+    def _insert_rows(self, sval_rows, pathmap_rows, fresh_paths) -> None:
         backend = self.store.backend
-        survey, sval_rows, paths, node_path = self._scan_document(doc)
-        self._purge_data_in_transaction(doc)
         backend.executemany(
             "INSERT INTO idx_sval VALUES (?, ?, ?, ?, ?, ?)", sval_rows
         )
         backend.executemany(
-            "INSERT INTO idx_paths VALUES (?, ?, ?)",
-            ((doc, pathid, path) for path, pathid in paths.items()),
+            "INSERT INTO idx_paths VALUES (?, ?, ?)", fresh_paths
         )
         backend.executemany(
-            "INSERT INTO idx_pathmap VALUES (?, ?, ?)",
-            (
-                (doc, pathid, node_id)
-                for node_id, pathid in node_path.items()
-            ),
+            "INSERT INTO idx_pathmap VALUES (?, ?, ?)", pathmap_rows
         )
-        METRICS.inc(
-            "index.row_writes",
-            len(sval_rows) + len(paths) + len(node_path),
-        )
-        return survey
 
     # -- incremental maintenance -------------------------------------------
 
     def _apply_delta_in_transaction(self, doc: int, report) -> bool:
         """Repair *doc*'s index rows from an update's touched set.
 
-        Three steps, mirroring the tentpole contract: (a) drop
-        ``idx_sval``/``idx_pathmap`` rows for removed and reshredded
-        ids, (b) shred each new subtree via the encoding's
-        descendant-range scan against the append-only path dictionary,
-        (c) recompute aggregated string-values bottom-up along the
-        anchors' root paths only.
+        Three steps: (a) drop ``idx_sval``/``idx_pathmap`` rows for
+        removed and reshredded ids, (b) run each reshredded subtree,
+        fetched by the encoding's descendant-range scan, through
+        :meth:`_index_rows` under its parent's stored path, (c)
+        recompute aggregated string-values bottom-up along the anchors'
+        root paths only.
 
         Returns ``False`` when the delta should not (fallback budget
         exceeded) or cannot (bookkeeping hole) be applied piecewise;
-        the caller then runs the eager rebuild, which purges everything
-        this method may already have written — bailing out is safe at
-        any point.
+        the caller then rebuilds, which replaces everything this method
+        may already have written — bailing out is safe at any point.
         """
         from repro.core.reconstruct import fetch_subtree_rows
 
         backend = self.store.backend
         info = self.store.document_info(doc)
-        fraction = (
-            self.fallback_fraction
-            if self.fallback_fraction is not None
-            else INCR_FALLBACK_FRACTION
-        )
-        budget = max(1.0, info.node_count * fraction)
+        budget = max(1.0, info.node_count * INCR_FALLBACK_FRACTION)
         # Relabels are excluded: the idx_* tables carry no order
         # columns, so renumbering leaves every index row valid.
         removed = dict.fromkeys(report.removed_ids)
@@ -610,8 +520,7 @@ class IndexManager:
         # Collect the subtrees to (re)shred, skipping roots a later op
         # in the same transaction deleted and roots nested inside an
         # earlier root's subtree.
-        encoding = self.store.encoding_for(doc)
-        order = encoding.sibling_order_column
+        order = self.store.encoding_for(doc).sibling_order_column
         subtrees: list[list[dict]] = []
         covered: set[int] = set()
         for root_id in dict.fromkeys(report.reshred_roots):
@@ -641,75 +550,17 @@ class IndexManager:
         # (b) Shred the new subtrees.
         paths = self._load_paths(doc)
         path_names = {pathid: path for path, pathid in paths.items()}
-        fresh_paths: list[tuple] = []
-        sval_rows: list[tuple] = []
-        pathmap_rows: list[tuple] = []
+        produced: tuple[list, list, list] = ([], [], [])
         for rows in subtrees:
-            root_row = rows[0]
-            parent_path = self._indexed_path(
-                doc, root_row["parent"], path_names
-            )
+            parent_id = rows[0]["parent"]
+            parent_path = self._indexed_path(doc, parent_id, path_names)
             if parent_path is None:
                 return False
-            nodes = {r["id"]: r for r in rows}
-            children: dict[int, list[dict]] = {}
-            for row in rows[1:]:
-                children.setdefault(row["parent"], []).append(row)
-            for siblings in children.values():
-                siblings.sort(key=lambda r: r[order])
-            preorder: list[int] = []
-            node_path: dict[int, int] = {}
-            stack = [(root_row["id"], parent_path)]
-            while stack:
-                node_id, above = stack.pop()
-                preorder.append(node_id)
-                row = nodes[node_id]
-                child_path = above
-                if row["kind"] == KIND_ELEMENT:
-                    # Subtree preorder is document preorder restricted
-                    # to the subtree, so first-encounter allocation
-                    # assigns the same fresh path ids an eager rebuild
-                    # would.
-                    child_path = f"{above}/{row['tag']}"
-                    pathid = paths.get(child_path)
-                    if pathid is None:
-                        pathid = len(paths) + 1
-                        paths[child_path] = pathid
-                        fresh_paths.append((doc, pathid, child_path))
-                    node_path[node_id] = pathid
-                for child in reversed(children.get(node_id, [])):
-                    stack.append((child["id"], child_path))
-            svals: dict[int, str] = {}
-            for node_id in reversed(preorder):
-                row = nodes[node_id]
-                if row["kind"] == KIND_TEXT:
-                    svals[node_id] = row["value"] or ""
-                elif row["kind"] == KIND_ELEMENT:
-                    svals[node_id] = "".join(
-                        svals[child["id"]]
-                        for child in children.get(node_id, [])
-                    )
-                else:
-                    svals[node_id] = ""
-            for node_id in preorder:
-                row = nodes[node_id]
-                if row["kind"] != KIND_ELEMENT:
-                    continue
-                sval = svals[node_id]
-                sval_rows.append(
-                    (doc, node_id, row["parent"], row["tag"], sval,
-                     xpath_number_value(sval))
-                )
-                pathmap_rows.append((doc, node_path[node_id], node_id))
-        backend.executemany(
-            "INSERT INTO idx_sval VALUES (?, ?, ?, ?, ?, ?)", sval_rows
-        )
-        backend.executemany(
-            "INSERT INTO idx_paths VALUES (?, ?, ?)", fresh_paths
-        )
-        backend.executemany(
-            "INSERT INTO idx_pathmap VALUES (?, ?, ?)", pathmap_rows
-        )
+            for part, more in zip(produced, self._index_rows(
+                doc, rows, order, parent_id, parent_path, paths
+            )):
+                part.extend(more)
+        self._insert_rows(*produced)
 
         # (c) Repair aggregated string-values along the anchors' root
         # paths.  Collect every chain node first, then recompute in
@@ -743,8 +594,7 @@ class IndexManager:
 
         METRICS.inc(
             "index.row_writes",
-            len(stale_ids) + len(sval_rows) + len(fresh_paths)
-            + len(pathmap_rows) + repaired,
+            len(stale_ids) + sum(map(len, produced)) + repaired,
         )
         return True
 
@@ -752,7 +602,7 @@ class IndexManager:
         """An element's string-value from its children's current index
         rows (texts contribute their value, elements their stored
         ``sval``).  ``None`` signals a bookkeeping hole — a child
-        element with no index row — which forces the eager fallback."""
+        element with no index row — which forces the rebuild fallback."""
         backend = self.store.backend
         children = self.store.fetch_children(doc, element_id)
         element_ids = [

@@ -557,7 +557,6 @@ def _load_baseline(
     seed: int,
     fail: Callable[..., CrashFailure],
     updates_rng: Optional[random.Random] = None,
-    prepare: Callable[[XmlStore], None] = lambda store: None,
 ) -> tuple[int, Optional[CrashFailure]]:
     """Make the seeded document durable — after two seeded updates when
     *updates_rng* is given, so order values, attributes and string
@@ -566,7 +565,6 @@ def _load_baseline(
         seed, max_depth=config.max_depth, max_children=config.max_children
     )
     with medium.session() as (store, _):
-        prepare(store)
         doc = store.load(document)
         for _ in range(2 if updates_rng is not None else 0):
             op = plan_operation(updates_rng, store, doc)
@@ -787,12 +785,6 @@ def _index_signature(store: XmlStore, doc: int) -> Optional[tuple]:
     )
 
 
-def _pin_index_auto(store: XmlStore) -> None:
-    # Under REPRO_INDEX=on the load itself would build the index and
-    # the unindexed baseline would not be.
-    store.indexes.force_mode = "auto"
-
-
 def run_index_crashtest(
     config: CrashTestConfig,
     workdir: Optional[Union[str, Path]] = None,
@@ -802,8 +794,8 @@ def run_index_crashtest(
     Per ``(seed, gap, backend, encoding)`` cell: a seeded, twice-
     updated, unindexed document, then three :func:`sweep` s in a row,
     each starting from the state the previous one left durable —
-    ``indexes.create``, a seeded update with incremental maintenance
-    pinned on, ``indexes.drop``.  All three share one signature, node
+    ``indexes.create``, a seeded update maintaining that index,
+    ``indexes.drop``.  All three share one signature, node
     tables plus the full contents of the index tables, so "a crashed
     create or drop changed the node tables", "the recovered index is
     partial" and "the update tore nodes from index" are all the same
@@ -813,8 +805,7 @@ def run_index_crashtest(
     def cell(directory, fail, report, seed, gap, backend, encoding):
         medium = make_medium(backend, directory, encoding, gap)
         doc, failure = _load_baseline(
-            medium, config, seed, fail, random.Random(seed * 6389 + 17),
-            prepare=_pin_index_auto,
+            medium, config, seed, fail, random.Random(seed * 6389 + 17)
         )
         if failure is not None:
             return failure
@@ -848,15 +839,12 @@ def run_index_crashtest(
         with medium.session() as (store, _):
             op = plan_operation(random.Random(seed * 9791 + 7), store, doc)
 
-        def indexed_update(store: XmlStore) -> None:
-            # Incremental maintenance rides the update's own
-            # transaction, so node tables and index rows must tear
-            # together or not at all.
-            store.indexes.force_incremental = True
-            apply_operation(store, doc, op)
-
+        # Index maintenance rides the update's own transaction, so
+        # node tables and index rows must tear together or not at all.
         return run(
-            71, "indexed update", indexed_update, post_ok=indexed,
+            71, "indexed update",
+            lambda store: apply_operation(store, doc, op),
+            post_ok=indexed,
         ) or run(
             53, "drop index", lambda store: store.indexes.drop(doc),
             post_ok=lambda post: not indexed(post),

@@ -34,7 +34,7 @@ from typing import (
 )
 
 from repro.backends import Backend, make_backend
-from repro.cache import StoreCache, cache_enabled_from_env
+from repro.cache import StoreCache
 from repro.obs import METRICS, slow_log, span
 from repro.core.encodings import OrderEncoding, get_encoding
 from repro.core.schema import SHADOW_PREFIX, documents_table, index_tables
@@ -138,8 +138,7 @@ class XmlStore:
         encoding: Union[str, OrderEncoding] = "dewey",
         gap: int = 1,
         retry: Optional["RetryPolicy"] = None,
-        cache: Optional[bool] = None,
-        index_incremental: Optional[bool] = None,
+        cache: bool = True,
     ) -> None:
         """Create a store.
 
@@ -162,16 +161,9 @@ class XmlStore:
             surfacing :class:`repro.errors.TransientStorageError` only
             after the budget is exhausted.
         cache:
-            Plan/catalog/result caching (see :mod:`repro.cache`).
-            ``None`` (the default) follows the ``REPRO_CACHE``
-            environment variable (on unless set to ``off``); ``True``
-            / ``False`` override it explicitly.
-        index_incremental:
-            Secondary-index maintenance strategy.  ``None`` (the
-            default) follows the ``REPRO_INDEX_INCR`` environment
-            variable (incremental unless set to ``off``); ``True`` /
-            ``False`` pin this store to incremental / eager rebuild
-            explicitly (the equivalence tests twin one of each).
+            Plan/catalog/result caching (see :mod:`repro.cache`);
+            ``False`` makes every call translate and execute afresh
+            (the benchmarks time such stores).
         """
         if gap < 1:
             raise StorageError(f"gap must be >= 1, got {gap}")
@@ -188,9 +180,7 @@ class XmlStore:
         #: Plan/catalog/result caches.  Every commit invalidates the
         #: catalog and result entries of the documents it wrote (see
         #: :meth:`transactionally`); plans are never invalidated.
-        self.cache = StoreCache(
-            enabled=cache_enabled_from_env() if cache is None else bool(cache)
-        )
+        self.cache = StoreCache(enabled=cache)
         #: Per thread: ``writes`` is the write set of the submitted
         #: operation now running inside this thread's top-level
         #: transaction (see :meth:`note_write`), ``None`` outside one.
@@ -210,9 +200,9 @@ class XmlStore:
         #: Ordered update operations (insert/delete with renumbering).
         self.updates = UpdateManager(self)
         #: Per-document secondary indexes and catalog statistics
-        #: (see :mod:`repro.index`); ``REPRO_INDEX`` gates their use.
+        #: (see :mod:`repro.index`), used for the documents that have
+        #: them.
         self.indexes = IndexManager(self)
-        self.indexes.force_incremental = index_incremental
 
     # -- schema ----------------------------------------------------------
 
@@ -310,13 +300,6 @@ class XmlStore:
                 f"{sql_prefix} AND {column} IN ({placeholders})",
                 (*params, *batch),
             )
-
-    def _executemany(self, sql: str, param_rows):
-        if self.retry is None:
-            return self.backend.executemany(sql, param_rows)
-        # Materialise once: a retry must not replay a spent generator.
-        rows = [tuple(p) for p in param_rows]
-        return self.retry.run(lambda: self.backend.executemany(sql, rows))
 
     def transactionally(self, operation: Callable[[], _T]) -> _T:
         """Run *operation* inside a transaction scope.
@@ -541,9 +524,6 @@ class XmlStore:
 
             with span("bulk_insert"):
                 doc_id = self.transactionally(load_in_transaction)
-            if self.indexes.auto_create():
-                with span("index"):
-                    self.indexes.create(doc_id)
             with span("analyze"):
                 self.backend.analyze()
             METRICS.inc("load.documents")
@@ -673,12 +653,6 @@ class XmlStore:
         document.
         """
         shaped, shape_key, literals = _parse_and_extract(xpath)
-        cache = self.cache
-        if not cache.enabled or self._in_own_transaction():
-            ictx = self.indexes.context(doc)
-            plan = self._compile_uncached(shaped, doc, ictx)
-            self._note_access_path(plan, xpath, ictx is not None)
-            return plan.bind(doc, context_id, literals)
         info = self.document_info(doc)  # first: raises if unknown
         ictx = self.indexes.context(doc)
         fingerprint = None if ictx is None else ictx.fingerprint
@@ -686,11 +660,16 @@ class XmlStore:
         depth = max(info.max_depth, 2)
         dialect = self.backend.dialect
         key = (dialect, encoding_name, shape_key, depth, fingerprint)
-        plan = cache.get_plan(key)
+        # A key derived inside a transaction may name a statistics
+        # version the rollback un-allocates; its plan is not shared.
+        cache = self.cache
+        use_cache = cache.enabled and not self._in_own_transaction()
+        plan = cache.get_plan(key) if use_cache else None
         if plan is None:
             translator = make_translator(encoding_name, max_depth=depth)
             plan = translator.compile(shaped, dialect=dialect, index=ictx)
-            cache.put_plan(key, plan)
+            if use_cache:
+                cache.put_plan(key, plan)
         else:
             METRICS.inc("translate.plan_shared")
         self._note_access_path(plan, xpath, ictx is not None)
@@ -702,33 +681,14 @@ class XmlStore:
         """Record the chosen access path (and missed opportunities).
 
         ``index.miss`` feeds the advisor: an indexable-looking query
-        compiled for a document without an index (mode permitting).
+        compiled for a document without an index.
         """
         METRICS.inc(f"translate.access.{plan.access_path}")
-        if not indexed and self.indexes.mode() != "off":
+        if not indexed:
             from repro.index import is_indexable_xpath
 
             if is_indexable_xpath(xpath):
                 METRICS.inc("index.miss")
-
-    def _translate_uncached(
-        self, xpath: str, doc: int, context_id: Optional[int] = None
-    ) -> TranslatedQuery:
-        shaped, _shape_key, literals = _parse_and_extract(xpath)
-        plan = self._compile_uncached(
-            shaped, doc, self.indexes.context(doc)
-        )
-        return plan.bind(doc, context_id, literals)
-
-    def _compile_uncached(self, shaped, doc: int, index=None):
-        info = self.document_info(doc)
-        translator = make_translator(
-            info.encoding or self.encoding.name,
-            max_depth=max(info.max_depth, 2),
-        )
-        return translator.compile(
-            shaped, dialect=self.backend.dialect, index=index
-        )
 
     def query(
         self, xpath: str, doc: int, context_id: Optional[int] = None

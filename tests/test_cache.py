@@ -23,7 +23,7 @@ from tests.conftest import ALL_ENCODINGS, BACKENDS
 from repro.backends.base import is_write_statement
 from repro.backends.pooled_sqlite import PooledSqliteBackend
 from repro.backends.sqlite_backend import SqliteBackend
-from repro.cache import StoreCache, cache_enabled_from_env
+from repro.cache import StoreCache
 from repro.errors import StorageError
 from repro.obs import METRICS
 from repro.store import XmlStore
@@ -202,21 +202,7 @@ def test_disabled_cache_bump_is_inert():
     assert cache.stats()["epoch"] == 0
 
 
-def test_env_escape_hatch(monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
-    assert cache_enabled_from_env() is True
-    for value in ("off", "0", "false", "NO", " Disabled "):
-        monkeypatch.setenv("REPRO_CACHE", value)
-        assert cache_enabled_from_env() is False
-    monkeypatch.setenv("REPRO_CACHE", "on")
-    assert cache_enabled_from_env() is True
-
-
-def test_store_honors_env_and_explicit_knob(monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "off")
-    assert XmlStore().cache.enabled is False
-    assert XmlStore(cache=True).cache.enabled is True
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
+def test_store_caches_unless_constructed_with_cache_false():
     assert XmlStore().cache.enabled is True
     assert XmlStore(cache=False).cache.enabled is False
 
@@ -283,7 +269,6 @@ def test_deepening_insert_keeps_the_shallow_plan_cached_but_unserved():
     deepened document asks for a deeper key, while the shallow plan
     stays cached and keeps serving a document that is still shallow."""
     store = XmlStore(encoding="local", cache=True)
-    store.indexes.force_mode = "off"  # scan plans are shared across docs
     deepened = store.load(SHALLOW)
     shallow = store.load(SHALLOW)
     assert store.query("//f", deepened) == []
@@ -665,7 +650,6 @@ def test_index_context_is_cached_per_document():
     """A write to A re-reads A's ``idx_stats`` rows and nothing of
     B's: B's next translation issues no backend statement at all."""
     store = XmlStore(cache=True)
-    store.indexes.force_mode = "auto"
     a = store.load(SHALLOW)
     b = store.load(SHALLOW)
     store.indexes.create(a)
@@ -685,7 +669,6 @@ def test_index_context_is_cached_per_document():
 
 def test_deleted_document_leaves_no_cached_context():
     store = XmlStore(cache=True)
-    store.indexes.force_mode = "auto"
     doc = store.load(SHALLOW)
     store.indexes.create(doc)
     assert store.indexes.context(doc) is not None
@@ -840,12 +823,11 @@ def test_plan_shared_across_documents_and_literals():
     the plan key is the query *shape* (dialect, encoding, shape, depth),
     with doc/context/literals bound as parameters afterwards."""
     with counters() as count:
+        # Unindexed on purpose: with an index context the plan key
+        # carries the per-document statistics fingerprint, which
+        # legitimately narrows sharing to one document — this test is
+        # about the shape-keyed sharing of plain scan plans.
         store = XmlStore(cache=True)
-        # Pin indexes off: with an index context the plan key carries
-        # the per-document statistics fingerprint, which legitimately
-        # narrows sharing to one document — this test is about the
-        # shape-keyed sharing of plain scan plans.
-        store.indexes.force_mode = "off"
         d1 = store.load("<r><item id='a'/><item id='b'/></r>")
         d2 = store.load("<r><item id='a'/></r>")
         t1 = store.translate("//item[@id = 'a']", d1)

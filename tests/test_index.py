@@ -5,13 +5,12 @@ Four guards around the ``repro.index`` subsystem:
 * **cost model** — the scan-vs-index decision pinned on both sides of
   each crossover, so retuning the constants is a conscious act;
 * **differential plans** — every query of the conformance corpus runs
-  on an indexed store and an indexes-off twin (both the per-store
-  override and the ``REPRO_INDEX`` environment hatch), across all four
-  encodings and both backends, and must answer byte-identically: the
-  planner may change access paths, never answers;
+  on an indexed store and a twin that was never indexed, across all
+  four encodings and both backends, and must answer byte-identically:
+  the planner may change access paths, never answers;
 * **lifecycle** — plan-cache invalidation when an index appears
   (statistics fingerprint), stale-statistics detection after deepening
-  inserts, eager maintenance through the update manager, the advisor's
+  inserts, maintenance through the update manager, the advisor's
   decision rule, and a fixed-seed create/drop crash sweep;
 * **regressions** — the mixed-content string-value comparison the
   first-text-child shortcut used to get wrong, pinned explicitly and
@@ -30,7 +29,6 @@ from repro.index import (
     choose_path_plan,
     choose_value_plan,
     estimate_value_matches,
-    index_mode_from_env,
     is_indexable_xpath,
 )
 from repro.obs import METRICS
@@ -110,30 +108,6 @@ class TestCostModel:
         assert estimate_value_matches(3, 1000) == 1  # never below one
 
 
-# -- the environment hatch ----------------------------------------------
-
-
-class TestIndexMode:
-    @pytest.mark.parametrize("value,expected", [
-        ("on", "on"), ("1", "on"), ("TRUE", "on"),
-        ("off", "off"), ("0", "off"), ("no", "off"),
-        ("", "auto"), ("anything-else", "auto"),
-    ])
-    def test_env_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_INDEX", value)
-        assert index_mode_from_env() == expected
-
-    def test_unset_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INDEX", raising=False)
-        assert index_mode_from_env() == "auto"
-
-    def test_force_mode_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INDEX", "on")
-        store = XmlStore(backend="sqlite", encoding="global")
-        store.indexes.force_mode = "off"
-        assert store.indexes.mode() == "off"
-
-
 # -- differential plans: indexed vs unindexed must answer identically ----
 
 #: The conformance corpus plus value predicates and deep descents — the
@@ -174,50 +148,27 @@ class TestDifferentialPlans:
     def test_index_on_off_byte_identical(self, encoding, backend):
         document = parse(BIB_XML)
         indexed = XmlStore(backend=backend, encoding=encoding)
-        indexed.indexes.force_mode = "on"
         plain = XmlStore(backend=backend, encoding=encoding)
-        plain.indexes.force_mode = "off"
         doc_i = indexed.load(document)
         doc_p = plain.load(document)
+        indexed.indexes.create(doc_i)
         assert indexed.indexes.exists(doc_i)
         assert not plain.indexes.exists(doc_p)
         assert _answers(indexed, doc_i, DIFFERENTIAL_QUERIES) == _answers(
             plain, doc_p, DIFFERENTIAL_QUERIES
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_env_hatch_on_off_byte_identical(self, monkeypatch, backend):
-        """The same differential through the REPRO_INDEX environment
-        hatch — the knob CI's tier-1 matrix flips."""
-        document = catalog_corpus(products=15)
-        queries = (
-            "/catalog/product/name",
-            "//review/comment",
-            "//product[@sku]/price",
-            "//product//comment",
-            "//product[name = 'Widget 3']",
-        )
-        answers = {}
-        for mode in ("on", "off"):
-            monkeypatch.setenv("REPRO_INDEX", mode)
-            store = XmlStore(backend=backend, encoding="dewey")
-            doc = store.load(document)
-            assert store.indexes.exists(doc) == (mode == "on")
-            answers[mode] = _answers(store, doc, queries)
-        assert answers["on"] == answers["off"]
-
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
     def test_differential_survives_updates(self, encoding):
-        """Eager maintenance: after inserts, deletes, renames and text
+        """Maintenance: after inserts, deletes, renames and text
         edits the indexed store still answers like the unindexed one —
         the index rows ride the same transaction as the node rows."""
         document = random_document(seed=7, max_depth=4, max_children=3)
         indexed = XmlStore(backend="sqlite", encoding=encoding)
-        indexed.indexes.force_mode = "on"
         plain = XmlStore(backend="sqlite", encoding=encoding)
-        plain.indexes.force_mode = "off"
         doc_i = indexed.load(document)
         doc_p = plain.load(document)
+        indexed.indexes.create(doc_i)
         queries = ("//a", "//a//b", "/a/b", "//b[c > 10]", "//a[b = 5]")
         for store, doc in ((indexed, doc_i), (plain, doc_p)):
             root = store.query("/*", doc)[0].node_id
@@ -237,11 +188,8 @@ class TestDifferentialPlans:
 class TestIndexLifecycle:
     def _bulk_store(self, encoding="global", backend="sqlite"):
         """A store whose document is big enough that indexed plans win
-        the cost crossover.  Mode is pinned to ``auto`` so the
-        lifecycle assertions (explicit create/drop flipping plans)
-        hold regardless of the ambient ``REPRO_INDEX`` matrix leg."""
+        the cost crossover."""
         store = XmlStore(backend=backend, encoding=encoding)
-        store.indexes.force_mode = "auto"
         doc = store.load(catalog_corpus(products=30))
         return store, doc
 
@@ -329,7 +277,7 @@ class TestIndexLifecycle:
 
     def test_maintenance_keeps_value_rows_exact(self):
         """After an update, the idx_sval rows equal a from-scratch
-        rebuild: eager maintenance leaves nothing stale behind."""
+        rebuild: maintenance leaves nothing stale behind."""
         store = XmlStore(backend="sqlite", encoding="ordpath")
         doc = store.load(parse(BIB_XML))
         store.indexes.create(doc)
@@ -481,11 +429,10 @@ class TestMixedContentStringValue:
         aggregation computes, so the indexed plan answers mixed-content
         comparisons identically."""
         indexed = XmlStore(backend=backend, encoding="global")
-        indexed.indexes.force_mode = "on"
         plain = XmlStore(backend=backend, encoding="global")
-        plain.indexes.force_mode = "off"
         doc_i = indexed.load(parse(self.MIXED_XML))
         doc_p = plain.load(parse(self.MIXED_XML))
+        indexed.indexes.create(doc_i)
         queries = ("/r[a = 123]", "/r[a = 45]", "/r[a != 45]",
                    "//a[b = 2]")
         assert _answers(indexed, doc_i, queries) == _answers(

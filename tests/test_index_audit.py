@@ -122,7 +122,7 @@ class TestIndexCorruptionIsReported:
                       "documents"):
             _sql(store, f"DELETE FROM {table} WHERE doc = ?", (doc,))
         found = {(v.code, v.doc) for v in audit_store(store)}
-        assert found == {("index-missing-doc", doc)}
+        assert found == {("catalog-missing-doc", doc)}
         assert audit_document(store, other) == []
 
 

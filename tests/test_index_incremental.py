@@ -2,16 +2,18 @@
 
 Four guards around the touched-set maintenance path:
 
-* **equivalence** — the same seeded update script applied to an
-  incremental store and an eager-rebuild twin must leave byte-identical
-  ``idx_*`` tables (including statistics bookkeeping), across all four
-  encodings and both backends, and across the automatic stats-refresh
-  threshold;
+* **equivalence** — after every op of a seeded update script the
+  maintained index must pass the invariant audit (which derives the
+  expected rows from the node tables on its own) and its three data
+  tables must be byte-identical to those of a twin that rebuilds its
+  index with ``indexes.create`` after every op, across all four
+  encodings and both backends; across the automatic stats-refresh
+  threshold the refreshed statistics must equal the rebuilt twin's;
 * **scaling** — maintenance row writes must track the update's touched
   rows, not the document size (the counter-based regression that pins
   the tentpole's complexity claim);
-* **fallback** — deltas past the configurable invalidation budget fall
-  back to the eager rebuild and still converge on the twin's tables;
+* **fallback** — deltas past the invalidation budget fall back to the
+  full rebuild and still converge on the twin's tables;
 * **satellites** — ``refresh_stats`` recomputes statistics without
   rebuilding data rows or counting ``index.created``, zero-row no-op
   updates skip maintenance entirely, and missing depth meta reads as
@@ -25,8 +27,9 @@ import random
 import pytest
 
 from tests.conftest import ALL_ENCODINGS, BACKENDS
+from repro.check import audit_document
 from repro.check.fuzz import apply_operation, plan_operation
-from repro.index import STATS_REFRESH_THRESHOLD, index_incremental_from_env
+from repro.index import STATS_REFRESH_THRESHOLD, manager
 from repro.obs import METRICS
 from repro.store import XmlStore
 from repro.workload import catalog_corpus
@@ -44,45 +47,45 @@ def index_tables(store: XmlStore, doc: int) -> tuple:
     )
 
 
-def twin_pair(backend: str, encoding: str):
-    """An incremental store and an eager-rebuild twin, indexes on."""
-    incr = XmlStore(
-        backend=backend, encoding=encoding, index_incremental=True
-    )
-    eager = XmlStore(
-        backend=backend, encoding=encoding, index_incremental=False
-    )
-    for store in (incr, eager):
-        store.indexes.force_mode = "on"
-    # Keep tiny fuzz documents on the incremental path: the default
-    # budget would route most ops through the fallback rebuild, which
-    # trivially matches the eager twin.
-    incr.indexes.fallback_fraction = 1.0
-    return incr, eager
+DATA_TABLES = slice(0, 3)  # idx_stats restarts at every ``create``
 
 
-class TestIncrementalHatch:
-    def test_default_is_incremental(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INDEX_INCR", raising=False)
-        assert index_incremental_from_env() is True
-
-    @pytest.mark.parametrize("value", ["off", "0", "false", "no"])
-    def test_off_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_INDEX_INCR", value)
-        assert index_incremental_from_env() is False
-
-    def test_store_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INDEX_INCR", "off")
-        store = XmlStore(index_incremental=True)
-        assert store.indexes.incremental() is True
-        store.close()
-        store = XmlStore()
-        assert store.indexes.incremental() is False
-        store.close()
+@pytest.fixture
+def whole_document_budget(monkeypatch):
+    """Keep tiny fuzz documents on the repair path: the default budget
+    would route most ops through the fallback rebuild, which trivially
+    matches the rebuilt twin."""
+    monkeypatch.setattr(manager, "INCR_FALLBACK_FRACTION", 1.0)
 
 
+def twin_pair(backend: str, encoding: str, document):
+    """Two indexed stores of *document*: ``(incr, doc, eager, doc)``.
+    The first is only ever maintained by its updates; callers rebuild
+    the second (``indexes.create``) after every op."""
+    pair = []
+    for _ in range(2):
+        store = XmlStore(backend=backend, encoding=encoding)
+        doc = store.load(document)
+        store.indexes.create(doc)
+        pair += [store, doc]
+    return pair
+
+
+def apply_to_both(incr, doc_i, eager, doc_e, op) -> None:
+    apply_operation(incr, doc_i, op)
+    apply_operation(eager, doc_e, op)
+    eager.indexes.create(doc_e)
+    assert audit_document(incr, doc_i) == [], op["describe"]
+    assert (
+        index_tables(incr, doc_i)[DATA_TABLES]
+        == index_tables(eager, doc_e)[DATA_TABLES]
+    ), f"tables diverged after {op['describe']}"
+
+
+@pytest.mark.usefixtures("whole_document_budget")
 class TestIncrementalVsEager:
-    """The equivalence property: byte-identical tables after every op."""
+    """The equivalence property: a clean audit and byte-identical data
+    tables after every op."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
@@ -90,43 +93,46 @@ class TestIncrementalVsEager:
         self, backend, encoding
     ):
         document = random_document(13, max_depth=4, max_children=3)
-        incr, eager = twin_pair(backend, encoding)
-        doc_i = incr.load(document)
-        doc_e = eager.load(document)
+        incr, doc_i, eager, doc_e = twin_pair(backend, encoding, document)
         assert index_tables(incr, doc_i) == index_tables(eager, doc_e)
         rng = random.Random(1301)
-        for op_index in range(1, 13):
+        for _ in range(12):
             op = plan_operation(rng, incr, doc_i, update_heavy=True)
-            apply_operation(incr, doc_i, op)
-            apply_operation(eager, doc_e, op)
-            assert index_tables(incr, doc_i) == index_tables(
-                eager, doc_e
-            ), f"tables diverged after op #{op_index}: {op['describe']}"
+            apply_to_both(incr, doc_i, eager, doc_e, op)
         incr.close()
         eager.close()
 
     def test_equivalence_across_stats_refresh_threshold(self):
         document = random_document(7, max_depth=4, max_children=3)
-        incr, eager = twin_pair("sqlite", "dewey")
-        doc_i = incr.load(document)
-        doc_e = eager.load(document)
+        incr, doc_i, eager, doc_e = twin_pair("sqlite", "dewey", document)
+
+        def statistics(store, doc):
+            """``idx_stats`` minus the version, which each store draws
+            from its own clock."""
+            return [
+                row for row in index_tables(store, doc)[3]
+                if row[1:3] != ("meta", "stats_version")
+            ]
+
         rng = random.Random(701)
+        refreshes = 0
         for _ in range(STATS_REFRESH_THRESHOLD + 4):
             op = plan_operation(rng, incr, doc_i)
-            apply_operation(incr, doc_i, op)
-            apply_operation(eager, doc_e, op)
-        # Both twins refreshed statistics mid-script; the bookkeeping
-        # (stats_version, updates_since, survey rows) must agree too.
-        assert index_tables(incr, doc_i) == index_tables(eager, doc_e)
-        described = incr.indexes.describe(doc_i)
-        assert described["stats_version"] >= 2
+            apply_to_both(incr, doc_i, eager, doc_e, op)
+            if incr.indexes.describe(doc_i)["updates_since"] == 0:
+                # The automatic refresh surveyed the maintained rows;
+                # the twin just surveyed the document from scratch.
+                refreshes += 1
+                assert statistics(incr, doc_i) == statistics(eager, doc_e)
+        assert refreshes == 1
+        assert incr.indexes.describe(doc_i)["stats_version"] >= 2
         incr.close()
         eager.close()
 
     def test_incremental_path_actually_taken(self):
         document = random_document(13, max_depth=4, max_children=3)
-        incr, _eager = twin_pair("sqlite", "dewey")
-        doc = incr.load(document)
+        incr, doc, eager, _doc_e = twin_pair("sqlite", "dewey", document)
+        eager.close()
         was_enabled = METRICS.enabled
         METRICS.reset()
         METRICS.enabled = True
@@ -148,11 +154,9 @@ class TestMaintenanceScaling:
     """Row writes track the touched set, not the document."""
 
     def _writes_for_one_set_text(self, products: int) -> int:
-        store = XmlStore(
-            backend="sqlite", encoding="dewey", index_incremental=True
-        )
-        store.indexes.force_mode = "on"
+        store = XmlStore(backend="sqlite", encoding="dewey")
         doc = store.load(catalog_corpus(products=products))
+        store.indexes.create(doc)
         catalog = store.fetch_children(doc, 0)[0]
         product = store.fetch_children(doc, catalog["id"])[0]
         name = store.fetch_children(doc, product["id"])[0]
@@ -179,19 +183,14 @@ class TestMaintenanceScaling:
         assert large < 40
 
     def test_eager_rebuild_writes_scale_with_document(self):
-        store = XmlStore(
-            backend="sqlite", encoding="dewey", index_incremental=False
-        )
-        store.indexes.force_mode = "on"
+        store = XmlStore(backend="sqlite", encoding="dewey")
         doc = store.load(catalog_corpus(products=160))
-        catalog = store.fetch_children(doc, 0)[0]
-        product = store.fetch_children(doc, catalog["id"])[0]
-        name = store.fetch_children(doc, product["id"])[0]
+        store.indexes.create(doc)
         was_enabled = METRICS.enabled
         METRICS.reset()
         METRICS.enabled = True
         try:
-            store.updates.set_text(doc, name["id"], "renamed")
+            store.indexes.create(doc)  # the rebuild an update avoids
             counters = METRICS.snapshot()["counters"]
         finally:
             METRICS.enabled = was_enabled
@@ -203,11 +202,8 @@ class TestMaintenanceScaling:
 
 class TestFallbackPolicy:
     def test_large_delete_falls_back_and_still_converges(self):
-        incr, eager = twin_pair("sqlite", "global")
-        incr.indexes.fallback_fraction = None  # default budget
         document = random_document(1, max_depth=4, max_children=3)
-        doc_i = incr.load(document)
-        doc_e = eager.load(document)
+        incr, doc_i, eager, doc_e = twin_pair("sqlite", "global", document)
         # Delete the bulkiest top-level subtree: far past the default
         # invalidation budget on a small document.
         root = incr.fetch_children(doc_i, 0)[0]
@@ -229,15 +225,20 @@ class TestFallbackPolicy:
             METRICS.enabled = was_enabled
             METRICS.reset()
         eager.updates.delete(doc_e, target["id"])
+        eager.indexes.create(doc_e)
         assert counters.get("index.fallback_rebuild", 0) >= 1
-        assert index_tables(incr, doc_i) == index_tables(eager, doc_e)
+        assert audit_document(incr, doc_i) == []
+        assert (
+            index_tables(incr, doc_i)[DATA_TABLES]
+            == index_tables(eager, doc_e)[DATA_TABLES]
+        )
         incr.close()
         eager.close()
 
 
 class TestSatelliteFixes:
-    def _indexed_catalog(self, **kwargs):
-        store = XmlStore(backend="sqlite", encoding="dewey", **kwargs)
+    def _indexed_catalog(self):
+        store = XmlStore(backend="sqlite", encoding="dewey")
         doc = store.load(catalog_corpus(products=6))
         store.indexes.create(doc)
         return store, doc
@@ -275,8 +276,7 @@ class TestSatelliteFixes:
         store.close()
 
     def test_noop_update_skips_maintenance(self):
-        store, doc = self._indexed_catalog(index_incremental=True)
-        store.indexes.force_mode = "on"
+        store, doc = self._indexed_catalog()
         catalog = store.fetch_children(doc, 0)[0]
         before = store.indexes.describe(doc)["updates_since"]
         was_enabled = METRICS.enabled
@@ -298,21 +298,27 @@ class TestSatelliteFixes:
         assert store.indexes.describe(doc)["updates_since"] == before
         store.close()
 
-    def test_noop_update_skips_eager_rebuild_too(self):
-        store, doc = self._indexed_catalog(index_incremental=False)
-        store.indexes.force_mode = "on"
+    def test_noop_update_skips_eager_rebuild_too(self, monkeypatch):
+        """With the budget at its floor a real multi-row update
+        rebuilds; the zero-row no-op still does nothing at all."""
+        monkeypatch.setattr(manager, "INCR_FALLBACK_FRACTION", 0.0)
+        store, doc = self._indexed_catalog()
         catalog = store.fetch_children(doc, 0)[0]
+        product = store.fetch_children(doc, catalog["id"])[0]
         was_enabled = METRICS.enabled
         METRICS.reset()
         METRICS.enabled = True
         try:
             store.updates.set_attribute(doc, catalog["id"], "nope", None)
-            counters = METRICS.snapshot()["counters"]
+            noop = METRICS.snapshot()["counters"]
+            store.updates.delete(doc, product["id"])
+            real = METRICS.snapshot()["counters"]
         finally:
             METRICS.enabled = was_enabled
             METRICS.reset()
-        assert counters.get("index.maintained", 0) == 0
-        assert counters.get("index.row_writes", 0) == 0
+        assert noop.get("index.maintained", 0) == 0
+        assert noop.get("index.row_writes", 0) == 0
+        assert real["index.fallback_rebuild"] == 1
         store.close()
 
     def test_missing_depth_meta_reads_as_stale(self):

@@ -117,6 +117,33 @@ class TestMigrationMatrix:
         )
 
 
+class TestFuzzHarnessOnMigratedDocuments:
+    def test_plan_and_apply_operations_after_migration(self):
+        """Regression: the fuzz planner read the store's *default*
+        encoding's node table, saw zero rows for a migrated document
+        and died in ``rng.choice([])``.  It plans from the document's
+        own encoding, and a twin that never migrated takes the same
+        surrogate-id plan."""
+        import random
+
+        from repro.check.fuzz import apply_operation, plan_operation
+
+        document = random_document(5, max_depth=4, max_children=3)
+        store = XmlStore(backend="sqlite", encoding="global", gap=4)
+        twin = XmlStore(backend="sqlite", encoding="global", gap=4)
+        doc, twin_doc = store.load(document), twin.load(document)
+        store.indexes.create(doc)
+        migrate_document(store, doc, "dewey")
+        rng = random.Random(3)
+        for _ in range(12):
+            op = plan_operation(rng, store, doc, update_heavy=True)
+            apply_operation(store, doc, op)
+            apply_operation(twin, twin_doc, op)
+        assert serialize(store.reconstruct(doc)) == serialize(
+            twin.reconstruct(twin_doc)
+        )
+
+
 class TestConcurrentWrites:
     def test_updates_during_migration_replay_into_shadow(self):
         """Writers racing the copy loop land via the journal replay."""

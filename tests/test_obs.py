@@ -204,10 +204,9 @@ class TestInstrumentedStore:
         injected = FaultInjectingBackend(make_backend("sqlite"))
         store = XmlStore(backend=injected, encoding="dewey",
                          retry=retry)
-        # Pin indexes off: eager index maintenance would multiply the
-        # statements each faulted operation replays, and the three
-        # fault scenarios are tuned to the unindexed statement counts.
-        store.indexes.force_mode = "off"
+        # Unindexed on purpose: the three fault scenarios are tuned to
+        # the unindexed statement counts (index maintenance multiplies
+        # the statements each faulted operation replays).
         doc = store.load("<list><i>1</i><i>2</i><i>3</i></list>")
 
         with tracing() as tracer:

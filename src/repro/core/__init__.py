@@ -15,6 +15,7 @@ from repro.core.shredder import (
     ShreddedDocument,
     ShreddedNode,
     shred,
+    shred_text,
 )
 from repro.core.translator import TranslatedQuery, make_translator
 from repro.core.updates import UpdateManager, UpdateReport
@@ -35,4 +36,5 @@ __all__ = [
     "get_encoding",
     "make_translator",
     "shred",
+    "shred_text",
 ]

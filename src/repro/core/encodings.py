@@ -24,12 +24,18 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from itertools import repeat
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.core import schema
-from repro.core.dewey import DeweyKey, dewey_successor_bytes
+from repro.core.dewey import (
+    DeweyKey,
+    dewey_successor_bytes,
+    encode_component,
+)
 from repro.core.ordpath import (
     OrdpathKey,
+    encode_signed_component,
     ordpath_successor_bytes,
     suffix_between,
 )
@@ -100,17 +106,33 @@ class OrderEncoding(ABC):
     def order_values(self, node: ShreddedNode, gap: int) -> tuple:
         """This encoding's order-column values for *node* with *gap*."""
 
+    def bulk_order_values(
+        self, nodes: Sequence[ShreddedNode], gap: int
+    ) -> Iterator[tuple]:
+        """:meth:`order_values` of each of *nodes*, which must be all
+        the records of one document (or fragment) in document order."""
+        return map(self.order_values, nodes, repeat(gap))
+
     def node_row(self, doc: int, node: ShreddedNode, gap: int) -> tuple:
         """The full insert row for *node* in document *doc*."""
         return (
-            doc,
-            node.id,
-            node.parent,
-            node.kind,
-            node.tag,
-            node.value,
-            node.depth,
-            *self.order_values(node, gap),
+            doc, node.id, node.parent, node.kind, node.tag, node.value,
+            node.depth, *self.order_values(node, gap),
+        )
+
+    def node_rows(
+        self, doc: int, nodes: Sequence[ShreddedNode], gap: int
+    ) -> Iterator[tuple]:
+        """:meth:`node_row` of each of *nodes*, under the contract of
+        :meth:`bulk_order_values`."""
+        return (
+            (
+                doc, node.id, node.parent, node.kind, node.tag, node.value,
+                node.depth, *order,
+            )
+            for node, order in zip(
+                nodes, self.bulk_order_values(nodes, gap)
+            )
         )
 
     @abstractmethod
@@ -308,6 +330,9 @@ class PrefixKeyEncoding(OrderEncoding):
     parent_function: str
     #: Python form of :attr:`successor_function`.
     successor_bytes: Callable[[bytes], bytes]
+    #: The codec of one key component.  Both codecs work component by
+    #: component, so a key is its parent's key plus one of these.
+    component_bytes: Callable[[int], bytes]
 
     def __init__(self, tables: tuple[Table, Table]) -> None:
         self.node_table, self.attr_table = tables
@@ -344,6 +369,24 @@ class PrefixKeyEncoding(OrderEncoding):
     def order_values(self, node: ShreddedNode, gap: int) -> tuple:
         components = self.fresh_components(node.dewey, gap)
         return (self.key_type(components).encode(),)
+
+    def bulk_order_values(
+        self, nodes: Sequence[ShreddedNode], gap: int
+    ) -> Iterator[tuple]:
+        # A child's key is its parent's plus one component, so a node
+        # costs one concatenation however deep it sits.
+        open_keys = [b""]  # the key of the open ancestor at each depth
+        suffixes: dict[int, bytes] = {}  # encoded component by index
+        for node in nodes:
+            index = node.sibling_index
+            suffix = suffixes.get(index)
+            if suffix is None:
+                (component,) = self.fresh_components((index,), gap)
+                suffix = suffixes[index] = self.component_bytes(component)
+            depth = len(node.dewey)
+            key = open_keys[depth - 1] + suffix
+            open_keys[depth:] = (key,)
+            yield (key,)
 
     def subtree_range(self, row: dict) -> tuple[str, bytes, bytes, bool]:
         key = bytes(row[self.key_column])
@@ -423,6 +466,7 @@ class DeweyEncoding(PrefixKeyEncoding):
     successor_function = "dewey_successor"
     parent_function = "dewey_parent"
     successor_bytes = staticmethod(dewey_successor_bytes)
+    component_bytes = staticmethod(encode_component)
 
     def __init__(self) -> None:
         super().__init__(schema.dewey_tables())
@@ -477,6 +521,7 @@ class OrdpathEncoding(PrefixKeyEncoding):
     successor_function = "ordpath_successor"
     parent_function = "ordpath_parent"
     successor_bytes = staticmethod(ordpath_successor_bytes)
+    component_bytes = staticmethod(encode_signed_component)
 
     def __init__(self) -> None:
         super().__init__(schema.ordpath_tables())

@@ -1,7 +1,7 @@
-"""Shredding: DOM documents -> encoding-independent node records.
+"""Shredding: XML -> encoding-independent node records.
 
-The shredder performs a single preorder walk of the document and computes,
-for every node, all the quantities any of the four encodings needs:
+One labeler (:func:`label`) turns a stream of parse events into, for
+every node, all the quantities any of the four encodings needs:
 
 * a surrogate ``id`` (dense, assigned in document order at shred time),
 * the parent's surrogate id (0 for top-level nodes),
@@ -10,6 +10,12 @@ for every node, all the quantities any of the four encodings needs:
   (``end_rank``) — the Global encoding's interval,
 * the 1-based ``sibling_index`` — the Local encoding's order value,
 * the tuple of sibling indexes from the root — the Dewey and ORDPATH key.
+
+It has two event sources: :func:`shred_text` feeds it the validated
+events of an XML text (:func:`repro.xmldom.parser.events`) — no tree is
+built — and :func:`shred` feeds it a walk over a DOM the caller already
+holds.  A path key is known the moment a start tag is read; only
+``end_rank`` and the element's direct text wait for the end tag.
 
 Each encoding then materialises its own rows from these records (applying
 its gap factor for sparse variants); see :mod:`repro.core.encodings`.
@@ -20,7 +26,7 @@ how a rebalance and an encoding migration renumber a document.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.core.schema import (
     DOCUMENT_PARENT,
@@ -33,14 +39,13 @@ from repro.xmldom.dom import (
     Comment,
     Document,
     Element,
-    Node,
-    ParentNode,
     ProcessingInstruction,
     Text,
 )
+from repro.xmldom.parser import COMMENT, END, PI, START, TEXT, Event, events
 
 
-@dataclass
+@dataclass(slots=True)
 class ShreddedNode:
     """One node's encoding-independent record."""
 
@@ -56,7 +61,7 @@ class ShreddedNode:
     dewey: tuple[int, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class ShreddedAttribute:
     """One attribute record (attributes carry no order)."""
 
@@ -87,68 +92,109 @@ def direct_text_value(element: Element) -> Optional[str]:
     return "".join(parts) if parts else None
 
 
-def _node_fields(node: Node) -> tuple[str, Optional[str], Optional[str]]:
-    """Return (kind, tag, value) for *node*."""
-    if isinstance(node, Element):
-        return KIND_ELEMENT, node.tag, direct_text_value(node)
-    if isinstance(node, Text):
-        return KIND_TEXT, None, node.content
-    if isinstance(node, Comment):
-        return KIND_COMMENT, None, node.content
-    if isinstance(node, ProcessingInstruction):
-        return KIND_PI, node.target, node.data
-    raise TypeError(f"cannot shred node {node!r}")
+def label(stream: Iterable[Event]) -> ShreddedDocument:
+    """Label a stream of validated parse events.
+
+    Node ids and ranks are assigned densely in document order starting
+    at 1.  The caller (the store) applies per-encoding gaps when turning
+    the records into rows.  An element's ``end_rank`` and direct-text
+    ``value`` are patched when its ``END`` arrives.
+
+    Iterative: a document may nest deeper than the interpreter's
+    recursion limit.
+    """
+    nodes: list[ShreddedNode] = []
+    attributes: list[ShreddedAttribute] = []
+    max_depth = 0
+    rank = 0
+    # The open element (None at the document level) and what its next
+    # child needs: its id and Dewey path, the depth one level down, how
+    # many children it has had and its direct text so far.
+    element: Optional[ShreddedNode] = None
+    parent_id = DOCUMENT_PARENT
+    path: tuple[int, ...] = ()
+    depth = 1
+    siblings = 0
+    text: Optional[str] = None
+    # The same, saved for each open ancestor.
+    stack: list[tuple] = []
+    for kind, a, b in stream:
+        if kind == END:
+            element.end_rank = rank
+            element.value = text
+            depth -= 1
+            element, parent_id, path, siblings, text = stack.pop()
+            continue
+        rank += 1
+        siblings += 1
+        if depth > max_depth:
+            max_depth = depth
+        if kind == START:
+            record = ShreddedNode(
+                rank, parent_id, KIND_ELEMENT, a, None, depth, rank, rank,
+                siblings, (*path, siblings),
+            )
+            nodes.append(record)
+            for name, value in b.items():
+                attributes.append(ShreddedAttribute(rank, name, value))
+            stack.append((element, parent_id, path, siblings, text))
+            element, parent_id, path = record, rank, record.dewey
+            depth += 1
+            siblings = 0
+            text = None
+            continue
+        if kind == TEXT:
+            text = a if text is None else text + a
+            node_kind, tag, value = KIND_TEXT, None, a
+        elif kind == COMMENT:
+            node_kind, tag, value = KIND_COMMENT, None, a
+        else:
+            node_kind, tag, value = KIND_PI, a, b
+        nodes.append(ShreddedNode(
+            rank, parent_id, node_kind, tag, value, depth, rank, rank,
+            siblings, (*path, siblings),
+        ))
+    return ShreddedDocument(nodes, attributes, max_depth)
+
+
+def shred_text(
+    source: str, strip_whitespace: bool = False
+) -> ShreddedDocument:
+    """Shred the XML text *source* without building a tree.
+
+    Equal, record for record, to ``shred(parse(source,
+    strip_whitespace))``, and raises the same :class:`XmlSyntaxError`
+    for the same malformed input.
+    """
+    return label(events(source, strip_whitespace))
 
 
 def shred(document: Document) -> ShreddedDocument:
-    """Shred *document* into encoding-independent records.
+    """Shred the DOM *document* into encoding-independent records."""
+    return label(_dom_events(document))
 
-    Node ids and ranks are assigned densely in document order starting at
-    1.  The caller (the store) applies per-encoding gaps when turning the
-    records into rows.
-    """
-    result = ShreddedDocument()
-    counter = 0
 
-    def walk(
-        node: Node, parent_id: int, depth: int, sibling_index: int,
-        dewey_prefix: tuple[int, ...],
-    ) -> int:
-        """Shred *node*'s subtree; return the subtree's last rank."""
-        nonlocal counter
-        counter += 1
-        rank = counter
-        kind, tag, value = _node_fields(node)
-        dewey = (*dewey_prefix, sibling_index)
-        record = ShreddedNode(
-            id=rank,
-            parent=parent_id,
-            kind=kind,
-            tag=tag,
-            value=value,
-            depth=depth,
-            rank=rank,
-            end_rank=rank,  # fixed up after children are walked
-            sibling_index=sibling_index,
-            dewey=dewey,
-        )
-        result.nodes.append(record)
-        result.max_depth = max(result.max_depth, depth)
-        if isinstance(node, Element):
-            for name, attr_value in node.attributes.items():
-                result.attributes.append(
-                    ShreddedAttribute(record.id, name, attr_value)
-                )
-        last_rank = rank
-        if isinstance(node, ParentNode):
-            for index, child in enumerate(node.children, start=1):
-                last_rank = walk(child, record.id, depth + 1, index, dewey)
-        record.end_rank = last_rank
-        return last_rank
-
-    for index, child in enumerate(document.children, start=1):
-        walk(child, DOCUMENT_PARENT, 1, index, ())
-    return result
+def _dom_events(document: Document) -> Iterator[Event]:
+    """The events of a DOM: one iterative preorder walk."""
+    stack = [iter(document.children)]
+    while stack:
+        for node in stack[-1]:
+            if isinstance(node, Element):
+                yield (START, node.tag, node.attributes)
+                stack.append(iter(node.children))
+                break
+            if isinstance(node, Text):
+                yield (TEXT, node.content, None)
+            elif isinstance(node, Comment):
+                yield (COMMENT, node.content, None)
+            elif isinstance(node, ProcessingInstruction):
+                yield (PI, node.target, node.data)
+            else:
+                raise TypeError(f"cannot shred node {node!r}")
+        else:
+            stack.pop()
+            if stack:
+                yield (END, None, None)
 
 
 def group_siblings(

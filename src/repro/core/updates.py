@@ -452,9 +452,12 @@ class UpdateManager:
         )
         rows = [dict(zip(columns, r)) for r in result.rows]
         assignments = ", ".join(f"{c} = ?" for c in enc.order_columns)
+        records = relabel(rows, enc.sibling_order_column)
         updates = [
-            (*enc.order_values(record, self.store.gap), doc, record.id)
-            for record in relabel(rows, enc.sibling_order_column)
+            (*order, doc, record.id)
+            for record, order in zip(
+                records, enc.bulk_order_values(records, self.store.gap)
+            )
         ]
         # Not journalled: a rebalance rewrites order values only — the
         # migration's shadow rows carry fresh target-encoding values

@@ -358,10 +358,9 @@ def migrate_document(
                 f"INSERT INTO {shadow_encoding.node_table.name} VALUES "
                 f"({', '.join('?' * len(shadow_encoding.node_columns()))})"
             )
-            node_rows = [
-                shadow_encoding.node_row(doc, record, store.gap)
-                for record in records
-            ]
+            node_rows = list(
+                shadow_encoding.node_rows(doc, records, store.gap)
+            )
             for start in range(0, len(node_rows), batch_size):
                 batch = node_rows[start:start + batch_size]
                 staged(

@@ -39,7 +39,6 @@ from repro.serve.protocol import (
     send_frame,
 )
 from repro.store import XmlStore
-from repro.xmldom.parser import parse
 from repro.xmldom.serializer import serialize
 
 
@@ -99,7 +98,7 @@ class ShardWorker:
 
     def _op_load(self, request: dict) -> dict:
         doc = self.store.load(
-            parse(request["xml"]), name=request.get("name", "serve")
+            request["xml"], name=request.get("name", "serve")
         )
         return ok_response(request, doc=doc)
 

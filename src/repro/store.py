@@ -38,14 +38,14 @@ from repro.cache import StoreCache
 from repro.obs import METRICS, slow_log, span
 from repro.core.encodings import OrderEncoding, get_encoding
 from repro.core.schema import SHADOW_PREFIX, documents_table, index_tables
-from repro.core.shredder import ShreddedDocument, shred
+from repro.core.shredder import ShreddedDocument, shred, shred_text
 from repro.core.translator import (
     TranslatedQuery,
     extract_shape,
     make_translator,
 )
 from repro.errors import StorageError
-from repro.xmldom import Document, parse
+from repro.xmldom import Document
 from repro.xpath.parser import parse_xpath
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -497,13 +497,13 @@ class XmlStore:
     ) -> int:
         """Shred *document* and bulk-load it; returns the new doc id."""
         with span("load"):
-            if isinstance(document, str):
-                with span("parse"):
-                    document = parse(
-                        document, strip_whitespace=strip_whitespace
-                    )
+            # Shredding finishes before the transaction opens, so a
+            # malformed document leaves no rows.
             with span("shred"):
-                shredded = shred(document)
+                if isinstance(document, str):
+                    shredded = shred_text(document, strip_whitespace)
+                else:
+                    shredded = shred(document)
 
             def load_in_transaction() -> int:
                 doc_id = self._next_doc_id()
@@ -541,10 +541,7 @@ class XmlStore:
         placeholders = ", ".join("?" for _ in columns)
         self.backend.executemany(
             f"INSERT INTO {self.node_table} VALUES ({placeholders})",
-            (
-                self.encoding.node_row(doc_id, node, self.gap)
-                for node in shredded.nodes
-            ),
+            self.encoding.node_rows(doc_id, shredded.nodes, self.gap),
         )
         self.backend.executemany(
             f"INSERT INTO {self.attr_table} VALUES (?, ?, ?, ?)",

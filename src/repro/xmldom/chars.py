@@ -7,6 +7,8 @@ the five predefined entities plus numeric character references.
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import XmlSyntaxError
 
 #: The five predefined XML entities, in unescape direction.
@@ -52,6 +54,23 @@ _NAME_EXTRA_RANGES = (
     (0xB7, 0xB7),
     (0x300, 0x36F),
     (0x203F, 0x2040),
+)
+
+
+def _class_body(ranges: tuple[tuple[int, int], ...]) -> str:
+    """*ranges* as the inside of a regular-expression character class."""
+    return "".join(
+        re.escape(chr(lo)) if lo == hi
+        else f"{re.escape(chr(lo))}-{re.escape(chr(hi))}"
+        for lo, hi in ranges
+    )
+
+
+#: Regular-expression source matching one XML Name, built from the same
+#: two tables the predicates below consult.
+NAME_PATTERN = (
+    f"[{_class_body(_NAME_START_RANGES)}]"
+    f"[{_class_body(_NAME_START_RANGES + _NAME_EXTRA_RANGES)}]*"
 )
 
 
@@ -128,20 +147,19 @@ def resolve_entity(name: str, line: int = 0, column: int = 0) -> str:
 
 def unescape(text: str, line: int = 0, column: int = 0) -> str:
     """Replace entity and character references in *text* with characters."""
-    if "&" not in text:
-        return text
     out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = text.find(";", i + 1)
+    done = 0
+    while True:
+        amp = text.find("&", done)
+        if amp == -1:
+            break
+        end = text.find(";", amp + 1)
         if end == -1:
             raise XmlSyntaxError("unterminated entity reference", line, column)
-        out.append(resolve_entity(text[i + 1 : end], line, column))
-        i = end + 1
+        out.append(text[done:amp])
+        out.append(resolve_entity(text[amp + 1 : end], line, column))
+        done = end + 1
+    if not done:
+        return text
+    out.append(text[done:])
     return "".join(out)

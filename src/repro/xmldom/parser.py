@@ -1,14 +1,23 @@
-"""Tree construction: tokens -> :class:`~repro.xmldom.dom.Document`.
+"""Well-formedness and tree construction: tokens -> events -> DOM.
 
-The parser enforces well-formedness at the tree level (matching tags, a
-single root element, no character data outside the root) and applies a
-configurable whitespace policy.  The paper's shredders discard whitespace
-that appears between elements in data-centric documents ("ignorable"
-whitespace); we make the same choice available, defaulting to *keep*, and
-the shredding/reconstruction round-trip tests pin the behaviour down.
+:func:`events` is the one place that enforces well-formedness above the
+token level (matching tags, a single root element, no character data
+outside the root) and applies the whitespace policy; it turns the token
+stream into a stream of validated events.  Two consumers read it:
+:func:`parse` / :func:`parse_fragment` build a
+:class:`~repro.xmldom.dom.Document` from the events, and the shredder
+(:func:`repro.core.shredder.shred_text`) labels them directly, with no
+tree in between.
+
+The paper's shredders discard whitespace that appears between elements
+in data-centric documents ("ignorable" whitespace); we make the same
+choice available, defaulting to *keep*, and the shredding/reconstruction
+round-trip tests pin the behaviour down.
 """
 
 from __future__ import annotations
+
+from typing import Iterator, Optional
 
 from repro.errors import XmlSyntaxError
 from repro.xmldom.dom import (
@@ -21,11 +30,112 @@ from repro.xmldom.dom import (
 from repro.xmldom.tokenizer import (
     CommentToken,
     EndTagToken,
-    PIToken,
     StartTagToken,
     TextToken,
     Tokenizer,
 )
+
+#: Event kinds.  An event is a triple ``(kind, a, b)``:
+#: ``(START, tag, attributes)``, ``(END, None, None)``,
+#: ``(TEXT, content, None)``, ``(COMMENT, content, None)``,
+#: ``(PI, target, data)``.
+START, END, TEXT, COMMENT, PI = "start", "end", "text", "comment", "pi"
+
+Event = tuple[str, Optional[str], object]
+
+
+def events(
+    source: str, strip_whitespace: bool = False, fragment: bool = False
+) -> Iterator[Event]:
+    """Yield the validated parse events of *source*, in document order.
+
+    Every ``START`` is closed by its own ``END`` (a self-closing tag
+    yields both), and adjacent character data — text and CDATA sections
+    — arrives as one ``TEXT`` event per maximal run, matching the XPath
+    data model.  When *strip_whitespace* is true, text tokens that
+    consist entirely of whitespace are dropped (the usual policy for
+    data-centric shredding); whitespace inside mixed content is always
+    preserved verbatim.
+
+    A document allows exactly one top-level element and no top-level
+    character data.  *fragment* mode admits any number of top-level
+    nodes, including bare text runs; :func:`parse_fragment` validates
+    the count afterwards so it can report a fragment-specific message.
+
+    Raises
+    ------
+    XmlSyntaxError
+        On any lexical or well-formedness violation, at the point in
+        the stream where it is found.
+    """
+    open_tags: list[str] = []
+    saw_root = False
+    run: Optional[str] = None  # the character data run being merged
+    for token in Tokenizer(source).tokens():
+        cls = type(token)
+        if cls is TextToken:
+            content = token.content
+            blank = not content.strip()
+            if not open_tags:
+                # Character data outside an element is only legal when
+                # blank — except in fragment mode, where a bare text
+                # run is a valid fragment (a top-level text node).
+                if blank:
+                    continue
+                if not fragment:
+                    raise XmlSyntaxError(
+                        "character data outside the root element",
+                        token.line,
+                        token.column,
+                    )
+            elif blank and strip_whitespace and not token.is_cdata:
+                continue
+            if content:
+                run = content if run is None else run + content
+            continue
+        if run is not None:
+            yield (TEXT, run, None)
+            run = None
+        if cls is StartTagToken:
+            if not open_tags:
+                if saw_root and not fragment:
+                    raise XmlSyntaxError(
+                        "document has more than one root element",
+                        token.line,
+                        token.column,
+                    )
+                saw_root = True
+            yield (START, token.name, token.attributes)
+            if token.self_closing:
+                yield (END, None, None)
+            else:
+                open_tags.append(token.name)
+        elif cls is EndTagToken:
+            if not open_tags:
+                raise XmlSyntaxError(
+                    f"unexpected closing tag </{token.name}>",
+                    token.line,
+                    token.column,
+                )
+            expected = open_tags.pop()
+            if expected != token.name:
+                raise XmlSyntaxError(
+                    f"mismatched closing tag </{token.name}>, "
+                    f"expected </{expected}>",
+                    token.line,
+                    token.column,
+                )
+            yield (END, None, None)
+        elif cls is CommentToken:
+            yield (COMMENT, token.content, None)
+        else:
+            yield (PI, token.target, token.data)
+    if open_tags:
+        raise XmlSyntaxError(f"unclosed element <{open_tags[-1]}>")
+    if run is not None:
+        yield (TEXT, run, None)
+    if not saw_root and not fragment:
+        raise XmlSyntaxError("document has no root element")
 
 
 def parse(source: str, strip_whitespace: bool = False) -> Document:
@@ -37,111 +147,32 @@ def parse(source: str, strip_whitespace: bool = False) -> Document:
         The XML text.
     strip_whitespace:
         When true, text nodes that consist entirely of whitespace are
-        dropped (the usual policy for data-centric shredding).  Whitespace
-        inside mixed content (i.e. text with non-space characters) is
-        always preserved verbatim.
+        dropped (see :func:`events`).
 
     Raises
     ------
     XmlSyntaxError
         On any lexical or well-formedness violation.
     """
-    doc = _parse_tree(source, strip_whitespace, fragment=False)
-    if doc.root is None:
-        raise XmlSyntaxError("document has no root element")
-    return doc
+    return _build_tree(events(source, strip_whitespace))
 
 
-def _parse_tree(
-    source: str, strip_whitespace: bool, fragment: bool
-) -> Document:
-    """Build the node tree; *fragment* mode relaxes document rules.
-
-    A document allows exactly one top-level element and no top-level
-    character data.  Fragment mode admits any number of top-level nodes,
-    including bare text runs; :func:`parse_fragment` validates the count
-    afterwards so it can report a fragment-specific message.
-    """
+def _build_tree(stream: Iterator[Event]) -> Document:
+    """The DOM of an event stream."""
     doc = Document()
-    stack: list[Element] = []
-    saw_root = False
-
-    for token in Tokenizer(source).tokens():
-        if isinstance(token, StartTagToken):
-            if not stack and saw_root and not fragment:
-                raise XmlSyntaxError(
-                    "document has more than one root element",
-                    token.line,
-                    token.column,
-                )
-            element = Element(token.name, token.attributes)
-            parent = stack[-1] if stack else doc
-            parent.append(element)
-            if not stack:
-                saw_root = True
-            if not token.self_closing:
-                stack.append(element)
-        elif isinstance(token, EndTagToken):
-            if not stack:
-                raise XmlSyntaxError(
-                    f"unexpected closing tag </{token.name}>",
-                    token.line,
-                    token.column,
-                )
-            open_element = stack.pop()
-            if open_element.tag != token.name:
-                raise XmlSyntaxError(
-                    f"mismatched closing tag </{token.name}>, "
-                    f"expected </{open_element.tag}>",
-                    token.line,
-                    token.column,
-                )
-        elif isinstance(token, TextToken):
-            _append_text(doc, stack, token, strip_whitespace, fragment)
-        elif isinstance(token, CommentToken):
-            parent = stack[-1] if stack else doc
-            parent.append(Comment(token.content))
-        elif isinstance(token, PIToken):
-            parent = stack[-1] if stack else doc
-            parent.append(ProcessingInstruction(token.target, token.data))
-
-    if stack:
-        raise XmlSyntaxError(f"unclosed element <{stack[-1].tag}>")
+    parent: Document | Element = doc
+    for kind, a, b in stream:
+        if kind == START:
+            parent = parent.append(Element(a, b))
+        elif kind == END:
+            parent = parent.parent
+        elif kind == TEXT:
+            parent.append(Text(a))
+        elif kind == COMMENT:
+            parent.append(Comment(a))
+        else:
+            parent.append(ProcessingInstruction(a, b))
     return doc
-
-
-def _append_text(
-    doc: Document,
-    stack: list[Element],
-    token: TextToken,
-    strip_whitespace: bool,
-    fragment: bool = False,
-) -> None:
-    content = token.content
-    blank = content.strip() == ""
-    if not stack:
-        # Character data outside an element is only legal when blank —
-        # except in fragment mode, where a bare text run is a valid
-        # fragment (it becomes a top-level Text node).
-        if blank:
-            return
-        if not fragment:
-            raise XmlSyntaxError(
-                "character data outside the root element",
-                token.line,
-                token.column,
-            )
-    if blank and strip_whitespace and not token.is_cdata and stack:
-        return
-    if not content:
-        return
-    parent: Document | Element = stack[-1] if stack else doc
-    # Merge adjacent text (e.g. text + CDATA) into one node, matching the
-    # XPath data model where text nodes are maximal runs of character data.
-    if parent.children and isinstance(parent.children[-1], Text):
-        parent.children[-1].content += content
-    else:
-        parent.append(Text(content))
 
 
 def _describe_node(node: object) -> str:
@@ -171,7 +202,7 @@ def parse_fragment(source: str, strip_whitespace: bool = False):
         than one top-level node (e.g. ``"<a/><b/>"`` or ``"text <a/>"``
         — insert such pieces one node at a time).
     """
-    doc = _parse_tree(source, strip_whitespace, fragment=True)
+    doc = _build_tree(events(source, strip_whitespace, fragment=True))
     tops = list(doc.children)
     if not tops:
         raise XmlSyntaxError(

@@ -1,14 +1,21 @@
-"""A streaming tokenizer for XML 1.0 documents.
+"""A scanning tokenizer for XML 1.0 documents.
 
 Produces a flat sequence of :class:`Token` objects (start tags, end tags,
 character data, comments, processing instructions).  DOCTYPE declarations
 and the XML declaration are recognised and skipped; external entities and
 DTD validation are out of scope, matching the non-validating parsers the
 paper's systems used for shredding.
+
+The scanner works on offsets: every construct is delimited by
+``str.find`` or by a regular expression compiled from the name tables of
+:mod:`repro.xmldom.chars`, and a line/column pair is derived from an
+offset (newlines counted over the span just consumed) once per token or
+per error — never by visiting characters one at a time.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -16,7 +23,7 @@ from repro.errors import XmlSyntaxError
 from repro.xmldom import chars
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     """Base token; carries the 1-based source position for diagnostics."""
 
@@ -24,219 +31,261 @@ class Token:
     column: int
 
 
-@dataclass
+@dataclass(slots=True)
 class StartTagToken(Token):
     name: str = ""
     attributes: dict[str, str] = field(default_factory=dict)
     self_closing: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class EndTagToken(Token):
     name: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class TextToken(Token):
     content: str = ""
     is_cdata: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class CommentToken(Token):
     content: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class PIToken(Token):
     target: str = ""
     data: str = ""
+
+
+_S = "[" + chars.WHITESPACE + "]"
+_NAME = chars.NAME_PATTERN
+
+#: ``<name`` and, when no attribute follows, the tag's close as well.
+_START_TAG = re.compile(f"<({_NAME})(?:{_S}*(/?)>)?").match
+#: One attribute with the whitespace before it; ``<`` in the value is
+#: matched here and rejected by the caller, which knows where it is.
+_ATTRIBUTE = re.compile(
+    f"{_S}+({_NAME}){_S}*={_S}*(?:\"([^\"]*)\"|'([^']*)')"
+).match
+_TAG_CLOSE = re.compile(f"{_S}*(/?)>").match
+_END_TAG = re.compile(f"</({_NAME}){_S}*>").match
+_PI_TARGET = re.compile(rf"<\?({_NAME})").match
+_NAME_AT = re.compile(_NAME).match
+_SPACE_AT = re.compile(f"{_S}*").match
+#: Inside ``<!DOCTYPE``: the characters that change what the next ``>``
+#: or ``]`` means.
+_DOCTYPE_STOP = re.compile(r"""[\]\[<>"']""").search
 
 
 class Tokenizer:
     """Single-pass tokenizer over an XML source string."""
 
     def __init__(self, source: str) -> None:
-        self._src = source
-        self._pos = 0
-        self._line = 1
-        self._col = 1
+        # A byte-order mark is not part of the document (XML 1.0 §4.3.3);
+        # ``Path.read_text()`` leaves the UTF-8 one in place.
+        self._src = source[1:] if source.startswith("\ufeff") else source
 
-    # -- low-level cursor ------------------------------------------------
+    def _error(self, message: str, offset: int) -> XmlSyntaxError:
+        return XmlSyntaxError(message, *self._position(offset))
 
-    def _error(self, message: str) -> XmlSyntaxError:
-        return XmlSyntaxError(message, self._line, self._col)
-
-    def _peek(self, offset: int = 0) -> str:
-        pos = self._pos + offset
-        return self._src[pos] if pos < len(self._src) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        """Consume *count* characters, maintaining line/column."""
-        taken = self._src[self._pos : self._pos + count]
-        if len(taken) < count:
-            raise self._error("unexpected end of input")
-        for ch in taken:
-            if ch == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-        self._pos += count
-        return taken
-
-    def _at_end(self) -> bool:
-        return self._pos >= len(self._src)
-
-    def _skip_whitespace(self) -> None:
-        while not self._at_end() and chars.is_whitespace(self._peek()):
-            self._advance()
-
-    def _expect(self, literal: str) -> None:
-        if not self._src.startswith(literal, self._pos):
-            raise self._error(f"expected {literal!r}")
-        self._advance(len(literal))
-
-    def _read_until(self, terminator: str, what: str) -> str:
-        """Consume text up to *terminator*, consuming the terminator too."""
-        end = self._src.find(terminator, self._pos)
-        if end == -1:
-            raise self._error(f"unterminated {what}")
-        content = self._advance(end - self._pos)
-        self._advance(len(terminator))
-        return content
-
-    def _read_name(self) -> str:
-        start = self._pos
-        if self._at_end() or not chars.is_name_start_char(self._peek()):
-            raise self._error("expected an XML name")
-        self._advance()
-        while not self._at_end() and chars.is_name_char(self._peek()):
-            self._advance()
-        return self._src[start : self._pos]
+    def _position(self, offset: int) -> tuple[int, int]:
+        """The 1-based (line, column) of *offset*."""
+        src = self._src
+        return (
+            src.count("\n", 0, offset) + 1,
+            offset - src.rfind("\n", 0, offset),
+        )
 
     # -- token productions -------------------------------------------------
 
     def tokens(self) -> Iterator[Token]:
         """Yield every token in the source, in order."""
-        while not self._at_end():
-            line, col = self._line, self._col
-            if self._peek() == "<":
-                yield from self._read_markup(line, col)
+        src = self._src
+        size = len(src)
+        find, count, rfind = src.find, src.count, src.rfind
+        unescape = chars.unescape
+        pos = 0
+        line = 1
+        line_start = 0  # offset of the first character of *line*
+        while pos < size:
+            column = pos - line_start + 1
+            if src[pos] != "<":
+                end = find("<", pos)
+                if end == -1:
+                    end = size
+                raw = src[pos:end]
+                if "&" in raw:
+                    raw = unescape(raw, line, column)
+                yield TextToken(line, column, raw)
             else:
-                yield self._read_text(line, col)
+                match = _START_TAG(src, pos)
+                if match is not None:
+                    name, slash = match.groups()
+                    end = match.end()
+                    attributes: dict[str, str] = {}
+                    if slash is None:
+                        slash, end = self._read_attributes(
+                            name, end, attributes
+                        )
+                    yield StartTagToken(
+                        line, column, name, attributes, slash == "/"
+                    )
+                elif (match := _END_TAG(src, pos)) is not None:
+                    end = match.end()
+                    yield EndTagToken(line, column, match.group(1))
+                elif src.startswith("</", pos):
+                    raise self._end_tag_error(pos)
+                elif src.startswith("<!--", pos):
+                    close = find("-->", pos + 4)
+                    if close == -1:
+                        raise self._error("unterminated comment", pos + 4)
+                    content = src[pos + 4:close]
+                    if "--" in content:
+                        raise XmlSyntaxError(
+                            "'--' not allowed in comment", line, column
+                        )
+                    end = close + 3
+                    yield CommentToken(line, column, content)
+                elif src.startswith("<![CDATA[", pos):
+                    close = find("]]>", pos + 9)
+                    if close == -1:
+                        raise self._error(
+                            "unterminated CDATA section", pos + 9
+                        )
+                    end = close + 3
+                    yield TextToken(line, column, src[pos + 9:close], True)
+                elif src.startswith("<?", pos):
+                    match = _PI_TARGET(src, pos)
+                    if match is None:
+                        raise self._error("expected an XML name", pos + 2)
+                    close = find("?>", match.end())
+                    if close == -1:
+                        raise self._error(
+                            "unterminated processing instruction",
+                            match.end(),
+                        )
+                    end = close + 2
+                    target = match.group(1)
+                    # The XML declaration carries no tree content.
+                    if target.lower() != "xml":
+                        yield PIToken(
+                            line, column, target,
+                            src[match.end():close].strip(),
+                        )
+                elif src.startswith("<!DOCTYPE", pos):
+                    end = self._skip_doctype(pos + 9)
+                elif src.startswith("<!", pos):
+                    raise self._error("unrecognised markup declaration", pos)
+                else:
+                    raise self._error("expected an XML name", pos + 1)
+            newlines = count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = rfind("\n", pos, end) + 1
+            pos = end
 
-    def _read_markup(self, line: int, col: int) -> Iterator[Token]:
-        nxt = self._peek(1)
-        if nxt == "?":
-            token = self._read_pi_or_decl(line, col)
-            if token is not None:
-                yield token
-        elif nxt == "!":
-            if self._src.startswith("<!--", self._pos):
-                yield self._read_comment(line, col)
-            elif self._src.startswith("<![CDATA[", self._pos):
-                yield self._read_cdata(line, col)
-            elif self._src.startswith("<!DOCTYPE", self._pos):
-                self._skip_doctype()
-            else:
-                raise self._error("unrecognised markup declaration")
-        elif nxt == "/":
-            yield self._read_end_tag(line, col)
-        else:
-            yield self._read_start_tag(line, col)
-
-    def _read_text(self, line: int, col: int) -> TextToken:
-        end = self._src.find("<", self._pos)
-        if end == -1:
-            end = len(self._src)
-        raw = self._advance(end - self._pos)
-        return TextToken(line, col, chars.unescape(raw, line, col))
-
-    def _read_comment(self, line: int, col: int) -> CommentToken:
-        self._expect("<!--")
-        content = self._read_until("-->", "comment")
-        if "--" in content:
-            raise XmlSyntaxError("'--' not allowed in comment", line, col)
-        return CommentToken(line, col, content)
-
-    def _read_cdata(self, line: int, col: int) -> TextToken:
-        self._expect("<![CDATA[")
-        content = self._read_until("]]>", "CDATA section")
-        return TextToken(line, col, content, is_cdata=True)
-
-    def _read_pi_or_decl(self, line: int, col: int) -> PIToken | None:
-        self._expect("<?")
-        target = self._read_name()
-        body = self._read_until("?>", "processing instruction")
-        if target.lower() == "xml":
-            return None  # the XML declaration carries no tree content
-        return PIToken(line, col, target, body.strip())
-
-    def _skip_doctype(self) -> None:
-        """Skip ``<!DOCTYPE ...>`` including a bracketed internal subset."""
-        self._expect("<!DOCTYPE")
-        depth = 1
-        in_subset = False
-        while depth > 0:
-            if self._at_end():
-                raise self._error("unterminated DOCTYPE")
-            ch = self._advance()
-            if ch == "[":
-                in_subset = True
-            elif ch == "]":
-                in_subset = False
-            elif ch == "<" and in_subset:
-                depth += 1
-            elif ch == ">":
-                depth -= 1
-                if in_subset:
-                    depth = max(depth, 1)
-
-    def _read_start_tag(self, line: int, col: int) -> StartTagToken:
-        self._expect("<")
-        name = self._read_name()
-        attributes = self._read_attributes(name)
-        self._skip_whitespace()
-        self_closing = False
-        if self._peek() == "/":
-            self._advance()
-            self_closing = True
-        self._expect(">")
-        return StartTagToken(line, col, name, attributes, self_closing)
-
-    def _read_attributes(self, tag: str) -> dict[str, str]:
-        attributes: dict[str, str] = {}
+    def _read_attributes(
+        self, tag: str, pos: int, attributes: dict[str, str]
+    ) -> tuple[str, int]:
+        """Read a start tag from the end of its name at *pos* to its
+        close, filling *attributes*; returns (``"/"`` if self-closing,
+        the offset after the close)."""
+        src = self._src
         while True:
-            saw_space = False
-            while not self._at_end() and chars.is_whitespace(self._peek()):
-                self._advance()
-                saw_space = True
-            nxt = self._peek()
-            if nxt in ("", ">", "/"):
-                return attributes
-            if not saw_space:
-                raise self._error("expected whitespace before attribute")
-            name = self._read_name()
-            self._skip_whitespace()
-            self._expect("=")
-            self._skip_whitespace()
-            quote = self._peek()
-            if quote not in ("'", '"'):
-                raise self._error("attribute value must be quoted")
-            self._advance()
-            raw = self._read_until(quote, f"attribute {name!r}")
-            if "<" in raw:
-                raise self._error(f"'<' in value of attribute {name!r}")
+            match = _ATTRIBUTE(src, pos)
+            if match is None:
+                match = _TAG_CLOSE(src, pos)
+                if match is None:
+                    raise self._tag_error(pos)
+                return match.group(1), match.end()
+            name, value, single_quoted = match.groups()
+            if value is None:
+                value = single_quoted
+            pos = match.end()
+            if "<" in value:
+                raise self._error(f"'<' in value of attribute {name!r}", pos)
             if name in attributes:
                 raise self._error(
-                    f"duplicate attribute {name!r} on element {tag!r}"
+                    f"duplicate attribute {name!r} on element {tag!r}", pos
                 )
-            attributes[name] = chars.unescape(raw, self._line, self._col)
+            if "&" in value:
+                # Where this is in lines and columns costs a scan from
+                # the start of the text: only an error pays for it.
+                try:
+                    value = chars.unescape(value)
+                except XmlSyntaxError as exc:
+                    raise self._error(str(exc), pos) from None
+            attributes[name] = value
 
-    def _read_end_tag(self, line: int, col: int) -> EndTagToken:
-        self._expect("</")
-        name = self._read_name()
-        self._skip_whitespace()
-        self._expect(">")
-        return EndTagToken(line, col, name)
+    def _tag_error(self, pos: int) -> XmlSyntaxError:
+        """Why neither an attribute nor the tag's close starts at *pos*
+        (just past the tag name or the previous attribute)."""
+        src = self._src
+        here = _SPACE_AT(src, pos).end()
+        nxt = src[here:here + 1]
+        if nxt in ("", "/"):
+            # The close did not match: the input ends here, or a '/'
+            # is not followed by '>'.
+            return self._error("expected '>'", here + len(nxt))
+        if here == pos:
+            return self._error("expected whitespace before attribute", here)
+        match = _NAME_AT(src, here)
+        if match is None:
+            return self._error("expected an XML name", here)
+        name = match.group()
+        here = _SPACE_AT(src, match.end()).end()
+        if not src.startswith("=", here):
+            return self._error("expected '='", here)
+        here = _SPACE_AT(src, here + 1).end()
+        if src[here:here + 1] not in ("'", '"'):
+            return self._error("attribute value must be quoted", here)
+        return self._error(f"unterminated attribute {name!r}", here + 1)
+
+    def _end_tag_error(self, pos: int) -> XmlSyntaxError:
+        match = _NAME_AT(self._src, pos + 2)
+        if match is None:
+            return self._error("expected an XML name", pos + 2)
+        return self._error(
+            "expected '>'", _SPACE_AT(self._src, match.end()).end()
+        )
+
+    def _skip_doctype(self, pos: int) -> int:
+        """Skip ``<!DOCTYPE ...>`` from just past the keyword, including
+        a bracketed internal subset; returns the offset after its ``>``.
+
+        Quoted literals anywhere, and comments and processing
+        instructions inside the subset, may contain ``>`` and ``]``.
+        """
+        src = self._src
+        in_subset = False
+        while True:
+            match = _DOCTYPE_STOP(src, pos)
+            if match is None:
+                raise self._error("unterminated DOCTYPE", len(src))
+            pos = match.end()
+            ch = match.group()
+            if ch == ">":
+                if not in_subset:
+                    return pos
+                continue
+            if ch == "[":
+                in_subset = True
+                continue
+            if ch == "]":
+                in_subset = False
+                continue
+            if ch != "<":
+                terminator = ch  # a quoted literal
+            elif in_subset and src.startswith("!--", pos):
+                terminator = "-->"
+            elif in_subset and src.startswith("?", pos):
+                terminator = "?>"
+            else:
+                continue
+            close = src.find(terminator, pos)
+            if close == -1:
+                raise self._error("unterminated DOCTYPE", len(src))
+            pos = close + len(terminator)

@@ -74,6 +74,17 @@ class TestLoadAndQuery:
         assert code == 1
         assert "cannot reopen" in capsys.readouterr().err
 
+    def test_load_file_with_byte_order_mark(self, tmp_path, db, capsys):
+        # What many editors write; ``Path.read_text()`` keeps U+FEFF.
+        path = tmp_path / "bom.xml"
+        path.write_bytes(
+            b"\xef\xbb\xbf<?xml version=\"1.0\"?>\n" + BIB.encode("utf-8")
+        )
+        assert run(["load", str(path), "--db", db]) == 0
+        assert "loaded document 1" in capsys.readouterr().out
+        assert run(["query", "/bib/book[1]/title", "--db", db]) == 0
+        assert "TCP/IP" in capsys.readouterr().out
+
     def test_missing_file(self, db, capsys):
         assert run(["load", "/nonexistent.xml", "--db", db]) == 1
         assert "error" in capsys.readouterr().err

@@ -107,25 +107,15 @@ class TestUnusualContent:
 
 
 class TestDeeperThanTheRecursionLimit:
-    """Updates can legally nest a stored document deeper than any one
-    parse could: no store operation may recurse once per level."""
+    """A document may nest deeper than the interpreter's recursion
+    limit — loaded that deep, or grown that deep by updates: nothing
+    between XML text in and XML text out may recurse once per level.
+    Every call here runs at the default limit."""
 
     @staticmethod
     def _nest(levels: int) -> str:
         # The serializer's own form (innermost element self-closed).
         return "<a>" * (levels - 1) + "<a/>" + "</a>" * (levels - 1)
-
-    @staticmethod
-    def _serialized(document) -> str:
-        # The DOM serializer recurses per level (parse/serialize depth
-        # limits are a separate ROADMAP item), so only this call gets a
-        # deeper stack; the operations under test run at the default.
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(20_000)
-        try:
-            return serialize(document)
-        finally:
-            sys.setrecursionlimit(limit)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize(
@@ -144,12 +134,51 @@ class TestDeeperThanTheRecursionLimit:
         expected = self._nest(1200)
 
         store.updates.rebalance(doc)
-        assert self._serialized(store.reconstruct(doc)) == expected
+        assert serialize(store.reconstruct(doc)) == expected
 
         migrate_document(store, doc, target)
         assert store.encoding_for(doc).name == target
-        assert self._serialized(store.reconstruct(doc)) == expected
+        assert serialize(store.reconstruct(doc)) == expected
         assert store.string_value(doc, 1) == ""
+
+    # Prefix keys are O(depth^2) bytes per document: only the two
+    # integer encodings go to 5000, and the post-test audit (which
+    # decodes every key's whole path) is left to the 1200-deep test
+    # above for Dewey and ORDPATH.
+    DEEP_CELLS = [
+        pytest.param(
+            encoding, 1500,
+            marks=[pytest.mark.skip_audit]
+            if encoding in ("dewey", "ordpath") else [],
+        )
+        for encoding in ALL_ENCODINGS
+    ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "encoding, levels",
+        DEEP_CELLS + [("global", 5000), ("local", 5000)],
+    )
+    def test_text_load_reconstruct_serialize_round_trip(
+        self, backend, encoding, levels
+    ):
+        assert levels > sys.getrecursionlimit()
+        text = self._nest(levels)
+        store = XmlStore(backend=backend, encoding=encoding)
+        doc = store.load(text)
+        assert store.document_info(doc).max_depth == levels
+        assert serialize(store.reconstruct(doc)) == text
+
+    @pytest.mark.parametrize("encoding, levels", DEEP_CELLS)
+    def test_dom_load_and_pretty_serialize(self, encoding, levels):
+        text = self._nest(levels)
+        document = parse(text)
+        store = XmlStore(encoding=encoding)
+        doc = store.load(document)
+        assert serialize(store.reconstruct(doc)) == text
+        pretty = serialize(document, pretty=True)
+        assert pretty.count("\n") == 2 * levels - 1
+        assert serialize(parse(pretty, strip_whitespace=True)) == text
 
 
 class TestMiniDbCorners:

@@ -125,6 +125,48 @@ class TestShardWorkerDispatch:
         assert response["ok"] and response["stopping"]
         assert worker.shutdown_requested()
 
+    def test_malformed_load_is_a_typed_store_error(self, worker):
+        response = worker.handle({"op": "load", "xml": "<r><a></r>"})
+        assert not response["ok"]
+        assert response["error"]["type"] == "store_error"
+        assert response["error"]["message"] == (
+            "mismatched closing tag </r>, expected </a> "
+            "(line 1, column 7)"
+        )
+        assert worker.handle({"op": "docs"})["docs"] == []
+
+    def test_load_over_the_wire_takes_the_text(self, worker):
+        """Frames in, frames out: a document deeper than the recursion
+        limit loads (it answered ``internal`` while the worker parsed a
+        DOM first) and comes back byte-equal; a malformed one answers
+        ``store_error``."""
+        import socket
+        import threading
+
+        from repro.serve import worker as worker_module
+        from repro.serve.protocol import recv_frame, send_frame
+
+        deep = "<a>" * 2999 + "<a/>" + "</a>" * 2999
+        ours, theirs = socket.socketpair()
+        thread = threading.Thread(
+            target=worker_module._serve_connection, args=(worker, theirs)
+        )
+        thread.start()
+        try:
+            send_frame(ours, {"op": "load", "xml": deep, "id": 1})
+            loaded = recv_frame(ours)
+            assert loaded["ok"], loaded
+            send_frame(ours, {"op": "state", "doc": loaded["doc"], "id": 2})
+            assert recv_frame(ours)["xml"] == deep
+            send_frame(ours, {"op": "load", "xml": deep[:-1], "id": 3})
+            refused = recv_frame(ours)
+            assert refused["error"]["type"] == "store_error"
+            assert "expected '>'" in refused["error"]["message"]
+        finally:
+            ours.close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
     def test_state_round_trips_through_parser(self, worker):
         doc = worker.handle({"op": "load", "xml": SMALL_XML})["doc"]
         xml = worker.handle({"op": "state", "doc": doc})["xml"]

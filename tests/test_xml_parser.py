@@ -93,6 +93,54 @@ class TestTokenizer:
         result = tokens(source)
         assert len(result) == 1
 
+    @pytest.mark.parametrize(
+        "doctype",
+        [
+            '<!DOCTYPE a [<!ENTITY x "]>">]>',
+            "<!DOCTYPE a [<!ENTITY x ']>'>]>",
+            "<!DOCTYPE a [<!-- > ] --> <!ELEMENT a ANY>]>",
+            "<!DOCTYPE a [<!-- it's --><?pi ]> '?><!ELEMENT a ANY> ] >",
+            "<!DOCTYPE a SYSTEM \"odd>name.dtd\" [<!ELEMENT a ANY>]>",
+        ],
+    )
+    def test_doctype_literals_and_comments_may_hold_brackets(self, doctype):
+        # Quoted literals, comments and PIs inside the declaration are
+        # opaque: a '>' or ']' in one does not end anything.
+        (tag,) = tokens(doctype + "<a/>")
+        assert tag.name == "a"
+        assert (tag.line, tag.column) == (1, len(doctype) + 1)
+        assert parse(doctype + "<a/>").root.tag == "a"
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            '<!DOCTYPE a [<!ENTITY x "]>><a/>',
+            "<!DOCTYPE a [<!-- > ] -> <a/>",
+            "<!DOCTYPE a [<?pi ]><a/>",
+            "<!DOCTYPE a [<!ELEMENT a ANY>]",
+        ],
+    )
+    def test_unterminated_doctype_pieces_rejected(self, source):
+        with pytest.raises(XmlSyntaxError) as excinfo:
+            tokens(source)
+        assert "unterminated DOCTYPE" in str(excinfo.value)
+        assert excinfo.value.column == len(source) + 1
+
+    def test_leading_byte_order_mark_ignored(self):
+        # What Path.read_text() returns for a BOM-prefixed UTF-8 file.
+        result = tokens("\ufeff<a>x</a>")
+        assert [type(t) for t in result] == [
+            StartTagToken, TextToken, EndTagToken,
+        ]
+        assert (result[0].line, result[0].column) == (1, 1)
+        assert parse('\ufeff<?xml version="1.0"?>\n<a/>').root.tag == "a"
+
+    def test_byte_order_mark_elsewhere_is_character_data(self):
+        with pytest.raises(XmlSyntaxError) as excinfo:
+            parse("\ufeff\ufeff<a/>")
+        assert "character data outside the root" in str(excinfo.value)
+        assert parse("<a>\ufeff</a>").root.text_value() == "\ufeff"
+
     def test_text_entities_unescaped(self):
         result = tokens("<a>1 &lt; 2</a>")
         assert result[1].content == "1 < 2"

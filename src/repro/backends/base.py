@@ -49,67 +49,11 @@ def is_write_statement(sql: str) -> bool:
     return text.split(None, 1)[0].lower() in _WRITE_VERBS
 
 
-def split_sql_script(script: str) -> list[str]:
-    """Split a ``;``-separated SQL script into individual statements.
-
-    Quote-aware: semicolons inside single- or double-quoted literals
-    (including the ``''`` / ``""`` doubling escape) and inside ``--``
-    line comments do not terminate a statement.
-    """
-    statements: list[str] = []
-    current: list[str] = []
-    quote: str | None = None
-    i = 0
-    n = len(script)
-    while i < n:
-        ch = script[i]
-        if quote is not None:
-            current.append(ch)
-            if ch == quote:
-                quote = None  # a doubled quote just closes and reopens
-            i += 1
-            continue
-        if ch in ("'", '"'):
-            quote = ch
-            current.append(ch)
-            i += 1
-            continue
-        if ch == "-" and script.startswith("--", i):
-            end = script.find("\n", i)
-            end = n if end == -1 else end
-            current.append(script[i:end])
-            i = end
-            continue
-        if ch == ";":
-            text = "".join(current).strip()
-            if text:
-                statements.append(text)
-            current = []
-            i += 1
-            continue
-        current.append(ch)
-        i += 1
-    text = "".join(current).strip()
-    if text:
-        statements.append(text)
-    return statements
-
-
 class Backend(ABC):
     """A relational engine that stores shredded documents."""
 
     #: Short backend name ("sqlite" or "minidb").
     name: str
-
-    #: Which dialect the translator should compile plans for.  The
-    #: sqlite backends execute SQL text; minidb overrides this and
-    #: accepts structured statements through :meth:`execute_plan`.
-    dialect: str = "sqlite"
-
-    #: Whether the engine accepts ``CREATE ... IF NOT EXISTS`` DDL.
-    #: When false, schema bootstrap falls back to tolerating (only)
-    #: already-exists errors from plain CREATE statements.
-    supports_if_not_exists: bool = False
 
     #: Whether worker threads get independent connections (statements
     #: from different threads run concurrently and transaction state is
@@ -130,17 +74,10 @@ class Backend(ABC):
     ) -> BackendResult:
         """Execute a DML statement once per parameter row."""
 
-    def execute_plan(
-        self,
-        sql: str,
-        params: Sequence = (),
-        statement: object = None,
-    ) -> BackendResult:
-        """Execute a compiled query plan.
-
-        ``statement`` is the dialect-specific structured form (minidb
-        statement nodes); backends that execute SQL text ignore it.
-        """
+    def execute_plan(self, sql, params=(), statement=None):
+        # Alias of execute, kept only for the frozen probe
+        # benchmarks/perf/workloads.py:477; do not override or call it
+        # (ROADMAP, "One benchmark system", lists it for deletion).
         return self.execute(sql, params)
 
     @abstractmethod
@@ -222,11 +159,6 @@ class Backend(ABC):
             self._tx_depth = 0
             self._tx_owner = 0
             self.commit_transaction()
-
-    def executescript(self, script: str) -> None:
-        """Execute ``;``-separated statements (DDL bootstrap)."""
-        for text in split_sql_script(script):
-            self.execute(text)
 
     def close(self) -> None:
         """Release resources (no-op by default)."""

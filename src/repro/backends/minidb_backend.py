@@ -13,7 +13,6 @@ class MiniDbBackend(Backend):
     """Adapter exposing :class:`repro.minidb.MiniDb` as a Backend."""
 
     name = "minidb"
-    dialect = "minidb"
 
     def __init__(self) -> None:
         self.db = MiniDb()
@@ -24,24 +23,6 @@ class MiniDbBackend(Backend):
         METRICS.inc("backend.rows_read", len(result.rows))
         if result.rowcount > 0 and not result.rows:
             METRICS.inc("backend.rows_written", result.rowcount)
-        return BackendResult(rows=result.rows, rowcount=result.rowcount)
-
-    def execute_plan(
-        self,
-        sql: str,
-        params: Sequence = (),
-        statement: object = None,
-    ) -> BackendResult:
-        """Execute a compiled plan as structured statement nodes.
-
-        The engine skips its SQL parser entirely; the SQL text only
-        serves as the physical-plan cache key.
-        """
-        if statement is None:
-            return self.execute(sql, params)
-        result = self.db.execute(statement, tuple(params), cache_key=sql)
-        METRICS.inc("backend.statements")
-        METRICS.inc("backend.rows_read", len(result.rows))
         return BackendResult(rows=result.rows, rowcount=result.rowcount)
 
     def executemany(

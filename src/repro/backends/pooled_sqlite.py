@@ -33,7 +33,6 @@ class PooledSqliteBackend(Backend):
     """File-backed sqlite storage with a per-thread connection pool."""
 
     name = "sqlite"
-    supports_if_not_exists = True
     pooled = True
 
     def __init__(

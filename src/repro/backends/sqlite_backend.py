@@ -3,8 +3,8 @@
 SQLite stands in for the commercial RDBMS of the paper.  BLOB comparison
 in SQLite is bytewise (memcmp), which is exactly what the Dewey binary
 codec was designed for — an ordinary B-tree index on the ``dkey`` column
-yields document order and subtree ranges.  The four Dewey helpers are
-registered as deterministic scalar functions.
+yields document order and subtree ranges.  The scalar helpers of
+:mod:`repro.core.scalars` are registered as deterministic functions.
 """
 
 from __future__ import annotations
@@ -14,16 +14,7 @@ import threading
 from typing import Iterable, Optional, Sequence
 
 from repro.backends.base import Backend, BackendResult, is_write_statement
-from repro.core.dewey import (
-    dewey_parent_bytes,
-    dewey_successor_bytes,
-)
-from repro.core.numeric import xpath_number_value
-from repro.core.pathmatch import path_match
-from repro.core.ordpath import (
-    ordpath_parent_bytes,
-    ordpath_successor_bytes,
-)
+from repro.core.scalars import SCALAR_FUNCTIONS
 from repro.obs import METRICS
 
 
@@ -60,14 +51,7 @@ def connect_sqlite(
     # holds a conflicting lock (sqlite raises BUSY past the timeout;
     # the RetryPolicy layer classifies that as transient).
     conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_ms)}")
-    for fn_name, fn, arity in (
-        ("dewey_parent", dewey_parent_bytes, 1),
-        ("dewey_successor", dewey_successor_bytes, 1),
-        ("ordpath_parent", ordpath_parent_bytes, 1),
-        ("ordpath_successor", ordpath_successor_bytes, 1),
-        ("xpath_number", xpath_number_value, 1),
-        ("path_match", path_match, 2),
-    ):
+    for fn_name, arity, fn in SCALAR_FUNCTIONS:
         conn.create_function(fn_name, arity, fn, deterministic=True)
     return conn
 
@@ -76,7 +60,6 @@ class SqliteBackend(Backend):
     """In-memory (default) or file-backed sqlite3 storage."""
 
     name = "sqlite"
-    supports_if_not_exists = True
 
     def __init__(
         self,

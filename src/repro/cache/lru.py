@@ -4,11 +4,11 @@ exactly what each commit wrote.
 A :class:`StoreCache` holds three LRU layers:
 
 * **plan** — :class:`~repro.core.relalg.CompiledPlan` objects, keyed
-  on ``(dialect, encoding, xpath-shape, max_depth, index
-  fingerprint)``.  The shape is the XPath with predicate literals
-  lifted into parameter slots, so one plan serves every document and
-  every literal value; the doc id, context node, and literals bind per
-  request via ``plan.bind()``.  The depth is part of the key because
+  on ``(encoding, xpath-shape, max_depth, index fingerprint)``.  The
+  shape is the XPath with predicate literals lifted into parameter
+  slots, so one plan serves every document and every literal value;
+  the doc id, context node, and literals bind per request via
+  ``plan.bind()``.  The depth is part of the key because
   Local's depth-bounded ``//`` and ``following::`` expansion is exactly
   tight, and the fingerprint ``(doc, stats_version)`` names the
   statistics a cost decision was made from.  The key therefore

@@ -91,11 +91,11 @@ class OrderEncoding(ABC):
     #: order within one parent).  Used by child fetches/reconstruction.
     sibling_order_column: str
 
-    def create_statements(self, if_not_exists: bool = False) -> list[str]:
+    def create_statements(self) -> list[str]:
         """DDL statements creating this encoding's tables and indexes."""
         return [
-            *self.node_table.create_statements(if_not_exists),
-            *self.attr_table.create_statements(if_not_exists),
+            *self.node_table.create_statements(),
+            *self.attr_table.create_statements(),
         ]
 
     def node_columns(self) -> tuple[str, ...]:

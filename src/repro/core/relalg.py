@@ -1,16 +1,13 @@
-"""Relational expression AST and per-backend dialect compilers.
+"""Relational expression AST and its SQL text renderer.
 
-The XPath translators no longer emit SQL text directly.  They build a
+The XPath translators do not emit SQL text directly.  They build a
 small relational algebra AST — tables with aliases, comparisons, AND/OR
 (including the Local encoding's depth-expansion arms), EXISTS and
-correlated COUNT subqueries — which a *dialect* then compiles:
-
-* :class:`SqlTextDialect` renders parameterized SQL with ``?``
-  placeholders (the sqlite backends reuse prepared statements through
-  the connection-level statement cache);
-* :class:`MiniDbDialect` emits the engine's own structured statement
-  nodes (:mod:`repro.minidb.sql_ast`), so minidb executes translator
-  output without re-parsing SQL text.
+correlated COUNT subqueries — which :class:`SqlTextDialect` renders as
+parameterized SQL with ``?`` placeholders.  That text is the only thing
+either engine sees: sqlite prepares it (and reuses the prepared
+statement through the connection-level statement cache), minidb parses
+it once per text behind its own statement cache.
 
 Run-time values never appear in the compiled form.  Every value the SQL
 depends on — the document id, the context-node id, and the safe XPath
@@ -22,7 +19,7 @@ documents and across differing predicate literals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.errors import TranslationError
@@ -119,7 +116,7 @@ class Col:
 
 @dataclass(frozen=True)
 class Const:
-    """A structural constant, inlined by every dialect."""
+    """A structural constant, inlined into the SQL text."""
 
     value: object  # int | float | str
 
@@ -375,8 +372,6 @@ class SqlTextDialect:
     slots left to right yields the parameter tuple for the statement.
     """
 
-    name = "sqlite"
-
     def compile(self, query: RelQuery) -> tuple[str, tuple[ParamSlot, ...]]:
         slots: list[ParamSlot] = []
         sql = self._query(query, slots)
@@ -466,163 +461,13 @@ class SqlTextDialect:
 
 
 # ---------------------------------------------------------------------------
-# minidb dialect
-# ---------------------------------------------------------------------------
-
-
-class MiniDbDialect:
-    """Compile the AST to :mod:`repro.minidb.sql_ast` statement nodes.
-
-    Traversal order matches :class:`SqlTextDialect` exactly, so the
-    0-based ``Param.index`` values address the same bound-parameter
-    tuple the text dialect's ``?`` placeholders consume.
-    """
-
-    name = "minidb"
-
-    def compile(self, query: RelQuery) -> tuple[object, tuple[ParamSlot, ...]]:
-        from repro.minidb import sql_ast as m
-
-        slots: list[ParamSlot] = []
-        statement = self._query(query, slots, m)
-        return statement, tuple(slots)
-
-    def _query(self, query: RelQuery, slots: list, m) -> object:
-        if isinstance(query, UnionQuery):
-            arms = tuple(
-                self._select(arm, slots, m) for arm in query.selects
-            )
-            order = tuple(
-                m.OrderItem(m.ColumnRef(None, name))
-                for name in query.order_by
-            )
-            if len(arms) == 1:
-                # The minidb SQL parser folds a one-arm compound into a
-                # plain Select; dialect parity requires the same shape.
-                return replace(arms[0], order_by=order)
-            return m.Union_(arms=arms, order_by=order)
-        return self._select(query, slots, m)
-
-    def _select(self, select: Select, slots: list, m) -> object:
-        items = tuple(
-            m.SelectItem(self._expr(item.expr, slots, m), item.as_name)
-            for item in select.columns
-        )
-        from_items = tuple(
-            m.FromItem(m.TableSource(table), alias)
-            for table, alias in select.from_items
-        )
-        where = None
-        for cond in select.where:
-            compiled = self._expr(cond, slots, m)
-            where = (
-                compiled if where is None
-                else m.Binary("AND", where, compiled)
-            )
-        order = tuple(
-            m.OrderItem(m.ColumnRef(c.alias, c.name))
-            for c in select.order_by
-        )
-        return m.Select(
-            items=items,
-            from_items=from_items,
-            where=where,
-            order_by=order,
-            distinct=select.distinct,
-        )
-
-    def _expr(self, node: RelExpr, slots: list, m) -> object:
-        if isinstance(node, Col):
-            return m.ColumnRef(node.alias, node.name)
-        if isinstance(node, Const):
-            value = node.value
-            if isinstance(value, float) and value == int(value):
-                value = int(value)
-            return m.Literal(value)
-        if isinstance(node, Param):
-            slots.append(node.slot)
-            return m.Param(len(slots) - 1)
-        if isinstance(node, Bool):
-            return m.Binary(
-                "=", m.Literal(1), m.Literal(1 if node.value else 0)
-            )
-        if isinstance(node, Cmp):
-            left = self._expr(node.left, slots, m)
-            right = self._expr(node.right, slots, m)
-            return m.Binary(node.op, left, right)
-        if isinstance(node, (And, Or)):
-            op = "AND" if isinstance(node, And) else "OR"
-            combined = None
-            for item in node.items:
-                compiled = self._expr(item, slots, m)
-                combined = (
-                    compiled if combined is None
-                    else m.Binary(op, combined, compiled)
-                )
-            return combined
-        if isinstance(node, Not):
-            return m.Unary("NOT", self._expr(node.item, slots, m))
-        if isinstance(node, Func):
-            args = tuple(self._expr(a, slots, m) for a in node.args)
-            return m.FunctionExpr(node.name.lower(), args)
-        if isinstance(node, CountStar):
-            return m.FunctionExpr("count", (), star=True)
-        if isinstance(node, Cast):
-            return m.Cast(self._expr(node.item, slots, m), node.type_name)
-        if isinstance(node, IsNull):
-            return m.IsNull(self._expr(node.item, slots, m), False)
-        if isinstance(node, Exists):
-            # NOT EXISTS compiles as Unary NOT over Exists — the same
-            # shape the minidb SQL parser produces for the text form,
-            # so both dialects yield structurally identical statements.
-            inner = m.Exists(self._select(node.query, slots, m))
-            if node.negated:
-                return m.Unary("NOT", inner)
-            return inner
-        if isinstance(node, ScalarCount):
-            return m.ScalarSubquery(self._select(node.query, slots, m))
-        if isinstance(node, StringValueAgg):
-            inner = self._query(node.query, slots, m)
-            agg = m.Select(
-                items=(
-                    m.SelectItem(
-                        m.FunctionExpr(
-                            "group_concat",
-                            (m.ColumnRef(None, "v"), m.Literal("")),
-                        ),
-                        None,
-                    ),
-                ),
-                from_items=(
-                    m.FromItem(m.SubquerySource(inner), node.alias),
-                ),
-            )
-            return m.FunctionExpr(
-                "coalesce", (m.ScalarSubquery(agg), m.Literal(""))
-            )
-        raise TranslationError(f"cannot compile node {node!r} for minidb")
-
-
-#: Dialect registry (the store picks by ``backend.dialect``).
-DIALECTS = {
-    "sqlite": SqlTextDialect,
-    "minidb": MiniDbDialect,
-}
-
-
-# ---------------------------------------------------------------------------
 # Compiled plans and bound queries
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TranslatedQuery:
-    """The *bound* SQL form of one XPath query (ready to execute).
-
-    ``statement`` carries the minidb structured statement when the plan
-    was compiled for the minidb dialect; ``None`` means "execute the
-    SQL text".
-    """
+    """The *bound* SQL form of one XPath query (ready to execute)."""
 
     sql: str
     params: tuple
@@ -631,13 +476,16 @@ class TranslatedQuery:
     encoding: str
     columns: tuple[str, ...]
     stats: TranslationStats
-    statement: object = None
     #: Access path the cost model picked: "scan" (translated joins over
     #: the node table) or an ``*-index`` plan over the secondary-index
     #: side tables; ``index_names``/``est_rows`` describe the choice.
     access_path: str = "scan"
     index_names: tuple[str, ...] = ()
     est_rows: Optional[int] = None
+    #: Not a field.  The frozen probe benchmarks/perf/workloads.py:477
+    #: passes ``statement=t.statement``; nothing else reads it (ROADMAP,
+    #: "One benchmark system", lists it for deletion).
+    statement = None
 
 
 @dataclass(frozen=True)
@@ -656,7 +504,6 @@ class CompiledPlan:
     encoding: str
     columns: tuple[str, ...]
     stats: TranslationStats
-    statement: object = None
     #: Cost-model outcome (see :mod:`repro.index.cost`): which access
     #: path this plan uses, which secondary indexes it touches, and the
     #: estimated result cardinality (``None`` when no estimate exists).
@@ -703,7 +550,6 @@ class CompiledPlan:
             encoding=self.encoding,
             columns=self.columns,
             stats=self.stats,
-            statement=self.statement,
             access_path=self.access_path,
             index_names=self.index_names,
             est_rows=self.est_rows,

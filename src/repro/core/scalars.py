@@ -1,0 +1,23 @@
+"""The scalar SQL functions translated plans may call, declared once.
+
+Both engines register every entry — ``connect_sqlite`` on each
+connection, :class:`~repro.minidb.MiniDb` at construction — so a
+function the translator emits exists wherever the SQL text runs.
+"""
+
+from __future__ import annotations
+
+from repro.core.dewey import dewey_parent_bytes, dewey_successor_bytes
+from repro.core.numeric import xpath_number_value
+from repro.core.ordpath import ordpath_parent_bytes, ordpath_successor_bytes
+from repro.core.pathmatch import path_match
+
+#: ``(name, arity, function)``; every function is deterministic.
+SCALAR_FUNCTIONS = (
+    ("dewey_parent", 1, dewey_parent_bytes),
+    ("dewey_successor", 1, dewey_successor_bytes),
+    ("ordpath_parent", 1, ordpath_parent_bytes),
+    ("ordpath_successor", 1, ordpath_successor_bytes),
+    ("xpath_number", 1, xpath_number_value),
+    ("path_match", 2, path_match),
+)

@@ -45,11 +45,10 @@ class Index:
     columns: tuple[str, ...]
     unique: bool = False
 
-    def to_sql(self, if_not_exists: bool = False) -> str:
+    def to_sql(self) -> str:
         unique = "UNIQUE " if self.unique else ""
-        guard = "IF NOT EXISTS " if if_not_exists else ""
         cols = ", ".join(self.columns)
-        return (f"CREATE {unique}INDEX {guard}{self.name} "
+        return (f"CREATE {unique}INDEX IF NOT EXISTS {self.name} "
                 f"ON {self.table} ({cols})")
 
 
@@ -61,18 +60,17 @@ class Table:
     columns: tuple[Column, ...]
     indexes: tuple[Index, ...] = field(default_factory=tuple)
 
-    def to_sql(self, if_not_exists: bool = False) -> str:
-        guard = "IF NOT EXISTS " if if_not_exists else ""
+    def to_sql(self) -> str:
         cols = ", ".join(f"{c.name} {c.type}" for c in self.columns)
-        return f"CREATE TABLE {guard}{self.name} ({cols})"
+        return f"CREATE TABLE IF NOT EXISTS {self.name} ({cols})"
 
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
-    def create_statements(self, if_not_exists: bool = False) -> list[str]:
+    def create_statements(self) -> list[str]:
         return [
-            self.to_sql(if_not_exists),
-            *(ix.to_sql(if_not_exists) for ix in self.indexes),
+            self.to_sql(),
+            *(ix.to_sql() for ix in self.indexes),
         ]
 
 

@@ -2,8 +2,8 @@
 
 The translator assembles :mod:`repro.core.relalg` expression nodes; this
 module provides the mutable :class:`SelectBuilder` that accumulates one
-SELECT's pieces and the subquery wrappers.  Rendering to SQL text (or to
-minidb statement nodes) happens later, in the dialect compilers — the
+SELECT's pieces and the subquery wrappers.  Rendering to SQL text
+happens later, in :class:`~repro.core.relalg.SqlTextDialect` — the
 builder never touches strings.
 """
 

@@ -18,11 +18,11 @@ Predicates compile to:
   subqueries ending in a comparison against the stored value column;
 * boolean connectives, ``count()``, ``contains()`` and ``starts-with()``.
 
-The AST is then compiled by a *dialect* (SQL text for sqlite, structured
-statement nodes for minidb) into a :class:`~repro.core.relalg.CompiledPlan`
-that contains no document id, context id, or predicate literal — those
-bind later, so one compiled plan serves every document and every literal
-value of the same query shape.
+The AST is then rendered as SQL text — the same text for both engines —
+into a :class:`~repro.core.relalg.CompiledPlan` that contains no
+document id, context id, or predicate literal — those bind later, so one
+compiled plan serves every document and every literal value of the same
+query shape.
 
 The two leading-``//`` steps the parser produces
 (``descendant-or-self::node()`` + ``child::T``) are merged into a single
@@ -57,12 +57,10 @@ from repro.core.relalg import (
     Col,
     CompiledPlan,
     Const,
-    DIALECTS,
     Exists,
     FixedSlot,
     Func,
     LitSlot,
-    MiniDbDialect,
     Param,
     RelExpr,
     RelQuery,
@@ -320,7 +318,6 @@ class SqlTranslator(ABC):
         path: Union[LocationPath, UnionPath, str],
         doc: int,
         context_id: Optional[int] = None,
-        dialect: str = "sqlite",
     ) -> TranslatedQuery:
         """Translate a path (or a top-level ``|`` union) into one bound
         SQL query.
@@ -336,16 +333,15 @@ class SqlTranslator(ABC):
 
             path = parse_xpath(path)
         shaped, literals = extract_shape(path)
-        plan = self.compile(shaped, dialect=dialect)
+        plan = self.compile(shaped)
         return plan.bind(doc, context_id, literals)
 
     def compile(
         self,
         path: Union[LocationPath, UnionPath, str],
-        dialect: str = "sqlite",
         index=None,
     ) -> CompiledPlan:
-        """Compile a (possibly shape-extracted) path for one dialect.
+        """Compile a (possibly shape-extracted) path to SQL text.
 
         The result is document-independent: ``doc``/context/literal
         values become parameter slots resolved by
@@ -364,8 +360,6 @@ class SqlTranslator(ABC):
             from repro.xpath.parser import parse_xpath
 
             path = parse_xpath(path)
-        if dialect not in DIALECTS:
-            raise TranslationError(f"unknown SQL dialect {dialect!r}")
         self._index = index
         self._access = set()
         self._index_names = []
@@ -393,14 +387,6 @@ class SqlTranslator(ABC):
             self._est_rows = None
         stats = compute_stats(query)
         sql, slots = SqlTextDialect().compile(query)
-        statement = None
-        if dialect == "minidb":
-            statement, minidb_slots = MiniDbDialect().compile(query)
-            if minidb_slots != slots:
-                raise TranslationError(
-                    "internal error: dialect compilers disagreed on "
-                    "parameter order"
-                )
         METRICS.inc("translate.queries")
         METRICS.inc("translate.compile")
         METRICS.inc("translate.joins", stats.joins)
@@ -416,7 +402,6 @@ class SqlTranslator(ABC):
             encoding=self.encoding.name,
             columns=columns,
             stats=stats,
-            statement=statement,
             access_path=access_path,
             index_names=index_names,
             est_rows=est_rows,

@@ -71,7 +71,7 @@ from repro.core.shredder import relabel
 from repro.errors import MigrationAborted, MigrationError
 from repro.migrate.journal import MigrationJournal
 from repro.obs import METRICS, span
-from repro.store import XmlStore, _is_already_exists
+from repro.store import XmlStore
 
 
 @dataclass
@@ -188,13 +188,10 @@ class _ShadowStore(XmlStore):
 
 
 def _bootstrap_tables(store: XmlStore, encoding: OrderEncoding) -> None:
-    if_not_exists = store.backend.supports_if_not_exists
-    for statement in encoding.create_statements(if_not_exists):
+    for statement in encoding.create_statements():
         try:
             store.backend.execute(statement)
         except Exception as exc:
-            if _is_already_exists(exc):
-                continue
             raise MigrationError(
                 f"migration table bootstrap failed: {statement!r}: {exc}"
             ) from exc

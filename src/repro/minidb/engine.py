@@ -9,23 +9,23 @@ behind a DB-API-flavoured interface::
     result = db.execute("SELECT b FROM t WHERE a = ?", (1,))
     result.rows  # [("x",)]
 
-Statement ASTs are cached per SQL text, and compiled SELECT plans are
-cached per (SQL text, schema version), so the benchmark loops pay parsing
-and planning once.  Scalar functions can be registered with
-:meth:`create_function`, mirroring ``sqlite3.Connection.create_function``;
-the engine pre-registers the Dewey helpers that the paper's Dewey
-translation relies on.
+Two caches, both keyed on the SQL text, make a repeated statement pay
+parsing and planning once: statement ASTs (valid for ever — parsing
+depends on nothing but the text) and compiled SELECT plans (valid for
+one ``catalog.version``, dropped together when DDL moves it).  Neither
+evicts; a cache that reaches :data:`_CACHE_CAP` entries starts over, so
+neither can fill up and stop caching.  Scalar functions can be
+registered with :meth:`create_function`, mirroring
+``sqlite3.Connection.create_function``; the engine pre-registers the
+helpers translated plans call (:mod:`repro.core.scalars`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 from repro.concurrent.latch import RWLatch
-from repro.core.dewey import (
-    dewey_parent_bytes,
-    dewey_successor_bytes,
-)
+from repro.core.scalars import SCALAR_FUNCTIONS
 from repro.errors import ExecutionError
 from repro.minidb.catalog import Catalog
 from repro.minidb.executor import (
@@ -39,6 +39,9 @@ from repro.minidb.expressions import BUILTIN_SCALARS
 from repro.minidb.sql_ast import Select, Statement, Union_
 from repro.minidb.sql_parser import parse_sql
 from repro.obs import METRICS
+
+#: Entries either statement cache holds before it starts over.
+_CACHE_CAP = 4096
 
 
 class MiniDb:
@@ -54,26 +57,14 @@ class MiniDb:
         self.stats = Stats()
         self.functions: dict[str, Callable] = dict(BUILTIN_SCALARS)
         self._ast_cache: dict[str, Statement] = {}
-        self._plan_cache: dict[tuple[str, int], CompiledSelect] = {}
+        self._plan_cache: dict[str, CompiledSelect] = {}
+        #: The ``catalog.version`` every cached plan was compiled at.
+        self._plan_version = self.catalog.version
         self._runner = StatementRunner(
             self.catalog, self.functions, self.stats
         )
-        self._register_dewey_functions()
-
-    def _register_dewey_functions(self) -> None:
-        from repro.core.numeric import xpath_number_value
-        from repro.core.ordpath import (
-            ordpath_parent_bytes,
-            ordpath_successor_bytes,
-        )
-        from repro.core.pathmatch import path_match
-
-        self.create_function("dewey_parent", dewey_parent_bytes)
-        self.create_function("dewey_successor", dewey_successor_bytes)
-        self.create_function("ordpath_parent", ordpath_parent_bytes)
-        self.create_function("ordpath_successor", ordpath_successor_bytes)
-        self.create_function("xpath_number", xpath_number_value)
-        self.create_function("path_match", path_match)
+        for name, _arity, fn in SCALAR_FUNCTIONS:
+            self.create_function(name, fn)
 
     def create_function(self, name: str, fn: Callable) -> None:
         """Register a scalar SQL function under *name* (lower-cased)."""
@@ -86,52 +77,42 @@ class MiniDb:
         statement = self._ast_cache.get(sql)
         if statement is None:
             statement = parse_sql(sql)
-            if len(self._ast_cache) < 4096:
-                self._ast_cache[sql] = statement
+            if len(self._ast_cache) >= _CACHE_CAP:
+                self._ast_cache.clear()
+            self._ast_cache[sql] = statement
         return statement
 
-    def execute(
-        self,
-        sql: Union[str, Statement],
-        params: Sequence = (),
-        cache_key: Optional[str] = None,
-    ) -> Result:
-        """Execute one statement; returns a :class:`Result`.
+    def _plan(self, sql: str, statement: Statement) -> CompiledSelect:
+        """The compiled plan of a SELECT (call under the read latch,
+        which holds ``catalog.version`` still)."""
+        if self._plan_version != self.catalog.version:
+            self._plan_cache.clear()
+            self._plan_version = self.catalog.version
+        plan = self._plan_cache.get(sql)
+        if plan is None:
+            plan = self._runner.compiler().compile_select(statement)
+            if len(self._plan_cache) >= _CACHE_CAP:
+                self._plan_cache.clear()
+            self._plan_cache[sql] = plan
+        return plan
 
-        *sql* may be a pre-built statement node instead of SQL text
-        (the translator's minidb dialect hands those over directly);
-        ``cache_key`` lets such statements share the physical-plan
-        cache that text statements key by their SQL.
-        """
-        if isinstance(sql, str):
-            keyword = sql.strip().rstrip(";").upper()
-            if keyword in ("BEGIN", "BEGIN TRANSACTION"):
-                self.begin()
-                return Result()
-            if keyword == "COMMIT":
-                self.commit()
-                return Result()
-            if keyword == "ROLLBACK":
-                self.rollback()
-                return Result()
-        statement = self._parse(sql) if isinstance(sql, str) else sql
+    def execute(self, sql: str, params: Sequence = ()) -> Result:
+        """Execute one statement; returns a :class:`Result`."""
+        keyword = sql.strip().rstrip(";").upper()
+        if keyword in ("BEGIN", "BEGIN TRANSACTION"):
+            self.begin()
+            return Result()
+        if keyword == "COMMIT":
+            self.commit()
+            return Result()
+        if keyword == "ROLLBACK":
+            self.rollback()
+            return Result()
+        statement = self._parse(sql)
         params = tuple(params)
         if isinstance(statement, (Select, Union_)):
             with self.latch.read():
-                text_key = sql if isinstance(sql, str) else cache_key
-                if text_key is not None:
-                    key = (text_key, self.catalog.version)
-                    plan = self._plan_cache.get(key)
-                    if plan is None:
-                        plan = self._runner.compiler().compile_select(
-                            statement
-                        )
-                        if len(self._plan_cache) < 4096:
-                            self._plan_cache[key] = plan
-                else:
-                    plan = self._runner.compiler().compile_select(
-                        statement
-                    )
+                plan = self._plan(sql, statement)
                 self.stats.statements += 1
                 state = ExecState(params=params, stats=self.stats)
                 rows = list(plan.rows({}, state))
@@ -156,13 +137,6 @@ class MiniDb:
                 if result.rowcount > 0:
                     total += result.rowcount
         return Result(rowcount=total)
-
-    def executescript(self, script: str) -> None:
-        """Execute ``;``-separated statements (DDL bootstrap helper)."""
-        for piece in script.split(";"):
-            text = piece.strip()
-            if text:
-                self.execute(text)
 
     def explain(self, sql: str) -> list[str]:
         """Describe the access plan of a SELECT without executing it.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from repro.errors import SqlSyntaxError
@@ -90,7 +91,10 @@ def tokenize_sql(sql: str) -> list[SqlToken]:
             if upper in KEYWORDS:
                 tokens.append(SqlToken(upper, word, i))
             else:
-                tokens.append(SqlToken("ident", word, i))
+                # Interned: the executor keys its row environments on
+                # aliases, and equal names from different places in the
+                # text then hit those dicts by identity.
+                tokens.append(SqlToken("ident", sys.intern(word), i))
             i = j
             continue
         if ch == '"':

@@ -117,7 +117,6 @@ class FaultInjectingBackend(Backend):
         self.inner = inner
         self.plan = plan
         self.name = inner.name
-        self.supports_if_not_exists = inner.supports_if_not_exists
         self.pooled = getattr(inner, "pooled", False)
         self.statements_executed = 0
         self.crashed = False

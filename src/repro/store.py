@@ -73,11 +73,6 @@ def _parse_and_extract(xpath: str):
     return shaped, str(shaped), literals
 
 
-def _is_already_exists(exc: Exception) -> bool:
-    """True when a CREATE failed only because the object already exists."""
-    return "already exists" in str(exc)
-
-
 @dataclass(frozen=True, slots=True)
 class ResultItem:
     """One query result: a node row or an attribute.
@@ -207,24 +202,20 @@ class XmlStore:
     # -- schema ----------------------------------------------------------
 
     def _create_schema(self) -> None:
-        if_not_exists = self.backend.supports_if_not_exists
+        # Every statement carries IF NOT EXISTS, so reusing a backend
+        # that already has the schema is fine and any failure is real.
         for statement in (
-            *self.encoding.create_statements(if_not_exists),
-            *self._docs_table.create_statements(if_not_exists),
+            *self.encoding.create_statements(),
+            *self._docs_table.create_statements(),
             *(
                 stmt
                 for table in index_tables()
-                for stmt in table.create_statements(if_not_exists)
+                for stmt in table.create_statements()
             ),
         ):
             try:
                 self.backend.execute(statement)
             except Exception as exc:
-                # Reusing a backend that already has the schema is fine
-                # (engines without IF NOT EXISTS report it as an error);
-                # every other DDL failure is real and must surface.
-                if _is_already_exists(exc):
-                    continue
                 raise StorageError(
                     f"schema bootstrap failed: {statement!r}: {exc}"
                 ) from exc
@@ -261,25 +252,6 @@ class XmlStore:
         if self.retry is None:
             return self.backend.execute(sql, params)
         return self.retry.run(lambda: self.backend.execute(sql, params))
-
-    def _execute_plan(self, translated: TranslatedQuery):
-        """Execute a translated query through the backend's plan path.
-
-        minidb receives the structured statement (no SQL re-parsing);
-        sqlite executes the parameterized text (prepared-statement
-        cache keyed on it).
-        """
-        if self.retry is None:
-            return self.backend.execute_plan(
-                translated.sql, translated.params,
-                statement=translated.statement,
-            )
-        return self.retry.run(
-            lambda: self.backend.execute_plan(
-                translated.sql, translated.params,
-                statement=translated.statement,
-            )
-        )
 
     @staticmethod
     def in_batches(
@@ -633,7 +605,7 @@ class XmlStore:
         id); absolute paths start at the document.
 
         Compiled plans are cached per
-        ``(dialect, encoding, shape, depth, index fingerprint)`` where
+        ``(encoding, shape, depth, index fingerprint)`` where
         *shape* is the query with its safe predicate literals
         abstracted away — one plan serves every document and every
         literal value (``//item[@id='a']`` and ``//item[@id='b']``
@@ -655,8 +627,7 @@ class XmlStore:
         fingerprint = None if ictx is None else ictx.fingerprint
         encoding_name = info.encoding or self.encoding.name
         depth = max(info.max_depth, 2)
-        dialect = self.backend.dialect
-        key = (dialect, encoding_name, shape_key, depth, fingerprint)
+        key = (encoding_name, shape_key, depth, fingerprint)
         # A key derived inside a transaction may name a statistics
         # version the rollback un-allocates; its plan is not shared.
         cache = self.cache
@@ -664,7 +635,7 @@ class XmlStore:
         plan = cache.get_plan(key) if use_cache else None
         if plan is None:
             translator = make_translator(encoding_name, max_depth=depth)
-            plan = translator.compile(shaped, dialect=dialect, index=ictx)
+            plan = translator.compile(shaped, index=ictx)
             if use_cache:
                 cache.put_plan(key, plan)
         else:
@@ -763,7 +734,7 @@ class XmlStore:
             translated = self.translate(xpath, doc, context_id=context_id)
         METRICS.inc("query.executed")
         with span("execute", collect):
-            result = self._execute_plan(translated)
+            result = self._execute(translated.sql, translated.params)
         rows = result.rows
         METRICS.inc("query.rows", len(rows))
         if translated.access_path != "scan":

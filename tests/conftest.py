@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.minidb import engine as minidb_engine
+from repro.minidb.executor import Compiler
 from repro.store import XmlStore
 from repro.xmldom import Document, parse
 from repro.xpath import AttributeNode, Evaluator
@@ -134,3 +138,34 @@ def bib_store(encoding, bib_document):
     store = XmlStore(backend="sqlite", encoding=encoding)
     doc = store.load(bib_document)
     return store, doc, bib_document
+
+
+@pytest.fixture
+def minidb_work(monkeypatch) -> Counter:
+    """Counts what minidb's two statement caches exist to avoid:
+    ``"parse"`` — ``parse_sql`` calls made by the engine; ``"compile"`` —
+    top-level ``compile_select`` calls (a subquery's nested compile is
+    part of its statement's).  Deterministic, so tests assert exact
+    counts instead of timing anything."""
+    work: Counter = Counter()
+    real_parse = minidb_engine.parse_sql
+    real_compile = Compiler.compile_select
+    depth = 0
+
+    def parse_sql(sql):
+        work["parse"] += 1
+        return real_parse(sql)
+
+    def compile_select(self, select, outer=None):
+        nonlocal depth
+        if depth == 0:
+            work["compile"] += 1
+        depth += 1
+        try:
+            return real_compile(self, select, outer)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(minidb_engine, "parse_sql", parse_sql)
+    monkeypatch.setattr(Compiler, "compile_select", compile_select)
+    return work

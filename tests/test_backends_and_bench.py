@@ -59,14 +59,6 @@ class TestBackendContract:
         )
         assert backend.rows_written() >= base + 3
 
-    def test_executescript(self, name):
-        backend = make_backend(name)
-        backend.executescript(
-            "CREATE TABLE s (x INTEGER); "
-            "INSERT INTO s VALUES (1); INSERT INTO s VALUES (2)"
-        )
-        assert backend.execute("SELECT COUNT(*) FROM s").rows == [(2,)]
-
     def test_blob_roundtrip_and_order(self, name):
         backend = make_backend(name)
         backend.execute("CREATE TABLE b (k BLOB)")

@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from tests.conftest import ALL_ENCODINGS, BACKENDS, BIB_XML
+from repro.backends import make_backend
 from repro.backends.base import Backend, BackendResult
 from repro.backends.minidb_backend import MiniDbBackend
 from repro.backends.sqlite_backend import SqliteBackend
@@ -24,6 +25,8 @@ from repro.check import (
     run_fuzz,
 )
 from repro.cli import main
+from repro.core.encodings import get_encoding
+from repro.core.schema import documents_table, index_tables
 from repro.errors import StorageError, UpdateError, XmlSyntaxError
 from repro.store import XmlStore
 from repro.xmldom import parse_fragment, serialize
@@ -153,12 +156,22 @@ class TestSchemaBootstrap:
         second = XmlStore(backend=backend, encoding="local")
         assert second.document_info(doc).node_count > 0
 
-    def test_sqlite_uses_if_not_exists(self):
-        assert SqliteBackend.supports_if_not_exists is True
-        from repro.core.encodings import get_encoding
-
-        statements = get_encoding("dewey").create_statements(True)
-        assert all("IF NOT EXISTS" in s for s in statements)
+    def test_bootstrap_is_guarded_and_runs_twice(self):
+        """Every bootstrap statement carries IF NOT EXISTS, and a bare
+        backend — no store around it to tolerate an error — runs the
+        whole set twice."""
+        tables = [documents_table(), *index_tables()]
+        for name in ALL_ENCODINGS:
+            encoding = get_encoding(name)
+            tables += [encoding.node_table, encoding.attr_table]
+        statements = [s for t in tables for s in t.create_statements()]
+        assert len(statements) == 46
+        assert all(" IF NOT EXISTS " in s for s in statements)
+        for name in BACKENDS:
+            backend = make_backend(name)
+            for statement in statements * 2:
+                backend.execute(statement)
+            assert len(backend.list_tables()) == len(tables)
 
 
 # -- bug 3: sqlite connection shared across threads ----------------------

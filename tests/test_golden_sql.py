@@ -1,12 +1,11 @@
 """Golden-SQL snapshots and the pre-refactor stats baseline.
 
-Three guards around the dialect-compiled translation path:
+Three guards around the translation path:
 
-* the exact SQL text the sqlite dialect emits for a fixed corpus, per
+* the exact SQL text the renderer emits for a fixed corpus, per
   encoding, against a checked-in golden file (``tests/data/golden_sql.json``);
-* structural parity between the two dialects: the statement the minidb
-  dialect builds directly must equal what the minidb SQL parser produces
-  from the sqlite dialect's text;
+* every text in that file is one minidb's parser accepts and calls only
+  functions both engines register — the text is all either engine gets;
 * the :class:`TranslationStats` that :func:`compute_stats` derives from
   the expression AST, against the counts the pre-AST translators
   reported for the same corpus (captured before the refactor).
@@ -17,13 +16,21 @@ Regenerate the golden file after an intentional SQL-shape change with::
 """
 
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
+from repro.backends import make_backend
+from repro.core.dewey import DeweyKey
+from repro.core.ordpath import OrdpathKey
+from repro.core.scalars import SCALAR_FUNCTIONS
 from repro.core.translator import make_translator
 from repro.core.translator.shape import extract_shape
 from repro.index import IndexContext
+from repro.minidb import parse_sql
+from repro.minidb.expressions import AGGREGATE_NAMES, BUILTIN_SCALARS
+from repro.minidb.sql_ast import FunctionExpr
 from repro.xpath import parse_xpath
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_sql.json"
@@ -143,9 +150,7 @@ def snapshot_index_plans(encoding: str) -> dict:
     out = {}
     for xpath in INDEX_SNAPSHOT_QUERIES:
         shaped, _literals = extract_shape(parse_xpath(xpath))
-        plan = translator.compile(
-            shaped, dialect="sqlite", index=INDEX_STATS
-        )
+        plan = translator.compile(shaped, index=INDEX_STATS)
         out[xpath] = {
             "access_path": plan.access_path,
             "index_names": list(plan.index_names),
@@ -234,44 +239,74 @@ class TestGoldenIndexPlans:
                 assert literal not in sql, (xpath, literal)
 
 
-class TestDialectParity:
+def _function_names(node) -> set:
+    """Names of every function called anywhere in a parsed statement."""
+    names = set()
+    if isinstance(node, FunctionExpr):
+        names.add(node.name)
+    if is_dataclass(node):
+        node = tuple(getattr(node, f.name) for f in fields(node))
+    if isinstance(node, tuple):
+        for item in node:
+            names |= _function_names(item)
+    return names
+
+
+class TestGoldenSqlParses:
+    """The golden text is the whole interface to either engine: minidb
+    must parse each one (sqlite prepares them in the conformance suite)
+    and find every function it names."""
+
+    @pytest.fixture(scope="class")
+    def golden(self) -> dict:
+        return json.loads(GOLDEN_PATH.read_text())
+
     @pytest.mark.parametrize("encoding", ENCODINGS)
-    def test_minidb_statement_equals_parsed_text(self, encoding):
-        """The structured statement handed to minidb is exactly what
-        the minidb parser would build from the sqlite dialect's text:
-        the two compilers cannot drift apart silently."""
-        from repro.minidb.sql_parser import parse_sql
-
-        translator = make_translator(encoding, MAX_DEPTH)
-        for xpath in SNAPSHOT_QUERIES:
-            shaped, _literals = extract_shape(parse_xpath(xpath))
-            plan = translator.compile(shaped, dialect="minidb")
-            assert plan.statement is not None, xpath
-            assert plan.statement == parse_sql(plan.sql), xpath
+    def test_minidb_parses_golden_text(self, golden, encoding):
+        assert len(golden[encoding]) == len(SNAPSHOT_QUERIES)
+        for xpath, sql in golden[encoding].items():
+            assert parse_sql(sql) is not None, xpath
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
-    def test_minidb_index_plans_equal_parsed_text(self, encoding):
-        """Dialect parity holds for index-rewritten plans too, and both
-        dialects make the same access-path choice from the same
-        statistics — the cost decision lives in the translator, not
-        the engine."""
-        from repro.minidb.sql_parser import parse_sql
+    def test_minidb_parses_index_plans(self, golden, encoding):
+        plans = golden["index_plans"][encoding]
+        assert len(plans) == len(INDEX_SNAPSHOT_QUERIES)
+        for xpath, plan in plans.items():
+            assert parse_sql(plan["sql"]) is not None, xpath
 
-        translator = make_translator(encoding, MAX_DEPTH)
-        for xpath in INDEX_SNAPSHOT_QUERIES:
-            shaped, _literals = extract_shape(parse_xpath(xpath))
-            sqlite_plan = translator.compile(
-                shaped, dialect="sqlite", index=INDEX_STATS
-            )
-            minidb_plan = translator.compile(
-                shaped, dialect="minidb", index=INDEX_STATS
-            )
-            assert minidb_plan.access_path == sqlite_plan.access_path
-            assert minidb_plan.index_names == sqlite_plan.index_names
-            assert minidb_plan.statement is not None, xpath
-            assert minidb_plan.statement == parse_sql(
-                minidb_plan.sql
-            ), xpath
+    def test_every_function_called_is_in_the_scalar_table(self, golden):
+        texts = [
+            sql for enc in ENCODINGS for sql in golden[enc].values()
+        ] + [
+            plan["sql"]
+            for enc in ENCODINGS
+            for plan in golden["index_plans"][enc].values()
+        ]
+        assert len(texts) == 104
+        called = set().union(*(_function_names(parse_sql(t)) for t in texts))
+        declared = {name for name, _arity, _fn in SCALAR_FUNCTIONS}
+        assert called - set(BUILTIN_SCALARS) - AGGREGATE_NAMES <= declared
+
+    def test_scalar_table_agrees_on_both_engines(self):
+        dkey = DeweyKey((1, 2)).encode()
+        okey = OrdpathKey((1, 3)).encode()
+        inputs = {
+            "dewey_parent": (dkey,),
+            "dewey_successor": (dkey,),
+            "ordpath_parent": (okey,),
+            "ordpath_successor": (okey,),
+            "xpath_number": (" 12.50 ",),
+            "path_match": ("/bib/book/title", "/bib//title"),
+        }
+        assert set(inputs) == {name for name, _a, _f in SCALAR_FUNCTIONS}
+        engines = [make_backend("sqlite"), make_backend("minidb")]
+        for name, arity, fn in SCALAR_FUNCTIONS:
+            args = inputs[name]
+            assert len(args) == arity
+            sql = f"SELECT {name}({', '.join('?' * arity)})"
+            got = [e.execute(sql, args).rows[0][0] for e in engines]
+            assert got[0] == got[1] == fn(*args), name
+            assert got[0] is not None, name
 
 
 class TestStatsBaseline:

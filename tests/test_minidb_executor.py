@@ -5,6 +5,11 @@ import pytest
 from repro.errors import CatalogError, ExecutionError, SqlSyntaxError
 from repro.minidb import MiniDb
 
+#: Entries either of the engine's statement caches holds (spelled out,
+#: not imported, so these tests also run against an engine without the
+#: constant).
+CACHE_CAP = 4096
+
 
 @pytest.fixture
 def db():
@@ -365,6 +370,37 @@ class TestFunctionsAndCache:
         assert db.execute(sql).rows == [(2,)]
         db.execute("CREATE TABLE other (a INTEGER)")
         assert db.execute(sql).rows == [(2,)]
+
+    def test_ddl_churn_past_the_cap_does_not_stop_plan_caching(
+        self, db, minidb_work
+    ):
+        """Plans are dropped when DDL moves ``catalog.version``, so dead
+        entries cannot fill the cache: after more version bumps than the
+        cap holds entries, a repeated SELECT still compiles once per
+        version — not, as when the key was ``(text, version)`` and a
+        full cache refused inserts, once per execution for good."""
+        sql = "SELECT COUNT(*) FROM emp WHERE dept = 'eng'"
+        for _ in range(CACHE_CAP // 2 + 2):
+            db.execute("CREATE TABLE churn (a INTEGER)")
+            db.execute(sql)
+            db.execute("DROP TABLE churn")
+            db.execute(sql)
+        db.execute("CREATE TABLE other (a INTEGER)")
+        minidb_work.clear()
+        for _ in range(50):
+            assert db.execute(sql).rows == [(2,)]
+        assert minidb_work == {"compile": 1}
+
+    def test_a_full_statement_cache_starts_over(self, db, minidb_work):
+        """Neither cache refuses entries when full: past the cap of
+        distinct texts, a new text is still parsed and planned once."""
+        for i in range(CACHE_CAP):
+            db.execute(f"SELECT {i}")
+        sql = "SELECT COUNT(*) FROM emp WHERE dept = 'ops'"
+        minidb_work.clear()
+        for _ in range(50):
+            assert db.execute(sql).rows == [(2,)]
+        assert minidb_work == {"parse": 1, "compile": 1}
 
     def test_dewey_functions_preregistered(self, db):
         from repro.core.dewey import DeweyKey

@@ -1,4 +1,4 @@
-"""Unit tests for the relational AST, builders, and dialect compilers."""
+"""Unit tests for the relational AST, builders, and the SQL text renderer."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.core.relalg import (
     Const,
     FixedSlot,
     LitSlot,
-    MiniDbDialect,
     Not,
     Or,
     Param,
@@ -154,26 +153,6 @@ class TestSqlTextDialect:
         b.add_where(Cmp("=", Col("n0", "tag"), Const("O'Reilly")))
         sql, _slots = compile_text(b.build())
         assert "'O''Reilly'" in sql
-
-
-class TestMiniDbDialect:
-    def test_same_slot_order_as_text_dialect(self):
-        b = simple_builder()
-        b.add_where(Cmp("=", Col("n0", "id"), Param(CTX)))
-        b.add_where(Cmp("=", Col("n0", "value"), Param(LitSlot(0))))
-        query = b.build()
-        _sql, text_slots = SqlTextDialect().compile(query)
-        _stmt, minidb_slots = MiniDbDialect().compile(query)
-        assert text_slots == minidb_slots
-
-    def test_emits_structured_statement(self):
-        from repro.minidb import sql_ast as m
-
-        stmt, _slots = MiniDbDialect().compile(simple_builder().build())
-        assert isinstance(stmt, m.Select)
-        assert isinstance(stmt.where, m.Binary)
-        assert isinstance(stmt.where.right, m.Param)
-        assert stmt.where.right.index == 0
 
 
 class TestScalarCount:

@@ -6,7 +6,6 @@ import threading
 import pytest
 
 from repro.backends import make_backend
-from repro.backends.base import split_sql_script
 from repro.errors import ExecutionError
 from repro.minidb import MiniDb
 from repro.store import XmlStore
@@ -162,60 +161,6 @@ class TestFailureInjection:
         report = store.updates.insert(doc, root, 0, "<i n='new'/>")
         assert report.inserted == 1
         assert store.query_values("/list/i[1]/@n", doc) == ["new"]
-
-
-class TestSplitSqlScript:
-    """Quote-aware script splitting (regression: naive ';'.split)."""
-
-    def test_plain_statements(self):
-        assert split_sql_script("SELECT 1; SELECT 2;") == [
-            "SELECT 1",
-            "SELECT 2",
-        ]
-
-    def test_semicolon_inside_single_quotes(self):
-        script = "INSERT INTO t VALUES ('a; b'); SELECT 1"
-        assert split_sql_script(script) == [
-            "INSERT INTO t VALUES ('a; b')",
-            "SELECT 1",
-        ]
-
-    def test_doubled_quote_escape(self):
-        script = "INSERT INTO t VALUES ('it''s; fine'); SELECT 1"
-        assert split_sql_script(script) == [
-            "INSERT INTO t VALUES ('it''s; fine')",
-            "SELECT 1",
-        ]
-
-    def test_semicolon_inside_double_quotes(self):
-        script = 'UPDATE t SET v = 1 WHERE c = "x; y"; SELECT 1'
-        assert split_sql_script(script) == [
-            'UPDATE t SET v = 1 WHERE c = "x; y"',
-            "SELECT 1",
-        ]
-
-    def test_semicolon_inside_line_comment(self):
-        script = "SELECT 1 -- no; split here\n; SELECT 2"
-        assert split_sql_script(script) == [
-            "SELECT 1 -- no; split here",
-            "SELECT 2",
-        ]
-
-    def test_blank_statements_dropped(self):
-        assert split_sql_script(" ; ;SELECT 1; ;") == ["SELECT 1"]
-
-
-@pytest.mark.parametrize("name", BACKENDS)
-class TestExecutescript:
-    def test_literals_with_semicolons_survive(self, name):
-        backend = make_backend(name)
-        backend.executescript(
-            "CREATE TABLE s (v TEXT);"
-            "INSERT INTO s VALUES ('a; b');"
-            "INSERT INTO s VALUES ('it''s; fine')"
-        )
-        rows = backend.execute("SELECT v FROM s ORDER BY v").rows
-        assert rows == [("a; b",), ("it's; fine",)]
 
 
 @pytest.mark.parametrize("name", BACKENDS)

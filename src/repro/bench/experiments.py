@@ -1137,8 +1137,8 @@ def run_e18_indexing(
     """Deep descent and value predicates, indexed vs. unindexed.
 
     Two stores per (backend, encoding) cell hold the same data-centric
-    catalogue; one builds the secondary indexes (path, value,
-    statistics) after the load, the other never does.  The query mix is exactly the
+    catalogue; one builds the secondary indexes (path, value) after
+    the load, the other never does.  The query mix is exactly the
     workload the indexes target: selective deep ``//`` descents that
     the path index answers with a pathid probe instead of per-step
     structural joins, and value predicates that the value index
@@ -1158,7 +1158,7 @@ def run_e18_indexing(
     document — one left to the maintenance every update performs
     (repair from the op's touched set), the baseline arm rebuilding
     every occurrence row with an explicit ``indexes.create`` after
-    every op — timing both and byte-comparing their index data tables
+    every op — timing both and byte-comparing their index tables
     afterwards.  Repair cost tracks the touched rows, not the
     document, so maintaining must beat rebuilding after every op by at
     least 2x on a large document (any table divergence counts into
@@ -1166,8 +1166,7 @@ def run_e18_indexing(
     """
     from repro.cache import StoreCache
 
-    #: Selective deep ``//`` descents first, value predicates second;
-    #: both shapes must clear the cost crossover at the default size.
+    #: Selective deep ``//`` descents first, value predicates second.
     deep_queries = (
         "//product//warranty",
         "//review//warranty",
@@ -1242,13 +1241,11 @@ def run_e18_indexing(
         return time.perf_counter() - started
 
     def index_tables(store: XmlStore, doc: int) -> tuple:
-        # The data tables only: every ``create`` restarts the
-        # statistics bookkeeping in ``idx_stats``.
         return tuple(
             tuple(sorted(store.backend.execute(
                 f"SELECT * FROM {t} WHERE doc = ?", (doc,)
             ).rows))
-            for t in ("idx_sval", "idx_paths", "idx_pathmap")
+            for t in ("idx_sval", "idx_paths", "idx_pathmap", "idx_stats")
         )
 
     for backend in backends:
@@ -1348,7 +1345,7 @@ def run_e18_indexing(
         f"Maintenance phase: {burst_ops}-op structural burst at a twin "
         "whose index the updates maintain vs a twin that also rebuilds "
         "it (`indexes.create`) after every op — so the ratio reads "
-        "1 + rebuild/repair — index data tables byte-compared "
+        "1 + rebuild/repair — index tables byte-compared "
         "afterwards."
     )
     return table

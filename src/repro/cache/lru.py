@@ -4,21 +4,21 @@ exactly what each commit wrote.
 A :class:`StoreCache` holds three LRU layers:
 
 * **plan** — :class:`~repro.core.relalg.CompiledPlan` objects, keyed
-  on ``(encoding, xpath-shape, max_depth, index fingerprint)``.  The
-  shape is the XPath with predicate literals lifted into parameter
-  slots, so one plan serves every document and every literal value;
-  the doc id, context node, and literals bind per request via
-  ``plan.bind()``.  The depth is part of the key because
-  Local's depth-bounded ``//`` and ``following::`` expansion is exactly
-  tight, and the fingerprint ``(doc, stats_version)`` names the
-  statistics a cost decision was made from.  The key therefore
-  *determines* the plan: no committed write can make a cached plan
-  wrong for its key, so plans carry **no epoch** and no write ever
-  drops one — a write changes which key the next read asks for (a
-  deeper document, refreshed statistics), never what a key means.
+  on ``(encoding, xpath-shape, max_depth, indexed)``.  The shape is the
+  XPath with predicate literals lifted into parameter slots, so one
+  plan serves every document and every literal value; the doc id,
+  context node, and literals bind per request via ``plan.bind()``.
+  The depth is part of the key because Local's depth-bounded ``//``
+  and ``following::`` expansion is exactly tight, and *indexed* says
+  whether the plan's eligible fragments probe the index tables.  The
+  key therefore *determines* the plan: no committed write can make a
+  cached plan wrong for its key, so plans carry **no epoch** and no
+  write ever drops one — a write changes which key the next read asks
+  for (a deeper document, an index created or dropped), never what a
+  key means.
 * **catalog** — per-document catalogue state, keyed on the doc id:
-  the :class:`~repro.store.DocumentInfo` row and the index planner
-  context (:class:`~repro.index.IndexContext`, or "no index").
+  the :class:`~repro.store.DocumentInfo` row and whether the document
+  is indexed.
 * **result** — materialized query results, keyed on
   ``(doc, xpath, context_id)``.
 
@@ -277,14 +277,13 @@ class StoreCache:
         return self._put(self._catalog, (doc, "info"), value,
                          observed_epoch)
 
-    def get_index_context(self, doc: int) -> Optional[tuple]:
-        """The cached planner context of *doc* as a 1-tuple (so a
-        cached "no index" is distinguishable from a miss)."""
-        return self._get(self._catalog, (doc, "index"))
+    def get_indexed(self, doc: int) -> Optional[bool]:
+        """Whether *doc* is indexed, or ``None`` on a miss."""
+        return self._get(self._catalog, (doc, "indexed"))
 
-    def put_index_context(self, doc: int, value: tuple,
-                          observed_epoch: int) -> bool:
-        return self._put(self._catalog, (doc, "index"), value,
+    def put_indexed(self, doc: int, value: bool,
+                    observed_epoch: int) -> bool:
+        return self._put(self._catalog, (doc, "indexed"), value,
                          observed_epoch)
 
     def get_result(self, key: tuple) -> Optional[Any]:

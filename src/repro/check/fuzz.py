@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -185,15 +186,25 @@ class FuzzReport:
     operations: int = 0
     checks: int = 0
     failures: list[FuzzFailure] = field(default_factory=list)
+    #: ``index_twin`` runs only: twin queries the indexed store answered
+    #: through an index, per access path.  The vacuity guard — a twin
+    #: that compares scan with scan proves nothing.
+    index_plans: Optional[Counter] = None
 
     def ok(self) -> bool:
         return not self.failures
 
     def summary(self) -> str:
         status = "OK" if self.ok() else f"{len(self.failures)} FAILURE(S)"
+        plans = ""
+        if self.index_plans is not None:
+            plans = ", index plans: " + " ".join(
+                f"{path}={self.index_plans[path]}"
+                for path in ("path-index", "value-index")
+            )
         return (
             f"fuzz: {self.cells} cell(s), {self.operations} operation(s), "
-            f"{self.checks} store-check(s): {status}"
+            f"{self.checks} store-check(s){plans}: {status}"
         )
 
 
@@ -285,11 +296,10 @@ def _random_predicate(rng: random.Random) -> str:
 def indexable_xpath(rng: random.Random) -> str:
     """A query shape the secondary indexes can serve.
 
-    Absolute child/descendant name paths feed the path-index rewrite;
-    single child-element value predicates feed the value-index rewrite.
-    Whether the cost model actually *picks* the index depends on the
-    document's statistics — both outcomes are worth fuzzing, since the
-    decision must never change the answer.
+    Absolute child/descendant name paths compile to the path-index
+    arm and single child-element value predicates to the value-index
+    ``EXISTS`` on every indexed document, whatever its size — the
+    rewrite must never change the answer.
     """
     tag, other = rng.choice(_TAGS), rng.choice(_TAGS)
     kind = rng.randint(0, 4)
@@ -491,15 +501,16 @@ def _twin_mismatch(
     queries: list[str],
     store_label: str,
     twin_label: str,
+    index_plans: Optional[Counter] = None,
 ) -> Optional[str]:
     """Compare a store against its feature-off twin.
 
     Each query runs twice on the primary store — the first pass may
     fill the plan/result caches, the second must serve from them — and
     both passes must match the twin byte for byte (kind, id, label,
-    and value, not just identity).  The same discipline covers the
-    index twin: plans there are cached per statistics fingerprint, so
-    the second pass exercises the fingerprint-keyed cache hit.
+    and value, not just identity).  *index_plans* (the index twin's
+    :attr:`FuzzReport.index_plans`) counts the compared queries whose
+    plan on the primary store probes an index.
     """
     for xpath in queries:
         try:
@@ -509,6 +520,10 @@ def _twin_mismatch(
             ]
         except (TranslationError, UnsupportedXPathError):
             continue
+        if index_plans is not None:
+            access = store.translate(xpath, doc).access_path
+            if access != "scan":
+                index_plans.update(access.split("+"))
         for attempt in ("cold", "cached"):
             got = [
                 (i.kind, i.node_id, i.label, i.value)
@@ -620,7 +635,8 @@ def _run_cell(
             twin, twin_docs = twin_entry
             for doc, twin_doc in zip(docs, twin_docs):
                 detail = _twin_mismatch(
-                    store, doc, twin, twin_doc, warm_queries, *labels
+                    store, doc, twin, twin_doc, warm_queries, *labels,
+                    index_plans=report.index_plans,
                 )
                 if detail is not None:
                     if len(docs) > 1:
@@ -897,7 +913,9 @@ def _run_migrate_cell(
 
 def run_fuzz(config: FuzzConfig) -> FuzzReport:
     """Run the differential fuzzer; failures come back minimized."""
-    report = FuzzReport()
+    report = FuzzReport(
+        index_plans=Counter() if config.index_twin else None
+    )
     if config.migrate_during:
         unsupported = [b for b in config.backends if b != "sqlite"]
         if unsupported:

@@ -389,8 +389,6 @@ def _stray_document_violations(store, infos, existing: Optional[set[str]]):
             continue  # table absent on backends without list_tables()
         for (doc,) in result.rows:
             info = known.get(doc)
-            if (table, doc) == ("idx_stats", 0):
-                continue  # the store-wide statistics clock
             if info is None:
                 yield Violation(
                     "catalog-missing-doc", doc, None,

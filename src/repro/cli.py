@@ -299,15 +299,16 @@ def cmd_index(args: argparse.Namespace) -> int:
         )
     store = open_store(args.db)
 
-    if args.create:
-        doc = _resolve_doc(store, args.doc)
+    def report_created(doc: int) -> None:
         report = store.indexes.create(doc)
-        _commit(store)
         print(
             f"indexed document {doc}: {report['elements']} element "
-            f"value(s), {report['paths']} distinct path(s), "
-            f"statistics version {report['stats_version']}"
+            f"value(s), {report['paths']} distinct path(s)"
         )
+
+    if args.create:
+        report_created(_resolve_doc(store, args.doc))
+        _commit(store)
         return 0
 
     if args.drop:
@@ -321,28 +322,17 @@ def cmd_index(args: argparse.Namespace) -> int:
         return 0
 
     if args.advise or args.auto:
-        from repro.obs import METRICS, slow_log
+        from repro.obs import METRICS
 
         if args.counters:
             counters = json_module.loads(Path(args.counters).read_text())
         else:
             counters = METRICS.snapshot()
-        documents = store.documents()
         unindexed = [
-            d.doc for d in documents if not store.indexes.exists(d.doc)
+            d.doc for d in store.documents()
+            if not store.indexes.exists(d.doc)
         ]
-        stale = [
-            d.doc
-            for d in documents
-            if d.doc not in unindexed and store.indexes.stats_stale(d.doc)
-        ]
-        log = slow_log()
-        slow_xpaths = (
-            [entry.xpath for entry in log.entries()] if log else []
-        )
-        recommendation = IndexAdvisor().decide(
-            counters, unindexed, stale, slow_xpaths
-        )
+        recommendation = IndexAdvisor().decide(counters, unindexed)
         targets = (
             " " + ",".join(str(d) for d in recommendation.documents)
             if recommendation.documents else ""
@@ -352,17 +342,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         if not args.auto or not recommendation.act:
             return 0
         for doc in recommendation.documents:
-            if recommendation.action == "refresh":
-                report = store.indexes.refresh_stats(doc)
-                verb = "refreshed statistics of"
-            else:
-                report = store.indexes.create(doc)
-                verb = "indexed"
-            print(
-                f"{verb} document {doc}: {report['elements']} element "
-                f"value(s), {report['paths']} distinct path(s), "
-                f"statistics version {report['stats_version']}"
-            )
+            report_created(doc)
         _commit(store)
         return 0
 
@@ -383,14 +363,10 @@ def cmd_index(args: argparse.Namespace) -> int:
         if not summary["present"]:
             print(f"document {summary['doc']}: no index")
             continue
-        stale_marker = " [statistics stale]" if summary["stale"] else ""
         print(
             f"document {summary['doc']}: indexed, "
             f"{summary['element_count']} element value(s), "
-            f"{summary['path_count']} distinct path(s), "
-            f"statistics version {summary['stats_version']} "
-            f"({summary['updates_since']} update(s) since refresh)"
-            f"{stale_marker}"
+            f"{summary['path_count']} distinct path(s)"
         )
         if summary["tags"]:
             tags = ", ".join(
@@ -1095,19 +1071,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_db(p)
     p.add_argument("--doc", type=int, default=None)
     p.add_argument("--create", action="store_true",
-                   help="(re)build the document's value/path indexes "
-                        "and statistics")
+                   help="(re)build the document's value/path indexes")
     p.add_argument("--drop", action="store_true",
                    help="remove the document's index rows")
     p.add_argument("--stats", action="store_true",
-                   help="print index state and statistics (default "
-                        "action)")
+                   help="print index state and live row counts "
+                        "(default action)")
     p.add_argument("--advise", action="store_true",
                    help="print the index advisor's recommendation and "
                         "stop")
     p.add_argument("--auto", action="store_true",
-                   help="create/refresh indexes when the advisor "
-                        "recommends it")
+                   help="create indexes when the advisor recommends "
+                        "it")
     p.add_argument("--counters", default=None,
                    help="JSON metrics snapshot for the advisor (as "
                         "written by 'repro stats --json'); default: "

@@ -476,12 +476,10 @@ class TranslatedQuery:
     encoding: str
     columns: tuple[str, ...]
     stats: TranslationStats
-    #: Access path the cost model picked: "scan" (translated joins over
-    #: the node table) or an ``*-index`` plan over the secondary-index
-    #: side tables; ``index_names``/``est_rows`` describe the choice.
+    #: "scan" (translated joins over the node table), or the ``+``-joined
+    #: ``path-index`` / ``value-index`` rewrites an indexed document's
+    #: plan probes the secondary-index side tables through.
     access_path: str = "scan"
-    index_names: tuple[str, ...] = ()
-    est_rows: Optional[int] = None
     #: Not a field.  The frozen probe benchmarks/perf/workloads.py:477
     #: passes ``statement=t.statement``; nothing else reads it (ROADMAP,
     #: "One benchmark system", lists it for deletion).
@@ -504,12 +502,11 @@ class CompiledPlan:
     encoding: str
     columns: tuple[str, ...]
     stats: TranslationStats
-    #: Cost-model outcome (see :mod:`repro.index.cost`): which access
-    #: path this plan uses, which secondary indexes it touches, and the
-    #: estimated result cardinality (``None`` when no estimate exists).
+    #: See :attr:`TranslatedQuery.access_path`.
     access_path: str = "scan"
-    index_names: tuple[str, ...] = ()
-    est_rows: Optional[int] = None
+    #: Compiled for an unindexed document although a fragment was
+    #: eligible for an index rewrite (counted as ``index.miss``).
+    index_miss: bool = False
 
     def bind(
         self,
@@ -551,6 +548,4 @@ class CompiledPlan:
             columns=self.columns,
             stats=self.stats,
             access_path=self.access_path,
-            index_names=self.index_names,
-            est_rows=self.est_rows,
         )

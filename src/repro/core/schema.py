@@ -224,9 +224,10 @@ def index_tables() -> tuple[Table, Table, Table, Table]:
     * ``idx_paths`` — the **path index** dictionary: every distinct
       root-to-element path of the document;
     * ``idx_pathmap`` — path occurrences: ``pathid -> element id``;
-    * ``idx_stats`` — catalog statistics and index metadata: tag
-      counts, depth histogram, distinct-value estimates, and the
-      ``meta`` rows (presence marker, counters, stats version).
+    * ``idx_stats`` — one ``('meta', 'present')`` marker row per
+      indexed document.  (The schema is wider than that because files
+      written before the marker was all it held exist; a store clears
+      their other rows when it opens.)
     """
     sval = Table(
         "idx_sval",

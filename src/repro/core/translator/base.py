@@ -251,13 +251,10 @@ class SqlTranslator(ABC):
         self.max_depth = max_depth
         self.node_table = encoding.node_table.name
         self.attr_table = encoding.attr_table.name
-        # Per-compile() index state (see compile()): the document's
-        # IndexContext (or None) plus the rewrites the current
-        # compilation actually used.
-        self._index = None
-        self._access: set = set()
-        self._index_names: list = []
-        self._est_rows: Optional[int] = None
+        # Per-compile() state (see compile()): whether the document is
+        # indexed, and the index rewrites its eligible fragments name.
+        self._indexed = False
+        self._eligible: set = set()
 
     # -- per-encoding hooks ------------------------------------------------
 
@@ -339,7 +336,7 @@ class SqlTranslator(ABC):
     def compile(
         self,
         path: Union[LocationPath, UnionPath, str],
-        index=None,
+        indexed: bool = False,
     ) -> CompiledPlan:
         """Compile a (possibly shape-extracted) path to SQL text.
 
@@ -347,44 +344,29 @@ class SqlTranslator(ABC):
         values become parameter slots resolved by
         :meth:`~repro.core.relalg.CompiledPlan.bind`.
 
-        *index* is the document's :class:`repro.index.IndexContext`
-        (or ``None`` for plain scan plans).  With statistics in hand,
-        eligible fragments rewrite to probes over the ``idx_*`` side
-        tables when the cost model favours them — structural paths to
-        the path index, value predicates to the value index — and the
-        plan records the chosen access path.  Index-aware plans are
-        *statistics-dependent*: the store caches them under the index
-        fingerprint, never across it.
+        An index is used when it exists: with *indexed* every eligible
+        fragment probes the ``idx_*`` side tables — structural paths
+        the path index, value predicates the value index — and the plan
+        records that access path; without it the same fragments compile
+        to the scan and the plan records the miss.  One indexed plan
+        serves every indexed document.
         """
         if isinstance(path, str):
             from repro.xpath.parser import parse_xpath
 
             path = parse_xpath(path)
-        self._index = index
-        self._access = set()
-        self._index_names = []
-        self._est_rows = None
-        try:
-            if isinstance(path, UnionPath):
-                query, kind, needs_client_order, columns = (
-                    self._compile_union(path)
-                )
-            else:
-                arm = self._compile_arm(path, with_order_by=True)
-                query = arm.select
-                kind = arm.result_kind
-                needs_client_order = arm.needs_client_order
-                columns = arm.columns
-            access_path = (
-                "+".join(sorted(self._access)) if self._access else "scan"
+        self._indexed = indexed
+        self._eligible = set()
+        if isinstance(path, UnionPath):
+            query, kind, needs_client_order, columns = (
+                self._compile_union(path)
             )
-            index_names = tuple(dict.fromkeys(self._index_names))
-            est_rows = self._est_rows
-        finally:
-            self._index = None
-            self._access = set()
-            self._index_names = []
-            self._est_rows = None
+        else:
+            arm = self._compile_arm(path, with_order_by=True)
+            query = arm.select
+            kind = arm.result_kind
+            needs_client_order = arm.needs_client_order
+            columns = arm.columns
         stats = compute_stats(query)
         sql, slots = SqlTextDialect().compile(query)
         METRICS.inc("translate.queries")
@@ -402,9 +384,11 @@ class SqlTranslator(ABC):
             encoding=self.encoding.name,
             columns=columns,
             stats=stats,
-            access_path=access_path,
-            index_names=index_names,
-            est_rows=est_rows,
+            access_path=(
+                "+".join(sorted(self._eligible))
+                if indexed and self._eligible else "scan"
+            ),
+            index_miss=bool(self._eligible) and not indexed,
         )
 
     def _compile_union(
@@ -529,19 +513,15 @@ class SqlTranslator(ABC):
 
     # -- index-aware access paths ------------------------------------------
 
-    def _path_index_pattern(
-        self, path: LocationPath
-    ) -> Optional[tuple[str, Optional[str], int]]:
-        """``(pattern, last_tag, step_count)`` when *path* is a pure
+    def _path_index_pattern(self, path: LocationPath) -> Optional[str]:
+        """The ``path_match`` pattern of *path* when it is a pure
         structural path the path index can answer: absolute, every step
         a predicate-free child/descendant element name (or wildcard)
-        test.  ``last_tag`` is ``None`` for a trailing wildcard."""
+        test."""
         if not path.absolute or not path.steps:
             return None
         pieces: list[str] = []
-        last_tag: Optional[str] = None
-        steps = normalize_steps(path.steps)
-        for step in steps:
+        for step in normalize_steps(path.steps):
             if step.predicates or step.axis not in ("child", "descendant"):
                 return None
             if step.test.kind == "name":
@@ -552,8 +532,7 @@ class SqlTranslator(ABC):
                 return None
             separator = "//" if step.axis == "descendant" else "/"
             pieces.append(separator + name)
-            last_tag = None if name == "*" else name
-        return "".join(pieces), last_tag, len(steps)
+        return "".join(pieces)
 
     def _path_index_arm(
         self, path: LocationPath, with_order_by: bool
@@ -566,22 +545,11 @@ class SqlTranslator(ABC):
         final join against the node table re-projects the ordinary
         node columns — result rows are identical to the scan plan's.
         """
-        ictx = self._index
-        if ictx is None:
+        pattern = self._path_index_pattern(path)
+        if pattern is None:
             return None
-        derived = self._path_index_pattern(path)
-        if derived is None:
-            return None
-        from repro.index import cost as _cost
-
-        pattern, last_tag, step_count = derived
-        choice = _cost.choose_path_plan(
-            ictx.node_count,
-            step_count,
-            ictx.path_count,
-            ictx.tag_count(last_tag),
-        )
-        if not choice.use_index:
+        self._eligible.add("path-index")
+        if not self._indexed:
             return None
         t = _Translation(self)
         builder = SelectBuilder()
@@ -616,9 +584,6 @@ class SqlTranslator(ABC):
             needs_client_order = False
         else:
             needs_client_order = True
-        self._access.add(_cost.PATH_INDEX)
-        self._index_names.extend(choice.index_names)
-        self._est_rows = (self._est_rows or 0) + (choice.est_rows or 0)
         METRICS.inc("index.rewrite_path")
         return _Arm(
             select=builder.build(),
@@ -641,9 +606,6 @@ class SqlTranslator(ABC):
         the correlated string-value aggregation: ``sval`` holds exactly
         the XPath string-value the scan plan would aggregate.
         """
-        ictx = self._index
-        if ictx is None:
-            return None
         if len(path.steps) != 1:
             return None
         step = path.steps[0]
@@ -653,14 +615,10 @@ class SqlTranslator(ABC):
             or step.test.kind != "name"
         ):
             return None
-        from repro.index import cost as _cost
-
-        tag = step.test.name
-        choice = _cost.choose_value_plan(
-            ictx.node_count, ictx.tag_count(tag), ictx.distinct_count(tag)
-        )
-        if not choice.use_index:
+        self._eligible.add("value-index")
+        if not self._indexed:
             return None
+        tag = step.test.name
         parent: RelExpr = (
             Const(0)
             if path.absolute or context is None
@@ -674,9 +632,6 @@ class SqlTranslator(ABC):
         sub.add_where(Cmp("=", Col(v, "parent"), parent))
         sub.add_where(Cmp("=", Col(v, "tag"), Param(FixedSlot(tag))))
         sub.add_where(value_cond(Col(v, "sval")))
-        self._access.add(_cost.VALUE_INDEX)
-        self._index_names.extend(choice.index_names)
-        self._est_rows = (self._est_rows or 0) + (choice.est_rows or 0)
         METRICS.inc("index.rewrite_value")
         return exists(sub)
 

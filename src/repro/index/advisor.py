@@ -1,15 +1,11 @@
 """The index advisor: when (and where) to build secondary indexes.
 
 Mirrors the migration advisor's shape: a deterministic rule over the
-observability counters plus the slow-query log.  The signal is *missed
-opportunity*: ``index.miss`` counts query compilations that were
-eligible for an index rewrite but found no index on the document, and
-slow-log entries whose XPath carries an indexable shape (a ``//``
-descendant step or a value predicate) corroborate it.  Past
-``min_samples`` combined signals the advisor recommends building
-indexes on every unindexed document; if everything is indexed but some
-document's statistics have gone stale (deepening inserts, update
-counter at threshold), it recommends a refresh instead.
+observability counters.  The signal is *missed opportunity*:
+``index.miss`` counts translations whose plan had a fragment eligible
+for an index rewrite — as the translator itself defines eligible — but
+whose document had no index.  Past ``min_samples`` misses the advisor
+recommends building indexes on every unindexed document.
 
 ``repro index --advise`` prints the decision; ``--auto`` acts on it.
 """
@@ -17,29 +13,20 @@ counter at threshold), it recommends a refresh instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-
-#: XPath fragments that mark a query as indexable for mining purposes.
-_INDEXABLE_MARKS = ("//", "=", "<", ">", "contains(", "starts-with(")
-
-
-def is_indexable_xpath(xpath: str) -> bool:
-    """Would *xpath* plausibly benefit from the path or value index?"""
-    return any(mark in xpath for mark in _INDEXABLE_MARKS)
+from typing import Mapping, Sequence
 
 
 @dataclass(frozen=True)
 class IndexRecommendation:
     """The advisor's verdict for one store."""
 
-    #: "create", "refresh", or "hold".
+    #: "create" or "hold".
     action: str
     #: Document ids the action targets (empty when holding).
     documents: tuple[int, ...]
     #: Human-readable justification.
     reason: str
-    #: Combined signals (misses + indexable slow queries) observed.
+    #: Eligible-but-unindexed translations observed.
     samples: int
 
     @property
@@ -48,14 +35,13 @@ class IndexRecommendation:
 
 
 class IndexAdvisor:
-    """Deterministic threshold rule over counters and the slow log.
+    """Deterministic threshold rule over the ``index.miss`` counter.
 
     Parameters
     ----------
     min_samples:
-        Combined signals (eligible-but-unindexed compilations plus
-        indexable slow queries) required before recommending anything —
-        a cold store holds.
+        Eligible-but-unindexed translations required before
+        recommending anything — a cold store holds.
     """
 
     def __init__(self, min_samples: int = 5) -> None:
@@ -67,61 +53,42 @@ class IndexAdvisor:
         self,
         counters: Mapping[str, int],
         unindexed: Sequence[int],
-        stale: Sequence[int] = (),
-        slow_xpaths: Iterable[str] = (),
     ) -> IndexRecommendation:
         """Decide for a store.
 
         *counters* is a flat counter mapping — either
         ``METRICS.snapshot()["counters"]`` or the snapshot dict itself
         (the ``counters`` key is unwrapped when present).  *unindexed*
-        and *stale* list document ids without an index and with stale
-        statistics respectively; *slow_xpaths* are the XPath strings of
-        the slow-query log.
+        lists the document ids without an index.
         """
         inner = counters.get("counters")
         if isinstance(inner, Mapping):
             counters = inner
         misses = int(counters.get("index.miss", 0))
-        slow_hits = sum(1 for x in slow_xpaths if is_indexable_xpath(x))
-        samples = misses + slow_hits
 
         if not unindexed:
-            if stale:
-                return IndexRecommendation(
-                    action="refresh", documents=tuple(stale),
-                    reason=(
-                        f"every document is indexed but {len(stale)} "
-                        f"have stale statistics; refresh realigns the "
-                        f"cost model"
-                    ),
-                    samples=samples,
-                )
             return IndexRecommendation(
                 action="hold", documents=(),
-                reason="every document is indexed and statistics are "
-                       "fresh",
-                samples=samples,
+                reason="every document is indexed",
+                samples=misses,
             )
 
-        if samples < self.min_samples:
+        if misses < self.min_samples:
             return IndexRecommendation(
                 action="hold", documents=(),
                 reason=(
-                    f"only {samples} indexable signal(s) "
-                    f"({misses} unindexed compilations, {slow_hits} "
-                    f"indexable slow queries), need >= "
-                    f"{self.min_samples}"
+                    f"only {misses} translation(s) found an eligible "
+                    f"fragment and no index, need >= {self.min_samples}"
                 ),
-                samples=samples,
+                samples=misses,
             )
 
         return IndexRecommendation(
             action="create", documents=tuple(unindexed),
             reason=(
-                f"{misses} eligible compilations found no index and "
-                f"{slow_hits} slow queries look indexable; "
-                f"{len(unindexed)} document(s) lack indexes"
+                f"{misses} translation(s) found an eligible fragment "
+                f"and no index; {len(unindexed)} document(s) lack "
+                f"indexes"
             ),
-            samples=samples,
+            samples=misses,
         )

@@ -1,4 +1,4 @@
-"""Per-document secondary indexes and catalog statistics.
+"""Per-document secondary indexes.
 
 :class:`IndexManager` owns the ``idx_*`` side tables declared in
 :func:`repro.core.schema.index_tables`:
@@ -9,9 +9,8 @@
 * **path index** (``idx_paths`` + ``idx_pathmap``) — the dictionary of
   distinct root-to-element paths plus the occurrence map, probed by
   rewritten structural queries through the ``path_match`` scalar;
-* **catalog statistics** (``idx_stats``) — tag counts, a depth
-  histogram, distinct-value estimates and index metadata, feeding the
-  cost model (:mod:`repro.index.cost`).
+* **presence** (``idx_stats``) — one ``present`` marker row per indexed
+  document, and nothing else.
 
 The side tables are created empty at schema bootstrap and keyed on the
 surrogate ``id``, so they are encoding-independent and index create /
@@ -19,8 +18,10 @@ drop / maintenance is plain transactional DML — crash safety falls out
 of transaction rollback, with no DDL recovery path.
 
 An index is used when it exists: :meth:`IndexManager.create` writes a
-document's rows, :meth:`IndexManager.drop` removes them, and the
-planner consults them iff they are there.  Nothing else selects it.
+document's rows, :meth:`IndexManager.drop` removes them, and
+:meth:`IndexManager.exists` is all the planner asks — every eligible
+fragment of an indexed document's query probes the index, whatever the
+document's size.  Nothing else selects it.
 
 Every index row has one producer, :meth:`IndexManager._index_rows`,
 which walks a forest of node rows under the stored path of its parent.
@@ -37,22 +38,11 @@ a choice made from the update's size, not a setting.  The path
 dictionary is append-only — path ids are stable across rebuilds, which
 is what makes piecewise repair and a full rebuild produce byte-identical
 tables.
-
-The statistics refresh lazily: ``updates_since`` counts update
-operations since the last refresh, and crossing
-:data:`STATS_REFRESH_THRESHOLD` (or an explicit ``refresh_stats``)
-recomputes them and allocates a new stats version — the component of
-the plan-cache fingerprint that keeps cost decisions aligned with the
-statistics that justified them.  Versions are drawn from one persisted
-store-wide clock, so a fingerprint is never reused and a cached plan
-may safely outlive every write.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.numeric import xpath_number_value
 from repro.core.schema import KIND_ELEMENT, KIND_TEXT
@@ -62,52 +52,12 @@ from repro.obs import METRICS
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store import XmlStore
 
-#: Update operations between automatic statistics refreshes.
-STATS_REFRESH_THRESHOLD = 32
-
 #: Maintenance rebuilds the whole document once an update invalidates
 #: more than this fraction of its rows (removed + reshredded) — past
 #: that point a single full pass is cheaper than piecewise repair.
 #: Relabeled rows don't count: the idx_* tables carry no order columns,
 #: so renumbering never invalidates an index row.
 INCR_FALLBACK_FRACTION = 0.25
-
-
-@dataclass(frozen=True)
-class IndexContext:
-    """A document's index statistics, as the planner consumes them.
-
-    ``fingerprint`` keys compiled plans: it changes exactly when the
-    statistics behind a cost decision change (stats refresh, rebuild),
-    so the plan cache can never serve a plan justified by statistics
-    that no longer exist.
-    """
-
-    doc: int
-    stats_version: int
-    node_count: int
-    element_count: int
-    max_depth: int
-    path_count: int
-    updates_since: int
-    tag_counts: Mapping[str, int] = field(default_factory=dict)
-    distinct_counts: Mapping[str, int] = field(default_factory=dict)
-    depth_histogram: Mapping[int, int] = field(default_factory=dict)
-
-    @property
-    def fingerprint(self) -> tuple[int, int]:
-        return (self.doc, self.stats_version)
-
-    def tag_count(self, tag: Optional[str]) -> int:
-        """Elements with *tag* (``None`` = wildcard: every element)."""
-        if tag is None:
-            return self.element_count
-        return int(self.tag_counts.get(tag, 0))
-
-    def distinct_count(self, tag: Optional[str]) -> int:
-        if tag is None:
-            return max(self.element_count, 1)
-        return int(self.distinct_counts.get(tag, 1))
 
 
 class IndexManager:
@@ -119,39 +69,49 @@ class IndexManager:
     # -- presence ----------------------------------------------------------
 
     def exists(self, doc: int) -> bool:
-        """Does *doc* have an index (its ``present`` marker row)?"""
-        result = self.store._execute(
+        """Does *doc* have an index (its ``present`` marker row)?
+
+        The one fact the planner takes from here.  Cached beside the
+        document's catalogue row under the same per-document epoch, so
+        only a write to *doc* makes the next call re-read the marker.
+        """
+        cache = self.store.cache
+        use_cache = cache.enabled and not self.store._in_own_transaction()
+        if use_cache:
+            hit = cache.get_indexed(doc)
+            if hit is not None:
+                return hit
+            epoch = cache.epoch(doc)
+        present = bool(self.store._execute(
             "SELECT value FROM idx_stats "
             "WHERE doc = ? AND kind = 'meta' AND skey = 'present'",
             (doc,),
-        )
-        return bool(result.rows)
+        ).rows)
+        if use_cache:
+            cache.put_indexed(doc, present, epoch)
+        return present
 
     # -- lifecycle ---------------------------------------------------------
 
     def create(self, doc: int) -> dict:
-        """(Re)build *doc*'s indexes and statistics; returns a report."""
+        """(Re)build *doc*'s index; returns a report."""
         self.store.document_info(doc)  # raises StorageError if unknown
-        report = self.store.transactionally(
-            lambda: self._publish_stats(doc, self._rebuild_rows(doc))
-        )
+
+        def build() -> dict:
+            self.store.note_write(doc)
+            report = self._rebuild_rows(doc)
+            backend = self.store.backend
+            backend.execute("DELETE FROM idx_stats WHERE doc = ?", (doc,))
+            backend.execute(
+                "INSERT INTO idx_stats VALUES (?, 'meta', 'present', '1')",
+                (doc,),
+            )
+            return report
+
+        report = self.store.transactionally(build)
         METRICS.inc("index.created")
         METRICS.inc("index.rows", report["elements"])
         return report
-
-    def _publish_stats(self, doc: int, survey: dict) -> dict:
-        """Write *survey* as *doc*'s statistics under a fresh version
-        (txn caller-owned); returns the create/refresh report."""
-        self.store.note_write(doc)
-        version = self._next_stats_version(doc)
-        self._write_stats(doc, survey, version)
-        return {
-            "doc": doc,
-            "elements": survey["element_count"],
-            "paths": survey["path_count"],
-            "nodes": survey["node_count"],
-            "stats_version": version,
-        }
 
     def drop(self, doc: int) -> bool:
         """Remove *doc*'s index rows; True if an index was present."""
@@ -172,25 +132,6 @@ class IndexManager:
         for table in ("idx_sval", "idx_paths", "idx_pathmap", "idx_stats"):
             backend.execute(f"DELETE FROM {table} WHERE doc = ?", (doc,))
 
-    def refresh_stats(self, doc: int) -> dict:
-        """Recompute *doc*'s statistics unconditionally.
-
-        A stats refresh surveys the live document and replaces only the
-        ``idx_stats`` rows — the data rows are already maintained by
-        every update and are left untouched (``create`` is the
-        rebuild-everything path, and is still used when no index exists
-        yet).  Counts ``index.stats_refreshed``, never
-        ``index.created``.
-        """
-        self.store.document_info(doc)  # raises StorageError if unknown
-        if not self.exists(doc):
-            return self.create(doc)
-        report = self.store.transactionally(
-            lambda: self._publish_stats(doc, self._survey(doc))
-        )
-        METRICS.inc("index.stats_refreshed")
-        return report
-
     # -- in-transaction maintenance ---------------------------------------
 
     def maintain_in_transaction(self, doc: int, report=None) -> None:
@@ -209,139 +150,43 @@ class IndexManager:
         the budget rebuilds the document's rows instead
         (``index.fallback_rebuild``), as does an update with no report
         or inexact accounting.  A zero-row no-op (removing an absent
-        attribute, an empty batch entry) skips maintenance entirely:
-        no row writes, no ``updates_since`` bump.
-
-        Statistics refresh only when the update counter crosses the
-        threshold; in between, the recorded statistics go stale on
-        purpose (see :meth:`stats_stale`).
+        attribute, an empty batch entry) skips maintenance entirely.
         """
         if report is not None and report.rows_touched() == 0:
             return
         if not self.exists(doc):
             return
-        survey = None
         exact = report is not None and report.index_exact
         if exact and self._apply_delta_in_transaction(doc, report):
             METRICS.inc("index.incremental")
         else:
             if exact:
                 METRICS.inc("index.fallback_rebuild")
-            survey = self._rebuild_rows(doc)
-        meta = self._read_meta(doc)
-        updates = int(meta.get("updates_since", 0)) + 1
-        if updates >= STATS_REFRESH_THRESHOLD:
-            if survey is None:
-                survey = self._survey(doc)
-            self._write_stats(doc, survey, self._next_stats_version(doc))
-            METRICS.inc("index.stats_refreshed")
-        else:
-            self._set_meta(doc, "updates_since", updates)
+            self._rebuild_rows(doc)
         METRICS.inc("index.maintained")
-
-    # -- staleness ---------------------------------------------------------
-
-    def stats_stale(self, doc: int) -> bool:
-        """Have the recorded statistics drifted from the live document?
-
-        Two triggers: the update counter reached the refresh threshold
-        (refresh pending), or the document has deepened past the depth
-        recorded at the last refresh — the drift that silently skews
-        path-index estimates.
-        """
-        meta = self._read_meta(doc)
-        if not meta:
-            return False
-        if int(meta.get("updates_since", 0)) >= STATS_REFRESH_THRESHOLD:
-            return True
-        recorded_depth = meta.get("max_depth")
-        if recorded_depth is None:
-            # Lost or absent depth meta must read as stale, not as
-            # "matches whatever the live document says".
-            return True
-        live = self.store.document_info(doc)
-        return live.max_depth > int(recorded_depth)
-
-    # -- planner interface -------------------------------------------------
-
-    def context(self, doc: int) -> Optional[IndexContext]:
-        """The planner's view of *doc*'s index, or ``None``.
-
-        ``None`` means *doc* has no index: compile scan plans.  Cached
-        beside the document's catalogue row under the same
-        per-document epoch, so only a write to *doc* makes the next
-        call re-read its ``idx_stats`` rows.
-        """
-        cache = self.store.cache
-        use_cache = cache.enabled and not self.store._in_own_transaction()
-        if use_cache:
-            hit = cache.get_index_context(doc)
-            if hit is not None:
-                return hit[0]
-            epoch = cache.epoch(doc)
-        ctx = self._load_context(doc)
-        if use_cache:
-            cache.put_index_context(doc, (ctx,), epoch)
-        return ctx
-
-    def _load_context(self, doc: int) -> Optional[IndexContext]:
-        result = self.store._execute(
-            "SELECT kind, skey, value FROM idx_stats WHERE doc = ?",
-            (doc,),
-        )
-        if not result.rows:
-            return None
-        meta: dict[str, str] = {}
-        tags: dict[str, int] = {}
-        distinct: dict[str, int] = {}
-        depths: dict[int, int] = {}
-        for kind, skey, value in result.rows:
-            if kind == "meta":
-                meta[skey] = value
-            elif kind == "tag":
-                tags[skey] = int(value)
-            elif kind == "distinct":
-                distinct[skey] = int(value)
-            elif kind == "depth":
-                depths[int(skey)] = int(value)
-        if "present" not in meta:
-            return None
-        ctx = IndexContext(
-            doc=doc,
-            stats_version=int(meta.get("stats_version", 1)),
-            node_count=int(meta.get("node_count", 0)),
-            element_count=int(meta.get("element_count", 0)),
-            max_depth=int(meta.get("max_depth", 0)),
-            path_count=int(meta.get("path_count", 0)),
-            updates_since=int(meta.get("updates_since", 0)),
-            tag_counts=tags,
-            distinct_counts=distinct,
-            depth_histogram=depths,
-        )
-        if self.stats_stale(doc):
-            METRICS.inc("index.stale_stats")
-        return ctx
 
     # -- CLI / reporting ---------------------------------------------------
 
     def describe(self, doc: int) -> dict:
-        """A JSON-friendly summary of *doc*'s index state."""
-        ctx = self._load_context(doc)
-        if ctx is None:
+        """A JSON-friendly summary of *doc*'s index, counted live from
+        the index tables."""
+        if not self.exists(doc):
             return {"doc": doc, "present": False}
+        execute = self.store._execute
+        tags = execute(
+            "SELECT tag, COUNT(*) FROM idx_sval WHERE doc = ? GROUP BY tag",
+            (doc,),
+        ).rows
+        paths = execute(
+            "SELECT COUNT(*) FROM idx_paths WHERE doc = ?", (doc,)
+        ).rows[0][0]
         return {
             "doc": doc,
             "present": True,
-            "stats_version": ctx.stats_version,
-            "node_count": ctx.node_count,
-            "element_count": ctx.element_count,
-            "max_depth": ctx.max_depth,
-            "path_count": ctx.path_count,
-            "updates_since": ctx.updates_since,
-            "stale": self.stats_stale(doc),
+            "element_count": sum(count for _tag, count in tags),
+            "path_count": paths,
             "tags": dict(
-                sorted(ctx.tag_counts.items(),
-                       key=lambda kv: (-kv[1], kv[0]))[:10]
+                sorted(tags, key=lambda kv: (-kv[1], kv[0]))[:10]
             ),
         }
 
@@ -423,16 +268,17 @@ class IndexManager:
             pathmap_rows.append((doc, pathid, row["id"]))
         return sval_rows, pathmap_rows, fresh_paths
 
-    def _scan_document(self, doc: int) -> tuple[dict, tuple]:
-        """One full pass over *doc*'s node table (txn caller-owned):
-        the statistics survey, and every index row the document
-        implies as :meth:`_index_rows` returns them."""
+    def _rebuild_rows(self, doc: int) -> dict:
+        """Recompute every occurrence row of *doc* from one full pass
+        over its node table (txn caller-owned); returns the create
+        report."""
         encoding = self.store.encoding_for(doc)
         order = encoding.sibling_order_column
-        columns = ("id", "parent", "kind", "tag", "value", "depth", order)
+        columns = ("id", "parent", "kind", "tag", "value", order)
+        backend = self.store.backend
         rows = [
             dict(zip(columns, row))
-            for row in self.store.backend.execute(
+            for row in backend.execute(
                 f"SELECT {', '.join(columns)} "
                 f"FROM {encoding.node_table.name} WHERE doc = ?",
                 (doc,),
@@ -440,41 +286,16 @@ class IndexManager:
         ]
         paths = self._load_paths(doc)
         produced = self._index_rows(doc, rows, order, 0, "", paths)
-        sval_rows = produced[0]
-        depth_of = {row["id"]: row["depth"] for row in rows}
-        tag_values: dict[str, set] = {}
-        for _doc, _id, _parent, tag, sval, _nval in sval_rows:
-            tag_values.setdefault(tag, set()).add(sval)
-        survey = {
-            "node_count": len(rows),
-            "element_count": len(sval_rows),
-            "path_count": len(paths),
-            "max_depth": max(depth_of.values(), default=0),
-            "tag_counts": Counter(row[3] for row in sval_rows),
-            "depth_histogram": Counter(
-                depth_of[row[1]] for row in sval_rows
-            ),
-            "distinct_counts": {
-                tag: len(values) for tag, values in tag_values.items()
-            },
-        }
-        return survey, produced
-
-    def _survey(self, doc: int) -> dict:
-        """Survey *doc* without touching any rows (txn caller-owned)."""
-        return self._scan_document(doc)[0]
-
-    def _rebuild_rows(self, doc: int) -> dict:
-        """Recompute every occurrence row of *doc* (txn caller-owned);
-        returns the survey taken on the way."""
-        survey, produced = self._scan_document(doc)
         for table in ("idx_sval", "idx_pathmap"):
-            self.store.backend.execute(
-                f"DELETE FROM {table} WHERE doc = ?", (doc,)
-            )
+            backend.execute(f"DELETE FROM {table} WHERE doc = ?", (doc,))
         self._insert_rows(*produced)
         METRICS.inc("index.row_writes", sum(map(len, produced)))
-        return survey
+        return {
+            "doc": doc,
+            "elements": len(produced[0]),
+            "paths": len(paths),
+            "nodes": len(rows),
+        }
 
     def _insert_rows(self, sval_rows, pathmap_rows, fresh_paths) -> None:
         backend = self.store.backend
@@ -650,85 +471,3 @@ class IndexManager:
             (doc,),
         )
         return {path: pathid for pathid, path in result.rows}
-
-    # -- statistics rows ---------------------------------------------------
-
-    def _write_stats(self, doc: int, survey: dict, version: int) -> None:
-        """Replace *doc*'s statistics rows (txn caller-owned)."""
-        backend = self.store.backend
-        backend.execute("DELETE FROM idx_stats WHERE doc = ?", (doc,))
-        meta_rows = [
-            (doc, "meta", "present", "1"),
-            (doc, "meta", "stats_version", str(version)),
-            (doc, "meta", "node_count", str(survey["node_count"])),
-            (doc, "meta", "element_count",
-             str(survey["element_count"])),
-            (doc, "meta", "path_count", str(survey["path_count"])),
-            (doc, "meta", "max_depth", str(survey["max_depth"])),
-            (doc, "meta", "updates_since", "0"),
-        ]
-        meta_rows.extend(
-            (doc, "tag", tag, str(count))
-            for tag, count in survey["tag_counts"].items()
-        )
-        meta_rows.extend(
-            (doc, "distinct", tag, str(count))
-            for tag, count in survey["distinct_counts"].items()
-        )
-        meta_rows.extend(
-            (doc, "depth", str(depth), str(count))
-            for depth, count in survey["depth_histogram"].items()
-        )
-        backend.executemany(
-            "INSERT INTO idx_stats VALUES (?, ?, ?, ?)", meta_rows
-        )
-
-    def _next_stats_version(self, doc: int) -> int:
-        """Allocate *doc*'s next statistics version (txn caller-owned).
-
-        Versions come from one persisted store-wide clock — the
-        ``idx_stats`` row of document 0, which no purge touches — so a
-        plan-cache fingerprint ``(doc, stats_version)`` is never
-        reused: not after drop + create, and not after the doc id
-        itself is reused.  Cached plans outlive writes, so a reused
-        fingerprint would serve a cost decision made from statistics
-        that no longer exist.
-        """
-        backend = self.store.backend
-        rows = backend.execute(
-            "SELECT value FROM idx_stats "
-            "WHERE doc = 0 AND kind = 'clock' AND skey = 'stats_version'",
-        ).rows
-        # A store written before the clock existed may hold a version
-        # above it; never allocate at or below the document's own.
-        current = int(self._read_meta(doc).get("stats_version", 0))
-        version = max(int(rows[0][0]) if rows else 0, current) + 1
-        if rows:
-            backend.execute(
-                "UPDATE idx_stats SET value = ? "
-                "WHERE doc = 0 AND kind = 'clock' "
-                "AND skey = 'stats_version'",
-                (str(version),),
-            )
-        else:
-            backend.execute(
-                "INSERT INTO idx_stats VALUES (0, 'clock', "
-                "'stats_version', ?)",
-                (str(version),),
-            )
-        return version
-
-    def _read_meta(self, doc: int) -> dict[str, str]:
-        result = self.store.backend.execute(
-            "SELECT skey, value FROM idx_stats "
-            "WHERE doc = ? AND kind = 'meta'",
-            (doc,),
-        )
-        return {skey: value for skey, value in result.rows}
-
-    def _set_meta(self, doc: int, skey: str, value) -> None:
-        self.store.backend.execute(
-            "UPDATE idx_stats SET value = ? "
-            "WHERE doc = ? AND kind = 'meta' AND skey = ?",
-            (str(value), doc, skey),
-        )

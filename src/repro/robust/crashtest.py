@@ -772,8 +772,8 @@ def _index_signature(store: XmlStore, doc: int) -> Optional[tuple]:
 
     Sorted full contents of every ``idx_*`` table: a crashed create or
     drop must recover to exactly one of the two signatures — never a
-    populated value index without its path dictionary, or statistics
-    without rows.
+    populated value index without its path dictionary, or a presence
+    marker without rows.
     """
     if not store.indexes.exists(doc):
         return None

@@ -194,9 +194,8 @@ class XmlStore:
 
         #: Ordered update operations (insert/delete with renumbering).
         self.updates = UpdateManager(self)
-        #: Per-document secondary indexes and catalog statistics
-        #: (see :mod:`repro.index`), used for the documents that have
-        #: them.
+        #: Per-document secondary indexes (see :mod:`repro.index`),
+        #: used for the documents that have them.
         self.indexes = IndexManager(self)
 
     # -- schema ----------------------------------------------------------
@@ -220,6 +219,24 @@ class XmlStore:
                     f"schema bootstrap failed: {statement!r}: {exc}"
                 ) from exc
         self._recover_shadow_state()
+        self._clear_legacy_statistics()
+
+    def _clear_legacy_statistics(self) -> None:
+        """Delete what ``idx_stats`` holds besides ``present`` markers.
+
+        Files written while the translator chose between scan and index
+        from catalog statistics carry those statistics, their meta rows
+        and a store-wide version clock (a row of document 0) there.
+        Nothing reads them any more; they go when the store opens, so
+        every reader of the table — the index manager, the auditor —
+        may assume it holds markers only.  A store without leftovers
+        issues the probe and writes nothing.
+        """
+        leftover = "kind <> 'meta' OR skey <> 'present'"
+        if self._execute(
+            f"SELECT 1 FROM idx_stats WHERE {leftover} LIMIT 1"
+        ).rows:
+            self._execute(f"DELETE FROM idx_stats WHERE {leftover}")
 
     def _recover_shadow_state(self) -> None:
         """Drop shadow tables a crashed migration left behind.
@@ -605,7 +622,7 @@ class XmlStore:
         id); absolute paths start at the document.
 
         Compiled plans are cached per
-        ``(encoding, shape, depth, index fingerprint)`` where
+        ``(encoding, shape, depth, indexed)`` where
         *shape* is the query with its safe predicate literals
         abstracted away — one plan serves every document and every
         literal value (``//item[@id='a']`` and ``//item[@id='b']``
@@ -619,44 +636,30 @@ class XmlStore:
         deepening insert the fresh row selects (and if need be
         compiles) the deeper plan, and the shallower one — still
         cached under its own key — is never served for the deepened
-        document.
+        document.  *indexed* is whether the document has an index
+        (``indexes.create`` / ``drop`` are writes to it): an index is
+        used when it exists.
         """
         shaped, shape_key, literals = _parse_and_extract(xpath)
         info = self.document_info(doc)  # first: raises if unknown
-        ictx = self.indexes.context(doc)
-        fingerprint = None if ictx is None else ictx.fingerprint
+        indexed = self.indexes.exists(doc)
         encoding_name = info.encoding or self.encoding.name
         depth = max(info.max_depth, 2)
-        key = (encoding_name, shape_key, depth, fingerprint)
-        # A key derived inside a transaction may name a statistics
-        # version the rollback un-allocates; its plan is not shared.
+        key = (encoding_name, shape_key, depth, indexed)
         cache = self.cache
         use_cache = cache.enabled and not self._in_own_transaction()
         plan = cache.get_plan(key) if use_cache else None
         if plan is None:
             translator = make_translator(encoding_name, max_depth=depth)
-            plan = translator.compile(shaped, index=ictx)
+            plan = translator.compile(shaped, indexed=indexed)
             if use_cache:
                 cache.put_plan(key, plan)
         else:
             METRICS.inc("translate.plan_shared")
-        self._note_access_path(plan, xpath, ictx is not None)
-        return plan.bind(doc, context_id, literals)
-
-    def _note_access_path(
-        self, plan, xpath: str, indexed: bool
-    ) -> None:
-        """Record the chosen access path (and missed opportunities).
-
-        ``index.miss`` feeds the advisor: an indexable-looking query
-        compiled for a document without an index.
-        """
         METRICS.inc(f"translate.access.{plan.access_path}")
-        if not indexed:
-            from repro.index import is_indexable_xpath
-
-            if is_indexable_xpath(xpath):
-                METRICS.inc("index.miss")
+        if plan.index_miss:
+            METRICS.inc("index.miss")  # feeds the index advisor
+        return plan.bind(doc, context_id, literals)
 
     def query(
         self, xpath: str, doc: int, context_id: Optional[int] = None
@@ -738,12 +741,7 @@ class XmlStore:
         rows = result.rows
         METRICS.inc("query.rows", len(rows))
         if translated.access_path != "scan":
-            # Estimated-vs-actual feedback for the cost model: the two
-            # counters drift apart exactly when statistics go stale.
             METRICS.inc("index.plan_queries")
-            if translated.est_rows is not None:
-                METRICS.inc("index.est_rows", int(translated.est_rows))
-                METRICS.inc("index.actual_rows", len(rows))
         if translated.result_kind == "attribute":
             with span("materialize", collect):
                 items, owner_ids = self._attribute_items(rows)

@@ -9,6 +9,11 @@ or when something starts using the two shims the frozen benchmark probe
 still needs.  The two run-time guards pin what the seam buys: a warm
 minidb read parses and plans nothing, and a fault-injecting wrapper
 hands the engine exactly what a bare backend does.
+
+The same scan keeps a second seam shut: ``core/`` imports nothing from
+``repro.index`` (the translator is told *indexed* or not, and that is
+all), and no ``cost`` module chooses between scan and index behind it
+(see "Indexing" in DESIGN.md).
 """
 
 import ast
@@ -44,8 +49,8 @@ def _nodes(path: Path) -> tuple:
     return tuple(ast.walk(ast.parse(path.read_text())))
 
 
-def minidb_imports(nodes) -> set:
-    """Dotted names under ``repro.minidb`` imported among *nodes*."""
+def package_imports(nodes, package: str) -> set:
+    """Dotted names under *package* imported among *nodes*."""
     found = set()
     for node in nodes:
         if isinstance(node, ast.Import):
@@ -54,8 +59,14 @@ def minidb_imports(nodes) -> set:
             names = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        found.update(n for n in names if n.startswith("repro.minidb"))
+        found.update(
+            n for n in names if f"{n}.".startswith(f"{package}.")
+        )
     return found
+
+
+def minidb_imports(nodes) -> set:
+    return package_imports(nodes, "repro.minidb")
 
 
 def test_scanner_sees_each_import_form():
@@ -94,6 +105,35 @@ def test_core_index_cache_and_store_import_nothing_from_minidb():
         if (names := minidb_imports(_nodes(path)))
     }
     assert not leaks, leaks
+
+
+def test_core_imports_nothing_from_the_index_package():
+    assert package_imports(ast.walk(ast.parse(
+        "def f():\n    from repro.index import cost as _cost\n"
+        "import repro.index.manager\n"
+        "from repro import index\n"
+        "from repro.indexing import other\n"
+    )), "repro.index") == {
+        "repro.index.cost", "repro.index.manager", "repro.index",
+    }
+    files = _files("core")
+    assert len(files) > 15
+    leaks = {
+        str(path.relative_to(SRC)): sorted(names)
+        for path in files
+        if (names := package_imports(_nodes(path), "repro.index"))
+    }
+    assert not leaks, (
+        f"{leaks}: compile(shaped, indexed) is the whole interface"
+    )
+
+
+def test_no_cost_module_under_the_index_package():
+    modules = {path.stem for path in (SRC / "index").iterdir()}
+    assert "manager" in modules
+    assert "cost" not in modules, (
+        "an index is used when it exists; nothing chooses"
+    )
 
 
 def _backend_classes() -> list[tuple[Path, ast.ClassDef]]:

@@ -105,16 +105,16 @@ def test_bump_drops_the_written_documents_entries_only():
     for doc in (1, 2):
         epoch = cache.epoch(doc)
         cache.put_catalog(doc, f"info{doc}", epoch)
-        cache.put_index_context(doc, (None,), epoch)
+        cache.put_indexed(doc, False, epoch)
         cache.put_result((doc, "//a", None), f"rows{doc}", epoch)
     untouched = cache.epoch(2)
     cache.bump([1])
     cache.bump([1])  # a second write to the same document
     assert cache.get_catalog(1) is None
-    assert cache.get_index_context(1) is None
+    assert cache.get_indexed(1) is None
     assert cache.get_result((1, "//a", None)) is None
     assert cache.get_catalog(2) == "info2"
-    assert cache.get_index_context(2) == (None,)
+    assert cache.get_indexed(2) is False
     assert cache.get_result((2, "//a", None)) == "rows2"
     assert cache.get_plan("p") == 0, "plans carry no epoch"
     layers = cache.stats()["layers"]
@@ -299,7 +299,6 @@ def _every_commit_path(store: XmlStore, doc: int):
         ("set_attribute", lambda: updates.set_attribute(doc, 2, "k", "v")),
         ("delete", lambda: updates.delete(doc, 2)),
         ("index create", lambda: indexes.create(doc)),
-        ("index refresh", lambda: indexes.refresh_stats(doc)),
         ("index drop", lambda: indexes.drop(doc)),
         ("migration", lambda: migrate_document(store, doc, target)),
     ]
@@ -643,12 +642,14 @@ def test_concurrent_writers_to_other_documents_never_leave_a_stale_result(
     store.close()
 
 
-# -- the index planner context lives under the per-document epoch ----------
+# -- index presence lives under the per-document epoch ----------------------
 
 
 def test_index_context_is_cached_per_document():
-    """A write to A re-reads A's ``idx_stats`` rows and nothing of
-    B's: B's next translation issues no backend statement at all."""
+    """Whether a document is indexed is the one fact the planner takes
+    from the index manager.  A write to A re-reads A's marker row and
+    nothing of B's: B's next translation issues no backend statement
+    at all."""
     store = XmlStore(cache=True)
     a = store.load(SHALLOW)
     b = store.load(SHALLOW)
@@ -656,27 +657,49 @@ def test_index_context_is_cached_per_document():
     store.indexes.create(b)
     for doc in (a, b):
         store.translate("//b", doc)
-    assert not hasattr(store.indexes, "_contexts")
     with counters() as count:
         store.updates.insert(a, 1, 0, "<b>z</b>")
         before = count("backend.statements")
-        assert store.indexes.context(b).doc == b
+        assert store.indexes.exists(b)
         store.translate("//b", b)
         assert count("backend.statements") == before, "B was reloaded"
-        assert store.indexes.context(a).updates_since == 1
-        assert count("backend.statements") > before
+        assert store.indexes.exists(a)
+        assert count("backend.statements") == before + 1
+
+
+def test_one_plan_serves_every_indexed_document_and_survives_writes():
+    """The plan key is ``(encoding, shape, depth, indexed)``: two
+    indexed documents share one index plan, and no write to either —
+    40 of them here, past any refresh schedule — changes the key."""
+    store = XmlStore(cache=True)
+    a = store.load(SHALLOW)
+    b = store.load(SHALLOW)
+    store.indexes.create(a)
+    store.indexes.create(b)
+    with counters() as count:
+        plans = [store.translate("//b[c = 'x']", doc) for doc in (a, b)]
+        assert {p.access_path for p in plans} == {"value-index"}
+        assert plans[0].sql == plans[1].sql
+        assert count("translate.compile") == 1
+        for n in range(40):
+            store.updates.insert(a, 1, 0, f"<b><c>{n}</c></b>")
+            assert len(store.query("//b[c = 'x']", a)) == 0
+            assert len(store.query(f"//b[c = '{n}']", a)) == 1
+        store.translate("//b[c = 'x']", b)
+        assert count("translate.compile") == 1
+        assert count("translate.plan_shared") >= 82
 
 
 def test_deleted_document_leaves_no_cached_context():
     store = XmlStore(cache=True)
     doc = store.load(SHALLOW)
     store.indexes.create(doc)
-    assert store.indexes.context(doc) is not None
+    assert store.indexes.exists(doc)
     store.delete_document(doc)
     assert layer(store, "catalog")["size"] == 0
     reused = store.load(SHALLOW)
     assert reused == doc
-    assert store.indexes.context(reused) is None  # not the old index's
+    assert not store.indexes.exists(reused)  # not the old index's
 
 
 # -- satellite: statement-verb write classification -----------------------
@@ -823,10 +846,6 @@ def test_plan_shared_across_documents_and_literals():
     the plan key is the query *shape* (dialect, encoding, shape, depth),
     with doc/context/literals bound as parameters afterwards."""
     with counters() as count:
-        # Unindexed on purpose: with an index context the plan key
-        # carries the per-document statistics fingerprint, which
-        # legitimately narrows sharing to one document — this test is
-        # about the shape-keyed sharing of plain scan plans.
         store = XmlStore(cache=True)
         d1 = store.load("<r><item id='a'/><item id='b'/></r>")
         d2 = store.load("<r><item id='a'/></r>")

@@ -185,6 +185,51 @@ class TestDrop:
         assert run(["drop", "9", "--db", db]) == 1
 
 
+class TestIndexCommand:
+    def test_create_flips_the_plan_and_describe_counts_live(
+        self, bib_file, db, capsys
+    ):
+        """An index is used when it exists, on a 7-element document
+        too; ``repro index`` reports what the index tables hold now."""
+        run(["load", bib_file, "--db", db])
+        capsys.readouterr()
+        show = ["query", "/bib/book/title", "--db", db, "--show-sql"]
+        assert run(show) == 0
+        scan = capsys.readouterr().out
+        assert "idx_" not in scan
+        assert run(["index", "--db", db]) == 0
+        assert "document 1: no index" in capsys.readouterr().out
+        assert run(["index", "--db", db, "--doc", "1", "--create"]) == 0
+        assert capsys.readouterr().out.strip() == (
+            "indexed document 1: 7 element value(s), 4 distinct path(s)"
+        )
+        assert run(show) == 0
+        indexed = capsys.readouterr().out
+        assert "FROM idx_paths n0, idx_pathmap n1" in indexed
+        rows = lambda out: [  # noqa: E731
+            line for line in out.splitlines() if "\telem\t" in line
+        ]
+        assert rows(indexed) == rows(scan) and len(rows(scan)) == 2
+        run(["insert", "<book><title>New</title></book>",
+             "--db", db, "--parent", "/bib", "--index", "0"])
+        capsys.readouterr()
+        assert run(["index", "--db", db]) == 0
+        out = capsys.readouterr().out
+        assert "document 1: indexed, 9 element value(s), 4 distinct" in out
+        assert "top tags: book=3, title=3, author=2, bib=1" in out
+        assert run(["index", "--db", db, "--advise"]) == 0
+        assert "advisor: hold (every document is indexed)" in (
+            capsys.readouterr().out
+        )
+        assert run(["index", "--db", db, "--doc", "1", "--drop"]) == 0
+        capsys.readouterr()
+        assert run(show) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == (
+            scan.splitlines()[:3]
+        )
+        assert run(["check", "--db", db]) == 0
+
+
 class TestObservabilityCommands:
     def test_trace_prints_span_tree(self, bib_file, db, capsys):
         run(["load", bib_file, "--db", db])

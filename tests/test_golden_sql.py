@@ -27,7 +27,6 @@ from repro.core.ordpath import OrdpathKey
 from repro.core.scalars import SCALAR_FUNCTIONS
 from repro.core.translator import make_translator
 from repro.core.translator.shape import extract_shape
-from repro.index import IndexContext
 from repro.minidb import parse_sql
 from repro.minidb.expressions import AGGREGATE_NAMES, BUILTIN_SCALARS
 from repro.minidb.sql_ast import FunctionExpr
@@ -110,19 +109,6 @@ LOCAL_OVERRIDES = {
 }
 
 
-#: Synthetic catalog statistics large enough that every indexable query
-#: in the corpus lands on the index side of the cost crossover — the
-#: snapshots pin the *plan shape*, the crossover itself is pinned by
-#: the cost-model unit tests.
-INDEX_STATS = IndexContext(
-    doc=1, stats_version=3, node_count=100_000, element_count=60_000,
-    max_depth=6, path_count=40, updates_since=0,
-    tag_counts={"bib": 1, "book": 2_000, "title": 2_000,
-                "author": 3_000, "price": 2_000},
-    distinct_counts={"book": 1, "title": 1_800, "author": 900,
-                     "price": 400},
-)
-
 #: Indexable corpus: structural paths (path index), value predicates
 #: (value index), and one positional query that must stay a scan even
 #: with indexes available.
@@ -145,17 +131,13 @@ def snapshot_sql(encoding: str) -> dict:
 
 
 def snapshot_index_plans(encoding: str) -> dict:
-    """Access-path choice, index names, and SQL under INDEX_STATS."""
+    """Access path and SQL of an indexed document's plans."""
     translator = make_translator(encoding, MAX_DEPTH)
     out = {}
     for xpath in INDEX_SNAPSHOT_QUERIES:
         shaped, _literals = extract_shape(parse_xpath(xpath))
-        plan = translator.compile(shaped, index=INDEX_STATS)
-        out[xpath] = {
-            "access_path": plan.access_path,
-            "index_names": list(plan.index_names),
-            "sql": plan.sql,
-        }
+        plan = translator.compile(shaped, indexed=True)
+        out[xpath] = {"access_path": plan.access_path, "sql": plan.sql}
     return out
 
 
@@ -210,9 +192,9 @@ class TestGoldenIndexPlans:
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     def test_expected_access_paths(self, golden, encoding):
-        """Under INDEX_STATS the corpus splits exactly as designed:
-        structural paths use the path index, value predicates the
-        value index, and the positional query stays a scan."""
+        """Indexed, the corpus splits exactly as designed: structural
+        paths use the path index, value predicates the value index,
+        and the positional query stays a scan."""
         plans = golden[encoding]
         assert plans["/bib/book/title"]["access_path"] == "path-index"
         assert plans["/bib//title"]["access_path"] == "path-index"
@@ -222,11 +204,6 @@ class TestGoldenIndexPlans:
         assert plans["/bib/book[price < 10]"][
             "access_path"] == "value-index"
         assert plans["/bib/book[2]"]["access_path"] == "scan"
-        for xpath, plan in plans.items():
-            if plan["access_path"] == "scan":
-                assert plan["index_names"] == [], xpath
-            else:
-                assert plan["index_names"], xpath
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     def test_no_literals_in_index_plans(self, golden, encoding):

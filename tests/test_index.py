@@ -1,17 +1,17 @@
-"""Secondary indexes: cost model, lifecycle, and differential plans.
+"""Secondary indexes: lifecycle and differential plans.
 
 Four guards around the ``repro.index`` subsystem:
 
-* **cost model** — the scan-vs-index decision pinned on both sides of
-  each crossover, so retuning the constants is a conscious act;
 * **differential plans** — every query of the conformance corpus runs
   on an indexed store and a twin that was never indexed, across all
   four encodings and both backends, and must answer byte-identically:
-  the planner may change access paths, never answers;
-* **lifecycle** — plan-cache invalidation when an index appears
-  (statistics fingerprint), stale-statistics detection after deepening
-  inserts, maintenance through the update manager, the advisor's
-  decision rule, and a fixed-seed create/drop crash sweep;
+  an index may change access paths, never answers;
+* **lifecycle** — an index is used when it exists (create flips every
+  eligible plan to the index whatever the document's size, drop flips
+  it back), maintenance through the update manager, files that still
+  carry the deleted statistics rows, the advisor's decision rule, and
+  a fixed-seed create/drop crash sweep;
+* **vacuity** — the index-twin fuzz must really run index plans;
 * **regressions** — the mixed-content string-value comparison the
   first-text-child shortcut used to get wrong, pinned explicitly and
   exercised by the fuzzer's bare-element predicate pool.
@@ -19,93 +19,22 @@ Four guards around the ``repro.index`` subsystem:
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from tests.conftest import ALL_ENCODINGS, BACKENDS, BIB_XML
-from repro.index import (
-    INDEX_PROBE_COST,
-    IndexAdvisor,
-    STATS_REFRESH_THRESHOLD,
-    choose_path_plan,
-    choose_value_plan,
-    estimate_value_matches,
-    is_indexable_xpath,
-)
+from repro.backends import MiniDbBackend, make_backend
+from repro.check import audit_store
+from repro.check.fuzz import FuzzConfig, indexable_xpath, run_fuzz
+from repro.core.translator import make_translator
+from repro.index import IndexAdvisor
+from repro.minidb import MiniDb, persist
 from repro.obs import METRICS
 from repro.store import XmlStore
 from repro.workload import catalog_corpus
 from repro.workload.docgen import random_document
-from repro.xmldom import parse, serialize
-
-
-# -- cost model ----------------------------------------------------------
-
-
-class TestCostModel:
-    def test_value_plan_scan_side_of_crossover(self):
-        # Tiny document: 10 node rows never amortize a 24-unit probe.
-        choice = choose_value_plan(node_count=10, tag_count=5, distinct=5)
-        assert choice.access_path == "scan"
-        assert not choice.use_index
-        assert choice.index_names == ()
-        assert choice.est_rows is None
-        assert choice.scan_cost == 10
-        assert choice.index_cost == INDEX_PROBE_COST + 1
-
-    def test_value_plan_index_side_of_crossover(self):
-        choice = choose_value_plan(
-            node_count=10_000, tag_count=50, distinct=10
-        )
-        assert choice.access_path == "value-index"
-        assert choice.use_index
-        assert choice.index_names == ("ix_idx_sval_parent",)
-        assert choice.est_rows == 5
-        assert choice.index_cost == INDEX_PROBE_COST + 5
-        assert choice.index_cost < choice.scan_cost
-
-    def test_value_plan_exact_boundary_prefers_scan(self):
-        # index_cost == scan_cost must keep the scan (strict <).
-        boundary = int(INDEX_PROBE_COST) + 1
-        choice = choose_value_plan(
-            node_count=boundary, tag_count=boundary, distinct=boundary
-        )
-        assert choice.index_cost == choice.scan_cost
-        assert choice.access_path == "scan"
-
-    def test_path_plan_scan_side_of_crossover(self):
-        choice = choose_path_plan(
-            node_count=10, step_count=1, path_count=8, est_rows=5
-        )
-        assert choice.access_path == "scan"
-        assert choice.index_names == ()
-        assert choice.scan_cost == 10
-        assert choice.index_cost == INDEX_PROBE_COST + 8 + 5
-
-    def test_path_plan_index_side_of_crossover(self):
-        choice = choose_path_plan(
-            node_count=10_000, step_count=3, path_count=40, est_rows=100
-        )
-        assert choice.access_path == "path-index"
-        assert choice.index_names == ("ux_idx_paths", "ix_idx_pathmap")
-        assert choice.est_rows == 100
-        assert choice.scan_cost == 30_000
-        assert choice.index_cost == INDEX_PROBE_COST + 140
-
-    def test_path_plan_step_count_moves_the_crossover(self):
-        # The same document flips to the index as the path deepens:
-        # every extra step adds a full node-table pass to the scan.
-        args = dict(node_count=40, path_count=10, est_rows=20)
-        assert choose_path_plan(step_count=1, **args).access_path == "scan"
-        assert (
-            choose_path_plan(step_count=2, **args).access_path
-            == "path-index"
-        )
-
-    def test_estimate_value_matches(self):
-        assert estimate_value_matches(0, 5) == 0
-        assert estimate_value_matches(100, 10) == 10
-        assert estimate_value_matches(100, 0) == 100
-        assert estimate_value_matches(3, 1000) == 1  # never below one
+from repro.xmldom import parse
 
 
 # -- differential plans: indexed vs unindexed must answer identically ----
@@ -187,16 +116,14 @@ class TestDifferentialPlans:
 
 class TestIndexLifecycle:
     def _bulk_store(self, encoding="global", backend="sqlite"):
-        """A store whose document is big enough that indexed plans win
-        the cost crossover."""
         store = XmlStore(backend=backend, encoding=encoding)
         doc = store.load(catalog_corpus(products=30))
         return store, doc
 
     def test_plan_cache_invalidated_by_index_creation(self):
-        """Creating an index changes the statistics fingerprint, so a
-        cached scan plan cannot outlive the statistics that justified
-        it — the next translate re-compiles and picks the index."""
+        """Creating an index changes the plan key's ``indexed``
+        component, so a cached scan plan is not served for the indexed
+        document — the next translate picks the index plan."""
         store, doc = self._bulk_store()
         xpath = "//product//comment"
         before = store.translate(xpath, doc)
@@ -204,76 +131,88 @@ class TestIndexLifecycle:
         store.indexes.create(doc)
         after = store.translate(xpath, doc)
         assert after.access_path == "path-index"
-        assert after.index_names == ("ux_idx_paths", "ix_idx_pathmap")
-        # And dropping flips it back: the fingerprint component of the
-        # plan key disappears with the index.
+        assert "idx_pathmap" in after.sql
+        # And dropping flips it back: the scan plan is still cached
+        # under its own key.
         store.indexes.drop(doc)
-        assert store.translate(xpath, doc).access_path == "scan"
+        dropped = store.translate(xpath, doc)
+        assert dropped.access_path == "scan"
+        assert dropped.sql == before.sql
 
-    def test_fingerprint_is_never_reused_after_drop_or_doc_id_reuse(self):
-        """Regression: plans outlive writes, so the plan key's
-        ``(doc, stats_version)`` must never name two different sets of
-        statistics.  create -> query -> drop -> mutate -> create used
-        to restart the version at 1 (the meta row it counted from was
-        purged), and the path-index plan compiled for the big document
-        was then served for the shrunken one, where a fresh compile
-        picks the scan."""
+    def test_create_drop_recreate_answers_like_the_unindexed_twin(self):
+        """Plans outlive writes, so every step of create -> query ->
+        drop -> query and drop -> delete most of the document ->
+        create -> query must pick the plan the document's index state
+        names *now*: answers equal the never-indexed twin's throughout,
+        and the post-drop plan is a scan."""
         store, doc = self._bulk_store()
-        xpath = "//product//comment"
-        first = store.indexes.create(doc)["stats_version"]
-        assert store.translate(xpath, doc).access_path == "path-index"
+        twin, twin_doc = self._bulk_store()
+        queries = ("//product//comment", "//product[name = 'Widget 3']",
+                   "/catalog/product/name")
+
+        def check(access: str) -> None:
+            assert _answers(store, doc, queries) == _answers(
+                twin, twin_doc, queries
+            )
+            got = {store.translate(q, doc).access_path for q in queries}
+            assert got == ({"scan"} if access == "scan" else {
+                "path-index", "value-index"
+            })
+
+        store.indexes.create(doc)
+        check("index")
         store.indexes.drop(doc)
-        for product in store.query("/catalog/product", doc)[1:]:
-            store.updates.delete(doc, product.node_id)
-        second = store.indexes.create(doc)["stats_version"]
-        assert second > first
-        assert store.indexes.context(doc).fingerprint == (doc, second)
-        assert store.translate(xpath, doc).access_path == "scan"
-        # The doc id itself is reused after a delete; its statistics
-        # versions still never are.
+        check("scan")
+        store.indexes.create(doc)
+        store.indexes.drop(doc)
+        for target, target_doc in ((store, doc), (twin, twin_doc)):
+            for product in target.query("/catalog/product", target_doc)[1:]:
+                target.updates.delete(target_doc, product.node_id)
+        check("scan")
+        store.indexes.create(doc)
+        check("index")
+        # The doc id itself is reused after a delete; the new document
+        # starts unindexed whatever the old one was.
         store.delete_document(doc)
+        twin.delete_document(twin_doc)
         assert store.load(catalog_corpus(products=30)) == doc
-        third = store.indexes.create(doc)["stats_version"]
-        assert third > second
-        assert store.translate(xpath, doc).access_path == "path-index"
+        assert twin.load(catalog_corpus(products=30)) == twin_doc
+        check("scan")
 
     def test_value_index_plan_on_big_document(self):
         store, doc = self._bulk_store()
         store.indexes.create(doc)
         plan = store.translate("//product[name = 'Widget 3']", doc)
         assert plan.access_path == "value-index"
-        assert plan.index_names == ("ix_idx_sval_parent",)
-        assert plan.est_rows is not None and plan.est_rows >= 1
+        assert "idx_sval" in plan.sql
 
-    def test_stale_statistics_after_deepening_insert(self):
-        """An insert that deepens the document past the recorded
-        max_depth marks the statistics stale (the drift that skews
-        path estimates) even before the update-counter threshold."""
-        store, doc = self._bulk_store()
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    def test_an_index_is_used_when_it_exists_whatever_the_size(
+        self, encoding, backend
+    ):
+        """Vacuity guard for the index twin: on an indexed document of
+        a single childless element, every shape the fuzzer offers as
+        indexable compiles to an index plan (and to the scan, counted
+        as a miss, without the index)."""
+        store = XmlStore(backend=backend, encoding=encoding)
+        doc = store.load("<a/>")
+        rng = random.Random(5)
+        shapes = {indexable_xpath(rng) for _ in range(200)}
+        assert len(shapes) > 100
+        translator = make_translator(encoding, max_depth=2)
+        for xpath in shapes:
+            plain = translator.compile(xpath)
+            assert (plain.access_path, plain.index_miss) == ("scan", True)
+            assert store.translate(xpath, doc).access_path == "scan"
         store.indexes.create(doc)
-        assert not store.indexes.stats_stale(doc)
-        product = store.query("/catalog/product", doc)[0].node_id
-        store.updates.insert(
-            doc, product, 0,
-            "<deep1><deep2><deep3><deep4>x</deep4></deep3></deep2></deep1>",
-        )
-        assert store.indexes.stats_stale(doc)
-        describe = store.indexes.describe(doc)
-        assert describe["stale"] is True
-        store.indexes.refresh_stats(doc)
-        assert not store.indexes.stats_stale(doc)
-
-    def test_update_counter_triggers_stats_refresh(self):
-        store = XmlStore(backend="sqlite", encoding="dewey")
-        doc = store.load(parse(BIB_XML))
-        store.indexes.create(doc)
-        version = store.indexes.describe(doc)["stats_version"]
-        book = store.query("/bib/book[1]", doc)[0].node_id
-        for n in range(STATS_REFRESH_THRESHOLD):
-            store.updates.set_attribute(doc, book, "x", str(n))
-        describe = store.indexes.describe(doc)
-        assert describe["stats_version"] == version + 1
-        assert describe["updates_since"] == 0
+        seen = set()
+        for xpath in sorted(shapes):
+            translated = store.translate(xpath, doc)
+            assert translated.access_path != "scan", xpath
+            seen.update(translated.access_path.split("+"))
+            store.query(xpath, doc)  # and the engine accepts the plan
+        assert seen == {"path-index", "value-index"}
 
     def test_maintenance_keeps_value_rows_exact(self):
         """After an update, the idx_sval rows equal a from-scratch
@@ -325,10 +264,11 @@ class TestIndexLifecycle:
         assert counters["translate.access.path-index"] >= 1
         assert counters["translate.access.value-index"] >= 1
         assert counters["index.plan_queries"] >= 2
-        assert counters["index.est_rows"] >= 1
-        assert counters["index.actual_rows"] >= 1
 
     def test_miss_counter_feeds_the_advisor(self):
+        """``index.miss`` counts translations, plan-cache hits
+        included, whose plan the compiler flagged: an eligible
+        fragment, no index.  The flag is the only eligibility test."""
         was_enabled = METRICS.enabled
         METRICS.reset()
         METRICS.enabled = True
@@ -336,12 +276,103 @@ class TestIndexLifecycle:
             store, doc = self._bulk_store()
             for _ in range(3):
                 store.query("//product//comment", doc)
-            counters = METRICS.snapshot()["counters"]
+                store.translate("/catalog/product/name", doc)
+                # ``//`` and a predicate, but nothing the translator
+                # rewrites: not a miss.
+                store.translate("//product[1]/name[1]", doc)
+            missed = METRICS.snapshot()["counters"].get("index.miss", 0)
+            store.indexes.create(doc)
+            store.translate("/catalog/product/name", doc)
+            after = METRICS.snapshot()["counters"].get("index.miss", 0)
         finally:
             METRICS.enabled = was_enabled
             METRICS.reset()
-        # Compilation is cached: at least the cold compile missed.
-        assert counters.get("index.miss", 0) >= 1
+        # One executed query (its repeats are result-cache hits) plus
+        # three translations of the child path.
+        assert missed == 4
+        assert after == missed
+
+
+# -- files written before ``idx_stats`` held only the markers ------------
+
+
+#: What the statistics apparatus left beside the ``present`` marker of
+#: an indexed document 1, and the store-wide clock row of document 0.
+LEGACY_STATS_ROWS = (
+    (1, "meta", "stats_version", "3"),
+    (1, "meta", "node_count", "17"),
+    (1, "meta", "element_count", "11"),
+    (1, "meta", "path_count", "5"),
+    (1, "meta", "max_depth", "4"),
+    (1, "meta", "updates_since", "31"),
+    (1, "tag", "book", "3"),
+    (1, "tag", "title", "3"),
+    (1, "distinct", "title", "3"),
+    (1, "depth", "2", "3"),
+    (0, "clock", "stats_version", "3"),
+)
+
+
+@pytest.mark.skip_audit  # the store the rows are planted in stays dirty
+class TestLegacyStatisticsRows:
+    """A store opening such a file clears the leftovers (on open, not
+    on the next create/drop), so it answers, maintains, drops and
+    audits like any other."""
+
+    def _reopen(self, backend: str, path):
+        if backend == "sqlite":
+            return XmlStore(backend=make_backend("sqlite", str(path)))
+        inner = MiniDbBackend()
+        if path.exists():
+            inner.db = MiniDb.open(path)
+        return XmlStore(backend=inner)
+
+    def _close(self, store: XmlStore, path) -> None:
+        if isinstance(store.backend, MiniDbBackend):
+            persist.save(store.backend.db, path)
+        store.close()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_old_file_opens_answers_maintains_drops_and_audits_clean(
+        self, backend, tmp_path
+    ):
+        path = tmp_path / "old.db"
+        store = self._reopen(backend, path)
+        doc = store.load(parse(BIB_XML))
+        assert doc == 1
+        store.indexes.create(doc)
+        store.backend.executemany(
+            "INSERT INTO idx_stats VALUES (?, ?, ?, ?)", LEGACY_STATS_ROWS
+        )
+        self._close(store, path)
+
+        plain = XmlStore(backend=backend)
+        plain_doc = plain.load(parse(BIB_XML))
+        store = self._reopen(backend, path)
+        marker = [(doc, "meta", "present", "1")]
+        assert store.backend.execute("SELECT * FROM idx_stats").rows == marker
+        assert audit_store(store) == []
+        assert store.indexes.describe(doc)["element_count"] == 15
+        assert store.translate("//book//author", doc).access_path == (
+            "path-index"
+        )
+        for target, target_doc in ((store, doc), (plain, plain_doc)):
+            target.updates.insert(
+                target_doc, 1, 0, "<book><author>Smith</author></book>"
+            )
+        assert _answers(store, doc, DIFFERENTIAL_QUERIES) == _answers(
+            plain, plain_doc, DIFFERENTIAL_QUERIES
+        )
+        assert audit_store(store) == []
+        assert store.indexes.drop(doc)
+        assert store.backend.execute("SELECT * FROM idx_stats").rows == []
+        assert audit_store(store) == []
+        self._close(store, path)
+
+        store = self._reopen(backend, path)
+        assert not store.indexes.exists(doc)
+        assert audit_store(store) == []
+        store.close()
 
 
 # -- the advisor ---------------------------------------------------------
@@ -350,39 +381,41 @@ class TestIndexLifecycle:
 class TestIndexAdvisor:
     def test_holds_below_threshold(self):
         rec = IndexAdvisor(min_samples=5).decide(
-            {"index.miss": 2}, unindexed=[1], slow_xpaths=["/a/b"]
+            {"index.miss": 2}, unindexed=[1]
         )
         assert rec.action == "hold"
         assert not rec.act
-        assert rec.samples == 2  # '/a/b' is not an indexable shape
+        assert rec.samples == 2
 
     def test_creates_past_threshold(self):
         rec = IndexAdvisor(min_samples=5).decide(
-            {"counters": {"index.miss": 3}},
-            unindexed=[1, 2],
-            slow_xpaths=["//a[b = 1]", "//deep//path"],
+            {"counters": {"index.miss": 5}}, unindexed=[1, 2]
         )
         assert rec.action == "create"
         assert rec.act
         assert rec.documents == (1, 2)
         assert rec.samples == 5
 
-    def test_refresh_when_indexed_but_stale(self):
-        rec = IndexAdvisor().decide(
-            {"index.miss": 100}, unindexed=[], stale=[3]
-        )
-        assert rec.action == "refresh"
-        assert rec.documents == (3,)
-
     def test_holds_when_fresh_and_indexed(self):
         rec = IndexAdvisor().decide({"index.miss": 100}, unindexed=[])
         assert rec.action == "hold"
 
     def test_indexable_xpath_shapes(self):
-        assert is_indexable_xpath("//a/b")
-        assert is_indexable_xpath("/a[b = 1]")
-        assert is_indexable_xpath("/a[contains(b, 'x')]")
-        assert not is_indexable_xpath("/a/b")
+        """Eligible is what the compiler rewrites, and nothing else
+        under ``src/`` holds an opinion: a bare child path is (the path
+        index serves it), a positional path with ``//`` is not."""
+        translator = make_translator("dewey", max_depth=4)
+        missed = lambda xpath: (  # noqa: E731
+            translator.compile(xpath).index_miss
+        )
+        assert missed("//a/b")
+        assert missed("/a/b/c")
+        assert missed("/a[b = 1]")
+        assert missed("//a | //b[c > 2]")
+        assert not missed("//section[1]/para[1]")
+        assert missed("/a[contains(b, 'x')]/@id")
+        assert not missed("//a[@id = 'x']")
+        assert not translator.compile("//a/b", indexed=True).index_miss
 
 
 # -- mixed-content string-value regression -------------------------------
@@ -443,8 +476,6 @@ class TestMixedContentStringValue:
         """The regression stays guarded: the fuzzer's predicate pool
         must keep generating bare element comparisons (not only
         text()), the shape that exposed the bug."""
-        import random
-
         from repro.check.fuzz import _random_predicate
 
         rng = random.Random(0)
@@ -461,8 +492,6 @@ class TestMixedContentStringValue:
 
 class TestIndexTwinFuzzMatrix:
     def test_fixed_seed_index_twin_all_encodings_both_backends(self):
-        from repro.check.fuzz import FuzzConfig, run_fuzz
-
         config = FuzzConfig(
             seeds=1, ops=8, encodings=ALL_ENCODINGS, backends=BACKENDS,
             base_seed=11, queries_per_check=4, check_every=4,
@@ -471,13 +500,23 @@ class TestIndexTwinFuzzMatrix:
         report = run_fuzz(config)
         assert report.ok(), "\n".join(str(f) for f in report.failures)
         assert report.operations == 8
+        # Not scan against scan: both rewrites ran, and the summary
+        # line (what ``repro fuzz --index-twin`` prints) says so.
+        assert report.index_plans["path-index"] > 0
+        assert report.index_plans["value-index"] > 0
+        assert (
+            f"index plans: path-index={report.index_plans['path-index']} "
+            f"value-index={report.index_plans['value-index']}: OK"
+        ) in report.summary()
+        assert "index plans" not in run_fuzz(
+            FuzzConfig(seeds=1, ops=0, encodings=("dewey",),
+                       backends=("sqlite",))
+        ).summary()
 
     def test_mixed_content_seed_regression(self):
         """Pinned seed whose op stream builds mixed content while the
         (post-fix) predicate pool compares bare elements against it —
         the exact combination that used to diverge from the oracle."""
-        from repro.check.fuzz import FuzzConfig, run_fuzz
-
         config = FuzzConfig(
             seeds=2, ops=12, encodings=("global", "local"),
             backends=("sqlite",), base_seed=3, queries_per_check=6,

@@ -4,20 +4,16 @@ Four guards around the touched-set maintenance path:
 
 * **equivalence** — after every op of a seeded update script the
   maintained index must pass the invariant audit (which derives the
-  expected rows from the node tables on its own) and its three data
-  tables must be byte-identical to those of a twin that rebuilds its
-  index with ``indexes.create`` after every op, across all four
-  encodings and both backends; across the automatic stats-refresh
-  threshold the refreshed statistics must equal the rebuilt twin's;
-* **scaling** — maintenance row writes must track the update's touched
-  rows, not the document size (the counter-based regression that pins
-  the tentpole's complexity claim);
+  expected rows from the node tables on its own) and its tables must
+  be byte-identical to those of a twin that rebuilds its index with
+  ``indexes.create`` after every op, across all four encodings and
+  both backends;
+* **scaling** — maintenance row writes, and the rows any single write
+  reads, must track the update's touched rows, not the document size
+  (the counter-based regressions that pin the complexity claim);
 * **fallback** — deltas past the invalidation budget fall back to the
   full rebuild and still converge on the twin's tables;
-* **satellites** — ``refresh_stats`` recomputes statistics without
-  rebuilding data rows or counting ``index.created``, zero-row no-op
-  updates skip maintenance entirely, and missing depth meta reads as
-  stale.
+* **satellites** — zero-row no-op updates skip maintenance entirely.
 """
 
 from __future__ import annotations
@@ -29,11 +25,11 @@ import pytest
 from tests.conftest import ALL_ENCODINGS, BACKENDS
 from repro.check import audit_document
 from repro.check.fuzz import apply_operation, plan_operation
-from repro.index import STATS_REFRESH_THRESHOLD, manager
+from repro.index import manager
 from repro.obs import METRICS
 from repro.store import XmlStore
 from repro.workload import catalog_corpus
-from repro.workload.docgen import random_document
+from repro.workload.docgen import random_document, sized_article_corpus
 
 IDX_TABLES = ("idx_sval", "idx_paths", "idx_pathmap", "idx_stats")
 
@@ -45,9 +41,6 @@ def index_tables(store: XmlStore, doc: int) -> tuple:
         ).rows))
         for table in IDX_TABLES
     )
-
-
-DATA_TABLES = slice(0, 3)  # idx_stats restarts at every ``create``
 
 
 @pytest.fixture
@@ -76,10 +69,9 @@ def apply_to_both(incr, doc_i, eager, doc_e, op) -> None:
     apply_operation(eager, doc_e, op)
     eager.indexes.create(doc_e)
     assert audit_document(incr, doc_i) == [], op["describe"]
-    assert (
-        index_tables(incr, doc_i)[DATA_TABLES]
-        == index_tables(eager, doc_e)[DATA_TABLES]
-    ), f"tables diverged after {op['describe']}"
+    assert index_tables(incr, doc_i) == index_tables(eager, doc_e), (
+        f"tables diverged after {op['describe']}"
+    )
 
 
 @pytest.mark.usefixtures("whole_document_budget")
@@ -99,33 +91,6 @@ class TestIncrementalVsEager:
         for _ in range(12):
             op = plan_operation(rng, incr, doc_i, update_heavy=True)
             apply_to_both(incr, doc_i, eager, doc_e, op)
-        incr.close()
-        eager.close()
-
-    def test_equivalence_across_stats_refresh_threshold(self):
-        document = random_document(7, max_depth=4, max_children=3)
-        incr, doc_i, eager, doc_e = twin_pair("sqlite", "dewey", document)
-
-        def statistics(store, doc):
-            """``idx_stats`` minus the version, which each store draws
-            from its own clock."""
-            return [
-                row for row in index_tables(store, doc)[3]
-                if row[1:3] != ("meta", "stats_version")
-            ]
-
-        rng = random.Random(701)
-        refreshes = 0
-        for _ in range(STATS_REFRESH_THRESHOLD + 4):
-            op = plan_operation(rng, incr, doc_i)
-            apply_to_both(incr, doc_i, eager, doc_e, op)
-            if incr.indexes.describe(doc_i)["updates_since"] == 0:
-                # The automatic refresh surveyed the maintained rows;
-                # the twin just surveyed the document from scratch.
-                refreshes += 1
-                assert statistics(incr, doc_i) == statistics(eager, doc_e)
-        assert refreshes == 1
-        assert incr.indexes.describe(doc_i)["stats_version"] >= 2
         incr.close()
         eager.close()
 
@@ -199,6 +164,33 @@ class TestMaintenanceScaling:
         incremental = self._writes_for_one_set_text(products=160)
         assert counters["index.row_writes"] > 10 * incremental
 
+    @pytest.mark.parametrize("encoding", ("dewey", "local"))
+    def test_no_write_reads_the_whole_document(self, encoding):
+        """On minidb's deterministic counters: 100 single-node inserts
+        into an indexed 3000-node document, each appended under a
+        different paragraph (so no sibling is renumbered).  Every write
+        reads about what the median write reads — nothing surveys the
+        document on a schedule."""
+        store = XmlStore(backend="minidb", encoding=encoding)
+        doc = store.load(sized_article_corpus(3000))
+        store.indexes.create(doc)
+        paras = [item.node_id for item in store.query("//para", doc)]
+        stats = store.backend.db.stats
+        reads = []
+        for n in range(100):
+            parent = paras[(n * 7) % len(paras)]
+            position = len(store.fetch_children(doc, parent))
+            before = stats.rows_read
+            store.updates.insert(doc, parent, position, "<i/>")
+            reads.append(stats.rows_read - before)
+        median = sorted(reads)[len(reads) // 2]
+        assert max(reads) <= 2 * median, (
+            f"write #{reads.index(max(reads)) + 1} read {max(reads)} "
+            f"rows, the median write {median}"
+        )
+        assert median < store.document_info(doc).node_count / 5
+        store.close()
+
 
 class TestFallbackPolicy:
     def test_large_delete_falls_back_and_still_converges(self):
@@ -228,10 +220,7 @@ class TestFallbackPolicy:
         eager.indexes.create(doc_e)
         assert counters.get("index.fallback_rebuild", 0) >= 1
         assert audit_document(incr, doc_i) == []
-        assert (
-            index_tables(incr, doc_i)[DATA_TABLES]
-            == index_tables(eager, doc_e)[DATA_TABLES]
-        )
+        assert index_tables(incr, doc_i) == index_tables(eager, doc_e)
         incr.close()
         eager.close()
 
@@ -243,48 +232,15 @@ class TestSatelliteFixes:
         store.indexes.create(doc)
         return store, doc
 
-    def test_refresh_stats_does_not_rebuild_rows(self):
-        store, doc = self._indexed_catalog()
-        before_version = store.indexes.describe(doc)["stats_version"]
-        rows_before = index_tables(store, doc)[:3]
-        was_enabled = METRICS.enabled
-        METRICS.reset()
-        METRICS.enabled = True
-        try:
-            report = store.indexes.refresh_stats(doc)
-            counters = METRICS.snapshot()["counters"]
-        finally:
-            METRICS.enabled = was_enabled
-            METRICS.reset()
-        assert counters["index.stats_refreshed"] == 1
-        assert counters.get("index.created", 0) == 0
-        assert counters.get("index.row_writes", 0) == 0
-        assert report["stats_version"] == before_version + 1
-        assert index_tables(store, doc)[:3] == rows_before
-        store.close()
-
-    def test_refresh_stats_clears_staleness(self):
-        store, doc = self._indexed_catalog()
-        catalog = store.fetch_children(doc, 0)[0]
-        product = store.fetch_children(doc, catalog["id"])[0]
-        store.updates.insert(
-            doc, product["id"], 0, "<a><b><c><d>deep</d></c></b></a>"
-        )
-        assert store.indexes.stats_stale(doc)
-        store.indexes.refresh_stats(doc)
-        assert not store.indexes.stats_stale(doc)
-        store.close()
-
     def test_noop_update_skips_maintenance(self):
         store, doc = self._indexed_catalog()
         catalog = store.fetch_children(doc, 0)[0]
-        before = store.indexes.describe(doc)["updates_since"]
         was_enabled = METRICS.enabled
         METRICS.reset()
         METRICS.enabled = True
         try:
             # Removing an attribute that does not exist touches zero
-            # rows: no rebuild, no updates_since bump.
+            # rows: no repair, no rebuild.
             report = store.updates.set_attribute(
                 doc, catalog["id"], "nope", None
             )
@@ -295,7 +251,6 @@ class TestSatelliteFixes:
         assert report.rows_touched() == 0
         assert counters.get("index.maintained", 0) == 0
         assert counters.get("index.row_writes", 0) == 0
-        assert store.indexes.describe(doc)["updates_since"] == before
         store.close()
 
     def test_noop_update_skips_eager_rebuild_too(self, monkeypatch):
@@ -319,15 +274,4 @@ class TestSatelliteFixes:
         assert noop.get("index.maintained", 0) == 0
         assert noop.get("index.row_writes", 0) == 0
         assert real["index.fallback_rebuild"] == 1
-        store.close()
-
-    def test_missing_depth_meta_reads_as_stale(self):
-        store, doc = self._indexed_catalog()
-        assert not store.indexes.stats_stale(doc)
-        store.backend.execute(
-            "DELETE FROM idx_stats "
-            "WHERE doc = ? AND kind = 'meta' AND skey = 'max_depth'",
-            (doc,),
-        )
-        assert store.indexes.stats_stale(doc)
         store.close()

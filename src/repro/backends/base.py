@@ -55,12 +55,17 @@ class Backend(ABC):
     #: Short backend name ("sqlite" or "minidb").
     name: str
 
-    #: Whether worker threads get independent connections (statements
-    #: from different threads run concurrently and transaction state is
-    #: per-thread).  Non-pooled backends serialize instead; callers
-    #: that fan work out across threads can check this to pick a
-    #: strategy (e.g. the serve-bench driver, the write queue).
-    pooled: bool = False
+    def __new__(cls, *args: object, **kwargs: object) -> "Backend":
+        backend = super().__new__(cls)
+        # Thread ident -> how many transaction() scopes that thread has
+        # open on this backend; no entry outside one.  Each thread
+        # touches its own key only.  (Every cached read asks "am I in a
+        # transaction?"; a ``threading.local`` answers in twice the
+        # time with a class-level default, ten times with ``getattr``
+        # on a thread that never opened one.)  Set here and not in an
+        # __init__ so that no subclass can forget to call it.
+        backend._tx_depths = {}
+        return backend
 
     @abstractmethod
     def execute(
@@ -105,9 +110,6 @@ class Backend(ABC):
 
     # -- transactions -----------------------------------------------------
 
-    _tx_depth: int = 0
-    _tx_owner: int = 0
-
     def begin(self) -> None:
         """Start a transaction (engine-specific)."""
 
@@ -117,34 +119,39 @@ class Backend(ABC):
     def rollback(self) -> None:
         """Roll the current transaction back (engine-specific)."""
 
+    def in_transaction(self) -> bool:
+        """Is the calling thread inside a :meth:`transaction` scope of
+        its own?  Another thread's open transaction does not count."""
+        depths = self._tx_depths
+        return bool(depths) and threading.get_ident() in depths
+
     @contextmanager
     def transaction(self) -> Iterator[None]:
         """Atomic scope: commit on success, roll back on exception.
 
         Nested scopes flatten into the outermost transaction, so
         compound operations can freely call transactional helpers.
-        Flattening is per-thread: a second thread opening a scope while
-        another thread's transaction is live starts its own transaction
-        (blocking in ``begin()`` on backends that serialize, like the
-        lock-guarded sqlite connection) instead of silently joining one
-        it does not own.
+        Flattening is per-thread, on every backend and through every
+        wrapper: a second thread opening a scope while another thread's
+        transaction is live starts its own transaction (blocking in
+        ``begin()`` on backends that serialize, like the lock-guarded
+        sqlite connection) instead of silently joining one it does not
+        own.
         """
-        ident = threading.get_ident()
-        if self._tx_depth > 0 and self._tx_owner == ident:
-            self._tx_depth += 1
+        depths, ident = self._tx_depths, threading.get_ident()
+        if ident in depths:
+            depths[ident] += 1
             try:
                 yield
             finally:
-                self._tx_depth -= 1
+                depths[ident] -= 1
             return
         self.begin()
-        self._tx_depth = 1
-        self._tx_owner = ident
+        depths[ident] = 1
         try:
             yield
         except BaseException as original:
-            self._tx_depth = 0
-            self._tx_owner = 0
+            del depths[ident]
             try:
                 self.rollback()
             except Exception as rollback_error:
@@ -156,8 +163,7 @@ class Backend(ABC):
                     )
             raise
         else:
-            self._tx_depth = 0
-            self._tx_owner = 0
+            del depths[ident]
             self.commit_transaction()
 
     def close(self) -> None:

@@ -9,11 +9,10 @@ reader threads run genuinely in parallel and — because the file is in
 WAL mode — keep reading while the single writer commits.
 
 Transactions pin one connection to the opening thread from BEGIN to
-COMMIT/ROLLBACK, and transaction bookkeeping (``_tx_depth`` /
-``_tx_owner``) is thread-local, so concurrent threads each get an
-independent transaction scope instead of racing over one shared depth
-counter.  Requires a file path: private ``:memory:`` databases are
-invisible across connections, so there is nothing to pool.
+COMMIT/ROLLBACK; :meth:`Backend.transaction` keeps its scope depth per
+thread, so concurrent threads each get an independent transaction.
+Requires a file path: private ``:memory:`` databases are invisible
+across connections, so there is nothing to pool.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ class PooledSqliteBackend(Backend):
     """File-backed sqlite storage with a per-thread connection pool."""
 
     name = "sqlite"
-    pooled = True
 
     def __init__(
         self,
@@ -51,7 +49,6 @@ class PooledSqliteBackend(Backend):
         self.busy_timeout_ms = busy_timeout_ms
         self._rows_written = 0
         self._written_lock = threading.Lock()
-        self._tls = threading.local()
         self._closed = False
         self.pool: ConnectionPool[sqlite3.Connection] = ConnectionPool(
             self._connect,
@@ -65,28 +62,6 @@ class PooledSqliteBackend(Backend):
 
     def _connect(self) -> sqlite3.Connection:
         return connect_sqlite(self.path, self.busy_timeout_ms)
-
-    # -- thread-local transaction bookkeeping ------------------------------
-    #
-    # Backend.transaction() flattens nested scopes via _tx_depth and
-    # _tx_owner.  On the pooled backend those must be per-thread: two
-    # threads in simultaneous transactions each track their own depth.
-
-    @property
-    def _tx_depth(self) -> int:
-        return getattr(self._tls, "tx_depth", 0)
-
-    @_tx_depth.setter
-    def _tx_depth(self, value: int) -> None:
-        self._tls.tx_depth = value
-
-    @property
-    def _tx_owner(self) -> int:
-        return getattr(self._tls, "tx_owner", 0)
-
-    @_tx_owner.setter
-    def _tx_owner(self, value: int) -> None:
-        self._tls.tx_owner = value
 
     # -- statements --------------------------------------------------------
 
@@ -160,10 +135,6 @@ class PooledSqliteBackend(Backend):
             conn.execute("ROLLBACK")
         finally:
             self.pool.unpin()
-
-    def commit(self) -> None:
-        """Interface parity with SqliteBackend; statements outside an
-        explicit transaction are already autocommitted."""
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -147,10 +147,6 @@ class SqliteBackend(Backend):
         finally:
             self._lock.release()
 
-    def commit(self) -> None:
-        with self._lock:
-            self._conn.commit()
-
     def close(self) -> None:
         """Checkpoint the WAL back into the main file and close.
 

@@ -42,9 +42,11 @@ EXPECTED_SHAPES = {
     "E7": "The headline crossover: Global/Dewey win read-only "
           "workloads, Local wins write-only, Dewey is best or near-best "
           "across the middle.",
-    "E8": "Full reconstruction is one ordered scan for everyone; "
-          "Local's level-by-level subtree fetch is the slow outlier as "
-          "subtree size grows.",
+    "E8": "Global, Dewey and ORDPATH reconstruct a document or a "
+          "subtree with one ordered scan; Local reads a document with "
+          "one scan plus a client-side sibling sort, and its "
+          "level-by-level subtree fetch is the slow outlier as subtree "
+          "size grows.",
     "E9": "Static SQL complexity: identical for unordered paths; Local "
           "needs depth-expansion arms for transitive and document-order "
           "axes, growing with document depth.",

@@ -42,7 +42,6 @@ from repro.core.numeric import xpath_number_value
 from repro.core.schema import (
     KIND_ELEMENT, KIND_TEXT, SHADOW_PREFIX, index_tables,
 )
-from repro.core.shredder import group_siblings
 
 #: Node kinds that may own child rows.
 _PARENT_KINDS = (KIND_ELEMENT,)
@@ -77,6 +76,21 @@ def fetch_rows(store, doc: int, encoding) -> list[dict]:
         (doc,),
     )
     return [dict(zip(columns, r)) for r in result.rows]
+
+
+def group_siblings(
+    rows: list[dict], sibling_column: str
+) -> dict[int, list[dict]]:
+    """Stored node rows grouped by parent id, each sibling list sorted
+    by *sibling_column*: the auditor's own derivation of the tree from
+    parent pointers, independent of the ordered scan the store reads
+    documents back with (:func:`repro.core.reconstruct.ordered_rows`)."""
+    by_parent: dict[int, list[dict]] = {}
+    for row in rows:
+        by_parent.setdefault(row["parent"], []).append(row)
+    for siblings in by_parent.values():
+        siblings.sort(key=lambda r: r[sibling_column])
+    return by_parent
 
 
 def _build_view(store, rows: list[dict], encoding) -> AuditView:

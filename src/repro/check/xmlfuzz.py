@@ -3,11 +3,14 @@
 Corpus documents are damaged at the byte level (flip, delete, duplicate,
 splice — biased toward markup characters) and handed to both ways of
 reading XML text: :func:`repro.xmldom.parse` followed by the DOM shred,
-and the tree-free :func:`repro.core.shredder.shred_text`.  The only
-acceptable outcomes are the same :class:`~repro.errors.XmlSyntaxError`
-(message, line and column) from both, or two record-for-record equal
-:class:`~repro.core.shredder.ShreddedDocument`; any other exception —
-``IndexError``, ``re.error``, ``RecursionError`` — is a failure.
+and the tree-free :func:`repro.core.shredder.shred_text`.  A mutant both
+accept is then loaded into an in-memory store and read back
+(:func:`repro.core.reconstruct.row_events`).  The only acceptable
+outcomes are the same :class:`~repro.errors.XmlSyntaxError` (message,
+line and column) from both readers, or two record-for-record equal
+:class:`~repro.core.shredder.ShreddedDocument` *and* the text's own
+parse events out of the store; any other exception — ``IndexError``,
+``re.error``, ``RecursionError`` — is a failure.
 
 Mutant *k* of a run is a function of ``base_seed + k`` alone, so a
 failure replays with ``--base-seed <its seed> --mutants 1``::
@@ -22,10 +25,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.encodings import ENCODINGS
+from repro.core.reconstruct import (
+    ordered_rows, row_events, stored_attributes,
+)
 from repro.core.shredder import shred, shred_text
 from repro.errors import XmlSyntaxError
+from repro.store import XmlStore
 from repro.workload.docgen import article_corpus, catalog_corpus
 from repro.xmldom import parse, serialize
+from repro.xmldom.parser import events
 
 #: Just past the interpreter's default recursion limit.
 _DEEP = 1100
@@ -120,6 +129,29 @@ def check_reader(text: str) -> tuple[Optional[str], bool]:
     return None, events[0] == "ok"
 
 
+def check_storage(text: str, seed: int) -> Optional[str]:
+    """Load well-formed *text* and read it back as events; returns what
+    went wrong.  *seed* picks the encoding (all four in turn), the
+    backend (minidb one time in four) and the whitespace policy."""
+    encoding = sorted(ENCODINGS)[seed % 4]
+    backend = "sqlite" if seed // 4 % 4 else "minidb"
+    strip = bool(seed // 16 % 2)
+    where = f"{encoding}/{backend} (strip_whitespace={strip})"
+    store = XmlStore(backend=backend, encoding=encoding)
+    try:
+        doc = store.load(text, strip_whitespace=strip)
+        stored = list(row_events(
+            ordered_rows(store, doc), stored_attributes(store, doc)
+        ))
+    except Exception as exc:  # noqa: BLE001 - the defect being hunted
+        return f"storing under {where} raised {type(exc).__name__}: {exc}"
+    finally:
+        store.close()
+    if stored != list(events(text, strip)):
+        return f"{where} read back other events than the text parses to"
+    return None
+
+
 def _brief(outcome: tuple) -> str:
     if outcome[0] == "ok":
         return f"{outcome[1].node_count()} node(s)"
@@ -130,6 +162,7 @@ def _brief(outcome: tuple) -> str:
 class XmlFuzzReport:
     mutants: int = 0
     accepted: int = 0
+    stored: int = 0
     failures: list[str] = field(default_factory=list)
 
     def ok(self) -> bool:
@@ -139,7 +172,8 @@ class XmlFuzzReport:
         status = "OK" if self.ok() else f"{len(self.failures)} FAILURE(S)"
         return (
             f"xmlfuzz: {self.mutants} mutant(s), {self.accepted} still "
-            f"well-formed, {self.mutants - self.accepted} rejected: {status}"
+            f"well-formed, {self.mutants - self.accepted} rejected, "
+            f"stored={self.stored}: {status}"
         )
 
 
@@ -159,6 +193,9 @@ def run_xml_fuzz(base_seed: int, mutants: int) -> XmlFuzzReport:
         problem, well_formed = check_reader(text)
         report.mutants += 1
         report.accepted += well_formed
+        if well_formed and problem is None:
+            problem = check_storage(text, seed)
+            report.stored += 1
         if problem is not None:
             report.failures.append(
                 f"xml reader failure on mutant {seed}: {problem}\n"

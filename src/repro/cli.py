@@ -33,6 +33,7 @@ from repro.core.encodings import ENCODINGS
 from repro.errors import ReproError
 from repro.store import XmlStore
 from repro.xmldom import parse_fragment, serialize
+from repro.xmldom.chars import escape_attribute
 
 
 def _open_backend(db: str, pooled: bool = False) -> Backend:
@@ -67,7 +68,6 @@ def _write_meta(backend: Backend, encoding: str, gap: int) -> None:
         "INSERT INTO repro_meta VALUES (?, ?)",
         [("encoding", encoding), ("gap", str(gap))],
     )
-    backend.commit()
 
 
 def open_store(
@@ -111,13 +111,6 @@ def _resolve_doc(store: XmlStore, doc: Optional[int]) -> int:
     return documents[-1].doc
 
 
-def _commit(store: XmlStore) -> None:
-    backend = store.backend
-    if isinstance(backend, SqliteBackend):
-        backend.commit()
-    # Pooled backends run autocommit (explicit BEGIN only); no-op.
-
-
 # -- commands ---------------------------------------------------------------
 
 
@@ -129,7 +122,6 @@ def cmd_load(args: argparse.Namespace) -> int:
         name=args.name or Path(args.file).stem,
         strip_whitespace=args.strip_whitespace,
     )
-    _commit(store)
     info = store.document_info(doc)
     print(
         f"loaded document {doc} ({info.name!r}): {info.node_count} "
@@ -154,7 +146,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.xml:
         for item in items:
             if item.kind == "attribute":
-                print(f'{item.label}="{item.value}"')
+                print(f'{item.label}="{escape_attribute(item.value)}"')
             else:
                 node = store.reconstruct_subtree(doc, item.node_id)
                 print(serialize(node))
@@ -179,7 +171,6 @@ def cmd_insert(args: argparse.Namespace) -> int:
         children = store.fetch_children(doc, parents[0].node_id)
         index = len(children)
     report = store.updates.insert(doc, parents[0].node_id, index, fragment)
-    _commit(store)
     print(
         f"inserted {report.inserted} node(s) at index {index}; "
         f"relabeled {report.relabeled} existing row(s)"
@@ -198,11 +189,15 @@ def cmd_delete(args: argparse.Namespace) -> int:
             f"{args.xpath!r} matches {len(targets)} nodes; pass --all "
             "to delete every match"
         )
-    deleted = 0
-    for item in targets if args.all else targets[:1]:
-        report = store.updates.delete(doc, item.node_id)
-        deleted += report.deleted
-    _commit(store)
+    if not args.all:
+        targets = targets[:1]
+    # One transaction for the whole command.  Targets arrive in document
+    # order, an ancestor before its descendants; reversed, no delete
+    # takes a later target with it.
+    deleted = store.transactionally(lambda: sum(
+        store.updates.delete(doc, item.node_id).deleted
+        for item in reversed(targets)
+    ))
     print(f"deleted {deleted} node(s)")
     return 0
 
@@ -220,7 +215,6 @@ def cmd_dump(args: argparse.Namespace) -> int:
 def cmd_drop(args: argparse.Namespace) -> int:
     store = open_store(args.db)
     removed = store.delete_document(args.doc)
-    _commit(store)
     print(f"dropped document {args.doc} ({removed} rows)")
     return 0
 
@@ -273,7 +267,6 @@ def cmd_migrate(args: argparse.Namespace) -> int:
     report = migrate_document(
         store, doc, target, batch_size=args.batch_size
     )
-    _commit(store)
     if report.outcome == "noop":
         print(f"document {doc} already uses {report.target}; nothing "
               "to do")
@@ -308,13 +301,11 @@ def cmd_index(args: argparse.Namespace) -> int:
 
     if args.create:
         report_created(_resolve_doc(store, args.doc))
-        _commit(store)
         return 0
 
     if args.drop:
         doc = _resolve_doc(store, args.doc)
         present = store.indexes.drop(doc)
-        _commit(store)
         if present:
             print(f"dropped the index of document {doc}")
         else:
@@ -343,7 +334,6 @@ def cmd_index(args: argparse.Namespace) -> int:
             return 0
         for doc in recommendation.documents:
             report_created(doc)
-        _commit(store)
         return 0
 
     # Default (and --stats): describe the stored documents' indexes.
@@ -383,7 +373,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
         print("\t".join("" if v is None else str(v) for v in row))
     if result.rowcount >= 0:
         print(f"-- {result.rowcount} row(s) affected", file=sys.stderr)
-    _commit(store)
     return 0
 
 
@@ -777,7 +766,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
                 article_corpus(articles=args.articles),
                 name="serve-corpus",
             )
-            _commit(store)
         if pooled:
             store.enable_write_queue(max_batch=args.max_batch)
         workload = ConcurrentWorkload(
@@ -836,7 +824,6 @@ def _seed_demo_document(store: XmlStore) -> int:
         )
     parts.append("</items>")
     doc = store.load("".join(parts), name="demo")
-    _commit(store)
     print("(empty store: seeded a 100-item demo document)",
           file=sys.stderr)
     return doc

@@ -11,16 +11,18 @@ every node, all the quantities any of the four encodings needs:
 * the 1-based ``sibling_index`` — the Local encoding's order value,
 * the tuple of sibling indexes from the root — the Dewey and ORDPATH key.
 
-It has two event sources: :func:`shred_text` feeds it the validated
-events of an XML text (:func:`repro.xmldom.parser.events`) — no tree is
-built — and :func:`shred` feeds it a walk over a DOM the caller already
-holds.  A path key is known the moment a start tag is read; only
-``end_rank`` and the element's direct text wait for the end tag.
+It has two event sources at load: :func:`shred_text` feeds it the
+validated events of an XML text (:func:`repro.xmldom.parser.events`) —
+no tree is built — and :func:`shred` feeds it a walk over a DOM the
+caller already holds.  A path key is known the moment a start tag is
+read; only ``end_rank`` and the element's direct text wait for the end
+tag.
 
 Each encoding then materialises its own rows from these records (applying
 its gap factor for sparse variants); see :mod:`repro.core.encodings`.
-:func:`relabel` recomputes the same quantities from stored rows, which is
-how a rebalance and an encoding migration renumber a document.
+:func:`relabel` is the third source: stored rows read back as events
+(:func:`repro.core.reconstruct.row_events`), which is how a rebalance
+and an encoding migration renumber a document.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
+from repro.core.reconstruct import row_events
 from repro.core.schema import (
     DOCUMENT_PARENT,
     KIND_COMMENT,
@@ -87,6 +90,8 @@ def direct_text_value(element: Element) -> Optional[str]:
 
     Returns ``None`` when the element has no text children, so that
     "no text" is distinguishable from "empty text" in the database.
+    The labeler computes the same value inline; this DOM form is kept
+    for the frozen answer check at benchmarks/perf/workloads.py:1002.
     """
     parts = [c.content for c in element.children if isinstance(c, Text)]
     return "".join(parts) if parts else None
@@ -197,56 +202,18 @@ def _dom_events(document: Document) -> Iterator[Event]:
                 yield (END, None, None)
 
 
-def group_siblings(
-    rows: list[dict], sibling_column: str
-) -> dict[int, list[dict]]:
-    """Stored node rows grouped by parent id, each sibling list sorted
-    by *sibling_column* — the tree shape every walk over rows needs."""
-    by_parent: dict[int, list[dict]] = {}
-    for row in rows:
-        by_parent.setdefault(row["parent"], []).append(row)
-    for siblings in by_parent.values():
-        siblings.sort(key=lambda r: r[sibling_column])
-    return by_parent
+def relabel(rows: list[tuple]) -> list[ShreddedNode]:
+    """Recompute every order quantity of a stored document from its
+    rows (:func:`repro.core.reconstruct.ordered_rows`: the whole
+    document, in document order).
 
-
-def relabel(rows: list[dict], sibling_column: str) -> list[ShreddedNode]:
-    """Recompute every order quantity of a stored document from its rows.
-
-    *rows* are one document's node rows (column -> value); structure
-    comes from their parent pointers, sibling order from
-    *sibling_column*.  Ids, kinds, values and depths are kept; ranks,
-    sibling indexes and Dewey paths are assigned densely from 1, exactly
-    as :func:`shred` would label the same tree — so writing them back
-    compacts whatever gaps and carets updates have accumulated.
+    The rows are labelled as the events they are — ranks, sibling
+    indexes and Dewey paths densely from 1, exactly as :func:`shred`
+    labels the same tree, so writing them back compacts whatever gaps
+    and carets updates have accumulated — and keep their stored ids.
     Records come back in document order.
-
-    Iterative: updates can legally nest a document deeper than the
-    interpreter's recursion limit.
     """
-    by_parent = group_siblings(rows, sibling_column)
-    records: list[ShreddedNode] = []
-    # One frame per open ancestor: its record (None for the document
-    # node) and an iterator over its numbered children.
-    stack = [(None, enumerate(by_parent.get(DOCUMENT_PARENT, ()), 1))]
-    while stack:
-        parent, children = stack[-1]
-        step = next(children, None)
-        if step is None:
-            # Subtree finished: its last rank closes this node and, so
-            # far, every ancestor still open.
-            stack.pop()
-            if parent is not None and stack[-1][0] is not None:
-                stack[-1][0].end_rank = parent.end_rank
-            continue
-        sibling_index, row = step
-        rank = len(records) + 1
-        record = ShreddedNode(
-            id=row["id"], parent=row["parent"], kind=row["kind"],
-            tag=row["tag"], value=row["value"], depth=row["depth"],
-            rank=rank, end_rank=rank, sibling_index=sibling_index,
-            dewey=(*(parent.dewey if parent else ()), sibling_index),
-        )
-        records.append(record)
-        stack.append((record, enumerate(by_parent.get(row["id"], ()), 1)))
+    records = label(row_events(rows, {})).nodes
+    for record, row in zip(records, rows):
+        record.id, record.parent = row[:2]
     return records

@@ -36,6 +36,7 @@ from repro.core.encodings import (
     PrefixKeyEncoding,
     get_encoding,
 )
+from repro.core.reconstruct import ordered_rows
 from repro.core.schema import KIND_ELEMENT, KIND_TEXT
 from repro.core.shredder import ShreddedDocument, relabel, shred
 from repro.errors import UpdateError, XmlSyntaxError
@@ -444,15 +445,8 @@ class UpdateManager:
 
     def _rebalance(self, doc: int) -> UpdateReport:
         enc = self.store.encoding_for(doc)
-        columns = enc.node_columns()
-        result = self.store.backend.execute(
-            f"SELECT {', '.join(columns)} FROM {enc.node_table.name} "
-            f"WHERE doc = ?",
-            (doc,),
-        )
-        rows = [dict(zip(columns, r)) for r in result.rows]
         assignments = ", ".join(f"{c} = ?" for c in enc.order_columns)
-        records = relabel(rows, enc.sibling_order_column)
+        records = relabel(ordered_rows(self.store, doc))
         updates = [
             (*order, doc, record.id)
             for record, order in zip(
@@ -779,10 +773,7 @@ class UpdateManager:
 
     def _subtree_ids(self, doc: int, row: dict) -> list[int]:
         """Ids of the node and all its descendants."""
-        from repro.core.reconstruct import fetch_subtree_rows
-
-        descendants = fetch_subtree_rows(self.store, doc, row)
-        return [row["id"], *(r["id"] for r in descendants)]
+        return [r[0] for r in ordered_rows(self.store, doc, row)]
 
     def _delete_attributes(
         self, doc: int, ids: list[int], enc: OrderEncoding

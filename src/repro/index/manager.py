@@ -24,11 +24,11 @@ fragment of an indexed document's query probes the index, whatever the
 document's size.  Nothing else selects it.
 
 Every index row has one producer, :meth:`IndexManager._index_rows`,
-which walks a forest of node rows under the stored path of its parent.
-``create`` (and :meth:`IndexManager._rebuild_rows` generally) hands it
-the whole document; maintenance hands it one reshredded subtree at a
-time: each update operation passes its touched set (removed ids,
-reshred subtree roots, string-value anchors — see
+which reads a forest of node rows, in document order, under the stored
+path of its parent.  ``create`` (and :meth:`IndexManager._rebuild_rows`
+generally) hands it the whole document; maintenance hands it one
+reshredded subtree at a time: each update operation passes its touched
+set (removed ids, reshred subtree roots, string-value anchors — see
 :class:`repro.core.updates.UpdateReport`) down into the same
 transaction, and only those rows are repaired.  Index rows carry no
 order columns, so renumbering never invalidates them.  An update that
@@ -45,9 +45,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.numeric import xpath_number_value
+from repro.core.reconstruct import ordered_rows, row_events
 from repro.core.schema import KIND_ELEMENT, KIND_TEXT
-from repro.core.shredder import group_siblings
 from repro.obs import METRICS
+from repro.xmldom.parser import END, START, TEXT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store import XmlStore
@@ -195,25 +196,20 @@ class IndexManager:
     def _index_rows(
         self,
         doc: int,
-        rows: list[dict],
-        order: str,
-        parent_id: int,
+        rows: list[tuple],
         parent_path: str,
         paths: dict[str, int],
     ) -> tuple[list[tuple], list[tuple], list[tuple]]:
         """The one producer of index rows: ``(idx_sval rows,
         idx_pathmap rows, fresh idx_paths rows)`` for a forest.
 
-        *rows* are the node rows of whole subtrees whose roots are
-        children of *parent_id* — the document node (0) for a rebuild,
-        a reshredded subtree's parent for a repair — and *parent_path*
-        is that parent's rooted path (``""`` for the document).
-        Children sort by the encoding's sibling-order column *order*;
-        a preorder walk assigns root paths and a reverse-preorder pass
-        accumulates XPath string-values (every descendant sits after
-        its ancestor in preorder, so reversed preorder sees children
-        before parents).  Iterative throughout — document depth must
-        not be bounded by the Python stack.
+        *rows* are whole subtrees in document order
+        (:func:`~repro.core.reconstruct.ordered_rows`) whose roots are
+        children of one node — the document for a rebuild, a
+        reshredded subtree's parent for a repair — and *parent_path*
+        is that node's rooted path (``""`` for the document).  One
+        pass over their events: an element's path is known when it
+        opens, its XPath string-value when it closes.
 
         *paths* is the document's path dictionary and is only ever
         appended to: an unseen path takes the next id and is returned
@@ -223,69 +219,44 @@ class IndexManager:
         document's preorder restricted to it, first-encounter
         allocation assigns a repair the same ids a rebuild would.
         """
-        children = group_siblings(rows, order)
-        preorder: list[tuple[dict, Optional[int]]] = []
+        sval_rows: list[tuple] = []
+        pathmap_rows: list[tuple] = []
         fresh_paths: list[tuple] = []
-        stack = [
-            (row, parent_path)
-            for row in reversed(children.get(parent_id, []))
-        ]
-        while stack:
-            row, above = stack.pop()
-            path, pathid = above, None
-            if row["kind"] == KIND_ELEMENT:
-                path = f"{above}/{row['tag']}"
+        stored = iter(rows)
+        # The open element: its rooted path, the pieces of its
+        # string-value so far and the slot its idx_sval row waits in.
+        # The same, saved for each open ancestor.
+        path, parts, slot = parent_path, [], -1
+        stack: list[tuple] = []
+        for kind, a, _b in row_events(rows, {}):
+            if kind == END:
+                sval = "".join(parts)
+                sval_rows[slot] += (sval, xpath_number_value(sval))
+                path, parts, slot = stack.pop()
+                parts.append(sval)
+                continue
+            node_id, parent = next(stored)[:2]  # one row per non-END
+            if kind == START:
+                stack.append((path, parts, slot))
+                path, parts, slot = f"{path}/{a}", [], len(sval_rows)
                 pathid = paths.get(path)
                 if pathid is None:
                     pathid = paths[path] = len(paths) + 1
                     fresh_paths.append((doc, pathid, path))
-            preorder.append((row, pathid))
-            for child in reversed(children.get(row["id"], [])):
-                stack.append((child, path))
-
-        svals: dict[int, str] = {}
-        for row, _pathid in reversed(preorder):
-            if row["kind"] == KIND_TEXT:
-                svals[row["id"]] = row["value"] or ""
-            elif row["kind"] == KIND_ELEMENT:
-                svals[row["id"]] = "".join(
-                    svals[child["id"]]
-                    for child in children.get(row["id"], [])
-                )
-            else:  # comments and PIs contribute nothing upward
-                svals[row["id"]] = ""
-
-        sval_rows: list[tuple] = []
-        pathmap_rows: list[tuple] = []
-        for row, pathid in preorder:
-            if pathid is None:
-                continue
-            sval = svals[row["id"]]
-            sval_rows.append(
-                (doc, row["id"], row["parent"], row["tag"], sval,
-                 xpath_number_value(sval))
-            )
-            pathmap_rows.append((doc, pathid, row["id"]))
+                sval_rows.append((doc, node_id, parent, a))
+                pathmap_rows.append((doc, pathid, node_id))
+            elif kind == TEXT:  # comments and PIs contribute nothing
+                parts.append(a)
         return sval_rows, pathmap_rows, fresh_paths
 
     def _rebuild_rows(self, doc: int) -> dict:
-        """Recompute every occurrence row of *doc* from one full pass
-        over its node table (txn caller-owned); returns the create
+        """Recompute every occurrence row of *doc* from one ordered
+        pass over its node table (txn caller-owned); returns the create
         report."""
-        encoding = self.store.encoding_for(doc)
-        order = encoding.sibling_order_column
-        columns = ("id", "parent", "kind", "tag", "value", order)
         backend = self.store.backend
-        rows = [
-            dict(zip(columns, row))
-            for row in backend.execute(
-                f"SELECT {', '.join(columns)} "
-                f"FROM {encoding.node_table.name} WHERE doc = ?",
-                (doc,),
-            ).rows
-        ]
+        rows = ordered_rows(self.store, doc)
         paths = self._load_paths(doc)
-        produced = self._index_rows(doc, rows, order, 0, "", paths)
+        produced = self._index_rows(doc, rows, "", paths)
         for table in ("idx_sval", "idx_pathmap"):
             backend.execute(f"DELETE FROM {table} WHERE doc = ?", (doc,))
         self._insert_rows(*produced)
@@ -316,7 +287,7 @@ class IndexManager:
 
         Three steps: (a) drop ``idx_sval``/``idx_pathmap`` rows for
         removed and reshredded ids, (b) run each reshredded subtree,
-        fetched by the encoding's descendant-range scan, through
+        read in document order, through
         :meth:`_index_rows` under its parent's stored path, (c)
         recompute aggregated string-values bottom-up along the anchors'
         root paths only.
@@ -326,8 +297,6 @@ class IndexManager:
         the caller then rebuilds, which replaces everything this method
         may already have written — bailing out is safe at any point.
         """
-        from repro.core.reconstruct import fetch_subtree_rows
-
         backend = self.store.backend
         info = self.store.document_info(doc)
         budget = max(1.0, info.node_count * INCR_FALLBACK_FRACTION)
@@ -341,8 +310,7 @@ class IndexManager:
         # Collect the subtrees to (re)shred, skipping roots a later op
         # in the same transaction deleted and roots nested inside an
         # earlier root's subtree.
-        order = self.store.encoding_for(doc).sibling_order_column
-        subtrees: list[list[dict]] = []
+        subtrees: list[list[tuple]] = []
         covered: set[int] = set()
         for root_id in dict.fromkeys(report.reshred_roots):
             if root_id in covered or root_id in removed:
@@ -350,10 +318,8 @@ class IndexManager:
             root_row = self.store.fetch_node(doc, root_id)
             if root_row is None:
                 continue
-            rows = [
-                root_row, *fetch_subtree_rows(self.store, doc, root_row)
-            ]
-            covered.update(r["id"] for r in rows)
+            rows = ordered_rows(self.store, doc, root_row)
+            covered.update(row[0] for row in rows)
             subtrees.append(rows)
             invalidated += len(rows)
             if invalidated > budget:
@@ -373,12 +339,11 @@ class IndexManager:
         path_names = {pathid: path for path, pathid in paths.items()}
         produced: tuple[list, list, list] = ([], [], [])
         for rows in subtrees:
-            parent_id = rows[0]["parent"]
-            parent_path = self._indexed_path(doc, parent_id, path_names)
+            parent_path = self._indexed_path(doc, rows[0][1], path_names)
             if parent_path is None:
                 return False
             for part, more in zip(produced, self._index_rows(
-                doc, rows, order, parent_id, parent_path, paths
+                doc, rows, parent_path, paths
             )):
                 part.extend(more)
         self._insert_rows(*produced)

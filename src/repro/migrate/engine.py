@@ -15,10 +15,11 @@ machine:
     then read the document's catalogue row and every node/attribute
     row of the source encoding.
 ``COPY``
-    convert the snapshot to target-encoding rows (one DFS recomputes
-    ranks / sibling indexes / Dewey paths from the source order
-    columns) and insert them into the shadow tables in bounded
-    batches, each batch its own transaction.
+    convert the snapshot to target-encoding rows (the snapshot was read
+    in document order, so the load path's labeler assigns ranks /
+    sibling indexes / Dewey paths to it as to a freshly parsed text)
+    and insert them into the shadow tables in bounded batches, each
+    batch its own transaction.
 ``REPLAY``
     drain the journal in rounds and apply each entry through a shadow
     store facade — a real :class:`~repro.store.XmlStore` update
@@ -66,6 +67,7 @@ from typing import Callable, TypeVar, Union
 
 from repro.cache import StoreCache
 from repro.core.encodings import OrderEncoding, get_encoding
+from repro.core.reconstruct import ordered_rows
 from repro.core.schema import documents_table, shadow_table
 from repro.core.shredder import relabel
 from repro.errors import MigrationAborted, MigrationError
@@ -133,6 +135,7 @@ class _ShadowStore(XmlStore):
         # already bootstrapped, and a shadow must never recover (drop)
         # the very tables it is writing.
         self.backend = base.backend
+        self._in_own_transaction = base._in_own_transaction
         self.encoding = encoding
         self.gap = base.gap
         self.retry = base.retry
@@ -326,31 +329,21 @@ def migrate_document(
             journal.drain()
             journal.discard()
             snap_info = store.document_info(doc, fresh=True)
-            columns = source.node_columns()
-            rows = store.backend.execute(
-                f"SELECT {', '.join(columns)} "
-                f"FROM {source.node_table.name} WHERE doc = ?",
-                (doc,),
-            ).rows
             attrs = store.backend.execute(
                 f"SELECT doc, owner, name, value "
                 f"FROM {source.attr_table.name} WHERE doc = ?",
                 (doc,),
             ).rows
-            return (
-                snap_info,
-                [dict(zip(columns, r)) for r in rows],
-                [tuple(r) for r in attrs],
-            )
+            return snap_info, ordered_rows(store, doc), attrs
 
         with span("migrate.snapshot"):
             snap_info, source_rows, attr_rows = staged(snapshot)
 
         # COPY -- convert and land in bounded batches.
         with span("migrate.copy"):
-            # The rebalance walk: a migration also compacts whatever
-            # gaps and carets the source has accumulated.
-            records = relabel(source_rows, source.sibling_order_column)
+            # Labelled afresh, as a rebalance does: a migration also
+            # compacts whatever gaps and carets the source accumulated.
+            records = relabel(source_rows)
             node_sql = (
                 f"INSERT INTO {shadow_encoding.node_table.name} VALUES "
                 f"({', '.join('?' * len(shadow_encoding.node_columns()))})"

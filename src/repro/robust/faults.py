@@ -117,7 +117,6 @@ class FaultInjectingBackend(Backend):
         self.inner = inner
         self.plan = plan
         self.name = inner.name
-        self.pooled = getattr(inner, "pooled", False)
         self.statements_executed = 0
         self.crashed = False
 

@@ -37,6 +37,9 @@ from repro.backends import Backend, make_backend
 from repro.cache import StoreCache
 from repro.obs import METRICS, slow_log, span
 from repro.core.encodings import OrderEncoding, get_encoding
+from repro.core.reconstruct import (
+    ordered_rows, reconstruct_document, reconstruct_subtree,
+)
 from repro.core.schema import SHADOW_PREFIX, documents_table, index_tables
 from repro.core.shredder import ShreddedDocument, shred, shred_text
 from repro.core.translator import (
@@ -168,6 +171,10 @@ class XmlStore:
         self.backend = (
             make_backend(backend) if isinstance(backend, str) else backend
         )
+        #: Is the calling thread inside a transaction of its own?  Asked
+        #: before every cache lookup, so it is the backend's bound
+        #: method, not a wrapper around it.
+        self._in_own_transaction = self.backend.in_transaction
         self.encoding = (
             get_encoding(encoding) if isinstance(encoding, str) else encoding
         )
@@ -406,12 +413,6 @@ class XmlStore:
         finally:
             scope.writes = None
         return results, (written if known else set())
-
-    def _in_own_transaction(self) -> bool:
-        return (
-            self.backend._tx_depth > 0
-            and self.backend._tx_owner == threading.get_ident()
-        )
 
     # -- concurrent serving ------------------------------------------------
 
@@ -847,22 +848,19 @@ class XmlStore:
 
     def reconstruct(self, doc: int) -> Document:
         """Rebuild the full document from its rows."""
-        from repro.core.reconstruct import reconstruct_document
-
         return reconstruct_document(self, doc)
 
     def reconstruct_subtree(self, doc: int, node_id: int):
         """Rebuild the subtree rooted at *node_id* (returns a DOM node)."""
-        from repro.core.reconstruct import reconstruct_subtree
-
         return reconstruct_subtree(self, doc, node_id)
 
     def string_value(self, doc: int, node_id: int) -> str:
         """The XPath *string-value* of a node: all descendant text.
 
         Unlike the stored ``value`` column (direct text only), this
-        walks the whole subtree — one ordered range scan for Global/
-        Dewey/ORDPATH, a reconstruction walk for Local.
+        reads the whole subtree — one ordered range scan of its text
+        rows for Global/Dewey/ORDPATH, the level-by-level fetch of
+        :func:`~repro.core.reconstruct.ordered_rows` for Local.
         """
         row = self.fetch_node(doc, node_id)
         if row is None:
@@ -872,8 +870,10 @@ class XmlStore:
         encoding = self.encoding_for(doc)
         subtree = encoding.subtree_where(row, include_root=False)
         if subtree is None:
-            node = self.reconstruct_subtree(doc, node_id)
-            return node.text_value()  # type: ignore[union-attr]
+            return "".join(
+                value or "" for _id, _parent, kind, _tag, value
+                in ordered_rows(self, doc, row) if kind == "text"
+            )
         where, bounds = subtree
         result = self._execute(
             f"SELECT value FROM {encoding.node_table.name} "
@@ -919,19 +919,6 @@ class XmlStore:
             (doc, parent_id),
         )
         return [dict(zip(columns, row)) for row in result.rows]
-
-    def fetch_attributes(self, doc: int, owner_ids: Sequence[int]) -> list[tuple]:
-        """Fetch (owner, name, value) for the given owners."""
-        statements = self.in_batches(
-            f"SELECT owner, name, value FROM {self.attr_table_for(doc)} "
-            f"WHERE doc = ?",
-            "owner", owner_ids, (doc,),
-        )
-        return [
-            row
-            for sql, params in statements
-            for row in self._execute(sql, params).rows
-        ]
 
     def node_count(self, doc: int) -> int:
         result = self._execute(

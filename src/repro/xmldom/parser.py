@@ -4,10 +4,12 @@
 token level (matching tags, a single root element, no character data
 outside the root) and applies the whitespace policy; it turns the token
 stream into a stream of validated events.  Two consumers read it:
-:func:`parse` / :func:`parse_fragment` build a
-:class:`~repro.xmldom.dom.Document` from the events, and the shredder
+:func:`build_tree` (behind :func:`parse` / :func:`parse_fragment`) makes
+a :class:`~repro.xmldom.dom.Document` of the events, and the shredder
 (:func:`repro.core.shredder.shred_text`) labels them directly, with no
-tree in between.
+tree in between.  Stored rows read back as the same events
+(:func:`repro.core.reconstruct.row_events`), so both consumers serve the
+way out of the database as well.
 
 The paper's shredders discard whitespace that appears between elements
 in data-centric documents ("ignorable" whitespace); we make the same
@@ -17,7 +19,7 @@ round-trip tests pin the behaviour down.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import XmlSyntaxError
 from repro.xmldom.dom import (
@@ -154,11 +156,12 @@ def parse(source: str, strip_whitespace: bool = False) -> Document:
     XmlSyntaxError
         On any lexical or well-formedness violation.
     """
-    return _build_tree(events(source, strip_whitespace))
+    return build_tree(events(source, strip_whitespace))
 
 
-def _build_tree(stream: Iterator[Event]) -> Document:
-    """The DOM of an event stream."""
+def build_tree(stream: Iterable[Event]) -> Document:
+    """The DOM of an event stream — the one place events become nodes,
+    whether they come from XML text or from stored rows."""
     doc = Document()
     parent: Document | Element = doc
     for kind, a, b in stream:
@@ -202,7 +205,7 @@ def parse_fragment(source: str, strip_whitespace: bool = False):
         than one top-level node (e.g. ``"<a/><b/>"`` or ``"text <a/>"``
         — insert such pieces one node at a time).
     """
-    doc = _build_tree(events(source, strip_whitespace, fragment=True))
+    doc = build_tree(events(source, strip_whitespace, fragment=True))
     tops = list(doc.children)
     if not tops:
         raise XmlSyntaxError(

@@ -164,7 +164,8 @@ def test_no_backend_has_a_dialect_or_capability_flag():
         if isinstance(node, (ast.Name, ast.Attribute))
         and isinstance(node.ctx, ast.Store)
         and (
-            (name := getattr(node, "id", None) or node.attr) == "dialect"
+            (name := getattr(node, "id", None) or node.attr)
+            in ("dialect", "pooled")
             or name.startswith("supports_")
         )
     ]
@@ -172,6 +173,15 @@ def test_no_backend_has_a_dialect_or_capability_flag():
         f"{flags}: both engines take the same SQL text; emit text they "
         "both accept instead of branching on the backend"
     )
+    # Connections are autocommit and transaction() is the only scope: a
+    # bare commit() has nothing to commit.
+    commits = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path, cls in classes
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "commit"
+    ]
+    assert not commits, commits
 
 
 def test_the_probe_shims_are_single_labelled_and_unused():

@@ -60,6 +60,19 @@ class TestLoadAndQuery:
         out = capsys.readouterr().out
         assert 'year="1994"' in out
 
+    def test_attribute_query_xml_escapes_the_value_as_dump_does(
+        self, tmp_path, db, capsys
+    ):
+        path = tmp_path / "q.xml"
+        path.write_text('<r><p q="x&quot;y&amp;z&lt;"/></r>')
+        run(["load", str(path), "--db", db])
+        capsys.readouterr()
+        run(["query", "//p/@q", "--db", db, "--xml"])
+        printed = capsys.readouterr().out.strip()
+        assert printed == 'q="x&quot;y&amp;z&lt;"'
+        run(["dump", "--db", db])
+        assert f"<p {printed}/>" in capsys.readouterr().out
+
     def test_encoding_choice(self, bib_file, db, capsys):
         run(["load", bib_file, "--db", db, "--encoding", "global"])
         out = capsys.readouterr().out
@@ -125,6 +138,21 @@ class TestUpdatesAndDump:
         assert run(["delete", "//author", "--db", db]) == 1
         assert "--all" in capsys.readouterr().err
         assert run(["delete", "//author", "--db", db, "--all"]) == 0
+
+    def test_delete_all_with_nested_matches_is_one_whole_command(
+        self, tmp_path, db, capsys
+    ):
+        # The first match contains the second: deleting in document
+        # order removed it, then failed on it with the third untouched.
+        path = tmp_path / "nested.xml"
+        path.write_text("<a><s><s/></s><k/><s/></a>")
+        run(["load", str(path), "--db", db])
+        capsys.readouterr()
+        assert run(["delete", "//s", "--db", db, "--all"]) == 0
+        assert "deleted 3 node(s)" in capsys.readouterr().out
+        run(["dump", "--db", db])
+        assert capsys.readouterr().out.strip() == "<a><k/></a>"
+        assert run(["check", "--db", db]) == 0
 
     def test_bad_parent(self, bib_file, db, capsys):
         run(["load", bib_file, "--db", db])

@@ -3,13 +3,17 @@ pooled backend serving N readers plus one writer."""
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro.backends.base import Backend
 from repro.backends.pooled_sqlite import PooledSqliteBackend
 from repro.backends.sqlite_backend import SqliteBackend
 from repro.check import audit_store
@@ -202,15 +206,51 @@ class TestPooledSqliteBackend:
         assert in_tx.wait(10)
         # The worker's open transaction is invisible to this thread's
         # bookkeeping: we are at depth 0 and can run our own scope.
-        assert backend._tx_depth == 0
+        assert not backend.in_transaction()
         with backend.transaction():
-            assert backend._tx_depth == 1
+            assert backend.in_transaction()
             backend.execute("SELECT count(*) FROM t")
         finish.set()
         worker.join(10)
         rows = backend.execute("SELECT count(*) FROM t").rows
         assert rows[0][0] == 1
         backend.close()
+
+    def test_scope_depth_is_per_thread_through_a_wrapper_too(
+        self, tmp_path
+    ):
+        """The crash harness wraps the pooled backend; the wrapper used
+        to keep one scope depth for all threads, so another thread's
+        scope closing left this one reading "not in a transaction"
+        while its own was still open."""
+        from repro.robust.faults import FaultInjectingBackend
+
+        backend = FaultInjectingBackend(
+            PooledSqliteBackend(str(tmp_path / "w.db"))
+        )
+        store = XmlStore(backend=backend, encoding="dewey")
+        doc = store.load(BIB_XML)
+        seen = {}
+
+        def other_thread_scope():
+            seen["before"] = backend.in_transaction()
+            with backend.transaction():
+                store.query("//title", doc)
+
+        with backend.transaction():
+            store.updates.set_attribute(doc, 1, "k", "v")
+            worker = threading.Thread(target=other_thread_scope)
+            worker.start()
+            worker.join(10)
+            assert not worker.is_alive()
+            assert seen == {"before": False}
+            assert backend.in_transaction()
+            assert store._in_own_transaction()
+            with backend.transaction():  # joins, issues no second BEGIN
+                store.updates.set_attribute(doc, 1, "k", "w")
+        assert not backend.in_transaction()
+        assert store.query("/bib/@k", doc)[0].value == "w"
+        store.close()
 
     def test_close_truncates_wal_and_is_idempotent(self, tmp_path):
         path = tmp_path / "p.db"
@@ -380,6 +420,79 @@ def test_stress_minidb(encoding):
         _stress(store)
     finally:
         store.close()
+
+
+def test_stress_scope_depth_is_kept_per_thread():
+    """More threads than cores nesting scopes on one backend under a
+    shortened switch interval: each thread reads its own depth only,
+    and every outermost scope is exactly one begin and one commit or
+    rollback — a depth lost to another thread would break both."""
+
+    class CountingBackend(Backend):
+        name = "counting"
+
+        def __init__(self):
+            self.calls = Counter()
+            self.lock = threading.Lock()
+
+        def _count(self, call):
+            with self.lock:
+                self.calls[call] += 1
+
+        def begin(self):
+            self._count("begin")
+
+        def commit_transaction(self):
+            self._count("commit")
+
+        def rollback(self):
+            self._count("rollback")
+
+        execute = executemany = rows_written = None
+
+    backend = CountingBackend()
+    workers, rounds = 4 * (os.cpu_count() or 2), 300
+    failures = []
+
+    def nest(round_number):
+        assert not backend.in_transaction()
+        with backend.transaction():
+            assert backend.in_transaction()
+            with backend.transaction():
+                assert backend.in_transaction()
+                if round_number % 5 == 0:
+                    raise KeyError(round_number)
+            assert backend.in_transaction()
+
+    def work():
+        try:
+            for round_number in range(rounds):
+                try:
+                    nest(round_number)
+                except KeyError:
+                    assert round_number % 5 == 0
+                assert not backend.in_transaction()
+        except BaseException as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive(), "worker thread hung"
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert backend.calls == {
+        "begin": workers * rounds,
+        "commit": workers * rounds * 4 // 5,
+        "rollback": workers * rounds // 5,
+    }
+    assert not backend._tx_depths
 
 
 # -- writer crash mid-batch ---------------------------------------------

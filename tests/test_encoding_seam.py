@@ -4,8 +4,9 @@ Everything that differs between the order encodings lives behind
 :class:`repro.core.encodings.OrderEncoding` (see "Encoding seam" in
 DESIGN.md).  This scan fails when code outside ``core/encodings.py``
 starts deciding by encoding *name* again — the ``if name == "global" /
-"dewey" / ...`` ladders the seam replaced — or when one of the helpers
-the seam made single grows a second copy.  Name-keyed registries (a
+"dewey" / ...`` ladders the seam replaced — when one of the helpers
+the seam made single grows a second copy, or when something besides the
+auditor goes back to deriving the tree from parent pointers itself.  Name-keyed registries (a
 dict from encoding name to a class or routine) are fine: they hold no
 comparison.
 """
@@ -105,7 +106,27 @@ def test_no_encoding_name_ladder():
 
 
 @pytest.mark.parametrize(
-    "name", ["_document_axis", "_ID_BATCH", "relabel", "group_siblings"]
+    "name",
+    ["_document_axis", "_ID_BATCH", "relabel", "group_siblings",
+     "ordered_rows", "row_events"],
 )
 def test_defined_once(name):
     assert len(_definitions(name)) == 1, _definitions(name)
+
+
+def test_only_the_auditor_derives_the_tree_from_parent_pointers():
+    """``group_siblings`` is the auditor's independent reference;
+    everything else reads stored structure through ``ordered_rows``."""
+    assert _definitions("group_siblings")[0].startswith(
+        "check/invariants.py:"
+    )
+    users = sorted({
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == "group_siblings"
+        or isinstance(node, ast.Attribute) and node.attr == "group_siblings"
+        or isinstance(node, ast.ImportFrom)
+        and any(alias.name == "group_siblings" for alias in node.names)
+    })
+    assert users == ["check/invariants.py"], users

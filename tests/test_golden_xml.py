@@ -11,7 +11,13 @@ generator and the one labeler are held to the *old* reader's verdicts:
   ``(message, line, column)`` of the :class:`XmlSyntaxError` ``parse``
   raises (``fragment_errors``: the same through ``parse_fragment``);
 * ``rows`` — a digest of the node and attribute rows ``load(text)``
-  stores for one fixed document under 4 encodings x gap 1/8.
+  stores for one fixed document under 4 encodings x gap 1/8;
+* ``index`` — a digest of the ``idx_*`` rows ``indexes.create`` builds
+  for each corpus input that parses and for the rows document, recorded
+  from the index builder's own group-sort-and-walk immediately before
+  it became one stack pass over ``ordered_rows`` (no order column
+  reaches an index row, so one digest holds for every encoding and
+  backend).
 
 The only intended differences from the recording are the prologues in
 :data:`PROLOGUE_FIXES`, which the old tokenizer rejected; what it said
@@ -213,6 +219,40 @@ def stored_rows_digest(encoding: str, gap: int) -> str:
         store.close()
 
 
+def indexed_corpus() -> dict:
+    """The corpus inputs ``parse`` accepts, plus the rows document."""
+    corpus = {**WELL_FORMED, **PROLOGUE_FIXES, "rows-document": ROWS_DOCUMENT}
+    return {
+        name: source for name, source in corpus.items()
+        if verdict(parse, source)[0] == "accepted"
+    }
+
+
+def index_rows_digest(
+    source: str, encoding: str = "dewey", backend: str = "sqlite"
+) -> str:
+    store = XmlStore(backend=backend, encoding=encoding)
+    try:
+        doc = store.load(source)
+        store.indexes.create(doc)
+        digest = hashlib.sha256()
+        for table, order in (
+            ("idx_sval", "id"), ("idx_paths", "pathid"),
+            ("idx_pathmap", "id"),
+        ):
+            result = store.backend.execute(
+                f"SELECT * FROM {table} WHERE doc = ? ORDER BY {order}",
+                (doc,),
+            )
+            digest.update(f"{table}\n".encode("utf-8"))
+            for row in result.rows:
+                digest.update(repr(tuple(row)).encode("utf-8"))
+                digest.update(b"\n")
+        return digest.hexdigest()
+    finally:
+        store.close()
+
+
 def snapshot(previous: dict) -> dict:
     tokens, rejected = {}, dict(previous.get("parent_rejected", {}))
     for name, source in WELL_FORMED.items():
@@ -234,6 +274,10 @@ def snapshot(previous: dict) -> dict:
         "rows": {
             f"{enc}/gap{gap}": stored_rows_digest(enc, gap)
             for enc in ENCODINGS for gap in GAPS
+        },
+        "index": {
+            name: index_rows_digest(source)
+            for name, source in indexed_corpus().items()
         },
     }
 
@@ -304,6 +348,20 @@ class TestGoldenRows:
         assert stored_rows_digest(encoding, gap) == golden["rows"][
             f"{encoding}/gap{gap}"
         ]
+
+
+class TestGoldenIndexRows:
+    @pytest.mark.parametrize("backend", ("sqlite", "minidb"))
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_create_builds_the_recorded_index_rows(
+        self, golden, encoding, backend
+    ):
+        corpus = indexed_corpus()
+        assert set(golden["index"]) == set(corpus) and len(corpus) > 25
+        for name, source in corpus.items():
+            assert index_rows_digest(source, encoding, backend) == (
+                golden["index"][name]
+            ), name
 
 
 if __name__ == "__main__":

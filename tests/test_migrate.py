@@ -239,7 +239,6 @@ class TestAbortLeavesNoShadowState:
         # Simulate a crash that left shadow tables behind: create one
         # by hand, close, reopen.
         backend.execute("CREATE TABLE mig_leftover (x INTEGER)")
-        backend.commit()
         store.close()
         reopened = XmlStore(
             backend=SqliteBackend(path), encoding="global"

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.check import xmlfuzz
 from repro.core import dewey
 from repro.core.encodings import get_encoding
+from repro.core.reconstruct import row_events as real_row_events
 from repro.core.shredder import shred, shred_text
 from repro.errors import XmlSyntaxError
 from repro.store import XmlStore
@@ -135,8 +136,10 @@ class TestByteMutationFuzz:
     ):
         report = xmlfuzz.run_xml_fuzz(base_seed=1, mutants=300)
         assert report.ok(), "\n".join(report.failures)
-        # The fuzz reaches both outcomes, and the deep document.
+        # The fuzz reaches both outcomes, and the deep document; every
+        # mutant the readers accept also went through a store.
         assert 30 < report.accepted < 270
+        assert report.stored == report.accepted
 
     def test_corpus_is_well_formed_and_deeper_than_the_recursion_limit(
         self
@@ -167,9 +170,41 @@ class TestByteMutationFuzz:
         problem, _ = xmlfuzz.check_reader("<a>text</a>")
         assert "disagree" in problem
 
+    def test_storage_leg_reaches_every_encoding_backend_and_policy(
+        self, monkeypatch
+    ):
+        opened = set()
+        real_load = XmlStore.load
+
+        def load(store, text, strip_whitespace=False):
+            opened.add((store.encoding.name, store.backend.name,
+                        strip_whitespace))
+            return real_load(store, text, strip_whitespace=strip_whitespace)
+
+        monkeypatch.setattr(XmlStore, "load", load)
+        text = xmlfuzz.corpus()[2].decode("utf-8")
+        for seed in range(32):
+            assert xmlfuzz.check_storage(text, seed) is None
+        assert len(opened) == len(ALL_ENCODINGS) * 2 * 2
+
+    def test_a_store_that_reads_back_other_events_is_a_failure(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            xmlfuzz, "row_events",
+            lambda rows, attributes: list(real_row_events(rows, {})),
+        )
+        assert xmlfuzz.check_storage("<a>text</a>", 0) is None
+        assert "read back other events" in xmlfuzz.check_storage(
+            "<a k='v'>text</a>", 0
+        )
+        report = xmlfuzz.run_xml_fuzz(base_seed=1, mutants=40)
+        assert 0 < len(report.failures) <= report.stored
+
     def test_command_line_reports_and_sets_exit_status(self, capsys):
         assert xmlfuzz.main(["--base-seed", "9", "--mutants", "5"]) == 0
-        assert "xmlfuzz: 5 mutant(s)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "xmlfuzz: 5 mutant(s)" in out and "stored=" in out
 
 
 def python_calls(function) -> int:

@@ -183,7 +183,7 @@ class TestRollbackFailurePropagation:
         assert any("rollback also failed" in note for note in notes)
         # The scope bookkeeping is reset, so the backend is not stuck
         # in a phantom open transaction.
-        assert backend._tx_depth == 0
+        assert not backend.in_transaction()
 
 
 class TestConcurrentSqliteInserts:

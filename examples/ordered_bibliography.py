@@ -4,7 +4,7 @@ Section and paragraph order carry meaning in document-centric XML — the
 paper's motivating case.  This example loads the article corpus under all
 three encodings, runs the ordered query suite on each, shows the SQL each
 encoding generates for a document-order query, and prints a small timing
-comparison (Local's depth-expansion queries are visibly slower on the
+comparison (Local pays a recursive walk per candidate on the
 ``following``/``preceding`` axes).
 
 Run:  python examples/ordered_bibliography.py

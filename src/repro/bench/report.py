@@ -28,9 +28,16 @@ EXPECTED_SHAPES = {
     "E2": "Loading is comparable across encodings; Dewey pays a little "
           "extra for key construction.",
     "E3": "Global and Dewey answer every ordered query in comparable "
-          "time; Local is an order of magnitude slower on the "
-          "document-order axes Q7/Q8 (depth-expansion joins plus the "
-          "client-side order-resolution pass).",
+          "time; Local is the dearest on the document-order axes "
+          "Q7/Q8.  Its closure axes are recursive walks over the parent "
+          "pointers here, so the gap is a small factor, and the verdict "
+          "reads rows (E13's counters), not milliseconds, where "
+          "Global's own Q8 varies more than Local differs from it.  "
+          "With the SQL-92-style depth expansion the paper's systems "
+          "were limited to, the same two queries took 17 ms and 188 ms "
+          "against 0.3-3.6 ms (49,672 and 110,890 rows read against "
+          "62-107): that gap is the paper's finding, and the row "
+          "below is what recursion in the plan buys back.",
     "E4": "All three encodings are comparable when order plays no role.",
     "E5": "Front/middle inserts: Global relabels the document tail, "
           "Local only the following siblings, Dewey the following "
@@ -48,8 +55,9 @@ EXPECTED_SHAPES = {
           "level-by-level subtree fetch is the slow outlier as subtree "
           "size grows.",
     "E9": "Static SQL complexity: identical for unordered paths; Local "
-          "needs depth-expansion arms for transitive and document-order "
-          "axes, growing with document depth.",
+          "needs a recursive walk for each transitive axis and two for "
+          "each document-order axis - a constant, where depth-expansion "
+          "arms grew with document depth.",
     "E9b": "(Extension beyond the paper.)  Shape-keyed compiled plans "
            "make warm translation parameter binding only: re-translating "
            "the query mix with the compile cache warm costs a fraction "
@@ -96,7 +104,7 @@ EXPECTED_SHAPES = {
            "predicates at least 2x faster than the structural-join "
            "scans on every encoding and both backends, with "
            "byte-identical answers; the win is largest for Local "
-           "(whose unindexed descents pay depth-expansion joins) and "
+           "(whose unindexed descents walk up from every candidate) and "
            "smallest for Global (whose pos/endpos range scan is "
            "already one predicate).  On the update-heavy burst, "
            "maintenance from the touched set sustains at least 2x the "
@@ -140,13 +148,6 @@ def compute_verdicts(
                "Dewey labels compact (4-8 bytes/node, binary codec)",
                all(4.0 < r[3] < 8.0 for r in dewey))
 
-    t = by_id.get("E3")
-    if t is not None:
-        doc_order = [r for r in t.rows if r[0] in ("Q7", "Q8")]
-        record(
-            "E3", "Local slowest on document-order axes",
-            all(r[4] > r[3] and r[4] > r[5] for r in doc_order),
-        )
 
     t = by_id.get("E4")
     if t is not None:
@@ -208,9 +209,31 @@ def compute_verdicts(
 
     t = by_id.get("E13")
     if t is not None:
-        q7 = next(r for r in t.rows if r[0] == "Q7")
-        record("E13", "Local logical I/O blows up on following::",
-               q7[3] > 3 * q7[2] and q7[3] > 3 * q7[4])
+        # Both verdicts are counts, so they repeat exactly.  E3's used
+        # to be wall-clock ("Local slowest on Q7/Q8"), which stopped
+        # being decidable once Local's closure axes became recursive
+        # walks: sqlite's Global Q8 alone spans 1-7 ms between runs.
+        doc_order = [r for r in t.rows if r[0] in ("Q7", "Q8")]
+        factor = min(r[3] / max(r[2], r[4]) for r in doc_order)
+        record(
+            "E3",
+            "Local reads more rows than Global and Dewey on Q7/Q8 "
+            f"(at least {factor:.1f}x)",
+            all(r[3] > r[2] and r[3] > r[4] for r in doc_order),
+        )
+        q7 = next(r for r in doc_order if r[0] == "Q7")
+        # Was "> 3x": the depth expansion scanned the document once
+        # per arm and candidate (671x).  A walk probes one row per
+        # level; what stays above the other encodings is the walks
+        # plus the client-side order-resolution fetches, a factor that
+        # shrinks as the result grows - so it is reported, not bounded.
+        record(
+            "E13",
+            "Local logical I/O highest on following:: "
+            f"({q7[3] / max(q7[2], q7[4]):.1f}x; walks plus client "
+            "order resolution)",
+            q7[3] > q7[2] and q7[3] > q7[4],
+        )
 
     t = by_id.get("E14")
     if t is not None:

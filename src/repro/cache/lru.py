@@ -4,18 +4,16 @@ exactly what each commit wrote.
 A :class:`StoreCache` holds three LRU layers:
 
 * **plan** — :class:`~repro.core.relalg.CompiledPlan` objects, keyed
-  on ``(encoding, xpath-shape, max_depth, indexed)``.  The shape is the
-  XPath with predicate literals lifted into parameter slots, so one
-  plan serves every document and every literal value; the doc id,
-  context node, and literals bind per request via ``plan.bind()``.
-  The depth is part of the key because Local's depth-bounded ``//``
-  and ``following::`` expansion is exactly tight, and *indexed* says
-  whether the plan's eligible fragments probe the index tables.  The
-  key therefore *determines* the plan: no committed write can make a
-  cached plan wrong for its key, so plans carry **no epoch** and no
-  write ever drops one — a write changes which key the next read asks
-  for (a deeper document, an index created or dropped), never what a
-  key means.
+  on ``(encoding, xpath-shape, indexed)``.  The shape is the XPath
+  with predicate literals lifted into parameter slots, so one plan
+  serves every document, however deep, and every literal value; the
+  doc id, context node, and literals bind per request via
+  ``plan.bind()``.  *indexed* says whether the plan's eligible
+  fragments probe the index tables.  The key therefore *determines*
+  the plan: no committed write can make a cached plan wrong for its
+  key, so plans carry **no epoch** and no write ever drops one — a
+  write changes which key the next read asks for (an index created or
+  dropped), never what a key means.
 * **catalog** — per-document catalogue state, keyed on the doc id:
   the :class:`~repro.store.DocumentInfo` row and whether the document
   is indexed.

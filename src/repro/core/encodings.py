@@ -267,7 +267,7 @@ class LocalEncoding(OrderEncoding):
     The cheapest encoding to update (an insertion shifts following
     siblings only) but the weakest for queries: document order between
     arbitrary nodes is not computable from a pair of rows, so
-    document-order axes need depth-bounded join expansions, and results
+    closure and document-order axes walk the parent pointers, and results
     need a client-side order-resolution pass.
     """
 

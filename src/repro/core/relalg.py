@@ -1,9 +1,10 @@
 """Relational expression AST and its SQL text renderer.
 
 The XPath translators do not emit SQL text directly.  They build a
-small relational algebra AST — tables with aliases, comparisons, AND/OR
-(including the Local encoding's depth-expansion arms), EXISTS and
-correlated COUNT subqueries — which :class:`SqlTextDialect` renders as
+small relational algebra AST — tables with aliases, comparisons, AND/OR,
+EXISTS and correlated COUNT subqueries, and the recursive closure the
+Local encoding walks its parent pointers with — which
+:class:`SqlTextDialect` renders as
 parameterized SQL with ``?`` placeholders.  That text is the only thing
 either engine sees: sqlite prepares it (and reuses the prepared
 statement through the connection-level statement cache), minidb parses
@@ -151,16 +152,21 @@ class And:
 
 @dataclass(frozen=True)
 class Or:
-    """Disjunction; ``expansion_arms`` counts depth-expansion arms for
-    the E9 complexity statistics (Local encoding ancestor chains)."""
-
     items: tuple["RelExpr", ...]
-    expansion_arms: int = 0
 
 
 @dataclass(frozen=True)
 class Not:
     item: "RelExpr"
+
+
+@dataclass(frozen=True)
+class Arith:
+    """Binary arithmetic or concatenation: ``+``, ``-``, ``||``."""
+
+    op: str
+    left: "RelExpr"
+    right: "RelExpr"
 
 
 @dataclass(frozen=True)
@@ -195,12 +201,12 @@ class IsNull:
 class Exists:
     """(NOT) EXISTS subquery.
 
-    ``counted`` mirrors the historical stats accounting: the Local
-    encoding's parent-pointer chain arms are not individually counted
-    as EXISTS subqueries (the whole chain counts as OR expansions).
+    ``counted`` mirrors the historical stats accounting: the EXISTS
+    that only wraps one of the Local encoding's recursive walks is not
+    counted as an EXISTS subquery (the walk counts as a recursion).
     """
 
-    query: "Select"
+    query: "RelQuery"
     negated: bool = False
     counted: bool = True
 
@@ -245,7 +251,7 @@ class Select:
 
     ``count_joins`` mirrors the historical stats accounting: FROM items
     beyond the first count as joins for step/exists/count selects, but
-    not for the Local encoding's internal chain subqueries.
+    not for the plumbing of a string-value scan or a recursive walk.
     """
 
     columns: tuple[SelectItem, ...]
@@ -264,12 +270,31 @@ class UnionQuery:
     order_by: tuple[str, ...] = ()
 
 
+@dataclass(frozen=True)
+class Recursive:
+    """``WITH RECURSIVE name(columns) AS (anchor UNION step) body``.
+
+    The transitive closure plain joins cannot express: *step* selects
+    from *name* (the rows the previous round produced) and feeds its
+    rows back until a round adds none; *body* then reads the whole
+    closure.  ``UNION``, not ``UNION ALL``: a row already produced is
+    not produced again, so a walk over corrupt, cyclic rows ends.
+    *anchor* and *step* may reference aliases of the enclosing query.
+    """
+
+    name: str
+    columns: tuple[str, ...]
+    anchor: Select
+    step: Select
+    body: Select
+
+
 RelExpr = Union[
-    Col, Const, Param, Bool, Cmp, And, Or, Not, Func, CountStar, Cast,
-    IsNull, Exists, ScalarCount, StringValueAgg,
+    Col, Const, Param, Bool, Cmp, And, Or, Not, Arith, Func, CountStar,
+    Cast, IsNull, Exists, ScalarCount, StringValueAgg,
 ]
 
-RelQuery = Union[Select, UnionQuery]
+RelQuery = Union[Select, UnionQuery, Recursive]
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +309,14 @@ class TranslationStats:
     joins: int = 0  # FROM items beyond the first, across all queries
     exists_subqueries: int = 0
     count_subqueries: int = 0
-    or_expansions: int = 0  # depth-expansion arms (Local encoding)
+    recursions: int = 0  # recursive closures (Local encoding)
 
     def total_relational_operations(self) -> int:
         return (
             self.joins
             + self.exists_subqueries
             + self.count_subqueries
-            + self.or_expansions
+            + self.recursions
         )
 
 
@@ -303,9 +328,18 @@ def compute_stats(query: RelQuery) -> TranslationStats:
 
 
 def _collect_stats(node: object, stats: TranslationStats) -> None:
-    if isinstance(node, UnionQuery):
+    if isinstance(node, (Col, Param, Const)):
+        return  # most of any plan; the other leaves fall off the end
+    if isinstance(node, (Cmp, Arith)):
+        _collect_stats(node.left, stats)
+        _collect_stats(node.right, stats)
+    elif isinstance(node, UnionQuery):
         for arm in node.selects:
             _collect_stats(arm, stats)
+    elif isinstance(node, Recursive):
+        stats.recursions += 1
+        for part in (node.anchor, node.step, node.body):
+            _collect_stats(part, stats)
     elif isinstance(node, Select):
         if node.count_joins:
             stats.joins += max(0, len(node.from_items) - 1)
@@ -320,18 +354,11 @@ def _collect_stats(node: object, stats: TranslationStats) -> None:
     elif isinstance(node, ScalarCount):
         stats.count_subqueries += 1
         _collect_stats(node.query, stats)
-    elif isinstance(node, Or):
-        stats.or_expansions += node.expansion_arms
-        for item in node.items:
-            _collect_stats(item, stats)
-    elif isinstance(node, And):
+    elif isinstance(node, (And, Or)):
         for item in node.items:
             _collect_stats(item, stats)
     elif isinstance(node, Not):
         _collect_stats(node.item, stats)
-    elif isinstance(node, Cmp):
-        _collect_stats(node.left, stats)
-        _collect_stats(node.right, stats)
     elif isinstance(node, Func):
         for arg in node.args:
             _collect_stats(arg, stats)
@@ -339,10 +366,10 @@ def _collect_stats(node: object, stats: TranslationStats) -> None:
         _collect_stats(node.item, stats)
     elif isinstance(node, IsNull):
         _collect_stats(node.item, stats)
-    # Col/Const/Param/Bool/CountStar are leaves.  StringValueAgg is
+    # Bool/CountStar are leaves as well.  StringValueAgg is
     # deliberately a leaf too: it is a scalar evaluation detail of one
     # comparison, not part of the E9 structural-complexity accounting
-    # (counting its internal arms would shift the historical baselines).
+    # (counting its internals would shift the historical baselines).
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +412,14 @@ class SqlTextDialect:
             if query.order_by:
                 sql += " ORDER BY " + ", ".join(query.order_by)
             return sql
+        if isinstance(query, Recursive):
+            return (
+                f"WITH RECURSIVE {query.name}"
+                f"({', '.join(query.columns)}) AS ("
+                f"{self._select(query.anchor, slots)} UNION "
+                f"{self._select(query.step, slots)}) "
+                f"{self._select(query.body, slots)}"
+            )
         return self._select(query, slots)
 
     def _select(self, select: Select, slots: list) -> str:
@@ -400,8 +435,12 @@ class SqlTextDialect:
         parts.append(", ".join(rendered_items))
         if select.from_items:
             parts.append(" FROM ")
+            # A recursive table is its own alias.
             parts.append(
-                ", ".join(f"{t} {a}" for t, a in select.from_items)
+                ", ".join(
+                    t if t == a else f"{t} {a}"
+                    for t, a in select.from_items
+                )
             )
         if select.where:
             parts.append(" WHERE ")
@@ -425,7 +464,7 @@ class SqlTextDialect:
             return "?"
         if isinstance(node, Bool):
             return "1 = 1" if node.value else "1 = 0"
-        if isinstance(node, Cmp):
+        if isinstance(node, (Cmp, Arith)):
             left = self._expr(node.left, slots)
             right = self._expr(node.right, slots)
             return f"{left} {node.op} {right}"
@@ -448,7 +487,7 @@ class SqlTextDialect:
             return f"{self._expr(node.item, slots)} IS NULL"
         if isinstance(node, Exists):
             keyword = "NOT EXISTS" if node.negated else "EXISTS"
-            return f"{keyword} ({self._select(node.query, slots)})"
+            return f"{keyword} ({self._query(node.query, slots)})"
         if isinstance(node, ScalarCount):
             return f"({self._select(node.query, slots)})"
         if isinstance(node, StringValueAgg):

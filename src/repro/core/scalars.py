@@ -12,6 +12,18 @@ from repro.core.numeric import xpath_number_value
 from repro.core.ordpath import ordpath_parent_bytes, ordpath_successor_bytes
 from repro.core.pathmatch import path_match
 
+
+def lpos_key(lpos: int) -> str:
+    """One sibling position as fixed-width text.
+
+    Concatenated root-down, the pieces compare as text the way the
+    positions compare level by level — document order for the Local
+    encoding, which stores no key of its own (a position is positive
+    and fits 64 bits).
+    """
+    return f"{lpos:016x}"
+
+
 #: ``(name, arity, function)``; every function is deterministic.
 SCALAR_FUNCTIONS = (
     ("dewey_parent", 1, dewey_parent_bytes),
@@ -20,4 +32,5 @@ SCALAR_FUNCTIONS = (
     ("ordpath_successor", 1, ordpath_successor_bytes),
     ("xpath_number", 1, xpath_number_value),
     ("path_match", 2, path_match),
+    ("lpos_key", 1, lpos_key),
 )

@@ -19,8 +19,8 @@ simple content, where the direct text value equals the XPath string-value
 (see DESIGN.md).
 
 A small ``documents`` catalogue row per stored document records the name,
-node count, maximum depth (used by the Local translator's depth-bounded
-expansions) and the next free surrogate id.
+node count, maximum depth (an audited bound on the stored ``depth``
+values; no plan depends on it) and the next free surrogate id.
 """
 
 from __future__ import annotations

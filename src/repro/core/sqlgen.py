@@ -18,7 +18,6 @@ from repro.core.relalg import (
     Col,
     CountStar,
     Exists,
-    Or,
     RelExpr,
     ScalarCount,
     Select,
@@ -32,7 +31,6 @@ __all__ = [
     "SelectBuilder",
     "TranslationStats",
     "all_of",
-    "any_of",
     "exists",
     "scalar_count",
     "sql_string_literal",
@@ -47,16 +45,6 @@ def all_of(parts: Iterable[Optional[RelExpr]]) -> Optional[RelExpr]:
     if len(items) == 1:
         return items[0]
     return And(items)
-
-
-def any_of(
-    parts: Iterable[Optional[RelExpr]], expansion_arms: int = 0
-) -> Optional[RelExpr]:
-    """OR-combine conditions; ``expansion_arms`` feeds the E9 stats."""
-    items = tuple(p for p in parts if p is not None)
-    if not items:
-        return None
-    return Or(items, expansion_arms=expansion_arms)
 
 
 class AliasGenerator:

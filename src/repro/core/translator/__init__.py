@@ -23,10 +23,10 @@ _TRANSLATORS = {
 }
 
 
-def make_translator(encoding: str, max_depth: int = 16) -> SqlTranslator:
+def make_translator(encoding: str) -> SqlTranslator:
     """Create the translator for an encoding name."""
     enc = get_encoding(encoding)
-    return _TRANSLATORS[enc.name](enc, max_depth)
+    return _TRANSLATORS[enc.name](enc)
 
 
 __all__ = [

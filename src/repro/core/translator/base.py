@@ -37,9 +37,8 @@ comparisons, and result ordering:
 * Dewey and ORDPATH — byte-range comparisons on the binary key (via
   the encoding's ``*_successor`` scalar), one translator for both;
 * Local — only parent/sibling axes are direct; everything that needs
-  document order or transitive closure expands into depth-bounded
-  ``EXISTS`` chains, and result ordering falls back to a client-side
-  order-resolution pass.
+  transitive closure is a recursive walk over the parent pointers, and
+  result ordering falls back to a client-side order-resolution pass.
 """
 
 from __future__ import annotations
@@ -246,9 +245,8 @@ class _Arm:
 class SqlTranslator(ABC):
     """Base translator; one concrete subclass per encoding."""
 
-    def __init__(self, encoding: OrderEncoding, max_depth: int = 16) -> None:
+    def __init__(self, encoding: OrderEncoding) -> None:
         self.encoding = encoding
-        self.max_depth = max_depth
         self.node_table = encoding.node_table.name
         self.attr_table = encoding.attr_table.name
         # Per-compile() state (see compile()): whether the document is
@@ -1015,7 +1013,7 @@ class SqlTranslator(ABC):
         guarded = Func("xpath_number", (value,))
         comparison = Cmp(op, guarded, number)
         if op == "!=":
-            return Or((comparison, IsNull(guarded)), expansion_arms=0)
+            return Or((comparison, IsNull(guarded)))
         return comparison
 
     # -- positional predicates -------------------------------------------------------------

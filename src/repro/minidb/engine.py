@@ -36,7 +36,7 @@ from repro.minidb.executor import (
     Stats,
 )
 from repro.minidb.expressions import BUILTIN_SCALARS
-from repro.minidb.sql_ast import Select, Statement, Union_
+from repro.minidb.sql_ast import SELECT_TYPES, Statement
 from repro.minidb.sql_parser import parse_sql
 from repro.obs import METRICS
 
@@ -110,7 +110,7 @@ class MiniDb:
             return Result()
         statement = self._parse(sql)
         params = tuple(params)
-        if isinstance(statement, (Select, Union_)):
+        if isinstance(statement, SELECT_TYPES):
             with self.latch.read():
                 plan = self._plan(sql, statement)
                 self.stats.statements += 1
@@ -128,7 +128,7 @@ class MiniDb:
     ) -> Result:
         """Execute a DML statement once per parameter row."""
         statement = self._parse(sql)
-        if isinstance(statement, (Select, Union_)):
+        if isinstance(statement, SELECT_TYPES):
             raise ExecutionError("executemany() does not accept SELECT")
         total = 0
         with self.latch.write():
@@ -146,7 +146,7 @@ class MiniDb:
         count.  Derived tables and UNION arms are indented.
         """
         statement = self._parse(sql)
-        if not isinstance(statement, (Select, Union_)):
+        if not isinstance(statement, SELECT_TYPES):
             raise ExecutionError("explain() only accepts SELECT")
         plan = self._runner.compiler().compile_select(statement)
         return list(plan.plan_lines)

@@ -15,6 +15,10 @@ Evaluation model:
 * subqueries (EXISTS / IN / scalar) compile recursively with the outer
   scope chained, and see the outer row bindings through the shared
   environment at run time;
+* ``WITH RECURSIVE`` is evaluated semi-naively: the step runs over the
+  rows the round before added (its *delta*) until a round adds none,
+  and the rows so far travel in the environment, so a recursion may be
+  correlated and nested like any other subquery;
 * aggregates group materialised rows, then evaluate the select list and
   HAVING in post-aggregate mode.
 """
@@ -52,6 +56,7 @@ from repro.minidb.sql_ast import (
     Literal,
     OrderItem,
     Param,
+    SELECT_TYPES,
     ScalarSubquery,
     Select,
     SelectItem,
@@ -62,6 +67,7 @@ from repro.minidb.sql_ast import (
     Union_,
     Unary,
     Update,
+    With,
 )
 from repro.minidb.tables import HeapTable, coerce_row
 from repro.minidb.values import (
@@ -126,16 +132,21 @@ class Result:
 class Scope:
     """Compile-time name resolution: alias -> column -> position.
 
-    Scopes chain outward for correlated subqueries.
+    Scopes chain outward for correlated subqueries.  ``ctes`` (name ->
+    columns) are the common table expressions visible from here, the
+    enclosing scopes' included.
     """
 
     def __init__(
         self,
         aliases: dict[str, tuple[str, ...]],
         parent: Optional["Scope"] = None,
+        ctes: Optional[dict[str, tuple[str, ...]]] = None,
     ) -> None:
         self.aliases = aliases
         self.parent = parent
+        self.ctes = {**(parent.ctes if parent is not None else {}),
+                     **(ctes or {})}
 
     def resolve(
         self, table: Optional[str], column: str
@@ -179,6 +190,9 @@ class Compiler:
     ) -> None:
         self.catalog = catalog
         self.functions = functions
+        #: Plans of the EXISTS / IN / scalar subqueries compiled since
+        #: the enclosing select began, for its plan summary.
+        self._subquery_plans: list[CompiledSelect] = []
 
     # -- expressions ------------------------------------------------------
 
@@ -236,7 +250,7 @@ class Compiler:
         if isinstance(expr, InSelect):
             return self._compile_in_select(expr, scope)
         if isinstance(expr, Exists):
-            plan = self.compile_select(expr.select, scope)
+            plan = self._compile_subquery(expr.select, scope)
             negated = expr.negated
             def exists_fn(env: Env, state: ExecState) -> SqlValue:
                 found = False
@@ -246,7 +260,7 @@ class Compiler:
                 return (not found) if negated else found
             return exists_fn
         if isinstance(expr, ScalarSubquery):
-            plan = self.compile_select(expr.select, scope)
+            plan = self._compile_subquery(expr.select, scope)
             def scalar_fn(env: Env, state: ExecState) -> SqlValue:
                 for row in plan.rows(env, state):
                     return row[0]
@@ -350,7 +364,7 @@ class Compiler:
 
     def _compile_in_select(self, expr: InSelect, scope: Scope) -> ExprFn:
         value_fn = self.compile_expr(expr.expr, scope)
-        plan = self.compile_select(expr.select, scope)
+        plan = self._compile_subquery(expr.select, scope)
         negated = expr.negated
         def in_select_fn(env: Env, state: ExecState) -> SqlValue:
             value = value_fn(env, state)
@@ -374,12 +388,71 @@ class Compiler:
 
     # -- SELECT ------------------------------------------------------------
 
+    def _compile_subquery(
+        self, select: SelectLike, scope: Scope
+    ) -> "CompiledSelect":
+        plan = self.compile_select(select, scope)
+        self._subquery_plans.append(plan)
+        return plan
+
     def compile_select(
         self, select: SelectLike, outer: Optional[Scope] = None
     ) -> "CompiledSelect":
         if isinstance(select, Union_):
             return self._compile_union(select, outer)
+        if isinstance(select, With):
+            return self._compile_with(select, outer)
         return self._compile_select_core(select, outer)
+
+    def _compile_with(
+        self, node: With, outer: Optional[Scope]
+    ) -> "CompiledSelect":
+        anchor = self.compile_select(node.query, outer)
+        if len(anchor.columns) != len(node.columns):
+            raise ExecutionError(
+                f"{node.name!r} names {len(node.columns)} columns, its "
+                f"select yields {len(anchor.columns)}"
+            )
+        scope = Scope({}, outer, {node.name: node.columns})
+        step = (
+            self._compile_select_core(node.step, scope)
+            if node.step is not None else None
+        )
+        if step is not None and len(step.columns) != len(node.columns):
+            raise ExecutionError("UNION arms have different widths")
+        body = self.compile_select(node.body, scope)
+        key = _cte_key(node.name)
+        dedupe = step is not None and not node.union_all
+
+        def rows(env: Env, state: ExecState) -> Iterator[tuple]:
+            seen: set = set()
+
+            def fresh(produced: Iterator[tuple]) -> list[tuple]:
+                if not dedupe:
+                    return list(produced)
+                out = []
+                for row in produced:
+                    if row not in seen:
+                        seen.add(row)
+                        out.append(row)
+                return out
+
+            delta = fresh(anchor.rows(env, state))
+            table = list(delta)
+            while step is not None and delta:
+                delta = fresh(step.rows({**env, key: delta}, state))
+                table.extend(delta)
+            return body.rows({**env, key: table}, state)
+
+        plan_lines = [
+            f"WITH{' RECURSIVE' if step is not None else ''} "
+            f"{node.name}({', '.join(node.columns)}):"
+        ]
+        plan_lines.extend(f"  anchor: {line}" for line in anchor.plan_lines)
+        if step is not None:
+            plan_lines.extend(f"  step: {line}" for line in step.plan_lines)
+        plan_lines.extend(body.plan_lines)
+        return CompiledSelect(body.columns, rows, plan_lines)
 
     def _compile_union(
         self, union: Union_, outer: Optional[Scope]
@@ -430,14 +503,20 @@ class Compiler:
     def _compile_select_core(
         self, select: Select, outer: Optional[Scope]
     ) -> "CompiledSelect":
+        first_subquery = len(self._subquery_plans)
         # 1. Resolve FROM sources and build the local scope.
         sources: list[tuple[FromItem, object]] = []
         aliases: dict[str, tuple[str, ...]] = {}
         for from_item in select.from_items:
             if isinstance(from_item.source, TableSource):
-                table = self.catalog.get_table(from_item.source.name)
-                columns = table.columns
-                sources.append((from_item, table))
+                name = from_item.source.name
+                columns = outer.ctes.get(name) if outer is not None else None
+                if columns is not None:
+                    sources.append((from_item, _cte_key(name)))
+                else:
+                    table = self.catalog.get_table(name)
+                    columns = table.columns
+                    sources.append((from_item, table))
             else:
                 subplan = self.compile_select(from_item.source.select, outer)
                 columns = subplan.columns
@@ -530,6 +609,11 @@ class Compiler:
                     f"  [{from_item.alias}] {line}"
                     for line in source.plan_lines
                 )
+        for subquery in self._subquery_plans[first_subquery:]:
+            compiled.plan_lines.extend(
+                f"  [subquery] {line}" for line in subquery.plan_lines
+            )
+        del self._subquery_plans[first_subquery:]
         return compiled
 
     def _build_join_step(
@@ -574,6 +658,18 @@ class Compiler:
                 left=from_item.join_type == "left",
                 width=len(source.columns),
             )
+        if isinstance(source, str):
+            # A common table expression: its rows so far (the step of
+            # a recursion sees the round's delta) ride in the
+            # environment under this key.
+            return _JoinStep(
+                alias=alias,
+                cte_key=source,
+                residual_fns=[self.compile_expr(c, scope) for c in conjuncts],
+                on_fns=on_fns,
+                left=from_item.join_type == "left",
+                width=len(scope.aliases[alias]),
+            )
         # Derived table: materialised once per execution — unless the
         # subquery is correlated (it references an outer alias or any
         # unqualified name, conservatively), in which case its rows
@@ -589,7 +685,9 @@ class Compiler:
         return _JoinStep(
             alias=alias,
             subplan=subplan,  # type: ignore[arg-type]
-            correlated=bool(free_refs),
+            # ... or might read a common table, whose rows change
+            # from one round (and one outer row) to the next.
+            correlated=bool(free_refs) or bool(scope.ctes),
             residual_fns=residual_fns,
             on_fns=on_fns,
             left=from_item.join_type == "left",
@@ -827,6 +925,11 @@ class Compiler:
         return columns, fns
 
 
+def _cte_key(name: str) -> str:
+    """Where a common table expression's rows ride in the environment."""
+    return f"__cte_{name}"
+
+
 def _make_column_fn(alias: str, position: int) -> ExprFn:
     def fn(env: Env, state: ExecState) -> SqlValue:
         return env[alias][position]
@@ -1013,6 +1116,7 @@ class _JoinStep:
     table: Optional[HeapTable] = None
     subplan: Optional["CompiledSelect"] = None
     correlated: bool = False  # derived table references outer aliases
+    cte_key: Optional[str] = None  # environment key of a WITH table's rows
     index: Optional[object] = None  # TableIndex
     eq_fns: list[ExprFn] = field(default_factory=list)
     in_fns: Optional[list[ExprFn]] = None
@@ -1076,7 +1180,10 @@ class _JoinStep:
                 yield None, row
             return
         table = self.table
-        assert table is not None
+        if table is None:
+            for row in env[self.cte_key]:
+                yield None, row
+            return
         if self.index is None:
             state.stats.full_scans += 1
             for rowid, row in table.scan():
@@ -1208,6 +1315,9 @@ class CompiledSelect:
 
 def _describe_step(step: _JoinStep) -> str:
     join = "LEFT JOIN" if step.left else "JOIN"
+    if step.cte_key is not None:
+        return (f"{join} common table {step.alias}, "
+                f"{len(step.residual_fns)} filter(s)")
     if step.subplan is not None:
         return f"{join} derived {step.alias} (materialised subquery)"
     if step.index is None:
@@ -1254,7 +1364,7 @@ class StatementRunner:
     def run(self, statement: Statement, params: tuple) -> Result:
         self.stats.statements += 1
         state = ExecState(params=params, stats=self.stats)
-        if isinstance(statement, (Select, Union_)):
+        if isinstance(statement, SELECT_TYPES):
             plan = self.compiler().compile_select(statement)
             rows = list(plan.rows({}, state))
             return Result(plan.columns, rows, -1)

@@ -30,6 +30,7 @@ from repro.minidb.sql_ast import (
     SubquerySource,
     Union_,
     Unary,
+    With,
 )
 from repro.minidb.tables import HeapTable, TableIndex
 
@@ -92,11 +93,17 @@ def _collect_refs(
 
 
 def _collect_select_refs(
-    select: Union[Select, Union_], bound: frozenset, refs: set
+    select: Union[Select, Union_, With], bound: frozenset, refs: set
 ) -> None:
     if isinstance(select, Union_):
         for arm in select.arms:
             _collect_select_refs(arm, bound, refs)
+        return
+    if isinstance(select, With):
+        _collect_select_refs(select.query, bound, refs)
+        if select.step is not None:
+            _collect_select_refs(select.step, bound, refs)
+        _collect_select_refs(select.body, bound, refs)
         return
     inner_bound = bound | {f.alias for f in select.from_items}
     for item in select.items:

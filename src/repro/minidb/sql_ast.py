@@ -5,7 +5,8 @@ harness need: DDL (CREATE TABLE / CREATE INDEX / DROP TABLE), INSERT with
 literals/parameters, single-table UPDATE/DELETE, and SELECT with inner and
 left joins, derived tables, WHERE, correlated EXISTS / IN / scalar
 subqueries, aggregates with GROUP BY / HAVING, DISTINCT, compound UNION
-[ALL], ORDER BY and LIMIT.
+[ALL], ORDER BY and LIMIT, and one common table expression — recursive
+or not — in front of any SELECT.
 """
 
 from __future__ import annotations
@@ -187,7 +188,30 @@ class Union_:
     limit: Optional[Expr] = None
 
 
-SelectLike = Union[Select, Union_]
+@dataclass(frozen=True)
+class With:
+    """``WITH [RECURSIVE] name(columns) AS (query [UNION [ALL] step])
+    body``.
+
+    Without *step* the table is an ordinary named subquery.  With it,
+    *query* is the anchor and *step* — which selects from *name*
+    exactly once, in its own FROM — is evaluated again on the rows the
+    round before produced until a round produces none; *body* reads
+    them all.  Anchor and step may reference the enclosing query.
+    """
+
+    name: str
+    columns: tuple[str, ...]
+    query: "SelectLike"
+    step: Optional[Select]
+    union_all: bool
+    body: "SelectLike"
+
+
+SelectLike = Union[Select, Union_, With]
+
+#: For ``isinstance``: every statement that yields rows.
+SELECT_TYPES = (Select, Union_, With)
 
 
 # ---------------------------------------------------------------------------
@@ -244,5 +268,6 @@ class Delete:
 
 
 Statement = Union[
-    CreateTable, CreateIndex, DropTable, Insert, Update, Delete, Select, Union_
+    CreateTable, CreateIndex, DropTable, Insert, Update, Delete, Select,
+    Union_, With,
 ]

@@ -12,6 +12,7 @@ KEYWORDS = frozenset(
     """
     SELECT DISTINCT FROM WHERE GROUP BY HAVING ORDER ASC DESC LIMIT
     UNION ALL AND OR NOT IN EXISTS IS NULL LIKE BETWEEN CAST AS
+    WITH RECURSIVE
     JOIN INNER LEFT OUTER ON CROSS
     CREATE TABLE INDEX UNIQUE DROP IF INSERT INTO VALUES UPDATE SET DELETE
     INTEGER REAL TEXT BLOB

@@ -41,6 +41,7 @@ from repro.minidb.sql_ast import (
     Union_,
     Unary,
     Update,
+    With,
 )
 from repro.minidb.sql_lexer import SqlToken, tokenize_sql
 
@@ -63,6 +64,9 @@ class _Parser:
         self._source = source
         self._pos = 0
         self._param_count = 0
+        #: name -> FROM references seen, for each common table
+        #: expression whose definition is being parsed.
+        self._defining: dict[str, int] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -106,7 +110,7 @@ class _Parser:
     # -- statements ------------------------------------------------------------
 
     def parse_statement(self) -> Statement:
-        if self.at("SELECT"):
+        if self.at("SELECT", "WITH"):
             return self.parse_select()
         if self.at("CREATE"):
             return self._parse_create()
@@ -218,6 +222,8 @@ class _Parser:
     # -- SELECT ------------------------------------------------------------------
 
     def parse_select(self) -> SelectLike:
+        if self.at("WITH"):
+            return self._parse_with()
         arms = [self._parse_select_core()]
         union_all: Optional[bool] = None
         while self.accept("UNION"):
@@ -244,6 +250,73 @@ class _Parser:
                 )
             return core
         return Union_(tuple(arms), bool(union_all), tuple(order_by), limit)
+
+    def _parse_with(self) -> With:
+        """One common table expression and the select that reads it."""
+        self.expect("WITH")
+        recursive = bool(self.accept("RECURSIVE"))
+        name = self.expect("ident").value
+        if not self.at("("):
+            raise self._error(
+                f"common table expression {name!r} needs a column list"
+            )
+        self.expect("(")
+        columns = [self.expect("ident").value]
+        while self.accept(","):
+            columns.append(self.expect("ident").value)
+        self.expect(")")
+        self.expect("AS")
+        self.expect("(")
+        if name in self._defining:
+            raise self._error(f"{name!r} is defined inside itself")
+        self._defining[name] = 0
+        query = self.parse_select()
+        references = self._defining.pop(name)
+        step: Optional[Select] = None
+        union_all = False
+        if references:
+            query, step, union_all = self._split_recursion(
+                name, recursive, query, references
+            )
+        self.expect(")")
+        return With(
+            name, tuple(columns), query, step, union_all,
+            self.parse_select(),
+        )
+
+    def _split_recursion(
+        self, name: str, recursive: bool, query: SelectLike,
+        references: int,
+    ) -> tuple[Select, Select, bool]:
+        """(anchor, step, UNION ALL?) of a definition that selects from
+        the table it defines; the one form accepted is ``anchor UNION
+        [ALL] step`` with the only reference in the step's own FROM."""
+        if not recursive:
+            raise self._error(
+                f"{name!r} selects from itself: write WITH RECURSIVE"
+            )
+        if (
+            not isinstance(query, Union_)
+            or len(query.arms) != 2
+            or query.order_by
+            or query.limit is not None
+        ):
+            raise self._error(
+                f"recursive {name!r} must be one anchor select, UNION "
+                "[ALL], one recursive select"
+            )
+        anchor, step = query.arms
+        in_step_from = sum(
+            isinstance(item.source, TableSource)
+            and item.source.name == name
+            for item in step.from_items
+        )
+        if references != 1 or in_step_from != 1:
+            raise self._error(
+                f"recursive {name!r} must be referenced exactly once, "
+                "in the FROM clause of its recursive select"
+            )
+        return anchor, step, query.all
 
     def _parse_select_core(self) -> Select:
         self.expect("SELECT")
@@ -330,6 +403,8 @@ class _Parser:
             alias = self.expect("ident").value
             return FromItem(SubquerySource(select), alias, join_type, on)
         name = self.expect("ident").value
+        if name in self._defining:
+            self._defining[name] += 1
         alias = name
         if self.accept("AS"):
             alias = self.expect("ident").value
@@ -421,7 +496,7 @@ class _Parser:
             return Unary("NOT", expr) if negated else expr
         self.expect("IN")
         self.expect("(")
-        if self.at("SELECT"):
+        if self.at("SELECT", "WITH"):
             select = self.parse_select()
             self.expect(")")
             return InSelect(left, select, negated)
@@ -504,7 +579,7 @@ class _Parser:
             return Unary("NOT", self._parse_primary())
         if token.kind == "(":
             self._pos += 1
-            if self.at("SELECT"):
+            if self.at("SELECT", "WITH"):
                 select = self.parse_select()
                 self.expect(")")
                 return ScalarSubquery(select)

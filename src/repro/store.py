@@ -622,22 +622,17 @@ class XmlStore:
         Relative paths navigate from *context_id* (a node's surrogate
         id); absolute paths start at the document.
 
-        Compiled plans are cached per
-        ``(encoding, shape, depth, indexed)`` where
-        *shape* is the query with its safe predicate literals
-        abstracted away — one plan serves every document and every
-        literal value (``//item[@id='a']`` and ``//item[@id='b']``
-        share a plan; the values bind as parameters).  The context
-        kind is part of the shape string (absolute vs relative).  The
-        key determines the plan, so plans outlive every write; what a
-        write changes is the key the next translation derives.  The
-        depth bound comes from the catalogue row, which that
-        document's writes invalidate: Local's ``//``/``following::``
-        expansion is exactly as deep as ``max_depth``, so after a
-        deepening insert the fresh row selects (and if need be
-        compiles) the deeper plan, and the shallower one — still
-        cached under its own key — is never served for the deepened
-        document.  *indexed* is whether the document has an index
+        Compiled plans are cached per ``(encoding, shape, indexed)``
+        where *shape* is the query with its safe predicate literals
+        abstracted away — one plan serves every document, however
+        deep, and every literal value (``//item[@id='a']`` and
+        ``//item[@id='b']`` share a plan; the values bind as
+        parameters).  The context kind is part of the shape string
+        (absolute vs relative).  The key determines the plan, so plans
+        outlive every write; nothing in a plan depends on a document's
+        contents (Local's closure axes recurse over the parent
+        pointers at run time, to whatever depth the rows have).
+        *indexed* is whether the document has an index
         (``indexes.create`` / ``drop`` are writes to it): an index is
         used when it exists.
         """
@@ -645,13 +640,12 @@ class XmlStore:
         info = self.document_info(doc)  # first: raises if unknown
         indexed = self.indexes.exists(doc)
         encoding_name = info.encoding or self.encoding.name
-        depth = max(info.max_depth, 2)
-        key = (encoding_name, shape_key, depth, indexed)
+        key = (encoding_name, shape_key, indexed)
         cache = self.cache
         use_cache = cache.enabled and not self._in_own_transaction()
         plan = cache.get_plan(key) if use_cache else None
         if plan is None:
-            translator = make_translator(encoding_name, max_depth=depth)
+            translator = make_translator(encoding_name)
             plan = translator.compile(shaped, indexed=indexed)
             if use_cache:
                 cache.put_plan(key, plan)
@@ -756,7 +750,9 @@ class XmlStore:
         if translated.needs_client_order:
             METRICS.inc("query.client_order_sorts")
             with span("client_order", collect):
-                rows = self._client_sort_nodes(doc, rows)
+                rows = self._client_sort_nodes(
+                    doc, rows, translated.columns
+                )
         with span("materialize", collect):
             items = [
                 ResultItem(
@@ -803,27 +799,30 @@ class XmlStore:
         }
 
     def _order_keys(
-        self, doc: int, ids: list[int]
+        self,
+        doc: int,
+        ids: list[int],
+        known: Optional[dict[int, tuple[int, int]]] = None,
     ) -> dict[int, tuple[int, ...]]:
         """Root-to-node sibling-order paths for each id (client sort
-        keys; document order for any encoding)."""
-        structure: dict[int, tuple[int, int]] = {}
-        frontier = set(ids)
-        while frontier:
-            fetched = self._fetch_structure(
-                doc, frontier - structure.keys()
-            )
+        keys; document order for any encoding).  *known* is structure
+        the caller already holds (``_fetch_structure``'s shape), so
+        only the rest is fetched."""
+        structure: dict[int, tuple[int, int]] = dict(known or {})
+        frontier = set(ids) | {
+            parent for parent, _lpos in structure.values()
+        }
+        while frontier := frontier - structure.keys() - {0}:
+            fetched = self._fetch_structure(doc, frontier)
             structure.update(fetched)
-            frontier = {
-                parent
-                for parent, _lpos in fetched.values()
-                if parent != 0 and parent not in structure
-            }
+            frontier = {parent for parent, _lpos in fetched.values()}
         keys: dict[int, tuple[int, ...]] = {}
         for node_id in ids:
             path: list[int] = []
             current = node_id
-            while current != 0:
+            # A path visits each fetched row at most once; the bound
+            # only bites on a corrupt parent cycle, which has no root.
+            while current != 0 and len(path) < len(structure):
                 parent, lpos = structure[current]
                 path.append(lpos)
                 current = parent
@@ -831,9 +830,17 @@ class XmlStore:
         return keys
 
     def _client_sort_nodes(
-        self, doc: int, rows: list[tuple]
+        self, doc: int, rows: list[tuple], columns: tuple[str, ...]
     ) -> list[tuple]:
-        keys = self._order_keys(doc, [row[0] for row in rows])
+        # The result rows carry their own parent and sibling position;
+        # only their ancestors' are left to fetch.
+        order = columns.index(self.encoding_for(doc).sibling_order_column)
+        parent = columns.index("parent")
+        keys = self._order_keys(
+            doc,
+            [row[0] for row in rows],
+            {row[0]: (row[parent], row[order]) for row in rows},
+        )
         return sorted(rows, key=lambda row: keys[row[0]])
 
     def _client_sort_attributes(

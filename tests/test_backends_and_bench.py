@@ -139,6 +139,22 @@ class TestExperimentsFastPath:
         assert by_encoding["local"][3] == 4.0
         assert by_encoding["dewey"][3] > 4.0  # variable-length keys
 
+    def test_e13_local_reads_most_on_document_order_by_a_small_factor(self):
+        """E3's and E13's verdicts are counts: Local reads more rows
+        than Global and Dewey on Q7/Q8, and at least ten times fewer
+        than the depth expansion did (49,672 and 110,890)."""
+        from repro.bench.experiments import run_e13_logical_io
+        from repro.bench.report import compute_verdicts
+
+        table = run_e13_logical_io(articles=10)
+        rows = {row[0]: row for row in table.rows}
+        assert rows["Q7"][3] * 10 < 49_672
+        assert rows["Q8"][3] * 10 < 110_890
+        verdicts = {v.experiment: v for v in compute_verdicts([table])}
+        assert verdicts.keys() == {"E3", "E13"}
+        assert all(v.ok for v in verdicts.values())
+        assert "rows" in verdicts["E3"].claim
+
     def test_e9_local_most_expensive_on_document_order(self):
         from repro.bench.experiments import run_e9_translation
 

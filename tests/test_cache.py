@@ -6,8 +6,9 @@ its wiring through :class:`XmlStore`, the write queue, the index
 manager and the migration engine (a write to one document drops that
 document's entries and no other's; a commit that cannot name its write
 set drops every document's; plans survive every write), the
-deepening-insert regression (a stale ``max_depth`` must never select a
-plan that drops nodes), the statement-verb ``rows_written``
+deepening-insert regression (no plan depends on a document's depth, so
+the plan compiled for the shallow document finds the deepened nodes),
+the statement-verb ``rows_written``
 classification, the slow-log short-circuit, and the multi-document
 cache-twin mode of the differential fuzzer.
 """
@@ -231,10 +232,11 @@ def test_repeated_query_hits_every_layer(encoding):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_deepening_insert_returns_new_nodes(encoding, backend):
     """Regression: warm every cache layer, then insert a fragment
-    deeper than ``document_info.max_depth``.  Local's depth-bounded
-    ``//`` expansion silently drops the new nodes if the stale
-    catalogue row (and with it the shallow plan's key) survives the
-    insert."""
+    deeper than ``document_info.max_depth``.  Local's ``//`` used to
+    expand to exactly that depth and silently dropped the new nodes
+    whenever the shallow plan was served again; its walk now recurses
+    over the rows, and the plan warmed here is the one that finds
+    them."""
     store = XmlStore(backend=backend, encoding=encoding, cache=True)
     doc = store.load(SHALLOW)
     old_depth = store.document_info(doc).max_depth
@@ -249,8 +251,8 @@ def test_deepening_insert_returns_new_nodes(encoding, backend):
     assert info.max_depth > old_depth
     got = [i.value for i in store.query("//f", doc)]
     assert got == ["deep"], (
-        f"{encoding}/{backend}: stale depth-bounded plan dropped the "
-        f"deepened nodes: {got}"
+        f"{encoding}/{backend}: the warmed plan dropped the deepened "
+        f"nodes: {got}"
     )
     # Byte-identical to a caching-off store replaying the same ops.
     twin = XmlStore(backend=backend, encoding=encoding, cache=False)
@@ -264,25 +266,27 @@ def test_deepening_insert_returns_new_nodes(encoding, backend):
         assert got == want, (encoding, backend, xpath)
 
 
-def test_deepening_insert_keeps_the_shallow_plan_cached_but_unserved():
-    """The depth hazard stays closed without dropping plans: the
-    deepened document asks for a deeper key, while the shallow plan
-    stays cached and keeps serving a document that is still shallow."""
+def test_deepening_insert_is_served_by_the_plan_already_cached():
+    """Depth is no part of the plan key: after a deepening insert the
+    same Local plan object is served — shared, not recompiled — and it
+    finds the deepened node."""
     store = XmlStore(encoding="local", cache=True)
     deepened = store.load(SHALLOW)
     shallow = store.load(SHALLOW)
     assert store.query("//f", deepened) == []
-    plans = layer(store, "plan")["size"]
+    plans = dict(store.cache._plan.entries)
 
     store.updates.insert(deepened, 2, 0, DEEP_FRAGMENT)
 
-    assert [i.value for i in store.query("//f", deepened)] == ["deep"]
-    stats = layer(store, "plan")
-    assert stats["invalidations"] == 0
-    assert stats["size"] == plans + 1, "the deeper plan joined the old one"
     with counters() as count:
+        assert [i.value for i in store.query("//f", deepened)] == ["deep"]
         assert store.query("//f", shallow) == []
-        assert count("translate.compile") == 0, "shallow plan reused"
+        assert count("translate.compile") == 0
+        assert count("translate.plan_shared") == 2
+    assert layer(store, "plan")["invalidations"] == 0
+    after = store.cache._plan.entries
+    assert after.keys() == plans.keys()
+    assert all(after[key] is plan for key, plan in plans.items())
 
 
 def _every_commit_path(store: XmlStore, doc: int):
@@ -668,9 +672,9 @@ def test_index_context_is_cached_per_document():
 
 
 def test_one_plan_serves_every_indexed_document_and_survives_writes():
-    """The plan key is ``(encoding, shape, depth, indexed)``: two
-    indexed documents share one index plan, and no write to either —
-    40 of them here, past any refresh schedule — changes the key."""
+    """The plan key is ``(encoding, shape, indexed)``: two indexed
+    documents share one index plan, and no write to either — 40 of
+    them here, past any refresh schedule — changes the key."""
     store = XmlStore(cache=True)
     a = store.load(SHALLOW)
     b = store.load(SHALLOW)
@@ -893,12 +897,11 @@ def test_racing_put_result_is_refused_for_the_written_document_only(
 
 
 @pytest.mark.skip_audit
-def test_missed_invalidation_serves_stale_depth_plan(monkeypatch):
+def test_missed_invalidation_serves_the_stale_result(monkeypatch):
     """Negative control for the deepening-insert regression: with the
-    bump disabled, the stale catalogue row keeps selecting the shallow
-    depth-bounded plan (and the stale result survives), so the new
-    deep nodes are dropped — proving the per-document bump, not the
-    pure shape-extraction cache above it, is what keeps reads fresh."""
+    bump disabled the result cached before the insert survives it, so
+    the new deep nodes are dropped — proving the per-document bump, not
+    the depth-free plan above it, is what keeps reads fresh."""
     monkeypatch.setattr(StoreCache, "bump", lambda self, docs=(): None)
     store = XmlStore(encoding="local", cache=True)
     doc = store.load(SHALLOW)

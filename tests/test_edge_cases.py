@@ -181,6 +181,76 @@ class TestDeeperThanTheRecursionLimit:
         assert serialize(parse(pretty, strip_whitespace=True)) == text
 
 
+class TestLocalClosureAtDepth:
+    """Local's closure axes recurse over the rows: a deep document
+    costs a longer walk, not a bigger statement, and a corrupt parent
+    cycle ends the walk instead of feeding it for ever."""
+
+    LEVELS = 70
+
+    @classmethod
+    def _chain(cls) -> str:
+        """``e0/e1/../e69``, a ``leaf`` first under every fifth level,
+        two in the innermost and two after the chain, under the root."""
+        inner = "<leaf/><leaf>t</leaf>"
+        for level in reversed(range(1, cls.LEVELS)):
+            own = "<leaf/>" if level % 5 == 0 else ""
+            inner = f"<e{level}>{own}{inner}</e{level}>"
+        return f"<e0>{inner}<leaf/><leaf/></e0>"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("xpath", [
+        "/e0/e1/following::leaf",
+        "//e3//leaf",
+        "//e60/ancestor::*",
+        "//e65/preceding::leaf",
+        "//e40[leaf]/descendant-or-self::*",
+        "//e60[e61 = 't']",
+    ])
+    def test_depth_70_answers_with_the_oracles_rows(self, backend, xpath):
+        # At fb222ec sqlite refused the first two outright ("at most 64
+        # tables in a join") and minidb parsed 312 kB of SQL for them.
+        document = parse(self._chain())
+        store = XmlStore(backend=backend, encoding="local")
+        doc = store.load(document)
+        assert store.document_info(doc).max_depth >= self.LEVELS
+        assert store.query(xpath, doc) != []
+        assert_query_matches_oracle(store, doc, document, xpath)
+        assert len(store.translate(xpath, doc).sql) < 2000
+
+    def test_the_plan_text_does_not_depend_on_any_documents_depth(self):
+        from tests.test_golden_sql import SNAPSHOT_QUERIES
+
+        store = XmlStore(encoding="local", cache=False)
+        shallow = store.load("<a><b><c><d/></c></b></a>")
+        deep = store.load("<a>" * 39 + "<a/>" + "</a>" * 39)
+        assert store.document_info(shallow).max_depth == 4
+        assert store.document_info(deep).max_depth == 40
+        for xpath in SNAPSHOT_QUERIES:
+            assert (
+                store.translate(xpath, shallow).sql
+                == store.translate(xpath, deep).sql
+            ), xpath
+
+    @pytest.mark.skip_audit
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_parent_cycle_ends_every_walk(self, backend):
+        store = XmlStore(backend=backend, encoding="local", cache=False)
+        doc = store.load("<r><a><b><x>t</x></b></a><x/></r>")
+        # a (id 2) becomes the child of its own child b (id 3).
+        store.backend.execute(
+            "UPDATE node_local SET parent = 3 WHERE doc = ? AND id = 2",
+            (doc,),
+        )
+        assert len(store.query("//x", doc)) == 2
+        for xpath in (
+            "/r//x", "//b//x", "//x/ancestor::*", "/r/a/following::x",
+            "//b/following::x", "//x/preceding::*", "//b[x = 't']",
+            "//b[a = 't']",
+        ):
+            store.query(xpath, doc)  # returns; the rows are what they are
+
+
 class TestMiniDbCorners:
     def test_select_without_from(self):
         db = MiniDb()

@@ -130,3 +130,37 @@ def test_only_the_auditor_derives_the_tree_from_parent_pointers():
         and any(alias.name == "group_siblings" for alias in node.names)
     })
     assert users == ["check/invariants.py"], users
+
+
+def test_no_translator_or_plan_key_knows_a_documents_depth():
+    """Local's closure axes recurse over the rows at run time, so no
+    plan is compiled for a depth: ``max_depth`` is neither a translator
+    parameter nor a plan-key component (it was both, and stale values
+    of it were a recurring defect)."""
+    import inspect
+
+    from repro.core.translator import SqlTranslator, make_translator
+    from repro.store import XmlStore
+
+    mentions = sorted({
+        str(path.relative_to(SRC))
+        for path in (SRC / "core" / "translator").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if getattr(node, "id", None) == "max_depth"
+        or getattr(node, "arg", None) == "max_depth"
+        or getattr(node, "attr", None) == "max_depth"
+    })
+    assert not mentions, mentions
+    for callable_ in (make_translator, SqlTranslator.__init__):
+        assert "depth" not in " ".join(
+            inspect.signature(callable_).parameters
+        )
+    assert "depth" not in inspect.getsource(XmlStore.translate).split(
+        '"""'
+    )[2]
+
+    store = XmlStore(encoding="local")
+    for text in ("<a><x/></a>", "<a><b><c><d><x/></d></c></b></a>"):
+        assert len(store.query("//a//x", store.load(text))) == 1
+    (key,) = store.cache._plan.entries
+    assert [type(part) for part in key] == [str, str, bool], key

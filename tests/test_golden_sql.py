@@ -15,6 +15,7 @@ Regenerate the golden file after an intentional SQL-shape change with::
     PYTHONPATH=src python tests/test_golden_sql.py --regen
 """
 
+import hashlib
 import json
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -35,7 +36,6 @@ from repro.xpath import parse_xpath
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_sql.json"
 
 ENCODINGS = ("global", "local", "dewey", "ordpath")
-MAX_DEPTH = 6
 
 #: Fixed corpus for the SQL-text snapshots: one query per structural
 #: family (join chain, descendant, deep attribute, positional, value
@@ -67,10 +67,9 @@ SNAPSHOT_QUERIES = (
 )
 
 #: Per-query relational-operation counts reported by the pre-refactor
-#: string-assembling translators at max_depth=6, captured immediately
-#: before the AST rewrite: [joins, exists, count, or_expansions].
-#: global/dewey/ordpath agree everywhere; local differs only where an
-#: override is listed.
+#: string-assembling translators, captured immediately before the AST
+#: rewrite: [joins, exists, count, recursions].  global/dewey/ordpath
+#: agree everywhere; local differs only where an override is listed.
 STATS_BASELINE = {
     "/bib/book/title": [2, 0, 0, 0],
     "/bib//title": [1, 0, 0, 0],
@@ -98,14 +97,15 @@ STATS_BASELINE = {
     "/bib/book[3]/preceding-sibling::book": [2, 0, 1, 0],
 }
 
-#: The local encoding pays depth-expansion arms (and sometimes an extra
-#: EXISTS) on vertical-recursion and document-order axes.
+#: The local encoding pays one recursive walk per vertical-closure
+#: axis and two (and an EXISTS) per document-order axis; joins, EXISTS
+#: and COUNT are what the depth expansion it replaced reported.
 LOCAL_OVERRIDES = {
-    "/bib//title": [1, 0, 0, 4],
-    "/bib/book[1]/following::title": [2, 1, 1, 8],
-    "/bib/book/ancestor::bib": [2, 0, 0, 4],
-    "//book/ancestor-or-self::*": [1, 0, 0, 4],
-    "/bib/book/descendant::text()": [2, 0, 0, 4],
+    "/bib//title": [1, 0, 0, 1],
+    "/bib/book[1]/following::title": [2, 1, 1, 2],
+    "/bib/book/ancestor::bib": [2, 0, 0, 1],
+    "//book/ancestor-or-self::*": [1, 0, 0, 1],
+    "/bib/book/descendant::text()": [2, 0, 0, 1],
 }
 
 
@@ -123,7 +123,7 @@ INDEX_SNAPSHOT_QUERIES = (
 
 
 def snapshot_sql(encoding: str) -> dict:
-    translator = make_translator(encoding, MAX_DEPTH)
+    translator = make_translator(encoding)
     return {
         xpath: translator.translate(xpath, doc=1).sql
         for xpath in SNAPSHOT_QUERIES
@@ -132,7 +132,7 @@ def snapshot_sql(encoding: str) -> dict:
 
 def snapshot_index_plans(encoding: str) -> dict:
     """Access path and SQL of an indexed document's plans."""
-    translator = make_translator(encoding, MAX_DEPTH)
+    translator = make_translator(encoding)
     out = {}
     for xpath in INDEX_SNAPSHOT_QUERIES:
         shaped, _literals = extract_shape(parse_xpath(xpath))
@@ -167,6 +167,33 @@ class TestGoldenSql:
         for xpath, sql in golden[encoding].items():
             for literal in ("Smith", "'1'", "'3'"):
                 assert literal not in sql, (xpath, literal)
+
+
+#: sha256 over ``[golden[enc], golden["index_plans"][enc]]`` (JSON,
+#: sorted keys) as of fb222ec, the commit before Local's closure axes
+#: became recursive: that change was Local's alone.
+UNTOUCHED_BY_THE_RECURSION = {
+    "global":
+        "750cff2d995a328624fee24965481fc705e6eaab1add775023bceafbed837ae1",
+    "dewey":
+        "c738dad103d6e8721cb517275e336047f6d078e40cd002a53095ea4375258bdf",
+    "ordpath":
+        "a2b73a5e46fdc2a296f80d49f80d0309b14ad362d78844210758a5f06b24e32a",
+}
+
+
+@pytest.mark.parametrize("encoding", sorted(UNTOUCHED_BY_THE_RECURSION))
+def test_only_locals_golden_text_moved_with_the_recursion(encoding):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    blob = json.dumps(
+        [golden[encoding], golden["index_plans"][encoding]], sort_keys=True
+    ).encode()
+    assert (
+        hashlib.sha256(blob).hexdigest()
+        == UNTOUCHED_BY_THE_RECURSION[encoding]
+    )
+    assert "RECURSIVE" not in blob.decode()
+    assert "WITH RECURSIVE" in json.dumps(golden["local"])
 
 
 class TestGoldenIndexPlans:
@@ -274,6 +301,7 @@ class TestGoldenSqlParses:
             "ordpath_successor": (okey,),
             "xpath_number": (" 12.50 ",),
             "path_match": ("/bib/book/title", "/bib//title"),
+            "lpos_key": (40,),
         }
         assert set(inputs) == {name for name, _a, _f in SCALAR_FUNCTIONS}
         engines = [make_backend("sqlite"), make_backend("minidb")]
@@ -292,7 +320,7 @@ class TestStatsBaseline:
         """compute_stats over the expression AST reproduces the counts
         the pre-refactor translators accumulated while gluing strings —
         E9's cost model is unchanged by the rewrite."""
-        translator = make_translator(encoding, MAX_DEPTH)
+        translator = make_translator(encoding)
         for xpath, base in STATS_BASELINE.items():
             if encoding == "local":
                 base = LOCAL_OVERRIDES.get(xpath, base)
@@ -301,7 +329,7 @@ class TestStatsBaseline:
                 stats.joins,
                 stats.exists_subqueries,
                 stats.count_subqueries,
-                stats.or_expansions,
+                stats.recursions,
             ]
             assert got == base, (encoding, xpath)
 

@@ -200,7 +200,7 @@ class TestIndexLifecycle:
         rng = random.Random(5)
         shapes = {indexable_xpath(rng) for _ in range(200)}
         assert len(shapes) > 100
-        translator = make_translator(encoding, max_depth=2)
+        translator = make_translator(encoding)
         for xpath in shapes:
             plain = translator.compile(xpath)
             assert (plain.access_path, plain.index_miss) == ("scan", True)
@@ -404,7 +404,7 @@ class TestIndexAdvisor:
         """Eligible is what the compiler rewrites, and nothing else
         under ``src/`` holds an opinion: a bare child path is (the path
         index serves it), a positional path with ``//`` is not."""
-        translator = make_translator("dewey", max_depth=4)
+        translator = make_translator("dewey")
         missed = lambda xpath: (  # noqa: E731
             translator.compile(xpath).index_miss
         )

@@ -186,6 +186,121 @@ class TestSubqueries:
         assert result.rows == [(None,)]
 
 
+class TestRecursion:
+    """``WITH [RECURSIVE]``: the bosses above dee are cid and ann."""
+
+    CHAIN = (
+        "WITH RECURSIVE up(id, boss) AS ("
+        "SELECT id, boss FROM emp WHERE id = ? "
+        "UNION SELECT b.id, b.boss FROM up, emp b WHERE b.id = up.boss) "
+    )
+
+    def test_top_level_closure(self, db):
+        result = db.execute(self.CHAIN + "SELECT id FROM up ORDER BY id",
+                            (4,))
+        assert result.columns == ("id",)
+        assert result.rows == [(1,), (3,), (4,)]
+
+    def test_each_round_runs_the_step_on_the_rows_just_added(self, db):
+        # Semi-naive: three levels, one point probe each for the two
+        # bosses, one more that finds nobody above ann (boss NULL
+        # matches nothing) - not a rescan of everything found so far.
+        db.reset_stats()
+        db.execute(self.CHAIN + "SELECT id FROM up", (4,))
+        assert db.stats.rows_read == 3
+        assert db.stats.full_scans == 0
+
+    def test_inside_exists_correlated_in_anchor_and_step(self, db):
+        # Who has a boss, at any distance, paid less than twice as
+        # much?  The anchor starts at the outer row, the step filters
+        # on it.
+        result = db.execute(
+            "SELECT name FROM emp e WHERE EXISTS ("
+            "WITH RECURSIVE up(id, boss) AS ("
+            "SELECT e.id, e.boss UNION "
+            "SELECT b.id, b.boss FROM up, emp b "
+            "WHERE b.id = up.boss AND b.salary < e.salary * 2) "
+            "SELECT 1 FROM up WHERE up.id != e.id) ORDER BY name"
+        )
+        assert [r[0] for r in result.rows] == ["bob", "cid", "dee", "eve"]
+
+    def test_inside_in(self, db):
+        result = db.execute(
+            "SELECT name FROM emp e WHERE 3 IN ("
+            "WITH RECURSIVE up(id, boss) AS ("
+            "SELECT e.id, e.boss UNION "
+            "SELECT b.id, b.boss FROM up, emp b WHERE b.id = up.boss) "
+            "SELECT id FROM up) ORDER BY name"
+        )
+        assert [r[0] for r in result.rows] == ["cid", "dee"]
+
+    def test_as_a_derived_table_it_is_evaluated_per_outer_row(self, db):
+        result = db.execute(
+            "SELECT name, (SELECT COUNT(*) FROM ("
+            "WITH RECURSIVE up(id, boss) AS ("
+            "SELECT e.id, e.boss UNION "
+            "SELECT b.id, b.boss FROM up, emp b WHERE b.id = up.boss) "
+            "SELECT id FROM up) chain) FROM emp e ORDER BY e.id"
+        )
+        assert [r[1] for r in result.rows] == [1, 2, 2, 3, 2]
+
+    def test_union_ends_a_cycle_that_union_all_would_not(self, db):
+        db.execute("UPDATE emp SET boss = 4 WHERE id = 1")  # 4 > 3 > 1 > 4
+        result = db.execute(self.CHAIN + "SELECT id FROM up ORDER BY id",
+                            (4,))
+        assert result.rows == [(1,), (3,), (4,)]
+
+    def test_union_all_keeps_duplicates_and_needs_its_own_stop(self, db):
+        result = db.execute(
+            "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL "
+            "SELECT n + 1 FROM r WHERE n < 4) SELECT n FROM r"
+        )
+        assert result.rows == [(1,), (2,), (3,), (4,)]
+        result = db.execute(
+            "WITH RECURSIVE r(n, d) AS (SELECT 1, 0 UNION ALL "
+            "SELECT 1, d + 1 FROM r WHERE d < 2) SELECT n FROM r"
+        )
+        assert result.rows == [(1,), (1,), (1,)]
+
+    def test_non_recursive_with_is_a_named_subquery(self, db):
+        result = db.execute(
+            "WITH heads(dept, n) AS ("
+            "SELECT dept, COUNT(*) FROM emp GROUP BY dept) "
+            "SELECT e.name, h.n FROM emp e, heads h "
+            "WHERE h.dept = e.dept AND h.n > 1 ORDER BY e.name"
+        )
+        assert result.rows == [
+            ("ann", 2), ("bob", 2), ("cid", 2), ("dee", 2),
+        ]
+
+    def test_column_list_must_match_the_select(self, db):
+        with pytest.raises(ExecutionError):
+            db.execute("WITH w(a, b) AS (SELECT 1) SELECT a FROM w")
+
+    def test_explain_names_the_steps_access_method(self, db):
+        lines = db.explain(self.CHAIN + "SELECT id FROM up")
+        assert lines[0] == "WITH RECURSIVE up(id, boss):"
+        steps = [line for line in lines if line.startswith("  step: ")]
+        assert len(steps) == 2
+        assert "common table up" in steps[0]
+        assert "INDEX ux_emp_id (eq[1])" in steps[1]
+
+    def test_explain_shows_a_subquerys_plan_under_its_select(self, db):
+        lines = db.explain(
+            "SELECT name FROM emp e WHERE EXISTS ("
+            "WITH RECURSIVE up(id, boss) AS ("
+            "SELECT e.id, e.boss UNION "
+            "SELECT b.id, b.boss FROM up, emp b WHERE b.id = up.boss) "
+            "SELECT 1 FROM up WHERE up.id = 1)"
+        )
+        assert "FULL SCAN" in lines[0]
+        assert any(
+            line.startswith("  [subquery]   step: ")
+            and "INDEX ux_emp_id" in line
+            for line in lines
+        )
+
+
 class TestAggregates:
     def test_global_aggregates(self, db):
         result = db.execute(

@@ -24,6 +24,7 @@ from repro.minidb.sql_ast import (
     Union_,
     Unary,
     Update,
+    With,
 )
 from repro.minidb.sql_lexer import tokenize_sql
 from repro.minidb.sql_parser import parse_sql
@@ -286,3 +287,84 @@ class TestSelect:
             parse_sql("SELEC 1")
         with pytest.raises(SqlSyntaxError):
             parse_sql("SELECT 1 2")  # a number cannot be an alias
+
+
+CHAIN = (
+    "WITH RECURSIVE up(id, boss) AS ("
+    "SELECT id, boss FROM emp WHERE id = ? "
+    "UNION SELECT e.id, e.boss FROM up, emp e WHERE e.id = up.boss) "
+)
+
+
+class TestWith:
+    def test_recursive_splits_into_anchor_and_step(self):
+        stmt = parse_sql(CHAIN + "SELECT id FROM up ORDER BY id")
+        assert isinstance(stmt, With)
+        assert (stmt.name, stmt.columns) == ("up", ("id", "boss"))
+        assert stmt.query.from_items[0].source == TableSource("emp")
+        assert [f.alias for f in stmt.step.from_items] == ["up", "e"]
+        assert not stmt.union_all
+        assert stmt.body.order_by
+
+    def test_union_all_is_kept(self):
+        stmt = parse_sql(
+            "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL "
+            "SELECT n + 1 FROM r WHERE n < 5) SELECT n FROM r"
+        )
+        assert stmt.union_all and stmt.step is not None
+
+    def test_without_self_reference_there_is_no_step(self):
+        for keyword in ("WITH", "WITH RECURSIVE"):
+            stmt = parse_sql(
+                f"{keyword} w(x) AS (SELECT id FROM emp UNION "
+                "SELECT boss FROM emp) SELECT x FROM w"
+            )
+            assert stmt.step is None
+            assert isinstance(stmt.query, Union_)
+
+    def test_accepted_wherever_a_subquery_select_is(self):
+        inner = CHAIN + "SELECT id FROM up"
+        stmt = parse_sql(
+            f"SELECT 1 FROM ({inner}) d WHERE EXISTS ({inner}) "
+            f"AND 1 IN ({inner}) AND ({inner}) = 1"
+        )
+        assert isinstance(stmt.from_items[0].source.select, With)
+        exists, in_select, scalar = (
+            stmt.where.left.left,
+            stmt.where.left.right,
+            stmt.where.right.left,
+        )
+        assert isinstance(exists, Exists)
+        assert isinstance(exists.select, With)
+        assert isinstance(in_select, InSelect)
+        assert isinstance(in_select.select, With)
+        assert isinstance(scalar, ScalarSubquery)
+        assert isinstance(scalar.select, With)
+
+    def test_params_number_through_the_definition_in_source_order(self):
+        stmt = parse_sql(CHAIN + "SELECT id FROM up WHERE id > ?")
+        assert stmt.query.where.right == Param(0)
+        assert stmt.body.where.right == Param(1)
+
+    @pytest.mark.parametrize("sql, complaint", [
+        ("WITH RECURSIVE w AS (SELECT 1) SELECT * FROM w",
+         "needs a column list"),
+        ("WITH RECURSIVE w(a) AS (SELECT 1 UNION "
+         "SELECT x.a FROM w x, w y) SELECT a FROM w",
+         "exactly once"),
+        ("WITH RECURSIVE w(a) AS (SELECT 1 UNION SELECT 2 FROM emp "
+         "WHERE EXISTS (SELECT 1 FROM w)) SELECT a FROM w",
+         "exactly once"),
+        ("WITH RECURSIVE w(a) AS (SELECT a FROM w UNION SELECT 1) "
+         "SELECT a FROM w",
+         "exactly once"),
+        ("WITH RECURSIVE w(a) AS (SELECT a FROM w) SELECT a FROM w",
+         "one anchor select"),
+        ("WITH w(a) AS (SELECT 1 UNION SELECT a FROM w) SELECT a FROM w",
+         "WITH RECURSIVE"),
+        ("WITH a(x) AS (SELECT 1), b(y) AS (SELECT 2) SELECT x FROM a",
+         "expected SELECT"),
+    ])
+    def test_malformed_definitions_raise_typed(self, sql, complaint):
+        with pytest.raises(SqlSyntaxError, match=complaint):
+            parse_sql(sql)

@@ -31,6 +31,24 @@ QUERIES = [
     "SELECT a, b FROM t WHERE NOT (a = 1 OR b = 2) ORDER BY a, b, c",
     "SELECT CAST(c AS TEXT) FROM t WHERE a = 2 ORDER BY c LIMIT 3",
     "SELECT a + b, a - b, a * b FROM t ORDER BY a, b, c LIMIT 5",
+    # Common table expressions.  Read (a, b) as an edge a -> b: the
+    # random rows are full of cycles, which UNION must cut.
+    "WITH RECURSIVE r(n) AS (SELECT 0 UNION "
+    "SELECT t.b FROM r, t WHERE t.a = r.n) SELECT n FROM r ORDER BY n",
+    "SELECT c FROM t u WHERE EXISTS (WITH RECURSIVE r(n) AS ("
+    "SELECT u.b UNION SELECT t.b FROM r, t WHERE t.a = r.n "
+    "AND t.b >= u.a) SELECT 1 FROM r WHERE r.n = 5) ORDER BY c",
+    "SELECT a, b FROM t u WHERE 3 IN (WITH RECURSIVE r(n) AS ("
+    "SELECT u.a UNION SELECT t.b FROM r, t WHERE t.a = r.n) "
+    "SELECT n FROM r) ORDER BY a, b, c",
+    "SELECT a, (SELECT COUNT(*) FROM (WITH RECURSIVE r(n) AS ("
+    "SELECT u.a UNION SELECT t.b FROM r, t WHERE t.a = r.n) "
+    "SELECT n FROM r) d) FROM t u ORDER BY a, b, c",
+    "WITH RECURSIVE r(n, hops) AS (SELECT 0, 0 UNION ALL "
+    "SELECT t.b, r.hops + 1 FROM r, t WHERE t.a = r.n AND r.hops < 3) "
+    "SELECT n, hops FROM r ORDER BY hops, n",
+    "WITH w(x, y) AS (SELECT a, COUNT(*) FROM t GROUP BY a) "
+    "SELECT x, y FROM w WHERE y > 1 ORDER BY x",
 ]
 
 rows_strategy = st.lists(

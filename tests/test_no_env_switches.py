@@ -42,3 +42,18 @@ def test_only_the_supervisor_touches_the_environment():
         if (lines := environment_reads(path.read_text()))
     }
     assert set(readers) <= ALLOWED, readers
+
+
+def test_tier1_runs_the_same_hypothesis_examples_every_time(request):
+    """``tests/conftest.py`` loads a derandomized profile with no
+    example database, and chooses it without reading the environment
+    either; only ``--hypothesis-profile`` selects another."""
+    import pytest
+    from hypothesis import settings
+
+    conftest = Path(__file__).with_name("conftest.py").read_text()
+    assert environment_reads(conftest) == []
+    if request.config.getoption("--hypothesis-profile"):
+        pytest.skip("a profile was selected on the command line")
+    assert settings.default.derandomize
+    assert settings.default.database is None

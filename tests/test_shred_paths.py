@@ -13,7 +13,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.check import xmlfuzz
 from repro.core import dewey
@@ -106,6 +106,9 @@ class TestTextPathEqualsDomPath:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 100_000), strip=st.booleans())
+    # A mutant that stays well-formed with an element's attributes out
+    # of name order: the tables carry no attribute position.
+    @example(seed=184, strip=False)
     def test_malformed_input_raises_the_same_error_either_way(
         self, seed, strip
     ):
@@ -125,7 +128,10 @@ class TestTextPathEqualsDomPath:
             assert store.documents() == []
         else:
             doc = store.load(damaged, strip_whitespace=strip)
-            assert serialize(store.reconstruct(doc)) == serialize(expected)
+            # Attribute order is not part of the model (XPath leaves it
+            # implementation-defined; rows come back name-sorted), so
+            # compare trees, whose attributes are a mapping, not text.
+            assert store.reconstruct(doc).structurally_equal(expected)
 
 
 class TestByteMutationFuzz:

@@ -11,11 +11,13 @@ from repro.core.relalg import (
     Col,
     CompiledPlan,
     Const,
+    Exists,
     FixedSlot,
     LitSlot,
     Not,
     Or,
     Param,
+    Recursive,
     ScalarCount,
     Select,
     SelectItem,
@@ -29,7 +31,6 @@ from repro.core.sqlgen import (
     AliasGenerator,
     SelectBuilder,
     all_of,
-    any_of,
     exists,
     scalar_count,
 )
@@ -63,11 +64,6 @@ class TestCombinators:
 
     def test_all_of_empty_is_none(self):
         assert all_of([None, None]) is None
-
-    def test_any_of_carries_expansion_arms(self):
-        cond = any_of([Bool(True), Bool(False)], expansion_arms=4)
-        assert isinstance(cond, Or)
-        assert cond.expansion_arms == 4
 
 
 class TestAliasGenerator:
@@ -194,7 +190,7 @@ class TestHelpers:
     def test_translation_stats_total(self):
         stats = TranslationStats(
             joins=2, exists_subqueries=1, count_subqueries=1,
-            or_expansions=3,
+            recursions=3,
         )
         assert stats.total_relational_operations() == 7
 
@@ -233,10 +229,27 @@ class TestStats:
         b.add_where(exists(sub, counted=False))
         assert compute_stats(b.build()).exists_subqueries == 0
 
-    def test_or_expansions(self):
+    def test_recursions(self):
+        walk = Recursive(
+            "w", ("id",),
+            anchor=Select((SelectItem(Col("n0", "id")),)),
+            step=Select(
+                (SelectItem(Col("p", "id")),),
+                (("w", "w"), ("t", "p")), count_joins=False,
+            ),
+            body=Select((SelectItem(Const(1)),), (("w", "w"),)),
+        )
         b = simple_builder()
-        b.add_where(any_of([Bool(True), Bool(True)], expansion_arms=7))
-        assert compute_stats(b.build()).or_expansions == 7
+        b.add_where(Exists(walk, counted=False))
+        stats = compute_stats(b.build())
+        assert (stats.recursions, stats.exists_subqueries, stats.joins) == (
+            1, 0, 0
+        )
+        sql, _slots = compile_text(b.build())
+        assert (
+            "EXISTS (WITH RECURSIVE w(id) AS (SELECT n0.id UNION "
+            "SELECT p.id FROM w, t p) SELECT 1 FROM w)"
+        ) in sql
 
 
 class TestCompiledPlanBind:

@@ -12,8 +12,8 @@ from repro.errors import TranslationError, UnsupportedXPathError
 from repro.xpath import parse_xpath
 
 
-def translate(encoding, xpath, max_depth=6):
-    return make_translator(encoding, max_depth).translate(xpath, doc=1)
+def translate(encoding, xpath):
+    return make_translator(encoding).translate(xpath, doc=1)
 
 
 class TestNormalization:
@@ -150,7 +150,7 @@ class TestGlobalEncoding:
     def test_following_is_single_comparison(self):
         translated = translate("global", "/bib/book[1]/following::title")
         assert ".pos > " in translated.sql
-        assert translated.stats.or_expansions == 0
+        assert translated.stats.recursions == 0
 
     def test_orders_by_pos(self):
         translated = translate("global", "/bib/book")
@@ -174,11 +174,13 @@ class TestDeweyEncoding:
 
 
 class TestLocalEncoding:
-    def test_descendant_expands_by_depth(self):
-        shallow = translate("local", "/bib//title", max_depth=4)
-        deep = translate("local", "/bib//title", max_depth=10)
-        assert deep.stats.or_expansions > shallow.stats.or_expansions
-        assert "EXISTS (" in shallow.sql
+    def test_descendant_is_one_recursion_whatever_the_depth(self):
+        translated = translate("local", "/bib//title")
+        assert translated.stats.recursions == 1
+        assert translated.sql.count("EXISTS (WITH RECURSIVE") == 1
+        # The walk climbs from the candidate and stops at the depth the
+        # context's row stores; no document's depth is in the plan.
+        assert ".depth + 1" in translated.sql
 
     def test_needs_client_order(self):
         translated = translate("local", "/bib/book")
@@ -190,19 +192,20 @@ class TestLocalEncoding:
             "local", "/bib/book/title/following-sibling::author"
         )
         assert ".lpos >" in translated.sql
-        assert translated.stats.or_expansions == 0
+        assert translated.stats.recursions == 0
 
     def test_document_order_positional_untranslatable(self):
         with pytest.raises(TranslationError):
             translate("local", "/bib/book[1]/following::author[2]")
 
     def test_following_axis_is_triple_expansion(self):
-        translated = translate(
-            "local", "/bib/book[1]/following::author", max_depth=5
-        )
-        # ancestor-or-self x following-sibling x descendant-or-self
-        assert translated.stats.exists_subqueries >= 1
-        assert translated.stats.or_expansions >= 6
+        translated = translate("local", "/bib/book/following::author")
+        # ancestor-or-self x following-sibling x descendant-or-self:
+        # the candidate's walk up, and nested in it the context's,
+        # around one sibling comparison.
+        assert translated.stats.exists_subqueries == 1
+        assert translated.stats.recursions == 2
+        assert translated.sql.count(".lpos < ") == 1
 
     def test_global_and_dewey_allow_doc_order_positionals(self):
         for encoding in ("global", "dewey"):

@@ -22,7 +22,7 @@ import threading
 from typing import Iterable, Sequence
 
 from repro.backends.base import Backend, BackendResult, is_write_statement
-from repro.backends.sqlite_backend import connect_sqlite
+from repro.backends.sqlite_backend import connect_sqlite, execute_typed
 from repro.concurrent.pool import ConnectionPool
 from repro.errors import StorageError
 from repro.obs import METRICS
@@ -67,9 +67,7 @@ class PooledSqliteBackend(Backend):
 
     def execute(self, sql: str, params: Sequence = ()) -> BackendResult:
         with self.pool.connection() as conn:
-            cursor = conn.execute(sql, tuple(params))
-            rows = cursor.fetchall()
-            rowcount = cursor.rowcount
+            rows, rowcount = execute_typed(conn, sql, tuple(params))
             if rowcount > 0 and is_write_statement(sql):
                 with self._written_lock:
                     self._rows_written += rowcount

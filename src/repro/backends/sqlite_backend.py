@@ -15,7 +15,49 @@ from typing import Iterable, Optional, Sequence
 
 from repro.backends.base import Backend, BackendResult, is_write_statement
 from repro.core.scalars import SCALAR_FUNCTIONS
+from repro.errors import ReproError
 from repro.obs import METRICS
+
+#: ``raised``: the library error a scalar function raised on this
+#: thread inside the statement now executing (see :func:`execute_typed`).
+_scalar_failure = threading.local()
+
+
+def _remembering(fn):
+    """*fn* as registered with sqlite: a library error it raises is
+    kept for :func:`execute_typed` before sqlite discards it."""
+
+    def scalar(*args):
+        try:
+            return fn(*args)
+        except ReproError as exc:
+            _scalar_failure.raised = exc
+            raise
+
+    return scalar
+
+
+def execute_typed(
+    conn: sqlite3.Connection, sql: str, params: tuple
+) -> tuple[list, int]:
+    """Run one statement to its end — ``(rows, rowcount)`` — so that a
+    scalar function's own error survives.
+
+    sqlite reports whatever a user-defined function raises as
+    ``OperationalError: user-defined function raised exception`` and
+    drops the exception; a scalar runs on the thread that executes the
+    statement, so the typed error (a key leaving the codec's range
+    under ``dewey_shift``, a corrupt stored key) is remembered per
+    thread and re-raised in its place, as minidb raises it directly.
+    """
+    try:
+        cursor = conn.execute(sql, params)
+        return cursor.fetchall(), cursor.rowcount
+    except sqlite3.OperationalError as exc:
+        raised = _scalar_failure.__dict__.pop("raised", None)
+        if raised is None:
+            raise
+        raise raised from exc
 
 
 def connect_sqlite(
@@ -52,7 +94,9 @@ def connect_sqlite(
     # the RetryPolicy layer classifies that as transient).
     conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_ms)}")
     for fn_name, arity, fn in SCALAR_FUNCTIONS:
-        conn.create_function(fn_name, arity, fn, deterministic=True)
+        conn.create_function(
+            fn_name, arity, _remembering(fn), deterministic=True
+        )
     return conn
 
 
@@ -79,9 +123,7 @@ class SqliteBackend(Backend):
 
     def execute(self, sql: str, params: Sequence = ()) -> BackendResult:
         with self._lock:
-            cursor = self._conn.execute(sql, tuple(params))
-            rows = cursor.fetchall()
-            rowcount = cursor.rowcount
+            rows, rowcount = execute_typed(self._conn, sql, tuple(params))
             if rowcount > 0 and is_write_statement(sql):
                 self._rows_written += rowcount
                 METRICS.inc("backend.rows_written", rowcount)

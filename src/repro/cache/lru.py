@@ -15,8 +15,8 @@ A :class:`StoreCache` holds three LRU layers:
   write changes which key the next read asks for (an index created or
   dropped), never what a key means.
 * **catalog** — per-document catalogue state, keyed on the doc id:
-  the :class:`~repro.store.DocumentInfo` row and whether the document
-  is indexed.
+  the :class:`~repro.store.DocumentInfo` row, which says whether the
+  document is indexed.
 * **result** — materialized query results, keyed on
   ``(doc, xpath, context_id)``.
 
@@ -273,15 +273,6 @@ class StoreCache:
     def put_catalog(self, doc: int, value: Any, observed_epoch: int
                     ) -> bool:
         return self._put(self._catalog, (doc, "info"), value,
-                         observed_epoch)
-
-    def get_indexed(self, doc: int) -> Optional[bool]:
-        """Whether *doc* is indexed, or ``None`` on a miss."""
-        return self._get(self._catalog, (doc, "indexed"))
-
-    def put_indexed(self, doc: int, value: bool,
-                    observed_epoch: int) -> bool:
-        return self._put(self._catalog, (doc, "indexed"), value,
                          observed_epoch)
 
     def get_result(self, key: tuple) -> Optional[Any]:

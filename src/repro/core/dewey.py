@@ -262,3 +262,26 @@ def dewey_parent_bytes(data: bytes) -> Optional[bytes]:
 def dewey_successor_bytes(data: bytes) -> bytes:
     """SQL scalar: binary upper bound of the node's subtree range."""
     return DeweyKey.decode(data).sibling_successor().encode()
+
+
+def dewey_shift(data: bytes, level: int, delta: int) -> bytes:
+    """SQL scalar: *data* with component *level* (0-based) moved by
+    *delta* — how every key of a subtree follows its root to another
+    sibling slot, evaluated by the engine inside one ``UPDATE``.
+
+    Works on the bytes: the components before *level* are skipped by
+    their lead bytes, the one component is re-encoded (it may change
+    width), and the descendants' suffix is spliced back untouched.
+    """
+    start = 0
+    for _ in range(level):
+        if start >= len(data):
+            break
+        start += _component_length(data[start])
+    if start >= len(data):
+        raise EncodingError(
+            f"Dewey key of {len(data)} bytes has no component {level}"
+        )
+    end = start + _component_length(data[start])
+    (value,) = decode_components(data[start:end])
+    return data[:start] + encode_component(value + delta) + data[end:]

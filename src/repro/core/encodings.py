@@ -328,6 +328,11 @@ class PrefixKeyEncoding(OrderEncoding):
     #: subtree range, and the key of its parent.
     successor_function: str
     parent_function: str
+    #: SQL scalar ``f(key, level, delta)`` moving one component of a
+    #: key: how a subtree's keys follow their root to a later sibling
+    #: slot.  ``None`` for an encoding whose :meth:`child_slot` never
+    #: asks for a shift.
+    shift_function: Optional[str] = None
     #: Python form of :attr:`successor_function`.
     successor_bytes: Callable[[bytes], bytes]
     #: The codec of one key component.  Both codecs work component by
@@ -358,13 +363,6 @@ class PrefixKeyEncoding(OrderEncoding):
         following siblings' subtrees must move up first to make room
         (0 when the key fits without touching an existing row).
         """
-
-    def shifted_key(self, key: bytes, level: int, shift: int) -> bytes:
-        """*key* with component *level* moved up by *shift*: how every
-        key of a subtree follows its root to a later sibling slot."""
-        components = list(self.key_type.decode(key).components)
-        components[level] += shift
-        return self.key_type(components).encode()
 
     def order_values(self, node: ShreddedNode, gap: int) -> tuple:
         components = self.fresh_components(node.dewey, gap)
@@ -465,6 +463,7 @@ class DeweyEncoding(PrefixKeyEncoding):
     key_type = DeweyKey
     successor_function = "dewey_successor"
     parent_function = "dewey_parent"
+    shift_function = "dewey_shift"
     successor_bytes = staticmethod(dewey_successor_bytes)
     component_bytes = staticmethod(encode_component)
 

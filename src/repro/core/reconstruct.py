@@ -39,17 +39,20 @@ from repro.xmldom.parser import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.encodings import OrderEncoding
     from repro.store import XmlStore
 
 
 def ordered_rows(
-    store: "XmlStore", doc: int, root_row: Optional[dict] = None
+    store: "XmlStore", doc: int, root_row: Optional[dict] = None,
+    encoding: Optional["OrderEncoding"] = None,
 ) -> list[tuple]:
     """``(id, parent, kind, tag, value)`` of every node of *doc* in
     document order — or, with *root_row* (a
     :meth:`~repro.store.XmlStore.fetch_node` dict), of that node's
-    subtree, root first."""
-    encoding = store.encoding_for(doc)
+    subtree, root first.  *encoding* is *doc*'s, for a caller that has
+    already resolved it."""
+    encoding = encoding or store.encoding_for(doc)
     columns = ("id", "parent", "kind", "tag", "value")
     select = f"SELECT {', '.join(columns)}"
     source = f" FROM {encoding.node_table.name} WHERE doc = ?"

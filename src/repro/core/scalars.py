@@ -7,7 +7,11 @@ function the translator emits exists wherever the SQL text runs.
 
 from __future__ import annotations
 
-from repro.core.dewey import dewey_parent_bytes, dewey_successor_bytes
+from repro.core.dewey import (
+    dewey_parent_bytes,
+    dewey_shift,
+    dewey_successor_bytes,
+)
 from repro.core.numeric import xpath_number_value
 from repro.core.ordpath import ordpath_parent_bytes, ordpath_successor_bytes
 from repro.core.pathmatch import path_match
@@ -28,6 +32,7 @@ def lpos_key(lpos: int) -> str:
 SCALAR_FUNCTIONS = (
     ("dewey_parent", 1, dewey_parent_bytes),
     ("dewey_successor", 1, dewey_successor_bytes),
+    ("dewey_shift", 3, dewey_shift),
     ("ordpath_parent", 1, ordpath_parent_bytes),
     ("ordpath_successor", 1, ordpath_successor_bytes),
     ("xpath_number", 1, xpath_number_value),

@@ -130,7 +130,9 @@ def global_tables() -> tuple[Table, Table]:
             Index(f"ux_{name}_id", name, ("doc", "id"), unique=True),
             Index(f"ix_{name}_parent", name, ("doc", "parent", "pos")),
             Index(f"ix_{name}_tag", name, ("doc", "tag", "pos")),
-            Index(f"ix_{name}_end", name, ("doc", "endpos")),
+            # No index on endpos: no translated plan reads one on
+            # either engine, and the tail shift of an insert would
+            # maintain it row by row (DESIGN.md, "Updates").
         ),
     )
     return node, _attr_table("global")

@@ -20,6 +20,12 @@ This module implements the paper's update cost model:
   values in the Global encoding remain safe because the vacated interval
   can contain no rows).
 
+Every renumbering is one set-based ``UPDATE`` over the order column,
+evaluated by the engine: ``pos = pos + k, endpos = endpos + k`` for
+Global's tail, ``lpos = lpos + k`` for Local's siblings, ``dkey =
+dewey_shift(dkey, level, k)`` for the key range of Dewey's following
+siblings.  No routine reads rows to write them back one by one.
+
 Every operation returns an :class:`UpdateReport` with the number of rows
 inserted, deleted, and *relabeled* — the engine-independent cost the
 benchmarks chart alongside wall-clock time.
@@ -135,6 +141,13 @@ class UpdateManager:
         migration journal when this is the outermost public operation
         on the migrating document.
 
+        *body* is handed the document's catalogue entry: the one
+        catalogue read of the operation, from which it resolves the
+        encoding (a migration cutover serializes against this
+        transaction, so the entry holds until it ends) and from which
+        index maintenance learns whether there is an index.  A nested
+        operation reads again; the enclosing one has moved the counts.
+
         Runs on whichever thread executes the transaction (the write
         queue's writer thread, under group commit).  Staged entries are
         promoted by the commit path and replayed into the migration's
@@ -144,11 +157,12 @@ class UpdateManager:
         what the commit invalidates cache entries by.
         """
         self.store.note_write(doc)
+        info = self.store.document_info(doc)
         tls = self._tls
         depth = getattr(tls, "depth", 0)
         tls.depth = depth + 1
         try:
-            result = body()
+            result = body(info)
         finally:
             tls.depth = depth
         if depth == 0 and not self.store.is_shadow:
@@ -160,7 +174,9 @@ class UpdateManager:
             # index layer repair only the affected rows instead of
             # rebuilding the document.
             report = result if isinstance(result, UpdateReport) else None
-            self.store.indexes.maintain_in_transaction(doc, report)
+            self.store.indexes.maintain_in_transaction(
+                doc, report, info.indexed
+            )
             migration = self.store._migration
             if migration is not None and migration.doc == doc:
                 migration.journal.stage(entry)
@@ -208,35 +224,37 @@ class UpdateManager:
                 lambda: self._tracked(
                     doc,
                     ("insert", parent_id, index, shredded),
-                    lambda: self._insert_in_transaction(
-                        doc, parent_id, index, shredded
+                    lambda info: self._insert_in_transaction(
+                        info, parent_id, index, shredded
                     ),
                 )
             )
         return self._record("inserts", report)
 
     def _insert_in_transaction(
-        self, doc: int, parent_id: int, index: int,
+        self, info, parent_id: int, index: int,
         shredded: ShreddedDocument,
     ) -> UpdateReport:
-        info = self.store.document_info(doc)
+        # Everything below is handed the encoding resolved here, and
+        # the parent row fetched here.
+        doc = info.doc
+        enc = self._doc_encoding(info)
 
         parent_row = None
         if parent_id != 0:
-            parent_row = self.store.fetch_node(doc, parent_id)
+            parent_row = self.store.fetch_node(doc, parent_id, enc)
             if parent_row is None:
                 raise UpdateError(f"no node {parent_id} in document {doc}")
             if parent_row["kind"] != KIND_ELEMENT:
                 raise UpdateError(
                     f"node {parent_id} is not an element"
                 )
-        children = self.store.fetch_children(doc, parent_id)
+        children = self.store.fetch_children(doc, parent_id, enc)
         if not 0 <= index <= len(children):
             raise UpdateError(
                 f"index {index} out of range for {len(children)} children"
             )
 
-        enc = self._doc_encoding(info)
         report = _INSERT_ROUTINES[enc.name](
             self, doc, parent_id, parent_row, children, index, shredded,
             info, enc,
@@ -289,9 +307,11 @@ class UpdateManager:
         if row["kind"] != KIND_ELEMENT:
             raise UpdateError(f"node {element_id} is not an element")
 
-        def set_text_in_transaction() -> UpdateReport:
+        def set_text_in_transaction(info) -> UpdateReport:
             report = UpdateReport()
-            for child in self.store.fetch_children(doc, element_id):
+            for child in self.store.fetch_children(
+                doc, element_id, self._doc_encoding(info)
+            ):
                 if child["kind"] == KIND_TEXT:
                     report.absorb(self.delete(doc, child["id"]))
             report.absorb(self.insert(doc, element_id, 0, Text(text)))
@@ -314,11 +334,11 @@ class UpdateManager:
             raise UpdateError(f"no node {element_id} in document {doc}")
         if row["kind"] != KIND_ELEMENT:
             raise UpdateError(f"node {element_id} is not an element")
-        def rename_in_transaction() -> UpdateReport:
-            # Resolve the table inside the transaction: the document
-            # may have migrated since the fetch above.
+        def rename_in_transaction(info) -> UpdateReport:
+            # The table as the transaction's catalogue read names it:
+            # the document may have migrated since the fetch above.
             self.store.backend.execute(
-                f"UPDATE {self.store.node_table_for(doc)} "
+                f"UPDATE {self._doc_encoding(info).node_table.name} "
                 f"SET tag = ? WHERE doc = ? AND id = ?",
                 (tag, doc, element_id),
             )
@@ -352,8 +372,8 @@ class UpdateManager:
         if row["kind"] != KIND_ELEMENT:
             raise UpdateError(f"node {element_id} is not an element")
 
-        def set_attribute_in_transaction() -> UpdateReport:
-            attr_table = self.store.attr_table_for(doc)
+        def set_attribute_in_transaction(info) -> UpdateReport:
+            attr_table = self._doc_encoding(info).attr_table.name
             deleted = self.store.backend.execute(
                 f"DELETE FROM {attr_table} "
                 f"WHERE doc = ? AND owner = ? AND name = ?",
@@ -382,25 +402,15 @@ class UpdateManager:
 
     def delete(self, doc: int, node_id: int) -> UpdateReport:
         """Delete the subtree rooted at *node_id*."""
-        row = self.store.fetch_node(doc, node_id)
-        if row is None:
-            raise UpdateError(f"no node {node_id} in document {doc}")
-        parent_id = row["parent"]
-        was_text = row["kind"] == KIND_TEXT
 
-        def delete_in_transaction() -> UpdateReport:
-            info = self.store.document_info(doc)
+        def delete_in_transaction(info) -> UpdateReport:
             enc = self._doc_encoding(info)
-            target = row
-            if enc.sibling_order_column not in target:
-                # The row was fetched before a migration cutover swapped
-                # the document's encoding; re-read its order values.
-                target = self.store.fetch_node(doc, node_id)
-                if target is None:
-                    raise UpdateError(
-                        f"no node {node_id} in document {doc}"
-                    )
-            subtree_ids = self._subtree_ids(doc, target)
+            target = self.store.fetch_node(doc, node_id, enc)
+            if target is None:
+                raise UpdateError(f"no node {node_id} in document {doc}")
+            parent_id = target["parent"]
+            was_text = target["kind"] == KIND_TEXT
+            subtree_ids = self._subtree_ids(doc, target, enc)
             self._delete_attributes(doc, subtree_ids, enc)
             deleted = self._delete_rows(doc, target, subtree_ids, enc)
 
@@ -573,13 +583,19 @@ class UpdateManager:
         else:
             pos_before = 0
 
-        result = self.store.backend.execute(
-            f"SELECT MIN(pos) FROM {table} WHERE doc = ? AND pos > ?",
-            (doc, pos_before),
-        )
-        next_pos = result.rows[0][0] if result.rows else None
+        if index < len(children):
+            # Nothing sits between one sibling's interval and the next.
+            next_pos = children[index]["pos"]
+        else:
+            result = self.store.backend.execute(
+                f"SELECT MIN(pos) FROM {table} WHERE doc = ? AND pos > ?",
+                (doc, pos_before),
+            )
+            next_pos = result.rows[0][0] if result.rows else None
 
         relabeled = 0
+        shifted_from = None  # where the tail began, if it had to move
+        delta = n * gap
         if next_pos is None:
             # Appending past everything: open-ended slots.
             slots = [pos_before + gap * (i + 1) for i in range(n)]
@@ -587,29 +603,23 @@ class UpdateManager:
             next_pos = int(next_pos)
             step = (next_pos - pos_before) // (n + 1)
             if step < 1:
-                delta = n * gap
-                self.store.backend.execute(
-                    f"UPDATE {table} SET pos = pos + ? "
+                # The paper's O(document) case: every interval that
+                # starts at or after the insertion point moves whole.
+                shifted = self.store.backend.execute(
+                    f"UPDATE {table} SET pos = pos + ?, endpos = endpos + ? "
                     f"WHERE doc = ? AND pos >= ?",
-                    (delta, doc, next_pos),
+                    (delta, delta, doc, next_pos),
                 )
-                # Every row with pos >= next_pos also has endpos >= pos,
-                # so the endpos update touches a superset: its rowcount
-                # is the number of distinct rows relabelled.
-                extended = self.store.backend.execute(
-                    f"UPDATE {table} SET endpos = endpos + ? "
-                    f"WHERE doc = ? AND endpos >= ?",
-                    (delta, doc, next_pos),
-                )
-                relabeled += max(extended.rowcount, 0)
+                relabeled += max(shifted.rowcount, 0)
+                shifted_from = next_pos
                 next_pos += delta
                 step = (next_pos - pos_before) // (n + 1)
             slots = [pos_before + step * (i + 1) for i in range(n)]
 
-        last_slot = slots[-1]
-        relabeled += self._extend_global_ancestors(
-            doc, parent_id, last_slot, table
-        )
+        if parent_row is not None:
+            relabeled += self._extend_global_ancestors(
+                doc, parent_row, slots[-1], shifted_from, delta, enc
+            )
 
         ids, parents = self._new_ids(info, shredded, parent_id)
         order_values = [
@@ -625,27 +635,53 @@ class UpdateManager:
         )
 
     def _extend_global_ancestors(
-        self, doc: int, parent_id: int, last_slot: int, table: str
+        self, doc: int, parent_row: dict, last_slot: int,
+        shifted_from: Optional[int], delta: int, enc: OrderEncoding,
     ) -> int:
-        """Extend ancestors whose interval ended before the new nodes.
+        """Grow the intervals that contain the insertion point: the
+        parent's and its ancestors'.
 
-        Rows are re-fetched here because the tail shift may have already
-        moved some ancestors' ``endpos``.
+        All of them start before the insertion point, so the tail shift
+        moved none.  One that reached past the point (``endpos >=
+        shifted_from``) follows the tail by *delta*; one that ended
+        before it is extended to the last new node; the ones between
+        (no shift, already wide enough) stay.  Intervals nest, so if
+        the parent's needs nothing neither does any ancestor's.  Each
+        row is read once — the ancestors by one walk up the parent
+        pointers — and written at most once, by id.
         """
-        relabeled = 0
-        current_id = parent_id
-        while current_id != 0:
-            current = self.store.fetch_node(doc, current_id)
-            if current is None or current["endpos"] >= last_slot:
-                break
-            self.store.backend.execute(
-                f"UPDATE {table} SET endpos = ? "
-                f"WHERE doc = ? AND id = ?",
-                (last_slot, doc, current["id"]),
-            )
-            relabeled += 1
-            current_id = current["parent"]
-        return relabeled
+        table = enc.node_table.name
+        chain = [(parent_row["id"], parent_row["endpos"])]
+        if parent_row["parent"] != 0 and (
+            shifted_from is not None or parent_row["endpos"] < last_slot
+        ):
+            # UNION, not UNION ALL: a corrupt parent cycle terminates.
+            chain += self.store.backend.execute(
+                f"WITH RECURSIVE up(id, parent, endpos) AS ("
+                f"SELECT id, parent, endpos FROM {table} "
+                f"WHERE doc = ? AND id = ? UNION "
+                f"SELECT n.id, n.parent, n.endpos FROM {table} n, up "
+                f"WHERE n.doc = ? AND n.id = up.parent) "
+                f"SELECT id, endpos FROM up",
+                (doc, parent_row["parent"], doc),
+            ).rows
+        follow: list[int] = []
+        extend: list[int] = []
+        for node_id, endpos in chain:
+            if shifted_from is not None and endpos >= shifted_from:
+                follow.append(node_id)
+            elif endpos < last_slot:
+                extend.append(node_id)
+        for assignment, value, ids in (
+            ("endpos = endpos + ?", delta, follow),
+            ("endpos = ?", last_slot, extend),
+        ):
+            for sql, params in self.store.in_batches(
+                f"UPDATE {table} SET {assignment} WHERE doc = ?",
+                "id", ids, (value, doc),
+            ):
+                self.store.backend.execute(sql, params)
+        return len(follow) + len(extend)
 
     # -- Local encoding ------------------------------------------------------------------
 
@@ -681,7 +717,7 @@ class UpdateManager:
                 order_values.append((new_lpos,))
             else:
                 order_values.append((node.sibling_index * gap,))
-        depth_base = self._parent_depth(doc, parent_id)
+        depth_base = parent_row["depth"] if parent_row is not None else 0
         self._insert_rows(
             doc, shredded, ids, parents, depth_base, order_values, enc
         )
@@ -690,12 +726,6 @@ class UpdateManager:
             relabeled=relabeled,
             new_root_id=ids[0],
         )
-
-    def _parent_depth(self, doc: int, parent_id: int) -> int:
-        if parent_id == 0:
-            return 0
-        row = self.store.fetch_node(doc, parent_id)
-        return row["depth"] if row is not None else 0
 
     # -- prefix-key encodings (Dewey, ORDPATH) ---------------------------------------------
 
@@ -711,8 +741,11 @@ class UpdateManager:
         gap = self.store.gap
         column = enc.key_column
         decode = enc.key_type.decode
+        parent_key = decode(
+            parent_row[column] if parent_row is not None else b""
+        )
         root_components, shift = enc.child_slot(
-            decode(parent_row[column] if parent_row is not None else b""),
+            parent_key,
             decode(children[index - 1][column]) if index > 0 else None,
             decode(children[index][column])
             if index < len(children) else None,
@@ -720,11 +753,22 @@ class UpdateManager:
         )
         relabeled = 0
         if shift:
-            # Gap exhausted: shift the following siblings' subtrees up,
-            # relabelling every key under them.  Last sibling first, so
-            # shifted keys never collide.
-            for sibling in reversed(children[index:]):
-                relabeled += self._shift_subtree(doc, sibling, shift, enc)
+            # Gap exhausted: the following siblings and everything
+            # under them — the keys from the right neighbour's to the
+            # end of the parent's range (of the document, at top level)
+            # — move up one slot, the sibling component rewritten in
+            # place by the engine.
+            where, bounds = f"{column} >= ?", (children[index][column],)
+            if parent_row is not None:
+                where += f" AND {column} < ?"
+                bounds += (enc.successor_bytes(bytes(parent_row[column])),)
+            shifted = self.store.backend.execute(
+                f"UPDATE {enc.node_table.name} "
+                f"SET {column} = {enc.shift_function}({column}, ?, ?) "
+                f"WHERE doc = ? AND {where}",
+                (len(parent_key), shift, doc, *bounds),
+            )
+            relabeled = max(shifted.rowcount, 0)
 
         ids, parents = self._new_ids(info, shredded, parent_id)
         order_values = []
@@ -744,36 +788,13 @@ class UpdateManager:
             new_root_id=ids[0],
         )
 
-    def _shift_subtree(
-        self, doc: int, root_row: dict, shift: int,
-        enc: PrefixKeyEncoding,
-    ) -> int:
-        """Relabel a sibling's whole subtree *shift* positions up."""
-        table = enc.node_table.name
-        column = enc.key_column
-        level = len(enc.key_type.decode(root_row[column])) - 1
-        where, bounds = enc.subtree_where(root_row, include_root=True)
-        result = self.store.backend.execute(
-            f"SELECT id, {column} FROM {table} "
-            f"WHERE doc = ? AND {where}",
-            (doc, *bounds),
-        )
-        updates = [
-            (enc.shifted_key(key, level, shift), doc, node_id)
-            for node_id, key in result.rows
-        ]
-        self.store.backend.executemany(
-            f"UPDATE {table} SET {column} = ? "
-            f"WHERE doc = ? AND id = ?",
-            updates,
-        )
-        return len(updates)
-
     # -- deletion -------------------------------------------------------------------------
 
-    def _subtree_ids(self, doc: int, row: dict) -> list[int]:
+    def _subtree_ids(
+        self, doc: int, row: dict, enc: Optional[OrderEncoding] = None
+    ) -> list[int]:
         """Ids of the node and all its descendants."""
-        return [r[0] for r in ordered_rows(self.store, doc, row)]
+        return [r[0] for r in ordered_rows(self.store, doc, row, enc)]
 
     def _delete_attributes(
         self, doc: int, ids: list[int], enc: OrderEncoding

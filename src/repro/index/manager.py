@@ -72,25 +72,10 @@ class IndexManager:
     def exists(self, doc: int) -> bool:
         """Does *doc* have an index (its ``present`` marker row)?
 
-        The one fact the planner takes from here.  Cached beside the
-        document's catalogue row under the same per-document epoch, so
-        only a write to *doc* makes the next call re-read the marker.
+        The one fact the planner takes from here; the store reads it
+        with the document's catalogue row.
         """
-        cache = self.store.cache
-        use_cache = cache.enabled and not self.store._in_own_transaction()
-        if use_cache:
-            hit = cache.get_indexed(doc)
-            if hit is not None:
-                return hit
-            epoch = cache.epoch(doc)
-        present = bool(self.store._execute(
-            "SELECT value FROM idx_stats "
-            "WHERE doc = ? AND kind = 'meta' AND skey = 'present'",
-            (doc,),
-        ).rows)
-        if use_cache:
-            cache.put_indexed(doc, present, epoch)
-        return present
+        return self.store.document_info(doc).indexed
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -135,8 +120,12 @@ class IndexManager:
 
     # -- in-transaction maintenance ---------------------------------------
 
-    def maintain_in_transaction(self, doc: int, report=None) -> None:
-        """Bring *doc*'s index rows up to date after an update.
+    def maintain_in_transaction(
+        self, doc: int, report, indexed: bool
+    ) -> None:
+        """Bring *doc*'s index rows up to date after an update;
+        *indexed* is the update's own catalogue read saying whether
+        there are any.
 
         Runs inside the update's own transaction (called from the
         update manager's outermost tracked scope), so the index can
@@ -155,7 +144,7 @@ class IndexManager:
         """
         if report is not None and report.rows_touched() == 0:
             return
-        if not self.exists(doc):
+        if not indexed:
             return
         exact = report is not None and report.index_exact
         if exact and self._apply_delta_in_transaction(doc, report):

@@ -105,7 +105,10 @@ class DocumentInfo:
 
     ``encoding`` names the order encoding holding this document's rows
     (documents can migrate individually between encodings); ``None``
-    means the store's default encoding.
+    means the store's default encoding.  ``indexed`` is whether the
+    document has a secondary index (``indexes.create`` / ``drop`` write
+    it): read with the row, so neither a query nor an update asks for
+    it separately.
     """
 
     doc: int
@@ -114,6 +117,21 @@ class DocumentInfo:
     max_depth: int
     next_id: int
     encoding: Optional[str] = None
+    indexed: bool = False
+
+
+#: The catalogue read: the ``documents`` columns in
+#: :class:`DocumentInfo` order, then the index's ``present`` marker
+#: (0 or 1 rows of ``idx_stats``).
+_CATALOGUE_SELECT = (
+    "SELECT d.doc, d.name, d.node_count, d.max_depth, d.next_id, "
+    "d.encoding, (SELECT COUNT(*) FROM idx_stats s WHERE s.doc = d.doc "
+    "AND s.kind = 'meta' AND s.skey = 'present') FROM documents d"
+)
+
+
+def _catalogue_entry(row: tuple) -> DocumentInfo:
+    return DocumentInfo(*row[:6], indexed=bool(row[6]))
 
 
 class XmlStore:
@@ -562,14 +580,11 @@ class XmlStore:
 
     def _document_info_uncached(self, doc: int) -> DocumentInfo:
         result = self._execute(
-            "SELECT doc, name, node_count, max_depth, next_id, encoding "
-            "FROM documents WHERE doc = ?",
-            (doc,),
+            f"{_CATALOGUE_SELECT} WHERE d.doc = ?", (doc,)
         )
         if not result.rows:
             raise StorageError(f"no document {doc}")
-        row = result.rows[0]
-        return DocumentInfo(*row)
+        return _catalogue_entry(result.rows[0])
 
     def update_document_info(self, info: DocumentInfo) -> None:
         self._execute(
@@ -606,11 +621,8 @@ class XmlStore:
         return removed
 
     def documents(self) -> list[DocumentInfo]:
-        result = self._execute(
-            "SELECT doc, name, node_count, max_depth, next_id, encoding "
-            "FROM documents ORDER BY doc"
-        )
-        return [DocumentInfo(*row) for row in result.rows]
+        result = self._execute(f"{_CATALOGUE_SELECT} ORDER BY d.doc")
+        return [_catalogue_entry(row) for row in result.rows]
 
     # -- querying ------------------------------------------------------------------
 
@@ -637,8 +649,8 @@ class XmlStore:
         used when it exists.
         """
         shaped, shape_key, literals = _parse_and_extract(xpath)
-        info = self.document_info(doc)  # first: raises if unknown
-        indexed = self.indexes.exists(doc)
+        info = self.document_info(doc)  # raises if unknown
+        indexed = info.indexed
         encoding_name = info.encoding or self.encoding.name
         key = (encoding_name, shape_key, indexed)
         cache = self.cache
@@ -902,9 +914,14 @@ class XmlStore:
 
     # -- row-level helpers shared with updates/reconstruct ------------------------------
 
-    def fetch_node(self, doc: int, node_id: int) -> Optional[dict]:
-        """Fetch one node row as a column->value dict."""
-        encoding = self.encoding_for(doc)
+    def fetch_node(
+        self, doc: int, node_id: int,
+        encoding: Optional[OrderEncoding] = None,
+    ) -> Optional[dict]:
+        """Fetch one node row as a column->value dict.  A caller that
+        has already resolved *doc*'s encoding (an update, which reads
+        the catalogue once per transaction) passes it."""
+        encoding = encoding or self.encoding_for(doc)
         columns = encoding.node_columns()
         result = self._execute(
             f"SELECT {', '.join(columns)} FROM {encoding.node_table.name} "
@@ -915,9 +932,13 @@ class XmlStore:
             return None
         return dict(zip(columns, result.rows[0]))
 
-    def fetch_children(self, doc: int, parent_id: int) -> list[dict]:
-        """Fetch the child rows of *parent_id*, in document order."""
-        encoding = self.encoding_for(doc)
+    def fetch_children(
+        self, doc: int, parent_id: int,
+        encoding: Optional[OrderEncoding] = None,
+    ) -> list[dict]:
+        """Fetch the child rows of *parent_id*, in document order
+        (*encoding* as for :meth:`fetch_node`)."""
+        encoding = encoding or self.encoding_for(doc)
         columns = encoding.node_columns()
         order = encoding.sibling_order_column
         result = self._execute(

@@ -106,21 +106,18 @@ def test_bump_drops_the_written_documents_entries_only():
     for doc in (1, 2):
         epoch = cache.epoch(doc)
         cache.put_catalog(doc, f"info{doc}", epoch)
-        cache.put_indexed(doc, False, epoch)
         cache.put_result((doc, "//a", None), f"rows{doc}", epoch)
     untouched = cache.epoch(2)
     cache.bump([1])
     cache.bump([1])  # a second write to the same document
     assert cache.get_catalog(1) is None
-    assert cache.get_indexed(1) is None
     assert cache.get_result((1, "//a", None)) is None
     assert cache.get_catalog(2) == "info2"
-    assert cache.get_indexed(2) is False
     assert cache.get_result((2, "//a", None)) == "rows2"
     assert cache.get_plan("p") == 0, "plans carry no epoch"
     layers = cache.stats()["layers"]
     assert layers["plan"]["invalidations"] == 0
-    assert layers["catalog"]["invalidations"] == 2
+    assert layers["catalog"]["invalidations"] == 1
     assert layers["result"]["invalidations"] == 1
     # Document 2's epoch is intact: a reader that captured it before
     # the writes to document 1 may still put.

@@ -165,7 +165,7 @@ class TestSchemaBootstrap:
             encoding = get_encoding(name)
             tables += [encoding.node_table, encoding.attr_table]
         statements = [s for t in tables for s in t.create_statements()]
-        assert len(statements) == 46
+        assert len(statements) == 45
         assert all(" IF NOT EXISTS " in s for s in statements)
         for name in BACKENDS:
             backend = make_backend(name)

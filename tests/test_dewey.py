@@ -1,12 +1,13 @@
 """Tests for Dewey keys and the order-preserving binary codec."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.dewey import (
     DeweyKey,
     decode_components,
     dewey_parent_bytes,
+    dewey_shift,
     dewey_successor_bytes,
     encode_component,
 )
@@ -169,3 +170,85 @@ class TestSqlScalars:
         key = DeweyKey.parse("1.2.3")
         assert dewey_successor_bytes(key.encode()) == \
             DeweyKey.parse("1.2.4").encode()
+
+
+#: Top of the 1-, 2- and 3-byte component ranges: one more and the
+#: component — so the key — grows a byte.
+WIDTH_TOPS = (127, 16_511, 2_113_663)
+MAX_COMPONENT = 270_549_119
+
+
+class TestDeweyShift:
+    """``dewey_shift`` works on bytes; the reference decodes the key,
+    moves the component and encodes it again."""
+
+    @staticmethod
+    def reference(comps, level, delta):
+        moved = list(comps)
+        moved[level] += delta
+        return DeweyKey(moved).encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        comps=st.lists(
+            st.one_of(
+                st.integers(0, 300),
+                st.integers(16_000, 17_000),
+                st.integers(2_113_000, 2_114_500),
+            ),
+            min_size=1, max_size=8,
+        ),
+        level=st.integers(0, 7),
+        delta=st.integers(0, 1_500),
+    )
+    @example(comps=[1, 127, 9, 300], level=1, delta=1)
+    @example(comps=[1, 16_511, 9, 300], level=1, delta=1)
+    @example(comps=[1, 2_113_663, 9, 300], level=1, delta=1)
+    @example(comps=[127], level=0, delta=16_385)  # one byte to three
+    @example(comps=[4, 5, 6], level=2, delta=0)
+    def test_equals_decode_move_encode(self, comps, level, delta):
+        assume(level < len(comps))
+        assert dewey_shift(DeweyKey(comps).encode(), level, delta) == (
+            self.reference(comps, level, delta)
+        )
+
+    @pytest.mark.parametrize("top", WIDTH_TOPS)
+    def test_key_grows_and_the_descendants_suffix_survives(self, top):
+        suffix = (3, 200, 70_000)
+        root = DeweyKey((1, top))
+        inside = DeweyKey((1, top, *suffix))
+        moved_root = dewey_shift(root.encode(), 1, 1)
+        moved = dewey_shift(inside.encode(), 1, 1)
+        assert len(moved_root) == len(root.encode()) + 1
+        assert decode_components(moved) == (1, top + 1, *suffix)
+        # Still a descendant, and still in document order after the
+        # sibling that did not move.
+        assert moved_root < moved < dewey_successor_bytes(moved_root)
+        assert inside.encode() < moved_root
+
+    def test_negative_delta_moves_down(self):
+        key = DeweyKey((1, 128, 2)).encode()
+        assert decode_components(dewey_shift(key, 1, -1)) == (1, 127, 2)
+
+    def test_truncated_key_rejected(self):
+        key = DeweyKey((1, 70_000, 2)).encode()
+        cut_inside_level_1 = key[:2]
+        with pytest.raises(EncodingError):
+            dewey_shift(cut_inside_level_1, 1, 1)
+        with pytest.raises(EncodingError):
+            dewey_shift(cut_inside_level_1, 2, 1)  # the skip runs out
+
+    def test_level_past_the_end_rejected(self):
+        key = DeweyKey((1, 2)).encode()
+        with pytest.raises(EncodingError):
+            dewey_shift(key, 2, 1)
+        with pytest.raises(EncodingError):
+            dewey_shift(b"", 0, 1)
+
+    def test_component_leaving_the_codec_range_rejected(self):
+        key = DeweyKey((1, MAX_COMPONENT, 5)).encode()
+        assert decode_components(dewey_shift(key, 1, 0))[1] == MAX_COMPONENT
+        with pytest.raises(EncodingError):
+            dewey_shift(key, 1, 1)
+        with pytest.raises(EncodingError):
+            dewey_shift(DeweyKey((1, 3)).encode(), 1, -4)

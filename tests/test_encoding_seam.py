@@ -164,3 +164,54 @@ def test_no_translator_or_plan_key_knows_a_documents_depth():
         assert len(store.query("//a//x", store.load(text))) == 1
     (key,) = store.cache._plan.entries
     assert [type(part) for part in key] == [str, str, bool], key
+
+
+def per_row_updates(source: str) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of every ``executemany`` whose
+    statement is an ``UPDATE``: a relabel issued once per row."""
+    found = []
+
+    def scan(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = function
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                name = getattr(child, "name", function)
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "executemany"
+                and child.args
+            ):
+                text = "".join(
+                    n.value for n in ast.walk(child.args[0])
+                    if isinstance(n, ast.Constant)
+                    and isinstance(n.value, str)
+                )
+                if text.lstrip().upper().startswith("UPDATE"):
+                    found.append((function, child.lineno))
+            scan(child, name)
+
+    scan(ast.parse(source), "<module>")
+    return found
+
+
+def test_scanner_catches_a_per_row_relabel():
+    loop = (
+        "def _shift(self, table, column, rows):\n"
+        "    self.store.backend.executemany(\n"
+        "        f'UPDATE {table} SET {column} = ? '\n"
+        "        f'WHERE doc = ? AND id = ?', rows)\n"
+        "def _load(self, table, rows):\n"
+        "    self.store.backend.executemany(\n"
+        "        f'INSERT INTO {table} VALUES (?, ?)', rows)\n"
+    )
+    assert per_row_updates(loop) == [("_shift", 2)]
+
+
+def test_renumbering_is_never_a_per_row_update():
+    """Every renumbering an insert causes is one ``UPDATE`` the engine
+    evaluates (DESIGN.md, "Updates"); only ``rebalance``, which assigns
+    every row a fresh value no expression of the old one yields, writes
+    order values row by row."""
+    source = (SRC / "core" / "updates.py").read_text()
+    assert [f for f, _line in per_row_updates(source)] == ["_rebalance"]

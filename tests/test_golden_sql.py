@@ -297,6 +297,7 @@ class TestGoldenSqlParses:
         inputs = {
             "dewey_parent": (dkey,),
             "dewey_successor": (dkey,),
+            "dewey_shift": (dkey, 1, 200),
             "ordpath_parent": (okey,),
             "ordpath_successor": (okey,),
             "xpath_number": (" 12.50 ",),

@@ -118,3 +118,113 @@ def test_update_delete_agree_with_sqlite(rows, delta, threshold):
         tuple(r) for r in lite.execute(final).fetchall()
     ]
     lite.close()
+
+
+# -- renumbering statement shapes ---------------------------------------------
+#
+# The update routines renumber with one UPDATE whose WHERE is a range of
+# the very index its SET rewrites: ``SET k = f(k) WHERE k >= ? AND k <
+# ?``.  A scan that wrote while it read would meet a row again after
+# moving it forward (the Halloween problem); ``hits`` counts the writes
+# each row received, so once-and-only-once is checkable.
+
+RENUMBER_SCHEMA = (
+    "CREATE TABLE h (g INTEGER, k INTEGER, last INTEGER, hits INTEGER)"
+)
+RENUMBER_INDEX = "CREATE INDEX ix_h ON h (g, k)"
+
+
+def renumber_twins(rows):
+    mini = MiniDb()
+    mini.create_function("bump", lambda k, by: k + by)
+    lite = sqlite3.connect(":memory:")
+    lite.create_function("bump", 2, lambda k, by: k + by)
+    for engine in (mini, lite):
+        engine.execute(RENUMBER_SCHEMA)
+        engine.execute(RENUMBER_INDEX)
+        engine.executemany("INSERT INTO h VALUES (?, ?, ?, 0)", rows)
+    return mini, lite
+
+
+def both(mini, lite, sql, params=()):
+    """Run *sql* on both engines: ``(minidb rowcount, sqlite rowcount)``
+    for DML, the two row lists for a query."""
+    if sql.startswith("SELECT"):
+        return (
+            mini.execute(sql, params).rows,
+            [tuple(r) for r in lite.execute(sql, params).fetchall()],
+        )
+    return (
+        mini.execute(sql, params).rowcount,
+        lite.execute(sql, params).rowcount,
+    )
+
+
+renumber_rows = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 40), st.integers(0, 60)),
+    max_size=40,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=renumber_rows,
+    group=st.integers(0, 2),
+    low=st.integers(0, 40),
+    width=st.integers(0, 41),
+    by=st.integers(1, 12),
+)
+def test_range_update_over_the_rewritten_index_touches_each_row_once(
+    rows, group, low, width, by
+):
+    mini, lite = renumber_twins(rows)
+    in_range = sum(
+        1 for g, k, _last in rows if g == group and low <= k < low + width
+    )
+    counts = both(
+        mini, lite,
+        "UPDATE h SET k = bump(k, ?), hits = hits + 1 "
+        "WHERE g = ? AND k >= ? AND k < ?",
+        (by, group, low, low + width),
+    )
+    assert counts == (in_range, in_range)
+    final = "SELECT g, k, last, hits FROM h ORDER BY g, k, last, hits"
+    mini_rows, lite_rows = both(mini, lite, final)
+    assert mini_rows == lite_rows
+    assert sum(hits for *_row, hits in mini_rows) == in_range
+    assert all(hits <= 1 for *_row, hits in mini_rows)
+    # The index agrees with the heap after the rewrite.
+    probe = "SELECT COUNT(*) FROM h WHERE g = ? AND k >= ? AND k < ?"
+    params = (group, low + by, low + width + by)
+    mini_count, lite_count = both(mini, lite, probe, params)
+    assert mini_count == lite_count
+    assert mini_count[0][0] >= in_range
+    lite.close()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=renumber_rows,
+    group=st.integers(0, 2),
+    low=st.integers(0, 40),
+    by=st.integers(-5, 12),
+)
+def test_open_lasted_multi_column_shift_agrees(rows, group, low, by):
+    """Global's tail shift: two columns move together, no upper bound."""
+    mini, lite = renumber_twins(rows)
+    tail = sum(1 for g, k, _last in rows if g == group and k >= low)
+    counts = both(
+        mini, lite,
+        "UPDATE h SET k = k + ?, last = last + ? WHERE g = ? AND k >= ?",
+        (by, by, group, low),
+    )
+    assert counts == (tail, tail)
+    final = "SELECT g, k, last, hits FROM h ORDER BY g, k, last, hits"
+    mini_rows, lite_rows = both(mini, lite, final)
+    assert mini_rows == lite_rows
+    assert sorted(mini_rows) == sorted(
+        (g, k + by, last + by, 0) if g == group and k >= low
+        else (g, k, last, 0)
+        for g, k, last in rows
+    )
+    lite.close()

@@ -4,11 +4,11 @@ costs, and post-update query correctness (invariant 5)."""
 import pytest
 
 from repro.core.dewey import DeweyKey
-from repro.errors import UpdateError
+from repro.errors import EncodingError, UpdateError
 from repro.store import XmlStore
 from repro.xmldom import Element, Text, parse
 from repro.xpath import Evaluator, string_value
-from tests.conftest import ALL_ENCODINGS, ENCODINGS
+from tests.conftest import ALL_ENCODINGS, BACKENDS, ENCODINGS
 
 
 def assert_values_match_oracle(store, doc, dom, xpath):
@@ -300,3 +300,130 @@ class TestUpdatesOnMinidb:
         store.updates.delete(doc, target)
         dom.root.remove(dom.root.children[4])
         assert store.reconstruct(doc).structurally_equal(dom)
+
+
+def statement_log(store) -> list[str]:
+    """Record the SQL text of every statement *store*'s backend runs."""
+    log: list[str] = []
+    backend = store.backend
+    execute, executemany = backend.execute, backend.executemany
+
+    def logged_execute(sql, params=()):
+        log.append(sql)
+        return execute(sql, params)
+
+    def logged_executemany(sql, rows):
+        log.append(sql)
+        return executemany(sql, rows)
+
+    backend.execute = logged_execute
+    backend.executemany = logged_executemany
+    return log
+
+
+class TestRenumberingIsOneStatement:
+    """A renumbering is an ``UPDATE`` the engine evaluates, never a
+    loop over the rows it touches."""
+
+    @staticmethod
+    def insert_before_k_siblings(backend: str, k: int):
+        xml = "<r>" + "<s><t>x</t></s>" * k + "</r>"
+        store = XmlStore(backend=backend, encoding="dewey")
+        doc = store.load(xml)
+        log = statement_log(store)
+        report = store.updates.insert(doc, 1, 0, "<new/>")
+        return report, log
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_dewey_statements_do_not_grow_with_the_siblings(self, backend):
+        one, log_one = self.insert_before_k_siblings(backend, 1)
+        forty, log_forty = self.insert_before_k_siblings(backend, 40)
+        assert (one.relabeled, forty.relabeled) == (3, 120)
+        assert log_one == log_forty
+        shifts = [sql for sql in log_forty if sql.startswith("UPDATE node_")]
+        assert len(shifts) == 1 and "dewey_shift(dkey, ?, ?)" in shifts[0]
+
+    def test_dewey_top_level_shift_has_no_upper_bound(self):
+        store = XmlStore(encoding="dewey")
+        doc = store.load("<!--a--><r><s/></r><!--b-->")
+        log = statement_log(store)
+        report = store.updates.insert(doc, 0, 0, "<!--first-->")
+        assert report.relabeled == 4
+        (shift,) = [sql for sql in log if sql.startswith("UPDATE node_")]
+        assert shift.endswith("WHERE doc = ? AND dkey >= ?")
+        assert [i.value for i in store.query("/comment()", doc)] == [
+            "first", "a", "b",
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_global_shift_writes_each_row_once_and_scans_no_endpos(
+        self, backend
+    ):
+        store, doc, _root = make_store("global", backend=backend)
+        total = store.document_info(doc).node_count
+        parent = store.query("/list/item[4]", doc)[0].node_id
+        written = store.backend.rows_written()
+        log = statement_log(store)
+        report = store.updates.insert(doc, parent, 0, "<w/>")
+        updates = [
+            sql for sql in log
+            if sql.startswith("UPDATE node_global")
+        ]
+        assert updates[0] == (
+            "UPDATE node_global SET pos = pos + ?, endpos = endpos + ? "
+            "WHERE doc = ? AND pos >= ?"
+        )
+        for sql in updates:
+            where = sql.split(" WHERE ", 1)[1]
+            assert "endpos" not in where, sql
+        # item[4], the list: the two intervals around the insertion
+        # point follow the tail by id; nothing else is written twice.
+        assert updates[1:] == [
+            "UPDATE node_global SET endpos = endpos + ? "
+            "WHERE doc = ? AND id IN (?, ?)"
+        ]
+        tail = total - (1 + 3 * 3 + 1)  # list, items 1-3, item[4] itself
+        assert report.relabeled == tail + 2
+        # relabeled rows, the new row and the catalogue row
+        assert store.backend.rows_written() - written == report.relabeled + 2
+
+    def test_global_append_extends_the_ancestors_to_the_new_node(self):
+        store, doc, _root = make_store("global", gap=4)
+        last = store.query("/list/item[8]", doc)[0].node_id
+        log = statement_log(store)
+        report = store.updates.insert(doc, last, 1, "<w/>")
+        assert report.relabeled == 2  # item[8] and the list grow
+        assert [sql for sql in log if sql.startswith("UPDATE node_")] == [
+            "UPDATE node_global SET endpos = ? WHERE doc = ? AND id IN (?, ?)"
+        ]
+
+
+class TestKeySpaceExhaustion:
+    """A shift that pushes a component past the codec's four bytes is a
+    typed error and leaves the document as it was, on both engines."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_overflowing_shift_rolls_back_typed(self, backend):
+        store = XmlStore(backend=backend, encoding="dewey")
+        doc = store.load("<a><b/><c><d/></c></a>")
+        top = 270_549_119
+        for node_id, comps in ((2, (1, top - 1)), (3, (1, top)),
+                               (4, (1, top, 1))):
+            store.backend.execute(
+                "UPDATE node_dewey SET dkey = ? WHERE doc = ? AND id = ?",
+                (DeweyKey(comps).encode(), doc, node_id),
+            )
+        before = store.backend.execute(
+            "SELECT id, dkey FROM node_dewey WHERE doc = ? ORDER BY id",
+            (doc,),
+        ).rows
+        with pytest.raises(EncodingError, match="exceeds codec range"):
+            store.updates.insert(doc, 1, 1, "<x/>")
+        assert not store.backend.in_transaction()
+        assert store.backend.execute(
+            "SELECT id, dkey FROM node_dewey WHERE doc = ? ORDER BY id",
+            (doc,),
+        ).rows == before
+        assert store.document_info(doc, fresh=True).node_count == 4
+        # The slot before b is free: the store still takes writes.
+        assert store.updates.insert(doc, 1, 0, "<x/>").relabeled == 0

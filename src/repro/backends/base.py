@@ -100,11 +100,11 @@ class Backend(ABC):
     def list_tables(self) -> list[str]:
         """Names of all user tables currently in the database.
 
-        Used by migration recovery (to drop leftover ``mig_*`` shadow
-        tables after a crash) and by the invariant auditor (to flag
-        orphaned shadow state).  Not abstract so minimal test doubles
-        keep working; callers treat ``NotImplementedError`` as "cannot
-        enumerate" and skip those checks.
+        Used by the invariant auditor (rows in a table of the wrong
+        encoding, tables an older build's crashed migration left).  Not
+        abstract so minimal test doubles keep working; callers treat
+        ``NotImplementedError`` as "cannot enumerate" and skip those
+        checks.
         """
         raise NotImplementedError
 

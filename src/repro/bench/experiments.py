@@ -849,7 +849,7 @@ def run_e16_adaptive_migration(
     probe_ops: int = 6,
     backend: str = "sqlite",
 ) -> ExperimentTable:
-    """Advisor-triggered online migration vs. every static encoding.
+    """Advisor-triggered migration vs. every static encoding.
 
     A two-regime workload — a query-heavy phase followed by an
     update-heavy one — runs against three static stores (one per

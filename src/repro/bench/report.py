@@ -82,7 +82,7 @@ EXPECTED_SHAPES = {
            "mismatches against a caching-off store.",
     "E16": "(Extension beyond the paper.)  On a workload that shifts "
            "from query-heavy to update-heavy, the advisor-triggered "
-           "online migration lands within a whisker of (or beats) the "
+           "migration lands within a whisker of (or beats) the "
            "best static encoding in total logical I/O — including the "
            "migration's own copy traffic — while every static choice "
            "overpays in one regime.",

@@ -112,10 +112,10 @@ class FuzzConfig:
     #: maintenance's touched-set repair and its fallback path hardest.
     update_heavy: bool = False
     #: Live-migration mode: while the seeded update/query stream runs,
-    #: a background thread migrates the document to the next encoding
-    #: (``batch_size=1`` to stretch the copy window).  Every query must
-    #: match a non-migrating twin byte for byte, before, during, and
-    #: after the cutover.  Requires the shared-connection ``sqlite``
+    #: a background thread migrates the document to the next encoding.
+    #: Every query must match a non-migrating twin byte for byte,
+    #: wherever the scheduler puts the migration's one transaction in
+    #: the stream.  Requires the shared-connection ``sqlite``
     #: backend, whose lock serializes whole transactions across
     #: threads.
     migrate_during: bool = False
@@ -748,14 +748,13 @@ def _run_migrate_pair(
     """One migrate-during cell: fuzz a store while it re-encodes.
 
     The store starts on *encoding* and a background thread migrates it
-    to :func:`migration_target` with ``batch_size=1`` (one transaction
-    per copied row, maximizing interleave with the op stream).  A twin
-    store stays on the source encoding and receives the identical op
-    stream; every translatable query must answer identically on both —
+    to :func:`migration_target`: one transaction, an atomic step
+    wherever the scheduler puts it in the op stream.  A twin store
+    stays on the source encoding and receives the identical op stream;
+    every translatable query must answer identically on both —
     surrogate ids are preserved by the migration, so the comparison is
     byte-for-byte on (kind, id, label, value).  Invariant audits run
-    after the migration joins (mid-flight the shadow tables are
-    expected state, not a finding).
+    after the migration joins.
     """
     target = migration_target(encoding)
     pair = f"{encoding}->{target}"
@@ -776,7 +775,7 @@ def _run_migrate_pair(
 
     def run_migration() -> None:
         try:
-            migrate_document(store, doc, target, batch_size=1)
+            migrate_document(store, doc, target)
         except BaseException as exc:  # reported after join
             migration_error.append(exc)
 
@@ -825,8 +824,8 @@ def _run_migrate_pair(
                 try:
                     got = _identities(store, doc, xpath)
                 except (TranslationError, UnsupportedXPathError):
-                    # The other side of the cutover translates a
-                    # different fragment; nothing to compare.
+                    # The target encoding translates a different
+                    # fragment; nothing to compare.
                     continue
                 if got != want:
                     return failure(

@@ -39,9 +39,7 @@ from typing import Optional, Sequence
 
 from repro.core.encodings import ENCODINGS, AuditView
 from repro.core.numeric import xpath_number_value
-from repro.core.schema import (
-    KIND_ELEMENT, KIND_TEXT, SHADOW_PREFIX, index_tables,
-)
+from repro.core.schema import KIND_ELEMENT, KIND_TEXT, index_tables
 
 #: Node kinds that may own child rows.
 _PARENT_KINDS = (KIND_ELEMENT,)
@@ -419,17 +417,16 @@ def _stray_document_violations(store, infos, existing: Optional[set[str]]):
                 )
 
 
-def _shadow_table_violations(store, existing: Optional[set[str]]):
-    """Orphaned ``mig_*`` shadow tables: legitimate only while this
-    store object has a migration in flight."""
-    if existing is None or getattr(store, "_migration", None) is not None:
-        return
-    for table in sorted(existing):
-        if table.startswith(SHADOW_PREFIX):
+def _migration_leftover_violations(existing: Optional[set[str]]):
+    """``mig_*`` tables: a migration is one transaction and creates
+    none, but builds that copied through shadow tables left them behind
+    when they crashed, and this build does not sweep them."""
+    for table in sorted(existing or ()):
+        if table.startswith("mig_"):
             yield Violation(
                 "migration-shadow-orphan", 0, None,
                 f"shadow table {table} left behind by a migration "
-                "that is no longer running",
+                "of an older build; drop it",
             )
 
 
@@ -453,7 +450,7 @@ def audit_store(
         violations.extend(audit_document(store, info.doc))
     existing = _existing_tables(store)
     violations.extend(_stray_document_violations(store, infos, existing))
-    violations.extend(_shadow_table_violations(store, existing))
+    violations.extend(_migration_leftover_violations(existing))
     return violations
 
 

@@ -264,9 +264,7 @@ def cmd_migrate(args: argparse.Namespace) -> int:
         if not args.auto or not recommendation.migrate:
             return 0
         target = recommendation.target
-    report = migrate_document(
-        store, doc, target, batch_size=args.batch_size
-    )
+    report = migrate_document(store, doc, target)
     if report.outcome == "noop":
         print(f"document {doc} already uses {report.target}; nothing "
               "to do")
@@ -274,9 +272,8 @@ def cmd_migrate(args: argparse.Namespace) -> int:
         print(
             f"migrated document {doc}: {report.source} -> "
             f"{report.target}, {report.rows_copied} node row(s) + "
-            f"{report.attrs_copied} attribute row(s) copied, "
-            f"{report.journal_replayed} concurrent update(s) replayed "
-            f"over {report.replay_rounds} round(s)"
+            f"{report.attrs_copied} attribute row(s), writers blocked "
+            f"{report.blocked_ms:.1f} ms"
         )
     return 0
 
@@ -947,7 +944,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     # first migration ever runs.
     for name in (
         "migrate.started", "migrate.completed", "migrate.aborted",
-        "migrate.rows_copied", "migrate.journal_replayed",
+        "migrate.rows_copied",
     ):
         snapshot["counters"].setdefault(name, 0)
     snapshot["cache"] = store.cache.stats()
@@ -1080,8 +1077,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "migrate",
-        help="re-encode a live document between order encodings "
-             "(online, crash-safe)",
+        help="re-encode a stored document between order encodings "
+             "(one transaction)",
     )
     add_db(p)
     p.add_argument("--doc", type=int, default=None)
@@ -1096,9 +1093,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON metrics snapshot for the advisor (as "
                         "written by 'repro stats --json'); default: "
                         "this process's live counters")
-    p.add_argument("--batch-size", type=int, default=500,
-                   help="rows copied per shadow transaction "
-                        "(default 500)")
     p.set_defaults(func=cmd_migrate)
 
     p = sub.add_parser(

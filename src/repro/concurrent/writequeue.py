@@ -149,11 +149,11 @@ class WriteQueue:
         """Run one batch; returns False when the writer must die."""
         try:
             # One transaction for the whole batch, committed through
-            # the store's own commit path: migration journalling,
-            # whole-attempt retry, and — before any submitter's future
-            # resolves — invalidation of the union of the operations'
-            # write sets, so a submitter that queries right after its
-            # ``call()`` returns can never see a pre-batch result.
+            # the store's own commit path: whole-attempt retry, and —
+            # before any submitter's future resolves — invalidation of
+            # the union of the operations' write sets, so a submitter
+            # that queries right after its ``call()`` returns can never
+            # see a pre-batch result.
             results = self.store._commit(
                 [operation for operation, _future in batch]
             )
@@ -175,7 +175,7 @@ class WriteQueue:
     def _replay_individually(self, batch: list) -> bool:
         for operation, future in batch:
             try:
-                # Per-op commit: same journalling, retry and
+                # Per-op commit: same retry and
                 # invalidate-before-resolve rule as the group's.
                 result = self.store._commit([operation])[0]
             except Exception as exc:

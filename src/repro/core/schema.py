@@ -290,27 +290,3 @@ def index_tables() -> tuple[Table, Table, Table, Table]:
         ),
     )
     return sval, paths, pathmap, stats
-
-
-#: Prefix of migration shadow tables (and their indexes).  Anything
-#: with this prefix is transient migration state: dropped at cutover,
-#: on abort, and by recovery when a store re-opens after a crash.
-SHADOW_PREFIX = "mig_"
-
-
-def shadow_table(table: Table) -> Table:
-    """A shadow copy of *table* for an in-flight encoding migration.
-
-    Same columns, ``mig_``-prefixed table and index names, so the
-    migration engine can populate target-encoding rows without touching
-    the live tables until cutover.
-    """
-    name = SHADOW_PREFIX + table.name
-    return Table(
-        name,
-        table.columns,
-        tuple(
-            Index(SHADOW_PREFIX + ix.name, name, ix.columns, ix.unique)
-            for ix in table.indexes
-        ),
-    )

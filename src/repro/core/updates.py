@@ -109,18 +109,13 @@ class UpdateManager:
         # Per-thread nesting depth of public operations, tracked on the
         # thread that actually executes the transaction body (which,
         # with a write queue, is the writer thread, not the caller).
-        # Only the outermost operation stages a migration-journal
-        # entry: compound ops like set_text replay as one entry, not as
-        # their internal delete+insert steps.
+        # Only the outermost operation maintains the index: compound
+        # ops like set_text hand it one touched set, not one per
+        # internal delete+insert step.
         self._tls = threading.local()
 
     def _record(self, op: str, report: UpdateReport) -> UpdateReport:
         """Account one finished operation in the metrics registry."""
-        if self.store.is_shadow:
-            # Shadow replays mirror already-counted live operations;
-            # counting them again would double the workload counters
-            # the MigrationAdvisor reads.
-            return report
         METRICS.inc(f"updates.{op}")
         METRICS.inc("updates.rows_touched", report.rows_touched())
         if report.relabeled:
@@ -136,25 +131,21 @@ class UpdateManager:
             return self.store.encoding
         return get_encoding(info.encoding)
 
-    def _tracked(self, doc: int, entry: tuple, body):
-        """Run *body* inside the transaction, staging *entry* in the
-        migration journal when this is the outermost public operation
-        on the migrating document.
+    def _tracked(self, doc: int, body):
+        """Run *body* inside the transaction, then — when this is the
+        outermost public operation — maintain the document's index.
 
         *body* is handed the document's catalogue entry: the one
         catalogue read of the operation, from which it resolves the
-        encoding (a migration cutover serializes against this
-        transaction, so the entry holds until it ends) and from which
-        index maintenance learns whether there is an index.  A nested
-        operation reads again; the enclosing one has moved the counts.
+        encoding (a migration serializes against this transaction, so
+        the entry holds until it ends) and from which index maintenance
+        learns whether there is an index.  A nested operation reads
+        again; the enclosing one has moved the counts.
 
         Runs on whichever thread executes the transaction (the write
-        queue's writer thread, under group commit).  Staged entries are
-        promoted by the commit path and replayed into the migration's
-        shadow tables; nested operations stage nothing — the enclosing
-        operation's entry replays them.  Every operation, nested or
-        not, declares *doc* in the transaction's write set, which is
-        what the commit invalidates cache entries by.
+        queue's writer thread, under group commit).  Every operation,
+        nested or not, declares *doc* in the transaction's write set,
+        which is what the commit invalidates cache entries by.
         """
         self.store.note_write(doc)
         info = self.store.document_info(doc)
@@ -165,7 +156,7 @@ class UpdateManager:
             result = body(info)
         finally:
             tls.depth = depth
-        if depth == 0 and not self.store.is_shadow:
+        if depth == 0:
             # Secondary-index maintenance rides the same transaction as
             # the update itself: a crash rolls both back together, so
             # the index can never be observed out of step with the node
@@ -177,9 +168,6 @@ class UpdateManager:
             self.store.indexes.maintain_in_transaction(
                 doc, report, info.indexed
             )
-            migration = self.store._migration
-            if migration is not None and migration.doc == doc:
-                migration.journal.stage(entry)
         return result
 
     # -- public operations -------------------------------------------------
@@ -206,24 +194,11 @@ class UpdateManager:
                 raise UpdateError(
                     f"cannot parse insert fragment: {exc}"
                 ) from exc
-        return self.insert_shredded(
-            doc, parent_id, index, self._shred_fragment(fragment)
-        )
-
-    def insert_shredded(
-        self,
-        doc: int,
-        parent_id: int,
-        index: int,
-        shredded: ShreddedDocument,
-    ) -> UpdateReport:
-        """Insert an already-shredded fragment (the migration journal's
-        replay path; :meth:`insert` delegates here after shredding)."""
+        shredded = self._shred_fragment(fragment)
         with span("update.insert"):
             report = self.store.transactionally(
                 lambda: self._tracked(
                     doc,
-                    ("insert", parent_id, index, shredded),
                     lambda info: self._insert_in_transaction(
                         info, parent_id, index, shredded
                     ),
@@ -319,11 +294,7 @@ class UpdateManager:
 
         with span("update.set_text"):
             report = self.store.transactionally(
-                lambda: self._tracked(
-                    doc,
-                    ("set_text", element_id, text),
-                    set_text_in_transaction,
-                )
+                lambda: self._tracked(doc, set_text_in_transaction)
             )
         return self._record("set_texts", report)
 
@@ -351,9 +322,7 @@ class UpdateManager:
 
         with span("update.rename"):
             report = self.store.transactionally(
-                lambda: self._tracked(
-                    doc, ("rename", element_id, tag), rename_in_transaction
-                )
+                lambda: self._tracked(doc, rename_in_transaction)
             )
         return self._record("renames", report)
 
@@ -392,11 +361,7 @@ class UpdateManager:
 
         with span("update.set_attribute"):
             report = self.store.transactionally(
-                lambda: self._tracked(
-                    doc,
-                    ("set_attribute", element_id, name, value),
-                    set_attribute_in_transaction,
-                )
+                lambda: self._tracked(doc, set_attribute_in_transaction)
             )
         return self._record("set_attributes", report)
 
@@ -433,9 +398,7 @@ class UpdateManager:
 
         with span("update.delete"):
             report = self.store.transactionally(
-                lambda: self._tracked(
-                    doc, ("delete", node_id), delete_in_transaction
-                )
+                lambda: self._tracked(doc, delete_in_transaction)
             )
         return self._record("deletes", report)
 
@@ -450,33 +413,31 @@ class UpdateManager:
         change.
         """
         with span("update.rebalance"):
-            report = self._rebalance(doc)
+            report = self.store.transactionally(
+                lambda: self._rebalance(doc)
+            )
         return self._record("rebalances", report)
 
     def _rebalance(self, doc: int) -> UpdateReport:
-        enc = self.store.encoding_for(doc)
+        # The transaction body: the rows are read in the transaction
+        # that rewrites them, or a write committing in between would be
+        # relabelled around.
+        store = self.store
+        store.note_write(doc)
+        enc = store.encoding_for(doc)
+        records = relabel(ordered_rows(store, doc, encoding=enc))
         assignments = ", ".join(f"{c} = ?" for c in enc.order_columns)
-        records = relabel(ordered_rows(self.store, doc))
-        updates = [
-            (*order, doc, record.id)
-            for record, order in zip(
-                records, enc.bulk_order_values(records, self.store.gap)
-            )
-        ]
-        # Not journalled: a rebalance rewrites order values only — the
-        # migration's shadow rows carry fresh target-encoding values
-        # already, so replaying it would be a no-op.  (If a cutover
-        # lands between the snapshot read above and this UPDATE, the
-        # UPDATE matches zero rows in the vacated source table, which
-        # is equally harmless.)
-        self.store.transactionally(
-            lambda: self.store.backend.executemany(
-                f"UPDATE {enc.node_table.name} SET {assignments} "
-                f"WHERE doc = ? AND id = ?",
-                updates,
-            )
+        store.backend.executemany(
+            f"UPDATE {enc.node_table.name} SET {assignments} "
+            f"WHERE doc = ? AND id = ?",
+            (
+                (*order, doc, record.id)
+                for record, order in zip(
+                    records, enc.bulk_order_values(records, store.gap)
+                )
+            ),
         )
-        return UpdateReport(relabeled=len(updates))
+        return UpdateReport(relabeled=len(records))
 
     # -- shared helpers --------------------------------------------------------
 

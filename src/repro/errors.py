@@ -126,19 +126,6 @@ class TranslationError(StorageError):
 
 
 class MigrationError(StorageError):
-    """Invalid encoding-migration request (unknown target, migration
-    already running, shadow store misuse)."""
-
-
-class MigrationAborted(MigrationError):
-    """An online encoding migration aborted and rolled itself back.
-
-    The live document is untouched and still served from its original
-    encoding; shadow state has been discarded.  ``reason`` carries the
-    trigger (journal overflow, poisoned journal, cutover sanity-check
-    failure, replay error).
-    """
-
-    def __init__(self, message: str, reason: str = "") -> None:
-        self.reason = reason or message
-        super().__init__(message)
+    """An encoding migration refused or failed (the target's tables
+    cannot be created, the stored rows do not match the catalogue); the
+    document is as it was."""

@@ -1,32 +1,22 @@
-"""Online crash-safe encoding migration (``repro migrate``).
+"""Encoding migration (``repro migrate``).
 
-* :func:`~repro.migrate.engine.migrate_document` — re-encode one live
-  document between order encodings while the store serves reads and
-  writes; crashes at any statement boundary recover to exactly the
-  pre- or post-migration encoding.
-* :class:`~repro.migrate.journal.MigrationJournal` — committed live
-  updates queued for replay into the shadow tables.
+* :func:`~repro.migrate.engine.migrate_document` — re-encode one stored
+  document between order encodings in a single transaction; a crash at
+  any statement boundary recovers to exactly the pre- or post-migration
+  encoding.
 * :class:`~repro.migrate.advisor.MigrationAdvisor` — recommends a
   migration when the observed workload crosses the paper's E7
   query/update crossover.
 """
 
-from repro.errors import MigrationAborted, MigrationError
+from repro.errors import MigrationError
 from repro.migrate.advisor import MigrationAdvisor, Recommendation
-from repro.migrate.engine import (
-    MigrationReport,
-    MigrationState,
-    migrate_document,
-)
-from repro.migrate.journal import MigrationJournal
+from repro.migrate.engine import MigrationReport, migrate_document
 
 __all__ = [
-    "MigrationAborted",
     "MigrationAdvisor",
     "MigrationError",
-    "MigrationJournal",
     "MigrationReport",
-    "MigrationState",
     "Recommendation",
     "migrate_document",
 ]

@@ -30,7 +30,7 @@ The scenarios, each a baseline setup plus a declaration:
   (``transient_rate > 0``) replays the stream under injected BUSY-style
   faults with a :class:`~repro.robust.retry.RetryPolicy`, which must
   hide every one of them;
-* **migrate** (:func:`run_migration_crashtest`) — a whole online
+* **migrate** (:func:`run_migration_crashtest`) — a whole
   re-encoding; the signature includes the catalogued encoding;
 * **index** (:func:`run_index_crashtest`) — index create, an indexed
   update and index drop, over one node-tables + index-tables signature;
@@ -275,7 +275,7 @@ class _Medium:
 
     def restore_baseline(self) -> None:
         """Reset the durable state to the saved baseline: a crash
-        *after* a commit (a migration's cutover, say) legitimately
+        *after* a commit (a migration's, say) legitimately
         leaves the post state behind, which would turn every later
         trial into a no-op."""
         _clone_db(self.baseline, self.path)
@@ -701,7 +701,7 @@ def run_crashtest(
     return _run_cells("ops", config.cells(), cell, workdir)
 
 
-# -- migrate: a whole online re-encoding ----------------------------------
+# -- migrate: a whole re-encoding -----------------------------------------
 
 
 def _migration_state(store: XmlStore, doc: int) -> tuple:
@@ -725,10 +725,10 @@ def run_migration_crashtest(
     One cell is ``(seed, backend, source, target)`` over every ordered
     pair of the configured encodings: a seeded, twice-updated document
     under *source*, then one :func:`sweep` of the full migration to
-    *target*.  The audit is the full-store one (no orphaned shadow
-    tables, no rows in a wrong-encoding table) and the signature —
-    document bytes, catalogue row, *and* encoding — must equal exactly
-    the pre- or the post-migration state.
+    *target*.  The audit is the full-store one (no rows in a
+    wrong-encoding table) and the signature — document bytes, catalogue
+    row, *and* encoding — must equal exactly the pre- or the
+    post-migration state.
     """
 
     def cell(directory, fail, report, seed, gap, backend, pair):

@@ -40,8 +40,8 @@ from repro.core.encodings import OrderEncoding, get_encoding
 from repro.core.reconstruct import (
     ordered_rows, reconstruct_document, reconstruct_subtree,
 )
-from repro.core.schema import SHADOW_PREFIX, documents_table, index_tables
-from repro.core.shredder import ShreddedDocument, shred, shred_text
+from repro.core.schema import documents_table, index_tables
+from repro.core.shredder import ShreddedNode, shred, shred_text
 from repro.core.translator import (
     TranslatedQuery,
     extract_shape,
@@ -143,11 +143,6 @@ class XmlStore:
     authoritative, resolved per document by :meth:`encoding_for`.
     """
 
-    #: True on the shadow facade an in-flight migration writes through
-    #: (see :mod:`repro.migrate`); shadow stores skip metrics and the
-    #: migration journal.
-    is_shadow = False
-
     def __init__(
         self,
         backend: Union[str, Backend] = "sqlite",
@@ -206,12 +201,8 @@ class XmlStore:
         #: transaction (see :meth:`note_write`), ``None`` outside one.
         self._scope = threading.local()
         self._docs_table = documents_table()
-        #: In-flight encoding migration (``repro.migrate.MigrationState``)
-        #: or ``None``.  While set, committed update transactions are
-        #: journalled for replay into the migration's shadow tables.
-        self._migration = None
-        #: Bumped after every migration cutover; queries that observe a
-        #: bump mid-flight re-run against the new encoding's tables.
+        #: Moved by every migration; queries that observe a move
+        #: mid-flight re-run against the new encoding's tables.
         self._migration_epoch = 0
         self._create_schema()
         from repro.core.updates import UpdateManager
@@ -243,7 +234,6 @@ class XmlStore:
                 raise StorageError(
                     f"schema bootstrap failed: {statement!r}: {exc}"
                 ) from exc
-        self._recover_shadow_state()
         self._clear_legacy_statistics()
 
     def _clear_legacy_statistics(self) -> None:
@@ -262,30 +252,6 @@ class XmlStore:
             f"SELECT 1 FROM idx_stats WHERE {leftover} LIMIT 1"
         ).rows:
             self._execute(f"DELETE FROM idx_stats WHERE {leftover}")
-
-    def _recover_shadow_state(self) -> None:
-        """Drop shadow tables a crashed migration left behind.
-
-        Migration state outside the catalogue is transient by design: a
-        crash before cutover loses only shadow rows (source untouched),
-        a crash after the cutover commit loses only the shadow *copy*
-        of rows already published.  Either way dropping every
-        ``mig_*`` table restores a clean pre- or post-migration store.
-        """
-        try:
-            tables = self.backend.list_tables()
-        except NotImplementedError:  # pragma: no cover - custom backends
-            return
-        for table in tables:
-            if not table.startswith(SHADOW_PREFIX):
-                continue
-            try:
-                self.backend.execute(f"DROP TABLE {table}")
-                METRICS.inc("migrate.recovered_shadow_tables")
-            except Exception as exc:
-                raise StorageError(
-                    f"migration recovery failed dropping {table!r}: {exc}"
-                ) from exc
 
     # -- fault-tolerant execution -----------------------------------------
 
@@ -330,7 +296,7 @@ class XmlStore:
         inside this thread's own transaction, run locally and join it.
 
         **Write-set contract.**  All writers (loads, deletes, update
-        operations, index and migration stages) funnel through here,
+        operations, index builds and migrations) funnel through here,
         and every top-level commit invalidates the cache entries of
         exactly the documents it wrote, before its caller sees the
         result.  An operation names those documents by calling
@@ -384,50 +350,18 @@ class XmlStore:
         results and the union of their write sets — empty when any of
         them noted nothing, i.e. when the commit's write set is
         unknown.  Every attempt starts from empty write sets, and a
-        rolled-back one returns nothing to invalidate.
-
-        An in-flight migration journals every committed update for
-        replay into its shadow tables.  Entries staged by the
-        operations are promoted *inside* the transaction scope (after
-        the last statement, before COMMIT) so a cutover — serialized
-        behind this transaction — always sees the committed entry;
-        discard-on-entry keeps a retried attempt from staging twice.
-        ``self._migration`` must be read *after* BEGIN: a migration
-        installs itself under the same backend lock this BEGIN blocks
-        on, so a pre-BEGIN read could see None while an operation
-        (running after the install committed) stages entries — which
-        would then never promote and be silently discarded, losing the
-        update from the shadow replay.
-        """
+        rolled-back one returns nothing to invalidate."""
         scope = self._scope
         results: list[_T] = []
         written: set[int] = set()
         known = True
-        mig = None
-        promoted = False
         try:
             with self.backend.transaction():
-                mig = self._migration
-                if mig is not None:
-                    mig.journal.discard()
                 for operation in operations:
                     scope.writes = noted = set()
                     results.append(operation())
                     known = known and bool(noted)
                     written |= noted
-                if mig is not None:
-                    mig.journal.promote()
-                    promoted = True
-        except BaseException:
-            if mig is not None:
-                if promoted:
-                    # Promoted but the COMMIT failed: the journal now
-                    # holds an entry the live store never published.
-                    # Poisoning makes the migration abort instead of
-                    # replaying it into the shadow.
-                    mig.journal.poison()
-                mig.journal.discard()
-            raise
         finally:
             scope.writes = None
         return results, (written if known else set())
@@ -483,8 +417,7 @@ class XmlStore:
         doc-scoped read and update resolves its encoding here instead
         of assuming the store default.  Served from the catalogue
         cache; inside a transaction it reads the backend directly, so
-        an update running concurrently with a cutover sees the swapped
-        encoding the moment the catalogue row changes.
+        an update serialized behind a migration sees the new encoding.
         """
         name = self.document_info(doc).encoding
         return self.encoding if name is None else get_encoding(name)
@@ -516,7 +449,13 @@ class XmlStore:
             def load_in_transaction() -> int:
                 doc_id = self._next_doc_id()
                 self.note_write(doc_id)
-                self._bulk_insert(doc_id, shredded)
+                self._bulk_insert(
+                    self.encoding, doc_id, shredded.nodes,
+                    (
+                        (doc_id, attr.owner, attr.name, attr.value)
+                        for attr in shredded.attributes
+                    ),
+                )
                 self.backend.execute(
                     "INSERT INTO documents VALUES (?, ?, ?, ?, ?, ?)",
                     (
@@ -544,19 +483,21 @@ class XmlStore:
         )
         return int(result.rows[0][0]) + 1
 
-    def _bulk_insert(self, doc_id: int, shredded: ShreddedDocument) -> None:
-        columns = self.encoding.node_columns()
-        placeholders = ", ".join("?" for _ in columns)
+    def _bulk_insert(
+        self, encoding: OrderEncoding, doc_id: int,
+        nodes: Sequence[ShreddedNode], attr_rows: Iterable[tuple],
+    ) -> None:
+        """Write a labelled document into *encoding*'s tables: a load
+        into the store's, a migration into its target's."""
+        placeholders = ", ".join("?" for _ in encoding.node_columns())
         self.backend.executemany(
-            f"INSERT INTO {self.node_table} VALUES ({placeholders})",
-            self.encoding.node_rows(doc_id, shredded.nodes, self.gap),
+            f"INSERT INTO {encoding.node_table.name} "
+            f"VALUES ({placeholders})",
+            encoding.node_rows(doc_id, nodes, self.gap),
         )
         self.backend.executemany(
-            f"INSERT INTO {self.attr_table} VALUES (?, ?, ?, ?)",
-            (
-                (doc_id, attr.owner, attr.name, attr.value)
-                for attr in shredded.attributes
-            ),
+            f"INSERT INTO {encoding.attr_table.name} VALUES (?, ?, ?, ?)",
+            attr_rows,
         )
 
     # -- catalogue ---------------------------------------------------------------
@@ -599,7 +540,7 @@ class XmlStore:
 
         def drop_in_transaction() -> int:
             # Resolve the tables inside the transaction: a concurrent
-            # migration cutover may have just moved the rows.
+            # migration may have just moved the rows.
             self.note_write(doc)
             encoding = self.encoding_for(doc)
             nodes = self.backend.execute(
@@ -673,17 +614,27 @@ class XmlStore:
     ) -> list[ResultItem]:
         """Run *xpath* via SQL; results arrive in document order.
 
-        Torn-read guard: a migration cutover can swap a document's
-        encoding between this query's translate and execute steps.
-        Every cutover bumps ``_migration_epoch``, so a query that
-        observes a bump mid-flight simply re-runs — the second pass
-        reads the post-cutover catalogue and the new tables.
+        Torn-read guard: a migration can commit between this query's
+        translate and execute steps — the plan is bound to the source
+        encoding's table, which is by then empty of the document.
+        Every migration moves ``_migration_epoch`` (see
+        :func:`repro.migrate.migrate_document` for when), so a query
+        that observes a move mid-flight simply re-runs — the second
+        pass reads the new catalogue row and the new tables.  So does
+        one that *failed* across a move: Local's client-order pass
+        resolves the encoding again after executing, and finds another
+        encoding's columns or an empty table.
         """
-        for _ in range(4):
+        for attempt in range(4):
             epoch = self._migration_epoch
-            items = self._query_once(xpath, doc, context_id)
-            if self._migration_epoch == epoch:
-                return items
+            try:
+                items = self._query_once(xpath, doc, context_id)
+            except Exception:
+                if self._migration_epoch == epoch or attempt == 3:
+                    raise
+            else:
+                if self._migration_epoch == epoch:
+                    return items
             METRICS.inc("query.migration_retries")
         return items
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import settings
 
 from repro.minidb import engine as minidb_engine
 from repro.minidb.executor import Compiler
+from repro.obs import METRICS
 from repro.store import XmlStore
 from repro.xmldom import Document, parse
 from repro.xpath import AttributeNode, Evaluator
@@ -80,6 +82,19 @@ def assert_query_matches_oracle(
         f"{store.encoding.name}/{store.backend.name} {xpath!r}: "
         f"got {got}, want {want}"
     )
+
+
+@contextmanager
+def counters():
+    """Enable the metrics registry; yields a name -> count reader."""
+    was_enabled = METRICS.enabled
+    METRICS.reset()
+    METRICS.enabled = True
+    try:
+        yield lambda name: METRICS.snapshot()["counters"].get(name, 0)
+    finally:
+        METRICS.enabled = was_enabled
+        METRICS.reset()
 
 
 @pytest.fixture(autouse=True)

@@ -16,34 +16,19 @@ cache-twin mode of the differential fuzzer.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 import pytest
 
-from tests.conftest import ALL_ENCODINGS, BACKENDS
+from tests.conftest import ALL_ENCODINGS, BACKENDS, counters
 from repro.backends.base import is_write_statement
 from repro.backends.pooled_sqlite import PooledSqliteBackend
 from repro.backends.sqlite_backend import SqliteBackend
 from repro.cache import StoreCache
 from repro.errors import StorageError
-from repro.obs import METRICS
 from repro.store import XmlStore
 
 SHALLOW = "<r><a><b>x</b></a><a><b>y</b></a></r>"
 DEEP_FRAGMENT = "<c><d><e><f>deep</f></e></d></c>"
-
-
-@contextmanager
-def counters():
-    """Enable the metrics registry; yields a name -> count reader."""
-    was_enabled = METRICS.enabled
-    METRICS.reset()
-    METRICS.enabled = True
-    try:
-        yield lambda name: METRICS.snapshot()["counters"].get(name, 0)
-    finally:
-        METRICS.enabled = was_enabled
-        METRICS.reset()
 
 
 def layer(store_or_cache, name: str) -> dict:
@@ -301,6 +286,7 @@ def _every_commit_path(store: XmlStore, doc: int):
         ("delete", lambda: updates.delete(doc, 2)),
         ("index create", lambda: indexes.create(doc)),
         ("index drop", lambda: indexes.drop(doc)),
+        ("rebalance", lambda: updates.rebalance(doc)),
         ("migration", lambda: migrate_document(store, doc, target)),
     ]
 
@@ -344,7 +330,7 @@ def test_every_update_kind_bumps_the_epoch():
         store.query("//b", written)
 
 
-@pytest.mark.parametrize("kind", ["raw-callable", "rebalance"])
+@pytest.mark.parametrize("kind", ["raw-callable"])
 def test_unknown_write_set_invalidates_store_wide(kind):
     """A commit that cannot name what it wrote falls back to dropping
     every document's results and catalogue rows — never fewer."""
@@ -354,16 +340,13 @@ def test_unknown_write_set_invalidates_store_wide(kind):
     for doc in (first, second):
         store.query("//b", doc)
     plans = layer(store, "plan")["size"]
-    if kind == "rebalance":
-        store.updates.rebalance(first)
-    else:
-        store.transactionally(
-            lambda: store.backend.execute(
-                "UPDATE documents SET name = ? WHERE doc = ?",
-                ("renamed", second),
-            )
+    store.transactionally(
+        lambda: store.backend.execute(
+            "UPDATE documents SET name = ? WHERE doc = ?",
+            ("renamed", second),
         )
-        assert store.document_info(second).name == "renamed"
+    )
+    assert store.document_info(second).name == "renamed"
     for doc in (first, second):
         assert not served_from_cache(store, "//b", doc)
     assert layer(store, "plan")["size"] == plans

@@ -215,3 +215,42 @@ def test_renumbering_is_never_a_per_row_update():
     order values row by row."""
     source = (SRC / "core" / "updates.py").read_text()
     assert [f for f, _line in per_row_updates(source)] == ["_rebalance"]
+
+
+#: The callers of a migration: the command, the two harnesses, E16.
+MIGRATION_CALLERS = {
+    "cli.py", "check/fuzz.py", "robust/crashtest.py",
+    "bench/experiments.py",
+}
+
+
+def test_a_migration_is_something_the_store_does_not_know_about():
+    """A migration is one transaction run on the store (DESIGN.md,
+    "Encoding migration"); the store does nothing for it.  The staged
+    machine it replaced reached the other way — a journal hooked into
+    every commit, a shadow-store flag in every update; this fails when
+    anything the store is made of imports the package, or grows those
+    names back."""
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel.startswith("migrate/") or rel in MIGRATION_CALLERS:
+            continue
+        imported = {
+            name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in (
+                getattr(node, "module", None),
+                *(alias.name for alias in node.names),
+            )
+            if name and name.startswith("repro.migrate")
+        }
+        assert not imported, f"{rel} imports {sorted(imported)}"
+    banned = {"is_shadow", "MigrationJournal", "shadow_table", "journal"}
+    for path in (SRC / "store.py", *sorted((SRC / "core").rglob("*.py"))):
+        names = {
+            getattr(node, field, None)
+            for node in ast.walk(ast.parse(path.read_text()))
+            for field in ("id", "attr", "name", "arg")
+        }
+        assert not banned & names, f"{path.name}: {sorted(banned & names)}"

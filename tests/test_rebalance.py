@@ -1,10 +1,15 @@
 """Tests for offline rebalancing (the amortised renumbering strategy)."""
 
+import threading
+
 import pytest
 
+from repro.check import audit_document
+from repro.core import updates
 from repro.core.dewey import DeweyKey
 from repro.store import XmlStore
-from tests.conftest import ALL_ENCODINGS
+from repro.xmldom import serialize
+from tests.conftest import ALL_ENCODINGS, BACKENDS
 
 
 def churned_store(encoding, gap=1, backend="sqlite"):
@@ -111,3 +116,36 @@ class TestRebalance:
             got = [i.value for i in store.query(xpath, doc)]
             want = [i.value for i in fresh.query(xpath, fresh_doc)]
             assert got == want, xpath
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    def test_a_write_arriving_mid_relabel_is_not_relabelled_around(
+        self, encoding, backend, monkeypatch
+    ):
+        """The rows are read in the transaction that rewrites them: a
+        writer that shows up between the read and the UPDATEs waits for
+        the commit instead of committing in between, where the stale
+        labels would be written over its shift."""
+        store = XmlStore(backend=backend, encoding=encoding, gap=1)
+        doc = store.load("<a><b/><c/><d/></a>")
+        root = store.query("/a", doc)[0].node_id
+        writer = threading.Thread(
+            target=store.updates.insert, args=(doc, root, 1, "<x>t</x>")
+        )
+        relabel = updates.relabel
+
+        def relabel_while_a_writer_arrives(rows):
+            writer.start()
+            writer.join(timeout=0.2)  # commits here if nothing holds it
+            return relabel(rows)
+
+        monkeypatch.setattr(
+            updates, "relabel", relabel_while_a_writer_arrives
+        )
+        store.updates.rebalance(doc)
+        writer.join(timeout=30.0)
+        assert not writer.is_alive()
+        assert audit_document(store, doc) == []
+        assert serialize(store.reconstruct(doc)) == (
+            "<a><b/><x>t</x><c/><d/></a>"
+        )

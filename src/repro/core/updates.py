@@ -60,12 +60,13 @@ class UpdateReport:
 
     Beyond the row counts, a report carries the *touched set* the
     secondary-index layer maintains itself from: ids whose ``idx_*``
-    rows must go away, subtree roots whose rows must be (re)shredded,
-    and the anchors whose ancestor chains need their aggregated
-    string-values recomputed.  Relabels are deliberately absent from
-    the touched set — index rows carry no order columns, so a
-    renumber never invalidates them (it only feeds the fallback
-    budget via :attr:`relabeled`).
+    rows must go away, the rows of each inserted subtree as they were
+    written (``(id, parent, kind, tag, value)`` in document order, so
+    nothing reads them back), the roots of renamed subtrees, whose
+    rows must be read back and reshredded, and the anchors whose
+    ancestor chains need their aggregated string-values recomputed.
+    Relabels are deliberately absent from the touched set — index rows
+    carry no order columns, so a renumber never invalidates them.
     """
 
     inserted: int = 0
@@ -75,6 +76,7 @@ class UpdateReport:
     new_root_id: Optional[int] = None
     # Touched-set accounting for incremental index maintenance.
     removed_ids: list = field(default_factory=list)
+    inserted_subtrees: list = field(default_factory=list)
     reshred_roots: list = field(default_factory=list)
     sval_anchors: list = field(default_factory=list)
     # False signals the op could not account precisely for what it
@@ -96,6 +98,7 @@ class UpdateReport:
         self.relabeled += other.relabeled
         self.value_updates += other.value_updates
         self.removed_ids.extend(other.removed_ids)
+        self.inserted_subtrees.extend(other.inserted_subtrees)
         self.reshred_roots.extend(other.reshred_roots)
         self.sval_anchors.extend(other.sval_anchors)
         self.index_exact = self.index_exact and other.index_exact
@@ -138,9 +141,10 @@ class UpdateManager:
         *body* is handed the document's catalogue entry: the one
         catalogue read of the operation, from which it resolves the
         encoding (a migration serializes against this transaction, so
-        the entry holds until it ends) and from which index maintenance
-        learns whether there is an index.  A nested operation reads
-        again; the enclosing one has moved the counts.
+        the entry holds until it ends).  Index maintenance is handed
+        the same entry and encoding, and reads the catalogue no more.
+        A nested operation reads again; the enclosing one has moved
+        the counts.
 
         Runs on whichever thread executes the transaction (the write
         queue's writer thread, under group commit).  Every operation,
@@ -166,7 +170,7 @@ class UpdateManager:
             # rebuilding the document.
             report = result if isinstance(result, UpdateReport) else None
             self.store.indexes.maintain_in_transaction(
-                doc, report, info.indexed
+                info, self._doc_encoding(info), report
             )
         return result
 
@@ -230,9 +234,19 @@ class UpdateManager:
                 f"index {index} out of range for {len(children)} children"
             )
 
-        report = _INSERT_ROUTINES[enc.name](
+        order_values, relabeled = _ORDER_ROUTINES[enc.name](
             self, doc, parent_id, parent_row, children, index, shredded,
-            info, enc,
+            enc,
+        )
+        ids, parents = self._new_ids(info, shredded, parent_id)
+        parent_depth = parent_row["depth"] if parent_row else 0
+        rows = self._insert_rows(
+            doc, shredded, ids, parents, parent_depth, order_values, enc
+        )
+        report = UpdateReport(
+            inserted=shredded.node_count(),
+            relabeled=relabeled,
+            new_root_id=ids[0],
         )
 
         # Maintain the parent's direct-text value when inserting text.
@@ -241,17 +255,15 @@ class UpdateManager:
                 doc, parent_id, enc
             )
 
-        # Touched set: the new subtree needs index rows, and the
-        # ancestors of the insertion point need their aggregated
-        # string-values repaired (any text inside the fragment now
-        # contributes to them).
-        if report.new_root_id is not None:
-            report.reshred_roots.append(report.new_root_id)
+        # Touched set: the new subtree needs index rows — the rows just
+        # written are its rows — and the ancestors of the insertion
+        # point need their aggregated string-values repaired (any text
+        # inside the fragment now contributes to them).
+        report.inserted_subtrees.append(rows)
         if parent_id != 0:
             report.sval_anchors.append(parent_id)
 
         info.node_count += shredded.node_count()
-        parent_depth = parent_row["depth"] if parent_row else 0
         info.max_depth = max(
             info.max_depth, parent_depth + shredded.max_depth
         )
@@ -469,7 +481,11 @@ class UpdateManager:
         depth_base: int,
         order_values: list[tuple],
         enc: OrderEncoding,
-    ) -> None:
+    ) -> list[tuple]:
+        """Write the fragment's node and attribute rows; returns each
+        node's ``(id, parent, kind, tag, value)`` in document order —
+        what :func:`~repro.core.reconstruct.ordered_rows` would read
+        back."""
         table = enc.node_table.name
         width = len(enc.node_columns())
         placeholders = ", ".join("?" for _ in range(width))
@@ -502,6 +518,7 @@ class UpdateManager:
                 f"INSERT INTO {enc.attr_table.name} VALUES (?, ?, ?, ?)",
                 attr_rows,
             )
+        return [row[1:6] for row in rows]
 
     def _refresh_direct_text(
         self, doc: int, element_id: int, enc: OrderEncoding
@@ -531,9 +548,8 @@ class UpdateManager:
     # -- Global encoding -----------------------------------------------------------
 
     def _insert_global(
-        self, doc, parent_id, parent_row, children, index, shredded,
-        info, enc,
-    ) -> UpdateReport:
+        self, doc, parent_id, parent_row, children, index, shredded, enc,
+    ) -> tuple[list[tuple], int]:
         gap = self.store.gap
         n = shredded.node_count()
         table = enc.node_table.name
@@ -582,18 +598,11 @@ class UpdateManager:
                 doc, parent_row, slots[-1], shifted_from, delta, enc
             )
 
-        ids, parents = self._new_ids(info, shredded, parent_id)
         order_values = [
             (slots[node.rank - 1], slots[node.end_rank - 1])
             for node in shredded.nodes
         ]
-        depth_base = parent_row["depth"] if parent_row is not None else 0
-        self._insert_rows(
-            doc, shredded, ids, parents, depth_base, order_values, enc
-        )
-        return UpdateReport(
-            inserted=n, relabeled=relabeled, new_root_id=ids[0]
-        )
+        return order_values, relabeled
 
     def _extend_global_ancestors(
         self, doc: int, parent_row: dict, last_slot: int,
@@ -617,11 +626,14 @@ class UpdateManager:
             shifted_from is not None or parent_row["endpos"] < last_slot
         ):
             # UNION, not UNION ALL: a corrupt parent cycle terminates.
+            # `up` is named first because minidb joins FROM items left
+            # to right: so the step probes (doc, id) once per chain row
+            # instead of scanning the document once per round.
             chain += self.store.backend.execute(
                 f"WITH RECURSIVE up(id, parent, endpos) AS ("
                 f"SELECT id, parent, endpos FROM {table} "
                 f"WHERE doc = ? AND id = ? UNION "
-                f"SELECT n.id, n.parent, n.endpos FROM {table} n, up "
+                f"SELECT n.id, n.parent, n.endpos FROM up, {table} n "
                 f"WHERE n.doc = ? AND n.id = up.parent) "
                 f"SELECT id, endpos FROM up",
                 (doc, parent_row["parent"], doc),
@@ -647,9 +659,8 @@ class UpdateManager:
     # -- Local encoding ------------------------------------------------------------------
 
     def _insert_local(
-        self, doc, parent_id, parent_row, children, index, shredded,
-        info, enc,
-    ) -> UpdateReport:
+        self, doc, parent_id, parent_row, children, index, shredded, enc,
+    ) -> tuple[list[tuple], int]:
         gap = self.store.gap
         table = enc.node_table.name
         lpos_before = children[index - 1]["lpos"] if index > 0 else 0
@@ -671,29 +682,20 @@ class UpdateManager:
             relabeled += max(shifted.rowcount, 0)
             new_lpos = lpos_after
 
-        ids, parents = self._new_ids(info, shredded, parent_id)
         order_values = []
         for node in shredded.nodes:
             if node.parent == 0:
                 order_values.append((new_lpos,))
             else:
                 order_values.append((node.sibling_index * gap,))
-        depth_base = parent_row["depth"] if parent_row is not None else 0
-        self._insert_rows(
-            doc, shredded, ids, parents, depth_base, order_values, enc
-        )
-        return UpdateReport(
-            inserted=shredded.node_count(),
-            relabeled=relabeled,
-            new_root_id=ids[0],
-        )
+        return order_values, relabeled
 
     # -- prefix-key encodings (Dewey, ORDPATH) ---------------------------------------------
 
     def _insert_prefix_key(
         self, doc, parent_id, parent_row, children, index, shredded,
-        info, enc: PrefixKeyEncoding,
-    ) -> UpdateReport:
+        enc: PrefixKeyEncoding,
+    ) -> tuple[list[tuple], int]:
         """A fresh key between the two neighbours, chosen by the
         encoding: Dewey takes a free position or asks for the following
         siblings to be shifted, ORDPATH carets and never relabels an
@@ -731,7 +733,6 @@ class UpdateManager:
             )
             relabeled = max(shifted.rowcount, 0)
 
-        ids, parents = self._new_ids(info, shredded, parent_id)
         order_values = []
         for node in shredded.nodes:
             # Fragment-internal nodes are labelled under the new root
@@ -739,15 +740,7 @@ class UpdateManager:
             relative = enc.fresh_components(node.dewey[1:], gap)
             key = enc.key_type((*root_components, *relative))
             order_values.append((key.encode(),))
-        depth_base = parent_row["depth"] if parent_row is not None else 0
-        self._insert_rows(
-            doc, shredded, ids, parents, depth_base, order_values, enc
-        )
-        return UpdateReport(
-            inserted=shredded.node_count(),
-            relabeled=relabeled,
-            new_root_id=ids[0],
-        )
+        return order_values, relabeled
 
     # -- deletion -------------------------------------------------------------------------
 
@@ -785,7 +778,10 @@ class UpdateManager:
         )
 
 
-_INSERT_ROUTINES = {
+#: Per encoding, how an insert makes room: each routine renumbers what
+#: it must and returns the fragment's order values (one tuple per node,
+#: in document order) and the number of existing rows it relabeled.
+_ORDER_ROUTINES = {
     "global": UpdateManager._insert_global,
     "local": UpdateManager._insert_local,
     "dewey": UpdateManager._insert_prefix_key,

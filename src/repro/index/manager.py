@@ -27,21 +27,24 @@ Every index row has one producer, :meth:`IndexManager._index_rows`,
 which reads a forest of node rows, in document order, under the stored
 path of its parent.  ``create`` (and :meth:`IndexManager._rebuild_rows`
 generally) hands it the whole document; maintenance hands it one
-reshredded subtree at a time: each update operation passes its touched
-set (removed ids, reshred subtree roots, string-value anchors — see
+inserted or renamed subtree at a time: each update operation passes
+its touched set (removed ids, the rows of inserted subtrees as written,
+renamed subtree roots, string-value anchors — see
 :class:`repro.core.updates.UpdateReport`) down into the same
-transaction, and only those rows are repaired.  Index rows carry no
-order columns, so renumbering never invalidates them.  An update that
-invalidates more than :data:`INCR_FALLBACK_FRACTION` of the document
-(or that cannot account exactly for what it touched) rebuilds instead —
-a choice made from the update's size, not a setting.  The path
-dictionary is append-only — path ids are stable across rebuilds, which
-is what makes piecewise repair and a full rebuild produce byte-identical
-tables.
+transaction, and only those rows are repaired, in a fixed handful of
+statements whatever the depth of the chain above them.  Index rows
+carry no order columns, so renumbering never invalidates them.  An
+update that invalidates more than :data:`INCR_FALLBACK_FRACTION` of
+the document (or that cannot account exactly for what it touched)
+rebuilds instead — a choice made from the update's size, not a
+setting.  The path dictionary is append-only — path ids are stable
+across rebuilds, which is what makes piecewise repair and a full
+rebuild produce byte-identical tables.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.numeric import xpath_number_value
@@ -51,6 +54,7 @@ from repro.obs import METRICS
 from repro.xmldom.parser import END, START, TEXT
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.encodings import OrderEncoding
     from repro.store import XmlStore
 
 #: Maintenance rebuilds the whole document once an update invalidates
@@ -121,11 +125,13 @@ class IndexManager:
     # -- in-transaction maintenance ---------------------------------------
 
     def maintain_in_transaction(
-        self, doc: int, report, indexed: bool
+        self, info, encoding: "OrderEncoding", report
     ) -> None:
-        """Bring *doc*'s index rows up to date after an update;
-        *indexed* is the update's own catalogue read saying whether
-        there are any.
+        """Bring the index rows of the document *info* describes up to
+        date after an update.  *info* is the update's own catalogue
+        read — it says whether there are any — and *encoding* the
+        encoding the update resolved from it: maintenance reads the
+        catalogue no more.
 
         Runs inside the update's own transaction (called from the
         update manager's outermost tracked scope), so the index can
@@ -144,15 +150,15 @@ class IndexManager:
         """
         if report is not None and report.rows_touched() == 0:
             return
-        if not indexed:
+        if not info.indexed:
             return
         exact = report is not None and report.index_exact
-        if exact and self._apply_delta_in_transaction(doc, report):
+        if exact and self._apply_delta_in_transaction(info, encoding, report):
             METRICS.inc("index.incremental")
         else:
             if exact:
                 METRICS.inc("index.fallback_rebuild")
-            self._rebuild_rows(doc)
+            self._rebuild_rows(info.doc, encoding)
         METRICS.inc("index.maintained")
 
     # -- CLI / reporting ---------------------------------------------------
@@ -192,13 +198,15 @@ class IndexManager:
         """The one producer of index rows: ``(idx_sval rows,
         idx_pathmap rows, fresh idx_paths rows)`` for a forest.
 
-        *rows* are whole subtrees in document order
-        (:func:`~repro.core.reconstruct.ordered_rows`) whose roots are
-        children of one node — the document for a rebuild, a
-        reshredded subtree's parent for a repair — and *parent_path*
-        is that node's rooted path (``""`` for the document).  One
-        pass over their events: an element's path is known when it
-        opens, its XPath string-value when it closes.
+        *rows* are ``(id, parent, kind, tag, value)`` tuples of whole
+        subtrees in document order whose roots are children of one
+        node — the whole document read by
+        :func:`~repro.core.reconstruct.ordered_rows` for a rebuild; for
+        a repair, an inserted subtree's rows as the update wrote them
+        or a renamed subtree read back — and *parent_path* is that
+        node's rooted path (``""`` for the document).  One pass over
+        their events: an element's path is known when it opens, its
+        XPath string-value when it closes.
 
         *paths* is the document's path dictionary and is only ever
         appended to: an unseen path takes the next id and is returned
@@ -238,12 +246,15 @@ class IndexManager:
                 parts.append(a)
         return sval_rows, pathmap_rows, fresh_paths
 
-    def _rebuild_rows(self, doc: int) -> dict:
+    def _rebuild_rows(
+        self, doc: int, encoding: Optional["OrderEncoding"] = None
+    ) -> dict:
         """Recompute every occurrence row of *doc* from one ordered
-        pass over its node table (txn caller-owned); returns the create
-        report."""
+        pass over its node table (txn caller-owned; *encoding* as for
+        :func:`~repro.core.reconstruct.ordered_rows`); returns the
+        create report."""
         backend = self.store.backend
-        rows = ordered_rows(self.store, doc)
+        rows = ordered_rows(self.store, doc, encoding=encoding)
         paths = self._load_paths(doc)
         produced = self._index_rows(doc, rows, "", paths)
         for table in ("idx_sval", "idx_pathmap"):
@@ -258,36 +269,38 @@ class IndexManager:
         }
 
     def _insert_rows(self, sval_rows, pathmap_rows, fresh_paths) -> None:
-        backend = self.store.backend
-        backend.executemany(
-            "INSERT INTO idx_sval VALUES (?, ?, ?, ?, ?, ?)", sval_rows
-        )
-        backend.executemany(
-            "INSERT INTO idx_paths VALUES (?, ?, ?)", fresh_paths
-        )
-        backend.executemany(
-            "INSERT INTO idx_pathmap VALUES (?, ?, ?)", pathmap_rows
-        )
+        for sql, rows in (
+            ("INSERT INTO idx_sval VALUES (?, ?, ?, ?, ?, ?)", sval_rows),
+            ("INSERT INTO idx_paths VALUES (?, ?, ?)", fresh_paths),
+            ("INSERT INTO idx_pathmap VALUES (?, ?, ?)", pathmap_rows),
+        ):
+            if rows:
+                self.store.backend.executemany(sql, rows)
 
     # -- incremental maintenance -------------------------------------------
 
-    def _apply_delta_in_transaction(self, doc: int, report) -> bool:
-        """Repair *doc*'s index rows from an update's touched set.
+    def _apply_delta_in_transaction(
+        self, info, encoding: "OrderEncoding", report
+    ) -> bool:
+        """Repair the index rows of *info*'s document from an update's
+        touched set, in a handful of statements whatever the chain
+        depth or the fragment's shape:
 
-        Three steps: (a) drop ``idx_sval``/``idx_pathmap`` rows for
-        removed and reshredded ids, (b) run each reshredded subtree,
-        read in document order, through
-        :meth:`_index_rows` under its parent's stored path, (c)
-        recompute aggregated string-values bottom-up along the anchors'
-        root paths only.
+        (a) one ``DELETE`` per table for the removed and renamed ids —
+            ids this operation minted have no index rows yet;
+        (b) each inserted subtree's rows as the update wrote them, and
+            each renamed subtree read back, through :meth:`_index_rows`
+            under its parent's stored path, then one ``executemany``
+            per table;
+        (c) the string-values of the anchors and their ancestors (see
+            :meth:`_chain_svals`), written by one ``executemany``.
 
         Returns ``False`` when the delta should not (fallback budget
         exceeded) or cannot (bookkeeping hole) be applied piecewise;
         the caller then rebuilds, which replaces everything this method
         may already have written — bailing out is safe at any point.
         """
-        backend = self.store.backend
-        info = self.store.document_info(doc)
+        doc = info.doc
         budget = max(1.0, info.node_count * INCR_FALLBACK_FRACTION)
         # Relabels are excluded: the idx_* tables carry no order
         # columns, so renumbering leaves every index row valid.
@@ -296,124 +309,163 @@ class IndexManager:
         if invalidated > budget:
             return False
 
-        # Collect the subtrees to (re)shred, skipping roots a later op
-        # in the same transaction deleted and roots nested inside an
+        # Renamed subtrees are read back, skipping roots a later op in
+        # the same transaction deleted and roots nested inside an
         # earlier root's subtree.
         subtrees: list[list[tuple]] = []
         covered: set[int] = set()
         for root_id in dict.fromkeys(report.reshred_roots):
             if root_id in covered or root_id in removed:
                 continue
-            root_row = self.store.fetch_node(doc, root_id)
+            root_row = self.store.fetch_node(doc, root_id, encoding)
             if root_row is None:
                 continue
-            rows = ordered_rows(self.store, doc, root_row)
+            rows = ordered_rows(self.store, doc, root_row, encoding)
             covered.update(row[0] for row in rows)
             subtrees.append(rows)
             invalidated += len(rows)
             if invalidated > budget:
                 return False
 
+        # Inserted subtrees are taken as written.  One that a later op
+        # of the same operation deleted is skipped; one it changed
+        # inside (removed a node, renamed one, inserted under one) is a
+        # shape no public operation produces, and rebuilds.
+        inserted = report.inserted_subtrees
+        minted = {row[0] for rows in inserted for row in rows}
+        changed = {*removed, *report.reshred_roots}
+        changed.update(rows[0][1] for rows in inserted)
+        for rows in inserted:
+            if rows[0][0] in removed or rows[0][0] in covered:
+                continue
+            if any(row[0] in changed for row in rows):
+                return False
+            subtrees.append(rows)
+            invalidated += len(rows)
+            if invalidated > budget:
+                return False
+
         # (a) Drop the stale rows.
-        stale_ids = [*removed, *covered]
+        stale_ids = [
+            node_id for node_id in (*removed, *covered)
+            if node_id not in minted
+        ]
         for table in ("idx_sval", "idx_pathmap"):
             for sql, params in self.store.in_batches(
                 f"DELETE FROM {table} WHERE doc = ?",
                 "id", stale_ids, (doc,),
             ):
-                backend.execute(sql, params)
+                self.store.backend.execute(sql, params)
 
         # (b) Shred the new subtrees.
-        paths = self._load_paths(doc)
-        path_names = {pathid: path for path, pathid in paths.items()}
         produced: tuple[list, list, list] = ([], [], [])
-        for rows in subtrees:
-            parent_path = self._indexed_path(doc, rows[0][1], path_names)
-            if parent_path is None:
-                return False
-            for part, more in zip(produced, self._index_rows(
-                doc, rows, parent_path, paths
-            )):
-                part.extend(more)
-        self._insert_rows(*produced)
+        if subtrees:
+            # The parents' stored paths: their occurrence rows resolved
+            # through the path dictionary, "" for the document node.
+            paths = self._load_paths(doc)
+            names = {pathid: path for path, pathid in paths.items()}
+            parent_paths: dict[int, Optional[str]] = {0: ""}
+            for sql, params in self.store.in_batches(
+                "SELECT id, pathid FROM idx_pathmap WHERE doc = ?",
+                "id", {rows[0][1] for rows in subtrees} - {0}, (doc,),
+            ):
+                for node_id, pathid in self.store.backend.execute(
+                    sql, params
+                ).rows:
+                    parent_paths[node_id] = names.get(pathid)
+            for rows in subtrees:
+                parent_path = parent_paths.get(rows[0][1])
+                if parent_path is None:
+                    return False
+                for part, more in zip(produced, self._index_rows(
+                    doc, rows, parent_path, paths
+                )):
+                    part.extend(more)
+            self._insert_rows(*produced)
 
-        # (c) Repair aggregated string-values along the anchors' root
-        # paths.  Collect every chain node first, then recompute in
-        # decreasing-depth order so a shared ancestor is computed once,
-        # after all of its repaired descendants.
-        chain: dict[int, dict] = {}
-        for anchor in dict.fromkeys(report.sval_anchors):
-            node_id = anchor
-            while node_id and node_id not in chain:
-                row = self.store.fetch_node(doc, node_id)
-                if row is None:
-                    break
-                chain[node_id] = row
-                node_id = row["parent"]
-        repaired = 0
-        ordered = sorted(
-            chain.items(), key=lambda item: -item[1]["depth"]
+        # (c) Repair aggregated string-values along the anchors' paths.
+        repaired = self._chain_svals(
+            doc, encoding, list(dict.fromkeys(report.sval_anchors))
         )
-        for node_id, row in ordered:
-            if row["kind"] != KIND_ELEMENT:
-                continue
-            sval = self._compose_sval(doc, node_id)
-            if sval is None:
-                return False
-            backend.execute(
+        if repaired is None:
+            return False
+        if repaired:
+            self.store.backend.executemany(
                 "UPDATE idx_sval SET sval = ?, nval = ? "
                 "WHERE doc = ? AND id = ?",
-                (sval, xpath_number_value(sval), doc, node_id),
+                repaired,
             )
-            repaired += 1
 
         METRICS.inc(
             "index.row_writes",
-            len(stale_ids) + sum(map(len, produced)) + repaired,
+            len(stale_ids) + sum(map(len, produced)) + len(repaired),
         )
         return True
 
-    def _compose_sval(self, doc: int, element_id: int) -> Optional[str]:
-        """An element's string-value from its children's current index
-        rows (texts contribute their value, elements their stored
-        ``sval``).  ``None`` signals a bookkeeping hole — a child
-        element with no index row — which forces the rebuild fallback."""
-        backend = self.store.backend
-        children = self.store.fetch_children(doc, element_id)
-        element_ids = [
-            child["id"] for child in children
-            if child["kind"] == KIND_ELEMENT
-        ]
-        svals: dict[int, str] = {}
-        for sql, params in self.store.in_batches(
-            "SELECT id, sval FROM idx_sval WHERE doc = ?",
-            "id", element_ids, (doc,),
-        ):
-            svals.update(dict(backend.execute(sql, params).rows))
-        parts: list[str] = []
-        for child in children:
-            if child["kind"] == KIND_TEXT:
-                parts.append(child["value"] or "")
-            elif child["kind"] == KIND_ELEMENT:
-                if child["id"] not in svals:
-                    return None
-                parts.append(svals[child["id"]])
-        return "".join(parts)
+    def _chain_svals(
+        self, doc: int, encoding: "OrderEncoding", anchors: list[int]
+    ) -> Optional[list[tuple]]:
+        """``(sval, nval, doc, id)`` for every element on the paths from
+        *anchors* up to the root, recomputed from the current rows.
 
-    def _indexed_path(
-        self, doc: int, node_id: int, path_names: dict[int, str]
-    ) -> Optional[str]:
-        """The stored rooted path of *node_id* (``""`` for the document
-        node), or ``None`` when its occurrence row is missing."""
-        if node_id == 0:
-            return ""
-        result = self.store.backend.execute(
-            "SELECT pathid FROM idx_pathmap WHERE doc = ? AND id = ?",
-            (doc, node_id),
-        )
-        if not result.rows:
-            return None
-        return path_names.get(result.rows[0][0])
+        Two reads whatever the chains' depth: one ``WITH RECURSIVE``
+        walk up the parent pointers from all anchors at once (the
+        XRecursive way of reading an ancestor chain), and one read of
+        the chain elements' children, each with its stored ``sval``.
+        Chains from different anchors can share ancestors, so the
+        string-values are composed deepest first — a child on the
+        chain contributes the value just computed for it, any other
+        element child its stored one, a text child its value, comments
+        and PIs nothing.  ``None`` signals a bookkeeping hole — an
+        element child with no ``idx_sval`` row — which forces the
+        rebuild fallback.
+        """
+        if not anchors:
+            return []
+        backend = self.store.backend
+        table = encoding.node_table.name
+        marks = ", ".join("?" for _ in anchors)
+        # minidb joins FROM items left to right: `up` first makes the
+        # step a (doc, id) probe per chain row, not a document scan per
+        # round.  UNION, not UNION ALL: a corrupt parent cycle ends.
+        chain = backend.execute(
+            f"WITH RECURSIVE up(id, parent, depth) AS ("
+            f"SELECT id, parent, depth FROM {table} "
+            f"WHERE doc = ? AND id IN ({marks}) UNION "
+            f"SELECT n.id, n.parent, n.depth FROM up, {table} n "
+            f"WHERE n.doc = ? AND n.id = up.parent) "
+            f"SELECT id, depth FROM up",
+            (doc, *anchors, doc),
+        ).rows
+        # A correlated subquery, not a LEFT JOIN: minidb probes the
+        # former by (doc, id) and would scan idx_sval for the latter.
+        children: dict[int, list[tuple]] = {}
+        for sql, params in self.store.in_batches(
+            f"SELECT c.parent, c.id, c.kind, c.value, "
+            f"(SELECT s.sval FROM idx_sval s "
+            f"WHERE s.doc = c.doc AND s.id = c.id) "
+            f"FROM {table} c WHERE c.doc = ?",
+            "c.parent", [node_id for node_id, _depth in chain], (doc,),
+        ):
+            for parent, *child in backend.execute(
+                f"{sql} ORDER BY c.{encoding.sibling_order_column}", params
+            ).rows:
+                children.setdefault(parent, []).append(child)
+        svals: dict[int, str] = {}
+        repaired: list[tuple] = []
+        for node_id, _depth in sorted(chain, key=itemgetter(1), reverse=True):
+            parts: list[str] = []
+            for child_id, kind, value, stored in children.get(node_id, ()):
+                if kind == KIND_TEXT:
+                    parts.append(value or "")
+                elif kind == KIND_ELEMENT:
+                    sval = svals.get(child_id, stored)
+                    if sval is None:
+                        return None
+                    parts.append(sval)
+            svals[node_id] = sval = "".join(parts)
+            repaired.append((sval, xpath_number_value(sval), doc, node_id))
+        return repaired
 
     def _load_paths(self, doc: int) -> dict[str, int]:
         """The stored path dictionary, insertion-ordered by path id

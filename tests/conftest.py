@@ -97,6 +97,25 @@ def counters():
         METRICS.reset()
 
 
+def statement_log(store) -> list[str]:
+    """Record the SQL text of every statement *store*'s backend runs."""
+    log: list[str] = []
+    backend = store.backend
+    execute, executemany = backend.execute, backend.executemany
+
+    def logged_execute(sql, params=()):
+        log.append(sql)
+        return execute(sql, params)
+
+    def logged_executemany(sql, rows):
+        log.append(sql)
+        return executemany(sql, rows)
+
+    backend.execute = logged_execute
+    backend.executemany = logged_executemany
+    return log
+
+
 @pytest.fixture(autouse=True)
 def _audit_created_stores(request, monkeypatch):
     """Audit every store a test created, once the test finishes.

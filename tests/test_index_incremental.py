@@ -13,6 +13,8 @@ Four guards around the touched-set maintenance path:
   (the counter-based regressions that pin the complexity claim);
 * **fallback** — deltas past the invalidation budget fall back to the
   full rebuild and still converge on the twin's tables;
+* **fresh rows** — an inserted subtree's rows reach the index as the
+  update wrote them, inside compound operations and group commits too;
 * **satellites** — zero-row no-op updates skip maintenance entirely.
 """
 
@@ -22,7 +24,7 @@ import random
 
 import pytest
 
-from tests.conftest import ALL_ENCODINGS, BACKENDS
+from tests.conftest import ALL_ENCODINGS, BACKENDS, counters, statement_log
 from repro.check import audit_document
 from repro.check.fuzz import apply_operation, plan_operation
 from repro.index import manager
@@ -164,6 +166,32 @@ class TestMaintenanceScaling:
         incremental = self._writes_for_one_set_text(products=160)
         assert counters["index.row_writes"] > 10 * incremental
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    def test_statements_independent_of_chain_depth(self, backend, encoding):
+        """One indexed text insert issues as many statements 3 levels
+        down a chain as 30 levels down: the ancestors' string-values are
+        walked, read and written set-wise, not one round trip per
+        level."""
+        depth = 32
+        chain = "".join(f"<e{i}>" for i in range(depth)) + "".join(
+            f"</e{i}>" for i in reversed(range(depth))
+        )
+        statements = []
+        for level in (3, 30):
+            store = XmlStore(backend=backend, encoding=encoding)
+            doc = store.load(chain)
+            store.indexes.create(doc)
+            path = "/" + "/".join(f"e{i}" for i in range(level))
+            (target,) = store.query(path, doc)
+            position = len(store.fetch_children(doc, target.node_id))
+            with counters() as count:
+                store.updates.insert(doc, target.node_id, position, "t")
+                assert count("index.incremental") == 1
+                statements.append(count("backend.statements"))
+            store.close()
+        assert statements[0] == statements[1]
+
     @pytest.mark.parametrize("encoding", ("dewey", "local"))
     def test_no_write_reads_the_whole_document(self, encoding):
         """On minidb's deterministic counters: 100 single-node inserts
@@ -190,6 +218,90 @@ class TestMaintenanceScaling:
         )
         assert median < store.document_info(doc).node_count / 5
         store.close()
+
+
+@pytest.mark.usefixtures("whole_document_budget")
+class TestFreshRows:
+    """Inserted rows are indexed as they were written, never read back;
+    ids an operation minted have no index rows to delete."""
+
+    #: 20 nodes, the root's children all elements.
+    DOCUMENT = random_document(1, max_depth=4, max_children=3)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    def test_insert_deleted_by_a_later_step_of_the_same_operation(
+        self, backend, encoding
+    ):
+        incr, doc_i, eager, doc_e = twin_pair(backend, encoding, self.DOCUMENT)
+        root = incr.fetch_children(doc_i, 0)[0]["id"]
+        parent = incr.fetch_children(doc_i, root)[0]["id"]
+
+        def compound(store, doc):
+            # The shape of set_text: one outermost operation whose
+            # steps are public operations, maintained once at the end.
+            updates = store.updates
+
+            def body(_info):
+                report = updates.insert(doc, parent, 0, "<gone>a<b/></gone>")
+                report.absorb(updates.insert(doc, parent, 0, "<kept>c</kept>"))
+                report.absorb(updates.delete(doc, report.new_root_id))
+                return report
+
+            return store.transactionally(
+                lambda: updates._tracked(doc, body)
+            )
+
+        log = statement_log(incr)
+        with counters() as count:
+            compound(incr, doc_i)
+            assert count("index.incremental") == 1
+            assert count("index.fallback_rebuild") == 0
+        assert not [sql for sql in log if sql.startswith("DELETE FROM idx_")]
+        compound(eager, doc_e)
+        eager.indexes.create(doc_e)
+        assert audit_document(incr, doc_i) == []
+        assert index_tables(incr, doc_i) == index_tables(eager, doc_e)
+        incr.close()
+        eager.close()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    def test_group_commit_of_inserts_and_a_delete(self, backend, encoding):
+        """One writer batch, one transaction: each operation maintains
+        the index at its own end, so the delete of a node an earlier
+        operation of the batch inserted must drop that node's rows."""
+        incr, doc_i, eager, doc_e = twin_pair(backend, encoding, self.DOCUMENT)
+        root = incr.fetch_children(doc_i, 0)[0]["id"]
+        parent = incr.fetch_children(doc_i, root)[0]["id"]
+        first = incr.document_info(doc_i).next_id
+        steps = [
+            lambda store, doc: store.updates.insert(
+                doc, parent, 0, "<w>one<v>two</v></w>"
+            ),
+            lambda store, doc: store.updates.insert(doc, parent, 1, "three"),
+            lambda store, doc: store.updates.insert(
+                doc, first, 0, "<u>four</u>"
+            ),
+            lambda store, doc: store.updates.delete(doc, first + 2),
+            lambda store, doc: store.updates.insert(doc, 0, 1, "<!--c-->"),
+        ]
+        queue = incr.enable_write_queue(max_batch=len(steps), autostart=False)
+        futures = [
+            queue.submit(lambda step=step: step(incr, doc_i))
+            for step in steps
+        ]
+        queue.start()
+        for future in futures:
+            future.result(timeout=60)
+        assert queue.batches == 1
+        for step in steps:
+            step(eager, doc_e)
+        eager.indexes.create(doc_e)
+        assert audit_document(incr, doc_i) == []
+        assert index_tables(incr, doc_i) == index_tables(eager, doc_e)
+        incr.close()
+        eager.close()
 
 
 class TestFallbackPolicy:

@@ -6,9 +6,10 @@ import pytest
 from repro.core.dewey import DeweyKey
 from repro.errors import EncodingError, UpdateError
 from repro.store import XmlStore
+from repro.workload.docgen import sized_article_corpus
 from repro.xmldom import Element, Text, parse
 from repro.xpath import Evaluator, string_value
-from tests.conftest import ALL_ENCODINGS, BACKENDS, ENCODINGS
+from tests.conftest import ALL_ENCODINGS, BACKENDS, ENCODINGS, statement_log
 
 
 def assert_values_match_oracle(store, doc, dom, xpath):
@@ -302,25 +303,6 @@ class TestUpdatesOnMinidb:
         assert store.reconstruct(doc).structurally_equal(dom)
 
 
-def statement_log(store) -> list[str]:
-    """Record the SQL text of every statement *store*'s backend runs."""
-    log: list[str] = []
-    backend = store.backend
-    execute, executemany = backend.execute, backend.executemany
-
-    def logged_execute(sql, params=()):
-        log.append(sql)
-        return execute(sql, params)
-
-    def logged_executemany(sql, rows):
-        log.append(sql)
-        return executemany(sql, rows)
-
-    backend.execute = logged_execute
-    backend.executemany = logged_executemany
-    return log
-
-
 class TestRenumberingIsOneStatement:
     """A renumbering is an ``UPDATE`` the engine evaluates, never a
     loop over the rows it touches."""
@@ -396,6 +378,29 @@ class TestRenumberingIsOneStatement:
         assert [sql for sql in log if sql.startswith("UPDATE node_")] == [
             "UPDATE node_global SET endpos = ? WHERE doc = ? AND id IN (?, ?)"
         ]
+
+    def test_global_ancestor_walk_probes_by_id_on_minidb(self):
+        """Appending under the last paragraph of a 3,500-node document
+        shifts no tail and extends a four-row chain: the walk up the
+        parent pointers reads that chain, not the whole document once
+        per recursion round (minidb joins FROM items left to right)."""
+        store = XmlStore(backend="minidb", encoding="global")
+        doc = store.load(sized_article_corpus(3000))
+        para = store.query("//para", doc)[-1].node_id
+        position = len(store.fetch_children(doc, para))
+        log = statement_log(store)
+        stats = store.backend.db.stats
+        before = stats.rows_read
+        store.updates.insert(doc, para, position, "<i/>")
+        assert stats.rows_read - before < 50
+        (walk,) = [sql for sql in log if sql.startswith("WITH RECURSIVE")]
+        plan = store.backend.db.explain(walk)
+        assert not any("FULL SCAN" in line for line in plan), plan
+        (step,) = [
+            line for line in plan
+            if line.startswith("  step: ") and "node_global n" in line
+        ]
+        assert "INDEX ux_node_global_id (eq[2])" in step, plan
 
 
 class TestKeySpaceExhaustion:

@@ -17,7 +17,8 @@ def main() -> None:
     operations = int(sys.argv[1]) if len(sys.argv) > 1 else 120
 
     print("Running the mixed-workload crossover "
-          f"({operations} operations per cell; ~30s)...\n")
+          f"({operations} operations per cell, cost in rows read + "
+          "written)...\n")
     table = run_e7_mixed_workload(
         articles=15,
         operations=operations,

@@ -1,11 +1,9 @@
-"""Benchmark harness and the reconstructed experiment suite E1-E14."""
+"""Benchmark harness and the reconstructed experiment suite E1-E18."""
 
 from repro.bench.harness import (
     ENCODING_NAMES,
     ExperimentTable,
     build_store,
-    speedup,
-    timed,
 )
 from repro.bench.experiments import run_all
 from repro.bench.report import (
@@ -13,8 +11,6 @@ from repro.bench.report import (
     Verdict,
     compute_verdicts,
     render_verdicts,
-    results_payload,
-    write_results_json,
 )
 
 __all__ = [
@@ -25,9 +21,5 @@ __all__ = [
     "build_store",
     "compute_verdicts",
     "render_verdicts",
-    "results_payload",
     "run_all",
-    "speedup",
-    "timed",
-    "write_results_json",
 ]

@@ -1,32 +1,43 @@
-"""The reconstructed evaluation: experiments E1-E18.
+"""The reconstructed evaluation: experiments E1-E18, counted.
 
 Each ``run_eN_*`` function executes one experiment and returns an
-:class:`~repro.bench.harness.ExperimentTable`.  ``run_all`` executes the
-whole suite (used by ``benchmarks/run_experiments.py`` to regenerate
-EXPERIMENTS.md, and by ``repro experiments`` / ``repro bench``).  These
-functions are the only implementation of E1-E18: DESIGN.md's experiment
-index points at them by name.
+:class:`~repro.bench.harness.ExperimentTable` of counts — label bytes,
+rows read and written, statements, relabels, compiles, completed
+reads — and never a wall-clock time, so a table repeats exactly and the
+verdict :func:`~repro.bench.report.compute_verdicts` reads off it is a
+function of the commit.  ``run_all`` runs the suite at its one set of
+sizes (``benchmarks/run_experiments.py`` writes EXPERIMENTS.md from it,
+``repro experiments`` prints it); ``tests/test_paper_verdicts.py``
+asserts the same verdicts with smaller sizes passed as arguments.
+These functions are the only implementation of E1-E18: DESIGN.md's
+experiment index points at them by name.
 
-Defaults are sized to finish in seconds on a laptop while preserving the
-paper's comparative shapes; every function takes size parameters for
-larger runs.
+Rows read are minidb's: its executor counts every row an access path
+fetches, which sqlite does not expose, so the experiments that report
+them run on minidb.  Relabels, rows written, statements and compiles
+are counted the same on both engines, and those experiments run on the
+default sqlite backend.
 """
 
 from __future__ import annotations
 
+import statistics
+import threading
 import time
-from typing import Sequence
+from collections import Counter
+from contextlib import contextmanager
+from math import log
+from typing import Iterator, Sequence
 
 from repro.bench.harness import (
     ENCODING_NAMES,
     ExperimentTable,
     build_store,
-    timed,
 )
 from repro.core.dewey import DeweyKey
 from repro.core.shredder import shred
-from repro.core.translator import make_translator
 from repro.errors import TranslationError
+from repro.obs import METRICS
 from repro.store import XmlStore
 from repro.workload import (
     MixedWorkload,
@@ -35,11 +46,52 @@ from repro.workload import (
     UpdateWorkload,
     article_corpus,
     document_stats,
+    make_fragment,
     sized_article_corpus,
 )
+from repro.xmldom import parse
 
 #: Abstract per-node order-label sizes (bytes), for E1: integers cost 4.
 _INT_BYTES = 4
+
+
+@contextmanager
+def _engine_io(store: XmlStore) -> Iterator[dict]:
+    """Yield a dict that holds, once the block exits, what *store*'s
+    minidb engine counted inside it: ``statements``, ``rows_read``,
+    ``rows_written``, ``index_scans`` and ``full_scans``."""
+    engine = store.backend.db  # type: ignore[attr-defined]
+    before = engine.stats.snapshot()
+    counts: dict = {}
+    yield counts
+    after = engine.stats.snapshot()
+    counts.update({name: after[name] - before[name] for name in after})
+
+
+@contextmanager
+def _metrics() -> Iterator[Counter]:
+    """Yield a Counter that holds, once the block exits, the metrics
+    counters recorded inside it.  The registry records for the block's
+    duration, whatever its setting was, and is reset on both sides, so
+    the counts are the block's own and none outlive it (``repro migrate
+    --auto`` reads the registry as its workload window)."""
+    was_enabled = METRICS.enabled
+    METRICS.reset()
+    METRICS.enabled = True
+    grew: Counter = Counter()
+    try:
+        yield grew
+        grew.update(METRICS.snapshot()["counters"])
+    finally:
+        METRICS.enabled = was_enabled
+        METRICS.reset()
+
+
+def _identities(store: XmlStore, xpath: str, doc: int) -> list[tuple]:
+    return [
+        (i.kind, i.node_id, i.label, i.value)
+        for i in store.query(xpath, doc)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +125,6 @@ def run_e1_storage(
             table.add_row(
                 n, name, n, round(total / n, 2), round(total / 1024, 1)
             )
-    dewey_text = None
     document = sized_article_corpus(sizes[0])
     shredded = shred(document)
     dewey_text = sum(
@@ -81,7 +132,9 @@ def run_e1_storage(
     ) / shredded.node_count()
     table.add_note(
         f"dotted-text Dewey keys would average {dewey_text:.1f} bytes/node "
-        "at the smallest size; the binary codec is the practical choice"
+        "at the smallest size; the binary codec is the practical choice — "
+        "and dotted text does not even sort (\"1.10\" < \"1.9\"), where "
+        "the binary keys compare bytewise in document order"
     )
     return table
 
@@ -93,98 +146,91 @@ def run_e1_storage(
 
 def run_e2_loading(
     sizes: Sequence[int] = (1000, 5000),
-    backend: str = "sqlite",
-    repeat: int = 3,
 ) -> ExperimentTable:
-    """Shred + bulk-load time per encoding."""
+    """Rows written and statements per bulk load, per encoding."""
     table = ExperimentTable(
         "E2",
-        f"Loading time ({backend})",
-        ("nodes", "encoding", "load ms"),
+        "Loading: rows written and statements per load",
+        ("nodes", "attributes", "encoding", "rows written", "statements"),
     )
     for target in sizes:
         document = sized_article_corpus(target)
-        n = document_stats(document)["nodes"]
+        shredded = shred(document)
         for name in ENCODING_NAMES:
-            seconds = timed(
-                lambda: build_store(document, name, backend), repeat
+            with _metrics() as grew:
+                build_store(document, name)
+            table.add_row(
+                shredded.node_count(), len(shredded.attributes), name,
+                grew["backend.rows_written"], grew["backend.statements"],
             )
-            table.add_row(n, name, round(seconds * 1000, 2))
+    table.add_note(
+        "load time is the `ingest` workload of `benchmarks/perf`"
+    )
     return table
 
 
 # ---------------------------------------------------------------------------
-# E3/E4: query performance
+# E3/E4/E13: query logical I/O
 # ---------------------------------------------------------------------------
 
 
-def _query_experiment(
-    table_id: str,
-    title: str,
-    queries,
-    articles: int,
-    backend: str,
-    repeat: int,
+def _query_io(
+    table_id: str, title: str, queries, articles: int
 ) -> ExperimentTable:
+    """Results, minidb rows read and statements per query and encoding."""
     document = article_corpus(articles=articles)
     table = ExperimentTable(
         table_id,
         title,
         ("query", "feature", "results",
-         *(f"{n} ms" for n in ENCODING_NAMES)),
+         *(f"{n} rows" for n in ENCODING_NAMES),
+         *(f"{n} stmts" for n in ENCODING_NAMES)),
     )
     stores = {
-        name: build_store(document, name, backend)
+        name: build_store(document, name, "minidb")
         for name in ENCODING_NAMES
     }
     for query in queries:
-        cells = []
-        count = None
+        rows, statements = [], []
+        results = None
         for name in ENCODING_NAMES:
             store, doc = stores[name]
             try:
-                count = len(store.query(query.xpath, doc))
-                seconds = timed(
-                    lambda: store.query(query.xpath, doc), repeat
-                )
-                cells.append(round(seconds * 1000, 2))
+                with _engine_io(store) as io:
+                    results = len(store.query(query.xpath, doc))
             except TranslationError:
-                cells.append("n/a")
-        table.add_row(query.id, query.feature, count, *cells)
+                rows.append("n/a")
+                statements.append("n/a")
+                continue
+            rows.append(io["rows_read"])
+            statements.append(io["statements"])
+        table.add_row(query.id, query.feature, results, *rows, *statements)
     return table
 
 
-def run_e3_ordered_queries(
-    articles: int = 20, backend: str = "sqlite", repeat: int = 3
-) -> ExperimentTable:
-    """Ordered query suite Q1-Q8 across encodings."""
-    table = _query_experiment(
+def run_e3_ordered_queries(articles: int = 10) -> ExperimentTable:
+    """Ordered query suite Q1-Q8: rows read and statements (minidb)."""
+    table = _query_io(
         "E3",
-        f"Ordered query performance ({backend})",
+        "Ordered queries: rows read and statements (minidb)",
         ORDERED_QUERIES,
         articles,
-        backend,
-        repeat,
     )
     table.add_note(
-        "Local Q7/Q8 before its closure axes became recursive walks, "
-        "i.e. what SQL-92-style depth expansion costs on this document "
-        "(sqlite, articles=20): 17.39 ms and 188 ms"
+        "Local Q7/Q8 under SQL-92-style depth expansion, before its "
+        "closure axes became recursive walks (articles=10): 49,672 and "
+        "110,890 rows"
     )
     return table
 
 
-def run_e4_unordered_queries(
-    articles: int = 20, backend: str = "sqlite", repeat: int = 3
-) -> ExperimentTable:
-    """Unordered query suite U1-U4 across encodings."""
-    return _query_experiment(
+def run_e4_unordered_queries(articles: int = 10) -> ExperimentTable:
+    """Unordered query suite U1-U4: rows read and statements (minidb)."""
+    return _query_io(
         "E4",
-        f"Unordered query performance ({backend})",
+        "Unordered queries: rows read and statements (minidb)",
         UNORDERED_QUERIES,
         articles,
-        backend,
-        repeat,
     )
 
 
@@ -196,7 +242,6 @@ def run_e4_unordered_queries(
 def run_e5_insert_position(
     articles: int = 30,
     inserts: int = 20,
-    backend: str = "sqlite",
 ) -> ExperimentTable:
     """Single-fragment inserts at first/middle/last positions.
 
@@ -215,23 +260,20 @@ def run_e5_insert_position(
     table = ExperimentTable(
         "E5",
         "Insert cost vs. position (dense numbering)",
-        ("encoding", "scope", "position", "inserts", "rows relabeled",
-         "ms total"),
+        ("encoding", "scope", "position", "inserts", "rows relabeled"),
     )
     for name in ENCODING_NAMES:
         for scope_name, scope_xpath in scopes:
             for where in ("first", "middle", "last"):
-                store, doc = build_store(document, name, backend)
+                store, doc = build_store(document, name)
                 workload = UpdateWorkload(store, doc)
                 parent_id = store.query(scope_xpath, doc)[0].node_id
-                started = time.perf_counter()
                 stream = workload.insert_stream(
                     parent_id, where, inserts, payload_nodes=2
                 )
-                elapsed = time.perf_counter() - started
                 table.add_row(
                     name, scope_name, where, stream.operations,
-                    stream.relabeled, round(elapsed * 1000, 2),
+                    stream.relabeled,
                 )
     return table
 
@@ -244,46 +286,36 @@ def run_e5_insert_position(
 def run_e6_subtree_updates(
     articles: int = 30,
     operations: int = 10,
-    backend: str = "sqlite",
 ) -> ExperimentTable:
-    """Insert and delete multi-node subtrees in the document middle."""
+    """Insert and delete multi-node subtrees in the document middle.
+
+    Rows touched are the rows each operation inserted or deleted plus
+    the rows it relabeled.
+    """
     document = article_corpus(articles=articles)
     table = ExperimentTable(
         "E6",
         "Subtree insert / delete",
-        ("encoding", "operation", "ops", "rows touched", "ms total"),
+        ("encoding", "operation", "ops", "rows touched"),
     )
     for name in ENCODING_NAMES:
-        store, doc = build_store(document, name, backend)
+        store, doc = build_store(document, name)
         workload = UpdateWorkload(store, doc)
         root_id = store.query("/journal", doc)[0].node_id
-        started = time.perf_counter()
-        stream_relabeled = 0
-        inserted = 0
+        touched = 0
         for _ in range(operations):
             report = workload.insert_at(
                 root_id, "middle", payload_nodes=10, tag="article"
             )
-            stream_relabeled += report.relabeled
-            inserted += report.inserted
-        insert_elapsed = time.perf_counter() - started
-        table.add_row(
-            name, "insert subtree", operations,
-            stream_relabeled + inserted,
-            round(insert_elapsed * 1000, 2),
-        )
+            touched += report.inserted + report.relabeled
+        table.add_row(name, "insert subtree", operations, touched)
 
-        started = time.perf_counter()
-        deleted = 0
+        touched = 0
         for _ in range(operations):
             report = workload.delete_random("/journal/article")
             if report is not None:
-                deleted += report.deleted
-        delete_elapsed = time.perf_counter() - started
-        table.add_row(
-            name, "delete subtree", operations, deleted,
-            round(delete_elapsed * 1000, 2),
-        )
+                touched += report.deleted + report.relabeled
+        table.add_row(name, "delete subtree", operations, touched)
     return table
 
 
@@ -296,29 +328,34 @@ def run_e7_mixed_workload(
     articles: int = 20,
     operations: int = 120,
     fractions: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-    backend: str = "sqlite",
 ) -> ExperimentTable:
-    """Total time vs. update fraction: the paper's headline trade-off."""
+    """Logical I/O vs. update fraction: the paper's headline trade-off.
+
+    Each cell runs the same seeded schedule of queries and ordered
+    insertions on a fresh minidb store and charges it the rows the
+    engine read plus the rows it wrote.
+    """
     document = article_corpus(articles=articles)
     table = ExperimentTable(
         "E7",
-        "Mixed workload: total seconds vs. update fraction",
-        ("update %", *(f"{n} s" for n in ENCODING_NAMES), "winner"),
+        "Mixed workload: rows read + written vs. update fraction (minidb)",
+        ("update %", *(f"{n} rows" for n in ENCODING_NAMES), "winner"),
     )
     for fraction in fractions:
         cells = {}
         for name in ENCODING_NAMES:
-            store, doc = build_store(document, name, backend)
+            store, doc = build_store(document, name, "minidb")
             mix = MixedWorkload(
                 store, doc, ORDERED_QUERIES + UNORDERED_QUERIES,
                 insert_parent_xpath="/journal/article/section[1]",
             )
-            result = mix.run(operations, fraction)
-            cells[name] = result.total_seconds
+            with _engine_io(store) as io:
+                mix.run(operations, fraction)
+            cells[name] = io["rows_read"] + io["rows_written"]
         winner = min(cells, key=cells.get)
         table.add_row(
             int(fraction * 100),
-            *(round(cells[n], 3) for n in ENCODING_NAMES),
+            *(cells[n] for n in ENCODING_NAMES),
             winner,
         )
     return table
@@ -329,36 +366,36 @@ def run_e7_mixed_workload(
 # ---------------------------------------------------------------------------
 
 
-def run_e8_reconstruction(
-    articles: int = 40, backend: str = "sqlite", repeat: int = 3
-) -> ExperimentTable:
-    """Full-document and subtree reconstruction time."""
+def run_e8_reconstruction(articles: int = 10) -> ExperimentTable:
+    """Statements and rows read to reconstruct a document and two
+    subtrees of different height (minidb)."""
     document = article_corpus(articles=articles)
+    article = f"/journal/article[{max(1, articles // 2)}]"
+    scopes = (
+        ("article subtree", article),
+        ("section subtree", f"{article}/section[1]"),
+    )
     table = ExperimentTable(
         "E8",
-        "Reconstruction time",
-        ("encoding", "scope", "nodes", "ms"),
+        "Reconstruction: statements and rows read (minidb)",
+        ("encoding", "scope", "nodes", "statements", "rows read"),
     )
     for name in ENCODING_NAMES:
-        store, doc = build_store(document, name, backend)
-        total = store.node_count(doc)
-        seconds = timed(lambda: store.reconstruct(doc), repeat)
-        table.add_row(name, "full document", total,
-                      round(seconds * 1000, 2))
-        target = store.query(
-            f"/journal/article[{articles // 2}]", doc
-        )[0].node_id
-        subtree_nodes = 1 + len(
-            store.query(
-                f"/journal/article[{articles // 2}]/descendant-or-self::node()",
-                doc,
+        store, doc = build_store(document, name, "minidb")
+        with _engine_io(store) as io:
+            store.reconstruct(doc)
+        table.add_row(
+            name, "document", store.node_count(doc),
+            io["statements"], io["rows_read"],
+        )
+        for scope, xpath in scopes:
+            root = store.query(xpath, doc)[0].node_id
+            nodes = len(store.query(f"{xpath}/descendant-or-self::node()", doc))
+            with _engine_io(store) as io:
+                store.reconstruct_subtree(doc, root)
+            table.add_row(
+                name, scope, nodes, io["statements"], io["rows_read"]
             )
-        )
-        seconds = timed(
-            lambda: store.reconstruct_subtree(doc, target), repeat
-        )
-        table.add_row(name, "one article subtree", subtree_nodes,
-                      round(seconds * 1000, 2))
     return table
 
 
@@ -368,24 +405,31 @@ def run_e8_reconstruction(
 
 
 def run_e9_translation() -> ExperimentTable:
-    """Static SQL complexity per query class per encoding."""
+    """Static SQL complexity per query per encoding, and Local's on a
+    document ten times deeper."""
+    shallow = article_corpus(articles=3)  # elements four deep
+    deep = parse(  # forty deep
+        "<journal><article>" + "<section>" * 37 + "<para/>"
+        + "</section>" * 37 + "</article></journal>"
+    )
+    stores = {
+        **{name: build_store(shallow, name) for name in ENCODING_NAMES},
+        "local depth 40": build_store(deep, "local"),
+    }
     table = ExperimentTable(
         "E9",
         "Translation complexity (joins + subqueries + recursions)",
-        ("query", "feature",
-         *(f"{n} ops" for n in ENCODING_NAMES)),
+        ("query", "feature", *(f"{key} ops" for key in stores)),
     )
     for query in ORDERED_QUERIES + UNORDERED_QUERIES:
         cells = []
-        for name in ENCODING_NAMES:
-            translator = make_translator(name)
+        for store, doc in stores.values():
             try:
-                translated = translator.translate(query.xpath, doc=1)
-                cells.append(
-                    translated.stats.total_relational_operations()
-                )
+                translated = store.translate(query.xpath, doc)
             except TranslationError:
                 cells.append("n/a")
+                continue
+            cells.append(translated.stats.total_relational_operations())
         table.add_row(query.id, query.feature, *cells)
     table.add_note(
         "Local's closure axes are one recursive walk each (two nested "
@@ -396,27 +440,22 @@ def run_e9_translation() -> ExperimentTable:
     return table
 
 
-def run_e9b_compile_cache(
-    articles: int = 8,
-    repeat: int = 20,
-    backend: str = "sqlite",
-) -> ExperimentTable:
-    """Dynamic translation cost: cold compile vs warm shape-keyed plans.
+def run_e9b_compile_cache(articles: int = 8) -> ExperimentTable:
+    """Translation work: cold compile vs warm shape-keyed plans.
 
-    Cold runs pay parse + shape extraction + AST compilation for every
-    query; warm runs hit the plan cache and only bind
-    document/context/literal parameters into the compiled plan.
+    A cold pass over the query mix (plan cache emptied) compiles every
+    query; a warm pass compiles none and binds each query's parameters
+    into the plan its shape already has.
     """
-    from repro.store import _parse_and_extract
-
     document = article_corpus(articles=articles)
     table = ExperimentTable(
         "E9b",
-        "Translation cost: cold compile vs warm shape-keyed plan cache",
-        ("encoding", "queries", "cold ms", "warm ms", "speedup"),
+        "Translation work: cold compile vs warm shape-keyed plan cache",
+        ("encoding", "queries", "cold compiles", "warm compiles",
+         "warm plans shared"),
     )
     for name in ENCODING_NAMES:
-        store = XmlStore(backend=backend, encoding=name, cache=True)
+        store = XmlStore(encoding=name)
         doc = store.load(document)
         queries = []
         for query in ORDERED_QUERIES + UNORDERED_QUERIES:
@@ -426,24 +465,18 @@ def run_e9b_compile_cache(
                 continue
             queries.append(query.xpath)
 
-        def run_batch() -> None:
+        def translate_all() -> None:
             for xpath in queries:
                 store.translate(xpath, doc)
 
-        def run_cold() -> None:
-            # Drop the process-wide shape cache and this store's plan
-            # cache so every translation compiles from scratch.
-            _parse_and_extract.cache_clear()
-            store.cache.clear()
-            run_batch()
-
-        cold = timed(run_cold, repeat)
-        run_batch()  # ensure the plan cache is warm
-        warm = timed(run_batch, repeat)
+        store.cache.clear()
+        with _metrics() as cold:
+            translate_all()
+        with _metrics() as warm:
+            translate_all()
         table.add_row(
-            name, len(queries),
-            round(cold * 1000, 3), round(warm * 1000, 3),
-            round(cold / max(warm, 1e-9), 1),
+            name, len(queries), cold["translate.compile"],
+            warm["translate.compile"], warm["translate.plan_shared"],
         )
     table.add_note(
         "Plans are keyed on query shape (encoding, XPath shape, context "
@@ -462,29 +495,23 @@ def run_e10_sparse_numbering(
     articles: int = 20,
     inserts: int = 40,
     gaps: Sequence[int] = (1, 16, 256),
-    backend: str = "sqlite",
 ) -> ExperimentTable:
     """Repeated middle insertions under different gap factors."""
     document = article_corpus(articles=articles)
     table = ExperimentTable(
         "E10",
         "Sparse numbering: relabeled rows over an insert burst",
-        ("encoding", "gap", "inserts", "rows relabeled", "ms total"),
+        ("encoding", "gap", "inserts", "rows relabeled"),
     )
     for name in ENCODING_NAMES:
         for gap in gaps:
-            store, doc = build_store(document, name, backend, gap=gap)
+            store, doc = build_store(document, name, gap=gap)
             workload = UpdateWorkload(store, doc)
             root_id = store.query("/journal", doc)[0].node_id
-            started = time.perf_counter()
             stream = workload.insert_stream(
                 root_id, "middle", inserts, payload_nodes=2
             )
-            elapsed = time.perf_counter() - started
-            table.add_row(
-                name, gap, inserts, stream.relabeled,
-                round(elapsed * 1000, 2),
-            )
+            table.add_row(name, gap, inserts, stream.relabeled)
     return table
 
 
@@ -496,7 +523,6 @@ def run_e10_sparse_numbering(
 def run_e11_ordpath(
     articles: int = 12,
     inserts: int = 30,
-    backend: str = "sqlite",
 ) -> ExperimentTable:
     """The ORDPATH extension vs. Dewey: relabeling vs. key growth.
 
@@ -509,18 +535,16 @@ def run_e11_ordpath(
     table = ExperimentTable(
         "E11",
         "Extension: Dewey vs. ORDPATH under a same-spot insert burst",
-        ("encoding", "inserts", "rows relabeled", "ms total",
-         "avg key bytes", "max key bytes", "query Q5 ms"),
+        ("encoding", "inserts", "rows relabeled",
+         "avg key bytes", "max key bytes"),
     )
     for name in ("dewey", "ordpath"):
-        store, doc = build_store(document, name, backend)
+        store, doc = build_store(document, name)
         workload = UpdateWorkload(store, doc)
         root_id = store.query("/journal", doc)[0].node_id
-        started = time.perf_counter()
         relabeled = 0
         for _ in range(inserts):
             relabeled += workload.insert_at(root_id, "middle").relabeled
-        elapsed = time.perf_counter() - started
         column = store.encoding.sibling_order_column
         lengths = [
             len(row[0])
@@ -530,14 +554,9 @@ def run_e11_ordpath(
                 (doc,),
             ).rows
         ]
-        query = ORDERED_QUERIES[4]  # Q5: following-sibling
-        query_seconds = timed(
-            lambda: store.query(query.xpath, doc), 3
-        )
         table.add_row(
-            name, inserts, relabeled, round(elapsed * 1000, 2),
+            name, inserts, relabeled,
             round(sum(lengths) / len(lengths), 2), max(lengths),
-            round(query_seconds * 1000, 2),
         )
     table.add_note(
         "ORDPATH is this reproduction's extension (the paper's update "
@@ -554,88 +573,67 @@ def run_e11_ordpath(
 
 
 def run_e12_scaling(
-    sizes: Sequence[int] = (500, 2000, 8000),
-    backend: str = "sqlite",
-    repeat: int = 3,
+    sizes: Sequence[int] = (300, 1000, 3000),
 ) -> ExperimentTable:
-    """Query latency vs. document size for three representative queries.
+    """Rows read vs. document size for three representative queries,
+    with the exponent of a power law fitted through them.
 
-    U2 (descendant scan) grows with result size for everyone; Q5
-    (sibling axis) stays cheap; Q7 (document-order axis) separates the
-    encodings — Local walks up from every candidate.
+    U2 (descendant scan) and Q5 (sibling axis) read in proportion to
+    their results; Q7 (document-order axis) is where the encodings'
+    plans differ.
     """
+    probes = [
+        query
+        for query in ORDERED_QUERIES + UNORDERED_QUERIES
+        if query.id in ("U2", "Q5", "Q7")
+    ]
+    documents = [sized_article_corpus(target) for target in sizes]
+    nodes = [document_stats(document)["nodes"] for document in documents]
     table = ExperimentTable(
         "E12",
-        "Scaling: query ms vs. document size",
-        ("nodes", "query", *(f"{n} ms" for n in ENCODING_NAMES)),
+        "Scaling: rows read vs. document size (minidb)",
+        ("query", "encoding", *(f"rows @ {n} nodes" for n in nodes),
+         "exponent"),
     )
-    probes = {
-        "U2 //para": "//para",
-        "Q5 sibling": "/journal/article/section[1]"
-                      "/following-sibling::section",
-        "Q7 following": "/journal/article[3]/following::author",
-    }
-    for target in sizes:
-        document = sized_article_corpus(target)
-        stores = {
-            name: build_store(document, name, backend)
-            for name in ENCODING_NAMES
-        }
-        n = stores["global"][0].node_count(stores["global"][1])
-        for label, xpath in probes.items():
-            cells = []
-            for name in ENCODING_NAMES:
-                store, doc = stores[name]
-                seconds = timed(lambda: store.query(xpath, doc), repeat)
-                cells.append(round(seconds * 1000, 2))
-            table.add_row(n, label, *cells)
+    rows_read: dict[tuple, list] = {}
+    for document in documents:
+        for name in ENCODING_NAMES:
+            store, doc = build_store(document, name, "minidb")
+            for query in probes:
+                with _engine_io(store) as io:
+                    store.query(query.xpath, doc)
+                rows_read.setdefault((query.id, name), []).append(
+                    io["rows_read"]
+                )
+    for query in probes:
+        for name in ENCODING_NAMES:
+            counts = rows_read[query.id, name]
+            fit = statistics.linear_regression(
+                [log(n) for n in nodes], [log(c) for c in counts]
+            )
+            table.add_row(
+                query.id, name, *counts, round(fit.slope, 2)
+            )
     return table
 
 
-# ---------------------------------------------------------------------------
-# E13: logical I/O (engine-independent cost)
-# ---------------------------------------------------------------------------
-
-
 def run_e13_logical_io(articles: int = 10) -> ExperimentTable:
-    """Rows read per query, per encoding, on the minidb engine.
+    """Rows read and statements per query, both suites, on minidb.
 
     Wall-clock numbers depend on Python and the host; *rows touched* is
     the engine-independent unit the paper's analysis reasons in.  The
     minidb executor counts every row fetched from a table (via index or
     scan), giving the logical-I/O profile of each translation.
     """
-    document = article_corpus(articles=articles)
-    table = ExperimentTable(
+    table = _query_io(
         "E13",
-        "Logical I/O: rows read per query (minidb counters)",
-        ("query", "feature",
-         *(f"{n} rows" for n in ENCODING_NAMES)),
+        "Logical I/O: rows read and statements per query (minidb)",
+        ORDERED_QUERIES + UNORDERED_QUERIES,
+        articles,
     )
-    stores = {
-        name: build_store(document, name, "minidb")
-        for name in ENCODING_NAMES
-    }
-    for query in ORDERED_QUERIES + UNORDERED_QUERIES:
-        cells = []
-        for name in ENCODING_NAMES:
-            store, doc = stores[name]
-            engine = store.backend.db  # type: ignore[attr-defined]
-            engine.reset_stats()
-            try:
-                store.query(query.xpath, doc)
-                cells.append(engine.stats.rows_read)
-            except TranslationError:
-                cells.append("n/a")
-        table.add_row(query.id, query.feature, *cells)
     table.add_note(
         "counts include index-assisted fetches and the client-side "
-        "order-resolution fetches Local needs"
-    )
-    table.add_note(
-        "Local Q7/Q8 under SQL-92-style depth expansion, before its "
-        "closure axes became recursive walks (articles=10): 49,672 and "
-        "110,890 rows"
+        "order-resolution fetches Local needs (its extra statements)"
     )
     return table
 
@@ -644,93 +642,97 @@ def run_e13_logical_io(articles: int = 10) -> ExperimentTable:
 # E14: concurrent serving (pooled connections vs serialized sharing)
 # ---------------------------------------------------------------------------
 
+#: How long E14's write transaction waits for its readers.  A pooled
+#: read takes milliseconds; a serialized one cannot finish before the
+#: commit, so this is how long that mode holds the transaction open.
+_E14_HOLD_SECONDS = 1.0
+
+
+def _reads_during_write(store: XmlStore, doc: int, readers: int) -> int:
+    """How many of *readers* concurrent reads of *doc* complete while
+    the calling thread holds one write transaction open on *store*."""
+    translated = store.translate("//para", doc)
+    parent = store.query("/journal", doc)[0].node_id
+    done = [threading.Event() for _ in range(readers)]
+    committing = threading.Event()
+    during: list[int] = []
+
+    def read(slot: int) -> None:
+        store.backend.execute(translated.sql, translated.params)
+        if not committing.is_set():
+            during.append(slot)
+        done[slot].set()
+
+    threads = [
+        threading.Thread(target=read, args=(slot,), daemon=True)
+        for slot in range(readers)
+    ]
+
+    def write() -> None:
+        store.updates.insert(doc, parent, 0, make_fragment("w"))
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + _E14_HOLD_SECONDS
+        for event in done:
+            event.wait(max(0.0, deadline - time.monotonic()))
+        committing.set()
+
+    store.transactionally(write)
+    for thread in threads:
+        thread.join(timeout=30)
+    if any(thread.is_alive() for thread in threads):
+        raise RuntimeError("E14: a reader never completed")
+    return len(during)
+
 
 def run_e14_concurrency(
-    articles: int = 60,
-    reader_counts: Sequence[int] = (1, 2, 4, 8),
-    seconds: float = 0.4,
-    encoding: str = "global",
+    articles: int = 20, readers: int = 4
 ) -> ExperimentTable:
-    """Reader throughput with one writer active: pooled vs serialized.
+    """Reads completed while one write transaction is held open.
 
-    Both modes run the byte-identical pre-translated statement stream
-    against the same file-backed sqlite database.  *serialized* is the
-    legacy shared connection, whose lock is held from BEGIN to COMMIT
-    of every update transaction — readers stall whenever the writer is
-    in one.  *pooled* gives each reader thread its own WAL connection
-    and funnels the writer through the single-writer group-commit
-    queue, so reads proceed during writes.
-
-    The writer front-inserts under the Global encoding, the paper's
-    relabeling worst case: every insert shifts the whole document tail
-    in bulk UPDATE statements, so each write transaction holds the
-    serialized lock for a long engine-side window.  That makes the
-    separation lock-hold time, not core count — it shows up even on a
-    single-CPU host.  Every run is followed by a full invariant audit.
+    Both modes run the same translated statement against the same
+    file-backed sqlite database.  *serialized* is the shared
+    connection, whose lock is held from BEGIN to COMMIT of every write
+    transaction — readers wait for the commit.  *pooled* gives each
+    reader thread its own WAL connection, so reads proceed during the
+    write.  The write is a Global front insert (the relabeling worst
+    case); every run is followed by a full invariant audit.
     """
     import tempfile
 
     from repro.backends.pooled_sqlite import PooledSqliteBackend
     from repro.backends.sqlite_backend import SqliteBackend
     from repro.check import audit_store
-    from repro.workload.mixer import ConcurrentWorkload
 
     document = article_corpus(articles=articles)
     table = ExperimentTable(
         "E14",
-        "Concurrent serving: reader ops/s with one writer active",
-        ("mode", "readers", "read ops/s", "write ops/s",
-         "vs serialized", "violations"),
+        "Concurrent serving: reads completed during an open write "
+        "transaction",
+        ("mode", "readers", "reads during write", "reads after commit",
+         "violations"),
     )
-    baseline: dict[int, float] = {}
     with tempfile.TemporaryDirectory(prefix="repro-e14-") as tmp:
         for mode in ("serialized", "pooled"):
             if mode == "pooled":
                 backend: object = PooledSqliteBackend(
-                    f"{tmp}/pooled.db",
-                    capacity=max(reader_counts) + 2,
+                    f"{tmp}/pooled.db", capacity=readers + 1
                 )
             else:
                 backend = SqliteBackend(f"{tmp}/serialized.db")
-            store = XmlStore(backend=backend, encoding=encoding)
+            store = XmlStore(backend=backend, encoding="global")
             try:
                 doc = store.load(document)
-                if mode == "pooled":
-                    store.enable_write_queue()
-                workload = ConcurrentWorkload(
-                    store, doc,
-                    ORDERED_QUERIES + UNORDERED_QUERIES,
-                    insert_parent_xpath="/journal",
-                    writer_position="front",
+                during = _reads_during_write(store, doc, readers)
+                table.add_row(
+                    mode, readers, during, readers - during,
+                    len(audit_store(store)),
                 )
-                for readers in reader_counts:
-                    result = workload.run(readers, seconds, writer=True)
-                    if result.read_errors or result.write_error:
-                        raise RuntimeError(
-                            f"E14 {mode}/{readers} worker failure: "
-                            f"{result.read_errors or result.write_error}"
-                        )
-                    violations = len(audit_store(store))
-                    if mode == "serialized":
-                        baseline[readers] = result.read_ops_per_second
-                        ratio = 1.0
-                    else:
-                        ratio = result.read_ops_per_second / max(
-                            baseline.get(readers, 0.0), 1e-9
-                        )
-                    table.add_row(
-                        mode, readers,
-                        round(result.read_ops_per_second, 1),
-                        round(result.write_ops_per_second, 1),
-                        round(ratio, 2),
-                        violations,
-                    )
             finally:
                 store.close()
     table.add_note(
-        "writer front-inserts fragments (Global's relabeling worst "
-        "case) throughout; 'vs serialized' compares read throughput "
-        "at equal reader count against the shared-connection baseline"
+        f"the write transaction waits up to {_E14_HOLD_SECONDS:g} s for "
+        "its readers before it commits"
     )
     return table
 
@@ -742,20 +744,17 @@ def run_e14_concurrency(
 
 def run_e15_cache(
     articles: int = 12,
-    repeat: int = 30,
     operations: int = 24,
-    backend: str = "sqlite",
 ) -> ExperimentTable:
-    """Repeated-query throughput cached vs. uncached, plus a mixed
-    update/query correctness check against the uncached store.
+    """Backend statements per warm pass of the ordered mix, cached vs.
+    uncached, plus a mixed update/query correctness check against the
+    uncached store.
 
-    The throughput half re-runs the E3 ordered query mix ``repeat``
-    times against a warm cache and against a caching-off store of the
-    same corpus.  The correctness half replays a seeded E7-style
-    interleaving of updates and the full query mix on both stores
-    simultaneously and counts result mismatches (must be zero: every
-    update invalidates its document's catalogue row and results, so
-    the caching store may never serve a pre-update depth or result).
+    The correctness half replays a seeded E7-style interleaving of
+    updates and the full query mix on both stores simultaneously and
+    counts result mismatches (must be zero: every update invalidates
+    its document's catalogue row and results, so the caching store may
+    never serve a pre-update depth or result).
     """
     import random
 
@@ -764,9 +763,9 @@ def run_e15_cache(
     document = article_corpus(articles=articles)
     table = ExperimentTable(
         "E15",
-        "Plan/result caching: repeated E3 mix, cached vs uncached",
-        ("encoding", "uncached q/s", "cached q/s", "speedup",
-         "hit rate %", "mixed mismatches"),
+        "Plan/result caching: backend statements per warm ordered mix",
+        ("encoding", "queries", "uncached statements",
+         "cached statements", "mixed mismatches"),
     )
 
     def run_mix(store: XmlStore, doc: int) -> int:
@@ -780,20 +779,17 @@ def run_e15_cache(
         return answered
 
     for name in (*ENCODING_NAMES, "ordpath"):
-        cached = XmlStore(backend=backend, encoding=name, cache=True)
-        uncached = XmlStore(backend=backend, encoding=name, cache=False)
+        cached = XmlStore(encoding=name, cache=True)
+        uncached = XmlStore(encoding=name, cache=False)
         doc_c = cached.load(document)
         doc_u = uncached.load(document)
 
         run_mix(cached, doc_c)  # steady state: warm every cache layer
-        rates = {}
+        statements = {}
         for store, doc in ((uncached, doc_u), (cached, doc_c)):
-            answered = 0
-            started = time.perf_counter()
-            for _ in range(repeat):
-                answered += run_mix(store, doc)
-            elapsed = time.perf_counter() - started
-            rates[store] = answered / elapsed if elapsed > 0 else 0.0
+            with _metrics() as grew:
+                answered = run_mix(store, doc)
+            statements[store] = grew["backend.statements"]
 
         mismatches = 0
         rng = random.Random(151_515)
@@ -803,36 +799,22 @@ def run_e15_cache(
             apply_operation(uncached, doc_u, op)
             for query in ORDERED_QUERIES:
                 try:
-                    got = [
-                        (i.kind, i.node_id, i.label, i.value)
-                        for i in cached.query(query.xpath, doc_c)
-                    ]
-                    want = [
-                        (i.kind, i.node_id, i.label, i.value)
-                        for i in uncached.query(query.xpath, doc_u)
-                    ]
+                    got = _identities(cached, query.xpath, doc_c)
+                    want = _identities(uncached, query.xpath, doc_u)
                 except TranslationError:
                     continue
                 if got != want:
                     mismatches += 1
 
-        speedup = (
-            rates[cached] / rates[uncached] if rates[uncached] else 0.0
-        )
         table.add_row(
-            name,
-            round(rates[uncached], 1),
-            round(rates[cached], 1),
-            round(speedup, 2),
-            round(100.0 * cached.cache.hit_rate(), 1),
+            name, answered, statements[uncached], statements[cached],
             mismatches,
         )
         cached.close()
         uncached.close()
     table.add_note(
-        f"{repeat} steady-state passes of the ordered mix; mixed check "
-        f"interleaves {operations} seeded updates with the full mix on "
-        f"both stores."
+        f"the mixed check interleaves {operations} seeded updates with "
+        "the full mix on both stores"
     )
     return table
 
@@ -847,7 +829,6 @@ def run_e16_adaptive_migration(
     query_ops: int = 240,
     update_ops: int = 96,
     probe_ops: int = 6,
-    backend: str = "sqlite",
 ) -> ExperimentTable:
     """Advisor-triggered migration vs. every static encoding.
 
@@ -862,7 +843,6 @@ def run_e16_adaptive_migration(
     adaptive strategy.
     """
     from repro.migrate import MigrationAdvisor, migrate_document
-    from repro.obs import METRICS
 
     document = article_corpus(articles=articles)
     queries = [
@@ -891,18 +871,12 @@ def run_e16_adaptive_migration(
         ),
     )
 
-    def counters() -> dict:
-        return dict(METRICS.snapshot()["counters"])
-
-    def rows_between(before: dict, after: dict) -> int:
-        return sum(
-            after.get(name, 0) - before.get(name, 0)
-            for name in ("backend.rows_read", "backend.rows_written")
-        )
+    def rows(grew: Counter) -> int:
+        return grew["backend.rows_read"] + grew["backend.rows_written"]
 
     def run_strategy(label: str, adaptive: bool) -> tuple:
         encoding = "global" if adaptive else label
-        store, doc = build_store(document, encoding, backend)
+        store, doc = build_store(document, encoding)
         advisor = MigrationAdvisor(min_samples=min(10, probe_ops))
         phase_rows = {"query-heavy": 0, "update": 0}
         migration_rows = 0
@@ -921,29 +895,24 @@ def run_e16_adaptive_migration(
                 queries,
                 insert_parent_xpath="/journal",
             )
-            before = counters()
-            mix.run(ops, fraction)
-            after = counters()
+            with _metrics() as grew:
+                mix.run(ops, fraction)
             key = "query-heavy" if slice_name == "query-heavy" else "update"
-            phase_rows[key] += rows_between(before, after)
+            phase_rows[key] += rows(grew)
             if not adaptive:
                 continue
             window = {
                 "counters": {
-                    "query.executed": after.get("query.executed", 0)
-                    - before.get("query.executed", 0),
-                    "updates.renumber_ops": after.get(
-                        "updates.renumber_ops", 0
-                    )
-                    - before.get("updates.renumber_ops", 0),
+                    name: grew[name]
+                    for name in ("query.executed", "updates.renumber_ops")
                 }
             }
             current = store.encoding_for(doc).name
             recommendation = advisor.decide(window, current)
             if recommendation.migrate:
-                mark = counters()
-                migrate_document(store, doc, recommendation.target)
-                migration_rows += rows_between(mark, counters())
+                with _metrics() as grew:
+                    migrate_document(store, doc, recommendation.target)
+                migration_rows += rows(grew)
                 migrations.append(f"{current}->{recommendation.target}")
         store.close()
         total = (
@@ -959,22 +928,14 @@ def run_e16_adaptive_migration(
             ",".join(migrations) or "-",
         )
 
-    # Direct callers may have metrics off; the deltas need them on.
-    # No reset: under ``_observed`` the registry is shared with the
-    # suite-level snapshot this experiment will be reported with.
-    was_enabled = METRICS.enabled
-    METRICS.enabled = True
-    try:
-        totals = {}
-        for name in ENCODING_NAMES:
-            cells = run_strategy(name, adaptive=False)
-            totals[name] = cells[3]
-            table.add_row(name, *cells)
-        cells = run_strategy("adaptive", adaptive=True)
-        totals["adaptive"] = cells[3]
-        table.add_row("adaptive", *cells)
-    finally:
-        METRICS.enabled = was_enabled
+    totals = {}
+    for name in ENCODING_NAMES:
+        cells = run_strategy(name, adaptive=False)
+        totals[name] = cells[3]
+        table.add_row(name, *cells)
+    cells = run_strategy("adaptive", adaptive=True)
+    totals["adaptive"] = cells[3]
+    table.add_row("adaptive", *cells)
     best_static = min(ENCODING_NAMES, key=lambda n: totals[n])
     table.add_note(
         f"best static: {best_static} ({totals[best_static]} rows); "
@@ -992,118 +953,70 @@ def run_e16_adaptive_migration(
 # ---------------------------------------------------------------------------
 
 
-#: The same experiment at the parent of the per-document invalidation
-#: change (PR 11: every commit dropped every cached result of its
-#: store), same box, same sizes — kept beside the live table because
-#: the 1-shard row is what that change moved.
-_E17_BEFORE = (
-    "Before per-document invalidation this run read 500 / 882 / 1255 "
-    "ops/s at 1 / 2 / 4 shards (p50 3.41 / 2.17 / 1.75 ms): the 2.5x "
-    "was one write flushing a whole store's results, which a single "
-    "process no longer does."
-)
+def run_e17_sharding(documents: int = 4) -> ExperimentTable:
+    """Fault isolation: one of two shards killed, then respawned.
 
-
-def run_e17_sharding(
-    shard_counts: Sequence[int] = (1, 2, 4),
-    documents: int = 8,
-    clients: int = 3,
-    duration: float = 4.0,
-    write_rate_hz: float = 20.0,
-) -> ExperimentTable:
-    """Sharded serving vs. a single-process daemon under a mixed load.
-
-    Each configuration stands up a real cluster (``repro serve``
-    machinery: supervisor, shard worker processes, asyncio front door)
-    and drives it with the closed-loop multi-process load generator:
-    *clients* reader processes drawing random (query, document) pairs,
-    plus one paced writer spreading ``write_rate_hz`` updates
-    round-robin across the corpus.
-
-    What this measures has changed.  While every commit dropped every
-    cached result of its store, the table showed ~2.5x at 4 shards on
-    one box — cache-invalidation isolation, not CPU parallelism: with
-    one shard each 20 Hz write flushed the whole corpus's cached
-    results, with four only its own quarter's.  A commit now
-    invalidates only the documents it wrote, so the single process
-    keeps every unwritten document's results live by itself and that
-    gap is gone (see the table's note for the before/after rows).
-    What sharding still buys — fault isolation (``repro crashtest
-    --shard-kill``) and room to scale across cores — is not a
-    read-throughput ratio a 2-core box running three reader processes
-    can show.  The 1-shard row *is* the single-process baseline: same
-    wire protocol, same worker code, all documents in one store.
+    A real two-shard cluster (the ``repro serve`` supervisor, shard
+    worker processes and router; not the front door, whose periodic
+    respawn would race the kill) holds *documents* documents, placed
+    round-robin.  Every document is queried with both shards up, after
+    SIGKILL of shard 1, and after the supervisor respawns shard 1 on
+    the same database file.  A document counts as answered when its
+    answer equals its first one.
     """
     import tempfile
 
-    from repro.serve.client import TcpClient
-    from repro.serve.frontdoor import ServeConfig, ServeDaemon
-    from repro.serve.loadgen import run_load
-    from repro.workload.docgen import random_document
-    from repro.xmldom import serialize
-
-    queries = [
-        "//a[b/c]//d",
-        "//b[text() < 3]",
-        "//*[b][c]//a",
-        "//d[a/b]",
-    ]
-    corpus = [
-        serialize(random_document(s, max_depth=10, max_children=6))
-        for s in range(documents)
-    ]
+    from repro.serve.router import ShardRouter
+    from repro.serve.supervisor import Supervisor
 
     table = ExperimentTable(
         "E17",
-        "Sharded serving: aggregate read throughput under paced writes",
-        (
-            "shards",
-            "read ops/s",
-            "speedup vs 1 shard",
-            "p50 ms",
-            "p99 ms",
-            "writes",
-            "read errors",
-        ),
+        "Sharded serving: fault isolation of a killed shard",
+        ("phase", "shard", "documents", "answered", "errors"),
     )
+    first: dict[int, list] = {}
 
-    baseline = None
-    for shards in shard_counts:
-        with tempfile.TemporaryDirectory(prefix="e17-") as tmp:
-            daemon = ServeDaemon(ServeConfig(directory=tmp, shards=shards))
-            try:
-                port = daemon.start_in_background()
-                setup = TcpClient("127.0.0.1", port)
-                try:
-                    docs = [setup.load(xml) for xml in corpus]
-                finally:
-                    setup.close()
-                report = run_load(
-                    "127.0.0.1",
-                    port,
-                    docs,
-                    queries,
-                    clients=clients,
-                    duration=duration,
-                    write_rate_hz=write_rate_hz,
+    def probe(router: ShardRouter, docs: list[int], phase: str) -> None:
+        for shard in range(router.shards):
+            mine = [doc for doc in docs if router.locate(doc)[0] == shard]
+            answered, errors = 0, set()
+            for doc in mine:
+                response = router.handle(
+                    {"op": "query", "xpath": "//k", "doc": doc}
                 )
+                if not response["ok"]:
+                    errors.add(response["error"]["type"])
+                elif first.setdefault(doc, response["items"]) == (
+                    response["items"]
+                ):
+                    answered += 1
+            table.add_row(
+                phase, shard, len(mine), answered,
+                ",".join(sorted(errors)) or "-",
+            )
+
+    with tempfile.TemporaryDirectory(prefix="repro-e17-") as tmp:
+        supervisor = Supervisor(tmp, 2)
+        try:
+            supervisor.start()
+            router = ShardRouter(supervisor)
+            try:
+                docs = [
+                    router.load(f"<r><k>{i}</k><k>{i + 1}</k></r>")
+                    for i in range(documents)
+                ]
+                probe(router, docs, "both up")
+                supervisor.kill(1)
+                probe(router, docs, "shard 1 killed")
+                supervisor.ensure_alive()
+                probe(router, docs, "shard 1 respawned")
             finally:
-                daemon.stop()
-        if baseline is None:
-            baseline = report.read_ops_s or 1.0
-        table.add_row(
-            shards,
-            round(report.read_ops_s, 1),
-            round(report.read_ops_s / baseline, 2),
-            round(report.p50_ms, 3),
-            round(report.p99_ms, 3),
-            report.writes,
-            report.read_errors,
-        )
+                router.close()
+        finally:
+            supervisor.stop()
     table.add_note(
-        f"{clients} closed-loop reader processes x {duration}s, paced "
-        f"writer at {write_rate_hz:.0f} Hz round-robin over "
-        f"{documents} documents; 2-core box.  {_E17_BEFORE}"
+        "what sharding shows on a 2-core box is isolation; it shows no "
+        "multi-core throughput scaling"
     )
     return table
 
@@ -1142,43 +1055,28 @@ def _e18_document(products: int, seed: int = 99):
     return document
 
 
-def run_e18_indexing(
-    products: int = 480,
-    repeat: int = 4,
-    backends: Sequence[str] = ("sqlite", "minidb"),
-) -> ExperimentTable:
-    """Deep descent and value predicates, indexed vs. unindexed.
+def run_e18_indexing(products: int = 240) -> ExperimentTable:
+    """Deep descent and value predicates, indexed vs. unindexed (minidb).
 
-    Two stores per (backend, encoding) cell hold the same data-centric
-    catalogue; one builds the secondary indexes (path, value) after
-    the load, the other never does.  The query mix is exactly the
-    workload the indexes target: selective deep ``//`` descents that
-    the path index answers with a pathid probe instead of per-step
-    structural joins, and value predicates that the value index
-    answers with a typed-column probe instead of a string-value
-    aggregation over every candidate.
-
-    Both stores keep their plan/catalog caches (translation overhead
-    would otherwise swamp execution for the fast encodings) but run
-    with the result cache disabled, so every pass executes its plan —
-    the comparison isolates the access path, not result caching (E15
-    measures that).  Each cell also byte-compares the two stores'
-    answers on the full mix: the index rewrite must be
+    Two stores per encoding hold the same data-centric catalogue; one
+    builds the secondary indexes (path, value) after the load, the
+    other does not.  The query mix is exactly the workload the indexes
+    target: selective deep ``//`` descents that the path index answers
+    with a pathid probe instead of per-step structural joins, and value
+    predicates that the value index answers with a typed-column probe
+    instead of a string-value aggregation over every candidate.  Each
+    cell counts the rows one pass of the mix reads on each store and
+    compares the two stores' answers: the index rewrite must be
     answer-preserving, so mismatches must be zero.
 
     An update-heavy phase then bursts structural updates (text
-    rewrites plus subtree inserts) at two *indexed* twins of the same
-    document — one left to the maintenance every update performs
-    (repair from the op's touched set), the baseline arm rebuilding
-    every occurrence row with an explicit ``indexes.create`` after
-    every op — timing both and byte-comparing their index tables
-    afterwards.  Repair cost tracks the touched rows, not the
-    document, so maintaining must beat rebuilding after every op by at
-    least 2x on a large document (any table divergence counts into
-    the mismatches column).
+    rewrites plus subtree inserts) at two indexed twins — one left to
+    the maintenance every update performs (repair from the op's
+    touched set), the other rebuilding every occurrence row with an
+    explicit ``indexes.create`` after every op — counting the rows each
+    writes and comparing their index tables afterwards (a divergence
+    counts into the mismatches column).
     """
-    from repro.cache import StoreCache
-
     #: Selective deep ``//`` descents first, value predicates second.
     deep_queries = (
         "//product//warranty",
@@ -1195,24 +1093,17 @@ def run_e18_indexing(
     document = _e18_document(products)
     table = ExperimentTable(
         "E18",
-        "Secondary indexes: deep // and value predicates, "
-        "indexed vs unindexed",
-        ("backend", "encoding", "unindexed q/s", "indexed q/s",
-         "speedup", "access paths", "incr upd/s", "rebuild upd/s",
-         "maint speedup", "mismatches"),
+        "Secondary indexes: rows read (minidb) and written, indexed vs "
+        "unindexed",
+        ("encoding", "unindexed rows read", "indexed rows read",
+         "read ratio", "access paths", "maintain rows written",
+         "rebuild rows written", "write ratio", "mismatches"),
     )
-
-    def run_mix(store: XmlStore, doc: int) -> int:
-        answered = 0
-        for xpath in queries:
-            store.query(xpath, doc)
-            answered += 1
-        return answered
 
     #: Update burst of the maintenance phase: op k rewrites the text
     #: of a product's first child, every third op inserts a review
     #: subtree instead.  Expressed against surrogate ids, which both
-    #: twins assign identically.
+    #: stores assign identically.
     burst_ops = 24
 
     def plan_burst(store: XmlStore, doc: int) -> list[tuple]:
@@ -1242,8 +1133,7 @@ def run_e18_indexing(
 
     def run_burst(
         store: XmlStore, doc: int, ops: list[tuple], rebuild: bool
-    ) -> float:
-        started = time.perf_counter()
+    ) -> None:
         for op in ops:
             if op[0] == "insert":
                 store.updates.insert(doc, op[1], 0, op[2])
@@ -1251,7 +1141,6 @@ def run_e18_indexing(
                 store.updates.set_text(doc, op[1], op[2])
             if rebuild:
                 store.indexes.create(doc)
-        return time.perf_counter() - started
 
     def index_tables(store: XmlStore, doc: int) -> tuple:
         return tuple(
@@ -1261,192 +1150,89 @@ def run_e18_indexing(
             for t in ("idx_sval", "idx_paths", "idx_pathmap", "idx_stats")
         )
 
-    for backend in backends:
-        for name in (*ENCODING_NAMES, "ordpath"):
-            indexed = XmlStore(backend=backend, encoding=name)
-            plain = XmlStore(backend=backend, encoding=name)
-            for store in (indexed, plain):
-                # Plan/catalog caches on, result cache off (capacity
-                # 0: every insert immediately evicts).
-                store.cache = StoreCache(
-                    enabled=True, result_capacity=0
-                )
-            doc_i = indexed.load(document)
-            doc_p = plain.load(document)
-            indexed.indexes.create(doc_i)
-            # The load's ANALYZE ran before the index rows existed.
-            indexed.backend.analyze()
+    for name in (*ENCODING_NAMES, "ordpath"):
+        indexed, doc_i = build_store(document, name, "minidb")
+        plain, doc_p = build_store(document, name, "minidb")
+        indexed.indexes.create(doc_i)
 
-            mismatches = 0
-            for xpath in queries:
-                got = [
-                    (i.kind, i.node_id, i.label, i.value)
-                    for i in indexed.query(xpath, doc_i)
+        answers, reads = {}, {}
+        for store, doc in ((plain, doc_p), (indexed, doc_i)):
+            with _engine_io(store) as io:
+                answers[store] = [
+                    _identities(store, xpath, doc) for xpath in queries
                 ]
-                want = [
-                    (i.kind, i.node_id, i.label, i.value)
-                    for i in plain.query(xpath, doc_p)
-                ]
-                if got != want:
-                    mismatches += 1
+            reads[store] = io["rows_read"]
+        mismatches = sum(
+            got != want
+            for got, want in zip(answers[indexed], answers[plain])
+        )
+        paths = sorted({
+            indexed.translate(xpath, doc_i).access_path
+            for xpath in queries
+        })
 
-            rates = {}
-            for store, doc in ((plain, doc_p), (indexed, doc_i)):
-                answered = 0
-                started = time.perf_counter()
-                for _ in range(repeat):
-                    answered += run_mix(store, doc)
-                elapsed = time.perf_counter() - started
-                rates[store] = answered / elapsed if elapsed else 0.0
+        # The update burst, on sqlite twins: rows written are counted
+        # by both engines, and minidb would spend most of the suite's
+        # time in the rebuilds.
+        maintain, doc_m = build_store(document, name)
+        rebuild, doc_r = build_store(document, name)
+        ops = plan_burst(maintain, doc_m)
+        writes = {}
+        for store, doc in ((maintain, doc_m), (rebuild, doc_r)):
+            store.indexes.create(doc)
+            before = store.backend.rows_written()
+            run_burst(store, doc, ops, rebuild=store is rebuild)
+            writes[store] = store.backend.rows_written() - before
+        if index_tables(maintain, doc_m) != index_tables(rebuild, doc_r):
+            mismatches += 1
 
-            paths = sorted({
-                indexed.translate(xpath, doc_i).access_path
-                for xpath in queries
-            })
-            speedup = (
-                rates[indexed] / rates[plain] if rates[plain] else 0.0
-            )
-
-            # Update-heavy phase: identical burst at two indexed
-            # twins, one rebuilt after every op, then byte-compare
-            # the tables.
-            incr = XmlStore(backend=backend, encoding=name)
-            eager = XmlStore(backend=backend, encoding=name)
-            for store in (incr, eager):
-                store.cache = StoreCache(enabled=True, result_capacity=0)
-            doc_n = incr.load(document)
-            doc_e = eager.load(document)
-            for store, doc in ((incr, doc_n), (eager, doc_e)):
-                store.indexes.create(doc)
-                store.backend.analyze()
-            ops = plan_burst(incr, doc_n)
-            incr_elapsed = run_burst(incr, doc_n, ops, rebuild=False)
-            eager_elapsed = run_burst(eager, doc_e, ops, rebuild=True)
-            if index_tables(incr, doc_n) != index_tables(eager, doc_e):
-                mismatches += 1
-            incr_rate = (
-                burst_ops / incr_elapsed if incr_elapsed else 0.0
-            )
-            eager_rate = (
-                burst_ops / eager_elapsed if eager_elapsed else 0.0
-            )
-            maint_speedup = (
-                incr_rate / eager_rate if eager_rate else 0.0
-            )
-
-            table.add_row(
-                backend,
-                name,
-                round(rates[plain], 1),
-                round(rates[indexed], 1),
-                round(speedup, 2),
-                "+".join(paths),
-                round(incr_rate, 1),
-                round(eager_rate, 1),
-                round(maint_speedup, 2),
-                mismatches,
-            )
-            indexed.close()
-            plain.close()
-            incr.close()
-            eager.close()
+        table.add_row(
+            name,
+            reads[plain],
+            reads[indexed],
+            round(reads[plain] / reads[indexed], 1),
+            "+".join(paths),
+            writes[maintain],
+            writes[rebuild],
+            round(writes[rebuild] / writes[maintain], 1),
+            mismatches,
+        )
     table.add_note(
-        f"{products}-product catalogue, {repeat} passes of "
-        f"{len(queries)} queries ({len(deep_queries)} deep descents, "
-        f"{len(value_queries)} value predicates); result caching off "
-        "on both stores so the comparison isolates the access path. "
-        f"Maintenance phase: {burst_ops}-op structural burst at a twin "
-        "whose index the updates maintain vs a twin that also rebuilds "
-        "it (`indexes.create`) after every op — so the ratio reads "
-        "1 + rebuild/repair — index tables byte-compared "
+        f"{products}-product catalogue, one pass of {len(queries)} "
+        f"queries ({len(deep_queries)} deep descents, "
+        f"{len(value_queries)} value predicates). Maintenance phase: "
+        f"{burst_ops}-op structural burst at a store whose index the "
+        "updates maintain vs one that also rebuilds it "
+        "(`indexes.create`) after every op, index tables compared "
         "afterwards."
     )
     return table
 
 
-def _observed(run) -> ExperimentTable:
-    """Run one experiment with metrics enabled; attach the snapshot.
-
-    Every experiment runs with the metrics registry on and freshly
-    reset, so its table carries the wall-clock time, the per-phase span
-    totals (``span.*`` histograms, in ms), and the full counter
-    snapshot — the raw material for the per-phase breakdown in
-    ``BENCH_results.json``.
-    """
-    from repro.obs import METRICS
-
-    was_enabled = METRICS.enabled
-    METRICS.reset()
-    METRICS.enabled = True
-    started = time.perf_counter()
-    try:
-        table = run()
-    finally:
-        METRICS.enabled = was_enabled
-    table.elapsed_seconds = time.perf_counter() - started
-    snapshot = METRICS.snapshot()
-    METRICS.reset()
-    table.metrics = snapshot
-    table.phase_ms = {
-        name[len("span."):]: round(hist["total"] * 1000.0, 3)
-        for name, hist in snapshot["histograms"].items()
-        if name.startswith("span.")
-    }
-    return table
+#: The suite, in EXPERIMENTS.md order.
+EXPERIMENTS = (
+    run_e1_storage,
+    run_e2_loading,
+    run_e3_ordered_queries,
+    run_e4_unordered_queries,
+    run_e5_insert_position,
+    run_e6_subtree_updates,
+    run_e7_mixed_workload,
+    run_e8_reconstruction,
+    run_e9_translation,
+    run_e9b_compile_cache,
+    run_e10_sparse_numbering,
+    run_e11_ordpath,
+    run_e12_scaling,
+    run_e13_logical_io,
+    run_e14_concurrency,
+    run_e15_cache,
+    run_e16_adaptive_migration,
+    run_e17_sharding,
+    run_e18_indexing,
+)
 
 
-def run_all(fast: bool = False) -> list[ExperimentTable]:
-    """Run the full experiment suite (smaller sizes when *fast*)."""
-    if fast:
-        runs = [
-            lambda: run_e1_storage(sizes=(500, 2000)),
-            lambda: run_e2_loading(sizes=(500,), repeat=1),
-            lambda: run_e3_ordered_queries(articles=8, repeat=1),
-            lambda: run_e4_unordered_queries(articles=8, repeat=1),
-            lambda: run_e5_insert_position(articles=10, inserts=5),
-            lambda: run_e6_subtree_updates(articles=10, operations=4),
-            lambda: run_e7_mixed_workload(
-                articles=8, operations=30, fractions=(0.0, 0.5, 1.0)
-            ),
-            lambda: run_e8_reconstruction(articles=10, repeat=1),
-            lambda: run_e9_translation(),
-            lambda: run_e9b_compile_cache(articles=4, repeat=5),
-            lambda: run_e10_sparse_numbering(articles=8, inserts=10),
-            lambda: run_e11_ordpath(articles=6, inserts=10),
-            lambda: run_e12_scaling(sizes=(300, 1000), repeat=1),
-            lambda: run_e13_logical_io(articles=4),
-            lambda: run_e14_concurrency(
-                reader_counts=(1, 8), seconds=0.25
-            ),
-            lambda: run_e15_cache(articles=6, repeat=12, operations=8),
-            lambda: run_e16_adaptive_migration(
-                articles=3, query_ops=120, update_ops=48, probe_ops=4
-            ),
-            lambda: run_e17_sharding(
-                shard_counts=(1, 4), duration=2.5
-            ),
-            lambda: run_e18_indexing(products=240, repeat=2),
-        ]
-    else:
-        runs = [
-            run_e1_storage,
-            run_e2_loading,
-            run_e3_ordered_queries,
-            run_e4_unordered_queries,
-            run_e5_insert_position,
-            run_e6_subtree_updates,
-            run_e7_mixed_workload,
-            run_e8_reconstruction,
-            run_e9_translation,
-            run_e9b_compile_cache,
-            run_e10_sparse_numbering,
-            run_e11_ordpath,
-            run_e12_scaling,
-            run_e13_logical_io,
-            run_e14_concurrency,
-            run_e15_cache,
-            run_e16_adaptive_migration,
-            run_e17_sharding,
-            run_e18_indexing,
-        ]
-    return [_observed(run) for run in runs]
+def run_all() -> list[ExperimentTable]:
+    """Run the whole suite at its default sizes."""
+    return [run() for run in EXPERIMENTS]

@@ -1,26 +1,13 @@
-"""Benchmark harness utilities: timing, result tables, store builders."""
+"""Benchmark harness utilities: result tables, store builders."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 from repro.store import XmlStore
 from repro.xmldom.dom import Document
 
 ENCODING_NAMES = ("global", "local", "dewey")
-
-
-def timed(fn: Callable[[], object], repeat: int = 3) -> float:
-    """Median wall-clock seconds of *repeat* calls to *fn*."""
-    samples = []
-    for _ in range(max(1, repeat)):
-        started = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - started)
-    samples.sort()
-    return samples[len(samples) // 2]
 
 
 def build_store(
@@ -31,8 +18,8 @@ def build_store(
 ) -> tuple[XmlStore, int]:
     """Create a fresh store and load *document*; returns (store, doc).
 
-    Caching is off: these stores measure raw per-encoding engine cost,
-    and a result-cache hit would time the cache instead of the query.
+    Caching is off: these stores count raw per-encoding engine work,
+    and a result-cache hit would count the cache instead of the query.
     Experiments that study caching itself
     (E9b, E15) construct their stores explicitly.
     """
@@ -45,19 +32,17 @@ def build_store(
 
 @dataclass
 class ExperimentTable:
-    """One experiment's result table (rendered into EXPERIMENTS.md)."""
+    """One experiment's result table (rendered into EXPERIMENTS.md).
+
+    Cells are counts, or ratios their producer already rounded, so a
+    cell renders as ``str(value)``.
+    """
 
     id: str
     title: str
     columns: tuple[str, ...]
     rows: list[tuple] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    #: Filled by ``run_all``: wall-clock seconds for the experiment,
-    #: per-phase span totals (ms), and the metrics snapshot taken while
-    #: it ran.  Empty when the experiment function is called directly.
-    elapsed_seconds: Optional[float] = None
-    phase_ms: dict = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
 
     def add_row(self, *values: object) -> None:
         if len(values) != len(self.columns):
@@ -72,7 +57,7 @@ class ExperimentTable:
     def render(self) -> str:
         """Render as a fixed-width text table."""
         header = [str(c) for c in self.columns]
-        body = [[_format_cell(v) for v in row] for row in self.rows]
+        body = [[str(v) for v in row] for row in self.rows]
         widths = [
             max(len(header[i]), *(len(row[i]) for row in body))
             if body
@@ -100,22 +85,10 @@ class ExperimentTable:
             "| " + " | ".join("---" for _ in self.columns) + " |",
         ]
         for row in self.rows:
-            lines.append(
-                "| " + " | ".join(_format_cell(v) for v in row) + " |"
-            )
+            lines.append("| " + " | ".join(str(v) for v in row) + " |")
         for note in self.notes:
             lines.append(f"\n*{note}*")
         return "\n".join(lines)
-
-
-def _format_cell(value: object) -> str:
-    if isinstance(value, float):
-        if value >= 100:
-            return f"{value:.0f}"
-        if value >= 1:
-            return f"{value:.2f}"
-        return f"{value:.4f}"
-    return str(value)
 
 
 def _is_numeric(cell: str) -> bool:
@@ -124,10 +97,3 @@ def _is_numeric(cell: str) -> bool:
         return True
     except ValueError:
         return False
-
-
-def speedup(
-    baseline: float, other: float, floor: float = 1e-9
-) -> float:
-    """How many times faster *baseline* is than *other*."""
-    return other / max(baseline, floor)

@@ -1,21 +1,17 @@
-"""Bench reporting: shape verdicts and the machine-readable results file.
+"""Bench reporting: the shape verdicts.
 
 The experiment suite's value is the *shapes* — who wins, by roughly
 what factor, where the crossovers fall — not the absolute numbers.
 :func:`compute_verdicts` checks each experiment's headline claim
-against its measured rows; :func:`results_payload` /
-:func:`write_results_json` serialize the whole run (tables, notes,
-verdicts, platform) as ``BENCH_results.json`` so CI and downstream
-tooling can diff runs without scraping markdown.
+against its counted rows, one verdict per experiment; the counts repeat
+exactly, so a verdict is a function of the commit, and each claim
+quotes the counts it was decided on.
 """
 
 from __future__ import annotations
 
-import json
-import platform
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 from repro.bench.harness import ExperimentTable
 
@@ -25,20 +21,21 @@ EXPECTED_SHAPES = {
     "E1": "Global stores two 4-byte integers per node, Local one; Dewey "
           "keys are variable-length but stay near Local's size under the "
           "binary codec (dotted text would roughly double them).",
-    "E2": "Loading is comparable across encodings; Dewey pays a little "
-          "extra for key construction.",
-    "E3": "Global and Dewey answer every ordered query in comparable "
-          "time; Local is the dearest on the document-order axes "
-          "Q7/Q8.  Its closure axes are recursive walks over the parent "
-          "pointers here, so the gap is a small factor, and the verdict "
-          "reads rows (E13's counters), not milliseconds, where "
-          "Global's own Q8 varies more than Local differs from it.  "
-          "With the SQL-92-style depth expansion the paper's systems "
-          "were limited to, the same two queries took 17 ms and 188 ms "
-          "against 0.3-3.6 ms (49,672 and 110,890 rows read against "
-          "62-107): that gap is the paper's finding, and the row "
-          "below is what recursion in the plan buys back.",
-    "E4": "All three encodings are comparable when order plays no role.",
+    "E2": "Loading writes one row per node and attribute on every "
+          "encoding, in a number of statements that does not grow with "
+          "the document (bulk inserts).",
+    "E3": "Global and Dewey answer every ordered query reading "
+          "comparable rows; Local reads the most on the document-order "
+          "axes Q7/Q8.  Its closure axes are recursive walks over the "
+          "parent pointers here, so the gap is a small factor.  With "
+          "the SQL-92-style depth expansion the paper's systems were "
+          "limited to, the same two queries read 49,672 and 110,890 "
+          "rows against 62-107: that gap is the paper's finding, and "
+          "the table below is what recursion in the plan buys back.  "
+          "Local's extra statements are its client-side "
+          "order-resolution fetches.",
+    "E4": "All three encodings read comparable rows when order plays "
+          "no role.",
     "E5": "Front/middle inserts: Global relabels the document tail, "
           "Local only the following siblings, Dewey the following "
           "siblings' subtrees.  Appending is cheap for everyone.  At "
@@ -46,71 +43,73 @@ EXPECTED_SHAPES = {
           "orders of magnitude.",
     "E6": "Subtree inserts follow the E5 ordering; deletes never "
           "relabel under any encoding.",
-    "E7": "The headline crossover: Global/Dewey win read-only "
-          "workloads, Local wins write-only, Dewey is best or near-best "
-          "across the middle.",
+    "E7": "The headline crossover, in rows read plus written: "
+          "Global/Dewey win read-only workloads, Local wins write-only, "
+          "Dewey is best or near-best across the middle.",
     "E8": "Global, Dewey and ORDPATH reconstruct a document or a "
-          "subtree with one ordered scan; Local reads a document with "
-          "one scan plus a client-side sibling sort, and its "
-          "level-by-level subtree fetch is the slow outlier as subtree "
-          "size grows.",
+          "subtree with one ordered scan, so a subtree of any height "
+          "costs the same statements; Local reads a document with one "
+          "scan plus a client-side sibling sort, and a subtree level by "
+          "level, one statement more per level.",
     "E9": "Static SQL complexity: identical for unordered paths; Local "
           "needs a recursive walk for each transitive axis and two for "
-          "each document-order axis - a constant, where depth-expansion "
-          "arms grew with document depth.",
+          "each document-order axis - a constant whatever the "
+          "document's depth, where depth-expansion arms grew with it.",
     "E9b": "(Extension beyond the paper.)  Shape-keyed compiled plans "
-           "make warm translation parameter binding only: re-translating "
-           "the query mix with the compile cache warm costs a fraction "
-           "of cold parse-and-compile, on every encoding.",
+           "make warm translation parameter binding only: a cold pass "
+           "over the query mix compiles every query, a warm pass "
+           "compiles none, on every encoding.",
     "E10": "Gaps absorb insertion bursts: relabeled rows collapse as "
            "the gap grows, at the cost of order-value space.",
     "E11": "(Extension beyond the paper.)  ORDPATH careting removes "
            "relabeling entirely — zero rows touched on any insert — "
-           "paying with longer keys; query latency stays comparable to "
-           "Dewey.",
-    "E12": "(Extension beyond the paper.)  Query latency grows with "
-           "document/result size for every encoding; Local's "
-           "document-order queries degrade fastest.",
-    "E14": "(Extension beyond the paper.)  With one writer active, "
-           "pooled WAL connections keep readers running during write "
-           "transactions; the serialized shared connection stalls them "
-           "for each transaction's whole lock-hold window.",
+           "paying with longer keys.",
+    "E12": "(Extension beyond the paper.)  Rows read grow linearly "
+           "with the document for a descendant scan (U2) and a sibling "
+           "axis (Q5) on every encoding; the document-order axis Q7 "
+           "grows faster, and its exponent is reported.  The claim this "
+           "experiment used to make on milliseconds — \"Local's "
+           "document-order queries degrade fastest\" — is **not** "
+           "reproduced on counts: Q7 is super-linear on every encoding "
+           "and Global's and Dewey's exponent is the larger one, "
+           "because every plan builds the full (context, result) join "
+           "before `DISTINCT` (ROADMAP, \"Paths without manufactured "
+           "duplicates\").",
+    "E13": "Local's logical reads are the highest on the document-order "
+           "axes and within a small factor elsewhere; Global and Dewey "
+           "stay near result size and answer in one statement after "
+           "the catalogue read.",
+    "E14": "(Extension beyond the paper.)  With one write transaction "
+           "held open, pooled WAL connections complete every read; the "
+           "serialized shared connection completes none until the "
+           "commit.",
     "E15": "(Extension beyond the paper.)  Plan/result caching with "
-           "per-document invalidation answers the repeated ordered mix "
-           "at least 2x faster at steady state on every encoding, and an "
-           "interleaved update/query workload produces zero result "
-           "mismatches against a caching-off store.",
+           "per-document invalidation answers a warm pass of the "
+           "ordered mix without a single backend statement on every "
+           "encoding, and an interleaved update/query workload produces "
+           "zero result mismatches against a caching-off store.",
     "E16": "(Extension beyond the paper.)  On a workload that shifts "
            "from query-heavy to update-heavy, the advisor-triggered "
            "migration lands within a whisker of (or beats) the "
            "best static encoding in total logical I/O — including the "
            "migration's own copy traffic — while every static choice "
            "overpays in one regime.",
-    "E17": "(Extension beyond the paper.)  Under a mixed load with a "
-           "paced writer, sharding no longer buys read throughput on "
-           "one small box: a commit invalidates only the documents it "
-           "wrote, so the single-process daemon keeps the rest of the "
-           "corpus's cached results live by itself and sustains at "
-           "least two thirds of any sharded configuration's aggregate "
-           "reads (measured 0.9-1.15x of the 4-shard cluster across "
-           "runs), where it used to sustain 0.4x.  What sharding still "
-           "provides is fault isolation — a killed shard takes only "
-           "its own documents offline and "
-           "recovers pre-or-post (`repro crashtest --shard-kill`) — and "
-           "room to scale across cores, which needs more cores than "
-           "this box has to show.",
+    "E17": "(Extension beyond the paper.)  Sharding isolates faults: a "
+           "killed shard takes only its own documents offline, with a "
+           "typed `shard_unavailable` error, while the other shard "
+           "keeps answering, and the respawned shard answers every "
+           "document as before.  This box has 2 cores, so the repo "
+           "shows no multi-core throughput scaling.",
     "E18": "(Extension beyond the paper.)  Secondary path and value "
            "indexes answer selective deep // descents and value "
-           "predicates at least 2x faster than the structural-join "
-           "scans on every encoding and both backends, with "
-           "byte-identical answers; the win is largest for Local "
-           "(whose unindexed descents walk up from every candidate) and "
-           "smallest for Global (whose pos/endpos range scan is "
-           "already one predicate).  On the update-heavy burst, "
-           "maintenance from the touched set sustains at least 2x the "
-           "rate of rebuilding the index after every op while leaving "
-           "byte-identical index tables — repair cost tracks the "
-           "touched rows, not the document.",
+           "predicates reading at least 2x fewer rows than the "
+           "structural-join scans on every encoding, with identical "
+           "answers; the win is largest for Local (whose unindexed "
+           "descents walk up from every candidate).  On the "
+           "update-heavy burst, maintenance from the touched set writes "
+           "at least 2x fewer rows than rebuilding the index after every "
+           "op while leaving identical index tables — repair cost "
+           "tracks the touched rows, not the document.",
 }
 
 
@@ -125,6 +124,11 @@ class Verdict:
     def render(self) -> str:
         return f"{'PASS' if self.ok else 'FAIL'}  {self.experiment}: " \
                f"{self.claim}"
+
+
+def _range(values: Sequence) -> str:
+    low, high = min(values), max(values)
+    return f"{low}" if low == high else f"{low}-{high}"
 
 
 def compute_verdicts(
@@ -145,114 +149,223 @@ def compute_verdicts(
     if t is not None:
         dewey = [r for r in t.rows if r[1] == "dewey"]
         record("E1",
-               "Dewey labels compact (4-8 bytes/node, binary codec)",
+               "Dewey labels compact (4-8 bytes/node, binary codec: "
+               f"{_range([r[3] for r in dewey])})",
                all(4.0 < r[3] < 8.0 for r in dewey))
 
+    t = by_id.get("E2")
+    if t is not None:
+        # (nodes, attributes, encoding, rows written, statements)
+        statements: dict[str, set] = {}
+        for r in t.rows:
+            statements.setdefault(r[2], set()).add(r[4])
+        record(
+            "E2",
+            "Every load writes one row per node and attribute plus its "
+            "catalogue row, in statements independent of size ("
+            + ", ".join(
+                f"{name} {_range(sorted(counts))}"
+                for name, counts in statements.items()
+            )
+            + ")",
+            all(r[3] == r[0] + r[1] + 1 for r in t.rows)
+            and all(len(counts) == 1 for counts in statements.values()),
+        )
+
+    # E3, E4, E13: (query, feature, results, global/local/dewey rows,
+    # global/local/dewey statements).
+    t = by_id.get("E3")
+    if t is not None:
+        doc_order = [r for r in t.rows if r[0] in ("Q7", "Q8")]
+        factor = min(r[4] / max(r[3], r[5]) for r in doc_order)
+        record(
+            "E3",
+            "Local reads more rows than Global and Dewey on Q7/Q8 ("
+            + " / ".join(f"{r[4]} vs {max(r[3], r[5])}" for r in doc_order)
+            + f"; at least {factor:.1f}x)",
+            all(r[4] > max(r[3], r[5]) for r in doc_order),
+        )
 
     t = by_id.get("E4")
     if t is not None:
-        spreads = [
-            max(r[3], r[4], r[5]) / max(min(r[3], r[4], r[5]), 1e-9)
-            for r in t.rows
-        ]
-        # "Comparable" = same order of magnitude (sub-ms timings are
-        # noisy; Local also pays its client-side ordering pass here),
-        # in contrast to the 10-1000x separations on the ordered axes.
-        record("E4",
-               "Encodings within an order of magnitude (unordered)",
-               all(s < 8 for s in spreads))
+        ratio = max(r[4] / min(r[3], r[5]) for r in t.rows)
+        record(
+            "E4",
+            "Local reads at most 2x Global's and Dewey's rows on U1-U4 "
+            f"(at most {ratio:.2f}x)",
+            ratio <= 2.0,
+        )
 
     t = by_id.get("E5")
     if t is not None:
         nested = [
             r for r in t.rows if r[1] == "nested" and r[2] != "last"
         ]
-        by_enc: dict[str, float] = {}
+        by_enc: dict[str, int] = {}
         for r in nested:
-            by_enc.setdefault(r[0], 0)
-            by_enc[r[0]] += r[4]
-        record("E5", "Nested inserts: Dewey locality beats Global",
+            by_enc[r[0]] = by_enc.get(r[0], 0) + r[4]
+        record("E5",
+               "Nested inserts: Dewey locality beats Global "
+               f"({by_enc.get('dewey')} vs {by_enc.get('global')} rows "
+               "relabeled)",
                by_enc.get("dewey", 0) * 3 < by_enc.get("global", 1))
+
+    t = by_id.get("E6")
+    if t is not None:
+        inserts = {r[0]: r[3] for r in t.rows if r[1] == "insert subtree"}
+        deletes = {r[0]: r[3] for r in t.rows if r[1] == "delete subtree"}
+        others = [n for name, n in inserts.items() if name != "local"]
+        record(
+            "E6",
+            "Deletes relabel nothing: every encoding touches the same "
+            f"rows ({_range(list(deletes.values()))}); Local's subtree "
+            f"inserts touch the fewest ({inserts.get('local')} vs "
+            f"{_range(others)})",
+            len(set(deletes.values())) == 1
+            and inserts.get("local", 0) < min(others),
+        )
 
     t = by_id.get("E7")
     if t is not None:
+        # (update %, global, local, dewey rows, winner)
         first, last = t.rows[0], t.rows[-1]
         record(
             "E7",
-            "Crossover: Global/Dewey win read-only, Local write-only",
+            "Crossover on rows read + written: Global/Dewey win "
+            f"read-only ({first[-1]}: {min(first[1:4])} vs local "
+            f"{first[2]}), Local write-only ({last[2]} vs "
+            f"{min(last[1], last[3])})",
             first[-1] in ("global", "dewey") and last[-1] == "local",
+        )
+
+    t = by_id.get("E8")
+    if t is not None:
+        # (encoding, scope, nodes, statements, rows read)
+        stmts = {(r[0], r[1]): r[3] for r in t.rows}
+        record(
+            "E8",
+            "Global and Dewey read a subtree of either height in the "
+            f"same statements ({stmts['global', 'section subtree']}); "
+            "Local's grow with its height "
+            f"({stmts['local', 'section subtree']} -> "
+            f"{stmts['local', 'article subtree']})",
+            all(
+                stmts[name, "article subtree"]
+                == stmts[name, "section subtree"]
+                for name in ("global", "dewey")
+            )
+            and stmts["local", "article subtree"]
+            > stmts["local", "section subtree"],
+        )
+
+    t = by_id.get("E9")
+    if t is not None:
+        # (query, feature, global, local, dewey, local at depth 40)
+        unordered = [r for r in t.rows if r[0].startswith("U")]
+        doc_order = [r for r in t.rows if r[0] in ("Q7", "Q8")]
+        record(
+            "E9",
+            "Identical SQL complexity on U1-U4; Local's Q7/Q8 ops the "
+            "same at depth 4 and 40 ("
+            + " / ".join(f"{r[3]} and {r[5]}" for r in doc_order)
+            + ")",
+            all(r[2] == r[3] == r[4] for r in unordered)
+            and all(r[3] == r[5] for r in doc_order),
         )
 
     t = by_id.get("E9b")
     if t is not None:
+        # (encoding, queries, cold compiles, warm compiles, warm shared)
         record(
             "E9b",
-            "Warm compile cache >= 2x cheaper than cold translation",
-            all(r[4] >= 2.0 for r in t.rows),
+            "A cold pass compiles every query, a warm pass none and "
+            "shares a cached plan for each "
+            f"({_range([r[1] for r in t.rows])} queries)",
+            all(
+                r[2] == r[1] and r[3] == 0 and r[4] == r[1]
+                for r in t.rows
+            ),
         )
 
     t = by_id.get("E10")
     if t is not None:
+        ends = {}
         for encoding in ("global", "dewey"):
             rows = [r for r in t.rows if r[0] == encoding]
-            record(
-                "E10", f"gaps shrink {encoding} relabeling",
-                rows[0][3] > rows[-1][3],
+            ends[encoding] = (rows[0][3], rows[-1][3])
+        record(
+            "E10",
+            "Gaps shrink Global's and Dewey's relabeling ("
+            + ", ".join(
+                f"{name} {dense} -> {sparse}"
+                for name, (dense, sparse) in ends.items()
             )
+            + ")",
+            all(dense > sparse for dense, sparse in ends.values()),
+        )
 
     t = by_id.get("E11")
     if t is not None:
         ordpath = next(r for r in t.rows if r[0] == "ordpath")
         dewey_row = next(r for r in t.rows if r[0] == "dewey")
-        record("E11", "ORDPATH never relabels; Dewey does",
+        record("E11",
+               f"ORDPATH never relabels ({ordpath[2]}); Dewey does "
+               f"({dewey_row[2]})",
                ordpath[2] == 0 and dewey_row[2] > 0)
+
+    t = by_id.get("E12")
+    if t is not None:
+        # (query, encoding, rows read per size..., exponent)
+        linear = [r[-1] for r in t.rows if r[0] in ("U2", "Q5")]
+        q7 = [r[-1] for r in t.rows if r[0] == "Q7"]
+        record(
+            "E12",
+            "U2 and Q5 rows read grow linearly with the document "
+            f"(exponent {_range(linear)}, at most 1.2); Q7's exponent "
+            f"{_range(q7)}",
+            max(linear) <= 1.2,
+        )
 
     t = by_id.get("E13")
     if t is not None:
-        # Both verdicts are counts, so they repeat exactly.  E3's used
-        # to be wall-clock ("Local slowest on Q7/Q8"), which stopped
-        # being decidable once Local's closure axes became recursive
-        # walks: sqlite's Global Q8 alone spans 1-7 ms between runs.
-        doc_order = [r for r in t.rows if r[0] in ("Q7", "Q8")]
-        factor = min(r[3] / max(r[2], r[4]) for r in doc_order)
-        record(
-            "E3",
-            "Local reads more rows than Global and Dewey on Q7/Q8 "
-            f"(at least {factor:.1f}x)",
-            all(r[3] > r[2] and r[3] > r[4] for r in doc_order),
-        )
-        q7 = next(r for r in doc_order if r[0] == "Q7")
-        # Was "> 3x": the depth expansion scanned the document once
-        # per arm and candidate (671x).  A walk probes one row per
-        # level; what stays above the other encodings is the walks
-        # plus the client-side order-resolution fetches, a factor that
-        # shrinks as the result grows - so it is reported, not bounded.
+        q7 = next(r for r in t.rows if r[0] == "Q7")
+        # A walk probes one row per level; what stays above the other
+        # encodings is the walks plus the client-side order-resolution
+        # fetches, a factor that shrinks as the result grows - so it is
+        # reported, not bounded.
         record(
             "E13",
             "Local logical I/O highest on following:: "
-            f"({q7[3] / max(q7[2], q7[4]):.1f}x; walks plus client "
-            "order resolution)",
-            q7[3] > q7[2] and q7[3] > q7[4],
+            f"({q7[4]} rows, {q7[4] / max(q7[3], q7[5]):.1f}x; walks "
+            "plus client order resolution)",
+            q7[4] > max(q7[3], q7[5]),
         )
 
     t = by_id.get("E14")
     if t is not None:
-        pooled = [r for r in t.rows if r[0] == "pooled"]
-        top = max(pooled, key=lambda r: r[1])  # highest reader count
+        # (mode, readers, reads during write, after commit, violations)
+        modes = {r[0]: r for r in t.rows}
+        pooled, serialized = modes["pooled"], modes["serialized"]
         record(
             "E14",
-            "Pooled readers >= 2x serialized at max reader count, "
-            "clean audits",
-            top[4] >= 2.0 and all(r[5] == 0 for r in t.rows),
+            "While a write transaction is open, pooled readers complete "
+            f"{pooled[2]} of {pooled[1]} reads, serialized "
+            f"{serialized[2]} of {serialized[1]}; clean audits",
+            pooled[2] == pooled[1]
+            and serialized[2] == 0
+            and all(r[4] == 0 for r in t.rows),
         )
 
     t = by_id.get("E15")
     if t is not None:
+        # (encoding, queries, uncached stmts, cached stmts, mismatches)
         record(
             "E15",
-            "Caching >= 2x on the repeated ordered mix, zero mixed-"
-            "workload mismatches",
-            all(r[3] >= 2.0 and r[5] == 0 for r in t.rows),
+            "A warm cached pass of the ordered mix runs no backend "
+            f"statement (cached {_range([r[3] for r in t.rows])}, "
+            f"uncached {_range([r[2] for r in t.rows])}); zero "
+            "mixed-workload mismatches",
+            all(r[3] == 0 and r[4] == 0 for r in t.rows),
         )
 
     t = by_id.get("E16")
@@ -267,40 +380,49 @@ def compute_verdicts(
         record(
             "E16",
             "Adaptive migration <= best static encoding in logical "
-            "I/O (5% tolerance), and it actually migrated",
+            f"I/O (5% tolerance; {adaptive[4]} vs {best_static} rows), "
+            "and it actually migrated",
             adaptive[4] <= best_static * 1.05 and adaptive[5] != "-",
         )
 
     t = by_id.get("E17")
     if t is not None:
-        single = next(r for r in t.rows if r[0] == 1)
-        sharded = [r for r in t.rows if r[0] != 1]
+        # (phase, shard, documents, answered, errors)
+        dead = [
+            r for r in t.rows if r[0] == "shard 1 killed" and r[1] == 1
+        ]
+        live = [r for r in t.rows if r not in dead]
         record(
             "E17",
-            "Single-process daemon >= 0.67x the best sharded "
-            "configuration's read throughput (per-document "
-            "invalidation; was 0.4x), p50/p99 reported, no read errors",
-            single[1] >= 0.67 * max(r[1] for r in sharded)
-            and all(r[3] > 0 and r[4] > 0 and r[6] == 0 for r in t.rows),
+            "A killed shard fails only its own documents, typed "
+            f"shard_unavailable ({sum(r[2] - r[3] for r in dead)} "
+            "failed); the other shard's and, after respawn, every "
+            f"document answer ({sum(r[3] for r in live)} of "
+            f"{sum(r[2] for r in live)})",
+            bool(dead)
+            and all(r[3] == 0 and r[4] == "shard_unavailable" for r in dead)
+            and all(r[3] == r[2] and r[4] == "-" for r in live),
         )
 
     t = by_id.get("E18")
     if t is not None:
+        # (encoding, unindexed rows, indexed rows, read ratio, access
+        # paths, maintain written, rebuild written, write ratio,
+        # mismatches)
         record(
             "E18",
-            "Indexed >= 2x unindexed on the deep-descent and "
-            "value-predicate mix for every encoding on both backends, "
-            "both index kinds used, incremental maintenance >= 2x "
-            "rebuild-after-every-op on the update burst, zero "
-            "mismatches",
+            "Indexed reads at least 2x fewer rows than unindexed on "
+            f"every encoding ({_range([r[3] for r in t.rows])}x), "
+            "both index kinds used; maintenance writes at least 2x "
+            "fewer rows than rebuild-after-every-op "
+            f"({_range([r[7] for r in t.rows])}x); zero mismatches",
             all(
-                r[4] >= 2.0
-                and r[5] == "path-index+value-index"
-                and r[8] >= 2.0
-                and r[9] == 0
+                r[3] >= 2.0
+                and r[4] == "path-index+value-index"
+                and r[7] >= 2.0
+                and r[8] == 0
                 for r in t.rows
-            )
-            and {r[0] for r in t.rows} == {"sqlite", "minidb"},
+            ),
         )
 
     return verdicts
@@ -308,60 +430,3 @@ def compute_verdicts(
 
 def render_verdicts(verdicts: Sequence[Verdict]) -> list[str]:
     return [v.render() for v in verdicts]
-
-
-def results_payload(
-    tables: Sequence[ExperimentTable],
-    verdicts: Optional[Sequence[Verdict]] = None,
-    elapsed_seconds: Optional[float] = None,
-) -> dict:
-    """The JSON-serializable record of one bench run."""
-    if verdicts is None:
-        verdicts = compute_verdicts(tables)
-    return {
-        "schema": "repro-bench-results/1",
-        "platform": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "system": platform.system(),
-        },
-        "elapsed_seconds": elapsed_seconds,
-        "experiments": [
-            {
-                "id": table.id,
-                "title": table.title,
-                "expected_shape": EXPECTED_SHAPES.get(table.id),
-                "columns": list(table.columns),
-                "rows": [list(row) for row in table.rows],
-                "notes": list(table.notes),
-                "elapsed_seconds": getattr(
-                    table, "elapsed_seconds", None
-                ),
-                "phase_ms": dict(getattr(table, "phase_ms", {})),
-                "metrics": dict(getattr(table, "metrics", {})),
-            }
-            for table in tables
-        ],
-        "verdicts": [
-            {
-                "experiment": v.experiment,
-                "claim": v.claim,
-                "ok": v.ok,
-            }
-            for v in verdicts
-        ],
-        "all_shapes_hold": all(v.ok for v in verdicts),
-    }
-
-
-def write_results_json(
-    path: Union[str, Path],
-    tables: Sequence[ExperimentTable],
-    verdicts: Optional[Sequence[Verdict]] = None,
-    elapsed_seconds: Optional[float] = None,
-) -> Path:
-    """Write ``BENCH_results.json``; returns the path written."""
-    path = Path(path)
-    payload = results_payload(tables, verdicts, elapsed_seconds)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path

@@ -12,8 +12,7 @@ invocations::
     python -m repro dump --db bib.db --pretty
     python -m repro info --db bib.db
     python -m repro sql 'SELECT COUNT(*) FROM node_dewey' --db bib.db
-    python -m repro experiments --fast
-    python -m repro bench --fast --output BENCH_results.json
+    python -m repro experiments
     python -m repro serve-bench --db bib.db --readers 8 --duration 2
 
 The store's encoding and gap are recorded in a ``repro_meta`` table on
@@ -500,50 +499,16 @@ def cmd_crashtest(args: argparse.Namespace) -> int:
 
 def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.bench.experiments import run_all
+    from repro.bench.report import compute_verdicts, render_verdicts
 
-    for table in run_all(fast=args.fast):
+    tables = run_all()
+    for table in tables:
         print(table.render())
         print()
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.bench.experiments import run_all
-    from repro.bench.report import (
-        compute_verdicts,
-        render_verdicts,
-        results_payload,
-        write_results_json,
-    )
-
-    started = time.time()
-    tables = run_all(fast=args.fast)
-    elapsed = time.time() - started
     verdicts = compute_verdicts(tables)
-    if args.json:
-        import json as json_module
-
-        payload = results_payload(
-            tables, verdicts, elapsed_seconds=elapsed
-        )
-        print(json_module.dumps(payload, indent=2))
-    else:
-        for table in tables:
-            print(table.render())
-            print()
-        for line in render_verdicts(verdicts):
-            print(line)
-    written = write_results_json(
-        args.output, tables, verdicts, elapsed_seconds=elapsed
-    )
-    if not args.json:
-        print(f"wrote {written} ({len(tables)} experiments, "
-              f"{elapsed:.1f}s)")
-    if args.strict and not all(v.ok for v in verdicts):
-        return 1
-    return 0
+    for line in render_verdicts(verdicts):
+        print(line)
+    return 0 if all(v.ok for v in verdicts) else 1
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -1186,26 +1151,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "--shard-kill (default 3)")
     p.set_defaults(func=cmd_crashtest)
 
-    p = sub.add_parser("experiments",
-                       help="run the E1-E18 experiment suite")
-    p.add_argument("--fast", action="store_true")
-    p.set_defaults(func=cmd_experiments)
-
     p = sub.add_parser(
-        "bench",
-        help="run the experiment suite and write machine-readable "
-             "results (tables + shape verdicts) as JSON",
+        "experiments",
+        help="run the E1-E18 experiment suite: print its counted "
+             "tables and shape verdicts, exit 1 on any FAIL",
     )
-    p.add_argument("--fast", action="store_true",
-                   help="reduced sizes (quick smoke run)")
-    p.add_argument("--output", default="BENCH_results.json",
-                   help="results file (default BENCH_results.json)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 when any shape verdict fails")
-    p.add_argument("--json", action="store_true",
-                   help="print the results JSON to stdout instead of "
-                        "the rendered tables")
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_experiments)
 
     p = sub.add_parser(
         "serve",

@@ -79,9 +79,6 @@ class UpdateReport:
     inserted_subtrees: list = field(default_factory=list)
     reshred_roots: list = field(default_factory=list)
     sval_anchors: list = field(default_factory=list)
-    # False signals the op could not account precisely for what it
-    # touched; the index layer then falls back to an eager rebuild.
-    index_exact: bool = True
 
     def rows_touched(self) -> int:
         return (
@@ -101,7 +98,6 @@ class UpdateReport:
         self.inserted_subtrees.extend(other.inserted_subtrees)
         self.reshred_roots.extend(other.reshred_roots)
         self.sval_anchors.extend(other.sval_anchors)
-        self.index_exact = self.index_exact and other.index_exact
 
 
 class UpdateManager:

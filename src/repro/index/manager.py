@@ -140,23 +140,23 @@ class IndexManager:
 
         *report* is the outermost operation's
         :class:`~repro.core.updates.UpdateReport` carrying the touched
-        set.  When the report accounts exactly for what it touched and
-        the touched set fits the fallback budget, only the affected
-        rows are repaired (``index.incremental``); a touched set past
-        the budget rebuilds the document's rows instead
-        (``index.fallback_rebuild``), as does an update with no report
-        or inexact accounting.  A zero-row no-op (removing an absent
+        set.  When the touched set fits the fallback budget, only the
+        affected rows are repaired (``index.incremental``); a delta the
+        repair declines rebuilds the document's rows instead
+        (``index.fallback_rebuild``), and so does an update with no
+        report, uncounted.  A zero-row no-op (removing an absent
         attribute, an empty batch entry) skips maintenance entirely.
         """
         if report is not None and report.rows_touched() == 0:
             return
         if not info.indexed:
             return
-        exact = report is not None and report.index_exact
-        if exact and self._apply_delta_in_transaction(info, encoding, report):
+        if report is not None and self._apply_delta_in_transaction(
+            info, encoding, report
+        ):
             METRICS.inc("index.incremental")
         else:
-            if exact:
+            if report is not None:
                 METRICS.inc("index.fallback_rebuild")
             self._rebuild_rows(info.doc, encoding)
         METRICS.inc("index.maintained")

@@ -12,8 +12,6 @@ from repro.bench.harness import (
     ENCODING_NAMES,
     ExperimentTable,
     build_store,
-    speedup,
-    timed,
 )
 from repro.workload import article_corpus
 
@@ -89,25 +87,18 @@ class TestBackendContract:
 
 
 class TestHarness:
-    def test_timed_returns_positive(self):
-        assert timed(lambda: sum(range(100)), repeat=3) >= 0
-
     def test_build_store(self):
         document = article_corpus(articles=2)
         for encoding in ENCODING_NAMES:
             store, doc = build_store(document, encoding)
             assert store.node_count(doc) == document.node_count()
 
-    def test_speedup(self):
-        assert speedup(1.0, 2.0) == 2.0
-        assert speedup(0.0, 1.0) > 0
-
     def test_experiment_table_render(self):
         table = ExperimentTable(
-            "EX", "demo", ("name", "ms"),
+            "EX", "demo", ("name", "rows"),
         )
         table.add_row("alpha", 1.5)
-        table.add_row("beta", 120.0)
+        table.add_row("beta", 120)
         table.add_note("a note")
         text = table.render()
         assert "EX: demo" in text
@@ -140,26 +131,27 @@ class TestExperimentsFastPath:
         assert by_encoding["dewey"][3] > 4.0  # variable-length keys
 
     def test_e13_local_reads_most_on_document_order_by_a_small_factor(self):
-        """E3's and E13's verdicts are counts: Local reads more rows
-        than Global and Dewey on Q7/Q8, and at least ten times fewer
-        than the depth expansion did (49,672 and 110,890)."""
+        """E13's verdict is a count: Local reads more rows than Global
+        and Dewey on Q7/Q8 — 152 and 306 at ten articles, hundreds of
+        times fewer than the depth expansion did (49,672 and
+        110,890)."""
         from repro.bench.experiments import run_e13_logical_io
         from repro.bench.report import compute_verdicts
 
         table = run_e13_logical_io(articles=10)
+        local = table.columns.index("local rows")
         rows = {row[0]: row for row in table.rows}
-        assert rows["Q7"][3] * 10 < 49_672
-        assert rows["Q8"][3] * 10 < 110_890
+        assert (rows["Q7"][local], rows["Q8"][local]) == (152, 306)
         verdicts = {v.experiment: v for v in compute_verdicts([table])}
-        assert verdicts.keys() == {"E3", "E13"}
-        assert all(v.ok for v in verdicts.values())
-        assert "rows" in verdicts["E3"].claim
+        assert verdicts.keys() == {"E13"}
+        assert verdicts["E13"].ok
+        assert "152 rows" in verdicts["E13"].claim
 
     def test_e9_local_most_expensive_on_document_order(self):
         from repro.bench.experiments import run_e9_translation
 
         table = run_e9_translation()
         q7 = next(row for row in table.rows if row[0] == "Q7")
-        _id, _feature, global_ops, local_ops, dewey_ops = q7
+        _id, _feature, global_ops, local_ops, dewey_ops, _deep = q7
         assert local_ops > global_ops
         assert local_ops > dewey_ops

@@ -315,12 +315,15 @@ class TestObservabilityCommands:
 
 class TestExperimentsCommand:
     @pytest.mark.slow
-    def test_fast_suite_prints_tables(self, capsys):
-        assert run(["experiments", "--fast"]) == 0
+    def test_suite_prints_tables_and_verdicts(self, capsys):
+        assert run(["experiments"]) == 0
         out = capsys.readouterr().out
-        # Every experiment table renders with its id and title.
-        for eid in ("E1:", "E3:", "E7:", "E11:", "E13:"):
+        # Every experiment table renders with its id and title, and
+        # every verdict passes (the exit code says so too).
+        for eid in ("E1:", "E3:", "E7:", "E11:", "E13:", "E18:"):
             assert eid in out
+        assert "PASS  E17:" in out
+        assert "FAIL" not in out
 
 
 # Each CLI invocation opens an independent store handle on the db file;

@@ -9,9 +9,9 @@ the per-row loops reported:
   writes of the benchmark's mix W (``benchmarks/perf/schedule.py``, seed
   1, dense numbering) on one 8-article document, per encoding; both
   backends must report them, and the stores must audit clean afterwards;
-* ``e5`` / ``e6`` / ``e10`` — the count columns of the three update
-  experiments (insert cost vs. position, subtree insert / delete,
-  sparse numbering), wall-clock dropped.
+* ``e5`` / ``e6`` / ``e10`` — the rows of the three update experiments
+  (insert cost vs. position, subtree insert / delete, sparse
+  numbering).
 
 Regenerate after an intentional change with::
 
@@ -90,20 +90,12 @@ def replay(encoding: str, backend: str) -> tuple[XmlStore, list[list[int]]]:
     return store, counts
 
 
-def count_rows(table) -> list[list]:
-    """An experiment's rows without the wall-clock column."""
-    keep = [
-        i for i, column in enumerate(table.columns)
-        if not column.startswith("ms")
-    ]
-    return [[row[i] for i in keep] for row in table.rows]
-
-
 def snapshot() -> dict:
     return {
         "mix_w": {enc: replay(enc, "sqlite")[1] for enc in ENCODINGS},
         **{
-            name: count_rows(run()) for name, run in EXPERIMENTS.items()
+            name: [list(row) for row in run().rows]
+            for name, run in EXPERIMENTS.items()
         },
     }
 
@@ -145,7 +137,7 @@ def test_mix_w_reports_the_recorded_counts_per_op(golden, encoding, backend):
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_update_experiments_report_the_recorded_counts(golden, name):
-    assert count_rows(EXPERIMENTS[name]()) == golden[name]
+    assert [list(row) for row in EXPERIMENTS[name]().rows] == golden[name]
 
 
 if __name__ == "__main__":

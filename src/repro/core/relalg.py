@@ -20,6 +20,7 @@ documents and across differing predicate literals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -387,6 +388,10 @@ def _render_const(value: object) -> str:
         return sql_string_literal(value)
     if isinstance(value, bool):  # before int: bool is an int subclass
         return "1" if value else "0"
+    if isinstance(value, float) and math.isinf(value):
+        # SQL has no infinity literal; both engines read one that
+        # overflows a double as infinite.
+        return "1e999" if value > 0 else "-1e999"
     if isinstance(value, float) and value == int(value):
         return str(int(value))
     return repr(value)

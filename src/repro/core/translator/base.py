@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from repro.core.encodings import OrderEncoding
+from repro.core.numeric import xpath_number_value
 from repro.core.relalg import (
     CTX,
     DOC,
@@ -994,13 +995,13 @@ class SqlTranslator(ABC):
         if op in ("=", "!="):
             return Cmp(op, value, self._lit_param(literal, "raw"))
         # Relational comparison against a string: XPath converts both
-        # sides to numbers; a non-numeric literal can never compare
-        # true.  The branch depends on the value, so such literals are
-        # never shape-extracted.
+        # sides to numbers; a literal whose number() is NaN ('abc',
+        # 'NaN') can never compare true.  'Infinity' converts to inf as
+        # it does for the oracle.  The branch depends on the value, so
+        # such literals are never shape-extracted.
         _require_foldable(literal)
-        try:
-            number = float(literal.value)
-        except ValueError:
+        number = xpath_number_value(literal.value)
+        if number is None:
             return Bool(False)
         return self._numeric_comparison(value, op, Const(number))
 

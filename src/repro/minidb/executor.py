@@ -25,6 +25,7 @@ Evaluation model:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -71,6 +72,7 @@ from repro.minidb.sql_ast import (
 )
 from repro.minidb.tables import HeapTable, coerce_row
 from repro.minidb.values import (
+    NATIVE_ORDER_TYPES,
     SqlValue,
     cast_value,
     compare,
@@ -300,25 +302,12 @@ class Compiler:
             return lambda env, state: arithmetic(
                 op, left(env, state), right(env, state)
             )
-        if op in ("=", "!=", "<", "<=", ">", ">="):
-            left = self.compile_expr(expr.left, scope)
-            right = self.compile_expr(expr.right, scope)
-            def compare_fn(env: Env, state: ExecState) -> SqlValue:
-                result = compare(left(env, state), right(env, state))
-                if result is None:
-                    return None
-                if op == "=":
-                    return result == 0
-                if op == "!=":
-                    return result != 0
-                if op == "<":
-                    return result < 0
-                if op == "<=":
-                    return result <= 0
-                if op == ">":
-                    return result > 0
-                return result >= 0
-            return compare_fn
+        if op in _COMPARISONS:
+            return _compile_comparison(
+                op,
+                self.compile_expr(expr.left, scope),
+                self.compile_expr(expr.right, scope),
+            )
         raise ExecutionError(f"unknown operator {op!r}")
 
     def _compile_function(self, expr: FunctionExpr, scope: Scope) -> ExprFn:
@@ -773,6 +762,20 @@ class Compiler:
         steps: list["_JoinStep"],
         gate_fns: list[ExprFn],
     ) -> "CompiledSelect":
+        if _is_scalar_count_star(select):
+            # The correlated COUNT(*) of every positional predicate:
+            # count the pipeline's rows as they stream, no groups.
+            item = select.items[0]
+            column = item.alias or _item_name(item.expr, 0)  # type: ignore[union-attr]
+
+            def count_rows(env: Env, state: ExecState) -> Iterator[tuple]:
+                count = 0
+                if all(is_true(g(env, state)) for g in gate_fns):
+                    for _e in _run_pipeline(steps, env, state):
+                        count += 1
+                return iter(((count,),))
+
+            return CompiledSelect((column,), count_rows)
         group_fns = [self.compile_expr(e, scope) for e in select.group_by]
 
         # Find every aggregate call in the select list and HAVING; compile
@@ -844,7 +847,8 @@ class Compiler:
                     key = tuple(
                         row_sort_key((fn(e, state),)) for fn in group_fns
                     )
-                    groups.setdefault(key, []).append(e)
+                    # A copy: the pipeline rebinds e for its next row.
+                    groups.setdefault(key, []).append(dict(e))
             if not group_fns and not groups:
                 groups[()] = []  # global aggregate over zero rows
             out = []
@@ -942,6 +946,33 @@ def _item_name(expr: Expr, index: int) -> str:
     return f"col{index + 1}"
 
 
+_COMPARISONS = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def _compile_comparison(op: str, left: ExprFn, right: ExprFn) -> ExprFn:
+    """``left <op> right`` under :func:`compare`'s three-valued rules.
+
+    Two values of one exact type in :data:`NATIVE_ORDER_TYPES` compare
+    with Python's operator directly; everything else (NULL, bool, float,
+    int against float, cross-type) goes through ``compare``, whose
+    -1/0/1 the same operator then tests against 0.
+    """
+    test = _COMPARISONS[op]
+
+    def compare_fn(env: Env, state: ExecState) -> SqlValue:
+        lval = left(env, state)
+        rval = right(env, state)
+        kind = type(lval)
+        if kind is type(rval) and kind in NATIVE_ORDER_TYPES:
+            return test(lval, rval)
+        result = compare(lval, rval)
+        return None if result is None else test(result, 0)
+    return compare_fn
+
+
 def _to_logic(value: SqlValue) -> Optional[bool]:
     """Interpret an SQL value as a three-valued boolean."""
     if value is None:
@@ -977,6 +1008,21 @@ def _union_order_keys(
                 "compound ORDER BY must use output names or positions"
             )
     return keys
+
+
+def _is_scalar_count_star(select: Select) -> bool:
+    """``SELECT COUNT(*) FROM …`` with nothing after the WHERE."""
+    if len(select.items) != 1 or select.group_by or select.order_by:
+        return False
+    if select.having is not None or select.limit is not None:
+        return False
+    item = select.items[0]
+    return (
+        isinstance(item, SelectItem)
+        and isinstance(item.expr, FunctionExpr)
+        and item.expr.name == "count"
+        and item.expr.star
+    )
 
 
 def _contains_aggregate(select: Select) -> bool:
@@ -1090,19 +1136,7 @@ class _PostAggregateCompiler:
             return lambda env, state: like_match(
                 left(env, state), right(env, state)
             )
-        def compare_fn(env: Env, state: ExecState) -> SqlValue:
-            result = compare(left(env, state), right(env, state))
-            if result is None:
-                return None
-            return {
-                "=": result == 0,
-                "!=": result != 0,
-                "<": result < 0,
-                "<=": result <= 0,
-                ">": result > 0,
-                ">=": result >= 0,
-            }[op]
-        return compare_fn
+        return _compile_comparison(op, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -1127,39 +1161,47 @@ class _JoinStep:
     left: bool = False
     width: int = 0
 
+    def __post_init__(self) -> None:
+        self.rowid_key = f"__rowid_{self.alias}"
+        #: What a candidate row must pass: the ON conditions, then the
+        #: WHERE conjuncts placed here.
+        self.filters = (*self.on_fns, *self.residual_fns)
+
     def matches(self, env: Env, state: ExecState) -> Iterator[Env]:
-        """Yield extended environments for rows matching this step.
+        """Bind this step's alias in *env* to each matching row, in turn,
+        and yield *env* itself each time.
+
+        The binding is overwritten by the next row: a consumer reads what
+        it needs before it resumes the generator, or copies the
+        environment (aggregate groups do).  :func:`_run_pipeline` hands
+        the steps one private copy of the caller's environment, so a
+        subquery's bindings never leak into the query that runs it.
 
         Base-table rows also record their heap rowid under a reserved
         ``__rowid_<alias>`` key, which UPDATE/DELETE use to locate the
         target rows without a second scan.
         """
+        alias = self.alias
+        rowid_key = self.rowid_key
+        filters = self.filters
         matched = False
         for rowid, row in self._candidate_rows(env, state):
-            new_env = dict(env)
-            new_env[self.alias] = row
+            env[alias] = row
             if rowid is not None:
-                new_env[f"__rowid_{self.alias}"] = rowid
-            ok = True
-            for fn in self.on_fns:
-                if not is_true(fn(new_env, state)):
-                    ok = False
+                env[rowid_key] = rowid
+            for fn in filters:
+                if not fn(env, state):  # NULL or false
                     break
-            if ok:
-                for fn in self.residual_fns:
-                    if not is_true(fn(new_env, state)):
-                        ok = False
-                        break
-            if ok:
+            else:
                 matched = True
-                yield new_env
+                yield env
         if self.left and not matched:
-            new_env = dict(env)
-            new_env[self.alias] = (None,) * self.width
+            env[alias] = (None,) * self.width
+            env.pop(rowid_key, None)
             for fn in self.residual_fns:
-                if not is_true(fn(new_env, state)):
+                if not is_true(fn(env, state)):
                     return
-            yield new_env
+            yield env
 
     def _candidate_rows(
         self, env: Env, state: ExecState
@@ -1184,15 +1226,16 @@ class _JoinStep:
             for row in env[self.cte_key]:
                 yield None, row
             return
+        stats = state.stats
         if self.index is None:
-            state.stats.full_scans += 1
+            stats.full_scans += 1
             for rowid, row in table.scan():
-                state.stats.rows_read += 1
+                stats.rows_read += 1
                 yield rowid, row
             return
-        state.stats.index_scans += 1
+        stats.index_scans += 1
         eq_values = [fn(env, state) for fn in self.eq_fns]
-        if any(v is None for v in eq_values):
+        if None in eq_values:
             return  # '=' with NULL matches nothing
         probes: list[list[SqlValue]]
         if self.in_fns is not None:
@@ -1207,14 +1250,16 @@ class _JoinStep:
         else:
             probes = [eq_values]
         index = self.index
+        width = len(index.column_positions)  # type: ignore[attr-defined]
+        get = table.get
         for probe in probes:
-            if len(probe) == len(index.column_positions):  # type: ignore[attr-defined]
+            if len(probe) == width:
                 rowids = index.lookup(tuple(probe))  # type: ignore[attr-defined]
             else:
                 rowids = list(index.scan_prefix(tuple(probe)))  # type: ignore[attr-defined]
             for rowid in rowids:
-                state.stats.rows_read += 1
-                yield rowid, table.get(rowid)
+                stats.rows_read += 1
+                yield rowid, get(rowid)
 
     def _range_scan(
         self, env: Env, state: ExecState, eq_values: list[SqlValue]
@@ -1222,36 +1267,29 @@ class _JoinStep:
         table = self.table
         index = self.index
         assert table is not None and index is not None
-        low_value: Optional[SqlValue] = None
+        # The tightest bound on each side, as a total-order key.
+        low_key: Optional[tuple] = None
         low_inclusive = True
         for op, fn in self.lower_fns:
             value = fn(env, state)
             if value is None:
                 return  # NULL bound matches nothing
             key = sort_key(value)
-            if low_value is None or key > sort_key(low_value) or (
-                key == sort_key(low_value) and op == ">"
-            ):
-                if low_value is None or key != sort_key(low_value):
-                    low_inclusive = op == ">="
-                elif op == ">":
-                    low_inclusive = False
-                low_value = value
-        high_value: Optional[SqlValue] = None
+            if low_key is None or key > low_key:
+                low_key, low_inclusive = key, op == ">="
+            elif key == low_key and op == ">":
+                low_inclusive = False
+        high_key: Optional[tuple] = None
         high_inclusive = True
         for op, fn in self.upper_fns:
             value = fn(env, state)
             if value is None:
                 return
             key = sort_key(value)
-            if high_value is None or key < sort_key(high_value) or (
-                key == sort_key(high_value) and op == "<"
-            ):
-                if high_value is None or key != sort_key(high_value):
-                    high_inclusive = op == "<="
-                elif op == "<":
-                    high_inclusive = False
-                high_value = value
+            if high_key is None or key < high_key:
+                high_key, high_inclusive = key, op == "<="
+            elif key == high_key and op == "<":
+                high_inclusive = False
 
         # Index keys may be wider than the bound prefix (e.g. a range on
         # the first column of a two-column index).  A short tuple sorts
@@ -1259,45 +1297,55 @@ class _JoinStep:
         # and inclusive upper bounds must be padded with a sentinel that
         # sorts after every real component.
         sentinel = (4,)  # type rank 4 > blob rank; see values.sort_key
-        eq_key = row_sort_key(tuple(eq_values))
-        if low_value is not None:
-            low = (*eq_key, sort_key(low_value))
+        eq_key = row_sort_key(eq_values)
+        if low_key is not None:
+            low = (*eq_key, low_key)
             if not low_inclusive:
                 low = (*low, sentinel)
                 low_inclusive = True
         else:
             low = eq_key or None
-        if high_value is not None:
-            high = (*eq_key, sort_key(high_value))
+        if high_key is not None:
+            high = (*eq_key, high_key)
             if high_inclusive:
                 high = (*high, sentinel)
         else:
             high = None
         prefix_len = len(eq_key)
+        stats = state.stats
+        get = table.get
         for key, rowid in index.tree.scan(  # type: ignore[attr-defined]
             low, high, low_inclusive, high_inclusive
         ):
             if prefix_len and key[:prefix_len] != eq_key:
                 break  # ran past the equality prefix
-            state.stats.rows_read += 1
-            yield rowid, table.get(rowid)
+            stats.rows_read += 1
+            yield rowid, get(rowid)
 
 
 def _run_pipeline(
     steps: list[_JoinStep], env: Env, state: ExecState
 ) -> Iterator[Env]:
     if not steps:
-        yield env
+        return iter((env,))
+    return _extend(steps, 0, dict(env), state)
+
+
+def _extend(
+    steps: list[_JoinStep], position: int, env: Env, state: ExecState
+) -> Iterator[Env]:
+    """Environments extended by ``steps[position:]``, depth first.
+
+    A module-level generator, not a closure that calls itself: such a
+    closure is a reference cycle per execution, left for the cyclic
+    collector.
+    """
+    step = steps[position]
+    if position == len(steps) - 1:
+        yield from step.matches(env, state)
         return
-
-    def recurse(position: int, current: Env) -> Iterator[Env]:
-        if position == len(steps):
-            yield current
-            return
-        for extended in steps[position].matches(current, state):
-            yield from recurse(position + 1, extended)
-
-    yield from recurse(0, env)
+    for extended in step.matches(env, state):
+        yield from _extend(steps, position + 1, extended, state)
 
 
 @dataclass

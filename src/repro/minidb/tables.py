@@ -54,34 +54,12 @@ class TableIndex:
         """Row ids whose index key equals *key_values* exactly."""
         return self.tree.get(row_sort_key(key_values))
 
-    def scan_range(
-        self,
-        low: Optional[tuple],
-        high: Optional[tuple],
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> Iterator[int]:
-        """Row ids whose index key lies in the given key-tuple range.
-
-        Bounds are raw value tuples which may be shorter than the index
-        key (prefix scans); a short bound compares against the key's
-        prefix, which Python tuple comparison gives us once both sides are
-        total-order keys.
-        """
-        lo = row_sort_key(low) if low is not None else None
-        hi = row_sort_key(high) if high is not None else None
-        if hi is not None and not high_inclusive:
-            pass  # open bound handled by the tree
-        for _key, rowid in self.tree.scan(
-            lo, hi, low_inclusive, high_inclusive
-        ):
-            yield rowid
-
     def scan_prefix(self, prefix: tuple) -> Iterator[int]:
         """Row ids whose index key starts with *prefix* (in key order)."""
         lo = row_sort_key(prefix)
+        width = len(lo)
         for key, rowid in self.tree.scan(lo, None, True, True):
-            if key[: len(lo)] != lo:
+            if key[:width] != lo:
                 return
             yield rowid
 

@@ -179,6 +179,39 @@ class TestSubqueries:
         )
         assert [r[0] for r in result.rows] == ["ann", "cid"]
 
+    def test_a_subquery_that_shadows_an_outer_alias_binds_its_own(self, db):
+        # Both subqueries bind their own ``e`` while the outer ``e`` is
+        # bound; the outer row must be what the select list and ORDER
+        # BY read afterwards, and each subquery must see its own rows.
+        result = db.execute(
+            "SELECT (SELECT COUNT(*) FROM emp e WHERE e.boss = b.id), "
+            "e.name, b.name FROM emp e, emp b WHERE e.boss = b.id "
+            "AND EXISTS (SELECT 1 FROM emp e WHERE e.boss = b.id "
+            "AND e.salary > 90) ORDER BY e.id"
+        )
+        assert result.rows == [
+            (3, "bob", "ann"), (3, "cid", "ann"), (1, "dee", "cid"),
+            (3, "eve", "ann"),
+        ]
+
+    def test_left_join_null_row_after_rejected_candidates(self, db):
+        result = db.execute(
+            "SELECT e.name, b.name FROM emp e LEFT JOIN emp b "
+            "ON e.boss = b.id AND b.salary > 110 ORDER BY e.id"
+        )
+        assert result.rows == [
+            ("ann", None), ("bob", "ann"), ("cid", "ann"), ("dee", None),
+            ("eve", "ann"),
+        ]
+
+    def test_group_rows_survive_the_pipeline_moving_on(self, db):
+        # A group's non-aggregate column reads the group's first row.
+        result = db.execute(
+            "SELECT b.name, e.name, COUNT(*) FROM emp e, emp b "
+            "WHERE e.boss = b.id GROUP BY b.name ORDER BY b.name"
+        )
+        assert result.rows == [("ann", "bob", 3), ("cid", "dee", 1)]
+
     def test_scalar_subquery_empty_is_null(self, db):
         result = db.execute(
             "SELECT (SELECT name FROM emp WHERE id = 99)"

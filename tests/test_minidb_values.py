@@ -1,9 +1,13 @@
 """Tests for the minidb value model (comparison, logic, CAST)."""
 
+import math
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError
+from repro.minidb import MiniDb
 from repro.minidb.values import (
     cast_value,
     compare,
@@ -69,6 +73,100 @@ class TestSortKey:
     )
     def test_sort_key_is_total(self, values):
         sorted(values, key=sort_key)  # must never raise
+
+
+#: Every type class, the values where numbers tie across types, signed
+#: zero and the non-finite floats.
+GRID = [
+    None, False, True, -1, 0, 1, 2, 2 ** 60, -0.0, 0.0, 0.5, 1.0, 2.0,
+    float("nan"), float("inf"), float("-inf"),
+    "", "a", "ab", "b", "é", b"", b"\x00", b"a", b"b",
+]
+
+OPERATORS = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def reference_sort_key(value):
+    """The total-order key as written before ranks came from a table."""
+    if value is None:
+        return (0, 0)
+    if isinstance(value, (int, float)):
+        return (1, float(value))
+    if isinstance(value, str):
+        return (2, value)
+    if isinstance(value, bytes):
+        return (3, value)
+    raise ExecutionError(f"unsupported SQL value {value!r}")
+
+
+class TestCompiledComparisons:
+    """The executor's comparison closures take a shortcut for two values
+    of one native type; every answer must still be the one ``compare``
+    implies, and every cross-type pair must still raise."""
+
+    @pytest.mark.parametrize("op", sorted(OPERATORS))
+    def test_every_grid_pair_answers_as_compare_implies(self, op):
+        db = MiniDb()
+        sql = f"SELECT ? {op} ?"
+        for left in GRID:
+            for right in GRID:
+                try:
+                    result = compare(left, right)
+                except ExecutionError:
+                    with pytest.raises(ExecutionError):
+                        db.execute(sql, (left, right))
+                    continue
+                want = None if result is None else OPERATORS[op](result, 0)
+                got = db.execute(sql, (left, right)).rows[0][0]
+                assert got is want, (left, op, right)
+
+    def test_column_against_literal_takes_the_same_rules(self):
+        db = MiniDb()
+        db.execute("CREATE TABLE t (v REAL)")
+        db.executemany("INSERT INTO t VALUES (?)",
+                       [(0.0,), (float("nan"),), (2.0,)])
+        # compare() calls NaN equal to everything; the float shortcut
+        # would not, so floats take the strict path.
+        assert db.execute("SELECT COUNT(*) FROM t WHERE v = 2.0").rows \
+            == [(2,)]
+        with pytest.raises(ExecutionError):
+            db.execute("SELECT COUNT(*) FROM t WHERE v = 'x'")
+
+
+class TestSortKeyTable:
+    def test_keys_equal_the_reference_on_the_grid(self):
+        for value in GRID:
+            got, want = sort_key(value), reference_sort_key(value)
+            if isinstance(value, float) and math.isnan(value):
+                assert got[0] == want[0] and math.isnan(got[1])
+            else:
+                assert got == want, value
+
+    def test_grid_orders_as_the_reference_including_ties(self):
+        finite = [v for v in GRID
+                  if not (isinstance(v, float) and math.isnan(v))]
+        assert [sort_key(v) for v in sorted(finite, key=sort_key)] == [
+            reference_sort_key(v)
+            for v in sorted(finite, key=reference_sort_key)
+        ]
+        assert sort_key(True) == sort_key(1) == sort_key(1.0)
+        assert sort_key(False) == sort_key(0) == sort_key(-0.0)
+        assert row_sort_key((1, "a", None)) == tuple(
+            reference_sort_key(v) for v in (1, "a", None)
+        )
+
+    def test_subclasses_rank_by_isinstance_and_others_raise(self):
+        class Name(str):
+            pass
+
+        assert sort_key(Name("x")) == (2, "x")
+        with pytest.raises(ExecutionError):
+            sort_key(bytearray(b"x"))
+        with pytest.raises(ExecutionError):
+            sort_key([1])
 
 
 class TestLogic:

@@ -18,6 +18,7 @@ import pytest
 from repro.check.fuzz import FuzzConfig, apply_operation, plan_operation, run_fuzz
 from repro.core.numeric import xpath_number_value
 from repro.store import XmlStore
+from repro.workload import article_corpus
 from repro.workload.docgen import random_document
 from repro.xmldom.parser import parse
 from repro.xmldom.serializer import serialize
@@ -110,6 +111,36 @@ class TestSeed12Regression:
                 assert len(got) == _oracle_count(xml, query), query
         finally:
             store.close()
+
+
+#: Relational comparisons against string literals whose number() is not
+#: finite: NaN compares false, ±Infinity orders like any number.
+NON_FINITE_QUERIES = {
+    "//article[@year >= 'NaN']": 0,
+    "//article[@year < 'Infinity']": 3,
+    "//article[@year > '-Infinity']": 3,
+    "//article[@year <= '-Infinity']": 0,
+    "//article[@year > ' inf ']": 0,
+    "//article[@year < 'nan']": 0,
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("encoding", ENCODINGS)
+def test_non_finite_string_literals_answer_like_the_oracle(
+    backend, encoding
+):
+    # These raised a bare ValueError / OverflowError while the
+    # translator rendered the converted literal into the SQL text.
+    dom = article_corpus(articles=3, seed=1)
+    store = XmlStore(backend=backend, encoding=encoding)
+    try:
+        doc = store.load(dom)
+        for query, count in NON_FINITE_QUERIES.items():
+            assert len(evaluate(dom, query)) == count, query
+            assert len(store.query(query, doc=doc)) == count, query
+    finally:
+        store.close()
 
 
 @pytest.mark.slow

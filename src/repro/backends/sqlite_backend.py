@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.backends.base import Backend, BackendResult, is_write_statement
 from repro.core.scalars import SCALAR_FUNCTIONS
-from repro.errors import ReproError
+from repro.errors import ReproError, StorageError
 from repro.obs import METRICS
 
 #: ``raised``: the library error a scalar function raised on this
@@ -86,9 +86,16 @@ def connect_sqlite(
         # Crash safety for file-backed stores: WAL survives abrupt
         # process death (uncommitted tail discarded on reopen) and
         # lets readers proceed during a write.  synchronous=NORMAL
-        # is WAL's durable-at-checkpoint setting.
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
+        # is WAL's durable-at-checkpoint setting.  The first statement
+        # is where a file that is not a database shows itself.
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+        except sqlite3.DatabaseError as exc:
+            conn.close()
+            if isinstance(exc, sqlite3.OperationalError):
+                raise  # busy / locked: the retry layer classifies it
+            raise StorageError(f"cannot open {path!r}: {exc}") from exc
     # Wait instead of failing immediately when another connection
     # holds a conflicting lock (sqlite raises BUSY past the timeout;
     # the RetryPolicy layer classifies that as transient).

@@ -13,7 +13,6 @@ invocations::
     python -m repro info --db bib.db
     python -m repro sql 'SELECT COUNT(*) FROM node_dewey' --db bib.db
     python -m repro experiments
-    python -m repro serve-bench --db bib.db --readers 8 --duration 2
 
 The store's encoding and gap are recorded in a ``repro_meta`` table on
 first load, so later commands need no flags.
@@ -22,6 +21,7 @@ first load, so later commands need no flags.
 from __future__ import annotations
 
 import argparse
+import sqlite3
 import sys
 from pathlib import Path
 from typing import Optional
@@ -29,7 +29,7 @@ from typing import Optional
 from repro.backends.base import Backend
 from repro.backends.sqlite_backend import SqliteBackend
 from repro.core.encodings import ENCODINGS
-from repro.errors import ReproError
+from repro.errors import ReproError, StorageError
 from repro.store import XmlStore
 from repro.xmldom import parse_fragment, serialize
 from repro.xmldom.chars import escape_attribute
@@ -48,13 +48,16 @@ def _open_backend(db: str, pooled: bool = False) -> Backend:
     return SqliteBackend(db if db != ":memory:" else None)
 
 
-def _read_meta(backend: Backend) -> Optional[dict[str, str]]:
+def _read_meta(backend: Backend, db: str) -> Optional[dict[str, str]]:
+    """The store's recorded settings; None before its first load."""
     try:
         rows = backend.execute(
             "SELECT key, value FROM repro_meta"
         ).rows
-    except Exception:
-        return None
+    except sqlite3.OperationalError as exc:
+        if str(exc) == "no such table: repro_meta":
+            return None
+        raise StorageError(f"cannot read store {db!r}: {exc}") from exc
     return {key: value for key, value in rows}
 
 
@@ -82,7 +85,7 @@ def open_store(
     thread) instead of the single shared connection.
     """
     backend = _open_backend(db, pooled)
-    meta = _read_meta(backend)
+    meta = _read_meta(backend, db)
     if meta is not None:
         if encoding is not None and encoding != meta.get("encoding"):
             raise ReproError(
@@ -634,148 +637,6 @@ def cmd_serve_smoke(args: argparse.Namespace) -> int:
             tmp.cleanup()
 
 
-def _serve_bench_sharded(args: argparse.Namespace) -> int:
-    """serve-bench --shards: cluster + multi-process load generator."""
-    import tempfile
-
-    from repro.serve.client import TcpClient
-    from repro.serve.frontdoor import ServeConfig, ServeDaemon
-    from repro.serve.loadgen import run_load
-    from repro.workload.docgen import random_document
-    from repro.xmldom import serialize
-
-    queries = [
-        "//a[b/c]//d",
-        "//b[text() < 3]",
-        "//*[b][c]//a",
-        "//d[a/b]",
-    ]
-    with tempfile.TemporaryDirectory(prefix="serve-bench-") as tmp:
-        daemon = ServeDaemon(
-            ServeConfig(
-                directory=tmp,
-                shards=args.shards,
-                encoding=args.encoding,
-            )
-        )
-        try:
-            port = daemon.start_in_background()
-            setup = TcpClient("127.0.0.1", port)
-            try:
-                docs = [
-                    setup.load(
-                        serialize(
-                            random_document(
-                                seed, max_depth=10, max_children=6
-                            )
-                        )
-                    )
-                    for seed in range(args.docs)
-                ]
-            finally:
-                setup.close()
-            report = run_load(
-                "127.0.0.1",
-                port,
-                docs,
-                queries,
-                clients=args.readers,
-                duration=args.duration,
-                write_rate_hz=args.write_rate,
-            )
-        finally:
-            daemon.stop()
-    print(
-        f"shards={args.shards} clients={report.clients} "
-        f"duration={report.duration_s:.2f}s"
-    )
-    print(f"read throughput:  {report.read_ops_s:,.1f} ops/s "
-          f"({report.read_ops} ops, {report.read_errors} error(s))")
-    print(f"read latency:     p50 {report.p50_ms:.3f} ms, "
-          f"p99 {report.p99_ms:.3f} ms")
-    print(f"paced writes:     {report.writes} "
-          f"({report.write_errors} error(s))")
-    return 1 if report.read_errors or report.write_errors else 0
-
-
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    if args.shards is not None:
-        return _serve_bench_sharded(args)
-    if args.db is None:
-        print("error: serve-bench needs --db (thread mode) or "
-              "--shards (cluster mode)", file=sys.stderr)
-        return 2
-    from repro.check import audit_store
-    from repro.obs import METRICS
-    from repro.workload import (
-        ORDERED_QUERIES,
-        UNORDERED_QUERIES,
-        article_corpus,
-    )
-    from repro.workload.mixer import ConcurrentWorkload
-
-    pooled = args.mode == "pooled"
-    store = open_store(args.db, args.encoding, None, pooled=pooled)
-    was_enabled = METRICS.enabled
-    METRICS.reset()
-    METRICS.enabled = True
-    try:
-        documents = store.documents()
-        if documents:
-            doc = documents[-1].doc
-        else:
-            doc = store.load(
-                article_corpus(articles=args.articles),
-                name="serve-corpus",
-            )
-        if pooled:
-            store.enable_write_queue(max_batch=args.max_batch)
-        workload = ConcurrentWorkload(
-            store, doc, ORDERED_QUERIES + UNORDERED_QUERIES
-        )
-        result = workload.run(
-            args.readers, args.duration, writer=not args.no_writer
-        )
-        print(
-            f"mode={args.mode} readers={result.readers} "
-            f"writer={'on' if result.writer else 'off'} "
-            f"duration={result.duration_seconds:.2f}s"
-        )
-        print(f"read throughput:  {result.read_ops_per_second:,.1f} ops/s "
-              f"({result.read_operations} ops)")
-        print(f"write throughput: {result.write_ops_per_second:,.1f} ops/s "
-              f"({result.write_operations} ops)")
-        queue = store.write_queue
-        if queue is not None:
-            print(
-                f"group commit: {queue.operations} op(s) in "
-                f"{queue.batches} batch(es), "
-                f"{queue.grouped_operations} grouped"
-            )
-        METRICS.enabled = was_enabled
-        _print_metrics_snapshot(METRICS.snapshot())
-        failed = False
-        for error in result.read_errors:
-            print(f"reader error: {error}", file=sys.stderr)
-            failed = True
-        if result.write_error:
-            print(f"writer error: {result.write_error}", file=sys.stderr)
-            failed = True
-        violations = audit_store(store)
-        if violations:
-            for violation in violations:
-                print(violation, file=sys.stderr)
-            print(f"-- {len(violations)} invariant violation(s)",
-                  file=sys.stderr)
-            failed = True
-        else:
-            print("audit: clean")
-        return 1 if failed else 0
-    finally:
-        METRICS.enabled = was_enabled
-        store.close()
-
-
 def _seed_demo_document(store: XmlStore) -> int:
     """Load a small <items> document so trace/stats work on a fresh db."""
     parts = ["<items>"]
@@ -1192,43 +1053,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=2,
                    help="shard count when spawning (default 2)")
     p.set_defaults(func=cmd_serve_smoke)
-
-    p = sub.add_parser(
-        "serve-bench",
-        help="concurrent-serving throughput: N reader threads plus one "
-             "writer against a file-backed store, or (with --shards) a "
-             "closed-loop multi-process load against a live cluster",
-    )
-    p.add_argument("--db", default=None,
-                   help="SQLite store file for thread mode (created "
-                        "and seeded with an article corpus when empty)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="cluster mode: spin up this many shard workers "
-                        "in a temp directory and drive them with the "
-                        "multi-process load generator")
-    p.add_argument("--docs", type=int, default=8,
-                   help="cluster mode: documents to load (default 8)")
-    p.add_argument("--write-rate", type=float, default=20.0,
-                   help="cluster mode: paced writer rate in Hz "
-                        "(default 20)")
-    p.add_argument("--mode", choices=("pooled", "serialized"),
-                   default="pooled",
-                   help="pooled WAL connections + write queue, or the "
-                        "serialized shared connection (default pooled)")
-    p.add_argument("--readers", type=int, default=4,
-                   help="reader threads (default 4)")
-    p.add_argument("--duration", type=float, default=1.0,
-                   help="seconds to run (default 1.0)")
-    p.add_argument("--articles", type=int, default=12,
-                   help="corpus size when seeding an empty store "
-                        "(default 12)")
-    p.add_argument("--encoding", choices=sorted(ENCODINGS), default=None,
-                   help="order encoding when seeding an empty store")
-    p.add_argument("--max-batch", type=int, default=16,
-                   help="group-commit batch cap (default 16)")
-    p.add_argument("--no-writer", action="store_true",
-                   help="readers only, no background writer")
-    p.set_defaults(func=cmd_serve_bench)
 
     p = sub.add_parser(
         "trace",

@@ -53,9 +53,6 @@ class ConnectionPool(Generic[C]):
         self._pinned: dict[int, C] = {}
         self._total = 0
         self._closed = False
-        #: Checkout statistics (for tests and the serve-bench report).
-        self.created = 0
-        self.reused = 0
 
     # -- checkout / checkin ------------------------------------------------
 
@@ -67,7 +64,6 @@ class ConnectionPool(Generic[C]):
                 if self._closed:
                     raise ConcurrencyError("connection pool is closed")
                 if self._idle:
-                    self.reused += 1
                     METRICS.inc("pool.reused")
                     self._note_wait(wait_started)
                     return self._idle.pop()
@@ -100,7 +96,6 @@ class ConnectionPool(Generic[C]):
             raise
         with self._cond:
             self._all.append(connection)
-            self.created += 1
         METRICS.inc("pool.created")
         return connection
 

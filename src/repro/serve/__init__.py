@@ -6,8 +6,9 @@ its own worker process (connection pool + write queue + caches — the
 whole single-process stack, GIL and all), and a router in the front
 door maps document ids to shards, scatter-gathers cross-document
 queries, and merges results in document order.  ``repro serve`` runs
-the asyncio front door; ``repro serve-bench --shards N`` drives a
-cluster with a closed-loop multi-process load generator.
+the asyncio front door; ``repro serve-smoke`` drives one scripted round
+trip through it, and ``benchmarks/perf``'s ``serve_wire`` workload
+measures it.
 
 Layers (bottom up):
 
@@ -20,8 +21,6 @@ Layers (bottom up):
 * :mod:`repro.serve.router`   — doc→shard mapping, scatter-gather,
   shard-failure isolation.
 * :mod:`repro.serve.frontdoor` — the asyncio TCP daemon.
-* :mod:`repro.serve.loadgen`  — the multi-process closed-loop bench
-  client (experiment E17).
 * :mod:`repro.serve.crashtest` — the shard-kill harness
   (``repro crashtest --shard-kill``).
 """

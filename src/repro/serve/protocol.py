@@ -48,7 +48,7 @@ def decode_payload(payload: bytes) -> dict:
     """Parse one frame payload back into its object."""
     try:
         obj = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError(f"undecodable frame: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(f"frame is not an object: {type(obj).__name__}")

@@ -8,8 +8,6 @@ from repro.workload.docgen import (
     sized_article_corpus,
 )
 from repro.workload.mixer import (
-    ConcurrentRunResult,
-    ConcurrentWorkload,
     MixedWorkload,
     MixedWorkloadResult,
 )
@@ -29,8 +27,6 @@ from repro.workload.update_ops import (
 __all__ = [
     "ALL_QUERIES",
     "CATALOG_QUERIES",
-    "ConcurrentRunResult",
-    "ConcurrentWorkload",
     "MixedWorkload",
     "MixedWorkloadResult",
     "ORDERED_QUERIES",

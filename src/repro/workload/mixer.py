@@ -1,28 +1,22 @@
-"""Mixed and concurrent workload drivers (experiments E7 and E14).
+"""The mixed workload driver (experiments E7 and E16).
 
 The paper's headline trade-off only appears under a *mix*: Global wins
 when the workload is read-only, Local wins when it is update-heavy, and
 Dewey holds up across the middle.  :class:`MixedWorkload` interleaves
 queries and ordered insertions at a configurable update fraction, with a
-seeded schedule so every encoding sees the same operation sequence.
-
-:class:`ConcurrentWorkload` drives one store from many threads — N
-readers plus an optional single writer — and measures ops/s, which is
-how experiment E14 compares the pooled backend against the serialized
-shared-connection baseline.
+seeded schedule so every encoding sees the same operation sequence.  A
+run returns counts only; the experiments read the engine's counters
+around it.
 """
 
 from __future__ import annotations
 
 import random
-import threading
-import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
-from repro.errors import TranslationError
 from repro.workload.queries import WorkloadQuery
-from repro.workload.update_ops import UpdateWorkload, make_fragment
+from repro.workload.update_ops import UpdateWorkload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store import XmlStore
@@ -30,18 +24,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class MixedWorkloadResult:
-    """Timing breakdown of one mixed run."""
+    """Operation counts of one mixed run."""
 
     total_operations: int
     query_operations: int
     update_operations: int
-    query_seconds: float
-    update_seconds: float
     rows_relabeled: int
-
-    @property
-    def total_seconds(self) -> float:
-        return self.query_seconds + self.update_seconds
 
 
 class MixedWorkload:
@@ -82,8 +70,6 @@ class MixedWorkload:
         so runs are comparable across encodings and backends.
         """
         rng = random.Random((self.seed, operations, update_fraction).__hash__())
-        query_seconds = 0.0
-        update_seconds = 0.0
         n_queries = 0
         n_updates = 0
         relabeled = 0
@@ -91,197 +77,16 @@ class MixedWorkload:
             if rng.random() < update_fraction:
                 parent = rng.choice(self.insert_parents)
                 where = rng.choice(("first", "middle", "last"))
-                started = time.perf_counter()
                 report = self.updater.insert_at(parent, where)
-                update_seconds += time.perf_counter() - started
                 relabeled += report.relabeled
                 n_updates += 1
             else:
                 query = rng.choice(self.queries)
-                started = time.perf_counter()
                 self.store.query(query.xpath, self.doc)
-                query_seconds += time.perf_counter() - started
                 n_queries += 1
         return MixedWorkloadResult(
             total_operations=operations,
             query_operations=n_queries,
             update_operations=n_updates,
-            query_seconds=query_seconds,
-            update_seconds=update_seconds,
             rows_relabeled=relabeled,
-        )
-
-
-# -- concurrent serving (experiment E14) ---------------------------------
-
-
-@dataclass
-class ConcurrentRunResult:
-    """Throughput of one timed N-reader / single-writer run."""
-
-    readers: int
-    writer: bool
-    duration_seconds: float
-    read_operations: int
-    write_operations: int
-    read_errors: list = field(default_factory=list)
-    write_error: Optional[str] = None
-
-    @property
-    def read_ops_per_second(self) -> float:
-        if self.duration_seconds <= 0:
-            return 0.0
-        return self.read_operations / self.duration_seconds
-
-    @property
-    def write_ops_per_second(self) -> float:
-        if self.duration_seconds <= 0:
-            return 0.0
-        return self.write_operations / self.duration_seconds
-
-
-class ConcurrentWorkload:
-    """N reader threads (plus an optional single writer) on one store.
-
-    Readers run pre-translated SQL directly against the backend — the
-    translation happens once up front, like a server-side statement
-    cache — so a run measures storage-engine concurrency, not repeated
-    XPath compilation, and the pooled and serialized modes execute the
-    byte-identical statement stream.  The writer inserts small
-    fragments under one parent — appended at the tail by default
-    (cheap under every encoding), or at the front
-    (``writer_position="front"``) to force each insert through the
-    encoding's relabeling path and stretch the write transactions —
-    going through the full ``store.updates.insert`` path so it flows
-    through the write queue when one is attached.
-    """
-
-    def __init__(
-        self,
-        store: "XmlStore",
-        doc: int,
-        queries: Sequence[WorkloadQuery],
-        insert_parent_xpath: Optional[str] = None,
-        seed: int = 7,
-        writer_position: str = "append",
-    ) -> None:
-        if writer_position not in ("append", "front"):
-            raise ValueError(
-                "writer_position must be 'append' or 'front', "
-                f"got {writer_position!r}"
-            )
-        self.store = store
-        self.doc = doc
-        self.seed = seed
-        self.writer_position = writer_position
-        self.statements: list[tuple[str, tuple]] = []
-        for query in queries:
-            if not query.local_translatable and store.encoding.name == "local":
-                continue
-            try:
-                translated = store.translate(query.xpath, doc)
-            except TranslationError:
-                continue
-            self.statements.append(
-                (translated.sql, tuple(translated.params))
-            )
-        if not self.statements:
-            raise ValueError("no translatable queries for this encoding")
-        if insert_parent_xpath is None:
-            # Default to the document's root element, which every
-            # document has — appends there are cheap for all encodings.
-            parents = [
-                row["id"]
-                for row in store.fetch_children(doc, 0)
-                if row["kind"] == "elem"
-            ]
-        else:
-            parents = [
-                item.node_id
-                for item in store.query(insert_parent_xpath, doc)
-            ]
-        if not parents:
-            raise ValueError(
-                f"no insertion parents match {insert_parent_xpath!r}"
-            )
-        self.insert_parent = parents[0]
-        self._next_index = len(
-            store.fetch_children(doc, self.insert_parent)
-        )
-
-    def run(
-        self, readers: int, seconds: float, writer: bool = True
-    ) -> ConcurrentRunResult:
-        """Run *readers* query threads (+1 writer) for *seconds*."""
-        stop = threading.Event()
-        barrier = threading.Barrier(readers + (1 if writer else 0) + 1)
-        read_counts = [0] * readers
-        read_errors: list = []
-        errors_lock = threading.Lock()
-        write_count = [0]
-        write_error: list = []
-
-        def read_loop(slot: int) -> None:
-            rng = random.Random((self.seed, slot).__hash__())
-            statements = self.statements
-            backend = self.store.backend
-            barrier.wait()
-            count = 0
-            try:
-                while not stop.is_set():
-                    sql, params = statements[
-                        rng.randrange(len(statements))
-                    ]
-                    backend.execute(sql, params)
-                    count += 1
-            except Exception as exc:  # a dead reader fails the run
-                with errors_lock:
-                    read_errors.append(f"reader {slot}: {exc!r}")
-            finally:
-                read_counts[slot] = count
-
-        def write_loop() -> None:
-            front = self.writer_position == "front"
-            barrier.wait()
-            try:
-                while not stop.is_set():
-                    fragment = make_fragment(
-                        "srv", payload_nodes=2
-                    )
-                    self.store.updates.insert(
-                        self.doc,
-                        self.insert_parent,
-                        0 if front else self._next_index,
-                        fragment,
-                    )
-                    self._next_index += 1
-                    write_count[0] += 1
-            except Exception as exc:
-                write_error.append(repr(exc))
-
-        threads = [
-            threading.Thread(target=read_loop, args=(slot,), daemon=True)
-            for slot in range(readers)
-        ]
-        if writer:
-            threads.append(
-                threading.Thread(target=write_loop, daemon=True)
-            )
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        started = time.perf_counter()
-        time.sleep(seconds)
-        stop.set()
-        elapsed = time.perf_counter() - started
-        for thread in threads:
-            thread.join()
-        return ConcurrentRunResult(
-            readers=readers,
-            writer=writer,
-            duration_seconds=elapsed,
-            read_operations=sum(read_counts),
-            write_operations=write_count[0],
-            read_errors=read_errors,
-            write_error=write_error[0] if write_error else None,
         )

@@ -1,8 +1,12 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import random
+import sqlite3
+
 import pytest
 
 from repro.cli import main, open_store
+from repro.errors import StorageError
 
 BIB = (
     '<bib><book year="1994"><title>TCP/IP</title>'
@@ -181,6 +185,39 @@ class TestInfoAndSql:
         code = run(["query", "/x", "--db", db])
         assert code == 1
         assert "no documents" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["info"], ["dump"], ["query", "//a"]]
+    )
+    def test_file_that_is_not_a_database_fails_typed(
+        self, tmp_path, capsys, command
+    ):
+        path = tmp_path / "random.db"
+        garbage = random.Random(3).randbytes(3072)
+        path.write_bytes(garbage)
+        assert run([*command, "--db", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot open {str(path)!r}: file is not a database"
+        ]
+        assert path.read_bytes() == garbage
+        with pytest.raises(StorageError, match="not a database"):
+            open_store(str(path), pooled=True)
+
+    def test_unreadable_settings_are_not_a_fresh_store(self, db, capsys):
+        """Only a missing ``repro_meta`` means "not initialised yet"; a
+        settings read that fails is reported as the failure it is."""
+        connection = sqlite3.connect(db)
+        connection.execute(
+            "CREATE VIEW repro_meta AS SELECT 'encoding' AS key, "
+            "abs(-9223372036854775807 - 1) AS value"
+        )
+        connection.close()
+        assert run(["info", "--db", db]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot read store {db!r}: integer overflow"
+        ]
 
 
 class TestOpenStoreHelper:

@@ -26,12 +26,11 @@ from repro.errors import (
 )
 from repro.robust.retry import RetryPolicy
 from repro.store import XmlStore
-from repro.workload.mixer import ConcurrentWorkload
 from repro.workload.queries import ORDERED_QUERIES, UNORDERED_QUERIES
 from repro.workload.update_ops import make_fragment
 from repro.xmldom import parse
 
-from .conftest import ALL_ENCODINGS, BIB_XML
+from .conftest import ALL_ENCODINGS, BIB_XML, counters
 
 
 def _run_in_thread(target):
@@ -130,12 +129,13 @@ class _FakeConn:
 class TestConnectionPool:
     def test_checkin_reuses_connection(self):
         pool = ConnectionPool(_FakeConn, capacity=4)
-        with pool.connection() as first:
-            pass
-        with pool.connection() as second:
-            assert second is first
-        assert pool.created == 1
-        assert pool.reused == 1
+        with counters() as count:
+            with pool.connection() as first:
+                pass
+            with pool.connection() as second:
+                assert second is first
+            assert count("pool.created") == 1
+            assert count("pool.reused") == 1
 
     def test_exhaustion_raises_after_timeout(self):
         pool = ConnectionPool(
@@ -381,15 +381,55 @@ class TestRetryJitter:
 # -- N readers + 1 writer stress ----------------------------------------
 
 
-def _stress(store, seconds=0.15, readers=3):
+def _stress(store, readers=3, reads=40, writes=10):
+    """*readers* threads and one writer start together at a barrier.
+    Each reader runs *reads* pre-translated statements, so every backend
+    sees the same statement stream; the writer makes *writes* appends
+    through ``store.updates``, and so through the write queue when one
+    is attached."""
     doc = store.load(parse(BIB_XML))
-    workload = ConcurrentWorkload(
-        store, doc, ORDERED_QUERIES + UNORDERED_QUERIES, seed=11
-    )
-    result = workload.run(readers, seconds, writer=True)
-    assert result.read_errors == []
-    assert result.write_error is None
-    assert result.read_operations > 0
+    translated = [
+        store.translate(query.xpath, doc)
+        for query in ORDERED_QUERIES + UNORDERED_QUERIES
+    ]
+    statements = [(t.sql, tuple(t.params)) for t in translated]
+    root = store.query("/*", doc)[0].node_id
+    base = len(store.fetch_children(doc, root))
+
+    def read(slot, step):
+        sql, params = statements[(slot + step) % len(statements)]
+        store.backend.execute(sql, params)
+
+    def write(_slot, step):
+        fragment = make_fragment("srv", payload_nodes=2)
+        store.updates.insert(doc, root, base + step, fragment)
+
+    plan = [(read, reads)] * readers + [(write, writes)]
+    barrier = threading.Barrier(len(plan), timeout=30)
+    completed = [0] * len(plan)
+    errors = []
+
+    def drive(slot, operation, count):
+        barrier.wait()
+        try:
+            for step in range(count):
+                operation(slot, step)
+                completed[slot] += 1
+        except Exception as exc:
+            errors.append(f"thread {slot}: {exc!r}")
+
+    threads = [
+        threading.Thread(target=drive, args=(slot, *work))
+        for slot, work in enumerate(plan)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+        assert not thread.is_alive(), "stress thread hung"
+    assert errors == []
+    assert completed == [reads] * readers + [writes]
+    assert len(store.fetch_children(doc, root)) == base + writes
     assert audit_store(store) == []
 
 

@@ -1,13 +1,12 @@
-"""Serve subsystem tests: worker dispatch, routing math, loadgen
-statistics (fast, in-process) and full-cluster integration including
-shard-kill recovery (marked slow — real processes).
+"""Serve subsystem tests: worker dispatch and routing math (fast,
+in-process) and full-cluster integration including shard-kill recovery
+(marked slow — real processes).
 """
 
 import tempfile
 
 import pytest
 
-from repro.serve.loadgen import percentile
 from repro.serve.worker import ShardWorker
 from repro.store import XmlStore
 from repro.xmldom.parser import parse
@@ -205,22 +204,6 @@ class TestRoutingMath:
         for bad in (0, 1, 2, 3):  # local id would be 0
             with pytest.raises(ReproError):
                 router.locate(bad)
-
-
-class TestPercentile:
-    def test_empty(self):
-        assert percentile([], 0.5) == 0.0
-
-    def test_single(self):
-        assert percentile([7.0], 0.5) == 7.0
-        assert percentile([7.0], 0.99) == 7.0
-
-    def test_ranks(self):
-        values = [float(i) for i in range(1, 101)]
-        assert percentile(values, 0.0) == 1.0
-        assert percentile(values, 1.0) == 100.0
-        assert abs(percentile(values, 0.5) - 50.0) <= 1.0
-        assert percentile(values, 0.99) >= 98.0
 
 
 @pytest.mark.slow

@@ -92,6 +92,10 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             decode_payload(b"not json at all {")
 
+    def test_deeply_nested_payload_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError):
+            decode_payload(b"[" * 100000 + b"]" * 100000)
+
     def test_non_object_payload_rejected(self):
         with pytest.raises(ProtocolError):
             decode_payload(b"[1, 2, 3]")

@@ -101,8 +101,8 @@ class Backend(ABC):
         """Names of all user tables currently in the database.
 
         Used by the invariant auditor (rows in a table of the wrong
-        encoding, tables an older build's crashed migration left).  Not
-        abstract so minimal test doubles keep working; callers treat
+        encoding).  Not abstract so minimal test doubles keep working;
+        callers treat
         ``NotImplementedError`` as "cannot enumerate" and skip those
         checks.
         """

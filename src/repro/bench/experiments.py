@@ -1147,7 +1147,7 @@ def run_e18_indexing(products: int = 240) -> ExperimentTable:
             tuple(sorted(store.backend.execute(
                 f"SELECT * FROM {t} WHERE doc = ?", (doc,)
             ).rows))
-            for t in ("idx_sval", "idx_paths", "idx_pathmap", "idx_stats")
+            for t in ("idx_sval", "idx_paths", "idx_pathmap")
         )
 
     for name in (*ENCODING_NAMES, "ordpath"):

@@ -16,9 +16,8 @@ rows of a store:
   (interval nesting for Global, slot uniqueness for Local, key-prefix
   and byte-order agreement for Dewey/ORDPATH);
 * **catalogue** — ``documents.node_count`` equals the live row count,
-  ``next_id`` stays above every allocated id, ``max_depth`` bounds the
-  real depth, and no node, attribute or index rows exist for unknown
-  documents;
+  ``next_id`` stays above every allocated id, and no node, attribute or
+  index rows exist for unknown documents;
 * **secondary indexes** — the ``idx_sval`` / ``idx_pathmap`` rows of an
   indexed document are exactly what its node rows imply (one value row
   and one path occurrence per live element, none for anything else),
@@ -226,13 +225,6 @@ def _catalog_violations(store, info, view: AuditView):
             "catalog-next-id", doc, None,
             f"documents.next_id {info.next_id} <= max live id {max_id}",
         )
-    actual_depth = max((row["depth"] for row in view.rows), default=0)
-    if info.max_depth < actual_depth:
-        yield Violation(
-            "catalog-max-depth", doc, None,
-            f"documents.max_depth {info.max_depth} < actual depth "
-            f"{actual_depth}",
-        )
 
 
 def _expected_index_rows(view: AuditView) -> tuple[dict, dict]:
@@ -270,22 +262,19 @@ def _expected_index_rows(view: AuditView) -> tuple[dict, dict]:
     return values, paths
 
 
-def _index_violations(store, doc: int, view: AuditView):
+def _index_violations(store, info, view: AuditView):
     """The value and path indexes against the rows they derive from.
 
-    An index is *present* when ``idx_stats`` carries the document's
-    marker row; without it the document must have no occurrence rows at
-    all.  Each occurrence table must say, exactly once per live
-    element, what the document says.  Path-dictionary entries no
-    element uses any more are legal (the dictionary is append-only so
-    path ids stay stable).
+    An index is *present* when the catalogue row says ``indexed``;
+    without it the document must have no occurrence rows at all.  Each
+    occurrence table must say, exactly once per live element, what the
+    document says.  Path-dictionary entries no element uses any more
+    are legal (the dictionary is append-only so path ids stay stable).
     """
     execute = store.backend.execute
+    doc = info.doc
     values, paths = {}, {}
-    if execute(
-        "SELECT value FROM idx_stats "
-        "WHERE doc = ? AND kind = 'meta' AND skey = 'present'", (doc,),
-    ).rows:
+    if info.indexed:
         values, paths = _expected_index_rows(view)
     dictionary = dict(execute(
         "SELECT pathid, path FROM idx_paths WHERE doc = ?", (doc,)
@@ -337,7 +326,7 @@ def audit_document(store, doc: int) -> list[Violation]:
     # so it must not read through the store's catalog cache (which can
     # legitimately lag when another store object writes the same file).
     info = store.document_info(doc, fresh=True)
-    encoding = store.encoding_for(doc)
+    encoding = ENCODINGS[info.encoding]
     rows = fetch_rows(store, doc, encoding)
     view = _build_view(store, rows, encoding)
     violations = list(_structural_violations(store, doc, view))
@@ -347,7 +336,7 @@ def audit_document(store, doc: int) -> list[Violation]:
         for code, node_id, message in encoding.order_invariants(view)
     )
     violations.extend(_catalog_violations(store, info, view))
-    violations.extend(_index_violations(store, doc, view))
+    violations.extend(_index_violations(store, info, view))
     return violations
 
 
@@ -364,16 +353,7 @@ def summarize_violations(
     return listing
 
 
-def _existing_tables(store) -> Optional[set[str]]:
-    """Names of the backend's live tables, or ``None`` when the backend
-    cannot enumerate them (custom backends)."""
-    try:
-        return set(store.backend.list_tables())
-    except NotImplementedError:  # pragma: no cover - custom backends
-        return None
-
-
-def _stray_document_violations(store, infos, existing: Optional[set[str]]):
+def _stray_document_violations(store, infos):
     """Store-level checks that look across *every* encoding's tables.
 
     * ``catalog-missing-doc`` — rows for a document with no catalogue
@@ -383,6 +363,10 @@ def _stray_document_violations(store, infos, existing: Optional[set[str]]):
       table that is not its catalogued encoding's (a migration that
       cut over without deleting its source rows, or vice versa).
     """
+    try:
+        existing: Optional[set[str]] = set(store.backend.list_tables())
+    except NotImplementedError:  # pragma: no cover - custom backends
+        existing = None
     known = {info.doc: info for info in infos}
     table_owner: dict[str, Optional[str]] = {
         table.name: None for table in index_tables()
@@ -408,26 +392,12 @@ def _stray_document_violations(store, infos, existing: Optional[set[str]]):
                     "catalogue entry",
                 )
                 continue
-            doc_encoding = info.encoding or store.encoding.name
-            if owner is not None and owner != doc_encoding:
+            if owner is not None and owner != info.encoding:
                 yield Violation(
                     "store-wrong-encoding-table", doc, None,
                     f"rows in {table} but document is catalogued "
-                    f"as {doc_encoding!r}",
+                    f"as {info.encoding!r}",
                 )
-
-
-def _migration_leftover_violations(existing: Optional[set[str]]):
-    """``mig_*`` tables: a migration is one transaction and creates
-    none, but builds that copied through shadow tables left them behind
-    when they crashed, and this build does not sweep them."""
-    for table in sorted(existing or ()):
-        if table.startswith("mig_"):
-            yield Violation(
-                "migration-shadow-orphan", 0, None,
-                f"shadow table {table} left behind by a migration "
-                "of an older build; drop it",
-            )
 
 
 def audit_store(
@@ -448,9 +418,7 @@ def audit_store(
         ):
             continue
         violations.extend(audit_document(store, info.doc))
-    existing = _existing_tables(store)
-    violations.extend(_stray_document_violations(store, infos, existing))
-    violations.extend(_migration_leftover_violations(existing))
+    violations.extend(_stray_document_violations(store, infos))
     return violations
 
 

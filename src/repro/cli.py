@@ -101,7 +101,11 @@ def open_store(
             _write_meta(backend, encoding, gap)
         except Exception as exc:
             raise ReproError(f"cannot initialise store {db!r}: {exc}")
-    return XmlStore(backend=backend, encoding=encoding, gap=gap)
+    try:
+        return XmlStore(backend=backend, encoding=encoding, gap=gap)
+    except StorageError as exc:
+        backend.close()
+        raise StorageError(f"cannot open {db!r}: {exc}") from exc
 
 
 def _resolve_doc(store: XmlStore, doc: Optional[int]) -> int:
@@ -127,8 +131,7 @@ def cmd_load(args: argparse.Namespace) -> int:
     info = store.document_info(doc)
     print(
         f"loaded document {doc} ({info.name!r}): {info.node_count} "
-        f"nodes, depth {info.max_depth}, encoding "
-        f"{store.encoding.name}, gap {store.gap}"
+        f"nodes, encoding {store.encoding.name}, gap {store.gap}"
     )
     return 0
 
@@ -224,12 +227,11 @@ def cmd_drop(args: argparse.Namespace) -> int:
 def cmd_info(args: argparse.Namespace) -> int:
     store = open_store(args.db)
     print(f"encoding: {store.encoding.name}   gap: {store.gap}")
-    print(f"{'doc':>4}  {'name':20} {'nodes':>8} {'depth':>6} "
+    print(f"{'doc':>4}  {'name':20} {'nodes':>8} "
           f"{'next id':>8} {'encoding':>8}")
     for info in store.documents():
-        encoding = info.encoding or store.encoding.name
         print(f"{info.doc:>4}  {info.name:20} {info.node_count:>8} "
-              f"{info.max_depth:>6} {info.next_id:>8} {encoding:>8}")
+              f"{info.next_id:>8} {info.encoding:>8}")
     return 0
 
 

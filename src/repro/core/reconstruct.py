@@ -42,6 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.encodings import OrderEncoding
     from repro.store import XmlStore
 
+#: Stands for "no row yet" where ``None`` could be a stored parent.
+_NO_ROW = object()
+
 
 def ordered_rows(
     store: "XmlStore", doc: int, root_row: Optional[dict] = None,
@@ -108,13 +111,27 @@ def row_events(
 
     *attributes* maps an element's id to its attributes.  An element
     closes when a row arrives whose parent is not the innermost open
-    element, so the parent pointers alone carry the nesting.
+    element, so the parent pointers alone carry the nesting.  A row
+    whose parent is neither an open element nor the first row's parent
+    belongs to no tree these rows make: the stored rows contradict
+    themselves, and :class:`StorageError` says so rather than let a
+    consumer serialise, relabel or index them.
     """
     open_ids: list[int] = []
+    top = _NO_ROW
     for node_id, parent, kind, tag, value in rows:
         while open_ids and open_ids[-1] != parent:
             open_ids.pop()
             yield (END, None, None)
+        if not open_ids:
+            if top is _NO_ROW:
+                top = parent
+            elif parent != top:
+                raise StorageError(
+                    f"stored rows are inconsistent: node {node_id} has "
+                    f"parent {parent}, which is not an open element "
+                    f"before it; run repro check"
+                )
         if kind == KIND_ELEMENT:
             open_ids.append(node_id)
             yield (START, tag or "", attributes.get(node_id, {}))

@@ -186,12 +186,13 @@ def ordpath_tables() -> tuple[Table, Table]:
 
 
 def documents_table() -> Table:
-    """The per-store document catalogue.
+    """The per-store document catalogue, one
+    :class:`~repro.store.DocumentInfo` per row.
 
     ``encoding`` names the order encoding whose node/attribute tables
     hold this document's rows; ``repro migrate`` rewrites it atomically
-    at cutover.  NULL (a catalogue written before migration support)
-    means the store's default encoding.
+    at cutover.  ``indexed`` is 1 while the document has a secondary
+    index (``indexes.create`` sets it, ``drop`` clears it).
     """
     name = "documents"
     return Table(
@@ -200,9 +201,9 @@ def documents_table() -> Table:
             Column("doc", "INTEGER"),
             Column("name", "TEXT"),
             Column("node_count", "INTEGER"),
-            Column("max_depth", "INTEGER"),
             Column("next_id", "INTEGER"),
             Column("encoding", "TEXT"),
+            Column("indexed", "INTEGER"),
         ),
         (Index(f"ux_{name}_doc", name, ("doc",), unique=True),),
     )
@@ -212,7 +213,7 @@ def documents_table() -> Table:
 INDEX_PREFIX = "idx_"
 
 
-def index_tables() -> tuple[Table, Table, Table, Table]:
+def index_tables() -> tuple[Table, Table, Table]:
     """Side tables of the per-document secondary indexes.
 
     Encoding-independent (they key on the surrogate ``id``, which
@@ -225,11 +226,9 @@ def index_tables() -> tuple[Table, Table, Table, Table]:
       (``nval``, NULL for NaN), covering string and numeric predicates;
     * ``idx_paths`` — the **path index** dictionary: every distinct
       root-to-element path of the document;
-    * ``idx_pathmap`` — path occurrences: ``pathid -> element id``;
-    * ``idx_stats`` — one ``('meta', 'present')`` marker row per
-      indexed document.  (The schema is wider than that because files
-      written before the marker was all it held exist; a store clears
-      their other rows when it opens.)
+    * ``idx_pathmap`` — path occurrences: ``pathid -> element id``.
+
+    Whether a document has an index is ``documents.indexed``.
     """
     sval = Table(
         "idx_sval",
@@ -276,17 +275,4 @@ def index_tables() -> tuple[Table, Table, Table, Table]:
             Index("ix_idx_pathmap_id", "idx_pathmap", ("doc", "id")),
         ),
     )
-    stats = Table(
-        "idx_stats",
-        (
-            Column("doc", "INTEGER"),
-            Column("kind", "TEXT"),
-            Column("skey", "TEXT"),
-            Column("value", "TEXT"),
-        ),
-        (
-            Index("ux_idx_stats", "idx_stats", ("doc", "kind", "skey"),
-                  unique=True),
-        ),
-    )
-    return sval, paths, pathmap, stats
+    return sval, paths, pathmap

@@ -79,7 +79,6 @@ class ShreddedDocument:
 
     nodes: list[ShreddedNode] = field(default_factory=list)
     attributes: list[ShreddedAttribute] = field(default_factory=list)
-    max_depth: int = 0
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -110,7 +109,6 @@ def label(stream: Iterable[Event]) -> ShreddedDocument:
     """
     nodes: list[ShreddedNode] = []
     attributes: list[ShreddedAttribute] = []
-    max_depth = 0
     rank = 0
     # The open element (None at the document level) and what its next
     # child needs: its id and Dewey path, the depth one level down, how
@@ -132,8 +130,6 @@ def label(stream: Iterable[Event]) -> ShreddedDocument:
             continue
         rank += 1
         siblings += 1
-        if depth > max_depth:
-            max_depth = depth
         if kind == START:
             record = ShreddedNode(
                 rank, parent_id, KIND_ELEMENT, a, None, depth, rank, rank,
@@ -159,7 +155,7 @@ def label(stream: Iterable[Event]) -> ShreddedDocument:
             rank, parent_id, node_kind, tag, value, depth, rank, rank,
             siblings, (*path, siblings),
         ))
-    return ShreddedDocument(nodes, attributes, max_depth)
+    return ShreddedDocument(nodes, attributes)
 
 
 def shred_text(

@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.encodings import (
+    ENCODINGS,
     OrderEncoding,
     PrefixKeyEncoding,
-    get_encoding,
 )
 from repro.core.reconstruct import ordered_rows
 from repro.core.schema import KIND_ELEMENT, KIND_TEXT
@@ -124,12 +124,6 @@ class UpdateManager:
             METRICS.inc("updates.relabeled", report.relabeled)
         return report
 
-    def _doc_encoding(self, info) -> OrderEncoding:
-        """The encoding holding the rows of the document *info* describes."""
-        if info.encoding is None:
-            return self.store.encoding
-        return get_encoding(info.encoding)
-
     def _tracked(self, doc: int, body):
         """Run *body* inside the transaction, then — when this is the
         outermost public operation — maintain the document's index.
@@ -166,7 +160,7 @@ class UpdateManager:
             # rebuilding the document.
             report = result if isinstance(result, UpdateReport) else None
             self.store.indexes.maintain_in_transaction(
-                info, self._doc_encoding(info), report
+                info, ENCODINGS[info.encoding], report
             )
         return result
 
@@ -213,7 +207,7 @@ class UpdateManager:
         # Everything below is handed the encoding resolved here, and
         # the parent row fetched here.
         doc = info.doc
-        enc = self._doc_encoding(info)
+        enc = ENCODINGS[info.encoding]
 
         parent_row = None
         if parent_id != 0:
@@ -260,9 +254,6 @@ class UpdateManager:
             report.sval_anchors.append(parent_id)
 
         info.node_count += shredded.node_count()
-        info.max_depth = max(
-            info.max_depth, parent_depth + shredded.max_depth
-        )
         info.next_id += shredded.node_count()
         self.store.update_document_info(info)
         return report
@@ -293,7 +284,7 @@ class UpdateManager:
         def set_text_in_transaction(info) -> UpdateReport:
             report = UpdateReport()
             for child in self.store.fetch_children(
-                doc, element_id, self._doc_encoding(info)
+                doc, element_id, ENCODINGS[info.encoding]
             ):
                 if child["kind"] == KIND_TEXT:
                     report.absorb(self.delete(doc, child["id"]))
@@ -317,7 +308,7 @@ class UpdateManager:
             # The table as the transaction's catalogue read names it:
             # the document may have migrated since the fetch above.
             self.store.backend.execute(
-                f"UPDATE {self._doc_encoding(info).node_table.name} "
+                f"UPDATE {ENCODINGS[info.encoding].node_table.name} "
                 f"SET tag = ? WHERE doc = ? AND id = ?",
                 (tag, doc, element_id),
             )
@@ -350,7 +341,7 @@ class UpdateManager:
             raise UpdateError(f"node {element_id} is not an element")
 
         def set_attribute_in_transaction(info) -> UpdateReport:
-            attr_table = self._doc_encoding(info).attr_table.name
+            attr_table = ENCODINGS[info.encoding].attr_table.name
             deleted = self.store.backend.execute(
                 f"DELETE FROM {attr_table} "
                 f"WHERE doc = ? AND owner = ? AND name = ?",
@@ -377,7 +368,7 @@ class UpdateManager:
         """Delete the subtree rooted at *node_id*."""
 
         def delete_in_transaction(info) -> UpdateReport:
-            enc = self._doc_encoding(info)
+            enc = ENCODINGS[info.encoding]
             target = self.store.fetch_node(doc, node_id, enc)
             if target is None:
                 raise UpdateError(f"no node {node_id} in document {doc}")

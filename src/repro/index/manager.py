@@ -9,8 +9,7 @@
 * **path index** (``idx_paths`` + ``idx_pathmap``) — the dictionary of
   distinct root-to-element paths plus the occurrence map, probed by
   rewritten structural queries through the ``path_match`` scalar;
-* **presence** (``idx_stats``) — one ``present`` marker row per indexed
-  document, and nothing else.
+* **presence** — the document's catalogue row (``documents.indexed``).
 
 The side tables are created empty at schema bootstrap and keyed on the
 surrogate ``id``, so they are encoding-independent and index create /
@@ -74,7 +73,7 @@ class IndexManager:
     # -- presence ----------------------------------------------------------
 
     def exists(self, doc: int) -> bool:
-        """Does *doc* have an index (its ``present`` marker row)?
+        """Does *doc* have an index (``documents.indexed``)?
 
         The one fact the planner takes from here; the store reads it
         with the document's catalogue row.
@@ -90,11 +89,8 @@ class IndexManager:
         def build() -> dict:
             self.store.note_write(doc)
             report = self._rebuild_rows(doc)
-            backend = self.store.backend
-            backend.execute("DELETE FROM idx_stats WHERE doc = ?", (doc,))
-            backend.execute(
-                "INSERT INTO idx_stats VALUES (?, 'meta', 'present', '1')",
-                (doc,),
+            self.store.backend.execute(
+                "UPDATE documents SET indexed = 1 WHERE doc = ?", (doc,)
             )
             return report
 
@@ -117,10 +113,14 @@ class IndexManager:
         return present
 
     def purge_in_transaction(self, doc: int) -> None:
-        """Delete every ``idx_*`` row of *doc* (caller owns the txn)."""
+        """Delete every ``idx_*`` row of *doc* and clear its ``indexed``
+        flag (caller owns the txn)."""
         backend = self.store.backend
-        for table in ("idx_sval", "idx_paths", "idx_pathmap", "idx_stats"):
+        for table in ("idx_sval", "idx_paths", "idx_pathmap"):
             backend.execute(f"DELETE FROM {table} WHERE doc = ?", (doc,))
+        backend.execute(
+            "UPDATE documents SET indexed = 0 WHERE doc = ?", (doc,)
+        )
 
     # -- in-transaction maintenance ---------------------------------------
 

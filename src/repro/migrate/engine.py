@@ -76,7 +76,7 @@ def migrate_document(
     def body() -> MigrationReport:
         store.note_write(doc)
         info = store.document_info(doc, fresh=True)
-        source = get_encoding(info.encoding or store.encoding.name)
+        source = get_encoding(info.encoding)
         report = MigrationReport(doc, source.name, target.name)
         if source.name == target.name:
             report.outcome = "noop"

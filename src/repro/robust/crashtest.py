@@ -518,7 +518,7 @@ def _state(store: XmlStore, doc: int) -> tuple:
     info = store.document_info(doc)
     return (
         serialize(store.reconstruct(doc)),
-        (info.node_count, info.max_depth, info.next_id),
+        (info.node_count, info.next_id),
     )
 
 
@@ -708,12 +708,7 @@ def _migration_state(store: XmlStore, doc: int) -> tuple:
     """Durable state *including* the catalogued encoding — a migration
     crash must recover to exactly the pre- or post-migration encoding,
     never a hybrid."""
-    info = store.document_info(doc, fresh=True)
-    return (
-        serialize(store.reconstruct(doc)),
-        (info.node_count, info.max_depth, info.next_id),
-        info.encoding or store.encoding.name,
-    )
+    return (*_state(store, doc), store.document_info(doc, fresh=True).encoding)
 
 
 def run_migration_crashtest(
@@ -772,8 +767,8 @@ def _index_signature(store: XmlStore, doc: int) -> Optional[tuple]:
 
     Sorted full contents of every ``idx_*`` table: a crashed create or
     drop must recover to exactly one of the two signatures — never a
-    populated value index without its path dictionary, or a presence
-    marker without rows.
+    populated value index without its path dictionary, or a catalogue
+    row that says ``indexed`` over no rows.
     """
     if not store.indexes.exists(doc):
         return None
@@ -781,7 +776,7 @@ def _index_signature(store: XmlStore, doc: int) -> Optional[tuple]:
         tuple(sorted(store.backend.execute(
             f"SELECT * FROM {table} WHERE doc = ?", (doc,)
         ).rows))
-        for table in ("idx_sval", "idx_paths", "idx_pathmap", "idx_stats")
+        for table in ("idx_sval", "idx_paths", "idx_pathmap")
     )
 
 

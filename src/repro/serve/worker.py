@@ -51,7 +51,6 @@ def _info_fields(info) -> dict:
         "doc": info.doc,
         "name": info.name,
         "node_count": info.node_count,
-        "max_depth": info.max_depth,
         "next_id": info.next_id,
         "encoding": info.encoding,
     }

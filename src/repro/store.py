@@ -36,7 +36,7 @@ from typing import (
 from repro.backends import Backend, make_backend
 from repro.cache import StoreCache
 from repro.obs import METRICS, slow_log, span
-from repro.core.encodings import OrderEncoding, get_encoding
+from repro.core.encodings import ENCODINGS, OrderEncoding, get_encoding
 from repro.core.reconstruct import (
     ordered_rows, reconstruct_document, reconstruct_subtree,
 )
@@ -47,7 +47,7 @@ from repro.core.translator import (
     extract_shape,
     make_translator,
 )
-from repro.errors import StorageError
+from repro.errors import StorageError, TransientStorageError
 from repro.xmldom import Document
 from repro.xpath.parser import parse_xpath
 
@@ -101,37 +101,40 @@ class ResultItem:
 
 @dataclass(slots=True)
 class DocumentInfo:
-    """Catalogue entry of one stored document.
+    """Catalogue entry of one stored document: a ``documents`` row.
 
     ``encoding`` names the order encoding holding this document's rows
-    (documents can migrate individually between encodings); ``None``
-    means the store's default encoding.  ``indexed`` is whether the
-    document has a secondary index (``indexes.create`` / ``drop`` write
-    it): read with the row, so neither a query nor an update asks for
-    it separately.
+    (documents can migrate individually between encodings).
+    ``indexed`` is whether the document has a secondary index
+    (``indexes.create`` / ``drop`` write it): read with the row, so
+    neither a query nor an update asks for it separately.
     """
 
     doc: int
     name: str
     node_count: int
-    max_depth: int
     next_id: int
-    encoding: Optional[str] = None
-    indexed: bool = False
+    encoding: str
+    indexed: bool
 
 
 #: The catalogue read: the ``documents`` columns in
-#: :class:`DocumentInfo` order, then the index's ``present`` marker
-#: (0 or 1 rows of ``idx_stats``).
+#: :class:`DocumentInfo` order.
 _CATALOGUE_SELECT = (
-    "SELECT d.doc, d.name, d.node_count, d.max_depth, d.next_id, "
-    "d.encoding, (SELECT COUNT(*) FROM idx_stats s WHERE s.doc = d.doc "
-    "AND s.kind = 'meta' AND s.skey = 'present') FROM documents d"
+    "SELECT doc, name, node_count, next_id, encoding, indexed "
+    "FROM documents"
 )
 
 
 def _catalogue_entry(row: tuple) -> DocumentInfo:
-    return DocumentInfo(*row[:6], indexed=bool(row[6]))
+    doc, name, node_count, next_id, encoding, indexed = row
+    if encoding not in ENCODINGS:
+        raise StorageError(
+            f"document {doc} is catalogued under unknown encoding "
+            f"{encoding!r}; expected one of {sorted(ENCODINGS)}"
+        )
+    return DocumentInfo(doc, name, node_count, next_id, encoding,
+                        bool(indexed))
 
 
 class XmlStore:
@@ -234,24 +237,19 @@ class XmlStore:
                 raise StorageError(
                     f"schema bootstrap failed: {statement!r}: {exc}"
                 ) from exc
-        self._clear_legacy_statistics()
-
-    def _clear_legacy_statistics(self) -> None:
-        """Delete what ``idx_stats`` holds besides ``present`` markers.
-
-        Files written while the translator chose between scan and index
-        from catalog statistics carry those statistics, their meta rows
-        and a store-wide version clock (a row of document 0) there.
-        Nothing reads them any more; they go when the store opens, so
-        every reader of the table — the index manager, the auditor —
-        may assume it holds markers only.  A store without leftovers
-        issues the probe and writes nothing.
-        """
-        leftover = "kind <> 'meta' OR skey <> 'present'"
-        if self._execute(
-            f"SELECT 1 FROM idx_stats WHERE {leftover} LIMIT 1"
-        ).rows:
-            self._execute(f"DELETE FROM idx_stats WHERE {leftover}")
+        # CREATE TABLE IF NOT EXISTS keeps a catalogue an older build
+        # wrote, columns and all.  This build reads only its own
+        # columns and upgrades nothing, so such a file is refused here,
+        # before anything reads or writes it.
+        try:
+            self._execute(f"{_CATALOGUE_SELECT} WHERE doc = 0")
+        except TransientStorageError:
+            raise
+        except Exception as exc:
+            raise StorageError(
+                "the store was written by an older build, whose "
+                f"document catalogue this build cannot read ({exc})"
+            ) from exc
 
     # -- fault-tolerant execution -----------------------------------------
 
@@ -419,8 +417,7 @@ class XmlStore:
         cache; inside a transaction it reads the backend directly, so
         an update serialized behind a migration sees the new encoding.
         """
-        name = self.document_info(doc).encoding
-        return self.encoding if name is None else get_encoding(name)
+        return ENCODINGS[self.document_info(doc).encoding]
 
     def node_table_for(self, doc: int) -> str:
         return self.encoding_for(doc).node_table.name
@@ -462,9 +459,9 @@ class XmlStore:
                         doc_id,
                         name,
                         shredded.node_count(),
-                        shredded.max_depth,
                         shredded.node_count() + 1,
                         self.encoding.name,
+                        0,
                     ),
                 )
                 return doc_id
@@ -520,18 +517,15 @@ class XmlStore:
         return info
 
     def _document_info_uncached(self, doc: int) -> DocumentInfo:
-        result = self._execute(
-            f"{_CATALOGUE_SELECT} WHERE d.doc = ?", (doc,)
-        )
+        result = self._execute(f"{_CATALOGUE_SELECT} WHERE doc = ?", (doc,))
         if not result.rows:
             raise StorageError(f"no document {doc}")
         return _catalogue_entry(result.rows[0])
 
     def update_document_info(self, info: DocumentInfo) -> None:
         self._execute(
-            "UPDATE documents SET node_count = ?, max_depth = ?, "
-            "next_id = ? WHERE doc = ?",
-            (info.node_count, info.max_depth, info.next_id, info.doc),
+            "UPDATE documents SET node_count = ?, next_id = ? WHERE doc = ?",
+            (info.node_count, info.next_id, info.doc),
         )
 
     def delete_document(self, doc: int) -> int:
@@ -562,7 +556,7 @@ class XmlStore:
         return removed
 
     def documents(self) -> list[DocumentInfo]:
-        result = self._execute(f"{_CATALOGUE_SELECT} ORDER BY d.doc")
+        result = self._execute(f"{_CATALOGUE_SELECT} ORDER BY doc")
         return [_catalogue_entry(row) for row in result.rows]
 
     # -- querying ------------------------------------------------------------------
@@ -592,13 +586,12 @@ class XmlStore:
         shaped, shape_key, literals = _parse_and_extract(xpath)
         info = self.document_info(doc)  # raises if unknown
         indexed = info.indexed
-        encoding_name = info.encoding or self.encoding.name
-        key = (encoding_name, shape_key, indexed)
+        key = (info.encoding, shape_key, indexed)
         cache = self.cache
         use_cache = cache.enabled and not self._in_own_transaction()
         plan = cache.get_plan(key) if use_cache else None
         if plan is None:
-            translator = make_translator(encoding_name)
+            translator = make_translator(info.encoding)
             plan = translator.compile(shaped, indexed=indexed)
             if use_cache:
                 cache.put_plan(key, plan)

@@ -84,6 +84,15 @@ def assert_query_matches_oracle(
     )
 
 
+def stored_depth(store: XmlStore, doc: int) -> int:
+    """The depth of *doc*'s deepest stored row: ``MAX(depth)`` over its
+    node table."""
+    return store.backend.execute(
+        f"SELECT MAX(depth) FROM {store.node_table_for(doc)} WHERE doc = ?",
+        (doc,),
+    ).rows[0][0]
+
+
 @contextmanager
 def counters():
     """Enable the metrics registry; yields a name -> count reader."""

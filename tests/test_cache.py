@@ -19,7 +19,7 @@ import threading
 
 import pytest
 
-from tests.conftest import ALL_ENCODINGS, BACKENDS, counters
+from tests.conftest import ALL_ENCODINGS, BACKENDS, counters, stored_depth
 from repro.backends.base import is_write_statement
 from repro.backends.pooled_sqlite import PooledSqliteBackend
 from repro.backends.sqlite_backend import SqliteBackend
@@ -214,14 +214,14 @@ def test_repeated_query_hits_every_layer(encoding):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_deepening_insert_returns_new_nodes(encoding, backend):
     """Regression: warm every cache layer, then insert a fragment
-    deeper than ``document_info.max_depth``.  Local's ``//`` used to
+    deeper than any row it holds.  Local's ``//`` used to
     expand to exactly that depth and silently dropped the new nodes
     whenever the shallow plan was served again; its walk now recurses
     over the rows, and the plan warmed here is the one that finds
     them."""
     store = XmlStore(backend=backend, encoding=encoding, cache=True)
     doc = store.load(SHALLOW)
-    old_depth = store.document_info(doc).max_depth
+    old_depth = stored_depth(store, doc)
     # Warm: plans + results for the exact queries re-run below.
     assert store.query("//f", doc) == []
     assert store.query("//*", doc) != []
@@ -229,8 +229,7 @@ def test_deepening_insert_returns_new_nodes(encoding, backend):
 
     store.updates.insert(doc, 2, 0, DEEP_FRAGMENT)
 
-    info = store.document_info(doc)
-    assert info.max_depth > old_depth
+    assert stored_depth(store, doc) > old_depth
     got = [i.value for i in store.query("//f", doc)]
     assert got == ["deep"], (
         f"{encoding}/{backend}: the warmed plan dropped the deepened "

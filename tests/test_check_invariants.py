@@ -28,6 +28,7 @@ from repro.cli import main
 from repro.core.encodings import get_encoding
 from repro.core.schema import documents_table, index_tables
 from repro.errors import StorageError, UpdateError, XmlSyntaxError
+from repro.minidb import MiniDb, persist
 from repro.store import XmlStore
 from repro.xmldom import parse_fragment, serialize
 from repro.xmldom.dom import Comment, Element, ProcessingInstruction, Text
@@ -165,13 +166,60 @@ class TestSchemaBootstrap:
             encoding = get_encoding(name)
             tables += [encoding.node_table, encoding.attr_table]
         statements = [s for t in tables for s in t.create_statements()]
-        assert len(statements) == 45
+        assert len(statements) == 43
         assert all(" IF NOT EXISTS " in s for s in statements)
         for name in BACKENDS:
             backend = make_backend(name)
             for statement in statements * 2:
                 backend.execute(statement)
             assert len(backend.list_tables()) == len(tables)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_file_of_an_older_build_is_refused(
+        self, backend, tmp_path, capsys
+    ):
+        """A catalogue with ``max_depth`` and no ``indexed`` column, and
+        the ``idx_stats`` marker table beside it, is what builds before
+        this catalogue wrote.  Nothing upgrades it: the store refuses the
+        file when it opens, and so does every CLI command."""
+        path = tmp_path / "old.db"
+        old = (
+            SqliteBackend(str(path)) if backend == "sqlite"
+            else MiniDbBackend()
+        )
+        for statement in (
+            "CREATE TABLE repro_meta (key TEXT, value TEXT)",
+            "INSERT INTO repro_meta VALUES ('encoding', 'dewey')",
+            "CREATE TABLE documents (doc INTEGER, name TEXT, "
+            "node_count INTEGER, max_depth INTEGER, next_id INTEGER, "
+            "encoding TEXT)",
+            "INSERT INTO documents VALUES (1, 'd', 1, 1, 2, 'dewey')",
+            "CREATE TABLE idx_stats (doc INTEGER, kind TEXT, skey TEXT, "
+            "value TEXT)",
+            "INSERT INTO idx_stats VALUES (1, 'meta', 'present', '1')",
+        ):
+            old.execute(statement)
+        if backend == "minidb":
+            persist.save(old.db, path)
+        old.close()
+
+        if backend == "sqlite":
+            reopened = SqliteBackend(str(path))
+        else:
+            reopened = MiniDbBackend()
+            reopened.db = MiniDb.open(path)
+        with pytest.raises(StorageError, match="older build"):
+            XmlStore(backend=reopened)
+        if backend == "minidb":
+            return  # the CLI opens sqlite files only
+        reopened.close()
+        for command in ("info", "dump", "check"):
+            assert main([command, "--db", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith(f"error: cannot open {str(path)!r}: ")
+            assert "older build" in line
 
 
 # -- bug 3: sqlite connection shared across threads ----------------------
@@ -375,13 +423,12 @@ class TestAuditorDetectsCorruption:
     def test_catalog_counts(self):
         store, doc = self._store("global")
         store.backend.execute(
-            "UPDATE documents SET node_count = 99, next_id = 1, "
-            "max_depth = 0 WHERE doc = ?",
+            "UPDATE documents SET node_count = 99, next_id = 1 "
+            "WHERE doc = ?",
             (doc,),
         )
         codes = self._codes(store, doc)
-        assert {"catalog-node-count", "catalog-next-id",
-                "catalog-max-depth"} <= codes
+        assert {"catalog-node-count", "catalog-next-id"} <= codes
 
     def test_assert_store_clean_raises_with_listing(self):
         store, doc = self._store("global")

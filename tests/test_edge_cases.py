@@ -14,6 +14,7 @@ from tests.conftest import (
     ALL_ENCODINGS,
     BACKENDS,
     assert_query_matches_oracle,
+    stored_depth,
 )
 
 
@@ -130,7 +131,7 @@ class TestDeeperThanTheRecursionLimit:
         doc = store.load(self._nest(600))
         # Ids are preorder ranks, so node 600 is the innermost element.
         store.updates.insert(doc, 600, 0, self._nest(600))
-        assert store.document_info(doc).max_depth == 1200
+        assert stored_depth(store, doc) == 1200
         expected = self._nest(1200)
 
         store.updates.rebalance(doc)
@@ -166,7 +167,7 @@ class TestDeeperThanTheRecursionLimit:
         text = self._nest(levels)
         store = XmlStore(backend=backend, encoding=encoding)
         doc = store.load(text)
-        assert store.document_info(doc).max_depth == levels
+        assert stored_depth(store, doc) == levels
         assert serialize(store.reconstruct(doc)) == text
 
     @pytest.mark.parametrize("encoding, levels", DEEP_CELLS)
@@ -213,7 +214,7 @@ class TestLocalClosureAtDepth:
         document = parse(self._chain())
         store = XmlStore(backend=backend, encoding="local")
         doc = store.load(document)
-        assert store.document_info(doc).max_depth >= self.LEVELS
+        assert stored_depth(store, doc) >= self.LEVELS
         assert store.query(xpath, doc) != []
         assert_query_matches_oracle(store, doc, document, xpath)
         assert len(store.translate(xpath, doc).sql) < 2000
@@ -224,8 +225,8 @@ class TestLocalClosureAtDepth:
         store = XmlStore(encoding="local", cache=False)
         shallow = store.load("<a><b><c><d/></c></b></a>")
         deep = store.load("<a>" * 39 + "<a/>" + "</a>" * 39)
-        assert store.document_info(shallow).max_depth == 4
-        assert store.document_info(deep).max_depth == 40
+        assert stored_depth(store, shallow) == 4
+        assert stored_depth(store, deep) == 40
         for xpath in SNAPSHOT_QUERIES:
             assert (
                 store.translate(xpath, shallow).sql

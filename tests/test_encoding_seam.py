@@ -254,3 +254,25 @@ def test_a_migration_is_something_the_store_does_not_know_about():
             for field in ("id", "attr", "name", "arg")
         }
         assert not banned & names, f"{path.name}: {sorted(banned & names)}"
+
+
+def test_the_catalogue_is_one_documentinfo_per_row():
+    """``documents`` holds exactly what a ``DocumentInfo`` carries, and
+    one ``SELECT`` with no subquery reads it.  The side table index
+    presence used to live in, and the fallback that read a NULL
+    encoding as the store's default, stay gone."""
+    from dataclasses import fields
+
+    from repro.core.schema import documents_table
+    from repro.store import _CATALOGUE_SELECT, DocumentInfo
+
+    columns = [column.name for column in documents_table().columns]
+    assert columns == [field.name for field in fields(DocumentInfo)]
+    assert _CATALOGUE_SELECT == f"SELECT {', '.join(columns)} FROM documents"
+    leftovers = sorted(
+        f"{path.relative_to(SRC)}: {name}"
+        for path in SRC.rglob("*.py")
+        for name in ("idx_stats", "_doc_encoding")
+        if name in path.read_text()
+    )
+    assert not leftovers, leftovers

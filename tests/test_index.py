@@ -8,9 +8,8 @@ Four guards around the ``repro.index`` subsystem:
   an index may change access paths, never answers;
 * **lifecycle** — an index is used when it exists (create flips every
   eligible plan to the index whatever the document's size, drop flips
-  it back), maintenance through the update manager, files that still
-  carry the deleted statistics rows, the advisor's decision rule, and
-  a fixed-seed create/drop crash sweep;
+  it back), maintenance through the update manager, the advisor's
+  decision rule, and a fixed-seed create/drop crash sweep;
 * **vacuity** — the index-twin fuzz must really run index plans;
 * **regressions** — the mixed-content string-value comparison the
   first-text-child shortcut used to get wrong, pinned explicitly and
@@ -24,12 +23,9 @@ import random
 import pytest
 
 from tests.conftest import ALL_ENCODINGS, BACKENDS, BIB_XML
-from repro.backends import MiniDbBackend, make_backend
-from repro.check import audit_store
 from repro.check.fuzz import FuzzConfig, indexable_xpath, run_fuzz
 from repro.core.translator import make_translator
 from repro.index import IndexAdvisor
-from repro.minidb import MiniDb, persist
 from repro.obs import METRICS
 from repro.store import XmlStore
 from repro.workload import catalog_corpus
@@ -239,7 +235,7 @@ class TestIndexLifecycle:
         doc = store.load(parse(BIB_XML))
         store.indexes.create(doc)
         store.delete_document(doc)
-        for table in ("idx_sval", "idx_paths", "idx_pathmap", "idx_stats"):
+        for table in ("idx_sval", "idx_paths", "idx_pathmap"):
             rows = store.backend.execute(
                 f"SELECT COUNT(*) FROM {table} WHERE doc = ?", (doc,)
             ).rows
@@ -291,88 +287,6 @@ class TestIndexLifecycle:
         # three translations of the child path.
         assert missed == 4
         assert after == missed
-
-
-# -- files written before ``idx_stats`` held only the markers ------------
-
-
-#: What the statistics apparatus left beside the ``present`` marker of
-#: an indexed document 1, and the store-wide clock row of document 0.
-LEGACY_STATS_ROWS = (
-    (1, "meta", "stats_version", "3"),
-    (1, "meta", "node_count", "17"),
-    (1, "meta", "element_count", "11"),
-    (1, "meta", "path_count", "5"),
-    (1, "meta", "max_depth", "4"),
-    (1, "meta", "updates_since", "31"),
-    (1, "tag", "book", "3"),
-    (1, "tag", "title", "3"),
-    (1, "distinct", "title", "3"),
-    (1, "depth", "2", "3"),
-    (0, "clock", "stats_version", "3"),
-)
-
-
-@pytest.mark.skip_audit  # the store the rows are planted in stays dirty
-class TestLegacyStatisticsRows:
-    """A store opening such a file clears the leftovers (on open, not
-    on the next create/drop), so it answers, maintains, drops and
-    audits like any other."""
-
-    def _reopen(self, backend: str, path):
-        if backend == "sqlite":
-            return XmlStore(backend=make_backend("sqlite", str(path)))
-        inner = MiniDbBackend()
-        if path.exists():
-            inner.db = MiniDb.open(path)
-        return XmlStore(backend=inner)
-
-    def _close(self, store: XmlStore, path) -> None:
-        if isinstance(store.backend, MiniDbBackend):
-            persist.save(store.backend.db, path)
-        store.close()
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_old_file_opens_answers_maintains_drops_and_audits_clean(
-        self, backend, tmp_path
-    ):
-        path = tmp_path / "old.db"
-        store = self._reopen(backend, path)
-        doc = store.load(parse(BIB_XML))
-        assert doc == 1
-        store.indexes.create(doc)
-        store.backend.executemany(
-            "INSERT INTO idx_stats VALUES (?, ?, ?, ?)", LEGACY_STATS_ROWS
-        )
-        self._close(store, path)
-
-        plain = XmlStore(backend=backend)
-        plain_doc = plain.load(parse(BIB_XML))
-        store = self._reopen(backend, path)
-        marker = [(doc, "meta", "present", "1")]
-        assert store.backend.execute("SELECT * FROM idx_stats").rows == marker
-        assert audit_store(store) == []
-        assert store.indexes.describe(doc)["element_count"] == 15
-        assert store.translate("//book//author", doc).access_path == (
-            "path-index"
-        )
-        for target, target_doc in ((store, doc), (plain, plain_doc)):
-            target.updates.insert(
-                target_doc, 1, 0, "<book><author>Smith</author></book>"
-            )
-        assert _answers(store, doc, DIFFERENTIAL_QUERIES) == _answers(
-            plain, plain_doc, DIFFERENTIAL_QUERIES
-        )
-        assert audit_store(store) == []
-        assert store.indexes.drop(doc)
-        assert store.backend.execute("SELECT * FROM idx_stats").rows == []
-        assert audit_store(store) == []
-        self._close(store, path)
-
-        store = self._reopen(backend, path)
-        assert not store.indexes.exists(doc)
-        assert audit_store(store) == []
-        store.close()
 
 
 # -- the advisor ---------------------------------------------------------

@@ -107,10 +107,11 @@ class TestIndexCorruptionIsReported:
         assert _findings(store, doc) == [("index-duplicate-row", BOOK)]
 
     def test_occurrence_rows_without_an_index(self, backend):
-        """``drop`` removes the marker and the rows together; rows that
-        outlive the marker are orphans, not a half-present index."""
+        """``drop`` clears ``indexed`` and removes the rows together;
+        rows that outlive the flag are orphans, not a half-present
+        index."""
         store, doc = _indexed_bib(backend)
-        _sql(store, "DELETE FROM idx_stats WHERE doc = ?", (doc,))
+        _sql(store, "UPDATE documents SET indexed = 0 WHERE doc = ?", (doc,))
         codes = {code for code, _node in _findings(store, doc)}
         assert codes == {"index-orphan-row"}
 
@@ -124,17 +125,6 @@ class TestIndexCorruptionIsReported:
         found = {(v.code, v.doc) for v in audit_store(store)}
         assert found == {("catalog-missing-doc", doc)}
         assert audit_document(store, other) == []
-
-    def test_a_row_of_document_zero_is_a_stray_too(self, backend):
-        """No store-wide row lives in ``idx_stats`` any more (the
-        statistics clock did, and the auditor used to exempt it); an
-        opening store clears what an old file holds, so one found later
-        is a finding."""
-        store, _doc = _indexed_bib(backend)
-        _sql(store, "INSERT INTO idx_stats VALUES "
-                    "(0, 'clock', 'stats_version', '3')")
-        found = {(v.code, v.doc) for v in audit_store(store)}
-        assert found == {("catalog-missing-doc", 0)}
 
 
 class TestCleanIndexReportsNothing:

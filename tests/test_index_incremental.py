@@ -33,7 +33,7 @@ from repro.store import XmlStore
 from repro.workload import catalog_corpus
 from repro.workload.docgen import random_document, sized_article_corpus
 
-IDX_TABLES = ("idx_sval", "idx_paths", "idx_pathmap", "idx_stats")
+IDX_TABLES = ("idx_sval", "idx_paths", "idx_pathmap")
 
 
 def index_tables(store: XmlStore, doc: int) -> tuple:

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.backends import make_backend
-from repro.check import assert_store_clean, audit_store
+from repro.check import assert_store_clean
 from repro.core.encodings import ENCODINGS
 from repro.migrate import MigrationAdvisor, migrate_document
 from repro.robust.faults import (
@@ -341,26 +341,6 @@ class TestAbortLeavesNoShadowState:
         report = migrate_document(store, doc, "dewey")
         assert report.outcome == "migrated"
         assert store.encoding_for(doc).name == "dewey"
-
-    @pytest.mark.skip_audit  # the leftover table is the point
-    def test_leftover_shadow_tables_are_reported_not_swept(self, tmp_path):
-        """Builds that copied through ``mig_*`` shadow tables left them
-        in the file when they crashed and swept them on the next open.
-        This build creates none and sweeps none; the auditor says what
-        the file holds."""
-        from repro.backends.sqlite_backend import SqliteBackend
-
-        path = str(tmp_path / "store.db")
-        store = XmlStore(backend=SqliteBackend(path), encoding="global")
-        store.load(BIB)
-        store.backend.execute("CREATE TABLE mig_node_dewey (x INTEGER)")
-        store.close()
-        reopened = XmlStore(backend=SqliteBackend(path), encoding="global")
-        assert "mig_node_dewey" in reopened.backend.list_tables()
-        assert [v.code for v in audit_store(reopened)] == [
-            "migration-shadow-orphan"
-        ]
-        reopened.close()
 
 
 class TestOneTransaction:

@@ -16,11 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.check.fuzz import apply_operation, plan_operation
+from repro.cli import main
 from repro.core.reconstruct import (
     ordered_rows, row_events, stored_attributes,
 )
 from repro.core.shredder import _dom_events, relabel, shred
 from repro.errors import StorageError
+from repro.migrate import migrate_document
 from repro.store import XmlStore
 from repro.workload.docgen import (
     article_corpus, catalog_corpus, random_document, sized_article_corpus,
@@ -260,3 +262,63 @@ def test_row_events_close_elements_from_parent_pointers_alone():
     ]
     with pytest.raises(StorageError, match="unknown node kind"):
         list(row_events([(1, 0, "entity", None, None)], {}))
+
+
+class TestRowsThatMakeNoTreeAreRefused:
+    """A parent pointer that breaks the tree is caught where rows become
+    events: every consumer — ``reconstruct``, ``relabel`` (rebalance and
+    migration), the index build — refuses the rows instead of
+    serialising or re-encoding them."""
+
+    PROBE = '<r><a/><b i="2" id="1"/><c/></r>'
+
+    def test_a_row_whose_parent_is_not_open_raises(self):
+        rows = [(1, 0, "elem", "r", None), (2, 1, "elem", "a", None),
+                (3, 999, "elem", "b", None), (4, 1, "elem", "c", None)]
+        with pytest.raises(StorageError, match="node 3 has parent 999"):
+            list(row_events(rows, {}))
+        # A forest under one parent, and a parent still open further up
+        # the stack, are trees.
+        forest = [(5, 2, "elem", "x", None), (6, 5, "text", None, "t"),
+                  (7, 2, "elem", "y", None), (8, 7, "elem", "z", None),
+                  (9, 7, "comment", None, "c")]
+        assert len(list(row_events(forest, {}))) == 8
+
+    @pytest.mark.skip_audit  # the corrupt row is the point
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("encoding", ("global", "dewey", "ordpath"))
+    def test_every_consumer_refuses_a_broken_parent_pointer(
+        self, encoding, backend
+    ):
+        store = XmlStore(backend=backend, encoding=encoding)
+        doc = store.load(self.PROBE)
+        store.backend.execute(
+            f"UPDATE {store.node_table} SET parent = 999 WHERE id = 3"
+        )
+        target = "dewey" if encoding == "global" else "global"
+        for consume in (
+            store.reconstruct,
+            store.updates.rebalance,
+            store.indexes.create,
+            lambda doc: migrate_document(store, doc, target),
+        ):
+            with pytest.raises(StorageError, match="inconsistent"):
+                consume(doc)
+        assert store.node_count(doc) == 4
+        assert not store.indexes.exists(doc)
+
+    @pytest.mark.skip_audit  # the corrupt row is the point
+    def test_repro_dump_prints_one_error_line(self, tmp_path, capsys):
+        db, xml = str(tmp_path / "d.db"), tmp_path / "d.xml"
+        xml.write_text(self.PROBE)
+        assert main(["load", str(xml), "--db", db, "--encoding", "dewey"]) == 0
+        assert main([
+            "sql", "UPDATE node_dewey SET parent = 999 WHERE id = 3",
+            "--db", db,
+        ]) == 0
+        capsys.readouterr()
+        assert main(["dump", "--db", db]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "run repro check" in line

@@ -13,6 +13,7 @@ from tests.conftest import (
     assert_query_matches_oracle,
     oracle_identities,
     store_identities,
+    stored_depth,
 )
 from tests.test_golden_sql import INDEX_SNAPSHOT_QUERIES, SNAPSHOT_QUERIES
 
@@ -160,8 +161,9 @@ class TestQueryApi:
         store, doc, document = bib_store
         info = store.document_info(doc)
         assert info.node_count == document.node_count()
-        assert info.max_depth == 4  # bib / book / title / text()
+        assert stored_depth(store, doc) == 4  # bib / book / title / text()
         assert info.next_id == info.node_count + 1
+        assert (info.encoding, info.indexed) == (store.encoding.name, False)
 
     def test_unknown_document_raises(self, bib_store):
         store, _doc, _document = bib_store
@@ -169,6 +171,38 @@ class TestQueryApi:
 
         with pytest.raises(StorageError):
             store.document_info(999)
+
+    @pytest.mark.skip_audit  # the catalogue row names no known encoding
+    @pytest.mark.parametrize("value", ["bogus", None])
+    def test_unknown_catalogued_encoding_raises(self, value, tmp_path, capsys):
+        from repro.backends.sqlite_backend import SqliteBackend
+        from repro.cli import main
+        from repro.errors import StorageError
+
+        db, xml = str(tmp_path / "e.db"), tmp_path / "e.xml"
+        xml.write_text("<r><a/></r>")
+        assert main(["load", str(xml), "--db", db]) == 0
+        store = XmlStore(backend=SqliteBackend(db))
+        store.backend.execute("UPDATE documents SET encoding = ?", (value,))
+        message = (
+            f"document 1 is catalogued under unknown encoding {value!r}; "
+            "expected one of ['dewey', 'global', 'local', 'ordpath']"
+        )
+        for read in (
+            store.documents,
+            lambda: store.query("/r", 1),
+            lambda: store.updates.delete(1, 2),
+        ):
+            with pytest.raises(StorageError) as raised:
+                read()
+            assert str(raised.value) == message
+        store.close()
+        capsys.readouterr()
+        for command in (["dump"], ["check"], ["query", "/r"]):
+            assert main([*command, "--db", db]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: {message}"]
 
     def test_invalid_gap_rejected(self):
         from repro.errors import StorageError

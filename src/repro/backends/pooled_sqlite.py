@@ -9,10 +9,14 @@ reader threads run genuinely in parallel and — because the file is in
 WAL mode — keep reading while the single writer commits.
 
 Transactions pin one connection to the opening thread from BEGIN to
-COMMIT/ROLLBACK; :meth:`Backend.transaction` keeps its scope depth per
-thread, so concurrent threads each get an independent transaction.
-Requires a file path: private ``:memory:`` databases are invisible
-across connections, so there is nothing to pool.
+COMMIT/ROLLBACK, and take the backend's writer lock for that whole
+span: one transaction at a time, as on the shared connection (its
+RLock) and on minidb (its exclusive latch), while statements outside a
+transaction never wait for it.  :meth:`Backend.transaction` keeps its
+scope depth per thread, so a second thread's scope is a transaction of
+its own that begins once the first one has ended.  Requires a file
+path: private ``:memory:`` databases are invisible across connections,
+so there is nothing to pool.
 """
 
 from __future__ import annotations
@@ -49,6 +53,15 @@ class PooledSqliteBackend(Backend):
         self.busy_timeout_ms = busy_timeout_ms
         self._rows_written = 0
         self._written_lock = threading.Lock()
+        #: Held from BEGIN to COMMIT/ROLLBACK by the thread whose
+        #: transaction is open.  An RLock so that releasing it from a
+        #: thread that never took it raises instead of admitting a
+        #: second writer.  Statements outside a transaction (DDL, say)
+        #: do not take it, so BEGIN IMMEDIATE takes sqlite's write lock
+        #: too: a transaction's snapshot then starts where its writes
+        #: will, and no such statement can commit in between and fail
+        #: the transaction's first write with "database is locked".
+        self._writer = threading.RLock()
         self._closed = False
         self.pool: ConnectionPool[sqlite3.Connection] = ConnectionPool(
             self._connect,
@@ -109,30 +122,38 @@ class PooledSqliteBackend(Backend):
     # -- transactions ------------------------------------------------------
 
     def begin(self) -> None:
-        conn = self.pool.pin()
+        self._writer.acquire()
         try:
-            conn.execute("BEGIN")
+            conn = self.pool.pin()
+            try:
+                conn.execute("BEGIN IMMEDIATE")
+            except BaseException:
+                self.pool.unpin()
+                raise
         except BaseException:
-            self.pool.unpin()
+            self._writer.release()
             raise
 
     def commit_transaction(self) -> None:
-        conn = self.pool.pinned()
-        if conn is None:
-            raise StorageError("commit without a pinned transaction")
-        try:
-            conn.execute("COMMIT")
-        finally:
-            self.pool.unpin()
+        self._finish("COMMIT")
 
     def rollback(self) -> None:
-        conn = self.pool.pinned()
-        if conn is None:
-            raise StorageError("rollback without a pinned transaction")
+        self._finish("ROLLBACK")
+
+    def _finish(self, statement: str) -> None:
+        """End this thread's transaction and let the next writer in,
+        whatever happens: after :meth:`abandon` there is no pinned
+        connection left to end it on, but the lock is still held."""
         try:
-            conn.execute("ROLLBACK")
+            conn = self.pool.pinned()
+            if conn is None:
+                raise StorageError(
+                    f"{statement} without a pinned transaction"
+                )
+            conn.execute(statement)
         finally:
             self.pool.unpin()
+            self._writer.release()
 
     # -- lifecycle ---------------------------------------------------------
 

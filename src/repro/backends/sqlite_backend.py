@@ -37,27 +37,45 @@ def _remembering(fn):
     return scalar
 
 
+#: Substrings of sqlite OperationalError messages that mean "try again".
+_TRANSIENT_MARKERS = ("busy", "locked")
+
+
+def is_busy(exc: BaseException) -> bool:
+    """Is *exc* sqlite's "try again" — BUSY or LOCKED past the busy
+    timeout?  Such a statement had no effect."""
+    if not isinstance(exc, sqlite3.OperationalError):
+        return False
+    message = str(exc).lower()
+    return any(marker in message for marker in _TRANSIENT_MARKERS)
+
+
 def execute_typed(
     conn: sqlite3.Connection, sql: str, params: tuple
 ) -> tuple[list, int]:
-    """Run one statement to its end — ``(rows, rowcount)`` — so that a
-    scalar function's own error survives.
+    """Run one statement to its end — ``(rows, rowcount)`` — and raise
+    what it fails with as this library's error, as minidb does.
 
     sqlite reports whatever a user-defined function raises as
     ``OperationalError: user-defined function raised exception`` and
     drops the exception; a scalar runs on the thread that executes the
     statement, so the typed error (a key leaving the codec's range
     under ``dewey_shift``, a corrupt stored key) is remembered per
-    thread and re-raised in its place, as minidb raises it directly.
+    thread and re-raised in its place.  Any other sqlite error but a
+    busy one (see :func:`is_busy`, which the retry layer classifies)
+    becomes a :class:`StorageError` with sqlite's message: a statement
+    past one of sqlite's limits, say.
     """
     try:
         cursor = conn.execute(sql, params)
         return cursor.fetchall(), cursor.rowcount
-    except sqlite3.OperationalError as exc:
+    except sqlite3.Error as exc:
         raised = _scalar_failure.__dict__.pop("raised", None)
-        if raised is None:
+        if raised is not None:
+            raise raised from exc
+        if is_busy(exc):
             raise
-        raise raised from exc
+        raise StorageError(str(exc)) from exc
 
 
 def connect_sqlite(

@@ -54,7 +54,7 @@ def _read_meta(backend: Backend, db: str) -> Optional[dict[str, str]]:
         rows = backend.execute(
             "SELECT key, value FROM repro_meta"
         ).rows
-    except sqlite3.OperationalError as exc:
+    except (sqlite3.OperationalError, StorageError) as exc:
         if str(exc) == "no such table: repro_meta":
             return None
         raise StorageError(f"cannot read store {db!r}: {exc}") from exc
@@ -991,9 +991,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of minidb checkpoints interrupted "
                         "mid-save (default 0.25)")
     p.add_argument("--writer-batches", type=int, default=2,
-                   help="also crash the group-commit writer mid-batch "
-                        "this many times per cell on the pooled sqlite "
-                        "backend (0 disables; default 2)")
+                   help="also crash a one-transaction batch of inserts "
+                        "mid-batch this many times per cell on the pooled "
+                        "sqlite backend (0 disables; default 2)")
     p.add_argument("--migrate", action="store_true",
                    help="crash encoding migrations instead: every "
                         "ordered pair of --encodings on every backend, "

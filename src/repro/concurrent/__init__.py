@@ -1,5 +1,4 @@
-"""Concurrent serving: pooled connections, a single-writer group-commit
-queue, and readers-writer latching.
+"""Concurrent serving: pooled connections and readers-writer latching.
 
 The paper's premise is that ordered XML lives inside a *relational
 database system* — a concurrent server.  This package turns the store
@@ -8,19 +7,18 @@ into one:
 * :class:`~repro.concurrent.pool.ConnectionPool` — each worker thread
   runs statements on its own connection (WAL readers proceed during the
   write), used by
-  :class:`~repro.backends.pooled_sqlite.PooledSqliteBackend`;
-* :class:`~repro.concurrent.writequeue.WriteQueue` — update
-  transactions funnel through one writer thread with group commit;
+  :class:`~repro.backends.pooled_sqlite.PooledSqliteBackend`, whose
+  writer lock admits one transaction at a time;
 * :class:`~repro.concurrent.latch.RWLatch` — the minidb engine's
   readers-writer latch: snapshot reads run concurrently, the single
   writer exclusively.
 
-See DESIGN.md, "Concurrency model", for the latch ordering and the
+Writers are serialized by the backend they write to, never by the
+store.  See DESIGN.md, "Concurrency model", for the lock rule and the
 serializability guarantee.
 """
 
 from repro.concurrent.latch import RWLatch
 from repro.concurrent.pool import ConnectionPool
-from repro.concurrent.writequeue import WriteQueue
 
-__all__ = ["ConnectionPool", "RWLatch", "WriteQueue"]
+__all__ = ["ConnectionPool", "RWLatch"]

@@ -39,12 +39,10 @@ class ConnectionPool(Generic[C]):
         factory: Callable[[], C],
         capacity: int = 8,
         acquire_timeout: float = 30.0,
-        closer: Optional[Callable[[C], None]] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._factory = factory
-        self._closer = closer or _default_closer
         self.capacity = capacity
         self.acquire_timeout = acquire_timeout
         self._cond = threading.Condition()
@@ -119,10 +117,7 @@ class ConnectionPool(Generic[C]):
         self._total -= 1
         if connection in self._all:
             self._all.remove(connection)
-        try:
-            self._closer(connection)
-        except Exception:
-            pass
+        _close(connection)
         self._cond.notify()
 
     # -- public API --------------------------------------------------------
@@ -186,10 +181,7 @@ class ConnectionPool(Generic[C]):
                     self._all.remove(connection)
             self._cond.notify_all()
         for connection in idle:
-            try:
-                self._closer(connection)
-            except Exception:
-                pass
+            _close(connection)
 
     def abandon(self) -> None:
         """Abruptly close *every* connection, pinned or checked out —
@@ -202,16 +194,14 @@ class ConnectionPool(Generic[C]):
             self._total = 0
             self._cond.notify_all()
         for connection in all_connections:
-            try:
-                self._closer(connection)
-            except Exception:
-                pass
+            _close(connection)
 
 
-def _default_closer(connection) -> None:
-    close = getattr(connection, "close", None)
-    if close is not None:
-        close()
+def _close(connection) -> None:
+    try:
+        connection.close()
+    except Exception:
+        pass
 
 
 def _now() -> float:

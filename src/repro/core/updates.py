@@ -106,9 +106,8 @@ class UpdateManager:
     def __init__(self, store: "XmlStore") -> None:
         self.store = store
         # Per-thread nesting depth of public operations, tracked on the
-        # thread that actually executes the transaction body (which,
-        # with a write queue, is the writer thread, not the caller).
-        # Only the outermost operation maintains the index: compound
+        # thread that executes the transaction body.  Only the
+        # outermost operation maintains the index: compound
         # ops like set_text hand it one touched set, not one per
         # internal delete+insert step.
         self._tls = threading.local()
@@ -136,10 +135,10 @@ class UpdateManager:
         A nested operation reads again; the enclosing one has moved
         the counts.
 
-        Runs on whichever thread executes the transaction (the write
-        queue's writer thread, under group commit).  Every operation,
-        nested or not, declares *doc* in the transaction's write set,
-        which is what the commit invalidates cache entries by.
+        Runs on the thread that executes the transaction.  Every
+        operation, nested or not, declares *doc* in the transaction's
+        write set, which is what the commit invalidates cache entries
+        by.
         """
         self.store.note_write(doc)
         info = self.store.document_info(doc)

@@ -100,17 +100,12 @@ class TransientStorageError(StorageError):
 
 class ConcurrencyError(StorageError):
     """Base class for errors in the concurrent-serving layer
-    (:mod:`repro.concurrent`): pools, write queues, latches."""
+    (:mod:`repro.concurrent`): pools and latches."""
 
 
 class PoolExhaustedError(ConcurrencyError):
     """No pooled connection became available within the acquire
     timeout (every connection is checked out or pinned)."""
-
-
-class WriteQueueClosedError(ConcurrencyError):
-    """An update was submitted to a write queue that is closed, or
-    whose writer thread died (e.g. the backend crashed mid-batch)."""
 
 
 class EncodingError(StorageError):

@@ -11,11 +11,10 @@ flips.  All of it is one :meth:`XmlStore.transactionally` body, so
 * crash safety is the transaction's: a crash at any statement boundary
   recovers to exactly the pre- or the post-migration store, and there is
   no migration state outside the transaction to recover;
-* writers are serialized with it by whatever serializes the store's
-  transactions (the shared connection's lock, the write queue's single
-  writer thread), and wait for its whole duration — reported as
-  ``MigrationReport.blocked_ms``.  A pooled backend *without* a write
-  queue does not serialize writers and is not supported;
+* writers are serialized with it by the backend, which admits one
+  transaction at a time (the shared connection's lock, the pooled
+  backend's writer lock, minidb's exclusive latch), and wait for its
+  whole duration — reported as ``MigrationReport.blocked_ms``;
 * two migrations of one document serialize too: the source encoding is
   resolved from the catalogue row as read inside the transaction, so
   the second one starts from where the first one ended.
@@ -123,10 +122,10 @@ def migrate_document(
         METRICS.inc("migrate.aborted")
         raise
     if report.outcome == "migrated":
-        # Readers with a connection of their own (a pooled backend
-        # behind the write queue) do not wait: one can read the source
-        # encoding between the bump above and the COMMIT, and execute
-        # after it.  It read the epoch before this line.
+        # Readers with a connection of their own (a pooled backend)
+        # do not wait: one can read the source encoding between the
+        # bump above and the COMMIT, and execute after it.  It read
+        # the epoch before this line.
         store._migration_epoch += 1
         report.blocked_ms = timing["migrate"] * 1000.0
         METRICS.inc("migrate.completed")

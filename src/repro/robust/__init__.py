@@ -19,8 +19,8 @@ machinery:
   crashes it at sampled (or all) statement boundaries, reopens, audits
   invariants and asserts the store equals either the pre or the post
   state — and the scenarios it is run over (update streams,
-  migrations, index create/update/drop, group-committed writer
-  batches), each a declaration.
+  migrations, index create/update/drop, a pooled writer's
+  one-transaction batch), each a declaration.
 
 Together with the atomic generation-rotating snapshots in
 :mod:`repro.minidb.persist` and sqlite's WAL + busy-timeout, this is the

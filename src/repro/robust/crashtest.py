@@ -34,8 +34,9 @@ The scenarios, each a baseline setup plus a declaration:
   re-encoding; the signature includes the catalogued encoding;
 * **index** (:func:`run_index_crashtest`) — index create, an indexed
   update and index drop, over one node-tables + index-tables signature;
-* **writer** (:func:`run_writer_crashtest`) — a group-committed batch
-  on the pooled backend; only the pre-batch state may survive.
+* **writer** (:func:`run_writer_crashtest`) — a batch of inserts in
+  one transaction on the pooled backend; only the pre-batch state may
+  survive.
 
 The fifth, **shard-kill** (:mod:`repro.serve.crashtest`), SIGKILLs a
 real process and has no statement count to sweep; it keeps its own cell
@@ -69,7 +70,6 @@ from repro.check.invariants import (
     audit_store,
     summarize_violations,
 )
-from repro.errors import ReproError
 from repro.migrate import migrate_document
 from repro.minidb import persist
 from repro.minidb.engine import MiniDb
@@ -283,7 +283,7 @@ class _Medium:
 
 class _SqliteMedium(_Medium):
     """A file-backed sqlite store: every commit is already durable.
-    *pooled* opens it through the connection pool (the write queue's
+    *pooled* opens it through the connection pool (the shard worker's
     backend)."""
 
     filename = "store.db"
@@ -848,48 +848,23 @@ def run_index_crashtest(
     return _run_cells("index", config.cells(), cell, workdir)
 
 
-# -- writer: one group-committed batch ------------------------------------
+# -- writer: one batch, one transaction ----------------------------------
 
 
 def _writer_batch(
     store: XmlStore, doc: int, root_id: int, start_index: int,
     batch_size: int,
 ) -> None:
-    """Stage *batch_size* inserts, drain them as ONE group commit.
+    """Insert *batch_size* fragments as ONE ``BEGIN ... COMMIT``."""
 
-    ``autostart=False`` queues every operation before the writer thread
-    exists, so the drain is guaranteed to group them into a single
-    ``BEGIN ... COMMIT``.  Raises :class:`SimulatedCrash` only when
-    *every* future saw it — a submitter left without one would hang —
-    and an ordinary error for any other way the batch can go wrong.
-    """
-    queue = store.enable_write_queue(max_batch=batch_size, autostart=False)
-    futures = [
-        queue.submit(lambda i=i: store.updates.insert(
-            doc, root_id, start_index + i,
-            make_fragment("wc", payload_nodes=2),
-        ))
-        for i in range(batch_size)
-    ]
-    queue.start()
-    errors = [
-        error for future in futures
-        if (error := future.exception(timeout=60)) is not None
-    ]
-    if len(errors) == batch_size and all(
-        isinstance(error, SimulatedCrash) for error in errors
-    ):
-        raise errors[0]
-    if errors:
-        raise ReproError(
-            f"{len(errors)} of {batch_size} future(s) failed, "
-            f"first with {errors[0]!r}"
-        )
-    if queue.batches != 1:
-        raise ReproError(
-            f"expected one group commit, writer used {queue.batches} "
-            "batch(es)"
-        )
+    def batch() -> None:
+        for i in range(batch_size):
+            store.updates.insert(
+                doc, root_id, start_index + i,
+                make_fragment("wc", payload_nodes=2),
+            )
+
+    store.transactionally(batch)
 
 
 def run_writer_crashtest(
@@ -898,14 +873,15 @@ def run_writer_crashtest(
     batch_size: int = 4,
     workdir: Optional[Union[str, Path]] = None,
 ) -> CrashTestReport:
-    """Crash the single writer mid-group-commit; reopen; audit.
+    """Crash a writer mid-batch; reopen; audit.
 
-    Each ``(seed, encoding)`` cell is a pooled file-backed sqlite store
-    with the write queue.  Per batch round a whole batch of
-    deterministic inserts is one :func:`sweep`: group commit makes the
-    batch one unit of atomicity and the crash always lands before its
-    ``COMMIT``, so the only state allowed to survive is the pre-batch
-    one — never a partially, or a wholly, applied batch.
+    Each ``(seed, encoding)`` cell is a pooled file-backed sqlite store.
+    Per batch round a whole batch of deterministic inserts is one
+    transaction and one :func:`sweep`: crash points are the batch's
+    statements, none of them its ``COMMIT`` (the injector counts
+    statements, not transaction boundaries), so the only state allowed
+    to survive is the pre-batch one — never a partially, or a wholly,
+    applied batch.
     """
 
     def cell(directory, fail, report, seed, gap, backend, encoding):

@@ -19,29 +19,21 @@ undone every partial effect).
 from __future__ import annotations
 
 import random
-import sqlite3
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TypeVar
 
+from repro.backends.sqlite_backend import is_busy
 from repro.errors import TransientStorageError
 from repro.obs import METRICS
 from repro.robust.faults import TransientInjectedError
 
 T = TypeVar("T")
 
-#: Substrings of sqlite OperationalError messages that mean "try again".
-_SQLITE_TRANSIENT_MARKERS = ("busy", "locked")
-
 
 def is_transient_error(exc: BaseException) -> bool:
     """Classify an exception: True when retrying is safe and useful."""
-    if isinstance(exc, TransientInjectedError):
-        return True
-    if isinstance(exc, sqlite3.OperationalError):
-        message = str(exc).lower()
-        return any(m in message for m in _SQLITE_TRANSIENT_MARKERS)
-    return False
+    return isinstance(exc, TransientInjectedError) or is_busy(exc)
 
 
 @dataclass

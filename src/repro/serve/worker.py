@@ -2,10 +2,11 @@
 
 Run as ``python -m repro.serve.worker --db F --socket S [--encoding E]``
 (the :class:`~repro.serve.supervisor.Supervisor` spawns these).  The
-worker opens its shard's sqlite file through the pooled backend, turns
-on the group-commit write queue, and serves the wire protocol on a unix
-socket, one thread per connection — reads run concurrently on pooled
-WAL connections while updates funnel through the single writer.
+worker opens its shard's sqlite file through the pooled backend and
+serves the wire protocol on a unix socket, one thread per connection —
+reads run concurrently on pooled WAL connections, while an update's
+transaction holds the backend's writer lock, so updates run one at a
+time on whichever connection thread sent them.
 
 Document ids in this module are shard-local; the router owns the
 global numbering.  ``update_batch`` applies a list of operations in one
@@ -231,14 +232,12 @@ def run_worker(
     encoding: Optional[str] = None,
     gap: Optional[int] = None,
     shard_index: int = 0,
-    max_batch: int = 16,
 ) -> None:
     """Open the shard store and serve the unix socket until shutdown."""
     from repro.cli import open_store
 
     obs.enable()
     store = open_store(db, encoding=encoding, gap=gap, pooled=True)
-    store.enable_write_queue(max_batch=max_batch)
     worker = ShardWorker(store, shard_index=shard_index)
 
     if os.path.exists(socket_path):
@@ -288,7 +287,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--encoding", default=None)
     parser.add_argument("--gap", type=int, default=None)
     parser.add_argument("--shard-index", type=int, default=0)
-    parser.add_argument("--max-batch", type=int, default=16)
     args = parser.parse_args(argv)
     run_worker(
         args.db,
@@ -296,7 +294,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         encoding=args.encoding,
         gap=args.gap,
         shard_index=args.shard_index,
-        max_batch=args.max_batch,
     )
     return 0
 

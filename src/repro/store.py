@@ -52,7 +52,6 @@ from repro.xmldom import Document
 from repro.xpath.parser import parse_xpath
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.concurrent.writequeue import WriteQueue
     from repro.robust.retry import RetryPolicy
 
 #: How many ids one ``IN (...)`` statement may carry (see
@@ -182,8 +181,6 @@ class XmlStore:
         if gap < 1:
             raise StorageError(f"gap must be >= 1, got {gap}")
         self.retry = retry
-        #: Optional single-writer queue; see :meth:`enable_write_queue`.
-        self.write_queue: Optional["WriteQueue"] = None
         self.backend = (
             make_backend(backend) if isinstance(backend, str) else backend
         )
@@ -199,9 +196,9 @@ class XmlStore:
         #: catalog and result entries of the documents it wrote (see
         #: :meth:`transactionally`); plans are never invalidated.
         self.cache = StoreCache(enabled=cache)
-        #: Per thread: ``writes`` is the write set of the submitted
-        #: operation now running inside this thread's top-level
-        #: transaction (see :meth:`note_write`), ``None`` outside one.
+        #: Per thread: ``writes`` is the write set of the operation
+        #: now running inside this thread's top-level transaction (see
+        #: :meth:`note_write`), ``None`` outside one.
         self._scope = threading.local()
         self._docs_table = documents_table()
         #: Moved by every migration; queries that observe a move
@@ -286,12 +283,8 @@ class XmlStore:
         *whole* transaction — but only from outside the outermost
         scope, where the rollback has already undone every partial
         effect.  Nested calls just join the enclosing transaction.
-
-        With a :meth:`write queue <enable_write_queue>` attached, the
-        operation is shipped to the single writer thread instead (the
-        caller blocks for the result), where adjacent operations group
-        into one commit; calls already on the writer thread, or nested
-        inside this thread's own transaction, run locally and join it.
+        Top-level calls from several threads are serialized by the
+        backend, which admits one transaction at a time.
 
         **Write-set contract.**  All writers (loads, deletes, update
         operations, index builds and migrations) funnel through here,
@@ -306,20 +299,10 @@ class XmlStore:
         calls note into the outermost scope, whose commit actually
         publishes the change.
         """
-        queue = self.write_queue
-        if (
-            queue is not None
-            and queue.accepting()
-            and not queue.on_writer_thread()
-            and not self._in_own_transaction()
-        ):
-            # The writer thread invalidates right after the group
-            # commit, before this call's future resolves.
-            return queue.call(operation)
         if self._in_own_transaction():
             with self.backend.transaction():
                 return operation()
-        return self._commit([operation])[0]
+        return self._commit(operation)
 
     def note_write(self, doc: int) -> None:
         """Declare that the running transaction writes document *doc*
@@ -328,68 +311,32 @@ class XmlStore:
         if writes is not None:
             writes.add(doc)
 
-    def _commit(self, operations: Sequence[Callable[[], _T]]) -> list[_T]:
-        """Run *operations* as one top-level transaction (a write-queue
-        batch is several), retried whole per the store's policy, then
-        invalidate what they wrote.  Returns their results in order."""
+    def _commit(self, operation: Callable[[], _T]) -> _T:
+        """Run *operation* as one top-level transaction, retried whole
+        per the store's policy, then invalidate what it wrote."""
         if self.retry is None:
-            results, writes = self._attempt(operations)
+            result, writes = self._attempt(operation)
         else:
-            results, writes = self.retry.run(
-                lambda: self._attempt(operations)
-            )
+            result, writes = self.retry.run(lambda: self._attempt(operation))
         self.cache.bump(writes)
-        return results
+        return result
 
-    def _attempt(
-        self, operations: Sequence[Callable[[], _T]]
-    ) -> tuple[list[_T], set[int]]:
-        """One BEGIN ... COMMIT around *operations*; returns their
-        results and the union of their write sets — empty when any of
-        them noted nothing, i.e. when the commit's write set is
-        unknown.  Every attempt starts from empty write sets, and a
-        rolled-back one returns nothing to invalidate."""
+    def _attempt(self, operation: Callable[[], _T]) -> tuple[_T, set[int]]:
+        """One BEGIN ... COMMIT around *operation*; returns its result
+        and its write set — empty when it noted nothing, i.e. when the
+        write set is unknown.  Every attempt starts from an empty write
+        set, and a rolled-back one returns nothing to invalidate."""
         scope = self._scope
-        results: list[_T] = []
-        written: set[int] = set()
-        known = True
+        scope.writes = written = set()
         try:
             with self.backend.transaction():
-                for operation in operations:
-                    scope.writes = noted = set()
-                    results.append(operation())
-                    known = known and bool(noted)
-                    written |= noted
+                result = operation()
         finally:
             scope.writes = None
-        return results, (written if known else set())
-
-    # -- concurrent serving ------------------------------------------------
-
-    def enable_write_queue(
-        self, max_batch: int = 16, autostart: bool = True
-    ) -> "WriteQueue":
-        """Funnel this store's update transactions through one writer.
-
-        Afterwards every top-level :meth:`transactionally` call —
-        loads, inserts, deletes, value updates — is executed on a
-        dedicated writer thread, with adjacent operations group-
-        committed in one ``BEGIN ... COMMIT``.  Reads are unaffected:
-        on a pooled backend they keep running concurrently on the
-        calling threads.  Returns the queue (idempotent).
-        """
-        if self.write_queue is None:
-            from repro.concurrent.writequeue import WriteQueue
-
-            self.write_queue = WriteQueue(
-                self, max_batch=max_batch, autostart=autostart
-            )
-        return self.write_queue
+        return result, written
 
     def close(self) -> None:
-        """Drain the write queue (if any) and close the backend."""
-        if self.write_queue is not None:
-            self.write_queue.close()
+        """Close the backend."""
         self.backend.close()
 
     def __enter__(self) -> "XmlStore":

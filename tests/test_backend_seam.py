@@ -14,13 +14,22 @@ The same scan keeps a second seam shut: ``core/`` imports nothing from
 ``repro.index`` (the translator is told *indexed* or not, and that is
 all), and no ``cost`` module chooses between scan and index behind it
 (see "Indexing" in DESIGN.md).
+
+Transactions are the backend's to serialize, on every backend: a second
+thread's transaction begins once the first one has committed, and
+nothing above the seam queues writers of its own (see "Concurrency
+model" in DESIGN.md).
 """
 
 import ast
+import re
+import threading
 from functools import lru_cache
 from pathlib import Path
 
-from repro.backends import MiniDbBackend
+import pytest
+
+from repro.backends import MiniDbBackend, PooledSqliteBackend, SqliteBackend
 from repro.robust.faults import FaultInjectingBackend
 from repro.store import XmlStore
 from tests.conftest import ALL_ENCODINGS, BIB_XML
@@ -290,3 +299,58 @@ def test_wrapped_and_bare_minidb_hand_the_engine_the_same_text():
     assert len(plain) > 60
     assert all(isinstance(sql, str) for sql, _params in plain)
     assert wrapped == plain
+
+
+# -- one transaction at a time, on every backend ------------------------
+
+_BACKENDS = {
+    "sqlite": lambda tmp_path: SqliteBackend(),
+    "pooled": lambda tmp_path: PooledSqliteBackend(str(tmp_path / "p.db")),
+    "minidb": lambda tmp_path: MiniDbBackend(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BACKENDS))
+def test_every_backend_serializes_its_transactions(tmp_path, kind):
+    """Thread B's ``transaction()`` does not BEGIN until thread A's has
+    committed.  The pooled backend used to BEGIN both at once, and one
+    of two writers then failed with "database is locked"."""
+    backend = _BACKENDS[kind](tmp_path)
+    backend.execute("CREATE TABLE t (x INTEGER)")
+    order = []
+    a_open, b_asking, b_begun = (threading.Event() for _ in range(3))
+
+    def other_writer():
+        a_open.wait(10)
+        b_asking.set()
+        with backend.transaction():
+            order.append("B begins")
+            b_begun.set()
+            backend.execute("INSERT INTO t VALUES (2)")
+
+    thread = threading.Thread(target=other_writer)
+    thread.start()
+    with backend.transaction():
+        backend.execute("INSERT INTO t VALUES (1)")
+        a_open.set()
+        assert b_asking.wait(10)
+        # B is on its way into begin(); it must not get past it.
+        assert not b_begun.wait(0.2)
+        order.append("A commits")
+    thread.join(10)
+    assert not thread.is_alive()
+    assert order == ["A commits", "B begins"]
+    assert backend.execute("SELECT x FROM t ORDER BY x").rows == [(1,), (2,)]
+    backend.close()
+
+
+def test_no_write_queue_under_src():
+    """Writers take the backend's lock; no module queues them again."""
+    banned = re.compile(r"WriteQueue|enable_write_queue|writequeue|max_batch")
+    hits = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert hits == []

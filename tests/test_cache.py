@@ -2,7 +2,7 @@
 
 Covers the :mod:`repro.cache` layer itself (LRU mechanics, the
 per-document key index, the refuse-stale-put race rule, doc-id reuse),
-its wiring through :class:`XmlStore`, the write queue, the index
+its wiring through :class:`XmlStore`, the pooled backend, the index
 manager and the migration engine (a write to one document drops that
 document's entries and no other's; a commit that cannot name its write
 set drops every document's; plans survive every write), the
@@ -352,33 +352,6 @@ def test_unknown_write_set_invalidates_store_wide(kind):
     assert layer(store, "plan")["invalidations"] == 0
 
 
-def test_one_unnoted_operation_makes_the_whole_batch_unknown():
-    """Group commit: one submitted operation that names no document
-    makes the whole batch's write set unknown, even though its
-    neighbour named one."""
-    store = XmlStore(cache=True)
-    first = store.load(SHALLOW)
-    second = store.load(SHALLOW)
-    for doc in (first, second):
-        store.query("//b", doc)
-    queue = store.enable_write_queue(autostart=False)
-    try:
-        futures = [
-            queue.submit(lambda: store.updates.insert(first, 1, 0, "<z/>")),
-            queue.submit(lambda: store.backend.execute(
-                "UPDATE documents SET name = 'n' WHERE doc = ?", (second,)
-            )),
-        ]
-        queue.start()
-        for future in futures:
-            future.result(10)
-        assert queue.grouped_operations == 2
-        assert not served_from_cache(store, "//b", second)
-        assert store.document_info(second).name == "n"
-    finally:
-        store.close()
-
-
 def test_plan_survives_a_write_and_is_not_recompiled():
     store = XmlStore(cache=True)
     doc = store.load(SHALLOW)
@@ -489,11 +462,12 @@ def test_cache_off_store_caches_nothing():
     )
 
 
-def test_write_queue_commit_bumps_epoch():
-    store = XmlStore(cache=True)
+def test_pooled_commit_bumps_epoch(tmp_path):
+    store = XmlStore(
+        backend=PooledSqliteBackend(str(tmp_path / "epoch.db")), cache=True
+    )
     doc = store.load(SHALLOW)
     store.query("//b", doc)  # warm
-    store.enable_write_queue()
     try:
         before = store.cache.epoch(doc)
         store.updates.insert(doc, 1, 0, "<z>q</z>")
@@ -503,40 +477,29 @@ def test_write_queue_commit_bumps_epoch():
         store.close()
 
 
-def test_write_queue_batch_invalidates_both_documents_before_futures_resolve():
-    """Group commit unions the batch's write sets and invalidates
-    before *any* submitter's future resolves; a third document the
-    batch did not write keeps its entries."""
+def test_one_commit_writing_two_documents_invalidates_both():
+    """One transaction writing two documents drops both documents'
+    entries by the time it returns; a third document the transaction
+    did not write keeps its entries."""
     store = XmlStore(cache=True)
     docs = [store.load(SHALLOW) for _ in range(3)]
     for doc in docs:
         store.query("//b", doc)
-    queue = store.enable_write_queue(autostart=False)
-    seen_at_resolution: list[dict] = []
 
-    def snapshot(_future) -> None:
-        # Runs on the writer thread, inside set_result().
-        seen_at_resolution.append({
+    def cached() -> dict:
+        return {
             doc: (doc, "//b", None) in store.cache._result.entries
             for doc in docs
-        })
+        }
+
+    def both() -> dict:
+        for doc in docs[:2]:
+            store.updates.insert(doc, 1, 0, "<b>n</b>")
+        return cached()
 
     try:
-        futures = [
-            queue.submit(
-                lambda doc=doc: store.updates.insert(doc, 1, 0, "<b>n</b>")
-            )
-            for doc in docs[:2]
-        ]
-        for future in futures:
-            future.add_done_callback(snapshot)
-        queue.start()
-        for future in futures:
-            future.result(10)
-        assert queue.grouped_operations == 2
-        assert seen_at_resolution == [
-            {docs[0]: False, docs[1]: False, docs[2]: True}
-        ] * 2
+        assert store.transactionally(both) == dict.fromkeys(docs, True)
+        assert cached() == {docs[0]: False, docs[1]: False, docs[2]: True}
         assert len(store.query("//b", docs[0])) == 3
         assert served_from_cache(store, "//b", docs[2])
     finally:
@@ -585,7 +548,6 @@ def test_concurrent_writers_to_other_documents_never_leave_a_stale_result(
 
     backend = PooledSqliteBackend(str(tmp_path / "stress.db"))
     store = XmlStore(backend=backend, encoding="dewey", cache=True)
-    store.enable_write_queue()
     docs = [store.load(SHALLOW) for _ in range(3)]
     inserts = 12
     errors: list[str] = []

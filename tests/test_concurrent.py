@@ -1,5 +1,6 @@
-"""Tests for repro.concurrent: latch, pool, write queue, and the
-pooled backend serving N readers plus one writer."""
+"""Tests for repro.concurrent: latch, pool, and the pooled backend
+serving N readers plus two writers, its writer lock serializing their
+transactions."""
 
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from repro.errors import (
     ConcurrencyError,
     PoolExhaustedError,
     StorageError,
-    WriteQueueClosedError,
 )
 from repro.robust.retry import RetryPolicy
 from repro.store import XmlStore
@@ -205,15 +205,17 @@ class TestPooledSqliteBackend:
         worker.start()
         assert in_tx.wait(10)
         # The worker's open transaction is invisible to this thread's
-        # bookkeeping: we are at depth 0 and can run our own scope.
+        # bookkeeping, and reads outside a transaction do not wait for
+        # it: they run on a connection of their own, before its insert.
         assert not backend.in_transaction()
-        with backend.transaction():
-            assert backend.in_transaction()
-            backend.execute("SELECT count(*) FROM t")
+        assert backend.execute("SELECT count(*) FROM t").rows == [(0,)]
         finish.set()
         worker.join(10)
-        rows = backend.execute("SELECT count(*) FROM t").rows
-        assert rows[0][0] == 1
+        with backend.transaction():
+            assert backend.in_transaction()
+            rows = backend.execute("SELECT count(*) FROM t").rows
+        assert rows == [(1,)]
+        assert not backend.in_transaction()
         backend.close()
 
     def test_scope_depth_is_per_thread_through_a_wrapper_too(
@@ -222,35 +224,102 @@ class TestPooledSqliteBackend:
         """The crash harness wraps the pooled backend; the wrapper used
         to keep one scope depth for all threads, so another thread's
         scope closing left this one reading "not in a transaction"
-        while its own was still open."""
+        while its own was still open.  The other thread's scope now
+        waits for this one's commit, and this one's depth is its own
+        all along."""
         from repro.robust.faults import FaultInjectingBackend
 
         backend = FaultInjectingBackend(
             PooledSqliteBackend(str(tmp_path / "w.db"))
         )
-        store = XmlStore(backend=backend, encoding="dewey")
+        # Uncached: the scopes here are the backend's own, which no
+        # store commit invalidates after.
+        store = XmlStore(backend=backend, encoding="dewey", cache=False)
         doc = store.load(BIB_XML)
         seen = {}
+        asked = threading.Event()
 
         def other_thread_scope():
             seen["before"] = backend.in_transaction()
+            seen["read"] = store.query("/bib/@k", doc)
+            asked.set()
             with backend.transaction():
-                store.query("//title", doc)
+                seen["inside"] = store.query("/bib/@k", doc)[0].value
 
         with backend.transaction():
             store.updates.set_attribute(doc, 1, "k", "v")
             worker = threading.Thread(target=other_thread_scope)
             worker.start()
-            worker.join(10)
-            assert not worker.is_alive()
-            assert seen == {"before": False}
+            assert asked.wait(10)
+            assert seen == {"before": False, "read": []}  # uncommitted
             assert backend.in_transaction()
             assert store._in_own_transaction()
             with backend.transaction():  # joins, issues no second BEGIN
                 store.updates.set_attribute(doc, 1, "k", "w")
+            assert backend.in_transaction()
+        worker.join(10)
+        assert not worker.is_alive()
+        assert seen["inside"] == "w"
         assert not backend.in_transaction()
         assert store.query("/bib/@k", doc)[0].value == "w"
         store.close()
+
+    def test_every_way_out_of_a_transaction_lets_the_next_writer_in(
+        self, tmp_path
+    ):
+        """COMMIT, ROLLBACK and a rollback with no connection left to
+        run it on (the crash harness's abandon) each release the
+        writer lock: another thread's transaction begins afterwards."""
+        backend = PooledSqliteBackend(str(tmp_path / "l.db"))
+        backend.execute("CREATE TABLE t (x INTEGER)")
+
+        def other_writer():
+            with backend.transaction():
+                backend.execute("INSERT INTO t VALUES (2)")
+
+        with backend.transaction():
+            backend.execute("INSERT INTO t VALUES (1)")
+        assert _run_in_thread(other_writer) == (None, None)
+        with pytest.raises(KeyError):
+            with backend.transaction():
+                backend.execute("INSERT INTO t VALUES (3)")
+                raise KeyError("rolled back")
+        assert _run_in_thread(other_writer) == (None, None)
+        assert backend.execute("SELECT x FROM t ORDER BY x").rows == [
+            (1,), (2,), (2,),
+        ]
+        backend.begin()
+        backend.abandon()
+        with pytest.raises(StorageError, match="without a pinned"):
+            backend.rollback()
+        _, error = _run_in_thread(backend.begin)
+        assert isinstance(error, ConcurrencyError)  # the pool, not a hang
+
+    def test_a_statement_outside_the_lock_cannot_fail_a_transaction(
+        self, tmp_path
+    ):
+        """DDL and other statements outside a transaction take no writer
+        lock.  One that committed between a transaction's first read and
+        its first write used to fail that write with "database is
+        locked"; BEGIN IMMEDIATE makes it wait for the COMMIT instead."""
+        backend = PooledSqliteBackend(str(tmp_path / "o.db"))
+        backend.execute("CREATE TABLE t (x INTEGER)")
+        outside_done = threading.Event()
+
+        def outside():
+            backend.execute("CREATE TABLE IF NOT EXISTS u (y INTEGER)")
+            outside_done.set()
+
+        with backend.transaction():
+            backend.execute("SELECT count(*) FROM t")
+            thread = threading.Thread(target=outside)
+            thread.start()
+            assert not outside_done.wait(0.3)  # it waits for us
+            backend.execute("INSERT INTO t VALUES (1)")
+        thread.join(10)
+        assert outside_done.is_set()
+        assert "u" in backend.list_tables()
+        backend.close()
 
     def test_close_truncates_wal_and_is_idempotent(self, tmp_path):
         path = tmp_path / "p.db"
@@ -272,86 +341,6 @@ def test_sqlite_close_truncates_wal_and_is_idempotent(tmp_path):
     wal = Path(str(path) + "-wal")
     assert not wal.exists() or wal.stat().st_size == 0
     backend.close()  # second close is a no-op
-
-
-# -- WriteQueue ----------------------------------------------------------
-
-
-def _pooled_bib_store(tmp_path, encoding="global"):
-    backend = PooledSqliteBackend(str(tmp_path / "wq.db"))
-    store = XmlStore(backend=backend, encoding=encoding)
-    doc = store.load(parse(BIB_XML))
-    root = [
-        row for row in store.fetch_children(doc, 0)
-        if row["kind"] == "elem"
-    ][0]["id"]
-    return store, doc, root
-
-
-class TestWriteQueue:
-    def test_staged_batch_is_one_group_commit(self, tmp_path):
-        store, doc, root = _pooled_bib_store(tmp_path)
-        base = len(store.fetch_children(doc, root))
-        queue = store.enable_write_queue(max_batch=8, autostart=False)
-        futures = [
-            queue.submit(
-                lambda i=i: store.updates.insert(
-                    doc, root, base + i, make_fragment("gc")
-                )
-            )
-            for i in range(3)
-        ]
-        queue.start()
-        for future in futures:
-            future.result(timeout=30)
-        assert queue.batches == 1
-        assert queue.operations == 3
-        assert queue.grouped_operations == 3
-        assert len(store.fetch_children(doc, root)) == base + 3
-        store.close()
-
-    def test_failing_operation_is_isolated(self, tmp_path):
-        store, doc, root = _pooled_bib_store(tmp_path)
-        base = len(store.fetch_children(doc, root))
-        queue = store.enable_write_queue(max_batch=8, autostart=False)
-
-        def bad():
-            raise ValueError("poisoned operation")
-
-        good_before = queue.submit(
-            lambda: store.updates.insert(
-                doc, root, base, make_fragment("ok")
-            )
-        )
-        poisoned = queue.submit(bad)
-        good_after = queue.submit(
-            lambda: store.updates.insert(
-                doc, root, base + 1, make_fragment("ok")
-            )
-        )
-        queue.start()
-        good_before.result(timeout=30)
-        good_after.result(timeout=30)
-        with pytest.raises(ValueError):
-            poisoned.result(timeout=30)
-        # The batch rolled back and replayed individually: both good
-        # inserts landed, the store audits clean.
-        assert len(store.fetch_children(doc, root)) == base + 2
-        assert audit_store(store) == []
-        store.close()
-
-    def test_closed_queue_rejects_submissions(self, tmp_path):
-        store, doc, root = _pooled_bib_store(tmp_path)
-        queue = store.enable_write_queue()
-        queue.close()
-        with pytest.raises(WriteQueueClosedError):
-            queue.submit(lambda: None)
-        # The store falls back to running updates on the caller.
-        store.updates.insert(
-            doc, root, len(store.fetch_children(doc, root)),
-            make_fragment("direct"),
-        )
-        store.close()
 
 
 # -- RetryPolicy jitter --------------------------------------------------
@@ -378,15 +367,15 @@ class TestRetryJitter:
         assert policy.backoff_delay(3) == pytest.approx(expected)
 
 
-# -- N readers + 1 writer stress ----------------------------------------
+# -- N readers + 2 writers stress ---------------------------------------
 
 
-def _stress(store, readers=3, reads=40, writes=10):
-    """*readers* threads and one writer start together at a barrier.
-    Each reader runs *reads* pre-translated statements, so every backend
-    sees the same statement stream; the writer makes *writes* appends
-    through ``store.updates``, and so through the write queue when one
-    is attached."""
+def _stress(store, readers=3, reads=40, writers=2, writes=25):
+    """*readers* reader and *writers* writer threads start together at a
+    barrier.  Each reader runs *reads* pre-translated statements, so
+    every backend sees the same statement stream; each writer makes
+    *writes* inserts through ``store.updates``, with nothing but the
+    backend serializing the writers' transactions."""
     doc = store.load(parse(BIB_XML))
     translated = [
         store.translate(query.xpath, doc)
@@ -404,7 +393,7 @@ def _stress(store, readers=3, reads=40, writes=10):
         fragment = make_fragment("srv", payload_nodes=2)
         store.updates.insert(doc, root, base + step, fragment)
 
-    plan = [(read, reads)] * readers + [(write, writes)]
+    plan = [(read, reads)] * readers + [(write, writes)] * writers
     barrier = threading.Barrier(len(plan), timeout=30)
     completed = [0] * len(plan)
     errors = []
@@ -428,16 +417,15 @@ def _stress(store, readers=3, reads=40, writes=10):
         thread.join(60)
         assert not thread.is_alive(), "stress thread hung"
     assert errors == []
-    assert completed == [reads] * readers + [writes]
-    assert len(store.fetch_children(doc, root)) == base + writes
+    assert completed == [reads] * readers + [writes] * writers
+    assert len(store.fetch_children(doc, root)) == base + writers * writes
     assert audit_store(store) == []
 
 
 @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
-def test_stress_pooled_sqlite_with_write_queue(tmp_path, encoding):
+def test_stress_pooled_sqlite(tmp_path, encoding):
     backend = PooledSqliteBackend(str(tmp_path / "stress.db"))
     store = XmlStore(backend=backend, encoding=encoding)
-    store.enable_write_queue()
     try:
         _stress(store)
     finally:

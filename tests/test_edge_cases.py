@@ -1,10 +1,13 @@
 """Edge-case tests across the stack: self-value predicates, dot/dotdot
 navigation, deep documents, unusual content, minidb corner cases."""
 
+import sqlite3
 import sys
 
 import pytest
 
+from repro.backends import PooledSqliteBackend
+from repro.errors import StorageError
 from repro.migrate import migrate_document
 from repro.minidb import MiniDb
 from repro.store import XmlStore
@@ -180,6 +183,43 @@ class TestDeeperThanTheRecursionLimit:
         pretty = serialize(document, pretty=True)
         assert pretty.count("\n") == 2 * levels - 1
         assert serialize(parse(pretty, strip_whitespace=True)) == text
+
+
+class TestPastSqlitesStatementLimits:
+    """A query past one of sqlite's limits on a statement fails with the
+    library's StorageError, keeping sqlite's message, on the shared and
+    the pooled backend alike; minidb has no such limit and answers it."""
+
+    XML = "<a><b/></a>"
+    PROBES = {
+        "from-terms": ("/a" + "/b" * 300, "too many FROM clause terms"),
+        "compound-select": (
+            " | ".join(["/a/b"] * 2000), "too many terms in compound SELECT"
+        ),
+    }
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_sqlite_raises_a_storage_error(self, tmp_path, probe, pooled):
+        xpath, message = self.PROBES[probe]
+        backend = (
+            PooledSqliteBackend(str(tmp_path / "limits.db")) if pooled
+            else "sqlite"
+        )
+        store = XmlStore(backend=backend, encoding="dewey")
+        doc = store.load(self.XML)
+        with pytest.raises(StorageError, match=message) as raised:
+            store.query(xpath, doc)
+        assert isinstance(raised.value.__cause__, sqlite3.OperationalError)
+        store.close()
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_minidb_answers(self, probe):
+        xpath, _message = self.PROBES[probe]
+        document = parse(self.XML)
+        store = XmlStore(backend="minidb", encoding="dewey")
+        doc = store.load(document)
+        assert_query_matches_oracle(store, doc, document, xpath)
 
 
 class TestLocalClosureAtDepth:

@@ -14,7 +14,8 @@ Four guards around the touched-set maintenance path:
 * **fallback** — deltas past the invalidation budget fall back to the
   full rebuild and still converge on the twin's tables;
 * **fresh rows** — an inserted subtree's rows reach the index as the
-  update wrote them, inside compound operations and group commits too;
+  update wrote them, inside compound operations and several operations
+  sharing one commit too;
 * **satellites** — zero-row no-op updates skip maintenance entirely.
 """
 
@@ -268,9 +269,10 @@ class TestFreshRows:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
     def test_group_commit_of_inserts_and_a_delete(self, backend, encoding):
-        """One writer batch, one transaction: each operation maintains
-        the index at its own end, so the delete of a node an earlier
-        operation of the batch inserted must drop that node's rows."""
+        """Five operations in one ``transactionally`` body, one commit:
+        each operation maintains the index at its own end, so the
+        delete of a node an earlier operation inserted must drop that
+        node's rows."""
         incr, doc_i, eager, doc_e = twin_pair(backend, encoding, self.DOCUMENT)
         root = incr.fetch_children(doc_i, 0)[0]["id"]
         parent = incr.fetch_children(doc_i, root)[0]["id"]
@@ -286,15 +288,15 @@ class TestFreshRows:
             lambda store, doc: store.updates.delete(doc, first + 2),
             lambda store, doc: store.updates.insert(doc, 0, 1, "<!--c-->"),
         ]
-        queue = incr.enable_write_queue(max_batch=len(steps), autostart=False)
-        futures = [
-            queue.submit(lambda step=step: step(incr, doc_i))
-            for step in steps
-        ]
-        queue.start()
-        for future in futures:
-            future.result(timeout=60)
-        assert queue.batches == 1
+
+        def batch():
+            for step in steps:
+                step(incr, doc_i)
+
+        with counters() as count:
+            incr.transactionally(batch)
+            assert count("index.incremental") == len(steps)
+            assert count("index.fallback_rebuild") == 0
         for step in steps:
             step(eager, doc_e)
         eager.indexes.create(doc_e)

@@ -9,6 +9,7 @@ and the workload advisor's E7-crossover thresholds.
 """
 
 import threading
+from collections import Counter
 
 import pytest
 
@@ -286,15 +287,56 @@ class TestConcurrentWrites:
             "catalogue", final.node_table.name, final.attr_table.name
         }
 
-    def test_migration_through_write_queue(self):
-        store = XmlStore(backend="sqlite", encoding="local")
-        doc = store.load(BIB)
-        store.enable_write_queue(max_batch=4)
-        before = serialize(store.reconstruct(doc))
+    def test_migration_beside_pooled_writers(self, tmp_path):
+        """On the pooled backend the writer lock is all that orders two
+        writer threads and the migration: every insert lands once, on
+        whichever encoding it ran against, and the document reads back
+        as an unmigrated twin does."""
+        store = XmlStore(
+            backend=make_backend("sqlite-pool", str(tmp_path / "m.db")),
+            encoding="local",
+        )
+        twin = XmlStore(backend="sqlite", encoding="local")
+        doc, twin_doc = store.load(BIB), twin.load(BIB)
+        root = store.query("/*", doc)[0].node_id
+        inserts = 6
+        errors: list[BaseException] = []
+        start = threading.Barrier(3)
+
+        def write(tag: str) -> None:
+            start.wait()
+            try:
+                for i in range(inserts):
+                    store.updates.insert(doc, root, 0, f"<{tag}>{i}</{tag}>")
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=write, args=(tag,)) for tag in "xy"
+        ]
+        for thread in threads:
+            thread.start()
+        start.wait()
         report = migrate_document(store, doc, "global")
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+
+        assert not errors, errors
         assert report.outcome == "migrated"
         assert store.encoding_for(doc).name == "global"
-        assert serialize(store.reconstruct(doc)) == before
+        assert len(store.query("/*/x", doc)) == inserts
+        assert len(store.query("/*/y", doc)) == inserts
+        for tag in "xy":
+            for i in range(inserts):
+                twin.updates.insert(twin_doc, root, 0, f"<{tag}>{i}</{tag}>")
+        # The writers interleave, so only the multiset of children is
+        # the twin's, not their order.
+        got = Counter((i.label, i.value) for i in store.query("/*/*", doc))
+        assert got == Counter(
+            (i.label, i.value) for i in twin.query("/*/*", twin_doc)
+        )
+        assert_store_clean(store)
         store.close()
 
 

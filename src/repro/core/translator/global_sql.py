@@ -59,5 +59,10 @@ class GlobalSqlTranslator(SqlTranslator):
         if axis == "following":
             return Cmp(">", Col(cand, "pos"), Col(ctx, "endpos"))
         if axis == "preceding":
-            return Cmp("<", Col(cand, "endpos"), Col(ctx, "pos"))
+            # A subtree that ends before the context starts; the bound
+            # on ``pos`` is implied, and makes the read an index range.
+            return all_of((
+                Cmp("<", Col(cand, "pos"), Col(ctx, "pos")),
+                Cmp("<", Col(cand, "endpos"), Col(ctx, "pos")),
+            ))
         raise TranslationError(f"axis {axis!r} not supported (global)")

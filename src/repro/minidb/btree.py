@@ -5,9 +5,9 @@ Keys are opaque comparable tuples (the caller passes total-order keys from
 row ids (duplicates allowed unless the index is unique — uniqueness is
 enforced one level up, in :class:`repro.minidb.tables.TableIndex`).
 
-The tree supports point lookup, ordered range scans with open/closed and
+The tree supports point lookup, ordered range reads with open/closed and
 unbounded ends, insertion, and deletion of a (key, rowid) pair.  Leaves are
-linked for cheap range scans.  The fanout is modest because nodes are
+linked, so a range read descends once and then walks right.  The fanout is modest because nodes are
 Python lists; the point of the structure is faithful *algorithmic*
 behaviour (logarithmic descent, range scans touching only qualifying
 leaves), which the engine's row-touch counters report.
@@ -16,7 +16,7 @@ leaves), which the engine's row-touch counters report.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, Optional
+from typing import Optional
 
 _ORDER = 64  # max keys per node
 
@@ -65,51 +65,51 @@ class BPlusTree:
             return list(leaf.values[index])
         return []
 
-    def scan(
+    def range_rowids(
         self,
         low=None,
         high=None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-    ) -> Iterator[tuple[object, int]]:
-        """Yield (key, rowid) pairs with key in the given range, in order.
+    ) -> list[int]:
+        """Row ids of the keys in the given range, in key order (one
+        key's row ids in the order they were inserted), as one list.
 
         ``None`` bounds are unbounded.  (Keys themselves are never None —
-        SQL NULLs are encoded inside the caller's total-order key.)
+        SQL NULLs are encoded inside the caller's total-order key.)  The
+        read descends once, then slices leaf by leaf: a ``bisect`` finds
+        where it starts in the first leaf and where it ends in the last.
         """
         if low is None:
             leaf = self._leftmost_leaf()
-            index = 0
+            start = 0
         else:
             leaf = self._find_leaf(low)
             if low_inclusive:
-                index = bisect.bisect_left(leaf.keys, low)
+                start = bisect.bisect_left(leaf.keys, low)
             else:
-                index = bisect.bisect_right(leaf.keys, low)
+                start = bisect.bisect_right(leaf.keys, low)
+        end_of = bisect.bisect_right if high_inclusive else bisect.bisect_left
+        out: list[int] = []
         while leaf is not None:
-            while index < len(leaf.keys):
-                key = leaf.keys[index]
-                if high is not None:
-                    if high_inclusive:
-                        if key > high:
-                            return
-                    elif key >= high:
-                        return
-                for rowid in leaf.values[index]:
-                    yield key, rowid
-                index += 1
+            values = leaf.values
+            if high is not None:
+                end = end_of(leaf.keys, high)
+                if end < len(values):
+                    for rowids in values[start:end]:
+                        out += rowids
+                    return out
+            for rowids in values[start:]:
+                out += rowids
             leaf = leaf.next
-            index = 0
+            start = 0
+        return out
 
     def _leftmost_leaf(self) -> _Leaf:
         node = self._root
         while isinstance(node, _Internal):
             node = node.children[0]
         return node  # type: ignore[return-value]
-
-    def items(self) -> Iterator[tuple[object, int]]:
-        """Yield all (key, rowid) pairs in key order."""
-        return self.scan()
 
     # -- insertion ----------------------------------------------------------
 

@@ -115,7 +115,7 @@ class MiniDb:
                 plan = self._plan(sql, statement)
                 self.stats.statements += 1
                 state = ExecState(params=params, stats=self.stats)
-                rows = list(plan.rows({}, state))
+                rows = plan.rows({}, state)
                 METRICS.inc("minidb.selects")
                 METRICS.inc("minidb.rows_returned", len(rows))
                 return Result(plan.columns, rows, -1)
@@ -126,16 +126,13 @@ class MiniDb:
     def executemany(
         self, sql: str, param_rows: Iterable[Sequence]
     ) -> Result:
-        """Execute a DML statement once per parameter row."""
+        """Execute a DML statement once per parameter row, compiled
+        once."""
         statement = self._parse(sql)
         if isinstance(statement, SELECT_TYPES):
             raise ExecutionError("executemany() does not accept SELECT")
-        total = 0
         with self.latch.write():
-            for params in param_rows:
-                result = self._runner.run(statement, tuple(params))
-                if result.rowcount > 0:
-                    total += result.rowcount
+            total = self._runner.run_many(statement, param_rows)
         return Result(rowcount=total)
 
     def explain(self, sql: str) -> list[str]:

@@ -10,7 +10,8 @@ Evaluation model:
 * FROM items join left to right; base tables go through the
   :mod:`repro.minidb.planner` access-path selection (index equality
   prefix + optional IN probe or range), everything else is a residual
-  filter applied as soon as its aliases are bound;
+  filter applied as soon as its aliases are bound; each FROM item is
+  given the one row loop of its access path when the plan is compiled;
 * LEFT JOIN emits a NULL row when no right row matches its ON condition;
 * subqueries (EXISTS / IN / scalar) compile recursively with the outer
   scope chained, and see the outer row bindings through the shared
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import CatalogError, ExecutionError
 from repro.minidb import planner
@@ -57,7 +58,6 @@ from repro.minidb.sql_ast import (
     Literal,
     OrderItem,
     Param,
-    SELECT_TYPES,
     ScalarSubquery,
     Select,
     SelectItem,
@@ -70,8 +70,10 @@ from repro.minidb.sql_ast import (
     Update,
     With,
 )
-from repro.minidb.tables import HeapTable, coerce_row
+from repro.minidb.tables import HeapTable, TableIndex, coerce_row
 from repro.minidb.values import (
+    AFTER_EVERY_VALUE,
+    FIRST_NON_NULL,
     NATIVE_ORDER_TYPES,
     SqlValue,
     cast_value,
@@ -86,6 +88,9 @@ from repro.minidb.values import (
 
 Env = dict  # alias -> row tuple
 ExprFn = Callable[[Env, "ExecState"], SqlValue]
+#: A step's row loop: binds its alias in the environment to each
+#: matching row in turn and yields the environment.
+RowLoop = Callable[[Env, "ExecState"], Iterator[Env]]
 
 
 @dataclass
@@ -303,12 +308,72 @@ class Compiler:
                 op, left(env, state), right(env, state)
             )
         if op in _COMPARISONS:
-            return _compile_comparison(
-                op,
-                self.compile_expr(expr.left, scope),
-                self.compile_expr(expr.right, scope),
-            )
+            return self._compile_comparison(op, expr.left, expr.right, scope)
         raise ExecutionError(f"unknown operator {op!r}")
+
+    def _compile_comparison(
+        self, op: str, left: Expr, right: Expr, scope: Scope
+    ) -> ExprFn:
+        """``left <op> right``, compiled by the shape of its operands.
+
+        A column compared with a parameter, a literal or another column
+        is one closure that reads ``env[alias][position]`` (and the
+        parameter or literal) itself, with the literal's type checked
+        at compile time; a parameter or literal on the left is mirrored
+        to the right first.  Any other operand goes through its own
+        compiled closure (:func:`_compare_closures`).
+        """
+        if not isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
+            left, right, op = right, left, _MIRRORED[op]
+        if not isinstance(left, ColumnRef) or not isinstance(
+            right, (ColumnRef, Param, Literal)
+        ):
+            return _compare_closures(
+                op,
+                self.compile_expr(left, scope),
+                self.compile_expr(right, scope),
+            )
+        test = _COMPARISONS[op]
+        alias, position = scope.resolve(left.table, left.column)
+        if isinstance(right, ColumnRef):
+            other, other_position = scope.resolve(right.table, right.column)
+
+            def column_column(env: Env, state: ExecState) -> SqlValue:
+                lval = env[alias][position]
+                rval = env[other][other_position]
+                kind = type(lval)
+                if kind is type(rval) and kind in NATIVE_ORDER_TYPES:
+                    return test(lval, rval)
+                result = compare(lval, rval)
+                return None if result is None else test(result, 0)
+            return column_column
+        if isinstance(right, Param):
+            index = right.index
+
+            def column_param(env: Env, state: ExecState) -> SqlValue:
+                lval = env[alias][position]
+                try:
+                    rval = state.params[index]
+                except IndexError:
+                    raise ExecutionError(
+                        f"missing bind parameter {index + 1}"
+                    ) from None
+                kind = type(lval)
+                if kind is type(rval) and kind in NATIVE_ORDER_TYPES:
+                    return test(lval, rval)
+                result = compare(lval, rval)
+                return None if result is None else test(result, 0)
+            return column_param
+        value = right.value
+        native = type(value) if type(value) in NATIVE_ORDER_TYPES else None
+
+        def column_literal(env: Env, state: ExecState) -> SqlValue:
+            lval = env[alias][position]
+            if type(lval) is native:
+                return test(lval, value)
+            result = compare(lval, value)
+            return None if result is None else test(result, 0)
+        return column_literal
 
     def _compile_function(self, expr: FunctionExpr, scope: Scope) -> ExprFn:
         if expr.name in AGGREGATE_NAMES:
@@ -413,7 +478,7 @@ class Compiler:
         key = _cte_key(node.name)
         dedupe = step is not None and not node.union_all
 
-        def rows(env: Env, state: ExecState) -> Iterator[tuple]:
+        def rows(env: Env, state: ExecState) -> list[tuple]:
             seen: set = set()
 
             def fresh(produced: Iterator[tuple]) -> list[tuple]:
@@ -459,7 +524,7 @@ class Compiler:
         )
         dedupe = not union.all
 
-        def rows(env: Env, state: ExecState) -> Iterator[tuple]:
+        def rows(env: Env, state: ExecState) -> list[tuple]:
             out: list[tuple] = []
             for arm in arms:
                 out.extend(arm.rows(env, state))
@@ -479,7 +544,7 @@ class Compiler:
             if limit_fn is not None:
                 limit = limit_fn(env, state)
                 out = out[: int(limit)] if limit is not None else out
-            return iter(out)
+            return out
 
         plan_lines = [f"UNION{' ALL' if union.all else ''} of "
                       f"{len(arms)} arms:"]
@@ -615,38 +680,12 @@ class Compiler:
         scope: Scope,
     ) -> "_JoinStep":
         alias = from_item.alias
+        left = from_item.join_type == "left"
         if isinstance(source, HeapTable):
             path = planner.choose_access_path(
                 source, alias, conjuncts, bound
             )
-            residual_fns = [
-                self.compile_expr(c, scope) for c in path.residual
-            ]
-            eq_fns = [self.compile_expr(e, scope) for e in path.eq_exprs]
-            in_fns = (
-                [self.compile_expr(e, scope) for e in path.in_exprs]
-                if path.in_exprs is not None
-                else None
-            )
-            lower_fns = [
-                (op, self.compile_expr(e, scope)) for op, e in path.lower
-            ]
-            upper_fns = [
-                (op, self.compile_expr(e, scope)) for op, e in path.upper
-            ]
-            return _JoinStep(
-                alias=alias,
-                table=source,
-                index=path.index if path.is_index_scan else None,
-                eq_fns=eq_fns,
-                in_fns=in_fns,
-                lower_fns=lower_fns,
-                upper_fns=upper_fns,
-                residual_fns=residual_fns,
-                on_fns=on_fns,
-                left=from_item.join_type == "left",
-                width=len(source.columns),
-            )
+            return self._table_step(alias, source, path, scope, on_fns, left)
         if isinstance(source, str):
             # A common table expression: its rows so far (the step of
             # a recursion sees the round's delta) ride in the
@@ -656,7 +695,7 @@ class Compiler:
                 cte_key=source,
                 residual_fns=[self.compile_expr(c, scope) for c in conjuncts],
                 on_fns=on_fns,
-                left=from_item.join_type == "left",
+                left=left,
                 width=len(scope.aliases[alias]),
             )
         # Derived table: materialised once per execution — unless the
@@ -679,8 +718,39 @@ class Compiler:
             correlated=bool(free_refs) or bool(scope.ctes),
             residual_fns=residual_fns,
             on_fns=on_fns,
-            left=from_item.join_type == "left",
+            left=left,
             width=len(subplan.columns),  # type: ignore[union-attr]
+        )
+
+    def _table_step(
+        self,
+        alias: str,
+        table: HeapTable,
+        path: planner.AccessPath,
+        scope: Scope,
+        on_fns: list[ExprFn],
+        left: bool,
+    ) -> "_JoinStep":
+        """A base table read along *path*, its expressions compiled (the
+        filters first: their subqueries list first in the plan)."""
+        compile_expr = self.compile_expr
+        residual_fns = [compile_expr(c, scope) for c in path.residual]
+        return _JoinStep(
+            alias=alias,
+            table=table,
+            index=path.index,
+            eq_fns=[compile_expr(e, scope) for e in path.eq_exprs],
+            in_fns=(
+                [compile_expr(e, scope) for e in path.in_exprs]
+                if path.in_exprs is not None
+                else None
+            ),
+            lower_fns=[(op, compile_expr(e, scope)) for op, e in path.lower],
+            upper_fns=[(op, compile_expr(e, scope)) for op, e in path.upper],
+            residual_fns=residual_fns,
+            on_fns=on_fns,
+            left=left,
+            width=len(table.columns),
         )
 
     def _finish_plain_select(
@@ -709,37 +779,12 @@ class Compiler:
             if select.limit is not None
             else None
         )
-        distinct = select.distinct
+        directions = [descending for _fn, descending in order_fns]
+        pipeline = _pipeline(steps)
+        plain = _plain_columns(select, scope)
 
-        def rows(env: Env, state: ExecState) -> Iterator[tuple]:
-            for gate in gate_fns:
-                if not is_true(gate(env, state)):
-                    return iter(())
-            envs = _run_pipeline(steps, env, state)
-            if order_fns:
-                materialised = [
-                    (
-                        tuple(
-                            row_sort_key((fn(e, state),))
-                            for fn, _d in order_fns
-                        ),
-                        tuple(fn(e, state) for fn in item_fns),
-                    )
-                    for e in envs
-                ]
-                for position, (_fn, descending) in list(
-                    enumerate(order_fns)
-                )[::-1]:
-                    materialised.sort(
-                        key=lambda pair: pair[0][position],
-                        reverse=descending,
-                    )
-                out = [row for _k, row in materialised]
-            else:
-                out = [
-                    tuple(fn(e, state) for fn in item_fns) for e in envs
-                ]
-            if distinct:
+        def finish(env: Env, state: ExecState, out: list) -> list[tuple]:
+            if select.distinct:
                 seen = set()
                 unique = []
                 for row in out:
@@ -751,7 +796,45 @@ class Compiler:
                 limit = limit_fn(env, state)
                 if limit is not None:
                     out = out[: int(limit)]
-            return iter(out)
+            return out
+
+        if plain is not None:
+            # Every output and ORDER BY column is a column of one alias:
+            # sort that alias's rows, then project them with one getter.
+            alias, positions, order_positions = plain
+            project = _tuple_getter(positions)
+            row_key = _row_key(order_positions)
+
+            def plain_rows(env: Env, state: ExecState) -> list[tuple]:
+                for gate in gate_fns:
+                    if not is_true(gate(env, state)):
+                        return []
+                source = [e[alias] for e in pipeline(env, state)]
+                _sort_by_keys(source, directions, row_key)
+                return finish(env, state, list(map(project, source)))
+
+            return CompiledSelect(tuple(columns), plain_rows)
+
+        def rows(env: Env, state: ExecState) -> list[tuple]:
+            for gate in gate_fns:
+                if not is_true(gate(env, state)):
+                    return []
+            envs = pipeline(env, state)
+            if order_fns:
+                materialised = [
+                    (
+                        tuple(sort_key(fn(e, state)) for fn, _d in order_fns),
+                        tuple(fn(e, state) for fn in item_fns),
+                    )
+                    for e in envs
+                ]
+                _sort_by_keys(materialised, directions)
+                out = [row for _k, row in materialised]
+            else:
+                out = [
+                    tuple(fn(e, state) for fn in item_fns) for e in envs
+                ]
+            return finish(env, state, out)
 
         return CompiledSelect(tuple(columns), rows)
 
@@ -768,12 +851,14 @@ class Compiler:
             item = select.items[0]
             column = item.alias or _item_name(item.expr, 0)  # type: ignore[union-attr]
 
-            def count_rows(env: Env, state: ExecState) -> Iterator[tuple]:
+            pipeline = _pipeline(steps)
+
+            def count_rows(env: Env, state: ExecState) -> list[tuple]:
                 count = 0
                 if all(is_true(g(env, state)) for g in gate_fns):
-                    for _e in _run_pipeline(steps, env, state):
+                    for _e in pipeline(env, state):
                         count += 1
-                return iter(((count,),))
+                return [(count,)]
 
             return CompiledSelect((column,), count_rows)
         group_fns = [self.compile_expr(e, scope) for e in select.group_by]
@@ -836,14 +921,15 @@ class Compiler:
             if select.limit is not None
             else None
         )
+        pipeline = _pipeline(steps)
 
-        def rows(env: Env, state: ExecState) -> Iterator[tuple]:
+        def rows(env: Env, state: ExecState) -> list[tuple]:
             gate_ok = all(is_true(g(env, state)) for g in gate_fns)
             if not gate_ok and group_fns:
-                return iter(())
+                return []
             groups: dict[tuple, list[Env]] = {}
             if gate_ok:
-                for e in _run_pipeline(steps, env, state):
+                for e in pipeline(env, state):
                     key = tuple(
                         row_sort_key((fn(e, state),)) for fn in group_fns
                     )
@@ -881,17 +967,13 @@ class Compiler:
                         tuple(fn(group_env, state) for fn in item_fns),
                     )
                 )
-            for position, (_fn, descending) in list(
-                enumerate(order_fns)
-            )[::-1]:
-                out.sort(key=lambda pair: pair[0][position],
-                         reverse=descending)
+            _sort_by_keys(out, [d for _fn, d in order_fns])
             result = [row for _k, row in out]
             if limit_fn is not None:
                 limit = limit_fn(env, state)
                 if limit is not None:
                     result = result[: int(limit)]
-            return iter(result)
+            return result
 
         return CompiledSelect(tuple(columns), rows)
 
@@ -946,13 +1028,111 @@ def _item_name(expr: Expr, index: int) -> str:
     return f"col{index + 1}"
 
 
+def _plain_columns(
+    select: Select, scope: Scope
+) -> Optional[tuple[str, list[int], list[int]]]:
+    """``(alias, output positions, ORDER BY positions)`` when every
+    select item and ORDER BY term is a plain column of one alias (an
+    ORDER BY term may name a select item's alias), else None."""
+    pairs: list[tuple[str, int]] = []
+    named: dict[str, tuple[str, int]] = {}
+    for item in select.items:
+        if isinstance(item, Star):
+            pairs.extend(
+                (alias, position)
+                for alias, columns in scope.aliases.items()
+                if item.table is None or alias == item.table
+                for position in range(len(columns))
+            )
+            continue
+        if not isinstance(item.expr, ColumnRef):
+            return None
+        pair = scope.resolve(item.expr.table, item.expr.column)
+        pairs.append(pair)
+        if item.alias:
+            named[item.alias] = pair
+    order: list[tuple[str, int]] = []
+    for term in select.order_by:
+        if not isinstance(term.expr, ColumnRef):
+            return None
+        try:
+            order.append(scope.resolve(term.expr.table, term.expr.column))
+        except CatalogError:
+            if term.expr.table is not None or term.expr.column not in named:
+                return None
+            order.append(named[term.expr.column])
+    aliases = {alias for alias, _position in (*pairs, *order)}
+    if len(aliases) != 1 or not pairs:
+        return None
+    return (
+        aliases.pop(),
+        [position for _alias, position in pairs],
+        [position for _alias, position in order],
+    )
+
+
+def _tuple_getter(positions: list[int]) -> Callable[[tuple], tuple]:
+    """``row -> tuple(row[p] for p in positions)``, as one C call."""
+    if len(positions) == 1:
+        position = positions[0]
+
+        def get(row: tuple) -> tuple:
+            return (row[position],)
+        return get
+    return operator.itemgetter(*positions)
+
+
+def _row_key(positions: list[int]) -> Optional[Callable[[tuple], tuple]]:
+    """The ORDER BY key of a row whose terms are its *positions*."""
+    if not positions:
+        return None
+    if len(positions) == 1:
+        position = positions[0]
+
+        def key(row: tuple) -> tuple:
+            return sort_key(row[position])
+        return key
+    get = operator.itemgetter(*positions)
+
+    def keys(row: tuple) -> tuple:
+        return tuple(map(sort_key, get(row)))
+    return keys
+
+
+_FIRST = operator.itemgetter(0)
+
+
+def _sort_by_keys(
+    items: list, directions: Sequence[bool], key: Callable = _FIRST
+) -> None:
+    """Sort *items* in place by ORDER BY terms: ``key(item)`` is the
+    tuple of their sort keys, ``directions`` whether each descends.  One
+    sort when every term runs one way; otherwise one stable sort per
+    term, last term first."""
+    if not directions:
+        return
+    if len(set(directions)) == 1:
+        items.sort(key=key, reverse=directions[0])
+        return
+    for position in reversed(range(len(directions))):
+        items.sort(
+            key=lambda item: key(item)[position],
+            reverse=directions[position],
+        )
+
+
 _COMPARISONS = {
     "=": operator.eq, "!=": operator.ne, "<": operator.lt,
     "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
 
+#: ``a <op> b`` is ``b <mirrored op> a``.
+_MIRRORED = {
+    "=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<=",
+}
 
-def _compile_comparison(op: str, left: ExprFn, right: ExprFn) -> ExprFn:
+
+def _compare_closures(op: str, left: ExprFn, right: ExprFn) -> ExprFn:
     """``left <op> right`` under :func:`compare`'s three-valued rules.
 
     Two values of one exact type in :data:`NATIVE_ORDER_TYPES` compare
@@ -1136,7 +1316,7 @@ class _PostAggregateCompiler:
             return lambda env, state: like_match(
                 left(env, state), right(env, state)
             )
-        return _compile_comparison(op, left, right)
+        return _compare_closures(op, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -1146,12 +1326,27 @@ class _PostAggregateCompiler:
 
 @dataclass
 class _JoinStep:
+    """One FROM item of a compiled select: where its rows come from,
+    what they must pass, and — bound once, when the plan is compiled —
+    :attr:`matches`, the row loop of its access path.
+
+    ``matches(env, state)`` binds the step's alias in *env* to each
+    matching row in turn and yields *env* itself each time.  The binding
+    is overwritten by the next row: a consumer reads what it needs before
+    it resumes the loop, or copies the environment (aggregate groups do).
+    A pipeline hands its steps one private copy of the caller's
+    environment, so a subquery's bindings never leak into the query that
+    runs it.  Base-table rows also record their heap rowid under a
+    reserved ``__rowid_<alias>`` key, which UPDATE/DELETE use to locate
+    the target rows without a second scan.
+    """
+
     alias: str
     table: Optional[HeapTable] = None
     subplan: Optional["CompiledSelect"] = None
     correlated: bool = False  # derived table references outer aliases
     cte_key: Optional[str] = None  # environment key of a WITH table's rows
-    index: Optional[object] = None  # TableIndex
+    index: Optional[TableIndex] = None
     eq_fns: list[ExprFn] = field(default_factory=list)
     in_fns: Optional[list[ExprFn]] = None
     lower_fns: list[tuple[str, ExprFn]] = field(default_factory=list)
@@ -1164,200 +1359,314 @@ class _JoinStep:
     def __post_init__(self) -> None:
         self.rowid_key = f"__rowid_{self.alias}"
         #: What a candidate row must pass: the ON conditions, then the
-        #: WHERE conjuncts placed here.
-        self.filters = (*self.on_fns, *self.residual_fns)
-
-    def matches(self, env: Env, state: ExecState) -> Iterator[Env]:
-        """Bind this step's alias in *env* to each matching row, in turn,
-        and yield *env* itself each time.
-
-        The binding is overwritten by the next row: a consumer reads what
-        it needs before it resumes the generator, or copies the
-        environment (aggregate groups do).  :func:`_run_pipeline` hands
-        the steps one private copy of the caller's environment, so a
-        subquery's bindings never leak into the query that runs it.
-
-        Base-table rows also record their heap rowid under a reserved
-        ``__rowid_<alias>`` key, which UPDATE/DELETE use to locate the
-        target rows without a second scan.
-        """
-        alias = self.alias
-        rowid_key = self.rowid_key
-        filters = self.filters
-        matched = False
-        for rowid, row in self._candidate_rows(env, state):
-            env[alias] = row
-            if rowid is not None:
-                env[rowid_key] = rowid
-            for fn in filters:
-                if not fn(env, state):  # NULL or false
-                    break
-            else:
-                matched = True
-                yield env
-        if self.left and not matched:
-            env[alias] = (None,) * self.width
-            env.pop(rowid_key, None)
-            for fn in self.residual_fns:
-                if not is_true(fn(env, state)):
-                    return
-            yield env
-
-    def _candidate_rows(
-        self, env: Env, state: ExecState
-    ) -> Iterator[tuple[Optional[int], tuple]]:
+        #: WHERE conjuncts placed here — one callable, or None.
+        self.test = _all_true((*self.on_fns, *self.residual_fns))
         if self.subplan is not None:
-            if self.correlated:
-                # Rows depend on the current outer environment: never
-                # serve one outer row's materialisation to another.
-                for row in self.subplan.rows(env, state):
-                    yield None, row
-                return
-            cache_key = id(self)
-            rows = state.derived_cache.get(cache_key)
-            if rows is None:
-                rows = list(self.subplan.rows(env, state))
-                state.derived_cache[cache_key] = rows
-            for row in rows:
-                yield None, row
-            return
-        table = self.table
-        if table is None:
-            for row in env[self.cte_key]:
-                yield None, row
-            return
-        stats = state.stats
-        if self.index is None:
-            stats.full_scans += 1
-            for rowid, row in table.scan():
-                stats.rows_read += 1
-                yield rowid, row
-            return
-        stats.index_scans += 1
-        eq_values = [fn(env, state) for fn in self.eq_fns]
-        if None in eq_values:
-            return  # '=' with NULL matches nothing
-        probes: list[list[SqlValue]]
-        if self.in_fns is not None:
-            probes = []
-            for fn in self.in_fns:
-                value = fn(env, state)
-                if value is not None:
-                    probes.append([*eq_values, value])
+            kernel = _derived_rows(self)
+        elif self.table is None:
+            kernel = _common_table_rows(self)
+        elif self.index is None:
+            kernel = _full_scan(self)
+        elif self.in_fns is not None:
+            kernel = _in_probe(self)
         elif self.lower_fns or self.upper_fns:
-            yield from self._range_scan(env, state, eq_values)
-            return
+            kernel = _range_read(self)
         else:
-            probes = [eq_values]
-        index = self.index
-        width = len(index.column_positions)  # type: ignore[attr-defined]
-        get = table.get
-        for probe in probes:
-            if len(probe) == width:
-                rowids = index.lookup(tuple(probe))  # type: ignore[attr-defined]
+            kernel = _probe(self)
+        self.matches = _null_extended(self, kernel) if self.left else kernel
+
+
+# The row loops.  Each counts exactly what the engine reports —
+# ``index_scans`` / ``full_scans`` once per run, ``rows_read`` once per
+# heap row fetched — when the consumer first advances it, so logical
+# I/O does not depend on which loop a step got.
+
+
+def _all_true(fns: Sequence[ExprFn]) -> Optional[ExprFn]:
+    """One test for a row that must pass every one of *fns* (None when
+    there is nothing to pass).  NULL and false both fail."""
+    if not fns:
+        return None
+    if len(fns) == 1:
+        return fns[0]
+
+    def every(env: Env, state: ExecState) -> bool:
+        for fn in fns:
+            if not fn(env, state):
+                return False
+        return True
+    return every
+
+
+def _probe_key(
+    fns: Sequence[ExprFn], env: Env, state: ExecState
+) -> Optional[tuple]:
+    """The equality prefix as a total-order key, or None if a value is
+    NULL ('=' with NULL matches nothing).  Every value is computed
+    either way."""
+    values = [fn(env, state) for fn in fns]
+    return None if None in values else tuple(map(sort_key, values))
+
+
+def _probe(step: _JoinStep) -> RowLoop:
+    """Equality on the index's leading columns: a point lookup when they
+    are all of its columns, else the range the prefix spans."""
+    alias, rowid_key, test = step.alias, step.rowid_key, step.test
+    table, index, eq_fns = step.table, step.index, step.eq_fns
+    point = len(eq_fns) == len(index.column_positions)
+
+    def matches(env: Env, state: ExecState) -> Iterator[Env]:
+        stats = state.stats
+        stats.index_scans += 1
+        key = _probe_key(eq_fns, env, state)
+        if key is None:
+            return
+        if point:
+            rowids = index.tree.get(key)
+        else:
+            rowids = index.tree.range_rowids(
+                key, (*key, AFTER_EVERY_VALUE), True, False
+            )
+        rows = table.rows
+        for rowid in rowids:
+            stats.rows_read += 1
+            env[alias] = rows[rowid]
+            env[rowid_key] = rowid
+            if test is None or test(env, state):
+                yield env
+    return matches
+
+
+def _in_probe(step: _JoinStep) -> RowLoop:
+    """An equality prefix plus an IN list on the next column: one probe
+    per non-NULL list value, in list order."""
+    alias, rowid_key, test = step.alias, step.rowid_key, step.test
+    table, index = step.table, step.index
+    eq_fns, in_fns = step.eq_fns, step.in_fns
+    point = len(eq_fns) + 1 == len(index.column_positions)
+
+    def matches(env: Env, state: ExecState) -> Iterator[Env]:
+        stats = state.stats
+        stats.index_scans += 1
+        prefix = _probe_key(eq_fns, env, state)
+        if prefix is None:
+            return
+        keys = []
+        for fn in in_fns:
+            value = fn(env, state)
+            if value is not None:
+                keys.append((*prefix, sort_key(value)))
+        tree = index.tree
+        rows = table.rows
+        for key in keys:
+            if point:
+                rowids = tree.get(key)
             else:
-                rowids = list(index.scan_prefix(tuple(probe)))  # type: ignore[attr-defined]
+                rowids = tree.range_rowids(
+                    key, (*key, AFTER_EVERY_VALUE), True, False
+                )
             for rowid in rowids:
                 stats.rows_read += 1
-                yield rowid, get(rowid)
+                env[alias] = rows[rowid]
+                env[rowid_key] = rowid
+                if test is None or test(env, state):
+                    yield env
+    return matches
 
-    def _range_scan(
-        self, env: Env, state: ExecState, eq_values: list[SqlValue]
-    ) -> Iterator[tuple]:
-        table = self.table
-        index = self.index
-        assert table is not None and index is not None
-        # The tightest bound on each side, as a total-order key.
-        low_key: Optional[tuple] = None
-        low_inclusive = True
-        for op, fn in self.lower_fns:
-            value = fn(env, state)
-            if value is None:
-                return  # NULL bound matches nothing
-            key = sort_key(value)
-            if low_key is None or key > low_key:
-                low_key, low_inclusive = key, op == ">="
-            elif key == low_key and op == ">":
-                low_inclusive = False
-        high_key: Optional[tuple] = None
-        high_inclusive = True
-        for op, fn in self.upper_fns:
-            value = fn(env, state)
-            if value is None:
-                return
-            key = sort_key(value)
-            if high_key is None or key < high_key:
-                high_key, high_inclusive = key, op == "<="
-            elif key == high_key and op == "<":
-                high_inclusive = False
 
-        # Index keys may be wider than the bound prefix (e.g. a range on
-        # the first column of a two-column index).  A short tuple sorts
-        # *before* any equal-prefix longer key, so exclusive lower bounds
-        # and inclusive upper bounds must be padded with a sentinel that
-        # sorts after every real component.
-        sentinel = (4,)  # type rank 4 > blob rank; see values.sort_key
-        eq_key = row_sort_key(eq_values)
-        if low_key is not None:
-            low = (*eq_key, low_key)
-            if not low_inclusive:
-                low = (*low, sentinel)
-                low_inclusive = True
-        else:
-            low = eq_key or None
-        if high_key is not None:
-            high = (*eq_key, high_key)
-            if high_inclusive:
-                high = (*high, sentinel)
-        else:
-            high = None
-        prefix_len = len(eq_key)
+def _range_read(step: _JoinStep) -> RowLoop:
+    """An equality prefix plus bounds on the next column: one list read
+    of the B-tree between the tightest bounds."""
+    alias, rowid_key, test = step.alias, step.rowid_key, step.test
+    table, index, eq_fns = step.table, step.index, step.eq_fns
+    lower_fns, upper_fns = step.lower_fns, step.upper_fns
+
+    def matches(env: Env, state: ExecState) -> Iterator[Env]:
         stats = state.stats
-        get = table.get
-        for key, rowid in index.tree.scan(  # type: ignore[attr-defined]
-            low, high, low_inclusive, high_inclusive
-        ):
-            if prefix_len and key[:prefix_len] != eq_key:
-                break  # ran past the equality prefix
+        stats.index_scans += 1
+        prefix = _probe_key(eq_fns, env, state)
+        if prefix is None:
+            return
+        bounds = _range_bounds(prefix, lower_fns, upper_fns, env, state)
+        if bounds is None:
+            return
+        rows = table.rows
+        for rowid in index.tree.range_rowids(*bounds):
             stats.rows_read += 1
-            yield rowid, get(rowid)
+            env[alias] = rows[rowid]
+            env[rowid_key] = rowid
+            if test is None or test(env, state):
+                yield env
+    return matches
 
 
-def _run_pipeline(
-    steps: list[_JoinStep], env: Env, state: ExecState
-) -> Iterator[Env]:
+def _range_bounds(
+    eq_key: tuple,
+    lower_fns: list[tuple[str, ExprFn]],
+    upper_fns: list[tuple[str, ExprFn]],
+    env: Env,
+    state: ExecState,
+) -> Optional[tuple[tuple, Optional[tuple], bool, bool]]:
+    """``range_rowids`` arguments for the keys that start with *eq_key*
+    and whose next column lies within every bound — None when a bound is
+    NULL, which matches nothing."""
+    # The tightest bound on each side, as a total-order key.
+    low_key: Optional[tuple] = None
+    low_inclusive = True
+    for op, fn in lower_fns:
+        value = fn(env, state)
+        if value is None:
+            return None
+        key = sort_key(value)
+        if low_key is None or key > low_key:
+            low_key, low_inclusive = key, op == ">="
+        elif key == low_key and op == ">":
+            low_inclusive = False
+    high_key: Optional[tuple] = None
+    high_inclusive = True
+    for op, fn in upper_fns:
+        value = fn(env, state)
+        if value is None:
+            return None
+        key = sort_key(value)
+        if high_key is None or key < high_key:
+            high_key, high_inclusive = key, op == "<="
+        elif key == high_key and op == "<":
+            high_inclusive = False
+    # Index keys may be wider than the bounded prefix (a range on the
+    # first column of a two-column index): a short tuple sorts before
+    # every longer key it starts, so an exclusive lower bound and an
+    # inclusive upper bound end in AFTER_EVERY_VALUE.  With no lower
+    # bound the range starts at the first non-NULL value (NULL fails
+    # every comparison), with no upper bound it ends with the prefix.
+    if low_key is None:
+        low = (*eq_key, FIRST_NON_NULL)
+    elif low_inclusive:
+        low = (*eq_key, low_key)
+    else:
+        low = (*eq_key, low_key, AFTER_EVERY_VALUE)
+    if high_key is None:
+        high = (*eq_key, AFTER_EVERY_VALUE) if eq_key else None
+    elif high_inclusive:
+        high = (*eq_key, high_key, AFTER_EVERY_VALUE)
+    else:
+        high = (*eq_key, high_key)
+    return low, high, True, False
+
+
+def _full_scan(step: _JoinStep) -> RowLoop:
+    """Every live heap row, in heap order."""
+    alias, rowid_key, test, table = (
+        step.alias, step.rowid_key, step.test, step.table
+    )
+
+    def matches(env: Env, state: ExecState) -> Iterator[Env]:
+        stats = state.stats
+        stats.full_scans += 1
+        for rowid, row in enumerate(table.rows):
+            if row is None:
+                continue
+            stats.rows_read += 1
+            env[alias] = row
+            env[rowid_key] = rowid
+            if test is None or test(env, state):
+                yield env
+    return matches
+
+
+def _common_table_rows(step: _JoinStep) -> RowLoop:
+    """A common table expression: its rows so far (the step of a
+    recursion sees the round's delta) ride in the environment."""
+    alias, test, cte_key = step.alias, step.test, step.cte_key
+
+    def matches(env: Env, state: ExecState) -> Iterator[Env]:
+        for row in env[cte_key]:
+            env[alias] = row
+            if test is None or test(env, state):
+                yield env
+    return matches
+
+
+def _derived_rows(step: _JoinStep) -> RowLoop:
+    """A derived table, materialised once per execution — or once per
+    outer row when it is correlated, whose rows depend on the current
+    environment: never serve one outer row's rows to another."""
+    alias, test, subplan = step.alias, step.test, step.subplan
+    correlated = step.correlated
+    cache_key = id(step)
+
+    def matches(env: Env, state: ExecState) -> Iterator[Env]:
+        if correlated:
+            rows = subplan.rows(env, state)
+        else:
+            rows = state.derived_cache.get(cache_key)
+            if rows is None:
+                rows = list(subplan.rows(env, state))
+                state.derived_cache[cache_key] = rows
+        for row in rows:
+            env[alias] = row
+            if test is None or test(env, state):
+                yield env
+    return matches
+
+
+def _null_extended(step: _JoinStep, kernel: RowLoop) -> RowLoop:
+    """LEFT JOIN: the step's own loop, then one all-NULL row when it
+    matched nothing and the WHERE conjuncts placed here accept it."""
+    alias, rowid_key = step.alias, step.rowid_key
+    null_row = (None,) * step.width
+    residual_fns = step.residual_fns
+
+    def matches(env: Env, state: ExecState) -> Iterator[Env]:
+        matched = False
+        for extended in kernel(env, state):
+            matched = True
+            yield extended
+        if matched:
+            return
+        env[alias] = null_row
+        env.pop(rowid_key, None)
+        for fn in residual_fns:
+            if not is_true(fn(env, state)):
+                return
+        yield env
+    return matches
+
+
+def _pipeline(steps: list[_JoinStep]) -> RowLoop:
+    """The environments the join of *steps* produces, depth first, each
+    run on a private copy of the caller's environment.  The nesting is
+    built here, once per plan, so a run recurses through no index."""
     if not steps:
-        return iter((env,))
-    return _extend(steps, 0, dict(env), state)
+        return lambda env, state: iter((env,))
+    run = steps[-1].matches
+    for step in reversed(steps[:-1]):
+        run = _nested(step.matches, run)
+
+    def pipeline(env: Env, state: ExecState) -> Iterator[Env]:
+        return run(dict(env), state)
+    return pipeline
 
 
-def _extend(
-    steps: list[_JoinStep], position: int, env: Env, state: ExecState
-) -> Iterator[Env]:
-    """Environments extended by ``steps[position:]``, depth first.
-
-    A module-level generator, not a closure that calls itself: such a
-    closure is a reference cycle per execution, left for the cyclic
-    collector.
-    """
-    step = steps[position]
-    if position == len(steps) - 1:
-        yield from step.matches(env, state)
-        return
-    for extended in step.matches(env, state):
-        yield from _extend(steps, position + 1, extended, state)
+def _nested(outer: RowLoop, inner: RowLoop) -> RowLoop:
+    """*inner* run for each environment *outer* yields."""
+    def matches(env: Env, state: ExecState) -> Iterator[Env]:
+        for extended in outer(env, state):
+            yield from inner(extended, state)
+    return matches
 
 
 @dataclass
 class CompiledSelect:
-    """A compiled SELECT: output column names + a row generator.
+    """A compiled SELECT: output column names + a function from an
+    environment to the result rows (a new list per call).
 
     ``plan_lines`` is a human-readable access-plan summary (one line per
     FROM item), surfaced through ``MiniDb.explain``.
     """
 
     columns: tuple[str, ...]
-    rows: Callable[[Env, ExecState], Iterator[tuple]]
+    rows: Callable[[Env, ExecState], list[tuple]]
     plan_lines: list[str] = field(default_factory=list)
 
 
@@ -1390,7 +1699,7 @@ def _describe_step(step: _JoinStep) -> str:
 
 
 class StatementRunner:
-    """Executes compiled statements against the catalog.
+    """Executes DML and DDL statements against the catalog.
 
     When ``journal`` is a list, every row mutation appends an undo entry
     ``(kind, table, rowid, old_row)`` used by the engine's transaction
@@ -1411,20 +1720,42 @@ class StatementRunner:
 
     def run(self, statement: Statement, params: tuple) -> Result:
         self.stats.statements += 1
-        state = ExecState(params=params, stats=self.stats)
-        if isinstance(statement, SELECT_TYPES):
-            plan = self.compiler().compile_select(statement)
-            rows = list(plan.rows({}, state))
-            return Result(plan.columns, rows, -1)
+        return self.prepare(statement)(params)
+
+    def run_many(
+        self, statement: Statement, param_rows: Iterable[Sequence]
+    ) -> int:
+        """Execute *statement* once per parameter row, compiled once (at
+        the first row); the rows affected, summed.  Each row counts as
+        one statement, as it would through :meth:`run`."""
+        execute: Optional[Callable[[tuple], Result]] = None
+        total = 0
+        for params in param_rows:
+            self.stats.statements += 1
+            if execute is None:
+                execute = self.prepare(statement)
+            rowcount = execute(tuple(params)).rowcount
+            if rowcount > 0:
+                total += rowcount
+        return total
+
+    def prepare(self, statement: Statement) -> Callable[[tuple], Result]:
+        """Compile *statement* into a function from one parameter tuple
+        to its :class:`Result`.  The function reads the counters and the
+        transaction journal when it runs, not when it was compiled.
+        (SELECTs run through the engine's plan cache, not here.)"""
         if isinstance(statement, Insert):
-            return self._run_insert(statement, state)
+            return self._prepare_insert(statement)
         if isinstance(statement, Update):
-            return self._run_update(statement, state)
+            return self._prepare_update(statement)
         if isinstance(statement, Delete):
-            return self._run_delete(statement, state)
-        if self.journal is not None and isinstance(
-            statement, (CreateTable, CreateIndex, DropTable)
-        ):
+            return self._prepare_delete(statement)
+        if isinstance(statement, (CreateTable, CreateIndex, DropTable)):
+            return lambda params: self._run_ddl(statement)
+        raise ExecutionError(f"cannot execute {statement!r}")
+
+    def _run_ddl(self, statement: Statement) -> Result:
+        if self.journal is not None:
             raise ExecutionError(
                 "DDL is not allowed inside a transaction"
             )
@@ -1435,8 +1766,7 @@ class StatementRunner:
                 tuple(c.type for c in statement.columns),
                 statement.if_not_exists,
             )
-            return Result()
-        if isinstance(statement, CreateIndex):
+        elif isinstance(statement, CreateIndex):
             self.catalog.create_index(
                 statement.name,
                 statement.table,
@@ -1444,13 +1774,13 @@ class StatementRunner:
                 statement.unique,
                 statement.if_not_exists,
             )
-            return Result()
-        if isinstance(statement, DropTable):
+        else:
             self.catalog.drop_table(statement.name, statement.if_exists)
-            return Result()
-        raise ExecutionError(f"cannot execute {statement!r}")
+        return Result()
 
-    def _run_insert(self, statement: Insert, state: ExecState) -> Result:
+    def _prepare_insert(
+        self, statement: Insert
+    ) -> Callable[[tuple], Result]:
         table = self.catalog.get_table(statement.table)
         compiler = self.compiler()
         scope = Scope({})
@@ -1460,64 +1790,51 @@ class StatementRunner:
             ]
         else:
             positions = list(range(len(table.columns)))
-        count = 0
+        value_rows = []
         for value_row in statement.values:
             if len(value_row) != len(positions):
                 raise ExecutionError(
                     f"INSERT expects {len(positions)} values, "
                     f"got {len(value_row)}"
                 )
-            full: list[SqlValue] = [None] * len(table.columns)
-            for position, expr in zip(positions, value_row):
-                fn = compiler.compile_expr(expr, scope)
-                full[position] = fn({}, state)
-            rowid = table.insert(coerce_row(table.types, tuple(full)))
-            if self.journal is not None:
-                self.journal.append(("insert", table, rowid, None))
-            count += 1
-        self.stats.rows_written += count
-        return Result(rowcount=count)
+            value_rows.append([
+                (position, compiler.compile_expr(expr, scope))
+                for position, expr in zip(positions, value_row)
+            ])
+        width = len(table.columns)
 
-    def _plan_target_rows(
-        self, table: HeapTable, where, state: ExecState
-    ) -> list[int]:
+        def insert(params: tuple) -> Result:
+            state = ExecState(params=params, stats=self.stats)
+            env: Env = {}
+            for value_fns in value_rows:
+                full: list[SqlValue] = [None] * width
+                for position, fn in value_fns:
+                    full[position] = fn(env, state)
+                rowid = table.insert(coerce_row(table.types, tuple(full)))
+                if self.journal is not None:
+                    self.journal.append(("insert", table, rowid, None))
+            self.stats.rows_written += len(value_rows)
+            return Result(rowcount=len(value_rows))
+        return insert
+
+    def _target_rows(
+        self, table: HeapTable, where: Optional[Expr], scope: Scope
+    ) -> Callable[[ExecState], list[int]]:
         """Row ids matching a single-table WHERE (index-assisted)."""
-        compiler = self.compiler()
         alias = table.name
-        scope = Scope({alias: tuple(table.columns)})
-        conjuncts = planner.split_conjuncts(where)
-        # Rewrite unqualified refs to the table alias for planning.
         path = planner.choose_access_path(
-            table, alias, [_qualify(c, alias, table) for c in conjuncts],
-            set(),
+            table, alias, planner.split_conjuncts(where), set()
         )
-        step = _JoinStep(
-            alias=alias,
-            table=table,
-            index=path.index if path.is_index_scan else None,
-            eq_fns=[compiler.compile_expr(e, scope) for e in path.eq_exprs],
-            in_fns=(
-                [compiler.compile_expr(e, scope) for e in path.in_exprs]
-                if path.in_exprs is not None
-                else None
-            ),
-            lower_fns=[
-                (op, compiler.compile_expr(e, scope))
-                for op, e in path.lower
-            ],
-            upper_fns=[
-                (op, compiler.compile_expr(e, scope))
-                for op, e in path.upper
-            ],
-            residual_fns=[
-                compiler.compile_expr(c, scope) for c in path.residual
-            ],
-            width=len(table.columns),
+        step = self.compiler()._table_step(
+            alias, table, path, scope, on_fns=[], left=False
         )
-        rowid_key = f"__rowid_{alias}"
-        return [env[rowid_key] for env in step.matches({}, state)]
+        rowid_key = step.rowid_key
+        matches = step.matches
+        return lambda state: [env[rowid_key] for env in matches({}, state)]
 
-    def _run_update(self, statement: Update, state: ExecState) -> Result:
+    def _prepare_update(
+        self, statement: Update
+    ) -> Callable[[tuple], Result]:
         table = self.catalog.get_table(statement.table)
         compiler = self.compiler()
         alias = table.name
@@ -1527,40 +1844,47 @@ class StatementRunner:
                 _qualify(expr, alias, table), scope))
             for column, expr in statement.assignments
         ]
-        where = (
-            _qualify(statement.where, alias, table)
-            if statement.where is not None
-            else None
+        target_rows = self._target_rows(
+            table, _qualify(statement.where, alias, table), scope
         )
-        rowids = self._plan_target_rows(table, where, state)
-        for rowid in rowids:
-            old = table.get(rowid)
-            row = list(old)
-            env = {alias: tuple(row)}
-            for position, fn in assignment_fns:
-                row[position] = fn(env, state)
-            table.update(rowid, coerce_row(table.types, tuple(row)))
-            if self.journal is not None:
-                self.journal.append(("update", table, rowid, old))
-        self.stats.rows_written += len(rowids)
-        return Result(rowcount=len(rowids))
 
-    def _run_delete(self, statement: Delete, state: ExecState) -> Result:
+        def update(params: tuple) -> Result:
+            state = ExecState(params=params, stats=self.stats)
+            rowids = target_rows(state)
+            for rowid in rowids:
+                old = table.get(rowid)
+                row = list(old)
+                env = {alias: old}
+                for position, fn in assignment_fns:
+                    row[position] = fn(env, state)
+                table.update(rowid, coerce_row(table.types, tuple(row)))
+                if self.journal is not None:
+                    self.journal.append(("update", table, rowid, old))
+            self.stats.rows_written += len(rowids)
+            return Result(rowcount=len(rowids))
+        return update
+
+    def _prepare_delete(
+        self, statement: Delete
+    ) -> Callable[[tuple], Result]:
         table = self.catalog.get_table(statement.table)
-        where = (
-            _qualify(statement.where, table.name, table)
-            if statement.where is not None
-            else None
+        scope = Scope({table.name: tuple(table.columns)})
+        target_rows = self._target_rows(
+            table, _qualify(statement.where, table.name, table), scope
         )
-        rowids = self._plan_target_rows(table, where, state)
-        for rowid in rowids:
-            if self.journal is not None:
-                self.journal.append(
-                    ("delete", table, rowid, table.get(rowid))
-                )
-            table.delete(rowid)
-        self.stats.rows_written += len(rowids)
-        return Result(rowcount=len(rowids))
+
+        def delete(params: tuple) -> Result:
+            state = ExecState(params=params, stats=self.stats)
+            rowids = target_rows(state)
+            for rowid in rowids:
+                if self.journal is not None:
+                    self.journal.append(
+                        ("delete", table, rowid, table.get(rowid))
+                    )
+                table.delete(rowid)
+            self.stats.rows_written += len(rowids)
+            return Result(rowcount=len(rowids))
+        return delete
 
 
 def _qualify_with_scope(expr: Expr, scope: Scope) -> Expr:

@@ -143,10 +143,6 @@ class AccessPath:
     #: Conjuncts not absorbed by the index; applied after binding.
     residual: list[Expr] = field(default_factory=list)
 
-    @property
-    def is_index_scan(self) -> bool:
-        return self.index is not None
-
 
 def _binding_side(
     conjunct: Expr, alias: str, bound: set[str]

@@ -50,19 +50,6 @@ class TableIndex:
     def delete(self, row: tuple, rowid: int) -> None:
         self.tree.delete(row_sort_key(self.key_for_row(row)), rowid)
 
-    def lookup(self, key_values: tuple) -> list[int]:
-        """Row ids whose index key equals *key_values* exactly."""
-        return self.tree.get(row_sort_key(key_values))
-
-    def scan_prefix(self, prefix: tuple) -> Iterator[int]:
-        """Row ids whose index key starts with *prefix* (in key order)."""
-        lo = row_sort_key(prefix)
-        width = len(lo)
-        for key, rowid in self.tree.scan(lo, None, True, True):
-            if key[:width] != lo:
-                return
-            yield rowid
-
 
 class HeapTable:
     """A heap of tuples plus its indexes."""

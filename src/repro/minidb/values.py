@@ -74,6 +74,15 @@ def row_sort_key(values: tuple) -> tuple:
     return tuple(map(sort_key, values))
 
 
+#: Key components that bound a column inside a total-order key without
+#: naming a value: every non-NULL ``sort_key`` sorts at or after
+#: :data:`FIRST_NON_NULL` (a shorter tuple sorts before its extensions),
+#: every ``sort_key`` before :data:`AFTER_EVERY_VALUE`.  So ``(*prefix,
+#: AFTER_EVERY_VALUE)`` ends the keys that start with ``prefix``.
+FIRST_NON_NULL = (_RANK_NUMBER,)
+AFTER_EVERY_VALUE = (_RANK_BLOB + 1,)
+
+
 #: Exact types on which :func:`compare` agrees with Python's own
 #: operators, so a comparison of two values of one of them may skip it.
 #: Not ``float``: ``compare`` calls NaN equal to everything.

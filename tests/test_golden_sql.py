@@ -171,10 +171,12 @@ class TestGoldenSql:
 
 #: sha256 over ``[golden[enc], golden["index_plans"][enc]]`` (JSON,
 #: sorted keys) as of fb222ec, the commit before Local's closure axes
-#: became recursive: that change was Local's alone.
+#: became recursive: that change was Local's alone.  Global's has moved
+#: once since, on purpose and in one entry: ``preceding::`` gained its
+#: ``pos`` bound (``cand.pos < ctx.pos AND cand.endpos < ctx.pos``).
 UNTOUCHED_BY_THE_RECURSION = {
     "global":
-        "750cff2d995a328624fee24965481fc705e6eaab1add775023bceafbed837ae1",
+        "99ed1904cd7bfedca76ec471fc4f56d26a6f964eb52c11e9a5aaa6af66320d33",
     "dewey":
         "c738dad103d6e8721cb517275e336047f6d078e40cd002a53095ea4375258bdf",
     "ordpath":

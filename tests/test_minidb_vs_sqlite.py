@@ -49,31 +49,71 @@ QUERIES = [
     "SELECT n, hops FROM r ORDER BY hops, n",
     "WITH w(x, y) AS (SELECT a, COUNT(*) FROM t GROUP BY a) "
     "SELECT x, y FROM w WHERE y > 1 ORDER BY x",
+    # One access path each: a one-sided range under an equality prefix
+    # (either side), an IN-list probe on the index's leading column and
+    # on the column after an equality, a full-width point probe, a
+    # LEFT JOIN whose null-extended rows meet a residual filter, a
+    # unique point lookup per outer row, and the correlated COUNT(*) a
+    # positional predicate compiles to.
+    "SELECT a, b, c FROM t WHERE a = 2 AND b > 2 ORDER BY a, b, c",
+    "SELECT a, b, c FROM t WHERE a = 2 AND b < 3 ORDER BY a, b, c",
+    "SELECT a, b, c FROM t WHERE a IN (1, NULL, 3) ORDER BY a, b, c",
+    "SELECT a, b, c FROM t WHERE a = 1 AND b IN (0, 2, 4) "
+    "ORDER BY a, b, c",
+    "SELECT a, b, c FROM t WHERE a = 4 AND b = 1 ORDER BY a, b, c",
+    "SELECT u.a, u.b, v.c FROM t u LEFT JOIN t v "
+    "ON v.a = u.b AND v.b > u.a WHERE v.c != 'zz' OR u.a = 2 "
+    "ORDER BY u.a, u.b, v.c",
+    "SELECT t.c, k.id, k.a FROM t, k WHERE k.id = t.b "
+    "ORDER BY t.c, k.id, k.a",
+    "SELECT a, b, (SELECT COUNT(*) FROM t v "
+    "WHERE v.a = u.a AND v.b < u.b) FROM t u ORDER BY a, b, c",
+    # A comparison with its literal on the left.
+    "SELECT a, b, c FROM t WHERE 2 < b AND 'x1' <= c ORDER BY a, b, c",
 ]
 
+#: Statements over two bound parameters, either of which may be NULL.
+BOUND_QUERIES = [
+    "SELECT a, b, c FROM t WHERE a = ? AND b > ? ORDER BY a, b, c",
+    "SELECT a, b, c FROM t WHERE a = ? AND b <= ? ORDER BY a, b, c",
+    "SELECT a, b, c FROM t WHERE a > ? AND a < ? ORDER BY a, b, c",
+    "SELECT a, b, c FROM t WHERE a = ? AND b = ? ORDER BY a, b, c",
+    "SELECT a, b, c FROM t WHERE a IN (?, ?) ORDER BY a, b, c",
+    "SELECT k.id, t.c FROM k LEFT JOIN t ON t.a = k.a AND t.b >= ? "
+    "WHERE k.id < ? ORDER BY k.id, t.c",
+    "SELECT a, b, c FROM t WHERE ? < a AND b != ? ORDER BY a, b, c",
+]
+
+#: ``k`` holds one row per row of ``t``: its position, unique, and its
+#: ``a``.
+KEYED = (
+    "CREATE TABLE k (id INTEGER, a INTEGER)",
+    "CREATE UNIQUE INDEX ux_k ON k (id)",
+)
+
+value = st.one_of(st.none(), st.integers(0, 5))
 rows_strategy = st.lists(
     st.tuples(
-        st.integers(0, 5),
-        st.integers(0, 5),
-        st.sampled_from(["x1", "x2", "y1", "zz", ""]),
+        value,
+        value,
+        st.sampled_from(["x1", "x2", "y1", "zz", "", None]),
     ),
     max_size=30,
 )
 
 
-def run_both(rows, query):
+def run_both(rows, query, params=()):
+    keyed = [(i, a) for i, (a, _b, _c) in enumerate(rows)]
     mini = MiniDb()
-    mini.execute(SCHEMA)
-    mini.execute(INDEX)
-    mini.executemany("INSERT INTO t VALUES (?, ?, ?)", rows)
-
     lite = sqlite3.connect(":memory:")
-    lite.execute(SCHEMA)
-    lite.execute(INDEX)
-    lite.executemany("INSERT INTO t VALUES (?, ?, ?)", rows)
+    for engine in (mini, lite):
+        for statement in (SCHEMA, INDEX, *KEYED):
+            engine.execute(statement)
+        engine.executemany("INSERT INTO t VALUES (?, ?, ?)", rows)
+        engine.executemany("INSERT INTO k VALUES (?, ?)", keyed)
 
-    mini_rows = mini.execute(query).rows
-    lite_rows = [tuple(r) for r in lite.execute(query).fetchall()]
+    mini_rows = mini.execute(query, params).rows
+    lite_rows = [tuple(r) for r in lite.execute(query, params).fetchall()]
     lite.close()
     return mini_rows, lite_rows
 
@@ -84,6 +124,14 @@ def run_both(rows, query):
 def test_query_agrees_with_sqlite(query, rows):
     mini_rows, lite_rows = run_both(rows, query)
     assert mini_rows == lite_rows, query
+
+
+@pytest.mark.parametrize("query", BOUND_QUERIES)
+@settings(max_examples=25, deadline=None)
+@given(rows=rows_strategy, x=value, y=st.one_of(st.none(), st.integers(-1, 6)))
+def test_bound_query_agrees_with_sqlite(query, rows, x, y):
+    mini_rows, lite_rows = run_both(rows, query, (x, y))
+    assert mini_rows == lite_rows, (query, x, y)
 
 
 @settings(max_examples=30, deadline=None)

@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import sqlite3
 import threading
+from functools import partial
 from typing import Iterable, Sequence
 
 from repro.backends.base import Backend, BackendResult, is_write_statement
-from repro.backends.sqlite_backend import connect_sqlite, execute_typed
+from repro.backends.sqlite_backend import (
+    LIST_TABLES, connect_sqlite, execute_typed, executemany_typed,
+)
 from repro.concurrent.pool import ConnectionPool
 from repro.errors import StorageError
 from repro.obs import METRICS
@@ -40,7 +43,6 @@ class PooledSqliteBackend(Backend):
     def __init__(
         self,
         path: str,
-        busy_timeout_ms: int = 5000,
         capacity: int = 8,
         acquire_timeout: float = 30.0,
     ) -> None:
@@ -50,7 +52,6 @@ class PooledSqliteBackend(Backend):
                 ":memory: database is invisible to other connections"
             )
         self.path = path
-        self.busy_timeout_ms = busy_timeout_ms
         self._rows_written = 0
         self._written_lock = threading.Lock()
         #: Held from BEGIN to COMMIT/ROLLBACK by the thread whose
@@ -64,7 +65,7 @@ class PooledSqliteBackend(Backend):
         self._writer = threading.RLock()
         self._closed = False
         self.pool: ConnectionPool[sqlite3.Connection] = ConnectionPool(
-            self._connect,
+            partial(connect_sqlite, path),
             capacity=capacity,
             acquire_timeout=acquire_timeout,
         )
@@ -72,9 +73,6 @@ class PooledSqliteBackend(Backend):
         # and its WAL mode exist before any worker thread races in.
         with self.pool.connection():
             pass
-
-    def _connect(self) -> sqlite3.Connection:
-        return connect_sqlite(self.path, self.busy_timeout_ms)
 
     # -- statements --------------------------------------------------------
 
@@ -94,29 +92,24 @@ class PooledSqliteBackend(Backend):
         self, sql: str, param_rows: Iterable[Sequence]
     ) -> BackendResult:
         with self.pool.connection() as conn:
-            cursor = conn.executemany(
-                sql, [tuple(p) for p in param_rows]
-            )
-            if cursor.rowcount > 0:
+            rowcount = executemany_typed(conn, sql, param_rows)
+            if rowcount > 0:
                 with self._written_lock:
-                    self._rows_written += cursor.rowcount
-                METRICS.inc("backend.rows_written", cursor.rowcount)
+                    self._rows_written += rowcount
+                METRICS.inc("backend.rows_written", rowcount)
             METRICS.inc("backend.statements")
-            return BackendResult(rowcount=cursor.rowcount)
+            return BackendResult(rowcount=rowcount)
 
     def rows_written(self) -> int:
         return self._rows_written
 
     def analyze(self) -> None:
         with self.pool.connection() as conn:
-            conn.execute("ANALYZE")
+            execute_typed(conn, "ANALYZE", ())
 
     def list_tables(self) -> list[str]:
         with self.pool.connection() as conn:
-            rows = conn.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table' "
-                "AND name NOT LIKE 'sqlite_%'"
-            ).fetchall()
+            rows, _ = execute_typed(conn, LIST_TABLES, ())
         return sorted(row[0] for row in rows)
 
     # -- transactions ------------------------------------------------------
@@ -126,7 +119,7 @@ class PooledSqliteBackend(Backend):
         try:
             conn = self.pool.pin()
             try:
-                conn.execute("BEGIN IMMEDIATE")
+                execute_typed(conn, "BEGIN IMMEDIATE", ())
             except BaseException:
                 self.pool.unpin()
                 raise
@@ -150,7 +143,7 @@ class PooledSqliteBackend(Backend):
                 raise StorageError(
                     f"{statement} without a pinned transaction"
                 )
-            conn.execute(statement)
+            execute_typed(conn, statement, ())
         finally:
             self.pool.unpin()
             self._writer.release()

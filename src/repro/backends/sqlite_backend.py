@@ -37,56 +37,68 @@ def _remembering(fn):
     return scalar
 
 
-#: Substrings of sqlite OperationalError messages that mean "try again".
-_TRANSIENT_MARKERS = ("busy", "locked")
+#: The user tables of a database (see :meth:`Backend.list_tables`).
+LIST_TABLES = (
+    "SELECT name FROM sqlite_master WHERE type = 'table' "
+    "AND name NOT LIKE 'sqlite_%'"
+)
+
+#: Every connection waits this long for a conflicting lock before
+#: sqlite gives up with "database is locked".
+BUSY_TIMEOUT_MS = 5000
 
 
-def is_busy(exc: BaseException) -> bool:
-    """Is *exc* sqlite's "try again" — BUSY or LOCKED past the busy
-    timeout?  Such a statement had no effect."""
-    if not isinstance(exc, sqlite3.OperationalError):
-        return False
-    message = str(exc).lower()
-    return any(marker in message for marker in _TRANSIENT_MARKERS)
-
-
-def execute_typed(
-    conn: sqlite3.Connection, sql: str, params: tuple
-) -> tuple[list, int]:
-    """Run one statement to its end — ``(rows, rowcount)`` — and raise
-    what it fails with as this library's error, as minidb does.
+def typed_error(exc: sqlite3.Error) -> ReproError:
+    """What a failed sqlite call raises instead of *exc*: the library
+    error a scalar function raised inside the statement, else a
+    :class:`StorageError` with sqlite's message.
 
     sqlite reports whatever a user-defined function raises as
     ``OperationalError: user-defined function raised exception`` and
     drops the exception; a scalar runs on the thread that executes the
     statement, so the typed error (a key leaving the codec's range
     under ``dewey_shift``, a corrupt stored key) is remembered per
-    thread and re-raised in its place.  Any other sqlite error but a
-    busy one (see :func:`is_busy`, which the retry layer classifies)
-    becomes a :class:`StorageError` with sqlite's message: a statement
-    past one of sqlite's limits, say.
+    thread and handed back here.  Any other sqlite error — a statement
+    past one of sqlite's limits, a lock still held by another
+    connection when the busy timeout runs out — is a
+    :class:`StorageError`.
     """
+    raised = _scalar_failure.__dict__.pop("raised", None)
+    return raised if raised is not None else StorageError(str(exc))
+
+
+def execute_typed(
+    conn: sqlite3.Connection, sql: str, params: tuple
+) -> tuple[list, int]:
+    """Run one statement to its end — ``(rows, rowcount)`` — and raise
+    what it fails with as this library's error (see
+    :func:`typed_error`), as minidb does."""
     try:
         cursor = conn.execute(sql, params)
         return cursor.fetchall(), cursor.rowcount
     except sqlite3.Error as exc:
-        raised = _scalar_failure.__dict__.pop("raised", None)
-        if raised is not None:
-            raise raised from exc
-        if is_busy(exc):
-            raise
-        raise StorageError(str(exc)) from exc
+        raise typed_error(exc) from exc
 
 
-def connect_sqlite(
-    path: Optional[str], busy_timeout_ms: int = 5000
-) -> sqlite3.Connection:
+def executemany_typed(
+    conn: sqlite3.Connection, sql: str, param_rows: Iterable[Sequence]
+) -> int:
+    """:func:`execute_typed` for a DML statement run once per parameter
+    row; returns its rowcount."""
+    try:
+        return conn.executemany(sql, [tuple(p) for p in param_rows]).rowcount
+    except sqlite3.Error as exc:
+        raise typed_error(exc) from exc
+
+
+def connect_sqlite(path: Optional[str]) -> sqlite3.Connection:
     """Open a fully configured sqlite connection for this store.
 
     Shared by the single-connection backend and every connection a
     :class:`~repro.concurrent.pool.ConnectionPool` creates, so pooled
     connections are interchangeable: same pragmas, same busy timeout,
-    same Dewey/ORDPATH scalar functions.
+    same Dewey/ORDPATH scalar functions.  A file that cannot be opened,
+    or is not a database, is a :class:`StorageError`.
 
     Autocommit mode: transactions are controlled explicitly by the
     Backend.transaction protocol (python's implicit-BEGIN legacy mode
@@ -96,28 +108,29 @@ def connect_sqlite(
     # cache; compiled plans have stable parameterized SQL text (literals
     # arrive as bound parameters), so repeated query shapes skip
     # re-preparation entirely.
-    conn = sqlite3.connect(path or ":memory:",
-                           isolation_level=None,
-                           check_same_thread=False,
-                           cached_statements=512)
-    if path is not None:
-        # Crash safety for file-backed stores: WAL survives abrupt
-        # process death (uncommitted tail discarded on reopen) and
-        # lets readers proceed during a write.  synchronous=NORMAL
-        # is WAL's durable-at-checkpoint setting.  The first statement
-        # is where a file that is not a database shows itself.
-        try:
+    try:
+        conn = sqlite3.connect(path or ":memory:",
+                               isolation_level=None,
+                               check_same_thread=False,
+                               cached_statements=512)
+    except sqlite3.Error as exc:
+        raise StorageError(f"cannot open {path!r}: {exc}") from exc
+    try:
+        if path is not None:
+            # Crash safety for file-backed stores: WAL survives abrupt
+            # process death (uncommitted tail discarded on reopen) and
+            # lets readers proceed during a write.  synchronous=NORMAL
+            # is WAL's durable-at-checkpoint setting.  The first
+            # statement is where a file that is not a database shows
+            # itself.
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
-        except sqlite3.DatabaseError as exc:
-            conn.close()
-            if isinstance(exc, sqlite3.OperationalError):
-                raise  # busy / locked: the retry layer classifies it
-            raise StorageError(f"cannot open {path!r}: {exc}") from exc
-    # Wait instead of failing immediately when another connection
-    # holds a conflicting lock (sqlite raises BUSY past the timeout;
-    # the RetryPolicy layer classifies that as transient).
-    conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_ms)}")
+        # Wait instead of failing immediately when another connection
+        # holds a conflicting lock.
+        conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
+    except sqlite3.Error as exc:
+        conn.close()
+        raise StorageError(f"cannot open {path!r}: {exc}") from exc
     for fn_name, arity, fn in SCALAR_FUNCTIONS:
         conn.create_function(
             fn_name, arity, _remembering(fn), deterministic=True
@@ -130,11 +143,7 @@ class SqliteBackend(Backend):
 
     name = "sqlite"
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        busy_timeout_ms: int = 5000,
-    ) -> None:
+    def __init__(self, path: Optional[str] = None) -> None:
         # sqlite3 connections are thread-bound by default; an RLock plus
         # check_same_thread=False makes statements safe to issue from
         # any thread, and begin() holds the lock until commit/rollback
@@ -142,7 +151,7 @@ class SqliteBackend(Backend):
         # use PooledSqliteBackend (one connection per worker thread).
         self._lock = threading.RLock()
         self.path = path
-        self._conn = connect_sqlite(path, busy_timeout_ms)
+        self._conn = connect_sqlite(path)
         self._rows_written = 0
         self._closed = False
 
@@ -161,14 +170,12 @@ class SqliteBackend(Backend):
         self, sql: str, param_rows: Iterable[Sequence]
     ) -> BackendResult:
         with self._lock:
-            cursor = self._conn.executemany(
-                sql, [tuple(p) for p in param_rows]
-            )
-            if cursor.rowcount > 0:
-                self._rows_written += cursor.rowcount
-                METRICS.inc("backend.rows_written", cursor.rowcount)
+            rowcount = executemany_typed(self._conn, sql, param_rows)
+            if rowcount > 0:
+                self._rows_written += rowcount
+                METRICS.inc("backend.rows_written", rowcount)
             METRICS.inc("backend.statements")
-            return BackendResult(rowcount=cursor.rowcount)
+            return BackendResult(rowcount=rowcount)
 
     def rows_written(self) -> int:
         return self._rows_written
@@ -177,14 +184,11 @@ class SqliteBackend(Backend):
         """Collect index statistics so the query planner picks the
         selective (parent/pos) indexes for correlated subqueries."""
         with self._lock:
-            self._conn.execute("ANALYZE")
+            execute_typed(self._conn, "ANALYZE", ())
 
     def list_tables(self) -> list[str]:
         with self._lock:
-            rows = self._conn.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table' "
-                "AND name NOT LIKE 'sqlite_%'"
-            ).fetchall()
+            rows, _ = execute_typed(self._conn, LIST_TABLES, ())
         return sorted(row[0] for row in rows)
 
     def begin(self) -> None:
@@ -195,7 +199,7 @@ class SqliteBackend(Backend):
         # per-statement acquisitions reentrant.
         self._lock.acquire()
         try:
-            self._conn.execute("BEGIN")
+            execute_typed(self._conn, "BEGIN", ())
         except BaseException:
             self._lock.release()
             raise
@@ -203,14 +207,14 @@ class SqliteBackend(Backend):
     def commit_transaction(self) -> None:
         try:
             with self._lock:
-                self._conn.execute("COMMIT")
+                execute_typed(self._conn, "COMMIT", ())
         finally:
             self._lock.release()
 
     def rollback(self) -> None:
         try:
             with self._lock:
-                self._conn.execute("ROLLBACK")
+                execute_typed(self._conn, "ROLLBACK", ())
         finally:
             self._lock.release()
 

@@ -473,7 +473,6 @@ def cmd_crashtest(args: argparse.Namespace) -> int:
         gaps=gaps,
         base_seed=args.base_seed,
         crashes_per_op=0 if args.sweep else args.crashes_per_op,
-        transient_rate=args.transient_rate,
         snapshot_fault_rate=args.snapshot_fault_rate,
     )
     runners = {
@@ -983,10 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="crash points sampled per operation (default 2)")
     p.add_argument("--sweep", action="store_true",
                    help="crash at every statement boundary of every op")
-    p.add_argument("--transient-rate", type=float, default=0.05,
-                   help="also replay each stream with this transient-"
-                        "fault rate under the retry policy (0 disables; "
-                        "default 0.05)")
     p.add_argument("--snapshot-fault-rate", type=float, default=0.25,
                    help="fraction of minidb checkpoints interrupted "
                         "mid-save (default 0.25)")

@@ -65,14 +65,14 @@ def ordered_rows(
             where, bounds = encoding.subtree_where(root_row, include_root=True)
             source += f" AND {where}"
             params += bounds
-        return store._execute(
+        return store.backend.execute(
             f"{select}{source} ORDER BY {encoding.order_by_column}", params
         ).rows
     # No order key: fetch unordered (a subtree level by level), then
     # sort each sibling list and walk.
     select += f", {encoding.sibling_order_column}{source}"
     if root_row is None:
-        fetched = store._execute(select, (doc,)).rows
+        fetched = store.backend.execute(select, (doc,)).rows
         tops = None
     else:
         fetched = []
@@ -84,7 +84,7 @@ def ordered_rows(
                 for sql, params in store.in_batches(
                     select, "parent", frontier, (doc,)
                 )
-                for row in store._execute(sql, params).rows
+                for row in store.backend.execute(sql, params).rows
             ]
             fetched.extend(level)
             frontier = [row[0] for row in level if row[2] == KIND_ELEMENT]
@@ -163,7 +163,7 @@ def stored_attributes(
     )
     attributes: dict[int, dict[str, str]] = {}
     for sql, params in statements:
-        for owner, name, value in store._execute(
+        for owner, name, value in store.backend.execute(
             f"{sql} ORDER BY owner, name", params
         ).rows:
             attributes.setdefault(owner, {})[name] = value

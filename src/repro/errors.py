@@ -74,30 +74,6 @@ class StorageError(ReproError):
     """Base class for errors in the ordered-XML storage core."""
 
 
-class TransientStorageError(StorageError):
-    """A transient backend fault survived every retry attempt.
-
-    Raised by :class:`repro.robust.RetryPolicy` after exhausting its
-    bounded backoff schedule; the last underlying error is chained as
-    ``__cause__`` and kept in :attr:`last_error`.
-
-    Attributes
-    ----------
-    attempts:
-        How many attempts were made before giving up.
-    last_error:
-        The final transient exception observed.
-    """
-
-    def __init__(
-        self, message: str, attempts: int = 0,
-        last_error: "Exception | None" = None,
-    ) -> None:
-        self.attempts = attempts
-        self.last_error = last_error
-        super().__init__(message)
-
-
 class ConcurrencyError(StorageError):
     """Base class for errors in the concurrent-serving layer
     (:mod:`repro.concurrent`): pools and latches."""

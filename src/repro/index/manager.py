@@ -168,7 +168,7 @@ class IndexManager:
         the index tables."""
         if not self.exists(doc):
             return {"doc": doc, "present": False}
-        execute = self.store._execute
+        execute = self.store.backend.execute
         tags = execute(
             "SELECT tag, COUNT(*) FROM idx_sval WHERE doc = ? GROUP BY tag",
             (doc,),

@@ -80,7 +80,7 @@ def migrate_document(
         if source.name == target.name:
             report.outcome = "noop"
             return report
-        METRICS.inc("migrate.started")  # per attempt, under a retry policy
+        METRICS.inc("migrate.started")
         attrs = execute(
             f"SELECT doc, owner, name, value "
             f"FROM {source.attr_table.name} WHERE doc = ?",

@@ -1,8 +1,8 @@
 """Observability: hierarchical tracing, metrics, and a slow-query log.
 
 Zero-dependency and off by default — every instrumentation site in the
-store, backends, minidb engine, translator, update manager, retry
-policy, and the concurrency layer goes through :func:`span` or
+store, backends, minidb engine, translator, update manager, the
+serving layer, and the concurrency layer goes through :func:`span` or
 :data:`METRICS`, both of which short-circuit after one check when
 nothing is enabled.
 

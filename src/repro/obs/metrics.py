@@ -19,7 +19,8 @@ Naming convention (the counter glossary lives in DESIGN.md):
 * ``minidb.*``     — engine-internal statement counts
 * ``translate.*``  — XPath->SQL compilations and their join/subquery cost
 * ``query.*`` / ``load.*`` / ``updates.*`` — store-level operations
-* ``retry.*``      — RetryPolicy transient faults, retries, recoveries
+* ``serve.*``      — wire requests, the router's reconnects and shard
+  errors, worker respawns
 * ``cache.*``      — store cache hits/misses/evictions/invalidations
   (aggregate, plus ``cache.plan.*`` / ``cache.catalog.*`` /
   ``cache.result.*`` per layer; see :mod:`repro.cache`)

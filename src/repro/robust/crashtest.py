@@ -26,10 +26,7 @@ pre/post may survive).  Per scenario the driver:
 The scenarios, each a baseline setup plus a declaration:
 
 * **ops** (:func:`run_crashtest`) — each operation of a seeded update
-  stream (the differential fuzzer's generator); a second phase
-  (``transient_rate > 0``) replays the stream under injected BUSY-style
-  faults with a :class:`~repro.robust.retry.RetryPolicy`, which must
-  hide every one of them;
+  stream (the differential fuzzer's generator);
 * **migrate** (:func:`run_migration_crashtest`) — a whole
   re-encoding; the signature includes the catalogued encoding;
 * **index** (:func:`run_index_crashtest`) — index create, an indexed
@@ -56,7 +53,6 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from repro.backends import make_backend
 from repro.backends.minidb_backend import MiniDbBackend
 from repro.backends.pooled_sqlite import PooledSqliteBackend
 from repro.backends.sqlite_backend import SqliteBackend
@@ -80,7 +76,6 @@ from repro.robust.faults import (
     SimulatedCrash,
     simulate_crash_during_save,
 )
-from repro.robust.retry import RetryPolicy
 from repro.store import XmlStore
 from repro.workload.docgen import random_document
 from repro.workload.update_ops import make_fragment
@@ -106,9 +101,6 @@ class CrashTestConfig:
     base_seed: int = 0
     #: Crash points sampled per operation; 0 sweeps every statement.
     crashes_per_op: int = 2
-    #: When > 0, also replay each cell's stream with injected transient
-    #: faults and a retry policy, asserting zero caller-visible errors.
-    transient_rate: float = 0.0
     #: Interrupt the minidb snapshot save at a random stage for this
     #: fraction of checkpoints (tests the generation fallback).
     snapshot_fault_rate: float = 0.25
@@ -157,7 +149,7 @@ class CrashFailure:
     crash_at: int
     #: Human-readable description of the operation.
     op: str
-    #: invariant | atomicity | determinism | replay | transient | crash
+    #: invariant | atomicity | determinism | replay | crash
     kind: str
     detail: str
     #: Which harness found it: a key of ``_MODE_FLAGS``.
@@ -193,7 +185,6 @@ class CrashTestReport:
     operations: int = 0
     crashes: int = 0
     recoveries: int = 0
-    transient_streams: int = 0
     writer_batches: int = 0
     failures: list[CrashFailure] = field(default_factory=list)
 
@@ -205,7 +196,6 @@ class CrashTestReport:
         self.operations += other.operations
         self.crashes += other.crashes
         self.recoveries += other.recoveries
-        self.transient_streams += other.transient_streams
         self.writer_batches += other.writer_batches
         self.failures.extend(other.failures)
 
@@ -215,7 +205,6 @@ class CrashTestReport:
             f"crashtest: {self.cells} cell(s), {self.operations} "
             f"operation(s), {self.crashes} injected crash(es), "
             f"{self.recoveries} recovery check(s), "
-            f"{self.transient_streams} transient stream(s), "
             f"{self.writer_batches} writer batch(es): {status}"
         )
 
@@ -582,81 +571,6 @@ def _load_baseline(
 # -- ops: each operation of a seeded update stream ------------------------
 
 
-def _run_transient_stream(
-    config: CrashTestConfig,
-    seed: int,
-    gap: int,
-    backend_name: str,
-    encoding: str,
-    fail: Callable[..., CrashFailure],
-    report: CrashTestReport,
-) -> Optional[CrashFailure]:
-    """Replay a cell's stream with transient faults + retry enabled.
-
-    The stream must complete with no caller-visible errors, a clean
-    audit, and a final state identical to a fault-free twin store.
-    """
-    document = random_document(
-        seed, max_depth=config.max_depth,
-        max_children=config.max_children,
-    )
-    retry = RetryPolicy(
-        attempts=6, base_delay=0.0005, max_delay=0.005,
-        seed=seed, sleep=lambda _delay: None,
-    )
-    injected = FaultInjectingBackend(make_backend(backend_name))
-    faulty = XmlStore(
-        backend=injected, encoding=encoding, gap=gap, retry=retry
-    )
-    injected.arm(FaultPlan(
-        seed=seed, transient_rate=config.transient_rate,
-        max_consecutive_transients=min(3, retry.attempts - 1),
-    ))
-    twin = XmlStore(backend=backend_name, encoding=encoding, gap=gap)
-
-    rng = random.Random(seed * 7919 + gap)
-    report.transient_streams += 1
-    fail = partial(fail, crash_at=0)
-
-    try:
-        doc = faulty.load(document)
-    except Exception as exc:
-        return fail(
-            op_index=0, op="initial load", kind="transient",
-            detail=f"{type(exc).__name__}: {exc}",
-        )
-    twin_doc = twin.load(document)
-
-    for op_index in range(1, config.ops + 1):
-        op = plan_operation(rng, twin, twin_doc)
-        apply_operation(twin, twin_doc, op)
-        try:
-            apply_operation(faulty, doc, op)
-        except Exception as exc:
-            return fail(
-                op_index=op_index, op=op["describe"], kind="transient",
-                detail="retry policy leaked a caller-visible error: "
-                       f"{type(exc).__name__}: {exc}",
-            )
-
-    # The stream is over; the audit and the twin comparison are
-    # measurements, not part of the faulted workload — they run
-    # directly on the backend (no retry), so the plan must be disarmed
-    # or a late fault would surface as a spurious audit error.
-    injected.arm(None)
-    fail = partial(fail, op_index=config.ops, op="end of stream")
-    listing = summarize_violations(audit_document(faulty, doc))
-    if listing is not None:
-        return fail(kind="invariant", detail=listing)
-    if _state(faulty, doc) != _state(twin, twin_doc):
-        return fail(
-            kind="transient",
-            detail="faulty-but-retried store diverged from the "
-                   "fault-free twin",
-        )
-    return None
-
-
 def run_crashtest(
     config: CrashTestConfig,
     workdir: Optional[Union[str, Path]] = None,
@@ -665,8 +579,7 @@ def run_crashtest(
 
     One cell is ``(seed, gap, backend, encoding)``: a seeded document,
     then ``config.ops`` operations each planned against the durable
-    state and swept by :func:`sweep`; with ``transient_rate > 0`` the
-    same stream is then replayed under transient faults and retry.
+    state and swept by :func:`sweep`.
     """
 
     def cell(directory, fail, report, seed, gap, backend, encoding):
@@ -692,10 +605,6 @@ def run_crashtest(
             )
             if failure is not None:
                 return failure
-        if config.transient_rate > 0.0:
-            return _run_transient_stream(
-                config, seed, gap, backend, encoding, fail, report
-            )
         return None
 
     return _run_cells("ops", config.cells(), cell, workdir)

@@ -1,22 +1,16 @@
-"""Fault injection: seeded transient errors, simulated crashes, torn
-snapshots.
+"""Fault injection: simulated crashes and torn snapshots.
 
 The adversary for the recovery machinery in this package.  A
 :class:`FaultInjectingBackend` wraps any :class:`~repro.backends.base.
-Backend` and, driven by a seeded :class:`FaultPlan`, either
-
-* raises a :class:`TransientInjectedError` *before* a statement runs
-  (sqlite-BUSY-style: the statement had no effect and retrying it is
-  safe), or
-* hard-crashes the store at the Nth statement: the wrapped engine is
-  discarded exactly as a process death would leave it (the sqlite
-  connection is closed abruptly so its uncommitted transaction is
-  lost; the minidb engine object is dropped) and a
-  :class:`SimulatedCrash` sentinel propagates.
+Backend` and, driven by a :class:`FaultPlan`, hard-crashes the store
+at the Nth statement: the wrapped engine is discarded exactly as a
+process death would leave it (the sqlite connection is closed abruptly
+so its uncommitted transaction is lost; the minidb engine object is
+dropped) and a :class:`SimulatedCrash` sentinel propagates.
 
 :class:`SimulatedCrash` derives from ``BaseException`` so ordinary
-``except Exception`` recovery code — including the retry policy —
-cannot accidentally absorb a "process death".
+``except Exception`` recovery code cannot accidentally absorb a
+"process death".
 
 :func:`simulate_crash_during_save` produces the exact on-disk states an
 interrupted :func:`repro.minidb.persist.save` can leave behind, for the
@@ -31,7 +25,6 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.backends.base import Backend, BackendResult
-from repro.errors import DatabaseError
 from repro.minidb import persist
 from repro.minidb.engine import MiniDb
 
@@ -41,62 +34,26 @@ class SimulatedCrash(BaseException):
     purpose — nothing short of the test harness may catch it."""
 
 
-class TransientInjectedError(DatabaseError):
-    """An injected sqlite-BUSY-style fault: the statement did not run
-    and retrying it is safe."""
-
-
 class FaultPlan:
-    """A seeded schedule deciding the fate of each statement.
+    """The fate of each statement: run it, or crash instead.
 
     Parameters
     ----------
-    seed:
-        Seeds the transient-fault coin flips (deterministic replay).
-    transient_rate:
-        Probability that a statement attempt first fails transiently.
-    max_consecutive_transients:
-        Cap on back-to-back transient failures of the same statement,
-        so a bounded retry policy is guaranteed to make progress.
-        Keep it below the retry policy's attempt budget.
     crash_at_statement:
         1-based index (counting successfully executed statements) at
         which the backend hard-crashes instead of executing.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        transient_rate: float = 0.0,
-        max_consecutive_transients: int = 2,
-        crash_at_statement: Optional[int] = None,
-    ) -> None:
-        if not 0.0 <= transient_rate < 1.0:
-            raise ValueError(
-                f"transient_rate must be in [0, 1), got {transient_rate}"
-            )
-        self.seed = seed
-        self.transient_rate = transient_rate
-        self.max_consecutive_transients = max_consecutive_transients
+    def __init__(self, crash_at_statement: Optional[int] = None) -> None:
         self.crash_at_statement = crash_at_statement
-        self._rng = random.Random(seed)
-        self._consecutive = 0
 
     def next_fault(self, executed_statements: int) -> str:
-        """Fate of the statement about to run: ok | transient | crash."""
+        """Fate of the statement about to run: ok | crash."""
         if (
             self.crash_at_statement is not None
             and executed_statements + 1 == self.crash_at_statement
         ):
             return "crash"
-        if (
-            self.transient_rate > 0.0
-            and self._consecutive < self.max_consecutive_transients
-            and self._rng.random() < self.transient_rate
-        ):
-            self._consecutive += 1
-            return "transient"
-        self._consecutive = 0
         return "ok"
 
 
@@ -131,13 +88,8 @@ class FaultInjectingBackend(Backend):
             raise SimulatedCrash("backend already crashed")
         if self.plan is None:
             return
-        fate = self.plan.next_fault(self.statements_executed)
-        if fate == "crash":
+        if self.plan.next_fault(self.statements_executed) == "crash":
             self._crash()
-        if fate == "transient":
-            raise TransientInjectedError(
-                "injected transient fault (database is busy)"
-            )
 
     def _crash(self) -> None:
         self.crashed = True

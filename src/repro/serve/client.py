@@ -3,9 +3,9 @@
 Both speak the frame protocol over a small pool of persistent
 connections, so concurrent router threads (or bench client threads)
 never interleave frames on one socket.  Connection failures drop the
-pooled socket and surface as :class:`ConnectionFailed`, which the
-router's RetryPolicy classifies as transient — reconnecting picks up a
-respawned worker transparently.
+pooled socket and surface as :class:`ConnectionFailed`, on which the
+router's reconnect loop tries again — reconnecting picks up a respawned
+worker transparently.
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ arrived).
 
 Cross-document queries scatter to every shard in parallel threads (one
 ``query_all`` round trip each) and merge per-document result groups in
-global document order.  A shard that cannot be reached after the retry
-policy's attempts contributes a typed ``shard_unavailable`` error entry
-— never an exception — so a dead worker degrades exactly its own
-documents while the rest of the corpus keeps serving; the supervisor's
-respawn loop brings it back and the next retry reconnects.
+global document order.  A shard that cannot be reached after the
+router's reconnect attempts contributes a typed ``shard_unavailable``
+error entry — never an exception — so a dead worker degrades exactly
+its own documents while the rest of the corpus keeps serving; the
+supervisor's respawn loop brings it back and the next retry
+reconnects.
 
 Retry semantics on the client→shard hop: connection failures where the
 request never went out are always retried; failures after the request
@@ -23,31 +24,32 @@ committed before the socket died — blind retry could double-apply).
 
 from __future__ import annotations
 
+import random
 import threading
+import time
 from typing import Optional
 
-from repro.errors import ReproError, TransientStorageError
+from repro.errors import ReproError
 from repro.obs import METRICS, span
-from repro.robust.retry import RetryPolicy
 from repro.serve.client import ConnectionFailed, ShardClient
 from repro.serve.supervisor import Supervisor
 
+#: The shard hop's reconnect schedule: this many tries in all, the
+#: first wait this long, doubling up to the cap, each wait scaled by a
+#: random factor in ``[0.5, 1]`` so contending router threads
+#: decorrelate.
+_ATTEMPTS = 4
+_FIRST_DELAY = 0.05
+_MAX_DELAY = 1.0
+
 
 class ShardUnavailable(ReproError):
-    """A shard stayed unreachable through every retry."""
+    """A shard stayed unreachable through every retry, or dropped the
+    connection after an update was sent (its outcome is unknown)."""
 
     def __init__(self, shard: int, message: str) -> None:
         super().__init__(message)
         self.shard = shard
-
-
-def _default_retry() -> RetryPolicy:
-    return RetryPolicy(
-        attempts=4,
-        base_delay=0.05,
-        max_delay=1.0,
-        classify=lambda exc: isinstance(exc, ConnectionFailed),
-    )
 
 
 class ShardRouter:
@@ -56,17 +58,16 @@ class ShardRouter:
     def __init__(
         self,
         supervisor: Supervisor,
-        retry: Optional[RetryPolicy] = None,
         timeout: float = 30.0,
     ) -> None:
         self.supervisor = supervisor
-        self.retry = retry if retry is not None else _default_retry()
         self.clients = [
             ShardClient(spec.socket_path, timeout=timeout)
             for spec in supervisor.specs
         ]
         self._load_lock = threading.Lock()
         self._next_shard = 0
+        self._jitter = random.Random()
 
     @property
     def shards(self) -> int:
@@ -89,34 +90,24 @@ class ShardRouter:
     def _call_shard(
         self, shard: int, message: dict, idempotent: bool
     ) -> dict:
-        client = self.clients[shard]
-
-        def attempt() -> dict:
+        """Send *message* to *shard*, reconnecting on the schedule
+        above; a request that was already sent is retried only when
+        *idempotent* (see the module docstring)."""
+        attempt, delay = 1, _FIRST_DELAY
+        while True:
             try:
-                return client.request(message)
+                return self.clients[shard].request(message)
             except ConnectionFailed as exc:
-                if exc.request_sent and not idempotent:
-                    # Ambiguous outcome: reraise as non-retryable.
-                    raise ShardUnavailable(
-                        shard,
-                        f"shard {shard}: connection lost mid-update "
-                        f"({exc})",
-                    ) from exc
-                METRICS.inc("serve.retries")
-                raise
-
-        try:
-            return self.retry.run(attempt)
-        except (ConnectionFailed, TransientStorageError) as exc:
-            # RetryPolicy wraps an exhausted budget in
-            # TransientStorageError; both mean the shard stayed down.
-            METRICS.inc("serve.shard_errors")
-            raise ShardUnavailable(
-                shard, f"shard {shard} unreachable: {exc}"
-            ) from exc
-        except ShardUnavailable:
-            METRICS.inc("serve.shard_errors")
-            raise
+                ambiguous = exc.request_sent and not idempotent
+                if ambiguous or attempt == _ATTEMPTS:
+                    METRICS.inc("serve.shard_errors")
+                    raise ShardUnavailable(shard, (
+                        f"shard {shard}: connection lost mid-update ({exc})"
+                        if ambiguous else f"shard {shard} unreachable: {exc}"
+                    )) from exc
+            METRICS.inc("serve.retries")
+            time.sleep(delay * (1.0 - 0.5 * self._jitter.random()))
+            attempt, delay = attempt + 1, min(2 * delay, _MAX_DELAY)
 
     # -- public API -------------------------------------------------------
 

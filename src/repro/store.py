@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from time import perf_counter
 from typing import (
-    TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence,
+    Callable, Iterable, Iterator, Optional, Sequence,
     TypeVar, Union,
 )
 
@@ -47,12 +47,9 @@ from repro.core.translator import (
     extract_shape,
     make_translator,
 )
-from repro.errors import StorageError, TransientStorageError
+from repro.errors import StorageError
 from repro.xmldom import Document
 from repro.xpath.parser import parse_xpath
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.robust.retry import RetryPolicy
 
 #: How many ids one ``IN (...)`` statement may carry (see
 #: :meth:`XmlStore.in_batches`).
@@ -150,7 +147,6 @@ class XmlStore:
         backend: Union[str, Backend] = "sqlite",
         encoding: Union[str, OrderEncoding] = "dewey",
         gap: int = 1,
-        retry: Optional["RetryPolicy"] = None,
         cache: bool = True,
     ) -> None:
         """Create a store.
@@ -166,13 +162,6 @@ class XmlStore:
             Sparse-numbering gap factor.  1 means dense numbering (the
             paper's base case); larger values space order values out so
             bursts of insertions avoid renumbering (experiment E10).
-        retry:
-            Optional :class:`repro.robust.retry.RetryPolicy`.  When
-            set, transient backend faults (sqlite BUSY/LOCKED, injected
-            transients) are retried with bounded backoff — per
-            statement for reads, per whole transaction for updates —
-            surfacing :class:`repro.errors.TransientStorageError` only
-            after the budget is exhausted.
         cache:
             Plan/catalog/result caching (see :mod:`repro.cache`);
             ``False`` makes every call translate and execute afresh
@@ -180,7 +169,6 @@ class XmlStore:
         """
         if gap < 1:
             raise StorageError(f"gap must be >= 1, got {gap}")
-        self.retry = retry
         self.backend = (
             make_backend(backend) if isinstance(backend, str) else backend
         )
@@ -239,22 +227,14 @@ class XmlStore:
         # columns and upgrades nothing, so such a file is refused here,
         # before anything reads or writes it.
         try:
-            self._execute(f"{_CATALOGUE_SELECT} WHERE doc = 0")
-        except TransientStorageError:
-            raise
+            self.backend.execute(f"{_CATALOGUE_SELECT} WHERE doc = 0")
         except Exception as exc:
             raise StorageError(
                 "the store was written by an older build, whose "
                 f"document catalogue this build cannot read ({exc})"
             ) from exc
 
-    # -- fault-tolerant execution -----------------------------------------
-
-    def _execute(self, sql: str, params: Sequence = ()):
-        """One statement, retried per the store's policy (if any)."""
-        if self.retry is None:
-            return self.backend.execute(sql, params)
-        return self.retry.run(lambda: self.backend.execute(sql, params))
+    # -- statements and transactions ----------------------------------------
 
     @staticmethod
     def in_batches(
@@ -264,9 +244,7 @@ class XmlStore:
         """``<sql_prefix> AND <column> IN (?, ...)`` over *ids*, at most
         :data:`_ID_BATCH` per statement, as ``(sql, params)`` pairs.
         *params* bind the placeholders of *sql_prefix*, which must end
-        inside its ``WHERE`` clause.  The caller executes each pair:
-        reads go through the statement-level retry, DML inside an
-        update's transaction does not (see :meth:`transactionally`)."""
+        inside its ``WHERE`` clause.  The caller executes each pair."""
         pending = list(ids)
         for start in range(0, len(pending), _ID_BATCH):
             batch = pending[start:start + _ID_BATCH]
@@ -279,12 +257,9 @@ class XmlStore:
     def transactionally(self, operation: Callable[[], _T]) -> _T:
         """Run *operation* inside a transaction scope.
 
-        With a retry policy configured, a transient failure retries the
-        *whole* transaction — but only from outside the outermost
-        scope, where the rollback has already undone every partial
-        effect.  Nested calls just join the enclosing transaction.
-        Top-level calls from several threads are serialized by the
-        backend, which admits one transaction at a time.
+        Nested calls just join the enclosing transaction.  Top-level
+        calls from several threads are serialized by the backend,
+        which admits one transaction at a time.
 
         **Write-set contract.**  All writers (loads, deletes, update
         operations, index builds and migrations) funnel through here,
@@ -312,20 +287,11 @@ class XmlStore:
             writes.add(doc)
 
     def _commit(self, operation: Callable[[], _T]) -> _T:
-        """Run *operation* as one top-level transaction, retried whole
-        per the store's policy, then invalidate what it wrote."""
-        if self.retry is None:
-            result, writes = self._attempt(operation)
-        else:
-            result, writes = self.retry.run(lambda: self._attempt(operation))
-        self.cache.bump(writes)
-        return result
-
-    def _attempt(self, operation: Callable[[], _T]) -> tuple[_T, set[int]]:
-        """One BEGIN ... COMMIT around *operation*; returns its result
-        and its write set — empty when it noted nothing, i.e. when the
-        write set is unknown.  Every attempt starts from an empty write
-        set, and a rolled-back one returns nothing to invalidate."""
+        """One BEGIN ... COMMIT around *operation*, then invalidate
+        what it wrote: the documents it noted, or every document when
+        it noted none (an unknown write set).  Every transaction starts
+        from an empty write set, and a rolled-back one invalidates
+        nothing."""
         scope = self._scope
         scope.writes = written = set()
         try:
@@ -333,7 +299,8 @@ class XmlStore:
                 result = operation()
         finally:
             scope.writes = None
-        return result, written
+        self.cache.bump(written)
+        return result
 
     def close(self) -> None:
         """Close the backend."""
@@ -422,7 +389,7 @@ class XmlStore:
         return doc_id
 
     def _next_doc_id(self) -> int:
-        result = self._execute(
+        result = self.backend.execute(
             "SELECT COALESCE(MAX(doc), 0) FROM documents"
         )
         return int(result.rows[0][0]) + 1
@@ -464,13 +431,15 @@ class XmlStore:
         return info
 
     def _document_info_uncached(self, doc: int) -> DocumentInfo:
-        result = self._execute(f"{_CATALOGUE_SELECT} WHERE doc = ?", (doc,))
+        result = self.backend.execute(
+            f"{_CATALOGUE_SELECT} WHERE doc = ?", (doc,)
+        )
         if not result.rows:
             raise StorageError(f"no document {doc}")
         return _catalogue_entry(result.rows[0])
 
     def update_document_info(self, info: DocumentInfo) -> None:
-        self._execute(
+        self.backend.execute(
             "UPDATE documents SET node_count = ?, next_id = ? WHERE doc = ?",
             (info.node_count, info.next_id, info.doc),
         )
@@ -503,7 +472,7 @@ class XmlStore:
         return removed
 
     def documents(self) -> list[DocumentInfo]:
-        result = self._execute(f"{_CATALOGUE_SELECT} ORDER BY doc")
+        result = self.backend.execute(f"{_CATALOGUE_SELECT} ORDER BY doc")
         return [_catalogue_entry(row) for row in result.rows]
 
     # -- querying ------------------------------------------------------------------
@@ -635,7 +604,7 @@ class XmlStore:
             translated = self.translate(xpath, doc, context_id=context_id)
         METRICS.inc("query.executed")
         with span("execute", collect):
-            result = self._execute(translated.sql, translated.params)
+            result = self.backend.execute(translated.sql, translated.params)
         rows = result.rows
         METRICS.inc("query.rows", len(rows))
         if translated.access_path != "scan":
@@ -698,7 +667,7 @@ class XmlStore:
             node_id: (parent, order_value)
             for sql, params in statements
             for node_id, parent, order_value
-            in self._execute(sql, params).rows
+            in self.backend.execute(sql, params).rows
         }
 
     def _order_keys(
@@ -785,7 +754,7 @@ class XmlStore:
                 in ordered_rows(self, doc, row) if kind == "text"
             )
         where, bounds = subtree
-        result = self._execute(
+        result = self.backend.execute(
             f"SELECT value FROM {encoding.node_table.name} "
             f"WHERE doc = ? AND {where} "
             f"AND kind = 'text' ORDER BY {encoding.order_by_column}",
@@ -814,7 +783,7 @@ class XmlStore:
         the catalogue once per transaction) passes it."""
         encoding = encoding or self.encoding_for(doc)
         columns = encoding.node_columns()
-        result = self._execute(
+        result = self.backend.execute(
             f"SELECT {', '.join(columns)} FROM {encoding.node_table.name} "
             f"WHERE doc = ? AND id = ?",
             (doc, node_id),
@@ -832,7 +801,7 @@ class XmlStore:
         encoding = encoding or self.encoding_for(doc)
         columns = encoding.node_columns()
         order = encoding.sibling_order_column
-        result = self._execute(
+        result = self.backend.execute(
             f"SELECT {', '.join(columns)} FROM {encoding.node_table.name} "
             f"WHERE doc = ? AND parent = ? ORDER BY {order}",
             (doc, parent_id),
@@ -840,7 +809,7 @@ class XmlStore:
         return [dict(zip(columns, row)) for row in result.rows]
 
     def node_count(self, doc: int) -> int:
-        result = self._execute(
+        result = self.backend.execute(
             f"SELECT COUNT(*) FROM {self.node_table_for(doc)} "
             f"WHERE doc = ?",
             (doc,),

@@ -18,10 +18,14 @@ all), and no ``cost`` module chooses between scan and index behind it
 Transactions are the backend's to serialize, on every backend: a second
 thread's transaction begins once the first one has committed, and
 nothing above the seam queues writers of its own (see "Concurrency
-model" in DESIGN.md).
+model" in DESIGN.md).  Nor does anything retry a failed statement: a
+storage error reaches the caller typed, and the router's reconnect loop
+on the shard hop is the one retry in the package (see "Failure model &
+recovery" in DESIGN.md).
 """
 
 import ast
+import inspect
 import re
 import threading
 from functools import lru_cache
@@ -347,6 +351,123 @@ def test_every_backend_serializes_its_transactions(tmp_path, kind):
 def test_no_write_queue_under_src():
     """Writers take the backend's lock; no module queues them again."""
     banned = re.compile(r"WriteQueue|enable_write_queue|writequeue|max_batch")
+    hits = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert hits == []
+
+
+# -- no statement is retried ---------------------------------------------
+
+#: The loops under ``src/repro/`` that run a failed body again, and why
+#: each one is not a retried statement.
+REPEATERS = {
+    ("serve/router.py", "_call_shard"):
+        "the shard hop reconnects; it sends wire requests, not SQL",
+    ("store.py", "query"):
+        "the migration torn-read guard re-runs a read only when a "
+        "migration committed in between",
+    ("serve/worker.py", "run_worker"):
+        "accept() polls the listener until shutdown",
+    ("serve/frontdoor.py", "_respawn_loop"):
+        "the respawn loop outlives a failed liveness check",
+}
+
+
+def _names(nodes, ctx) -> set:
+    return {
+        n.id for node in nodes for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)
+    }
+
+
+def repeat_on_failure_loops(tree) -> list:
+    """``(function, line)`` of each loop holding a ``try`` whose body
+    reads no name the loop assigns and one of whose handlers lets the
+    loop go round again: the shape of a retry."""
+    found = []
+
+    def visit(node, function, loop):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function, loop = node.name, None
+        elif isinstance(node, (ast.For, ast.While)):
+            loop = node
+        elif isinstance(node, ast.Try) and loop is not None:
+            moving = _names([loop], ast.Store)
+            if not moving & _names(node.body, ast.Load) and any(
+                not isinstance(h.body[-1], (ast.Raise, ast.Return, ast.Break))
+                for h in node.handlers
+            ):
+                found.append((function, loop.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, loop)
+
+    visit(tree, None, None)
+    return found
+
+
+def test_scanner_sees_a_retry_loop():
+    retry = (
+        "def run(op):\n"
+        "    for attempt in range(5):\n"
+        "        try:\n"
+        "            return op()\n"
+        "        except Busy:\n"
+        "            if attempt == 4:\n"
+        "                raise\n"
+        "            sleep(0.01)\n"
+        "def spin(conn):\n"
+        "    while True:\n"
+        "        try:\n"
+        "            conn.execute('BEGIN IMMEDIATE')\n"
+        "            break\n"
+        "        except Busy:\n"
+        "            continue\n"
+    )
+    assert repeat_on_failure_loops(ast.parse(retry)) == [
+        ("run", 2), ("spin", 10),
+    ]
+    # A loop that moves on to the next item is not a retry, nor is one
+    # whose handler ends it.
+    assert repeat_on_failure_loops(ast.parse(
+        "def scan(tables):\n"
+        "    for table in tables:\n"
+        "        try:\n"
+        "            execute(f'SELECT doc FROM {table}')\n"
+        "        except Error:\n"
+        "            continue\n"
+        "    for attempt in range(3):\n"
+        "        try:\n"
+        "            execute('SELECT 1')\n"
+        "        except Error:\n"
+        "            raise\n"
+    )) == []
+
+
+def test_nothing_but_the_shard_hop_retries():
+    found = {
+        (str(path.relative_to(SRC)), function)
+        for path in _files(".")
+        for function, _line in repeat_on_failure_loops(
+            ast.parse(path.read_text())
+        )
+    }
+    assert ("serve/router.py", "_call_shard") in found
+    assert found <= set(REPEATERS), (
+        f"{sorted(found - set(REPEATERS))}: a storage error reaches "
+        "the caller typed; do not run the statement again"
+    )
+
+
+def test_the_store_level_retry_stays_gone():
+    assert not (SRC / "robust" / "retry.py").exists()
+    assert "retry" not in inspect.signature(XmlStore.__init__).parameters
+    banned = re.compile(
+        r"RetryPolicy|is_transient|Transient\w*Error|is_busy|transient_rate"
+    )
     hits = [
         f"{path.relative_to(SRC)}:{number}"
         for path in sorted(SRC.rglob("*.py"))

@@ -381,28 +381,24 @@ def test_rolled_back_transaction_invalidates_nothing():
     assert store.query("//z", doc) == []
 
 
-def test_retried_attempt_starts_with_an_empty_write_set():
-    """Only the attempt that commits contributes to the write set: a
-    document noted by an attempt that rolled back is not invalidated."""
-    from repro.robust.faults import TransientInjectedError
-    from repro.robust.retry import RetryPolicy
-
-    store = XmlStore(cache=True, retry=RetryPolicy(attempts=3, base_delay=0))
+def test_a_rolled_back_write_set_does_not_reach_the_next_commit():
+    """Only a transaction that commits contributes a write set: one
+    that noted a document and then raised invalidates nothing, and the
+    next commit starts from an empty write set."""
+    store = XmlStore(cache=True)
     first = store.load(SHALLOW)
     second = store.load(SHALLOW)
     for doc in (first, second):
         store.query("//b", doc)
-    attempts = []
 
-    def flaky() -> None:
-        attempts.append(1)
-        if len(attempts) == 1:
-            store.note_write(second)
-            raise TransientInjectedError("transient")
-        store.updates.insert(first, 1, 0, "<z/>")
+    def noted_then_failed() -> None:
+        store.note_write(second)
+        raise RuntimeError("boom")
 
-    store.transactionally(flaky)
-    assert len(attempts) == 2
+    with pytest.raises(RuntimeError):
+        store.transactionally(noted_then_failed)
+    assert served_from_cache(store, "//b", second)
+    store.updates.insert(first, 1, 0, "<z/>")
     assert served_from_cache(store, "//b", second)
     assert not served_from_cache(store, "//b", first)
 

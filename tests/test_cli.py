@@ -205,6 +205,22 @@ class TestInfoAndSql:
         with pytest.raises(StorageError, match="not a database"):
             open_store(str(path), pooled=True)
 
+    @pytest.mark.parametrize(
+        "command", [["info"], ["dump"], ["query", "/a"]]
+    )
+    def test_a_path_that_cannot_be_opened_fails_typed(
+        self, tmp_path, capsys, command
+    ):
+        path = str(tmp_path / "missing" / "x.db")
+        assert run([*command, "--db", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot open {path!r}: unable to open database file"
+        ]
+        with pytest.raises(StorageError, match="unable to open"):
+            open_store(path, pooled=True)
+
     def test_unreadable_settings_are_not_a_fresh_store(self, db, capsys):
         """Only a missing ``repro_meta`` means "not initialised yet"; a
         settings read that fails is reported as the failure it is."""

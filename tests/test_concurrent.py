@@ -5,7 +5,6 @@ transactions."""
 from __future__ import annotations
 
 import os
-import random
 import sys
 import threading
 import time
@@ -24,7 +23,6 @@ from repro.errors import (
     PoolExhaustedError,
     StorageError,
 )
-from repro.robust.retry import RetryPolicy
 from repro.store import XmlStore
 from repro.workload.queries import ORDERED_QUERIES, UNORDERED_QUERIES
 from repro.workload.update_ops import make_fragment
@@ -341,30 +339,6 @@ def test_sqlite_close_truncates_wal_and_is_idempotent(tmp_path):
     wal = Path(str(path) + "-wal")
     assert not wal.exists() or wal.stat().st_size == 0
     backend.close()  # second close is a no-op
-
-
-# -- RetryPolicy jitter --------------------------------------------------
-
-
-class TestRetryJitter:
-    def test_seeded_backoff_is_reproducible(self):
-        a = RetryPolicy(seed=42)
-        b = RetryPolicy(seed=42)
-        delays_a = [a.backoff_delay(n) for n in range(1, 6)]
-        delays_b = [b.backoff_delay(n) for n in range(1, 6)]
-        assert delays_a == delays_b
-        c = RetryPolicy(seed=43)
-        assert [c.backoff_delay(n) for n in range(1, 6)] != delays_a
-
-    def test_injected_rng_is_honored(self):
-        policy = RetryPolicy(rng=random.Random(7))
-        reference = random.Random(7)
-        base = min(
-            policy.base_delay * policy.multiplier ** 2,
-            policy.max_delay,
-        )
-        expected = base * (1.0 - policy.jitter * reference.random())
-        assert policy.backoff_delay(3) == pytest.approx(expected)
 
 
 # -- N readers + 2 writers stress ---------------------------------------

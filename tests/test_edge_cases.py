@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.backends import PooledSqliteBackend
+from repro.backends import PooledSqliteBackend, SqliteBackend
 from repro.errors import StorageError
 from repro.migrate import migrate_document
 from repro.minidb import MiniDb
@@ -220,6 +220,38 @@ class TestPastSqlitesStatementLimits:
         store = XmlStore(backend="minidb", encoding="dewey")
         doc = store.load(document)
         assert_query_matches_oracle(store, doc, document, xpath)
+
+
+class TestALockedDatabase:
+    """A writer that outwaits sqlite's busy timeout fails with the
+    library's StorageError, on the shared and the pooled backend alike,
+    and leaves the store serving: WAL readers do not wait for the lock,
+    and the next write goes through once it is released."""
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_a_locked_write_raises_a_storage_error(self, tmp_path, pooled):
+        path = str(tmp_path / "locked.db")
+        backend = PooledSqliteBackend(path) if pooled else SqliteBackend(path)
+        store = XmlStore(backend=backend, encoding="dewey", cache=False)
+        doc = store.load("<a><b/></a>")
+        store.backend.execute("PRAGMA busy_timeout=0")
+        holder = sqlite3.connect(path, isolation_level=None)
+        holder.execute("BEGIN IMMEDIATE")
+        try:
+            with pytest.raises(StorageError, match="database is locked") \
+                    as raised:
+                store.load("<b/>")
+            assert isinstance(
+                raised.value.__cause__, sqlite3.OperationalError
+            )
+            assert [item.label for item in store.query("/a/b", doc)] \
+                == ["b"]
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        assert [info.doc for info in store.documents()] == [doc]
+        assert store.load("<b/>") == doc + 1
+        store.close()
 
 
 class TestLocalClosureAtDepth:

@@ -17,10 +17,7 @@ from repro.backends import make_backend
 from repro.check import assert_store_clean
 from repro.core.encodings import ENCODINGS
 from repro.migrate import MigrationAdvisor, migrate_document
-from repro.robust.faults import (
-    FaultInjectingBackend,
-    TransientInjectedError,
-)
+from repro.robust.faults import FaultInjectingBackend
 from repro.store import XmlStore
 from repro.workload.docgen import random_document, sized_article_corpus
 from repro.xmldom import serialize
@@ -59,6 +56,10 @@ def identities(store: XmlStore, doc: int, xpath: str) -> list[tuple]:
     ]
 
 
+class InjectedFailure(Exception):
+    """A statement that failed before it ran."""
+
+
 class RecordingBackend(FaultInjectingBackend):
     """Logs ``(sql, rows bound)`` per statement, and fails — once,
     before it runs — the first statement containing ``fail_on``."""
@@ -71,7 +72,7 @@ class RecordingBackend(FaultInjectingBackend):
     def _note(self, sql: str, rows: int) -> None:
         if self.fail_on is not None and self.fail_on in sql:
             self.fail_on = None
-            raise TransientInjectedError(f"injected before: {sql}")
+            raise InjectedFailure(f"injected before: {sql}")
         self.log.append((sql, rows))
 
     def execute(self, sql, params=()):
@@ -359,7 +360,7 @@ class TestAbortLeavesNoShadowState:
             before = stored_state(store, doc)
             recorder.fail_on = fail_on
             with counters() as count:
-                with pytest.raises(TransientInjectedError):
+                with pytest.raises(InjectedFailure):
                     migrate_document(store, doc, "dewey")
                 assert count("migrate.aborted") == 1
                 assert count("migrate.completed") == 0
@@ -378,7 +379,7 @@ class TestAbortLeavesNoShadowState:
     def test_abort_then_successful_retry(self):
         store, recorder, doc = recording_store("sqlite")
         recorder.fail_on = "UPDATE documents SET encoding"
-        with pytest.raises(TransientInjectedError):
+        with pytest.raises(InjectedFailure):
             migrate_document(store, doc, "dewey")
         report = migrate_document(store, doc, "dewey")
         assert report.outcome == "migrated"

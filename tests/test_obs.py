@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.backends import make_backend
-from repro.errors import TransientStorageError
+from repro.errors import StorageError
 from repro.obs import (
     METRICS,
     current_tracer,
@@ -17,12 +17,7 @@ from repro.obs import (
     tracing,
 )
 from repro.obs.tracer import _NULL_SPAN
-from repro.robust import (
-    FaultInjectingBackend,
-    FaultPlan,
-    RetryPolicy,
-    TransientInjectedError,
-)
+from repro.robust import FaultInjectingBackend, FaultPlan, SimulatedCrash
 from repro.store import XmlStore
 
 
@@ -190,65 +185,39 @@ class TestInstrumentedStore:
         assert {"query", "translate", "execute"} <= names
         assert tracer.open_span_count() == 0
 
+    @pytest.mark.skip_audit  # the crashed store has no engine left
     def test_faulted_runs_leave_no_open_spans(self):
         """Property: spans balance even when the backend faults.
 
-        Runs a query/update stream against a fault-injecting backend
-        three ways — retried transients, unretried transients, and an
-        exhausted retry budget — and asserts every span opened under
-        the tracer was closed.
+        Fails a query and an update stream two ways — a statement
+        sqlite refuses, which surfaces unretried as a typed error, and
+        a simulated crash mid-stream — and asserts every span opened
+        under the tracer was closed.
         """
-        retry = RetryPolicy(attempts=6, base_delay=0.0,
-                            max_delay=0.0, seed=5,
-                            sleep=lambda _d: None)
-        injected = FaultInjectingBackend(make_backend("sqlite"))
-        store = XmlStore(backend=injected, encoding="dewey",
-                         retry=retry)
-        # Unindexed on purpose: the three fault scenarios are tuned to
-        # the unindexed statement counts (index maintenance multiplies
-        # the statements each faulted operation replays).
-        doc = store.load("<list><i>1</i><i>2</i><i>3</i></list>")
-
+        store = XmlStore(backend="sqlite", encoding="dewey")
+        doc = store.load("<a><b/></a>")
         with tracing() as tracer:
-            injected.arm(FaultPlan(seed=13, transient_rate=0.05,
-                                   max_consecutive_transients=2))
-            for n in range(4):
-                store.updates.insert(doc, 1, 0, f"<i>{n}</i>")
-                store.query("//i", doc)
-            injected.arm(None)
+            with pytest.raises(StorageError, match="too many FROM"):
+                store.query("/a" + "/b" * 300, doc)
+        assert {s.name for s in tracer.iter_spans()} >= {"query", "execute"}
         assert tracer.open_span_count() == 0
         assert all(s.closed for s in tracer.iter_spans())
 
-        # Without a retry policy the transient surfaces — spans still
-        # balance on the error path.
-        bare = XmlStore(backend=FaultInjectingBackend(
-            make_backend("sqlite")), encoding="dewey")
-        bare_doc = bare.load("<a/>")
-        bare.backend.arm(FaultPlan(transient_rate=0.99,
-                                   max_consecutive_transients=1))
-        with tracing() as bare_tracer:
-            with pytest.raises(TransientInjectedError):
-                bare.query("/a", bare_doc)
-        bare.backend.arm(None)
-        assert bare_tracer.open_span_count() == 0
-        assert all(s.closed for s in bare_tracer.iter_spans())
-
-        # Exhausted budget: the typed error propagates through every
-        # span layer; all of them must still close.
-        tired = XmlStore(
-            backend=FaultInjectingBackend(make_backend("sqlite")),
-            encoding="dewey",
-            retry=RetryPolicy(attempts=2, sleep=lambda _d: None),
-        )
-        tired_doc = tired.load("<a/>")
-        tired.backend.arm(FaultPlan(transient_rate=0.99,
-                                    max_consecutive_transients=99))
-        with tracing() as tired_tracer:
-            with pytest.raises(TransientStorageError):
-                tired.query("/a", tired_doc)
-        tired.backend.arm(None)
-        assert tired_tracer.open_span_count() == 0
-        assert all(s.closed for s in tired_tracer.iter_spans())
+        # A process death propagates through every span layer as a
+        # BaseException; all of them must still close.
+        injected = FaultInjectingBackend(make_backend("sqlite"))
+        crashing = XmlStore(backend=injected, encoding="dewey")
+        crash_doc = crashing.load("<list><i>1</i><i>2</i><i>3</i></list>")
+        injected.arm(FaultPlan(crash_at_statement=6))
+        with tracing() as crash_tracer:
+            with pytest.raises(SimulatedCrash):
+                for n in range(4):
+                    crashing.updates.insert(crash_doc, 1, 0, f"<i>{n}</i>")
+                    crashing.query("//i", crash_doc)
+        assert injected.crashed
+        assert "update.insert" in {s.name for s in crash_tracer.iter_spans()}
+        assert crash_tracer.open_span_count() == 0
+        assert all(s.closed for s in crash_tracer.iter_spans())
 
 
 class TestSlowQueryLog:

@@ -39,7 +39,6 @@ class TestCrashRecoveryMatrix:
             encodings=ALL_ENCODINGS,
             backends=("sqlite", "minidb"),
             crashes_per_op=2,
-            transient_rate=0.05,
             base_seed=0,
         )
         report = run_crashtest(config)
@@ -47,7 +46,6 @@ class TestCrashRecoveryMatrix:
         assert report.cells == 8
         assert report.crashes > 0
         assert report.recoveries == report.crashes
-        assert report.transient_streams == report.cells
 
     def test_full_sweep_single_cell_per_backend(self):
         # Sweeping every statement boundary of every operation is the

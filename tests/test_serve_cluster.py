@@ -1,16 +1,22 @@
-"""Serve subsystem tests: worker dispatch and routing math (fast,
-in-process) and full-cluster integration including shard-kill recovery
-(marked slow — real processes).
+"""Serve subsystem tests: worker dispatch, routing math and the shard
+hop's reconnect loop (fast, in-process) and full-cluster integration
+including shard-kill recovery (marked slow — real processes).
 """
 
 import tempfile
+from types import SimpleNamespace
 
 import pytest
 
+from repro.serve import router as router_module
+from repro.serve.client import ConnectionFailed
+from repro.serve.router import ShardRouter, ShardUnavailable
+from repro.serve.supervisor import Supervisor
 from repro.serve.worker import ShardWorker
 from repro.store import XmlStore
 from repro.xmldom.parser import parse
 from repro.xmldom.serializer import serialize
+from tests.conftest import counters
 
 SMALL_XML = "<r><a>1</a><b>two</b><a>3</a></r>"
 
@@ -174,9 +180,6 @@ class TestShardWorkerDispatch:
 
 class TestRoutingMath:
     def _router(self, shards):
-        from repro.serve.router import ShardRouter
-        from repro.serve.supervisor import Supervisor
-
         with tempfile.TemporaryDirectory() as tmp:
             supervisor = Supervisor(tmp, shards)
             # Never started: only the id mapping is exercised.
@@ -204,6 +207,91 @@ class TestRoutingMath:
         for bad in (0, 1, 2, 3):  # local id would be 0
             with pytest.raises(ReproError):
                 router.locate(bad)
+
+
+class _ScriptedClient:
+    """A shard client without a socket: each request takes the next
+    outcome, a response or a :class:`ConnectionFailed` to raise."""
+
+    def __init__(self, *outcomes):
+        self.outcomes = list(outcomes)
+        self.sent = []
+
+    def request(self, message):
+        self.sent.append(message)
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+class TestShardHop:
+    """``ShardRouter._call_shard`` over a scripted client: which
+    connection failures are retried, how often, and how long between."""
+
+    OK = {"ok": True}
+
+    @pytest.fixture
+    def hop(self, monkeypatch):
+        """``(router, client, waits)``: a one-shard router whose client
+        is scripted per test, and the waits its retries slept."""
+        waits = []
+        monkeypatch.setattr(
+            router_module, "time", SimpleNamespace(sleep=waits.append)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            router = ShardRouter(Supervisor(tmp, 1))
+        client = _ScriptedClient()
+        router.clients = [client]
+        return router, client, waits
+
+    def test_a_failure_before_sending_is_retried(self, hop):
+        router, client, waits = hop
+        client.outcomes = [ConnectionFailed("refused"), self.OK]
+        with counters() as count:
+            assert router._call_shard(0, {"op": "load"}, idempotent=False) \
+                == self.OK
+            assert count("serve.retries") == 1
+            assert count("serve.shard_errors") == 0
+        assert len(client.sent) == 2 and len(waits) == 1
+
+    def test_a_sent_update_is_not_sent_twice(self, hop):
+        router, client, waits = hop
+        client.outcomes = [ConnectionFailed("hung up", request_sent=True)]
+        with counters() as count:
+            with pytest.raises(ShardUnavailable, match="mid-update") as err:
+                router._call_shard(0, {"op": "update"}, idempotent=False)
+            assert count("serve.retries") == 0
+            assert count("serve.shard_errors") == 1
+        assert err.value.shard == 0
+        assert len(client.sent) == 1 and waits == []
+
+    def test_a_sent_read_is_retried(self, hop):
+        router, client, waits = hop
+        client.outcomes = [
+            ConnectionFailed("hung up", request_sent=True), self.OK,
+        ]
+        with counters() as count:
+            assert router._call_shard(0, {"op": "query"}, idempotent=True) \
+                == self.OK
+            assert count("serve.retries") == 1
+        assert len(client.sent) == 2
+
+    def test_a_shard_that_stays_down_is_unavailable_after_four_tries(
+        self, hop
+    ):
+        router, client, waits = hop
+        client.outcomes = [ConnectionFailed("refused")] * 5
+        with counters() as count:
+            with pytest.raises(ShardUnavailable, match="unreachable"):
+                router._call_shard(0, {"op": "query"}, idempotent=True)
+            assert count("serve.shard_errors") == 1
+            assert count("serve.retries") == 3
+        assert len(client.sent) == 4
+        # 0.05 s doubling, each wait jittered into [0.5, 1] of its step.
+        assert len(waits) == 3
+        for wait, step in zip(waits, (0.05, 0.1, 0.2)):
+            assert step / 2 <= wait <= step
 
 
 @pytest.mark.slow

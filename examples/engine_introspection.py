@@ -1,20 +1,15 @@
-"""Looking inside the from-scratch engine: plans, counters, snapshots.
+"""Looking inside the from-scratch engine: plans and counters.
 
 The minidb backend exposes what a commercial RDBMS hides: the access
-plan each translated query gets, the exact number of rows it touches,
-and a binary snapshot format for persistence.  This example shreds a
-catalogue into minidb, explains a few translations, compares logical
-I/O across encodings, and round-trips the database through a snapshot.
+plan each translated query gets and the exact number of rows it
+touches.  This example shreds a catalogue into minidb, explains a few
+translations and compares logical I/O across encodings.
 
 Run:  python examples/engine_introspection.py
 """
 
-import tempfile
-from pathlib import Path
-
 from repro import XmlStore
 from repro.backends import MiniDbBackend
-from repro.minidb import MiniDb
 from repro.workload import catalog_corpus
 
 
@@ -47,24 +42,6 @@ def main() -> None:
         print(f"  {encoding:8} rows_read={stats.rows_read:6} "
               f"index_scans={stats.index_scans:4} "
               f"full_scans={stats.full_scans}")
-
-    print("\n== snapshot persistence ==")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "catalog.mdb"
-        backend.db.save(path)
-        size = path.stat().st_size
-        reloaded = MiniDb.open(path)
-        count = reloaded.execute(
-            "SELECT COUNT(*) FROM node_dewey"
-        ).rows[0][0]
-        print(f"  saved {size} bytes; reloaded {count} node rows; "
-              f"indexes: {sorted(reloaded.catalog.indexes)[:3]} ...")
-
-    restored_backend = MiniDbBackend()
-    restored_backend.db = reloaded
-    restored = XmlStore(backend=restored_backend, encoding="dewey")
-    names = restored.query_values("/catalog/product[1]/name/text()", doc)
-    print(f"  first product after reload: {names}")
 
 
 if __name__ == "__main__":

@@ -402,7 +402,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.check import FuzzConfig, run_fuzz
 
-    encodings, backends, gaps = _parse_matrix(args)
+    encodings, gaps = _parse_matrix(args)
+    backends = tuple(args.backends.split(","))
+    for backend in backends:
+        if backend not in ("sqlite", "minidb"):
+            raise ReproError(
+                f"unknown backend {backend!r}; expected 'sqlite' or "
+                "'minidb'"
+            )
     config = FuzzConfig(
         seeds=args.seeds,
         ops=args.ops,
@@ -434,22 +441,14 @@ def _print_report(report) -> int:
     return 0 if report.ok() else 1
 
 
-def _parse_matrix(args) -> tuple[tuple[str, ...], tuple[str, ...],
-                                 tuple[int, ...]]:
-    """Validate the shared --encodings/--backends/--gaps flags."""
+def _parse_matrix(args) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Validate the shared --encodings/--gaps flags."""
     encodings = tuple(args.encodings.split(","))
-    backends = tuple(args.backends.split(","))
     for encoding in encodings:
         if encoding not in ENCODINGS:
             raise ReproError(
                 f"unknown encoding {encoding!r}; expected one of "
                 f"{sorted(ENCODINGS)}"
-            )
-    for backend in backends:
-        if backend not in ("sqlite", "minidb"):
-            raise ReproError(
-                f"unknown backend {backend!r}; expected 'sqlite' or "
-                "'minidb'"
             )
     try:
         gaps = tuple(int(g) for g in args.gaps.split(","))
@@ -457,23 +456,21 @@ def _parse_matrix(args) -> tuple[tuple[str, ...], tuple[str, ...],
         raise ReproError(
             f"--gaps expects comma-separated integers, got {args.gaps!r}"
         ) from None
-    return encodings, backends, gaps
+    return encodings, gaps
 
 
 def cmd_crashtest(args: argparse.Namespace) -> int:
     from repro.robust import crashtest
     from repro.serve.crashtest import run_shard_kill_crashtest
 
-    encodings, backends, gaps = _parse_matrix(args)
+    encodings, gaps = _parse_matrix(args)
     config = crashtest.CrashTestConfig(
         seeds=args.seeds,
         ops=args.ops,
         encodings=encodings,
-        backends=backends,
         gaps=gaps,
         base_seed=args.base_seed,
         crashes_per_op=0 if args.sweep else args.crashes_per_op,
-        snapshot_fault_rate=args.snapshot_fault_rate,
     )
     runners = {
         "shard_kill": lambda: run_shard_kill_crashtest(
@@ -492,8 +489,7 @@ def cmd_crashtest(args: argparse.Namespace) -> int:
     # ops and writer harnesses both run (each unless its count is 0).
     flags = ("shard_kill", "index", "migrate")
     flagged = [mode for mode in flags if getattr(args, mode)]
-    writer = args.writer_batches > 0 and "sqlite" in backends
-    wanted = (("ops", args.ops > 0), ("writer", writer))
+    wanted = (("ops", args.ops > 0), ("writer", args.writer_batches > 0))
     default = [mode for mode, on in wanted if on]
     report = crashtest.CrashTestReport()
     for mode in flagged[:1] or default:
@@ -964,7 +960,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "crashtest",
         help="crash-recovery check: seeded update streams with "
-             "simulated crashes at statement boundaries",
+             "simulated crashes at statement boundaries of a "
+             "file-backed sqlite store",
     )
     p.add_argument("--seeds", type=int, default=2,
                    help="number of random documents (default 2)")
@@ -972,8 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="update operations per cell (default 6)")
     p.add_argument("--encodings", default="global,local,dewey,ordpath",
                    help="comma-separated encodings to test")
-    p.add_argument("--backends", default="sqlite,minidb",
-                   help="comma-separated backends (sqlite,minidb)")
     p.add_argument("--gaps", default="1",
                    help="comma-separated gap factors (default 1)")
     p.add_argument("--base-seed", type=int, default=0,
@@ -982,16 +977,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="crash points sampled per operation (default 2)")
     p.add_argument("--sweep", action="store_true",
                    help="crash at every statement boundary of every op")
-    p.add_argument("--snapshot-fault-rate", type=float, default=0.25,
-                   help="fraction of minidb checkpoints interrupted "
-                        "mid-save (default 0.25)")
     p.add_argument("--writer-batches", type=int, default=2,
                    help="also crash a one-transaction batch of inserts "
                         "mid-batch this many times per cell on the pooled "
                         "sqlite backend (0 disables; default 2)")
     p.add_argument("--migrate", action="store_true",
                    help="crash encoding migrations instead: every "
-                        "ordered pair of --encodings on every backend, "
+                        "ordered pair of --encodings; "
                         "recovery must land exactly pre- or post-"
                         "migration")
     p.add_argument("--index", action="store_true",

@@ -410,19 +410,6 @@ class SqlTranslator(ABC):
                 "attributes"
             )
         kind = kinds.pop()
-        if kind == "attribute" and len({a.columns for a in arms}) != 1:
-            # Attribute arms only project the owner's order columns when
-            # the owner has a stable alias; arms can therefore disagree
-            # on projection width (e.g. ``/@id | //@x``), which SQL
-            # UNION rejects.  Fall back to the minimal three-column
-            # projection for every arm and sort client-side.
-            arms = [
-                self._compile_arm(
-                    p, with_order_by=False,
-                    minimal_attr_projection=True,
-                )
-                for p in union.paths
-            ]
         needs_client_order = any(a.needs_client_order for a in arms)
         columns = arms[0].columns
         order_names: tuple[str, ...] = ()
@@ -438,10 +425,7 @@ class SqlTranslator(ABC):
         return query, kind, needs_client_order, columns
 
     def _compile_arm(
-        self,
-        path: LocationPath,
-        with_order_by: bool,
-        minimal_attr_projection: bool = False,
+        self, path: LocationPath, with_order_by: bool
     ) -> _Arm:
         if not path.steps:
             raise TranslationError(
@@ -476,18 +460,22 @@ class SqlTranslator(ABC):
                 SelectItem(Col(alias, "value"), "value"),
             ]
             owner = t.attribute_owner_alias
-            order_cols = (
-                self.order_by_columns(owner)
-                if owner is not None and not minimal_attr_projection
-                else None
-            )
-            if order_cols is not None:
-                builder.select.extend(
-                    SelectItem(c, c.name) for c in order_cols
-                )
-                columns += tuple(c.name for c in order_cols)
-                if with_order_by:
-                    builder.order_by = [*order_cols, Col(alias, "name")]
+            column = self.encoding.order_by_column
+            if column is not None:
+                if owner is None:
+                    # Attributes of the document node: the arm returns
+                    # no row, so a constant stands in for the owner's
+                    # order column and the arm unions with any other.
+                    builder.select.append(SelectItem(Const(0), column))
+                else:
+                    builder.select.append(
+                        SelectItem(Col(owner, column), column)
+                    )
+                    if with_order_by:
+                        builder.order_by = [
+                            Col(owner, column), Col(alias, "name")
+                        ]
+                columns += (column,)
                 needs_client_order = False
             else:
                 needs_client_order = True

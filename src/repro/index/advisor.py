@@ -4,7 +4,7 @@ Mirrors the migration advisor's shape: a deterministic rule over the
 observability counters.  The signal is *missed opportunity*:
 ``index.miss`` counts translations whose plan had a fragment eligible
 for an index rewrite — as the translator itself defines eligible — but
-whose document had no index.  Past ``min_samples`` misses the advisor
+whose document had no index.  Past ``MIN_SAMPLES`` misses the advisor
 recommends building indexes on every unindexed document.
 
 ``repro index --advise`` prints the decision; ``--auto`` acts on it.
@@ -14,6 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+#: Eligible-but-unindexed translations required before recommending
+#: anything — a cold store holds.
+MIN_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -35,19 +39,7 @@ class IndexRecommendation:
 
 
 class IndexAdvisor:
-    """Deterministic threshold rule over the ``index.miss`` counter.
-
-    Parameters
-    ----------
-    min_samples:
-        Eligible-but-unindexed translations required before
-        recommending anything — a cold store holds.
-    """
-
-    def __init__(self, min_samples: int = 5) -> None:
-        if min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-        self.min_samples = min_samples
+    """Deterministic threshold rule over the ``index.miss`` counter."""
 
     def decide(
         self,
@@ -73,12 +65,12 @@ class IndexAdvisor:
                 samples=misses,
             )
 
-        if misses < self.min_samples:
+        if misses < MIN_SAMPLES:
             return IndexRecommendation(
                 action="hold", documents=(),
                 reason=(
                     f"only {misses} translation(s) found an eligible "
-                    f"fragment and no index, need >= {self.min_samples}"
+                    f"fragment and no index, need >= {MIN_SAMPLES}"
                 ),
                 samples=misses,
             )

@@ -8,8 +8,8 @@ client-side order pass; Dewey sits between.  The advisor reads the
 observability counters a store publishes (``repro.obs.METRICS``) and
 turns that crossover into a deterministic recommendation:
 
-* ``update_share >= update_heavy``  -> recommend **local**
-* ``update_share <= query_heavy``   -> recommend **global**
+* ``update_share >= UPDATE_HEAVY``  -> recommend **local**
+* ``update_share <= QUERY_HEAVY``   -> recommend **global**
 * otherwise                         -> recommend **dewey**
 
 where ``update_share = renumber_ops / (renumber_ops + queries)`` —
@@ -25,6 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping, Optional
+
+#: Update share at/above which Local order wins (paper E7's
+#: update-dominated regime).
+UPDATE_HEAVY = 0.5
+#: Update share at/below which Global order wins (query-dominated
+#: regime).
+QUERY_HEAVY = 0.1
 
 
 @dataclass(frozen=True)
@@ -52,32 +59,14 @@ class MigrationAdvisor:
 
     Parameters
     ----------
-    update_heavy:
-        Update share at/above which Local order wins (paper E7's
-        update-dominated regime).
-    query_heavy:
-        Update share at/below which Global order wins (query-dominated
-        regime).
     min_samples:
         Observed operations required before recommending anything —
         a cold store holds.
     """
 
-    def __init__(
-        self,
-        update_heavy: float = 0.5,
-        query_heavy: float = 0.1,
-        min_samples: int = 20,
-    ) -> None:
-        if not 0.0 <= query_heavy < update_heavy <= 1.0:
-            raise ValueError(
-                f"need 0 <= query_heavy < update_heavy <= 1, got "
-                f"query_heavy={query_heavy} update_heavy={update_heavy}"
-            )
+    def __init__(self, min_samples: int = 20) -> None:
         if min_samples < 1:
             raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-        self.update_heavy = update_heavy
-        self.query_heavy = query_heavy
         self.min_samples = min_samples
 
     def decide(
@@ -109,9 +98,9 @@ class MigrationAdvisor:
                 update_share=share, samples=samples,
             )
 
-        if share >= self.update_heavy:
+        if share >= UPDATE_HEAVY:
             best, regime = "local", "update-heavy"
-        elif share <= self.query_heavy:
+        elif share <= QUERY_HEAVY:
             best, regime = "global", "query-heavy"
         else:
             best, regime = "dewey", "mixed"

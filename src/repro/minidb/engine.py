@@ -196,27 +196,6 @@ class MiniDb:
     def in_transaction(self) -> bool:
         return self._runner.journal is not None
 
-    # -- persistence --------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Write a snapshot of this database to *path*.
-
-        Takes the read latch so the snapshot is a consistent cut even
-        while writer threads are active.  See
-        :mod:`repro.minidb.persist` for the format.
-        """
-        from repro.minidb import persist
-
-        with self.latch.read():
-            persist.save(self, path)
-
-    @classmethod
-    def open(cls, path) -> "MiniDb":
-        """Load a database from a snapshot written by :meth:`save`."""
-        from repro.minidb import persist
-
-        return persist.load(path)
-
     # -- introspection -----------------------------------------------------
 
     def table_names(self) -> list[str]:

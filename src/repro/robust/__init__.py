@@ -7,8 +7,7 @@ loop:
 
 * :mod:`repro.robust.faults` — a :class:`FaultInjectingBackend` wrapper
   that, driven by a :class:`FaultPlan`, hard-crashes the engine at the
-  Nth statement (:class:`SimulatedCrash`), and helpers that leave torn
-  snapshot files behind;
+  Nth statement (:class:`SimulatedCrash`);
 * :mod:`repro.robust.crashtest` — the verification loop
   (``repro crashtest``): one ``sweep`` driver that measures an action,
   crashes it at sampled (or all) statement boundaries, reopens, audits
@@ -17,31 +16,25 @@ loop:
   migrations, index create/update/drop, a pooled writer's
   one-transaction batch), each a declaration.
 
-The survival machinery is elsewhere: the atomic generation-rotating
-snapshots in :mod:`repro.minidb.persist`, and sqlite's WAL with a busy
-timeout, past which a locked database is a
-:class:`~repro.errors.StorageError` like any other sqlite error.
+Durability belongs to sqlite — its WAL, with a busy timeout past which
+a locked database is a :class:`~repro.errors.StorageError` like any
+other sqlite error — so every crash is swept on a file-backed sqlite
+store.  minidb keeps no files: it is the in-memory engine whose row
+counters make costs engine-independent, and its undo journal is checked
+by rolling real operations back, not by crashing them.
 
 :mod:`repro.robust.crashtest` is imported lazily (it depends on
 :mod:`repro.store`); import it explicitly where needed.
 """
 
 from repro.robust.faults import (
-    SAVE_CRASH_STAGES,
     FaultInjectingBackend,
     FaultPlan,
     SimulatedCrash,
-    garble_file,
-    simulate_crash_during_save,
-    truncate_file,
 )
 
 __all__ = [
     "FaultInjectingBackend",
     "FaultPlan",
-    "SAVE_CRASH_STAGES",
     "SimulatedCrash",
-    "garble_file",
-    "simulate_crash_during_save",
-    "truncate_file",
 ]

@@ -1,13 +1,14 @@
 """Crash-recovery verification: one sweep driver, five scenarios.
 
 Every statement-level crashtest is the same experiment: run an action
-against a *durable* medium — a file-backed sqlite database, or a minidb
-engine checkpointed to an atomic snapshot — kill the engine at a chosen
-statement, reopen, and require the store to be clean and to equal the
-state before or after the action, never anything in between.
-:func:`sweep` owns that experiment; a :class:`CrashScenario` declares
-what varies (the action, the state signature, the audit, which of
-pre/post may survive).  Per scenario the driver:
+against a file-backed sqlite store — the one backend that keeps data;
+minidb is an in-memory engine with nothing to recover — kill the
+engine at a chosen statement, reopen, and require the store to be
+clean and to equal the state before or after the action, never
+anything in between.  :func:`sweep` owns that experiment; a
+:class:`CrashScenario` declares what varies (the action, the state
+signature, the audit, which of pre/post may survive).  Per scenario
+the driver:
 
 1. saves the durable baseline and records the **pre** signature;
 2. measures the action on a scratch clone: its statement count, its
@@ -18,10 +19,8 @@ pre/post may survive).  Per scenario the driver:
    statement, runs the action and requires the crash (*determinism*);
    reopens, audits (*invariant*) and requires the signature to be a
    permitted survivor (*atomicity*);
-5. applies the action for real through the medium's checkpoint —
-   which on minidb sometimes dies mid-save, and must then leave a good
-   generation from which the action is redone — and requires the
-   measured post state (*replay*).
+5. applies the action for real and requires the measured post state
+   (*replay*).
 
 The scenarios, each a baseline setup plus a declaration:
 
@@ -53,7 +52,6 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from repro.backends.minidb_backend import MiniDbBackend
 from repro.backends.pooled_sqlite import PooledSqliteBackend
 from repro.backends.sqlite_backend import SqliteBackend
 from repro.check.fuzz import (
@@ -67,21 +65,15 @@ from repro.check.invariants import (
     summarize_violations,
 )
 from repro.migrate import migrate_document
-from repro.minidb import persist
-from repro.minidb.engine import MiniDb
 from repro.robust.faults import (
-    SAVE_CRASH_STAGES,
     FaultInjectingBackend,
     FaultPlan,
     SimulatedCrash,
-    simulate_crash_during_save,
 )
 from repro.store import XmlStore
 from repro.workload.docgen import random_document
 from repro.workload.update_ops import make_fragment
 from repro.xmldom import serialize
-
-DEFAULT_BACKENDS = ("sqlite", "minidb")
 
 
 # -- configuration and results ------------------------------------------
@@ -96,24 +88,19 @@ class CrashTestConfig:
     #: Update operations applied per cell.
     ops: int = 6
     encodings: Sequence[str] = DEFAULT_ENCODINGS
-    backends: Sequence[str] = DEFAULT_BACKENDS
     gaps: Sequence[int] = (1,)
     base_seed: int = 0
     #: Crash points sampled per operation; 0 sweeps every statement.
     crashes_per_op: int = 2
-    #: Interrupt the minidb snapshot save at a random stage for this
-    #: fraction of checkpoints (tests the generation fallback).
-    snapshot_fault_rate: float = 0.25
     #: Shape of the generated documents.
     max_depth: int = 3
     max_children: int = 3
 
-    def cells(self) -> list[tuple[int, int, str, str]]:
+    def cells(self) -> list[tuple[int, int, str]]:
         return [
-            (self.base_seed + i, gap, backend, encoding)
+            (self.base_seed + i, gap, encoding)
             for i in range(self.seeds)
             for gap in self.gaps
-            for backend in self.backends
             for encoding in self.encodings
         ]
 
@@ -121,13 +108,10 @@ class CrashTestConfig:
 #: ``CrashFailure.mode`` -> the ``repro crashtest`` flags that select
 #: that harness and pin the failing cell.
 _MODE_FLAGS = {
-    "ops": "--ops {index} --gaps {gap} --encodings {encodings} "
-           "--backends {backend}",
-    "writer": "--ops 0 --writer-batches {index} --encodings {encodings} "
-              "--backends sqlite",
-    "migrate": "--migrate --encodings {encodings} --backends {backend}",
-    "index": "--index --gaps {gap} --encodings {encodings} "
-             "--backends {backend}",
+    "ops": "--ops {index} --gaps {gap} --encodings {encodings}",
+    "writer": "--ops 0 --writer-batches {index} --encodings {encodings}",
+    "migrate": "--migrate --encodings {encodings}",
+    "index": "--index --gaps {gap} --encodings {encodings}",
     "shard-kill": "--shard-kill --shard-rounds {index} --gaps {gap} "
                   "--encodings {encodings}",
 }
@@ -139,7 +123,6 @@ class CrashFailure:
 
     seed: int
     gap: int
-    backend: str
     #: The cell's encoding; ``source->target`` for a migration.
     encoding: str
     #: 1-based index of the operation, writer batch or kill round under
@@ -158,7 +141,7 @@ class CrashFailure:
     def repro_command(self) -> str:
         """A CLI line that replays exactly this cell."""
         flags = _MODE_FLAGS[self.mode].format(
-            index=self.op_index or 1, gap=self.gap, backend=self.backend,
+            index=self.op_index or 1, gap=self.gap,
             encodings=self.encoding.replace("->", ","),
         )
         return (
@@ -171,7 +154,7 @@ class CrashFailure:
         if self.crash_at:
             where += f", crash at statement {self.crash_at}"
         return (
-            f"{self.kind} failure in {self.encoding}/{self.backend} "
+            f"{self.kind} failure in {self.encoding} "
             f"(seed {self.seed}, gap {self.gap}) after {where}: "
             f"{self.detail}\n  reproduce: {self.repro_command()}"
         )
@@ -209,7 +192,7 @@ class CrashTestReport:
         )
 
 
-# -- durable media ------------------------------------------------------
+# -- the durable medium -------------------------------------------------
 
 
 def _clone_db(path: Path, clone: Path) -> None:
@@ -223,18 +206,18 @@ def _clone_db(path: Path, clone: Path) -> None:
 
 
 class _Medium:
-    """Where a cell's durable state lives, and how to reopen it."""
+    """Where a cell's durable state lives — a file-backed sqlite store,
+    where every commit is already durable — and how to reopen it.
+    *pooled* opens it through the connection pool (the shard worker's
+    backend)."""
 
-    filename: str
-
-    def __init__(self, workdir: Path, encoding: str, gap: int) -> None:
-        self.path = workdir / self.filename
-        self.baseline = workdir / (self.filename + ".baseline")
+    def __init__(self, workdir: Path, encoding: str, gap: int,
+                 pooled: bool = False) -> None:
+        self.path = workdir / "store.db"
+        self.baseline = workdir / "store.db.baseline"
         self.encoding = encoding
         self.gap = gap
-
-    def _backend(self, clone: bool):
-        raise NotImplementedError
+        self.backend_class = PooledSqliteBackend if pooled else SqliteBackend
 
     @contextmanager
     def session(
@@ -242,7 +225,11 @@ class _Medium:
     ) -> Iterator[tuple[XmlStore, FaultInjectingBackend]]:
         """Open the durable state (or a discardable scratch *clone* of
         it) behind a disarmed fault injector; closed on exit."""
-        injector = FaultInjectingBackend(self._backend(clone))
+        path = self.path
+        if clone:
+            path = self.path.with_name("scratch.db")
+            _clone_db(self.path, path)
+        injector = FaultInjectingBackend(self.backend_class(str(path)))
         store = XmlStore(
             backend=injector, encoding=self.encoding, gap=self.gap
         )
@@ -251,12 +238,6 @@ class _Medium:
             yield store, injector
         finally:
             store.close()
-
-    def checkpoint(self, store: XmlStore, rng: random.Random,
-                   fault_rate: float) -> bool:
-        """Make *store*'s committed state durable; False when the
-        process 'died' mid-save instead."""
-        return True  # by default a commit is already durable
 
     def save_baseline(self) -> None:
         """Remember the durable state for :meth:`restore_baseline`."""
@@ -268,67 +249,6 @@ class _Medium:
         leaves the post state behind, which would turn every later
         trial into a no-op."""
         _clone_db(self.baseline, self.path)
-
-
-class _SqliteMedium(_Medium):
-    """A file-backed sqlite store: every commit is already durable.
-    *pooled* opens it through the connection pool (the shard worker's
-    backend)."""
-
-    filename = "store.db"
-
-    def __init__(self, workdir: Path, encoding: str, gap: int,
-                 pooled: bool = False) -> None:
-        super().__init__(workdir, encoding, gap)
-        self.backend_class = PooledSqliteBackend if pooled else SqliteBackend
-
-    def _backend(self, clone: bool):
-        path = self.path
-        if clone:
-            path = self.path.with_name("scratch.db")
-            _clone_db(self.path, path)
-        return self.backend_class(str(path))
-
-
-class _MiniDbMedium(_Medium):
-    """An in-memory minidb engine checkpointed to atomic snapshots;
-    durability is the last good snapshot generation."""
-
-    filename = "store.mdb"
-
-    def _backend(self, clone: bool):
-        inner = MiniDbBackend()  # loading the snapshot *is* a clone
-        try:
-            inner.db = MiniDb.open(self.path)
-        except FileNotFoundError:
-            pass  # nothing durable yet: keep the fresh engine
-        return inner
-
-    def checkpoint(self, store: XmlStore, rng: random.Random,
-                   fault_rate: float) -> bool:
-        """Persist the engine; sometimes die mid-save instead.
-
-        An interrupted save must never lose the previous generation:
-        the caller re-opens and reconciles, exactly like a process
-        restarting after a crash during checkpointing.
-        """
-        db = store.backend.inner.db
-        if fault_rate > 0.0 and rng.random() < fault_rate:
-            stage = rng.choice(SAVE_CRASH_STAGES)
-            simulate_crash_during_save(db, self.path, stage, rng)
-            return False
-        persist.save(db, self.path)
-        return True
-
-
-_MEDIA = {"sqlite": _SqliteMedium, "minidb": _MiniDbMedium}
-
-
-def make_medium(backend: str, workdir: Path, encoding: str, gap: int
-                ) -> _Medium:
-    if backend not in _MEDIA:
-        raise ValueError(f"unknown backend {backend!r}")
-    return _MEDIA[backend](workdir, encoding, gap)
 
 
 # -- the driver ---------------------------------------------------------
@@ -416,8 +336,7 @@ def sweep(
     *medium* holds the durable pre state and is left holding the post
     state.  *fail* builds a :class:`CrashFailure` from ``crash_at``,
     ``op``, ``kind`` and ``detail`` — the caller has bound the cell's
-    identity; *crash_rng* draws the crash points, then the checkpoint
-    faults.
+    identity; *crash_rng* draws the crash points.
     """
 
     def failed(kind: str, detail: str, crash_at: int = 0) -> CrashFailure:
@@ -471,30 +390,12 @@ def sweep(
         raised = _attempt(scenario.action, store)
         if raised is not None:
             return failed("replay", f"clean run raised {raised!r}")
-        saved = medium.checkpoint(
-            store, crash_rng, config.snapshot_fault_rate
-        )
-        if saved:
-            listing, state = _inspect(scenario, store)
-    if not saved:
-        # Died mid-save: whichever generation survived must be clean,
-        # and if it is the previous one the lost action is redone.
-        with medium.session() as (store, _):
-            listing, state = _inspect(scenario, store)
-            if listing is None and state == pre:
-                scenario.action(store)
-                state = scenario.signature(store)
-            medium.checkpoint(store, crash_rng, 0.0)
+        listing, state = _inspect(scenario, store)
     if listing is not None:
         return failed("invariant", f"after the real run: {listing}")
     if state != post:
-        if saved:
-            return failed(
-                "replay", "real run diverged from the measured post state"
-            )
         return failed(
-            "atomicity",
-            "state after interrupted checkpoint equals neither generation",
+            "replay", "real run diverged from the measured post state"
         )
     return None
 
@@ -513,28 +414,24 @@ def _state(store: XmlStore, doc: int) -> tuple:
 
 def _run_cells(
     mode: str,
-    cells: Iterable[tuple[int, int, str, str]],
+    cells: Iterable[tuple[int, int, str]],
     cell: Callable[..., Optional[CrashFailure]],
     workdir: Optional[Union[str, Path]],
 ) -> CrashTestReport:
-    """Run ``cell(directory, fail, report, seed, gap, backend,
-    encoding)`` for every key in *cells*, each in a fresh directory;
-    *fail* builds a :class:`CrashFailure` with the key and *mode*
-    bound."""
+    """Run ``cell(directory, fail, report, seed, gap, encoding)`` for
+    every key in *cells*, each in a fresh directory; *fail* builds a
+    :class:`CrashFailure` with the key and *mode* bound."""
     report = CrashTestReport()
-    for seed, gap, backend, encoding in cells:
+    for seed, gap, encoding in cells:
         report.cells += 1
         fail = partial(
-            CrashFailure, seed=seed, gap=gap, backend=backend,
-            encoding=encoding, mode=mode,
+            CrashFailure, seed=seed, gap=gap, encoding=encoding, mode=mode,
         )
         with tempfile.TemporaryDirectory(
             dir=None if workdir is None else str(workdir),
             prefix="crashtest-",
         ) as directory:
-            failure = cell(
-                Path(directory), fail, report, seed, gap, backend, encoding
-            )
+            failure = cell(Path(directory), fail, report, seed, gap, encoding)
         if failure is not None:
             report.failures.append(failure)
     return report
@@ -558,7 +455,6 @@ def _load_baseline(
         for _ in range(2 if updates_rng is not None else 0):
             op = plan_operation(updates_rng, store, doc)
             apply_operation(store, doc, op)
-        medium.checkpoint(store, random.Random(seed), 0.0)
         listing = summarize_violations(audit_store(store))
     if listing is None:
         return doc, None
@@ -577,13 +473,13 @@ def run_crashtest(
 ) -> CrashTestReport:
     """Crash every operation of a seeded update stream.
 
-    One cell is ``(seed, gap, backend, encoding)``: a seeded document,
+    One cell is ``(seed, gap, encoding)``: a seeded document,
     then ``config.ops`` operations each planned against the durable
     state and swept by :func:`sweep`.
     """
 
-    def cell(directory, fail, report, seed, gap, backend, encoding):
-        medium = make_medium(backend, directory, encoding, gap)
+    def cell(directory, fail, report, seed, gap, encoding):
+        medium = _Medium(directory, encoding, gap)
         doc, failure = _load_baseline(medium, config, seed, fail)
         if failure is not None:
             return failure
@@ -626,7 +522,7 @@ def run_migration_crashtest(
 ) -> CrashTestReport:
     """Crash a migration at sampled (or all) statement boundaries.
 
-    One cell is ``(seed, backend, source, target)`` over every ordered
+    One cell is ``(seed, source, target)`` over every ordered
     pair of the configured encodings: a seeded, twice-updated document
     under *source*, then one :func:`sweep` of the full migration to
     *target*.  The audit is the full-store one (no rows in a
@@ -635,9 +531,9 @@ def run_migration_crashtest(
     post-migration state.
     """
 
-    def cell(directory, fail, report, seed, gap, backend, pair):
+    def cell(directory, fail, report, seed, gap, pair):
         source, target = pair.split("->")
-        medium = make_medium(backend, directory, source, gap)
+        medium = _Medium(directory, source, gap)
         doc, failure = _load_baseline(
             medium, config, seed, fail, random.Random(seed * 6389 + 11)
         )
@@ -658,9 +554,8 @@ def run_migration_crashtest(
         )
 
     cells = [
-        (config.base_seed + i, 1, backend, f"{source}->{target}")
+        (config.base_seed + i, 1, f"{source}->{target}")
         for i in range(config.seeds)
-        for backend in config.backends
         for source in config.encodings
         for target in config.encodings
         if source != target
@@ -695,7 +590,7 @@ def run_index_crashtest(
 ) -> CrashTestReport:
     """Crash an index create, an indexed update and an index drop.
 
-    Per ``(seed, gap, backend, encoding)`` cell: a seeded, twice-
+    Per ``(seed, gap, encoding)`` cell: a seeded, twice-
     updated, unindexed document, then three :func:`sweep` s in a row,
     each starting from the state the previous one left durable —
     ``indexes.create``, a seeded update maintaining that index,
@@ -706,8 +601,8 @@ def run_index_crashtest(
     finding: neither pre nor post.
     """
 
-    def cell(directory, fail, report, seed, gap, backend, encoding):
-        medium = make_medium(backend, directory, encoding, gap)
+    def cell(directory, fail, report, seed, gap, encoding):
+        medium = _Medium(directory, encoding, gap)
         doc, failure = _load_baseline(
             medium, config, seed, fail, random.Random(seed * 6389 + 17)
         )
@@ -793,8 +688,8 @@ def run_writer_crashtest(
     applied batch.
     """
 
-    def cell(directory, fail, report, seed, gap, backend, encoding):
-        medium = _SqliteMedium(directory, encoding, gap, pooled=True)
+    def cell(directory, fail, report, seed, gap, encoding):
+        medium = _Medium(directory, encoding, gap, pooled=True)
         doc, failure = _load_baseline(medium, config, seed, fail)
         if failure is not None:
             return failure
@@ -829,7 +724,7 @@ def run_writer_crashtest(
         return None
 
     cells = [
-        (config.base_seed + i, 1, "sqlite", encoding)
+        (config.base_seed + i, 1, encoding)
         for i in range(config.seeds)
         for encoding in config.encodings
     ]

@@ -1,4 +1,4 @@
-"""Fault injection: simulated crashes and torn snapshots.
+"""Fault injection: simulated crashes.
 
 The adversary for the recovery machinery in this package.  A
 :class:`FaultInjectingBackend` wraps any :class:`~repro.backends.base.
@@ -11,22 +11,13 @@ dropped) and a :class:`SimulatedCrash` sentinel propagates.
 :class:`SimulatedCrash` derives from ``BaseException`` so ordinary
 ``except Exception`` recovery code cannot accidentally absorb a
 "process death".
-
-:func:`simulate_crash_during_save` produces the exact on-disk states an
-interrupted :func:`repro.minidb.persist.save` can leave behind, for the
-torn-snapshot recovery tests.
 """
 
 from __future__ import annotations
 
-import os
-import random
-from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from repro.backends.base import Backend, BackendResult
-from repro.minidb import persist
-from repro.minidb.engine import MiniDb
 
 
 class SimulatedCrash(BaseException):
@@ -166,73 +157,3 @@ class FaultInjectingBackend(Backend):
         if self.crashed:
             return
         self.inner.close()
-
-
-# -- snapshot-file faults ------------------------------------------------
-
-#: Stages at which a process death can interrupt an atomic snapshot save.
-SAVE_CRASH_STAGES = ("mid-tmp-write", "after-tmp", "mid-rotate")
-
-
-def simulate_crash_during_save(
-    db: MiniDb,
-    path: Union[str, Path],
-    stage: str,
-    rng: Optional[random.Random] = None,
-) -> None:
-    """Leave the filesystem exactly as an interrupted
-    :func:`repro.minidb.persist.save` of *db* to *path* would.
-
-    ``mid-tmp-write``
-        died while writing the staging file: a truncated ``.tmp``,
-        primary snapshot untouched.
-    ``after-tmp``
-        died between staging and rotation: a complete ``.tmp``,
-        primary snapshot untouched.
-    ``mid-rotate``
-        died between rotating the old snapshot to ``.prev`` and
-        renaming the staged file: no primary, good ``.prev``.
-    """
-    if stage not in SAVE_CRASH_STAGES:
-        raise ValueError(
-            f"unknown crash stage {stage!r}; expected one of "
-            f"{SAVE_CRASH_STAGES}"
-        )
-    rng = rng or random.Random(0)
-    path = Path(path)
-    image = persist.snapshot_bytes(db)
-    tmp = persist.temp_path(path)
-    if stage == "mid-tmp-write":
-        cut = rng.randrange(1, max(len(image), 2))
-        tmp.write_bytes(image[:cut])
-        return
-    tmp.write_bytes(image)
-    if stage == "mid-rotate" and path.exists():
-        os.replace(path, persist.previous_path(path))
-
-
-def garble_file(
-    path: Union[str, Path],
-    rng: Optional[random.Random] = None,
-    flips: int = 8,
-) -> None:
-    """Flip *flips* random bytes of *path* in place (bit-rot / torn
-    sector simulation); the CRC footer must catch it."""
-    rng = rng or random.Random(0)
-    path = Path(path)
-    data = bytearray(path.read_bytes())
-    if not data:
-        return
-    for _ in range(flips):
-        index = rng.randrange(len(data))
-        data[index] ^= 1 + rng.randrange(255)
-    path.write_bytes(bytes(data))
-
-
-def truncate_file(
-    path: Union[str, Path], keep_fraction: float = 0.5
-) -> None:
-    """Truncate *path* to a fraction of its size (torn tail write)."""
-    path = Path(path)
-    data = path.read_bytes()
-    path.write_bytes(data[: max(1, int(len(data) * keep_fraction))])

@@ -93,7 +93,7 @@ def run_shard_kill_crashtest(
     for seed in range(base_seed, base_seed + seeds):
         report.cells += 1
         fail = partial(
-            CrashFailure, seed=seed, gap=gap or 1, backend="sqlite",
+            CrashFailure, seed=seed, gap=gap or 1,
             encoding=encoding or "dewey", crash_at=0, mode="shard-kill",
         )
         with tempfile.TemporaryDirectory(prefix="shardkill-") as tmp:

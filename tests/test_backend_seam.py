@@ -22,6 +22,10 @@ model" in DESIGN.md).  Nor does anything retry a failed statement: a
 storage error reaches the caller typed, and the router's reconnect loop
 on the shard hop is the one retry in the package (see "Failure model &
 recovery" in DESIGN.md).
+
+Durability is sqlite's: minidb has no snapshot format, ``MiniDb`` no
+``save`` / ``open``, and the crash sweep under ``repro/robust/``
+imports neither the engine nor its backend.
 """
 
 import ast
@@ -475,3 +479,36 @@ def test_the_store_level_retry_stays_gone():
         if banned.search(line)
     ]
     assert hits == []
+
+
+def test_minidb_keeps_no_files():
+    from repro.minidb import MiniDb
+
+    assert not (SRC / "minidb" / "persist.py").exists()
+    assert not hasattr(MiniDb, "save") and not hasattr(MiniDb, "open"), (
+        "durability belongs to sqlite; minidb is an in-memory engine"
+    )
+
+
+def test_the_crash_sweep_imports_no_minidb():
+    assert {
+        n for n in package_imports(ast.walk(ast.parse(
+            "from repro.backends import MiniDbBackend, SqliteBackend\n"
+            "from repro.minidb.engine import MiniDb\n"
+        )), "repro")
+        if "minidb" in n.lower()
+    } == {"repro.backends.MiniDbBackend", "repro.minidb.engine.MiniDb"}
+    files = _files("robust")
+    assert len(files) >= 3
+    leaks = {
+        str(path.relative_to(SRC)): sorted(names)
+        for path in files
+        if (names := {
+            n for n in package_imports(_nodes(path), "repro")
+            if "minidb" in n.lower()
+        })
+    }
+    assert not leaks, (
+        f"{leaks}: crashes are swept on sqlite files, the one backend "
+        "that keeps data"
+    )

@@ -481,7 +481,6 @@ class TestMigrationHarnessCommands:
     def test_crashtest_migrate_flag(self, capsys):
         assert run(["crashtest", "--migrate", "--seeds", "1",
                     "--encodings", "global,dewey",
-                    "--backends", "sqlite",
                     "--crashes-per-op", "2"]) == 0
         out = capsys.readouterr().out
         assert "crashtest:" in out

@@ -294,7 +294,7 @@ class TestIndexLifecycle:
 
 class TestIndexAdvisor:
     def test_holds_below_threshold(self):
-        rec = IndexAdvisor(min_samples=5).decide(
+        rec = IndexAdvisor().decide(
             {"index.miss": 2}, unindexed=[1]
         )
         assert rec.action == "hold"
@@ -302,7 +302,7 @@ class TestIndexAdvisor:
         assert rec.samples == 2
 
     def test_creates_past_threshold(self):
-        rec = IndexAdvisor(min_samples=5).decide(
+        rec = IndexAdvisor().decide(
             {"counters": {"index.miss": 5}}, unindexed=[1, 2]
         )
         assert rec.action == "create"
@@ -452,8 +452,7 @@ class TestIndexCrashSweep:
         )
 
         config = CrashTestConfig(
-            seeds=1, encodings=("global", "dewey"),
-            backends=BACKENDS, crashes_per_op=3,
+            seeds=1, encodings=("global", "dewey"), crashes_per_op=3,
         )
         report = run_index_crashtest(config)
         assert report.ok(), "\n".join(str(f) for f in report.failures)

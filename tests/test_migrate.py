@@ -504,13 +504,13 @@ class TestAdvisor:
         assert rec.migrate and rec.target == "dewey"
 
     def test_exact_thresholds_are_deterministic(self):
-        advisor = MigrationAdvisor(update_heavy=0.5, query_heavy=0.1)
-        # share == update_heavy -> local; share == query_heavy -> global
+        advisor = MigrationAdvisor()
+        # share == UPDATE_HEAVY -> local; share == QUERY_HEAVY -> global
         assert advisor.decide(self.snapshot(50, 50), "dewey").target == "local"
         assert advisor.decide(self.snapshot(90, 10), "dewey").target == "global"
 
     def test_holds_below_min_samples(self):
-        advisor = MigrationAdvisor(min_samples=20)
+        advisor = MigrationAdvisor()
         rec = advisor.decide(self.snapshot(5, 5), "global")
         assert not rec.migrate and rec.samples == 10
 
@@ -526,7 +526,5 @@ class TestAdvisor:
         assert advisor.decide(flat, "global").target == "local"
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            MigrationAdvisor(update_heavy=0.1, query_heavy=0.5)
         with pytest.raises(ValueError):
             MigrationAdvisor(min_samples=0)

@@ -128,8 +128,9 @@ class TestMixedProjectionAttributeUnions:
     An attribute arm only projects its owner's order columns when the
     owner has a stable alias; ``/@id`` (document-node attributes) has
     none, so ``/@id | //@x`` used to emit a UNION of a 3-column and a
-    4-column SELECT, which SQL rejects.  The translator now falls back
-    to the minimal projection plus client-side ordering.
+    4-column SELECT, which SQL rejects.  Such an arm can return no row,
+    so it projects a constant under the owner's order-column name and
+    the union still sorts in SQL.
     """
 
     DOC = parse('<r id="1"><a x="2"><b y="3"/></a><a x="4"/></r>')
@@ -147,9 +148,13 @@ class TestMixedProjectionAttributeUnions:
         assert store_identities(store, doc, xpath) == \
             oracle_identities(self.DOC, xpath)
 
-    def test_client_order_fallback_is_used(self):
+    def test_document_node_arm_sorts_in_sql(self):
         store = XmlStore(backend="sqlite", encoding="dewey")
         doc = store.load(self.DOC)
-        translated = store.translate("/@id | //@x", doc)
+        xpath = "/@id | //@x"
+        translated = store.translate(xpath, doc)
         assert translated.result_kind == "attribute"
-        assert translated.needs_client_order
+        assert not translated.needs_client_order
+        assert translated.sql.endswith(" ORDER BY dkey, name")
+        assert store_identities(store, doc, xpath) == \
+            oracle_identities(self.DOC, xpath)

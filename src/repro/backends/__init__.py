@@ -1,29 +1,22 @@
-"""Storage backends: sqlite3 (shared or pooled) and the from-scratch
-minidb engine."""
+"""Storage backends: sqlite3 (in memory or on a file) and the
+from-scratch minidb engine."""
 
 from typing import Optional
 
 from repro.backends.base import Backend, BackendResult
 from repro.backends.minidb_backend import MiniDbBackend
-from repro.backends.pooled_sqlite import PooledSqliteBackend
 from repro.backends.sqlite_backend import SqliteBackend
 
 
 def make_backend(name: str, path: Optional[str] = None) -> Backend:
     """Create a backend by name.
 
-    ``"sqlite"`` — one shared connection (in-memory unless *path*);
-    ``"sqlite-pool"`` — per-thread pooled connections (*path* required);
-    ``"minidb"`` — the from-scratch engine (in-memory; *path* ignored).
+    ``"sqlite"`` — in memory, or on the file *path* (see
+    :class:`SqliteBackend` for how each shares its connections);
+    ``"minidb"`` — the from-scratch engine (in memory; *path* ignored).
     """
     if name == "sqlite":
         return SqliteBackend(path)
-    if name == "sqlite-pool":
-        if path is None:
-            raise ValueError(
-                "backend 'sqlite-pool' needs a file path"
-            )
-        return PooledSqliteBackend(path)
     if name == "minidb":
         return MiniDbBackend()
     raise ValueError(f"unknown backend {name!r}")
@@ -33,7 +26,6 @@ __all__ = [
     "Backend",
     "BackendResult",
     "MiniDbBackend",
-    "PooledSqliteBackend",
     "SqliteBackend",
     "make_backend",
 ]

@@ -134,8 +134,8 @@ class Backend(ABC):
         Flattening is per-thread, on every backend and through every
         wrapper: a second thread opening a scope while another thread's
         transaction is live starts its own transaction (blocking in
-        ``begin()`` on backends that serialize, like the lock-guarded
-        sqlite connection) instead of silently joining one it does not
+        ``begin()`` until that one has ended: every backend serializes
+        its transactions) instead of silently joining one it does not
         own.
         """
         depths, ident = self._tx_depths, threading.get_ident()
@@ -168,6 +168,11 @@ class Backend(ABC):
 
     def close(self) -> None:
         """Release resources (no-op by default)."""
+
+    def abandon(self) -> None:
+        """Process-death simulation for the fault injector: drop the
+        engine's state at once, committing and rolling back nothing
+        (no-op by default)."""
 
     def __enter__(self) -> "Backend":
         return self

@@ -51,6 +51,9 @@ class MiniDbBackend(Backend):
     def rollback(self) -> None:
         self.db.rollback()
 
+    def abandon(self) -> None:
+        self.db = None
+
     @property
     def stats(self):
         """The engine's counters (rows read/written, scans, statements)."""

@@ -94,10 +94,9 @@ def executemany_typed(
 def connect_sqlite(path: Optional[str]) -> sqlite3.Connection:
     """Open a fully configured sqlite connection for this store.
 
-    Shared by the single-connection backend and every connection a
-    :class:`~repro.concurrent.pool.ConnectionPool` creates, so pooled
-    connections are interchangeable: same pragmas, same busy timeout,
-    same Dewey/ORDPATH scalar functions.  A file that cannot be opened,
+    Every connection :class:`SqliteBackend` opens comes from here, so
+    the connections of a file store are interchangeable: same pragmas,
+    same busy timeout, same Dewey/ORDPATH scalar functions.  A file that cannot be opened,
     or is not a database, is a :class:`StorageError`.
 
     Autocommit mode: transactions are controlled explicitly by the
@@ -139,43 +138,132 @@ def connect_sqlite(path: Optional[str]) -> sqlite3.Connection:
 
 
 class SqliteBackend(Backend):
-    """In-memory (default) or file-backed sqlite3 storage."""
+    """sqlite3 storage: in memory (no *path*) or on a file.
+
+    Whether there is a path decides how connections are shared; there
+    is no other setting.
+
+    * **In memory** the database is private to its one connection.
+      Every statement runs on it under the writer lock, and a
+      transaction holds that lock from BEGIN to COMMIT/ROLLBACK, so
+      statements from other threads cannot interleave with it.
+    * **On a file** (WAL) a statement runs on an idle connection, or on
+      a newly opened one, so readers run in parallel and keep reading
+      while a writer commits.  A transaction takes the writer lock,
+      runs ``BEGIN IMMEDIATE`` on a connection and keeps that
+      connection for the calling thread until COMMIT/ROLLBACK.
+      Statements outside a transaction (DDL, say) never take the lock,
+      so BEGIN IMMEDIATE takes sqlite's write lock too: a transaction's
+      snapshot then starts where its writes will, and no such
+      statement can commit in between and fail the transaction's first
+      write with "database is locked".
+
+    One transaction at a time either way, as on minidb (its exclusive
+    latch).  :meth:`Backend.transaction` keeps its scope depth per
+    thread, so a second thread's scope is a transaction of its own that
+    begins once the first one has ended.
+    """
 
     name = "sqlite"
 
     def __init__(self, path: Optional[str] = None) -> None:
-        # sqlite3 connections are thread-bound by default; an RLock plus
-        # check_same_thread=False makes statements safe to issue from
-        # any thread, and begin() holds the lock until commit/rollback
-        # so whole transactions serialize too.  For true concurrency
-        # use PooledSqliteBackend (one connection per worker thread).
-        self._lock = threading.RLock()
         self.path = path
-        self._conn = connect_sqlite(path)
+        #: Held from BEGIN to COMMIT/ROLLBACK by the thread whose
+        #: transaction is open, and in memory around every statement
+        #: too.  An RLock: the owning thread's own statements re-enter
+        #: it, and a release from a thread that never took it raises
+        #: instead of admitting a second writer.
+        self._writer = threading.RLock()
+        #: Guards the connection lists and the written-rows count.
+        self._lock = threading.Lock()
         self._rows_written = 0
         self._closed = False
+        # Opened eagerly, so that a file that is not a database fails
+        # here and a file store's WAL mode exists before any thread
+        # races in.
+        first = connect_sqlite(path)
+        #: Every connection opened, for :meth:`abandon` to close.
+        self._all = [first]
+        #: In memory: the one connection.  On a file: None.
+        self._shared = first if path is None else None
+        #: Connections no statement is running on (only on a file is
+        #: one ever taken from here).
+        self._idle = [first]
+        #: On a file: thread ident -> the connection its open
+        #: transaction runs on.
+        self._pinned: dict[int, sqlite3.Connection] = {}
+
+    # -- connections on a file ---------------------------------------------
+
+    def _checkout(self) -> sqlite3.Connection:
+        with self._lock:
+            if self._closed:
+                raise StorageError(f"the store {self.path!r} is closed")
+            if self._idle:
+                return self._idle.pop()
+        connection = connect_sqlite(self.path)
+        with self._lock:
+            self._all.append(connection)
+        return connection
+
+    def _checkin(self, connection: sqlite3.Connection) -> None:
+        with self._lock:
+            if not self._closed:
+                self._idle.append(connection)
+                return
+        connection.close()
+
+    def _run(self, statement, *args):
+        """*statement* (:func:`execute_typed` or
+        :func:`executemany_typed`) on the connection this thread is
+        due: the one connection in memory, under the lock; on a file
+        its transaction's, else an idle one."""
+        shared = self._shared
+        if shared is not None:
+            with self._writer:
+                return statement(shared, *args)
+        return self._on_file(statement, *args)
+
+    def _on_file(self, statement, *args):
+        pinned = self._pinned.get(threading.get_ident())
+        if pinned is not None:
+            return statement(pinned, *args)
+        connection = self._checkout()
+        try:
+            return statement(connection, *args)
+        finally:
+            self._checkin(connection)
+
+    # -- statements --------------------------------------------------------
 
     def execute(self, sql: str, params: Sequence = ()) -> BackendResult:
-        with self._lock:
-            rows, rowcount = execute_typed(self._conn, sql, tuple(params))
-            if rowcount > 0 and is_write_statement(sql):
-                self._rows_written += rowcount
-                METRICS.inc("backend.rows_written", rowcount)
-            METRICS.inc("backend.statements")
-            METRICS.inc("backend.rows_read", len(rows))
-            return BackendResult(rows=[tuple(r) for r in rows],
-                                 rowcount=rowcount)
+        # The in-memory path is spelled out: it is every read's.
+        shared = self._shared
+        if shared is not None:
+            with self._writer:
+                rows, rowcount = execute_typed(shared, sql, tuple(params))
+        else:
+            rows, rowcount = self._on_file(execute_typed, sql, tuple(params))
+        if rowcount > 0 and is_write_statement(sql):
+            self._wrote(rowcount)
+        METRICS.inc("backend.statements")
+        METRICS.inc("backend.rows_read", len(rows))
+        return BackendResult(rows=[tuple(r) for r in rows],
+                             rowcount=rowcount)
 
     def executemany(
         self, sql: str, param_rows: Iterable[Sequence]
     ) -> BackendResult:
+        rowcount = self._run(executemany_typed, sql, param_rows)
+        if rowcount > 0:
+            self._wrote(rowcount)
+        METRICS.inc("backend.statements")
+        return BackendResult(rowcount=rowcount)
+
+    def _wrote(self, rowcount: int) -> None:
         with self._lock:
-            rowcount = executemany_typed(self._conn, sql, param_rows)
-            if rowcount > 0:
-                self._rows_written += rowcount
-                METRICS.inc("backend.rows_written", rowcount)
-            METRICS.inc("backend.statements")
-            return BackendResult(rowcount=rowcount)
+            self._rows_written += rowcount
+        METRICS.inc("backend.rows_written", rowcount)
 
     def rows_written(self) -> int:
         return self._rows_written
@@ -183,58 +271,95 @@ class SqliteBackend(Backend):
     def analyze(self) -> None:
         """Collect index statistics so the query planner picks the
         selective (parent/pos) indexes for correlated subqueries."""
-        with self._lock:
-            execute_typed(self._conn, "ANALYZE", ())
+        self._run(execute_typed, "ANALYZE", ())
 
     def list_tables(self) -> list[str]:
-        with self._lock:
-            rows, _ = execute_typed(self._conn, LIST_TABLES, ())
+        rows, _ = self._run(execute_typed, LIST_TABLES, ())
         return sorted(row[0] for row in rows)
 
+    # -- transactions ------------------------------------------------------
+
     def begin(self) -> None:
-        # Hold the lock for the whole transaction (released again by
-        # commit_transaction/rollback), so statements from other
-        # threads cannot interleave with an open transaction on the
-        # shared connection.  The RLock keeps the owning thread's own
-        # per-statement acquisitions reentrant.
-        self._lock.acquire()
+        self._writer.acquire()
         try:
-            execute_typed(self._conn, "BEGIN", ())
+            if self._shared is not None:
+                execute_typed(self._shared, "BEGIN", ())
+                return
+            connection = self._checkout()
+            try:
+                execute_typed(connection, "BEGIN IMMEDIATE", ())
+            except BaseException:
+                self._checkin(connection)
+                raise
+            self._pinned[threading.get_ident()] = connection
         except BaseException:
-            self._lock.release()
+            self._writer.release()
             raise
 
     def commit_transaction(self) -> None:
-        try:
-            with self._lock:
-                execute_typed(self._conn, "COMMIT", ())
-        finally:
-            self._lock.release()
+        self._finish("COMMIT")
 
     def rollback(self) -> None:
+        self._finish("ROLLBACK")
+
+    def _finish(self, statement: str) -> None:
+        """End this thread's transaction and let the next writer in,
+        whatever happens — after :meth:`abandon` too, where *statement*
+        fails on a closed connection."""
         try:
-            with self._lock:
-                execute_typed(self._conn, "ROLLBACK", ())
+            if self._shared is not None:
+                execute_typed(self._shared, statement, ())
+                return
+            connection = self._pinned.pop(threading.get_ident(), None)
+            if connection is None:
+                raise StorageError(f"{statement} without a transaction")
+            try:
+                execute_typed(connection, statement, ())
+            finally:
+                self._checkin(connection)
         finally:
-            self._lock.release()
+            self._writer.release()
+
+    # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
         """Checkpoint the WAL back into the main file and close.
 
         Without the TRUNCATE checkpoint a file store's final state can
         sit entirely in ``store.db-wal`` at shutdown; compacting on
-        close leaves a single self-contained database file behind.
+        close leaves a single self-contained database file behind.  In
+        memory, close waits for another thread's open transaction; on a
+        file, a connection still in use closes when it comes back.
         Idempotent: a second close is a no-op.
         """
+        if self._shared is not None:
+            with self._writer:
+                self._close()
+        else:
+            self._close()
+
+    def _close(self) -> None:
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            if self.path is not None:
-                try:
-                    self._conn.execute(
-                        "PRAGMA wal_checkpoint(TRUNCATE)"
-                    )
-                except sqlite3.Error:
-                    pass  # e.g. another connection holds the WAL busy
-            self._conn.close()
+            idle, self._idle = self._idle, []
+        if self.path is not None and idle:
+            try:
+                idle[0].execute("PRAGMA wal_checkpoint(TRUNCATE)")
+            except sqlite3.Error:
+                pass  # e.g. another connection holds the WAL busy
+        for connection in idle:
+            connection.close()
+
+    def abandon(self) -> None:
+        """Process-death simulation: every connection closes abruptly,
+        the one a transaction runs on too, and the uncommitted work is
+        lost (a file's WAL discards it on the next open).  Afterwards
+        every statement, COMMIT and ROLLBACK fails with a
+        :class:`StorageError`."""
+        with self._lock:
+            self._closed = True
+            connections, self._all, self._idle = self._all, [], []
+        for connection in connections:
+            connection.close()

@@ -639,12 +639,13 @@ def run_e13_logical_io(articles: int = 10) -> ExperimentTable:
 
 
 # ---------------------------------------------------------------------------
-# E14: concurrent serving (pooled connections vs serialized sharing)
+# E14: concurrent serving (a connection per statement vs one shared)
 # ---------------------------------------------------------------------------
 
-#: How long E14's write transaction waits for its readers.  A pooled
-#: read takes milliseconds; a serialized one cannot finish before the
-#: commit, so this is how long that mode holds the transaction open.
+#: How long E14's write transaction waits for its readers.  A read on
+#: a connection of its own takes milliseconds; a serialized one cannot
+#: finish before the commit, so this is how long that mode holds the
+#: transaction open.
 _E14_HOLD_SECONDS = 1.0
 
 
@@ -691,16 +692,16 @@ def run_e14_concurrency(
     """Reads completed while one write transaction is held open.
 
     Both modes run the same translated statement against the same
-    file-backed sqlite database.  *serialized* is the shared
-    connection, whose lock is held from BEGIN to COMMIT of every write
-    transaction — readers wait for the commit.  *pooled* gives each
-    reader thread its own WAL connection, so reads proceed during the
-    write.  The write is a Global front insert (the relabeling worst
-    case); every run is followed by a full invariant audit.
+    document on sqlite.  *serialized* is the in-memory store, whose
+    one connection's lock is held from BEGIN to COMMIT of every write
+    transaction — readers wait for the commit.  *pooled* is the store
+    on a file, where each read runs on a WAL connection of its own, so
+    reads proceed during the write.  The write is a Global front insert
+    (the relabeling worst case); every run is followed by a full
+    invariant audit.
     """
     import tempfile
 
-    from repro.backends.pooled_sqlite import PooledSqliteBackend
     from repro.backends.sqlite_backend import SqliteBackend
     from repro.check import audit_store
 
@@ -713,14 +714,9 @@ def run_e14_concurrency(
          "violations"),
     )
     with tempfile.TemporaryDirectory(prefix="repro-e14-") as tmp:
-        for mode in ("serialized", "pooled"):
-            if mode == "pooled":
-                backend: object = PooledSqliteBackend(
-                    f"{tmp}/pooled.db", capacity=readers + 1
-                )
-            else:
-                backend = SqliteBackend(f"{tmp}/serialized.db")
-            store = XmlStore(backend=backend, encoding="global")
+        for mode, path in (("serialized", None),
+                           ("pooled", f"{tmp}/pooled.db")):
+            store = XmlStore(backend=SqliteBackend(path), encoding="global")
             try:
                 doc = store.load(document)
                 during = _reads_during_write(store, doc, readers)

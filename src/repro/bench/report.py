@@ -80,9 +80,9 @@ EXPECTED_SHAPES = {
            "stay near result size and answer in one statement after "
            "the catalogue read.",
     "E14": "(Extension beyond the paper.)  With one write transaction "
-           "held open, pooled WAL connections complete every read; the "
-           "serialized shared connection completes none until the "
-           "commit.",
+           "held open, a store on a file completes every read on WAL "
+           "connections of its own; the serialized in-memory store's "
+           "one connection completes none until the commit.",
     "E15": "(Extension beyond the paper.)  Plan/result caching with "
            "per-document invalidation answers a warm pass of the "
            "ordered mix without a single backend statement on every "

@@ -46,10 +46,10 @@ document's entry (:meth:`StoreCache.forget`) nor re-creating the id
 can ever make a stale capture match again.  Bookkeeping is one integer
 per document written since it was last forgotten.
 
-Pool semantics: the clock, the per-document epochs and the layers sit
-behind one lock, shared by every thread of the store, while
-:class:`~repro.backends.pooled_sqlite.PooledSqliteBackend` readers run
-on per-thread WAL connections.  Invalidation is prompt but not atomic
+Across threads: the clock, the per-document epochs and the layers sit
+behind one lock, shared by every thread of the store, while the readers
+of a file-backed :class:`~repro.backends.sqlite_backend.SqliteBackend`
+run on WAL connections of their own.  Invalidation is prompt but not atomic
 with COMMIT — for the instant between a writer's COMMIT and its bump, a
 concurrent reader may still serve the just-superseded result.  That is
 the same staleness an uncached reader's in-flight WAL snapshot already

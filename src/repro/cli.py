@@ -21,7 +21,6 @@ first load, so later commands need no flags.
 from __future__ import annotations
 
 import argparse
-import sqlite3
 import sys
 from pathlib import Path
 from typing import Optional
@@ -35,26 +34,13 @@ from repro.xmldom import parse_fragment, serialize
 from repro.xmldom.chars import escape_attribute
 
 
-def _open_backend(db: str, pooled: bool = False) -> Backend:
-    if pooled:
-        if db == ":memory:":
-            raise ReproError(
-                "pooled mode needs a file-backed --db (connections in "
-                "a pool must share one database file)"
-            )
-        from repro.backends.pooled_sqlite import PooledSqliteBackend
-
-        return PooledSqliteBackend(db)
-    return SqliteBackend(db if db != ":memory:" else None)
-
-
 def _read_meta(backend: Backend, db: str) -> Optional[dict[str, str]]:
     """The store's recorded settings; None before its first load."""
     try:
         rows = backend.execute(
             "SELECT key, value FROM repro_meta"
         ).rows
-    except (sqlite3.OperationalError, StorageError) as exc:
+    except StorageError as exc:
         if str(exc) == "no such table: repro_meta":
             return None
         raise StorageError(f"cannot read store {db!r}: {exc}") from exc
@@ -76,15 +62,9 @@ def open_store(
     db: str,
     encoding: Optional[str] = None,
     gap: Optional[int] = None,
-    pooled: bool = False,
 ) -> XmlStore:
-    """Open (or initialise) the store in SQLite file *db*.
-
-    ``pooled`` opens it through a :class:`~repro.backends.
-    pooled_sqlite.PooledSqliteBackend` (one WAL connection per worker
-    thread) instead of the single shared connection.
-    """
-    backend = _open_backend(db, pooled)
+    """Open (or initialise) the store in SQLite file *db*."""
+    backend = SqliteBackend(db if db != ":memory:" else None)
     meta = _read_meta(backend, db)
     if meta is not None:
         if encoding is not None and encoding != meta.get("encoding"):
@@ -979,8 +959,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="crash at every statement boundary of every op")
     p.add_argument("--writer-batches", type=int, default=2,
                    help="also crash a one-transaction batch of inserts "
-                        "mid-batch this many times per cell on the pooled "
-                        "sqlite backend (0 disables; default 2)")
+                        "mid-batch this many times per cell (0 disables; "
+                        "default 2)")
     p.add_argument("--migrate", action="store_true",
                    help="crash encoding migrations instead: every "
                         "ordered pair of --encodings; "

@@ -1,17 +1,12 @@
-"""Concurrent serving: pooled connections and readers-writer latching.
+"""Concurrent serving: the readers-writer latch.
 
 The paper's premise is that ordered XML lives inside a *relational
-database system* — a concurrent server.  This package turns the store
-into one:
-
-* :class:`~repro.concurrent.pool.ConnectionPool` — each worker thread
-  runs statements on its own connection (WAL readers proceed during the
-  write), used by
-  :class:`~repro.backends.pooled_sqlite.PooledSqliteBackend`, whose
-  writer lock admits one transaction at a time;
-* :class:`~repro.concurrent.latch.RWLatch` — the minidb engine's
-  readers-writer latch: snapshot reads run concurrently, the single
-  writer exclusively.
+database system* — a concurrent server.  Each backend serializes its
+own transactions: :class:`~repro.backends.sqlite_backend.SqliteBackend`
+with a writer lock (on a file its readers run on connections of their
+own, in parallel with the writer), minidb with
+:class:`~repro.concurrent.latch.RWLatch` — snapshot reads run
+concurrently, the single writer exclusively.
 
 Writers are serialized by the backend they write to, never by the
 store.  See DESIGN.md, "Concurrency model", for the lock rule and the
@@ -19,6 +14,5 @@ serializability guarantee.
 """
 
 from repro.concurrent.latch import RWLatch
-from repro.concurrent.pool import ConnectionPool
 
-__all__ = ["ConnectionPool", "RWLatch"]
+__all__ = ["RWLatch"]

@@ -74,16 +74,6 @@ class StorageError(ReproError):
     """Base class for errors in the ordered-XML storage core."""
 
 
-class ConcurrencyError(StorageError):
-    """Base class for errors in the concurrent-serving layer
-    (:mod:`repro.concurrent`): pools and latches."""
-
-
-class PoolExhaustedError(ConcurrencyError):
-    """No pooled connection became available within the acquire
-    timeout (every connection is checked out or pinned)."""
-
-
 class EncodingError(StorageError):
     """Invalid order-encoding operation (e.g. exhausted key space)."""
 

@@ -12,9 +12,9 @@ flips.  All of it is one :meth:`XmlStore.transactionally` body, so
   recovers to exactly the pre- or the post-migration store, and there is
   no migration state outside the transaction to recover;
 * writers are serialized with it by the backend, which admits one
-  transaction at a time (the shared connection's lock, the pooled
-  backend's writer lock, minidb's exclusive latch), and wait for its
-  whole duration — reported as ``MigrationReport.blocked_ms``;
+  transaction at a time (sqlite's writer lock, minidb's exclusive
+  latch), and wait for its whole duration — reported as
+  ``MigrationReport.blocked_ms``;
 * two migrations of one document serialize too: the source encoding is
   resolved from the catalogue row as read inside the transaction, so
   the second one starts from where the first one ended.
@@ -122,7 +122,7 @@ def migrate_document(
         METRICS.inc("migrate.aborted")
         raise
     if report.outcome == "migrated":
-        # Readers with a connection of their own (a pooled backend)
+        # Readers with a connection of their own (a file-backed store)
         # do not wait: one can read the source encoding between the
         # bump above and the COMMIT, and execute after it.  It read
         # the epoch before this line.

@@ -13,8 +13,8 @@ loop:
   crashes it at sampled (or all) statement boundaries, reopens, audits
   invariants and asserts the store equals either the pre or the post
   state — and the scenarios it is run over (update streams,
-  migrations, index create/update/drop, a pooled writer's
-  one-transaction batch), each a declaration.
+  migrations, index create/update/drop, a writer's one-transaction
+  batch), each a declaration.
 
 Durability belongs to sqlite — its WAL, with a busy timeout past which
 a locked database is a :class:`~repro.errors.StorageError` like any

@@ -31,8 +31,7 @@ The scenarios, each a baseline setup plus a declaration:
 * **index** (:func:`run_index_crashtest`) — index create, an indexed
   update and index drop, over one node-tables + index-tables signature;
 * **writer** (:func:`run_writer_crashtest`) — a batch of inserts in
-  one transaction on the pooled backend; only the pre-batch state may
-  survive.
+  one transaction; only the pre-batch state may survive.
 
 The fifth, **shard-kill** (:mod:`repro.serve.crashtest`), SIGKILLs a
 real process and has no statement count to sweep; it keeps its own cell
@@ -52,7 +51,6 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from repro.backends.pooled_sqlite import PooledSqliteBackend
 from repro.backends.sqlite_backend import SqliteBackend
 from repro.check.fuzz import (
     DEFAULT_ENCODINGS,
@@ -207,17 +205,13 @@ def _clone_db(path: Path, clone: Path) -> None:
 
 class _Medium:
     """Where a cell's durable state lives — a file-backed sqlite store,
-    where every commit is already durable — and how to reopen it.
-    *pooled* opens it through the connection pool (the shard worker's
-    backend)."""
+    where every commit is already durable — and how to reopen it."""
 
-    def __init__(self, workdir: Path, encoding: str, gap: int,
-                 pooled: bool = False) -> None:
+    def __init__(self, workdir: Path, encoding: str, gap: int) -> None:
         self.path = workdir / "store.db"
         self.baseline = workdir / "store.db.baseline"
         self.encoding = encoding
         self.gap = gap
-        self.backend_class = PooledSqliteBackend if pooled else SqliteBackend
 
     @contextmanager
     def session(
@@ -229,7 +223,7 @@ class _Medium:
         if clone:
             path = self.path.with_name("scratch.db")
             _clone_db(self.path, path)
-        injector = FaultInjectingBackend(self.backend_class(str(path)))
+        injector = FaultInjectingBackend(SqliteBackend(str(path)))
         store = XmlStore(
             backend=injector, encoding=self.encoding, gap=self.gap
         )
@@ -679,7 +673,7 @@ def run_writer_crashtest(
 ) -> CrashTestReport:
     """Crash a writer mid-batch; reopen; audit.
 
-    Each ``(seed, encoding)`` cell is a pooled file-backed sqlite store.
+    Each ``(seed, encoding)`` cell is a file-backed sqlite store.
     Per batch round a whole batch of deterministic inserts is one
     transaction and one :func:`sweep`: crash points are the batch's
     statements, none of them its ``COMMIT`` (the injector counts
@@ -689,7 +683,7 @@ def run_writer_crashtest(
     """
 
     def cell(directory, fail, report, seed, gap, encoding):
-        medium = _Medium(directory, encoding, gap, pooled=True)
+        medium = _Medium(directory, encoding, gap)
         doc, failure = _load_baseline(medium, config, seed, fail)
         if failure is not None:
             return failure

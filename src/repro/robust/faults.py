@@ -4,9 +4,10 @@ The adversary for the recovery machinery in this package.  A
 :class:`FaultInjectingBackend` wraps any :class:`~repro.backends.base.
 Backend` and, driven by a :class:`FaultPlan`, hard-crashes the store
 at the Nth statement: the wrapped engine is discarded exactly as a
-process death would leave it (the sqlite connection is closed abruptly
-so its uncommitted transaction is lost; the minidb engine object is
-dropped) and a :class:`SimulatedCrash` sentinel propagates.
+process death would leave it (:meth:`~repro.backends.base.Backend.
+abandon`: sqlite's connections close abruptly, so an uncommitted
+transaction is lost; the minidb engine object is dropped) and a
+:class:`SimulatedCrash` sentinel propagates.
 
 :class:`SimulatedCrash` derives from ``BaseException`` so ordinary
 ``except Exception`` recovery code cannot accidentally absorb a
@@ -84,25 +85,10 @@ class FaultInjectingBackend(Backend):
 
     def _crash(self) -> None:
         self.crashed = True
-        # Discard the in-memory engine the way a process death would:
-        # sqlite's connection closes abruptly (its open transaction is
-        # lost; the journal/WAL recovers on reopen), a pooled backend
-        # abandons every connection at once, and the minidb engine
-        # object is dropped on the floor.
-        abandon = getattr(self.inner, "abandon", None)
-        if abandon is not None:
-            try:
-                abandon()
-            except Exception:
-                pass
-        conn = getattr(self.inner, "_conn", None)
-        if conn is not None:
-            try:
-                conn.close()
-            except Exception:
-                pass
-        if hasattr(self.inner, "db"):
-            self.inner.db = None
+        # Discard the engine the way a process death would: sqlite's
+        # connections close abruptly (an open transaction is lost; the
+        # WAL recovers on reopen), the minidb engine object is dropped.
+        self.inner.abandon()
         raise SimulatedCrash(
             f"simulated crash at statement {self.statements_executed + 1}"
         )

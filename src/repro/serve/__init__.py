@@ -2,7 +2,7 @@
 
 The paper's schema is per-document, so documents partition cleanly:
 each shard is one sqlite file holding a slice of the corpus, served by
-its own worker process (connection pool + writer lock + caches — the
+its own worker process (WAL connections + writer lock + caches — the
 whole single-process stack, GIL and all), and a router in the front
 door maps document ids to shards, scatter-gathers cross-document
 queries, and merges results in document order.  ``repro serve`` runs

@@ -2,11 +2,11 @@
 
 Run as ``python -m repro.serve.worker --db F --socket S [--encoding E]``
 (the :class:`~repro.serve.supervisor.Supervisor` spawns these).  The
-worker opens its shard's sqlite file through the pooled backend and
-serves the wire protocol on a unix socket, one thread per connection —
-reads run concurrently on pooled WAL connections, while an update's
-transaction holds the backend's writer lock, so updates run one at a
-time on whichever connection thread sent them.
+worker opens its shard's sqlite file and serves the wire protocol on a
+unix socket, one thread per connection — reads run concurrently, each
+statement on a WAL connection of its own, while an update's transaction
+holds the backend's writer lock, so updates run one at a time on
+whichever connection thread sent them.
 
 Document ids in this module are shard-local; the router owns the
 global numbering.  ``update_batch`` applies a list of operations in one
@@ -237,7 +237,7 @@ def run_worker(
     from repro.cli import open_store
 
     obs.enable()
-    store = open_store(db, encoding=encoding, gap=gap, pooled=True)
+    store = open_store(db, encoding=encoding, gap=gap)
     worker = ShardWorker(store, shard_index=shard_index)
 
     if os.path.exists(socket_path):

@@ -18,7 +18,9 @@ all), and no ``cost`` module chooses between scan and index behind it
 Transactions are the backend's to serialize, on every backend: a second
 thread's transaction begins once the first one has committed, and
 nothing above the seam queues writers of its own (see "Concurrency
-model" in DESIGN.md).  Nor does anything retry a failed statement: a
+model" in DESIGN.md).  sqlite is one backend, whose path alone decides
+how it shares connections: no pool, no second sqlite class and no
+switch between them come back.  Nor does anything retry a failed statement: a
 storage error reaches the caller typed, and the router's reconnect loop
 on the shard hop is the one retry in the package (see "Failure model &
 recovery" in DESIGN.md).
@@ -37,7 +39,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.backends import MiniDbBackend, PooledSqliteBackend, SqliteBackend
+from repro.backends import MiniDbBackend, SqliteBackend
 from repro.robust.faults import FaultInjectingBackend
 from repro.store import XmlStore
 from tests.conftest import ALL_ENCODINGS, BIB_XML
@@ -170,8 +172,8 @@ def _backend_classes() -> list[tuple[Path, ast.ClassDef]]:
 def test_no_backend_has_a_dialect_or_capability_flag():
     classes = _backend_classes()
     assert {c.name for _p, c in classes} >= {
-        "Backend", "SqliteBackend", "PooledSqliteBackend",
-        "MiniDbBackend", "FaultInjectingBackend",
+        "Backend", "SqliteBackend", "MiniDbBackend",
+        "FaultInjectingBackend",
     }
     flags = [
         f"{path.relative_to(SRC)}:{node.lineno} {name}"
@@ -312,8 +314,9 @@ def test_wrapped_and_bare_minidb_hand_the_engine_the_same_text():
 # -- one transaction at a time, on every backend ------------------------
 
 _BACKENDS = {
-    "sqlite": lambda tmp_path: SqliteBackend(),
-    "pooled": lambda tmp_path: PooledSqliteBackend(str(tmp_path / "p.db")),
+    "sqlite": lambda tmp_path: SqliteBackend(),  # in memory
+    # On a file: a connection per statement, one per transaction.
+    "pooled": lambda tmp_path: SqliteBackend(str(tmp_path / "p.db")),
     "minidb": lambda tmp_path: MiniDbBackend(),
 }
 
@@ -321,7 +324,7 @@ _BACKENDS = {
 @pytest.mark.parametrize("kind", sorted(_BACKENDS))
 def test_every_backend_serializes_its_transactions(tmp_path, kind):
     """Thread B's ``transaction()`` does not BEGIN until thread A's has
-    committed.  The pooled backend used to BEGIN both at once, and one
+    committed.  On a file, sqlite used to BEGIN both at once, and one
     of two writers then failed with "database is locked"."""
     backend = _BACKENDS[kind](tmp_path)
     backend.execute("CREATE TABLE t (x INTEGER)")
@@ -363,6 +366,29 @@ def test_no_write_queue_under_src():
     ]
     assert hits == []
 
+
+
+def test_sqlite_is_one_backend():
+    """In memory one shared connection, on a file a connection per
+    statement: the path decides, and nothing else chooses."""
+    from repro import cli, errors
+
+    assert not (SRC / "backends" / "pooled_sqlite.py").exists()
+    assert not (SRC / "concurrent" / "pool.py").exists()
+    assert "pooled" not in inspect.signature(cli.open_store).parameters
+    assert not hasattr(errors, "PoolExhaustedError")
+    assert not hasattr(errors, "ConcurrencyError")
+    banned = re.compile(
+        r"sqlite-pool|PooledSqlite|ConnectionPool|PoolExhausted"
+        r"|ConcurrencyError"
+    )
+    hits = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert hits == []
 
 # -- no statement is retried ---------------------------------------------
 

@@ -2,7 +2,7 @@
 
 Covers the :mod:`repro.cache` layer itself (LRU mechanics, the
 per-document key index, the refuse-stale-put race rule, doc-id reuse),
-its wiring through :class:`XmlStore`, the pooled backend, the index
+its wiring through :class:`XmlStore`, a store on a file, the index
 manager and the migration engine (a write to one document drops that
 document's entries and no other's; a commit that cannot name its write
 set drops every document's; plans survive every write), the
@@ -21,7 +21,6 @@ import pytest
 
 from tests.conftest import ALL_ENCODINGS, BACKENDS, counters, stored_depth
 from repro.backends.base import is_write_statement
-from repro.backends.pooled_sqlite import PooledSqliteBackend
 from repro.backends.sqlite_backend import SqliteBackend
 from repro.cache import StoreCache
 from repro.errors import StorageError
@@ -460,7 +459,7 @@ def test_cache_off_store_caches_nothing():
 
 def test_pooled_commit_bumps_epoch(tmp_path):
     store = XmlStore(
-        backend=PooledSqliteBackend(str(tmp_path / "epoch.db")), cache=True
+        backend=SqliteBackend(str(tmp_path / "epoch.db")), cache=True
     )
     doc = store.load(SHALLOW)
     store.query("//b", doc)  # warm
@@ -503,9 +502,9 @@ def test_one_commit_writing_two_documents_invalidates_both():
 
 
 def test_pooled_backend_concurrent_queries_stay_correct(tmp_path):
-    """Readers on pooled per-thread connections share one cache; a
-    writer's inserts must become visible to every thread's queries."""
-    backend = PooledSqliteBackend(str(tmp_path / "cache.db"))
+    """Readers on connections of their own share one cache; a writer's
+    inserts must become visible to every thread's queries."""
+    backend = SqliteBackend(str(tmp_path / "cache.db"))
     store = XmlStore(backend=backend, encoding="dewey", cache=True)
     doc = store.load(SHALLOW)
     errors: list[str] = []
@@ -542,7 +541,7 @@ def test_concurrent_writers_to_other_documents_never_leave_a_stale_result(
     invalidation would leave a count behind the writer's."""
     import sys
 
-    backend = PooledSqliteBackend(str(tmp_path / "stress.db"))
+    backend = SqliteBackend(str(tmp_path / "stress.db"))
     store = XmlStore(backend=backend, encoding="dewey", cache=True)
     docs = [store.load(SHALLOW) for _ in range(3)]
     inserts = 12
@@ -663,7 +662,7 @@ def test_is_write_statement_classifies_by_verb():
 def test_rows_written_counts_dml_not_row_returning_reads(tmp_path):
     for backend in (
         SqliteBackend(),
-        PooledSqliteBackend(str(tmp_path / "w.db")),
+        SqliteBackend(str(tmp_path / "w.db")),
     ):
         backend.execute("CREATE TABLE t (x INTEGER)")
         backend.execute("INSERT INTO t VALUES (1)")

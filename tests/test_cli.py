@@ -203,7 +203,7 @@ class TestInfoAndSql:
         ]
         assert path.read_bytes() == garbage
         with pytest.raises(StorageError, match="not a database"):
-            open_store(str(path), pooled=True)
+            open_store(str(path))
 
     @pytest.mark.parametrize(
         "command", [["info"], ["dump"], ["query", "/a"]]
@@ -219,7 +219,7 @@ class TestInfoAndSql:
             f"error: cannot open {path!r}: unable to open database file"
         ]
         with pytest.raises(StorageError, match="unable to open"):
-            open_store(path, pooled=True)
+            open_store(path)
 
     def test_unreadable_settings_are_not_a_fresh_store(self, db, capsys):
         """Only a missing ``repro_meta`` means "not initialised yet"; a
@@ -233,6 +233,29 @@ class TestInfoAndSql:
         assert run(["info", "--db", db]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: cannot read store {db!r}: integer overflow"
+        ]
+
+    def test_a_fresh_db_is_initialised(self, db, capsys):
+        """The one settings failure that means "not initialised yet"
+        reaches the CLI as the StorageError every sqlite error is."""
+        assert run(["info", "--db", db]) == 0
+        assert "encoding: dewey   gap: 1" in capsys.readouterr().out
+        connection = sqlite3.connect(db)
+        rows = connection.execute(
+            "SELECT key, value FROM repro_meta ORDER BY key"
+        ).fetchall()
+        connection.close()
+        assert rows == [("encoding", "dewey"), ("gap", "1")]
+
+    def test_settings_with_wrong_columns_fail_on_one_line(self, db, capsys):
+        connection = sqlite3.connect(db)
+        connection.execute("CREATE TABLE repro_meta (a TEXT, b TEXT)")
+        connection.close()
+        assert run(["info", "--db", db]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot read store {db!r}: no such column: key"
         ]
 
 

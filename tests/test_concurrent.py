@@ -1,6 +1,7 @@
-"""Tests for repro.concurrent: latch, pool, and the pooled backend
-serving N readers plus two writers, its writer lock serializing their
-transactions."""
+"""Tests for repro.concurrent's latch and for sqlite's two media: on a
+file, a connection per statement serving N readers plus two writers,
+the writer lock serializing their transactions; in memory, one
+connection behind that lock."""
 
 from __future__ import annotations
 
@@ -14,21 +15,16 @@ from pathlib import Path
 import pytest
 
 from repro.backends.base import Backend
-from repro.backends.pooled_sqlite import PooledSqliteBackend
 from repro.backends.sqlite_backend import SqliteBackend
 from repro.check import audit_store
-from repro.concurrent import ConnectionPool, RWLatch
-from repro.errors import (
-    ConcurrencyError,
-    PoolExhaustedError,
-    StorageError,
-)
+from repro.concurrent import RWLatch
+from repro.errors import StorageError
 from repro.store import XmlStore
 from repro.workload.queries import ORDERED_QUERIES, UNORDERED_QUERIES
 from repro.workload.update_ops import make_fragment
 from repro.xmldom import parse
 
-from .conftest import ALL_ENCODINGS, BIB_XML, counters
+from .conftest import ALL_ENCODINGS, BIB_XML
 
 
 def _run_in_thread(target):
@@ -113,82 +109,15 @@ class TestRWLatch:
             assert isinstance(error, RuntimeError)
 
 
-# -- ConnectionPool ------------------------------------------------------
-
-
-class _FakeConn:
-    def __init__(self):
-        self.closed = False
-
-    def close(self):
-        self.closed = True
-
-
-class TestConnectionPool:
-    def test_checkin_reuses_connection(self):
-        pool = ConnectionPool(_FakeConn, capacity=4)
-        with counters() as count:
-            with pool.connection() as first:
-                pass
-            with pool.connection() as second:
-                assert second is first
-            assert count("pool.created") == 1
-            assert count("pool.reused") == 1
-
-    def test_exhaustion_raises_after_timeout(self):
-        pool = ConnectionPool(
-            _FakeConn, capacity=1, acquire_timeout=0.05
-        )
-        pool.pin()  # the only connection, pinned to this thread
-        _, error = _run_in_thread(pool.pin)
-        assert isinstance(error, PoolExhaustedError)
-        pool.unpin()
-        # After unpinning the next checkout succeeds again.
-        with pool.connection():
-            pass
-
-    def test_pinned_connection_serves_scoped_checkouts(self):
-        pool = ConnectionPool(_FakeConn, capacity=2)
-        pinned = pool.pin()
-        with pool.connection() as conn:
-            assert conn is pinned
-        pool.unpin()
-
-    def test_double_pin_raises(self):
-        pool = ConnectionPool(_FakeConn, capacity=2)
-        pool.pin()
-        with pytest.raises(ConcurrencyError):
-            pool.pin()
-        pool.unpin()
-
-    def test_close_drains_idle_connections(self):
-        pool = ConnectionPool(_FakeConn, capacity=2)
-        with pool.connection() as conn:
-            pass
-        pool.close()
-        assert conn.closed
-        with pytest.raises(ConcurrencyError):
-            with pool.connection():
-                pass  # pragma: no cover
-
-    def test_checkin_after_close_closes_connection(self):
-        pool = ConnectionPool(_FakeConn, capacity=2)
-        conn = pool.pin()
-        pool.close()
-        pool.unpin()
-        assert conn.closed
-
-
-# -- PooledSqliteBackend -------------------------------------------------
+# -- SqliteBackend on a file --------------------------------------------
 
 
 class TestPooledSqliteBackend:
-    def test_memory_path_rejected(self):
-        with pytest.raises(StorageError):
-            PooledSqliteBackend(":memory:")
+    """A store on a file runs each statement on a connection of its
+    own, a transaction on the one it began on."""
 
     def test_transactions_are_thread_local(self, tmp_path):
-        backend = PooledSqliteBackend(str(tmp_path / "p.db"))
+        backend = SqliteBackend(str(tmp_path / "p.db"))
         backend.execute("CREATE TABLE t (x INTEGER)")
         in_tx = threading.Event()
         finish = threading.Event()
@@ -219,7 +148,7 @@ class TestPooledSqliteBackend:
     def test_scope_depth_is_per_thread_through_a_wrapper_too(
         self, tmp_path
     ):
-        """The crash harness wraps the pooled backend; the wrapper used
+        """The crash harness wraps the file backend; the wrapper used
         to keep one scope depth for all threads, so another thread's
         scope closing left this one reading "not in a transaction"
         while its own was still open.  The other thread's scope now
@@ -228,7 +157,7 @@ class TestPooledSqliteBackend:
         from repro.robust.faults import FaultInjectingBackend
 
         backend = FaultInjectingBackend(
-            PooledSqliteBackend(str(tmp_path / "w.db"))
+            SqliteBackend(str(tmp_path / "w.db"))
         )
         # Uncached: the scopes here are the backend's own, which no
         # store commit invalidates after.
@@ -265,33 +194,7 @@ class TestPooledSqliteBackend:
     def test_every_way_out_of_a_transaction_lets_the_next_writer_in(
         self, tmp_path
     ):
-        """COMMIT, ROLLBACK and a rollback with no connection left to
-        run it on (the crash harness's abandon) each release the
-        writer lock: another thread's transaction begins afterwards."""
-        backend = PooledSqliteBackend(str(tmp_path / "l.db"))
-        backend.execute("CREATE TABLE t (x INTEGER)")
-
-        def other_writer():
-            with backend.transaction():
-                backend.execute("INSERT INTO t VALUES (2)")
-
-        with backend.transaction():
-            backend.execute("INSERT INTO t VALUES (1)")
-        assert _run_in_thread(other_writer) == (None, None)
-        with pytest.raises(KeyError):
-            with backend.transaction():
-                backend.execute("INSERT INTO t VALUES (3)")
-                raise KeyError("rolled back")
-        assert _run_in_thread(other_writer) == (None, None)
-        assert backend.execute("SELECT x FROM t ORDER BY x").rows == [
-            (1,), (2,), (2,),
-        ]
-        backend.begin()
-        backend.abandon()
-        with pytest.raises(StorageError, match="without a pinned"):
-            backend.rollback()
-        _, error = _run_in_thread(backend.begin)
-        assert isinstance(error, ConcurrencyError)  # the pool, not a hang
+        _every_way_out(SqliteBackend(str(tmp_path / "l.db")))
 
     def test_a_statement_outside_the_lock_cannot_fail_a_transaction(
         self, tmp_path
@@ -300,7 +203,7 @@ class TestPooledSqliteBackend:
         lock.  One that committed between a transaction's first read and
         its first write used to fail that write with "database is
         locked"; BEGIN IMMEDIATE makes it wait for the COMMIT instead."""
-        backend = PooledSqliteBackend(str(tmp_path / "o.db"))
+        backend = SqliteBackend(str(tmp_path / "o.db"))
         backend.execute("CREATE TABLE t (x INTEGER)")
         outside_done = threading.Event()
 
@@ -321,7 +224,7 @@ class TestPooledSqliteBackend:
 
     def test_close_truncates_wal_and_is_idempotent(self, tmp_path):
         path = tmp_path / "p.db"
-        backend = PooledSqliteBackend(str(path))
+        backend = SqliteBackend(str(path))
         backend.execute("CREATE TABLE t (x INTEGER)")
         backend.execute("INSERT INTO t VALUES (1)")
         backend.close()
@@ -339,6 +242,42 @@ def test_sqlite_close_truncates_wal_and_is_idempotent(tmp_path):
     wal = Path(str(path) + "-wal")
     assert not wal.exists() or wal.stat().st_size == 0
     backend.close()  # second close is a no-op
+
+
+def _every_way_out(backend):
+    """COMMIT, ROLLBACK and a rollback with no connection left to run
+    it on (the crash harness's abandon) each release the writer lock:
+    another thread's transaction begins afterwards, or, once every
+    connection is gone, fails typed instead of hanging."""
+    backend.execute("CREATE TABLE t (x INTEGER)")
+
+    def other_writer():
+        with backend.transaction():
+            backend.execute("INSERT INTO t VALUES (2)")
+
+    with backend.transaction():
+        backend.execute("INSERT INTO t VALUES (1)")
+    assert _run_in_thread(other_writer) == (None, None)
+    with pytest.raises(KeyError):
+        with backend.transaction():
+            backend.execute("INSERT INTO t VALUES (3)")
+            raise KeyError("rolled back")
+    assert _run_in_thread(other_writer) == (None, None)
+    assert backend.execute("SELECT x FROM t ORDER BY x").rows == [
+        (1,), (2,), (2,),
+    ]
+    backend.begin()
+    backend.abandon()
+    with pytest.raises(StorageError, match="closed"):
+        backend.rollback()
+    _, error = _run_in_thread(backend.begin)
+    assert isinstance(error, StorageError), error
+    with pytest.raises(StorageError, match="closed"):
+        backend.execute("SELECT x FROM t")
+
+
+def test_every_way_out_of_an_in_memory_transaction_lets_the_next_writer_in():
+    _every_way_out(SqliteBackend())
 
 
 # -- N readers + 2 writers stress ---------------------------------------
@@ -398,7 +337,7 @@ def _stress(store, readers=3, reads=40, writers=2, writes=25):
 
 @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
 def test_stress_pooled_sqlite(tmp_path, encoding):
-    backend = PooledSqliteBackend(str(tmp_path / "stress.db"))
+    backend = SqliteBackend(str(tmp_path / "stress.db"))
     store = XmlStore(backend=backend, encoding=encoding)
     try:
         _stress(store)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.backends import PooledSqliteBackend, SqliteBackend
+from repro.backends import SqliteBackend
 from repro.errors import StorageError
 from repro.migrate import migrate_document
 from repro.minidb import MiniDb
@@ -187,8 +187,8 @@ class TestDeeperThanTheRecursionLimit:
 
 class TestPastSqlitesStatementLimits:
     """A query past one of sqlite's limits on a statement fails with the
-    library's StorageError, keeping sqlite's message, on the shared and
-    the pooled backend alike; minidb has no such limit and answers it."""
+    library's StorageError, keeping sqlite's message, in memory and on a
+    file alike; minidb has no such limit and answers it."""
 
     XML = "<a><b/></a>"
     PROBES = {
@@ -198,14 +198,12 @@ class TestPastSqlitesStatementLimits:
         ),
     }
 
-    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("on_file", [False, True])
     @pytest.mark.parametrize("probe", sorted(PROBES))
-    def test_sqlite_raises_a_storage_error(self, tmp_path, probe, pooled):
+    def test_sqlite_raises_a_storage_error(self, tmp_path, probe, on_file):
         xpath, message = self.PROBES[probe]
-        backend = (
-            PooledSqliteBackend(str(tmp_path / "limits.db")) if pooled
-            else "sqlite"
-        )
+        backend = SqliteBackend(str(tmp_path / "limits.db") if on_file
+                                else None)
         store = XmlStore(backend=backend, encoding="dewey")
         doc = store.load(self.XML)
         with pytest.raises(StorageError, match=message) as raised:
@@ -224,23 +222,34 @@ class TestPastSqlitesStatementLimits:
 
 class TestALockedDatabase:
     """A writer that outwaits sqlite's busy timeout fails with the
-    library's StorageError, on the shared and the pooled backend alike,
-    and leaves the store serving: WAL readers do not wait for the lock,
-    and the next write goes through once it is released."""
+    library's StorageError, in a transaction (BEGIN IMMEDIATE under the
+    writer lock) and in a statement outside one (on an idle connection)
+    alike, and leaves the store serving: WAL readers do not wait for the
+    lock, and the next write goes through once it is released.  Only a
+    store on a file can be locked: an in-memory database is private to
+    its one connection."""
 
-    @pytest.mark.parametrize("pooled", [False, True])
-    def test_a_locked_write_raises_a_storage_error(self, tmp_path, pooled):
+    @pytest.mark.parametrize("transaction", [False, True])
+    def test_a_locked_write_raises_a_storage_error(
+        self, tmp_path, transaction
+    ):
         path = str(tmp_path / "locked.db")
-        backend = PooledSqliteBackend(path) if pooled else SqliteBackend(path)
-        store = XmlStore(backend=backend, encoding="dewey", cache=False)
+        store = XmlStore(
+            backend=SqliteBackend(path), encoding="dewey", cache=False
+        )
         doc = store.load("<a><b/></a>")
+        # One thread reuses one idle connection, so this is the
+        # connection the write below runs on.
         store.backend.execute("PRAGMA busy_timeout=0")
         holder = sqlite3.connect(path, isolation_level=None)
         holder.execute("BEGIN IMMEDIATE")
         try:
             with pytest.raises(StorageError, match="database is locked") \
                     as raised:
-                store.load("<b/>")
+                if transaction:
+                    store.load("<b/>")
+                else:
+                    store.backend.execute("CREATE TABLE t (x INTEGER)")
             assert isinstance(
                 raised.value.__cause__, sqlite3.OperationalError
             )

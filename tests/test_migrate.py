@@ -289,12 +289,13 @@ class TestConcurrentWrites:
         }
 
     def test_migration_beside_pooled_writers(self, tmp_path):
-        """On the pooled backend the writer lock is all that orders two
-        writer threads and the migration: every insert lands once, on
-        whichever encoding it ran against, and the document reads back
-        as an unmigrated twin does."""
+        """On a file, where every thread has a connection of its own,
+        the writer lock is all that orders two writer threads and the
+        migration: every insert lands once, on whichever encoding it ran
+        against, and the document reads back as an unmigrated twin
+        does."""
         store = XmlStore(
-            backend=make_backend("sqlite-pool", str(tmp_path / "m.db")),
+            backend=make_backend("sqlite", str(tmp_path / "m.db")),
             encoding="local",
         )
         twin = XmlStore(backend="sqlite", encoding="local")

@@ -251,7 +251,7 @@ class TestReproLineRoundTrip:
             mode == "migrate", mode == "index", False
         )
         if mode == "writer":
-            # The pooled writer exists on sqlite at gap 1 only.
+            # The writer scenario runs at gap 1 only.
             assert (args.ops, args.writer_batches) == (0, 1)
             assert args.gaps == "1"
             assert args.encodings == "dewey"

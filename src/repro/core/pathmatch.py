@@ -11,8 +11,7 @@ the rewritten access path filters ``idx_paths`` with:
 * ``//tag`` — a descendant step (any number of intermediate components);
 * ``*``     — a wildcard name test (exactly one component, any tag).
 
-Patterns are translated to anchored regular expressions once and cached,
-the same way minidb's ``LIKE`` does.
+Patterns are translated to anchored regular expressions once and cached.
 """
 
 from __future__ import annotations

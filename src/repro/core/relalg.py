@@ -184,12 +184,6 @@ class CountStar:
 
 
 @dataclass(frozen=True)
-class Cast:
-    item: "RelExpr"
-    type_name: str  # "REAL"
-
-
-@dataclass(frozen=True)
 class IsNull:
     """``expr IS NULL`` — pairs with ``xpath_number``, whose NULL result
     stands for XPath NaN (``NaN != x`` is true, so ``!=`` needs the
@@ -292,7 +286,7 @@ class Recursive:
 
 RelExpr = Union[
     Col, Const, Param, Bool, Cmp, And, Or, Not, Arith, Func, CountStar,
-    Cast, IsNull, Exists, ScalarCount, StringValueAgg,
+    IsNull, Exists, ScalarCount, StringValueAgg,
 ]
 
 RelQuery = Union[Select, UnionQuery, Recursive]
@@ -363,8 +357,6 @@ def _collect_stats(node: object, stats: TranslationStats) -> None:
     elif isinstance(node, Func):
         for arg in node.args:
             _collect_stats(arg, stats)
-    elif isinstance(node, Cast):
-        _collect_stats(node.item, stats)
     elif isinstance(node, IsNull):
         _collect_stats(node.item, stats)
     # Bool/CountStar are leaves as well.  StringValueAgg is
@@ -486,8 +478,6 @@ class SqlTextDialect:
             return f"{node.name}({args})"
         if isinstance(node, CountStar):
             return "COUNT(*)"
-        if isinstance(node, Cast):
-            return f"CAST({self._expr(node.item, slots)} AS {node.type_name})"
         if isinstance(node, IsNull):
             return f"{self._expr(node.item, slots)} IS NULL"
         if isinstance(node, Exists):

@@ -10,7 +10,10 @@ data value" of the paper:
   (the ``pos`` of the node's last descendant), so subtree containment is an
   interval test;
 * ``node_local``: ``lpos`` (position among siblings, possibly gapped);
-* ``node_dewey``: ``dkey`` (the order-preserving binary Dewey key).
+* ``node_dewey``: ``dkey`` (the order-preserving binary Dewey key);
+* ``node_ordpath``: ``okey`` (the order-preserving binary ORDPATH key,
+  whose careted components let an insert go between two siblings
+  without relabelling either).
 
 ``value`` materialises an element's *direct text value*: the concatenation
 of its immediate text children.  This is the column SQL translations
@@ -19,8 +22,8 @@ simple content, where the direct text value equals the XPath string-value
 (see DESIGN.md).
 
 A small ``documents`` catalogue row per stored document records the name,
-node count, maximum depth (an audited bound on the stored ``depth``
-values; no plan depends on it) and the next free surrogate id.
+node count, next free surrogate id, order encoding and whether the
+document has a secondary index.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from typing import Iterable, Optional
 
 from repro.core.relalg import (
     And,
-    Bool,
     Col,
     CountStar,
     Exists,
@@ -115,13 +114,3 @@ def scalar_count(builder: SelectBuilder) -> ScalarCount:
         count_joins=snapshot.count_joins,
     )
     return ScalarCount(counted)
-
-
-def true_condition() -> Bool:
-    """The constant-true condition (``1 = 1``)."""
-    return Bool(True)
-
-
-def false_condition() -> Bool:
-    """The constant-false condition (``1 = 0``)."""
-    return Bool(False)

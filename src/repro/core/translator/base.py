@@ -80,7 +80,12 @@ from repro.core.sqlgen import (
     exists,
     scalar_count,
 )
-from repro.core.translator.shape import extract_shape, is_slot
+from repro.core.translator.shape import (
+    _COMPARISON_OPS,
+    _FLIP,
+    extract_shape,
+    is_slot,
+)
 from repro.errors import TranslationError, UnsupportedXPathError
 from repro.obs import METRICS
 from repro.xpath.ast import (
@@ -95,9 +100,6 @@ from repro.xpath.ast import (
     StringLiteral,
     UnionPath,
 )
-
-_COMPARISON_OPS = {"=", "!=", "<", "<=", ">", ">="}
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 
 #: Structural projection columns shared by the four encodings, in the
 #: order the store expects result rows.

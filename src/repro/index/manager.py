@@ -43,6 +43,7 @@ rebuild produce byte-identical tables.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
@@ -169,20 +170,21 @@ class IndexManager:
         if not self.exists(doc):
             return {"doc": doc, "present": False}
         execute = self.store.backend.execute
-        tags = execute(
-            "SELECT tag, COUNT(*) FROM idx_sval WHERE doc = ? GROUP BY tag",
-            (doc,),
-        ).rows
+        tags = Counter(
+            tag for (tag,) in execute(
+                "SELECT tag FROM idx_sval WHERE doc = ?", (doc,)
+            ).rows
+        )
         paths = execute(
             "SELECT COUNT(*) FROM idx_paths WHERE doc = ?", (doc,)
         ).rows[0][0]
         return {
             "doc": doc,
             "present": True,
-            "element_count": sum(count for _tag, count in tags),
+            "element_count": sum(tags.values()),
             "path_count": paths,
             "tags": dict(
-                sorted(tags, key=lambda kv: (-kv[1], kv[0]))[:10]
+                sorted(tags.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
             ),
         }
 
@@ -437,8 +439,8 @@ class IndexManager:
             f"SELECT id, depth FROM up",
             (doc, *anchors, doc),
         ).rows
-        # A correlated subquery, not a LEFT JOIN: minidb probes the
-        # former by (doc, id) and would scan idx_sval for the latter.
+        # A correlated subquery, which minidb probes by (doc, id); it
+        # has no LEFT JOIN.
         children: dict[int, list[tuple]] = {}
         for sql, params in self.store.in_batches(
             f"SELECT c.parent, c.id, c.kind, c.value, "

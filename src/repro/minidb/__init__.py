@@ -1,12 +1,13 @@
 """minidb: a from-scratch in-memory relational engine.
 
-Implements the SQL subset the paper's XPath-to-SQL translations generate:
-DDL, INSERT/UPDATE/DELETE, and SELECT with joins (inner/left), derived
-tables, correlated subqueries (EXISTS / IN / scalar), aggregates with
-GROUP BY/HAVING, DISTINCT, UNION [ALL], ORDER BY and LIMIT, and ``WITH
-[RECURSIVE]`` in front of any of those SELECTs (semi-naive fixpoint) —
-executed over heap tables with B+-tree indexes and a planner that picks
-index equality/range access paths.
+Implements exactly the SQL the store and the paper's XPath-to-SQL
+translations send (:mod:`repro.minidb.sql_ast`): DDL, single-row INSERT,
+UPDATE/DELETE, and SELECT over comma joins, derived tables, correlated
+EXISTS and scalar subqueries, COUNT(*) / MIN / MAX / GROUP_CONCAT,
+DISTINCT, UNION and ascending ORDER BY, with ``WITH RECURSIVE`` in
+front of any of them (semi-naive fixpoint) — executed over heap tables
+with B+-tree indexes and a planner that picks index equality/range
+access paths.
 """
 
 from repro.minidb.engine import MiniDb

@@ -41,16 +41,6 @@ class Catalog:
         self.version += 1
         return table
 
-    def drop_table(self, name: str, if_exists: bool = False) -> None:
-        table = self.tables.pop(name, None)
-        if table is None:
-            if if_exists:
-                return
-            raise CatalogError(f"no table {name!r}")
-        for index in table.indexes:
-            self.indexes.pop(index.name, None)
-        self.version += 1
-
     def get_table(self, name: str) -> HeapTable:
         try:
             return self.tables[name]

@@ -14,10 +14,9 @@ parsing and planning once: statement ASTs (valid for ever — parsing
 depends on nothing but the text) and compiled SELECT plans (valid for
 one ``catalog.version``, dropped together when DDL moves it).  Neither
 evicts; a cache that reaches :data:`_CACHE_CAP` entries starts over, so
-neither can fill up and stop caching.  Scalar functions can be
-registered with :meth:`create_function`, mirroring
-``sqlite3.Connection.create_function``; the engine pre-registers the
-helpers translated plans call (:mod:`repro.core.scalars`).
+neither can fill up and stop caching.  The scalar functions are fixed at
+construction: the built-ins plus the helpers translated plans call
+(:mod:`repro.core.scalars`), which the sqlite3 backend registers too.
 """
 
 from __future__ import annotations
@@ -55,7 +54,10 @@ class MiniDb:
         self.latch = RWLatch()
         self.catalog = Catalog(latch=self.latch)
         self.stats = Stats()
-        self.functions: dict[str, Callable] = dict(BUILTIN_SCALARS)
+        self.functions: dict[str, Callable] = {
+            **BUILTIN_SCALARS,
+            **{name: fn for name, _arity, fn in SCALAR_FUNCTIONS},
+        }
         self._ast_cache: dict[str, Statement] = {}
         self._plan_cache: dict[str, CompiledSelect] = {}
         #: The ``catalog.version`` every cached plan was compiled at.
@@ -63,13 +65,6 @@ class MiniDb:
         self._runner = StatementRunner(
             self.catalog, self.functions, self.stats
         )
-        for name, _arity, fn in SCALAR_FUNCTIONS:
-            self.create_function(name, fn)
-
-    def create_function(self, name: str, fn: Callable) -> None:
-        """Register a scalar SQL function under *name* (lower-cased)."""
-        self.functions[name.lower()] = fn
-        self._plan_cache.clear()
 
     # -- execution --------------------------------------------------------
 

@@ -7,21 +7,20 @@ by the engine, so repeated benchmark queries pay parsing/planning once.
 
 Evaluation model:
 
-* FROM items join left to right; base tables go through the
-  :mod:`repro.minidb.planner` access-path selection (index equality
+* FROM items join left to right as nested loops; base tables go through
+  the :mod:`repro.minidb.planner` access-path selection (index equality
   prefix + optional IN probe or range), everything else is a residual
   filter applied as soon as its aliases are bound; each FROM item is
   given the one row loop of its access path when the plan is compiled;
-* LEFT JOIN emits a NULL row when no right row matches its ON condition;
-* subqueries (EXISTS / IN / scalar) compile recursively with the outer
-  scope chained, and see the outer row bindings through the shared
+* subqueries (EXISTS / scalar) compile recursively with the outer scope
+  chained, and see the outer row bindings through the shared
   environment at run time;
 * ``WITH RECURSIVE`` is evaluated semi-naively: the step runs over the
   rows the round before added (its *delta*) until a round adds none,
   and the rows so far travel in the environment, so a recursion may be
   correlated and nested like any other subquery;
-* aggregates group materialised rows, then evaluate the select list and
-  HAVING in post-aggregate mode.
+* an aggregate select folds every row of its pipeline into one output
+  row.
 """
 
 from __future__ import annotations
@@ -33,30 +32,23 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from repro.errors import CatalogError, ExecutionError
 from repro.minidb import planner
 from repro.minidb.catalog import Catalog
-from repro.minidb.expressions import (
-    AGGREGATE_NAMES,
-    arithmetic,
-    like_match,
-    make_aggregate,
-)
+from repro.minidb.expressions import AGGREGATE_NAMES, aggregate, arithmetic
 from repro.minidb.sql_ast import (
     Binary,
-    Cast,
     ColumnRef,
+    CountStar,
     CreateIndex,
     CreateTable,
     Delete,
-    DropTable,
     Exists,
     Expr,
     FromItem,
     FunctionExpr,
     InList,
-    InSelect,
     Insert,
     IsNull,
     Literal,
-    OrderItem,
+    Not,
     Param,
     ScalarSubquery,
     Select,
@@ -66,7 +58,6 @@ from repro.minidb.sql_ast import (
     Statement,
     TableSource,
     Union_,
-    Unary,
     Update,
     With,
 )
@@ -76,13 +67,11 @@ from repro.minidb.values import (
     FIRST_NON_NULL,
     NATIVE_ORDER_TYPES,
     SqlValue,
-    cast_value,
     compare,
     is_true,
     logical_and,
     logical_not,
     logical_or,
-    row_sort_key,
     sort_key,
 )
 
@@ -225,46 +214,28 @@ class Compiler:
             return column_fn
         if isinstance(expr, Binary):
             return self._compile_binary(expr, scope)
-        if isinstance(expr, Unary):
+        if isinstance(expr, Not):
             operand = self.compile_expr(expr.operand, scope)
-            if expr.op == "NOT":
-                return lambda env, state: logical_not(
-                    _to_logic(operand(env, state))
-                )
-            if expr.op == "-":
-                def neg_fn(env: Env, state: ExecState) -> SqlValue:
-                    value = operand(env, state)
-                    if value is None:
-                        return None
-                    if not isinstance(value, (int, float)):
-                        raise ExecutionError(f"cannot negate {value!r}")
-                    return -value
-                return neg_fn
-            raise ExecutionError(f"unknown unary operator {expr.op!r}")
-        if isinstance(expr, Cast):
-            inner = self.compile_expr(expr.expr, scope)
-            target = expr.target
-            return lambda env, state: cast_value(inner(env, state), target)
+            return lambda env, state: logical_not(
+                _to_logic(operand(env, state))
+            )
         if isinstance(expr, IsNull):
             inner = self.compile_expr(expr.expr, scope)
-            if expr.negated:
-                return lambda env, state: inner(env, state) is not None
             return lambda env, state: inner(env, state) is None
         if isinstance(expr, FunctionExpr):
             return self._compile_function(expr, scope)
+        if isinstance(expr, CountStar):
+            raise ExecutionError(
+                "COUNT(*) used outside an aggregate query"
+            )
         if isinstance(expr, InList):
             return self._compile_in_list(expr, scope)
-        if isinstance(expr, InSelect):
-            return self._compile_in_select(expr, scope)
         if isinstance(expr, Exists):
             plan = self._compile_subquery(expr.select, scope)
-            negated = expr.negated
             def exists_fn(env: Env, state: ExecState) -> SqlValue:
-                found = False
                 for _row in plan.rows(env, state):
-                    found = True
-                    break
-                return (not found) if negated else found
+                    return True
+                return False
             return exists_fn
         if isinstance(expr, ScalarSubquery):
             plan = self._compile_subquery(expr.select, scope)
@@ -277,9 +248,11 @@ class Compiler:
 
     def _compile_binary(self, expr: Binary, scope: Scope) -> ExprFn:
         op = expr.op
+        if op in _COMPARISONS:
+            return self._compile_comparison(op, expr.left, expr.right, scope)
+        left = self.compile_expr(expr.left, scope)
+        right = self.compile_expr(expr.right, scope)
         if op == "AND":
-            left = self.compile_expr(expr.left, scope)
-            right = self.compile_expr(expr.right, scope)
             def and_fn(env: Env, state: ExecState) -> SqlValue:
                 lval = _to_logic(left(env, state))
                 if lval is False:
@@ -287,29 +260,15 @@ class Compiler:
                 return logical_and(lval, _to_logic(right(env, state)))
             return and_fn
         if op == "OR":
-            left = self.compile_expr(expr.left, scope)
-            right = self.compile_expr(expr.right, scope)
             def or_fn(env: Env, state: ExecState) -> SqlValue:
                 lval = _to_logic(left(env, state))
                 if lval is True:
                     return True
                 return logical_or(lval, _to_logic(right(env, state)))
             return or_fn
-        if op == "LIKE":
-            left = self.compile_expr(expr.left, scope)
-            right = self.compile_expr(expr.right, scope)
-            return lambda env, state: like_match(
-                left(env, state), right(env, state)
-            )
-        if op in ("+", "-", "*", "/", "||"):
-            left = self.compile_expr(expr.left, scope)
-            right = self.compile_expr(expr.right, scope)
-            return lambda env, state: arithmetic(
-                op, left(env, state), right(env, state)
-            )
-        if op in _COMPARISONS:
-            return self._compile_comparison(op, expr.left, expr.right, scope)
-        raise ExecutionError(f"unknown operator {op!r}")
+        return lambda env, state: arithmetic(
+            op, left(env, state), right(env, state)
+        )
 
     def _compile_comparison(
         self, op: str, left: Expr, right: Expr, scope: Scope
@@ -389,14 +348,14 @@ class Compiler:
         return call_fn
 
     def _compile_in_list(self, expr: InList, scope: Scope) -> ExprFn:
+        """``x IN (…)``: true on a match, else NULL when an item (a bound
+        parameter) is NULL, else false."""
         value_fn = self.compile_expr(expr.expr, scope)
         item_fns = [self.compile_expr(i, scope) for i in expr.items]
-        negated = expr.negated
         def in_fn(env: Env, state: ExecState) -> SqlValue:
             value = value_fn(env, state)
             if value is None:
                 return None
-            found = False
             saw_null = False
             for item_fn in item_fns:
                 item = item_fn(env, state)
@@ -405,40 +364,11 @@ class Compiler:
                     continue
                 try:
                     if compare(value, item) == 0:
-                        found = True
-                        break
+                        return True
                 except ExecutionError:
                     continue  # different type class: not equal
-            if found:
-                return not negated
-            if saw_null:
-                return None
-            return negated
+            return None if saw_null else False
         return in_fn
-
-    def _compile_in_select(self, expr: InSelect, scope: Scope) -> ExprFn:
-        value_fn = self.compile_expr(expr.expr, scope)
-        plan = self._compile_subquery(expr.select, scope)
-        negated = expr.negated
-        def in_select_fn(env: Env, state: ExecState) -> SqlValue:
-            value = value_fn(env, state)
-            if value is None:
-                return None
-            saw_null = False
-            for row in plan.rows(env, state):
-                item = row[0]
-                if item is None:
-                    saw_null = True
-                    continue
-                try:
-                    if compare(value, item) == 0:
-                        return not negated
-                except ExecutionError:
-                    continue
-            if saw_null:
-                return None
-            return negated
-        return in_select_fn
 
     # -- SELECT ------------------------------------------------------------
 
@@ -461,29 +391,23 @@ class Compiler:
     def _compile_with(
         self, node: With, outer: Optional[Scope]
     ) -> "CompiledSelect":
-        anchor = self.compile_select(node.query, outer)
+        anchor = self.compile_select(node.anchor, outer)
         if len(anchor.columns) != len(node.columns):
             raise ExecutionError(
                 f"{node.name!r} names {len(node.columns)} columns, its "
                 f"select yields {len(anchor.columns)}"
             )
         scope = Scope({}, outer, {node.name: node.columns})
-        step = (
-            self._compile_select_core(node.step, scope)
-            if node.step is not None else None
-        )
-        if step is not None and len(step.columns) != len(node.columns):
+        step = self._compile_select_core(node.step, scope)
+        if len(step.columns) != len(node.columns):
             raise ExecutionError("UNION arms have different widths")
         body = self.compile_select(node.body, scope)
         key = _cte_key(node.name)
-        dedupe = step is not None and not node.union_all
 
         def rows(env: Env, state: ExecState) -> list[tuple]:
             seen: set = set()
 
-            def fresh(produced: Iterator[tuple]) -> list[tuple]:
-                if not dedupe:
-                    return list(produced)
+            def fresh(produced: Iterable[tuple]) -> list[tuple]:
                 out = []
                 for row in produced:
                     if row not in seen:
@@ -493,18 +417,16 @@ class Compiler:
 
             delta = fresh(anchor.rows(env, state))
             table = list(delta)
-            while step is not None and delta:
+            while delta:
                 delta = fresh(step.rows({**env, key: delta}, state))
                 table.extend(delta)
             return body.rows({**env, key: table}, state)
 
         plan_lines = [
-            f"WITH{' RECURSIVE' if step is not None else ''} "
-            f"{node.name}({', '.join(node.columns)}):"
+            f"WITH RECURSIVE {node.name}({', '.join(node.columns)}):"
         ]
         plan_lines.extend(f"  anchor: {line}" for line in anchor.plan_lines)
-        if step is not None:
-            plan_lines.extend(f"  step: {line}" for line in step.plan_lines)
+        plan_lines.extend(f"  step: {line}" for line in step.plan_lines)
         plan_lines.extend(body.plan_lines)
         return CompiledSelect(body.columns, rows, plan_lines)
 
@@ -516,38 +438,21 @@ class Compiler:
         for arm in arms[1:]:
             if len(arm.columns) != len(columns):
                 raise ExecutionError("UNION arms have different widths")
-        order_keys = _union_order_keys(union.order_by, columns)
-        limit_fn = (
-            self.compile_expr(union.limit, Scope({}, outer))
-            if union.limit is not None
-            else None
-        )
-        dedupe = not union.all
+        row_key = _row_key(_union_order_positions(union.order_by, columns))
 
         def rows(env: Env, state: ExecState) -> list[tuple]:
-            out: list[tuple] = []
+            seen = set()
+            out = []
             for arm in arms:
-                out.extend(arm.rows(env, state))
-            if dedupe:
-                seen = set()
-                unique = []
-                for row in out:
+                for row in arm.rows(env, state):
                     if row not in seen:
                         seen.add(row)
-                        unique.append(row)
-                out = unique
-            for position, descending in reversed(order_keys):
-                out.sort(
-                    key=lambda r: row_sort_key((r[position],)),
-                    reverse=descending,
-                )
-            if limit_fn is not None:
-                limit = limit_fn(env, state)
-                out = out[: int(limit)] if limit is not None else out
+                        out.append(row)
+            if row_key is not None:
+                out.sort(key=row_key)
             return out
 
-        plan_lines = [f"UNION{' ALL' if union.all else ''} of "
-                      f"{len(arms)} arms:"]
+        plan_lines = [f"UNION of {len(arms)} arms:"]
         for position, arm in enumerate(arms):
             plan_lines.extend(
                 f"  arm {position}: {line}" for line in arm.plan_lines
@@ -624,31 +529,15 @@ class Compiler:
                 bound.update(outer_scope.aliases)
                 outer_scope = outer_scope.parent
         for position, (from_item, source) in enumerate(sources):
-            step_conjuncts = list(placement[position])
-            on_conjuncts = [
-                _qualify_with_scope(c, scope)
-                for c in planner.split_conjuncts(from_item.on)
-            ]
-            if from_item.join_type == "inner":
-                step_conjuncts.extend(on_conjuncts)
-                on_fns: list[ExprFn] = []
-            else:
-                on_fns = [
-                    self.compile_expr(c, scope) for c in on_conjuncts
-                ]
-            step = self._build_join_step(
-                from_item, source, step_conjuncts, on_fns, bound, scope
-            )
-            steps.append(step)
+            steps.append(self._build_join_step(
+                from_item, source, placement[position], bound, scope
+            ))
             bound.add(from_item.alias)
 
         gate_fns = [self.compile_expr(c, scope) for c in gates]
 
         # 4. Select list, aggregation, ordering.
-        has_aggregates = bool(select.group_by) or _contains_aggregate(
-            select
-        )
-        if has_aggregates:
+        if _contains_aggregate(select):
             compiled = self._finish_aggregate_select(
                 select, scope, steps, gate_fns
             )
@@ -675,28 +564,22 @@ class Compiler:
         from_item: FromItem,
         source: object,
         conjuncts: list[Expr],
-        on_fns: list[ExprFn],
         bound: set[str],
         scope: Scope,
     ) -> "_JoinStep":
         alias = from_item.alias
-        left = from_item.join_type == "left"
         if isinstance(source, HeapTable):
             path = planner.choose_access_path(
                 source, alias, conjuncts, bound
             )
-            return self._table_step(alias, source, path, scope, on_fns, left)
+            return self._table_step(alias, source, path, scope)
+        residual_fns = [self.compile_expr(c, scope) for c in conjuncts]
         if isinstance(source, str):
             # A common table expression: its rows so far (the step of
             # a recursion sees the round's delta) ride in the
             # environment under this key.
             return _JoinStep(
-                alias=alias,
-                cte_key=source,
-                residual_fns=[self.compile_expr(c, scope) for c in conjuncts],
-                on_fns=on_fns,
-                left=left,
-                width=len(scope.aliases[alias]),
+                alias=alias, cte_key=source, residual_fns=residual_fns
             )
         # Derived table: materialised once per execution — unless the
         # subquery is correlated (it references an outer alias or any
@@ -704,22 +587,17 @@ class Compiler:
         # depend on the current environment and must be recomputed per
         # outer row.  Caching a correlated derived table would replay
         # the first outer row's rows for every subsequent one.
-        subplan = source
         free_refs: set = set()
         planner._collect_select_refs(
             from_item.source.select, frozenset(), free_refs
         )
-        residual_fns = [self.compile_expr(c, scope) for c in conjuncts]
         return _JoinStep(
             alias=alias,
-            subplan=subplan,  # type: ignore[arg-type]
+            subplan=source,  # type: ignore[arg-type]
             # ... or might read a common table, whose rows change
             # from one round (and one outer row) to the next.
             correlated=bool(free_refs) or bool(scope.ctes),
             residual_fns=residual_fns,
-            on_fns=on_fns,
-            left=left,
-            width=len(subplan.columns),  # type: ignore[union-attr]
         )
 
     def _table_step(
@@ -728,8 +606,6 @@ class Compiler:
         table: HeapTable,
         path: planner.AccessPath,
         scope: Scope,
-        on_fns: list[ExprFn],
-        left: bool,
     ) -> "_JoinStep":
         """A base table read along *path*, its expressions compiled (the
         filters first: their subqueries list first in the plan)."""
@@ -748,9 +624,6 @@ class Compiler:
             lower_fns=[(op, compile_expr(e, scope)) for op, e in path.lower],
             upper_fns=[(op, compile_expr(e, scope)) for op, e in path.upper],
             residual_fns=residual_fns,
-            on_fns=on_fns,
-            left=left,
-            width=len(table.columns),
         )
 
     def _finish_plain_select(
@@ -761,42 +634,15 @@ class Compiler:
         gate_fns: list[ExprFn],
     ) -> "CompiledSelect":
         columns, item_fns = self._compile_select_items(select, scope)
-        alias_fns = {
-            item.alias: fn
-            for item, fn in zip(
-                [i for i in select.items if isinstance(i, SelectItem)],
-                item_fns,
-            )
-            if isinstance(item, SelectItem) and item.alias
-        } if not any(isinstance(i, Star) for i in select.items) else {}
-        order_fns = [
-            (self._compile_order_expr(o.expr, scope, alias_fns),
-             o.descending)
-            for o in select.order_by
-        ]
-        limit_fn = (
-            self.compile_expr(select.limit, scope)
-            if select.limit is not None
-            else None
-        )
-        directions = [descending for _fn, descending in order_fns]
+        order_fns = [self.compile_expr(c, scope) for c in select.order_by]
         pipeline = _pipeline(steps)
         plain = _plain_columns(select, scope)
+        distinct = select.distinct
 
-        def finish(env: Env, state: ExecState, out: list) -> list[tuple]:
-            if select.distinct:
-                seen = set()
-                unique = []
-                for row in out:
-                    if row not in seen:
-                        seen.add(row)
-                        unique.append(row)
-                out = unique
-            if limit_fn is not None:
-                limit = limit_fn(env, state)
-                if limit is not None:
-                    out = out[: int(limit)]
-            return out
+        def finish(out: list[tuple]) -> list[tuple]:
+            if not distinct:
+                return out
+            return list(dict.fromkeys(out))
 
         if plain is not None:
             # Every output and ORDER BY column is a column of one alias:
@@ -810,8 +656,9 @@ class Compiler:
                     if not is_true(gate(env, state)):
                         return []
                 source = [e[alias] for e in pipeline(env, state)]
-                _sort_by_keys(source, directions, row_key)
-                return finish(env, state, list(map(project, source)))
+                if row_key is not None:
+                    source.sort(key=row_key)
+                return finish(list(map(project, source)))
 
             return CompiledSelect(tuple(columns), plain_rows)
 
@@ -823,18 +670,18 @@ class Compiler:
             if order_fns:
                 materialised = [
                     (
-                        tuple(sort_key(fn(e, state)) for fn, _d in order_fns),
+                        tuple(sort_key(fn(e, state)) for fn in order_fns),
                         tuple(fn(e, state) for fn in item_fns),
                     )
                     for e in envs
                 ]
-                _sort_by_keys(materialised, directions)
+                materialised.sort(key=_FIRST)
                 out = [row for _k, row in materialised]
             else:
                 out = [
                     tuple(fn(e, state) for fn in item_fns) for e in envs
                 ]
-            return finish(env, state, out)
+            return finish(out)
 
         return CompiledSelect(tuple(columns), rows)
 
@@ -845,13 +692,15 @@ class Compiler:
         steps: list["_JoinStep"],
         gate_fns: list[ExprFn],
     ) -> "CompiledSelect":
-        if _is_scalar_count_star(select):
+        """One output row over every row of the pipeline.  Outside its
+        aggregates, a select item sees the enclosing query only."""
+        pipeline = _pipeline(steps)
+        first = select.items[0]
+        if len(select.items) == 1 and isinstance(first, SelectItem) \
+                and isinstance(first.expr, CountStar):
             # The correlated COUNT(*) of every positional predicate:
-            # count the pipeline's rows as they stream, no groups.
-            item = select.items[0]
-            column = item.alias or _item_name(item.expr, 0)  # type: ignore[union-attr]
-
-            pipeline = _pipeline(steps)
+            # count the pipeline's rows as they stream.
+            column = first.alias or "col1"
 
             def count_rows(env: Env, state: ExecState) -> list[tuple]:
                 count = 0
@@ -861,135 +710,69 @@ class Compiler:
                 return [(count,)]
 
             return CompiledSelect((column,), count_rows)
-        group_fns = [self.compile_expr(e, scope) for e in select.group_by]
 
-        # Find every aggregate call in the select list and HAVING; compile
-        # its argument; assign it a slot.
-        agg_nodes: list[FunctionExpr] = []
-        _collect_aggregates(select, agg_nodes)
-        slots: dict[int, int] = {}
-        agg_arg_fns: list[Optional[ExprFn]] = []
-        agg_separators: list[str] = []
-        for node in agg_nodes:
-            slots[id(node)] = len(agg_arg_fns)
-            if node.star:
-                agg_arg_fns.append(None)
-            else:
-                agg_arg_fns.append(
-                    self.compile_expr(node.args[0], scope)
-                )
-            separator = ","
-            if node.name == "group_concat" and len(node.args) > 1:
-                sep_expr = node.args[1]
-                if not isinstance(sep_expr, Literal):
-                    raise ExecutionError(
-                        "group_concat separator must be a literal"
-                    )
-                separator = str(sep_expr.value)
-            agg_separators.append(separator)
-
-        post = _PostAggregateCompiler(self, scope, slots)
-        columns: list[str] = []
-        item_fns: list[ExprFn] = []
-        for index, item in enumerate(select.items):
+        # Every aggregate call of the select list gets a slot; its
+        # argument is compiled against the rows it folds.
+        agg_nodes: list[Expr] = []
+        for item in select.items:
             if isinstance(item, Star):
                 raise ExecutionError("SELECT * with aggregates")
-            columns.append(item.alias or _item_name(item.expr, index))
-            item_fns.append(post.compile(item.expr))
-        having_fn = (
-            post.compile(select.having)
-            if select.having is not None
-            else None
+            _collect_aggregates(item.expr, agg_nodes)
+        slots = {id(node): slot for slot, node in enumerate(agg_nodes)}
+        folds = [_aggregate_fold(self, node, scope) for node in agg_nodes]
+        outer = Scope({}, scope.parent)
+        columns = tuple(
+            item.alias or _item_name(item.expr, index)
+            for index, item in enumerate(select.items)
         )
-        alias_fns = {
-            item.alias: fn
-            for item, fn in zip(select.items, item_fns)
-            if isinstance(item, SelectItem) and item.alias
-        }
-        order_fns = []
-        for o in select.order_by:
-            if (
-                isinstance(o.expr, ColumnRef)
-                and o.expr.table is None
-                and o.expr.column in alias_fns
-            ):
-                order_fns.append((alias_fns[o.expr.column], o.descending))
-            else:
-                order_fns.append((post.compile(o.expr), o.descending))
-        limit_fn = (
-            self.compile_expr(select.limit, scope)
-            if select.limit is not None
-            else None
-        )
-        pipeline = _pipeline(steps)
+        item_fns = [
+            self._compile_post_aggregate(item.expr, outer, slots)
+            for item in select.items
+        ]
+
+        arg_fns = [arg_fn for arg_fn, _finish in folds]
 
         def rows(env: Env, state: ExecState) -> list[tuple]:
-            gate_ok = all(is_true(g(env, state)) for g in gate_fns)
-            if not gate_ok and group_fns:
-                return []
-            groups: dict[tuple, list[Env]] = {}
-            if gate_ok:
+            values: list[list] = [[] for _ in folds]
+            count = 0
+            if all(is_true(g(env, state)) for g in gate_fns):
                 for e in pipeline(env, state):
-                    key = tuple(
-                        row_sort_key((fn(e, state),)) for fn in group_fns
-                    )
-                    # A copy: the pipeline rebinds e for its next row.
-                    groups.setdefault(key, []).append(dict(e))
-            if not group_fns and not groups:
-                groups[()] = []  # global aggregate over zero rows
-            out = []
-            for _key, group_envs in groups.items():
-                accumulators = [
-                    make_aggregate(node.name, node.star, separator)
-                    for node, separator in zip(agg_nodes, agg_separators)
-                ]
-                for e in group_envs:
-                    for accumulator, arg_fn in zip(
-                        accumulators, agg_arg_fns
-                    ):
-                        if arg_fn is None:
-                            accumulator.add(None)
-                        else:
-                            accumulator.add(arg_fn(e, state))
-                agg_values = [a.result() for a in accumulators]
-                group_env = dict(group_envs[0]) if group_envs else dict(env)
-                group_env["__agg__"] = agg_values
-                if having_fn is not None and not is_true(
-                    having_fn(group_env, state)
-                ):
-                    continue
-                out.append(
-                    (
-                        tuple(
-                            row_sort_key((fn(group_env, state),))
-                            for fn, _d in order_fns
-                        ),
-                        tuple(fn(group_env, state) for fn in item_fns),
-                    )
-                )
-            _sort_by_keys(out, [d for _fn, d in order_fns])
-            result = [row for _k, row in out]
-            if limit_fn is not None:
-                limit = limit_fn(env, state)
-                if limit is not None:
-                    result = result[: int(limit)]
-            return result
+                    count += 1
+                    for bucket, arg_fn in zip(values, arg_fns):
+                        if arg_fn is not None:
+                            value = arg_fn(e, state)
+                            if value is not None:
+                                bucket.append(value)
+            results = [
+                count if finish is None else finish(bucket)
+                for bucket, (_arg_fn, finish) in zip(values, folds)
+            ]
+            group_env = {**env, "__agg__": results}
+            return [tuple(fn(group_env, state) for fn in item_fns)]
 
-        return CompiledSelect(tuple(columns), rows)
+        return CompiledSelect(columns, rows)
 
-    def _compile_order_expr(
-        self, expr: Expr, scope: Scope, alias_fns: dict[str, ExprFn]
+    def _compile_post_aggregate(
+        self, expr: Expr, scope: Scope, slots: dict[int, int]
     ) -> ExprFn:
-        """ORDER BY may reference a select-list alias by bare name."""
-        if (
-            isinstance(expr, ColumnRef)
-            and expr.table is None
-            and expr.column in alias_fns
-        ):
-            try:
-                return self.compile_expr(expr, scope)
-            except CatalogError:
-                return alias_fns[expr.column]
+        """A select item of an aggregate query: its aggregate calls read
+        their slot from ``env["__agg__"]``, the functions around them
+        compile here, everything else against *scope*."""
+        slot = slots.get(id(expr))
+        if slot is not None:
+            return lambda env, state: env["__agg__"][slot]
+        if isinstance(expr, FunctionExpr) and expr.name not in \
+                AGGREGATE_NAMES:
+            fn = self.functions.get(expr.name)
+            if fn is None:
+                raise ExecutionError(f"unknown function {expr.name}()")
+            arg_fns = [
+                self._compile_post_aggregate(a, scope, slots)
+                for a in expr.args
+            ]
+            def call_fn(env: Env, state: ExecState) -> SqlValue:
+                return fn(*[a(env, state) for a in arg_fns])
+            return call_fn
         return self.compile_expr(expr, scope)
 
     def _compile_select_items(
@@ -1000,8 +783,6 @@ class Compiler:
         for index, item in enumerate(select.items):
             if isinstance(item, Star):
                 for alias, alias_columns in scope.aliases.items():
-                    if item.table is not None and alias != item.table:
-                        continue
                     for position, name in enumerate(alias_columns):
                         columns.append(name)
                         fns.append(_make_column_fn(alias, position))
@@ -1032,35 +813,21 @@ def _plain_columns(
     select: Select, scope: Scope
 ) -> Optional[tuple[str, list[int], list[int]]]:
     """``(alias, output positions, ORDER BY positions)`` when every
-    select item and ORDER BY term is a plain column of one alias (an
-    ORDER BY term may name a select item's alias), else None."""
+    select item and ORDER BY column is a plain column of one alias,
+    else None."""
     pairs: list[tuple[str, int]] = []
-    named: dict[str, tuple[str, int]] = {}
     for item in select.items:
         if isinstance(item, Star):
             pairs.extend(
                 (alias, position)
                 for alias, columns in scope.aliases.items()
-                if item.table is None or alias == item.table
                 for position in range(len(columns))
             )
             continue
         if not isinstance(item.expr, ColumnRef):
             return None
-        pair = scope.resolve(item.expr.table, item.expr.column)
-        pairs.append(pair)
-        if item.alias:
-            named[item.alias] = pair
-    order: list[tuple[str, int]] = []
-    for term in select.order_by:
-        if not isinstance(term.expr, ColumnRef):
-            return None
-        try:
-            order.append(scope.resolve(term.expr.table, term.expr.column))
-        except CatalogError:
-            if term.expr.table is not None or term.expr.column not in named:
-                return None
-            order.append(named[term.expr.column])
+        pairs.append(scope.resolve(item.expr.table, item.expr.column))
+    order = [scope.resolve(c.table, c.column) for c in select.order_by]
     aliases = {alias for alias, _position in (*pairs, *order)}
     if len(aliases) != 1 or not pairs:
         return None
@@ -1100,25 +867,6 @@ def _row_key(positions: list[int]) -> Optional[Callable[[tuple], tuple]]:
 
 
 _FIRST = operator.itemgetter(0)
-
-
-def _sort_by_keys(
-    items: list, directions: Sequence[bool], key: Callable = _FIRST
-) -> None:
-    """Sort *items* in place by ORDER BY terms: ``key(item)`` is the
-    tuple of their sort keys, ``directions`` whether each descends.  One
-    sort when every term runs one way; otherwise one stable sort per
-    term, last term first."""
-    if not directions:
-        return
-    if len(set(directions)) == 1:
-        items.sort(key=key, reverse=directions[0])
-        return
-    for position in reversed(range(len(directions))):
-        items.sort(
-            key=lambda item: key(item)[position],
-            reverse=directions[position],
-        )
 
 
 _COMPARISONS = {
@@ -1164,159 +912,60 @@ def _to_logic(value: SqlValue) -> Optional[bool]:
     return bool(value)
 
 
-def _union_order_keys(
-    order_by: Sequence[OrderItem], columns: tuple[str, ...]
-) -> list[tuple[int, bool]]:
-    """Compound-select ORDER BY: by output name or 1-based position."""
-    keys: list[tuple[int, bool]] = []
-    for item in order_by:
-        if isinstance(item.expr, Literal) and isinstance(
-            item.expr.value, int
-        ):
-            keys.append((item.expr.value - 1, item.descending))
-        elif isinstance(item.expr, ColumnRef) and item.expr.table is None:
-            try:
-                keys.append(
-                    (columns.index(item.expr.column), item.descending)
-                )
-            except ValueError:
-                raise ExecutionError(
-                    f"ORDER BY column {item.expr.column!r} not in output"
-                ) from None
-        else:
+def _union_order_positions(
+    order_by: Sequence[ColumnRef], columns: tuple[str, ...]
+) -> list[int]:
+    """Compound-select ORDER BY: output positions, by output name."""
+    positions: list[int] = []
+    for column in order_by:
+        if column.table is not None or column.column not in columns:
             raise ExecutionError(
-                "compound ORDER BY must use output names or positions"
+                f"compound ORDER BY {column} is not an output column"
             )
-    return keys
-
-
-def _is_scalar_count_star(select: Select) -> bool:
-    """``SELECT COUNT(*) FROM …`` with nothing after the WHERE."""
-    if len(select.items) != 1 or select.group_by or select.order_by:
-        return False
-    if select.having is not None or select.limit is not None:
-        return False
-    item = select.items[0]
-    return (
-        isinstance(item, SelectItem)
-        and isinstance(item.expr, FunctionExpr)
-        and item.expr.name == "count"
-        and item.expr.star
-    )
+        positions.append(columns.index(column.column))
+    return positions
 
 
 def _contains_aggregate(select: Select) -> bool:
-    nodes: list[FunctionExpr] = []
-    _collect_aggregates(select, nodes)
+    nodes: list[Expr] = []
+    for item in select.items:
+        if isinstance(item, SelectItem):
+            _collect_aggregates(item.expr, nodes)
     return bool(nodes)
 
 
-def _collect_aggregates(
-    select: Select, out: list[FunctionExpr]
-) -> None:
-    for item in select.items:
-        if isinstance(item, SelectItem):
-            _collect_aggregates_expr(item.expr, out)
-    if select.having is not None:
-        _collect_aggregates_expr(select.having, out)
-    for order in select.order_by:
-        _collect_aggregates_expr(order.expr, out)
-
-
-def _collect_aggregates_expr(expr: Expr, out: list[FunctionExpr]) -> None:
-    if isinstance(expr, FunctionExpr):
-        if expr.name in AGGREGATE_NAMES:
-            out.append(expr)
-            return
+def _collect_aggregates(expr: Expr, out: list[Expr]) -> None:
+    """The aggregate calls in *expr*, directly or as function arguments
+    (an aggregate inside a subquery belongs to the subquery)."""
+    if isinstance(expr, CountStar) or (
+        isinstance(expr, FunctionExpr) and expr.name in AGGREGATE_NAMES
+    ):
+        out.append(expr)
+    elif isinstance(expr, FunctionExpr):
         for arg in expr.args:
-            _collect_aggregates_expr(arg, out)
-    elif isinstance(expr, Binary):
-        _collect_aggregates_expr(expr.left, out)
-        _collect_aggregates_expr(expr.right, out)
-    elif isinstance(expr, Unary):
-        _collect_aggregates_expr(expr.operand, out)
-    elif isinstance(expr, Cast):
-        _collect_aggregates_expr(expr.expr, out)
-    elif isinstance(expr, IsNull):
-        _collect_aggregates_expr(expr.expr, out)
-    elif isinstance(expr, InList):
-        _collect_aggregates_expr(expr.expr, out)
-        for item in expr.items:
-            _collect_aggregates_expr(item, out)
-    # Aggregates inside subqueries belong to the subquery.
+            _collect_aggregates(arg, out)
 
 
-class _PostAggregateCompiler:
-    """Compiles select-list/HAVING expressions after grouping.
-
-    Aggregate calls read their slot from ``env["__agg__"]``; everything
-    else compiles normally (column refs read the group's first row,
-    SQLite-style).
-    """
-
-    def __init__(
-        self, compiler: Compiler, scope: Scope, slots: dict[int, int]
-    ) -> None:
-        self._compiler = compiler
-        self._scope = scope
-        self._slots = slots
-
-    def compile(self, expr: Expr) -> ExprFn:
-        slot = self._slots.get(id(expr))
-        if slot is not None:
-            def agg_fn(env: Env, state: ExecState) -> SqlValue:
-                return env["__agg__"][slot]
-            return agg_fn
-        if isinstance(expr, Binary):
-            left = self.compile(expr.left)
-            right = self.compile(expr.right)
-            rebuilt = Binary(expr.op, Literal(None), Literal(None))
-            return self._combine_binary(expr.op, left, right, rebuilt)
-        if isinstance(expr, Unary):
-            inner = self.compile(expr.operand)
-            if expr.op == "NOT":
-                return lambda env, state: logical_not(
-                    _to_logic(inner(env, state))
-                )
-            return lambda env, state: (
-                None
-                if inner(env, state) is None
-                else -inner(env, state)  # type: ignore[operator]
-            )
-        if isinstance(expr, Cast):
-            inner = self.compile(expr.expr)
-            target = expr.target
-            return lambda env, state: cast_value(inner(env, state), target)
-        if isinstance(expr, FunctionExpr) and expr.name not in AGGREGATE_NAMES:
-            fn = self._compiler.functions.get(expr.name)
-            if fn is None:
-                raise ExecutionError(f"unknown function {expr.name}()")
-            arg_fns = [self.compile(a) for a in expr.args]
-            def call_fn(env: Env, state: ExecState) -> SqlValue:
-                return fn(*[a(env, state) for a in arg_fns])
-            return call_fn
-        return self._compiler.compile_expr(expr, self._scope)
-
-    def _combine_binary(
-        self, op: str, left: ExprFn, right: ExprFn, _node: Binary
-    ) -> ExprFn:
-        if op == "AND":
-            return lambda env, state: logical_and(
-                _to_logic(left(env, state)), _to_logic(right(env, state))
-            )
-        if op == "OR":
-            return lambda env, state: logical_or(
-                _to_logic(left(env, state)), _to_logic(right(env, state))
-            )
-        if op in ("+", "-", "*", "/", "||"):
-            return lambda env, state: arithmetic(
-                op, left(env, state), right(env, state)
-            )
-        if op == "LIKE":
-            return lambda env, state: like_match(
-                left(env, state), right(env, state)
-            )
-        return _compare_closures(op, left, right)
+def _aggregate_fold(
+    compiler: Compiler, node: Expr, scope: Scope
+) -> tuple[Optional[ExprFn], Optional[Callable[[list], SqlValue]]]:
+    """``(argument, finish)`` of one aggregate call: the value each row
+    contributes and what folds the non-NULL ones.  COUNT(*) has neither:
+    it counts rows."""
+    if isinstance(node, CountStar):
+        return None, None
+    name, args = node.name, node.args  # type: ignore[union-attr]
+    separator = ","
+    if name == "group_concat" and len(args) == 2:
+        if not isinstance(args[1], Literal):
+            raise ExecutionError("group_concat separator must be a literal")
+        separator = str(args[1].value)
+    elif len(args) != 1:
+        raise ExecutionError(f"{name}() takes one argument")
+    return (
+        compiler.compile_expr(args[0], scope),
+        lambda values: aggregate(name, values, separator),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1333,10 +982,9 @@ class _JoinStep:
     ``matches(env, state)`` binds the step's alias in *env* to each
     matching row in turn and yields *env* itself each time.  The binding
     is overwritten by the next row: a consumer reads what it needs before
-    it resumes the loop, or copies the environment (aggregate groups do).
-    A pipeline hands its steps one private copy of the caller's
-    environment, so a subquery's bindings never leak into the query that
-    runs it.  Base-table rows also record their heap rowid under a
+    it resumes the loop.  A pipeline hands its steps one private copy of
+    the caller's environment, so a subquery's bindings never leak into
+    the query that runs it.  Base-table rows also record their heap rowid under a
     reserved ``__rowid_<alias>`` key, which UPDATE/DELETE use to locate
     the target rows without a second scan.
     """
@@ -1352,28 +1000,24 @@ class _JoinStep:
     lower_fns: list[tuple[str, ExprFn]] = field(default_factory=list)
     upper_fns: list[tuple[str, ExprFn]] = field(default_factory=list)
     residual_fns: list[ExprFn] = field(default_factory=list)
-    on_fns: list[ExprFn] = field(default_factory=list)
-    left: bool = False
-    width: int = 0
 
     def __post_init__(self) -> None:
         self.rowid_key = f"__rowid_{self.alias}"
-        #: What a candidate row must pass: the ON conditions, then the
-        #: WHERE conjuncts placed here — one callable, or None.
-        self.test = _all_true((*self.on_fns, *self.residual_fns))
+        #: What a candidate row must pass: the WHERE conjuncts placed
+        #: here — one callable, or None.
+        self.test = _all_true(self.residual_fns)
         if self.subplan is not None:
-            kernel = _derived_rows(self)
+            self.matches = _derived_rows(self)
         elif self.table is None:
-            kernel = _common_table_rows(self)
+            self.matches = _common_table_rows(self)
         elif self.index is None:
-            kernel = _full_scan(self)
+            self.matches = _full_scan(self)
         elif self.in_fns is not None:
-            kernel = _in_probe(self)
+            self.matches = _in_probe(self)
         elif self.lower_fns or self.upper_fns:
-            kernel = _range_read(self)
+            self.matches = _range_read(self)
         else:
-            kernel = _probe(self)
-        self.matches = _null_extended(self, kernel) if self.left else kernel
+            self.matches = _probe(self)
 
 
 # The row loops.  Each counts exactly what the engine reports —
@@ -1439,7 +1083,8 @@ def _probe(step: _JoinStep) -> RowLoop:
 
 def _in_probe(step: _JoinStep) -> RowLoop:
     """An equality prefix plus an IN list on the next column: one probe
-    per non-NULL list value, in list order."""
+    per distinct non-NULL list value, in list order (a value listed
+    twice still matches its rows once)."""
     alias, rowid_key, test = step.alias, step.rowid_key, step.test
     table, index = step.table, step.index
     eq_fns, in_fns = step.eq_fns, step.in_fns
@@ -1451,11 +1096,11 @@ def _in_probe(step: _JoinStep) -> RowLoop:
         prefix = _probe_key(eq_fns, env, state)
         if prefix is None:
             return
-        keys = []
+        keys = {}
         for fn in in_fns:
             value = fn(env, state)
             if value is not None:
-                keys.append((*prefix, sort_key(value)))
+                keys[(*prefix, sort_key(value))] = None
         tree = index.tree
         rows = table.rows
         for key in keys:
@@ -1610,29 +1255,6 @@ def _derived_rows(step: _JoinStep) -> RowLoop:
     return matches
 
 
-def _null_extended(step: _JoinStep, kernel: RowLoop) -> RowLoop:
-    """LEFT JOIN: the step's own loop, then one all-NULL row when it
-    matched nothing and the WHERE conjuncts placed here accept it."""
-    alias, rowid_key = step.alias, step.rowid_key
-    null_row = (None,) * step.width
-    residual_fns = step.residual_fns
-
-    def matches(env: Env, state: ExecState) -> Iterator[Env]:
-        matched = False
-        for extended in kernel(env, state):
-            matched = True
-            yield extended
-        if matched:
-            return
-        env[alias] = null_row
-        env.pop(rowid_key, None)
-        for fn in residual_fns:
-            if not is_true(fn(env, state)):
-                return
-        yield env
-    return matches
-
-
 def _pipeline(steps: list[_JoinStep]) -> RowLoop:
     """The environments the join of *steps* produces, depth first, each
     run on a private copy of the caller's environment.  The nesting is
@@ -1671,14 +1293,13 @@ class CompiledSelect:
 
 
 def _describe_step(step: _JoinStep) -> str:
-    join = "LEFT JOIN" if step.left else "JOIN"
     if step.cte_key is not None:
-        return (f"{join} common table {step.alias}, "
+        return (f"JOIN common table {step.alias}, "
                 f"{len(step.residual_fns)} filter(s)")
     if step.subplan is not None:
-        return f"{join} derived {step.alias} (materialised subquery)"
+        return f"JOIN derived {step.alias} (materialised subquery)"
     if step.index is None:
-        return (f"{join} {step.table.name} {step.alias}: FULL SCAN, "
+        return (f"JOIN {step.table.name} {step.alias}: FULL SCAN, "
                 f"{len(step.residual_fns)} filter(s)")
     index = step.index
     parts = [f"eq[{len(step.eq_fns)}]"]
@@ -1687,7 +1308,7 @@ def _describe_step(step: _JoinStep) -> str:
     if step.lower_fns or step.upper_fns:
         parts.append("range")
     return (
-        f"{join} {step.table.name} {step.alias}: INDEX "
+        f"JOIN {step.table.name} {step.alias}: INDEX "
         f"{index.name} ({', '.join(parts)}), "  # type: ignore[attr-defined]
         f"{len(step.residual_fns)} filter(s)"
     )
@@ -1750,7 +1371,7 @@ class StatementRunner:
             return self._prepare_update(statement)
         if isinstance(statement, Delete):
             return self._prepare_delete(statement)
-        if isinstance(statement, (CreateTable, CreateIndex, DropTable)):
+        if isinstance(statement, (CreateTable, CreateIndex)):
             return lambda params: self._run_ddl(statement)
         raise ExecutionError(f"cannot execute {statement!r}")
 
@@ -1766,7 +1387,7 @@ class StatementRunner:
                 tuple(c.type for c in statement.columns),
                 statement.if_not_exists,
             )
-        elif isinstance(statement, CreateIndex):
+        else:
             self.catalog.create_index(
                 statement.name,
                 statement.table,
@@ -1774,8 +1395,6 @@ class StatementRunner:
                 statement.unique,
                 statement.if_not_exists,
             )
-        else:
-            self.catalog.drop_table(statement.name, statement.if_exists)
         return Result()
 
     def _prepare_insert(
@@ -1783,38 +1402,19 @@ class StatementRunner:
     ) -> Callable[[tuple], Result]:
         table = self.catalog.get_table(statement.table)
         compiler = self.compiler()
-        scope = Scope({})
-        if statement.columns:
-            positions = [
-                table.column_position(c) for c in statement.columns
-            ]
-        else:
-            positions = list(range(len(table.columns)))
-        value_rows = []
-        for value_row in statement.values:
-            if len(value_row) != len(positions):
-                raise ExecutionError(
-                    f"INSERT expects {len(positions)} values, "
-                    f"got {len(value_row)}"
-                )
-            value_rows.append([
-                (position, compiler.compile_expr(expr, scope))
-                for position, expr in zip(positions, value_row)
-            ])
-        width = len(table.columns)
+        value_fns = [
+            compiler.compile_expr(expr, Scope({}))
+            for expr in statement.values
+        ]
 
         def insert(params: tuple) -> Result:
             state = ExecState(params=params, stats=self.stats)
-            env: Env = {}
-            for value_fns in value_rows:
-                full: list[SqlValue] = [None] * width
-                for position, fn in value_fns:
-                    full[position] = fn(env, state)
-                rowid = table.insert(coerce_row(table.types, tuple(full)))
-                if self.journal is not None:
-                    self.journal.append(("insert", table, rowid, None))
-            self.stats.rows_written += len(value_rows)
-            return Result(rowcount=len(value_rows))
+            row = tuple(fn({}, state) for fn in value_fns)
+            rowid = table.insert(coerce_row(table.types, row))
+            if self.journal is not None:
+                self.journal.append(("insert", table, rowid, None))
+            self.stats.rows_written += 1
+            return Result(rowcount=1)
         return insert
 
     def _target_rows(
@@ -1822,12 +1422,12 @@ class StatementRunner:
     ) -> Callable[[ExecState], list[int]]:
         """Row ids matching a single-table WHERE (index-assisted)."""
         alias = table.name
-        path = planner.choose_access_path(
-            table, alias, planner.split_conjuncts(where), set()
-        )
-        step = self.compiler()._table_step(
-            alias, table, path, scope, on_fns=[], left=False
-        )
+        conjuncts = [
+            _qualify_with_scope(c, scope)
+            for c in planner.split_conjuncts(where)
+        ]
+        path = planner.choose_access_path(table, alias, conjuncts, set())
+        step = self.compiler()._table_step(alias, table, path, scope)
         rowid_key = step.rowid_key
         matches = step.matches
         return lambda state: [env[rowid_key] for env in matches({}, state)]
@@ -1840,13 +1440,10 @@ class StatementRunner:
         alias = table.name
         scope = Scope({alias: tuple(table.columns)})
         assignment_fns = [
-            (table.column_position(column), compiler.compile_expr(
-                _qualify(expr, alias, table), scope))
+            (table.column_position(column), compiler.compile_expr(expr, scope))
             for column, expr in statement.assignments
         ]
-        target_rows = self._target_rows(
-            table, _qualify(statement.where, alias, table), scope
-        )
+        target_rows = self._target_rows(table, statement.where, scope)
 
         def update(params: tuple) -> Result:
             state = ExecState(params=params, stats=self.stats)
@@ -1869,9 +1466,7 @@ class StatementRunner:
     ) -> Callable[[tuple], Result]:
         table = self.catalog.get_table(statement.table)
         scope = Scope({table.name: tuple(table.columns)})
-        target_rows = self._target_rows(
-            table, _qualify(statement.where, table.name, table), scope
-        )
+        target_rows = self._target_rows(table, statement.where, scope)
 
         def delete(params: tuple) -> Result:
             state = ExecState(params=params, stats=self.stats)
@@ -1908,65 +1503,18 @@ def _qualify_with_scope(expr: Expr, scope: Scope) -> Expr:
             _qualify_with_scope(expr.left, scope),
             _qualify_with_scope(expr.right, scope),
         )
-    if isinstance(expr, Unary):
-        return Unary(expr.op, _qualify_with_scope(expr.operand, scope))
-    if isinstance(expr, Cast):
-        return Cast(_qualify_with_scope(expr.expr, scope), expr.target)
+    if isinstance(expr, Not):
+        return Not(_qualify_with_scope(expr.operand, scope))
     if isinstance(expr, IsNull):
-        return IsNull(_qualify_with_scope(expr.expr, scope), expr.negated)
+        return IsNull(_qualify_with_scope(expr.expr, scope))
     if isinstance(expr, FunctionExpr):
         return FunctionExpr(
             expr.name,
             tuple(_qualify_with_scope(a, scope) for a in expr.args),
-            expr.star,
         )
     if isinstance(expr, InList):
         return InList(
             _qualify_with_scope(expr.expr, scope),
             tuple(_qualify_with_scope(i, scope) for i in expr.items),
-            expr.negated,
         )
-    if isinstance(expr, InSelect):
-        return InSelect(
-            _qualify_with_scope(expr.expr, scope),
-            expr.select,
-            expr.negated,
-        )
-    return expr
-
-
-def _qualify(expr, alias: str, table: HeapTable):
-    """Qualify unqualified column refs with the table alias (UPDATE and
-    DELETE resolve names against their single target table)."""
-    if expr is None:
-        return None
-    if isinstance(expr, ColumnRef):
-        if expr.table is None and table.has_column(expr.column):
-            return ColumnRef(alias, expr.column)
-        return expr
-    if isinstance(expr, Binary):
-        return Binary(
-            expr.op,
-            _qualify(expr.left, alias, table),
-            _qualify(expr.right, alias, table),
-        )
-    if isinstance(expr, Unary):
-        return Unary(expr.op, _qualify(expr.operand, alias, table))
-    if isinstance(expr, Cast):
-        return Cast(_qualify(expr.expr, alias, table), expr.target)
-    if isinstance(expr, IsNull):
-        return IsNull(_qualify(expr.expr, alias, table), expr.negated)
-    if isinstance(expr, FunctionExpr):
-        return FunctionExpr(
-            expr.name,
-            tuple(_qualify(a, alias, table) for a in expr.args),
-            expr.star,
-        )
-    if isinstance(expr, InList):
-        return InList(
-            _qualify(expr.expr, alias, table),
-            tuple(_qualify(i, alias, table) for i in expr.items),
-            expr.negated,
-        )
-    # Subquery forms keep their own scoping.
     return expr

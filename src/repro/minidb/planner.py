@@ -12,24 +12,22 @@ prefix.  Everything else becomes a residual filter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from repro.minidb.sql_ast import (
     Binary,
-    Cast,
     ColumnRef,
     Exists,
     Expr,
     FunctionExpr,
     InList,
-    InSelect,
     IsNull,
+    Not,
     ScalarSubquery,
-    Select,
     SelectItem,
+    SelectLike,
     SubquerySource,
     Union_,
-    Unary,
     With,
 )
 from repro.minidb.tables import HeapTable, TableIndex
@@ -69,41 +67,32 @@ def _collect_refs(
     elif isinstance(node, Binary):
         _collect_refs(node.left, bound, refs)
         _collect_refs(node.right, bound, refs)
-    elif isinstance(node, Unary):
+    elif isinstance(node, Not):
         _collect_refs(node.operand, bound, refs)
     elif isinstance(node, FunctionExpr):
         for arg in node.args:
             _collect_refs(arg, bound, refs)
-    elif isinstance(node, Cast):
-        _collect_refs(node.expr, bound, refs)
     elif isinstance(node, IsNull):
         _collect_refs(node.expr, bound, refs)
     elif isinstance(node, InList):
         _collect_refs(node.expr, bound, refs)
         for item in node.items:
             _collect_refs(item, bound, refs)
-    elif isinstance(node, InSelect):
-        _collect_refs(node.expr, bound, refs)
+    elif isinstance(node, (Exists, ScalarSubquery)):
         _collect_select_refs(node.select, bound, refs)
-    elif isinstance(node, Exists):
-        _collect_select_refs(node.select, bound, refs)
-    elif isinstance(node, ScalarSubquery):
-        _collect_select_refs(node.select, bound, refs)
-    # Literal / Param contribute nothing.
+    # Literal / Param / CountStar contribute nothing.
 
 
 def _collect_select_refs(
-    select: Union[Select, Union_, With], bound: frozenset, refs: set
+    select: SelectLike, bound: frozenset, refs: set
 ) -> None:
     if isinstance(select, Union_):
         for arm in select.arms:
             _collect_select_refs(arm, bound, refs)
         return
     if isinstance(select, With):
-        _collect_select_refs(select.query, bound, refs)
-        if select.step is not None:
-            _collect_select_refs(select.step, bound, refs)
-        _collect_select_refs(select.body, bound, refs)
+        for part in (select.anchor, select.step, select.body):
+            _collect_select_refs(part, bound, refs)
         return
     inner_bound = bound | {f.alias for f in select.from_items}
     for item in select.items:
@@ -112,16 +101,10 @@ def _collect_select_refs(
     for from_item in select.from_items:
         if isinstance(from_item.source, SubquerySource):
             _collect_select_refs(from_item.source.select, inner_bound, refs)
-        if from_item.on is not None:
-            _collect_refs(from_item.on, inner_bound, refs)
     if select.where is not None:
         _collect_refs(select.where, inner_bound, refs)
-    for expr in select.group_by:
-        _collect_refs(expr, inner_bound, refs)
-    if select.having is not None:
-        _collect_refs(select.having, inner_bound, refs)
-    for order in select.order_by:
-        _collect_refs(order.expr, inner_bound, refs)
+    for column in select.order_by:
+        _collect_refs(column, inner_bound, refs)
 
 
 @dataclass
@@ -208,7 +191,6 @@ def choose_access_path(
             continue
         if (
             isinstance(conjunct, InList)
-            and not conjunct.negated
             and isinstance(conjunct.expr, ColumnRef)
             and conjunct.expr.table == alias
             and all(_is_bound(i, alias, bound) for i in conjunct.items)

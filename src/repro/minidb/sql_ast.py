@@ -1,12 +1,13 @@
 """Statement and expression AST for the minidb SQL subset.
 
-The subset is exactly what the paper's translations and the benchmark
-harness need: DDL (CREATE TABLE / CREATE INDEX / DROP TABLE), INSERT with
-literals/parameters, single-table UPDATE/DELETE, and SELECT with inner and
-left joins, derived tables, WHERE, correlated EXISTS / IN / scalar
-subqueries, aggregates with GROUP BY / HAVING, DISTINCT, compound UNION
-[ALL], ORDER BY and LIMIT, and one common table expression — recursive
-or not — in front of any SELECT.
+The subset is exactly what the paper's translations and the store's
+own statements need: DDL (CREATE TABLE / CREATE [UNIQUE] INDEX, both
+``IF NOT EXISTS``), single-row INSERT, single-table UPDATE/DELETE, and
+SELECT over comma joins and derived tables with WHERE, correlated
+EXISTS and scalar subqueries, ``IN (…)`` lists, COUNT(*) / MIN / MAX /
+GROUP_CONCAT over every row of the select, DISTINCT, compound UNION,
+ascending ORDER BY, and ``WITH RECURSIVE`` — one self-referencing
+step — in front of any SELECT.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional, Union
 
 @dataclass(frozen=True)
 class Literal:
-    value: object  # None | int | float | str | bytes
+    value: object  # int | float | str
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class ColumnRef:
 
 @dataclass(frozen=True)
 class Binary:
-    """Binary operator: comparison, arithmetic, AND/OR, LIKE, ``||``."""
+    """Binary operator: comparison, AND/OR, ``+`` or ``||``."""
 
     op: str
     left: "Expr"
@@ -53,52 +54,37 @@ class Binary:
 
 
 @dataclass(frozen=True)
-class Unary:
-    """Unary operator: NOT or numeric negation."""
-
-    op: str  # "NOT" | "-"
+class Not:
     operand: "Expr"
 
 
 @dataclass(frozen=True)
 class FunctionExpr:
-    """Function call; ``star`` marks ``COUNT(*)``."""
+    """A scalar function or MIN / MAX / GROUP_CONCAT call."""
 
     name: str  # lower-cased
     args: tuple["Expr", ...] = ()
-    star: bool = False
 
 
 @dataclass(frozen=True)
-class Cast:
-    expr: "Expr"
-    target: str  # INTEGER | REAL | TEXT | BLOB
+class CountStar:
+    """``COUNT(*)``."""
 
 
 @dataclass(frozen=True)
 class IsNull:
     expr: "Expr"
-    negated: bool = False
 
 
 @dataclass(frozen=True)
 class Exists:
     select: "SelectLike"
-    negated: bool = False
 
 
 @dataclass(frozen=True)
 class InList:
     expr: "Expr"
     items: tuple["Expr", ...]
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class InSelect:
-    expr: "Expr"
-    select: "SelectLike"
-    negated: bool = False
 
 
 @dataclass(frozen=True)
@@ -111,13 +97,12 @@ Expr = Union[
     Param,
     ColumnRef,
     Binary,
-    Unary,
+    Not,
     FunctionExpr,
-    Cast,
+    CountStar,
     IsNull,
     Exists,
     InList,
-    InSelect,
     ScalarSubquery,
 ]
 
@@ -135,9 +120,7 @@ class SelectItem:
 
 @dataclass(frozen=True)
 class Star:
-    """``*`` or ``alias.*`` in a select list."""
-
-    table: Optional[str] = None
+    """``*`` in a select list."""
 
 
 @dataclass(frozen=True)
@@ -152,18 +135,10 @@ class SubquerySource:
 
 @dataclass(frozen=True)
 class FromItem:
-    """One FROM element.  ``join_type`` relates it to the previous item."""
+    """One element of a comma-separated FROM list."""
 
     source: Union[TableSource, SubquerySource]
     alias: str
-    join_type: str = "inner"  # "inner" | "left"
-    on: Optional[Expr] = None
-
-
-@dataclass(frozen=True)
-class OrderItem:
-    expr: Expr
-    descending: bool = False
 
 
 @dataclass(frozen=True)
@@ -171,40 +146,33 @@ class Select:
     items: tuple[Union[SelectItem, Star], ...]
     from_items: tuple[FromItem, ...] = ()
     where: Optional[Expr] = None
-    group_by: tuple[Expr, ...] = ()
-    having: Optional[Expr] = None
-    order_by: tuple[OrderItem, ...] = ()
-    limit: Optional[Expr] = None
+    order_by: tuple[ColumnRef, ...] = ()
     distinct: bool = False
 
 
 @dataclass(frozen=True)
 class Union_:
-    """Compound select: ``arms[0] UNION [ALL] arms[1] ...``."""
+    """Compound select: ``arms[0] UNION arms[1] ...``, ordered by
+    output-column names."""
 
     arms: tuple[Select, ...]
-    all: bool = False
-    order_by: tuple[OrderItem, ...] = ()
-    limit: Optional[Expr] = None
+    order_by: tuple[ColumnRef, ...] = ()
 
 
 @dataclass(frozen=True)
 class With:
-    """``WITH [RECURSIVE] name(columns) AS (query [UNION [ALL] step])
-    body``.
+    """``WITH RECURSIVE name(columns) AS (anchor UNION step) body``.
 
-    Without *step* the table is an ordinary named subquery.  With it,
-    *query* is the anchor and *step* — which selects from *name*
-    exactly once, in its own FROM — is evaluated again on the rows the
-    round before produced until a round produces none; *body* reads
-    them all.  Anchor and step may reference the enclosing query.
+    *step* selects from *name* exactly once, in its own FROM, and is
+    evaluated again on the rows the round before produced until a round
+    produces none; *body* reads them all.  Anchor and step may
+    reference the enclosing query.
     """
 
     name: str
     columns: tuple[str, ...]
-    query: "SelectLike"
-    step: Optional[Select]
-    union_all: bool
+    anchor: Select
+    step: Select
     body: "SelectLike"
 
 
@@ -242,16 +210,11 @@ class CreateIndex:
 
 
 @dataclass(frozen=True)
-class DropTable:
-    name: str
-    if_exists: bool = False
-
-
-@dataclass(frozen=True)
 class Insert:
+    """One row, every column in table order."""
+
     table: str
-    columns: tuple[str, ...] = ()  # empty means "all, in table order"
-    values: tuple[tuple[Expr, ...], ...] = ()
+    values: tuple[Expr, ...]
 
 
 @dataclass(frozen=True)
@@ -268,6 +231,5 @@ class Delete:
 
 
 Statement = Union[
-    CreateTable, CreateIndex, DropTable, Insert, Update, Delete, Select,
-    Union_, With,
+    CreateTable, CreateIndex, Insert, Update, Delete, Select, Union_, With,
 ]

@@ -10,17 +10,15 @@ from repro.errors import SqlSyntaxError
 #: Keywords recognised by the parser (upper-cased kinds).
 KEYWORDS = frozenset(
     """
-    SELECT DISTINCT FROM WHERE GROUP BY HAVING ORDER ASC DESC LIMIT
-    UNION ALL AND OR NOT IN EXISTS IS NULL LIKE BETWEEN CAST AS
-    WITH RECURSIVE
-    JOIN INNER LEFT OUTER ON CROSS
-    CREATE TABLE INDEX UNIQUE DROP IF INSERT INTO VALUES UPDATE SET DELETE
+    SELECT DISTINCT FROM WHERE ORDER BY UNION AS WITH RECURSIVE
+    AND OR NOT IN EXISTS IS NULL
+    CREATE TABLE INDEX UNIQUE ON IF INSERT INTO VALUES UPDATE SET DELETE
     INTEGER REAL TEXT BLOB
     """.split()
 )
 
 _PUNCTUATION = ("<>", "!=", "<=", ">=", "||", "(", ")", ",", ".", "*",
-                "=", "<", ">", "+", "-", "/", "?", ";")
+                "=", "<", ">", "+", "-", "?", ";")
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CHARS = _IDENT_START | set("0123456789")

@@ -3,32 +3,33 @@
 Parameters (``?``) are numbered left to right in source order; the executor
 binds them positionally, matching the DB-API ``qmark`` style that the
 sqlite3 backend also uses, so one SQL text runs on both backends.
+Anything outside the subset (:mod:`repro.minidb.sql_ast`) is a
+:class:`SqlSyntaxError`.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Union
 
 from repro.errors import SqlSyntaxError
 from repro.minidb.sql_ast import (
     Binary,
-    Cast,
     ColumnDef,
     ColumnRef,
+    CountStar,
     CreateIndex,
     CreateTable,
     Delete,
-    DropTable,
     Exists,
     Expr,
     FromItem,
     FunctionExpr,
     InList,
-    InSelect,
     Insert,
     IsNull,
     Literal,
-    OrderItem,
+    Not,
     Param,
     ScalarSubquery,
     Select,
@@ -39,7 +40,6 @@ from repro.minidb.sql_ast import (
     SubquerySource,
     TableSource,
     Union_,
-    Unary,
     Update,
     With,
 )
@@ -70,9 +70,10 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Optional[SqlToken]:
-        index = self._pos + offset
-        return self._tokens[index] if index < len(self._tokens) else None
+    def peek(self) -> Optional[SqlToken]:
+        if self._pos < len(self._tokens):
+            return self._tokens[self._pos]
+        return None
 
     def at(self, *kinds: str) -> bool:
         token = self.peek()
@@ -107,6 +108,15 @@ class _Parser:
         at = token.position if token else len(self._source)
         return SqlSyntaxError(message, at)
 
+    def _names(self) -> tuple[str, ...]:
+        """``( name, ... )``."""
+        self.expect("(")
+        names = [self.expect("ident").value]
+        while self.accept(","):
+            names.append(self.expect("ident").value)
+        self.expect(")")
+        return tuple(names)
+
     # -- statements ------------------------------------------------------------
 
     def parse_statement(self) -> Statement:
@@ -114,8 +124,6 @@ class _Parser:
             return self.parse_select()
         if self.at("CREATE"):
             return self._parse_create()
-        if self.at("DROP"):
-            return self._parse_drop()
         if self.at("INSERT"):
             return self._parse_insert()
         if self.at("UPDATE"):
@@ -124,11 +132,10 @@ class _Parser:
             return self._parse_delete()
         raise self._error("expected a statement")
 
-    def _parse_if_clause(self, *words: str) -> bool:
-        if self.at("IF"):
-            self.expect("IF")
-            for word in words:
-                self.expect(word)
+    def _parse_if_not_exists(self) -> bool:
+        if self.accept("IF"):
+            self.expect("NOT")
+            self.expect("EXISTS")
             return True
         return False
 
@@ -140,7 +147,7 @@ class _Parser:
         if self.accept("INDEX"):
             return self._parse_create_index(unique=False)
         self.expect("TABLE")
-        if_not_exists = self._parse_if_clause("NOT", "EXISTS")
+        if_not_exists = self._parse_if_not_exists()
         name = self.expect("ident").value
         self.expect("(")
         columns: list[ColumnDef] = []
@@ -154,48 +161,23 @@ class _Parser:
         return CreateTable(name, tuple(columns), if_not_exists)
 
     def _parse_create_index(self, unique: bool) -> CreateIndex:
-        if_not_exists = self._parse_if_clause("NOT", "EXISTS")
+        if_not_exists = self._parse_if_not_exists()
         name = self.expect("ident").value
         self.expect("ON")
         table = self.expect("ident").value
-        self.expect("(")
-        columns = [self.expect("ident").value]
-        while self.accept(","):
-            columns.append(self.expect("ident").value)
-        self.expect(")")
-        return CreateIndex(name, table, tuple(columns), unique, if_not_exists)
-
-    def _parse_drop(self) -> DropTable:
-        self.expect("DROP")
-        self.expect("TABLE")
-        if_exists = self._parse_if_clause("EXISTS")
-        name = self.expect("ident").value
-        return DropTable(name, if_exists)
+        return CreateIndex(name, table, self._names(), unique, if_not_exists)
 
     def _parse_insert(self) -> Insert:
         self.expect("INSERT")
         self.expect("INTO")
         table = self.expect("ident").value
-        columns: tuple[str, ...] = ()
-        if self.accept("("):
-            names = [self.expect("ident").value]
-            while self.accept(","):
-                names.append(self.expect("ident").value)
-            self.expect(")")
-            columns = tuple(names)
         self.expect("VALUES")
-        rows = [self._parse_value_row()]
-        while self.accept(","):
-            rows.append(self._parse_value_row())
-        return Insert(table, columns, tuple(rows))
-
-    def _parse_value_row(self) -> tuple[Expr, ...]:
         self.expect("(")
         values = [self.parse_expr()]
         while self.accept(","):
             values.append(self.parse_expr())
         self.expect(")")
-        return tuple(values)
+        return Insert(table, tuple(values))
 
     def _parse_update(self) -> Update:
         self.expect("UPDATE")
@@ -225,46 +207,20 @@ class _Parser:
         if self.at("WITH"):
             return self._parse_with()
         arms = [self._parse_select_core()]
-        union_all: Optional[bool] = None
         while self.accept("UNION"):
-            this_all = bool(self.accept("ALL"))
-            if union_all is None:
-                union_all = this_all
-            elif union_all != this_all:
-                raise self._error("mixed UNION and UNION ALL not supported")
             arms.append(self._parse_select_core())
         order_by = self._parse_order_by()
-        limit = self.parse_expr() if self.accept("LIMIT") else None
         if len(arms) == 1:
-            core = arms[0]
-            if order_by or limit is not None:
-                core = Select(
-                    core.items,
-                    core.from_items,
-                    core.where,
-                    core.group_by,
-                    core.having,
-                    tuple(order_by),
-                    limit,
-                    core.distinct,
-                )
-            return core
-        return Union_(tuple(arms), bool(union_all), tuple(order_by), limit)
+            return replace(arms[0], order_by=order_by)
+        return Union_(tuple(arms), order_by)
 
     def _parse_with(self) -> With:
-        """One common table expression and the select that reads it."""
+        """One recursive common table expression and the select that
+        reads it."""
         self.expect("WITH")
-        recursive = bool(self.accept("RECURSIVE"))
+        self.expect("RECURSIVE")
         name = self.expect("ident").value
-        if not self.at("("):
-            raise self._error(
-                f"common table expression {name!r} needs a column list"
-            )
-        self.expect("(")
-        columns = [self.expect("ident").value]
-        while self.accept(","):
-            columns.append(self.expect("ident").value)
-        self.expect(")")
+        columns = self._names()
         self.expect("AS")
         self.expect("(")
         if name in self._defining:
@@ -272,38 +228,12 @@ class _Parser:
         self._defining[name] = 0
         query = self.parse_select()
         references = self._defining.pop(name)
-        step: Optional[Select] = None
-        union_all = False
-        if references:
-            query, step, union_all = self._split_recursion(
-                name, recursive, query, references
-            )
         self.expect(")")
-        return With(
-            name, tuple(columns), query, step, union_all,
-            self.parse_select(),
-        )
-
-    def _split_recursion(
-        self, name: str, recursive: bool, query: SelectLike,
-        references: int,
-    ) -> tuple[Select, Select, bool]:
-        """(anchor, step, UNION ALL?) of a definition that selects from
-        the table it defines; the one form accepted is ``anchor UNION
-        [ALL] step`` with the only reference in the step's own FROM."""
-        if not recursive:
+        if not isinstance(query, Union_) or len(query.arms) != 2 \
+                or query.order_by:
             raise self._error(
-                f"{name!r} selects from itself: write WITH RECURSIVE"
-            )
-        if (
-            not isinstance(query, Union_)
-            or len(query.arms) != 2
-            or query.order_by
-            or query.limit is not None
-        ):
-            raise self._error(
-                f"recursive {name!r} must be one anchor select, UNION "
-                "[ALL], one recursive select"
+                f"recursive {name!r} must be one anchor select, UNION, "
+                "one recursive select"
             )
         anchor, step = query.arms
         in_step_from = sum(
@@ -316,48 +246,27 @@ class _Parser:
                 f"recursive {name!r} must be referenced exactly once, "
                 "in the FROM clause of its recursive select"
             )
-        return anchor, step, query.all
+        return With(name, columns, anchor, step, self.parse_select())
 
     def _parse_select_core(self) -> Select:
         self.expect("SELECT")
         distinct = bool(self.accept("DISTINCT"))
-        self.accept("ALL")
         items = [self._parse_select_item()]
         while self.accept(","):
             items.append(self._parse_select_item())
-        from_items: tuple[FromItem, ...] = ()
+        from_items: list[FromItem] = []
         if self.accept("FROM"):
-            from_items = tuple(self._parse_from_clause())
-        where = self.parse_expr() if self.accept("WHERE") else None
-        group_by: tuple[Expr, ...] = ()
-        if self.accept("GROUP"):
-            self.expect("BY")
-            exprs = [self.parse_expr()]
+            from_items.append(self._parse_from_item())
             while self.accept(","):
-                exprs.append(self.parse_expr())
-            group_by = tuple(exprs)
-        having = self.parse_expr() if self.accept("HAVING") else None
+                from_items.append(self._parse_from_item())
+        where = self.parse_expr() if self.accept("WHERE") else None
         return Select(
-            tuple(items), from_items, where, group_by, having,
-            distinct=distinct,
+            tuple(items), tuple(from_items), where, distinct=distinct
         )
 
     def _parse_select_item(self) -> Union[SelectItem, Star]:
         if self.accept("*"):
             return Star()
-        token = self.peek()
-        nxt = self.peek(1)
-        nxt2 = self.peek(2)
-        if (
-            token is not None
-            and token.kind == "ident"
-            and nxt is not None
-            and nxt.kind == "."
-            and nxt2 is not None
-            and nxt2.kind == "*"
-        ):
-            self._pos += 3
-            return Star(token.value)
         expr = self.parse_expr()
         alias = None
         if self.accept("AS"):
@@ -366,42 +275,13 @@ class _Parser:
             alias = self.expect("ident").value
         return SelectItem(expr, alias)
 
-    def _parse_from_clause(self) -> list[FromItem]:
-        items = [self._parse_from_item("inner", None)]
-        while True:
-            if self.accept(","):
-                items.append(self._parse_from_item("inner", None))
-                continue
-            join_type = None
-            if self.accept("INNER"):
-                self.expect("JOIN")
-                join_type = "inner"
-            elif self.accept("LEFT"):
-                self.accept("OUTER")
-                self.expect("JOIN")
-                join_type = "left"
-            elif self.accept("CROSS"):
-                self.expect("JOIN")
-                join_type = "inner"
-            elif self.accept("JOIN"):
-                join_type = "inner"
-            if join_type is None:
-                return items
-            item = self._parse_from_item(join_type, None)
-            on = self.parse_expr() if self.accept("ON") else None
-            items.append(
-                FromItem(item.source, item.alias, join_type, on)
-            )
-
-    def _parse_from_item(
-        self, join_type: str, on: Optional[Expr]
-    ) -> FromItem:
+    def _parse_from_item(self) -> FromItem:
         if self.accept("("):
             select = self.parse_select()
             self.expect(")")
             self.accept("AS")
             alias = self.expect("ident").value
-            return FromItem(SubquerySource(select), alias, join_type, on)
+            return FromItem(SubquerySource(select), alias)
         name = self.expect("ident").value
         if name in self._defining:
             self._defining[name] += 1
@@ -410,25 +290,23 @@ class _Parser:
             alias = self.expect("ident").value
         elif self.at("ident"):
             alias = self.expect("ident").value
-        return FromItem(TableSource(name), alias, join_type, on)
+        return FromItem(TableSource(name), alias)
 
-    def _parse_order_by(self) -> list[OrderItem]:
+    def _parse_order_by(self) -> tuple[ColumnRef, ...]:
+        """``ORDER BY`` column references, each ascending."""
         if not self.accept("ORDER"):
-            return []
+            return ()
         self.expect("BY")
-        items = [self._parse_order_item()]
+        columns = [self._parse_column_ref()]
         while self.accept(","):
-            items.append(self._parse_order_item())
-        return items
+            columns.append(self._parse_column_ref())
+        return tuple(columns)
 
-    def _parse_order_item(self) -> OrderItem:
-        expr = self.parse_expr()
-        descending = False
-        if self.accept("DESC"):
-            descending = True
-        else:
-            self.accept("ASC")
-        return OrderItem(expr, descending)
+    def _parse_column_ref(self) -> ColumnRef:
+        name = self.expect("ident").value
+        if self.accept("."):
+            return ColumnRef(name, self.expect("ident").value)
+        return ColumnRef(None, name)
 
     # -- expressions ----------------------------------------------------------------
 
@@ -449,7 +327,7 @@ class _Parser:
 
     def _parse_not(self) -> Expr:
         if self.accept("NOT"):
-            return Unary("NOT", self._parse_not())
+            return Not(self._parse_not())
         return self._parse_predicate()
 
     def _parse_predicate(self) -> Expr:
@@ -462,82 +340,38 @@ class _Parser:
                 self._pos += 1
                 op = "!=" if token.kind == "<>" else token.kind
                 left = Binary(op, left, self._parse_additive())
-                continue
-            if token.kind == "IS":
-                self._pos += 1
-                negated = bool(self.accept("NOT"))
+            elif self.accept("IS"):
                 self.expect("NULL")
-                left = IsNull(left, negated)
-                continue
-            if token.kind == "NOT":
-                nxt = self.peek(1)
-                if nxt is not None and nxt.kind in ("IN", "LIKE", "BETWEEN"):
-                    self._pos += 1
-                    left = self._parse_in_like_between(left, negated=True)
-                    continue
+                left = IsNull(left)
+            elif self.accept("IN"):
+                self.expect("(")
+                items = [self.parse_expr()]
+                while self.accept(","):
+                    items.append(self.parse_expr())
+                self.expect(")")
+                left = InList(left, tuple(items))
+            else:
                 return left
-            if token.kind in ("IN", "LIKE", "BETWEEN"):
-                left = self._parse_in_like_between(left, negated=False)
-                continue
-            return left
-
-    def _parse_in_like_between(self, left: Expr, negated: bool) -> Expr:
-        if self.accept("LIKE"):
-            pattern = self._parse_additive()
-            expr: Expr = Binary("LIKE", left, pattern)
-            return Unary("NOT", expr) if negated else expr
-        if self.accept("BETWEEN"):
-            low = self._parse_additive()
-            self.expect("AND")
-            high = self._parse_additive()
-            expr = Binary(
-                "AND", Binary(">=", left, low), Binary("<=", left, high)
-            )
-            return Unary("NOT", expr) if negated else expr
-        self.expect("IN")
-        self.expect("(")
-        if self.at("SELECT", "WITH"):
-            select = self.parse_select()
-            self.expect(")")
-            return InSelect(left, select, negated)
-        items = [self.parse_expr()]
-        while self.accept(","):
-            items.append(self.parse_expr())
-        self.expect(")")
-        return InList(left, tuple(items), negated)
 
     def _parse_additive(self) -> Expr:
-        left = self._parse_multiplicative()
-        while True:
-            token = self.peek()
-            if token is not None and token.kind in ("+", "-", "||"):
-                self._pos += 1
-                left = Binary(
-                    token.kind, left, self._parse_multiplicative()
-                )
-            else:
-                return left
-
-    def _parse_multiplicative(self) -> Expr:
         left = self._parse_unary()
         while True:
-            token = self.peek()
-            if token is not None and token.kind in ("*", "/"):
-                self._pos += 1
-                left = Binary(token.kind, left, self._parse_unary())
-            else:
+            token = self.accept("+", "||")
+            if token is None:
                 return left
+            left = Binary(token.kind, left, self._parse_unary())
 
     def _parse_unary(self) -> Expr:
-        if self.accept("-"):
-            operand = self._parse_unary()
-            if isinstance(operand, Literal) and isinstance(
-                operand.value, (int, float)
-            ):
-                return Literal(-operand.value)
-            return Unary("-", operand)
-        self.accept("+")
-        return self._parse_primary()
+        """A primary, or a negative number literal (folded: relalg
+        writes -∞ as ``-1e999``)."""
+        if not self.accept("-"):
+            return self._parse_primary()
+        operand = self._parse_primary()
+        if not isinstance(operand, Literal) or isinstance(
+            operand.value, str
+        ):
+            raise self._error("'-' applies to a number literal only")
+        return Literal(-operand.value)
 
     def _parse_primary(self) -> Expr:
         token = self.peek()
@@ -557,26 +391,12 @@ class _Parser:
             param = Param(self._param_count)
             self._param_count += 1
             return param
-        if token.kind == "NULL":
-            self._pos += 1
-            return Literal(None)
-        if token.kind == "CAST":
-            self._pos += 1
-            self.expect("(")
-            expr = self.parse_expr()
-            self.expect("AS")
-            target = self.expect(*_TYPE_KEYWORDS).kind
-            self.expect(")")
-            return Cast(expr, target)
         if token.kind == "EXISTS":
             self._pos += 1
             self.expect("(")
             select = self.parse_select()
             self.expect(")")
             return Exists(select)
-        if token.kind == "NOT":
-            self._pos += 1
-            return Unary("NOT", self._parse_primary())
         if token.kind == "(":
             self._pos += 1
             if self.at("SELECT", "WITH"):
@@ -592,24 +412,16 @@ class _Parser:
 
     def _parse_identifier_expr(self) -> Expr:
         name = self.expect("ident").value
-        if self.accept("("):
-            if self.accept("*"):
-                self.expect(")")
-                return FunctionExpr(name.lower(), star=True)
-            args: list[Expr] = []
-            if not self.accept(")"):
-                distinct = bool(self.accept("DISTINCT"))
-                args.append(self.parse_expr())
-                while self.accept(","):
-                    args.append(self.parse_expr())
-                self.expect(")")
-                if distinct:
-                    return FunctionExpr(
-                        f"{name.lower()} distinct", tuple(args)
-                    )
-            return FunctionExpr(name.lower(), tuple(args))
-        if self.accept("."):
-            column = self.expect("ident").value
-            return ColumnRef(name, column)
-        return ColumnRef(None, name)
-
+        if not self.accept("("):
+            if self.accept("."):
+                return ColumnRef(name, self.expect("ident").value)
+            return ColumnRef(None, name)
+        if name.lower() == "count":
+            self.expect("*")
+            self.expect(")")
+            return CountStar()
+        args = [self.parse_expr()]
+        while self.accept(","):
+            args.append(self.parse_expr())
+        self.expect(")")
+        return FunctionExpr(name.lower(), tuple(args))

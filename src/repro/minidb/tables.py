@@ -8,7 +8,7 @@ uniqueness when requested.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import CatalogError, ExecutionError
 from repro.minidb.btree import BPlusTree
@@ -90,9 +90,6 @@ class HeapTable:
                 f"no column {column!r} in table {self.name}"
             ) from None
 
-    def has_column(self, column: str) -> bool:
-        return column in self._column_positions
-
     def add_index(self, index: TableIndex) -> None:
         self.indexes.append(index)
         for rowid, row in enumerate(self.rows):
@@ -151,12 +148,6 @@ class HeapTable:
         if row is None:
             raise ExecutionError(f"access to deleted row {rowid}")
         return row
-
-    def scan(self) -> Iterator[tuple[int, tuple]]:
-        """Yield (rowid, row) for every live row, in heap order."""
-        for rowid, row in enumerate(self.rows):
-            if row is not None:
-                yield rowid, row
 
     def __len__(self) -> int:
         return self.live_count

@@ -137,35 +137,3 @@ def logical_not(value: Any) -> Optional[bool]:
     if value is None:
         return None
     return not value
-
-
-def cast_value(value: SqlValue, target: str) -> SqlValue:
-    """Implement ``CAST(value AS target)`` with SQLite-style semantics."""
-    if value is None:
-        return None
-    target = target.upper()
-    if target in ("INTEGER", "INT"):
-        try:
-            if isinstance(value, bytes):
-                value = value.decode("utf-8", "replace")
-            return int(float(value))
-        except (TypeError, ValueError):
-            return 0
-    if target == "REAL":
-        try:
-            if isinstance(value, bytes):
-                value = value.decode("utf-8", "replace")
-            return float(value)
-        except (TypeError, ValueError):
-            return 0.0
-    if target == "TEXT":
-        if isinstance(value, bytes):
-            return value.decode("utf-8", "replace")
-        if isinstance(value, float) and value == int(value):
-            return str(value)  # keep SQLite's "1.0" style for floats
-        return str(value)
-    if target == "BLOB":
-        if isinstance(value, bytes):
-            return value
-        return str(value).encode("utf-8")
-    raise ExecutionError(f"unsupported CAST target {target!r}")

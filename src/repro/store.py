@@ -47,7 +47,7 @@ from repro.core.translator import (
     extract_shape,
     make_translator,
 )
-from repro.errors import StorageError
+from repro.errors import ReproError, StorageError
 from repro.xmldom import Document
 from repro.xpath.parser import parse_xpath
 
@@ -225,10 +225,12 @@ class XmlStore:
         # CREATE TABLE IF NOT EXISTS keeps a catalogue an older build
         # wrote, columns and all.  This build reads only its own
         # columns and upgrades nothing, so such a file is refused here,
-        # before anything reads or writes it.
+        # before anything reads or writes it.  Only an engine's error
+        # says so: every backend raises this library's errors, and
+        # anything else is a bug that must surface as itself.
         try:
             self.backend.execute(f"{_CATALOGUE_SELECT} WHERE doc = 0")
-        except Exception as exc:
+        except ReproError as exc:
             raise StorageError(
                 "the store was written by an older build, whose "
                 f"document catalogue this build cannot read ({exc})"

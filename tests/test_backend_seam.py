@@ -28,6 +28,10 @@ recovery" in DESIGN.md).
 Durability is sqlite's: minidb has no snapshot format, ``MiniDb`` no
 ``save`` / ``open``, and the crash sweep under ``repro/robust/``
 imports neither the engine nor its backend.
+
+minidb accepts the SQL the program sends and no more: every construct
+it used to parse besides, and every function nothing calls, is a typed
+error again.
 """
 
 import ast
@@ -538,3 +542,80 @@ def test_the_crash_sweep_imports_no_minidb():
         f"{leaks}: crashes are swept on sqlite files, the one backend "
         "that keeps data"
     )
+
+
+#: One statement per SQL construct minidb used to accept and nothing in
+#: the program sends: the grammar rejects each with a typed error.
+OUTSIDE_THE_GRAMMAR = {
+    "JOIN ... ON": "SELECT 1 FROM t JOIN t u ON t.a = u.a",
+    "INNER JOIN": "SELECT 1 FROM t INNER JOIN t u ON t.a = u.a",
+    "LEFT JOIN": "SELECT 1 FROM t LEFT JOIN t u ON t.a = u.a",
+    "LEFT OUTER JOIN": "SELECT 1 FROM t LEFT OUTER JOIN t u ON t.a = u.a",
+    "CROSS JOIN": "SELECT 1 FROM t CROSS JOIN t u",
+    "GROUP BY": "SELECT a FROM t GROUP BY a",
+    "HAVING": "SELECT COUNT(*) FROM t HAVING COUNT(*) > 0",
+    "LIMIT": "SELECT a FROM t LIMIT 1",
+    "compound LIMIT": "SELECT a FROM t UNION SELECT a FROM t ORDER BY a LIMIT 1",
+    "ASC": "SELECT a FROM t ORDER BY a ASC",
+    "DESC": "SELECT a FROM t ORDER BY a DESC",
+    "ORDER BY position": "SELECT a FROM t ORDER BY 1",
+    "compound ORDER BY position": "SELECT a FROM t UNION SELECT a FROM t ORDER BY 1",
+    "UNION ALL": "SELECT a FROM t UNION ALL SELECT a FROM t",
+    "recursive UNION ALL": "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL "
+                           "SELECT n + 1 FROM r WHERE n < 3) SELECT n FROM r",
+    "WITH": "WITH w(n) AS (SELECT 1) SELECT n FROM w",
+    "WITH RECURSIVE without a step": "WITH RECURSIVE w(n) AS (SELECT 1) "
+                                     "SELECT n FROM w",
+    "IN (SELECT ...)": "SELECT 1 FROM t WHERE a IN (SELECT a FROM t)",
+    "NOT IN": "SELECT 1 FROM t WHERE a NOT IN (1)",
+    "IS NOT NULL": "SELECT 1 FROM t WHERE a IS NOT NULL",
+    "LIKE": "SELECT 1 FROM t WHERE b LIKE 'x%'",
+    "BETWEEN": "SELECT 1 FROM t WHERE a BETWEEN 1 AND 2",
+    "CAST": "SELECT CAST(a AS TEXT) FROM t",
+    "NULL literal": "SELECT NULL",
+    "*": "SELECT a * 2 FROM t",
+    "/": "SELECT a / 2 FROM t",
+    "binary -": "SELECT a - 1 FROM t",
+    "unary - on a column": "SELECT -a FROM t",
+    "DROP TABLE": "DROP TABLE IF EXISTS gone",
+    "INSERT column list": "INSERT INTO t (a, b) VALUES (1, 'x')",
+    "multi-row VALUES": "INSERT INTO t VALUES (1, 'x'), (2, 'y')",
+    "alias.*": "SELECT t.* FROM t",
+    "COUNT(expr)": "SELECT COUNT(a) FROM t",
+    "COUNT(DISTINCT ...)": "SELECT COUNT(DISTINCT a) FROM t",
+}
+
+#: Functions minidb used to define and nothing in the program calls.
+REMOVED_FUNCTIONS = (
+    "length(b)", "upper(b)", "lower(b)", "abs(a)", "nullif(a, 1)",
+    "typeof(a)", "sum(a)", "avg(a)", "total(a)",
+)
+
+
+def test_minidb_accepts_only_the_program_sql():
+    """minidb's grammar is the SQL the store and the translator send
+    (see "One SQL text" in DESIGN.md), not a general SQL dialect."""
+    from repro.errors import ExecutionError, SqlSyntaxError
+    from repro.minidb import MiniDb
+
+    db = MiniDb()
+    db.execute("CREATE TABLE t (a INTEGER, b TEXT)")
+    db.execute("INSERT INTO t VALUES (?, ?)", (1, "x"))
+    accepted = []
+    for construct, sql in OUTSIDE_THE_GRAMMAR.items():
+        try:
+            db.execute(sql)
+        except SqlSyntaxError:
+            continue
+        accepted.append(construct)
+    for call in REMOVED_FUNCTIONS:
+        try:
+            db.execute(f"SELECT {call} FROM t")
+        except ExecutionError as exc:
+            assert "unknown function" in str(exc), call
+            continue
+        accepted.append(call)
+    assert accepted == []
+    assert not hasattr(db, "create_function")
+    # relalg writes -infinity as a negative literal, which still folds.
+    assert db.execute("SELECT -1e999, -2").rows == [(float("-inf"), -2)]

@@ -217,6 +217,19 @@ class TestSchemaBootstrap:
             assert line.startswith(f"error: cannot open {str(path)!r}: ")
             assert "older build" in line
 
+    def test_a_bug_under_the_catalogue_probe_is_not_an_older_build(self):
+        """Only an engine's error means an old catalogue: a programming
+        error raised by the probe surfaces as itself."""
+
+        class Broken(SqliteBackend):
+            def execute(self, sql, params=()):
+                if sql.startswith("SELECT") and "FROM documents" in sql:
+                    raise AttributeError("no attribute 'rows'")
+                return super().execute(sql, params)
+
+        with pytest.raises(AttributeError, match="no attribute 'rows'"):
+            XmlStore(backend=Broken())
+
 
 # -- bug 3: sqlite connection shared across threads ----------------------
 

@@ -372,20 +372,11 @@ class TestMiniDbCorners:
         # Assignments see the pre-update row, like SQL requires.
         assert db.execute("SELECT a, b FROM t").rows == [(10, 1)]
 
-    def test_limit_expression(self):
-        db = MiniDb()
-        db.execute("CREATE TABLE t (a INTEGER)")
-        db.executemany("INSERT INTO t VALUES (?)",
-                       [(i,) for i in range(10)])
-        assert len(db.execute(
-            "SELECT a FROM t ORDER BY a LIMIT ?", (4,)
-        ).rows) == 4
-
     def test_order_by_mixed_types_total_order(self):
         db = MiniDb()
         db.execute("CREATE TABLE t (v TEXT)")
         # Heterogeneous values through an untyped-ish column.
-        db.execute("INSERT INTO t VALUES (NULL)")
+        db.execute("INSERT INTO t VALUES (?)", (None,))
         db.execute("INSERT INTO t VALUES ('a')")
         result = db.execute("SELECT v FROM t ORDER BY v")
         assert result.rows == [(None,), ("a",)]

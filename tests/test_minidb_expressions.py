@@ -1,25 +1,12 @@
-"""Unit tests for minidb scalar functions, aggregates, LIKE, arithmetic."""
+"""Unit tests for minidb scalar functions, aggregates and arithmetic."""
 
 import pytest
 
 from repro.errors import ExecutionError
-from repro.minidb.expressions import (
-    Aggregate,
-    arithmetic,
-    BUILTIN_SCALARS,
-    like_match,
-    make_aggregate,
-)
+from repro.minidb.expressions import BUILTIN_SCALARS, aggregate, arithmetic
 
 
 class TestScalars:
-    def test_length(self):
-        fn = BUILTIN_SCALARS["length"]
-        assert fn("abc") == 3
-        assert fn(b"ab") == 2
-        assert fn(None) is None
-        assert fn(1234) == 4
-
     def test_substr_one_based(self):
         fn = BUILTIN_SCALARS["substr"]
         assert fn("hello", 2) == "ello"
@@ -33,110 +20,34 @@ class TestScalars:
         assert fn("hello", "zz") == 0
         assert fn(None, "x") is None
 
-    def test_upper_lower(self):
-        assert BUILTIN_SCALARS["upper"]("ab") == "AB"
-        assert BUILTIN_SCALARS["lower"]("AB") == "ab"
-        assert BUILTIN_SCALARS["upper"](None) is None
-
-    def test_abs(self):
-        fn = BUILTIN_SCALARS["abs"]
-        assert fn(-3) == 3
-        assert fn(2.5) == 2.5
-        with pytest.raises(ExecutionError):
-            fn("x")
-
     def test_coalesce(self):
         fn = BUILTIN_SCALARS["coalesce"]
         assert fn(None, None, 3, 4) == 3
         assert fn(None) is None
 
-    def test_nullif(self):
-        fn = BUILTIN_SCALARS["nullif"]
-        assert fn(1, 1) is None
-        assert fn(1, 2) == 1
-        assert fn("a", 1) == "a"  # type mismatch: not equal
-
-    def test_typeof(self):
-        fn = BUILTIN_SCALARS["typeof"]
-        assert fn(None) == "null"
-        assert fn(3) == "integer"
-        assert fn(3.5) == "real"
-        assert fn("x") == "text"
-        assert fn(b"x") == "blob"
-
 
 class TestAggregates:
-    def _feed(self, agg: Aggregate, values):
-        for value in values:
-            agg.add(value)
-        return agg.result()
-
-    def test_count_star_counts_everything(self):
-        assert self._feed(make_aggregate("count", star=True),
-                          [1, None, "x"]) == 3
-
-    def test_count_skips_nulls(self):
-        assert self._feed(make_aggregate("count", star=False),
-                          [1, None, 2]) == 2
-
-    def test_sum_avg(self):
-        assert self._feed(make_aggregate("sum", False), [1, 2, 3]) == 6
-        assert self._feed(make_aggregate("avg", False), [1, 2, 3]) == 2
-
     def test_min_max_mixed_numbers(self):
-        assert self._feed(make_aggregate("min", False), [3, 1.5, 2]) == 1.5
-        assert self._feed(make_aggregate("max", False), [3, 1.5, 2]) == 3
+        assert aggregate("min", [3, 1.5, 2], ",") == 1.5
+        assert aggregate("max", [3, 1.5, 2], ",") == 3
 
     def test_empty_aggregates_are_null(self):
-        assert make_aggregate("sum", False).result() is None
-        assert make_aggregate("min", False).result() is None
-        assert make_aggregate("count", False).result() == 0
+        for name in ("min", "max", "group_concat"):
+            assert aggregate(name, [], "") is None
 
-    def test_count_distinct(self):
-        agg = make_aggregate("count distinct", False)
-        assert self._feed(agg, [1, 1, 2, None, 2]) == 2
-
-
-class TestLike:
-    @pytest.mark.parametrize(
-        "value,pattern,expected",
-        [
-            ("hello", "hello", True),
-            ("hello", "h%", True),
-            ("hello", "%llo", True),
-            ("hello", "h_llo", True),
-            ("hello", "H%", True),  # case-insensitive, like SQLite
-            ("hello", "he", False),
-            ("a.b", "a.b", True),
-            ("axb", "a.b", False),  # '.' is literal, not regex
-            ("100%", "100%", True),
-        ],
-    )
-    def test_patterns(self, value, pattern, expected):
-        assert like_match(value, pattern) is expected
-
-    def test_null_propagates(self):
-        assert like_match(None, "x") is None
-        assert like_match("x", None) is None
-
-    def test_number_coerced(self):
-        assert like_match(123, "1%") is True
+    def test_group_concat_joins_in_arrival_order(self):
+        assert aggregate("group_concat", ["b", "a", 1], "") == "ba1"
+        assert aggregate("group_concat", ["b", "a"], ",") == "b,a"
 
 
 class TestArithmetic:
     def test_basic_ops(self):
         assert arithmetic("+", 2, 3) == 5
-        assert arithmetic("-", 2, 3) == -1
-        assert arithmetic("*", 2, 3) == 6
-        assert arithmetic("/", 7, 2) == 3.5
-        assert arithmetic("/", 6, 2) == 3
-
-    def test_division_by_zero_is_null(self):
-        assert arithmetic("/", 1, 0) is None
+        assert arithmetic("+", 2, 0.5) == 2.5
 
     def test_null_propagation(self):
         assert arithmetic("+", None, 1) is None
-        assert arithmetic("*", 1, None) is None
+        assert arithmetic("+", 1, None) is None
 
     def test_concat(self):
         assert arithmetic("||", "a", "b") == "ab"

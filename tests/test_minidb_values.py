@@ -1,4 +1,4 @@
-"""Tests for the minidb value model (comparison, logic, CAST)."""
+"""Tests for the minidb value model (comparison, logic, ordering)."""
 
 import math
 import operator
@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ExecutionError
 from repro.minidb import MiniDb
 from repro.minidb.values import (
-    cast_value,
     compare,
     is_true,
     logical_and,
@@ -190,28 +189,3 @@ class TestLogic:
         assert is_true(True)
         assert not is_true(None)
         assert not is_true(False)
-
-
-class TestCast:
-    def test_cast_to_integer(self):
-        assert cast_value("42", "INTEGER") == 42
-        assert cast_value("3.7", "INTEGER") == 3
-        assert cast_value("junk", "INTEGER") == 0
-        assert cast_value(None, "INTEGER") is None
-
-    def test_cast_to_real(self):
-        assert cast_value("39.95", "REAL") == 39.95
-        assert cast_value("junk", "REAL") == 0.0
-        assert cast_value(7, "REAL") == 7.0
-
-    def test_cast_to_text(self):
-        assert cast_value(42, "TEXT") == "42"
-        assert cast_value(b"ab", "TEXT") == "ab"
-
-    def test_cast_to_blob(self):
-        assert cast_value("ab", "BLOB") == b"ab"
-        assert cast_value(b"ab", "BLOB") == b"ab"
-
-    def test_unknown_target_raises(self):
-        with pytest.raises(ExecutionError):
-            cast_value("x", "JSON")

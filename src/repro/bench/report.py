@@ -65,16 +65,17 @@ EXPECTED_SHAPES = {
            "relabeling entirely — zero rows touched on any insert — "
            "paying with longer keys.",
     "E12": "(Extension beyond the paper.)  Rows read grow linearly "
-           "with the document for a descendant scan (U2) and a sibling "
-           "axis (Q5) on every encoding; the document-order axis Q7 "
-           "grows faster, and its exponent is reported.  The claim this "
-           "experiment used to make on milliseconds — \"Local's "
-           "document-order queries degrade fastest\" — is **not** "
-           "reproduced on counts: Q7 is super-linear on every encoding "
-           "and Global's and Dewey's exponent is the larger one, "
-           "because every plan builds the full (context, result) join "
-           "before `DISTINCT` (ROADMAP, \"Paths without manufactured "
-           "duplicates\").",
+           "with the document for a descendant scan (U2), a sibling "
+           "axis (Q5) and the document-order axis Q7 on every encoding.  "
+           "Q7 used to grow quadratically, and not because of its "
+           "`following::` axis: its `article[3]` was a correlated "
+           "`COUNT(*)` of the preceding sibling articles, run once per "
+           "candidate article, m²/2 rows for m articles.  A child-axis "
+           "position is now a sibling-order bound picked once per "
+           "parent.  The claim this experiment used to make on "
+           "milliseconds — \"Local's document-order queries degrade "
+           "fastest\" — is **not** reproduced on counts: Q7 is linear "
+           "on every encoding.",
     "E13": "Local's logical reads are the highest on the document-order "
            "axes and within a small factor elsewhere; Global and Dewey "
            "stay near result size and answer in one statement after "
@@ -320,10 +321,9 @@ def compute_verdicts(
         q7 = [r[-1] for r in t.rows if r[0] == "Q7"]
         record(
             "E12",
-            "U2 and Q5 rows read grow linearly with the document "
-            f"(exponent {_range(linear)}, at most 1.2); Q7's exponent "
-            f"{_range(q7)}",
-            max(linear) <= 1.2,
+            "U2, Q5 and Q7 rows read grow linearly with the document "
+            f"(exponent {_range(linear)} and {_range(q7)}, at most 1.2)",
+            max(linear + q7) <= 1.2,
         )
 
     t = by_id.get("E13")

@@ -2,7 +2,7 @@
 
 The XPath translators do not emit SQL text directly.  They build a
 small relational algebra AST — tables with aliases, comparisons, AND/OR,
-EXISTS and correlated COUNT subqueries, and the recursive closure the
+EXISTS and correlated scalar subqueries, and the recursive closure the
 Local encoding walks its parent pointers with — which
 :class:`SqlTextDialect` renders as
 parameterized SQL with ``?`` placeholders.  That text is the only thing
@@ -75,9 +75,12 @@ class LitSlot:
 
     * ``raw``   — the literal itself;
     * ``num``   — as int when integral, else float;
-    * ``int``   — truncated to int;
-    * ``posm1`` — ``int(v) - 1`` (positions compare against a count of
-      *preceding* axis-mates);
+    * ``posm1`` — ``num(v) - 1`` (positions compare against a count of
+      *preceding* axis-mates; a fractional ``v`` stays fractional, so
+      ``count = 0.5`` matches nothing, as ``position() = 1.5`` does);
+    * ``skip:<op>`` / ``take:<op>`` — the ``OFFSET`` and ``LIMIT`` that
+      pick the siblings whose positions satisfy ``position() <op> v``
+      (see :func:`position_range`);
     * ``len``   — ``len(v)`` (the ``starts-with`` prefix length).
     """
 
@@ -88,18 +91,58 @@ class LitSlot:
 ParamSlot = Union[_DocSlot, _CtxSlot, FixedSlot, LitSlot]
 
 
+def position_range(op: str, k: float) -> tuple[int, float]:
+    """The positions ``p`` with ``p <op> k``, as ``[first, last]``.
+
+    Positions are integers from 1, so each bound is rounded the way
+    XPath compares a position with a number: ``p >= 2.5`` is ``p >= 3``,
+    ``p < 1.5`` is ``p <= 1``, and ``p = 1.5`` holds for no position
+    (an empty range, ``first > last``).  ``last`` may be infinite.
+    """
+    if op == "=":
+        return (int(k), k) if k == int(k) else (1, 0)
+    if op == ">=":
+        return math.ceil(k), math.inf
+    if op == ">":
+        return math.floor(k) + 1, math.inf
+    if op == "<=":
+        return 1, math.floor(k)
+    if op == "<":
+        return 1, math.ceil(k) - 1
+    raise TranslationError(f"no position range for {op!r}")
+
+
+#: Integers both engines bind: sqlite's are 64-bit.  A bound past this
+#: admits or excludes the same rows as any larger one.
+_MAX_INT = 2**62
+
+
+def _number(value: object) -> Union[int, float]:
+    """An integral number as an int the engines bind, else a float."""
+    number = float(value)  # type: ignore[arg-type]
+    if abs(number) < _MAX_INT and number == int(number):
+        return int(number)
+    return number
+
+
 def _apply_transform(transform: str, value: object) -> object:
     if transform == "raw":
         return value
     if transform == "num":
-        number = float(value)  # type: ignore[arg-type]
-        return int(number) if number == int(number) else number
-    if transform == "int":
-        return int(value)  # type: ignore[arg-type]
+        return _number(value)
     if transform == "posm1":
-        return int(value) - 1  # type: ignore[arg-type]
+        return _number(value) - 1
     if transform == "len":
         return len(value)  # type: ignore[arg-type]
+    kind, _, op = transform.partition(":")
+    if kind in ("skip", "take"):
+        # Both engines read a negative OFFSET as 0 and a negative LIMIT
+        # as no limit at all, so neither may reach them.
+        first, last = position_range(op, float(value))  # type: ignore[arg-type]
+        first, last = min(max(first, 1), _MAX_INT), min(last, _MAX_INT)
+        if kind == "skip":
+            return first - 1
+        return int(max(last - first + 1, 0))
     raise TranslationError(f"unknown literal transform {transform!r}")
 
 
@@ -207,8 +250,9 @@ class Exists:
 
 
 @dataclass(frozen=True)
-class ScalarCount:
-    """A correlated ``(SELECT COUNT(*) ...)`` scalar subquery."""
+class ScalarSubquery:
+    """A correlated scalar subquery ``(SELECT ...)``: a ``COUNT(*)`` of
+    axis-mates, or the order value a positional predicate picks."""
 
     query: "Select"
 
@@ -247,14 +291,19 @@ class Select:
     ``count_joins`` mirrors the historical stats accounting: FROM items
     beyond the first count as joins for step/exists/count selects, but
     not for the plumbing of a string-value scan or a recursive walk.
+    A FROM item is a table name or a derived :class:`Select`.
+    ``limit`` / ``offset`` keep that many rows of the ordered result
+    and skip that many first.
     """
 
     columns: tuple[SelectItem, ...]
-    from_items: tuple[tuple[str, str], ...] = ()  # (table, alias)
+    from_items: tuple[tuple[Union[str, "Select"], str], ...] = ()
     where: tuple["RelExpr", ...] = ()
     order_by: tuple[Col, ...] = ()
     distinct: bool = False
     count_joins: bool = True
+    limit: Optional["RelExpr"] = None
+    offset: Optional["RelExpr"] = None
 
 
 @dataclass(frozen=True)
@@ -286,7 +335,7 @@ class Recursive:
 
 RelExpr = Union[
     Col, Const, Param, Bool, Cmp, And, Or, Not, Arith, Func, CountStar,
-    IsNull, Exists, ScalarCount, StringValueAgg,
+    IsNull, Exists, ScalarSubquery, StringValueAgg,
 ]
 
 RelQuery = Union[Select, UnionQuery, Recursive]
@@ -303,14 +352,14 @@ class TranslationStats:
 
     joins: int = 0  # FROM items beyond the first, across all queries
     exists_subqueries: int = 0
-    count_subqueries: int = 0
+    scalar_subqueries: int = 0  # COUNT(*) and positional picks
     recursions: int = 0  # recursive closures (Local encoding)
 
     def total_relational_operations(self) -> int:
         return (
             self.joins
             + self.exists_subqueries
-            + self.count_subqueries
+            + self.scalar_subqueries
             + self.recursions
         )
 
@@ -338,6 +387,9 @@ def _collect_stats(node: object, stats: TranslationStats) -> None:
     elif isinstance(node, Select):
         if node.count_joins:
             stats.joins += max(0, len(node.from_items) - 1)
+        for table, _alias in node.from_items:
+            if isinstance(table, Select):
+                _collect_stats(table, stats)
         for item in node.columns:
             _collect_stats(item.expr, stats)
         for cond in node.where:
@@ -346,8 +398,8 @@ def _collect_stats(node: object, stats: TranslationStats) -> None:
         if node.counted:
             stats.exists_subqueries += 1
         _collect_stats(node.query, stats)
-    elif isinstance(node, ScalarCount):
-        stats.count_subqueries += 1
+    elif isinstance(node, ScalarSubquery):
+        stats.scalar_subqueries += 1
         _collect_stats(node.query, stats)
     elif isinstance(node, (And, Or)):
         for item in node.items:
@@ -432,10 +484,9 @@ class SqlTextDialect:
         parts.append(", ".join(rendered_items))
         if select.from_items:
             parts.append(" FROM ")
-            # A recursive table is its own alias.
             parts.append(
                 ", ".join(
-                    t if t == a else f"{t} {a}"
+                    self._from_item(t, a, slots)
                     for t, a in select.from_items
                 )
             )
@@ -449,7 +500,19 @@ class SqlTextDialect:
             parts.append(
                 ", ".join(f"{c.alias}.{c.name}" for c in select.order_by)
             )
+        if select.limit is not None:
+            parts.append(f" LIMIT {self._expr(select.limit, slots)}")
+        if select.offset is not None:
+            parts.append(f" OFFSET {self._expr(select.offset, slots)}")
         return "".join(parts)
+
+    def _from_item(
+        self, table: Union[str, Select], alias: str, slots: list
+    ) -> str:
+        if isinstance(table, Select):
+            return f"({self._select(table, slots)}) {alias}"
+        # A recursive table is its own alias.
+        return table if table == alias else f"{table} {alias}"
 
     def _expr(self, node: RelExpr, slots: list) -> str:
         if isinstance(node, Col):
@@ -483,7 +546,7 @@ class SqlTextDialect:
         if isinstance(node, Exists):
             keyword = "NOT EXISTS" if node.negated else "EXISTS"
             return f"{keyword} ({self._query(node.query, slots)})"
-        if isinstance(node, ScalarCount):
+        if isinstance(node, ScalarSubquery):
             return f"({self._select(node.query, slots)})"
         if isinstance(node, StringValueAgg):
             inner = self._query(node.query, slots)

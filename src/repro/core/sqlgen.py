@@ -18,7 +18,7 @@ from repro.core.relalg import (
     CountStar,
     Exists,
     RelExpr,
-    ScalarCount,
+    ScalarSubquery,
     Select,
     SelectItem,
     TranslationStats,
@@ -69,6 +69,8 @@ class SelectBuilder:
     order_by: list[Col] = field(default_factory=list)
     distinct: bool = False
     count_joins: bool = True
+    limit: Optional[RelExpr] = None
+    offset: Optional[RelExpr] = None
 
     def add_from(self, table: str, alias: str) -> None:
         self.from_items.append((table, alias))
@@ -86,6 +88,8 @@ class SelectBuilder:
             order_by=tuple(self.order_by),
             distinct=self.distinct,
             count_joins=self.count_joins,
+            limit=self.limit,
+            offset=self.offset,
         )
 
 
@@ -96,7 +100,7 @@ def exists(
     return Exists(builder.build(), negated=negated, counted=counted)
 
 
-def scalar_count(builder: SelectBuilder) -> ScalarCount:
+def scalar_count(builder: SelectBuilder) -> ScalarSubquery:
     """A correlated COUNT(*) scalar subquery over the builder's rows.
 
     The projection is replaced in the immutable snapshot only; the
@@ -113,4 +117,4 @@ def scalar_count(builder: SelectBuilder) -> ScalarCount:
         distinct=False,
         count_joins=snapshot.count_joins,
     )
-    return ScalarCount(counted)
+    return ScalarSubquery(counted)

@@ -10,8 +10,11 @@ becomes a comparison over order columns.
 Predicates compile to:
 
 * **positional** conditions (``[k]``, ``[position() <= k]``, ``[last()]``)
-  — correlated ``COUNT(*)`` subqueries counting axis-mates that precede
-  the candidate, or ``NOT EXISTS`` for ``last()``;
+  — on the child axis a bound on the candidate's sibling order, picked
+  once per context node by an ``ORDER BY … LIMIT … OFFSET`` subquery;
+  elsewhere (other axes, ``//x[k]``, ``!=``, ``last() <op> k``, under
+  ``not()``) a correlated ``COUNT(*)`` of the axis-mates that precede
+  the candidate; ``NOT EXISTS`` for ``last()``;
 * **existence** conditions (``[author]``, ``[@id]``) — ``EXISTS``
   subqueries built by recursive translation;
 * **value** conditions (``[@id = "x"]``, ``[price < 10]``) — ``EXISTS``
@@ -64,7 +67,7 @@ from repro.core.relalg import (
     Param,
     RelExpr,
     RelQuery,
-    ScalarCount,
+    ScalarSubquery,
     Select,
     SelectItem,
     SqlTextDialect,
@@ -375,7 +378,7 @@ class SqlTranslator(ABC):
         METRICS.inc("translate.joins", stats.joins)
         METRICS.inc(
             "translate.subqueries",
-            stats.exists_subqueries + stats.count_subqueries,
+            stats.exists_subqueries + stats.scalar_subqueries,
         )
         return CompiledPlan(
             sql=sql,
@@ -651,6 +654,9 @@ class SqlTranslator(ABC):
                 self.axis_condition(step.axis, ctx, alias, t)
             )
             builder.add_where(self.test_condition(step.test, alias))
+            # Each step's predicates filter its own candidates: a not()
+            # around the path they belong to does not reach inside.
+            negated, t.negated = t.negated, False
             for pred_index, predicate in enumerate(step.predicates):
                 if pred_index > 0 and _contains_positional(predicate):
                     # XPath re-ranks positions after each predicate
@@ -666,6 +672,7 @@ class SqlTranslator(ABC):
                         predicate, alias, ctx, step, t
                     )
                 )
+            t.negated = negated
             ctx = alias
         assert ctx is not None
         return ctx, "node"
@@ -854,9 +861,10 @@ class SqlTranslator(ABC):
         from repro.core.relalg import Not
 
         if call.name == "not":
-            return Not(
-                self._boolean_condition(call.args[0], cand, ctx, step, t)
-            )
+            negated, t.negated = t.negated, True
+            inner = self._boolean_condition(call.args[0], cand, ctx, step, t)
+            t.negated = negated
+            return Not(inner)
         if call.name in ("last", "position"):
             # In boolean context a number converts via boolean(): both
             # position() and last() are >= 1 for an existing candidate,
@@ -932,7 +940,7 @@ class SqlTranslator(ABC):
         if isinstance(left, FunctionCall) and left.name == "last":
             if isinstance(right, NumberLiteral):
                 count = self._axis_mates_count(cand, ctx, step, t)
-                return Cmp(op, count, self._lit_param(right, "int"))
+                return Cmp(op, count, self._lit_param(right, "num"))
             raise UnsupportedXPathError(
                 "last() must be compared with a number"
             )
@@ -1018,15 +1026,69 @@ class SqlTranslator(ABC):
         step: NormStep,
         t: "_Translation",
     ) -> RelExpr:
-        """``position() <op> k`` via counting preceding axis-mates."""
+        """``position() <op> k``: a bound on the candidate's sibling
+        order on the child axis, else a count of preceding axis-mates."""
         if step.positional_axis == "self":
             # The candidate's position on the self axis is always 1.
             if is_slot(k):
-                return Cmp(op, Const(1), self._lit_param(k, "int"))
-            return Bool(_int_compare(1, op, int(k.value)))
+                return Cmp(op, Const(1), self._lit_param(k, "num"))
+            return Bool(_int_compare(1, op, k.value))
+        if step.axis == "child" and op != "!=" and not t.negated:
+            return self._sibling_bound(op, k, cand, ctx, step, t)
         count = self._preceding_mates_count(cand, ctx, step, t)
         # position = count + 1, so position <op> k  <=>  count <op> k-1.
         return Cmp(op, count, self._lit_param(k, "posm1"))
+
+    def _sibling_bound(
+        self,
+        op: str,
+        k: NumberLiteral,
+        cand: str,
+        ctx: Optional[str],
+        step: NormStep,
+        t: "_Translation",
+    ) -> RelExpr:
+        """``position() <op> k`` on the child axis, as a bound on the
+        candidate's sibling order picked once per context node.
+
+        The children of the context that pass the node test, in sibling
+        order, are the candidate list; the pick skips and keeps the
+        positions :func:`~repro.core.relalg.position_range` allows.
+        ``=`` compares with the one picked order value, ``>`` / ``>=``
+        start at it, and ``<`` / ``<=`` end at the largest value kept.
+        The subquery is correlated to the context alone, so both engines
+        evaluate it once per context and probe ``(doc, parent, order)``
+        with its value.  A pick that finds no sibling is NULL and passes
+        no candidate — which is why a predicate under ``not()`` keeps
+        the count.
+        """
+        column = self.encoding.sibling_order_column
+        m = t.aliases.next()
+        pick = SelectBuilder()
+        pick.select = [SelectItem(Col(m, column), column)]
+        pick.add_from(self.node_table, m)
+        pick.add_where(t.doc_cond(m))
+        pick.add_where(self.axis_condition("child", ctx, m, t))
+        pick.add_where(self.test_condition(step.test, m))
+        pick.order_by = [Col(m, column)]
+        if op in ("<", "<="):
+            pick.limit = self._lit_param(k, f"take:{op}")
+            kept = t.aliases.next()
+            bound = Select(
+                columns=(SelectItem(Func("MAX", (Col(kept, column),))),),
+                from_items=((pick.build(), kept),),
+            )
+            return Cmp("<=", Col(cand, column), ScalarSubquery(bound))
+        if op == "=":
+            pick.limit = self._lit_param(k, "take:=")
+        else:
+            pick.limit = Const(1)
+        pick.offset = self._lit_param(k, f"skip:{op}")
+        return Cmp(
+            "=" if op == "=" else ">=",
+            Col(cand, column),
+            ScalarSubquery(pick.build()),
+        )
 
     def _positional_last(
         self,
@@ -1049,7 +1111,7 @@ class SqlTranslator(ABC):
         ctx: Optional[str],
         step: NormStep,
         t: "_Translation",
-    ) -> ScalarCount:
+    ) -> ScalarSubquery:
         sub, m = self._axis_mates_builder(cand, ctx, step, t)
         sub.add_where(self._mate_order_condition(m, cand, ctx, step,
                                                  after=False))
@@ -1061,7 +1123,7 @@ class SqlTranslator(ABC):
         ctx: Optional[str],
         step: NormStep,
         t: "_Translation",
-    ) -> ScalarCount:
+    ) -> ScalarSubquery:
         sub, _m = self._axis_mates_builder(cand, ctx, step, t)
         return scalar_count(sub)
 
@@ -1208,7 +1270,7 @@ class SqlTranslator(ABC):
 
     def _count_path(
         self, path: LocationPath, context: str, t: "_Translation"
-    ) -> ScalarCount:
+    ) -> ScalarSubquery:
         sub = SelectBuilder()
         sub.select = [SelectItem(Const(1))]
         start = None if path.absolute else context
@@ -1224,6 +1286,8 @@ class _Translation:
         self.translator = translator
         self.aliases = AliasGenerator()
         self.attribute_owner_alias: Optional[str] = None
+        #: Compiling the argument of a not() (see _sibling_bound).
+        self.negated = False
 
     def doc_cond(self, alias: str) -> RelExpr:
         return Cmp("=", Col(alias, "doc"), Param(DOC))

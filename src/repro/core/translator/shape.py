@@ -118,7 +118,7 @@ class _Extractor:
 
     def rewrite_predicate(self, expr: Expr) -> Expr:
         # A bare number predicate is positional: structure is the same
-        # for every k (the translator emits "count <op> ?").  Exact type
+        # for every k (k only binds a count or a pick's ``?``).  Exact type
         # checks keep extraction idempotent (slots subclass literals).
         if type(expr) is NumberLiteral:
             return self._slot(expr)

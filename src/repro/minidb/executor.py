@@ -231,18 +231,15 @@ class Compiler:
         if isinstance(expr, InList):
             return self._compile_in_list(expr, scope)
         if isinstance(expr, Exists):
-            plan = self._compile_subquery(expr.select, scope)
+            first_row = self._compile_subquery(expr.select, scope).first_row
             def exists_fn(env: Env, state: ExecState) -> SqlValue:
-                for _row in plan.rows(env, state):
-                    return True
-                return False
+                return first_row(env, state) is not None
             return exists_fn
         if isinstance(expr, ScalarSubquery):
-            plan = self._compile_subquery(expr.select, scope)
+            first_row = self._compile_subquery(expr.select, scope).first_row
             def scalar_fn(env: Env, state: ExecState) -> SqlValue:
-                for row in plan.rows(env, state):
-                    return row[0]
-                return None
+                row = first_row(env, state)
+                return None if row is None else row[0]
             return scalar_fn
         raise ExecutionError(f"cannot compile expression {expr!r}")
 
@@ -545,6 +542,8 @@ class Compiler:
             compiled = self._finish_plain_select(
                 select, scope, steps, gate_fns
             )
+        if select.limit is not None:
+            compiled = self._limited(compiled, select, scope)
         compiled.plan_lines = [_describe_step(s) for s in steps]
         for from_item, source in sources:
             if isinstance(source, CompiledSelect):
@@ -626,6 +625,33 @@ class Compiler:
             residual_fns=residual_fns,
         )
 
+    def _limited(
+        self, compiled: "CompiledSelect", select: Select, scope: Scope
+    ) -> "CompiledSelect":
+        """*compiled* with ``LIMIT`` / ``OFFSET`` applied to its rows.
+
+        As in sqlite, a negative LIMIT keeps every row and a negative
+        OFFSET skips none; LIMIT 0 runs nothing.
+        """
+        limit_fn = self.compile_expr(select.limit, scope)  # type: ignore[arg-type]
+        offset_fn = (
+            None if select.offset is None
+            else self.compile_expr(select.offset, scope)
+        )
+        rows = compiled.rows
+
+        def limited(env: Env, state: ExecState) -> list[tuple]:
+            limit = _row_count(limit_fn(env, state))
+            start = 0
+            if offset_fn is not None:
+                start = max(_row_count(offset_fn(env, state)), 0)
+            if limit == 0:
+                return []
+            out = rows(env, state)
+            return out[start:] if limit < 0 else out[start:start + limit]
+
+        return CompiledSelect(compiled.columns, limited)
+
     def _finish_plain_select(
         self,
         select: Select,
@@ -644,6 +670,18 @@ class Compiler:
                 return out
             return list(dict.fromkeys(out))
 
+        def first_row(env: Env, state: ExecState) -> Optional[tuple]:
+            """The pipeline's first row, which is the result's first
+            row when nothing reorders it."""
+            for gate in gate_fns:
+                if not is_true(gate(env, state)):
+                    return None
+            for e in pipeline(env, state):
+                return tuple(fn(e, state) for fn in item_fns)
+            return None
+
+        unordered_first_row = None if order_fns else first_row
+
         if plain is not None:
             # Every output and ORDER BY column is a column of one alias:
             # sort that alias's rows, then project them with one getter.
@@ -660,7 +698,9 @@ class Compiler:
                     source.sort(key=row_key)
                 return finish(list(map(project, source)))
 
-            return CompiledSelect(tuple(columns), plain_rows)
+            return CompiledSelect(
+                tuple(columns), plain_rows, first_row=unordered_first_row
+            )
 
         def rows(env: Env, state: ExecState) -> list[tuple]:
             for gate in gate_fns:
@@ -683,7 +723,9 @@ class Compiler:
                 ]
             return finish(out)
 
-        return CompiledSelect(tuple(columns), rows)
+        return CompiledSelect(
+            tuple(columns), rows, first_row=unordered_first_row
+        )
 
     def _finish_aggregate_select(
         self,
@@ -899,6 +941,15 @@ def _compare_closures(op: str, left: ExprFn, right: ExprFn) -> ExprFn:
         result = compare(lval, rval)
         return None if result is None else test(result, 0)
     return compare_fn
+
+
+def _row_count(value: SqlValue) -> int:
+    """A LIMIT or OFFSET value, which must be an integer."""
+    if type(value) is not int:
+        raise ExecutionError(
+            f"LIMIT and OFFSET take an integer, not {value!r}"
+        )
+    return value
 
 
 def _to_logic(value: SqlValue) -> Optional[bool]:
@@ -1283,6 +1334,11 @@ class CompiledSelect:
     """A compiled SELECT: output column names + a function from an
     environment to the result rows (a new list per call).
 
+    ``first_row`` answers the first result row, or None when there is
+    none — what ``EXISTS`` and a scalar subquery ask.  A select whose
+    rows need no sorting or slicing stops at its first pipeline row;
+    any other takes the first of :attr:`rows`.
+
     ``plan_lines`` is a human-readable access-plan summary (one line per
     FROM item), surfaced through ``MiniDb.explain``.
     """
@@ -1290,6 +1346,16 @@ class CompiledSelect:
     columns: tuple[str, ...]
     rows: Callable[[Env, ExecState], list[tuple]]
     plan_lines: list[str] = field(default_factory=list)
+    first_row: Optional[Callable[[Env, ExecState], Optional[tuple]]] = None
+
+    def __post_init__(self) -> None:
+        if self.first_row is None:
+            rows = self.rows
+
+            def first_row(env: Env, state: ExecState) -> Optional[tuple]:
+                out = rows(env, state)
+                return out[0] if out else None
+            self.first_row = first_row
 
 
 def _describe_step(step: _JoinStep) -> str:

@@ -6,8 +6,9 @@ own statements need: DDL (CREATE TABLE / CREATE [UNIQUE] INDEX, both
 SELECT over comma joins and derived tables with WHERE, correlated
 EXISTS and scalar subqueries, ``IN (…)`` lists, COUNT(*) / MIN / MAX /
 GROUP_CONCAT over every row of the select, DISTINCT, compound UNION,
-ascending ORDER BY, and ``WITH RECURSIVE`` — one self-referencing
-step — in front of any SELECT.
+ascending ORDER BY, ``LIMIT … [OFFSET …]`` on a single SELECT, and
+``WITH RECURSIVE`` — one self-referencing step — in front of any
+SELECT.
 """
 
 from __future__ import annotations
@@ -143,11 +144,16 @@ class FromItem:
 
 @dataclass(frozen=True)
 class Select:
+    """One SELECT; ``limit`` / ``offset`` are a ``?`` or an integer
+    literal."""
+
     items: tuple[Union[SelectItem, Star], ...]
     from_items: tuple[FromItem, ...] = ()
     where: Optional[Expr] = None
     order_by: tuple[ColumnRef, ...] = ()
     distinct: bool = False
+    limit: Optional[Expr] = None
+    offset: Optional[Expr] = None
 
 
 @dataclass(frozen=True)

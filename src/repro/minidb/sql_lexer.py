@@ -10,7 +10,7 @@ from repro.errors import SqlSyntaxError
 #: Keywords recognised by the parser (upper-cased kinds).
 KEYWORDS = frozenset(
     """
-    SELECT DISTINCT FROM WHERE ORDER BY UNION AS WITH RECURSIVE
+    SELECT DISTINCT FROM WHERE ORDER BY LIMIT OFFSET UNION AS WITH RECURSIVE
     AND OR NOT IN EXISTS IS NULL
     CREATE TABLE INDEX UNIQUE ON IF INSERT INTO VALUES UPDATE SET DELETE
     INTEGER REAL TEXT BLOB

@@ -211,8 +211,24 @@ class _Parser:
             arms.append(self._parse_select_core())
         order_by = self._parse_order_by()
         if len(arms) == 1:
-            return replace(arms[0], order_by=order_by)
+            limit = offset = None
+            if self.accept("LIMIT"):
+                limit = self._parse_row_count()
+                if self.accept("OFFSET"):
+                    offset = self._parse_row_count()
+            return replace(
+                arms[0], order_by=order_by, limit=limit, offset=offset
+            )
         return Union_(tuple(arms), order_by)
+
+    def _parse_row_count(self) -> Expr:
+        """A ``LIMIT`` or ``OFFSET`` value: ``?`` or an integer."""
+        value = self._parse_primary()
+        if isinstance(value, Param) or (
+            isinstance(value, Literal) and type(value.value) is int
+        ):
+            return value
+        raise self._error("LIMIT and OFFSET take '?' or an integer")
 
     def _parse_with(self) -> With:
         """One recursive common table expression and the select that

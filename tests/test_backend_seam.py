@@ -554,7 +554,6 @@ OUTSIDE_THE_GRAMMAR = {
     "CROSS JOIN": "SELECT 1 FROM t CROSS JOIN t u",
     "GROUP BY": "SELECT a FROM t GROUP BY a",
     "HAVING": "SELECT COUNT(*) FROM t HAVING COUNT(*) > 0",
-    "LIMIT": "SELECT a FROM t LIMIT 1",
     "compound LIMIT": "SELECT a FROM t UNION SELECT a FROM t ORDER BY a LIMIT 1",
     "ASC": "SELECT a FROM t ORDER BY a ASC",
     "DESC": "SELECT a FROM t ORDER BY a DESC",

@@ -87,6 +87,22 @@ BOUND_QUERIES = [
     "SELECT a, b, c FROM t WHERE ? < a AND b != ? ORDER BY a, b, c",
 ]
 
+#: ``LIMIT`` / ``OFFSET`` over a limit and an offset from -1 (no limit,
+#: no offset) up: alone, and as the sibling pick of a positional
+#: predicate — the pick itself, and the largest value a limit keeps.
+LIMIT_QUERIES = [
+    "SELECT a, b, c FROM t ORDER BY a, b, c LIMIT ? OFFSET ?",
+    "SELECT c FROM t WHERE a = 1 ORDER BY b, c LIMIT ?",
+    "SELECT a, b FROM t LIMIT 0 OFFSET ?",
+    "SELECT a, b, c FROM t u WHERE u.b = (SELECT v.b FROM t v "
+    "WHERE v.a = u.a ORDER BY v.b LIMIT ? OFFSET ?) ORDER BY a, b, c",
+    "SELECT a, b, c FROM t u WHERE u.b >= (SELECT v.b FROM t v "
+    "WHERE v.a = u.a ORDER BY v.b LIMIT 1 OFFSET ?) ORDER BY a, b, c",
+    "SELECT a, b, c FROM t u WHERE u.b <= (SELECT MAX(x.b) FROM "
+    "(SELECT v.b AS b FROM t v WHERE v.a = u.a ORDER BY v.b LIMIT ?) x) "
+    "ORDER BY a, b, c",
+]
+
 #: ``k`` holds one row per row of ``t``: its position, unique, and its
 #: ``a``.
 KEYED = (
@@ -135,6 +151,15 @@ def test_query_agrees_with_sqlite(query, rows):
 def test_bound_query_agrees_with_sqlite(query, rows, x, y):
     mini_rows, lite_rows = run_both(rows, query, (x, y))
     assert mini_rows == lite_rows, (query, x, y)
+
+
+@pytest.mark.parametrize("query", LIMIT_QUERIES)
+@settings(max_examples=25, deadline=None)
+@given(rows=rows_strategy, x=st.integers(-1, 6), y=st.integers(-1, 6))
+def test_limit_offset_agrees_with_sqlite(query, rows, x, y):
+    params = (x, y)[: query.count("?")]
+    mini_rows, lite_rows = run_both(rows, query, params)
+    assert mini_rows == lite_rows, (query, params)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,0 +1,146 @@
+"""Rows read grow at most linearly with the document: a tier-1 gate.
+
+``golden_minidb_io.json`` pins each read's logical I/O at one document
+size, so a plan that turns quadratic moves one number there and a regen
+makes the new value the pin.  This test reads the rows minidb counts at
+three sizes of ``sized_article_corpus`` (351 / 1,114 / 3,520 nodes,
+E12's sizes; the corpus grows one sibling list, ``journal/article``,
+from 9 to 97 articles) and fits the exponent of a power law through
+them, for
+
+* every Mix R' template of the benchmark (fixed literals),
+* every query of E3, E12 and E13 (Q1-Q8, U1-U4),
+* the probes ROADMAP measured quadratic families with,
+
+on all four encodings.  Every exponent must be at most :data:`BOUND`.
+
+:data:`SUPER_LINEAR` names the cells that are still super-linear.  The
+list records open defects, each with the ROADMAP item that removes it;
+it is not a loosened bound.  The test fails when a listed cell turns
+linear, so the list only ever shrinks.  Listed cells are read at the
+two smaller sizes only: the larger one alone costs seconds for a
+quadratic cell (Local's multi-context ``following::`` reads ~940,000
+rows at 3,520 nodes), and two sizes already tell n² from n.
+"""
+
+import math
+import statistics
+
+import pytest
+
+from repro.store import XmlStore
+from repro.workload import (
+    ORDERED_QUERIES,
+    UNORDERED_QUERIES,
+    document_stats,
+    sized_article_corpus,
+)
+from tests.conftest import ALL_ENCODINGS
+from tests.test_minidb_io_pins import _schedule
+
+SIZES = (300, 1000, 3000)
+BOUND = 1.2
+
+FOLLOWING = "/journal/article/section/following::title"
+PRECEDING = "/journal/article/title/preceding::author"
+DESCENDANTS = "//section//para"
+
+
+def queries() -> dict[str, str]:
+    """``name -> xpath`` over every family the gate covers."""
+    templates = _schedule().TEMPLATES
+    out = {
+        name: templates[name].format(k=3, s=2, y=1997)
+        for name in _schedule().MIX_R_PRIME
+    }
+    out.update(
+        (query.id, query.xpath)
+        for query in ORDERED_QUERIES + UNORDERED_QUERIES
+    )
+    for xpath in (
+        "/journal/article[1]",
+        "/journal/article[3]",
+        "/journal/article[last()]",
+        FOLLOWING,
+        PRECEDING,
+        DESCENDANTS,
+    ):
+        out[xpath] = xpath
+    return out
+
+
+_SET_AT_A_TIME = "ROADMAP: Set-at-a-time document-order axes"
+
+#: ``(query, encoding) -> the ROADMAP item that makes it linear``.
+SUPER_LINEAR = {
+    **{
+        (FOLLOWING, encoding): _SET_AT_A_TIME + " (a), (b)"
+        for encoding in ALL_ENCODINGS
+    },
+    **{
+        (PRECEDING, encoding): _SET_AT_A_TIME + " (a), (b)"
+        for encoding in ALL_ENCODINGS
+    },
+    (DESCENDANTS, "local"): _SET_AT_A_TIME + " (b)",
+}
+
+
+def exponent(nodes: list[int], rows: list[int]) -> float:
+    fit = statistics.linear_regression(
+        [math.log(n) for n in nodes], [math.log(max(r, 1)) for r in rows]
+    )
+    return fit.slope
+
+
+@pytest.fixture(scope="module")
+def exponents() -> dict[tuple[str, str], tuple[float, list[int]]]:
+    """``(query name, encoding) -> (exponent, rows read per size)``."""
+    documents = [sized_article_corpus(size) for size in SIZES]
+    nodes = [document_stats(d)["nodes"] for d in documents]
+    named = queries()
+    rows: dict[tuple[str, str], list[int]] = {}
+    for position, document in enumerate(documents):
+        for encoding in ALL_ENCODINGS:
+            store = XmlStore(backend="minidb", encoding=encoding,
+                             cache=False)
+            try:
+                doc = store.load(document)
+                stats = store.backend.db.stats
+                for name, xpath in named.items():
+                    cell = (name, encoding)
+                    if cell in SUPER_LINEAR and position == 2:
+                        continue
+                    before = stats.rows_read
+                    store.query(xpath, doc)
+                    rows.setdefault(cell, []).append(
+                        stats.rows_read - before
+                    )
+            finally:
+                store.close()
+    return {
+        cell: (exponent(nodes[: len(counts)], counts), counts)
+        for cell, counts in rows.items()
+    }
+
+
+def test_every_listed_cell_is_measured(exponents):
+    assert set(SUPER_LINEAR) <= set(exponents)
+
+
+def test_rows_read_grow_at_most_linearly(exponents):
+    over = {
+        cell: (round(slope, 2), counts)
+        for cell, (slope, counts) in exponents.items()
+        if slope > BOUND and cell not in SUPER_LINEAR
+    }
+    assert not over, f"exponent above {BOUND}: {over}"
+
+
+def test_listed_cells_are_still_super_linear(exponents):
+    """A listed cell that turned linear comes off the list."""
+    linear = {
+        cell: (round(exponents[cell][0], 2), item)
+        for cell, item in SUPER_LINEAR.items()
+        if exponents[cell][0] <= BOUND
+    }
+    assert not linear, f"now linear, remove from SUPER_LINEAR: {linear}"

@@ -18,7 +18,7 @@ from repro.core.relalg import (
     Or,
     Param,
     Recursive,
-    ScalarCount,
+    ScalarSubquery,
     Select,
     SelectItem,
     SqlTextDialect,
@@ -171,7 +171,7 @@ class TestScalarCount:
         before = list(b.select)
         count = scalar_count(b)
         assert b.select == before
-        assert isinstance(count, ScalarCount)
+        assert isinstance(count, ScalarSubquery)
         assert count.query.columns[0].expr.__class__.__name__ == "CountStar"
         # The builder still renders its original projection afterwards.
         sql, _slots = compile_text(b.build())
@@ -189,7 +189,7 @@ class TestHelpers:
 
     def test_translation_stats_total(self):
         stats = TranslationStats(
-            joins=2, exists_subqueries=1, count_subqueries=1,
+            joins=2, exists_subqueries=1, scalar_subqueries=1,
             recursions=3,
         )
         assert stats.total_relational_operations() == 7
@@ -220,7 +220,7 @@ class TestStats:
         b.add_where(Cmp(">", scalar_count(sub), Const(0)))
         stats = compute_stats(b.build())
         assert stats.exists_subqueries == 1
-        assert stats.count_subqueries == 1
+        assert stats.scalar_subqueries == 1
 
     def test_uncounted_exists(self):
         sub = simple_builder()
@@ -277,13 +277,34 @@ class TestCompiledPlanBind:
     def test_literal_transforms(self):
         plan = self.plan([
             LitSlot(0, "posm1"),
-            LitSlot(0, "int"),
+            LitSlot(0, "skip:="),
+            LitSlot(0, "take:="),
             LitSlot(0, "num"),
             LitSlot(1, "len"),
             LitSlot(1, "raw"),
         ])
         bound = plan.bind(1, literals=(3.0, "abc"))
-        assert bound.params == (2, 3, 3, 3, "abc")
+        assert bound.params == (2, 2, 1, 3, 3, "abc")
+
+    def test_position_transforms_round_as_xpath_compares(self):
+        """``position() <op> k`` for a fractional or out-of-range k: the
+        count stays fractional, and the pick keeps exactly the integer
+        positions that compare true — never a negative OFFSET or LIMIT,
+        which the engines would read as 0 and as no limit, nor an integer
+        too large to bind."""
+        transforms = ("posm1", "skip:=", "take:=", "skip:>=", "skip:>",
+                      "take:<=", "take:<")
+        plan = self.plan([LitSlot(0, name) for name in transforms])
+        expected = {
+            1.5: (0.5, 0, 0, 1, 1, 1, 1),
+            2.5: (1.5, 0, 0, 2, 2, 2, 2),
+            0.0: (-1, 0, 0, 0, 0, 0, 0),
+            1.0: (0, 0, 1, 0, 1, 1, 0),
+            # Past sqlite's 64-bit integers: bound at 2**62.
+            1e20: (1e20, 2**62 - 1, 1, 2**62 - 1, 2**62 - 1, 2**62, 2**62),
+        }
+        for k, params in expected.items():
+            assert plan.bind(1, literals=(k,)).params == params, k
 
     def test_literal_slot_out_of_range(self):
         plan = self.plan([LitSlot(2)])

@@ -82,9 +82,16 @@ class TestCommonShape:
 
     @pytest.mark.parametrize("encoding", ["global", "local", "dewey"])
     def test_positional_predicate_uses_count(self, encoding):
-        translated = translate(encoding, "/bib/book[2]")
-        assert "(SELECT COUNT(*)" in translated.sql
-        assert translated.stats.count_subqueries == 1
+        # On the child axis the k-th sibling is picked once per parent;
+        # on any other axis the preceding axis-mates are counted.
+        child = translate(encoding, "/bib/book[2]")
+        assert "(SELECT COUNT(*)" not in child.sql
+        assert "LIMIT ? OFFSET ?)" in child.sql
+        assert child.stats.scalar_subqueries == 1
+        sibling = translate(encoding, "/bib/book/following-sibling::book[2]")
+        assert "(SELECT COUNT(*)" in sibling.sql
+        assert "LIMIT" not in sibling.sql
+        assert sibling.stats.scalar_subqueries == 1
 
     @pytest.mark.parametrize("encoding", ["global", "local", "dewey"])
     def test_last_uses_not_exists(self, encoding):

@@ -65,6 +65,13 @@ class Backend(ABC):
         # on a thread that never opened one.)  Set here and not in an
         # __init__ so that no subclass can forget to call it.
         backend._tx_depths = {}
+        #: The backend's one writer lock: held from BEGIN to
+        #: COMMIT/ROLLBACK by the thread whose transaction is open, and
+        #: by an in-memory engine around every statement too.  An
+        #: RLock: the owning thread's own statements re-enter it, and a
+        #: release from a thread that never took it raises instead of
+        #: admitting a second writer.
+        backend._writer = threading.RLock()
         return backend
 
     @abstractmethod

@@ -158,8 +158,8 @@ class SqliteBackend(Backend):
       statement can commit in between and fail the transaction's first
       write with "database is locked".
 
-    One transaction at a time either way, as on minidb (its exclusive
-    latch).  :meth:`Backend.transaction` keeps its scope depth per
+    One transaction at a time either way, as on minidb: one writer lock
+    per backend.  :meth:`Backend.transaction` keeps its scope depth per
     thread, so a second thread's scope is a transaction of its own that
     begins once the first one has ended.
     """
@@ -168,12 +168,6 @@ class SqliteBackend(Backend):
 
     def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
-        #: Held from BEGIN to COMMIT/ROLLBACK by the thread whose
-        #: transaction is open, and in memory around every statement
-        #: too.  An RLock: the owning thread's own statements re-enter
-        #: it, and a release from a thread that never took it raises
-        #: instead of admitting a second writer.
-        self._writer = threading.RLock()
         #: Guards the connection lists and the written-rows count.
         self._lock = threading.Lock()
         self._rows_written = 0

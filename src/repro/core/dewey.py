@@ -179,21 +179,6 @@ class DeweyKey:
         """Replace the last component."""
         return DeweyKey((*self.components[:-1], position))
 
-    def replace_prefix(
-        self, old_prefix: "DeweyKey", new_prefix: "DeweyKey"
-    ) -> "DeweyKey":
-        """Rebase this key from *old_prefix* onto *new_prefix*.
-
-        Used when a subtree is relabelled: every key under the moved
-        sibling gets its leading components rewritten.
-        """
-        k = len(old_prefix.components)
-        if self.components[:k] != old_prefix.components:
-            raise EncodingError(
-                f"{self} does not start with prefix {old_prefix}"
-            )
-        return DeweyKey((*new_prefix.components, *self.components[k:]))
-
     def is_ancestor_of(self, other: "DeweyKey") -> bool:
         """True if *self* is a proper prefix of *other*."""
         k = len(self.components)

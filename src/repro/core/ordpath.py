@@ -92,18 +92,6 @@ class OrdpathKey:
     def decode(cls, data: bytes) -> "OrdpathKey":
         return cls(decode_signed_components(data))
 
-    @classmethod
-    def initial_child(cls, parent: "OrdpathKey", index: int,
-                      gap: int = 1) -> "OrdpathKey":
-        """The load-time key of the *index*-th (1-based) child.
-
-        Children get odd slots ``2*gap*i - 1`` so a ``gap`` of g leaves
-        g-1 free odd labels between adjacent siblings before careting is
-        needed (carets make even that unnecessary, but staying on short
-        keys is cheaper).
-        """
-        return cls((*parent.components, 2 * gap * index - 1))
-
     # -- structure ----------------------------------------------------------
 
     def levels(self) -> list[tuple[int, ...]]:

@@ -12,9 +12,8 @@ flips.  All of it is one :meth:`XmlStore.transactionally` body, so
   recovers to exactly the pre- or the post-migration store, and there is
   no migration state outside the transaction to recover;
 * writers are serialized with it by the backend, which admits one
-  transaction at a time (sqlite's writer lock, minidb's exclusive
-  latch), and wait for its whole duration — reported as
-  ``MigrationReport.blocked_ms``;
+  transaction at a time (one writer lock per backend), and wait for
+  its whole duration — reported as ``MigrationReport.blocked_ms``;
 * two migrations of one document serialize too: the source encoding is
   resolved from the catalogue row as read inside the transaction, so
   the second one starts from where the first one ended.

@@ -2,25 +2,18 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.errors import CatalogError
 from repro.minidb.tables import HeapTable, TableIndex
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.concurrent.latch import RWLatch
 
 
 class Catalog:
     """Owns all tables and indexes of one database instance."""
 
-    def __init__(self, latch: "Optional[RWLatch]" = None) -> None:
+    def __init__(self) -> None:
         self.tables: dict[str, HeapTable] = {}
         self.indexes: dict[str, TableIndex] = {}
-        #: The engine's readers-writer latch; every table created
-        #: through this catalog carries it so mutations can assert the
-        #: write side is held (None = unlatched standalone use).
-        self.latch = latch
         #: Monotonically increasing schema version; compiled-statement
         #: caches key on it so DDL invalidates stale plans.
         self.version = 0
@@ -36,7 +29,7 @@ class Catalog:
             if if_not_exists:
                 return None
             raise CatalogError(f"table {name!r} already exists")
-        table = HeapTable(name, columns, types, latch=self.latch)
+        table = HeapTable(name, columns, types)
         self.tables[name] = table
         self.version += 1
         return table

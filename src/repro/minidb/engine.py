@@ -17,13 +17,17 @@ evicts; a cache that reaches :data:`_CACHE_CAP` entries starts over, so
 neither can fill up and stop caching.  The scalar functions are fixed at
 construction: the built-ins plus the helpers translated plans call
 (:mod:`repro.core.scalars`), which the sqlite3 backend registers too.
+
+The engine is single-threaded: it takes no lock of its own.
+:class:`~repro.backends.minidb_backend.MiniDbBackend` runs every
+statement under the backend's writer lock, and holds it from BEGIN to
+COMMIT/ROLLBACK.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from repro.concurrent.latch import RWLatch
 from repro.core.scalars import SCALAR_FUNCTIONS
 from repro.errors import ExecutionError
 from repro.minidb.catalog import Catalog
@@ -47,12 +51,7 @@ class MiniDb:
     """One in-memory minidb database instance."""
 
     def __init__(self) -> None:
-        #: Readers-writer latch: SELECTs run concurrently under the
-        #: shared side; DML/DDL (and whole transactions, BEGIN through
-        #: COMMIT/ROLLBACK) hold the exclusive side.  Heap tables carry
-        #: a reference so unlatched mutations fail loudly.
-        self.latch = RWLatch()
-        self.catalog = Catalog(latch=self.latch)
+        self.catalog = Catalog()
         self.stats = Stats()
         self.functions: dict[str, Callable] = {
             **BUILTIN_SCALARS,
@@ -78,8 +77,8 @@ class MiniDb:
         return statement
 
     def _plan(self, sql: str, statement: Statement) -> CompiledSelect:
-        """The compiled plan of a SELECT (call under the read latch,
-        which holds ``catalog.version`` still)."""
+        """The compiled plan of a SELECT, recompiled once DDL has moved
+        ``catalog.version``."""
         if self._plan_version != self.catalog.version:
             self._plan_cache.clear()
             self._plan_version = self.catalog.version
@@ -106,17 +105,15 @@ class MiniDb:
         statement = self._parse(sql)
         params = tuple(params)
         if isinstance(statement, SELECT_TYPES):
-            with self.latch.read():
-                plan = self._plan(sql, statement)
-                self.stats.statements += 1
-                state = ExecState(params=params, stats=self.stats)
-                rows = plan.rows({}, state)
-                METRICS.inc("minidb.selects")
-                METRICS.inc("minidb.rows_returned", len(rows))
-                return Result(plan.columns, rows, -1)
-        with self.latch.write():
-            METRICS.inc("minidb.dml")
-            return self._runner.run(statement, params)
+            plan = self._plan(sql, statement)
+            self.stats.statements += 1
+            state = ExecState(params=params, stats=self.stats)
+            rows = plan.rows({}, state)
+            METRICS.inc("minidb.selects")
+            METRICS.inc("minidb.rows_returned", len(rows))
+            return Result(plan.columns, rows, -1)
+        METRICS.inc("minidb.dml")
+        return self._runner.run(statement, params)
 
     def executemany(
         self, sql: str, param_rows: Iterable[Sequence]
@@ -126,9 +123,7 @@ class MiniDb:
         statement = self._parse(sql)
         if isinstance(statement, SELECT_TYPES):
             raise ExecutionError("executemany() does not accept SELECT")
-        with self.latch.write():
-            total = self._runner.run_many(statement, param_rows)
-        return Result(rowcount=total)
+        return Result(rowcount=self._runner.run_many(statement, param_rows))
 
     def explain(self, sql: str) -> list[str]:
         """Describe the access plan of a SELECT without executing it.
@@ -146,16 +141,8 @@ class MiniDb:
     # -- transactions ---------------------------------------------------------
 
     def begin(self) -> None:
-        """Start a transaction: row mutations are journalled for undo.
-
-        Acquires the write latch, held until :meth:`commit` or
-        :meth:`rollback` — a second writer blocks here, and readers
-        wait for the commit instead of observing a half-applied
-        transaction.
-        """
-        self.latch.acquire_write()
+        """Start a transaction: row mutations are journalled for undo."""
         if self._runner.journal is not None:
-            self.latch.release_write()
             raise ExecutionError("transaction already in progress")
         self._runner.journal = []
 
@@ -164,7 +151,6 @@ class MiniDb:
         if self._runner.journal is None:
             raise ExecutionError("no transaction in progress")
         self._runner.journal = None
-        self.latch.release_write()
 
     def rollback(self) -> None:
         """Undo every row mutation made since :meth:`begin`."""
@@ -172,20 +158,17 @@ class MiniDb:
         if journal is None:
             raise ExecutionError("no transaction in progress")
         self._runner.journal = None
-        try:
-            for kind, table, rowid, old_row in reversed(journal):
-                if kind == "insert":
-                    table.delete(rowid)
-                elif kind == "delete":
-                    # Restore the tombstoned slot and its index entries.
-                    table.rows[rowid] = old_row
-                    table.live_count += 1
-                    for index in table.indexes:
-                        index.insert(old_row, rowid)
-                else:  # update
-                    table.update(rowid, old_row)
-        finally:
-            self.latch.release_write()
+        for kind, table, rowid, old_row in reversed(journal):
+            if kind == "insert":
+                table.delete(rowid)
+            elif kind == "delete":
+                # Restore the tombstoned slot and its index entries.
+                table.rows[rowid] = old_row
+                table.live_count += 1
+                for index in table.indexes:
+                    index.insert(old_row, rowid)
+            else:  # update
+                table.update(rowid, old_row)
 
     @property
     def in_transaction(self) -> bool:

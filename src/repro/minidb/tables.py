@@ -8,14 +8,11 @@ uniqueness when requested.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.errors import CatalogError, ExecutionError
 from repro.minidb.btree import BPlusTree
 from repro.minidb.values import SqlValue, row_sort_key
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.concurrent.latch import RWLatch
 
 
 class TableIndex:
@@ -55,8 +52,7 @@ class HeapTable:
     """A heap of tuples plus its indexes."""
 
     def __init__(self, name: str, columns: tuple[str, ...],
-                 types: tuple[str, ...],
-                 latch: "Optional[RWLatch]" = None) -> None:
+                 types: tuple[str, ...]) -> None:
         self.name = name
         self.columns = columns
         self.types = types
@@ -66,19 +62,6 @@ class HeapTable:
         self.rows: list[Optional[tuple]] = []
         self.indexes: list[TableIndex] = []
         self.live_count = 0
-        #: The owning engine's readers-writer latch (None when the
-        #: table is used standalone).  Mutations assert the exclusive
-        #: side is held, so a write path that bypasses the engine's
-        #: latching fails loudly instead of corrupting readers.
-        self.latch = latch
-
-    def _assert_write_latched(self) -> None:
-        if self.latch is not None and \
-                not self.latch.held_exclusively_by_me():
-            raise ExecutionError(
-                f"unlatched mutation of table {self.name}: the engine "
-                "write latch is not held by this thread"
-            )
 
     # -- metadata -------------------------------------------------------
 
@@ -100,7 +83,6 @@ class HeapTable:
 
     def insert(self, row: tuple) -> int:
         """Insert *row*, returning its rowid; maintains all indexes."""
-        self._assert_write_latched()
         if len(row) != len(self.columns):
             raise ExecutionError(
                 f"table {self.name} expects {len(self.columns)} values, "
@@ -121,7 +103,6 @@ class HeapTable:
         return rowid
 
     def delete(self, rowid: int) -> None:
-        self._assert_write_latched()
         row = self.rows[rowid]
         if row is None:
             return
@@ -131,7 +112,6 @@ class HeapTable:
         self.live_count -= 1
 
     def update(self, rowid: int, new_row: tuple) -> None:
-        self._assert_write_latched()
         old = self.rows[rowid]
         if old is None:
             raise ExecutionError(f"update of deleted row {rowid}")

@@ -24,7 +24,6 @@ Naming convention (the counter glossary lives in DESIGN.md):
 * ``cache.*``      — store cache hits/misses/evictions/invalidations
   (aggregate, plus ``cache.plan.*`` / ``cache.catalog.*`` /
   ``cache.result.*`` per layer; see :mod:`repro.cache`)
-* ``latch.*``      — RWLatch acquisitions and write hold times
 * ``span.<name>``  — histogram of each span's duration (seconds), recorded
   by :func:`repro.obs.tracer.span` whenever metrics are enabled
 """

@@ -764,16 +764,6 @@ class XmlStore:
         )
         return "".join(r[0] for r in result.rows if r[0] is not None)
 
-    def query_string_values(self, xpath: str, doc: int) -> list[str]:
-        """XPath string-values of every result, in document order."""
-        out = []
-        for item in self.query(xpath, doc):
-            if item.kind == "attribute":
-                out.append(item.value or "")
-            else:
-                out.append(self.string_value(doc, item.node_id))
-        return out
-
     # -- row-level helpers shared with updates/reconstruct ------------------------------
 
     def fetch_node(

@@ -12,7 +12,7 @@ shredder (DOM -> rows) and by the reconstructor (rows -> DOM).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 
 class Node:
@@ -44,15 +44,6 @@ class Node:
         while node is not None:
             yield node
             node = node.parent
-
-    def root_document(self) -> Optional["Document"]:
-        """Return the owning :class:`Document`, if attached to one."""
-        node: Optional[Union[Node, ParentNode]] = self
-        while node is not None:
-            if isinstance(node, Document):
-                return node
-            node = node.parent
-        return None
 
     def depth(self) -> int:
         """Return the number of ancestors (document root children are 1)."""
@@ -152,10 +143,6 @@ class Element(ParentNode):
             if isinstance(node, Text)
         ]
         return "".join(parts)
-
-    def find_children(self, tag: str) -> list["Element"]:
-        """Return direct element children with the given tag, in order."""
-        return [c for c in self.element_children() if c.tag == tag]
 
     def structurally_equal(self, other: Node) -> bool:
         if not isinstance(other, Element):

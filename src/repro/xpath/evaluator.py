@@ -176,14 +176,6 @@ class Evaluator:
         result = self._eval_path(path, contexts)
         return self._sorted_unique(result)
 
-    def evaluate_strings(
-        self,
-        path: Union[str, LocationPath],
-        context: Optional[XPathNode] = None,
-    ) -> list[str]:
-        """Evaluate *path* and return the string-value of each node."""
-        return [string_value(n) for n in self.evaluate(path, context)]
-
     # -- node ordering -----------------------------------------------------
 
     def order_key(self, node: XPathNode) -> tuple:

@@ -20,10 +20,13 @@ thread's transaction begins once the first one has committed, and
 nothing above the seam queues writers of its own (see "Concurrency
 model" in DESIGN.md).  sqlite is one backend, whose path alone decides
 how it shares connections: no pool, no second sqlite class and no
-switch between them come back.  Nor does anything retry a failed statement: a
-storage error reaches the caller typed, and the router's reconnect loop
-on the shard hop is the one retry in the package (see "Failure model &
-recovery" in DESIGN.md).
+switch between them come back.  The lock is one per backend
+(``Backend._writer``): minidb's engine takes none of its own, only its
+statement runner and its rollback write a heap table, and the
+readers-writer latch it used to carry stays gone.  Nor does anything
+retry a failed statement: a storage error reaches the caller typed,
+and the router's reconnect loop on the shard hop is the one retry in
+the package (see "Failure model & recovery" in DESIGN.md).
 
 Durability is sqlite's: minidb has no snapshot format, ``MiniDb`` no
 ``save`` / ``open``, and the crash sweep under ``repro/robust/``
@@ -320,7 +323,7 @@ def test_wrapped_and_bare_minidb_hand_the_engine_the_same_text():
 _BACKENDS = {
     "sqlite": lambda tmp_path: SqliteBackend(),  # in memory
     # On a file: a connection per statement, one per transaction.
-    "pooled": lambda tmp_path: SqliteBackend(str(tmp_path / "p.db")),
+    "file": lambda tmp_path: SqliteBackend(str(tmp_path / "f.db")),
     "minidb": lambda tmp_path: MiniDbBackend(),
 }
 
@@ -357,6 +360,115 @@ def test_every_backend_serializes_its_transactions(tmp_path, kind):
     assert order == ["A commits", "B begins"]
     assert backend.execute("SELECT x FROM t ORDER BY x").rows == [(1,), (2,)]
     backend.close()
+
+
+#: Receivers of an ``insert`` / ``delete`` / ``update`` call under
+#: ``repro/minidb/`` that are not heap tables: the B+-tree and its node
+#: lists, a secondary index, a dict.
+NOT_HEAP_TABLES = {
+    "self.tree", "node.keys", "node.values", "node.children", "index",
+    "bound",
+}
+#: Where a heap table is mutated: the statement runner, under the
+#: backend's writer lock, and the undo journal's replay.
+TABLE_WRITERS = {"executor.py", "engine.py:MiniDb.rollback"}
+
+
+def scoped_calls(tree) -> list:
+    """``(scope, call)`` of every call in *tree*; *scope* names the
+    enclosing classes and functions, as in ``Class.method``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = (*scope, node.name)
+        elif isinstance(node, ast.Call):
+            found.append((".".join(scope), node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def table_mutations(tree) -> list:
+    """``(scope, receiver)`` of each ``insert`` / ``delete`` /
+    ``update`` call in *tree* whose receiver is not one of
+    :data:`NOT_HEAP_TABLES`."""
+    return [
+        (scope, receiver)
+        for scope, call in scoped_calls(tree)
+        if isinstance(call.func, ast.Attribute)
+        and call.func.attr in ("insert", "delete", "update")
+        and (receiver := ast.unparse(call.func.value)) not in NOT_HEAP_TABLES
+    ]
+
+
+def test_heap_tables_are_written_by_the_statement_runner_only():
+    """minidb is single-threaded: a heap table is safe to mutate only
+    where the backend's writer lock is held, that is inside a statement
+    (``executor.py``) or a rollback.  Outside ``repro/minidb/`` a table
+    is reachable only through an engine, and the one engine under
+    ``src/`` is the backend's."""
+    assert table_mutations(ast.parse(
+        "class E:\n    def f(self, t):\n"
+        "        self.catalog.tables['t'].insert((1,))\n"
+        "        index.delete(row, 1)\n"
+    )) == [("E.f", "self.catalog.tables['t']")]
+    writers = {
+        path.name if path.name == "executor.py" else f"{path.name}:{scope}"
+        for path in _files("minidb")
+        for scope, _receiver in table_mutations(_nodes(path)[0])
+    }
+    assert writers == TABLE_WRITERS, (
+        f"{sorted(writers - TABLE_WRITERS)}: mutate a table through a "
+        "statement, which runs under the backend's writer lock"
+    )
+    engines = [
+        f"{path.relative_to(SRC)}:{scope}"
+        for path in _files(".")
+        for scope, call in scoped_calls(_nodes(path)[0])
+        if "MiniDb" in (getattr(call.func, "id", None),
+                        getattr(call.func, "attr", None))
+    ]
+    assert engines == ["backends/minidb_backend.py:MiniDbBackend.__init__"]
+    outside = [path for path in _files(".")
+               if "minidb" not in path.relative_to(SRC).parts]
+    reaches = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in outside
+        for node in _nodes(path)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("catalog", "get_table")
+    ]
+    assert reaches == []
+    assert not {
+        n for path in outside
+        for n in minidb_imports(_nodes(path))
+        if {"tables", "catalog", "HeapTable", "Catalog"} & set(n.split("."))
+    }
+
+
+def test_the_readers_writer_latch_stays_gone():
+    """One writer lock per backend (``Backend._writer``): minidb's
+    engine takes no lock of its own, and the latch package that gave it
+    one does not come back."""
+    assert not (SRC / "concurrent").exists()
+    banned = re.compile(r"repro\.concurrent|RWLatch|held_exclusively_by_me")
+    hits = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert hits == []
+    locking = {
+        str(path.relative_to(SRC)): sorted(names)
+        for path in _files("minidb")
+        if (names := package_imports(_nodes(path), "threading")
+            | package_imports(_nodes(path), "_thread"))
+    }
+    assert not locking, locking
 
 
 def test_no_write_queue_under_src():

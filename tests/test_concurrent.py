@@ -1,23 +1,22 @@
-"""Tests for repro.concurrent's latch and for sqlite's two media: on a
-file, a connection per statement serving N readers plus two writers,
-the writer lock serializing their transactions; in memory, one
-connection behind that lock."""
+"""Tests for the backends' one writer lock: on a sqlite file, a
+connection per statement serving N readers plus two writers, the
+writer lock serializing their transactions; in memory (sqlite's one
+connection, minidb's engine), every statement behind that lock."""
 
 from __future__ import annotations
 
 import os
 import sys
 import threading
-import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.backends.base import Backend
+from repro.backends.minidb_backend import MiniDbBackend
 from repro.backends.sqlite_backend import SqliteBackend
 from repro.check import audit_store
-from repro.concurrent import RWLatch
 from repro.errors import StorageError
 from repro.store import XmlStore
 from repro.workload.queries import ORDERED_QUERIES, UNORDERED_QUERIES
@@ -44,75 +43,93 @@ def _run_in_thread(target):
     return box.get("result"), box.get("error")
 
 
-# -- RWLatch -------------------------------------------------------------
+# -- the writer lock of an in-memory engine ------------------------------
+
+IN_MEMORY = {"sqlite": SqliteBackend, "minidb": MiniDbBackend}
 
 
-class TestRWLatch:
-    def test_readers_share(self):
-        latch = RWLatch()
-        barrier = threading.Barrier(2, timeout=5)
-        seen = []
+@pytest.mark.parametrize("kind", sorted(IN_MEMORY))
+def test_a_read_waits_for_the_open_transaction_and_sees_committed_rows(
+    kind,
+):
+    """Another thread's read runs once the transaction has ended, and
+    sees what it committed and nothing of what it rolled back."""
+    backend = IN_MEMORY[kind]()
+    backend.execute("CREATE TABLE t (x INTEGER)")
+    backend.execute("INSERT INTO t VALUES (1)")
+    seen = []
 
-        def reader():
-            with latch.read():
-                barrier.wait()  # both inside simultaneously
-                seen.append(latch.active_readers)
+    def read_during(body):
+        done = threading.Event()
 
-        threads = [threading.Thread(target=reader) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(10)
-        assert max(seen) == 2
+        def read():
+            seen.append(backend.execute("SELECT x FROM t ORDER BY x").rows)
+            done.set()
 
-    def test_writer_excludes_readers(self):
-        latch = RWLatch()
-        writer_in = threading.Event()
-        release_writer = threading.Event()
-        order = []
+        thread = threading.Thread(target=read)
+        try:
+            with backend.transaction():
+                backend.execute("INSERT INTO t VALUES (2)")
+                thread.start()
+                assert not done.wait(0.2)  # it waits for the transaction
+                body()
+        finally:
+            thread.join(10)
+        assert not thread.is_alive()
 
-        def writer():
-            with latch.write():
-                writer_in.set()
-                release_writer.wait(10)
-                order.append("writer-out")
+    read_during(lambda: backend.execute("INSERT INTO t VALUES (3)"))
+    assert seen == [[(1,), (2,), (3,)]]
 
-        def reader():
-            writer_in.wait(10)
-            with latch.read():
-                order.append("reader-in")
+    def fail():
+        backend.execute("DELETE FROM t")
+        raise KeyError("rolled back")
 
-        wt = threading.Thread(target=writer)
-        rt = threading.Thread(target=reader)
-        wt.start()
-        rt.start()
-        writer_in.wait(10)
-        time.sleep(0.05)  # give the reader time to block (it must not)
-        assert "reader-in" not in order
-        release_writer.set()
-        wt.join(10)
-        rt.join(10)
-        assert order == ["writer-out", "reader-in"]
+    with pytest.raises(KeyError):
+        read_during(fail)
+    assert seen == [[(1,), (2,), (3,)]] * 2
+    backend.close()
 
-    def test_writer_reentrant(self):
-        latch = RWLatch()
-        with latch.write():
-            with latch.write():  # exclusive re-entry
-                with latch.read():  # read under own exclusive hold
-                    assert latch.held_exclusively_by_me()
-        assert not latch.held_exclusively_by_me()
 
-    def test_release_write_by_non_owner_raises(self):
-        latch = RWLatch()
-        with latch.write():
-            _, error = _run_in_thread(latch.release_write)
-            assert isinstance(error, RuntimeError)
+@pytest.mark.parametrize("kind", sorted(IN_MEMORY))
+def test_a_holder_re_enters_the_lock_past_a_queued_writer(kind):
+    """A thread that holds the writer lock across two statements (a
+    read snapshot) runs its second one while another thread's
+    transaction waits for the lock: the lock is re-entrant and prefers
+    no one, so the queued writer cannot deadlock the holder."""
+    backend = IN_MEMORY[kind]()
+    backend.execute("CREATE TABLE t (x INTEGER)")
+    backend.execute("INSERT INTO t VALUES (1)")
+    asking, begun = threading.Event(), threading.Event()
+
+    def writer():
+        asking.set()
+        with backend.transaction():
+            begun.set()
+            backend.execute("INSERT INTO t VALUES (2)")
+
+    def snapshot():
+        with backend._writer:
+            first = backend.execute("SELECT x FROM t").rows
+            thread = threading.Thread(target=writer)
+            thread.start()
+            assert asking.wait(10)
+            assert not begun.wait(0.2)  # queued behind this thread
+            second = backend.execute("SELECT x FROM t").rows
+        thread.join(10)
+        assert not thread.is_alive()
+        return first, second
+
+    assert _run_in_thread(snapshot) == (([(1,)], [(1,)]), None)
+    assert backend.execute("SELECT x FROM t ORDER BY x").rows == [
+        (1,), (2,),
+    ]
+    backend.close()
 
 
 # -- SqliteBackend on a file --------------------------------------------
 
 
-class TestPooledSqliteBackend:
+class TestFileSqliteBackend:
     """A store on a file runs each statement on a connection of its
     own, a transaction on the one it began on."""
 
@@ -245,10 +262,11 @@ def test_sqlite_close_truncates_wal_and_is_idempotent(tmp_path):
 
 
 def _every_way_out(backend):
-    """COMMIT, ROLLBACK and a rollback with no connection left to run
-    it on (the crash harness's abandon) each release the writer lock:
-    another thread's transaction begins afterwards, or, once every
-    connection is gone, fails typed instead of hanging."""
+    """COMMIT, ROLLBACK and a rollback with no connection or engine left
+    to run it on (the crash harness's abandon) each release the writer
+    lock: another thread's transaction begins afterwards, or, once the
+    connections or the engine are gone, fails typed instead of
+    hanging."""
     backend.execute("CREATE TABLE t (x INTEGER)")
 
     def other_writer():
@@ -278,6 +296,10 @@ def _every_way_out(backend):
 
 def test_every_way_out_of_an_in_memory_transaction_lets_the_next_writer_in():
     _every_way_out(SqliteBackend())
+
+
+def test_every_way_out_of_a_minidb_transaction_lets_the_next_writer_in():
+    _every_way_out(MiniDbBackend())
 
 
 # -- N readers + 2 writers stress ---------------------------------------
@@ -336,7 +358,7 @@ def _stress(store, readers=3, reads=40, writers=2, writes=25):
 
 
 @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
-def test_stress_pooled_sqlite(tmp_path, encoding):
+def test_stress_file_sqlite(tmp_path, encoding):
     backend = SqliteBackend(str(tmp_path / "stress.db"))
     store = XmlStore(backend=backend, encoding=encoding)
     try:

@@ -51,19 +51,6 @@ class TestKeyAlgebra:
         assert DeweyKey.parse("1.2.3").sibling_successor() == \
             DeweyKey.parse("1.2.4")
 
-    def test_replace_prefix(self):
-        key = DeweyKey.parse("1.2.3.4")
-        moved = key.replace_prefix(
-            DeweyKey.parse("1.2"), DeweyKey.parse("1.9")
-        )
-        assert moved == DeweyKey.parse("1.9.3.4")
-
-    def test_replace_prefix_requires_prefix(self):
-        with pytest.raises(EncodingError):
-            DeweyKey.parse("1.2.3").replace_prefix(
-                DeweyKey.parse("2"), DeweyKey.parse("3")
-            )
-
     def test_depth(self):
         assert DeweyKey.parse("1.2.3").depth() == 3
         assert len(DeweyKey.parse("1.2.3")) == 3

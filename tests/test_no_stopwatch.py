@@ -21,7 +21,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 ALLOWED = {
     "obs/tracer.py": "span start and end times",
     "store.py": "the slow-query log's threshold",
-    "concurrent/latch.py": "latch.write_hold_seconds",
     "serve/supervisor.py": "spawn and shutdown deadlines",
     "bench/experiments.py": "E14's bound on how long a write is held",
 }

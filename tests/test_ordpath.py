@@ -68,14 +68,6 @@ class TestKeyStructure:
         assert not (key.components < caret_sibling.components
                     < key.subtree_successor())
 
-    def test_initial_child_slots_are_odd_and_gapped(self):
-        root = OrdpathKey.parse("1")
-        assert OrdpathKey.initial_child(root, 1) == OrdpathKey.parse("1.1")
-        assert OrdpathKey.initial_child(root, 3) == OrdpathKey.parse("1.5")
-        gapped = OrdpathKey.initial_child(root, 2, gap=8)
-        assert gapped.components == (1, 31)
-        assert gapped.components[-1] % 2 == 1
-
 
 class TestSignedCodec:
     @pytest.mark.parametrize("value", [-(2**31), -1, 0, 1, 2**31 - 1])

@@ -140,7 +140,10 @@ class TestStringValue:
         doc = store.load(document)
         evaluator = Evaluator(document)
         for xpath in ("//b", "/a/node()", "//c | /a/b"):
-            got = store.query_string_values(xpath, doc)
+            got = [
+                store.string_value(doc, item.node_id)
+                for item in store.query(xpath, doc)
+            ]
             want = [
                 string_value(n) for n in evaluator.evaluate(xpath)
             ]

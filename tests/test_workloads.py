@@ -23,12 +23,13 @@ class TestDocGen:
     def test_article_corpus_shape(self):
         doc = article_corpus(articles=5)
         assert doc.root.tag == "journal"
-        articles = doc.root.find_children("article")
+        articles = [c for c in doc.root.element_children()
+                    if c.tag == "article"]
         assert len(articles) == 5
         first = articles[0]
         assert first.get("id") == "a1"
-        assert first.find_children("title")
-        assert first.find_children("section")
+        tags = {c.tag for c in first.element_children()}
+        assert {"title", "section"} <= tags
 
     def test_article_corpus_deterministic(self):
         a = serialize(article_corpus(articles=3, seed=9))
@@ -39,11 +40,13 @@ class TestDocGen:
 
     def test_catalog_corpus_shape(self):
         doc = catalog_corpus(products=4)
-        products = doc.root.find_children("product")
+        products = [c for c in doc.root.element_children()
+                    if c.tag == "product"]
         assert len(products) == 4
         for product in products:
             assert product.get("sku")
-            (price,) = product.find_children("price")
+            (price,) = [c for c in product.element_children()
+                        if c.tag == "price"]
             float(price.text_value())  # numeric simple content
 
     def test_sized_corpus_hits_target(self):

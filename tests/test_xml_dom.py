@@ -64,12 +64,6 @@ class TestTreeOperations:
         assert root.depth() == 1
         assert leaf.depth() == 3
 
-    def test_root_document(self):
-        doc, root = new_document("r")
-        leaf = root.append(Element("l"))
-        assert leaf.root_document() is doc
-        assert Element("x").root_document() is None
-
 
 class TestPreorder:
     def test_preorder_matches_document_order(self):
@@ -96,10 +90,6 @@ class TestValues:
     def test_element_text_value_concatenates_descendants(self):
         doc = parse("<a>x<b>y<c>z</c></b>w</a>")
         assert doc.root.text_value() == "xyzw"
-
-    def test_find_children(self):
-        doc = parse("<a><b/><c/><b/></a>")
-        assert len(doc.root.find_children("b")) == 2
 
     def test_attribute_get_set(self):
         element = Element("e", {"a": "1"})

@@ -282,7 +282,3 @@ class TestEvaluatorObject:
         # Two different paths reach the same titles; node-set dedupes.
         result = evaluate(DOC, "//book/ancestor::bib/book/title")
         assert len(result) == 3
-
-    def test_evaluate_strings_helper(self):
-        evaluator = Evaluator(DOC)
-        assert evaluator.evaluate_strings("/bib/book[3]/price") == ["10"]

@@ -106,7 +106,7 @@ EXPECTED_SHAPES = {
            "predicates reading at least 2x fewer rows than the "
            "structural-join scans on every encoding, with identical "
            "answers; the win is largest for Local (whose unindexed "
-           "descents walk up from every candidate).  On the "
+           "descents walk every subtree under the context set).  On the "
            "update-heavy burst, maintenance from the touched set writes "
            "at least 2x fewer rows than rebuilding the index after every "
            "op while leaving identical index tables — repair cost "

@@ -291,13 +291,13 @@ class Select:
     ``count_joins`` mirrors the historical stats accounting: FROM items
     beyond the first count as joins for step/exists/count selects, but
     not for the plumbing of a string-value scan or a recursive walk.
-    A FROM item is a table name or a derived :class:`Select`.
+    A FROM item is a table name or a derived query (:data:`FromItem`).
     ``limit`` / ``offset`` keep that many rows of the ordered result
     and skip that many first.
     """
 
     columns: tuple[SelectItem, ...]
-    from_items: tuple[tuple[Union[str, "Select"], str], ...] = ()
+    from_items: tuple[tuple["FromItem", str], ...] = ()
     where: tuple["RelExpr", ...] = ()
     order_by: tuple[Col, ...] = ()
     distinct: bool = False
@@ -324,6 +324,8 @@ class Recursive:
     closure.  ``UNION``, not ``UNION ALL``: a row already produced is
     not produced again, so a walk over corrupt, cyclic rows ends.
     *anchor* and *step* may reference aliases of the enclosing query.
+    It renders wherever a query goes: under ``EXISTS``, and as a derived
+    FROM item (Local's descendant steps read their candidates from one).
     """
 
     name: str
@@ -339,6 +341,10 @@ RelExpr = Union[
 ]
 
 RelQuery = Union[Select, UnionQuery, Recursive]
+
+#: What a SELECT reads from: a table name, or a derived ``Select`` or
+#: ``Recursive``.
+FromItem = Union[str, Select, Recursive]
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +394,7 @@ def _collect_stats(node: object, stats: TranslationStats) -> None:
         if node.count_joins:
             stats.joins += max(0, len(node.from_items) - 1)
         for table, _alias in node.from_items:
-            if isinstance(table, Select):
+            if not isinstance(table, str):
                 _collect_stats(table, stats)
         for item in node.columns:
             _collect_stats(item.expr, stats)
@@ -506,11 +512,9 @@ class SqlTextDialect:
             parts.append(f" OFFSET {self._expr(select.offset, slots)}")
         return "".join(parts)
 
-    def _from_item(
-        self, table: Union[str, Select], alias: str, slots: list
-    ) -> str:
-        if isinstance(table, Select):
-            return f"({self._select(table, slots)}) {alias}"
+    def _from_item(self, table: FromItem, alias: str, slots: list) -> str:
+        if not isinstance(table, str):
+            return f"({self._query(table, slots)}) {alias}"
         # A recursive table is its own alias.
         return table if table == alias else f"{table} {alias}"
 

@@ -17,6 +17,7 @@ from repro.core.relalg import (
     Col,
     CountStar,
     Exists,
+    FromItem,
     RelExpr,
     ScalarSubquery,
     Select,
@@ -64,7 +65,7 @@ class SelectBuilder:
     """Accumulates one SELECT statement as relalg nodes."""
 
     select: list[SelectItem] = field(default_factory=list)
-    from_items: list[tuple[str, str]] = field(default_factory=list)
+    from_items: list[tuple[FromItem, str]] = field(default_factory=list)
     where: list[RelExpr] = field(default_factory=list)
     order_by: list[Col] = field(default_factory=list)
     distinct: bool = False
@@ -72,7 +73,7 @@ class SelectBuilder:
     limit: Optional[RelExpr] = None
     offset: Optional[RelExpr] = None
 
-    def add_from(self, table: str, alias: str) -> None:
+    def add_from(self, table: FromItem, alias: str) -> None:
         self.from_items.append((table, alias))
 
     def add_where(self, condition: Optional[RelExpr]) -> None:

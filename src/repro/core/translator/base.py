@@ -21,6 +21,12 @@ Predicates compile to:
   subqueries ending in a comparison against the stored value column;
 * boolean connectives, ``count()``, ``contains()`` and ``starts-with()``.
 
+A step reads its candidates from the FROM item the encoding's
+:meth:`SqlTranslator.node_source` hands it: by default the node table,
+placed by the axis condition; Local's descendant axes instead take the
+builder's terms so far into the anchor of one recursive walk down from
+the whole context set, and read the step's candidates from that.
+
 The AST is then rendered as SQL text — the same text for both engines —
 into a :class:`~repro.core.relalg.CompiledPlan` that contains no
 document id, context id, or predicate literal — those bind later, so one
@@ -40,8 +46,10 @@ comparisons, and result ordering:
 * Dewey and ORDPATH — byte-range comparisons on the binary key (via
   the encoding's ``*_successor`` scalar), one translator for both;
 * Local — only parent/sibling axes are direct; everything that needs
-  transitive closure is a recursive walk over the parent pointers, and
-  result ordering falls back to a client-side order-resolution pass.
+  transitive closure is a recursive walk over the parent pointers (down
+  from the context set for the descendant axes, up from the candidate
+  for the rest), and result ordering falls back to a client-side
+  order-resolution pass.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ from repro.core.relalg import (
     Const,
     Exists,
     FixedSlot,
+    FromItem,
     Func,
     LitSlot,
     Param,
@@ -278,6 +287,31 @@ class SqlTranslator(ABC):
         if ctx is None:
             return _document_axis(axis, cand)
         return self.node_axis_condition(axis, ctx, cand, t)
+
+    def node_source(
+        self,
+        axis: str,
+        ctx: Optional[str],
+        cand: str,
+        builder: SelectBuilder,
+        t: "_Translation",
+    ) -> tuple[FromItem, Optional[RelExpr], Optional[RelExpr]]:
+        """Where candidate alias *cand* on *axis* of *ctx* reads from.
+
+        Returns ``(FROM item, document condition, axis condition)``;
+        the caller adds the item after *builder*'s terms and the two
+        conditions (``None`` for none) among its own.  The default is
+        the node table, restricted to the document and placed by
+        :meth:`axis_condition`.  An encoding may instead build the item
+        out of *builder*'s FROM/WHERE terms so far, which it then takes
+        over: Local's descendant axes walk down from the whole context
+        set that those terms select.
+        """
+        return (
+            self.node_table,
+            t.doc_cond(cand),
+            self.axis_condition(axis, ctx, cand, t),
+        )
 
     @abstractmethod
     def node_axis_condition(
@@ -648,11 +682,12 @@ class SqlTranslator(ABC):
                     )
                 return self._compile_attribute_step(step, ctx, builder, t)
             alias = t.aliases.next()
-            builder.add_from(self.node_table, alias)
-            builder.add_where(t.doc_cond(alias))
-            builder.add_where(
-                self.axis_condition(step.axis, ctx, alias, t)
+            source, doc, axis = self.node_source(
+                step.axis, ctx, alias, builder, t
             )
+            builder.add_from(source, alias)
+            builder.add_where(doc)
+            builder.add_where(axis)
             builder.add_where(self.test_condition(step.test, alias))
             # Each step's predicates filter its own candidates: a not()
             # around the path they belong to does not reach inside.
@@ -685,9 +720,9 @@ class SqlTranslator(ABC):
         t: "_Translation",
     ) -> tuple[str, str]:
         alias = t.aliases.next()
-        builder.add_from(self.attr_table, alias)
-        builder.add_where(t.doc_cond(alias))
         if step.axis == "attribute":
+            builder.add_from(self.attr_table, alias)
+            builder.add_where(t.doc_cond(alias))
             if ctx is None:
                 # Attributes of the document node: there are none.
                 builder.add_where(Bool(False))
@@ -698,17 +733,17 @@ class SqlTranslator(ABC):
                 t.attribute_owner_alias = ctx
         else:  # attribute-deep: any attribute in the context's subtree
             owner = t.aliases.next()
-            builder.add_from(self.node_table, owner)
-            builder.add_where(t.doc_cond(owner))
+            source, doc, axis = self.node_source(
+                "descendant-or-self", ctx, owner, builder, t
+            )
+            builder.add_from(self.attr_table, alias)
+            builder.add_where(t.doc_cond(alias))
+            builder.add_from(source, owner)
+            builder.add_where(doc)
             builder.add_where(
                 Cmp("=", Col(owner, "id"), Col(alias, "owner"))
             )
-            if ctx is not None:
-                builder.add_where(
-                    self.axis_condition(
-                        "descendant-or-self", ctx, owner, t
-                    )
-                )
+            builder.add_where(axis)
             t.attribute_owner_alias = owner
         if step.test.kind == "name":
             builder.add_where(

@@ -9,11 +9,22 @@ Local order stores nothing but the position among siblings, so:
   of the paper's era could not express and its workaround (an ``OR`` of
   parent-pointer chains, one per level of the deepest document) no
   engine can probe by index.  The closure is one
-  :class:`~repro.core.relalg.Recursive` instead: "``a`` is an ancestor
-  of ``n``" walks up from ``n``, one point probe of the ``(doc, id)``
-  index per level, and stops at ``a``'s stored ``depth`` — so the plan
-  does not depend on how deep any document is;
-* ``following``/``preceding`` nest two such walks (the candidate's
+  :class:`~repro.core.relalg.Recursive` instead, so the plan does not
+  depend on how deep any document is:
+
+  - a descendant step from a node context reads its candidates from one
+    walk *down* from the whole context set (:meth:`node_source`): the
+    builder's terms so far — the path up to the context — are the
+    walk's anchor, each round reads the children of the rows before,
+    and the walk carries each row whole, so the step joins nothing
+    back and reads every subtree once, however many contexts it lies
+    under.  Deep attributes read their owner from the ``-or-self``
+    walk;
+  - "``a`` is an ancestor of ``n``" walks up from ``n``, one point probe
+    of the ``(doc, id)`` index per level, and stops at ``a``'s stored
+    ``depth``;
+
+* ``following``/``preceding`` nest two upward walks (the candidate's
   ancestors against the context's) around a sibling comparison — still
   the expensive queries the paper reports for local order on
   document-order axes, now by rows read rather than by SQL size;
@@ -21,7 +32,9 @@ Local order stores nothing but the position among siblings, so:
   carrying a concatenated fixed-width sibling-order key to sort by;
 * document-order comparison between arbitrary nodes (needed by positional
   predicates on document-order axes) is not expressible at all and raises
-  :class:`TranslationError`;
+  :class:`TranslationError`; so does ``last() <op> k`` along a
+  descendant axis of a node, which counts per context, while a walk
+  down takes the context into its anchor;
 * results carry no document-order column: the store runs a client-side
   order-resolution pass (fetching ancestor paths) to sort them.
 
@@ -32,6 +45,8 @@ reports such rows as ``store-depth-mismatch``).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.core.relalg import (
     And,
     Arith,
@@ -39,6 +54,7 @@ from repro.core.relalg import (
     Col,
     Const,
     Exists,
+    FromItem,
     Func,
     Or,
     Recursive,
@@ -49,8 +65,15 @@ from repro.core.relalg import (
 )
 from repro.core.schema import KIND_ELEMENT, KIND_TEXT
 from repro.core.sqlgen import SelectBuilder
-from repro.core.translator.base import SqlTranslator, _Translation
+from repro.core.translator.base import (
+    NODE_PROJECTION,
+    SqlTranslator,
+    _Translation,
+)
 from repro.errors import TranslationError
+
+#: The axes a step reads by walking down from its context set.
+_DOWNWARD = ("descendant", "descendant-or-self")
 
 #: What a walk up the parent pointers carries of each row it visits:
 #: where to go next and when to stop, plus, to compare siblings, where
@@ -118,6 +141,70 @@ class LocalSqlTranslator(SqlTranslator):
             return Or((Cmp("=", Col(anc, "id"), Col(node, "id")), closure))
         return closure
 
+    def node_source(
+        self,
+        axis: str,
+        ctx: Optional[str],
+        cand: str,
+        builder: SelectBuilder,
+        t: _Translation,
+    ) -> tuple[FromItem, Optional[RelExpr], Optional[RelExpr]]:
+        if ctx is None or axis not in _DOWNWARD:
+            return super().node_source(axis, ctx, cand, builder, t)
+        return (
+            self._walk_down(ctx, axis == "descendant-or-self", builder, t),
+            None,
+            None,
+        )
+
+    def _walk_down(
+        self,
+        ctx: str,
+        include_self: bool,
+        builder: SelectBuilder,
+        t: _Translation,
+    ) -> Recursive:
+        """Every descendant of the context set, as one recursive table.
+
+        The anchor takes over *builder*'s FROM/WHERE terms — the path
+        that selects *ctx*, or an EXISTS's correlation to its outer row
+        — and reads the context rows' children (or, for ``-or-self``,
+        the context rows themselves); the step reads the children of
+        the rows before.  The table carries each row whole, so the
+        enclosing query reads its candidates from it and joins nothing
+        back.  ``UNION`` reads a subtree once however many contexts it
+        lies under.
+        """
+        row = NODE_PROJECTION + self.encoding.order_columns
+        walk = t.aliases.next()
+        anchor = SelectBuilder()
+        anchor.count_joins = builder.count_joins
+        anchor.from_items, builder.from_items = builder.from_items, []
+        anchor.where, builder.where = builder.where, []
+        top = ctx
+        if not include_self:
+            top = t.aliases.next()
+            anchor.add_from(self.node_table, top)
+            anchor.add_where(t.doc_cond(top))
+            anchor.add_where(Cmp("=", Col(top, "parent"), Col(ctx, "id")))
+        anchor.select = [SelectItem(Col(top, c)) for c in row]
+        down = t.aliases.next()
+        step = SelectBuilder()
+        step.count_joins = False
+        step.select = [SelectItem(Col(down, c)) for c in row]
+        step.add_from(walk, walk)
+        step.add_from(self.node_table, down)
+        step.add_where(t.doc_cond(down))
+        step.add_where(Cmp("=", Col(down, "parent"), Col(walk, "id")))
+        step.add_where(Cmp("=", Col(walk, "kind"), Const(KIND_ELEMENT)))
+        step.add_where(Cmp(">", Col(down, "depth"), Col(walk, "depth")))
+        body = Select(
+            columns=tuple(SelectItem(Col(walk, c)) for c in row),
+            from_items=((walk, walk),),
+            count_joins=False,
+        )
+        return Recursive(walk, row, anchor.build(), step.build(), body)
+
     # -- axis conditions -------------------------------------------------------
 
     def node_axis_condition(
@@ -125,10 +212,14 @@ class LocalSqlTranslator(SqlTranslator):
     ) -> RelExpr:
         if axis == "child":
             return Cmp("=", Col(cand, "parent"), Col(ctx, "id"))
-        if axis == "descendant":
-            return self.ancestor_chain(ctx, cand, t)
-        if axis == "descendant-or-self":
-            return self.ancestor_chain(ctx, cand, t, include_self=True)
+        if axis in _DOWNWARD:
+            # A step reads these axes from _walk_down, which hides the
+            # context from the step's own predicates; only a position
+            # counted along the axis still asks for the condition.
+            raise TranslationError(
+                f"{self.encoding.name} order cannot count positions "
+                f"along the {axis} axis of a node"
+            )
         if axis == "self":
             return Cmp("=", Col(cand, "id"), Col(ctx, "id"))
         if axis == "parent":

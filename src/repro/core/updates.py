@@ -274,17 +274,11 @@ class UpdateManager:
         order values of other nodes change for any encoding — one of the
         paper's observations: *value* updates are order-free.
         """
-        row = self.store.fetch_node(doc, element_id)
-        if row is None:
-            raise UpdateError(f"no node {element_id} in document {doc}")
-        if row["kind"] != KIND_ELEMENT:
-            raise UpdateError(f"node {element_id} is not an element")
-
         def set_text_in_transaction(info) -> UpdateReport:
+            enc = ENCODINGS[info.encoding]
+            self._require_element(doc, element_id, enc)
             report = UpdateReport()
-            for child in self.store.fetch_children(
-                doc, element_id, ENCODINGS[info.encoding]
-            ):
+            for child in self.store.fetch_children(doc, element_id, enc):
                 if child["kind"] == KIND_TEXT:
                     report.absorb(self.delete(doc, child["id"]))
             report.absorb(self.insert(doc, element_id, 0, Text(text)))
@@ -298,16 +292,11 @@ class UpdateManager:
 
     def rename(self, doc: int, element_id: int, tag: str) -> UpdateReport:
         """Rename an element.  Touches exactly one row, no order values."""
-        row = self.store.fetch_node(doc, element_id)
-        if row is None:
-            raise UpdateError(f"no node {element_id} in document {doc}")
-        if row["kind"] != KIND_ELEMENT:
-            raise UpdateError(f"node {element_id} is not an element")
         def rename_in_transaction(info) -> UpdateReport:
-            # The table as the transaction's catalogue read names it:
-            # the document may have migrated since the fetch above.
+            enc = ENCODINGS[info.encoding]
+            self._require_element(doc, element_id, enc)
             self.store.backend.execute(
-                f"UPDATE {ENCODINGS[info.encoding].node_table.name} "
+                f"UPDATE {enc.node_table.name} "
                 f"SET tag = ? WHERE doc = ? AND id = ?",
                 (tag, doc, element_id),
             )
@@ -333,14 +322,10 @@ class UpdateManager:
         exactly why the paper stores them separately from the ordered
         node list.
         """
-        row = self.store.fetch_node(doc, element_id)
-        if row is None:
-            raise UpdateError(f"no node {element_id} in document {doc}")
-        if row["kind"] != KIND_ELEMENT:
-            raise UpdateError(f"node {element_id} is not an element")
-
         def set_attribute_in_transaction(info) -> UpdateReport:
-            attr_table = ENCODINGS[info.encoding].attr_table.name
+            enc = ENCODINGS[info.encoding]
+            self._require_element(doc, element_id, enc)
+            attr_table = enc.attr_table.name
             deleted = self.store.backend.execute(
                 f"DELETE FROM {attr_table} "
                 f"WHERE doc = ? AND owner = ? AND name = ?",
@@ -362,6 +347,21 @@ class UpdateManager:
                 lambda: self._tracked(doc, set_attribute_in_transaction)
             )
         return self._record("set_attributes", report)
+
+    def _require_element(
+        self, doc: int, element_id: int, enc: OrderEncoding
+    ) -> None:
+        """Raise :class:`UpdateError` unless *element_id* is an element.
+
+        Called inside the transaction, with the encoding its catalogue
+        read names: a lookup before it could read a table a migration
+        has emptied since.
+        """
+        row = self.store.fetch_node(doc, element_id, enc)
+        if row is None:
+            raise UpdateError(f"no node {element_id} in document {doc}")
+        if row["kind"] != KIND_ELEMENT:
+            raise UpdateError(f"node {element_id} is not an element")
 
     def delete(self, doc: int, node_id: int) -> UpdateReport:
         """Delete the subtree rooted at *node_id*."""

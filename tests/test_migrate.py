@@ -478,6 +478,66 @@ class TestTornReadGuard:
         assert migrated and got == identities(twin, twin_doc, "//author")
 
 
+class MigrateBeforeTheNextCall(FaultInjectingBackend):
+    """Runs ``then`` once, before the first statement or BEGIN that
+    arrives outside a transaction after it is set: a migration that
+    commits between an operation's cached catalogue read and its first
+    call to the engine."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.then = None
+
+    def _fire(self) -> None:
+        then, self.then = self.then, None
+        if then is not None and threading.get_ident() not in self._tx_depths:
+            then()
+
+    def execute(self, sql, params=()):
+        self._fire()
+        return super().execute(sql, params)
+
+    def begin(self):
+        self._fire()
+        super().begin()
+
+
+class TestWritesAcrossAMigration:
+    """A value update resolves its node inside its own transaction, so
+    a migration that commits after the catalogue read cannot hand it an
+    emptied table (it used to fail with ``UpdateError: no node N``)."""
+
+    @pytest.mark.parametrize(
+        "operation, args",
+        [
+            ("set_text", ("T",)),
+            ("rename", ("heading",)),
+            ("set_attribute", ("k", "v")),
+        ],
+    )
+    @pytest.mark.parametrize("backend", ["sqlite", "minidb"])
+    def test_an_update_finds_its_node_after_a_migration(
+        self, backend, operation, args
+    ):
+        wrapper = MigrateBeforeTheNextCall(make_backend(backend))
+        store = XmlStore(backend=wrapper, encoding="global")
+        twin = XmlStore(backend="sqlite", encoding="global")
+        doc, twin_doc = store.load(BIB), twin.load(BIB)
+        title = store.query("/bib/book[2]/title", doc)[0].node_id
+        assert store.encoding_for(doc).name == "global"  # now cached
+        migrated = []
+        wrapper.then = lambda: migrated.append(
+            migrate_document(store, doc, "dewey")
+        )
+        getattr(store.updates, operation)(doc, title, *args)
+        getattr(twin.updates, operation)(twin_doc, title, *args)
+        assert migrated and store.encoding_for(doc).name == "dewey"
+        assert serialize(store.reconstruct(doc)) == serialize(
+            twin.reconstruct(twin_doc)
+        )
+        assert_store_clean(store)
+
+
 class TestAdvisor:
     def snapshot(self, queries: int, renumber: int) -> dict:
         return {

@@ -47,6 +47,16 @@ QUERIES = [
     "SELECT a, (SELECT COUNT(*) FROM (WITH RECURSIVE r(n) AS ("
     "SELECT u.a UNION SELECT t.b FROM r, t WHERE t.a = r.n) "
     "SELECT n FROM r) d) FROM t u ORDER BY a, b, c",
+    # A recursive table as a FROM item, as Local's descendant steps
+    # read it: joined to a table, and correlated to an EXISTS's row.
+    "SELECT d.n, d.m, t.c FROM (WITH RECURSIVE r(n, m) AS ("
+    "SELECT u.b, u.a FROM t u WHERE u.a = 1 UNION "
+    "SELECT t.b, t.a FROM r, t WHERE t.a = r.n) SELECT r.n, r.m FROM r) d, "
+    "t WHERE t.a = d.n ORDER BY d.n, d.m, t.c",
+    "SELECT c FROM t u WHERE EXISTS (SELECT 1 FROM (WITH RECURSIVE "
+    "r(n) AS (SELECT v.b FROM t v WHERE v.a = u.b UNION "
+    "SELECT t.b FROM r, t WHERE t.a = r.n) SELECT r.n FROM r) d "
+    "WHERE d.n = u.a) ORDER BY c",
     "WITH RECURSIVE r(n, hops) AS (SELECT 0, 0 UNION "
     "SELECT t.b, r.hops + 1 FROM r, t WHERE t.a = r.n AND r.hops < 3) "
     "SELECT n, hops FROM r ORDER BY hops, n",

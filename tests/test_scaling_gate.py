@@ -64,6 +64,10 @@ def queries() -> dict[str, str]:
         FOLLOWING,
         PRECEDING,
         DESCENDANTS,
+        "/journal/article//title",
+        "/journal//section//para",
+        "//article[.//para]/title",
+        "//section[.//para]",
     ):
         out[xpath] = xpath
     return out
@@ -81,7 +85,6 @@ SUPER_LINEAR = {
         (PRECEDING, encoding): _SET_AT_A_TIME + " (a), (b)"
         for encoding in ALL_ENCODINGS
     },
-    (DESCENDANTS, "local"): _SET_AT_A_TIME + " (b)",
 }
 
 

@@ -184,10 +184,12 @@ class TestLocalEncoding:
     def test_descendant_is_one_recursion_whatever_the_depth(self):
         translated = translate("local", "/bib//title")
         assert translated.stats.recursions == 1
-        assert translated.sql.count("EXISTS (WITH RECURSIVE") == 1
-        # The walk climbs from the candidate and stops at the depth the
-        # context's row stores; no document's depth is in the plan.
-        assert ".depth + 1" in translated.sql
+        assert translated.sql.count("FROM (WITH RECURSIVE") == 1
+        # The walk descends from the whole context set, one level per
+        # round, and is the step's FROM item: no EXISTS per candidate,
+        # and no document's depth is in the plan.
+        assert "EXISTS" not in translated.sql
+        assert ".depth + 1" not in translated.sql
 
     def test_needs_client_order(self):
         translated = translate("local", "/bib/book")

@@ -44,8 +44,9 @@ def main() -> None:
     for encoding, (store, doc) in stores.items():
         translated = store.translate(xpath, doc)
         ops = translated.stats.total_relational_operations()
+        client_order = store.encoding_for(doc).order_by_column is None
         print(f"\n[{encoding}] {ops} relational ops"
-              f"{' + client-side ordering' if translated.needs_client_order else ''}:")
+              f"{' + client-side ordering' if client_order else ''}:")
         sql = translated.sql
         print(" ", sql if len(sql) < 400 else sql[:400] + " ...")
 

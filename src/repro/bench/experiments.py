@@ -37,7 +37,7 @@ from repro.bench.harness import (
 from repro.core.dewey import DeweyKey
 from repro.core.shredder import shred
 from repro.errors import TranslationError
-from repro.obs import METRICS
+from repro.obs import counting
 from repro.store import XmlStore
 from repro.workload import (
     MixedWorkload,
@@ -66,25 +66,6 @@ def _engine_io(store: XmlStore) -> Iterator[dict]:
     yield counts
     after = engine.stats.snapshot()
     counts.update({name: after[name] - before[name] for name in after})
-
-
-@contextmanager
-def _metrics() -> Iterator[Counter]:
-    """Yield a Counter that holds, once the block exits, the metrics
-    counters recorded inside it.  The registry records for the block's
-    duration, whatever its setting was, and is reset on both sides, so
-    the counts are the block's own and none outlive it (``repro migrate
-    --auto`` reads the registry as its workload window)."""
-    was_enabled = METRICS.enabled
-    METRICS.reset()
-    METRICS.enabled = True
-    grew: Counter = Counter()
-    try:
-        yield grew
-        grew.update(METRICS.snapshot()["counters"])
-    finally:
-        METRICS.enabled = was_enabled
-        METRICS.reset()
 
 
 def _identities(store: XmlStore, xpath: str, doc: int) -> list[tuple]:
@@ -157,7 +138,7 @@ def run_e2_loading(
         document = sized_article_corpus(target)
         shredded = shred(document)
         for name in ENCODING_NAMES:
-            with _metrics() as grew:
+            with counting() as grew:
                 build_store(document, name)
             table.add_row(
                 shredded.node_count(), len(shredded.attributes), name,
@@ -470,9 +451,9 @@ def run_e9b_compile_cache(articles: int = 8) -> ExperimentTable:
                 store.translate(xpath, doc)
 
         store.cache.clear()
-        with _metrics() as cold:
+        with counting() as cold:
             translate_all()
-        with _metrics() as warm:
+        with counting() as warm:
             translate_all()
         table.add_row(
             name, len(queries), cold["translate.compile"],
@@ -783,7 +764,7 @@ def run_e15_cache(
         run_mix(cached, doc_c)  # steady state: warm every cache layer
         statements = {}
         for store, doc in ((uncached, doc_u), (cached, doc_c)):
-            with _metrics() as grew:
+            with counting() as grew:
                 answered = run_mix(store, doc)
             statements[store] = grew["backend.statements"]
 
@@ -891,7 +872,7 @@ def run_e16_adaptive_migration(
                 queries,
                 insert_parent_xpath="/journal",
             )
-            with _metrics() as grew:
+            with counting() as grew:
                 mix.run(ops, fraction)
             key = "query-heavy" if slice_name == "query-heavy" else "update"
             phase_rows[key] += rows(grew)
@@ -906,7 +887,7 @@ def run_e16_adaptive_migration(
             current = store.encoding_for(doc).name
             recommendation = advisor.decide(window, current)
             if recommendation.migrate:
-                with _metrics() as grew:
+                with counting() as grew:
                     migrate_document(store, doc, recommendation.target)
                 migration_rows += rows(grew)
                 migrations.append(f"{current}->{recommendation.target}")
@@ -1143,7 +1124,7 @@ def run_e18_indexing(products: int = 240) -> ExperimentTable:
             tuple(sorted(store.backend.execute(
                 f"SELECT * FROM {t} WHERE doc = ?", (doc,)
             ).rows))
-            for t in ("idx_sval", "idx_paths", "idx_pathmap")
+            for t in ("idx_sval", "idx_paths")
         )
 
     for name in (*ENCODING_NAMES, "ordpath"):

@@ -31,6 +31,7 @@ from __future__ import annotations
 import random
 import threading
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -43,6 +44,7 @@ from repro.check.invariants import (
 from repro.core.reconstruct import reconstruct_document_with_ids
 from repro.errors import TranslationError, UnsupportedXPathError
 from repro.migrate import migrate_document
+from repro.obs import METRICS, counting
 from repro.store import XmlStore
 from repro.workload.docgen import random_document
 from repro.xmldom import parse, serialize
@@ -105,11 +107,13 @@ class FuzzConfig:
     #: child-value predicates) so the value/path rewrites actually
     #: fire, and require byte-identical results after every check
     #: round — the planner may only change access paths, never answers.
+    #: Every update must also repair the index from its touched set: a
+    #: maintenance pass that rebuilds the document fails the cell.
     index_twin: bool = False
     #: Update-heavy round mix: bias the op stream toward structural
     #: churn (subtree inserts, deletes, text rewrites) and away from
     #: attribute tweaks — the mix that exercises incremental index
-    #: maintenance's touched-set repair and its fallback path hardest.
+    #: maintenance's touched-set repair hardest.
     update_heavy: bool = False
     #: Live-migration mode: while the seeded update/query stream runs,
     #: a background thread migrates the document to the next encoding.
@@ -142,7 +146,7 @@ class FuzzFailure:
     #: Human-readable description of that operation.
     op: str
     #: invariant | oracle | roundtrip | cross-store | cost-mismatch |
-    #: cache-twin | index-twin | crash
+    #: cache-twin | index-twin | index-rebuild | crash
     kind: str
     detail: str
     #: The cell ran the update-heavy op mix (changes the op stream, so
@@ -154,7 +158,7 @@ class FuzzFailure:
         flags = ""
         if self.kind == "cache-twin":
             flags += " --cache-twin"
-        if self.kind == "index-twin":
+        if self.kind in ("index-twin", "index-rebuild"):
             flags += " --index-twin"
         if self.update_heavy:
             flags += " --update-heavy"
@@ -190,6 +194,9 @@ class FuzzReport:
     #: through an index, per access path.  The vacuity guard — a twin
     #: that compares scan with scan proves nothing.
     index_plans: Optional[Counter] = None
+    #: ``index_twin`` runs only: the indexed stores' maintenance passes,
+    #: ``repaired`` from the touched set or ``rebuilt`` — a hole in it.
+    maintenance: Counter = field(default_factory=Counter)
 
     def ok(self) -> bool:
         return not self.failures
@@ -201,6 +208,9 @@ class FuzzReport:
             plans = ", index plans: " + " ".join(
                 f"{path}={self.index_plans[path]}"
                 for path in ("path-index", "value-index")
+            ) + ", maintenance: " + " ".join(
+                f"{kind}={self.maintenance[kind]}"
+                for kind in ("repaired", "rebuilt")
             )
         return (
             f"fuzz: {self.cells} cell(s), {self.operations} operation(s), "
@@ -547,6 +557,16 @@ def _twin_mismatch(
 TWIN_DOCUMENTS = 3
 
 
+def _maintenance() -> Counter:
+    """The maintenance passes the metrics registry has counted so far:
+    ``repaired`` and ``rebuilt`` (both 0 while it is not recording)."""
+    counters = METRICS.snapshot()["counters"]
+    return Counter(
+        repaired=counters.get("index.incremental", 0),
+        rebuilt=counters.get("index.fallback_rebuild", 0),
+    )
+
+
 def _run_cell(
     config: FuzzConfig,
     seed: int,
@@ -682,6 +702,7 @@ def _run_cell(
         for (backend, encoding, store, docs), twin_entry in zip(
             stores, twins
         ):
+            maintained = _maintenance()
             try:
                 result = apply_operation(store, docs[slot], op)
                 if twin_entry is not None:
@@ -691,6 +712,13 @@ def _run_cell(
             except Exception as exc:
                 return failed(backend, encoding, op_index, last_describe,
                               "crash", f"{type(exc).__name__}: {exc}")
+            maintained = _maintenance() - maintained
+            report.maintenance.update(maintained)
+            if maintained["rebuilt"]:
+                # Only a hole in the touched set rebuilds.
+                return failed(backend, encoding, op_index, last_describe,
+                              "index-rebuild", "index maintenance rebuilt "
+                              "the document instead of repairing it")
             costs.append((result.inserted, result.deleted))
         report.operations += 1
         if len(set(costs)) > 1:
@@ -930,20 +958,26 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
                 # Timing-dependent: no prefix minimization.
                 report.failures.append(failure)
         return report
-    for seed, gap in config.cells():
-        report.cells += 1
-        failure = _run_cell(
-            config, seed, gap, config.ops, config.check_every, report
-        )
-        if failure is None:
-            continue
-        if config.check_every > 1 and failure.kind != "crash":
-            # The coarse run only brackets the failing prefix; replay
-            # the cell checking after every op to pin the exact index.
-            minimized = _run_cell(
-                config, seed, gap, failure.op_index, 1, FuzzReport()
+    # An index twin reads its stores' maintenance passes off the
+    # metrics registry, which records for the run.
+    with counting() if config.index_twin else nullcontext():
+        for seed, gap in config.cells():
+            report.cells += 1
+            failure = _run_cell(
+                config, seed, gap, config.ops, config.check_every, report
             )
-            if minimized is not None:
-                failure = minimized
-        report.failures.append(failure)
+            if failure is None:
+                continue
+            if config.check_every > 1 and failure.kind not in (
+                "crash", "index-rebuild"
+            ):
+                # The coarse run only brackets the failing prefix;
+                # replay the cell checking after every op to pin the
+                # exact index.
+                minimized = _run_cell(
+                    config, seed, gap, failure.op_index, 1, FuzzReport()
+                )
+                if minimized is not None:
+                    failure = minimized
+            report.failures.append(failure)
     return report

@@ -18,10 +18,10 @@ rows of a store:
 * **catalogue** — ``documents.node_count`` equals the live row count,
   ``next_id`` stays above every allocated id, and no node, attribute or
   index rows exist for unknown documents;
-* **secondary indexes** — the ``idx_sval`` / ``idx_pathmap`` rows of an
-  indexed document are exactly what its node rows imply (one value row
-  and one path occurrence per live element, none for anything else),
-  and an unindexed document has none.  The expected rows are derived
+* **secondary indexes** — the ``idx_sval`` rows of an indexed document
+  are exactly what its node rows imply (one row per live element, its
+  string-value and its path occurrence, none for anything else), and an
+  unindexed document has none.  The expected rows are derived
   here, from the :class:`~repro.core.encodings.AuditView` every other
   check reads, and not by :mod:`repro.index` — the auditor is the
   index producer's independent reference.
@@ -266,10 +266,11 @@ def _index_violations(store, info, view: AuditView):
     """The value and path indexes against the rows they derive from.
 
     An index is *present* when the catalogue row says ``indexed``;
-    without it the document must have no occurrence rows at all.  Each
-    occurrence table must say, exactly once per live element, what the
-    document says.  Path-dictionary entries no element uses any more
-    are legal (the dictionary is append-only so path ids stay stable).
+    without it the document must have no ``idx_sval`` rows at all.
+    There must be exactly one per live element, and its value columns
+    and its path each say what the document says.  Path-dictionary
+    entries no element uses any more are legal (the dictionary is
+    append-only so path ids stay stable).
     """
     execute = store.backend.execute
     doc = info.doc
@@ -279,45 +280,40 @@ def _index_violations(store, info, view: AuditView):
     dictionary = dict(execute(
         "SELECT pathid, path FROM idx_paths WHERE doc = ?", (doc,)
     ).rows)
-    tables = (
-        ("idx_sval", "index-sval-stale", values, [
-            (row[0], tuple(row[1:])) for row in execute(
-                "SELECT id, parent, tag, sval, nval FROM idx_sval "
-                "WHERE doc = ?", (doc,),
-            ).rows
-        ]),
-        ("idx_pathmap", "index-path-stale", paths, [
-            (node_id, dictionary.get(pathid)) for pathid, node_id in execute(
-                "SELECT pathid, id FROM idx_pathmap WHERE doc = ?", (doc,)
-            ).rows
-        ]),
-    )
-    for table, stale_code, expected, stored in tables:
-        seen: set[int] = set()
-        for node_id, content in stored:
-            if node_id not in expected:
-                yield Violation(
-                    "index-orphan-row", doc, node_id,
-                    f"{table} row for a node that is not a live element "
-                    "of an indexed document",
-                )
-            elif node_id in seen:
-                yield Violation(
-                    "index-duplicate-row", doc, node_id,
-                    f"more than one {table} row",
-                )
-            elif content != expected[node_id]:
-                yield Violation(
-                    stale_code, doc, node_id,
-                    f"{table} says {content!r}, document says "
-                    f"{expected[node_id]!r}",
-                )
-            seen.add(node_id)
-        for node_id in sorted(expected.keys() - seen):
+    seen: set[int] = set()
+    for node_id, pathid, *content in execute(
+        "SELECT id, pathid, parent, tag, sval, nval FROM idx_sval "
+        "WHERE doc = ?", (doc,),
+    ).rows:
+        if node_id not in values:
             yield Violation(
-                "index-row-missing", doc, node_id,
-                f"live element has no {table} row",
+                "index-orphan-row", doc, node_id,
+                "idx_sval row for a node that is not a live element "
+                "of an indexed document",
             )
+        elif node_id in seen:
+            yield Violation(
+                "index-duplicate-row", doc, node_id,
+                "more than one idx_sval row",
+            )
+        else:
+            for code, stored, expected in (
+                ("index-sval-stale", tuple(content), values[node_id]),
+                ("index-path-stale", dictionary.get(pathid),
+                 paths[node_id]),
+            ):
+                if stored != expected:
+                    yield Violation(
+                        code, doc, node_id,
+                        f"idx_sval says {stored!r}, document says "
+                        f"{expected!r}",
+                    )
+        seen.add(node_id)
+    for node_id in sorted(values.keys() - seen):
+        yield Violation(
+            "index-row-missing", doc, node_id,
+            "live element has no idx_sval row",
+        )
 
 
 def audit_document(store, doc: int) -> list[Violation]:

@@ -923,8 +923,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "require byte-identical query results")
     p.add_argument("--index-twin", action="store_true",
                    help="pair every store, indexed after load, with "
-                        "a twin that never is and require "
-                        "byte-identical query results")
+                        "a twin that never is, require "
+                        "byte-identical query results and fail on any "
+                        "update that rebuilds the index")
     p.add_argument("--update-heavy", action="store_true",
                    help="bias the op mix toward structural churn "
                         "(subtree inserts, deletes, text rewrites) — "

@@ -184,10 +184,6 @@ class DeweyKey:
         k = len(self.components)
         return k < len(other.components) and other.components[:k] == self.components
 
-    def is_descendant_of(self, other: "DeweyKey") -> bool:
-        """True if *other* is a proper prefix of *self*."""
-        return other.is_ancestor_of(self)
-
     def sibling_successor(self) -> "DeweyKey":
         """The key position immediately after this node's entire subtree.
 

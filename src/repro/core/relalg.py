@@ -573,7 +573,6 @@ class TranslatedQuery:
     sql: str
     params: tuple
     result_kind: str  # "node" | "attribute"
-    needs_client_order: bool
     encoding: str
     columns: tuple[str, ...]
     stats: TranslationStats
@@ -599,7 +598,6 @@ class CompiledPlan:
     sql: str
     param_slots: tuple[ParamSlot, ...]
     result_kind: str
-    needs_client_order: bool
     encoding: str
     columns: tuple[str, ...]
     stats: TranslationStats
@@ -644,7 +642,6 @@ class CompiledPlan:
             sql=self.sql,
             params=tuple(params),
             result_kind=self.result_kind,
-            needs_client_order=self.needs_client_order,
             encoding=self.encoding,
             columns=self.columns,
             stats=self.stats,

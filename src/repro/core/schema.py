@@ -216,7 +216,7 @@ def documents_table() -> Table:
 INDEX_PREFIX = "idx_"
 
 
-def index_tables() -> tuple[Table, Table, Table]:
+def index_tables() -> tuple[Table, Table]:
     """Side tables of the per-document secondary indexes.
 
     Encoding-independent (they key on the surrogate ``id``, which
@@ -224,12 +224,13 @@ def index_tables() -> tuple[Table, Table, Table]:
     document index create/drop is plain transactional DML over them, so
     crash safety comes from transaction rollback, not DDL recovery.
 
-    * ``idx_sval`` — the **value index**: one row per element with its
-      full XPath string-value (``sval``) and its numeric interpretation
-      (``nval``, NULL for NaN), covering string and numeric predicates;
+    * ``idx_sval`` — one row per element: the **value index** (its
+      full XPath string-value ``sval`` and numeric interpretation
+      ``nval``, NULL for NaN, covering string and numeric predicates)
+      and the element's **path occurrence** (``pathid``, its rooted
+      path in the dictionary);
     * ``idx_paths`` — the **path index** dictionary: every distinct
-      root-to-element path of the document;
-    * ``idx_pathmap`` — path occurrences: ``pathid -> element id``.
+      root-to-element path of the document.
 
     Whether a document has an index is ``documents.indexed``.
     """
@@ -240,6 +241,7 @@ def index_tables() -> tuple[Table, Table, Table]:
             Column("id", "INTEGER"),
             Column("parent", "INTEGER"),
             Column("tag", "TEXT"),
+            Column("pathid", "INTEGER"),
             Column("sval", "TEXT"),
             Column("nval", "REAL"),
         ),
@@ -248,6 +250,8 @@ def index_tables() -> tuple[Table, Table, Table]:
                   ("doc", "parent", "tag", "sval")),
             Index("ix_idx_sval_str", "idx_sval", ("doc", "tag", "sval")),
             Index("ix_idx_sval_num", "idx_sval", ("doc", "tag", "nval")),
+            # The path index expands a matching path to its elements.
+            Index("ix_idx_sval_path", "idx_sval", ("doc", "pathid", "id")),
             # Incremental maintenance repairs rows by surrogate id.
             Index("ix_idx_sval_id", "idx_sval", ("doc", "id")),
         ),
@@ -264,18 +268,4 @@ def index_tables() -> tuple[Table, Table, Table]:
                   unique=True),
         ),
     )
-    pathmap = Table(
-        "idx_pathmap",
-        (
-            Column("doc", "INTEGER"),
-            Column("pathid", "INTEGER"),
-            Column("id", "INTEGER"),
-        ),
-        (
-            Index("ix_idx_pathmap", "idx_pathmap",
-                  ("doc", "pathid", "id")),
-            # Incremental maintenance repairs rows by surrogate id.
-            Index("ix_idx_pathmap_id", "idx_pathmap", ("doc", "id")),
-        ),
-    )
-    return sval, paths, pathmap
+    return sval, paths

@@ -253,7 +253,6 @@ class _Arm:
 
     select: Select
     result_kind: str  # "node" | "attribute"
-    needs_client_order: bool
     columns: tuple[str, ...]
 
 
@@ -396,14 +395,11 @@ class SqlTranslator(ABC):
         self._indexed = indexed
         self._eligible = set()
         if isinstance(path, UnionPath):
-            query, kind, needs_client_order, columns = (
-                self._compile_union(path)
-            )
+            query, kind, columns = self._compile_union(path)
         else:
             arm = self._compile_arm(path, with_order_by=True)
             query = arm.select
             kind = arm.result_kind
-            needs_client_order = arm.needs_client_order
             columns = arm.columns
         stats = compute_stats(query)
         sql, slots = SqlTextDialect().compile(query)
@@ -418,7 +414,6 @@ class SqlTranslator(ABC):
             sql=sql,
             param_slots=slots,
             result_kind=kind,
-            needs_client_order=needs_client_order,
             encoding=self.encoding.name,
             columns=columns,
             stats=stats,
@@ -431,7 +426,7 @@ class SqlTranslator(ABC):
 
     def _compile_union(
         self, union: UnionPath
-    ) -> tuple[RelQuery, str, bool, tuple[str, ...]]:
+    ) -> tuple[RelQuery, str, tuple[str, ...]]:
         """``p1 | p2 | ...`` -> ``SELECT .. UNION SELECT ..``.
 
         SQL UNION (without ALL) deduplicates across arms exactly like
@@ -449,19 +444,19 @@ class SqlTranslator(ABC):
                 "attributes"
             )
         kind = kinds.pop()
-        needs_client_order = any(a.needs_client_order for a in arms)
         columns = arms[0].columns
         order_names: tuple[str, ...] = ()
-        if not needs_client_order:
+        column = self.encoding.order_by_column
+        if column is not None:
             if kind == "attribute":
-                order_names = tuple(columns[3:]) + ("name",)
+                order_names = (column, "name")
             else:
-                order_names = (self.encoding.order_by_column or "",)
+                order_names = (column,)
         query = UnionQuery(
             selects=tuple(a.select for a in arms),
             order_by=order_names,
         )
-        return query, kind, needs_client_order, columns
+        return query, kind, columns
 
     def _compile_arm(
         self, path: LocationPath, with_order_by: bool
@@ -515,26 +510,16 @@ class SqlTranslator(ABC):
                             Col(owner, column), Col(alias, "name")
                         ]
                 columns += (column,)
-                needs_client_order = False
-            else:
-                needs_client_order = True
         else:
             columns = NODE_PROJECTION + self.encoding.order_columns
             builder.select = [
                 SelectItem(Col(alias, c), c) for c in columns
             ]
             order_cols = self.order_by_columns(alias)
-            if order_cols is not None:
-                if with_order_by:
-                    builder.order_by = list(order_cols)
-                needs_client_order = False
-            else:
-                needs_client_order = True
+            if order_cols is not None and with_order_by:
+                builder.order_by = list(order_cols)
         return _Arm(
-            select=builder.build(),
-            result_kind=kind,
-            needs_client_order=needs_client_order,
-            columns=columns,
+            select=builder.build(), result_kind=kind, columns=columns
         )
 
     # -- index-aware access paths ------------------------------------------
@@ -567,8 +552,8 @@ class SqlTranslator(ABC):
 
         ``idx_paths`` (the root-path dictionary) is filtered by the
         ``path_match`` scalar against a pattern derived from the steps,
-        ``idx_pathmap`` expands matching paths to element ids, and a
-        final join against the node table re-projects the ordinary
+        ``idx_sval``'s ``pathid`` expands matching paths to element ids,
+        and a final join against the node table re-projects the ordinary
         node columns — result rows are identical to the scan plan's.
         """
         pattern = self._path_index_pattern(path)
@@ -584,7 +569,7 @@ class SqlTranslator(ABC):
         m = t.aliases.next()
         n = t.aliases.next()
         builder.add_from("idx_paths", p)
-        builder.add_from("idx_pathmap", m)
+        builder.add_from("idx_sval", m)
         builder.add_from(self.node_table, n)
         builder.add_where(t.doc_cond(p))
         builder.add_where(t.doc_cond(m))
@@ -604,18 +589,11 @@ class SqlTranslator(ABC):
         columns = NODE_PROJECTION + self.encoding.order_columns
         builder.select = [SelectItem(Col(n, c), c) for c in columns]
         order_cols = self.order_by_columns(n)
-        if order_cols is not None:
-            if with_order_by:
-                builder.order_by = list(order_cols)
-            needs_client_order = False
-        else:
-            needs_client_order = True
+        if order_cols is not None and with_order_by:
+            builder.order_by = list(order_cols)
         METRICS.inc("index.rewrite_path")
         return _Arm(
-            select=builder.build(),
-            result_kind="node",
-            needs_client_order=needs_client_order,
-            columns=columns,
+            select=builder.build(), result_kind="node", columns=columns
         )
 
     def _value_index_exists(

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.core.encodings import (
     ENCODINGS,
@@ -51,7 +51,7 @@ from repro.xmldom.dom import Document, Node, Text
 from repro.xmldom.parser import parse_fragment
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.store import XmlStore
+    from repro.store import DocumentInfo, XmlStore
 
 
 @dataclass
@@ -123,9 +123,12 @@ class UpdateManager:
             METRICS.inc("updates.relabeled", report.relabeled)
         return report
 
-    def _tracked(self, doc: int, body):
+    def _tracked(
+        self, doc: int, body: Callable[[DocumentInfo], UpdateReport]
+    ) -> UpdateReport:
         """Run *body* inside the transaction, then — when this is the
-        outermost public operation — maintain the document's index.
+        outermost public operation — maintain the document's index
+        from the report *body* returns.
 
         *body* is handed the document's catalogue entry: the one
         catalogue read of the operation, from which it resolves the
@@ -146,7 +149,7 @@ class UpdateManager:
         depth = getattr(tls, "depth", 0)
         tls.depth = depth + 1
         try:
-            result = body(info)
+            report = body(info)
         finally:
             tls.depth = depth
         if depth == 0:
@@ -157,11 +160,10 @@ class UpdateManager:
             # report carries the update's touched set, which lets the
             # index layer repair only the affected rows instead of
             # rebuilding the document.
-            report = result if isinstance(result, UpdateReport) else None
             self.store.indexes.maintain_in_transaction(
                 info, ENCODINGS[info.encoding], report
             )
-        return result
+        return report
 
     # -- public operations -------------------------------------------------
 

@@ -6,9 +6,10 @@
 * **value index** (``idx_sval``) — one row per element carrying its full
   XPath string-value and numeric interpretation, probed by rewritten
   value predicates;
-* **path index** (``idx_paths`` + ``idx_pathmap``) — the dictionary of
-  distinct root-to-element paths plus the occurrence map, probed by
-  rewritten structural queries through the ``path_match`` scalar;
+* **path index** (``idx_paths`` + ``idx_sval.pathid``) — the dictionary
+  of distinct root-to-element paths plus each element's occurrence,
+  probed by rewritten structural queries through the ``path_match``
+  scalar;
 * **presence** — the document's catalogue row (``documents.indexed``).
 
 The side tables are created empty at schema bootstrap and keyed on the
@@ -32,13 +33,11 @@ renamed subtree roots, string-value anchors — see
 :class:`repro.core.updates.UpdateReport`) down into the same
 transaction, and only those rows are repaired, in a fixed handful of
 statements whatever the depth of the chain above them.  Index rows
-carry no order columns, so renumbering never invalidates them.  An
-update that invalidates more than :data:`INCR_FALLBACK_FRACTION` of
-the document (or that cannot account exactly for what it touched)
-rebuilds instead — a choice made from the update's size, not a
-setting.  The path dictionary is append-only — path ids are stable
-across rebuilds, which is what makes piecewise repair and a full
-rebuild produce byte-identical tables.
+carry no order columns, so renumbering never invalidates them.  Only
+an update whose touched set has a hole — it cannot account exactly
+for what it touched — rebuilds instead.  The path dictionary is
+append-only — path ids are stable across rebuilds, which is what makes
+piecewise repair and a full rebuild produce byte-identical tables.
 """
 
 from __future__ import annotations
@@ -55,14 +54,8 @@ from repro.xmldom.parser import END, START, TEXT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.encodings import OrderEncoding
+    from repro.core.updates import UpdateReport
     from repro.store import XmlStore
-
-#: Maintenance rebuilds the whole document once an update invalidates
-#: more than this fraction of its rows (removed + reshredded) — past
-#: that point a single full pass is cheaper than piecewise repair.
-#: Relabeled rows don't count: the idx_* tables carry no order columns,
-#: so renumbering never invalidates an index row.
-INCR_FALLBACK_FRACTION = 0.25
 
 
 class IndexManager:
@@ -117,7 +110,7 @@ class IndexManager:
         """Delete every ``idx_*`` row of *doc* and clear its ``indexed``
         flag (caller owns the txn)."""
         backend = self.store.backend
-        for table in ("idx_sval", "idx_paths", "idx_pathmap"):
+        for table in ("idx_sval", "idx_paths"):
             backend.execute(f"DELETE FROM {table} WHERE doc = ?", (doc,))
         backend.execute(
             "UPDATE documents SET indexed = 0 WHERE doc = ?", (doc,)
@@ -126,7 +119,7 @@ class IndexManager:
     # -- in-transaction maintenance ---------------------------------------
 
     def maintain_in_transaction(
-        self, info, encoding: "OrderEncoding", report
+        self, info, encoding: "OrderEncoding", report: "UpdateReport"
     ) -> None:
         """Bring the index rows of the document *info* describes up to
         date after an update.  *info* is the update's own catalogue
@@ -141,24 +134,19 @@ class IndexManager:
 
         *report* is the outermost operation's
         :class:`~repro.core.updates.UpdateReport` carrying the touched
-        set.  When the touched set fits the fallback budget, only the
-        affected rows are repaired (``index.incremental``); a delta the
-        repair declines rebuilds the document's rows instead
-        (``index.fallback_rebuild``), and so does an update with no
-        report, uncounted.  A zero-row no-op (removing an absent
-        attribute, an empty batch entry) skips maintenance entirely.
+        set, and only the affected rows are repaired
+        (``index.incremental``).  A touched set with a hole (see
+        :meth:`_apply_delta_in_transaction`) rebuilds the document's
+        rows instead (``index.fallback_rebuild``).  A zero-row no-op
+        (removing an absent attribute, an empty batch entry) skips
+        maintenance entirely.
         """
-        if report is not None and report.rows_touched() == 0:
+        if report.rows_touched() == 0 or not info.indexed:
             return
-        if not info.indexed:
-            return
-        if report is not None and self._apply_delta_in_transaction(
-            info, encoding, report
-        ):
+        if self._apply_delta_in_transaction(info, encoding, report):
             METRICS.inc("index.incremental")
         else:
-            if report is not None:
-                METRICS.inc("index.fallback_rebuild")
+            METRICS.inc("index.fallback_rebuild")
             self._rebuild_rows(info.doc, encoding)
         METRICS.inc("index.maintained")
 
@@ -196,9 +184,10 @@ class IndexManager:
         rows: list[tuple],
         parent_path: str,
         paths: dict[str, int],
-    ) -> tuple[list[tuple], list[tuple], list[tuple]]:
-        """The one producer of index rows: ``(idx_sval rows,
-        idx_pathmap rows, fresh idx_paths rows)`` for a forest.
+    ) -> tuple[list[tuple], list[tuple]]:
+        """The one producer of index rows: ``(idx_sval rows, fresh
+        idx_paths rows)`` for a forest, one ``idx_sval`` row per
+        element.
 
         *rows* are ``(id, parent, kind, tag, value)`` tuples of whole
         subtrees in document order whose roots are children of one
@@ -219,7 +208,6 @@ class IndexManager:
         allocation assigns a repair the same ids a rebuild would.
         """
         sval_rows: list[tuple] = []
-        pathmap_rows: list[tuple] = []
         fresh_paths: list[tuple] = []
         stored = iter(rows)
         # The open element: its rooted path, the pieces of its
@@ -242,16 +230,15 @@ class IndexManager:
                 if pathid is None:
                     pathid = paths[path] = len(paths) + 1
                     fresh_paths.append((doc, pathid, path))
-                sval_rows.append((doc, node_id, parent, a))
-                pathmap_rows.append((doc, pathid, node_id))
+                sval_rows.append((doc, node_id, parent, a, pathid))
             elif kind == TEXT:  # comments and PIs contribute nothing
                 parts.append(a)
-        return sval_rows, pathmap_rows, fresh_paths
+        return sval_rows, fresh_paths
 
     def _rebuild_rows(
         self, doc: int, encoding: Optional["OrderEncoding"] = None
     ) -> dict:
-        """Recompute every occurrence row of *doc* from one ordered
+        """Recompute every ``idx_sval`` row of *doc* from one ordered
         pass over its node table (txn caller-owned; *encoding* as for
         :func:`~repro.core.reconstruct.ordered_rows`); returns the
         create report."""
@@ -259,10 +246,11 @@ class IndexManager:
         rows = ordered_rows(self.store, doc, encoding=encoding)
         paths = self._load_paths(doc)
         produced = self._index_rows(doc, rows, "", paths)
-        for table in ("idx_sval", "idx_pathmap"):
-            backend.execute(f"DELETE FROM {table} WHERE doc = ?", (doc,))
+        deleted = backend.execute(
+            "DELETE FROM idx_sval WHERE doc = ?", (doc,)
+        ).rowcount
         self._insert_rows(*produced)
-        METRICS.inc("index.row_writes", sum(map(len, produced)))
+        METRICS.inc("index.row_writes", deleted + sum(map(len, produced)))
         return {
             "doc": doc,
             "elements": len(produced[0]),
@@ -270,11 +258,10 @@ class IndexManager:
             "nodes": len(rows),
         }
 
-    def _insert_rows(self, sval_rows, pathmap_rows, fresh_paths) -> None:
+    def _insert_rows(self, sval_rows, fresh_paths) -> None:
         for sql, rows in (
-            ("INSERT INTO idx_sval VALUES (?, ?, ?, ?, ?, ?)", sval_rows),
+            ("INSERT INTO idx_sval VALUES (?, ?, ?, ?, ?, ?, ?)", sval_rows),
             ("INSERT INTO idx_paths VALUES (?, ?, ?)", fresh_paths),
-            ("INSERT INTO idx_pathmap VALUES (?, ?, ?)", pathmap_rows),
         ):
             if rows:
                 self.store.backend.executemany(sql, rows)
@@ -282,14 +269,14 @@ class IndexManager:
     # -- incremental maintenance -------------------------------------------
 
     def _apply_delta_in_transaction(
-        self, info, encoding: "OrderEncoding", report
+        self, info, encoding: "OrderEncoding", report: "UpdateReport"
     ) -> bool:
         """Repair the index rows of *info*'s document from an update's
         touched set, in a handful of statements whatever the chain
         depth or the fragment's shape:
 
-        (a) one ``DELETE`` per table for the removed and renamed ids —
-            ids this operation minted have no index rows yet;
+        (a) one ``DELETE`` for the removed and renamed ids — ids this
+            operation minted have no index rows yet;
         (b) each inserted subtree's rows as the update wrote them, and
             each renamed subtree read back, through :meth:`_index_rows`
             under its parent's stored path, then one ``executemany``
@@ -297,19 +284,14 @@ class IndexManager:
         (c) the string-values of the anchors and their ancestors (see
             :meth:`_chain_svals`), written by one ``executemany``.
 
-        Returns ``False`` when the delta should not (fallback budget
-        exceeded) or cannot (bookkeeping hole) be applied piecewise;
-        the caller then rebuilds, which replaces everything this method
-        may already have written — bailing out is safe at any point.
+        Returns ``False`` when the touched set has a hole: a parent
+        whose path is not stored, an element child with no ``sval``, or
+        an inserted subtree a later step of the operation changed.  The
+        caller then rebuilds, which replaces everything this method may
+        already have written — bailing out is safe at any point.
         """
         doc = info.doc
-        budget = max(1.0, info.node_count * INCR_FALLBACK_FRACTION)
-        # Relabels are excluded: the idx_* tables carry no order
-        # columns, so renumbering leaves every index row valid.
         removed = dict.fromkeys(report.removed_ids)
-        invalidated = len(removed)
-        if invalidated > budget:
-            return False
 
         # Renamed subtrees are read back, skipping roots a later op in
         # the same transaction deleted and roots nested inside an
@@ -325,9 +307,6 @@ class IndexManager:
             rows = ordered_rows(self.store, doc, root_row, encoding)
             covered.update(row[0] for row in rows)
             subtrees.append(rows)
-            invalidated += len(rows)
-            if invalidated > budget:
-                return False
 
         # Inserted subtrees are taken as written.  One that a later op
         # of the same operation deleted is skipped; one it changed
@@ -343,32 +322,29 @@ class IndexManager:
             if any(row[0] in changed for row in rows):
                 return False
             subtrees.append(rows)
-            invalidated += len(rows)
-            if invalidated > budget:
-                return False
 
         # (a) Drop the stale rows.
         stale_ids = [
             node_id for node_id in (*removed, *covered)
             if node_id not in minted
         ]
-        for table in ("idx_sval", "idx_pathmap"):
+        deleted = sum(
+            self.store.backend.execute(sql, params).rowcount
             for sql, params in self.store.in_batches(
-                f"DELETE FROM {table} WHERE doc = ?",
-                "id", stale_ids, (doc,),
-            ):
-                self.store.backend.execute(sql, params)
+                "DELETE FROM idx_sval WHERE doc = ?", "id", stale_ids, (doc,)
+            )
+        )
 
         # (b) Shred the new subtrees.
-        produced: tuple[list, list, list] = ([], [], [])
+        produced: tuple[list, list] = ([], [])
         if subtrees:
-            # The parents' stored paths: their occurrence rows resolved
+            # The parents' stored paths: their rows' path ids resolved
             # through the path dictionary, "" for the document node.
             paths = self._load_paths(doc)
             names = {pathid: path for path, pathid in paths.items()}
             parent_paths: dict[int, Optional[str]] = {0: ""}
             for sql, params in self.store.in_batches(
-                "SELECT id, pathid FROM idx_pathmap WHERE doc = ?",
+                "SELECT id, pathid FROM idx_sval WHERE doc = ?",
                 "id", {rows[0][1] for rows in subtrees} - {0}, (doc,),
             ):
                 for node_id, pathid in self.store.backend.execute(
@@ -400,7 +376,7 @@ class IndexManager:
 
         METRICS.inc(
             "index.row_writes",
-            len(stale_ids) + sum(map(len, produced)) + len(repaired),
+            deleted + sum(map(len, produced)) + len(repaired),
         )
         return True
 
@@ -420,7 +396,7 @@ class IndexManager:
         element child its stored one, a text child its value, comments
         and PIs nothing.  ``None`` signals a bookkeeping hole — an
         element child with no ``idx_sval`` row — which forces the
-        rebuild fallback.
+        rebuild.
         """
         if not anchors:
             return []

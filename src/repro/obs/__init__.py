@@ -24,7 +24,7 @@ Quick start::
 CLI equivalents: ``repro trace <xpath>`` and ``repro stats``.
 """
 
-from repro.obs.metrics import METRICS, Histogram, MetricsRegistry
+from repro.obs.metrics import METRICS, Histogram, MetricsRegistry, counting
 from repro.obs.slowlog import (
     SlowQuery,
     SlowQueryLog,
@@ -55,6 +55,7 @@ __all__ = [
     "SlowQuery",
     "SlowQueryLog",
     "Tracer",
+    "counting",
     "current_tracer",
     "disable",
     "disable_slow_log",

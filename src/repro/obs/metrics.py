@@ -31,7 +31,9 @@ Naming convention (the counter glossary lives in DESIGN.md):
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from collections import Counter
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 
 class Histogram:
@@ -169,3 +171,22 @@ class MetricsRegistry:
 
 #: The process-wide registry every instrumentation site records into.
 METRICS = MetricsRegistry()
+
+
+@contextmanager
+def counting() -> Iterator[Counter]:
+    """Yield a Counter that holds, once the block exits, the metrics
+    counters recorded inside it.  The registry records for the block's
+    duration, whatever its setting was, and is reset on both sides, so
+    the counts are the block's own and none outlive it (``repro migrate
+    --auto`` reads the registry as its workload window)."""
+    was_enabled = METRICS.enabled
+    METRICS.reset()
+    METRICS.enabled = True
+    grew: Counter = Counter()
+    try:
+        yield grew
+        grew.update(METRICS.snapshot()["counters"])
+    finally:
+        METRICS.enabled = was_enabled
+        METRICS.reset()

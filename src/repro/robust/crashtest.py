@@ -574,7 +574,7 @@ def _index_signature(store: XmlStore, doc: int) -> Optional[tuple]:
         tuple(sorted(store.backend.execute(
             f"SELECT * FROM {table} WHERE doc = ?", (doc,)
         ).rows))
-        for table in ("idx_sval", "idx_paths", "idx_pathmap")
+        for table in ("idx_sval", "idx_paths")
     )
 
 

@@ -207,34 +207,41 @@ class XmlStore:
     def _create_schema(self) -> None:
         # Every statement carries IF NOT EXISTS, so reusing a backend
         # that already has the schema is fine and any failure is real.
-        for statement in (
-            *self.encoding.create_statements(),
-            *self._docs_table.create_statements(),
-            *(
-                stmt
-                for table in index_tables()
-                for stmt in table.create_statements()
-            ),
+        tables = (
+            self.encoding.node_table, self.encoding.attr_table,
+            self._docs_table, *index_tables(),
+        )
+        self._bootstrap(table.to_sql() for table in tables)
+        # CREATE TABLE IF NOT EXISTS keeps a table an older build
+        # wrote, columns and all.  This build reads only its own
+        # columns and upgrades nothing, so such a file is refused here,
+        # before an index over a missing column fails or anything reads
+        # or writes it.  Only an engine's error says so: every backend
+        # raises this library's errors, and anything else is a bug that
+        # must surface as itself.
+        for probe, what in (
+            (f"{_CATALOGUE_SELECT} WHERE doc = 0", "document catalogue"),
+            ("SELECT pathid FROM idx_sval WHERE doc = 0", "element index"),
         ):
+            try:
+                self.backend.execute(probe)
+            except ReproError as exc:
+                raise StorageError(
+                    "the store was written by an older build, whose "
+                    f"{what} this build cannot read ({exc})"
+                ) from exc
+        self._bootstrap(
+            index.to_sql() for table in tables for index in table.indexes
+        )
+
+    def _bootstrap(self, statements: Iterable[str]) -> None:
+        for statement in statements:
             try:
                 self.backend.execute(statement)
             except Exception as exc:
                 raise StorageError(
                     f"schema bootstrap failed: {statement!r}: {exc}"
                 ) from exc
-        # CREATE TABLE IF NOT EXISTS keeps a catalogue an older build
-        # wrote, columns and all.  This build reads only its own
-        # columns and upgrades nothing, so such a file is refused here,
-        # before anything reads or writes it.  Only an engine's error
-        # says so: every backend raises this library's errors, and
-        # anything else is a bug that must surface as itself.
-        try:
-            self.backend.execute(f"{_CATALOGUE_SELECT} WHERE doc = 0")
-        except ReproError as exc:
-            raise StorageError(
-                "the store was written by an older build, whose "
-                f"document catalogue this build cannot read ({exc})"
-            ) from exc
 
     # -- statements and transactions ----------------------------------------
 
@@ -611,17 +618,20 @@ class XmlStore:
         METRICS.inc("query.rows", len(rows))
         if translated.access_path != "scan":
             METRICS.inc("index.plan_queries")
+        # An encoding with no order column (Local) has its results put
+        # in document order here, not by the SQL.
+        client_order = ENCODINGS[translated.encoding].order_by_column is None
         if translated.result_kind == "attribute":
             with span("materialize", collect):
                 items, owner_ids = self._attribute_items(rows)
-            if translated.needs_client_order:
+            if client_order:
                 METRICS.inc("query.client_order_sorts")
                 with span("client_order", collect):
                     items = self._client_sort_attributes(
                         doc, items, owner_ids
                     )
             return translated, items
-        if translated.needs_client_order:
+        if client_order:
             METRICS.inc("query.client_order_sorts")
             with span("client_order", collect):
                 rows = self._client_sort_nodes(

@@ -81,11 +81,6 @@ def _in_ranges(code: int, ranges: tuple[tuple[int, int], ...]) -> bool:
     return False
 
 
-def is_whitespace(ch: str) -> bool:
-    """Return True if *ch* is an XML whitespace character."""
-    return ch in WHITESPACE
-
-
 def is_name_start_char(ch: str) -> bool:
     """Return True if *ch* may begin an XML Name."""
     return _in_ranges(ord(ch), _NAME_START_RANGES)
@@ -97,15 +92,6 @@ def is_name_char(ch: str) -> bool:
     return _in_ranges(code, _NAME_START_RANGES) or _in_ranges(
         code, _NAME_EXTRA_RANGES
     )
-
-
-def is_valid_name(name: str) -> bool:
-    """Return True if *name* is a well-formed XML Name."""
-    if not name:
-        return False
-    if not is_name_start_char(name[0]):
-        return False
-    return all(is_name_char(ch) for ch in name[1:])
 
 
 def escape_text(text: str) -> str:

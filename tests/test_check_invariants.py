@@ -165,7 +165,7 @@ class TestSchemaBootstrap:
             encoding = get_encoding(name)
             tables += [encoding.node_table, encoding.attr_table]
         statements = [s for t in tables for s in t.create_statements()]
-        assert len(statements) == 43
+        assert len(statements) == 41
         assert all(" IF NOT EXISTS " in s for s in statements)
         for name in BACKENDS:
             backend = make_backend(name)
@@ -216,6 +216,42 @@ class TestSchemaBootstrap:
             (line,) = captured.err.splitlines()
             assert line.startswith(f"error: cannot open {str(path)!r}: ")
             assert "older build" in line
+
+    def test_an_index_table_of_an_older_build_is_refused(
+        self, tmp_path, capsys
+    ):
+        """Builds before ``idx_sval.pathid`` kept each element's path
+        occurrence in an ``idx_pathmap`` table.  A file with their
+        ``idx_*`` tables is refused by name when it opens — not by the
+        index over ``pathid`` failing in the bootstrap."""
+        path = tmp_path / "old.db"
+        XmlStore(backend=SqliteBackend(str(path))).close()
+        old = SqliteBackend(str(path))
+        for statement in (
+            "DROP TABLE idx_sval",
+            "CREATE TABLE idx_sval (doc INTEGER, id INTEGER, "
+            "parent INTEGER, tag TEXT, sval TEXT, nval REAL)",
+            "CREATE INDEX ix_idx_sval_parent ON idx_sval "
+            "(doc, parent, tag, sval)",
+            "CREATE INDEX ix_idx_sval_str ON idx_sval (doc, tag, sval)",
+            "CREATE INDEX ix_idx_sval_num ON idx_sval (doc, tag, nval)",
+            "CREATE INDEX ix_idx_sval_id ON idx_sval (doc, id)",
+            "CREATE TABLE idx_pathmap (doc INTEGER, pathid INTEGER, "
+            "id INTEGER)",
+            "CREATE INDEX ix_idx_pathmap ON idx_pathmap (doc, pathid, id)",
+            "CREATE INDEX ix_idx_pathmap_id ON idx_pathmap (doc, id)",
+        ):
+            old.execute(statement)
+        old.close()
+        reopened = SqliteBackend(str(path))
+        with pytest.raises(
+            StorageError, match=r"older build, whose element index .*pathid"
+        ):
+            XmlStore(backend=reopened)
+        reopened.close()
+        assert main(["info", "--db", str(path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "older build, whose element index" in line
 
     def test_a_bug_under_the_catalogue_probe_is_not_an_older_build(self):
         """Only an engine's error means an old catalogue: a programming

@@ -238,7 +238,6 @@ def index_rows_digest(
         digest = hashlib.sha256()
         for table, order in (
             ("idx_sval", "id"), ("idx_paths", "pathid"),
-            ("idx_pathmap", "id"),
         ):
             result = store.backend.execute(
                 f"SELECT * FROM {table} WHERE doc = ? ORDER BY {order}",

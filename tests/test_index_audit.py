@@ -1,7 +1,7 @@
 """The invariant auditor's secondary-index checks.
 
 ``audit_document`` derives, from the node rows alone, what an indexed
-document's ``idx_sval`` / ``idx_pathmap`` rows must be.  Each violation
+document's ``idx_sval`` rows must be.  Each violation
 code is provoked here by hand-corrupting exactly one row, on both
 backends; the clean direction — no finding on a correctly maintained
 index — is asserted after every operation of a fixed-seed index-twin
@@ -63,47 +63,40 @@ class TestIndexCorruptionIsReported:
     def test_repointed_path_occurrence(self, backend):
         store, doc = _indexed_bib(backend)
         (book_path,), = _sql(
-            store, "SELECT pathid FROM idx_pathmap WHERE doc = ? AND id = ?",
+            store, "SELECT pathid FROM idx_sval WHERE doc = ? AND id = ?",
             (doc, BOOK),
         ).rows
         _sql(store,
-             "UPDATE idx_pathmap SET pathid = ? WHERE doc = ? AND id = ?",
+             "UPDATE idx_sval SET pathid = ? WHERE doc = ? AND id = ?",
              (book_path, doc, TITLE))
         assert _findings(store, doc) == [("index-path-stale", TITLE)]
 
     def test_occurrence_of_unknown_path(self, backend):
         store, doc = _indexed_bib(backend)
         _sql(store,
-             "UPDATE idx_pathmap SET pathid = 999 WHERE doc = ? AND id = ?",
+             "UPDATE idx_sval SET pathid = 999 WHERE doc = ? AND id = ?",
              (doc, TITLE))
         assert _findings(store, doc) == [("index-path-stale", TITLE)]
 
     def test_occurrence_rows_of_a_deleted_node(self, backend):
         """What a delete that forgot index maintenance leaves behind."""
         store, doc = _indexed_bib(backend)
-        kept = {
-            table: _sql(
-                store, f"SELECT * FROM {table} WHERE doc = ? AND id = ?",
-                (doc, TITLE),
-            ).rows[0]
-            for table in ("idx_sval", "idx_pathmap")
-        }
+        kept, = _sql(
+            store, "SELECT * FROM idx_sval WHERE doc = ? AND id = ?",
+            (doc, TITLE),
+        ).rows
         store.updates.delete(doc, TITLE)
-        _sql(store, "INSERT INTO idx_sval VALUES (?, ?, ?, ?, ?, ?)",
-             kept["idx_sval"])
-        _sql(store, "INSERT INTO idx_pathmap VALUES (?, ?, ?)",
-             kept["idx_pathmap"])
-        assert _findings(store, doc) == [
-            ("index-orphan-row", TITLE), ("index-orphan-row", TITLE),
-        ]
+        _sql(store, "INSERT INTO idx_sval VALUES (?, ?, ?, ?, ?, ?, ?)",
+             kept)
+        assert _findings(store, doc) == [("index-orphan-row", TITLE)]
 
     def test_duplicate_occurrence_row(self, backend):
         store, doc = _indexed_bib(backend)
         row, = _sql(
-            store, "SELECT * FROM idx_pathmap WHERE doc = ? AND id = ?",
+            store, "SELECT * FROM idx_sval WHERE doc = ? AND id = ?",
             (doc, BOOK),
         ).rows
-        _sql(store, "INSERT INTO idx_pathmap VALUES (?, ?, ?)", row)
+        _sql(store, "INSERT INTO idx_sval VALUES (?, ?, ?, ?, ?, ?, ?)", row)
         assert _findings(store, doc) == [("index-duplicate-row", BOOK)]
 
     def test_occurrence_rows_without_an_index(self, backend):

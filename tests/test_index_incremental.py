@@ -11,8 +11,10 @@ Four guards around the touched-set maintenance path:
 * **scaling** — maintenance row writes, and the rows any single write
   reads, must track the update's touched rows, not the document size
   (the counter-based regressions that pin the complexity claim);
-* **fallback** — deltas past the invalidation budget fall back to the
-  full rebuild and still converge on the twin's tables;
+* **one maintenance path** — every update repairs, however much of the
+  document it touches: a delete of most of it converges on the twin's
+  tables in fewer row writes than a rebuild, and the CI index-twin
+  fuzz rebuilds nothing;
 * **fresh rows** — an inserted subtree's rows reach the index as the
   update wrote them, inside compound operations and several operations
   sharing one commit too;
@@ -22,19 +24,21 @@ Four guards around the touched-set maintenance path:
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 from tests.conftest import ALL_ENCODINGS, BACKENDS, counters, statement_log
 from repro.check import audit_document
 from repro.check.fuzz import apply_operation, plan_operation
-from repro.index import manager
+from repro.cli import main
+from repro.index.manager import IndexManager
 from repro.obs import METRICS
 from repro.store import XmlStore
 from repro.workload import catalog_corpus
 from repro.workload.docgen import random_document, sized_article_corpus
 
-IDX_TABLES = ("idx_sval", "idx_paths", "idx_pathmap")
+IDX_TABLES = ("idx_sval", "idx_paths")
 
 
 def index_tables(store: XmlStore, doc: int) -> tuple:
@@ -44,14 +48,6 @@ def index_tables(store: XmlStore, doc: int) -> tuple:
         ).rows))
         for table in IDX_TABLES
     )
-
-
-@pytest.fixture
-def whole_document_budget(monkeypatch):
-    """Keep tiny fuzz documents on the repair path: the default budget
-    would route most ops through the fallback rebuild, which trivially
-    matches the rebuilt twin."""
-    monkeypatch.setattr(manager, "INCR_FALLBACK_FRACTION", 1.0)
 
 
 def twin_pair(backend: str, encoding: str, document):
@@ -77,7 +73,6 @@ def apply_to_both(incr, doc_i, eager, doc_e, op) -> None:
     )
 
 
-@pytest.mark.usefixtures("whole_document_budget")
 class TestIncrementalVsEager:
     """The equivalence property: a clean audit and byte-identical data
     tables after every op."""
@@ -221,7 +216,6 @@ class TestMaintenanceScaling:
         store.close()
 
 
-@pytest.mark.usefixtures("whole_document_budget")
 class TestFreshRows:
     """Inserted rows are indexed as they were written, never read back;
     ids an operation minted have no index rows to delete."""
@@ -306,12 +300,14 @@ class TestFreshRows:
         eager.close()
 
 
-class TestFallbackPolicy:
-    def test_large_delete_falls_back_and_still_converges(self):
+class TestOneMaintenancePath:
+    def test_delete_of_most_of_the_document_is_repaired(self):
+        """17 of the document's 20 nodes go: the update repairs the
+        index from its touched set, and writes fewer index rows than a
+        rebuild in its place, which deletes every row the document had
+        and writes one per element left."""
         document = random_document(1, max_depth=4, max_children=3)
         incr, doc_i, eager, doc_e = twin_pair("sqlite", "global", document)
-        # Delete the bulkiest top-level subtree: far past the default
-        # invalidation budget on a small document.
         root = incr.fetch_children(doc_i, 0)[0]
         target = max(
             (
@@ -321,22 +317,53 @@ class TestFallbackPolicy:
             ),
             key=lambda child: len(incr.updates._subtree_ids(doc_i, child)),
         )
-        was_enabled = METRICS.enabled
-        METRICS.reset()
-        METRICS.enabled = True
-        try:
+        assert len(incr.updates._subtree_ids(doc_i, target)) == 17
+
+        def elements() -> int:
+            return incr.backend.execute(
+                "SELECT COUNT(*) FROM idx_sval WHERE doc = ?", (doc_i,)
+            ).rows[0][0]
+
+        before = elements()
+        with counters() as count:
             incr.updates.delete(doc_i, target["id"])
-            counters = METRICS.snapshot()["counters"]
-        finally:
-            METRICS.enabled = was_enabled
-            METRICS.reset()
+            assert count("index.incremental") == 1
+            assert count("index.fallback_rebuild") == 0
+            written = count("index.row_writes")
+        assert written < before + elements()
         eager.updates.delete(doc_e, target["id"])
         eager.indexes.create(doc_e)
-        assert counters.get("index.fallback_rebuild", 0) >= 1
         assert audit_document(incr, doc_i) == []
         assert index_tables(incr, doc_i) == index_tables(eager, doc_e)
         incr.close()
         eager.close()
+
+    def test_the_ci_index_twin_fuzz_rebuilds_nothing(self, capsys):
+        """The tier-1 CI step's seeds: all 120 operations on all eight
+        indexed stores repair the index (the check fails on any
+        rebuild, and the summary counts both)."""
+        assert main([
+            "fuzz", "--seeds", "3", "--ops", "40",
+            "--backends", "sqlite,minidb", "--check-every", "5",
+            "--index-twin", "--update-heavy",
+        ]) == 0
+        (summary,) = capsys.readouterr().out.splitlines()
+        assert summary.endswith(
+            "maintenance: repaired=960 rebuilt=0: OK"
+        ), summary
+
+    def test_no_rebuild_budget_and_no_second_table_return(self):
+        """Maintenance has one path and the index one row per element:
+        no size budget routes an update to the rebuild, every update
+        hands maintenance a report, and no occurrence table stands
+        beside ``idx_sval``."""
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        for path in sorted(src.rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            for name in (
+                "idx_pathmap", "INCR_FALLBACK_FRACTION", "report is None",
+            ):
+                assert name not in text, f"{path.name} names {name}"
 
 
 class TestSatelliteFixes:
@@ -347,8 +374,11 @@ class TestSatelliteFixes:
         return store, doc
 
     def test_noop_update_skips_maintenance(self):
+        """A zero-row no-op does nothing at all; a real multi-row
+        update right after it on the same store repairs."""
         store, doc = self._indexed_catalog()
         catalog = store.fetch_children(doc, 0)[0]
+        product = store.fetch_children(doc, catalog["id"])[0]
         was_enabled = METRICS.enabled
         METRICS.reset()
         METRICS.enabled = True
@@ -358,19 +388,27 @@ class TestSatelliteFixes:
             report = store.updates.set_attribute(
                 doc, catalog["id"], "nope", None
             )
-            counters = METRICS.snapshot()["counters"]
+            noop = METRICS.snapshot()["counters"]
+            store.updates.delete(doc, product["id"])
+            real = METRICS.snapshot()["counters"]
         finally:
             METRICS.enabled = was_enabled
             METRICS.reset()
         assert report.rows_touched() == 0
-        assert counters.get("index.maintained", 0) == 0
-        assert counters.get("index.row_writes", 0) == 0
+        assert noop.get("index.maintained", 0) == 0
+        assert noop.get("index.row_writes", 0) == 0
+        assert real["index.incremental"] == 1
+        assert real.get("index.fallback_rebuild", 0) == 0
         store.close()
 
     def test_noop_update_skips_eager_rebuild_too(self, monkeypatch):
-        """With the budget at its floor a real multi-row update
-        rebuilds; the zero-row no-op still does nothing at all."""
-        monkeypatch.setattr(manager, "INCR_FALLBACK_FRACTION", 0.0)
+        """With every touched set reported as having a hole a real
+        multi-row update rebuilds; the zero-row no-op still does
+        nothing at all."""
+        monkeypatch.setattr(
+            IndexManager, "_apply_delta_in_transaction",
+            lambda self, info, encoding, report: False,
+        )
         store, doc = self._indexed_catalog()
         catalog = store.fetch_children(doc, 0)[0]
         product = store.fetch_children(doc, catalog["id"])[0]
@@ -388,4 +426,6 @@ class TestSatelliteFixes:
         assert noop.get("index.maintained", 0) == 0
         assert noop.get("index.row_writes", 0) == 0
         assert real["index.fallback_rebuild"] == 1
+        assert real.get("index.incremental", 0) == 0
+        assert audit_document(store, doc) == []
         store.close()

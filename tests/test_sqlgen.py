@@ -258,7 +258,6 @@ class TestCompiledPlanBind:
             sql="SELECT 1",
             param_slots=tuple(slots),
             result_kind="node",
-            needs_client_order=False,
             encoding="global",
             columns=("id",),
             stats=TranslationStats(),

@@ -9,7 +9,9 @@ from repro.core.translator import (
     normalize_steps,
 )
 from repro.errors import TranslationError, UnsupportedXPathError
+from repro.store import XmlStore
 from repro.xpath import parse_xpath
+from tests.conftest import BIB_XML, counters
 
 
 def translate(encoding, xpath):
@@ -161,8 +163,7 @@ class TestGlobalEncoding:
 
     def test_orders_by_pos(self):
         translated = translate("global", "/bib/book")
-        assert translated.sql.rstrip().endswith(".pos")
-        assert not translated.needs_client_order
+        assert translated.sql.rstrip().endswith("ORDER BY n1.pos")
 
 
 class TestDeweyEncoding:
@@ -176,8 +177,7 @@ class TestDeweyEncoding:
 
     def test_orders_by_key(self):
         translated = translate("dewey", "/bib/book")
-        assert translated.sql.rstrip().endswith(".dkey")
-        assert not translated.needs_client_order
+        assert translated.sql.rstrip().endswith("ORDER BY n1.dkey")
 
 
 class TestLocalEncoding:
@@ -192,9 +192,15 @@ class TestLocalEncoding:
         assert ".depth + 1" not in translated.sql
 
     def test_needs_client_order(self):
+        """Local has no order column: the plan leaves document order to
+        the store, which sorts the rows."""
         translated = translate("local", "/bib/book")
-        assert translated.needs_client_order
         assert "ORDER BY" not in translated.sql
+        store = XmlStore(encoding="local")
+        doc = store.load(BIB_XML)
+        with counters() as count:
+            store.query("/bib/book", doc)
+            assert count("query.client_order_sorts") == 1
 
     def test_sibling_axes_direct(self):
         translated = translate(

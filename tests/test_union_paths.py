@@ -99,7 +99,7 @@ class TestTranslation:
         store = XmlStore(backend="sqlite", encoding="local")
         doc = store.load(DOC)
         translated = store.translate("//author | //title", doc)
-        assert translated.needs_client_order
+        assert "ORDER BY" not in translated.sql
         assert store_identities(store, doc, "//author | //title") == \
             oracle_identities(DOC, "//author | //title")
 
@@ -154,7 +154,6 @@ class TestMixedProjectionAttributeUnions:
         xpath = "/@id | //@x"
         translated = store.translate(xpath, doc)
         assert translated.result_kind == "attribute"
-        assert not translated.needs_client_order
         assert translated.sql.endswith(" ORDER BY dkey, name")
         assert store_identities(store, doc, xpath) == \
             oracle_identities(self.DOC, xpath)

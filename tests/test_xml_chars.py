@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import XmlSyntaxError
-from repro.xmldom import chars
+from repro.xmldom import chars, parse
 
 
 class TestNameClasses:
@@ -44,16 +44,23 @@ class TestNameClasses:
         ],
     )
     def test_is_valid_name(self, name, valid):
-        assert chars.is_valid_name(name) is valid
+        """The reader takes exactly the well-formed XML Names as
+        element names."""
+        try:
+            parse(f"<{name}/>")
+        except XmlSyntaxError:
+            assert not valid
+        else:
+            assert valid
 
 
 class TestWhitespace:
     @pytest.mark.parametrize("ch", [" ", "\t", "\r", "\n"])
     def test_xml_whitespace(self, ch):
-        assert chars.is_whitespace(ch)
+        assert ch in chars.WHITESPACE
 
     def test_nbsp_is_not_xml_whitespace(self):
-        assert not chars.is_whitespace(" ")
+        assert " " not in chars.WHITESPACE
 
 
 class TestEscaping:

@@ -242,8 +242,7 @@ class SqliteBackend(Backend):
             self._wrote(rowcount)
         METRICS.inc("backend.statements")
         METRICS.inc("backend.rows_read", len(rows))
-        return BackendResult(rows=[tuple(r) for r in rows],
-                             rowcount=rowcount)
+        return BackendResult(rows=rows, rowcount=rowcount)
 
     def executemany(
         self, sql: str, param_rows: Iterable[Sequence]

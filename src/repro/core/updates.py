@@ -34,7 +34,7 @@ benchmarks chart alongside wall-clock time.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.core.encodings import (
@@ -254,9 +254,11 @@ class UpdateManager:
         if parent_id != 0:
             report.sval_anchors.append(parent_id)
 
-        info.node_count += shredded.node_count()
-        info.next_id += shredded.node_count()
-        self.store.update_document_info(info)
+        self.store.update_document_info(replace(
+            info,
+            node_count=info.node_count + shredded.node_count(),
+            next_id=info.next_id + shredded.node_count(),
+        ))
         return report
 
     def append(
@@ -392,8 +394,9 @@ class UpdateManager:
             if parent_id != 0:
                 report.sval_anchors.append(parent_id)
 
-            info.node_count -= deleted
-            self.store.update_document_info(info)
+            self.store.update_document_info(
+                replace(info, node_count=info.node_count - deleted)
+            )
             return report
 
         with span("update.delete"):

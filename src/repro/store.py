@@ -25,7 +25,7 @@ Example
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
 from typing import (
@@ -95,7 +95,7 @@ class ResultItem:
         return ("node", self.node_id)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class DocumentInfo:
     """Catalogue entry of one stored document: a ``documents`` row.
 
@@ -425,7 +425,9 @@ class XmlStore:
     def document_info(self, doc: int, fresh: bool = False) -> DocumentInfo:
         """The catalogue entry of *doc* (cached; ``fresh=True`` forces
         a read from the backend — auditors and any caller that shares
-        the database file with other writers should use it)."""
+        the database file with other writers should use it).  Entries
+        are frozen, so the cached one is handed out as it is; an update
+        writes a changed copy back with :meth:`update_document_info`."""
         cache = self.cache
         if fresh or not cache.enabled or self._in_own_transaction():
             # Inside a transaction the catalogue may hold uncommitted
@@ -433,10 +435,10 @@ class XmlStore:
             return self._document_info_uncached(doc)
         cached = cache.get_catalog(doc)
         if cached is not None:
-            return replace(cached)  # callers may mutate their copy
+            return cached
         epoch = cache.epoch(doc)
         info = self._document_info_uncached(doc)
-        cache.put_catalog(doc, replace(info), epoch)
+        cache.put_catalog(doc, info, epoch)
         return info
 
     def _document_info_uncached(self, doc: int) -> DocumentInfo:
@@ -540,8 +542,8 @@ class XmlStore:
         that observes a move mid-flight simply re-runs — the second
         pass reads the new catalogue row and the new tables.  So does
         one that *failed* across a move: Local's client-order pass
-        resolves the encoding again after executing, and finds another
-        encoding's columns or an empty table.
+        fetches ancestors under the plan's encoding, the one whose table
+        the rows came from, and finds the document's rows gone from it.
         """
         for attempt in range(4):
             epoch = self._migration_epoch
@@ -619,8 +621,10 @@ class XmlStore:
         if translated.access_path != "scan":
             METRICS.inc("index.plan_queries")
         # An encoding with no order column (Local) has its results put
-        # in document order here, not by the SQL.
-        client_order = ENCODINGS[translated.encoding].order_by_column is None
+        # in document order here, not by the SQL: by the plan's
+        # encoding, whose table the rows came from.
+        encoding = ENCODINGS[translated.encoding]
+        client_order = encoding.order_by_column is None
         if translated.result_kind == "attribute":
             with span("materialize", collect):
                 items, owner_ids = self._attribute_items(rows)
@@ -628,14 +632,14 @@ class XmlStore:
                 METRICS.inc("query.client_order_sorts")
                 with span("client_order", collect):
                     items = self._client_sort_attributes(
-                        doc, items, owner_ids
+                        encoding, doc, items, owner_ids
                     )
             return translated, items
         if client_order:
             METRICS.inc("query.client_order_sorts")
             with span("client_order", collect):
                 rows = self._client_sort_nodes(
-                    doc, rows, translated.columns
+                    encoding, doc, rows, translated.columns
                 )
         with span("materialize", collect):
             items = [
@@ -665,15 +669,13 @@ class XmlStore:
     # -- client-side order resolution (Local encoding) ---------------------------------
 
     def _fetch_structure(
-        self, doc: int, ids: Iterable[int]
+        self, encoding: OrderEncoding, doc: int, ids: Iterable[int]
     ) -> dict[int, tuple[int, int]]:
         """Fetch ``id -> (parent, sibling order value)`` for the ids."""
-        encoding = self.encoding_for(doc)
-        order_column = encoding.sibling_order_column
         statements = self.in_batches(
-            f"SELECT id, parent, {order_column} "
+            f"SELECT id, parent, {encoding.sibling_order_column} "
             f"FROM {encoding.node_table.name} WHERE doc = ?",
-            "id", [i for i in set(ids) if i != 0], (doc,),
+            "id", ids, (doc,),
         )
         return {
             node_id: (parent, order_value)
@@ -684,53 +686,65 @@ class XmlStore:
 
     def _order_keys(
         self,
+        encoding: OrderEncoding,
         doc: int,
-        ids: list[int],
+        ids: Iterable[int],
         known: Optional[dict[int, tuple[int, int]]] = None,
     ) -> dict[int, tuple[int, ...]]:
-        """Root-to-node sibling-order paths for each id (client sort
-        keys; document order for any encoding).  *known* is structure
-        the caller already holds (``_fetch_structure``'s shape), so
-        only the rest is fetched."""
-        structure: dict[int, tuple[int, int]] = dict(known or {})
-        frontier = set(ids) | {
-            parent for parent, _lpos in structure.values()
+        """Client sort keys for *ids*: each node's sibling-order path
+        down from the node where all their ancestor chains meet.
+
+        Every chain moves up one level per step, and the walk stops as
+        soon as all chains stand on one node: their common ancestor
+        when the ids are at equal depth, the document node (0) at
+        worst.  *known* is ``_fetch_structure``'s shape for ids whose
+        row the caller already holds, so their first step fetches
+        nothing; a single id, or ids in one sibling list, need no
+        statement at all.
+        """
+        structure = dict(known or {})
+        heads = {node_id: node_id for node_id in ids}
+        paths: dict[int, list[int]] = {node_id: [] for node_id in heads}
+        steps = 0
+        # A valid chain reaches 0 within as many steps as it has rows;
+        # only a corrupt parent cycle, which never reaches 0, meets the
+        # bound.
+        while len(set(heads.values())) > 1 and steps <= len(structure):
+            missing = {head for head in heads.values()
+                       if head not in structure} - {0}
+            if missing:
+                structure.update(
+                    self._fetch_structure(encoding, doc, missing)
+                )
+            for node_id, head in heads.items():
+                if head != 0:
+                    heads[node_id], order_value = structure[head]
+                    paths[node_id].append(order_value)
+            steps += 1
+        return {
+            node_id: tuple(reversed(path))
+            for node_id, path in paths.items()
         }
-        while frontier := frontier - structure.keys() - {0}:
-            fetched = self._fetch_structure(doc, frontier)
-            structure.update(fetched)
-            frontier = {parent for parent, _lpos in fetched.values()}
-        keys: dict[int, tuple[int, ...]] = {}
-        for node_id in ids:
-            path: list[int] = []
-            current = node_id
-            # A path visits each fetched row at most once; the bound
-            # only bites on a corrupt parent cycle, which has no root.
-            while current != 0 and len(path) < len(structure):
-                parent, lpos = structure[current]
-                path.append(lpos)
-                current = parent
-            keys[node_id] = tuple(reversed(path))
-        return keys
 
     def _client_sort_nodes(
-        self, doc: int, rows: list[tuple], columns: tuple[str, ...]
+        self, encoding: OrderEncoding, doc: int, rows: list[tuple],
+        columns: tuple[str, ...],
     ) -> list[tuple]:
-        # The result rows carry their own parent and sibling position;
-        # only their ancestors' are left to fetch.
-        order = columns.index(self.encoding_for(doc).sibling_order_column)
+        # The result rows carry their own parent and sibling position,
+        # so the walk starts one level up.
+        order = columns.index(encoding.sibling_order_column)
         parent = columns.index("parent")
         keys = self._order_keys(
-            doc,
-            [row[0] for row in rows],
+            encoding, doc, [row[0] for row in rows],
             {row[0]: (row[parent], row[order]) for row in rows},
         )
         return sorted(rows, key=lambda row: keys[row[0]])
 
     def _client_sort_attributes(
-        self, doc: int, items: list[ResultItem], owner_ids: list[int]
+        self, encoding: OrderEncoding, doc: int, items: list[ResultItem],
+        owner_ids: list[int],
     ) -> list[ResultItem]:
-        keys = self._order_keys(doc, owner_ids)
+        keys = self._order_keys(encoding, doc, owner_ids)
         return sorted(
             items, key=lambda item: (keys[item.node_id], item.label or "")
         )

@@ -457,19 +457,20 @@ class TestTornReadGuard:
 
 
     def test_a_query_that_fails_across_a_migration_reruns_too(self):
-        """Local's client-order pass resolves the encoding again after
-        executing; a migration that commits in between hands it another
-        encoding's columns.  That failure is the same torn read."""
+        """Local's client-order pass fetches ancestors from the plan's
+        table after executing; a migration that commits in between has
+        emptied it of the document.  That failure is the same torn
+        read."""
         store = XmlStore(backend="sqlite", encoding="local")
         twin = XmlStore(backend="sqlite", encoding="local")
         doc, twin_doc = store.load(BIB), twin.load(BIB)
         sort = store._client_sort_nodes
         migrated = []
 
-        def migrate_then_sort(doc, rows, columns):
+        def migrate_then_sort(encoding, doc, rows, columns):
             if not migrated:
                 migrated.append(migrate_document(store, doc, "dewey"))
-            return sort(doc, rows, columns)
+            return sort(encoding, doc, rows, columns)
 
         store._client_sort_nodes = migrate_then_sort
         with counters() as count:

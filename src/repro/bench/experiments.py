@@ -675,7 +675,7 @@ def run_e14_concurrency(
     Both modes run the same translated statement against the same
     document on sqlite.  *serialized* is the in-memory store, whose
     one connection's lock is held from BEGIN to COMMIT of every write
-    transaction — readers wait for the commit.  *pooled* is the store
+    transaction — readers wait for the commit.  *file* is the store
     on a file, where each read runs on a WAL connection of its own, so
     reads proceed during the write.  The write is a Global front insert
     (the relabeling worst case); every run is followed by a full
@@ -696,7 +696,7 @@ def run_e14_concurrency(
     )
     with tempfile.TemporaryDirectory(prefix="repro-e14-") as tmp:
         for mode, path in (("serialized", None),
-                           ("pooled", f"{tmp}/pooled.db")):
+                           ("file", f"{tmp}/store.db")):
             store = XmlStore(backend=SqliteBackend(path), encoding="global")
             try:
                 doc = store.load(document)

@@ -345,13 +345,13 @@ def compute_verdicts(
     if t is not None:
         # (mode, readers, reads during write, after commit, violations)
         modes = {r[0]: r for r in t.rows}
-        pooled, serialized = modes["pooled"], modes["serialized"]
+        on_file, serialized = modes["file"], modes["serialized"]
         record(
             "E14",
-            "While a write transaction is open, pooled readers complete "
-            f"{pooled[2]} of {pooled[1]} reads, serialized "
+            "While a write transaction is open, readers on a file "
+            f"complete {on_file[2]} of {on_file[1]} reads, serialized "
             f"{serialized[2]} of {serialized[1]}; clean audits",
-            pooled[2] == pooled[1]
+            on_file[2] == on_file[1]
             and serialized[2] == 0
             and all(r[4] == 0 for r in t.rows),
         )

@@ -624,6 +624,11 @@ class CompiledPlan:
                         "relative paths need a context node "
                         "(pass context_id) or an absolute path"
                     )
+                if not isinstance(context_id, int):
+                    raise TranslationError(
+                        "context_id is a node id, an int, not "
+                        f"{type(context_id).__name__}"
+                    )
                 params.append(context_id)
             elif isinstance(slot, FixedSlot):
                 params.append(slot.value)

@@ -21,6 +21,15 @@ compare against in value predicates; the workloads only compare fields with
 simple content, where the direct text value equals the XPath string-value
 (see DESIGN.md).
 
+Every node table has one *child index*, ``(doc, parent, tag, <order>)``:
+a child or sibling step that names a tag probes all of it and reads its
+rows in sibling order, so a positional pick reads k rows; ``*``,
+``text()``, ``node()`` and the sibling shifts of an update use its
+``(doc, parent)`` prefix.  Older builds kept a ``(doc, parent,
+<order>)`` index under another name; the child index has a name of its
+own, so opening such a file builds it.  The old index stays and is
+maintained like any other; a plan that still picks it answers the same.
+
 A small ``documents`` catalogue row per stored document records the name,
 node count, next free surrogate id, order encoding and whether the
 document has a secondary index.
@@ -131,7 +140,7 @@ def global_tables() -> tuple[Table, Table]:
             # of order values is asserted by the test-suite invariants.
             Index(f"ix_{name}_pos", name, ("doc", "pos")),
             Index(f"ux_{name}_id", name, ("doc", "id"), unique=True),
-            Index(f"ix_{name}_parent", name, ("doc", "parent", "pos")),
+            Index(f"ix_{name}_child", name, ("doc", "parent", "tag", "pos")),
             Index(f"ix_{name}_tag", name, ("doc", "tag", "pos")),
             # No index on endpos: no translated plan reads one on
             # either engine, and the tail shift of an insert would
@@ -148,7 +157,7 @@ def local_tables() -> tuple[Table, Table]:
         name,
         (*_STRUCTURAL_COLUMNS, Column("lpos", "INTEGER")),
         (
-            Index(f"ix_{name}_sib", name, ("doc", "parent", "lpos")),
+            Index(f"ix_{name}_child", name, ("doc", "parent", "tag", "lpos")),
             Index(f"ux_{name}_id", name, ("doc", "id"), unique=True),
             Index(f"ix_{name}_tag", name, ("doc", "tag")),
         ),
@@ -165,7 +174,7 @@ def dewey_tables() -> tuple[Table, Table]:
         (
             Index(f"ix_{name}_key", name, ("doc", "dkey")),
             Index(f"ux_{name}_id", name, ("doc", "id"), unique=True),
-            Index(f"ix_{name}_parent", name, ("doc", "parent", "dkey")),
+            Index(f"ix_{name}_child", name, ("doc", "parent", "tag", "dkey")),
             Index(f"ix_{name}_tag", name, ("doc", "tag", "dkey")),
         ),
     )
@@ -181,7 +190,7 @@ def ordpath_tables() -> tuple[Table, Table]:
         (
             Index(f"ix_{name}_key", name, ("doc", "okey")),
             Index(f"ux_{name}_id", name, ("doc", "id"), unique=True),
-            Index(f"ix_{name}_parent", name, ("doc", "parent", "okey")),
+            Index(f"ix_{name}_child", name, ("doc", "parent", "tag", "okey")),
             Index(f"ix_{name}_tag", name, ("doc", "tag", "okey")),
         ),
     )

@@ -100,6 +100,16 @@ class UpdateReport:
         self.sval_anchors.extend(other.sval_anchors)
 
 
+def _require_id(node_id: object) -> None:
+    """Raise :class:`UpdateError` unless *node_id* is an int, before
+    the engine sees it (a query result is not an id: its ``node_id``
+    is, and for an attribute that names the owner element)."""
+    if not isinstance(node_id, int):
+        raise UpdateError(
+            f"a node id is an int, not {type(node_id).__name__}"
+        )
+
+
 class UpdateManager:
     """Insert/delete operations bound to one :class:`XmlStore`."""
 
@@ -182,6 +192,7 @@ class UpdateManager:
         node), a comment, or a processing instruction.  Multi-rooted
         fragment strings are rejected — insert each node separately.
         """
+        _require_id(parent_id)
         if isinstance(fragment, str):
             try:
                 fragment = parse_fragment(fragment)
@@ -265,6 +276,7 @@ class UpdateManager:
         self, doc: int, parent_id: int, fragment: Union[str, Node]
     ) -> UpdateReport:
         """Insert *fragment* as the last child of *parent_id*."""
+        _require_id(parent_id)
         children = self.store.fetch_children(doc, parent_id)
         return self.insert(doc, parent_id, len(children), fragment)
 
@@ -278,6 +290,8 @@ class UpdateManager:
         order values of other nodes change for any encoding — one of the
         paper's observations: *value* updates are order-free.
         """
+        _require_id(element_id)
+
         def set_text_in_transaction(info) -> UpdateReport:
             enc = ENCODINGS[info.encoding]
             self._require_element(doc, element_id, enc)
@@ -296,6 +310,8 @@ class UpdateManager:
 
     def rename(self, doc: int, element_id: int, tag: str) -> UpdateReport:
         """Rename an element.  Touches exactly one row, no order values."""
+        _require_id(element_id)
+
         def rename_in_transaction(info) -> UpdateReport:
             enc = ENCODINGS[info.encoding]
             self._require_element(doc, element_id, enc)
@@ -326,6 +342,8 @@ class UpdateManager:
         exactly why the paper stores them separately from the ordered
         node list.
         """
+        _require_id(element_id)
+
         def set_attribute_in_transaction(info) -> UpdateReport:
             enc = ENCODINGS[info.encoding]
             self._require_element(doc, element_id, enc)
@@ -369,6 +387,7 @@ class UpdateManager:
 
     def delete(self, doc: int, node_id: int) -> UpdateReport:
         """Delete the subtree rooted at *node_id*."""
+        _require_id(node_id)
 
         def delete_in_transaction(info) -> UpdateReport:
             enc = ENCODINGS[info.encoding]

@@ -130,7 +130,9 @@ class MiniDb:
 
         One line per FROM item: the table, the index chosen (with its
         equality/IN/range usage) or FULL SCAN, and the residual filter
-        count.  Derived tables and UNION arms are indented.
+        count; then, for an ORDER BY, whether the rows are sorted or
+        arrive in index order.  Derived tables, subqueries and UNION
+        arms are indented.
         """
         statement = self._parse(sql)
         if not isinstance(statement, SELECT_TYPES):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import CatalogError, ExecutionError
@@ -534,17 +535,25 @@ class Compiler:
         gate_fns = [self.compile_expr(c, scope) for c in gates]
 
         # 4. Select list, aggregation, ordering.
+        ordering: list[str] = []
         if _contains_aggregate(select):
             compiled = self._finish_aggregate_select(
                 select, scope, steps, gate_fns
             )
         else:
+            # An ORDER BY the one table's index already delivers sorts
+            # nothing: its rows stream, and a LIMIT stops the scan.
+            presorted = _delivers_order(select, scope, steps)
+            if select.order_by:
+                ordering.append(
+                    f"ORDER BY: {'index order' if presorted else 'sort'}"
+                )
             compiled = self._finish_plain_select(
-                select, scope, steps, gate_fns
+                select, scope, steps, gate_fns, presorted
             )
         if select.limit is not None:
             compiled = self._limited(compiled, select, scope)
-        compiled.plan_lines = [_describe_step(s) for s in steps]
+        compiled.plan_lines = [_describe_step(s) for s in steps] + ordering
         for from_item, source in sources:
             if isinstance(source, CompiledSelect):
                 compiled.plan_lines.extend(
@@ -623,6 +632,7 @@ class Compiler:
             lower_fns=[(op, compile_expr(e, scope)) for op, e in path.lower],
             upper_fns=[(op, compile_expr(e, scope)) for op, e in path.upper],
             residual_fns=residual_fns,
+            order_positions=path.order_positions,
         )
 
     def _limited(
@@ -638,19 +648,37 @@ class Compiler:
             None if select.offset is None
             else self.compile_expr(select.offset, scope)
         )
-        rows = compiled.rows
+        rows, stream = compiled.rows, compiled.stream
 
-        def limited(env: Env, state: ExecState) -> list[tuple]:
+        def window(env: Env, state: ExecState) -> tuple[int, Optional[int]]:
+            """The ``(start, stop)`` of the rows kept; stop 0 keeps none,
+            None keeps the rest."""
             limit = _row_count(limit_fn(env, state))
             start = 0
             if offset_fn is not None:
                 start = max(_row_count(offset_fn(env, state)), 0)
             if limit == 0:
-                return []
-            out = rows(env, state)
-            return out[start:] if limit < 0 else out[start:start + limit]
+                return 0, 0
+            return start, None if limit < 0 else start + limit
 
-        return CompiledSelect(compiled.columns, limited)
+        def limited(env: Env, state: ExecState) -> list[tuple]:
+            start, stop = window(env, state)
+            if stop == 0:
+                return []
+            if stream is not None:
+                return list(islice(stream(env, state), start, stop))
+            return rows(env, state)[start:stop]
+
+        if stream is None:
+            return CompiledSelect(compiled.columns, limited)
+
+        def first_row(env: Env, state: ExecState) -> Optional[tuple]:
+            start, stop = window(env, state)
+            if stop == 0:
+                return None
+            return next(islice(stream(env, state), start, None), None)
+
+        return CompiledSelect(compiled.columns, limited, first_row=first_row)
 
     def _finish_plain_select(
         self,
@@ -658,9 +686,15 @@ class Compiler:
         scope: Scope,
         steps: list["_JoinStep"],
         gate_fns: list[ExprFn],
+        presorted: bool,
     ) -> "CompiledSelect":
+        """The rows of a select without aggregates.  *presorted* says
+        its pipeline already yields them in ORDER BY order."""
         columns, item_fns = self._compile_select_items(select, scope)
-        order_fns = [self.compile_expr(c, scope) for c in select.order_by]
+        order_fns = (
+            [] if presorted
+            else [self.compile_expr(c, scope) for c in select.order_by]
+        )
         pipeline = _pipeline(steps)
         plain = _plain_columns(select, scope)
         distinct = select.distinct
@@ -680,14 +714,31 @@ class Compiler:
                 return tuple(fn(e, state) for fn in item_fns)
             return None
 
-        unordered_first_row = None if order_fns else first_row
+        def stream(env: Env, state: ExecState) -> Iterator[tuple]:
+            """The result rows one at a time, for a LIMIT to stop."""
+            for gate in gate_fns:
+                if not is_true(gate(env, state)):
+                    return
+            seen: set = set()
+            for e in pipeline(env, state):
+                row = tuple(fn(e, state) for fn in item_fns)
+                if distinct:
+                    if row in seen:
+                        continue
+                    seen.add(row)
+                yield row
+
+        if order_fns:
+            # The rows must be sorted first: first_row takes the first
+            # of rows(), and LIMIT slices them.
+            first_row = stream = None  # type: ignore[assignment]
 
         if plain is not None:
             # Every output and ORDER BY column is a column of one alias:
             # sort that alias's rows, then project them with one getter.
             alias, positions, order_positions = plain
             project = _tuple_getter(positions)
-            row_key = _row_key(order_positions)
+            row_key = _row_key(order_positions) if order_fns else None
 
             def plain_rows(env: Env, state: ExecState) -> list[tuple]:
                 for gate in gate_fns:
@@ -699,7 +750,8 @@ class Compiler:
                 return finish(list(map(project, source)))
 
             return CompiledSelect(
-                tuple(columns), plain_rows, first_row=unordered_first_row
+                tuple(columns), plain_rows, first_row=first_row,
+                stream=stream,
             )
 
         def rows(env: Env, state: ExecState) -> list[tuple]:
@@ -724,7 +776,7 @@ class Compiler:
             return finish(out)
 
         return CompiledSelect(
-            tuple(columns), rows, first_row=unordered_first_row
+            tuple(columns), rows, first_row=first_row, stream=stream
         )
 
     def _finish_aggregate_select(
@@ -878,6 +930,27 @@ def _plain_columns(
         [position for _alias, position in pairs],
         [position for _alias, position in order],
     )
+
+
+def _delivers_order(
+    select: Select, scope: Scope, steps: list[_JoinStep]
+) -> bool:
+    """True when a one-table select's ORDER BY is the order its access
+    path delivers: every term a column of that table, in the order of
+    the index columns that follow the probe's equality prefix.
+
+    Index keys order by ``sort_key``, as ORDER BY does, and rows with
+    equal keys arrive in insertion order, as a stable sort keeps them:
+    skipping the sort returns the same rows in the same order.
+    """
+    if not select.order_by or len(steps) != 1:
+        return False
+    step = steps[0]
+    order = [scope.resolve(c.table, c.column) for c in select.order_by]
+    if any(alias != step.alias for alias, _position in order):
+        return False
+    positions = tuple(position for _alias, position in order)
+    return positions == step.order_positions[:len(positions)]
 
 
 def _tuple_getter(positions: list[int]) -> Callable[[tuple], tuple]:
@@ -1051,6 +1124,9 @@ class _JoinStep:
     lower_fns: list[tuple[str, ExprFn]] = field(default_factory=list)
     upper_fns: list[tuple[str, ExprFn]] = field(default_factory=list)
     residual_fns: list[ExprFn] = field(default_factory=list)
+    #: The columns whose order the rows arrive in (see
+    #: :attr:`planner.AccessPath.order_positions`).
+    order_positions: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         self.rowid_key = f"__rowid_{self.alias}"
@@ -1335,9 +1411,11 @@ class CompiledSelect:
     environment to the result rows (a new list per call).
 
     ``first_row`` answers the first result row, or None when there is
-    none — what ``EXISTS`` and a scalar subquery ask.  A select whose
-    rows need no sorting or slicing stops at its first pipeline row;
-    any other takes the first of :attr:`rows`.
+    none — what ``EXISTS`` and a scalar subquery ask.  ``stream``, when
+    set, yields the result rows lazily in result order; a select whose
+    rows need no sort (none asked, or its index delivers the ORDER BY)
+    has one, so its LIMIT and its first row stop the scan.  Any other
+    takes the first of :attr:`rows`.
 
     ``plan_lines`` is a human-readable access-plan summary (one line per
     FROM item), surfaced through ``MiniDb.explain``.
@@ -1347,6 +1425,7 @@ class CompiledSelect:
     rows: Callable[[Env, ExecState], list[tuple]]
     plan_lines: list[str] = field(default_factory=list)
     first_row: Optional[Callable[[Env, ExecState], Optional[tuple]]] = None
+    stream: Optional[Callable[[Env, ExecState], Iterator[tuple]]] = None
 
     def __post_init__(self) -> None:
         if self.first_row is None:

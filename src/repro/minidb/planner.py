@@ -6,7 +6,9 @@ table the planner picks the best index given the conjuncts whose other
 side is already bound.  An access path is an equality prefix over the
 index's leading columns, optionally an IN-list on the next column, and
 optionally a range (lower/upper bounds) on the column after the equality
-prefix.  Everything else becomes a residual filter.
+prefix.  Everything else becomes a residual filter.  A path also knows
+the order its rows arrive in (:attr:`AccessPath.order_positions`), so
+the executor sorts only what the index has not already ordered.
 """
 
 from __future__ import annotations
@@ -125,6 +127,20 @@ class AccessPath:
     upper: list[tuple[str, Expr]] = field(default_factory=list)
     #: Conjuncts not absorbed by the index; applied after binding.
     residual: list[Expr] = field(default_factory=list)
+
+    @property
+    def order_positions(self) -> tuple[int, ...]:
+        """The table columns whose order this path's rows arrive in.
+
+        A probe or range reads the B-tree between two keys, so its rows
+        come in the order of the index columns after the equality prefix
+        (rows with equal keys in the order they were inserted).  An
+        IN probe reads its list in list order and a heap scan in heap
+        order: neither delivers one.
+        """
+        if self.index is None or self.in_exprs is not None:
+            return ()
+        return self.index.column_positions[len(self.eq_exprs):]
 
 
 def _binding_side(

@@ -253,6 +253,56 @@ class TestSchemaBootstrap:
         (line,) = capsys.readouterr().err.splitlines()
         assert "older build, whose element index" in line
 
+    #: The sibling index of builds before the child index:
+    #: ``(doc, parent, <order>)`` under its old name.
+    OLD_SIBLING_INDEX = {
+        "global": ("ix_node_global_parent", "pos"),
+        "local": ("ix_node_local_sib", "lpos"),
+        "dewey": ("ix_node_dewey_parent", "dkey"),
+        "ordpath": ("ix_node_ordpath_parent", "okey"),
+    }
+
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    def test_a_file_with_the_older_sibling_index_gets_the_child_index(
+        self, tmp_path, encoding
+    ):
+        """A file written with the ``(doc, parent, <order>)`` sibling
+        index opens, builds ``(doc, parent, tag, <order>)`` under its
+        own name, and answers and updates as a new file does."""
+        path = tmp_path / "old.db"
+        table = get_encoding(encoding).node_table.name
+        child = f"ix_{table}_child"
+        old_name, order = self.OLD_SIBLING_INDEX[encoding]
+        store = XmlStore(backend=SqliteBackend(str(path)), encoding=encoding)
+        doc = store.load(BIB_XML)
+        store.backend.execute(f"DROP INDEX {child}")
+        store.backend.execute(
+            f"CREATE INDEX {old_name} ON {table} (doc, parent, {order})"
+        )
+        store.close()
+
+        store = XmlStore(backend=SqliteBackend(str(path)), encoding=encoding)
+        try:
+            columns = [
+                row[2] for row in store.backend.execute(
+                    f"PRAGMA index_info({child})"
+                ).rows
+            ]
+            assert columns == ["doc", "parent", "tag", order]
+            fresh = XmlStore(encoding=encoding)
+            fresh_doc = fresh.load(BIB_XML)
+            for xpath in ("/bib/book[2]/author[3]", "//book/title",
+                          "/bib/book[1]/following-sibling::book[1]"):
+                assert [i.identity() for i in store.query(xpath, doc)] \
+                    == [i.identity() for i in fresh.query(xpath, fresh_doc)]
+            book = store.query("/bib/book[2]", doc)[0].node_id
+            store.updates.insert(doc, book, 1, "<author>New</author>")
+            assert store.query_values("/bib/book[2]/author[1]", doc) \
+                == ["New"]
+            assert_store_clean(store)
+        finally:
+            store.close()
+
     def test_a_bug_under_the_catalogue_probe_is_not_an_older_build(self):
         """Only an engine's error means an old catalogue: a programming
         error raised by the probe surfaces as itself."""

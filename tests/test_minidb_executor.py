@@ -480,3 +480,100 @@ class TestExplain:
 
         with pytest.raises(ExecutionError):
             db.explain("DELETE FROM emp")
+
+
+class TestIndexOrder:
+    """A one-table select whose index delivers its ORDER BY skips the
+    sort, and its LIMIT and first row stop the scan; every other
+    ORDER BY is sorted."""
+
+    #: ``(g, o, v)``: group 1 holds o = 0..9 in shuffled heap order,
+    #: o = 4 twice with v in reverse order; group 2 is interleaved.
+    ROWS = [
+        (1, 7, "h"), (2, 3, "q"), (1, 4, "z"), (1, 0, "a"), (1, 9, "j"),
+        (2, 1, "p"), (1, 2, "c"), (1, 4, "e"), (1, 5, "f"), (1, 1, "b"),
+        (1, 8, "i"), (1, 3, "d"), (1, 6, "g"),
+    ]
+
+    @pytest.fixture
+    def s(self):
+        engine = MiniDb()
+        engine.execute("CREATE TABLE s (g INTEGER, o INTEGER, v TEXT)")
+        engine.execute("CREATE INDEX ix_s ON s (g, o)")
+        engine.executemany("INSERT INTO s VALUES (?, ?, ?)", self.ROWS)
+        engine.execute("CREATE TABLE one (x INTEGER)")
+        engine.execute("INSERT INTO one VALUES (1)")
+        return engine
+
+    def read(self, engine, sql, params=()):
+        """``(rows, rows read)`` of one statement."""
+        engine.reset_stats()
+        rows = engine.execute(sql, params).rows
+        return rows, engine.stats.rows_read
+
+    def group(self, g, key):
+        return sorted((r for r in self.ROWS if r[0] == g), key=key)
+
+    def test_a_delivered_order_stops_at_the_limit(self, s):
+        sql = "SELECT v FROM s WHERE g = 1 ORDER BY o LIMIT ? OFFSET ?"
+        ordered = [r[2] for r in self.group(1, lambda r: r[1])]
+        for limit, offset in ((1, 0), (1, 2), (3, 4), (2, 10), (0, 1)):
+            rows, read = self.read(s, sql, (limit, offset))
+            assert [r[0] for r in rows] == ordered[offset:offset + limit]
+            # LIMIT 0 runs nothing; any other stops after its last row.
+            assert read == (min(offset + limit, len(ordered)) if limit
+                            else 0)
+        assert s.explain(sql)[-1] == "ORDER BY: index order"
+
+    def test_tied_keys_keep_insertion_order(self, s):
+        rows, _read = self.read(
+            s, "SELECT v FROM s WHERE g = 1 AND o >= 4 ORDER BY o LIMIT 2"
+        )
+        assert rows == [("z",), ("e",)]
+
+    def test_distinct_over_a_delivered_order_counts_distinct_rows(self, s):
+        rows, read = self.read(
+            s, "SELECT DISTINCT o FROM s WHERE g = 1 AND o >= 3 "
+            "ORDER BY o LIMIT 3"
+        )
+        assert rows == [(3,), (4,), (5,)]
+        assert read == 4
+
+    def test_exists_and_scalar_picks_read_one_row(self, s):
+        rows, read = self.read(
+            s, "SELECT (SELECT v FROM s WHERE g = 1 ORDER BY o) FROM one "
+            "WHERE EXISTS (SELECT 1 FROM s WHERE g = 1 AND o > 2 "
+            "ORDER BY o)"
+        )
+        assert rows == [("a",)]
+        assert read == 1 + 1 + 1  # one, the scalar's row, EXISTS's row
+
+    @pytest.mark.parametrize("sql, groups, key", [
+        # A column after the one the index orders by.
+        ("SELECT g, o, v FROM s WHERE g = 1 ORDER BY o, v",
+         {1}, lambda r: (r[1], r[2])),
+        # A column the index does not hold.
+        ("SELECT g, o, v FROM s WHERE g = 1 ORDER BY v",
+         {1}, lambda r: r[2]),
+        # An IN probe reads its list in list order.
+        ("SELECT g, o, v FROM s WHERE g IN (2, 1) ORDER BY g, o, v",
+         {1, 2}, lambda r: r),
+        # A range on the first column delivers (g, o), not o.
+        ("SELECT g, o, v FROM s WHERE g >= 1 ORDER BY o, v",
+         {1, 2}, lambda r: (r[1], r[2])),
+        # A heap scan delivers heap order.
+        ("SELECT g, o, v FROM s WHERE v != 'x' ORDER BY o, v",
+         {1, 2}, lambda r: (r[1], r[2])),
+        # A join.
+        ("SELECT s.g, s.o, s.v FROM one, s WHERE s.g = one.x "
+         "ORDER BY s.o, s.v", {1}, lambda r: (r[1], r[2])),
+    ])
+    def test_an_order_the_index_does_not_deliver_is_sorted(
+        self, s, sql, groups, key
+    ):
+        want = sorted((r for r in self.ROWS if r[0] in groups), key=key)
+        rows, _read = self.read(s, sql)
+        assert rows == want
+        limited, _read = self.read(s, sql + " LIMIT 3 OFFSET 1")
+        assert limited == want[1:4]
+        assert s.explain(sql)[-1] == "ORDER BY: sort"

@@ -13,6 +13,10 @@ them, for
 * the probes ROADMAP measured quadratic families with,
 
 on all four encodings.  Every exponent must be at most :data:`BOUND`.
+A positional pick on the child axis, and a sibling step from it, must
+also read at most :data:`PICK_BOUND` rows at every size: the child index
+names the tag, and the pick stops at its k-th row, so what they read
+does not grow with the journal's fan-out.
 
 :data:`SUPER_LINEAR` names the cells that are still super-linear.  The
 list records open defects, each with the ROADMAP item that removes it;
@@ -44,6 +48,11 @@ BOUND = 1.2
 FOLLOWING = "/journal/article/section/following::title"
 PRECEDING = "/journal/article/title/preceding::author"
 DESCENDANTS = "//section//para"
+PICKS = (
+    "/journal/article[3]",
+    "/journal/article[3]/section[2]/following-sibling::section",
+)
+PICK_BOUND = 15
 
 
 def queries() -> dict[str, str]:
@@ -59,7 +68,7 @@ def queries() -> dict[str, str]:
     )
     for xpath in (
         "/journal/article[1]",
-        "/journal/article[3]",
+        *PICKS,
         "/journal/article[last()]",
         FOLLOWING,
         PRECEDING,
@@ -137,6 +146,16 @@ def test_rows_read_grow_at_most_linearly(exponents):
         if slope > BOUND and cell not in SUPER_LINEAR
     }
     assert not over, f"exponent above {BOUND}: {over}"
+
+
+def test_a_pick_reads_a_bounded_number_of_rows(exponents):
+    over = {
+        (xpath, encoding): exponents[(xpath, encoding)][1]
+        for xpath in PICKS
+        for encoding in ALL_ENCODINGS
+        if max(exponents[(xpath, encoding)][1]) > PICK_BOUND
+    }
+    assert not over, f"more than {PICK_BOUND} rows read: {over}"
 
 
 def test_listed_cells_are_still_super_linear(exponents):

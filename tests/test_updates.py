@@ -4,7 +4,7 @@ costs, and post-update query correctness (invariant 5)."""
 import pytest
 
 from repro.core.dewey import DeweyKey
-from repro.errors import EncodingError, UpdateError
+from repro.errors import EncodingError, TranslationError, UpdateError
 from repro.store import XmlStore
 from repro.workload.docgen import sized_article_corpus
 from repro.xmldom import Element, Text, parse
@@ -301,6 +301,44 @@ class TestUpdatesOnMinidb:
         store.updates.delete(doc, target)
         dom.root.remove(dom.root.children[4])
         assert store.reconstruct(doc).structurally_equal(dom)
+
+
+class TestNodeIdsAreInts:
+    """A query result handed over as a node id is refused with a typed
+    error before any engine sees it, and the document is unchanged."""
+
+    OPERATIONS = {
+        "insert": lambda s, d, item: s.updates.insert(d, item, 0, "<x/>"),
+        "append": lambda s, d, item: s.updates.append(d, item, "<x/>"),
+        "delete": lambda s, d, item: s.updates.delete(d, item),
+        "set_text": lambda s, d, item: s.updates.set_text(d, item, "t"),
+        "rename": lambda s, d, item: s.updates.rename(d, item, "y"),
+        "set_attribute": (
+            lambda s, d, item: s.updates.set_attribute(d, item, "k", "v")
+        ),
+    }
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("operation", sorted(OPERATIONS))
+    def test_an_update_refuses_a_result_item(self, backend, operation):
+        store, doc, _root_id = make_store("dewey", backend=backend)
+        item = store.query("/list/item[2]", doc)[0]
+        with pytest.raises(UpdateError, match="not ResultItem"):
+            self.OPERATIONS[operation](store, doc, item)
+        assert store.reconstruct(doc).structurally_equal(parse(LIST_XML))
+        self.OPERATIONS[operation](store, doc, item.node_id)
+        assert not store.reconstruct(doc).structurally_equal(
+            parse(LIST_XML)
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_query_refuses_a_result_item_as_its_context(self, backend):
+        store, doc, _root_id = make_store("dewey", backend=backend)
+        item = store.query("/list/item[2]", doc)[0]
+        with pytest.raises(TranslationError, match="not ResultItem"):
+            store.query("v", doc, context_id=item)
+        assert [r.value for r in store.query("v", doc, item.node_id)] \
+            == ["1"]
 
 
 class TestRenumberingIsOneStatement:

@@ -1040,8 +1040,9 @@ def run_e18_indexing(products: int = 240) -> ExperimentTable:
     other does not.  The query mix is exactly the workload the indexes
     target: selective deep ``//`` descents that the path index answers
     with a pathid probe instead of per-step structural joins, and value
-    predicates that the value index answers with a typed-column probe
-    instead of a string-value aggregation over every candidate.  Each
+    predicates on a ``//`` step, whose candidates the value index
+    delivers (``tag`` plus ``sval`` or ``nval``) instead of the tag scan
+    aggregating every candidate's string-value.  Each
     cell counts the rows one pass of the mix reads on each store and
     compares the two stores' answers: the index rewrite must be
     answer-preserving, so mismatches must be zero.

@@ -103,10 +103,13 @@ EXPECTED_SHAPES = {
            "shows no multi-core throughput scaling.",
     "E18": "(Extension beyond the paper.)  Secondary path and value "
            "indexes answer selective deep // descents and value "
-           "predicates reading at least 2x fewer rows than the "
+           "predicates reading at least 10x fewer rows than the "
            "structural-join scans on every encoding, with identical "
-           "answers; the win is largest for Local (whose unindexed "
-           "descents walk every subtree under the context set).  On the "
+           "answers: a descent probes the path index, and a value "
+           "predicate on a // step reads the step's candidates from the "
+           "value index instead of probing it once per candidate.  The "
+           "win is largest for Local (whose unindexed descents walk "
+           "every subtree under the context set).  On the "
            "update-heavy burst, maintenance from the touched set writes "
            "at least 2x fewer rows than rebuilding the index after every "
            "op while leaving identical index tables — repair cost "
@@ -411,13 +414,13 @@ def compute_verdicts(
         # mismatches)
         record(
             "E18",
-            "Indexed reads at least 2x fewer rows than unindexed on "
+            "Indexed reads at least 10x fewer rows than unindexed on "
             f"every encoding ({_range([r[3] for r in t.rows])}x), "
             "both index kinds used; maintenance writes at least 2x "
             "fewer rows than rebuild-after-every-op "
             f"({_range([r[7] for r in t.rows])}x); zero mismatches",
             all(
-                r[3] >= 2.0
+                r[3] >= 10.0
                 and r[4] == "path-index+value-index"
                 and r[7] >= 2.0
                 and r[8] == 0

@@ -285,7 +285,14 @@ def _random_predicate(rng: random.Random) -> str:
         return rng.choice((*_TAGS, "@" + rng.choice(_ATTRS)))
     if kind == 4:
         op = rng.choice(("=", "!=", "<", ">"))
-        return f"@{rng.choice(_ATTRS)} {op} {rng.randint(0, 9)}"
+        name, digit = rng.choice(_ATTRS), rng.randint(0, 9)
+        if op in ("=", "!=") and digit % 2 == 0:
+            # A string literal: under '//' an '=' reads the step's
+            # candidates from the attribute index.  The parity picks
+            # the form, so both forms draw the same values and a seed
+            # keeps its sequence of queries.
+            return f"@{name} {op} '{digit}'"
+        return f"@{name} {op} {digit}"
     if kind == 5:
         op = rng.choice(("=", "!=", "<", ">"))
         return f"text() {op} {rng.randint(0, 99)}"

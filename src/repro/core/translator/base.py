@@ -19,6 +19,9 @@ Predicates compile to:
   subqueries built by recursive translation;
 * **value** conditions (``[@id = "x"]``, ``[price < 10]``) — ``EXISTS``
   subqueries ending in a comparison against the stored value column;
+  on a ``//x`` step from the document, a conjunct an index answers
+  instead drives the step: the index is joined ahead of the node table
+  (:meth:`SqlTranslator._index_drive`);
 * boolean connectives, ``count()``, ``contains()`` and ``starts-with()``.
 
 A step reads its candidates from the FROM item the encoding's
@@ -639,6 +642,86 @@ class SqlTranslator(ABC):
         METRICS.inc("index.rewrite_value")
         return exists(sub)
 
+    def _index_drive(
+        self,
+        step: NormStep,
+        builder: SelectBuilder,
+        t: "_Translation",
+        counted: bool,
+    ) -> Optional[tuple[Expr, Col]]:
+        """Read a document-rooted step's candidates from the index that
+        answers one of its predicates.
+
+        The first top-level conjunct of the step's predicates that an
+        index answers gets an index alias, added to *builder* ahead of
+        the step's node alias: minidb joins FROM items left to right,
+        so the index is read first and each of its rows probes the
+        node table by id.  Returns ``(conjunct, column)``: the conjunct
+        the join now answers and the index column the step's ``id``
+        must equal; ``None`` when no conjunct qualifies.
+
+        * ``@name = 'string'`` reads ``attr_<enc>`` on ``(doc, name,
+          value)``, on every document.  No row repeats a candidate: a
+          ``(doc, owner, name)`` has at most one attribute row —
+          ``set_attribute`` deletes before it inserts, and the auditor
+          reports a second row as ``store-attr-duplicate``.
+        * ``y <op> literal`` (``=`` with a string or a number, ``<``,
+          ``<=``, ``>``, ``>=`` with a number) reads ``idx_sval`` on
+          ``(doc, tag, sval)`` or ``(doc, tag, nval)``, on indexed
+          documents.  A candidate with two matching ``y`` children
+          comes twice: ``DISTINCT`` arms and ``EXISTS`` do not see it,
+          a ``COUNT(*)`` would, so a step *counted* for ``count()``
+          keeps its ``EXISTS`` probe.
+        """
+        for predicate in step.predicates:
+            for conjunct in _conjuncts(predicate):
+                found = _path_literal_comparison(conjunct)
+                if found is None:
+                    continue
+                target, op, literal = found
+                if (
+                    target.axis == "attribute"
+                    and op == "="
+                    and isinstance(literal, StringLiteral)
+                ):
+                    a = t.aliases.next()
+                    builder.add_from(self.attr_table, a)
+                    builder.add_where(t.doc_cond(a))
+                    builder.add_where(Cmp(
+                        "=", Col(a, "name"),
+                        Param(FixedSlot(target.test.name)),
+                    ))
+                    builder.add_where(Cmp(
+                        "=", Col(a, "value"), self._lit_param(literal, "raw")
+                    ))
+                    return conjunct, Col(a, "owner")
+                if (
+                    target.axis == "child"
+                    and self._indexed
+                    and not counted
+                    and op != "!="
+                    and (op == "=" or isinstance(literal, NumberLiteral))
+                ):
+                    self._eligible.add("value-index")
+                    v = t.aliases.next()
+                    builder.add_from("idx_sval", v)
+                    builder.add_where(t.doc_cond(v))
+                    builder.add_where(Cmp(
+                        "=", Col(v, "tag"),
+                        Param(FixedSlot(target.test.name)),
+                    ))
+                    # nval is number(sval), NULL for NaN: the test the
+                    # scan's xpath_number() makes.
+                    column, value = (
+                        ("nval", self._lit_param(literal, "num"))
+                        if isinstance(literal, NumberLiteral)
+                        else ("sval", self._lit_param(literal, "raw"))
+                    )
+                    builder.add_where(Cmp(op, Col(v, column), value))
+                    METRICS.inc("index.rewrite_value")
+                    return conjunct, Col(v, "parent")
+        return None
+
     # -- step pipeline -----------------------------------------------------------
 
     def _compile_steps(
@@ -647,8 +730,13 @@ class SqlTranslator(ABC):
         context: Optional[str],
         builder: SelectBuilder,
         t: "_Translation",
+        counted: bool = False,
     ) -> tuple[str, str]:
-        """Add FROM/WHERE items for *steps*; return (final alias, kind)."""
+        """Add FROM/WHERE items for *steps*; return (final alias, kind).
+
+        *counted* says the rows are counted (``count()``), not tested
+        for existence or deduplicated.
+        """
         ctx = context
         for index, step in enumerate(steps):
             final = index == len(steps) - 1
@@ -659,12 +747,19 @@ class SqlTranslator(ABC):
                         "position"
                     )
                 return self._compile_attribute_step(step, ctx, builder, t)
+            drive = None
+            if ctx is None and step.axis in (
+                "descendant", "descendant-or-self"
+            ):
+                drive = self._index_drive(step, builder, t, counted)
             alias = t.aliases.next()
             source, doc, axis = self.node_source(
                 step.axis, ctx, alias, builder, t
             )
             builder.add_from(source, alias)
             builder.add_where(doc)
+            if drive is not None:
+                builder.add_where(Cmp("=", Col(alias, "id"), drive[1]))
             builder.add_where(axis)
             builder.add_where(self.test_condition(step.test, alias))
             # Each step's predicates filter its own candidates: a not()
@@ -680,6 +775,19 @@ class SqlTranslator(ABC):
                         "positional predicates after another predicate "
                         "are outside the translatable fragment"
                     )
+                conjuncts = _conjuncts(predicate)
+                if drive is not None and any(
+                    c is drive[0] for c in conjuncts
+                ):
+                    # The join answers the driven conjunct; the rest of
+                    # its predicate (boolean context: it is an 'and')
+                    # filters as usual.
+                    for conjunct in conjuncts:
+                        if conjunct is not drive[0]:
+                            builder.add_where(self._boolean_condition(
+                                conjunct, alias, ctx, step, t
+                            ))
+                    continue
                 builder.add_where(
                     self._predicate_condition(
                         predicate, alias, ctx, step, t
@@ -1288,7 +1396,7 @@ class SqlTranslator(ABC):
         sub.select = [SelectItem(Const(1))]
         start = None if path.absolute else context
         steps = normalize_steps(path.steps)
-        self._compile_steps(steps, start, sub, t)
+        self._compile_steps(steps, start, sub, t, counted=True)
         return scalar_count(sub)
 
 
@@ -1326,6 +1434,37 @@ def _document_axis(axis: str, cand: str) -> Optional[RelExpr]:
 
 def _is_literal(expr: Expr) -> bool:
     return isinstance(expr, (NumberLiteral, StringLiteral))
+
+
+def _conjuncts(expr: Expr) -> list[Expr]:
+    """The top-level ``and`` operands of a predicate, left to right."""
+    if isinstance(expr, BinaryOp) and expr.op == "and":
+        return _conjuncts(expr.left) + _conjuncts(expr.right)
+    return [expr]
+
+
+def _path_literal_comparison(
+    expr: Expr,
+) -> Optional[tuple[Step, str, Union[NumberLiteral, StringLiteral]]]:
+    """``(step, op, literal)`` when *expr* compares one relative,
+    predicate-free name step (``@a``, ``y``) with a literal, *op* as
+    seen with the literal on the right."""
+    if not isinstance(expr, BinaryOp) or expr.op not in _COMPARISON_OPS:
+        return None
+    path, literal, op = expr.left, expr.right, expr.op
+    if _is_literal(path):
+        path, literal, op = literal, path, _FLIP[op]
+    if not isinstance(path, PathExpr) or not _is_literal(literal):
+        return None
+    steps = path.path.steps
+    if (
+        path.path.absolute
+        or len(steps) != 1
+        or steps[0].predicates
+        or steps[0].test.kind != "name"
+    ):
+        return None
+    return steps[0], op, literal  # type: ignore[return-value]
 
 
 def _require_foldable(expr: Expr) -> None:

@@ -684,12 +684,18 @@ class UpdateManager:
         elif lpos_after - lpos_before > 1:
             new_lpos = (lpos_before + lpos_after) // 2
         else:
-            shifted = self.store.backend.execute(
-                f"UPDATE {table} SET lpos = lpos + ? "
-                f"WHERE doc = ? AND parent = ? AND lpos >= ?",
-                (gap, doc, parent_id, lpos_after),
-            )
-            relabeled += max(shifted.rowcount, 0)
+            # The right neighbour and every sibling after it move up by
+            # one gap.  *children* holds them in order already, so each
+            # is written by id: the child index keeps tag before lpos,
+            # and an lpos range over the parent's children would read
+            # every one of them.
+            for sql, params in self.store.in_batches(
+                f"UPDATE {table} SET lpos = lpos + ? WHERE doc = ?",
+                "id", [child["id"] for child in children[index:]],
+                (gap, doc),
+            ):
+                shifted = self.store.backend.execute(sql, params)
+                relabeled += max(shifted.rowcount, 0)
             new_lpos = lpos_after
 
         order_values = []

@@ -123,6 +123,16 @@ INDEX_SNAPSHOT_QUERIES = (
 )
 
 
+#: Document-rooted steps an index drives: ``query -> indexed``.  The
+#: attribute index drives on every document, the value index on an
+#: indexed one; either is read before the step's node table.
+DRIVE_SNAPSHOT_QUERIES = {
+    "//book[@id = 'b1']/title": False,
+    "//*[@id = 'x']": False,
+    "//product[stock = '500']": True,
+}
+
+
 def snapshot_sql(encoding: str) -> dict:
     translator = make_translator(encoding)
     return {
@@ -138,6 +148,17 @@ def snapshot_index_plans(encoding: str) -> dict:
     for xpath in INDEX_SNAPSHOT_QUERIES:
         shaped, _literals = extract_shape(parse_xpath(xpath))
         plan = translator.compile(shaped, indexed=True)
+        out[xpath] = {"access_path": plan.access_path, "sql": plan.sql}
+    return out
+
+
+def snapshot_drives(encoding: str) -> dict:
+    """Access path and SQL of the driven plans."""
+    translator = make_translator(encoding)
+    out = {}
+    for xpath, indexed in DRIVE_SNAPSHOT_QUERIES.items():
+        shaped, _literals = extract_shape(parse_xpath(xpath))
+        plan = translator.compile(shaped, indexed=indexed)
         out[xpath] = {"access_path": plan.access_path, "sql": plan.sql}
     return out
 
@@ -250,6 +271,35 @@ class TestGoldenIndexPlans:
                 assert literal not in sql, (xpath, literal)
 
 
+class TestGoldenDrives:
+    @pytest.fixture(scope="class")
+    def golden(self) -> dict:
+        return json.loads(GOLDEN_PATH.read_text())["drives"]
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_driven_plans_match_golden(self, golden, encoding):
+        assert snapshot_drives(encoding) == golden[encoding], (
+            f"{encoding}: a driven plan drifted; if intentional, "
+            "regenerate tests/data/golden_sql.json"
+        )
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_the_index_is_read_first_and_binds_its_literal(
+        self, golden, encoding
+    ):
+        for xpath, plan in golden[encoding].items():
+            indexed = DRIVE_SNAPSHOT_QUERIES[xpath]
+            table = "idx_sval" if indexed else f"attr_{encoding}"
+            assert plan["sql"].split(" FROM ", 1)[1].startswith(table)
+            assert "EXISTS" not in plan["sql"], xpath
+            assert plan["access_path"] == (
+                "value-index" if indexed else "scan"
+            )
+            for literal in ("'b1'", "'x'", "'500'", "'stock'", "'id'"):
+                assert literal not in plan["sql"], (xpath, literal)
+            assert parse_sql(plan["sql"]) is not None, xpath
+
+
 def _function_names(node) -> set:
     """Names of every function called anywhere in a parsed statement."""
     names = set()
@@ -351,6 +401,7 @@ if __name__ == "__main__":
         payload["index_plans"] = {
             enc: snapshot_index_plans(enc) for enc in ENCODINGS
         }
+        payload["drives"] = {enc: snapshot_drives(enc) for enc in ENCODINGS}
         GOLDEN_PATH.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {GOLDEN_PATH}")
     else:

@@ -1,7 +1,8 @@
 """minidb's access plan per golden query is pinned.
 
 For every SQL text in ``tests/data/golden_sql.json`` — the twenty
-snapshot queries of each encoding and its indexed plans — the golden
+snapshot queries of each encoding, its indexed plans and its
+index-driven plans — the golden
 file records what ``MiniDb.explain`` prints for it on a store of that
 encoding: one line per FROM item with the index chosen (and its
 equality / IN / range use) or FULL SCAN, and the residual filter count.
@@ -29,14 +30,19 @@ ENCODINGS = ("global", "local", "dewey", "ordpath")
 
 
 def texts(encoding: str) -> dict[str, dict[str, str]]:
-    """``{"scan": {xpath: sql}, "indexed": {xpath: sql}}`` of one
-    encoding, as ``golden_sql.json`` records them."""
+    """``{"scan": {xpath: sql}, "indexed": {xpath: sql}, "drives":
+    {xpath: sql}}`` of one encoding, as ``golden_sql.json`` records
+    them."""
     golden = json.loads(SQL_PATH.read_text())
     return {
         "scan": golden[encoding],
         "indexed": {
             xpath: plan["sql"]
             for xpath, plan in golden["index_plans"][encoding].items()
+        },
+        "drives": {
+            xpath: plan["sql"]
+            for xpath, plan in golden["drives"][encoding].items()
         },
     }
 

@@ -16,7 +16,10 @@ on all four encodings.  Every exponent must be at most :data:`BOUND`.
 A positional pick on the child axis, and a sibling step from it, must
 also read at most :data:`PICK_BOUND` rows at every size: the child index
 names the tag, and the pick stops at its k-th row, so what they read
-does not grow with the journal's fan-out.
+does not grow with the journal's fan-out.  So must a step from the
+document that an attribute equality drives (:data:`DRIVEN`, at most
+:data:`DRIVEN_BOUND` rows): it reads the matching attribute rows and
+what hangs off them, not every element of its tag.
 
 :data:`SUPER_LINEAR` names the cells that are still super-linear.  The
 list records open defects, each with the ROADMAP item that removes it;
@@ -53,6 +56,8 @@ PICKS = (
     "/journal/article[3]/section[2]/following-sibling::section",
 )
 PICK_BOUND = 15
+DRIVEN = ("//*[@id = 'a3']", "//article[@id = 'a3']/title")
+DRIVEN_BOUND = 10
 
 
 def queries() -> dict[str, str]:
@@ -69,6 +74,7 @@ def queries() -> dict[str, str]:
     for xpath in (
         "/journal/article[1]",
         *PICKS,
+        *DRIVEN,
         "/journal/article[last()]",
         FOLLOWING,
         PRECEDING,
@@ -156,6 +162,16 @@ def test_a_pick_reads_a_bounded_number_of_rows(exponents):
         if max(exponents[(xpath, encoding)][1]) > PICK_BOUND
     }
     assert not over, f"more than {PICK_BOUND} rows read: {over}"
+
+
+def test_a_driven_step_reads_a_bounded_number_of_rows(exponents):
+    over = {
+        (xpath, encoding): exponents[(xpath, encoding)][1]
+        for xpath in DRIVEN
+        for encoding in ALL_ENCODINGS
+        if max(exponents[(xpath, encoding)][1]) > DRIVEN_BOUND
+    }
+    assert not over, f"more than {DRIVEN_BOUND} rows read: {over}"
 
 
 def test_listed_cells_are_still_super_linear(exponents):

@@ -407,6 +407,35 @@ class TestRenumberingIsOneStatement:
         # relabeled rows, the new row and the catalogue row
         assert store.backend.rows_written() - written == report.relabeled + 2
 
+    @pytest.mark.parametrize("index", (0, 1, 150, 298))
+    def test_local_shift_reads_only_the_siblings_it_moves(self, index):
+        """Local's shift writes the right neighbour and the siblings
+        after it by id, in ``IN`` batches: the child index holds tag
+        before ``lpos``, so an ``lpos`` range would read the parent's
+        whole child list on minidb, wherever the insert goes."""
+        kids = "".join(f"<{'ab'[i % 2]}/>" for i in range(300))
+        store = XmlStore(backend="minidb", encoding="local", gap=1)
+        doc = store.load(f"<r>{kids}</r>")
+        stats = store.backend.db.stats
+        execute = store.backend.execute
+        shift_reads = []
+
+        def measured(sql, params=()):
+            before = stats.rows_read
+            result = execute(sql, params)
+            if sql.startswith("UPDATE node_local SET lpos"):
+                shift_reads.append(stats.rows_read - before)
+            return result
+
+        store.backend.execute = measured
+        report = store.updates.insert(doc, 1, index, "<c/>")
+        assert report.relabeled == 300 - index
+        assert 1 <= len(shift_reads) and sum(shift_reads) <= (
+            report.relabeled + 2
+        )
+        assert [i.label for i in store.query("/r/*", doc)][index:index + 2] \
+            == ["c", "ab"[index % 2]]
+
     def test_global_append_extends_the_ancestors_to_the_new_node(self):
         store, doc, _root = make_store("global", gap=4)
         last = store.query("/list/item[8]", doc)[0].node_id

@@ -100,9 +100,11 @@ class Backend(ABC):
         is engine-independent, alongside wall-clock time.
         """
 
-    def analyze(self) -> None:
-        """Refresh optimizer statistics after a bulk load (no-op by
-        default; the sqlite backend runs ``ANALYZE``)."""
+    def analyze(self, tables: Sequence[str]) -> None:
+        """Refresh the optimizer statistics of *tables*, which a bulk
+        writer grew, as far as they went stale (no-op by default:
+        minidb keeps none; the sqlite backend re-measures a table once
+        it has doubled)."""
 
     def list_tables(self) -> list[str]:
         """Names of all user tables currently in the database.

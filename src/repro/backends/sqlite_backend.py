@@ -91,6 +91,52 @@ def executemany_typed(
         raise typed_error(exc) from exc
 
 
+def measured_rows(
+    conn: sqlite3.Connection, tables: Iterable[str]
+) -> dict[str, int]:
+    """The row count of each of *tables* at its last ``ANALYZE``: the
+    first number of the ``stat`` of its ``sqlite_stat1`` rows (one per
+    index).  A table with no row was never measured, and before the
+    first ``ANALYZE`` there is no ``sqlite_stat1`` at all."""
+    if conn.execute(
+        "SELECT 1 FROM sqlite_master WHERE name = 'sqlite_stat1'"
+    ).fetchone() is None:
+        return {}
+    tables = tuple(tables)
+    marks = ", ".join("?" for _ in tables)
+    return {
+        table: int(stat.split()[0])
+        for table, stat in conn.execute(
+            f"SELECT tbl, stat FROM sqlite_stat1 WHERE tbl IN ({marks})",
+            tables,
+        )
+    }
+
+
+def remeasure(conn: sqlite3.Connection, tables: Sequence[str]) -> None:
+    """``ANALYZE`` each of *tables* that holds rows and at least twice
+    the rows sqlite last measured (:func:`measured_rows`); the rest keep
+    their statistics.
+
+    A table re-measured only on doubling costs O(N) statistics work
+    over N loads, where ``ANALYZE`` of the whole database after every
+    load costs O(N²), and its statistics are never more than 2x stale.
+    A table's rows are bounded by its largest rowid, one B-tree descent
+    (every table of the store is a rowid table): no row has a larger
+    one, so the bound errs only toward measuring early, after deletes.
+    """
+    try:
+        measured = measured_rows(conn, tables)
+        for table in tables:
+            (rows,) = conn.execute(
+                f"SELECT MAX(rowid) FROM {table}"
+            ).fetchone()
+            if rows and rows >= 2 * measured.get(table, 0):
+                conn.execute(f"ANALYZE {table}")
+    except sqlite3.Error as exc:
+        raise typed_error(exc) from exc
+
+
 def connect_sqlite(path: Optional[str]) -> sqlite3.Connection:
     """Open a fully configured sqlite connection for this store.
 
@@ -261,10 +307,10 @@ class SqliteBackend(Backend):
     def rows_written(self) -> int:
         return self._rows_written
 
-    def analyze(self) -> None:
-        """Collect index statistics so the query planner picks the
-        selective (parent/pos) indexes for correlated subqueries."""
-        self._run(execute_typed, "ANALYZE", ())
+    def analyze(self, tables: Sequence[str]) -> None:
+        """Re-measure each of *tables* that now holds at least twice
+        the rows sqlite last measured (see :func:`remeasure`)."""
+        self._run(remeasure, tuple(tables))
 
     def list_tables(self) -> list[str]:
         rows, _ = self._run(execute_typed, LIST_TABLES, ())

@@ -577,15 +577,24 @@ class SqlTranslator(ABC):
         builder.add_where(t.doc_cond(p))
         builder.add_where(t.doc_cond(m))
         builder.add_where(t.doc_cond(n))
+        # ``unlikely``: a pattern matches few of a document's paths.
+        # Without the hint sqlite's estimate makes reading the paths
+        # first a near-tie with scanning the document in order (which
+        # saves the sort), and which one it picks flips with the
+        # store's size; the scan is the slow one.  The one detail of
+        # sqlite's cost model in the SQL, on purpose: minidb reads the
+        # hint as its argument (DESIGN.md, "Statistics").
         builder.add_where(
-            Cmp(
-                "=",
-                Func(
-                    "path_match",
-                    (Col(p, "path"), Param(FixedSlot(pattern))),
+            Func("unlikely", (
+                Cmp(
+                    "=",
+                    Func(
+                        "path_match",
+                        (Col(p, "path"), Param(FixedSlot(pattern))),
+                    ),
+                    Const(1),
                 ),
-                Const(1),
-            )
+            ))
         )
         builder.add_where(Cmp("=", Col(m, "pathid"), Col(p, "pathid")))
         builder.add_where(Cmp("=", Col(n, "id"), Col(m, "id")))

@@ -91,6 +91,7 @@ class IndexManager:
         report = self.store.transactionally(build)
         METRICS.inc("index.created")
         METRICS.inc("index.rows", report["elements"])
+        self.store.refresh_statistics("idx_sval", "idx_paths")
         return report
 
     def drop(self, doc: int) -> bool:

@@ -130,4 +130,7 @@ def migrate_document(
         METRICS.inc("migrate.completed")
         METRICS.inc("migrate.rows_copied", report.rows_copied)
         METRICS.observe("migrate.blocked_ms", report.blocked_ms)
+        store.refresh_statistics(
+            target.node_table.name, target.attr_table.name
+        )
     return report

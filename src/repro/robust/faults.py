@@ -119,10 +119,10 @@ class FaultInjectingBackend(Backend):
             raise SimulatedCrash("backend already crashed")
         return self.inner.list_tables()
 
-    def analyze(self) -> None:
+    def analyze(self, tables: Sequence[str]) -> None:
         if self.crashed:
             raise SimulatedCrash("backend already crashed")
-        self.inner.analyze()
+        self.inner.analyze(tables)
 
     def begin(self) -> None:
         if self.crashed:

@@ -253,10 +253,19 @@ class XmlStore:
         """``<sql_prefix> AND <column> IN (?, ...)`` over *ids*, at most
         :data:`_ID_BATCH` per statement, as ``(sql, params)`` pairs.
         *params* bind the placeholders of *sql_prefix*, which must end
-        inside its ``WHERE`` clause.  The caller executes each pair."""
+        inside its ``WHERE`` clause.  The caller executes each pair.
+
+        A batch is padded to the next power of two (at most
+        :data:`_ID_BATCH`) by repeating its last id, so that the texts
+        are a handful, not one per id count, and sqlite's statement
+        cache and minidb's parse cache keep them.  ``IN`` matches a row
+        once whatever its list repeats, on both engines, so the rows a
+        statement reads or writes, and its rowcount, are the same."""
         pending = list(ids)
         for start in range(0, len(pending), _ID_BATCH):
             batch = pending[start:start + _ID_BATCH]
+            width = min(1 << (len(batch) - 1).bit_length(), _ID_BATCH)
+            batch += batch[-1:] * (width - len(batch))
             placeholders = ", ".join("?" for _ in batch)
             yield (
                 f"{sql_prefix} AND {column} IN ({placeholders})",
@@ -391,8 +400,9 @@ class XmlStore:
 
             with span("bulk_insert"):
                 doc_id = self.transactionally(load_in_transaction)
-            with span("analyze"):
-                self.backend.analyze()
+            self.refresh_statistics(
+                self.encoding.node_table.name, self.encoding.attr_table.name
+            )
             METRICS.inc("load.documents")
             METRICS.inc("load.nodes", shredded.node_count())
         return doc_id
@@ -402,6 +412,20 @@ class XmlStore:
             "SELECT COALESCE(MAX(doc), 0) FROM documents"
         )
         return int(result.rows[0][0]) + 1
+
+    def refresh_statistics(self, *tables: str) -> None:
+        """After a bulk write into *tables* has committed (a load, a
+        migration, an index create), let the backend re-measure the
+        ones that have grown stale (:meth:`Backend.analyze`).
+
+        A failure is counted (``statistics.failed``), not raised: the
+        write it follows is committed, and stale statistics cost plan
+        quality, not answers.
+        """
+        try:
+            self.backend.analyze(tables)
+        except StorageError:
+            METRICS.inc("statistics.failed")
 
     def _bulk_insert(
         self, encoding: OrderEncoding, doc_id: int,

@@ -1,6 +1,8 @@
 """Update-semantics tests: inserts/deletes per encoding, renumbering
 costs, and post-update query correctness (invariant 5)."""
 
+import random
+
 import pytest
 
 from repro.core.dewey import DeweyKey
@@ -435,6 +437,26 @@ class TestRenumberingIsOneStatement:
         )
         assert [i.label for i in store.query("/r/*", doc)][index:index + 2] \
             == ["c", "ab"[index % 2]]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_local_shift_prepares_a_handful_of_texts(self, backend):
+        """A shift by id pads its ``IN`` list to a power of two, so the
+        statement texts are a handful, not one per count of moving
+        siblings (200 random inserts once made 152 texts)."""
+        store = XmlStore(backend=backend, encoding="local", gap=1)
+        doc = store.load("<r>" + "<s/>" * 200 + "</r>")
+        rng = random.Random(48)
+        log = statement_log(store)
+        for children in range(200, 400):
+            index = rng.randrange(children + 1)
+            report = store.updates.insert(doc, 1, index, "<n/>")
+            # The padding repeats an id; its row still moves once.
+            assert report.relabeled == children - index
+        shifts = [sql for sql in log if sql.startswith("UPDATE node_local")]
+        assert len(shifts) > 150
+        assert len(set(shifts)) <= 10
+        lpos = [row["lpos"] for row in store.fetch_children(doc, 1)]
+        assert lpos == list(range(1, 401))
 
     def test_global_append_extends_the_ancestors_to_the_new_node(self):
         store, doc, _root = make_store("global", gap=4)

@@ -9,15 +9,19 @@ An :class:`OrderEncoding` bundles everything encoding-specific:
 * the SQL fragment that sorts rows into document order (Local has none;
   its results need a client-side order-resolution pass, which is exactly
   the weakness the paper attributes to local order),
-* the contiguous range of the order column that holds a node's subtree
-  (again Local has none and must chase parent pointers),
+* the contiguous range of the order column that holds a node's subtree,
+  declared once as SQL over an alias (:meth:`OrderEncoding.subtree_end`)
+  and once as values (:meth:`OrderEncoding.subtree_range`) — again
+  Local has none and must chase parent pointers,
+* the SQL naming a row and its parent (a prefix key names both without
+  the parent pointer),
 * the order invariants the auditor checks.
 
 Dewey and ORDPATH differ only in their key codec and in where a new
 child key goes; :class:`PrefixKeyEncoding` carries the rest for both.
 
-The encodings share the structural columns, so the SQL translator only
-varies in axis conditions and order keys.
+The encodings share the structural columns, and the SQL translator
+writes every axis once from these declarations.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from repro.core.ordpath import (
     ordpath_successor_bytes,
     suffix_between,
 )
+from repro.core.relalg import Col, Func, RelExpr
 from repro.core.schema import Table
 from repro.core.shredder import ShreddedNode
 from repro.errors import EncodingError
@@ -91,6 +96,24 @@ class OrderEncoding(ABC):
     #: order within one parent).  Used by child fetches/reconstruction.
     sibling_order_column: str
 
+    #: Whether a subtree's end (:meth:`subtree_end`) is the order value
+    #: of its last node (``<=``) or the first value past it (``<``).
+    subtree_end_inclusive: bool = False
+
+    def subtree_end(self, alias: str) -> Optional[RelExpr]:
+        """The end of the subtree of the node at *alias*, as SQL; its
+        start is the node's own :attr:`order_by_column`.  ``None`` when
+        the encoding has no subtree range (Local)."""
+        return None
+
+    def identity(self, alias: str) -> RelExpr:
+        """SQL equal for two aliases exactly when they are one node."""
+        return Col(alias, "id")
+
+    def parent_identity(self, alias: str) -> RelExpr:
+        """:meth:`identity` of the parent of the node at *alias*."""
+        return Col(alias, "parent")
+
     def create_statements(self) -> list[str]:
         """DDL statements creating this encoding's tables and indexes."""
         return [
@@ -135,18 +158,16 @@ class OrderEncoding(ABC):
             )
         )
 
-    @abstractmethod
-    def subtree_range(
-        self, row: dict
-    ) -> Optional[tuple[str, object, object, bool]]:
-        """Where the subtree of the node in *row* lives in the order
-        column: ``(column, low, high, high_inclusive)``.
+    def subtree_range(self, row: dict) -> Optional[tuple[object, object]]:
+        """:meth:`subtree_end`'s range as values: ``(low, high)`` of
+        the subtree of the node in *row* in :attr:`order_by_column`.
 
         ``low`` is the node's own order value, so ``column >= low`` is
         the subtree with its root and ``column > low`` the proper
         descendants.  ``None`` when the encoding has no such range
         (Local): callers must walk parent pointers instead.
         """
+        return None
 
     def subtree_where(
         self, row: dict, include_root: bool
@@ -156,11 +177,11 @@ class OrderEncoding(ABC):
         bounds = self.subtree_range(row)
         if bounds is None:
             return None
-        column, low, high, high_inclusive = bounds
+        column = self.order_by_column
         return (
             f"{column} {'>=' if include_root else '>'} ? "
-            f"AND {column} {'<=' if high_inclusive else '<'} ?",
-            (low, high),
+            f"AND {column} {'<=' if self.subtree_end_inclusive else '<'} ?",
+            bounds,
         )
 
     def order_invariants(
@@ -200,6 +221,7 @@ class GlobalEncoding(OrderEncoding):
     """
 
     name = "global"
+    subtree_end_inclusive = True
 
     def __init__(self) -> None:
         self.node_table, self.attr_table = schema.global_tables()
@@ -210,8 +232,11 @@ class GlobalEncoding(OrderEncoding):
     def order_values(self, node: ShreddedNode, gap: int) -> tuple:
         return (node.rank * gap, node.end_rank * gap)
 
-    def subtree_range(self, row: dict) -> tuple[str, int, int, bool]:
-        return ("pos", row["pos"], row["endpos"], True)
+    def subtree_end(self, alias: str) -> Col:
+        return Col(alias, "endpos")
+
+    def subtree_range(self, row: dict) -> tuple[int, int]:
+        return (row["pos"], row["endpos"])
 
     def order_invariants(
         self, view: AuditView
@@ -282,9 +307,6 @@ class LocalEncoding(OrderEncoding):
     def order_values(self, node: ShreddedNode, gap: int) -> tuple:
         return (node.sibling_index * gap,)
 
-    def subtree_range(self, row: dict) -> None:
-        return None
-
     def order_invariants(
         self, view: AuditView
     ) -> Iterator[InvariantViolation]:
@@ -316,8 +338,8 @@ class PrefixKeyEncoding(OrderEncoding):
     range ``[key, successor(key))``.  A concrete encoding names its key
     codec, its two SQL scalars, how load-time sibling indexes become key
     components, and where a new child key goes — everything else (rows,
-    subtree range, audit, translation, insertion) is written once
-    against this class.
+    subtree range, audit, insertion) is written once against this
+    class.
     """
 
     #: The one order column.
@@ -386,9 +408,20 @@ class PrefixKeyEncoding(OrderEncoding):
             open_keys[depth:] = (key,)
             yield (key,)
 
-    def subtree_range(self, row: dict) -> tuple[str, bytes, bytes, bool]:
+    def subtree_end(self, alias: str) -> Func:
+        return Func(self.successor_function, (Col(alias, self.key_column),))
+
+    def identity(self, alias: str) -> Col:
+        return Col(alias, self.key_column)
+
+    def parent_identity(self, alias: str) -> Func:
+        # The parent's key is a prefix of the node's own — the paper's
+        # headline property: no join through parent pointers.
+        return Func(self.parent_function, (Col(alias, self.key_column),))
+
+    def subtree_range(self, row: dict) -> tuple[bytes, bytes]:
         key = bytes(row[self.key_column])
-        return (self.key_column, key, self.successor_bytes(key), False)
+        return (key, self.successor_bytes(key))
 
     def _key_invariants(
         self, row: dict, key, raw: bytes

@@ -10,10 +10,9 @@ builder never touches strings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.core.relalg import (
-    And,
     Col,
     CountStar,
     Exists,
@@ -30,21 +29,10 @@ __all__ = [
     "AliasGenerator",
     "SelectBuilder",
     "TranslationStats",
-    "all_of",
     "exists",
     "scalar_count",
     "sql_string_literal",
 ]
-
-
-def all_of(parts: Iterable[Optional[RelExpr]]) -> Optional[RelExpr]:
-    """AND-combine conditions, dropping empties."""
-    items = tuple(p for p in parts if p is not None)
-    if not items:
-        return None
-    if len(items) == 1:
-        return items[0]
-    return And(items)
 
 
 class AliasGenerator:

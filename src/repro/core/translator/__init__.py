@@ -1,5 +1,6 @@
-"""XPath -> SQL translators: Global, Local, and one for the prefix-key
-encodings (Dewey and ORDPATH)."""
+"""XPath -> SQL translators: one for the ranged encodings (Global,
+Dewey and ORDPATH), whose axes compare subtree ranges, and Local's,
+which walks the parent pointers for the closure axes."""
 
 from repro.core.encodings import get_encoding
 from repro.core.relalg import CompiledPlan
@@ -11,15 +12,13 @@ from repro.core.translator.base import (
     normalize_steps,
 )
 from repro.core.translator.shape import extract_shape
-from repro.core.translator.global_sql import GlobalSqlTranslator
 from repro.core.translator.local_sql import LocalSqlTranslator
-from repro.core.translator.prefix_sql import PrefixKeySqlTranslator
 
 _TRANSLATORS = {
-    "global": GlobalSqlTranslator,
+    "global": SqlTranslator,
     "local": LocalSqlTranslator,
-    "dewey": PrefixKeySqlTranslator,
-    "ordpath": PrefixKeySqlTranslator,
+    "dewey": SqlTranslator,
+    "ordpath": SqlTranslator,
 }
 
 
@@ -36,9 +35,7 @@ __all__ = [
     "SqlTranslator",
     "TranslatedQuery",
     "extract_shape",
-    "GlobalSqlTranslator",
     "LocalSqlTranslator",
-    "PrefixKeySqlTranslator",
     "make_translator",
     "normalize_steps",
 ]

@@ -42,22 +42,25 @@ The two leading-``//`` steps the parser produces
 semantics (they count siblings under the candidate's own parent, which is
 exactly what the unmerged form would do for every possible parent).
 
-Encoding subclasses provide the axis conditions, sibling/document-order
-comparisons, and result ordering:
+The axis table is written once (:meth:`SqlTranslator.node_axis_condition`)
+from what each :class:`~repro.core.encodings.OrderEncoding` declares:
+the SQL naming a row and its parent, the sibling order, and the subtree
+range — its start the order column, its end an expression over an alias
+that is inclusive or not.  Every closure and document-order axis is a
+comparison of two range ends:
 
-* Global — integer comparisons on ``pos``/``endpos``;
-* Dewey and ORDPATH — byte-range comparisons on the binary key (via
-  the encoding's ``*_successor`` scalar), one translator for both;
-* Local — only parent/sibling axes are direct; everything that needs
-  transitive closure is a recursive walk over the parent pointers (down
-  from the context set for the descendant axes, up from the candidate
-  for the rest), and result ordering falls back to a client-side
-  order-resolution pass.
+* Global, Dewey and ORDPATH use this class as it is — integer
+  comparisons on Global's interval, byte-range comparisons on a prefix
+  key and its successor;
+* Local declares no range: :mod:`.local_sql` answers the axes that need
+  transitive closure with a recursive walk over the parent pointers
+  (down from the context set for the descendant axes, up from the
+  candidate for the rest), and result ordering falls back to a
+  client-side order-resolution pass.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -66,6 +69,7 @@ from repro.core.numeric import xpath_number_value
 from repro.core.relalg import (
     CTX,
     DOC,
+    And,
     Bool,
     Cmp,
     Col,
@@ -119,6 +123,10 @@ from repro.xpath.ast import (
 #: Structural projection columns shared by the four encodings, in the
 #: order the store expects result rows.
 NODE_PROJECTION = ("id", "parent", "kind", "tag", "value", "depth")
+
+#: The sibling axes, as the comparison of the candidate's sibling order
+#: with the context's.
+_SIBLING_ORDER = {"following-sibling": ">", "preceding-sibling": "<"}
 
 
 @dataclass(frozen=True)
@@ -259,8 +267,8 @@ class _Arm:
     columns: tuple[str, ...]
 
 
-class SqlTranslator(ABC):
-    """Base translator; one concrete subclass per encoding."""
+class SqlTranslator:
+    """XPath -> SQL over a ranged encoding's tables; Local subclasses it."""
 
     def __init__(self, encoding: OrderEncoding) -> None:
         self.encoding = encoding
@@ -315,12 +323,60 @@ class SqlTranslator(ABC):
             self.axis_condition(axis, ctx, cand, t),
         )
 
-    @abstractmethod
     def node_axis_condition(
         self, axis: str, ctx: str, cand: str, t: "_Translation"
     ) -> RelExpr:
-        """The encoding's axis table: the condition placing candidate
-        alias *cand* on *axis* of the stored node at alias *ctx*."""
+        """The axis table: the condition placing candidate alias *cand*
+        on *axis* of the stored node at alias *ctx*.
+
+        A subtree is the range from the node's own order value to the
+        encoding's :meth:`~repro.core.encodings.OrderEncoding.subtree_end`,
+        so the closure and document-order axes compare range ends.
+        """
+        enc = self.encoding
+        if axis == "child":
+            return Cmp("=", Col(cand, "parent"), Col(ctx, "id"))
+        if axis == "self":
+            return Cmp("=", enc.identity(cand), enc.identity(ctx))
+        if axis == "parent":
+            return Cmp("=", enc.identity(cand), enc.parent_identity(ctx))
+        if axis in _SIBLING_ORDER:
+            column = enc.sibling_order_column
+            return And((
+                Cmp("=", Col(cand, "parent"), Col(ctx, "parent")),
+                Cmp(_SIBLING_ORDER[axis], Col(cand, column), Col(ctx, column)),
+            ))
+
+        def start(alias: str) -> Col:
+            return Col(alias, enc.order_by_column)
+
+        end = enc.subtree_end
+        # At or before a subtree's end, and past it.
+        inside, past = (
+            ("<=", ">") if enc.subtree_end_inclusive else ("<", ">=")
+        )
+        if axis in ("descendant", "descendant-or-self"):
+            return And((
+                Cmp(">" if axis == "descendant" else ">=",
+                    start(cand), start(ctx)),
+                Cmp(inside, start(cand), end(ctx)),
+            ))
+        if axis in ("ancestor", "ancestor-or-self"):
+            return And((
+                Cmp("<" if axis == "ancestor" else "<=",
+                    start(cand), start(ctx)),
+                Cmp(_FLIP[inside], end(cand), start(ctx)),
+            ))
+        if axis == "following":
+            return Cmp(past, start(cand), end(ctx))
+        if axis == "preceding":
+            # A subtree that ends before the context starts; the bound
+            # on its start is implied, and makes the read an index range.
+            return And((
+                Cmp("<", start(cand), start(ctx)),
+                Cmp(_FLIP[past], end(cand), start(ctx)),
+            ))
+        raise TranslationError(f"axis {axis!r} not supported ({enc.name})")
 
     def sibling_before(self, a: str, b: str) -> RelExpr:
         """``a`` strictly before ``b`` among siblings (same parent assumed)."""

@@ -48,7 +48,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.relalg import (
-    And,
     Arith,
     Cmp,
     Col,
@@ -210,8 +209,8 @@ class LocalSqlTranslator(SqlTranslator):
     def node_axis_condition(
         self, axis: str, ctx: str, cand: str, t: _Translation
     ) -> RelExpr:
-        if axis == "child":
-            return Cmp("=", Col(cand, "parent"), Col(ctx, "id"))
+        """The closure axes, which Local has no range for; the rest is
+        the base's table."""
         if axis in _DOWNWARD:
             # A step reads these axes from _walk_down, which hides the
             # context from the step's own predicates; only a position
@@ -220,21 +219,13 @@ class LocalSqlTranslator(SqlTranslator):
                 f"{self.encoding.name} order cannot count positions "
                 f"along the {axis} axis of a node"
             )
-        if axis == "self":
-            return Cmp("=", Col(cand, "id"), Col(ctx, "id"))
-        if axis == "parent":
-            return Cmp("=", Col(cand, "id"), Col(ctx, "parent"))
         if axis == "ancestor":
             return self.ancestor_chain(cand, ctx, t)
         if axis == "ancestor-or-self":
             return self.ancestor_chain(cand, ctx, t, include_self=True)
-        if axis == "following-sibling":
-            return all_of_siblings(cand, ctx, ">")
-        if axis == "preceding-sibling":
-            return all_of_siblings(cand, ctx, "<")
         if axis in ("following", "preceding"):
             return self._document_order_axis(axis, ctx, cand, t)
-        raise TranslationError(f"axis {axis!r} not supported (local)")
+        return super().node_axis_condition(axis, ctx, cand, t)
 
     def _document_order_axis(
         self, axis: str, ctx: str, cand: str, t: _Translation
@@ -328,11 +319,3 @@ def _any_row(walk: str, *conditions: RelExpr) -> Select:
         where=conditions,
         count_joins=False,
     )
-
-
-def all_of_siblings(cand: str, ctx: str, op: str) -> RelExpr:
-    """Same parent plus an lpos comparison."""
-    return And((
-        Cmp("=", Col(cand, "parent"), Col(ctx, "parent")),
-        Cmp(op, Col(cand, "lpos"), Col(ctx, "lpos")),
-    ))

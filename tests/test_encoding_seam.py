@@ -8,15 +8,20 @@ starts deciding by encoding *name* again — the ``if name == "global" /
 the seam made single grows a second copy, or when something besides the
 auditor goes back to deriving the tree from parent pointers itself.  Name-keyed registries (a
 dict from encoding name to a class or routine) are fine: they hold no
-comparison.
+comparison.  The axis table is written once, from the subtree range
+each encoding declares: no translator names a ranged encoding's order
+column or key scalar, and Global, Dewey and ORDPATH share one
+translator class.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.core.encodings import ENCODINGS
+from repro.core.translator import make_translator
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -112,6 +117,72 @@ def test_no_encoding_name_ladder():
 )
 def test_defined_once(name):
     assert len(_definitions(name)) == 1, _definitions(name)
+
+
+TRANSLATOR = SRC / "core" / "translator"
+#: The order columns of the ranged encodings: all those whose document
+#: order is a column, that is all but Local.
+RANGED_COLUMNS = {
+    column
+    for encoding in ENCODINGS.values()
+    if encoding.order_by_column is not None
+    for column in encoding.order_columns
+}
+#: A prefix key's SQL scalars (``dewey_successor``, ``ordpath_parent``)
+#: by name, or the attributes a translator would read them from.
+_KEY_SCALAR = re.compile(r"\w+_(successor|parent)")
+_KEY_ATTRIBUTES = {"key_column", "successor_function", "parent_function"}
+
+
+def range_leaks(source: str) -> list[int]:
+    """Lines naming a ranged encoding's order column or key scalar."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and (node.value in RANGED_COLUMNS or _KEY_SCALAR.fullmatch(node.value))
+        or isinstance(node, ast.Attribute) and node.attr in _KEY_ATTRIBUTES
+    )
+
+
+def test_scanner_catches_a_named_range():
+    source = (
+        "Cmp('<', Col(cand, 'pos'), Col(ctx, 'endpos'))\n"
+        "Func('dewey_successor', (key,))\n"
+        "Func(self.encoding.parent_function, (key,))\n"
+        "Cmp('=', Col(cand, 'parent'), Col(ctx, 'lpos'))\n"
+    )
+    assert RANGED_COLUMNS == {"pos", "endpos", "dkey", "okey"}
+    assert range_leaks(source) == [1, 1, 2, 3]
+
+
+def test_no_translator_names_a_range():
+    leaks = {
+        str(path.relative_to(SRC)): lines
+        for path in sorted(TRANSLATOR.glob("*.py"))
+        if (lines := range_leaks(path.read_text()))
+    }
+    assert not leaks, (
+        f"a ranged encoding's order column or key scalar named at "
+        f"{leaks}; declare it on OrderEncoding (core/encodings.py) instead"
+    )
+
+
+def test_the_axis_table_is_written_once():
+    files = sorted(
+        where.split(":")[0] for where in _definitions("node_axis_condition")
+    )
+    assert files == [
+        "core/translator/base.py", "core/translator/local_sql.py"
+    ]
+
+
+def test_the_ranged_encodings_share_one_translator():
+    classes = {
+        name: type(make_translator(name))
+        for name in ("global", "dewey", "ordpath")
+    }
+    assert len(set(classes.values())) == 1, classes
 
 
 def test_only_the_auditor_derives_the_tree_from_parent_pointers():

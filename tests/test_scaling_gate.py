@@ -10,7 +10,9 @@ them, for
 
 * every Mix R' template of the benchmark (fixed literals),
 * every query of E3, E12 and E13 (Q1-Q8, U1-U4),
-* the probes ROADMAP measured quadratic families with,
+* the probes ROADMAP measured quadratic families with, among them the
+  ancestor axes from many contexts and from one, and a pick whose node
+  test names no tag,
 
 on all four encodings.  Every exponent must be at most :data:`BOUND`.
 A positional pick on the child axis, and a sibling step from it, must
@@ -51,6 +53,9 @@ BOUND = 1.2
 FOLLOWING = "/journal/article/section/following::title"
 PRECEDING = "/journal/article/title/preceding::author"
 DESCENDANTS = "//section//para"
+ANCESTORS = "/journal/article/section/ancestor::*"
+ANCESTORS_OR_SELF = "/journal/article/section/ancestor-or-self::article"
+TAGLESS_PICK = "/journal/*[3]"
 PICKS = (
     "/journal/article[3]",
     "/journal/article[3]/section[2]/following-sibling::section",
@@ -79,6 +84,10 @@ def queries() -> dict[str, str]:
         FOLLOWING,
         PRECEDING,
         DESCENDANTS,
+        ANCESTORS,
+        ANCESTORS_OR_SELF,
+        "/journal/article[last()]/section[1]/para[1]/ancestor::*",
+        TAGLESS_PICK,
         "/journal/article//title",
         "/journal//section//para",
         "//article[.//para]/title",
@@ -89,6 +98,7 @@ def queries() -> dict[str, str]:
 
 
 _SET_AT_A_TIME = "ROADMAP: Set-at-a-time document-order axes"
+_WALK_UP = "ROADMAP: The ancestor axes walk up once"
 
 #: ``(query, encoding) -> the ROADMAP item that makes it linear``.
 SUPER_LINEAR = {
@@ -100,6 +110,15 @@ SUPER_LINEAR = {
         (PRECEDING, encoding): _SET_AT_A_TIME + " (a), (b)"
         for encoding in ALL_ENCODINGS
     },
+    **{
+        (query, encoding): _WALK_UP
+        for query in (ANCESTORS, ANCESTORS_OR_SELF)
+        for encoding in ALL_ENCODINGS
+    },
+    (TAGLESS_PICK, "local"): (
+        "CHANGES.md FOUND: a tagless pick on Local re-runs its subquery "
+        "per child"
+    ),
 }
 
 

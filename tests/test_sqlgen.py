@@ -30,7 +30,6 @@ from repro.core.relalg import (
 from repro.core.sqlgen import (
     AliasGenerator,
     SelectBuilder,
-    all_of,
     exists,
     scalar_count,
 )
@@ -47,23 +46,6 @@ def simple_builder() -> SelectBuilder:
     b.add_from("node_global", "n0")
     b.add_where(Cmp("=", Col("n0", "doc"), Param(DOC)))
     return b
-
-
-class TestCombinators:
-    def test_all_of_drops_none(self):
-        cond = all_of([Cmp("=", Col("a", "x"), Const(1)), None])
-        assert isinstance(cond, Cmp)
-
-    def test_all_of_builds_and(self):
-        cond = all_of([
-            Cmp("=", Col("a", "x"), Const(1)),
-            Cmp("=", Col("a", "y"), Const(2)),
-        ])
-        assert isinstance(cond, And)
-        assert len(cond.items) == 2
-
-    def test_all_of_empty_is_none(self):
-        assert all_of([None, None]) is None
 
 
 class TestAliasGenerator:

@@ -16,8 +16,9 @@ rows of a store:
   (interval nesting for Global, slot uniqueness for Local, key-prefix
   and byte-order agreement for Dewey/ORDPATH);
 * **catalogue** — ``documents.node_count`` equals the live row count,
-  ``next_id`` stays above every allocated id, and no node, attribute or
-  index rows exist for unknown documents;
+  ``next_id`` stays above every allocated id, ``gap`` is a positive
+  integer, and no node, attribute or index rows exist for unknown
+  documents;
 * **secondary indexes** — the ``idx_sval`` rows of an indexed document
   are exactly what its node rows imply (one row per live element, its
   string-value and its path occurrence, none for anything else), and an
@@ -90,7 +91,7 @@ def group_siblings(
     return by_parent
 
 
-def _build_view(store, rows: list[dict], encoding) -> AuditView:
+def _build_view(info, rows: list[dict], encoding) -> AuditView:
     by_id = {row["id"]: row for row in rows}
     children = group_siblings(rows, encoding.sibling_order_column)
     preorder: list[int] = []
@@ -110,7 +111,7 @@ def _build_view(store, rows: list[dict], encoding) -> AuditView:
         by_id=by_id,
         children=children,
         preorder=preorder,
-        gap=store.gap,
+        gap=info.gap,
     )
 
 
@@ -225,6 +226,13 @@ def _catalog_violations(store, info, view: AuditView):
             "catalog-next-id", doc, None,
             f"documents.next_id {info.next_id} <= max live id {max_id}",
         )
+    # Every insert into the document labels with this gap: one below 1
+    # would hand out slots that are not free.
+    if not isinstance(info.gap, int) or info.gap < 1:
+        yield Violation(
+            "catalog-gap", doc, None,
+            f"documents.gap {info.gap!r} is not a positive integer",
+        )
 
 
 def _expected_index_rows(view: AuditView) -> tuple[dict, dict]:
@@ -324,7 +332,7 @@ def audit_document(store, doc: int) -> list[Violation]:
     info = store.document_info(doc, fresh=True)
     encoding = ENCODINGS[info.encoding]
     rows = fetch_rows(store, doc, encoding)
-    view = _build_view(store, rows, encoding)
+    view = _build_view(info, rows, encoding)
     violations = list(_structural_violations(store, doc, view))
     violations.extend(_attribute_violations(store, doc, view, encoding))
     violations.extend(

@@ -14,8 +14,11 @@ invocations::
     python -m repro sql 'SELECT COUNT(*) FROM node_dewey' --db bib.db
     python -m repro experiments
 
-The store's encoding and gap are recorded in a ``repro_meta`` table on
-first load, so later commands need no flags.
+The store's encoding is recorded in a ``repro_meta`` table on first
+load, so later commands need no flags.  Each document's gap is recorded
+in its catalogue row when it is loaded: ``--gap`` sets the gap of the
+documents that ``load`` creates, and inserts into a document always use
+its own.
 """
 
 from __future__ import annotations
@@ -47,14 +50,13 @@ def _read_meta(backend: Backend, db: str) -> Optional[dict[str, str]]:
     return {key: value for key, value in rows}
 
 
-def _write_meta(backend: Backend, encoding: str, gap: int) -> None:
+def _write_meta(backend: Backend, encoding: str) -> None:
     backend.execute(
         "CREATE TABLE IF NOT EXISTS repro_meta (key TEXT, value TEXT)"
     )
     backend.execute("DELETE FROM repro_meta")
-    backend.executemany(
-        "INSERT INTO repro_meta VALUES (?, ?)",
-        [("encoding", encoding), ("gap", str(gap))],
+    backend.execute(
+        "INSERT INTO repro_meta VALUES (?, ?)", ("encoding", encoding)
     )
 
 
@@ -63,7 +65,12 @@ def open_store(
     encoding: Optional[str] = None,
     gap: Optional[int] = None,
 ) -> XmlStore:
-    """Open (or initialise) the store in SQLite file *db*."""
+    """Open (or initialise) the store in SQLite file *db*.
+
+    *gap* is the gap of the documents the store loads (``None``: the
+    encoding's declared one); a document already stored keeps the gap
+    it was loaded with.
+    """
     backend = SqliteBackend(db if db != ":memory:" else None)
     meta = _read_meta(backend, db)
     if meta is not None:
@@ -73,12 +80,10 @@ def open_store(
                 f"cannot reopen it as {encoding!r}"
             )
         encoding = meta.get("encoding", "dewey")
-        gap = int(meta.get("gap", "1")) if gap is None else gap
     else:
         encoding = encoding or "dewey"
-        gap = gap or 1
         try:
-            _write_meta(backend, encoding, gap)
+            _write_meta(backend, encoding)
         except Exception as exc:
             raise ReproError(f"cannot initialise store {db!r}: {exc}")
     try:
@@ -111,7 +116,7 @@ def cmd_load(args: argparse.Namespace) -> int:
     info = store.document_info(doc)
     print(
         f"loaded document {doc} ({info.name!r}): {info.node_count} "
-        f"nodes, encoding {store.encoding.name}, gap {store.gap}"
+        f"nodes, encoding {info.encoding}, gap {info.gap}"
     )
     return 0
 
@@ -206,12 +211,12 @@ def cmd_drop(args: argparse.Namespace) -> int:
 
 def cmd_info(args: argparse.Namespace) -> int:
     store = open_store(args.db)
-    print(f"encoding: {store.encoding.name}   gap: {store.gap}")
+    print(f"encoding: {store.encoding.name}")
     print(f"{'doc':>4}  {'name':20} {'nodes':>8} "
-          f"{'next id':>8} {'encoding':>8}")
+          f"{'next id':>8} {'encoding':>8} {'gap':>6}")
     for info in store.documents():
         print(f"{info.doc:>4}  {info.name:20} {info.node_count:>8} "
-              f"{info.next_id:>8} {info.encoding:>8}")
+              f"{info.next_id:>8} {info.encoding:>8} {info.gap:>6}")
     return 0
 
 
@@ -374,7 +379,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 1
     print(
         f"ok: {docs} document(s) audited, 0 violations "
-        f"[{store.encoding.name}/{store.backend.name}, gap {store.gap}]"
+        f"[{store.encoding.name}/{store.backend.name}]"
     )
     return 0
 
@@ -790,7 +795,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoding", choices=sorted(ENCODINGS),
                    default=None, help="order encoding (first load only)")
     p.add_argument("--gap", type=int, default=None,
-                   help="sparse-numbering gap (default 1 = dense)")
+                   help="sparse-numbering gap of the loaded document, "
+                        "recorded with it (default: the encoding's: "
+                        + ", ".join(f"{name} {enc.load_gap}"
+                                    for name, enc in ENCODINGS.items())
+                        + "; 1 = dense)")
     p.add_argument("--name", default=None)
     p.add_argument("--strip-whitespace", action="store_true")
     p.set_defaults(func=cmd_load)
@@ -1005,7 +1014,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoding", choices=sorted(ENCODINGS), default=None,
                    help="order encoding for fresh shard stores")
     p.add_argument("--gap", type=int, default=None,
-                   help="gap factor for fresh shard stores")
+                   help="sparse-numbering gap of the documents the shards "
+                        "load (default: the encoding's)")
     p.add_argument("--request-timeout", type=float, default=30.0,
                    help="per-request budget in seconds (default 30)")
     p.set_defaults(func=cmd_serve)

@@ -234,15 +234,36 @@ class DeweyKey:
 # -- helpers used by the SQL layer (registered as scalar functions) -----------
 
 
+def _last_component_start(data: bytes) -> int:
+    """Offset of the last component of *data*, found by its lead bytes
+    (0 for an empty key).  The codec is a bijection, so every valid key
+    is canonical and its prefixes are its ancestors' keys as they are."""
+    start = end = 0
+    while end < len(data):
+        start = end
+        end += _component_length(data[end])
+    if end > len(data):
+        raise EncodingError("truncated Dewey key")
+    return start
+
+
 def dewey_parent_bytes(data: bytes) -> Optional[bytes]:
-    """SQL scalar: binary key of the parent, or ``None`` for top level."""
-    parent = DeweyKey.decode(data).parent()
-    return parent.encode() if parent is not None else None
+    """SQL scalar: binary key of the parent, or ``None`` for top level.
+
+    Works on the bytes, as :func:`dewey_shift` does: the parent's key
+    is the key without its last component."""
+    start = _last_component_start(data)
+    return data[:start] if start else None
 
 
 def dewey_successor_bytes(data: bytes) -> bytes:
-    """SQL scalar: binary upper bound of the node's subtree range."""
-    return DeweyKey.decode(data).sibling_successor().encode()
+    """SQL scalar: binary upper bound of the node's subtree range: the
+    key with its last component moved up by one."""
+    if not data:
+        raise EncodingError("the empty key has no local position")
+    start = _last_component_start(data)
+    (value,) = decode_components(data[start:])
+    return data[:start] + encode_component(value + 1)
 
 
 def dewey_shift(data: bytes, level: int, delta: int) -> bytes:

@@ -5,7 +5,8 @@ An :class:`OrderEncoding` bundles everything encoding-specific:
 * the relational schema (node + attribute tables, indexes),
 * how a shredded node record becomes a row (including the *gap* factor of
   the sparse variants — spacing order values out so small bursts of
-  insertions can be absorbed without renumbering),
+  insertions can be absorbed without renumbering), and the gap a load
+  uses unless told otherwise (:attr:`OrderEncoding.load_gap`),
 * the SQL fragment that sorts rows into document order (Local has none;
   its results need a client-side order-resolution pass, which is exactly
   the weakness the paper attributes to local order),
@@ -71,7 +72,8 @@ class AuditView:
     #: Node ids in structural document order (DFS over parent pointers,
     #: siblings ordered by the sibling order column).
     preorder: list[int]
-    #: The store's sparse-numbering gap.
+    #: The sparse-numbering gap the document was labelled with
+    #: (``documents.gap``).
     gap: int
 
 
@@ -95,6 +97,12 @@ class OrderEncoding(ABC):
     #: Column that orders *siblings* (always available: even Local can
     #: order within one parent).  Used by child fetches/reconstruction.
     sibling_order_column: str
+
+    #: The sparse-numbering gap a load labels with when the store names
+    #: none: the storage slack this encoding trades for relabels.  Each
+    #: document records the gap it was labelled with (``documents.gap``),
+    #: and every later insert and rebalance reads that, not this.
+    load_gap: int = 1
 
     #: Whether a subtree's end (:meth:`subtree_end`) is the order value
     #: of its last node (``<=``) or the first value past it (``<``).
@@ -222,6 +230,9 @@ class GlobalEncoding(OrderEncoding):
 
     name = "global"
     subtree_end_inclusive = True
+    # An insert that finds no free slot shifts the whole document
+    # tail, so Global gets the widest slack.
+    load_gap = 1024
 
     def __init__(self) -> None:
         self.node_table, self.attr_table = schema.global_tables()
@@ -297,6 +308,8 @@ class LocalEncoding(OrderEncoding):
     """
 
     name = "local"
+    # An insert that finds no free slot shifts its following siblings.
+    load_gap = 256
 
     def __init__(self) -> None:
         self.node_table, self.attr_table = schema.local_tables()
@@ -493,6 +506,9 @@ class DeweyEncoding(PrefixKeyEncoding):
 
     name = "dewey"
     key_column = "dkey"
+    # Components stay within the codec's range up to about 1.05M
+    # siblings under one parent (270,549,119 // 256).
+    load_gap = 256
     key_type = DeweyKey
     successor_function = "dewey_successor"
     parent_function = "dewey_parent"
@@ -549,6 +565,8 @@ class OrdpathEncoding(PrefixKeyEncoding):
 
     name = "ordpath"
     key_column = "okey"
+    # Carets never relabel, so a gap would only lengthen the keys.
+    load_gap = 1
     key_type = OrdpathKey
     successor_function = "ordpath_successor"
     parent_function = "ordpath_parent"

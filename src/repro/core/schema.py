@@ -31,8 +31,9 @@ own, so opening such a file builds it.  The old index stays and is
 maintained like any other; a plan that still picks it answers the same.
 
 A small ``documents`` catalogue row per stored document records the name,
-node count, next free surrogate id, order encoding and whether the
-document has a secondary index.
+node count, next free surrogate id, order encoding, whether the
+document has a secondary index and the sparse-numbering gap its order
+values were labelled with.
 """
 
 from __future__ import annotations
@@ -204,7 +205,10 @@ def documents_table() -> Table:
     ``encoding`` names the order encoding whose node/attribute tables
     hold this document's rows; ``repro migrate`` rewrites it atomically
     at cutover.  ``indexed`` is 1 while the document has a secondary
-    index (``indexes.create`` sets it, ``drop`` clears it).
+    index (``indexes.create`` sets it, ``drop`` clears it).  ``gap`` is
+    the sparse-numbering gap the document was labelled with: ``load``
+    writes it, and every insert, rebalance and migration of the
+    document labels with it, whichever session writes.
     """
     name = "documents"
     return Table(
@@ -216,6 +220,7 @@ def documents_table() -> Table:
             Column("next_id", "INTEGER"),
             Column("encoding", "TEXT"),
             Column("indexed", "INTEGER"),
+            Column("gap", "INTEGER"),
         ),
         (Index(f"ux_{name}_doc", name, ("doc",), unique=True),),
     )

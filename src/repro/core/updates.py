@@ -14,7 +14,9 @@ This module implements the paper's update cost model:
   a key between two neighbours, so it never relabels;
 * **Sparse variants** (``gap > 1``) — order values are spaced out at load
   time, so an insertion that fits in an existing gap relabels *nothing*;
-  renumbering only happens when a gap is exhausted (experiment E10);
+  renumbering only happens when a gap is exhausted (experiment E10).
+  The gap is the document's (``documents.gap``, written by its load):
+  every insert and rebalance labels with it;
 * **Deletions** are cheap for every encoding: the subtree's rows are
   removed and no renumbering is required (stale ancestor ``endpos``
   values in the Global encoding remain safe because the vacated interval
@@ -238,7 +240,7 @@ class UpdateManager:
 
         order_values, relabeled = _ORDER_ROUTINES[enc.name](
             self, doc, parent_id, parent_row, children, index, shredded,
-            enc,
+            enc, info.gap,
         )
         ids, parents = self._new_ids(info, shredded, parent_id)
         parent_depth = parent_row["depth"] if parent_row else 0
@@ -429,7 +431,7 @@ class UpdateManager:
 
         The paper's amortisation strategy: instead of paying a shift on
         every gap-exhausted insertion, renumber offline — one O(N) pass
-        that restores the store's configured gap everywhere (and, for
+        that restores the document's gap everywhere (and, for
         ORDPATH, collapses accumulated carets back to short keys).
         Structure, ids, and attributes are untouched; only order values
         change.
@@ -446,7 +448,8 @@ class UpdateManager:
         # relabelled around.
         store = self.store
         store.note_write(doc)
-        enc = store.encoding_for(doc)
+        info = store.document_info(doc)
+        enc = ENCODINGS[info.encoding]
         records = relabel(ordered_rows(store, doc, encoding=enc))
         assignments = ", ".join(f"{c} = ?" for c in enc.order_columns)
         store.backend.executemany(
@@ -455,7 +458,7 @@ class UpdateManager:
             (
                 (*order, doc, record.id)
                 for record, order in zip(
-                    records, enc.bulk_order_values(records, store.gap)
+                    records, enc.bulk_order_values(records, info.gap)
                 )
             ),
         )
@@ -559,8 +562,8 @@ class UpdateManager:
 
     def _insert_global(
         self, doc, parent_id, parent_row, children, index, shredded, enc,
+        gap,
     ) -> tuple[list[tuple], int]:
-        gap = self.store.gap
         n = shredded.node_count()
         table = enc.node_table.name
         if index > 0:
@@ -670,8 +673,8 @@ class UpdateManager:
 
     def _insert_local(
         self, doc, parent_id, parent_row, children, index, shredded, enc,
+        gap,
     ) -> tuple[list[tuple], int]:
-        gap = self.store.gap
         table = enc.node_table.name
         lpos_before = children[index - 1]["lpos"] if index > 0 else 0
         lpos_after = (
@@ -710,14 +713,13 @@ class UpdateManager:
 
     def _insert_prefix_key(
         self, doc, parent_id, parent_row, children, index, shredded,
-        enc: PrefixKeyEncoding,
+        enc: PrefixKeyEncoding, gap: int,
     ) -> tuple[list[tuple], int]:
         """A fresh key between the two neighbours, chosen by the
         encoding: Dewey takes a free position or asks for the following
         siblings to be shifted, ORDPATH carets and never relabels an
         existing row — the property the paper's update analysis
         motivates and ORDPATH delivers."""
-        gap = self.store.gap
         column = enc.key_column
         decode = enc.key_type.decode
         parent_key = decode(
@@ -794,9 +796,10 @@ class UpdateManager:
         )
 
 
-#: Per encoding, how an insert makes room: each routine renumbers what
-#: it must and returns the fragment's order values (one tuple per node,
-#: in document order) and the number of existing rows it relabeled.
+#: Per encoding, how an insert makes room at the document's gap: each
+#: routine renumbers what it must and returns the fragment's order
+#: values (one tuple per node, in document order) and the number of
+#: existing rows it relabeled.
 _ORDER_ROUTINES = {
     "global": UpdateManager._insert_global,
     "local": UpdateManager._insert_local,

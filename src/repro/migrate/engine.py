@@ -1,12 +1,12 @@
 """Re-encoding one stored document: a single transaction.
 
 ``migrate_document`` moves a document between order encodings (global /
-local / dewey / ordpath, at the store's gap) the way a rebalance
-renumbers one: read it in document order, label the rows afresh
-(:func:`repro.core.shredder.relabel`, which keeps the stored surrogate
-ids), and write them once — here into the target encoding's tables,
-after which the source rows go and the catalogue's ``encoding`` column
-flips.  All of it is one :meth:`XmlStore.transactionally` body, so
+local / dewey / ordpath, at the gap the document was loaded with) the
+way a rebalance renumbers one: read it in document order, label the
+rows afresh (:func:`repro.core.shredder.relabel`, which keeps the
+stored surrogate ids), and write them once — here into the target
+encoding's tables, after which the source rows go and the catalogue's
+``encoding`` column flips.  All of it is one :meth:`XmlStore.transactionally` body, so
 
 * crash safety is the transaction's: a crash at any statement boundary
   recovers to exactly the pre- or the post-migration store, and there is
@@ -94,7 +94,7 @@ def migrate_document(
             )
         # Labelled afresh, as a rebalance does: a migration also
         # compacts whatever gaps and carets the source accumulated.
-        store._bulk_insert(target, doc, relabel(rows), attrs)
+        store._bulk_insert(target, doc, relabel(rows), attrs, info.gap)
         for table in (source.node_table, source.attr_table):
             execute(f"DELETE FROM {table.name} WHERE doc = ?", (doc,))
         execute(

@@ -103,7 +103,10 @@ class DocumentInfo:
     (documents can migrate individually between encodings).
     ``indexed`` is whether the document has a secondary index
     (``indexes.create`` / ``drop`` write it): read with the row, so
-    neither a query nor an update asks for it separately.
+    neither a query nor an update asks for it separately.  ``gap`` is
+    the sparse-numbering gap the document was labelled with at load:
+    inserts, rebalances and migrations label with it, so every session
+    writes the document at one gap.
     """
 
     doc: int
@@ -112,25 +115,26 @@ class DocumentInfo:
     next_id: int
     encoding: str
     indexed: bool
+    gap: int
 
 
 #: The catalogue read: the ``documents`` columns in
 #: :class:`DocumentInfo` order.
 _CATALOGUE_SELECT = (
-    "SELECT doc, name, node_count, next_id, encoding, indexed "
+    "SELECT doc, name, node_count, next_id, encoding, indexed, gap "
     "FROM documents"
 )
 
 
 def _catalogue_entry(row: tuple) -> DocumentInfo:
-    doc, name, node_count, next_id, encoding, indexed = row
+    doc, name, node_count, next_id, encoding, indexed, gap = row
     if encoding not in ENCODINGS:
         raise StorageError(
             f"document {doc} is catalogued under unknown encoding "
             f"{encoding!r}; expected one of {sorted(ENCODINGS)}"
         )
     return DocumentInfo(doc, name, node_count, next_id, encoding,
-                        bool(indexed))
+                        bool(indexed), gap)
 
 
 class XmlStore:
@@ -140,13 +144,15 @@ class XmlStore:
     individual documents may live under a different encoding after a
     ``repro migrate`` — the catalogue's ``encoding`` column is
     authoritative, resolved per document by :meth:`encoding_for`.
+    Likewise ``gap`` is what new loads label with, and each document's
+    own gap is its catalogue entry's (:attr:`DocumentInfo.gap`).
     """
 
     def __init__(
         self,
         backend: Union[str, Backend] = "sqlite",
         encoding: Union[str, OrderEncoding] = "dewey",
-        gap: int = 1,
+        gap: Optional[int] = None,
         cache: bool = True,
     ) -> None:
         """Create a store.
@@ -159,15 +165,20 @@ class XmlStore:
             An encoding name (``"global"`` / ``"local"`` / ``"dewey"`` /
             ``"ordpath"``) or instance.
         gap:
-            Sparse-numbering gap factor.  1 means dense numbering (the
-            paper's base case); larger values space order values out so
-            bursts of insertions avoid renumbering (experiment E10).
+            Sparse-numbering gap factor of the documents this store
+            loads.  ``None`` (the default) is the encoding's declared
+            :attr:`~repro.core.encodings.OrderEncoding.load_gap`; 1 means
+            dense numbering (the paper's base case); larger values space
+            order values out so bursts of insertions avoid renumbering
+            (experiment E10).  Each document records its gap in the
+            catalogue, and its inserts use that one, whatever gap the
+            store that writes them was opened with.
         cache:
             Plan/catalog/result caching (see :mod:`repro.cache`);
             ``False`` makes every call translate and execute afresh
             (the benchmarks time such stores).
         """
-        if gap < 1:
+        if gap is not None and gap < 1:
             raise StorageError(f"gap must be >= 1, got {gap}")
         self.backend = (
             make_backend(backend) if isinstance(backend, str) else backend
@@ -179,7 +190,9 @@ class XmlStore:
         self.encoding = (
             get_encoding(encoding) if isinstance(encoding, str) else encoding
         )
-        self.gap = gap
+        #: The gap :meth:`load` labels new documents with.  Only a load
+        #: reads it: a stored document's gap is its catalogue entry's.
+        self.gap = self.encoding.load_gap if gap is None else gap
         #: Plan/catalog/result caches.  Every commit invalidates the
         #: catalog and result entries of the documents it wrote (see
         #: :meth:`transactionally`); plans are never invalidated.
@@ -384,9 +397,10 @@ class XmlStore:
                         (doc_id, attr.owner, attr.name, attr.value)
                         for attr in shredded.attributes
                     ),
+                    self.gap,
                 )
                 self.backend.execute(
-                    "INSERT INTO documents VALUES (?, ?, ?, ?, ?, ?)",
+                    "INSERT INTO documents VALUES (?, ?, ?, ?, ?, ?, ?)",
                     (
                         doc_id,
                         name,
@@ -394,6 +408,7 @@ class XmlStore:
                         shredded.node_count() + 1,
                         self.encoding.name,
                         0,
+                        self.gap,
                     ),
                 )
                 return doc_id
@@ -430,14 +445,15 @@ class XmlStore:
     def _bulk_insert(
         self, encoding: OrderEncoding, doc_id: int,
         nodes: Sequence[ShreddedNode], attr_rows: Iterable[tuple],
+        gap: int,
     ) -> None:
-        """Write a labelled document into *encoding*'s tables: a load
-        into the store's, a migration into its target's."""
+        """Write a labelled document into *encoding*'s tables at *gap*:
+        a load into the store's, a migration into its target's."""
         placeholders = ", ".join("?" for _ in encoding.node_columns())
         self.backend.executemany(
             f"INSERT INTO {encoding.node_table.name} "
             f"VALUES ({placeholders})",
-            encoding.node_rows(doc_id, nodes, self.gap),
+            encoding.node_rows(doc_id, nodes, gap),
         )
         self.backend.executemany(
             f"INSERT INTO {encoding.attr_table.name} VALUES (?, ?, ?, ?)",

@@ -36,6 +36,16 @@ _COMPARISON_OPS = ("=", "!=", "<=", ">=", "<", ">")
 
 _NODE_TYPE_TESTS = {"text", "node", "comment"}
 
+#: How deep an expression may nest: a predicate, a parenthesis or a
+#: function argument opens one level, and each further ``and`` / ``or``
+#: arm deepens the left-leaning tree it builds by one.  Every later
+#: pass over the tree (shape extraction, translation, SQL execution)
+#: recurses on it, so a deeper one is refused here, as a syntax error,
+#: instead of failing somewhere below with Python's ``RecursionError``.
+#: sqlite's own parser stack gives out at a fraction of this depth;
+#: minidb answers up to it.
+MAX_DEPTH = 64
+
 
 def parse_xpath(expression: str) -> Union[LocationPath, UnionPath]:
     """Parse *expression* into a location path (or a top-level union).
@@ -57,6 +67,7 @@ class _Parser:
         self._tokens = tokens
         self._source = source
         self._pos = 0
+        self._depth = 0
 
     # -- token helpers ---------------------------------------------------
 
@@ -186,20 +197,42 @@ class _Parser:
     # expression grammar: or > and > comparison > primary
 
     def _parse_expr(self) -> Expr:
-        return self._parse_or()
+        outer = self._deeper()
+        expr = self._parse_or()
+        self._depth = outer
+        return expr
+
+    def _deeper(self) -> int:
+        """Open one more level of nesting; returns the depth to restore
+        when the construct that opened it is done."""
+        outer = self._depth
+        self._depth += 1
+        if self._depth > MAX_DEPTH:
+            token = self._peek()
+            raise XPathSyntaxError(
+                f"expression nests deeper than {MAX_DEPTH} levels",
+                token.position if token else len(self._source),
+            )
+        return outer
 
     def _parse_or(self) -> Expr:
+        outer = self._depth
         left = self._parse_and()
         while self._at_operator_name("or"):
             self._pos += 1
+            self._deeper()
             left = BinaryOp("or", left, self._parse_and())
+        self._depth = outer
         return left
 
     def _parse_and(self) -> Expr:
+        outer = self._depth
         left = self._parse_comparison()
         while self._at_operator_name("and"):
             self._pos += 1
+            self._deeper()
             left = BinaryOp("and", left, self._parse_comparison())
+        self._depth = outer
         return left
 
     def _at_operator_name(self, word: str) -> bool:

@@ -217,6 +217,52 @@ class TestSchemaBootstrap:
             assert line.startswith(f"error: cannot open {str(path)!r}: ")
             assert "older build" in line
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_catalogue_without_gap_is_refused(
+        self, backend, tmp_path, capsys
+    ):
+        """Builds before ``documents.gap`` labelled every document at
+        the gap of whichever session wrote it, and recorded none.  A
+        file of theirs is refused when it opens: this build cannot tell
+        which gap its documents were labelled with."""
+        path = tmp_path / "old.db"
+        old = (
+            SqliteBackend(str(path)) if backend == "sqlite"
+            else MiniDbBackend()
+        )
+        for statement in (
+            "CREATE TABLE repro_meta (key TEXT, value TEXT)",
+            "INSERT INTO repro_meta VALUES ('encoding', 'dewey')",
+            "CREATE TABLE documents (doc INTEGER, name TEXT, "
+            "node_count INTEGER, next_id INTEGER, encoding TEXT, "
+            "indexed INTEGER)",
+            "INSERT INTO documents VALUES (1, 'doc', 1, 2, 'dewey', 0)",
+        ):
+            old.execute(statement)
+        if backend == "sqlite":
+            old.close()
+            reopened = SqliteBackend(str(path))
+        else:
+            reopened = old
+        with pytest.raises(
+            StorageError,
+            match=r"older build, whose document catalogue .*column:? gap",
+        ):
+            XmlStore(backend=reopened)
+        if backend == "minidb":
+            return  # the CLI opens sqlite files only
+        reopened.close()
+        for command in ("info", "insert", "check"):
+            args = [command, "--db", str(path)]
+            if command == "insert":
+                args[1:1] = ["<x/>", "--parent", "/*"]
+            assert main(args) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith(f"error: cannot open {str(path)!r}: ")
+            assert line.endswith("(no such column: gap)")
+
     def test_an_index_table_of_an_older_build_is_refused(
         self, tmp_path, capsys
     ):
@@ -400,8 +446,8 @@ def test_audit_multiple_documents_and_stray_rows():
 
 @pytest.mark.skip_audit
 class TestAuditorDetectsCorruption:
-    def _store(self, encoding, xml="<r><a>x</a><b><c/></b></r>"):
-        store = XmlStore(backend="sqlite", encoding=encoding)
+    def _store(self, encoding, xml="<r><a>x</a><b><c/></b></r>", gap=None):
+        store = XmlStore(backend="sqlite", encoding=encoding, gap=gap)
         doc = store.load(xml)
         assert audit_document(store, doc) == []
         return store, doc
@@ -417,7 +463,7 @@ class TestAuditorDetectsCorruption:
         assert "global-interval-degenerate" in self._codes(store, doc)
 
     def test_global_sibling_overlap(self):
-        store, doc = self._store("global")
+        store, doc = self._store("global", gap=1)
         row = store.fetch_node(doc, 4)  # <b>, second child of root
         store.backend.execute(
             "UPDATE node_global SET pos = ? WHERE id = 4",
@@ -524,6 +570,16 @@ class TestAuditorDetectsCorruption:
         )
         codes = self._codes(store, doc)
         assert {"catalog-node-count", "catalog-next-id"} <= codes
+
+    @pytest.mark.parametrize("gap", [0, -4, None])
+    def test_catalog_gap(self, gap):
+        """Every insert labels with the document's recorded gap, so one
+        that hands out no free slot is a violation."""
+        store, doc = self._store("dewey")
+        store.backend.execute(
+            "UPDATE documents SET gap = ? WHERE doc = ?", (gap, doc)
+        )
+        assert self._codes(store, doc) == {"catalog-gap"}
 
     def test_assert_store_clean_raises_with_listing(self):
         store, doc = self._store("global")

@@ -239,13 +239,13 @@ class TestInfoAndSql:
         """The one settings failure that means "not initialised yet"
         reaches the CLI as the StorageError every sqlite error is."""
         assert run(["info", "--db", db]) == 0
-        assert "encoding: dewey   gap: 1" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[0] == "encoding: dewey"
         connection = sqlite3.connect(db)
         rows = connection.execute(
             "SELECT key, value FROM repro_meta ORDER BY key"
         ).fetchall()
         connection.close()
-        assert rows == [("encoding", "dewey"), ("gap", "1")]
+        assert rows == [("encoding", "dewey")]
 
     def test_settings_with_wrong_columns_fail_on_one_line(self, db, capsys):
         connection = sqlite3.connect(db)
@@ -261,16 +261,69 @@ class TestInfoAndSql:
 
 class TestOpenStoreHelper:
     def test_persists_gap(self, bib_file, tmp_path):
+        """The gap is the document's: a reopen with another ``--gap``
+        changes the gap of the documents it loads, not of this one."""
         db = str(tmp_path / "gapped.db")
         run(["load", bib_file, "--db", db, "--encoding", "global",
              "--gap", "32"])
         store = open_store(db)
         assert store.encoding.name == "global"
-        assert store.gap == 32
+        assert store.document_info(1).gap == 32
+        store.close()
+        store = open_store(db, gap=4)
+        assert store.document_info(1).gap == 32
+        assert store.document_info(store.load(BIB)).gap == 4
+
+    def test_a_fresh_store_loads_at_the_encodings_declared_gap(
+        self, bib_file, tmp_path
+    ):
+        db = str(tmp_path / "declared.db")
+        run(["load", bib_file, "--db", db, "--encoding", "global"])
+        store = open_store(db)
+        assert store.document_info(1).gap == store.encoding.load_gap > 1
 
     def test_memory_store(self):
         store = open_store(":memory:", "dewey")
         assert store.encoding.name == "dewey"
+
+
+class TestOneDocumentOneGap:
+    """Two documents of one store loaded at two gaps: every later
+    session inserts into each at its own gap."""
+
+    FRONT_INSERTS = 10
+
+    def front_inserts(self, db, doc, capsys) -> list[int]:
+        """Relabel counts of inserts at index 0 under ``/bib``, each
+        by its own ``repro insert`` session."""
+        counts = []
+        for _ in range(self.FRONT_INSERTS):
+            assert run(["insert", "<x/>", "--db", db, "--doc", str(doc),
+                        "--parent", "/bib", "--index", "0"]) == 0
+            out = capsys.readouterr().out
+            counts.append(int(out.split("relabeled ")[1].split()[0]))
+        return counts
+
+    def test_inserts_relabel_per_their_documents_gap(
+        self, bib_file, db, capsys
+    ):
+        assert run(["load", bib_file, "--db", db, "--encoding", "global",
+                    "--gap", "1"]) == 0
+        assert run(["load", bib_file, "--db", db, "--gap", "64"]) == 0
+        capsys.readouterr()
+        assert run(["info", "--db", db]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[-1] for row in rows] == ["1", "64"]
+        dense = self.front_inserts(db, 1, capsys)
+        sparse = self.front_inserts(db, 2, capsys)
+        # Dense: every front insert shifts the tail.  Gap 64: six
+        # inserts halve the free run in front of the first book, the
+        # seventh shifts the tail by 64 and the new node lands in the
+        # middle of what that opened, so the last three fit again.
+        assert all(count > 0 for count in dense)
+        assert [count > 0 for count in sparse] == [False] * 6 + [True] + [
+            False] * 3
+        assert run(["check", "--db", db]) == 0
 
 
 class TestDrop:

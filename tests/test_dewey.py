@@ -158,6 +158,49 @@ class TestSqlScalars:
         assert dewey_successor_bytes(key.encode()) == \
             DeweyKey.parse("1.2.4").encode()
 
+    @settings(max_examples=300, deadline=None)
+    @given(comps=st.lists(
+        st.one_of(st.sampled_from((0, 127, 128, 16_511, 16_512, 2_113_663,
+                                   2_113_664, 270_549_118)),
+                  st.integers(0, 270_549_118)),
+        min_size=1, max_size=8,
+    ))
+    def test_the_byte_scalars_agree_with_the_key_algebra(self, comps):
+        """The scalars work on the bytes; the reference decodes the key,
+        takes its parent or successor and encodes it again."""
+        key = DeweyKey(comps)
+        parent = key.parent()
+        assert dewey_parent_bytes(key.encode()) == (
+            parent.encode() if parent is not None else None
+        )
+        assert dewey_successor_bytes(key.encode()) == \
+            key.sibling_successor().encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=12))
+    @example(data=b"")
+    @example(data=b"\x80")
+    @example(data=b"\x01\xf0")
+    @example(data=b"\xef\xff\xff\xff")
+    def test_the_byte_scalars_refuse_what_the_key_algebra_refuses(
+        self, data
+    ):
+        def parent(key):
+            parent = key.parent()
+            return parent.encode() if parent is not None else None
+
+        for scalar, reference in (
+            (dewey_parent_bytes, parent),
+            (dewey_successor_bytes, lambda k: k.sibling_successor().encode()),
+        ):
+            try:
+                want = reference(DeweyKey.decode(data))
+            except EncodingError as exc:
+                with pytest.raises(EncodingError, match=str(exc)):
+                    scalar(data)
+            else:
+                assert scalar(data) == want
+
 
 #: Top of the 1-, 2- and 3-byte component ranges: one more and the
 #: component — so the key — grows a byte.

@@ -7,12 +7,13 @@ import sys
 import pytest
 
 from repro.backends import SqliteBackend
-from repro.errors import StorageError
+from repro.errors import StorageError, XPathSyntaxError
 from repro.migrate import migrate_document
 from repro.minidb import MiniDb
 from repro.store import XmlStore
 from repro.xmldom import parse, serialize
 from repro.xpath import evaluate, string_value
+from repro.xpath.parser import MAX_DEPTH
 from tests.conftest import (
     ALL_ENCODINGS,
     BACKENDS,
@@ -218,6 +219,45 @@ class TestPastSqlitesStatementLimits:
         store = XmlStore(backend="minidb", encoding="dewey")
         doc = store.load(document)
         assert_query_matches_oracle(store, doc, document, xpath)
+
+
+class TestExpressionsNestedTooDeep:
+    """An XPath expression nested past the parser's limit is the
+    library's ``XPathSyntaxError`` on both engines, not a
+    ``RecursionError`` from whichever pass recursed first (the parser,
+    shape extraction); one at the limit answers on minidb as the oracle
+    does."""
+
+    XML = "<a><b><b/></b></a>"
+    TOO_DEEP = {
+        "predicates": "/a" + "[b" * 2000 + "]" * 2000,
+        "parentheses": "/a[" + "(" * 3000 + "b" + ")" * 3000 + "]",
+        "or-arms": "/a[" + " or ".join(["b"] * 3000) + "]",
+    }
+    AT_THE_LIMIT = {
+        "predicates": "/a" + "[b" * MAX_DEPTH + "]" * MAX_DEPTH,
+        "or-arms": "/a[" + " or ".join(["b"] * MAX_DEPTH) + "]",
+        "not-calls": "/a[" + "not(" * (MAX_DEPTH - 1) + "b"
+                     + ")" * (MAX_DEPTH - 1) + "]",
+    }
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("shape", sorted(TOO_DEEP))
+    def test_too_deep_is_a_typed_error(self, backend, shape):
+        store = XmlStore(backend=backend, encoding="dewey")
+        doc = store.load(self.XML)
+        with pytest.raises(XPathSyntaxError, match="nests deeper than"):
+            store.query(self.TOO_DEEP[shape], doc)
+
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    @pytest.mark.parametrize("shape", sorted(AT_THE_LIMIT))
+    def test_at_the_limit_minidb_answers(self, encoding, shape):
+        document = parse(self.XML)
+        store = XmlStore(backend="minidb", encoding=encoding)
+        doc = store.load(document)
+        assert_query_matches_oracle(
+            store, doc, document, self.AT_THE_LIMIT[shape]
+        )
 
 
 class TestALockedDatabase:

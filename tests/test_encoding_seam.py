@@ -347,3 +347,75 @@ def test_the_catalogue_is_one_documentinfo_per_row():
         if name in path.read_text()
     )
     assert not leftovers, leftovers
+
+
+def store_gap_reads(source: str, path: str) -> list[tuple[str, int]]:
+    """``(function, line)`` of every read of a store's ``gap``: a
+    ``store.gap`` / ``self.store.gap`` anywhere, and in ``store.py``
+    a ``self.gap``.  An assignment is not a read.  A nested function
+    is named by its chain (``outer.inner``)."""
+    found = []
+
+    def is_store(value: ast.expr) -> bool:
+        if isinstance(value, ast.Name):
+            return value.id == "store" or (
+                path == "store.py" and value.id == "self"
+            )
+        return isinstance(value, ast.Attribute) and value.attr == "store"
+
+    def scan(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = (
+                    child.name if function == "<module>"
+                    else f"{function}.{child.name}"
+                )
+            if (
+                isinstance(child, ast.Attribute) and child.attr == "gap"
+                and isinstance(child.ctx, ast.Load)
+                and is_store(child.value)
+            ):
+                found.append((function, child.lineno))
+            scan(child, name)
+
+    scan(ast.parse(source), "<module>")
+    return found
+
+
+def test_scanner_catches_a_store_gap_read():
+    source = (
+        "def _insert(self, doc):\n"
+        "    gap = self.store.gap\n"
+        "def _audit(store, info):\n"
+        "    return store.gap, info.gap\n"
+    )
+    assert store_gap_reads(source, "core/updates.py") == [
+        ("_insert", 2), ("_audit", 4),
+    ]
+    loader = (
+        "class XmlStore:\n"
+        "    def __init__(self, gap):\n"
+        "        self.gap = gap\n"
+        "    def load(self):\n"
+        "        def body():\n"
+        "            return self.gap\n"
+        "        return body()\n"
+    )
+    assert store_gap_reads(loader, "store.py") == [("load.body", 6)]
+
+
+def test_only_a_load_reads_the_stores_gap():
+    """A document's gap is a fact about the document (``documents.gap``,
+    written by its load): inserts, rebalances, migrations and the
+    auditor read ``info.gap``.  A ``store.gap`` read anywhere but
+    ``XmlStore.load`` would label a document at the gap of whichever
+    session writes it."""
+    readers = {
+        (path.relative_to(SRC).as_posix(), function.split(".")[0])
+        for path in SRC.rglob("*.py")
+        for function, _line in store_gap_reads(
+            path.read_text(), path.relative_to(SRC).as_posix()
+        )
+    }
+    assert readers == {("store.py", "load")}

@@ -155,6 +155,28 @@ class TestMigrationMatrix:
         with pytest.raises(Exception):
             migrate_document(store, doc, "no-such-encoding")
 
+    @pytest.mark.parametrize("backend", ["sqlite", "minidb"])
+    def test_a_document_keeps_its_gap(self, backend):
+        """A migration labels at the document's recorded gap, not at
+        the gap of the store that runs it: a document loaded at 4 is
+        labelled at 4 in its new encoding, and its catalogue row still
+        says so."""
+        shared = make_backend(backend)
+        doc = XmlStore(backend=shared, encoding="local", gap=4).load(BIB)
+        store = XmlStore(backend=shared, encoding="local", gap=1)
+        migrate_document(store, doc, "global")
+        assert store.document_info(doc).gap == 4
+        positions = [
+            pos for (pos,) in shared.execute(
+                "SELECT pos FROM node_global WHERE doc = ? ORDER BY pos",
+                (doc,),
+            ).rows
+        ]
+        assert positions == [
+            4 * rank for rank in range(1, len(positions) + 1)
+        ]
+        assert_store_clean(store, "after migrating a gap-4 document")
+
     def test_mixed_encoding_store(self):
         """Documents with different encodings coexist in one store."""
         store = XmlStore(backend="sqlite", encoding="global")

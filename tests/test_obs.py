@@ -252,7 +252,7 @@ class TestSlowQueryLog:
         assert log.recorded == 4
 
     def test_updates_counters_through_store(self, metrics):
-        store = XmlStore(backend="sqlite", encoding="global")
+        store = XmlStore(backend="sqlite", encoding="global", gap=1)
         doc = store.load("<list><i>a</i><i>b</i></list>")
         store.updates.insert(doc, 1, 0, "<i>new</i>")
         store.updates.delete(doc, store.fetch_children(doc, 1)[0]["id"])

@@ -198,7 +198,7 @@ class TestOrdpathStore:
         costs = {}
         xml = "<list>" + "<i><v>x</v></i>" * 10 + "</list>"
         for encoding in ("dewey", "ordpath"):
-            store = XmlStore(backend="sqlite", encoding=encoding)
+            store = XmlStore(backend="sqlite", encoding=encoding, gap=1)
             doc = store.load(xml)
             root = store.query("/list", doc)[0].node_id
             relabeled = 0

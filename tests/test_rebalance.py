@@ -85,6 +85,25 @@ class TestRebalance:
                 parent_pos, parent_end = spans[parent]
                 assert parent_pos < pos and endpos <= parent_end
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_restores_the_documents_gap_not_the_sessions(self, backend):
+        """A session opened at another gap rebalances the document back
+        to the gap it was loaded with."""
+        loaded, doc = churned_store("dewey", gap=16, backend=backend)
+        session = XmlStore(backend=loaded.backend, encoding="dewey", gap=1)
+        session.updates.rebalance(doc)
+        rows = session.backend.execute(
+            "SELECT dkey FROM node_dewey WHERE doc = ? ORDER BY dkey",
+            (doc,),
+        ).rows
+        top_level = [
+            DeweyKey.decode(r[0]) for r in rows
+            if DeweyKey.decode(r[0]).depth() == 2
+        ]
+        assert [k.local_position() for k in top_level] == [
+            16 * i for i in range(1, len(top_level) + 1)
+        ]
+
     def test_dewey_keys_dense_after_rebalance(self):
         store, doc = churned_store("dewey", gap=1)
         store.updates.rebalance(doc)

@@ -7,8 +7,13 @@ the per-row loops reported:
 
 * ``mix_w`` — ``(inserted, deleted, relabeled)`` of each of the first 200
   writes of the benchmark's mix W (``benchmarks/perf/schedule.py``, seed
-  1, dense numbering) on one 8-article document, per encoding; both
-  backends must report them, and the stores must audit clean afterwards;
+  1, dense numbering: ``gap=1``) on one 8-article document, per
+  encoding; both backends must report them, and the stores must audit
+  clean afterwards;
+* ``mix_w_declared`` — the same 200 writes on a document loaded at its
+  encoding's declared gap (``OrderEncoding.load_gap``, what a store
+  loads with when it names none): ``(inserted, deleted, relabeled, rows
+  written)`` per op, on both backends;
 * ``e5`` / ``e6`` / ``e10`` — the rows of the three update experiments
   (insert cost vs. position, subtree insert / delete, sparse
   numbering).
@@ -22,6 +27,7 @@ import importlib.util
 import json
 import random
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -74,25 +80,40 @@ def mix_w_slice():
     return document, ops
 
 
-def replay(encoding: str, backend: str) -> tuple[XmlStore, list[list[int]]]:
+def replay(
+    encoding: str, backend: str, gap: Optional[int]
+) -> tuple[XmlStore, list[list[int]]]:
+    """The slice on a document loaded at *gap* (``None``: the
+    encoding's declared one): ``(inserted, deleted, relabeled, rows
+    written)`` per op."""
     document, ops = mix_w_slice()
-    store = XmlStore(backend=backend, encoding=encoding)
+    store = XmlStore(backend=backend, encoding=encoding, gap=gap)
     assert store.load(document) == 1
     counts = []
     for op in ops:
+        written = store.backend.rows_written()
         if op.kind == "insert":
             report = store.updates.insert(
                 op.doc, op.parent, op.index, op.fragment
             )
         else:
             report = store.updates.delete(op.doc, op.node)
-        counts.append([report.inserted, report.deleted, report.relabeled])
+        counts.append([
+            report.inserted, report.deleted, report.relabeled,
+            store.backend.rows_written() - written,
+        ])
     return store, counts
 
 
 def snapshot() -> dict:
     return {
-        "mix_w": {enc: replay(enc, "sqlite")[1] for enc in ENCODINGS},
+        "mix_w": {
+            enc: [row[:3] for row in replay(enc, "sqlite", 1)[1]]
+            for enc in ENCODINGS
+        },
+        "mix_w_declared": {
+            enc: replay(enc, "sqlite", None)[1] for enc in ENCODINGS
+        },
         **{
             name: [list(row) for row in run().rows]
             for name, run in EXPERIMENTS.items()
@@ -124,15 +145,50 @@ def test_the_slice_exercises_every_write_class_and_renumbers(golden):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("encoding", ENCODINGS)
 def test_mix_w_reports_the_recorded_counts_per_op(golden, encoding, backend):
-    store, counts = replay(encoding, backend)
+    store, counts = replay(encoding, backend, 1)
     want = golden["mix_w"][encoding]
     assert len(counts) == len(want) == OPS
     for i, (got, recorded) in enumerate(zip(counts, want)):
-        assert got == recorded, (
-            f"op {i}: (inserted, deleted, relabeled) {got}, "
+        assert got[:3] == recorded, (
+            f"op {i}: (inserted, deleted, relabeled) {got[:3]}, "
             f"recorded {recorded}"
         )
     assert_store_clean(store, f"{encoding}/{backend} after mix W")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("encoding", ENCODINGS)
+def test_mix_w_at_the_declared_gap_reports_the_recorded_counts(
+    golden, encoding, backend
+):
+    store, counts = replay(encoding, backend, None)
+    assert store.document_info(1).gap == store.encoding.load_gap
+    want = golden["mix_w_declared"][encoding]
+    assert len(counts) == len(want) == OPS
+    for i, (got, recorded) in enumerate(zip(counts, want)):
+        assert got == recorded, (
+            f"op {i}: (inserted, deleted, relabeled, rows written) "
+            f"{got}, recorded {recorded}"
+        )
+    assert_store_clean(store, f"{encoding}/{backend} after mix W")
+
+
+def test_the_declared_gaps_relabel_less_than_dense(golden):
+    """The trade the declared gaps make, on the pinned slice: Global
+    relabels a fraction of what it relabels dense, and no other
+    encoding relabels at all."""
+    relabeled = {
+        section: {
+            enc: sum(row[2] for row in golden[section][enc])
+            for enc in ENCODINGS
+        }
+        for section in ("mix_w", "mix_w_declared")
+    }
+    dense, declared = relabeled["mix_w"], relabeled["mix_w_declared"]
+    assert declared["global"] * 10 < dense["global"]
+    assert {enc: declared[enc] for enc in ("local", "dewey", "ordpath")} == {
+        "local": 0, "dewey": 0, "ordpath": 0,
+    }
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))

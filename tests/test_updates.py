@@ -290,6 +290,29 @@ class TestSparseNumbering:
         assert_values_match_oracle(store, doc, dom, "/list/item/@n")
 
 
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    def test_a_session_at_another_gap_inserts_at_the_documents(
+        self, encoding
+    ):
+        """The gap is the document's: a store opened at gap 1 writes a
+        document loaded at gap 8 exactly as the loading store does."""
+
+        def churn(store, doc, root_id):
+            for index in (1, 1, 1, 1, 8, 0, 0, 0):
+                store.updates.insert(doc, root_id, index, "<item/>")
+            table = store.node_table
+            return store.backend.execute(
+                f"SELECT * FROM {table} WHERE doc = ? ORDER BY id", (doc,)
+            ).rows
+
+        loaded, doc, root_id = make_store(encoding, gap=8)
+        twin, twin_doc, twin_root = make_store(encoding, gap=8)
+        session = XmlStore(backend=twin.backend, encoding=encoding, gap=1)
+        assert churn(session, twin_doc, twin_root) == churn(
+            loaded, doc, root_id
+        )
+
+
 class TestUpdatesOnMinidb:
     """The same update machinery must work on the from-scratch engine."""
 
@@ -350,7 +373,7 @@ class TestRenumberingIsOneStatement:
     @staticmethod
     def insert_before_k_siblings(backend: str, k: int):
         xml = "<r>" + "<s><t>x</t></s>" * k + "</r>"
-        store = XmlStore(backend=backend, encoding="dewey")
+        store = XmlStore(backend=backend, encoding="dewey", gap=1)
         doc = store.load(xml)
         log = statement_log(store)
         report = store.updates.insert(doc, 1, 0, "<new/>")
@@ -366,7 +389,7 @@ class TestRenumberingIsOneStatement:
         assert len(shifts) == 1 and "dewey_shift(dkey, ?, ?)" in shifts[0]
 
     def test_dewey_top_level_shift_has_no_upper_bound(self):
-        store = XmlStore(encoding="dewey")
+        store = XmlStore(encoding="dewey", gap=1)
         doc = store.load("<!--a--><r><s/></r><!--b-->")
         log = statement_log(store)
         report = store.updates.insert(doc, 0, 0, "<!--first-->")
@@ -498,7 +521,7 @@ class TestKeySpaceExhaustion:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_overflowing_shift_rolls_back_typed(self, backend):
-        store = XmlStore(backend=backend, encoding="dewey")
+        store = XmlStore(backend=backend, encoding="dewey", gap=1)
         doc = store.load("<a><b/><c><d/></c></a>")
         top = 270_549_119
         for node_id, comps in ((2, (1, top - 1)), (3, (1, top)),
@@ -521,3 +544,15 @@ class TestKeySpaceExhaustion:
         assert store.document_info(doc, fresh=True).node_count == 4
         # The slot before b is free: the store still takes writes.
         assert store.updates.insert(doc, 1, 0, "<x/>").relabeled == 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_load_past_the_codec_at_its_gap_is_typed(self, backend):
+        """The gap multiplies every load-time component, so the codec's
+        bound on siblings per parent is 270,549,119 // gap: 1,056,832
+        at Dewey's declared 256.  Past it a load raises and leaves no
+        document."""
+        store = XmlStore(backend=backend, encoding="dewey", gap=100_000_000)
+        with pytest.raises(EncodingError, match="exceeds codec range"):
+            store.load("<a><b/><b/><b/></a>")
+        assert store.documents() == []
+        assert store.load("<a><b/><b/></a>") == 1

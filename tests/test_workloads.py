@@ -113,8 +113,8 @@ class TestQuerySuites:
 
 
 class TestUpdateWorkload:
-    def _store(self, encoding="dewey"):
-        store = XmlStore(backend="sqlite", encoding=encoding)
+    def _store(self, encoding="dewey", gap=None):
+        store = XmlStore(backend="sqlite", encoding=encoding, gap=gap)
         doc = store.load(article_corpus(articles=4))
         return store, doc
 
@@ -134,7 +134,7 @@ class TestUpdateWorkload:
         assert store.node_count(doc) > n_before
 
     def test_insert_stream_accumulates(self):
-        store, doc = self._store("global")
+        store, doc = self._store("global", gap=1)
         workload = UpdateWorkload(store, doc)
         root = store.query("/journal", doc)[0].node_id
         result = workload.insert_stream(root, "first", 3)

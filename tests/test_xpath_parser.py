@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import XPathSyntaxError
 from repro.xpath import parse_xpath
+from repro.xpath.parser import MAX_DEPTH
 from repro.xpath.ast import (
     BinaryOp,
     FunctionCall,
@@ -225,3 +226,41 @@ class TestRoundTrip:
     def test_str_reparses_equal(self, expr):
         path = parse_xpath(expr)
         assert parse_xpath(str(path)) == path
+
+
+class TestNestingDepth:
+    """An expression nested past :data:`MAX_DEPTH` is a syntax error,
+    raised on the way down, before any pass over the tree can recurse
+    past Python's stack."""
+
+    TOO_DEEP = {
+        "predicates": "/a" + "[b" * 2000 + "]" * 2000,
+        "parentheses": "/a[" + "(" * 3000 + "b" + ")" * 3000 + "]",
+        "or-arms": "/a[" + " or ".join(["b"] * 3000) + "]",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(TOO_DEEP))
+    def test_too_deep_is_a_syntax_error(self, shape):
+        with pytest.raises(XPathSyntaxError, match="nests deeper than"):
+            parse_xpath(self.TOO_DEEP[shape])
+
+    @pytest.mark.parametrize("shape, make", [
+        ("predicates", lambda n: "/a" + "[b" * n + "]" * n),
+        ("parentheses",
+         lambda n: "/a[" + "(" * (n - 1) + "b" + ")" * (n - 1) + "]"),
+        ("or-arms", lambda n: "/a[" + " or ".join(["b"] * n) + "]"),
+        ("and-arms", lambda n: "/a[" + " and ".join(["b"] * n) + "]"),
+        ("not-calls",
+         lambda n: "/a[" + "not(" * (n - 1) + "b" + ")" * (n - 1) + "]"),
+    ])
+    def test_the_limit_is_exact(self, shape, make):
+        parse_xpath(make(MAX_DEPTH))
+        with pytest.raises(XPathSyntaxError, match="nests deeper than"):
+            parse_xpath(make(MAX_DEPTH + 1))
+
+    def test_the_offset_names_the_expression_past_the_limit(self):
+        text = "/a" + "[b" * (MAX_DEPTH + 1) + "]" * (MAX_DEPTH + 1)
+        with pytest.raises(XPathSyntaxError) as raised:
+            parse_xpath(text)
+        # The "b" inside the first bracket past the limit.
+        assert raised.value.position == len("/a" + "[b" * MAX_DEPTH + "[")

@@ -91,7 +91,7 @@ def group_siblings(
     return by_parent
 
 
-def _build_view(info, rows: list[dict], encoding) -> AuditView:
+def _build_view(rows: list[dict], encoding) -> AuditView:
     by_id = {row["id"]: row for row in rows}
     children = group_siblings(rows, encoding.sibling_order_column)
     preorder: list[int] = []
@@ -111,7 +111,6 @@ def _build_view(info, rows: list[dict], encoding) -> AuditView:
         by_id=by_id,
         children=children,
         preorder=preorder,
-        gap=info.gap,
     )
 
 
@@ -332,7 +331,7 @@ def audit_document(store, doc: int) -> list[Violation]:
     info = store.document_info(doc, fresh=True)
     encoding = ENCODINGS[info.encoding]
     rows = fetch_rows(store, doc, encoding)
-    view = _build_view(info, rows, encoding)
+    view = _build_view(rows, encoding)
     violations = list(_structural_violations(store, doc, view))
     violations.extend(_attribute_violations(store, doc, view, encoding))
     violations.extend(

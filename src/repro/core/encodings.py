@@ -72,9 +72,6 @@ class AuditView:
     #: Node ids in structural document order (DFS over parent pointers,
     #: siblings ordered by the sibling order column).
     preorder: list[int]
-    #: The sparse-numbering gap the document was labelled with
-    #: (``documents.gap``).
-    gap: int
 
 
 class OrderEncoding(ABC):

@@ -325,7 +325,8 @@ class Recursive:
     not produced again, so a walk over corrupt, cyclic rows ends.
     *anchor* and *step* may reference aliases of the enclosing query.
     It renders wherever a query goes: under ``EXISTS``, and as a derived
-    FROM item (Local's descendant steps read their candidates from one).
+    FROM item (Local's descendant and ancestor steps read their
+    candidates from one).
     """
 
     name: str

@@ -26,9 +26,10 @@ Predicates compile to:
 
 A step reads its candidates from the FROM item the encoding's
 :meth:`SqlTranslator.node_source` hands it: by default the node table,
-placed by the axis condition; Local's descendant axes instead take the
-builder's terms so far into the anchor of one recursive walk down from
-the whole context set, and read the step's candidates from that.
+placed by the axis condition; Local's descendant and ancestor axes
+instead take the builder's terms so far into the anchor of one
+recursive walk, down or up, from the whole context set, and read the
+step's candidates from that.
 
 The AST is then rendered as SQL text — the same text for both engines —
 into a :class:`~repro.core.relalg.CompiledPlan` that contains no
@@ -54,8 +55,9 @@ comparison of two range ends:
   key and its successor;
 * Local declares no range: :mod:`.local_sql` answers the axes that need
   transitive closure with a recursive walk over the parent pointers
-  (down from the context set for the descendant axes, up from the
-  candidate for the rest), and result ordering falls back to a
+  (from the context set, down for the descendant axes and up for the
+  ancestor ones; up from both the candidate and the context for
+  ``following`` / ``preceding``), and result ordering falls back to a
   client-side order-resolution pass.
 """
 
@@ -314,8 +316,8 @@ class SqlTranslator:
         the node table, restricted to the document and placed by
         :meth:`axis_condition`.  An encoding may instead build the item
         out of *builder*'s FROM/WHERE terms so far, which it then takes
-        over: Local's descendant axes walk down from the whole context
-        set that those terms select.
+        over: Local's descendant and ancestor axes walk from the whole
+        context set that those terms select.
         """
         return (
             self.node_table,
@@ -908,35 +910,9 @@ class SqlTranslator:
             raise UnsupportedXPathError(
                 f"node test {step.test.kind}() on the attribute axis"
             )
-        for predicate in step.predicates:
-            builder.add_where(
-                self._attribute_predicate(predicate, alias, t)
-            )
+        if step.predicates:
+            raise UnsupportedXPathError("predicates on attribute steps")
         return alias, "attribute"
-
-    def _attribute_predicate(
-        self, expr: Expr, alias: str, t: "_Translation"
-    ) -> RelExpr:
-        """Predicates on attribute candidates: value comparisons only."""
-        if isinstance(expr, BinaryOp) and expr.op in _COMPARISON_OPS:
-            if isinstance(expr.left, PathExpr) or isinstance(
-                expr.right, PathExpr
-            ):
-                raise UnsupportedXPathError(
-                    "path predicates on attribute steps"
-                )
-            left, right = expr.left, expr.right
-            if isinstance(left, FunctionCall) or isinstance(
-                right, FunctionCall
-            ):
-                raise UnsupportedXPathError(
-                    "function predicates on attribute steps"
-                )
-            # [. = 'x'] style is not parsed here; compare self value.
-            raise UnsupportedXPathError(
-                "only positional-free attribute predicates are supported"
-            )
-        raise UnsupportedXPathError("predicates on attribute steps")
 
     # -- node tests ------------------------------------------------------------------
 

@@ -12,17 +12,16 @@ Local order stores nothing but the position among siblings, so:
   :class:`~repro.core.relalg.Recursive` instead, so the plan does not
   depend on how deep any document is:
 
-  - a descendant step from a node context reads its candidates from one
-    walk *down* from the whole context set (:meth:`node_source`): the
-    builder's terms so far — the path up to the context — are the
-    walk's anchor, each round reads the children of the rows before,
-    and the walk carries each row whole, so the step joins nothing
-    back and reads every subtree once, however many contexts it lies
-    under.  Deep attributes read their owner from the ``-or-self``
-    walk;
-  - "``a`` is an ancestor of ``n``" walks up from ``n``, one point probe
-    of the ``(doc, id)`` index per level, and stops at ``a``'s stored
-    ``depth``;
+  a descendant or ancestor step from a node context reads its
+  candidates from one walk from the whole context set
+  (:meth:`node_source`): the builder's terms so far — the path up to
+  the context — are the walk's anchor, each round reads the children
+  (going *down*) or the parents (going *up*, one point probe of the
+  ``(doc, id)`` index per level) of the rows before, and the walk
+  carries each row whole, so the step joins nothing back and reads
+  every subtree, or chain of ancestors, once however many contexts
+  share it.  Deep attributes read their owner from the
+  ``descendant-or-self`` walk;
 
 * ``following``/``preceding`` nest two upward walks (the candidate's
   ancestors against the context's) around a sibling comparison — still
@@ -33,8 +32,8 @@ Local order stores nothing but the position among siblings, so:
 * document-order comparison between arbitrary nodes (needed by positional
   predicates on document-order axes) is not expressible at all and raises
   :class:`TranslationError`; so does ``last() <op> k`` along a
-  descendant axis of a node, which counts per context, while a walk
-  down takes the context into its anchor;
+  descendant or ancestor axis of a node, which counts per context,
+  while a walk takes the context into its anchor;
 * results carry no document-order column: the store runs a client-side
   order-resolution pass (fetching ancestor paths) to sort them.
 
@@ -55,7 +54,6 @@ from repro.core.relalg import (
     Exists,
     FromItem,
     Func,
-    Or,
     Recursive,
     RelExpr,
     RelQuery,
@@ -71,13 +69,13 @@ from repro.core.translator.base import (
 )
 from repro.errors import TranslationError
 
-#: The axes a step reads by walking down from its context set.
+#: The axes a step reads by walking from its context set: down, and up.
 _DOWNWARD = ("descendant", "descendant-or-self")
+_WALKED = _DOWNWARD + ("ancestor", "ancestor-or-self")
 
-#: What a walk up the parent pointers carries of each row it visits:
-#: where to go next and when to stop, plus, to compare siblings, where
-#: the row sits among them.
-_CLIMB = ("parent", "depth")
+#: What a walk up the parent pointers carries of each row it visits to
+#: compare siblings: where to go next, when to stop, and where the row
+#: sits among them.
 _CLIMB_SIBLINGS = ("parent", "depth", "lpos")
 
 
@@ -87,13 +85,10 @@ class LocalSqlTranslator(SqlTranslator):
     # -- closure helpers ---------------------------------------------------
 
     def _climb(
-        self,
-        node: str,
-        floor: RelExpr,
-        columns: tuple[str, ...],
-        t: _Translation,
+        self, node: str, floor: RelExpr, t: _Translation
     ) -> tuple[str, Select, Select]:
-        """*columns* of *node* and its ancestors, as a recursive table.
+        """*node* and its ancestors, as a recursive table of
+        :data:`_CLIMB_SIBLINGS`.
 
         Returns ``(name, anchor, step)``: the anchor is *node*'s own
         row (read from the enclosing query, no probe), the step fetches
@@ -103,42 +98,18 @@ class LocalSqlTranslator(SqlTranslator):
         walk = t.aliases.next()
         up = t.aliases.next()
         anchor = Select(
-            columns=tuple(SelectItem(Col(node, c)) for c in columns),
+            columns=tuple(SelectItem(Col(node, c)) for c in _CLIMB_SIBLINGS),
             count_joins=False,
         )
         step = SelectBuilder()
         step.count_joins = False
-        step.select = [SelectItem(Col(up, c)) for c in columns]
+        step.select = [SelectItem(Col(up, c)) for c in _CLIMB_SIBLINGS]
         step.add_from(walk, walk)
         step.add_from(self.node_table, up)
         step.add_where(t.doc_cond(up))
         step.add_where(Cmp("=", Col(up, "id"), Col(walk, "parent")))
         step.add_where(Cmp(">", Col(walk, "depth"), floor))
         return walk, anchor, step.build()
-
-    def ancestor_chain(
-        self,
-        anc: str,
-        node: str,
-        t: _Translation,
-        include_self: bool = False,
-    ) -> RelExpr:
-        """*anc* is an ancestor of *node*: some row on *node*'s walk up
-        has *anc* for its parent.  The walk stops one level below
-        *anc*, so a child costs no probe at all."""
-        walk, anchor, step = self._climb(
-            node, Arith("+", Col(anc, "depth"), Const(1)), _CLIMB, t
-        )
-        closure: RelExpr = Exists(
-            Recursive(
-                walk, _CLIMB, anchor, step,
-                _any_row(walk, Cmp("=", Col(walk, "parent"), Col(anc, "id"))),
-            ),
-            counted=False,
-        )
-        if include_self:
-            return Or((Cmp("=", Col(anc, "id"), Col(node, "id")), closure))
-        return closure
 
     def node_source(
         self,
@@ -148,32 +119,35 @@ class LocalSqlTranslator(SqlTranslator):
         builder: SelectBuilder,
         t: _Translation,
     ) -> tuple[FromItem, Optional[RelExpr], Optional[RelExpr]]:
-        if ctx is None or axis not in _DOWNWARD:
+        if ctx is None or axis not in _WALKED:
             return super().node_source(axis, ctx, cand, builder, t)
-        return (
-            self._walk_down(ctx, axis == "descendant-or-self", builder, t),
-            None,
-            None,
-        )
+        return self._walk(ctx, axis, builder, t), None, None
 
-    def _walk_down(
+    def _walk(
         self,
         ctx: str,
-        include_self: bool,
+        axis: str,
         builder: SelectBuilder,
         t: _Translation,
     ) -> Recursive:
-        """Every descendant of the context set, as one recursive table.
+        """Every node on *axis* of the context set, as one recursive
+        table.
 
         The anchor takes over *builder*'s FROM/WHERE terms — the path
         that selects *ctx*, or an EXISTS's correlation to its outer row
-        — and reads the context rows' children (or, for ``-or-self``,
-        the context rows themselves); the step reads the children of
-        the rows before.  The table carries each row whole, so the
-        enclosing query reads its candidates from it and joins nothing
-        back.  ``UNION`` reads a subtree once however many contexts it
-        lies under.
+        — and reads the context rows' children going down, their
+        parents going up (or, for ``-or-self``, the context rows
+        themselves); the step reads the children, or the parents, of
+        the rows before, one ``(doc, parent)`` or ``(doc, id)`` probe
+        per level.  The table carries each row whole, so the enclosing
+        query reads its candidates from it and joins nothing back.
+        ``UNION`` reads a subtree, or a chain of ancestors, once however
+        many contexts share it.
         """
+        down = axis in _DOWNWARD
+        # The column of the next row that names the row before, and
+        # the one it names.
+        near, far = ("parent", "id") if down else ("id", "parent")
         row = NODE_PROJECTION + self.encoding.order_columns
         walk = t.aliases.next()
         anchor = SelectBuilder()
@@ -181,22 +155,25 @@ class LocalSqlTranslator(SqlTranslator):
         anchor.from_items, builder.from_items = builder.from_items, []
         anchor.where, builder.where = builder.where, []
         top = ctx
-        if not include_self:
+        if not axis.endswith("-or-self"):
             top = t.aliases.next()
             anchor.add_from(self.node_table, top)
             anchor.add_where(t.doc_cond(top))
-            anchor.add_where(Cmp("=", Col(top, "parent"), Col(ctx, "id")))
+            anchor.add_where(Cmp("=", Col(top, near), Col(ctx, far)))
         anchor.select = [SelectItem(Col(top, c)) for c in row]
-        down = t.aliases.next()
+        nxt = t.aliases.next()
         step = SelectBuilder()
         step.count_joins = False
-        step.select = [SelectItem(Col(down, c)) for c in row]
+        step.select = [SelectItem(Col(nxt, c)) for c in row]
         step.add_from(walk, walk)
-        step.add_from(self.node_table, down)
-        step.add_where(t.doc_cond(down))
-        step.add_where(Cmp("=", Col(down, "parent"), Col(walk, "id")))
-        step.add_where(Cmp("=", Col(walk, "kind"), Const(KIND_ELEMENT)))
-        step.add_where(Cmp(">", Col(down, "depth"), Col(walk, "depth")))
+        step.add_from(self.node_table, nxt)
+        step.add_where(t.doc_cond(nxt))
+        step.add_where(Cmp("=", Col(nxt, near), Col(walk, far)))
+        if down:
+            step.add_where(Cmp("=", Col(walk, "kind"), Const(KIND_ELEMENT)))
+        step.add_where(
+            Cmp(">" if down else "<", Col(nxt, "depth"), Col(walk, "depth"))
+        )
         body = Select(
             columns=tuple(SelectItem(Col(walk, c)) for c in row),
             from_items=((walk, walk),),
@@ -211,18 +188,14 @@ class LocalSqlTranslator(SqlTranslator):
     ) -> RelExpr:
         """The closure axes, which Local has no range for; the rest is
         the base's table."""
-        if axis in _DOWNWARD:
-            # A step reads these axes from _walk_down, which hides the
+        if axis in _WALKED:
+            # A step reads these axes from _walk, which hides the
             # context from the step's own predicates; only a position
             # counted along the axis still asks for the condition.
             raise TranslationError(
                 f"{self.encoding.name} order cannot count positions "
                 f"along the {axis} axis of a node"
             )
-        if axis == "ancestor":
-            return self.ancestor_chain(cand, ctx, t)
-        if axis == "ancestor-or-self":
-            return self.ancestor_chain(cand, ctx, t, include_self=True)
         if axis in ("following", "preceding"):
             return self._document_order_axis(axis, ctx, cand, t)
         return super().node_axis_condition(axis, ctx, cand, t)
@@ -237,12 +210,8 @@ class LocalSqlTranslator(SqlTranslator):
         Siblings are equally deep, so for each *f* the walk up from ctx
         stops at *f*'s depth.
         """
-        f, f_anchor, f_step = self._climb(
-            cand, Const(1), _CLIMB_SIBLINGS, t
-        )
-        a, a_anchor, a_step = self._climb(
-            ctx, Col(f, "depth"), _CLIMB_SIBLINGS, t
-        )
+        f, f_anchor, f_step = self._climb(cand, Const(1), t)
+        a, a_anchor, a_step = self._climb(ctx, Col(f, "depth"), t)
         a_body = _any_row(
             a,
             Cmp("=", Col(a, "parent"), Col(f, "parent")),

@@ -101,8 +101,14 @@ class IndexManager:
         def purge() -> None:
             self.store.note_write(doc)
             self.purge_in_transaction(doc)
+            # The torn-read guard (XmlStore.query), as a migration
+            # moves it: an index plan bound before this commit would
+            # read the emptied index tables.
+            self.store.cache.bump({doc})
+            self.store._plan_epoch += 1
 
         self.store.transactionally(purge)
+        self.store._plan_epoch += 1
         if present:
             METRICS.inc("index.dropped")
         return present

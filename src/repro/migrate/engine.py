@@ -110,7 +110,7 @@ def migrate_document(
         # and a later one finds no cached row and — on the shared
         # connection — waits for the commit to read it.
         store.cache.bump({doc})
-        store._migration_epoch += 1
+        store._plan_epoch += 1
         return report
 
     timing: dict[str, float] = {}
@@ -125,7 +125,7 @@ def migrate_document(
         # do not wait: one can read the source encoding between the
         # bump above and the COMMIT, and execute after it.  It read
         # the epoch before this line.
-        store._migration_epoch += 1
+        store._plan_epoch += 1
         report.blocked_ms = timing["migrate"] * 1000.0
         METRICS.inc("migrate.completed")
         METRICS.inc("migrate.rows_copied", report.rows_copied)

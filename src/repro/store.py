@@ -202,9 +202,11 @@ class XmlStore:
         #: :meth:`note_write`), ``None`` outside one.
         self._scope = threading.local()
         self._docs_table = documents_table()
-        #: Moved by every migration; queries that observe a move
-        #: mid-flight re-run against the new encoding's tables.
-        self._migration_epoch = 0
+        #: Moved by every commit that leaves a bound plan reading rows
+        #: its document has left (a migration, an index drop, a
+        #: document delete); queries that observe a move mid-flight
+        #: re-run against the new catalogue row.
+        self._plan_epoch = 0
         self._create_schema()
         from repro.core.updates import UpdateManager
         from repro.index import IndexManager
@@ -516,9 +518,13 @@ class XmlStore:
                 "DELETE FROM documents WHERE doc = ?", (doc,)
             )
             self.indexes.purge_in_transaction(doc)
+            # The torn-read guard, as a migration moves it.
+            self.cache.bump({doc})
+            self._plan_epoch += 1
             return max(nodes.rowcount, 0) + max(attrs.rowcount, 0)
 
         removed = self.transactionally(drop_in_transaction)
+        self._plan_epoch += 1
         self.cache.forget(doc)
         return removed
 
@@ -576,26 +582,29 @@ class XmlStore:
 
         Torn-read guard: a migration can commit between this query's
         translate and execute steps — the plan is bound to the source
-        encoding's table, which is by then empty of the document.
-        Every migration moves ``_migration_epoch`` (see
+        encoding's table, which is by then empty of the document.  An
+        index drop leaves an index plan reading emptied index tables,
+        and a document delete leaves any plan reading nothing.  Each
+        of these moves ``_plan_epoch`` (see
         :func:`repro.migrate.migrate_document` for when), so a query
         that observes a move mid-flight simply re-runs — the second
-        pass reads the new catalogue row and the new tables.  So does
+        pass reads the new catalogue row (or finds none, and raises
+        :class:`StorageError`) and the new tables.  So does
         one that *failed* across a move: Local's client-order pass
         fetches ancestors under the plan's encoding, the one whose table
         the rows came from, and finds the document's rows gone from it.
         """
         for attempt in range(4):
-            epoch = self._migration_epoch
+            epoch = self._plan_epoch
             try:
                 items = self._query_once(xpath, doc, context_id)
             except Exception:
-                if self._migration_epoch == epoch or attempt == 3:
+                if self._plan_epoch == epoch or attempt == 3:
                     raise
             else:
-                if self._migration_epoch == epoch:
+                if self._plan_epoch == epoch:
                     return items
-            METRICS.inc("query.migration_retries")
+            METRICS.inc("query.plan_retries")
         return items
 
     def _query_once(

@@ -16,6 +16,7 @@ import pytest
 from repro.backends import make_backend
 from repro.check import assert_store_clean
 from repro.core.encodings import ENCODINGS
+from repro.errors import StorageError
 from repro.migrate import MigrationAdvisor, migrate_document
 from repro.robust.faults import FaultInjectingBackend
 from repro.store import XmlStore
@@ -473,7 +474,7 @@ class TestTornReadGuard:
         store.translate = bind_then_migrate
         with counters() as count:
             got = identities(store, doc, QUERIES[0])
-            assert count("query.migration_retries") == 1
+            assert count("query.plan_retries") == 1
         assert migrated and store.encoding_for(doc).name == "dewey"
         assert got == identities(twin, twin_doc, QUERIES[0]) != []
 
@@ -497,8 +498,60 @@ class TestTornReadGuard:
         store._client_sort_nodes = migrate_then_sort
         with counters() as count:
             got = identities(store, doc, "//author")
-            assert count("query.migration_retries") == 1
+            assert count("query.plan_retries") == 1
         assert migrated and got == identities(twin, twin_doc, "//author")
+
+    @pytest.mark.parametrize("backend", ["sqlite", "minidb"])
+    def test_an_index_dropped_between_translate_and_execute_reruns_the_query(
+        self, backend
+    ):
+        """An index plan bound before the drop commits reads index
+        tables emptied of the document.  The drop moves the epoch, so
+        the query runs again and scans the node table."""
+        store = XmlStore(backend=backend, encoding="global")
+        twin = XmlStore(backend=backend, encoding="global")
+        doc, twin_doc = store.load(BIB), twin.load(BIB)
+        store.indexes.create(doc)
+        assert store.translate("/bib/book/title", doc).access_path != "scan"
+        bind = store.translate
+        dropped = []
+
+        def bind_then_drop(xpath, doc, context_id=None):
+            bound = bind(xpath, doc, context_id=context_id)
+            if not dropped:
+                dropped.append(store.indexes.drop(doc))
+            return bound
+
+        store.translate = bind_then_drop
+        with counters() as count:
+            got = identities(store, doc, "/bib/book/title")
+            assert count("query.plan_retries") == 1
+        assert dropped == [True]
+        assert got == identities(twin, twin_doc, "/bib/book/title") != []
+
+    @pytest.mark.parametrize("encoding", ["global", "local"])
+    @pytest.mark.parametrize("backend", ["sqlite", "minidb"])
+    def test_a_document_deleted_between_translate_and_execute_is_an_error(
+        self, backend, encoding
+    ):
+        """A plan bound before the delete commits reads no rows: the
+        answer is that the document is gone, not that nothing
+        matched."""
+        store = XmlStore(backend=backend, encoding=encoding)
+        doc = store.load(BIB)
+        bind = store.translate
+        deleted = []
+
+        def bind_then_delete(xpath, doc, context_id=None):
+            bound = bind(xpath, doc, context_id=context_id)
+            if not deleted:
+                deleted.append(store.delete_document(doc))
+            return bound
+
+        store.translate = bind_then_delete
+        with pytest.raises(StorageError):
+            store.query("/bib/book/title", doc)
+        assert deleted and not store.documents()
 
 
 class MigrateBeforeTheNextCall(FaultInjectingBackend):

@@ -6,9 +6,11 @@ from ``benchmarks/perf/schedule.py``, as ``tests/test_relabel_pins.py``
 does), instantiated :data:`DRAWS` times from one seed, on one seeded
 ``article_corpus`` per encoding, the golden file records what the minidb
 engine counted for the read: ``rows_read``, ``index_scans``,
-``full_scans`` and ``statements``.  An executor change that makes a
-read cheaper in Python must leave every count where it is; one that
-changes an access path shows up as a one-line diff.
+``full_scans`` and ``statements``.  No template has an ancestor step,
+so one more group, :data:`ANCESTOR`, pins the ancestor axes from many
+contexts, from one and inside a predicate.  An executor change that
+makes a read cheaper in Python must leave every count where it is; one
+that changes an access path shows up as a one-line diff.
 
 Regenerate after an intentional change with::
 
@@ -33,6 +35,13 @@ SCHEDULE_PATH = (
 ENCODINGS = ("global", "local", "dewey", "ordpath")
 COUNTERS = ("rows_read", "index_scans", "full_scans", "statements")
 SEED, ARTICLES, DRAWS = 1, 10, 3
+ANCESTOR = "ancestor"
+ANCESTOR_READS = [
+    "/journal/article/section/ancestor::*",
+    "/journal/article/section/ancestor-or-self::article",
+    "/journal/article[last()]/section[1]/para[1]/ancestor::*",
+    "//title[ancestor::section]",
+]
 
 
 def _schedule():
@@ -48,7 +57,8 @@ def _schedule():
 
 def reads() -> tuple[object, dict[str, list[str]]]:
     """The document and :data:`DRAWS` distinct XPaths per Mix R'
-    template (every template has at least four literal values)."""
+    template (every template has at least four literal values), then
+    the :data:`ANCESTOR` group."""
     sched = _schedule()
     document = sched.corpus(SEED, 1, ARTICLES)[0]
     rng = random.Random(SEED)
@@ -59,11 +69,12 @@ def reads() -> tuple[object, dict[str, list[str]]]:
             xpath = sched.instantiate(rng, template, ARTICLES)
             if xpath not in xpaths:
                 xpaths.append(xpath)
+    queries[ANCESTOR] = ANCESTOR_READS
     return document, queries
 
 
 def measure(encoding: str) -> dict[str, list[list]]:
-    """``template -> [[xpath, *counters], ...]`` on a minidb store."""
+    """``group -> [[xpath, *counters], ...]`` on a minidb store."""
     document, queries = reads()
     store = XmlStore(backend="minidb", encoding=encoding, cache=False)
     try:

@@ -5,7 +5,8 @@ the Dewey/ORDPATH scalar functions, so every translation and benchmark
 runs unchanged on either engine.  Both support atomic transactions via
 :meth:`Backend.transaction` — sqlite natively, minidb through an undo
 journal — which the update manager wraps around every multi-statement
-operation.
+operation, and a read scope, :meth:`Backend.snapshot`, which the store
+opens around every read of several statements.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
+
+from repro.errors import StorageError
 
 
 @dataclass
@@ -65,6 +68,9 @@ class Backend(ABC):
         # on a thread that never opened one.)  Set here and not in an
         # __init__ so that no subclass can forget to call it.
         backend._tx_depths = {}
+        #: Thread ident -> whether that thread's open :meth:`snapshot`
+        #: reads beside writers; no entry outside one.
+        backend._snapshots = {}
         #: The backend's one writer lock: held from BEGIN to
         #: COMMIT/ROLLBACK by the thread whose transaction is open, and
         #: by an in-memory engine around every statement too.  An
@@ -89,7 +95,7 @@ class Backend(ABC):
     def execute_plan(self, sql, params=(), statement=None):
         # Alias of execute, kept only for the frozen probe
         # benchmarks/perf/workloads.py:477; do not override or call it
-        # (ROADMAP, "One benchmark system", lists it for deletion).
+        # (ROADMAP, "`[benchmark]` re-base", lists it for deletion).
         return self.execute(sql, params)
 
     @abstractmethod
@@ -155,6 +161,10 @@ class Backend(ABC):
             finally:
                 depths[ident] -= 1
             return
+        if ident in self._snapshots:
+            raise StorageError(
+                "a transaction cannot begin inside a read snapshot"
+            )
         self.begin()
         depths[ident] = 1
         try:
@@ -175,6 +185,27 @@ class Backend(ABC):
             del depths[ident]
             self.commit_transaction()
 
+    def snapshot(self) -> "ReadScope":
+        """Read scope: the calling thread's statements inside it read
+        one committed state.  It joins the thread's transaction or an
+        outer scope; a transaction begun inside it is a
+        :class:`StorageError`."""
+        return ReadScope(self)
+
+    def reads_beside_writers(self) -> bool:
+        """Is the calling thread inside a read scope that writers may
+        commit beside (a sqlite file), not one that excludes them?"""
+        return bool(self._snapshots.get(threading.get_ident()))
+
+    def begin_snapshot(self) -> bool:
+        """Open a read scope; returns whether writers commit beside it.
+        By default: take the writer lock, so that none does."""
+        self._writer.acquire()
+        return False
+
+    def end_snapshot(self) -> None:
+        self._writer.release()
+
     def close(self) -> None:
         """Release resources (no-op by default)."""
 
@@ -188,3 +219,24 @@ class Backend(ABC):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+class ReadScope:
+    """:meth:`Backend.snapshot`: a class, not a generator, because every
+    uncached read enters one."""
+
+    __slots__ = ("backend", "opened")
+
+    def __init__(self, backend: Backend) -> None:
+        self.backend, self.opened = backend, False
+
+    def __enter__(self) -> None:
+        backend, ident = self.backend, threading.get_ident()
+        if ident not in backend._tx_depths and ident not in backend._snapshots:
+            backend._snapshots[ident] = backend.begin_snapshot()
+            self.opened = True
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.opened:
+            del self.backend._snapshots[threading.get_ident()]
+            self.backend.end_snapshot()

@@ -202,7 +202,9 @@ class SqliteBackend(Backend):
       so BEGIN IMMEDIATE takes sqlite's write lock too: a transaction's
       snapshot then starts where its writes will, and no such
       statement can commit in between and fail the transaction's first
-      write with "database is locked".
+      write with "database is locked".  A read scope
+      (:meth:`Backend.snapshot`) is a deferred ``BEGIN`` kept on a
+      connection the same way, without the lock.
 
     One transaction at a time either way, as on minidb: one writer lock
     per backend.  :meth:`Backend.transaction` keeps its scope depth per
@@ -230,7 +232,7 @@ class SqliteBackend(Backend):
         #: one ever taken from here).
         self._idle = [first]
         #: On a file: thread ident -> the connection its open
-        #: transaction runs on.
+        #: transaction or read scope runs on.
         self._pinned: dict[int, sqlite3.Connection] = {}
 
     # -- connections on a file ---------------------------------------------
@@ -323,14 +325,8 @@ class SqliteBackend(Backend):
         try:
             if self._shared is not None:
                 execute_typed(self._shared, "BEGIN", ())
-                return
-            connection = self._checkout()
-            try:
-                execute_typed(connection, "BEGIN IMMEDIATE", ())
-            except BaseException:
-                self._checkin(connection)
-                raise
-            self._pinned[threading.get_ident()] = connection
+            else:
+                self._pin("BEGIN IMMEDIATE")
         except BaseException:
             self._writer.release()
             raise
@@ -348,16 +344,45 @@ class SqliteBackend(Backend):
         try:
             if self._shared is not None:
                 execute_typed(self._shared, statement, ())
-                return
-            connection = self._pinned.pop(threading.get_ident(), None)
-            if connection is None:
-                raise StorageError(f"{statement} without a transaction")
-            try:
-                execute_typed(connection, statement, ())
-            finally:
-                self._checkin(connection)
+            else:
+                self._unpin(statement)
         finally:
             self._writer.release()
+
+    def begin_snapshot(self) -> bool:
+        """In memory the writer lock; on a file a deferred ``BEGIN``,
+        whose first statement fixes the scope's snapshot, and no lock."""
+        if self._shared is not None:
+            self._writer.acquire()
+            return False
+        self._pin("BEGIN")
+        return True
+
+    def end_snapshot(self) -> None:
+        if self._shared is not None:
+            self._writer.release()
+        else:
+            self._unpin("COMMIT")
+
+    def _pin(self, begin: str) -> None:
+        """Run *begin* on a connection kept for the calling thread."""
+        connection = self._checkout()
+        try:
+            execute_typed(connection, begin, ())
+        except BaseException:
+            self._checkin(connection)
+            raise
+        self._pinned[threading.get_ident()] = connection
+
+    def _unpin(self, statement: str) -> None:
+        """End the thread's scope with *statement*; free its connection."""
+        connection = self._pinned.pop(threading.get_ident(), None)
+        if connection is None:
+            raise StorageError(f"{statement} without a transaction")
+        try:
+            execute_typed(connection, statement, ())
+        finally:
+            self._checkin(connection)
 
     # -- lifecycle ---------------------------------------------------------
 

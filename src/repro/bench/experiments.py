@@ -671,14 +671,13 @@ _E14_HOLD_SECONDS = 1.0
 def _reads_during_write(store: XmlStore, doc: int, readers: int) -> int:
     """How many of *readers* concurrent reads of *doc* complete while
     the calling thread holds one write transaction open on *store*."""
-    translated = store.translate("//para", doc)
     parent = store.query("/journal", doc)[0].node_id
     done = [threading.Event() for _ in range(readers)]
     committing = threading.Event()
     during: list[int] = []
 
     def read(slot: int) -> None:
-        store.backend.execute(translated.sql, translated.params)
+        store.query("//para", doc)
         if not committing.is_set():
             during.append(slot)
         done[slot].set()
@@ -710,14 +709,14 @@ def run_e14_concurrency(
 ) -> ExperimentTable:
     """Reads completed while one write transaction is held open.
 
-    Both modes run the same translated statement against the same
-    document on sqlite.  *serialized* is the in-memory store, whose
-    one connection's lock is held from BEGIN to COMMIT of every write
-    transaction — readers wait for the commit.  *file* is the store
-    on a file, where each read runs on a WAL connection of its own, so
-    reads proceed during the write.  The write is a Global front insert
-    (the relabeling worst case); every run is followed by a full
-    invariant audit.
+    Both modes run the same uncached ``store.query`` against the same
+    document on sqlite.  *serialized* is the in-memory store, whose one
+    connection's lock every write transaction and every read scope
+    holds — readers wait for the commit.  *file* is the store on a
+    file, where a read scope is a deferred BEGIN on a WAL connection of
+    its own, so reads proceed during the write.  The write is a Global
+    front insert (the relabeling worst case); every run is followed by
+    a full invariant audit.
     """
     import tempfile
 
@@ -735,7 +734,7 @@ def run_e14_concurrency(
     with tempfile.TemporaryDirectory(prefix="repro-e14-") as tmp:
         for mode, path in (("serialized", None),
                            ("file", f"{tmp}/store.db")):
-            store = XmlStore(backend=SqliteBackend(path), encoding="global")
+            store = XmlStore(SqliteBackend(path), "global", cache=False)
             try:
                 doc = store.load(document)
                 during = _reads_during_write(store, doc, readers)

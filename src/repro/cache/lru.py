@@ -27,8 +27,9 @@ invalidated **per document** under this protocol:
    touching any backend state, computes its value, then calls
    ``put_*`` with that observed epoch.
 2. Every commit hands :meth:`StoreCache.bump` its **write set** — the
-   documents its transaction wrote.  The bump advances those
-   documents' epochs and drops their catalog and result entries;
+   documents its transaction wrote — before and after its COMMIT.  The
+   bump advances those documents' epochs and drops their catalog and
+   result entries;
    every other document's entries stay.  A commit that cannot name
    its write set passes none, and the bump falls back to dropping the
    catalog and result entries of *every* document.
@@ -47,14 +48,9 @@ can ever make a stale capture match again.  Bookkeeping is one integer
 per document written since it was last forgotten.
 
 Across threads: the clock, the per-document epochs and the layers sit
-behind one lock, shared by every thread of the store, while the readers
-of a file-backed :class:`~repro.backends.sqlite_backend.SqliteBackend`
-run on WAL connections of their own.  Invalidation is prompt but not atomic
-with COMMIT — for the instant between a writer's COMMIT and its bump, a
-concurrent reader may still serve the just-superseded result.  That is
-the same staleness an uncached reader's in-flight WAL snapshot already
-permits, so caching adds no new anomaly; it only must never *retain*
-such a value, which rules 2 and 3 guarantee.
+behind one lock, shared by every thread of the store.  Why a commit
+bumps twice, and what a reader may see in between, is
+:meth:`~repro.store.XmlStore._commit`'s to say.
 
 Threads inside their own transaction bypass the cache entirely (the
 store checks ``_in_own_transaction()`` before every lookup/insert), so

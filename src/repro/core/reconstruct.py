@@ -148,13 +148,16 @@ def row_events(
 
 
 def stored_attributes(
-    store: "XmlStore", doc: int, owners: Optional[Iterable[int]] = None
+    store: "XmlStore", doc: int, owners: Optional[Iterable[int]] = None,
+    encoding: Optional["OrderEncoding"] = None,
 ) -> dict[int, dict[str, str]]:
     """``owner id -> {name: value}``, names in sorted order: every
     attribute of *doc* in one scan, or only those of *owners* (ids
-    below a subtree root), in ``IN`` batches."""
+    below a subtree root), in ``IN`` batches (*encoding* as for
+    :func:`ordered_rows`)."""
+    encoding = encoding or store.encoding_for(doc)
     select = (
-        f"SELECT owner, name, value FROM {store.attr_table_for(doc)} "
+        f"SELECT owner, name, value FROM {encoding.attr_table.name} "
         f"WHERE doc = ?"
     )
     statements = (
@@ -171,16 +174,26 @@ def stored_attributes(
 
 
 def _materialise(
-    store: "XmlStore", doc: int, root_row: Optional[dict] = None
+    store: "XmlStore", doc: int, node_id: Optional[int] = None
 ) -> tuple[Document, list[tuple]]:
-    """The DOM of a stored document or subtree, hung under a fresh
-    :class:`Document`, and the rows it was built from — one per node,
-    in the order ``iter_preorder`` visits them."""
-    rows = ordered_rows(store, doc, root_row)
-    owners = None if root_row is None else [
-        row[0] for row in rows if row[2] == KIND_ELEMENT
-    ]
-    attributes = stored_attributes(store, doc, owners)
+    """The DOM of a stored document, or of the subtree under
+    *node_id*, hung under a fresh :class:`Document`, and the rows it
+    was built from — one per node, in the order ``iter_preorder``
+    visits them.  The rows are read in one read scope, as
+    :meth:`~repro.store.XmlStore.query` reads, and the tree is built
+    after it."""
+    with store.backend.snapshot():
+        encoding = store.encoding_for(doc)
+        root_row = None
+        if node_id is not None:
+            root_row = store.fetch_node(doc, node_id, encoding)
+            if root_row is None:
+                raise StorageError(f"no node {node_id} in document {doc}")
+        rows = ordered_rows(store, doc, root_row, encoding)
+        owners = None if root_row is None else [
+            row[0] for row in rows if row[2] == KIND_ELEMENT
+        ]
+        attributes = stored_attributes(store, doc, owners, encoding)
     return build_tree(row_events(rows, attributes)), rows
 
 
@@ -203,8 +216,5 @@ def reconstruct_document_with_ids(
 
 def reconstruct_subtree(store: "XmlStore", doc: int, node_id: int) -> Node:
     """Rebuild the subtree rooted at *node_id*."""
-    root_row = store.fetch_node(doc, node_id)
-    if root_row is None:
-        raise StorageError(f"no node {node_id} in document {doc}")
-    carrier, _rows = _materialise(store, doc, root_row)
+    carrier, _rows = _materialise(store, doc, node_id)
     return carrier.children[0].detach()

@@ -583,7 +583,7 @@ class TranslatedQuery:
     access_path: str = "scan"
     #: Not a field.  The frozen probe benchmarks/perf/workloads.py:477
     #: passes ``statement=t.statement``; nothing else reads it (ROADMAP,
-    #: "One benchmark system", lists it for deletion).
+    #: "`[benchmark]` re-base", lists it for deletion).
     statement = None
 
 

@@ -97,18 +97,7 @@ class IndexManager:
     def drop(self, doc: int) -> bool:
         """Remove *doc*'s index rows; True if an index was present."""
         present = self.exists(doc)
-
-        def purge() -> None:
-            self.store.note_write(doc)
-            self.purge_in_transaction(doc)
-            # The torn-read guard (XmlStore.query), as a migration
-            # moves it: an index plan bound before this commit would
-            # read the emptied index tables.
-            self.store.cache.bump({doc})
-            self.store._plan_epoch += 1
-
-        self.store.transactionally(purge)
-        self.store._plan_epoch += 1
+        self.store.transactionally(lambda: self.purge_in_transaction(doc))
         if present:
             METRICS.inc("index.dropped")
         return present
@@ -116,6 +105,7 @@ class IndexManager:
     def purge_in_transaction(self, doc: int) -> None:
         """Delete every ``idx_*`` row of *doc* and clear its ``indexed``
         flag (caller owns the txn)."""
+        self.store.note_write(doc)
         backend = self.store.backend
         for table in ("idx_sval", "idx_paths"):
             backend.execute(f"DELETE FROM {table} WHERE doc = ?", (doc,))

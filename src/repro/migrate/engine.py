@@ -102,15 +102,6 @@ def migrate_document(
             (target.name, doc),
         )
         report.rows_copied, report.attrs_copied = len(rows), len(attrs)
-        # The torn-read guard (XmlStore.query): a reader resolves the
-        # catalogue and executes without holding the writers' lock in
-        # between.  Dropping the cached catalogue row and moving the
-        # epoch here, before COMMIT, means a reader that resolved the
-        # source encoding read the epoch before this line and re-runs,
-        # and a later one finds no cached row and — on the shared
-        # connection — waits for the commit to read it.
-        store.cache.bump({doc})
-        store._plan_epoch += 1
         return report
 
     timing: dict[str, float] = {}
@@ -121,11 +112,6 @@ def migrate_document(
         METRICS.inc("migrate.aborted")
         raise
     if report.outcome == "migrated":
-        # Readers with a connection of their own (a file-backed store)
-        # do not wait: one can read the source encoding between the
-        # bump above and the COMMIT, and execute after it.  It read
-        # the epoch before this line.
-        store._plan_epoch += 1
         report.blocked_ms = timing["migrate"] * 1000.0
         METRICS.inc("migrate.completed")
         METRICS.inc("migrate.rows_copied", report.rows_copied)

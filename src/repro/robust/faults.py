@@ -54,10 +54,11 @@ class FaultInjectingBackend(Backend):
 
     Only ``execute``/``executemany`` are gated (and counted — one
     ``executemany`` call is one statement); ``begin``/``commit``/
-    ``rollback`` pass through so a plan's statement indexes stay
-    deterministic across runs.  After a crash every operation raises
-    :class:`SimulatedCrash` except ``rollback``/``close``, which become
-    no-ops — a dead process runs no rollback.
+    ``rollback`` and the read scope's hooks pass through so a plan's
+    statement indexes stay deterministic across runs.  After a crash
+    every operation raises :class:`SimulatedCrash` except ``rollback``,
+    ``end_snapshot`` and ``close``, which become no-ops — a dead process
+    runs no rollback.
     """
 
     def __init__(
@@ -75,9 +76,12 @@ class FaultInjectingBackend(Backend):
         self.plan = plan
         self.statements_executed = 0
 
-    def _gate(self) -> None:
+    def _alive(self) -> None:
         if self.crashed:
             raise SimulatedCrash("backend already crashed")
+
+    def _gate(self) -> None:
+        self._alive()
         if self.plan is None:
             return
         if self.plan.next_fault(self.statements_executed) == "crash":
@@ -115,29 +119,34 @@ class FaultInjectingBackend(Backend):
         return self.inner.rows_written()
 
     def list_tables(self) -> list[str]:
-        if self.crashed:
-            raise SimulatedCrash("backend already crashed")
+        self._alive()
         return self.inner.list_tables()
 
     def analyze(self, tables: Sequence[str]) -> None:
-        if self.crashed:
-            raise SimulatedCrash("backend already crashed")
+        self._alive()
         self.inner.analyze(tables)
 
     def begin(self) -> None:
-        if self.crashed:
-            raise SimulatedCrash("backend already crashed")
+        self._alive()
         self.inner.begin()
 
     def commit_transaction(self) -> None:
-        if self.crashed:
-            raise SimulatedCrash("backend already crashed")
+        self._alive()
         self.inner.commit_transaction()
 
     def rollback(self) -> None:
         if self.crashed:
             return  # the "process" died; nobody is left to roll back
         self.inner.rollback()
+
+    def begin_snapshot(self) -> bool:
+        self._alive()
+        return self.inner.begin_snapshot()
+
+    def end_snapshot(self) -> None:
+        if self.crashed:
+            return  # as rollback: the scope died with the process
+        self.inner.end_snapshot()
 
     def close(self) -> None:
         if self.crashed:

@@ -202,11 +202,6 @@ class XmlStore:
         #: :meth:`note_write`), ``None`` outside one.
         self._scope = threading.local()
         self._docs_table = documents_table()
-        #: Moved by every commit that leaves a bound plan reading rows
-        #: its document has left (a migration, an index drop, a
-        #: document delete); queries that observe a move mid-flight
-        #: re-run against the new catalogue row.
-        self._plan_epoch = 0
         self._create_schema()
         from repro.core.updates import UpdateManager
         from repro.index import IndexManager
@@ -288,24 +283,17 @@ class XmlStore:
             )
 
     def transactionally(self, operation: Callable[[], _T]) -> _T:
-        """Run *operation* inside a transaction scope.
+        """Run *operation* inside a transaction scope; nested calls
+        join the enclosing one, and the backend serializes top-level
+        calls from several threads.
 
-        Nested calls just join the enclosing transaction.  Top-level
-        calls from several threads are serialized by the backend,
-        which admits one transaction at a time.
-
-        **Write-set contract.**  All writers (loads, deletes, update
-        operations, index builds and migrations) funnel through here,
-        and every top-level commit invalidates the cache entries of
-        exactly the documents it wrote, before its caller sees the
-        result.  An operation names those documents by calling
-        :meth:`note_write` from inside the transaction; one that notes
-        any document thereby declares its *complete* write set.  An
-        operation that notes none (a raw callable) has an unknown
-        write set, and its commit invalidates every document's
-        catalog and result entries instead — never fewer.  Nested
-        calls note into the outermost scope, whose commit actually
-        publishes the change.
+        **Write-set contract.**  Every writer funnels through here, and
+        every top-level commit invalidates the cache entries of exactly
+        the documents it wrote (:meth:`_commit`).  An operation names
+        them by calling :meth:`note_write` inside the transaction, and
+        one that notes any declares its *complete* write set; one that
+        notes none has an unknown write set, and its commit invalidates
+        every document's catalog and result entries — never fewer.
         """
         if self._in_own_transaction():
             with self.backend.transaction():
@@ -320,16 +308,18 @@ class XmlStore:
             writes.add(doc)
 
     def _commit(self, operation: Callable[[], _T]) -> _T:
-        """One BEGIN ... COMMIT around *operation*, then invalidate
-        what it wrote: the documents it noted, or every document when
-        it noted none (an unknown write set).  Every transaction starts
-        from an empty write set, and a rolled-back one invalidates
-        nothing."""
+        """One BEGIN ... COMMIT around *operation*; what it wrote is
+        invalidated just before the COMMIT, under the writer lock an
+        in-memory read scope holds, so that none finds a stale entry,
+        and again after it: a reader beside the writer on a file may
+        cache from the old state in between (and serve it, as its own
+        snapshot would).  A rollback invalidates nothing."""
         scope = self._scope
         scope.writes = written = set()
         try:
             with self.backend.transaction():
                 result = operation()
+                self.cache.bump(written)
         finally:
             scope.writes = None
         self.cache.bump(written)
@@ -368,9 +358,6 @@ class XmlStore:
 
     def node_table_for(self, doc: int) -> str:
         return self.encoding_for(doc).node_table.name
-
-    def attr_table_for(self, doc: int) -> str:
-        return self.encoding_for(doc).attr_table.name
 
     # -- loading ------------------------------------------------------------
 
@@ -471,9 +458,12 @@ class XmlStore:
         are frozen, so the cached one is handed out as it is; an update
         writes a changed copy back with :meth:`update_document_info`."""
         cache = self.cache
-        if fresh or not cache.enabled or self._in_own_transaction():
+        if (fresh or not cache.enabled or self._in_own_transaction()
+                or self.backend.reads_beside_writers()):
             # Inside a transaction the catalogue may hold uncommitted
-            # state (updates read-modify-write it); always go direct.
+            # state (updates read-modify-write it), and a read scope
+            # beside writers must plan from its own snapshot, which a
+            # cached entry may be ahead of or behind; go direct.
             return self._document_info_uncached(doc)
         cached = cache.get_catalog(doc)
         if cached is not None:
@@ -518,13 +508,9 @@ class XmlStore:
                 "DELETE FROM documents WHERE doc = ?", (doc,)
             )
             self.indexes.purge_in_transaction(doc)
-            # The torn-read guard, as a migration moves it.
-            self.cache.bump({doc})
-            self._plan_epoch += 1
             return max(nodes.rowcount, 0) + max(attrs.rowcount, 0)
 
         removed = self.transactionally(drop_in_transaction)
-        self._plan_epoch += 1
         self.cache.forget(doc)
         return removed
 
@@ -580,36 +566,12 @@ class XmlStore:
     ) -> list[ResultItem]:
         """Run *xpath* via SQL; results arrive in document order.
 
-        Torn-read guard: a migration can commit between this query's
-        translate and execute steps — the plan is bound to the source
-        encoding's table, which is by then empty of the document.  An
-        index drop leaves an index plan reading emptied index tables,
-        and a document delete leaves any plan reading nothing.  Each
-        of these moves ``_plan_epoch`` (see
-        :func:`repro.migrate.migrate_document` for when), so a query
-        that observes a move mid-flight simply re-runs — the second
-        pass reads the new catalogue row (or finds none, and raises
-        :class:`StorageError`) and the new tables.  So does
-        one that *failed* across a move: Local's client-order pass
-        fetches ancestors under the plan's encoding, the one whose table
-        the rows came from, and finds the document's rows gone from it.
+        A result-cache miss reads in one read scope
+        (:meth:`Backend.snapshot`), as every multi-statement read does:
+        the catalogue entry the plan is bound with (see
+        :meth:`document_info`), the statement and Local's client-order
+        fetches all see one committed state.
         """
-        for attempt in range(4):
-            epoch = self._plan_epoch
-            try:
-                items = self._query_once(xpath, doc, context_id)
-            except Exception:
-                if self._plan_epoch == epoch or attempt == 3:
-                    raise
-            else:
-                if self._plan_epoch == epoch:
-                    return items
-            METRICS.inc("query.plan_retries")
-        return items
-
-    def _query_once(
-        self, xpath: str, doc: int, context_id: Optional[int] = None
-    ) -> list[ResultItem]:
         cache = self.cache
         use_cache = cache.enabled and not self._in_own_transaction()
         if use_cache:
@@ -621,18 +583,11 @@ class XmlStore:
             # this document committing from here on refuses the put.
             epoch = cache.epoch(doc)
         log = slow_log()
-        if log is None:
-            with span("query", xpath=xpath):
-                _translated, items = self._run_query(
-                    xpath, doc, context_id, None
-                )
-        else:
-            started = perf_counter()
-            phases: dict[str, float] = {}
-            with span("query", xpath=xpath):
-                translated, items = self._run_query(
-                    xpath, doc, context_id, phases
-                )
+        phases: Optional[dict[str, float]] = None if log is None else {}
+        started = perf_counter()
+        with span("query", xpath=xpath):
+            translated, items = self._run_query(xpath, doc, context_id, phases)
+        if log is not None:
             elapsed_ms = (perf_counter() - started) * 1000.0
             # Short-circuit below the threshold: dropped records pay
             # neither the per-phase dict conversion nor the log call.
@@ -660,60 +615,35 @@ class XmlStore:
         context_id: Optional[int],
         collect: Optional[dict],
     ) -> tuple[TranslatedQuery, list[ResultItem]]:
-        with span("translate", collect):
-            translated = self.translate(xpath, doc, context_id=context_id)
-        METRICS.inc("query.executed")
-        with span("execute", collect):
-            result = self.backend.execute(translated.sql, translated.params)
-        rows = result.rows
+        with self.backend.snapshot():
+            with span("translate", collect):
+                translated = self.translate(xpath, doc, context_id)
+            METRICS.inc("query.executed")
+            with span("execute", collect):
+                rows = self.backend.execute(
+                    translated.sql, translated.params
+                ).rows
+            if ENCODINGS[translated.encoding].order_by_column is None:
+                METRICS.inc("query.client_order_sorts")
+                with span("client_order", collect):
+                    rows = self._client_order(doc, rows, translated)
         METRICS.inc("query.rows", len(rows))
         if translated.access_path != "scan":
             METRICS.inc("index.plan_queries")
-        # An encoding with no order column (Local) has its results put
-        # in document order here, not by the SQL: by the plan's
-        # encoding, whose table the rows came from.
-        encoding = ENCODINGS[translated.encoding]
-        client_order = encoding.order_by_column is None
-        if translated.result_kind == "attribute":
-            with span("materialize", collect):
-                items, owner_ids = self._attribute_items(rows)
-            if client_order:
-                METRICS.inc("query.client_order_sorts")
-                with span("client_order", collect):
-                    items = self._client_sort_attributes(
-                        encoding, doc, items, owner_ids
-                    )
-            return translated, items
-        if client_order:
-            METRICS.inc("query.client_order_sorts")
-            with span("client_order", collect):
-                rows = self._client_sort_nodes(
-                    encoding, doc, rows, translated.columns
-                )
         with span("materialize", collect):
-            items = [
-                ResultItem(
-                    kind=row[2], node_id=row[0], label=row[3],
-                    value=row[4],
-                )
-                for row in rows
-            ]
+            if translated.result_kind == "attribute":
+                # (owner, name, value)
+                items = [ResultItem("attribute", *row[:3]) for row in rows]
+            else:
+                # (id, parent, kind, tag, value, ...)
+                items = [
+                    ResultItem(row[2], row[0], row[3], row[4]) for row in rows
+                ]
         return translated, items
 
     def query_values(self, xpath: str, doc: int) -> list[Optional[str]]:
         """Shorthand: the stored value of each result item."""
         return [item.value for item in self.query(xpath, doc)]
-
-    def _attribute_items(
-        self, rows: list[tuple]
-    ) -> tuple[list[ResultItem], list[int]]:
-        items = []
-        owners = []
-        for row in rows:
-            owner, name, value = row[0], row[1], row[2]
-            items.append(ResultItem("attribute", owner, name, value))
-            owners.append(owner)
-        return items, owners
 
     # -- client-side order resolution (Local encoding) ---------------------------------
 
@@ -775,28 +705,26 @@ class XmlStore:
             for node_id, path in paths.items()
         }
 
-    def _client_sort_nodes(
-        self, encoding: OrderEncoding, doc: int, rows: list[tuple],
-        columns: tuple[str, ...],
+    def _client_order(
+        self, doc: int, rows: list[tuple], translated: TranslatedQuery
     ) -> list[tuple]:
-        # The result rows carry their own parent and sibling position,
-        # so the walk starts one level up.
-        order = columns.index(encoding.sibling_order_column)
-        parent = columns.index("parent")
+        """*rows* in document order, for a plan whose encoding has no
+        order column (Local), by the sibling-order paths of their nodes
+        or owners in the plan's encoding (the rows' table)."""
+        encoding = ENCODINGS[translated.encoding]
+        ids = [row[0] for row in rows]
+        if translated.result_kind == "attribute":
+            keys = self._order_keys(encoding, doc, ids)
+            return sorted(rows, key=lambda row: (keys[row[0]], row[1] or ""))
+        # A node row carries its own parent and sibling position, so
+        # the walk starts one level up.
+        parent = translated.columns.index("parent")
+        order = translated.columns.index(encoding.sibling_order_column)
         keys = self._order_keys(
-            encoding, doc, [row[0] for row in rows],
+            encoding, doc, ids,
             {row[0]: (row[parent], row[order]) for row in rows},
         )
         return sorted(rows, key=lambda row: keys[row[0]])
-
-    def _client_sort_attributes(
-        self, encoding: OrderEncoding, doc: int, items: list[ResultItem],
-        owner_ids: list[int],
-    ) -> list[ResultItem]:
-        keys = self._order_keys(encoding, doc, owner_ids)
-        return sorted(
-            items, key=lambda item: (keys[item.node_id], item.label or "")
-        )
 
     # -- reconstruction ------------------------------------------------------------------
 
@@ -816,25 +744,27 @@ class XmlStore:
         rows for Global/Dewey/ORDPATH, the level-by-level fetch of
         :func:`~repro.core.reconstruct.ordered_rows` for Local.
         """
-        row = self.fetch_node(doc, node_id)
-        if row is None:
-            raise StorageError(f"no node {node_id} in document {doc}")
-        if row["kind"] != "elem":
-            return row["value"] or ""
-        encoding = self.encoding_for(doc)
-        subtree = encoding.subtree_where(row, include_root=False)
-        if subtree is None:
-            return "".join(
-                value or "" for _id, _parent, kind, _tag, value
-                in ordered_rows(self, doc, row) if kind == "text"
+        with self.backend.snapshot():
+            encoding = self.encoding_for(doc)
+            row = self.fetch_node(doc, node_id, encoding)
+            if row is None:
+                raise StorageError(f"no node {node_id} in document {doc}")
+            if row["kind"] != "elem":
+                return row["value"] or ""
+            subtree = encoding.subtree_where(row, include_root=False)
+            if subtree is None:
+                return "".join(
+                    value or "" for _id, _parent, kind, _tag, value
+                    in ordered_rows(self, doc, row, encoding)
+                    if kind == "text"
+                )
+            where, bounds = subtree
+            result = self.backend.execute(
+                f"SELECT value FROM {encoding.node_table.name} "
+                f"WHERE doc = ? AND {where} "
+                f"AND kind = 'text' ORDER BY {encoding.order_by_column}",
+                (doc, *bounds),
             )
-        where, bounds = subtree
-        result = self.backend.execute(
-            f"SELECT value FROM {encoding.node_table.name} "
-            f"WHERE doc = ? AND {where} "
-            f"AND kind = 'text' ORDER BY {encoding.order_by_column}",
-            (doc, *bounds),
-        )
         return "".join(r[0] for r in result.rows if r[0] is not None)
 
     # -- row-level helpers shared with updates/reconstruct ------------------------------

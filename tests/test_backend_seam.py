@@ -28,6 +28,10 @@ retry a failed statement: a storage error reaches the caller typed,
 and the router's reconnect loop on the shard hop is the one retry in
 the package (see "Failure model & recovery" in DESIGN.md).
 
+A read is one snapshot: a wrapper forwards the read scope to the engine
+it wraps, only the store's commit invalidates cache entries, and the
+torn-read guard (its epoch and its retry counter) stays gone.
+
 Durability is sqlite's: minidb has no snapshot format, ``MiniDb`` no
 ``save`` / ``open``, and the crash sweep under ``repro/robust/``
 imports neither the engine nor its backend.
@@ -212,7 +216,7 @@ def test_no_backend_has_a_dialect_or_capability_flag():
 
 def test_the_probe_shims_are_single_labelled_and_unused():
     """``Backend.execute_plan`` and ``TranslatedQuery.statement`` exist
-    for benchmarks/perf only (ROADMAP, "One benchmark system")."""
+    for benchmarks/perf only (ROADMAP, "`[benchmark]` re-base")."""
     base = (SRC / "backends" / "base.py").read_text()
     relalg = (SRC / "core" / "relalg.py").read_text()
     for source, marker in ((base, "def execute_plan("),
@@ -513,9 +517,6 @@ def test_sqlite_is_one_backend():
 REPEATERS = {
     ("serve/router.py", "_call_shard"):
         "the shard hop reconnects; it sends wire requests, not SQL",
-    ("store.py", "query"):
-        "the migration torn-read guard re-runs a read only when a "
-        "migration committed in between",
     ("serve/worker.py", "run_worker"):
         "accept() polls the listener until shutdown",
     ("serve/frontdoor.py", "_respawn_loop"):
@@ -606,6 +607,101 @@ def test_nothing_but_the_shard_hop_retries():
         f"{sorted(found - set(REPEATERS))}: a storage error reaches "
         "the caller typed; do not run the statement again"
     )
+
+# -- a read is one snapshot ----------------------------------------------
+
+
+def test_the_torn_read_guard_stays_gone():
+    """A read runs in one snapshot (``Backend.snapshot``), so nothing
+    re-runs a query whose plan a commit overtook, and no writer moves
+    an epoch for readers: the store's commit invalidates its write set,
+    and no other caller drops cache entries."""
+    banned = re.compile(r"_plan_epoch|plan_retries")
+    hits = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert hits == []
+    bumps = [
+        f"{path.relative_to(SRC)}:{scope}"
+        for path in _files(".")
+        for scope, call in scoped_calls(_nodes(path)[0])
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "bump"
+    ]
+    assert bumps and set(bumps) == {"store.py:XmlStore._commit"}, bumps
+
+
+#: What a backend implements to open and close a read scope.
+SNAPSHOT_HOOKS = ("begin_snapshot", "end_snapshot")
+
+
+def test_every_backend_wrapper_forwards_the_read_scope():
+    """A wrapper that kept the base hooks would take its own lock, not
+    the wrapped engine's, and read nothing in one snapshot."""
+    wrappers = {
+        cls.name: {
+            node.name for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name in SNAPSHOT_HOOKS
+            and f"self.inner.{node.name}(" in ast.unparse(node)
+        }
+        for _path, cls in _backend_classes()
+        if "self.inner = " in ast.unparse(cls)
+    }
+    assert "FaultInjectingBackend" in wrappers
+    assert wrappers == {
+        name: set(SNAPSHOT_HOOKS) for name in wrappers
+    }, wrappers
+
+
+@pytest.mark.parametrize("kind", ["sqlite", "minidb"])
+def test_a_wrapped_read_scope_excludes_the_inner_writers(kind):
+    """In memory a read scope holds the engine's writer lock: a
+    transaction on the wrapped backend does not begin until it ends."""
+    inner = _BACKENDS[kind](None)
+    store = XmlStore(backend=FaultInjectingBackend(inner))
+    doc = store.load(BIB_XML)
+    begun = threading.Event()
+
+    def writer():
+        with inner.transaction():
+            begun.set()
+
+    thread = threading.Thread(target=writer)
+    with store.backend.snapshot():
+        assert not store.backend.reads_beside_writers()
+        assert store.query("/bib", doc)
+        thread.start()
+        assert not begun.wait(0.2)
+    thread.join(10)
+    assert begun.is_set()
+
+
+@pytest.mark.parametrize("kind", sorted(_BACKENDS))
+def test_a_read_scope_joins_a_transaction_and_begins_none(tmp_path, kind):
+    from repro.errors import StorageError
+
+    backend = _BACKENDS[kind](tmp_path)
+    backend.execute("CREATE TABLE t (x INTEGER)")
+    with backend.transaction():
+        backend.execute("INSERT INTO t VALUES (1)")
+        with backend.snapshot():
+            # The transaction's own uncommitted row.
+            assert backend.execute("SELECT x FROM t").rows == [(1,)]
+            assert not backend.reads_beside_writers()
+    with backend.snapshot():
+        with backend.snapshot():
+            assert backend.execute("SELECT x FROM t").rows == [(1,)]
+        assert backend.reads_beside_writers() == (kind == "file")
+        with pytest.raises(StorageError, match="read snapshot"):
+            with backend.transaction():
+                pass
+    with backend.transaction():
+        backend.execute("INSERT INTO t VALUES (2)")
+    assert backend.execute("SELECT COUNT(*) FROM t").rows == [(2,)]
+    backend.close()
 
 
 def test_the_store_level_retry_stays_gone():

@@ -4,8 +4,10 @@ Covers the full source->target encoding matrix on both backends, what
 being one transaction promises (two migrations of a document serialize,
 a failure before the catalogue flip leaves everything as it was,
 writers on other threads all commit, each node row is written once and
-no ``mig_*`` table is ever created), the reader-side torn-read guard,
-and the workload advisor's E7-crossover thresholds.
+no ``mig_*`` table is ever created), that every read is one snapshot
+(a write committed from another thread between two of its statements
+is seen by the next read only), and the workload advisor's
+E7-crossover thresholds.
 """
 
 import threading
@@ -13,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from repro.backends import make_backend
+from repro.backends import SqliteBackend, make_backend
 from repro.check import assert_store_clean
 from repro.core.encodings import ENCODINGS
 from repro.errors import StorageError
@@ -453,121 +455,51 @@ class TestOneTransaction:
         )
 
 
-class TestTornReadGuard:
-    def test_migration_between_translate_and_execute_reruns_the_query(self):
-        """A reader resolves the catalogue, then executes, and holds no
-        lock in between: a migration that commits there leaves its plan
-        bound to a table the document has left.  The epoch moved, so
-        the query runs again — same identities, ids survive."""
-        store = XmlStore(backend="sqlite", encoding="global")
-        twin = XmlStore(backend="sqlite", encoding="global")
-        doc, twin_doc = store.load(BIB), twin.load(BIB)
-        bind = store.translate
-        migrated = []
-
-        def bind_then_migrate(xpath, doc, context_id=None):
-            bound = bind(xpath, doc, context_id=context_id)
-            if not migrated:
-                migrated.append(migrate_document(store, doc, "dewey"))
-            return bound
-
-        store.translate = bind_then_migrate
-        with counters() as count:
-            got = identities(store, doc, QUERIES[0])
-            assert count("query.plan_retries") == 1
-        assert migrated and store.encoding_for(doc).name == "dewey"
-        assert got == identities(twin, twin_doc, QUERIES[0]) != []
-
-
-    def test_a_query_that_fails_across_a_migration_reruns_too(self):
-        """Local's client-order pass fetches ancestors from the plan's
-        table after executing; a migration that commits in between has
-        emptied it of the document.  That failure is the same torn
-        read."""
-        store = XmlStore(backend="sqlite", encoding="local")
-        twin = XmlStore(backend="sqlite", encoding="local")
-        doc, twin_doc = store.load(BIB), twin.load(BIB)
-        sort = store._client_sort_nodes
-        migrated = []
-
-        def migrate_then_sort(encoding, doc, rows, columns):
-            if not migrated:
-                migrated.append(migrate_document(store, doc, "dewey"))
-            return sort(encoding, doc, rows, columns)
-
-        store._client_sort_nodes = migrate_then_sort
-        with counters() as count:
-            got = identities(store, doc, "//author")
-            assert count("query.plan_retries") == 1
-        assert migrated and got == identities(twin, twin_doc, "//author")
-
-    @pytest.mark.parametrize("backend", ["sqlite", "minidb"])
-    def test_an_index_dropped_between_translate_and_execute_reruns_the_query(
-        self, backend
-    ):
-        """An index plan bound before the drop commits reads index
-        tables emptied of the document.  The drop moves the epoch, so
-        the query runs again and scans the node table."""
-        store = XmlStore(backend=backend, encoding="global")
-        twin = XmlStore(backend=backend, encoding="global")
-        doc, twin_doc = store.load(BIB), twin.load(BIB)
-        store.indexes.create(doc)
-        assert store.translate("/bib/book/title", doc).access_path != "scan"
-        bind = store.translate
-        dropped = []
-
-        def bind_then_drop(xpath, doc, context_id=None):
-            bound = bind(xpath, doc, context_id=context_id)
-            if not dropped:
-                dropped.append(store.indexes.drop(doc))
-            return bound
-
-        store.translate = bind_then_drop
-        with counters() as count:
-            got = identities(store, doc, "/bib/book/title")
-            assert count("query.plan_retries") == 1
-        assert dropped == [True]
-        assert got == identities(twin, twin_doc, "/bib/book/title") != []
-
-    @pytest.mark.parametrize("encoding", ["global", "local"])
-    @pytest.mark.parametrize("backend", ["sqlite", "minidb"])
-    def test_a_document_deleted_between_translate_and_execute_is_an_error(
-        self, backend, encoding
-    ):
-        """A plan bound before the delete commits reads no rows: the
-        answer is that the document is gone, not that nothing
-        matched."""
-        store = XmlStore(backend=backend, encoding=encoding)
-        doc = store.load(BIB)
-        bind = store.translate
-        deleted = []
-
-        def bind_then_delete(xpath, doc, context_id=None):
-            bound = bind(xpath, doc, context_id=context_id)
-            if not deleted:
-                deleted.append(store.delete_document(doc))
-            return bound
-
-        store.translate = bind_then_delete
-        with pytest.raises(StorageError):
-            store.query("/bib/book/title", doc)
-        assert deleted and not store.documents()
+def joined(thread: threading.Thread) -> None:
+    thread.join(30)
+    assert not thread.is_alive(), "the scripted write did not finish"
 
 
 class MigrateBeforeTheNextCall(FaultInjectingBackend):
-    """Runs ``then`` once, before the first statement or BEGIN that
-    arrives outside a transaction after it is set: a migration that
-    commits between an operation's cached catalogue read and its first
-    call to the engine."""
+    """Runs ``then`` once, on a second thread, before the first
+    statement or BEGIN that arrives outside a transaction after it is
+    set and after ``after`` more such statements: a write that commits
+    between two statements of an operation, with no clock.
+
+    The thread is joined before that statement runs, so the write has
+    committed when it does — unless the calling thread has a read scope
+    open (:meth:`~repro.backends.base.Backend.snapshot`), which may
+    exclude writers: then it is joined at the scope's exit.  What the
+    write raised is kept in ``errors``."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.then = None
+        self.after = 0
+        self.errors: list[BaseException] = []
+        self._reading: set[int] = set()
+        self._pending = None
 
     def _fire(self) -> None:
+        if self.then is None or threading.get_ident() in self._tx_depths:
+            return
+        if self.after:
+            self.after -= 1
+            return
         then, self.then = self.then, None
-        if then is not None and threading.get_ident() not in self._tx_depths:
-            then()
+
+        def write():
+            try:
+                then()
+            except BaseException as exc:  # reported through errors
+                self.errors.append(exc)
+
+        thread = threading.Thread(target=write)
+        thread.start()
+        if threading.get_ident() in self._reading:
+            self._pending = thread
+        else:
+            joined(thread)
 
     def execute(self, sql, params=()):
         self._fire()
@@ -576,6 +508,321 @@ class MigrateBeforeTheNextCall(FaultInjectingBackend):
     def begin(self):
         self._fire()
         super().begin()
+
+    def begin_snapshot(self):
+        beside = super().begin_snapshot()
+        self._reading.add(threading.get_ident())
+        return beside
+
+    def end_snapshot(self):
+        self._reading.discard(threading.get_ident())
+        super().end_snapshot()
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            joined(pending)
+
+
+#: Backends the torn-read tests run on: minidb, sqlite in memory, and
+#: sqlite on a file (a fresh file per store).
+READ_BACKENDS = {
+    "minidb": lambda path: make_backend("minidb"),
+    "sqlite": lambda path: make_backend("sqlite"),
+    "file": lambda path: SqliteBackend(str(path)),
+}
+
+
+def scripted_store(kind: str, encoding: str, path):
+    """A store over :class:`MigrateBeforeTheNextCall` holding BIB at
+    gap 1 (so that an insert renumbers), its catalogue entry cached as
+    a warm read finds it."""
+    wrapper = MigrateBeforeTheNextCall(READ_BACKENDS[kind](path))
+    store = XmlStore(backend=wrapper, encoding=encoding, gap=1)
+    doc = store.load(BIB)
+    store.document_info(doc)
+    return store, wrapper, doc
+
+
+#: Reads of several statements, each with a write that tears it when
+#: it commits between two of them: ``read(store, doc, ids)`` and
+#: ``write(store, doc, ids)``, *ids* naming ``bib`` and its books.
+TORN_READS = {
+    "reconstruct": (
+        lambda store, doc, ids: serialize(store.reconstruct(doc)),
+        lambda store, doc, ids: store.updates.delete(doc, ids["book1"]),
+    ),
+    "reconstruct_subtree": (
+        lambda store, doc, ids: serialize(
+            store.reconstruct_subtree(doc, ids["bib"])
+        ),
+        lambda store, doc, ids: store.updates.delete(doc, ids["book1"]),
+    ),
+    # A front insert renumbers book 2 under Global and Dewey at gap 1:
+    # its old range then holds book 1's text.
+    "string_value": (
+        lambda store, doc, ids: store.string_value(doc, ids["book2"]),
+        lambda store, doc, ids: store.updates.insert(
+            doc, ids["bib"], 0, '<book year="2001"><title>N</title></book>'
+        ),
+    ),
+    # Local orders the result by its ancestors, fetched after it.
+    "query": (
+        lambda store, doc, ids: identities(store, doc, "//author"),
+        lambda store, doc, ids: store.updates.delete(doc, ids["book1"]),
+    ),
+}
+
+
+class TestReadsAreOneSnapshot:
+    """A write that commits from another thread between two statements
+    of a read is seen by the next read, never by that one: every read
+    runs in one read scope (``Backend.snapshot``)."""
+
+    @pytest.mark.parametrize("read", sorted(TORN_READS))
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    @pytest.mark.parametrize("kind", sorted(READ_BACKENDS))
+    def test_a_write_between_two_statements_of_a_read_is_not_seen(
+        self, tmp_path, kind, encoding, read
+    ):
+        run, write = TORN_READS[read]
+        twin = XmlStore(backend="sqlite", encoding=encoding, gap=1)
+        twin_doc = twin.load(BIB)
+        ids = {
+            "bib": twin.query("/bib", twin_doc)[0].node_id,
+            "book1": twin.query("/bib/book[1]", twin_doc)[0].node_id,
+            "book2": twin.query("/bib/book[2]", twin_doc)[0].node_id,
+        }
+        before = run(twin, twin_doc, ids)
+        write(twin, twin_doc, ids)
+        after = run(twin, twin_doc, ids)
+
+        store, wrapper, doc = scripted_store(kind, encoding, tmp_path / "n")
+        start = wrapper.statements_executed
+        assert run(store, doc, ids) == before
+        statements = wrapper.statements_executed - start
+        for boundary in range(1, statements):
+            store, wrapper, doc = scripted_store(
+                kind, encoding, tmp_path / str(boundary)
+            )
+            wrapper.then = lambda: write(store, doc, ids)
+            wrapper.after = boundary
+            assert run(store, doc, ids) == before, boundary
+            assert wrapper.then is None and wrapper.errors == []
+            assert run(store, doc, ids) == after, boundary
+
+
+#: Two reads of one plan (the literal binds as a parameter) and two
+#: result-cache keys; their authors hang under three books.
+WARM_READS = ("//book[@year > 1990]/author", "//book[@year > 1991]/author")
+
+
+def traced_read(store: XmlStore, doc: int) -> list[str]:
+    """Every statement sqlite runs for a warm, uncached read of *doc*,
+    BEGIN and COMMIT included (as sqlite traces them)."""
+    store.query(WARM_READS[0], doc)
+    traced: list[str] = []
+    backend = store.backend
+    for connection in backend._all:
+        connection.set_trace_callback(traced.append)
+    store.query(WARM_READS[1], doc)
+    for connection in backend._all:
+        connection.set_trace_callback(None)
+    return traced
+
+
+class TestWhatAReadScopeCosts:
+    """A read scope in memory is the writer lock, which issues nothing;
+    on a file it is a deferred BEGIN, the catalogue read and a COMMIT."""
+
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    @pytest.mark.parametrize("backend", ["sqlite", "minidb"])
+    def test_a_warm_read_in_memory_issues_no_more_statements(
+        self, backend, encoding
+    ):
+        store = XmlStore(backend=backend, encoding=encoding)
+        doc = store.load(BIB)
+        store.query(WARM_READS[0], doc)
+        with counters() as count:
+            items = store.query(WARM_READS[1], doc)
+            # Local orders the authors by their books: one fetch more.
+            assert count("backend.statements") == (
+                2 if encoding == "local" else 1
+            )
+            assert count("translate.plan_shared") == 1
+        with counters() as count:
+            assert store.query(WARM_READS[1], doc) == items
+            assert count("backend.statements") == 0
+
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    def test_a_read_on_a_file_adds_its_begin_catalogue_read_and_commit(
+        self, tmp_path, encoding
+    ):
+        memory = XmlStore(backend="sqlite", encoding=encoding)
+        on_file = XmlStore(
+            backend=SqliteBackend(str(tmp_path / "f.db")), encoding=encoding
+        )
+        in_memory = traced_read(memory, memory.load(BIB))
+        traced = traced_read(on_file, on_file.load(BIB))
+        assert traced[0] == "BEGIN" and traced[-1] == "COMMIT"
+        assert traced[1].startswith("SELECT doc, name, node_count")
+        assert traced[2:-1] == in_memory and in_memory
+
+
+def on_a_thread(call) -> None:
+    thread = threading.Thread(target=call)
+    thread.start()
+    joined(thread)
+
+
+class AroundTheNextCommit(FaultInjectingBackend):
+    """Runs ``before`` once just before the next COMMIT and ``then``
+    once right after it, before the committing call returns, each on a
+    second thread that it joins."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.before = self.then = None
+
+    def commit_transaction(self):
+        before, self.before = self.before, None
+        if before is not None:
+            on_a_thread(before)
+        super().commit_transaction()
+        then, self.then = self.then, None
+        if then is not None:
+            on_a_thread(then)
+
+
+@pytest.mark.parametrize("kind", sorted(READ_BACKENDS))
+def test_a_read_right_after_a_commit_plans_from_it(tmp_path, kind):
+    """A commit invalidates its write set before its COMMIT as well as
+    after it, so a read that runs in between does not plan from the
+    catalogue entry cached before the commit (a migration's would send
+    it to the emptied source table)."""
+    wrapper = AroundTheNextCommit(READ_BACKENDS[kind](tmp_path / "s"))
+    store = XmlStore(backend=wrapper, encoding="global")
+    twin = XmlStore(backend="sqlite", encoding="global")
+    doc, twin_doc = store.load(BIB), twin.load(BIB)
+    assert store.encoding_for(doc).name == "global"  # now cached
+    seen = []
+    wrapper.then = lambda: seen.append(identities(store, doc, "//author"))
+    migrate_document(store, doc, "dewey")
+    assert seen == [identities(twin, twin_doc, "//author")]
+
+
+def test_a_read_scope_on_a_file_plans_from_its_own_snapshot(tmp_path):
+    """On a file a reader beside the writer caches the catalogue entry
+    of the state before the COMMIT after the commit's first
+    invalidation; a read scope opened after the COMMIT still plans
+    from the entry it reads itself."""
+    wrapper = AroundTheNextCommit(SqliteBackend(str(tmp_path / "f.db")))
+    store = XmlStore(backend=wrapper, encoding="global")
+    twin = XmlStore(backend="sqlite", encoding="global")
+    doc, twin_doc = store.load(BIB), twin.load(BIB)
+    cached, seen = [], []
+    wrapper.before = lambda: cached.append(store.document_info(doc))
+    wrapper.then = lambda: seen.append(identities(store, doc, "//author"))
+    migrate_document(store, doc, "dewey")
+    assert [info.encoding for info in cached] == ["global"]
+    assert seen == [identities(twin, twin_doc, "//author")]
+
+
+def fire_after(kind: str) -> int:
+    """How many statements of a warm read precede its plan's: the
+    catalogue read, on a file only."""
+    return 1 if kind == "file" else 0
+
+
+class TestTornReadGuard:
+    """A migration, an index drop or a document delete that commits
+    from another thread in the middle of a read leaves the read with
+    the answer from before it, and the next read sees it."""
+
+    def test_migration_between_translate_and_execute_reruns_the_query(
+        self, tmp_path
+    ):
+        """The plan is bound with the catalogue entry the read's
+        statement sees: a migration that commits after the catalogue
+        read leaves the read on the source encoding's rows."""
+        twin = XmlStore(backend="sqlite", encoding="global")
+        twin_doc = twin.load(BIB)
+        for kind in ("sqlite", "file"):
+            store, wrapper, doc = scripted_store(kind, "global", tmp_path / "s")
+            migrated = []
+            wrapper.then = lambda: migrated.append(
+                migrate_document(store, doc, "dewey")
+            )
+            wrapper.after = fire_after(kind)
+            got = identities(store, doc, QUERIES[0])
+            assert migrated and wrapper.errors == [], kind
+            assert store.encoding_for(doc).name == "dewey"
+            assert got == identities(twin, twin_doc, QUERIES[0]) != []
+            assert identities(store, doc, QUERIES[1]) == identities(
+                twin, twin_doc, QUERIES[1]
+            )
+
+    def test_a_query_that_fails_across_a_migration_reruns_too(
+        self, tmp_path
+    ):
+        """Local's client-order pass fetches ancestors from the plan's
+        table after executing; a migration that commits in between
+        leaves them there for this read."""
+        twin = XmlStore(backend="sqlite", encoding="local")
+        twin_doc = twin.load(BIB)
+        for kind in ("sqlite", "file"):
+            store, wrapper, doc = scripted_store(kind, "local", tmp_path / "s")
+            migrated = []
+            wrapper.then = lambda: migrated.append(
+                migrate_document(store, doc, "dewey")
+            )
+            wrapper.after = fire_after(kind) + 1
+            got = identities(store, doc, "//author")
+            assert migrated and wrapper.errors == [], kind
+            assert got == identities(twin, twin_doc, "//author")
+            assert identities(store, doc, "//title") == identities(
+                twin, twin_doc, "//title"
+            )
+
+    @pytest.mark.parametrize("kind", ["sqlite", "minidb", "file"])
+    def test_an_index_dropped_between_translate_and_execute_reruns_the_query(
+        self, tmp_path, kind
+    ):
+        """An index plan bound before the drop commits reads the index
+        tables as they were when the read began."""
+        store, wrapper, doc = scripted_store(kind, "global", tmp_path / "s")
+        twin = XmlStore(backend="sqlite", encoding="global")
+        twin_doc = twin.load(BIB)
+        store.indexes.create(doc)
+        assert store.translate("/bib/book/title", doc).access_path != "scan"
+        store.document_info(doc)
+        dropped = []
+        wrapper.then = lambda: dropped.append(store.indexes.drop(doc))
+        wrapper.after = fire_after(kind)
+        got = identities(store, doc, "/bib/book/title")
+        assert dropped == [True] and wrapper.errors == []
+        assert got == identities(twin, twin_doc, "/bib/book/title") != []
+        assert store.translate("/bib/book/title", doc).access_path == "scan"
+        assert identities(store, doc, "//book/title") == got
+
+    @pytest.mark.parametrize("encoding", ["global", "local"])
+    @pytest.mark.parametrize("kind", ["sqlite", "minidb", "file"])
+    def test_a_document_deleted_between_translate_and_execute_is_an_error(
+        self, tmp_path, kind, encoding
+    ):
+        """The read that began before the delete committed answers
+        from the document; the next one finds it gone: an error, not
+        an empty answer."""
+        store, wrapper, doc = scripted_store(kind, encoding, tmp_path / "s")
+        twin = XmlStore(backend="sqlite", encoding=encoding)
+        twin_doc = twin.load(BIB)
+        deleted = []
+        wrapper.then = lambda: deleted.append(store.delete_document(doc))
+        wrapper.after = fire_after(kind)
+        got = identities(store, doc, "/bib/book/title")
+        assert deleted and wrapper.errors == []
+        assert got == identities(twin, twin_doc, "/bib/book/title") != []
+        with pytest.raises(StorageError):
+            store.query("/bib/book/title", doc)
+        assert not store.documents()
 
 
 class TestWritesAcrossAMigration:

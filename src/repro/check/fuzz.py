@@ -20,10 +20,21 @@ After every ``check_every`` operations each store must simultaneously:
   encoding/backend store in the cell, with matching per-op insert and
   delete counts.
 
+A *twin mode* pairs every store with a twin that receives the same
+operations but lacks one feature, and requires both to answer a fixed
+per-cell query pool byte for byte (fixed, so the same plan and result
+keys recur across updates and every invalidation path is hit): the
+cache twin never caches, the index twin is never indexed, and the
+migrate twin stays on its encoding while the store migrates on a
+background thread (``migrate_during``).  All three run the checks
+above as well, in the same cell loop.
+
 Failures are *minimized*: the reported operation index is the shortest
 prefix of the stream that still fails (re-derived with per-op checking
 when the original run checked more coarsely), and every failure carries
-a ``repro`` command line that replays exactly that cell.
+a ``repro`` command line that replays exactly that cell.  A migrating
+cell's failure depends on when the migration commits, so it is not
+minimized.
 """
 
 from __future__ import annotations
@@ -64,7 +75,6 @@ _TAGS = ("a", "b", "c", "d")
 _ATTRS = ("id", "x", "y")
 
 DEFAULT_ENCODINGS = ("global", "local", "dewey", "ordpath")
-DEFAULT_BACKENDS = ("sqlite", "minidb")
 
 
 # -- configuration and results ------------------------------------------
@@ -89,40 +99,51 @@ class FuzzConfig:
     #: Shape of the generated documents.
     max_depth: int = 4
     max_children: int = 3
-    #: Differential cache checking: pair every store with a
-    #: ``cache=False`` twin, each holding
-    #: :data:`TWIN_DOCUMENTS` documents; spread the update stream
-    #: across them, and after *every* operation run a fixed per-cell
-    #: pool of cache-warming queries against every document, requiring
-    #: byte-identical results from both stores.  The fixed pool is
-    #: what makes the warming real: the same plan/result keys recur
-    #: across updates, so every invalidation path is hit — and the
-    #: unwritten documents are what catch an invalidation that lands
-    #: on the wrong document.
+    #: The cache twin: a ``cache=False`` twin, :data:`TWIN_DOCUMENTS`
+    #: documents per store with the update stream spread across them,
+    #: and the pool diffed on every document after *every* operation:
+    #: the unwritten documents catch an invalidation that lands on the
+    #: wrong document.
     cache_twin: bool = False
-    #: Differential index checking: pair every store (indexed after
-    #: load, the index maintained through every update) with a twin
-    #: that is never indexed, bias the fixed per-cell query
-    #: pool toward indexable shapes (absolute paths, ``//`` descents,
-    #: child-value predicates) so the value/path rewrites actually
-    #: fire, and require byte-identical results after every check
-    #: round — the planner may only change access paths, never answers.
-    #: Every update must also repair the index from its touched set: a
-    #: maintenance pass that rebuilds the document fails the cell.
+    #: The index twin: the store is indexed after load and the twin
+    #: never is; the pool leans toward indexable shapes so the
+    #: rewrites fire, and an update that rebuilds the index instead of
+    #: repairing it from its touched set fails the cell.
     index_twin: bool = False
     #: Update-heavy round mix: bias the op stream toward structural
-    #: churn (subtree inserts, deletes, text rewrites) and away from
-    #: attribute tweaks — the mix that exercises incremental index
-    #: maintenance's touched-set repair hardest.
+    #: churn (subtree inserts, insert runs, deletes, text rewrites) and
+    #: away from attribute tweaks — the mix that exercises incremental
+    #: index maintenance's touched-set repair and renumbering hardest.
     update_heavy: bool = False
-    #: Live-migration mode: while the seeded update/query stream runs,
-    #: a background thread migrates the document to the next encoding.
-    #: Every query must match a non-migrating twin byte for byte,
-    #: wherever the scheduler puts the migration's one transaction in
-    #: the stream.  Requires the shared-connection ``sqlite``
-    #: backend, whose lock serializes whole transactions across
-    #: threads.
+    #: Live-migration mode: once the stores are loaded, a background
+    #: thread per store migrates its document to
+    #: :func:`migration_target`, while the seeded update stream and the
+    #: check rounds run.  Every query of the pool must match a
+    #: non-migrating twin byte for byte, wherever the scheduler puts
+    #: the migration's one transaction in the stream.  Every backend
+    #: serializes whole transactions across threads, so any runs.
     migrate_during: bool = False
+
+    def mode_flags(self) -> str:
+        """The ``repro fuzz`` flags that select this run's mode."""
+        modes = {
+            "--cache-twin": self.cache_twin,
+            "--index-twin": self.index_twin,
+            "--update-heavy": self.update_heavy,
+            "--migrate-during": self.migrate_during,
+        }
+        return "".join(f" {flag}" for flag, on in modes.items() if on)
+
+    def twin_kind(self) -> Optional[str]:
+        """The twin mode's failure kind (a key of ``_TWIN_KINDS``), or
+        ``None`` when the cell's stores have no twins."""
+        if self.cache_twin:
+            return "cache-twin"
+        if self.index_twin:
+            return "index-twin"
+        if self.migrate_during:
+            return "migrate-twin"
+        return None
 
     def cells(self) -> list[tuple[int, int]]:
         return [
@@ -146,31 +167,22 @@ class FuzzFailure:
     #: Human-readable description of that operation.
     op: str
     #: invariant | oracle | roundtrip | cross-store | cost-mismatch |
-    #: cache-twin | index-twin | index-rebuild | crash
+    #: cache-twin | index-twin | index-rebuild | migrate-twin | migrate |
+    #: crash
     kind: str
     detail: str
-    #: The cell ran the update-heavy op mix (changes the op stream, so
-    #: the repro command must carry it).
-    update_heavy: bool = False
+    #: The run's mode flags (:meth:`FuzzConfig.mode_flags`): they
+    #: change the cell's stores and op stream, so the repro command
+    #: must carry them.
+    flags: str = ""
 
     def repro_command(self) -> str:
         """A CLI line that replays exactly this cell, checking every op."""
-        flags = ""
-        if self.kind == "cache-twin":
-            flags += " --cache-twin"
-        if self.kind in ("index-twin", "index-rebuild"):
-            flags += " --index-twin"
-        if self.update_heavy:
-            flags += " --update-heavy"
-        encoding = self.encoding
-        if "->" in encoding:  # migrate-during cells record source->target
-            flags += " --migrate-during"
-            encoding = encoding.split("->", 1)[0]
         return (
             f"repro fuzz --seeds 1 --base-seed {self.seed} "
             f"--ops {self.op_index} --gaps {self.gap} "
-            f"--encodings {encoding} --backends {self.backend} "
-            f"--check-every 1" + flags
+            f"--encodings {self.encoding} --backends {self.backend} "
+            f"--check-every 1{self.flags}"
         )
 
     def __str__(self) -> str:
@@ -332,6 +344,14 @@ def indexable_xpath(rng: random.Random) -> str:
     return f"/{tag}//{other}[{rng.choice(_TAGS)} {op} {rng.randint(0, 99)}]"
 
 
+#: Inserts in an update-heavy insert run, all at one index of one parent.
+#: Each lands between the same left sibling and the one inserted before
+#: it, halving the free order values there: past log2(gap) of them an
+#: encoding with a gap must renumber (Local's and Dewey's sibling shift
+#: at their shipped gap of 256).
+INSERT_RUN = 10
+
+
 def plan_operation(
     rng: random.Random,
     reference: XmlStore,
@@ -345,18 +365,21 @@ def plan_operation(
     (Also reused by :mod:`repro.robust.crashtest`, which replays the
     same seeded streams under injected crashes.)  *update_heavy* biases
     the mix toward structural churn (see
-    :attr:`FuzzConfig.update_heavy`).
+    :attr:`FuzzConfig.update_heavy`).  The plan reads one snapshot,
+    so a migration committing beside it cannot tear it.
     """
     # The document's own encoding: it may have migrated off the
     # store's default.
-    rows = fetch_rows(reference, doc, reference.encoding_for(doc))
+    with reference.backend.snapshot():
+        rows = fetch_rows(reference, doc, reference.encoding_for(doc))
     elements = sorted(r["id"] for r in rows if r["kind"] == "elem")
     deletable = sorted(r["id"] for r in rows if r["parent"] != 0)
 
     if update_heavy:
         choices = ["insert_elem", "insert_elem", "insert_elem",
                    "insert_elem", "insert_text", "insert_text",
-                   "set_text", "set_text", "set_text", "rename"]
+                   "insert_run", "set_text", "set_text", "set_text",
+                   "rename"]
         if deletable:
             choices += ["delete", "delete", "delete", "delete"]
     else:
@@ -372,19 +395,21 @@ def plan_operation(
         return {"kind": kind, "target": target,
                 "describe": f"delete node {target}"}
     parent = rng.choice(elements)
-    if kind in ("insert_elem", "insert_text"):
-        n_children = len(reference.fetch_children(doc, parent))
+    if kind in ("insert_elem", "insert_text", "insert_run"):
+        n_children = sum(1 for r in rows if r["parent"] == parent)
         index = rng.randint(0, n_children)
         fragment = (
-            _random_fragment(rng)
-            if kind == "insert_elem"
-            else f"t{rng.randint(0, 99)} "
+            f"t{rng.randint(0, 99)} "
+            if kind == "insert_text"
+            else _random_fragment(rng)
         )
+        repeat = INSERT_RUN if kind == "insert_run" else 1
+        describe = f"insert {fragment!r} at index {index} under node {parent}"
+        if repeat > 1:
+            describe += f", {repeat} times"
         return {
             "kind": "insert", "parent": parent, "index": index,
-            "fragment": fragment,
-            "describe": (f"insert {fragment!r} at index {index} "
-                         f"under node {parent}"),
+            "fragment": fragment, "repeat": repeat, "describe": describe,
         }
     if kind == "set_text":
         text = f"s{rng.randint(0, 99)}"
@@ -402,11 +427,15 @@ def plan_operation(
 
 
 def apply_operation(store: XmlStore, doc: int, op: dict):
+    """Apply a planned operation; returns the last update's report (an
+    insert run is ``repeat`` inserts, one transaction each)."""
     kind = op["kind"]
     if kind == "insert":
-        return store.updates.insert(
-            doc, op["parent"], op["index"], op["fragment"]
-        )
+        for _ in range(op.get("repeat", 1)):
+            report = store.updates.insert(
+                doc, op["parent"], op["index"], op["fragment"]
+            )
+        return report
     if kind == "delete":
         return store.updates.delete(doc, op["target"])
     if kind == "set_text":
@@ -512,13 +541,21 @@ def _check_store(
     return None, tree
 
 
+#: What a twin mode calls its failures and its two stores: the store
+#: under test and its feature-off twin.
+_TWIN_KINDS = {
+    "cache-twin": ("caching store", "cache=False twin"),
+    "index-twin": ("indexed store", "unindexed twin"),
+    "migrate-twin": ("migrating store", "non-migrating twin"),
+}
+
+
 def _twin_mismatch(
     store: XmlStore, doc: int,
     twin: XmlStore, twin_doc: int,
     queries: list[str],
-    store_label: str,
-    twin_label: str,
-    index_plans: Optional[Counter] = None,
+    kind: str,
+    index_plans: Optional[Counter],
 ) -> Optional[str]:
     """Compare a store against its feature-off twin.
 
@@ -527,8 +564,13 @@ def _twin_mismatch(
     both passes must match the twin byte for byte (kind, id, label,
     and value, not just identity).  *index_plans* (the index twin's
     :attr:`FuzzReport.index_plans`) counts the compared queries whose
-    plan on the primary store probes an index.
+    plan on the primary store probes an index.  A query the twin
+    answers and a migrating store's target encoding refuses is
+    skipped: the two encodings translate different fragments.  The
+    cache and index twins share their store's encoding, so a refusal
+    there is an error.
     """
+    store_label, twin_label = _TWIN_KINDS[kind]
     for xpath in queries:
         try:
             want = [
@@ -542,10 +584,15 @@ def _twin_mismatch(
             if access != "scan":
                 index_plans.update(access.split("+"))
         for attempt in ("cold", "cached"):
-            got = [
-                (i.kind, i.node_id, i.label, i.value)
-                for i in store.query(xpath, doc)
-            ]
+            try:
+                got = [
+                    (i.kind, i.node_id, i.label, i.value)
+                    for i in store.query(xpath, doc)
+                ]
+            except (TranslationError, UnsupportedXPathError):
+                if kind != "migrate-twin":
+                    raise
+                break
             if got != want:
                 return (
                     f"query {xpath!r} ({attempt} pass): {store_label} "
@@ -574,6 +621,46 @@ def _maintenance() -> Counter:
     )
 
 
+def migration_target(encoding: str) -> str:
+    """The encoding a ``--migrate-during`` store migrates to: the next
+    one in the canonical cycle, so sweeping the default encodings
+    exercises four distinct source->target conversions."""
+    cycle = DEFAULT_ENCODINGS
+    return cycle[(cycle.index(encoding) + 1) % len(cycle)]
+
+
+class _Migration(threading.Thread):
+    """A ``--migrate-during`` store's background thread: it migrates
+    each document to *target*, keeping what that raised."""
+
+    def __init__(self, store: XmlStore, docs: list[int], target: str):
+        super().__init__(name="repro-fuzz-migrate", daemon=True)
+        self.store, self.docs, self.target = store, docs, target
+        self.error: Optional[BaseException] = None
+
+    def run(self) -> None:
+        try:
+            for doc in self.docs:
+                migrate_document(self.store, doc, self.target)
+        except BaseException as exc:  # reported after the join
+            self.error = exc
+
+    def problem(self) -> Optional[str]:
+        """What went wrong, once joined: ``None`` when every document
+        ended on the target encoding."""
+        if self.is_alive():
+            return "migration thread still running 60s after the op stream"
+        if self.error is not None:
+            return (f"migration raised {type(self.error).__name__}: "
+                    f"{self.error}")
+        for doc in self.docs:
+            final = self.store.encoding_for(doc).name
+            if final != self.target:
+                return (f"document {doc} ended on {final!r}, expected "
+                        f"{self.target!r}")
+        return None
+
+
 def _run_cell(
     config: FuzzConfig,
     seed: int,
@@ -591,7 +678,7 @@ def _run_cell(
         )
         for n in range(TWIN_DOCUMENTS if config.cache_twin else 1)
     ]
-    twin_mode = config.cache_twin or config.index_twin
+    twin_kind = config.twin_kind()
     # Stores and their twins load the same documents in the same
     # order, so a slot's doc id is the same in every one of them.
     stores: list[tuple[str, str, XmlStore, list[int]]] = []
@@ -606,7 +693,7 @@ def _run_cell(
                 for doc in docs:
                     store.indexes.create(doc)
             stores.append((backend, encoding, store, docs))
-            if twin_mode:
+            if twin_kind is not None:
                 twin = XmlStore(
                     backend=backend, encoding=encoding, gap=gap,
                     cache=not config.cache_twin,
@@ -621,7 +708,7 @@ def _run_cell(
     # plan/result keys recur before and after every update; index twins
     # lean the pool toward shapes the index rewrites can serve.
     warm_queries: list[str] = []
-    if twin_mode:
+    if twin_kind is not None:
         wrng = random.Random(seed * 424243 + gap * 31)
         pool = max(4, config.queries_per_check)
         if config.index_twin:
@@ -640,7 +727,7 @@ def _run_cell(
         return FuzzFailure(
             seed=seed, gap=gap, backend=backend, encoding=encoding,
             op_index=op_index, op=op_describe, kind=kind, detail=detail,
-            update_heavy=config.update_heavy,
+            flags=config.mode_flags(),
         )
 
     def twin_round(op_index: int, op_describe: str
@@ -648,12 +735,6 @@ def _run_cell(
         """Diff the warm pool against the twin, for *every* document:
         the one the last operation wrote must have been invalidated,
         and the others must still answer correctly from their caches."""
-        if config.cache_twin:
-            kind = "cache-twin"
-            labels = ("caching store", "cache=False twin")
-        else:
-            kind = "index-twin"
-            labels = ("indexed store", "unindexed twin")
         for (backend, encoding, store, docs), twin_entry in zip(
             stores, twins
         ):
@@ -662,14 +743,14 @@ def _run_cell(
             twin, twin_docs = twin_entry
             for doc, twin_doc in zip(docs, twin_docs):
                 detail = _twin_mismatch(
-                    store, doc, twin, twin_doc, warm_queries, *labels,
-                    index_plans=report.index_plans,
+                    store, doc, twin, twin_doc, warm_queries, twin_kind,
+                    report.index_plans,
                 )
                 if detail is not None:
                     if len(docs) > 1:
                         detail = f"document {doc}: {detail}"
                     return failed(backend, encoding, op_index,
-                                  op_describe, kind, detail)
+                                  op_describe, twin_kind, detail)
         return None
 
     def check_round(op_index: int, op_describe: str
@@ -692,279 +773,114 @@ def _run_cell(
                     reference_trees[slot] = tree
         return twin_round(op_index, op_describe)
 
-    last_describe = "initial load"
-    failure = check_round(0, last_describe)
-    if failure is not None:
-        return failure
-
-    for op_index in range(1, max_ops + 1):
-        # Spread the operations across the cell's documents.
-        slot = rng.randrange(len(documents)) if len(documents) > 1 else 0
-        op = plan_operation(
-            rng, reference[2], reference[3][slot],
-            update_heavy=config.update_heavy,
-        )
-        last_describe = op["describe"]
-        costs: list[tuple[int, int]] = []
-        for (backend, encoding, store, docs), twin_entry in zip(
-            stores, twins
-        ):
-            maintained = _maintenance()
-            try:
-                result = apply_operation(store, docs[slot], op)
-                if twin_entry is not None:
-                    apply_operation(
-                        twin_entry[0], twin_entry[1][slot], op
-                    )
-            except Exception as exc:
-                return failed(backend, encoding, op_index, last_describe,
-                              "crash", f"{type(exc).__name__}: {exc}")
-            maintained = _maintenance() - maintained
-            report.maintenance.update(maintained)
-            if maintained["rebuilt"]:
-                # Only a hole in the touched set rebuilds.
-                return failed(backend, encoding, op_index, last_describe,
-                              "index-rebuild", "index maintenance rebuilt "
-                              "the document instead of repairing it")
-            costs.append((result.inserted, result.deleted))
-        report.operations += 1
-        if len(set(costs)) > 1:
-            backend, encoding = stores[-1][0], stores[-1][1]
-            return failed(
-                backend, encoding, op_index, last_describe,
-                "cost-mismatch",
-                "insert/delete counts diverge across stores: "
-                + ", ".join(
-                    f"{b}/{e}={c}"
-                    for (b, e, _s, _d), c in zip(stores, costs)
-                ),
-            )
-        failure = None
-        if op_index % check_every == 0 or op_index == max_ops:
-            failure = check_round(op_index, last_describe)
-        elif config.cache_twin:
-            # A per-document invalidation bug shows between check
-            # rounds too: diff every document after every operation.
-            failure = twin_round(op_index, last_describe)
+    def run_ops() -> Optional[FuzzFailure]:
+        """The op stream and its check rounds."""
+        last_describe = "initial load"
+        failure = check_round(0, last_describe)
         if failure is not None:
             return failure
-    return None
-
-
-# -- live-migration mode ------------------------------------------------
-
-
-def migration_target(encoding: str) -> str:
-    """The encoding a ``--migrate-during`` cell migrates to: the next
-    one in the canonical cycle, so sweeping the default encodings
-    exercises four distinct source->target conversions."""
-    cycle = DEFAULT_ENCODINGS
-    if encoding not in cycle:
-        return cycle[0]
-    return cycle[(cycle.index(encoding) + 1) % len(cycle)]
-
-
-def _identities(store: XmlStore, doc: int, xpath: str) -> list[tuple]:
-    return [
-        (item.kind, item.node_id, item.label, item.value)
-        for item in store.query(xpath, doc)
-    ]
-
-
-def _run_migrate_pair(
-    config: FuzzConfig,
-    seed: int,
-    gap: int,
-    backend: str,
-    encoding: str,
-    document: Document,
-    report: FuzzReport,
-) -> Optional[FuzzFailure]:
-    """One migrate-during cell: fuzz a store while it re-encodes.
-
-    The store starts on *encoding* and a background thread migrates it
-    to :func:`migration_target`: one transaction, an atomic step
-    wherever the scheduler puts it in the op stream.  A twin store
-    stays on the source encoding and receives the identical op stream;
-    every translatable query must answer identically on both —
-    surrogate ids are preserved by the migration, so the comparison is
-    byte-for-byte on (kind, id, label, value).  Invariant audits run
-    after the migration joins.
-    """
-    target = migration_target(encoding)
-    pair = f"{encoding}->{target}"
-    store = XmlStore(backend=backend, encoding=encoding, gap=gap)
-    twin = XmlStore(backend=backend, encoding=encoding, gap=gap)
-    doc = store.load(document)
-    twin_doc = twin.load(document)
-
-    def failure(op_index: int, op: str, kind: str, detail: str
-                ) -> FuzzFailure:
-        return FuzzFailure(
-            seed=seed, gap=gap, backend=backend, encoding=pair,
-            op_index=op_index, op=op, kind=kind, detail=detail,
-            update_heavy=config.update_heavy,
-        )
-
-    migration_error: list[BaseException] = []
-
-    def run_migration() -> None:
-        try:
-            migrate_document(store, doc, target)
-        except BaseException as exc:  # reported after join
-            migration_error.append(exc)
-
-    thread = threading.Thread(
-        target=run_migration, name="repro-fuzz-migrate", daemon=True
-    )
-    rng = random.Random(seed * 7919 + gap)
-    last_describe = "initial load"
-    thread.start()
-    try:
-        for op_index in range(1, config.ops + 1):
-            # Plan from the twin: its encoding is stable, so the
-            # surrogate-id plan is identical for both stores.
+        for op_index in range(1, max_ops + 1):
+            # Spread the operations across the cell's documents.
+            slot = rng.randrange(len(documents)) if len(documents) > 1 else 0
             op = plan_operation(
-                rng, twin, twin_doc, update_heavy=config.update_heavy
+                rng, reference[2], reference[3][slot],
+                update_heavy=config.update_heavy,
             )
             last_describe = op["describe"]
-            try:
-                result = apply_operation(store, doc, op)
-            except Exception as exc:
-                return failure(
-                    op_index, last_describe, "crash",
-                    f"{type(exc).__name__}: {exc}",
-                )
-            twin_result = apply_operation(twin, twin_doc, op)
-            report.operations += 1
-            if (result.inserted, result.deleted) != (
-                twin_result.inserted, twin_result.deleted
+            costs: dict[str, tuple[int, int]] = {}
+            for (backend, encoding, store, docs), twin_entry in zip(
+                stores, twins
             ):
-                return failure(
-                    op_index, last_describe, "cost-mismatch",
-                    f"migrating store {result.inserted}/{result.deleted}"
-                    f" inserted/deleted, twin {twin_result.inserted}/"
-                    f"{twin_result.deleted}",
-                )
-            if op_index % config.check_every and op_index != config.ops:
-                continue
-            qrng = random.Random(seed * 1_000_003 + op_index)
-            for _ in range(config.queries_per_check):
-                xpath = random_xpath(qrng)
-                report.checks += 1
+                maintained = _maintenance()
                 try:
-                    want = _identities(twin, twin_doc, xpath)
-                except (TranslationError, UnsupportedXPathError):
-                    continue
-                try:
-                    got = _identities(store, doc, xpath)
-                except (TranslationError, UnsupportedXPathError):
-                    # The target encoding translates a different
-                    # fragment; nothing to compare.
-                    continue
-                if got != want:
-                    return failure(
-                        op_index, last_describe, "migrate-twin",
-                        f"query {xpath!r}: migrating store returned "
-                        f"{got}, twin returned {want}",
+                    result = apply_operation(store, docs[slot], op)
+                    costs[f"{backend}/{encoding}"] = (
+                        result.inserted, result.deleted
                     )
-    finally:
-        thread.join(timeout=60.0)
-
-    if thread.is_alive():
-        return failure(
-            config.ops, last_describe, "migrate",
-            "migration thread still running 60s after the op stream",
-        )
-    if migration_error:
-        exc = migration_error[0]
-        return failure(
-            config.ops, last_describe, "migrate",
-            f"migration raised {type(exc).__name__}: {exc}",
-        )
-    final = store.encoding_for(doc).name
-    if final != target:
-        return failure(
-            config.ops, last_describe, "migrate",
-            f"document ended on {final!r}, expected {target!r}",
-        )
-
-    listing = summarize_violations(audit_store(store))
-    if listing is not None:
-        return failure(config.ops, last_describe, "invariant", listing)
-
-    # Post-migration battery: audit + round trip on both stores (empty
-    # query list — the mid-stream rounds already compared every query
-    # against the twin, which is this mode's oracle), cross-store
-    # structural equality, and a final fresh pool compared byte for
-    # byte against the twin.
-    report.checks += 2
-    problem, tree = _check_store(store, doc, [], None)
-    if problem is not None:
-        return failure(config.ops, last_describe, *problem)
-    twin_problem, twin_tree = _check_store(twin, twin_doc, [], tree)
-    if twin_problem is not None:
-        return failure(config.ops, last_describe, *twin_problem)
-    if serialize(tree) != serialize(twin_tree):
-        return failure(
-            config.ops, last_describe, "migrate-twin",
-            "post-migration serialization differs from the twin's",
-        )
-    qrng = random.Random(seed * 2_000_003 + gap)
-    for _ in range(config.queries_per_check):
-        xpath = random_xpath(qrng)
-        report.checks += 1
-        try:
-            want = _identities(twin, twin_doc, xpath)
-            got = _identities(store, doc, xpath)
-        except (TranslationError, UnsupportedXPathError):
-            continue
-        if got != want:
-            return failure(
-                config.ops, last_describe, "migrate-twin",
-                f"post-migration query {xpath!r}: migrated store "
-                f"returned {got}, twin returned {want}",
-            )
-    return None
-
-
-def _run_migrate_cell(
-    config: FuzzConfig, seed: int, gap: int, report: FuzzReport
-) -> Optional[FuzzFailure]:
-    document = random_document(
-        seed, max_depth=config.max_depth,
-        max_children=config.max_children,
-    )
-    for backend in config.backends:
-        for encoding in config.encodings:
-            failure = _run_migrate_pair(
-                config, seed, gap, backend, encoding, document, report
-            )
+                    if twin_entry is not None:
+                        result = apply_operation(
+                            twin_entry[0], twin_entry[1][slot], op
+                        )
+                        costs[f"{backend}/{encoding} twin"] = (
+                            result.inserted, result.deleted
+                        )
+                except Exception as exc:
+                    return failed(
+                        backend, encoding, op_index, last_describe,
+                        "crash", f"{type(exc).__name__}: {exc}",
+                    )
+                maintained = _maintenance() - maintained
+                report.maintenance.update(maintained)
+                if maintained["rebuilt"]:
+                    # Only a hole in the touched set rebuilds.
+                    return failed(
+                        backend, encoding, op_index, last_describe,
+                        "index-rebuild", "index maintenance rebuilt the "
+                        "document instead of repairing it",
+                    )
+            report.operations += 1
+            if len(set(costs.values())) > 1:
+                backend, encoding = stores[-1][0], stores[-1][1]
+                return failed(
+                    backend, encoding, op_index, last_describe,
+                    "cost-mismatch",
+                    "insert/delete counts diverge across stores: "
+                    + ", ".join(f"{s}={c}" for s, c in costs.items()),
+                )
+            failure = None
+            if op_index % check_every == 0 or op_index == max_ops:
+                failure = check_round(op_index, last_describe)
+            elif config.cache_twin:
+                # A per-document invalidation bug shows between check
+                # rounds too: diff every document after every operation.
+                failure = twin_round(op_index, last_describe)
             if failure is not None:
                 return failure
-    return None
+        return None
+
+    # A migrating store migrates on a thread of its own while the op
+    # stream and the check rounds run; its twin stays on the source
+    # encoding.
+    migrations = [
+        _Migration(store, docs, migration_target(encoding))
+        for _backend, encoding, store, docs in stores
+        if config.migrate_during
+    ]
+    for migration in migrations:
+        migration.start()
+    try:
+        failure = run_ops()
+    finally:
+        for migration in migrations:
+            migration.join(timeout=60.0)
+    if failure is not None or not migrations:
+        return failure
+    joined = "the migration joined"
+    for (backend, encoding, store, _docs), migration in zip(
+        stores, migrations
+    ):
+        problem = migration.problem()
+        if problem is not None:
+            return failed(backend, encoding, max_ops, joined, "migrate",
+                          problem)
+        # Rows left in the source encoding's tables show here only.
+        listing = summarize_violations(audit_store(store))
+        if listing is not None:
+            return failed(backend, encoding, max_ops, joined,
+                          "invariant", listing)
+    return check_round(max_ops, joined)
 
 
 def run_fuzz(config: FuzzConfig) -> FuzzReport:
     """Run the differential fuzzer; failures come back minimized."""
+    if config.migrate_during and (config.cache_twin or config.index_twin):
+        raise ValueError(
+            "--migrate-during is a twin mode of its own; it cannot be "
+            "combined with --cache-twin or --index-twin"
+        )
     report = FuzzReport(
         index_plans=Counter() if config.index_twin else None
     )
-    if config.migrate_during:
-        unsupported = [b for b in config.backends if b != "sqlite"]
-        if unsupported:
-            raise ValueError(
-                "--migrate-during needs the shared-connection sqlite "
-                "backend (whole transactions serialize across threads); "
-                f"got {unsupported}"
-            )
-        for seed, gap in config.cells():
-            report.cells += 1
-            failure = _run_migrate_cell(config, seed, gap, report)
-            if failure is not None:
-                # Timing-dependent: no prefix minimization.
-                report.failures.append(failure)
-        return report
     # An index twin reads its stores' maintenance passes off the
     # metrics registry, which records for the run.
     with counting() if config.index_twin else nullcontext():
@@ -975,12 +891,12 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
             )
             if failure is None:
                 continue
-            if config.check_every > 1 and failure.kind not in (
-                "crash", "index-rebuild"
-            ):
-                # The coarse run only brackets the failing prefix;
-                # replay the cell checking after every op to pin the
-                # exact index.
+            # The coarse run only brackets the failing prefix; replay
+            # the cell checking after every op to pin the exact index.
+            # A crash or a rebuild is pinned already, and a migrating
+            # cell's failure depends on timing, so neither replays.
+            if (config.check_every > 1 and not config.migrate_during
+                    and failure.kind not in ("crash", "index-rebuild")):
                 minimized = _run_cell(
                     config, seed, gap, failure.op_index, 1, FuzzReport()
                 )

@@ -324,22 +324,31 @@ def _index_violations(store, info, view: AuditView):
 
 
 def audit_document(store, doc: int) -> list[Violation]:
-    """Audit one document; returns all violations found (empty = clean)."""
-    # fresh=True: the auditor verifies the stored catalogue row itself,
-    # so it must not read through the store's catalog cache (which can
-    # legitimately lag when another store object writes the same file).
-    info = store.document_info(doc, fresh=True)
-    encoding = ENCODINGS[info.encoding]
-    rows = fetch_rows(store, doc, encoding)
-    view = _build_view(rows, encoding)
-    violations = list(_structural_violations(store, doc, view))
-    violations.extend(_attribute_violations(store, doc, view, encoding))
-    violations.extend(
-        Violation(code, doc, node_id, message)
-        for code, node_id, message in encoding.order_invariants(view)
-    )
-    violations.extend(_catalog_violations(store, info, view))
-    violations.extend(_index_violations(store, info, view))
+    """Audit one document; returns all violations found (empty = clean).
+
+    The catalogue row, the node rows, the attribute rows and the index
+    rows are read in one snapshot: a write committing between two of
+    those reads (a migration, say) would otherwise show as a violation
+    that no committed state has."""
+    with store.backend.snapshot():
+        # fresh=True: the auditor verifies the stored catalogue row
+        # itself, so it must not read through the store's catalog cache
+        # (which can legitimately lag when another store object writes
+        # the same file).
+        info = store.document_info(doc, fresh=True)
+        encoding = ENCODINGS[info.encoding]
+        rows = fetch_rows(store, doc, encoding)
+        view = _build_view(rows, encoding)
+        violations = list(_structural_violations(store, doc, view))
+        violations.extend(
+            _attribute_violations(store, doc, view, encoding)
+        )
+        violations.extend(
+            Violation(code, doc, node_id, message)
+            for code, node_id, message in encoding.order_invariants(view)
+        )
+        violations.extend(_catalog_violations(store, info, view))
+        violations.extend(_index_violations(store, info, view))
     return violations
 
 
@@ -410,18 +419,20 @@ def audit_store(
 
     ``max_rows_per_doc`` skips documents whose catalogued node count
     exceeds the limit — the conftest fixture uses it to keep the audit
-    cheap after large stress tests.
+    cheap after large stress tests.  The whole audit reads one
+    snapshot, as :func:`audit_document` does.
     """
-    infos = store.documents()
     violations: list[Violation] = []
-    for info in infos:
-        if (
-            max_rows_per_doc is not None
-            and info.node_count > max_rows_per_doc
-        ):
-            continue
-        violations.extend(audit_document(store, info.doc))
-    violations.extend(_stray_document_violations(store, infos))
+    with store.backend.snapshot():
+        infos = store.documents()
+        for info in infos:
+            if (
+                max_rows_per_doc is not None
+                and info.node_count > max_rows_per_doc
+            ):
+                continue
+            violations.extend(audit_document(store, info.doc))
+        violations.extend(_stray_document_violations(store, infos))
     return violations
 
 

@@ -941,10 +941,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "the rounds that stress incremental index "
                         "maintenance")
     p.add_argument("--migrate-during", action="store_true",
-                   help="run a live encoding migration in the "
-                        "background while fuzzing; every query must "
-                        "match a non-migrating twin byte for byte "
-                        "(sqlite backend only)")
+                   help="run a live encoding migration of every "
+                        "store in the background while fuzzing; every "
+                        "query must match a non-migrating twin byte "
+                        "for byte (not with --cache-twin or "
+                        "--index-twin)")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser(

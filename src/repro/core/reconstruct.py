@@ -16,8 +16,11 @@ such column — its :attr:`~repro.core.encodings.OrderEncoding.
 order_by_column` is ``None`` — so it fetches the rows unordered (a
 subtree level by level, one query batch per level, the same weakness
 that makes its descendant-axis queries slow), sorts each sibling list
-and walks.  That is the only place stored structure is re-derived from
-parent pointers outside the auditor.
+and walks.  Two more readers re-derive stored structure from parent
+pointers besides this one and the auditor: Local's client-order pass
+(``XmlStore._order_keys``) climbs each result's ancestor chain, and
+index maintenance (``IndexManager._chain_svals``) walks up from the
+nodes an update touched to recompute their ancestors' string-values.
 """
 
 from __future__ import annotations

@@ -1306,17 +1306,8 @@ class SqlTranslator:
         sub.add_where(self.test_condition(step.test, m))
         if axis == "child":
             sub.add_where(Cmp("=", Col(m, "parent"), Col(cand, "parent")))
-        elif axis in ("following-sibling", "preceding-sibling"):
-            if ctx is None:
-                raise TranslationError(
-                    "sibling axes need an element context"
-                )
-            sub.add_where(Cmp("=", Col(m, "parent"), Col(cand, "parent")))
-            if axis == "following-sibling":
-                sub.add_where(self.sibling_before(ctx, m))
-            else:
-                sub.add_where(self.sibling_before(m, ctx))
-        elif axis in ("descendant", "descendant-or-self", "following",
+        elif axis in ("following-sibling", "preceding-sibling",
+                      "descendant", "descendant-or-self", "following",
                       "preceding", "ancestor", "ancestor-or-self"):
             sub.add_where(self.axis_condition(axis, ctx, m, t))
         else:

@@ -75,14 +75,6 @@ class _Parser:
         index = self._pos + offset
         return self._tokens[index] if index < len(self._tokens) else None
 
-    def _next(self) -> XPathToken:
-        token = self._peek()
-        if token is None:
-            raise XPathSyntaxError("unexpected end of expression",
-                                   len(self._source))
-        self._pos += 1
-        return token
-
     def _accept(self, kind: str) -> Optional[XPathToken]:
         token = self._peek()
         if token is not None and token.kind == kind:

@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from tests.conftest import ALL_ENCODINGS, BACKENDS, BIB_XML
+from tests.conftest import ALL_ENCODINGS, BACKENDS, BIB_XML, counters
 from repro.backends import make_backend
 from repro.backends.base import Backend, BackendResult
 from repro.backends.minidb_backend import MiniDbBackend
@@ -679,6 +679,83 @@ def test_fuzz_minimizes_with_coarse_checking(monkeypatch):
     # the corrupting rename itself, not the later coarse checkpoint.
     assert "rename" in failure.op
     assert failure.kind == "invariant"
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "minidb"])
+@pytest.mark.parametrize("encoding", ["local", "dewey"])
+def test_update_heavy_fuzz_renumbers_at_the_shipped_gap(encoding, backend):
+    """An insert run puts more than log2(256) inserts at one point, so
+    the update-heavy stream reaches Local's and Dewey's sibling shift
+    at the gap they load with by default, not only at small gaps."""
+    gap = get_encoding(encoding).load_gap
+    assert gap == 256
+    with counters() as count:
+        report = run_fuzz(FuzzConfig(
+            seeds=4, ops=60, encodings=(encoding,), backends=(backend,),
+            gaps=(gap,), update_heavy=True, check_every=20,
+            queries_per_check=1,
+        ))
+        assert report.ok(), report.summary()
+        assert count("updates.renumber_ops") > 0
+
+
+def test_migrate_during_checks_each_store_while_it_migrates(monkeypatch):
+    """The cell's check rounds (audit, round trip, oracle, cross-store)
+    run while the migration threads are alive, not only after they
+    join: the first migration waits for the first store check."""
+    from repro.check import fuzz
+
+    checked_while_migrating = []
+    first_check = threading.Event()
+    check_store, migrate = fuzz._check_store, fuzz.migrate_document
+
+    def watched_check(*args):
+        checked_while_migrating.append(any(
+            thread.name == "repro-fuzz-migrate" and thread.is_alive()
+            for thread in threading.enumerate()
+        ))
+        first_check.set()
+        return check_store(*args)
+
+    def held_migration(store, doc, target):
+        assert first_check.wait(timeout=30)
+        return migrate(store, doc, target)
+
+    monkeypatch.setattr(fuzz, "_check_store", watched_check)
+    monkeypatch.setattr(fuzz, "migrate_document", held_migration)
+    report = run_fuzz(FuzzConfig(
+        seeds=1, ops=6, encodings=("dewey", "local"),
+        backends=("sqlite", "minidb"), check_every=3,
+        migrate_during=True,
+    ))
+    assert report.ok(), "\n".join(str(f) for f in report.failures)
+    assert checked_while_migrating[0] is True
+    # Rounds at ops 0, 3 and 6, then one after the join, each over
+    # every store.
+    assert report.checks == len(checked_while_migrating) == 4 * 4
+
+
+@pytest.mark.skip_audit
+def test_migrate_during_reports_a_migration_that_raises(monkeypatch):
+    from repro.check import fuzz
+
+    def failing(store, doc, target):
+        raise RuntimeError("no room")
+
+    monkeypatch.setattr(fuzz, "migrate_document", failing)
+    report = run_fuzz(FuzzConfig(
+        seeds=1, ops=4, encodings=("dewey",), backends=("minidb",),
+        check_every=2, migrate_during=True,
+    ))
+    (failure,) = report.failures
+    assert failure.kind == "migrate"
+    assert failure.detail == "migration raised RuntimeError: no room"
+    # Not minimized: when a migration commits depends on timing.
+    assert failure.op_index == 4
+    assert failure.repro_command().endswith(
+        "--encodings dewey --backends minidb --check-every 1 "
+        "--migrate-during"
+    )
 
 
 def test_reconstruct_with_ids_round_trip():

@@ -571,10 +571,20 @@ class TestMigrationHarnessCommands:
         assert "fuzz:" in out
         assert "OK" in out
 
-    def test_fuzz_migrate_during_rejects_minidb(self, capsys):
+    def test_fuzz_migrate_during_runs_on_minidb(self, capsys):
         assert run(["fuzz", "--migrate-during", "--seeds", "1",
                     "--ops", "5", "--encodings", "global",
-                    "--backends", "minidb"]) == 1
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert "sqlite" in err
+                    "--backends", "minidb"]) == 0
+        out = capsys.readouterr().out
+        assert "fuzz: 1 cell(s), 5 operation(s)" in out
+        assert out.rstrip().endswith("OK")
+
+    @pytest.mark.parametrize("twin", ["--cache-twin", "--index-twin"])
+    def test_fuzz_migrate_during_refuses_another_twin(self, capsys, twin):
+        assert run(["fuzz", "--migrate-during", twin, "--seeds", "1",
+                    "--ops", "5", "--encodings", "global"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --migrate-during is a twin mode of its own" in (
+            captured.err
+        )

@@ -134,11 +134,28 @@ DRIVE_SNAPSHOT_QUERIES = {
 }
 
 
+#: Positions counted along a sibling axis: the mates subquery places
+#: each mate with the axis table's sibling condition (``m.parent =
+#: ctx.parent`` and the sibling order against the context).
+POSITIONAL_SIBLING_QUERIES = (
+    "/bib/book/author[1]/following-sibling::*[last()]",
+    "/bib/book[3]/preceding-sibling::book[2]",
+)
+
+
 def snapshot_sql(encoding: str) -> dict:
     translator = make_translator(encoding)
     return {
         xpath: translator.translate(xpath, doc=1).sql
         for xpath in SNAPSHOT_QUERIES
+    }
+
+
+def snapshot_positional_siblings(encoding: str) -> dict:
+    translator = make_translator(encoding)
+    return {
+        xpath: translator.translate(xpath, doc=1).sql
+        for xpath in POSITIONAL_SIBLING_QUERIES
     }
 
 
@@ -273,6 +290,21 @@ class TestGoldenIndexPlans:
                 assert literal not in sql, (xpath, literal)
 
 
+class TestGoldenPositionalSiblings:
+    @pytest.fixture(scope="class")
+    def golden(self) -> dict:
+        return json.loads(GOLDEN_PATH.read_text())["positional_siblings"]
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_positional_sibling_sql_matches_golden(self, golden, encoding):
+        assert snapshot_positional_siblings(encoding) == golden[encoding], (
+            f"{encoding}: a positional sibling step drifted; if "
+            "intentional, regenerate tests/data/golden_sql.json"
+        )
+        for xpath, sql in golden[encoding].items():
+            assert parse_sql(sql) is not None, xpath
+
+
 class TestGoldenDrives:
     @pytest.fixture(scope="class")
     def golden(self) -> dict:
@@ -404,6 +436,9 @@ if __name__ == "__main__":
             enc: snapshot_index_plans(enc) for enc in ENCODINGS
         }
         payload["drives"] = {enc: snapshot_drives(enc) for enc in ENCODINGS}
+        payload["positional_siblings"] = {
+            enc: snapshot_positional_siblings(enc) for enc in ENCODINGS
+        }
         GOLDEN_PATH.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {GOLDEN_PATH}")
     else:

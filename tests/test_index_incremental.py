@@ -339,9 +339,10 @@ class TestOneMaintenancePath:
         eager.close()
 
     def test_the_ci_index_twin_fuzz_rebuilds_nothing(self, capsys):
-        """The tier-1 CI step's seeds: all 120 operations on all eight
-        indexed stores repair the index (the check fails on any
-        rebuild, and the summary counts both)."""
+        """The tier-1 CI step's seeds: all 210 updates of the 120
+        operations (an insert run is ten inserts) on all eight indexed
+        stores repair the index (the check fails on any rebuild, and
+        the summary counts both)."""
         assert main([
             "fuzz", "--seeds", "3", "--ops", "40",
             "--backends", "sqlite,minidb", "--check-every", "5",
@@ -349,7 +350,7 @@ class TestOneMaintenancePath:
         ]) == 0
         (summary,) = capsys.readouterr().out.splitlines()
         assert summary.endswith(
-            "maintenance: repaired=960 rebuilt=0: OK"
+            "maintenance: repaired=1680 rebuilt=0: OK"
         ), summary
 
     def test_no_rebuild_budget_and_no_second_table_return(self):

@@ -6,17 +6,24 @@ a failure before the catalogue flip leaves everything as it was,
 writers on other threads all commit, each node row is written once and
 no ``mig_*`` table is ever created), that every read is one snapshot
 (a write committed from another thread between two of its statements
-is seen by the next read only), and the workload advisor's
-E7-crossover thresholds.
+is seen by the next read only; the auditor's and the fuzzer's op
+planner's reads too), and the workload advisor's E7-crossover
+thresholds.
 """
 
+import random
 import threading
 from collections import Counter
 
 import pytest
 
 from repro.backends import SqliteBackend, make_backend
-from repro.check import assert_store_clean
+from repro.check import assert_store_clean, audit_document, audit_store
+from repro.check.fuzz import (
+    apply_operation,
+    migration_target,
+    plan_operation,
+)
 from repro.core.encodings import ENCODINGS
 from repro.errors import StorageError
 from repro.migrate import MigrationAdvisor, migrate_document
@@ -200,10 +207,6 @@ class TestFuzzHarnessOnMigratedDocuments:
         and died in ``rng.choice([])``.  It plans from the document's
         own encoding, and a twin that never migrated takes the same
         surrogate-id plan."""
-        import random
-
-        from repro.check.fuzz import apply_operation, plan_operation
-
         document = random_document(5, max_depth=4, max_children=3)
         store = XmlStore(backend="sqlite", encoding="global", gap=4)
         twin = XmlStore(backend="sqlite", encoding="global", gap=4)
@@ -608,6 +611,60 @@ class TestReadsAreOneSnapshot:
             assert run(store, doc, ids) == before, boundary
             assert wrapper.then is None and wrapper.errors == []
             assert run(store, doc, ids) == after, boundary
+
+
+#: The fuzzer's readers outside the store, each of several statements:
+#: ``read(store, doc)``.  A migration that commits between two of them
+#: must show in neither a false violation nor a torn plan.
+CHECK_READS = {
+    "audit_document": audit_document,
+    "audit_store": lambda store, doc: audit_store(store),
+    "plan_operation": lambda store, doc: plan_operation(
+        random.Random(11), store, doc, update_heavy=True
+    ),
+}
+
+#: A 43-node document: enough rows that an audit and a plan read each
+#: of their tables.
+CHECKED_DOCUMENT = random_document(11, max_depth=5, max_children=4)
+
+
+class TestTheAuditAndTheOpPlannerAreOneSnapshot:
+    """``audit_document``, ``audit_store`` and the fuzzer's
+    ``plan_operation`` each read inside one read scope: a migration
+    committed from another thread at any of their statement boundaries
+    leaves a clean audit and the plan of the unmigrated document."""
+
+    @pytest.mark.parametrize("read", sorted(CHECK_READS))
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    @pytest.mark.parametrize("kind", sorted(READ_BACKENDS))
+    def test_a_migration_between_two_statements_is_not_seen(
+        self, tmp_path, kind, encoding, read
+    ):
+        run = CHECK_READS[read]
+        target = migration_target(encoding)
+        twin = XmlStore(backend="sqlite", encoding=encoding)
+        want = run(twin, twin.load(CHECKED_DOCUMENT))
+
+        def loaded(name: str):
+            wrapper = MigrateBeforeTheNextCall(
+                READ_BACKENDS[kind](tmp_path / name)
+            )
+            store = XmlStore(backend=wrapper, encoding=encoding)
+            return store, wrapper, store.load(CHECKED_DOCUMENT)
+
+        store, wrapper, doc = loaded("n")
+        start = wrapper.statements_executed
+        assert run(store, doc) == want
+        statements = wrapper.statements_executed - start
+        assert statements > 1
+        for boundary in range(1, statements):
+            store, wrapper, doc = loaded(str(boundary))
+            wrapper.then = lambda: migrate_document(store, doc, target)
+            wrapper.after = boundary
+            assert run(store, doc) == want, boundary
+            assert wrapper.then is None and wrapper.errors == []
+            assert store.encoding_for(doc).name == target
 
 
 #: Two reads of one plan (the literal binds as a parameter) and two

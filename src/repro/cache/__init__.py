@@ -1,4 +1,5 @@
-"""Per-store caching: plan / catalog / result LRUs, epoch-invalidated.
+"""Per-store caching: plan / catalog / result / keys LRUs,
+epoch-invalidated.
 
 See :mod:`repro.cache.lru` for the invalidation protocol and DESIGN.md
 ("Caching") for the key scheme and its semantics across threads.

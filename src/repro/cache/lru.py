@@ -1,7 +1,7 @@
 """LRU caching for one :class:`~repro.store.XmlStore`, invalidated by
 exactly what each commit wrote.
 
-A :class:`StoreCache` holds three LRU layers:
+A :class:`StoreCache` holds four LRU layers:
 
 * **plan** — :class:`~repro.core.relalg.CompiledPlan` objects, keyed
   on ``(encoding, xpath-shape, indexed)``.  The shape is the XPath
@@ -19,8 +19,14 @@ A :class:`StoreCache` holds three LRU layers:
   document is indexed.
 * **result** — materialized query results, keyed on
   ``(doc, xpath, context_id)``.
+* **keys** — Local's order keys, keyed on the doc id: one dict per
+  document, ``node id -> (anchor, lpos path from the anchor)``, to
+  which every client-order walk that fetched adds the nodes it
+  resolved (see ``XmlStore._order_keys``).  A put merges into the
+  document's dict rather than replacing it, so a read pays for the
+  keys it adds, not for the ones already kept.
 
-Catalog and result entries belong to one document each, and are
+Catalog, result and keys entries belong to one document each, and are
 invalidated **per document** under this protocol:
 
 1. A reader calls :meth:`StoreCache.epoch` for its document *before*
@@ -28,11 +34,11 @@ invalidated **per document** under this protocol:
    ``put_*`` with that observed epoch.
 2. Every commit hands :meth:`StoreCache.bump` its **write set** — the
    documents its transaction wrote — before and after its COMMIT.  The
-   bump advances those documents' epochs and drops their catalog and
-   result entries;
+   bump advances those documents' epochs and drops their catalog,
+   result and keys entries;
    every other document's entries stay.  A commit that cannot name
    its write set passes none, and the bump falls back to dropping the
-   catalog and result entries of *every* document.
+   per-document entries of *every* document.
 3. A ``put_*`` whose observed epoch no longer matches its document's
    is refused, so a value computed from pre-commit state can never
    outlive the writer's bump — the classic read-during-write race
@@ -55,7 +61,9 @@ bumps twice, and what a reader may see in between, is
 Threads inside their own transaction bypass the cache entirely (the
 store checks ``_in_own_transaction()`` before every lookup/insert), so
 uncommitted state is never cached and update-internal catalogue reads
-stay fresh.
+stay fresh.  The keys layer is also bypassed by a read scope that lets
+writers commit beside it (a file): its snapshot may be older than the
+kept keys.
 """
 
 from __future__ import annotations
@@ -138,7 +146,8 @@ _DOC_FIRST = itemgetter(0)
 
 
 class StoreCache:
-    """Plan/catalog/result caches of one store (see the module doc)."""
+    """Plan/catalog/result/keys caches of one store (see the module
+    doc)."""
 
     def __init__(
         self,
@@ -156,8 +165,10 @@ class StoreCache:
         self._plan = _LruLayer("plan", plan_capacity)
         self._catalog = _LruLayer("catalog", catalog_capacity, _DOC_FIRST)
         self._result = _LruLayer("result", result_capacity, _DOC_FIRST)
-        self._layers = (self._plan, self._catalog, self._result)
-        self._doc_layers = (self._catalog, self._result)
+        # A document's keys live as long as its catalogue entry would.
+        self._keys = _LruLayer("keys", catalog_capacity, _DOC_FIRST)
+        self._layers = (self._plan, self._catalog, self._result, self._keys)
+        self._doc_layers = (self._catalog, self._result, self._keys)
 
     # -- epoch protocol ---------------------------------------------------
 
@@ -171,7 +182,7 @@ class StoreCache:
         """A write committed: invalidate what it can have changed.
 
         *docs* is the commit's write set.  Those documents' epochs
-        advance and their catalog and result entries go; with an empty
+        advance and their catalog, result and keys entries go; with an empty
         (unknown) write set, every document's do.  Plans are never
         touched — their key is their validity.
         """
@@ -237,22 +248,33 @@ class StoreCache:
             METRICS.inc(f"cache.{layer.name}.miss")
         return value
 
+    def _stale(
+        self, layer: _LruLayer, key: Hashable,
+        observed_epoch: Optional[int],
+    ) -> bool:
+        """Whether a value for *key* was computed from state a writer of
+        its document has since superseded (or raced past).  Only
+        per-document layers carry an epoch (plans: none).  The caller
+        holds the lock."""
+        return layer.doc_of is not None and observed_epoch != (
+            self._doc_epochs.get(layer.doc_of(key), self._clock)
+        )
+
+    @staticmethod
+    def _count_evictions(layer: _LruLayer, evicted: int) -> None:
+        if evicted:
+            METRICS.inc("cache.evict", evicted)
+            METRICS.inc(f"cache.{layer.name}.evict", evicted)
+
     def _put(
         self, layer: _LruLayer, key: Hashable, value: Any,
         observed_epoch: Optional[int] = None,
     ) -> bool:
         with self._lock:
-            # Only per-document layers carry an epoch (plans: none).
-            if layer.doc_of is not None and observed_epoch != (
-                self._doc_epochs.get(layer.doc_of(key), self._clock)
-            ):
-                # The value was computed from state a writer of this
-                # document has since superseded (or raced past).
+            if self._stale(layer, key, observed_epoch):
                 return False
             evicted = layer.put(key, value)
-        if evicted:
-            METRICS.inc("cache.evict", evicted)
-            METRICS.inc(f"cache.{layer.name}.evict", evicted)
+        self._count_evictions(layer, evicted)
         return True
 
     # -- per-layer fronts -------------------------------------------------
@@ -278,6 +300,28 @@ class StoreCache:
                    ) -> bool:
         """*key* is ``(doc, xpath, context_id)``."""
         return self._put(self._result, key, value, observed_epoch)
+
+    def get_keys(self, doc: int) -> Optional[dict]:
+        """*doc*'s kept order keys: the live dict, which later puts
+        extend in place.  Read it, never write it, inside a read scope
+        that holds writers off (in memory one scope runs at a time)."""
+        return self._get(self._keys, (doc, "keys"))
+
+    def put_keys(self, doc: int, keys: dict, observed_epoch: int) -> bool:
+        """Add *keys* (``node id -> (anchor, key)``) to *doc*'s kept
+        keys; *keys* becomes the kept dict if there is none."""
+        layer, key = self._keys, (doc, "keys")
+        evicted = 0
+        with self._lock:
+            if self._stale(layer, key, observed_epoch):
+                return False
+            kept = layer.entries.get(key)
+            if kept is None:
+                evicted = layer.put(key, keys)
+            else:
+                kept.update(keys)
+        self._count_evictions(layer, evicted)
+        return True
 
     # -- introspection ----------------------------------------------------
 

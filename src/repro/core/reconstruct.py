@@ -18,9 +18,12 @@ subtree level by level, one query batch per level, the same weakness
 that makes its descendant-axis queries slow), sorts each sibling list
 and walks.  Two more readers re-derive stored structure from parent
 pointers besides this one and the auditor: Local's client-order pass
-(``XmlStore._order_keys``) climbs each result's ancestor chain, and
-index maintenance (``IndexManager._chain_svals``) walks up from the
-nodes an update touched to recompute their ancestors' string-values.
+(``XmlStore._order_keys``) climbs each result's ancestor chain until
+the chains meet or reach nodes whose keys a caching store kept from an
+earlier walk (kept per document until its next write, and never used
+here: a reconstruction sorts by the rows it reads), and index
+maintenance (``IndexManager._chain_svals``) walks up from the nodes an
+update touched to recompute their ancestors' string-values.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ documents and across differing predicate literals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Union
 
 from repro.errors import TranslationError
 
@@ -125,25 +126,38 @@ def _number(value: object) -> Union[int, float]:
     return number
 
 
-def _apply_transform(transform: str, value: object) -> object:
-    if transform == "raw":
-        return value
-    if transform == "num":
-        return _number(value)
-    if transform == "posm1":
-        return _number(value) - 1
-    if transform == "len":
-        return len(value)  # type: ignore[arg-type]
-    kind, _, op = transform.partition(":")
+def _position_bound(kind: str, op: str, value: object) -> int:
+    """The ``OFFSET`` (*kind* ``skip``) or ``LIMIT`` (``take``) that
+    picks the siblings whose positions satisfy ``position() <op> v``."""
+    # Both engines read a negative OFFSET as 0 and a negative LIMIT as
+    # no limit at all, so neither may reach them.
+    first, last = position_range(op, float(value))  # type: ignore[arg-type]
+    first, last = min(max(first, 1), _MAX_INT), min(last, _MAX_INT)
+    if kind == "skip":
+        return first - 1
+    return int(max(last - first + 1, 0))
+
+
+def _transform(name: str) -> Optional[Callable[[object], object]]:
+    """The function a :class:`LitSlot` transform applies to its raw
+    literal, or ``None`` for ``raw``."""
+    if name == "raw":
+        return None
+    if name == "num":
+        return _number
+    if name == "posm1":
+        return lambda value: _number(value) - 1
+    if name == "len":
+        return len
+    kind, _, op = name.partition(":")
     if kind in ("skip", "take"):
-        # Both engines read a negative OFFSET as 0 and a negative LIMIT
-        # as no limit at all, so neither may reach them.
-        first, last = position_range(op, float(value))  # type: ignore[arg-type]
-        first, last = min(max(first, 1), _MAX_INT), min(last, _MAX_INT)
-        if kind == "skip":
-            return first - 1
-        return int(max(last - first + 1, 0))
-    raise TranslationError(f"unknown literal transform {transform!r}")
+        return partial(_position_bound, kind, op)
+    raise TranslationError(f"unknown literal transform {name!r}")
+
+
+def _apply_transform(transform: str, value: object) -> object:
+    function = _transform(transform)
+    return value if function is None else function(value)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +581,7 @@ class SqlTextDialect:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TranslatedQuery:
+class TranslatedQuery(NamedTuple):
     """The *bound* SQL form of one XPath query (ready to execute)."""
 
     sql: str
@@ -592,8 +605,8 @@ class CompiledPlan:
     """A document-independent compiled query, keyed on query shape.
 
     The plan embeds no document id, context id, or predicate literal:
-    those arrive through :meth:`bind`, which resolves the slot list
-    into a concrete parameter tuple.
+    those arrive through :meth:`bind`, which fills them into a
+    parameter template built once per plan.
     """
 
     sql: str
@@ -607,6 +620,39 @@ class CompiledPlan:
     #: Compiled for an unindexed document although a fragment was
     #: eligible for an index rewrite (counted as ``index.miss``).
     index_miss: bool = False
+    #: The bind template: the parameter list with every ``FixedSlot``
+    #: value in place, and where the ``DOC`` / ``CTX`` slots sit, and
+    #: each ``LitSlot``'s position, literal index and transform.
+    _template: list = field(init=False, repr=False, compare=False)
+    _doc_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _ctx_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _lit_at: tuple = field(init=False, repr=False, compare=False)
+    _literals_needed: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        template: list = []
+        doc_at, ctx_at, lit_at = [], [], []
+        for at, slot in enumerate(self.param_slots):
+            value = None
+            if slot is DOC:
+                doc_at.append(at)
+            elif slot is CTX:
+                ctx_at.append(at)
+            elif isinstance(slot, FixedSlot):
+                value = slot.value
+            elif isinstance(slot, LitSlot):
+                lit_at.append((at, slot.index, _transform(slot.transform)))
+            else:  # pragma: no cover - defensive
+                raise TranslationError(f"unknown parameter slot {slot!r}")
+            template.append(value)
+        # Frozen: the template is set once, here, and only read after.
+        set_ = object.__setattr__
+        set_(self, "_template", template)
+        set_(self, "_doc_at", tuple(doc_at))
+        set_(self, "_ctx_at", tuple(ctx_at))
+        set_(self, "_lit_at", tuple(lit_at))
+        set_(self, "_literals_needed",
+             max((index + 1 for _at, index, _f in lit_at), default=0))
 
     def bind(
         self,
@@ -614,42 +660,32 @@ class CompiledPlan:
         context_id: Optional[int] = None,
         literals: tuple = (),
     ) -> TranslatedQuery:
-        """Resolve slots into parameters for one concrete execution."""
-        params = []
-        for slot in self.param_slots:
-            if slot is DOC:
-                params.append(doc)
-            elif slot is CTX:
-                if context_id is None:
-                    raise TranslationError(
-                        "relative paths need a context node "
-                        "(pass context_id) or an absolute path"
-                    )
-                if not isinstance(context_id, int):
-                    raise TranslationError(
-                        "context_id is a node id, an int, not "
-                        f"{type(context_id).__name__}"
-                    )
-                params.append(context_id)
-            elif isinstance(slot, FixedSlot):
-                params.append(slot.value)
-            elif isinstance(slot, LitSlot):
-                if slot.index >= len(literals):
-                    raise TranslationError(
-                        "literal slot out of range: plan compiled from "
-                        "a different query shape"
-                    )
-                params.append(
-                    _apply_transform(slot.transform, literals[slot.index])
+        """Fill the template's slots for one concrete execution."""
+        params = self._template.copy()
+        for at in self._doc_at:
+            params[at] = doc
+        if self._ctx_at:
+            if context_id is None:
+                raise TranslationError(
+                    "relative paths need a context node "
+                    "(pass context_id) or an absolute path"
                 )
-            else:  # pragma: no cover - defensive
-                raise TranslationError(f"unknown parameter slot {slot!r}")
+            if not isinstance(context_id, int):
+                raise TranslationError(
+                    "context_id is a node id, an int, not "
+                    f"{type(context_id).__name__}"
+                )
+            for at in self._ctx_at:
+                params[at] = context_id
+        if self._literals_needed > len(literals):
+            raise TranslationError(
+                "literal slot out of range: plan compiled from "
+                "a different query shape"
+            )
+        for at, index, transform in self._lit_at:
+            value = literals[index]
+            params[at] = value if transform is None else transform(value)
         return TranslatedQuery(
-            sql=self.sql,
-            params=tuple(params),
-            result_kind=self.result_kind,
-            encoding=self.encoding,
-            columns=self.columns,
-            stats=self.stats,
-            access_path=self.access_path,
+            self.sql, tuple(params), self.result_kind, self.encoding,
+            self.columns, self.stats, self.access_path,
         )

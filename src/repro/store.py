@@ -27,9 +27,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from time import perf_counter
 from typing import (
-    Callable, Iterable, Iterator, Optional, Sequence,
+    Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
     TypeVar, Union,
 )
 
@@ -58,6 +59,22 @@ _ID_BATCH = 400
 _T = TypeVar("_T")
 
 
+def _resolve(
+    kept: Optional[dict], node: int
+) -> tuple[int, tuple[int, ...]]:
+    """``(anchor, path from it)`` of *node* by the kept keys, climbing
+    past every anchor the keys also hold; a node they do not hold is
+    its own anchor."""
+    entry = kept.get(node) if kept else None
+    if entry is None:
+        return node, ()
+    anchor, key = entry
+    while anchor in kept:
+        above, path = kept[anchor]
+        anchor, key = above, path + key
+    return anchor, key
+
+
 @lru_cache(maxsize=512)
 def _parse_and_extract(xpath: str):
     """Parse *xpath* and abstract its safe literals into slots.
@@ -72,8 +89,7 @@ def _parse_and_extract(xpath: str):
     return shaped, str(shaped), literals
 
 
-@dataclass(frozen=True, slots=True)
-class ResultItem:
+class ResultItem(NamedTuple):
     """One query result: a node row or an attribute.
 
     ``kind`` is ``elem``/``text``/``comment``/``pi`` for node results and
@@ -116,6 +132,11 @@ class DocumentInfo:
     encoding: str
     indexed: bool
     gap: int
+
+
+#: A node row's ``(kind, id, tag, value)``: its :class:`ResultItem`.
+_NODE_ITEM = itemgetter(2, 0, 3, 4)
+_new_tuple = tuple.__new__
 
 
 #: The catalogue read: the ``documents`` columns in
@@ -174,7 +195,7 @@ class XmlStore:
             catalogue, and its inserts use that one, whatever gap the
             store that writes them was opened with.
         cache:
-            Plan/catalog/result caching (see :mod:`repro.cache`);
+            Plan/catalog/result/keys caching (see :mod:`repro.cache`);
             ``False`` makes every call translate and execute afresh
             (the benchmarks time such stores).
         """
@@ -193,9 +214,10 @@ class XmlStore:
         #: The gap :meth:`load` labels new documents with.  Only a load
         #: reads it: a stored document's gap is its catalogue entry's.
         self.gap = self.encoding.load_gap if gap is None else gap
-        #: Plan/catalog/result caches.  Every commit invalidates the
-        #: catalog and result entries of the documents it wrote (see
-        #: :meth:`transactionally`); plans are never invalidated.
+        #: Plan/catalog/result/keys caches.  Every commit invalidates
+        #: the catalog, result and keys entries of the documents it
+        #: wrote (see :meth:`transactionally`); plans are never
+        #: invalidated.
         self.cache = StoreCache(enabled=cache)
         #: Per thread: ``writes`` is the write set of the operation
         #: now running inside this thread's top-level transaction (see
@@ -293,7 +315,8 @@ class XmlStore:
         them by calling :meth:`note_write` inside the transaction, and
         one that notes any declares its *complete* write set; one that
         notes none has an unknown write set, and its commit invalidates
-        every document's catalog and result entries — never fewer.
+        every document's catalog, result and keys entries — never
+        fewer.
         """
         if self._in_own_transaction():
             with self.backend.transaction():
@@ -582,11 +605,15 @@ class XmlStore:
             # Captured before any backend state is read: a write to
             # this document committing from here on refuses the put.
             epoch = cache.epoch(doc)
+        else:
+            epoch = None
         log = slow_log()
         phases: Optional[dict[str, float]] = None if log is None else {}
         started = perf_counter()
         with span("query", xpath=xpath):
-            translated, items = self._run_query(xpath, doc, context_id, phases)
+            translated, items = self._run_query(
+                xpath, doc, context_id, phases, epoch
+            )
         if log is not None:
             elapsed_ms = (perf_counter() - started) * 1000.0
             # Short-circuit below the threshold: dropped records pay
@@ -603,8 +630,9 @@ class XmlStore:
                     },
                 )
         if use_cache:
-            # Stored as a tuple of frozen ResultItems; every hit hands
-            # out a fresh list, so callers may mutate what they get.
+            # Stored as a tuple of immutable ResultItems; every hit
+            # hands out a fresh list, so callers may mutate what they
+            # get.
             cache.put_result(result_key, tuple(items), epoch)
         return items
 
@@ -614,6 +642,7 @@ class XmlStore:
         doc: int,
         context_id: Optional[int],
         collect: Optional[dict],
+        epoch: Optional[int],
     ) -> tuple[TranslatedQuery, list[ResultItem]]:
         with self.backend.snapshot():
             with span("translate", collect):
@@ -626,18 +655,23 @@ class XmlStore:
             if ENCODINGS[translated.encoding].order_by_column is None:
                 METRICS.inc("query.client_order_sorts")
                 with span("client_order", collect):
-                    rows = self._client_order(doc, rows, translated)
+                    rows = self._client_order(doc, rows, translated, epoch)
         METRICS.inc("query.rows", len(rows))
         if translated.access_path != "scan":
             METRICS.inc("index.plan_queries")
         with span("materialize", collect):
+            # Built as the tuples they are: ResultItem's own __new__
+            # takes keywords, and a result may hold thousands of rows.
             if translated.result_kind == "attribute":
                 # (owner, name, value)
-                items = [ResultItem("attribute", *row[:3]) for row in rows]
+                items = [
+                    _new_tuple(ResultItem, ("attribute", *row[:3]))
+                    for row in rows
+                ]
             else:
                 # (id, parent, kind, tag, value, ...)
                 items = [
-                    ResultItem(row[2], row[0], row[3], row[4]) for row in rows
+                    _new_tuple(ResultItem, _NODE_ITEM(row)) for row in rows
                 ]
         return translated, items
 
@@ -667,62 +701,117 @@ class XmlStore:
         self,
         encoding: OrderEncoding,
         doc: int,
-        ids: Iterable[int],
-        known: Optional[dict[int, tuple[int, int]]] = None,
+        chains: dict[int, tuple[int, list[int], list[int]]],
+        kept: Optional[dict[int, tuple[int, tuple[int, ...]]]],
+        epoch: Optional[int],
     ) -> dict[int, tuple[int, ...]]:
-        """Client sort keys for *ids*: each node's sibling-order path
-        down from the node where all their ancestor chains meet.
+        """Client sort keys: each chain's sibling-order path down from
+        one node all the chains reach, its *anchor*.
 
-        Every chain moves up one level per step, and the walk stops as
-        soon as all chains stand on one node: their common ancestor
-        when the ids are at equal depth, the document node (0) at
-        worst.  *known* is ``_fetch_structure``'s shape for ids whose
-        row the caller already holds, so their first step fetches
-        nothing; a single id, or ids in one sibling list, need no
-        statement at all.
+        *chains* maps a result id to ``(head, nodes, path)``: the walk
+        stands on *head*, and *path* holds the sibling-order values of
+        *nodes*, the chain below it, bottom up (a node row's chain
+        starts at the row itself, whose parent and position the row
+        carries).  A head resolves to an anchor through *kept* — the
+        document's keys from earlier walks, ``node id -> (anchor, path
+        from it)`` — or is its own anchor (the document node, 0, always
+        is), and the walk stops as soon as every head resolves to one
+        anchor: where the chains meet, which with nothing kept is their
+        common ancestor, the document node at worst, or lower down at
+        nodes whose keys are kept.  Every chain moves up one level per
+        step, fetching the heads neither the rows nor an earlier step
+        hold in one statement per batch.
+
+        With *kept* (``None``: no caching here) a walk that fetched
+        anything adds every node it resolved to the document's kept
+        keys, under *epoch*.
         """
-        structure = dict(known or {})
-        heads = {node_id: node_id for node_id in ids}
-        paths: dict[int, list[int]] = {node_id: [] for node_id in heads}
+        structure: Optional[dict[int, tuple[int, int]]] = None
+        fetched = False
         steps = 0
-        # A valid chain reaches 0 within as many steps as it has rows;
-        # only a corrupt parent cycle, which never reaches 0, meets the
-        # bound.
-        while len(set(heads.values())) > 1 and steps <= len(structure):
-            missing = {head for head in heads.values()
-                       if head not in structure} - {0}
+        while True:
+            resolved = {
+                chain: _resolve(kept, head)
+                for chain, (head, _nodes, _path) in chains.items()
+            }
+            if len({anchor for anchor, _key in resolved.values()}) <= 1:
+                break
+            if structure is None:
+                structure = {
+                    nodes[0]: (head, path[0])
+                    for head, nodes, path in chains.values() if nodes
+                }
+            elif steps > len(structure):
+                # A valid chain reaches 0 within as many steps as it
+                # has rows; only a corrupt parent cycle, which never
+                # reaches 0, gets here, and keeps whatever order it has.
+                kept = None
+                break
+            missing = {
+                head for head, _nodes, _path in chains.values()
+                if head not in structure
+            } - {0}
             if missing:
                 structure.update(
                     self._fetch_structure(encoding, doc, missing)
                 )
-            for node_id, head in heads.items():
+                fetched = True
+            for chain, (head, nodes, path) in chains.items():
                 if head != 0:
-                    heads[node_id], order_value = structure[head]
-                    paths[node_id].append(order_value)
+                    parent, order_value = structure[head]
+                    nodes.append(head)
+                    path.append(order_value)
+                    chains[chain] = (parent, nodes, path)
             steps += 1
-        return {
-            node_id: tuple(reversed(path))
-            for node_id, path in paths.items()
+        keys = {
+            chain: resolved[chain][1] + tuple(reversed(path))
+            for chain, (_head, _nodes, path) in chains.items()
         }
+        if kept is not None and fetched:
+            adding = {}
+            for chain, (_head, nodes, _path) in chains.items():
+                anchor, _key = resolved[chain]
+                key = keys[chain]
+                for below, node in enumerate(nodes):
+                    # (A node is its own anchor only on a corrupt
+                    # parent cycle; keeping it would make one.)
+                    if node != anchor:
+                        adding[node] = (anchor, key[:len(key) - below])
+            self.cache.put_keys(doc, adding, epoch)
+        return keys
 
     def _client_order(
-        self, doc: int, rows: list[tuple], translated: TranslatedQuery
+        self, doc: int, rows: list[tuple], translated: TranslatedQuery,
+        epoch: Optional[int],
     ) -> list[tuple]:
         """*rows* in document order, for a plan whose encoding has no
         order column (Local), by the sibling-order paths of their nodes
-        or owners in the plan's encoding (the rows' table)."""
+        or owners in the plan's encoding (the rows' table).
+
+        A caching read (*epoch* is the one its result is put under)
+        resolves them through the document's kept keys, except in a
+        read scope writers commit beside (a file), whose snapshot may be
+        older than the keys.  When every node row's parent resolves to
+        one anchor, the walk stops at its first step: the rows sort by
+        their parents' keys and their own positions, and nothing is
+        fetched."""
         encoding = ENCODINGS[translated.encoding]
-        ids = [row[0] for row in rows]
+        kept = None
+        if epoch is not None and not self.backend.reads_beside_writers():
+            kept = self.cache.get_keys(doc) or {}
         if translated.result_kind == "attribute":
-            keys = self._order_keys(encoding, doc, ids)
+            # The walk starts at the owners (several rows may share one).
+            keys = self._order_keys(
+                encoding, doc, {row[0]: (row[0], [], []) for row in rows},
+                kept, epoch,
+            )
             return sorted(rows, key=lambda row: (keys[row[0]], row[1] or ""))
-        # A node row carries its own parent and sibling position, so
-        # the walk starts one level up.
         parent = translated.columns.index("parent")
         order = translated.columns.index(encoding.sibling_order_column)
         keys = self._order_keys(
-            encoding, doc, ids,
-            {row[0]: (row[parent], row[order]) for row in rows},
+            encoding, doc,
+            {row[0]: (row[parent], [row[0]], [row[order]]) for row in rows},
+            kept, epoch,
         )
         return sorted(rows, key=lambda row: keys[row[0]])
 

@@ -8,6 +8,7 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import settings
 
+from repro.core.reconstruct import reconstruct_document_with_ids
 from repro.minidb import engine as minidb_engine
 from repro.minidb.executor import Compiler
 from repro.obs import METRICS
@@ -66,6 +67,20 @@ def oracle_identities(document: Document, xpath: str) -> list[tuple]:
             # — it only keeps this helper total).
             out.append(("node", ids.get(id(node), 0)))
     return out
+
+
+def stored_oracle_identities(
+    store: XmlStore, doc: int, xpath: str
+) -> list[tuple]:
+    """*xpath* by the native evaluator over the document *store* holds
+    now, with the store's node ids (the tree is rebuilt by
+    ``ordered_rows``, which sorts by the stored rows alone)."""
+    tree, id_map = reconstruct_document_with_ids(store, doc)
+    return [
+        ("attribute", id_map[id(node.owner)], node.name)
+        if isinstance(node, AttributeNode) else ("node", id_map[id(node)])
+        for node in Evaluator(tree).evaluate(xpath)
+    ]
 
 
 def store_identities(store: XmlStore, doc: int, xpath: str) -> list[tuple]:

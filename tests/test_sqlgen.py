@@ -1,5 +1,8 @@
 """Unit tests for the relational AST, builders, and the SQL text renderer."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.relalg import (
@@ -24,7 +27,9 @@ from repro.core.relalg import (
     SqlTextDialect,
     TranslationStats,
     UnionQuery,
+    _number,
     compute_stats,
+    position_range,
     sql_string_literal,
 )
 from repro.core.sqlgen import (
@@ -33,7 +38,11 @@ from repro.core.sqlgen import (
     exists,
     scalar_count,
 )
+from repro.core.translator import make_translator
+from repro.core.translator.shape import extract_shape
 from repro.errors import TranslationError
+from repro.xpath import parse_xpath
+from tests.test_golden_sql import DRIVE_SNAPSHOT_QUERIES
 
 
 def compile_text(query):
@@ -291,3 +300,115 @@ class TestCompiledPlanBind:
         plan = self.plan([LitSlot(2)])
         with pytest.raises(TranslationError):
             plan.bind(1, literals=("only",))
+
+
+def reference_transform(transform: str, value):
+    """The literal transforms as a chain of tests, one call per slot."""
+    if transform == "raw":
+        return value
+    if transform == "num":
+        return _number(value)
+    if transform == "posm1":
+        return _number(value) - 1
+    if transform == "len":
+        return len(value)
+    kind, _, op = transform.partition(":")
+    first, last = position_range(op, float(value))
+    first, last = min(max(first, 1), 2**62), min(last, 2**62)
+    if kind == "skip":
+        return first - 1
+    return int(max(last - first + 1, 0))
+
+
+def reference_bind(plan: CompiledPlan, doc, context_id, literals) -> tuple:
+    """What ``bind`` must return: each slot resolved in turn."""
+    params = []
+    for slot in plan.param_slots:
+        if slot is DOC:
+            params.append(doc)
+        elif slot is CTX:
+            params.append(context_id)
+        elif isinstance(slot, FixedSlot):
+            params.append(slot.value)
+        else:
+            params.append(
+                reference_transform(slot.transform, literals[slot.index])
+            )
+    return tuple(params)
+
+
+def golden_shapes():
+    """Every query of ``tests/data/golden_sql.json``, per encoding, with
+    whether its plan is compiled for an indexed document."""
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "golden_sql.json").read_text()
+    )
+    for encoding in ("global", "local", "dewey", "ordpath"):
+        for xpath in golden[encoding]:
+            yield encoding, xpath, False
+        for xpath in golden["positional_siblings"][encoding]:
+            yield encoding, xpath, False
+        for xpath in golden["index_plans"][encoding]:
+            yield encoding, xpath, True
+        for xpath in golden["drives"][encoding]:
+            yield encoding, xpath, DRIVE_SNAPSHOT_QUERIES[xpath]
+
+
+class TestBindTemplate:
+    """``bind`` fills a template built once per plan; it must bind what
+    resolving every slot in turn binds, and fail as that did."""
+
+    def test_every_golden_shape_binds_as_the_slot_loop(self):
+        shapes = list(golden_shapes())
+        assert len(shapes) == 4 * 20 + 4 * 6 + 4 * 3 + 4 * 2
+        for encoding, xpath, indexed in shapes:
+            shaped, literals = extract_shape(parse_xpath(xpath))
+            plan = make_translator(encoding).compile(shaped, indexed=indexed)
+            bound = plan.bind(7, None, literals)
+            assert bound.params == reference_bind(plan, 7, None, literals), (
+                encoding, xpath,
+            )
+            assert bound.sql == plan.sql
+
+    @pytest.mark.parametrize("encoding", ["global", "local", "dewey"])
+    def test_a_relative_shape_binds_its_context(self, encoding):
+        shaped, literals = extract_shape(
+            parse_xpath("book[2]/author[position() < 3][. = 'x']")
+        )
+        plan = make_translator(encoding).compile(shaped)
+        bound = plan.bind(7, 5, literals)
+        assert 5 in bound.params
+        assert bound.params == reference_bind(plan, 7, 5, literals)
+
+    def test_every_transform_binds_as_the_slot_loop(self):
+        transforms = ["raw", "num", "posm1", "len"] + [
+            f"{kind}:{op}" for kind in ("skip", "take")
+            for op in ("=", ">=", ">", "<=", "<")
+        ]
+        plan = TestCompiledPlanBind().plan(
+            [DOC, FixedSlot("t"), CTX, DOC]
+            + [LitSlot(0, name) for name in transforms if name != "len"]
+            + [LitSlot(1, "len"), LitSlot(1)]
+        )
+        for k in (0.0, 1.0, 1.5, 2.5, 3.0, -2.0, 1e20):
+            literals = (k, "abcd")
+            assert plan.bind(4, 9, literals).params == reference_bind(
+                plan, 4, 9, literals
+            ), k
+
+    def test_the_three_bind_errors_keep_their_messages(self):
+        plan = TestCompiledPlanBind().plan([DOC, CTX, LitSlot(1)])
+        with pytest.raises(TranslationError, match=(
+            r"^relative paths need a context node \(pass context_id\) "
+            r"or an absolute path$"
+        )):
+            plan.bind(1, None, ("a", "b"))
+        with pytest.raises(TranslationError, match=(
+            r"^context_id is a node id, an int, not str$"
+        )):
+            plan.bind(1, "3", ("a", "b"))
+        with pytest.raises(TranslationError, match=(
+            r"^literal slot out of range: plan compiled from a different "
+            r"query shape$"
+        )):
+            plan.bind(1, 3, ("a",))

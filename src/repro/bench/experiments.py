@@ -1078,8 +1078,10 @@ def run_e18_indexing(products: int = 240) -> ExperimentTable:
     target: selective deep ``//`` descents that the path index answers
     with a pathid probe instead of per-step structural joins, and value
     predicates on a ``//`` step, whose candidates the value index
-    delivers (``tag`` plus ``sval`` or ``nval``) instead of the tag scan
-    aggregating every candidate's string-value.  Each
+    delivers (``tag`` plus ``leaf_text`` or ``nval`` for the leaves, and
+    the few elements with an element child, ``leaf_text IS NULL``,
+    aggregated) instead of the tag scan aggregating every candidate's
+    string-value.  Each
     cell counts the rows one pass of the mix reads on each store and
     compares the two stores' answers: the index rewrite must be
     answer-preserving, so mismatches must be zero.

@@ -21,7 +21,8 @@ rows of a store:
   documents;
 * **secondary indexes** — the ``idx_sval`` rows of an indexed document
   are exactly what its node rows imply (one row per live element, its
-  string-value and its path occurrence, none for anything else), and an
+  path occurrence and, for an element with no element child, its
+  string-value, NULL for any other; none for anything else), and an
   unindexed document has none.  The expected rows are derived
   here, from the :class:`~repro.core.encodings.AuditView` every other
   check reads, and not by :mod:`repro.index` — the auditor is the
@@ -235,37 +236,34 @@ def _catalog_violations(store, info, view: AuditView):
 
 
 def _expected_index_rows(view: AuditView) -> tuple[dict, dict]:
-    """What an index over *view* must hold: ``id -> (parent, tag, sval,
-    nval)`` and ``id -> root path`` for every reachable element.
+    """What an index over *view* must hold: ``id -> (parent, tag,
+    leaf_text, nval)`` and ``id -> root path`` for every reachable
+    element.
 
     Preorder puts a parent before its children, so one forward pass
-    extends root paths and one reverse pass folds XPath string-values
-    (text contributes its value, comments and PIs nothing).
+    extends root paths.  An element with no element child holds its
+    string-value, the concatenation of its text children (comments
+    and PIs contribute nothing), and that value's number; any other
+    element holds NULL in both.
     """
     paths: dict[int, str] = {}
     for node_id in view.preorder:
         row = view.by_id[node_id]
         if row["kind"] == KIND_ELEMENT:
             paths[node_id] = f"{paths.get(row['parent'], '')}/{row['tag']}"
-    svals: dict[int, str] = {}
-    for node_id in reversed(view.preorder):
+    values = {}
+    for node_id in paths:
         row = view.by_id[node_id]
-        if row["kind"] == KIND_TEXT:
-            svals[node_id] = row["value"] or ""
-        elif row["kind"] == KIND_ELEMENT:
-            svals[node_id] = "".join(
-                svals[child["id"]]
-                for child in view.children.get(node_id, [])
+        children = view.children.get(node_id, [])
+        text = None
+        if all(child["kind"] != KIND_ELEMENT for child in children):
+            text = "".join(
+                child["value"] or "" for child in children
+                if child["kind"] == KIND_TEXT
             )
-        else:
-            svals[node_id] = ""
-    values = {
-        node_id: (
-            view.by_id[node_id]["parent"], view.by_id[node_id]["tag"],
-            svals[node_id], xpath_number_value(svals[node_id]),
+        values[node_id] = (
+            row["parent"], row["tag"], text, xpath_number_value(text),
         )
-        for node_id in paths
-    }
     return values, paths
 
 
@@ -289,7 +287,7 @@ def _index_violations(store, info, view: AuditView):
     ).rows)
     seen: set[int] = set()
     for node_id, pathid, *content in execute(
-        "SELECT id, pathid, parent, tag, sval, nval FROM idx_sval "
+        "SELECT id, pathid, parent, tag, leaf_text, nval FROM idx_sval "
         "WHERE doc = ?", (doc,),
     ).rows:
         if node_id not in values:

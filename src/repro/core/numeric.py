@@ -21,6 +21,11 @@ from typing import Optional, Union
 
 SqlScalar = Union[None, int, float, str, bytes]
 
+#: The ASCII characters a text ``float()`` accepts can start with, once
+#: stripped: signs, digits, the point and the first letters of ``inf``,
+#: ``infinity`` and ``nan``.
+_NUMBER_STARTS = frozenset("+-.0123456789iInN")
+
 
 def xpath_number_value(value: SqlScalar) -> Optional[float]:
     """``number(value)`` with NaN (and NULL) mapped to SQL NULL.
@@ -38,8 +43,15 @@ def xpath_number_value(value: SqlScalar) -> Optional[float]:
     elif isinstance(value, (bytes, bytearray)):
         return None  # BLOBs (Dewey keys) are never numbers
     else:
+        text = str(value).strip()
+        # float() copies a text it rejects into its ValueError, which
+        # costs as much as the text is long.  An ASCII first character
+        # no number starts with rejects it for nothing; a non-ASCII one
+        # may be a digit float() reads ('١٢').
+        if text and text[0] < "\x80" and text[0] not in _NUMBER_STARTS:
+            return None
         try:
-            number = float(str(value).strip())
+            number = float(text)
         except ValueError:
             return None
     return None if math.isnan(number) else number

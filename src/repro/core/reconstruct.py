@@ -16,14 +16,14 @@ such column — its :attr:`~repro.core.encodings.OrderEncoding.
 order_by_column` is ``None`` — so it fetches the rows unordered (a
 subtree level by level, one query batch per level, the same weakness
 that makes its descendant-axis queries slow), sorts each sibling list
-and walks.  Two more readers re-derive stored structure from parent
-pointers besides this one and the auditor: Local's client-order pass
+and walks.  One more reader re-derives stored structure from parent pointers
+besides this one and the auditor: Local's client-order pass
 (``XmlStore._order_keys``) climbs each result's ancestor chain until
 the chains meet or reach nodes whose keys a caching store kept from an
 earlier walk (kept per document until its next write, and never used
-here: a reconstruction sorts by the rows it reads), and index
-maintenance (``IndexManager._chain_svals``) walks up from the nodes an
-update touched to recompute their ancestors' string-values.
+here: a reconstruction sorts by the rows it reads).  Index maintenance
+climbs nothing: no index row depends on more than its element's own
+children.
 """
 
 from __future__ import annotations

@@ -357,9 +357,8 @@ RelExpr = Union[
 
 RelQuery = Union[Select, UnionQuery, Recursive]
 
-#: What a SELECT reads from: a table name, or a derived ``Select`` or
-#: ``Recursive``.
-FromItem = Union[str, Select, Recursive]
+#: What a SELECT reads from: a table name, or a derived query.
+FromItem = Union[str, RelQuery]
 
 
 # ---------------------------------------------------------------------------

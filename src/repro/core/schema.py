@@ -238,11 +238,15 @@ def index_tables() -> tuple[Table, Table]:
     document index create/drop is plain transactional DML over them, so
     crash safety comes from transaction rollback, not DDL recovery.
 
-    * ``idx_sval`` — one row per element: the **value index** (its
-      full XPath string-value ``sval`` and numeric interpretation
-      ``nval``, NULL for NaN, covering string and numeric predicates)
-      and the element's **path occurrence** (``pathid``, its rooted
-      path in the dictionary);
+    * ``idx_sval`` — one row per element: the **value index** and the
+      element's **path occurrence** (``pathid``, its rooted path in the
+      dictionary).  An element with no element child is a *leaf*: its
+      XPath string-value is its own text, which ``leaf_text`` holds,
+      and ``nval`` is that text's number (NULL for NaN).  Any other
+      element holds NULL in both: its string-value spans its
+      descendants, and keeping it would make every write below it
+      rewrite it.  Value predicates read leaves by ``leaf_text`` or
+      ``nval`` and aggregate the rest;
     * ``idx_paths`` — the **path index** dictionary: every distinct
       root-to-element path of the document.
 
@@ -256,13 +260,14 @@ def index_tables() -> tuple[Table, Table]:
             Column("parent", "INTEGER"),
             Column("tag", "TEXT"),
             Column("pathid", "INTEGER"),
-            Column("sval", "TEXT"),
+            Column("leaf_text", "TEXT"),
             Column("nval", "REAL"),
         ),
         (
             Index("ix_idx_sval_parent", "idx_sval",
-                  ("doc", "parent", "tag", "sval")),
-            Index("ix_idx_sval_str", "idx_sval", ("doc", "tag", "sval")),
+                  ("doc", "parent", "tag", "leaf_text")),
+            Index("ix_idx_sval_str", "idx_sval",
+                  ("doc", "tag", "leaf_text")),
             Index("ix_idx_sval_num", "idx_sval", ("doc", "tag", "nval")),
             # The path index expands a matching path to its elements.
             Index("ix_idx_sval_path", "idx_sval", ("doc", "pathid", "id")),

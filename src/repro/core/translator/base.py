@@ -77,11 +77,13 @@ from repro.core.relalg import (
     Col,
     CompiledPlan,
     Const,
-    Exists,
     FixedSlot,
     FromItem,
     Func,
+    IsNull,
     LitSlot,
+    Not,
+    Or,
     Param,
     RelExpr,
     RelQuery,
@@ -672,13 +674,17 @@ class SqlTranslator:
         context: Optional[str],
         t: "_Translation",
         value_cond: Callable[[RelExpr], RelExpr],
-    ) -> Optional[Exists]:
+    ) -> Optional[RelExpr]:
         """The value-index access path for an eligible value predicate.
 
         ``[tag = literal]`` (one predicate-free child element name step
         plus a value condition) probes ``idx_sval`` instead of running
-        the correlated string-value aggregation: ``sval`` holds exactly
-        the XPath string-value the scan plan would aggregate.
+        the correlated string-value aggregation for every ``tag``
+        child: a leaf's ``leaf_text`` is exactly the string-value the
+        scan plan would aggregate.  An element with an element child
+        stores NULL there, and a second ``EXISTS`` reads those rows
+        (``leaf_text IS NULL``) and compares the aggregation the scan
+        plan builds (see :meth:`_value_index_arm`).
         """
         if len(path.steps) != 1:
             return None
@@ -692,22 +698,48 @@ class SqlTranslator:
         self._eligible.add("value-index")
         if not self._indexed:
             return None
-        tag = step.test.name
         parent: RelExpr = (
             Const(0)
             if path.absolute or context is None
             else Col(context, "id")
         )
-        v = t.aliases.next()
-        sub = SelectBuilder()
-        sub.select = [SelectItem(Const(1))]
-        sub.add_from("idx_sval", v)
-        sub.add_where(t.doc_cond(v))
-        sub.add_where(Cmp("=", Col(v, "parent"), parent))
-        sub.add_where(Cmp("=", Col(v, "tag"), Param(FixedSlot(tag))))
-        sub.add_where(value_cond(Col(v, "sval")))
+        arms = []
+        for composite in (False, True):
+            sub, v, value = self._value_index_arm(step, t, composite)
+            sub.select = [SelectItem(Const(1))]
+            sub.add_where(Cmp("=", Col(v, "parent"), parent))
+            sub.add_where(value_cond(value))
+            arms.append(exists(sub))
         METRICS.inc("index.rewrite_value")
-        return exists(sub)
+        return Or(tuple(arms))
+
+    def _value_index_arm(
+        self, step, t: "_Translation", composite: bool
+    ) -> tuple[SelectBuilder, str, RelExpr]:
+        """One arm of a value-index probe for the *step* elements:
+        their ``idx_sval`` rows that hold a value, a leaf's own text
+        (explicitly: under ``!=`` a numeric condition holds for NULL),
+        or, *composite*, the rows that hold NULL, joined to their node
+        rows by id.  Returns the arm, its ``idx_sval`` alias and the
+        value to compare: the stored text, or the aggregation the scan
+        plan builds (:meth:`_value_expr`)."""
+        v = t.aliases.next()
+        arm = SelectBuilder()
+        arm.add_from("idx_sval", v)
+        arm.add_where(t.doc_cond(v))
+        arm.add_where(
+            Cmp("=", Col(v, "tag"), Param(FixedSlot(step.test.name)))
+        )
+        held = IsNull(Col(v, "leaf_text"))
+        if not composite:
+            arm.add_where(Not(held))
+            return arm, v, Col(v, "leaf_text")
+        arm.add_where(held)
+        y = t.aliases.next()
+        arm.add_from(self.node_table, y)
+        arm.add_where(t.doc_cond(y))
+        arm.add_where(Cmp("=", Col(y, "id"), Col(v, "id")))
+        return arm, v, self._value_expr(y, "node", step, t)
 
     def _index_drive(
         self,
@@ -733,12 +765,12 @@ class SqlTranslator:
           ``set_attribute`` deletes before it inserts, and the auditor
           reports a second row as ``store-attr-duplicate``.
         * ``y <op> literal`` (``=`` with a string or a number, ``<``,
-          ``<=``, ``>``, ``>=`` with a number) reads ``idx_sval`` on
-          ``(doc, tag, sval)`` or ``(doc, tag, nval)``, on indexed
-          documents.  A candidate with two matching ``y`` children
-          comes twice: ``DISTINCT`` arms and ``EXISTS`` do not see it,
-          a ``COUNT(*)`` would, so a step *counted* for ``count()``
-          keeps its ``EXISTS`` probe.
+          ``<=``, ``>``, ``>=`` with a number) reads the parents of the
+          matching ``y`` from ``idx_sval`` (see
+          :meth:`_value_index_parents`), on indexed documents.  A step
+          *counted* for ``count()`` keeps its ``EXISTS`` probe, as it
+          did when the join could yield a candidate once per matching
+          ``y``.
         """
         for predicate in step.predicates:
             for conjunct in _conjuncts(predicate):
@@ -771,23 +803,40 @@ class SqlTranslator:
                 ):
                     self._eligible.add("value-index")
                     v = t.aliases.next()
-                    builder.add_from("idx_sval", v)
-                    builder.add_where(t.doc_cond(v))
-                    builder.add_where(Cmp(
-                        "=", Col(v, "tag"),
-                        Param(FixedSlot(target.test.name)),
-                    ))
-                    # nval is number(sval), NULL for NaN: the test the
-                    # scan's xpath_number() makes.
-                    column, value = (
-                        ("nval", self._lit_param(literal, "num"))
-                        if isinstance(literal, NumberLiteral)
-                        else ("sval", self._lit_param(literal, "raw"))
+                    builder.add_from(
+                        self._value_index_parents(target, op, literal, t), v
                     )
-                    builder.add_where(Cmp(op, Col(v, column), value))
                     METRICS.inc("index.rewrite_value")
                     return conjunct, Col(v, "parent")
         return None
+
+    def _value_index_parents(
+        self,
+        target,
+        op: str,
+        literal: Union[NumberLiteral, StringLiteral],
+        t: "_Translation",
+    ) -> UnionQuery:
+        """The parents of the *target* elements whose string-value
+        satisfies ``<op> literal``, read from ``idx_sval``: the leaves
+        by their stored value, on ``(doc, tag, leaf_text)`` or ``(doc,
+        tag, nval)``, ``UNION`` the elements with an element child
+        (``leaf_text IS NULL``) by the aggregation the scan plan
+        compares.  ``UNION`` yields each parent once."""
+        arms = []
+        for composite in (False, True):
+            arm, v, value = self._value_index_arm(target, t, composite)
+            arm.select = [SelectItem(Col(v, "parent"), "parent")]
+            if isinstance(literal, NumberLiteral) and not composite:
+                # nval is number(leaf_text), NULL for NaN: the test the
+                # scan's xpath_number() makes, on an index column.
+                arm.add_where(Cmp(
+                    op, Col(v, "nval"), self._lit_param(literal, "num")
+                ))
+            else:
+                arm.add_where(self._value_comparison(value, op, literal))
+            arms.append(arm.build())
+        return UnionQuery(tuple(arms))
 
     # -- step pipeline -----------------------------------------------------------
 
@@ -981,8 +1030,6 @@ class SqlTranslator:
         step: NormStep,
         t: "_Translation",
     ) -> RelExpr:
-        from repro.core.relalg import And, Or
-
         if isinstance(expr, BinaryOp):
             if expr.op == "and":
                 return And((
@@ -1020,8 +1067,6 @@ class SqlTranslator:
         step: NormStep,
         t: "_Translation",
     ) -> RelExpr:
-        from repro.core.relalg import Not
-
         if call.name == "not":
             negated, t.negated = t.negated, True
             inner = self._boolean_condition(call.args[0], cand, ctx, step, t)
@@ -1169,8 +1214,6 @@ class SqlTranslator:
         self, value: RelExpr, op: str, number: RelExpr
     ) -> RelExpr:
         """``number(value) <op> number`` under XPath NaN semantics."""
-        from repro.core.relalg import IsNull, Or
-
         guarded = Func("xpath_number", (value,))
         comparison = Cmp(op, guarded, number)
         if op == "!=":
@@ -1350,7 +1393,7 @@ class SqlTranslator:
         context: str,
         t: "_Translation",
         value_cond: Optional[Callable[[RelExpr], RelExpr]] = None,
-    ) -> Exists:
+    ) -> RelExpr:
         """EXISTS subquery: *path* (from *context*) selects something.
 
         ``value_cond``, when given, maps the final node's comparable

@@ -65,8 +65,11 @@ class UpdateReport:
     rows must go away, the rows of each inserted subtree as they were
     written (``(id, parent, kind, tag, value)`` in document order, so
     nothing reads them back), the roots of renamed subtrees, whose
-    rows must be read back and reshredded, and the anchors whose
-    ancestor chains need their aggregated string-values recomputed.
+    rows must be read back and reshredded, and the *string-value
+    anchors*: parents whose own text or element children the
+    operation changed, whose own index row (a leaf's text, NULL for an
+    element with an element child) is re-derived.  No other element's
+    index row depends on the operation.
     Relabels are deliberately absent from the touched set — index rows
     carry no order columns, so a renumber never invalidates them.
     """
@@ -260,11 +263,15 @@ class UpdateManager:
             )
 
         # Touched set: the new subtree needs index rows — the rows just
-        # written are its rows — and the ancestors of the insertion
-        # point need their aggregated string-values repaired (any text
-        # inside the fragment now contributes to them).
+        # written are its rows — and a parent with no element child
+        # so far has new own text or its first element child, so its
+        # index row changes.  Nothing above it does.
         report.inserted_subtrees.append(rows)
-        if parent_id != 0:
+        if parent_id != 0 and shredded.nodes[0].kind in (
+            KIND_ELEMENT, KIND_TEXT
+        ) and not any(
+            child["kind"] == KIND_ELEMENT for child in children
+        ):
             report.sval_anchors.append(parent_id)
 
         self.store.update_document_info(replace(
@@ -324,8 +331,8 @@ class UpdateManager:
             )
             report = UpdateReport(value_updates=1)
             # The tag is part of every descendant's rooted path, so the
-            # whole subtree's index rows must be reshredded.  String
-            # values are unaffected — no sval anchor.
+            # whole subtree's index rows must be reshredded.  No text
+            # and no element child changes — no sval anchor.
             report.reshred_roots.append(element_id)
             return report
 
@@ -409,10 +416,12 @@ class UpdateManager:
                 )
 
             # Touched set: every row of the subtree loses its index
-            # rows, and the former parent's ancestor chain loses the
-            # subtree's text contribution.
+            # rows, and the former parent may have lost own text or its
+            # last element child.
             report.removed_ids.extend(subtree_ids)
-            if parent_id != 0:
+            if parent_id != 0 and target["kind"] in (
+                KIND_ELEMENT, KIND_TEXT
+            ):
                 report.sval_anchors.append(parent_id)
 
             self.store.update_document_info(

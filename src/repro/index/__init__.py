@@ -2,8 +2,8 @@
 
 Two index families (see DESIGN.md, "Indexing"):
 
-* the **value index** — element string-values, probed by rewritten
-  value predicates;
+* the **value index** — the string-values of the elements with no
+  element child, probed by rewritten value predicates;
 * the **path index** — the root-path dictionary plus each element's
   occurrence, probed by rewritten structural queries.
 

@@ -3,9 +3,11 @@
 :class:`IndexManager` owns the ``idx_*`` side tables declared in
 :func:`repro.core.schema.index_tables`:
 
-* **value index** (``idx_sval``) — one row per element carrying its full
-  XPath string-value and numeric interpretation, probed by rewritten
-  value predicates;
+* **value index** (``idx_sval``) — one row per element; a leaf (no
+  element child) carries its XPath string-value, which is its own
+  text, and that text's number, any other element NULL in both.
+  Rewritten value predicates probe the leaves by value and aggregate
+  the string-values of the others, as the scan plan does;
 * **path index** (``idx_paths`` + ``idx_sval.pathid``) — the dictionary
   of distinct root-to-element paths plus each element's occurrence,
   probed by rewritten structural queries through the ``path_match``
@@ -29,10 +31,12 @@ path of its parent.  ``create`` (and :meth:`IndexManager._rebuild_rows`
 generally) hands it the whole document; maintenance hands it one
 inserted or renamed subtree at a time: each update operation passes
 its touched set (removed ids, the rows of inserted subtrees as written,
-renamed subtree roots, string-value anchors — see
-:class:`repro.core.updates.UpdateReport`) down into the same
-transaction, and only those rows are repaired, in a fixed handful of
-statements whatever the depth of the chain above them.  Index rows
+renamed subtree roots, the parents whose own text or element
+children changed — see :class:`repro.core.updates.UpdateReport`) down
+into the same transaction, and only those rows are repaired, in a
+fixed handful of statements.  No row holds text of another element, so
+a write rewrites nothing above the parent it wrote under: its cost is
+independent of the document's depth and of its text.  Index rows
 carry no order columns, so renumbering never invalidates them.  Only
 an update whose touched set has a hole — it cannot account exactly
 for what it touched — rebuilds instead.  The path dictionary is
@@ -43,14 +47,13 @@ piecewise repair and a full rebuild produce byte-identical tables.
 from __future__ import annotations
 
 from collections import Counter
-from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.numeric import xpath_number_value
 from repro.core.reconstruct import ordered_rows, row_events
-from repro.core.schema import KIND_ELEMENT, KIND_TEXT
+from repro.core.schema import KIND_ELEMENT
 from repro.obs import METRICS
-from repro.xmldom.parser import END, START, TEXT
+from repro.xmldom.parser import END, START
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.encodings import OrderEncoding
@@ -193,8 +196,11 @@ class IndexManager:
         a repair, an inserted subtree's rows as the update wrote them
         or a renamed subtree read back — and *parent_path* is that
         node's rooted path (``""`` for the document).  One pass over
-        their events: an element's path is known when it opens, its
-        XPath string-value when it closes.
+        their events: an element's path is known when it opens, and
+        whether it is a leaf when its first element child opens or it
+        closes.  A leaf's string-value is its own text, the ``value``
+        its row carries; any other element stores NULL (see
+        :func:`~repro.core.schema.index_tables`).
 
         *paths* is the document's path dictionary and is only ever
         appended to: an unseen path takes the next id and is returned
@@ -204,32 +210,34 @@ class IndexManager:
         document's preorder restricted to it, first-encounter
         allocation assigns a repair the same ids a rebuild would.
         """
-        sval_rows: list[tuple] = []
+        elements: list[tuple] = []
+        texts: list[Optional[str]] = []
         fresh_paths: list[tuple] = []
         stored = iter(rows)
-        # The open element: its rooted path, the pieces of its
-        # string-value so far and the slot its idx_sval row waits in.
-        # The same, saved for each open ancestor.
-        path, parts, slot = parent_path, [], -1
-        stack: list[tuple] = []
+        # The open element's rooted path and the slot of its row; the
+        # same, saved for each open ancestor.
+        path, slot = parent_path, -1
+        stack: list[tuple[str, int]] = []
         for kind, a, _b in row_events(rows, {}):
             if kind == END:
-                sval = "".join(parts)
-                sval_rows[slot] += (sval, xpath_number_value(sval))
-                path, parts, slot = stack.pop()
-                parts.append(sval)
+                path, slot = stack.pop()
                 continue
-            node_id, parent = next(stored)[:2]  # one row per non-END
+            node_id, parent, _kind, _tag, value = next(stored)
             if kind == START:
-                stack.append((path, parts, slot))
-                path, parts, slot = f"{path}/{a}", [], len(sval_rows)
+                if slot >= 0:
+                    texts[slot] = None  # it has an element child
+                stack.append((path, slot))
+                path, slot = f"{path}/{a}", len(elements)
                 pathid = paths.get(path)
                 if pathid is None:
                     pathid = paths[path] = len(paths) + 1
                     fresh_paths.append((doc, pathid, path))
-                sval_rows.append((doc, node_id, parent, a, pathid))
-            elif kind == TEXT:  # comments and PIs contribute nothing
-                parts.append(a)
+                elements.append((doc, node_id, parent, a, pathid))
+                texts.append(value or "")
+        sval_rows = [
+            (*element, text, xpath_number_value(text))
+            for element, text in zip(elements, texts)
+        ]
         return sval_rows, fresh_paths
 
     def _rebuild_rows(
@@ -269,8 +277,8 @@ class IndexManager:
         self, info, encoding: "OrderEncoding", report: "UpdateReport"
     ) -> bool:
         """Repair the index rows of *info*'s document from an update's
-        touched set, in a handful of statements whatever the chain
-        depth or the fragment's shape:
+        touched set, in a handful of statements whatever the
+        document's depth or text or the fragment's shape:
 
         (a) one ``DELETE`` for the removed and renamed ids — ids this
             operation minted have no index rows yet;
@@ -278,11 +286,12 @@ class IndexManager:
             each renamed subtree read back, through :meth:`_index_rows`
             under its parent's stored path, then one ``executemany``
             per table;
-        (c) the string-values of the anchors and their ancestors (see
-            :meth:`_chain_svals`), written by one ``executemany``.
+        (c) the rows of the anchors (see :meth:`_anchor_rows`) whose
+            own text or element-childness the operation changed,
+            written by one ``executemany``.
 
         Returns ``False`` when the touched set has a hole: a parent
-        whose path is not stored, an element child with no ``sval``, or
+        whose path is not stored, an anchor with no index row, or
         an inserted subtree a later step of the operation changed.  The
         caller then rebuilds, which replaces everything this method may
         already have written — bailing out is safe at any point.
@@ -358,15 +367,17 @@ class IndexManager:
                     part.extend(more)
             self._insert_rows(*produced)
 
-        # (c) Repair aggregated string-values along the anchors' paths.
-        repaired = self._chain_svals(
-            doc, encoding, list(dict.fromkeys(report.sval_anchors))
-        )
+        # (c) Re-derive the rows of the anchors that are still there
+        # and were not just shredded.
+        repaired = self._anchor_rows(doc, encoding, [
+            node_id for node_id in dict.fromkeys(report.sval_anchors)
+            if node_id not in removed and node_id not in covered
+        ])
         if repaired is None:
             return False
         if repaired:
             self.store.backend.executemany(
-                "UPDATE idx_sval SET sval = ?, nval = ? "
+                "UPDATE idx_sval SET leaf_text = ?, nval = ? "
                 "WHERE doc = ? AND id = ?",
                 repaired,
             )
@@ -377,69 +388,43 @@ class IndexManager:
         )
         return True
 
-    def _chain_svals(
+    def _anchor_rows(
         self, doc: int, encoding: "OrderEncoding", anchors: list[int]
     ) -> Optional[list[tuple]]:
-        """``(sval, nval, doc, id)`` for every element on the paths from
-        *anchors* up to the root, recomputed from the current rows.
+        """``(leaf_text, nval, doc, id)`` for each of *anchors* whose
+        stored ``idx_sval`` row no longer says what its node row
+        implies: its own text if it has no element child, NULL if it
+        has one.
 
-        Two reads whatever the chains' depth: one ``WITH RECURSIVE``
-        walk up the parent pointers from all anchors at once (the
-        XRecursive way of reading an ancestor chain), and one read of
-        the chain elements' children, each with its stored ``sval``.
-        Chains from different anchors can share ancestors, so the
-        string-values are composed deepest first — a child on the
-        chain contributes the value just computed for it, any other
-        element child its stored one, a text child its value, comments
-        and PIs nothing.  ``None`` signals a bookkeeping hole — an
-        element child with no ``idx_sval`` row — which forces the
-        rebuild.
+        One read whatever the anchors' number or depth: each anchor's
+        stored row beside its node row, and whether an element child
+        exists (a probe of the child index that stops at the first).
+        ``None`` signals a bookkeeping hole — a live anchor with no
+        ``idx_sval`` row — which forces the rebuild.
         """
         if not anchors:
             return []
-        backend = self.store.backend
         table = encoding.node_table.name
-        marks = ", ".join("?" for _ in anchors)
-        # minidb joins FROM items left to right: `up` first makes the
-        # step a (doc, id) probe per chain row, not a document scan per
-        # round.  UNION, not UNION ALL: a corrupt parent cycle ends.
-        chain = backend.execute(
-            f"WITH RECURSIVE up(id, parent, depth) AS ("
-            f"SELECT id, parent, depth FROM {table} "
-            f"WHERE doc = ? AND id IN ({marks}) UNION "
-            f"SELECT n.id, n.parent, n.depth FROM up, {table} n "
-            f"WHERE n.doc = ? AND n.id = up.parent) "
-            f"SELECT id, depth FROM up",
-            (doc, *anchors, doc),
-        ).rows
-        # A correlated subquery, which minidb probes by (doc, id); it
-        # has no LEFT JOIN.
-        children: dict[int, list[tuple]] = {}
-        for sql, params in self.store.in_batches(
-            f"SELECT c.parent, c.id, c.kind, c.value, "
-            f"(SELECT s.sval FROM idx_sval s "
-            f"WHERE s.doc = c.doc AND s.id = c.id) "
-            f"FROM {table} c WHERE c.doc = ?",
-            "c.parent", [node_id for node_id, _depth in chain], (doc,),
-        ):
-            for parent, *child in backend.execute(
-                f"{sql} ORDER BY c.{encoding.sibling_order_column}", params
-            ).rows:
-                children.setdefault(parent, []).append(child)
-        svals: dict[int, str] = {}
+        found: set[int] = set()
         repaired: list[tuple] = []
-        for node_id, _depth in sorted(chain, key=itemgetter(1), reverse=True):
-            parts: list[str] = []
-            for child_id, kind, value, stored in children.get(node_id, ()):
-                if kind == KIND_TEXT:
-                    parts.append(value or "")
-                elif kind == KIND_ELEMENT:
-                    sval = svals.get(child_id, stored)
-                    if sval is None:
-                        return None
-                    parts.append(sval)
-            svals[node_id] = sval = "".join(parts)
-            repaired.append((sval, xpath_number_value(sval), doc, node_id))
+        for sql, params in self.store.in_batches(
+            f"SELECT s.id, s.leaf_text, s.nval, p.value, "
+            f"EXISTS (SELECT 1 FROM {table} c WHERE c.doc = p.doc "
+            f"AND c.parent = p.id AND c.kind = ?) "
+            f"FROM idx_sval s, {table} p "
+            f"WHERE s.doc = ? AND p.doc = s.doc AND p.id = s.id",
+            "s.id", anchors, (KIND_ELEMENT, doc),
+        ):
+            for node_id, *stored, value, composite in (
+                self.store.backend.execute(sql, params).rows
+            ):
+                found.add(node_id)
+                text = None if composite else value or ""
+                row = [text, xpath_number_value(text)]
+                if row != stored:
+                    repaired.append((*row, doc, node_id))
+        if len(found) < len(anchors):
+            return None
         return repaired
 
     def _load_paths(self, doc: int) -> dict[str, int]:

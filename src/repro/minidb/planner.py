@@ -4,11 +4,12 @@ The planner is deliberately simple (the translator writes its joins in a
 sensible order): FROM items are joined left to right, and for each base
 table the planner picks the best index given the conjuncts whose other
 side is already bound.  An access path is an equality prefix over the
-index's leading columns, optionally an IN-list on the next column, and
-optionally a range (lower/upper bounds) on the column after the equality
-prefix.  Everything else becomes a residual filter.  A path also knows
-the order its rows arrive in (:attr:`AccessPath.order_positions`), so
-the executor sorts only what the index has not already ordered.
+index's leading columns (``col IS NULL`` binds one too), optionally an
+IN-list on the next column, and optionally a range (lower/upper
+bounds) on the column after the equality prefix.  Everything else
+becomes a residual filter.  A path also knows the order its rows
+arrive in (:attr:`AccessPath.order_positions`), so the executor sorts
+only what the index has not already ordered.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.minidb.sql_ast import (
     FunctionExpr,
     InList,
     IsNull,
+    Literal,
     Not,
     ScalarSubquery,
     SelectItem,
@@ -33,6 +35,7 @@ from repro.minidb.sql_ast import (
     With,
 )
 from repro.minidb.tables import HeapTable, TableIndex
+from repro.minidb.values import NULL_KEY
 
 _RANGE_OPS = {"<", "<=", ">", ">="}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -204,6 +207,17 @@ def choose_access_path(
             else:
                 ranges.setdefault(column, []).append((op, other))
                 used[id(conjunct)] = ("range", column)
+            continue
+        if (
+            isinstance(conjunct, IsNull)
+            and isinstance(conjunct.expr, ColumnRef)
+            and conjunct.expr.table == alias
+        ):
+            # An equality with the NULL of the index's total order.
+            column = conjunct.expr.column
+            if column not in eq:
+                eq[column] = Literal(NULL_KEY)
+                used[id(conjunct)] = ("eq", column)
             continue
         if (
             isinstance(conjunct, InList)

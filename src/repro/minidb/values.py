@@ -43,6 +43,24 @@ _TYPE_RANKS = {
 }
 
 
+class _NullKey:
+    """The NULL of an index probe's key.
+
+    ``col IS NULL`` reads the rows whose key holds NULL, where
+    ``col = NULL`` matches none (an equality probe with a ``None``
+    value reads nothing); this stands for NULL in the first, and sorts
+    where NULL sorts."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return "NULL_KEY"
+
+
+NULL_KEY = _NullKey()
+_TYPE_RANKS[_NullKey] = _RANK_NULL
+
+
 def type_rank(value: SqlValue) -> int:
     """Return the type-class rank of *value* in the total order."""
     rank = _TYPE_RANKS.get(type(value))

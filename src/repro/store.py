@@ -253,7 +253,8 @@ class XmlStore:
         # must surface as itself.
         for probe, what in (
             (f"{_CATALOGUE_SELECT} WHERE doc = 0", "document catalogue"),
-            ("SELECT pathid FROM idx_sval WHERE doc = 0", "element index"),
+            ("SELECT pathid, leaf_text FROM idx_sval WHERE doc = 0",
+             "element index"),
         ):
             try:
                 self.backend.execute(probe)

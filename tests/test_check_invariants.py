@@ -263,6 +263,46 @@ class TestSchemaBootstrap:
             assert line.startswith(f"error: cannot open {str(path)!r}: ")
             assert line.endswith("(no such column: gap)")
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_an_element_index_of_full_string_values_is_refused(
+        self, backend, tmp_path, capsys
+    ):
+        """Builds before ``idx_sval.leaf_text`` kept every element's
+        full string-value in ``sval``, and their maintenance rewrote
+        it up to the root.  This build repairs only leaves and the
+        parent an update wrote under, so such rows would go stale at
+        the first write: a file of theirs is refused when it opens."""
+        path = tmp_path / "old.db"
+        old = (
+            SqliteBackend(str(path)) if backend == "sqlite"
+            else MiniDbBackend()
+        )
+        old.execute(
+            "CREATE TABLE idx_sval (doc INTEGER, id INTEGER, "
+            "parent INTEGER, tag TEXT, pathid INTEGER, sval TEXT, "
+            "nval REAL)"
+        )
+        if backend == "sqlite":
+            old.close()
+            reopened = SqliteBackend(str(path))
+        else:
+            reopened = old
+        with pytest.raises(
+            StorageError,
+            match=r"older build, whose element index .*column:? leaf_text",
+        ):
+            XmlStore(backend=reopened)
+        if backend == "minidb":
+            return  # the CLI opens sqlite files only
+        reopened.close()
+        for command in ("info", "dump", "check"):
+            assert main([command, "--db", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith(f"error: cannot open {str(path)!r}: ")
+            assert line.endswith("(no such column: leaf_text)")
+
     def test_an_index_table_of_an_older_build_is_refused(
         self, tmp_path, capsys
     ):

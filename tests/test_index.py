@@ -221,7 +221,7 @@ class TestIndexLifecycle:
 
         def sval_rows():
             return sorted(store.backend.execute(
-                "SELECT id, tag, sval FROM idx_sval WHERE doc = ?",
+                "SELECT id, tag, leaf_text FROM idx_sval WHERE doc = ?",
                 (doc,),
             ).rows)
 

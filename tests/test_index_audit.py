@@ -44,8 +44,26 @@ def _findings(store: XmlStore, doc: int) -> list[tuple[str, int]]:
 class TestIndexCorruptionIsReported:
     def test_stale_string_value(self, backend):
         store, doc = _indexed_bib(backend)
-        _sql(store, "UPDATE idx_sval SET sval = 'x' WHERE doc = ? AND id = ?",
+        _sql(store,
+             "UPDATE idx_sval SET leaf_text = 'x' WHERE doc = ? AND id = ?",
              (doc, TITLE))
+        assert _findings(store, doc) == [("index-sval-stale", TITLE)]
+
+    def test_element_with_an_element_child_holding_a_value(self, backend):
+        """The book has element children: its row holds NULL, not the
+        string-value a build that kept it would have written."""
+        store, doc = _indexed_bib(backend)
+        _sql(store,
+             "UPDATE idx_sval SET leaf_text = 'x' WHERE doc = ? AND id = ?",
+             (doc, BOOK))
+        assert _findings(store, doc) == [("index-sval-stale", BOOK)]
+
+    def test_leaf_holding_null(self, backend):
+        """The title has no element child: its row holds its text."""
+        store, doc = _indexed_bib(backend)
+        _sql(store,
+             "UPDATE idx_sval SET leaf_text = ? WHERE doc = ? AND id = ?",
+             (None, doc, TITLE))
         assert _findings(store, doc) == [("index-sval-stale", TITLE)]
 
     def test_stale_numeric_value(self, backend):

@@ -9,8 +9,9 @@ Four guards around the touched-set maintenance path:
   ``indexes.create`` after every op, across all four encodings and
   both backends;
 * **scaling** — maintenance row writes, and the rows any single write
-  reads, must track the update's touched rows, not the document size
-  (the counter-based regressions that pin the complexity claim);
+  reads, must track the update's touched rows, not the document's size,
+  depth or text (the counter-based regressions that pin the complexity
+  claim);
 * **one maintenance path** — every update repairs, however much of the
   document it touches: a delete of most of it converges on the twin's
   tables in fewer row writes than a rebuild, and the CI index-twin
@@ -166,9 +167,8 @@ class TestMaintenanceScaling:
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
     def test_statements_independent_of_chain_depth(self, backend, encoding):
         """One indexed text insert issues as many statements 3 levels
-        down a chain as 30 levels down: the ancestors' string-values are
-        walked, read and written set-wise, not one round trip per
-        level."""
+        down a chain as 30 levels down: no index row above the parent
+        depends on the text."""
         depth = 32
         chain = "".join(f"<e{i}>" for i in range(depth)) + "".join(
             f"</e{i}>" for i in reversed(range(depth))
@@ -187,6 +187,49 @@ class TestMaintenanceScaling:
                 statements.append(count("backend.statements"))
             store.close()
         assert statements[0] == statements[1]
+
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    def test_an_insert_costs_the_same_at_any_document_size(self, encoding):
+        """One ``<b generated="1"/>`` appended under a paragraph reads
+        and writes as many minidb rows at 16,000 nodes as at 1,000: the
+        index rewrites only the new element's row and the paragraph's,
+        which stops being a leaf.  (When every element kept its full
+        string-value, Dewey's insert read 97 rows at 1,000 nodes and
+        931 at 16,000.)  Global's own append reads the rows after the
+        paragraph, index or not (``MIN(pos)`` over the tail), so there
+        the rows the index adds to the unindexed insert must hold
+        still."""
+        costs = {}
+        for size in (1000, 16000):
+            document = sized_article_corpus(size)
+            for indexed in (False, True):
+                store = XmlStore(backend="minidb", encoding=encoding)
+                doc = store.load(document)
+                if indexed:
+                    store.indexes.create(doc)
+                (para,) = store.query(
+                    "/journal/article[1]/section[1]/para[1]", doc
+                )
+                position = len(store.fetch_children(doc, para.node_id))
+                stats = store.backend.db.stats
+                before = stats.rows_read, stats.rows_written
+                store.updates.insert(
+                    doc, para.node_id, position, '<b generated="1"/>'
+                )
+                costs[size, indexed] = (
+                    stats.rows_read - before[0],
+                    stats.rows_written - before[1],
+                )
+                store.close()
+        added = {
+            size: tuple(
+                a - b for a, b in zip(costs[size, True], costs[size, False])
+            )
+            for size in (1000, 16000)
+        }
+        assert added[1000] == added[16000], costs
+        if encoding != "global":
+            assert costs[1000, True] == costs[16000, True], costs
 
     @pytest.mark.parametrize("encoding", ("dewey", "local"))
     def test_no_write_reads_the_whole_document(self, encoding):

@@ -143,6 +143,17 @@ class TestChooseAccessPath:
         assert path.index is not None
         assert path.index.name == "ix_ab"
 
+    def test_is_null_binds_an_equality_column(self):
+        table = _table_with_indexes()
+        path = choose_access_path(
+            table, "t",
+            _conjuncts("SELECT 1 FROM t WHERE t.a = 1 AND t.b IS NULL"),
+            set(),
+        )
+        assert path.index.name == "ix_ab"
+        assert len(path.eq_exprs) == 2
+        assert path.residual == []
+
     def test_join_conjunct_with_unbound_side_not_usable(self):
         table = _table_with_indexes()
         # u is not bound yet, so t.a = u.x cannot drive an index.
@@ -184,6 +195,26 @@ class TestPlannerBehaviourEndToEnd:
         assert [r[0] for r in result.rows] == ["v5", "v500"]
         # 2 small rows + 2 index probes — not 1000 reads.
         assert db.stats.rows_read < 20
+
+    def test_is_null_probe_reads_only_the_null_keys(self):
+        """``b IS NULL`` reads the rows whose key holds NULL, where
+        ``b = NULL`` matches none."""
+        db = MiniDb()
+        db.execute("CREATE TABLE r (a INTEGER, b TEXT)")
+        db.execute("CREATE INDEX ix_r ON r (a, b)")
+        db.executemany(
+            "INSERT INTO r VALUES (?, ?)",
+            [(i % 3, None if i % 10 == 0 else f"v{i}") for i in range(300)],
+        )
+        db.reset_stats()
+        rows = db.execute(
+            "SELECT a FROM r WHERE a = 0 AND b IS NULL"
+        ).rows
+        assert rows == [(0,)] * 10
+        assert db.stats.rows_read == 10
+        assert db.execute(
+            "SELECT a FROM r WHERE a = 0 AND b = ?", (None,)
+        ).rows == []
 
     def test_range_scan_touches_only_matching_rows(self):
         db = MiniDb()

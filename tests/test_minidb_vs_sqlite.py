@@ -78,6 +78,15 @@ QUERIES = [
     "ORDER BY t.c, k.id, k.a",
     "SELECT a, b, (SELECT COUNT(*) FROM t v "
     "WHERE v.a = u.a AND v.b < u.b) FROM t u ORDER BY a, b, c",
+    # IS NULL as an equality on an index column: alone, after an
+    # equality, and under a join-bound equality (the value index's
+    # probe for the rows that hold no value).
+    "SELECT a, b, c FROM t WHERE a IS NULL ORDER BY a, b, c",
+    "SELECT a, b, c FROM t WHERE a = 2 AND b IS NULL ORDER BY a, b, c",
+    "SELECT u.a, u.b, v.c FROM t u, t v WHERE v.a = u.b AND v.b IS NULL "
+    "ORDER BY u.a, u.b, v.c",
+    "SELECT a, b, c FROM t WHERE a IS NULL AND b IS NULL AND c IS NULL "
+    "ORDER BY a, b, c",
     # A comparison with its literal on the left.
     "SELECT a, b, c FROM t WHERE 2 < b AND 'x1' <= c ORDER BY a, b, c",
 ]
@@ -95,6 +104,8 @@ BOUND_QUERIES = [
     "SELECT k.id, t.c FROM k, t WHERE t.a = k.a AND t.b >= ? "
     "AND k.id < ? ORDER BY k.id, t.c",
     "SELECT a, b, c FROM t WHERE ? < a AND b != ? ORDER BY a, b, c",
+    "SELECT a, b, c FROM t WHERE a = ? AND b IS NULL UNION "
+    "SELECT a, b, c FROM t WHERE a IS NULL AND b = ? ORDER BY a, b, c",
 ]
 
 #: ``LIMIT`` / ``OFFSET`` over a limit and an offset from -1 (no limit,
@@ -130,6 +141,7 @@ ORDERED_QUERIES = [
      1),
     ("SELECT DISTINCT a FROM t WHERE a >= ? ORDER BY a LIMIT ? OFFSET ?",
      1),
+    ("SELECT b, c FROM t WHERE a IS NULL ORDER BY b LIMIT ? OFFSET ?", 0),
     # Not delivered: a column past the index, one it does not hold, an
     # IN probe's list order, a range on a that orders by b.
     ("SELECT b, c FROM t WHERE a = ? ORDER BY b, c LIMIT ? OFFSET ?", 1),

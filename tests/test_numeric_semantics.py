@@ -11,9 +11,11 @@ true).  These tests pin the original failing shape and sweep the
 semantics across all four encodings and both backends.
 """
 
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.check.fuzz import FuzzConfig, apply_operation, plan_operation, run_fuzz
 from repro.core.numeric import xpath_number_value
@@ -62,6 +64,21 @@ class TestXpathNumberScalar:
 
     def test_nan_never_escapes(self):
         assert xpath_number_value("nan") is None
+
+    @given(st.text(
+        alphabet=" \t\n+-._0123456789eEinfaINFA\u0661\u0662\u0969x",
+        max_size=8,
+    ))
+    def test_agrees_with_float(self, text):
+        """The first-character shortcut rejects only what ``float()``
+        rejects: non-ASCII digits still reach it."""
+        try:
+            number = float(text.strip())
+        except ValueError:
+            number = None
+        if number is not None and math.isnan(number):
+            number = None
+        assert xpath_number_value(text) == number
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

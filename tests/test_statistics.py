@@ -157,7 +157,8 @@ def test_index_tables_get_statistics():
         ]
 
     assert (
-        "SEARCH n0 USING INDEX ix_idx_sval_str (doc=? AND tag=? AND sval=?)"
+        "SEARCH n1 USING INDEX ix_idx_sval_str "
+        "(doc=? AND tag=? AND leaf_text=?)"
         in plan("//product[stock = '500']")
     )
     for step in plan("//product//warranty"):

@@ -1049,7 +1049,7 @@ def _e18_document(products: int, seed: int = 99):
     can win big.  We plant a ``warranty`` element inside a nested
     review under ~1% of products — the deep-descent queries then return
     a handful of rows out of thousands of nodes, which is the regime
-    where a pathid probe beats per-step structural joins.
+    where a path-index probe beats per-step structural joins.
     """
     import random
 
@@ -1076,12 +1076,12 @@ def run_e18_indexing(products: int = 240) -> ExperimentTable:
     builds the secondary indexes (path, value) after the load, the
     other does not.  The query mix is exactly the workload the indexes
     target: selective deep ``//`` descents that the path index answers
-    with a pathid probe instead of per-step structural joins, and value
-    predicates on a ``//`` step, whose candidates the value index
-    delivers (``tag`` plus ``leaf_text`` or ``nval`` for the leaves, and
-    the few elements with an element child, ``leaf_text IS NULL``,
-    aggregated) instead of the tag scan aggregating every candidate's
-    string-value.  Each
+    from the rows of the last step's tag whose stored rooted path
+    matches, instead of per-step structural joins, and value predicates
+    on a ``//`` step, whose candidates the value index delivers (``tag``
+    plus ``leaf_text`` or ``nval`` for the leaves, and the few elements
+    with an element child, ``leaf_text IS NULL``, aggregated) instead
+    of the tag scan aggregating every candidate's string-value.  Each
     cell counts the rows one pass of the mix reads on each store and
     compares the two stores' answers: the index rewrite must be
     answer-preserving, so mismatches must be zero.
@@ -1089,9 +1089,9 @@ def run_e18_indexing(products: int = 240) -> ExperimentTable:
     An update-heavy phase then bursts structural updates (text
     rewrites plus subtree inserts) at two indexed twins — one left to
     the maintenance every update performs (repair from the op's
-    touched set), the other rebuilding every occurrence row with an
+    touched set), the other rebuilding every index row with an
     explicit ``indexes.create`` after every op — counting the rows each
-    writes and comparing their index tables afterwards (a divergence
+    writes and comparing their index rows afterwards (a divergence
     counts into the mismatches column).
     """
     #: Selective deep ``//`` descents first, value predicates second.
@@ -1159,13 +1159,10 @@ def run_e18_indexing(products: int = 240) -> ExperimentTable:
             if rebuild:
                 store.indexes.create(doc)
 
-    def index_tables(store: XmlStore, doc: int) -> tuple:
-        return tuple(
-            tuple(sorted(store.backend.execute(
-                f"SELECT * FROM {t} WHERE doc = ?", (doc,)
-            ).rows))
-            for t in ("idx_sval", "idx_paths")
-        )
+    def index_rows(store: XmlStore, doc: int) -> list:
+        return sorted(store.backend.execute(
+            "SELECT * FROM idx_sval WHERE doc = ?", (doc,)
+        ).rows)
 
     for name in (*ENCODING_NAMES, "ordpath"):
         indexed, doc_i = build_store(document, name, "minidb")
@@ -1200,7 +1197,7 @@ def run_e18_indexing(products: int = 240) -> ExperimentTable:
             before = store.backend.rows_written()
             run_burst(store, doc, ops, rebuild=store is rebuild)
             writes[store] = store.backend.rows_written() - before
-        if index_tables(maintain, doc_m) != index_tables(rebuild, doc_r):
+        if index_rows(maintain, doc_m) != index_rows(rebuild, doc_r):
             mismatches += 1
 
         table.add_row(

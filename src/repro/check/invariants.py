@@ -21,7 +21,7 @@ rows of a store:
   documents;
 * **secondary indexes** — the ``idx_sval`` rows of an indexed document
   are exactly what its node rows imply (one row per live element, its
-  path occurrence and, for an element with no element child, its
+  rooted path and, for an element with no element child, its
   string-value, NULL for any other; none for anything else), and an
   unindexed document has none.  The expected rows are derived
   here, from the :class:`~repro.core.encodings.AuditView` every other
@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 from repro.core.encodings import ENCODINGS, AuditView
 from repro.core.numeric import xpath_number_value
-from repro.core.schema import KIND_ELEMENT, KIND_TEXT, index_tables
+from repro.core.schema import KIND_ELEMENT, KIND_TEXT, index_table
 
 #: Node kinds that may own child rows.
 _PARENT_KINDS = (KIND_ELEMENT,)
@@ -273,21 +273,15 @@ def _index_violations(store, info, view: AuditView):
     An index is *present* when the catalogue row says ``indexed``;
     without it the document must have no ``idx_sval`` rows at all.
     There must be exactly one per live element, and its value columns
-    and its path each say what the document says.  Path-dictionary
-    entries no element uses any more are legal (the dictionary is
-    append-only so path ids stay stable).
+    and its path each say what the document says.
     """
-    execute = store.backend.execute
     doc = info.doc
     values, paths = {}, {}
     if info.indexed:
         values, paths = _expected_index_rows(view)
-    dictionary = dict(execute(
-        "SELECT pathid, path FROM idx_paths WHERE doc = ?", (doc,)
-    ).rows)
     seen: set[int] = set()
-    for node_id, pathid, *content in execute(
-        "SELECT id, pathid, parent, tag, leaf_text, nval FROM idx_sval "
+    for node_id, path, *content in store.backend.execute(
+        "SELECT id, path, parent, tag, leaf_text, nval FROM idx_sval "
         "WHERE doc = ?", (doc,),
     ).rows:
         if node_id not in values:
@@ -304,8 +298,7 @@ def _index_violations(store, info, view: AuditView):
         else:
             for code, stored, expected in (
                 ("index-sval-stale", tuple(content), values[node_id]),
-                ("index-path-stale", dictionary.get(pathid),
-                 paths[node_id]),
+                ("index-path-stale", path, paths[node_id]),
             ):
                 if stored != expected:
                     yield Violation(
@@ -367,8 +360,8 @@ def _stray_document_violations(store, infos):
     """Store-level checks that look across *every* encoding's tables.
 
     * ``catalog-missing-doc`` — rows for a document with no catalogue
-      entry, in any encoding table that exists or in an ``idx_*`` side
-      table (which all encodings share, so they have no owner);
+      entry, in any encoding table that exists or in ``idx_sval``
+      (which all encodings share, so it has no owner);
     * ``store-wrong-encoding-table`` — a document's rows leaked into a
       table that is not its catalogued encoding's (a migration that
       cut over without deleting its source rows, or vice versa).
@@ -378,9 +371,7 @@ def _stray_document_violations(store, infos):
     except NotImplementedError:  # pragma: no cover - custom backends
         existing = None
     known = {info.doc: info for info in infos}
-    table_owner: dict[str, Optional[str]] = {
-        table.name: None for table in index_tables()
-    }
+    table_owner: dict[str, Optional[str]] = {index_table().name: None}
     for encoding in ENCODINGS.values():
         table_owner[encoding.node_table.name] = encoding.name
         table_owner[encoding.attr_table.name] = encoding.name

@@ -1,11 +1,11 @@
 """Root-path pattern matching for the path index.
 
-The path index (:mod:`repro.index`) stores every distinct root-to-
-element path of a document as a string like ``/bib/book/title``.  An
-XPath location path made of ``child``/``descendant`` name steps compiles
-to a *pattern* over those strings — ``/bib//title``, ``/bib/*/title`` —
-and both backends register :func:`path_match` as the scalar SQL function
-the rewritten access path filters ``idx_paths`` with:
+The path index (:mod:`repro.index`) stores each element's root-to-
+element path as a string like ``/bib/book/title`` in its ``idx_sval``
+row.  An XPath location path made of ``child``/``descendant`` name
+steps compiles to a *pattern* over those strings — ``/bib//title``,
+``/bib/*/title`` — and both backends register :func:`path_match` as the
+scalar SQL function the rewritten access path filters those rows with:
 
 * ``/tag``  — one child step (one path component);
 * ``//tag`` — a descendant step (any number of intermediate components);

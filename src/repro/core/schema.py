@@ -226,40 +226,35 @@ def documents_table() -> Table:
     )
 
 
-#: Prefix of the secondary-index side tables (:mod:`repro.index`).
-INDEX_PREFIX = "idx_"
+def index_table() -> Table:
+    """Side table of the per-document secondary indexes.
 
-
-def index_tables() -> tuple[Table, Table]:
-    """Side tables of the per-document secondary indexes.
-
-    Encoding-independent (they key on the surrogate ``id``, which
+    Encoding-independent (it keys on the surrogate ``id``, which
     survives migrations), created empty at schema bootstrap; per-
-    document index create/drop is plain transactional DML over them, so
+    document index create/drop is plain transactional DML over it, so
     crash safety comes from transaction rollback, not DDL recovery.
 
     * ``idx_sval`` — one row per element: the **value index** and the
-      element's **path occurrence** (``pathid``, its rooted path in the
-      dictionary).  An element with no element child is a *leaf*: its
-      XPath string-value is its own text, which ``leaf_text`` holds,
-      and ``nval`` is that text's number (NULL for NaN).  Any other
-      element holds NULL in both: its string-value spans its
-      descendants, and keeping it would make every write below it
-      rewrite it.  Value predicates read leaves by ``leaf_text`` or
-      ``nval`` and aggregate the rest;
-    * ``idx_paths`` — the **path index** dictionary: every distinct
-      root-to-element path of the document.
+      **path index**.  ``path`` is the element's rooted path
+      (``/bib/book/title``); the distinct paths of a document are its
+      structural summary, and no table catalogues them.  An element
+      with no element child is a *leaf*: its XPath string-value is its
+      own text, which ``leaf_text`` holds, and ``nval`` is that text's
+      number (NULL for NaN).  Any other element holds NULL in both: its
+      string-value spans its descendants, and keeping it would make
+      every write below it rewrite it.  Value predicates read leaves
+      by ``leaf_text`` or ``nval`` and aggregate the rest.
 
     Whether a document has an index is ``documents.indexed``.
     """
-    sval = Table(
+    return Table(
         "idx_sval",
         (
             Column("doc", "INTEGER"),
             Column("id", "INTEGER"),
             Column("parent", "INTEGER"),
             Column("tag", "TEXT"),
-            Column("pathid", "INTEGER"),
+            Column("path", "TEXT"),
             Column("leaf_text", "TEXT"),
             Column("nval", "REAL"),
         ),
@@ -269,22 +264,7 @@ def index_tables() -> tuple[Table, Table]:
             Index("ix_idx_sval_str", "idx_sval",
                   ("doc", "tag", "leaf_text")),
             Index("ix_idx_sval_num", "idx_sval", ("doc", "tag", "nval")),
-            # The path index expands a matching path to its elements.
-            Index("ix_idx_sval_path", "idx_sval", ("doc", "pathid", "id")),
             # Incremental maintenance repairs rows by surrogate id.
             Index("ix_idx_sval_id", "idx_sval", ("doc", "id")),
         ),
     )
-    paths = Table(
-        "idx_paths",
-        (
-            Column("doc", "INTEGER"),
-            Column("pathid", "INTEGER"),
-            Column("path", "TEXT"),
-        ),
-        (
-            Index("ux_idx_paths", "idx_paths", ("doc", "pathid"),
-                  unique=True),
-        ),
-    )
-    return sval, paths

@@ -445,7 +445,7 @@ class SqlTranslator:
         :meth:`~repro.core.relalg.CompiledPlan.bind`.
 
         An index is used when it exists: with *indexed* every eligible
-        fragment probes the ``idx_*`` side tables — structural paths
+        fragment probes the ``idx_sval`` side table — structural paths
         the path index, value predicates the value index — and the plan
         records that access path; without it the same fragments compile
         to the scan and the plan records the miss.  One indexed plan
@@ -587,11 +587,15 @@ class SqlTranslator:
 
     # -- index-aware access paths ------------------------------------------
 
-    def _path_index_pattern(self, path: LocationPath) -> Optional[str]:
-        """The ``path_match`` pattern of *path* when it is a pure
-        structural path the path index can answer: absolute, every step
-        a predicate-free child/descendant element name (or wildcard)
-        test."""
+    def _path_index_pattern(
+        self, path: LocationPath
+    ) -> Optional[tuple[str, str]]:
+        """The ``path_match`` pattern of *path* and the tag it selects,
+        when it is a pure structural path the path index can answer:
+        absolute, every step a predicate-free child/descendant element
+        name (or wildcard) test, the last one a name.  (A last ``*``
+        would read every element's row, where the scan reads only the
+        context's children.)"""
         if not path.absolute or not path.steps:
             return None
         pieces: list[str] = []
@@ -606,57 +610,44 @@ class SqlTranslator:
                 return None
             separator = "//" if step.axis == "descendant" else "/"
             pieces.append(separator + name)
-        return "".join(pieces)
+        if name == "*":
+            return None
+        return "".join(pieces), name
 
     def _path_index_arm(
         self, path: LocationPath, with_order_by: bool
     ) -> Optional[_Arm]:
         """The path-index access path for an eligible structural arm.
 
-        ``idx_paths`` (the root-path dictionary) is filtered by the
-        ``path_match`` scalar against a pattern derived from the steps,
-        ``idx_sval``'s ``pathid`` expands matching paths to element ids,
-        and a final join against the node table re-projects the ordinary
-        node columns — result rows are identical to the scan plan's.
+        The ``idx_sval`` rows of the path's last tag (the ``(doc, tag)``
+        prefix of the value indexes) are filtered by the ``path_match``
+        scalar on their stored rooted path against a pattern derived
+        from the steps, and a join against the node table by id
+        re-projects the ordinary node columns — result rows are
+        identical to the scan plan's.
         """
-        pattern = self._path_index_pattern(path)
-        if pattern is None:
+        eligible = self._path_index_pattern(path)
+        if eligible is None:
             return None
         self._eligible.add("path-index")
         if not self._indexed:
             return None
+        pattern, tag = eligible
         t = _Translation(self)
         builder = SelectBuilder()
         builder.distinct = True
-        p = t.aliases.next()
         m = t.aliases.next()
         n = t.aliases.next()
-        builder.add_from("idx_paths", p)
         builder.add_from("idx_sval", m)
         builder.add_from(self.node_table, n)
-        builder.add_where(t.doc_cond(p))
         builder.add_where(t.doc_cond(m))
         builder.add_where(t.doc_cond(n))
-        # ``unlikely``: a pattern matches few of a document's paths.
-        # Without the hint sqlite's estimate makes reading the paths
-        # first a near-tie with scanning the document in order (which
-        # saves the sort), and which one it picks flips with the
-        # store's size; the scan is the slow one.  The one detail of
-        # sqlite's cost model in the SQL, on purpose: minidb reads the
-        # hint as its argument (DESIGN.md, "Statistics").
-        builder.add_where(
-            Func("unlikely", (
-                Cmp(
-                    "=",
-                    Func(
-                        "path_match",
-                        (Col(p, "path"), Param(FixedSlot(pattern))),
-                    ),
-                    Const(1),
-                ),
-            ))
-        )
-        builder.add_where(Cmp("=", Col(m, "pathid"), Col(p, "pathid")))
+        builder.add_where(Cmp("=", Col(m, "tag"), Param(FixedSlot(tag))))
+        builder.add_where(Cmp(
+            "=",
+            Func("path_match", (Col(m, "path"), Param(FixedSlot(pattern)))),
+            Const(1),
+        ))
         builder.add_where(Cmp("=", Col(n, "id"), Col(m, "id")))
         columns = NODE_PROJECTION + self.encoding.order_columns
         builder.select = [SelectItem(Col(n, c), c) for c in columns]

@@ -61,12 +61,14 @@ class StringSlot(StringLiteral):
 
 @dataclass(frozen=True)
 class NumberSlot(NumberLiteral):
-    """A slotted number literal; ``value`` is a placeholder."""
+    """A slotted number literal; ``value`` is a placeholder.  It prints
+    apart from a string slot: ``[y = '1']`` and ``[y = 1]`` compile to
+    different comparisons, so they must not share a shape key."""
 
     index: int = -1
 
     def __str__(self) -> str:
-        return f"${self.index}"
+        return f"#{self.index}"
 
 
 def is_slot(expr: object) -> bool:

@@ -61,7 +61,7 @@ class UpdateReport:
     """Cost accounting for one update operation.
 
     Beyond the row counts, a report carries the *touched set* the
-    secondary-index layer maintains itself from: ids whose ``idx_*``
+    secondary-index layer maintains itself from: ids whose ``idx_sval``
     rows must go away, the rows of each inserted subtree as they were
     written (``(id, parent, kind, tag, value)`` in document order, so
     nothing reads them back), the roots of renamed subtrees, whose
@@ -586,8 +586,12 @@ class UpdateManager:
             # Nothing sits between one sibling's interval and the next.
             next_pos = children[index]["pos"]
         else:
+            # The first row after the insertion point: a probe of the
+            # ``pos`` index that stops there (minidb reads the whole
+            # range under an aggregate such as ``MIN``).
             result = self.store.backend.execute(
-                f"SELECT MIN(pos) FROM {table} WHERE doc = ? AND pos > ?",
+                f"SELECT pos FROM {table} WHERE doc = ? AND pos > ? "
+                f"ORDER BY pos LIMIT 1",
                 (doc, pos_before),
             )
             next_pos = result.rows[0][0] if result.rows else None

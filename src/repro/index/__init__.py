@@ -4,8 +4,8 @@ Two index families (see DESIGN.md, "Indexing"):
 
 * the **value index** — the string-values of the elements with no
   element child, probed by rewritten value predicates;
-* the **path index** — the root-path dictionary plus each element's
-  occurrence, probed by rewritten structural queries.
+* the **path index** — each element's rooted path, kept in the same
+  row, probed by rewritten structural queries.
 
 An index is used when it exists: ``IndexManager.create(doc)`` builds
 one, ``drop(doc)`` removes it, and every eligible fragment of a query

@@ -1,21 +1,20 @@
 """Per-document secondary indexes.
 
-:class:`IndexManager` owns the ``idx_*`` side tables declared in
-:func:`repro.core.schema.index_tables`:
+:class:`IndexManager` owns the ``idx_sval`` side table declared in
+:func:`repro.core.schema.index_table`, one row per element:
 
-* **value index** (``idx_sval``) — one row per element; a leaf (no
-  element child) carries its XPath string-value, which is its own
-  text, and that text's number, any other element NULL in both.
-  Rewritten value predicates probe the leaves by value and aggregate
-  the string-values of the others, as the scan plan does;
-* **path index** (``idx_paths`` + ``idx_sval.pathid``) — the dictionary
-  of distinct root-to-element paths plus each element's occurrence,
+* **value index** — a leaf (no element child) carries its XPath
+  string-value, which is its own text, and that text's number, any
+  other element NULL in both.  Rewritten value predicates probe the
+  leaves by value and aggregate the string-values of the others, as
+  the scan plan does;
+* **path index** — each row's ``path``, the element's rooted path,
   probed by rewritten structural queries through the ``path_match``
   scalar;
 * **presence** — the document's catalogue row (``documents.indexed``).
 
-The side tables are created empty at schema bootstrap and keyed on the
-surrogate ``id``, so they are encoding-independent and index create /
+The side table is created empty at schema bootstrap and keyed on the
+surrogate ``id``, so it is encoding-independent and index create /
 drop / maintenance is plain transactional DML — crash safety falls out
 of transaction rollback, with no DDL recovery path.
 
@@ -39,9 +38,9 @@ a write rewrites nothing above the parent it wrote under: its cost is
 independent of the document's depth and of its text.  Index rows
 carry no order columns, so renumbering never invalidates them.  Only
 an update whose touched set has a hole — it cannot account exactly
-for what it touched — rebuilds instead.  The path dictionary is
-append-only — path ids are stable across rebuilds, which is what makes
-piecewise repair and a full rebuild produce byte-identical tables.
+for what it touched — rebuilds instead.  A row is a function of its
+element's place in the document alone, so piecewise repair and a full
+rebuild produce byte-identical tables.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ class IndexManager:
         report = self.store.transactionally(build)
         METRICS.inc("index.created")
         METRICS.inc("index.rows", report["elements"])
-        self.store.refresh_statistics("idx_sval", "idx_paths")
+        self.store.refresh_statistics("idx_sval")
         return report
 
     def drop(self, doc: int) -> bool:
@@ -106,12 +105,11 @@ class IndexManager:
         return present
 
     def purge_in_transaction(self, doc: int) -> None:
-        """Delete every ``idx_*`` row of *doc* and clear its ``indexed``
-        flag (caller owns the txn)."""
+        """Delete every ``idx_sval`` row of *doc* and clear its
+        ``indexed`` flag (caller owns the txn)."""
         self.store.note_write(doc)
         backend = self.store.backend
-        for table in ("idx_sval", "idx_paths"):
-            backend.execute(f"DELETE FROM {table} WHERE doc = ?", (doc,))
+        backend.execute("DELETE FROM idx_sval WHERE doc = ?", (doc,))
         backend.execute(
             "UPDATE documents SET indexed = 0 WHERE doc = ?", (doc,)
         )
@@ -154,23 +152,18 @@ class IndexManager:
 
     def describe(self, doc: int) -> dict:
         """A JSON-friendly summary of *doc*'s index, counted live from
-        the index tables."""
+        its rows."""
         if not self.exists(doc):
             return {"doc": doc, "present": False}
-        execute = self.store.backend.execute
-        tags = Counter(
-            tag for (tag,) in execute(
-                "SELECT tag FROM idx_sval WHERE doc = ?", (doc,)
-            ).rows
-        )
-        paths = execute(
-            "SELECT COUNT(*) FROM idx_paths WHERE doc = ?", (doc,)
-        ).rows[0][0]
+        rows = self.store.backend.execute(
+            "SELECT tag, path FROM idx_sval WHERE doc = ?", (doc,)
+        ).rows
+        tags = Counter(tag for tag, _path in rows)
         return {
             "doc": doc,
             "present": True,
-            "element_count": sum(tags.values()),
-            "path_count": paths,
+            "element_count": len(rows),
+            "path_count": len({path for _tag, path in rows}),
             "tags": dict(
                 sorted(tags.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
             ),
@@ -178,16 +171,12 @@ class IndexManager:
 
     # -- the build pass ----------------------------------------------------
 
+    @staticmethod
     def _index_rows(
-        self,
-        doc: int,
-        rows: list[tuple],
-        parent_path: str,
-        paths: dict[str, int],
-    ) -> tuple[list[tuple], list[tuple]]:
-        """The one producer of index rows: ``(idx_sval rows, fresh
-        idx_paths rows)`` for a forest, one ``idx_sval`` row per
-        element.
+        doc: int, rows: list[tuple], parent_path: str
+    ) -> list[tuple]:
+        """The one producer of index rows: the ``idx_sval`` rows of a
+        forest, one per element.
 
         *rows* are ``(id, parent, kind, tag, value)`` tuples of whole
         subtrees in document order whose roots are children of one
@@ -200,19 +189,10 @@ class IndexManager:
         whether it is a leaf when its first element child opens or it
         closes.  A leaf's string-value is its own text, the ``value``
         its row carries; any other element stores NULL (see
-        :func:`~repro.core.schema.index_tables`).
-
-        *paths* is the document's path dictionary and is only ever
-        appended to: an unseen path takes the next id and is returned
-        as a fresh row.  Path ids are therefore stable across rebuilds
-        (orphaned paths are retained — a probe for one simply finds no
-        occurrences), and because a subtree's preorder is the
-        document's preorder restricted to it, first-encounter
-        allocation assigns a repair the same ids a rebuild would.
+        :func:`~repro.core.schema.index_table`).
         """
         elements: list[tuple] = []
         texts: list[Optional[str]] = []
-        fresh_paths: list[tuple] = []
         stored = iter(rows)
         # The open element's rooted path and the slot of its row; the
         # same, saved for each open ancestor.
@@ -228,17 +208,12 @@ class IndexManager:
                     texts[slot] = None  # it has an element child
                 stack.append((path, slot))
                 path, slot = f"{path}/{a}", len(elements)
-                pathid = paths.get(path)
-                if pathid is None:
-                    pathid = paths[path] = len(paths) + 1
-                    fresh_paths.append((doc, pathid, path))
-                elements.append((doc, node_id, parent, a, pathid))
+                elements.append((doc, node_id, parent, a, path))
                 texts.append(value or "")
-        sval_rows = [
+        return [
             (*element, text, xpath_number_value(text))
             for element, text in zip(elements, texts)
         ]
-        return sval_rows, fresh_paths
 
     def _rebuild_rows(
         self, doc: int, encoding: Optional["OrderEncoding"] = None
@@ -249,27 +224,24 @@ class IndexManager:
         create report."""
         backend = self.store.backend
         rows = ordered_rows(self.store, doc, encoding=encoding)
-        paths = self._load_paths(doc)
-        produced = self._index_rows(doc, rows, "", paths)
+        produced = self._index_rows(doc, rows, "")
         deleted = backend.execute(
             "DELETE FROM idx_sval WHERE doc = ?", (doc,)
         ).rowcount
-        self._insert_rows(*produced)
-        METRICS.inc("index.row_writes", deleted + sum(map(len, produced)))
+        self._insert_rows(produced)
+        METRICS.inc("index.row_writes", deleted + len(produced))
         return {
             "doc": doc,
-            "elements": len(produced[0]),
-            "paths": len(paths),
+            "elements": len(produced),
+            "paths": len({row[4] for row in produced}),
             "nodes": len(rows),
         }
 
-    def _insert_rows(self, sval_rows, fresh_paths) -> None:
-        for sql, rows in (
-            ("INSERT INTO idx_sval VALUES (?, ?, ?, ?, ?, ?, ?)", sval_rows),
-            ("INSERT INTO idx_paths VALUES (?, ?, ?)", fresh_paths),
-        ):
-            if rows:
-                self.store.backend.executemany(sql, rows)
+    def _insert_rows(self, rows: list[tuple]) -> None:
+        if rows:
+            self.store.backend.executemany(
+                "INSERT INTO idx_sval VALUES (?, ?, ?, ?, ?, ?, ?)", rows
+            )
 
     # -- incremental maintenance -------------------------------------------
 
@@ -284,8 +256,7 @@ class IndexManager:
             operation minted have no index rows yet;
         (b) each inserted subtree's rows as the update wrote them, and
             each renamed subtree read back, through :meth:`_index_rows`
-            under its parent's stored path, then one ``executemany``
-            per table;
+            under its parent's stored path, then one ``executemany``;
         (c) the rows of the anchors (see :meth:`_anchor_rows`) whose
             own text or element-childness the operation changed,
             written by one ``executemany``.
@@ -342,30 +313,23 @@ class IndexManager:
         )
 
         # (b) Shred the new subtrees.
-        produced: tuple[list, list] = ([], [])
+        produced: list[tuple] = []
         if subtrees:
-            # The parents' stored paths: their rows' path ids resolved
-            # through the path dictionary, "" for the document node.
-            paths = self._load_paths(doc)
-            names = {pathid: path for path, pathid in paths.items()}
-            parent_paths: dict[int, Optional[str]] = {0: ""}
+            # The parents' stored paths, "" for the document node.
+            parent_paths: dict[int, str] = {0: ""}
             for sql, params in self.store.in_batches(
-                "SELECT id, pathid FROM idx_sval WHERE doc = ?",
+                "SELECT id, path FROM idx_sval WHERE doc = ?",
                 "id", {rows[0][1] for rows in subtrees} - {0}, (doc,),
             ):
-                for node_id, pathid in self.store.backend.execute(
+                parent_paths.update(self.store.backend.execute(
                     sql, params
-                ).rows:
-                    parent_paths[node_id] = names.get(pathid)
+                ).rows)
             for rows in subtrees:
                 parent_path = parent_paths.get(rows[0][1])
                 if parent_path is None:
                     return False
-                for part, more in zip(produced, self._index_rows(
-                    doc, rows, parent_path, paths
-                )):
-                    part.extend(more)
-            self._insert_rows(*produced)
+                produced += self._index_rows(doc, rows, parent_path)
+            self._insert_rows(produced)
 
         # (c) Re-derive the rows of the anchors that are still there
         # and were not just shredded.
@@ -384,7 +348,7 @@ class IndexManager:
 
         METRICS.inc(
             "index.row_writes",
-            deleted + sum(map(len, produced)) + len(repaired),
+            deleted + len(produced) + len(repaired),
         )
         return True
 
@@ -426,14 +390,3 @@ class IndexManager:
         if len(found) < len(anchors):
             return None
         return repaired
-
-    def _load_paths(self, doc: int) -> dict[str, int]:
-        """The stored path dictionary, insertion-ordered by path id
-        (ids are allocated contiguously from 1, so ``len(paths) + 1``
-        is always the next free id)."""
-        result = self.store.backend.execute(
-            "SELECT pathid, path FROM idx_paths "
-            "WHERE doc = ? ORDER BY pathid",
-            (doc,),
-        )
-        return {path: pathid for pathid, path in result.rows}

@@ -1,7 +1,7 @@
 """Scalar functions, aggregates, and operator semantics for minidb.
 
-The built-in scalars are the four the translations call (``substr``,
-``instr``, ``coalesce`` and the planner hint ``unlikely``); the
+The built-in scalars are the three the translations call (``substr``,
+``instr`` and ``coalesce``); the
 aggregates are MIN, MAX and GROUP_CONCAT (COUNT(*) is its own node).
 The engine adds the key helpers of :mod:`repro.core.scalars`
 (``dewey_parent``, ``dewey_successor`` and the rest) on top, exactly as
@@ -50,18 +50,11 @@ def _fn_coalesce(*args: SqlValue) -> SqlValue:
     return None
 
 
-def _fn_unlikely(value: SqlValue) -> SqlValue:
-    """sqlite's planner hint (the condition is rarely true); minidb's
-    planner reads none, so it is the value itself."""
-    return value
-
-
 #: Built-in scalar functions (name -> callable).
 BUILTIN_SCALARS: dict[str, Callable[..., SqlValue]] = {
     "substr": _fn_substr,
     "instr": _fn_instr,
     "coalesce": _fn_coalesce,
-    "unlikely": _fn_unlikely,
 }
 
 

@@ -563,19 +563,15 @@ def run_migration_crashtest(
 def _index_signature(store: XmlStore, doc: int) -> Optional[tuple]:
     """The complete durable index state of *doc*, or ``None`` if absent.
 
-    Sorted full contents of every ``idx_*`` table: a crashed create or
-    drop must recover to exactly one of the two signatures — never a
-    populated value index without its path dictionary, or a catalogue
-    row that says ``indexed`` over no rows.
+    The sorted ``idx_sval`` rows: a crashed create or drop must recover
+    to exactly one of the two signatures — never part of a document's
+    rows, or a catalogue row that says ``indexed`` over no rows.
     """
     if not store.indexes.exists(doc):
         return None
-    return tuple(
-        tuple(sorted(store.backend.execute(
-            f"SELECT * FROM {table} WHERE doc = ?", (doc,)
-        ).rows))
-        for table in ("idx_sval", "idx_paths")
-    )
+    return tuple(sorted(store.backend.execute(
+        "SELECT * FROM idx_sval WHERE doc = ?", (doc,)
+    ).rows))
 
 
 def run_index_crashtest(

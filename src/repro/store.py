@@ -41,7 +41,7 @@ from repro.core.encodings import ENCODINGS, OrderEncoding, get_encoding
 from repro.core.reconstruct import (
     ordered_rows, reconstruct_document, reconstruct_subtree,
 )
-from repro.core.schema import documents_table, index_tables
+from repro.core.schema import documents_table, index_table
 from repro.core.shredder import ShreddedNode, shred, shred_text
 from repro.core.translator import (
     TranslatedQuery,
@@ -241,7 +241,7 @@ class XmlStore:
         # that already has the schema is fine and any failure is real.
         tables = (
             self.encoding.node_table, self.encoding.attr_table,
-            self._docs_table, *index_tables(),
+            self._docs_table, index_table(),
         )
         self._bootstrap(table.to_sql() for table in tables)
         # CREATE TABLE IF NOT EXISTS keeps a table an older build
@@ -253,7 +253,7 @@ class XmlStore:
         # must surface as itself.
         for probe, what in (
             (f"{_CATALOGUE_SELECT} WHERE doc = 0", "document catalogue"),
-            ("SELECT pathid, leaf_text FROM idx_sval WHERE doc = 0",
+            ("SELECT leaf_text, path FROM idx_sval WHERE doc = 0",
              "element index"),
         ):
             try:

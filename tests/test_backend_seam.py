@@ -12,8 +12,9 @@ hands the engine exactly what a bare backend does.
 
 The same scan keeps a second seam shut: ``core/`` imports nothing from
 ``repro.index`` (the translator is told *indexed* or not, and that is
-all), and no ``cost`` module chooses between scan and index behind it
-(see "Indexing" in DESIGN.md).
+all), no ``cost`` module chooses between scan and index behind it, and
+each element's index row keeps its rooted path as text, with no path
+dictionary beside it (see "Indexing" in DESIGN.md).
 
 Transactions are the backend's to serialize, on every backend: a second
 thread's transaction begins once the first one has committed, and
@@ -164,6 +165,21 @@ def test_no_cost_module_under_the_index_package():
     assert "cost" not in modules, (
         "an index is used when it exists; nothing chooses"
     )
+
+
+def test_the_path_index_is_a_column():
+    """Each element's ``idx_sval`` row keeps its rooted path as text:
+    no path dictionary, path id or dictionary loader comes back."""
+    banned = re.compile(
+        r"idx_paths|\bpathid\b|_load_paths|ix_idx_sval_path|ux_idx_paths"
+    )
+    hits = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert hits == []
 
 
 def _backend_classes() -> list[tuple[Path, ast.ClassDef]]:
@@ -317,7 +333,7 @@ def test_wrapped_and_bare_minidb_hand_the_engine_the_same_text():
     inner = MiniDbBackend()
     plain = _engine_traffic(bare, bare)
     wrapped = _engine_traffic(FaultInjectingBackend(inner), inner)
-    assert len(plain) > 60
+    assert len(plain) > 50
     assert all(isinstance(sql, str) for sql, _params in plain)
     assert wrapped == plain
 

@@ -19,7 +19,14 @@ import threading
 
 import pytest
 
-from tests.conftest import ALL_ENCODINGS, BACKENDS, counters, stored_depth
+from tests.conftest import (
+    ALL_ENCODINGS,
+    BACKENDS,
+    counters,
+    store_identities,
+    stored_depth,
+    stored_oracle_identities,
+)
 from repro.backends.base import is_write_statement
 from repro.backends.sqlite_backend import SqliteBackend
 from repro.cache import StoreCache
@@ -628,6 +635,32 @@ def test_one_plan_serves_every_indexed_document_and_survives_writes():
         store.translate("//b[c = 'x']", b)
         assert count("translate.compile") == 1
         assert count("translate.plan_shared") >= 82
+
+
+@pytest.mark.parametrize("number_first", (False, True))
+@pytest.mark.parametrize("indexed", (False, True))
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+def test_a_string_and_a_number_literal_do_not_share_a_plan(
+    encoding, backend, indexed, number_first
+):
+    """``[y = '1']`` compares text and ``[y = 1]`` numbers (on an
+    indexed drive, ``leaf_text = ?`` against ``nval = ?``), so the two
+    are different shapes: over ``<y>1.0</y>`` the first selects
+    nothing and the second the ``x``, whichever runs first."""
+    store = XmlStore(backend=backend, encoding=encoding)
+    doc = store.load("<r><x><y>1.0</y></x></r>")
+    if indexed:
+        store.indexes.create(doc)
+    for step in ("/r/x", "//x"):
+        queries = [f"{step}[y = '1']", f"{step}[y = 1]"]
+        if number_first:
+            queries.reverse()
+        for xpath in queries:
+            assert store_identities(store, doc, xpath) == (
+                stored_oracle_identities(store, doc, xpath)
+            ), xpath
+    assert store_identities(store, doc, "//x[y = 1]") != []
 
 
 def test_deleted_document_leaves_no_cached_context():

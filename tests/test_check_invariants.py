@@ -26,7 +26,7 @@ from repro.check import (
 )
 from repro.cli import main
 from repro.core.encodings import get_encoding
-from repro.core.schema import documents_table, index_tables
+from repro.core.schema import documents_table, index_table
 from repro.errors import StorageError, UpdateError, XmlSyntaxError
 from repro.store import XmlStore
 from repro.xmldom import parse_fragment, serialize
@@ -160,12 +160,12 @@ class TestSchemaBootstrap:
         """Every bootstrap statement carries IF NOT EXISTS, and a bare
         backend — no store around it to tolerate an error — runs the
         whole set twice."""
-        tables = [documents_table(), *index_tables()]
+        tables = [documents_table(), index_table()]
         for name in ALL_ENCODINGS:
             encoding = get_encoding(name)
             tables += [encoding.node_table, encoding.attr_table]
         statements = [s for t in tables for s in t.create_statements()]
-        assert len(statements) == 41
+        assert len(statements) == 38
         assert all(" IF NOT EXISTS " in s for s in statements)
         for name in BACKENDS:
             backend = make_backend(name)
@@ -303,13 +303,56 @@ class TestSchemaBootstrap:
             assert line.startswith(f"error: cannot open {str(path)!r}: ")
             assert line.endswith("(no such column: leaf_text)")
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_an_element_index_of_path_ids_is_refused(
+        self, backend, tmp_path, capsys
+    ):
+        """Builds before ``idx_sval.path`` kept each element's rooted
+        path as an id into an ``idx_paths`` dictionary (``pathid``).
+        This build reads the path text from the element's own row, so
+        a file of theirs is refused when it opens."""
+        path = tmp_path / "old.db"
+        old = (
+            SqliteBackend(str(path)) if backend == "sqlite"
+            else MiniDbBackend()
+        )
+        for statement in (
+            "CREATE TABLE idx_sval (doc INTEGER, id INTEGER, "
+            "parent INTEGER, tag TEXT, pathid INTEGER, leaf_text TEXT, "
+            "nval REAL)",
+            "CREATE TABLE idx_paths (doc INTEGER, pathid INTEGER, "
+            "path TEXT)",
+        ):
+            old.execute(statement)
+        if backend == "sqlite":
+            old.close()
+            reopened = SqliteBackend(str(path))
+        else:
+            reopened = old
+        with pytest.raises(
+            StorageError,
+            match=r"older build, whose element index .*column:? path",
+        ):
+            XmlStore(backend=reopened)
+        if backend == "minidb":
+            return  # the CLI opens sqlite files only
+        reopened.close()
+        for command in ("info", "dump", "check"):
+            assert main([command, "--db", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith(f"error: cannot open {str(path)!r}: ")
+            assert line.endswith("(no such column: path)")
+
     def test_an_index_table_of_an_older_build_is_refused(
         self, tmp_path, capsys
     ):
         """Builds before ``idx_sval.pathid`` kept each element's path
         occurrence in an ``idx_pathmap`` table.  A file with their
-        ``idx_*`` tables is refused by name when it opens — not by the
-        index over ``pathid`` failing in the bootstrap."""
+        ``idx_*`` tables is refused by the probe of the element index
+        when it opens — not by an index over a column it lacks failing
+        in the bootstrap."""
         path = tmp_path / "old.db"
         XmlStore(backend=SqliteBackend(str(path))).close()
         old = SqliteBackend(str(path))
@@ -331,7 +374,8 @@ class TestSchemaBootstrap:
         old.close()
         reopened = SqliteBackend(str(path))
         with pytest.raises(
-            StorageError, match=r"older build, whose element index .*pathid"
+            StorageError,
+            match=r"older build, whose element index .*column:? leaf_text",
         ):
             XmlStore(backend=reopened)
         reopened.close()

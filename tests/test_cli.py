@@ -362,7 +362,7 @@ class TestIndexCommand:
         )
         assert run(show) == 0
         indexed = capsys.readouterr().out
-        assert "FROM idx_paths n0, idx_sval n1" in indexed
+        assert "FROM idx_sval n0, node_dewey n1" in indexed
         rows = lambda out: [  # noqa: E731
             line for line in out.splitlines() if "\telem\t" in line
         ]

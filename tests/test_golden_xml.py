@@ -236,17 +236,13 @@ def index_rows_digest(
         doc = store.load(source)
         store.indexes.create(doc)
         digest = hashlib.sha256()
-        for table, order in (
-            ("idx_sval", "id"), ("idx_paths", "pathid"),
-        ):
-            result = store.backend.execute(
-                f"SELECT * FROM {table} WHERE doc = ? ORDER BY {order}",
-                (doc,),
-            )
-            digest.update(f"{table}\n".encode("utf-8"))
-            for row in result.rows:
-                digest.update(repr(tuple(row)).encode("utf-8"))
-                digest.update(b"\n")
+        result = store.backend.execute(
+            "SELECT * FROM idx_sval WHERE doc = ? ORDER BY id", (doc,)
+        )
+        digest.update(b"idx_sval\n")
+        for row in result.rows:
+            digest.update(repr(tuple(row)).encode("utf-8"))
+            digest.update(b"\n")
         return digest.hexdigest()
     finally:
         store.close()

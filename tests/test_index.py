@@ -22,7 +22,12 @@ import random
 
 import pytest
 
-from tests.conftest import ALL_ENCODINGS, BACKENDS, BIB_XML
+from tests.conftest import (
+    ALL_ENCODINGS,
+    BACKENDS,
+    BIB_XML,
+    stored_oracle_identities,
+)
 from repro.check.fuzz import FuzzConfig, indexable_xpath, run_fuzz
 from repro.core.translator import make_translator
 from repro.index import IndexAdvisor
@@ -127,13 +132,31 @@ class TestIndexLifecycle:
         store.indexes.create(doc)
         after = store.translate(xpath, doc)
         assert after.access_path == "path-index"
-        assert "idx_paths n0, idx_sval n1" in after.sql
+        assert "FROM idx_sval n0, node_global n1" in after.sql
         # And dropping flips it back: the scan plan is still cached
         # under its own key.
         store.indexes.drop(doc)
         dropped = store.translate(xpath, doc)
         assert dropped.access_path == "scan"
         assert dropped.sql == before.sql
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_path_ending_in_a_wildcard_keeps_the_scan(self, backend):
+        """The path index reads the rows of the last step's tag: a last
+        ``*`` would read every element's row, where the scan reads only
+        the context's children.  A ``*`` before the last step stays
+        eligible."""
+        store, doc = self._bulk_store(backend=backend)
+        store.indexes.create(doc)
+        for xpath, access in (
+            ("/catalog/product/*", "scan"), ("//product//*", "scan"),
+            ("/catalog/*/name", "path-index"), ("//*//name", "path-index"),
+        ):
+            translated = store.translate(xpath, doc)
+            assert translated.access_path == access, xpath
+            assert [i.identity() for i in store.query(xpath, doc)] == (
+                stored_oracle_identities(store, doc, xpath)
+            ), xpath
 
     def test_create_drop_recreate_answers_like_the_unindexed_twin(self):
         """Plans outlive writes, so every step of create -> query ->
@@ -235,11 +258,10 @@ class TestIndexLifecycle:
         doc = store.load(parse(BIB_XML))
         store.indexes.create(doc)
         store.delete_document(doc)
-        for table in ("idx_sval", "idx_paths"):
-            rows = store.backend.execute(
-                f"SELECT COUNT(*) FROM {table} WHERE doc = ?", (doc,)
-            ).rows
-            assert rows[0][0] == 0, table
+        rows = store.backend.execute(
+            "SELECT COUNT(*) FROM idx_sval WHERE doc = ?", (doc,)
+        ).rows
+        assert rows[0][0] == 0
 
     def test_obs_counters_track_index_activity(self):
         was_enabled = METRICS.enabled

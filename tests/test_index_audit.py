@@ -79,20 +79,23 @@ class TestIndexCorruptionIsReported:
         assert _findings(store, doc) == [("index-row-missing", BOOK)]
 
     def test_repointed_path_occurrence(self, backend):
+        """A stale ``path`` text naming another element's path."""
         store, doc = _indexed_bib(backend)
         (book_path,), = _sql(
-            store, "SELECT pathid FROM idx_sval WHERE doc = ? AND id = ?",
+            store, "SELECT path FROM idx_sval WHERE doc = ? AND id = ?",
             (doc, BOOK),
         ).rows
         _sql(store,
-             "UPDATE idx_sval SET pathid = ? WHERE doc = ? AND id = ?",
+             "UPDATE idx_sval SET path = ? WHERE doc = ? AND id = ?",
              (book_path, doc, TITLE))
         assert _findings(store, doc) == [("index-path-stale", TITLE)]
 
     def test_occurrence_of_unknown_path(self, backend):
+        """A stale ``path`` text no element of the document has."""
         store, doc = _indexed_bib(backend)
         _sql(store,
-             "UPDATE idx_sval SET pathid = 999 WHERE doc = ? AND id = ?",
+             "UPDATE idx_sval SET path = '/bib/nowhere' "
+             "WHERE doc = ? AND id = ?",
              (doc, TITLE))
         assert _findings(store, doc) == [("index-path-stale", TITLE)]
 
@@ -139,19 +142,6 @@ class TestIndexCorruptionIsReported:
 
 
 class TestCleanIndexReportsNothing:
-    def test_retained_dictionary_entries_are_legal(self):
-        """The path dictionary is append-only: deleting the last element
-        on a path leaves its entry behind, and that is not a finding."""
-        store = XmlStore(backend="sqlite", encoding="global")
-        doc = store.load("<a><b><c/></b></a>")
-        store.indexes.create(doc)
-        store.updates.delete(doc, 2)
-        paths = _sql(
-            store, "SELECT path FROM idx_paths WHERE doc = ?", (doc,)
-        ).rows
-        assert ("/a/b/c",) in paths
-        assert audit_document(store, doc) == []
-
     @pytest.mark.parametrize("update_heavy", (False, True))
     def test_audit_after_every_op_of_the_index_twin_matrix(
         self, update_heavy

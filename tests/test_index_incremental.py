@@ -39,16 +39,10 @@ from repro.store import XmlStore
 from repro.workload import catalog_corpus
 from repro.workload.docgen import random_document, sized_article_corpus
 
-IDX_TABLES = ("idx_sval", "idx_paths")
-
-
-def index_tables(store: XmlStore, doc: int) -> tuple:
-    return tuple(
-        tuple(sorted(store.backend.execute(
-            f"SELECT * FROM {table} WHERE doc = ?", (doc,)
-        ).rows))
-        for table in IDX_TABLES
-    )
+def index_rows(store: XmlStore, doc: int) -> list:
+    return sorted(store.backend.execute(
+        "SELECT * FROM idx_sval WHERE doc = ?", (doc,)
+    ).rows)
 
 
 def twin_pair(backend: str, encoding: str, document):
@@ -69,7 +63,7 @@ def apply_to_both(incr, doc_i, eager, doc_e, op) -> None:
     apply_operation(eager, doc_e, op)
     eager.indexes.create(doc_e)
     assert audit_document(incr, doc_i) == [], op["describe"]
-    assert index_tables(incr, doc_i) == index_tables(eager, doc_e), (
+    assert index_rows(incr, doc_i) == index_rows(eager, doc_e), (
         f"tables diverged after {op['describe']}"
     )
 
@@ -85,7 +79,7 @@ class TestIncrementalVsEager:
     ):
         document = random_document(13, max_depth=4, max_children=3)
         incr, doc_i, eager, doc_e = twin_pair(backend, encoding, document)
-        assert index_tables(incr, doc_i) == index_tables(eager, doc_e)
+        assert index_rows(incr, doc_i) == index_rows(eager, doc_e)
         rng = random.Random(1301)
         for _ in range(12):
             op = plan_operation(rng, incr, doc_i, update_heavy=True)
@@ -188,6 +182,14 @@ class TestMaintenanceScaling:
             store.close()
         assert statements[0] == statements[1]
 
+    #: minidb rows (read, written) of the indexed insert below: the
+    #: unindexed insert's (Global's reads 9, the others' 4) plus what
+    #: the index adds, 6 read and 2 written on every encoding.
+    INDEXED_INSERT_COST = {
+        "global": (15, 6), "local": (10, 5), "dewey": (10, 5),
+        "ordpath": (10, 5),
+    }
+
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
     def test_an_insert_costs_the_same_at_any_document_size(self, encoding):
         """One ``<b generated="1"/>`` appended under a paragraph reads
@@ -195,10 +197,8 @@ class TestMaintenanceScaling:
         index rewrites only the new element's row and the paragraph's,
         which stops being a leaf.  (When every element kept its full
         string-value, Dewey's insert read 97 rows at 1,000 nodes and
-        931 at 16,000.)  Global's own append reads the rows after the
-        paragraph, index or not (``MIN(pos)`` over the tail), so there
-        the rows the index adds to the unindexed insert must hold
-        still."""
+        931 at 16,000.)  Global's append probes for the first row after
+        the insertion point and stops there, at any document size."""
         costs = {}
         for size in (1000, 16000):
             document = sized_article_corpus(size)
@@ -221,15 +221,50 @@ class TestMaintenanceScaling:
                     stats.rows_written - before[1],
                 )
                 store.close()
-        added = {
-            size: tuple(
-                a - b for a, b in zip(costs[size, True], costs[size, False])
-            )
-            for size in (1000, 16000)
-        }
-        assert added[1000] == added[16000], costs
-        if encoding != "global":
-            assert costs[1000, True] == costs[16000, True], costs
+        assert costs[1000, False] == costs[16000, False], costs
+        assert costs[1000, True] == costs[16000, True], costs
+        assert costs[16000, True] == self.INDEXED_INSERT_COST[encoding]
+
+    #: Statements an index adds to one write: the parent's stored path,
+    #: the new rows, and the read and repair of the parent's value; a
+    #: rename reads its subtree back and deletes its old rows instead
+    #: of touching the parent's value.  No write reads or extends a
+    #: table of paths.
+    INDEX_STATEMENTS = {"leaf": 4, "subtree": 4, "rename": 5}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    def test_the_statements_an_index_adds_to_a_write(
+        self, backend, encoding
+    ):
+        document = sized_article_corpus(300)
+        added = {}
+        for op, fragment in (
+            ("leaf", "<b/>"), ("subtree", "<b><i>x</i><i>y</i></b>"),
+            ("rename", None),
+        ):
+            statements = []
+            for indexed in (False, True):
+                store = XmlStore(backend=backend, encoding=encoding)
+                doc = store.load(document)
+                if indexed:
+                    store.indexes.create(doc)
+                (para,) = store.query(
+                    "/journal/article[1]/section[1]/para[1]", doc
+                )
+                position = len(store.fetch_children(doc, para.node_id))
+                with counters() as count:
+                    if fragment is None:
+                        store.updates.rename(doc, para.node_id, "note")
+                    else:
+                        store.updates.insert(
+                            doc, para.node_id, position, fragment
+                        )
+                    statements.append(count("backend.statements"))
+                    assert count("index.fallback_rebuild") == 0
+                store.close()
+            added[op] = statements[1] - statements[0]
+        assert added == self.INDEX_STATEMENTS
 
     @pytest.mark.parametrize("encoding", ("dewey", "local"))
     def test_no_write_reads_the_whole_document(self, encoding):
@@ -299,7 +334,7 @@ class TestFreshRows:
         compound(eager, doc_e)
         eager.indexes.create(doc_e)
         assert audit_document(incr, doc_i) == []
-        assert index_tables(incr, doc_i) == index_tables(eager, doc_e)
+        assert index_rows(incr, doc_i) == index_rows(eager, doc_e)
         incr.close()
         eager.close()
 
@@ -338,7 +373,7 @@ class TestFreshRows:
             step(eager, doc_e)
         eager.indexes.create(doc_e)
         assert audit_document(incr, doc_i) == []
-        assert index_tables(incr, doc_i) == index_tables(eager, doc_e)
+        assert index_rows(incr, doc_i) == index_rows(eager, doc_e)
         incr.close()
         eager.close()
 
@@ -377,7 +412,7 @@ class TestOneMaintenancePath:
         eager.updates.delete(doc_e, target["id"])
         eager.indexes.create(doc_e)
         assert audit_document(incr, doc_i) == []
-        assert index_tables(incr, doc_i) == index_tables(eager, doc_e)
+        assert index_rows(incr, doc_i) == index_rows(eager, doc_e)
         incr.close()
         eager.close()
 

@@ -126,7 +126,7 @@ def test_statistics_work_does_not_grow_with_the_store():
     # ANALYZE that used to follow every load ran 64 times.
     assert None not in analyzed
     assert set(analyzed) == {
-        "node_dewey", "attr_dewey", "idx_sval", "idx_paths",
+        "node_dewey", "attr_dewey", "idx_sval",
     }
     assert max(analyzed.values()) <= 7, analyzed
 

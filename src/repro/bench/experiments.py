@@ -1088,8 +1088,8 @@ def run_e18_indexing(products: int = 240) -> ExperimentTable:
 
     An update-heavy phase then bursts structural updates (text
     rewrites plus subtree inserts) at two indexed twins — one left to
-    the maintenance every update performs (repair from the op's
-    touched set), the other rebuilding every index row with an
+    the maintenance every update performs (each write repairs the
+    rows it changed), the other rebuilding every index row with an
     explicit ``indexes.create`` after every op — counting the rows each
     writes and comparing their index rows afterwards (a divergence
     counts into the mismatches column).

@@ -110,7 +110,7 @@ EXPECTED_SHAPES = {
            "value index instead of probing it once per candidate.  The "
            "win is largest for Local (whose unindexed descents walk "
            "every subtree under the context set).  On the "
-           "update-heavy burst, maintenance from the touched set writes "
+           "update-heavy burst, the repair each write makes writes "
            "at least 2x fewer rows than rebuilding the index after every "
            "op while leaving identical index tables — repair cost "
            "tracks the touched rows, not the document.",

@@ -108,12 +108,12 @@ class FuzzConfig:
     #: The index twin: the store is indexed after load and the twin
     #: never is; the pool leans toward indexable shapes so the
     #: rewrites fire, and an update that rebuilds the index instead of
-    #: repairing it from its touched set fails the cell.
+    #: repairing the rows it changed fails the cell.
     index_twin: bool = False
     #: Update-heavy round mix: bias the op stream toward structural
     #: churn (subtree inserts, insert runs, deletes, text rewrites) and
     #: away from attribute tweaks — the mix that exercises incremental
-    #: index maintenance's touched-set repair and renumbering hardest.
+    #: index maintenance and renumbering hardest.
     update_heavy: bool = False
     #: Live-migration mode: once the stores are loaded, a background
     #: thread per store migrates its document to
@@ -207,7 +207,8 @@ class FuzzReport:
     #: that compares scan with scan proves nothing.
     index_plans: Optional[Counter] = None
     #: ``index_twin`` runs only: the indexed stores' maintenance passes,
-    #: ``repaired`` from the touched set or ``rebuilt`` — a hole in it.
+    #: one per insert, delete and rename, ``repaired`` in place or
+    #: ``rebuilt`` — a parent with no index row.
     maintenance: Counter = field(default_factory=Counter)
 
     def ok(self) -> bool:
@@ -812,7 +813,7 @@ def _run_cell(
                 maintained = _maintenance() - maintained
                 report.maintenance.update(maintained)
                 if maintained["rebuilt"]:
-                    # Only a hole in the touched set rebuilds.
+                    # Only a parent with no index row rebuilds.
                     return failed(
                         backend, encoding, op_index, last_describe,
                         "index-rebuild", "index maintenance rebuilt the "

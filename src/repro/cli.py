@@ -102,6 +102,30 @@ def _resolve_doc(store: XmlStore, doc: Optional[int]) -> int:
     return documents[-1].doc
 
 
+def _read_counters(path: Optional[str]) -> dict:
+    """The counters an advisor decides from: the JSON metrics snapshot
+    at *path* (as ``repro stats --json`` writes it), or without one
+    this process's own, which a fresh ``repro`` process has none of."""
+    if path is None:
+        from repro.obs import METRICS
+
+        return METRICS.snapshot()
+    import json
+
+    try:
+        counters = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ReproError(
+            f"cannot read counters from '{path}': {exc}"
+        ) from exc
+    if not isinstance(counters, dict):
+        raise ReproError(
+            f"cannot read counters from '{path}': expected a JSON "
+            f"object, found {type(counters).__name__}"
+        )
+    return counters
+
+
 # -- commands ---------------------------------------------------------------
 
 
@@ -234,17 +258,9 @@ def cmd_migrate(args: argparse.Namespace) -> int:
     doc = _resolve_doc(store, args.doc)
     target = args.to
     if target is None:
-        import json as json_module
-
-        from repro.obs import METRICS
-
-        if args.counters:
-            counters = json_module.loads(Path(args.counters).read_text())
-        else:
-            counters = METRICS.snapshot()
-        advisor = MigrationAdvisor()
-        current = store.encoding_for(doc).name
-        recommendation = advisor.decide(counters, current)
+        recommendation = MigrationAdvisor().decide(
+            _read_counters(args.counters), store.encoding_for(doc).name
+        )
         arrow = (
             f" -> {recommendation.target}" if recommendation.target else ""
         )
@@ -299,12 +315,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         return 0
 
     if args.advise or args.auto:
-        from repro.obs import METRICS
-
-        if args.counters:
-            counters = json_module.loads(Path(args.counters).read_text())
-        else:
-            counters = METRICS.snapshot()
+        counters = _read_counters(args.counters)
         unindexed = [
             d.doc for d in store.documents()
             if not store.indexes.exists(d.doc)
@@ -881,8 +892,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "it")
     p.add_argument("--counters", default=None,
                    help="JSON metrics snapshot for the advisor (as "
-                        "written by 'repro stats --json'); default: "
-                        "this process's live counters")
+                        "written by 'repro stats --json'); without "
+                        "it the advisor sees only this process's own "
+                        "counters, and a fresh repro process has "
+                        "none, so it holds")
     p.add_argument("--json", action="store_true",
                    help="machine-readable --stats output")
     p.set_defaults(func=cmd_index)
@@ -903,8 +916,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="migrate when the advisor recommends it")
     p.add_argument("--counters", default=None,
                    help="JSON metrics snapshot for the advisor (as "
-                        "written by 'repro stats --json'); default: "
-                        "this process's live counters")
+                        "written by 'repro stats --json'); without "
+                        "it the advisor sees only this process's own "
+                        "counters, and a fresh repro process has "
+                        "none, so it holds")
     p.set_defaults(func=cmd_migrate)
 
     p = sub.add_parser(

@@ -15,20 +15,24 @@ data value" of the paper:
   whose careted components let an insert go between two siblings
   without relabelling either).
 
-``value`` materialises an element's *direct text value*: the concatenation
-of its immediate text children.  This is the column SQL translations
-compare against in value predicates; the workloads only compare fields with
-simple content, where the direct text value equals the XPath string-value
-(see DESIGN.md).
+``value`` holds a text, comment or processing-instruction node's content,
+and materialises an element's *direct text value*: the concatenation of
+its immediate text children, kept by every insert and delete of a text
+child.  A value predicate on a text node compares it; one on an element
+compares the element's XPath string-value, which the translator
+aggregates from its descendant text nodes
+(:class:`~repro.core.relalg.StringValueAgg`), since mixed content makes
+the two differ.  An element with no element child has no such content:
+its ``value`` is its string-value, the text its value-index row keeps
+(see :func:`index_table`).
 
 Every node table has one *child index*, ``(doc, parent, tag, <order>)``:
 a child or sibling step that names a tag probes all of it and reads its
 rows in sibling order, so a positional pick reads k rows; ``*``,
 ``text()``, ``node()`` and the sibling shifts of an update use its
-``(doc, parent)`` prefix.  Older builds kept a ``(doc, parent,
-<order>)`` index under another name; the child index has a name of its
-own, so opening such a file builds it.  The old index stays and is
-maintained like any other; a plan that still picks it answers the same.
+``(doc, parent)`` prefix.  It replaced an older build's ``(doc, parent,
+<order>)`` index; a file that has that index predates the catalogue's
+``gap`` column too, so it is refused when it opens.
 
 A small ``documents`` catalogue row per stored document records the name,
 node count, next free surrogate id, order encoding, whether the

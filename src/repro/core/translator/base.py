@@ -624,7 +624,9 @@ class SqlTranslator:
         scalar on their stored rooted path against a pattern derived
         from the steps, and a join against the node table by id
         re-projects the ordinary node columns — result rows are
-        identical to the scan plan's.
+        identical to the scan plan's.  No row can repeat (one index row
+        per element, joined to the node table by id), so unlike the
+        scan's the select is not ``DISTINCT``.
         """
         eligible = self._path_index_pattern(path)
         if eligible is None:
@@ -635,7 +637,6 @@ class SqlTranslator:
         pattern, tag = eligible
         t = _Translation(self)
         builder = SelectBuilder()
-        builder.distinct = True
         m = t.aliases.next()
         n = t.aliases.next()
         builder.add_from("idx_sval", m)

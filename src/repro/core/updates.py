@@ -30,13 +30,14 @@ siblings.  No routine reads rows to write them back one by one.
 
 Every operation returns an :class:`UpdateReport` with the number of rows
 inserted, deleted, and *relabeled* — the engine-independent cost the
-benchmarks chart alongside wall-clock time.
+benchmarks chart alongside wall-clock time.  On an indexed document each
+insert, delete and rename also repairs its own index rows, in its own
+transaction.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.core.encodings import (
@@ -58,20 +59,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class UpdateReport:
-    """Cost accounting for one update operation.
-
-    Beyond the row counts, a report carries the *touched set* the
-    secondary-index layer maintains itself from: ids whose ``idx_sval``
-    rows must go away, the rows of each inserted subtree as they were
-    written (``(id, parent, kind, tag, value)`` in document order, so
-    nothing reads them back), the roots of renamed subtrees, whose
-    rows must be read back and reshredded, and the *string-value
-    anchors*: parents whose own text or element children the
-    operation changed, whose own index row (a leaf's text, NULL for an
-    element with an element child) is re-derived.  No other element's
-    index row depends on the operation.
-    Relabels are deliberately absent from the touched set — index rows
-    carry no order columns, so a renumber never invalidates them.
+    """Cost accounting for one update operation: the rows it inserted,
+    deleted and relabeled, and the direct-text values it rewrote.  The
+    index is not its business: each primitive write repairs its own
+    index rows where it writes (see
+    :meth:`repro.index.manager.IndexManager.repair_in_transaction`).
     """
 
     inserted: int = 0
@@ -79,11 +71,6 @@ class UpdateReport:
     relabeled: int = 0
     value_updates: int = 0  # direct-text maintenance on the parent
     new_root_id: Optional[int] = None
-    # Touched-set accounting for incremental index maintenance.
-    removed_ids: list = field(default_factory=list)
-    inserted_subtrees: list = field(default_factory=list)
-    reshred_roots: list = field(default_factory=list)
-    sval_anchors: list = field(default_factory=list)
 
     def rows_touched(self) -> int:
         return (
@@ -99,10 +86,12 @@ class UpdateReport:
         self.deleted += other.deleted
         self.relabeled += other.relabeled
         self.value_updates += other.value_updates
-        self.removed_ids.extend(other.removed_ids)
-        self.inserted_subtrees.extend(other.inserted_subtrees)
-        self.reshred_roots.extend(other.reshred_roots)
-        self.sval_anchors.extend(other.sval_anchors)
+
+
+def _element_ids(rows: list[tuple]) -> list[int]:
+    """The ids of the elements among ``(id, parent, kind, tag, value)``
+    rows: the nodes that have index rows."""
+    return [row[0] for row in rows if row[2] == KIND_ELEMENT]
 
 
 def _require_id(node_id: object) -> None:
@@ -120,12 +109,6 @@ class UpdateManager:
 
     def __init__(self, store: "XmlStore") -> None:
         self.store = store
-        # Per-thread nesting depth of public operations, tracked on the
-        # thread that executes the transaction body.  Only the
-        # outermost operation maintains the index: compound
-        # ops like set_text hand it one touched set, not one per
-        # internal delete+insert step.
-        self._tls = threading.local()
 
     def _record(self, op: str, report: UpdateReport) -> UpdateReport:
         """Account one finished operation in the metrics registry."""
@@ -141,44 +124,21 @@ class UpdateManager:
     def _tracked(
         self, doc: int, body: Callable[[DocumentInfo], UpdateReport]
     ) -> UpdateReport:
-        """Run *body* inside the transaction, then — when this is the
-        outermost public operation — maintain the document's index
-        from the report *body* returns.
+        """Run *body* inside the transaction.
 
         *body* is handed the document's catalogue entry: the one
         catalogue read of the operation, from which it resolves the
-        encoding (a migration serializes against this transaction, so
-        the entry holds until it ends).  Index maintenance is handed
-        the same entry and encoding, and reads the catalogue no more.
-        A nested operation reads again; the enclosing one has moved
-        the counts.
+        encoding and learns whether the document is indexed (a
+        migration serializes against this transaction, so the entry
+        holds until it ends).  A nested operation reads again; the
+        enclosing one has moved the counts.
 
-        Runs on the thread that executes the transaction.  Every
-        operation, nested or not, declares *doc* in the transaction's
-        write set, which is what the commit invalidates cache entries
-        by.
+        Every operation, nested or not, declares *doc* in the
+        transaction's write set, which is what the commit invalidates
+        cache entries by.
         """
         self.store.note_write(doc)
-        info = self.store.document_info(doc)
-        tls = self._tls
-        depth = getattr(tls, "depth", 0)
-        tls.depth = depth + 1
-        try:
-            report = body(info)
-        finally:
-            tls.depth = depth
-        if depth == 0:
-            # Secondary-index maintenance rides the same transaction as
-            # the update itself: a crash rolls both back together, so
-            # the index can never be observed out of step with the node
-            # tables.  No-op for unindexed documents.  The outermost
-            # report carries the update's touched set, which lets the
-            # index layer repair only the affected rows instead of
-            # rebuilding the document.
-            self.store.indexes.maintain_in_transaction(
-                info, ENCODINGS[info.encoding], report
-            )
-        return report
+        return body(self.store.document_info(doc))
 
     # -- public operations -------------------------------------------------
 
@@ -262,17 +222,12 @@ class UpdateManager:
                 doc, parent_id, enc
             )
 
-        # Touched set: the new subtree needs index rows — the rows just
-        # written are its rows — and a parent with no element child
-        # so far has new own text or its first element child, so its
-        # index row changes.  Nothing above it does.
-        report.inserted_subtrees.append(rows)
-        if parent_id != 0 and shredded.nodes[0].kind in (
-            KIND_ELEMENT, KIND_TEXT
-        ) and not any(
-            child["kind"] == KIND_ELEMENT for child in children
-        ):
-            report.sval_anchors.append(parent_id)
+        # The rows just written are the new subtree's; the parent's
+        # own index row may change with them, nothing above it.
+        if info.indexed:
+            self.store.indexes.repair_in_transaction(
+                info, enc, parent_id, added=rows
+            )
 
         self.store.update_document_info(replace(
             info,
@@ -323,18 +278,23 @@ class UpdateManager:
 
         def rename_in_transaction(info) -> UpdateReport:
             enc = ENCODINGS[info.encoding]
-            self._require_element(doc, element_id, enc)
+            row = self._require_element(doc, element_id, enc)
             self.store.backend.execute(
                 f"UPDATE {enc.node_table.name} "
                 f"SET tag = ? WHERE doc = ? AND id = ?",
                 (tag, doc, element_id),
             )
-            report = UpdateReport(value_updates=1)
-            # The tag is part of every descendant's rooted path, so the
-            # whole subtree's index rows must be reshredded.  No text
-            # and no element child changes — no sval anchor.
-            report.reshred_roots.append(element_id)
-            return report
+            if info.indexed:
+                # The tag is part of every descendant's rooted path, so
+                # the whole subtree's index rows are rewritten.
+                rows = ordered_rows(
+                    self.store, doc, {**row, "tag": tag}, enc
+                )
+                self.store.indexes.repair_in_transaction(
+                    info, enc, row["parent"],
+                    removed=_element_ids(rows), added=rows,
+                )
+            return UpdateReport(value_updates=1)
 
         with span("update.rename"):
             report = self.store.transactionally(
@@ -381,8 +341,9 @@ class UpdateManager:
 
     def _require_element(
         self, doc: int, element_id: int, enc: OrderEncoding
-    ) -> None:
-        """Raise :class:`UpdateError` unless *element_id* is an element.
+    ) -> dict:
+        """*element_id*'s node row; :class:`UpdateError` unless it is an
+        element.
 
         Called inside the transaction, with the encoding its catalogue
         read names: a lookup before it could read a table a migration
@@ -393,6 +354,7 @@ class UpdateManager:
             raise UpdateError(f"no node {element_id} in document {doc}")
         if row["kind"] != KIND_ELEMENT:
             raise UpdateError(f"node {element_id} is not an element")
+        return row
 
     def delete(self, doc: int, node_id: int) -> UpdateReport:
         """Delete the subtree rooted at *node_id*."""
@@ -404,25 +366,23 @@ class UpdateManager:
             if target is None:
                 raise UpdateError(f"no node {node_id} in document {doc}")
             parent_id = target["parent"]
-            was_text = target["kind"] == KIND_TEXT
-            subtree_ids = self._subtree_ids(doc, target, enc)
+            subtree = ordered_rows(self.store, doc, target, enc)
+            subtree_ids = [row[0] for row in subtree]
             self._delete_attributes(doc, subtree_ids, enc)
             deleted = self._delete_rows(doc, target, subtree_ids, enc)
 
             report = UpdateReport(deleted=deleted)
-            if was_text and parent_id != 0:
+            if target["kind"] == KIND_TEXT and parent_id != 0:
                 report.value_updates += self._refresh_direct_text(
                     doc, parent_id, enc
                 )
-
-            # Touched set: every row of the subtree loses its index
-            # rows, and the former parent may have lost own text or its
-            # last element child.
-            report.removed_ids.extend(subtree_ids)
-            if parent_id != 0 and target["kind"] in (
-                KIND_ELEMENT, KIND_TEXT
-            ):
-                report.sval_anchors.append(parent_id)
+            if info.indexed:
+                # The subtree's elements lose their rows; the former
+                # parent may have lost own text or its last element
+                # child.
+                self.store.indexes.repair_in_transaction(
+                    info, enc, parent_id, removed=_element_ids(subtree)
+                )
 
             self.store.update_document_info(
                 replace(info, node_count=info.node_count - deleted)
@@ -774,12 +734,6 @@ class UpdateManager:
         return order_values, relabeled
 
     # -- deletion -------------------------------------------------------------------------
-
-    def _subtree_ids(
-        self, doc: int, row: dict, enc: Optional[OrderEncoding] = None
-    ) -> list[int]:
-        """Ids of the node and all its descendants."""
-        return [r[0] for r in ordered_rows(self.store, doc, row, enc)]
 
     def _delete_attributes(
         self, doc: int, ids: list[int], enc: OrderEncoding

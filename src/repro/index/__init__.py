@@ -10,11 +10,12 @@ Two index families (see DESIGN.md, "Indexing"):
 An index is used when it exists: ``IndexManager.create(doc)`` builds
 one, ``drop(doc)`` removes it, and every eligible fragment of a query
 over an indexed document probes it — an indexed and an unindexed store
-must answer every query byte-identically.  Updates repair an existing
-index from their touched set, and rebuild it only when the touched set
-has a hole; either way the rows come from one producer and are checked
-by the invariant auditor (:mod:`repro.check.invariants`), which derives
-them independently.
+must answer every query byte-identically.  Each insert, delete and
+rename repairs the index rows it changed where it writes, and only a
+corrupt index (a parent with no row) is rebuilt instead; either way
+the rows come from one producer and are checked by the invariant
+auditor (:mod:`repro.check.invariants`), which derives them
+independently.
 """
 
 from repro.index.advisor import IndexAdvisor, IndexRecommendation

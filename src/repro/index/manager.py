@@ -27,26 +27,24 @@ document's size.  Nothing else selects it.
 Every index row has one producer, :meth:`IndexManager._index_rows`,
 which reads a forest of node rows, in document order, under the stored
 path of its parent.  ``create`` (and :meth:`IndexManager._rebuild_rows`
-generally) hands it the whole document; maintenance hands it one
-inserted or renamed subtree at a time: each update operation passes
-its touched set (removed ids, the rows of inserted subtrees as written,
-renamed subtree roots, the parents whose own text or element
-children changed — see :class:`repro.core.updates.UpdateReport`) down
-into the same transaction, and only those rows are repaired, in a
-fixed handful of statements.  No row holds text of another element, so
-a write rewrites nothing above the parent it wrote under: its cost is
-independent of the document's depth and of its text.  Index rows
-carry no order columns, so renumbering never invalidates them.  Only
-an update whose touched set has a hole — it cannot account exactly
-for what it touched — rebuilds instead.  A row is a function of its
-element's place in the document alone, so piecewise repair and a full
-rebuild produce byte-identical tables.
+generally) hands it the whole document; maintenance hands it what one
+primitive write changed.  Each insert, delete and rename of an indexed
+document calls :meth:`IndexManager.repair_in_transaction` inside its
+own transaction with the rows it wrote, the elements it removed or the
+subtree it renamed: those rows and the parent's own row are all a
+write can change, because no row holds text of another element.  Its
+cost is a fixed handful of statements, independent of the document's
+depth and of its text.  Index rows carry no order columns, so
+renumbering never invalidates them, and attributes are not indexed.
+Only a parent with no index row — a corrupt index — rebuilds instead.
+A row is a function of its element's place in the document alone, so
+piecewise repair and a full rebuild produce byte-identical tables.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.numeric import xpath_number_value
 from repro.core.reconstruct import ordered_rows, row_events
@@ -56,7 +54,6 @@ from repro.xmldom.parser import END, START
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.encodings import OrderEncoding
-    from repro.core.updates import UpdateReport
     from repro.store import XmlStore
 
 
@@ -116,37 +113,76 @@ class IndexManager:
 
     # -- in-transaction maintenance ---------------------------------------
 
-    def maintain_in_transaction(
-        self, info, encoding: "OrderEncoding", report: "UpdateReport"
+    def repair_in_transaction(
+        self, info, encoding: "OrderEncoding", parent_id: int,
+        removed: Sequence[int] = (), added: Sequence[tuple] = (),
     ) -> None:
-        """Bring the index rows of the document *info* describes up to
-        date after an update.  *info* is the update's own catalogue
-        read — it says whether there are any — and *encoding* the
-        encoding the update resolved from it: maintenance reads the
-        catalogue no more.
+        """Repair the index rows one primitive write under *parent_id*
+        changed, inside the write's own transaction (so a crash rolls
+        node and index rows back together).  *info* is the write's
+        catalogue read and *encoding* the encoding it resolved.
 
-        Runs inside the update's own transaction (called from the
-        update manager's outermost tracked scope), so the index can
-        never be observed out of step with the node tables: a crash
-        rolls both back together.
+        *removed* are the ids of the elements whose rows go — a deleted
+        subtree's, or a renamed one's — and *added* the ``(id, parent,
+        kind, tag, value)`` rows of the forest whose rows come (see
+        :meth:`_index_rows`): an inserted subtree as the write wrote it,
+        or a renamed one read back.  Besides those, only the parent's
+        own row can change: whether it is a leaf, and its text.  One
+        read serves both: the parent's stored row, beside its node
+        row's ``value`` and a probe for an element child, gives the
+        path the new rows hang under and re-derives the parent's row,
+        which is written if it differs.  No row holds text of another
+        element, so nothing above the parent is touched, whatever the
+        document's depth or text.
 
-        *report* is the outermost operation's
-        :class:`~repro.core.updates.UpdateReport` carrying the touched
-        set, and only the affected rows are repaired
-        (``index.incremental``).  A touched set with a hole (see
-        :meth:`_apply_delta_in_transaction`) rebuilds the document's
-        rows instead (``index.fallback_rebuild``).  A zero-row no-op
-        (removing an absent attribute, an empty batch entry) skips
-        maintenance entirely.
+        A parent with no index row is a hole only a corrupt index has:
+        the document's rows are rebuilt instead
+        (``index.fallback_rebuild``), replacing everything.
         """
-        if report.rows_touched() == 0 or not info.indexed:
-            return
-        if self._apply_delta_in_transaction(info, encoding, report):
-            METRICS.inc("index.incremental")
-        else:
-            METRICS.inc("index.fallback_rebuild")
-            self._rebuild_rows(info.doc, encoding)
+        doc = info.doc
+        backend = self.store.backend
         METRICS.inc("index.maintained")
+        parent_path, parent_row = "", None
+        if parent_id != 0:
+            table = encoding.node_table.name
+            found = backend.execute(
+                f"SELECT s.path, s.leaf_text, s.nval, p.value, "
+                f"EXISTS (SELECT 1 FROM {table} c WHERE c.doc = p.doc "
+                f"AND c.parent = p.id AND c.kind = ?) "
+                f"FROM idx_sval s, {table} p "
+                f"WHERE s.doc = ? AND s.id = ? AND p.doc = s.doc "
+                f"AND p.id = s.id",
+                (KIND_ELEMENT, doc, parent_id),
+            ).rows
+            if not found:
+                METRICS.inc("index.fallback_rebuild")
+                self._rebuild_rows(doc, encoding)
+                return
+            parent_path, *stored, value, composite = found[0]
+            text = None if composite else value or ""
+            row = [text, xpath_number_value(text)]
+            if row != stored:
+                parent_row = row
+        METRICS.inc("index.incremental")
+
+        deleted = sum(
+            backend.execute(sql, params).rowcount
+            for sql, params in self.store.in_batches(
+                "DELETE FROM idx_sval WHERE doc = ?", "id", removed, (doc,)
+            )
+        )
+        produced = self._index_rows(doc, added, parent_path)
+        self._insert_rows(produced)
+        if parent_row is not None:
+            backend.execute(
+                "UPDATE idx_sval SET leaf_text = ?, nval = ? "
+                "WHERE doc = ? AND id = ?",
+                (*parent_row, doc, parent_id),
+            )
+        METRICS.inc(
+            "index.row_writes",
+            deleted + len(produced) + (parent_row is not None),
+        )
 
     # -- CLI / reporting ---------------------------------------------------
 
@@ -173,7 +209,7 @@ class IndexManager:
 
     @staticmethod
     def _index_rows(
-        doc: int, rows: list[tuple], parent_path: str
+        doc: int, rows: Sequence[tuple], parent_path: str
     ) -> list[tuple]:
         """The one producer of index rows: the ``idx_sval`` rows of a
         forest, one per element.
@@ -242,151 +278,3 @@ class IndexManager:
             self.store.backend.executemany(
                 "INSERT INTO idx_sval VALUES (?, ?, ?, ?, ?, ?, ?)", rows
             )
-
-    # -- incremental maintenance -------------------------------------------
-
-    def _apply_delta_in_transaction(
-        self, info, encoding: "OrderEncoding", report: "UpdateReport"
-    ) -> bool:
-        """Repair the index rows of *info*'s document from an update's
-        touched set, in a handful of statements whatever the
-        document's depth or text or the fragment's shape:
-
-        (a) one ``DELETE`` for the removed and renamed ids — ids this
-            operation minted have no index rows yet;
-        (b) each inserted subtree's rows as the update wrote them, and
-            each renamed subtree read back, through :meth:`_index_rows`
-            under its parent's stored path, then one ``executemany``;
-        (c) the rows of the anchors (see :meth:`_anchor_rows`) whose
-            own text or element-childness the operation changed,
-            written by one ``executemany``.
-
-        Returns ``False`` when the touched set has a hole: a parent
-        whose path is not stored, an anchor with no index row, or
-        an inserted subtree a later step of the operation changed.  The
-        caller then rebuilds, which replaces everything this method may
-        already have written — bailing out is safe at any point.
-        """
-        doc = info.doc
-        removed = dict.fromkeys(report.removed_ids)
-
-        # Renamed subtrees are read back, skipping roots a later op in
-        # the same transaction deleted and roots nested inside an
-        # earlier root's subtree.
-        subtrees: list[list[tuple]] = []
-        covered: set[int] = set()
-        for root_id in dict.fromkeys(report.reshred_roots):
-            if root_id in covered or root_id in removed:
-                continue
-            root_row = self.store.fetch_node(doc, root_id, encoding)
-            if root_row is None:
-                continue
-            rows = ordered_rows(self.store, doc, root_row, encoding)
-            covered.update(row[0] for row in rows)
-            subtrees.append(rows)
-
-        # Inserted subtrees are taken as written.  One that a later op
-        # of the same operation deleted is skipped; one it changed
-        # inside (removed a node, renamed one, inserted under one) is a
-        # shape no public operation produces, and rebuilds.
-        inserted = report.inserted_subtrees
-        minted = {row[0] for rows in inserted for row in rows}
-        changed = {*removed, *report.reshred_roots}
-        changed.update(rows[0][1] for rows in inserted)
-        for rows in inserted:
-            if rows[0][0] in removed or rows[0][0] in covered:
-                continue
-            if any(row[0] in changed for row in rows):
-                return False
-            subtrees.append(rows)
-
-        # (a) Drop the stale rows.
-        stale_ids = [
-            node_id for node_id in (*removed, *covered)
-            if node_id not in minted
-        ]
-        deleted = sum(
-            self.store.backend.execute(sql, params).rowcount
-            for sql, params in self.store.in_batches(
-                "DELETE FROM idx_sval WHERE doc = ?", "id", stale_ids, (doc,)
-            )
-        )
-
-        # (b) Shred the new subtrees.
-        produced: list[tuple] = []
-        if subtrees:
-            # The parents' stored paths, "" for the document node.
-            parent_paths: dict[int, str] = {0: ""}
-            for sql, params in self.store.in_batches(
-                "SELECT id, path FROM idx_sval WHERE doc = ?",
-                "id", {rows[0][1] for rows in subtrees} - {0}, (doc,),
-            ):
-                parent_paths.update(self.store.backend.execute(
-                    sql, params
-                ).rows)
-            for rows in subtrees:
-                parent_path = parent_paths.get(rows[0][1])
-                if parent_path is None:
-                    return False
-                produced += self._index_rows(doc, rows, parent_path)
-            self._insert_rows(produced)
-
-        # (c) Re-derive the rows of the anchors that are still there
-        # and were not just shredded.
-        repaired = self._anchor_rows(doc, encoding, [
-            node_id for node_id in dict.fromkeys(report.sval_anchors)
-            if node_id not in removed and node_id not in covered
-        ])
-        if repaired is None:
-            return False
-        if repaired:
-            self.store.backend.executemany(
-                "UPDATE idx_sval SET leaf_text = ?, nval = ? "
-                "WHERE doc = ? AND id = ?",
-                repaired,
-            )
-
-        METRICS.inc(
-            "index.row_writes",
-            deleted + len(produced) + len(repaired),
-        )
-        return True
-
-    def _anchor_rows(
-        self, doc: int, encoding: "OrderEncoding", anchors: list[int]
-    ) -> Optional[list[tuple]]:
-        """``(leaf_text, nval, doc, id)`` for each of *anchors* whose
-        stored ``idx_sval`` row no longer says what its node row
-        implies: its own text if it has no element child, NULL if it
-        has one.
-
-        One read whatever the anchors' number or depth: each anchor's
-        stored row beside its node row, and whether an element child
-        exists (a probe of the child index that stops at the first).
-        ``None`` signals a bookkeeping hole — a live anchor with no
-        ``idx_sval`` row — which forces the rebuild.
-        """
-        if not anchors:
-            return []
-        table = encoding.node_table.name
-        found: set[int] = set()
-        repaired: list[tuple] = []
-        for sql, params in self.store.in_batches(
-            f"SELECT s.id, s.leaf_text, s.nval, p.value, "
-            f"EXISTS (SELECT 1 FROM {table} c WHERE c.doc = p.doc "
-            f"AND c.parent = p.id AND c.kind = ?) "
-            f"FROM idx_sval s, {table} p "
-            f"WHERE s.doc = ? AND p.doc = s.doc AND p.id = s.id",
-            "s.id", anchors, (KIND_ELEMENT, doc),
-        ):
-            for node_id, *stored, value, composite in (
-                self.store.backend.execute(sql, params).rows
-            ):
-                found.add(node_id)
-                text = None if composite else value or ""
-                row = [text, xpath_number_value(text)]
-                if row != stored:
-                    repaired.append((*row, doc, node_id))
-        if len(found) < len(anchors):
-            return None
-        return repaired

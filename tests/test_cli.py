@@ -387,6 +387,37 @@ class TestIndexCommand:
         assert run(["check", "--db", db]) == 0
 
 
+class TestCountersFile:
+    """``--counters`` names a JSON object; anything else is a typed
+    error, on both commands that read one."""
+
+    @pytest.mark.parametrize("command", (
+        ["index", "--advise"], ["migrate", "--advise"],
+    ))
+    @pytest.mark.parametrize("case", (
+        "not-json", "array", "directory", "missing",
+    ))
+    def test_an_unreadable_counters_file_is_an_error(
+        self, bib_file, db, tmp_path, capsys, command, case
+    ):
+        run(["load", bib_file, "--db", db])
+        path = tmp_path / "c.json"
+        if case == "not-json":
+            path.write_text("counters, not JSON")
+        elif case == "array":
+            path.write_text("[1, 2]")
+        elif case == "directory":
+            path.mkdir()
+        capsys.readouterr()
+        assert run([*command, "--db", db, "--counters", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot read counters from '{path}': ")
+        if case == "array":
+            assert line.endswith("expected a JSON object, found list")
+
+
 class TestObservabilityCommands:
     def test_trace_prints_span_tree(self, bib_file, db, capsys):
         run(["load", bib_file, "--db", db])

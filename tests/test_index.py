@@ -440,12 +440,13 @@ class TestIndexTwinFuzzMatrix:
         # line (what ``repro fuzz --index-twin`` prints) says so.
         assert report.index_plans["path-index"] > 0
         assert report.index_plans["value-index"] > 0
-        # And all 8 operations on all 8 indexed stores repaired the
-        # index.
+        # And on all 8 indexed stores, each of the 8 operations but
+        # the one that sets an attribute (no index row holds one)
+        # repaired the index.
         assert (
             f"index plans: path-index={report.index_plans['path-index']} "
             f"value-index={report.index_plans['value-index']}, "
-            "maintenance: repaired=64 rebuilt=0: OK"
+            "maintenance: repaired=56 rebuilt=0: OK"
         ) in report.summary()
         assert "index plans" not in run_fuzz(
             FuzzConfig(seeds=1, ops=0, encodings=("dewey",),

@@ -1,6 +1,7 @@
 """Incremental secondary-index maintenance.
 
-Four guards around the touched-set maintenance path:
+Each insert, delete and rename of an indexed document repairs its own
+index rows inside its transaction.  Guards around that repair:
 
 * **equivalence** — after every op of a seeded update script the
   maintained index must pass the invariant audit (which derives the
@@ -17,9 +18,10 @@ Four guards around the touched-set maintenance path:
   tables in fewer row writes than a rebuild, and the CI index-twin
   fuzz rebuilds nothing;
 * **fresh rows** — an inserted subtree's rows reach the index as the
-  update wrote them, inside compound operations and several operations
-  sharing one commit too;
-* **satellites** — zero-row no-op updates skip maintenance entirely.
+  update wrote them, and several operations sharing one commit each
+  repair their own;
+* **no-ops and holes** — zero-row no-op updates skip maintenance
+  entirely, and only a parent with no index row rebuilds.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from pathlib import Path
 
 import pytest
 
-from tests.conftest import ALL_ENCODINGS, BACKENDS, counters, statement_log
+from tests.conftest import ALL_ENCODINGS, BACKENDS, counters
 from repro.check import audit_document
 from repro.check.fuzz import apply_operation, plan_operation
 from repro.cli import main
-from repro.index.manager import IndexManager
+from repro.core.reconstruct import ordered_rows
 from repro.obs import METRICS
 from repro.store import XmlStore
 from repro.workload import catalog_corpus
@@ -128,7 +130,9 @@ class TestMaintenanceScaling:
             METRICS.enabled = was_enabled
             METRICS.reset()
         store.close()
-        assert counters["index.incremental"] == 1
+        # One repair per step: the delete of the old text, the insert
+        # of the new.
+        assert counters["index.incremental"] == 2
         assert counters.get("index.fallback_rebuild", 0) == 0
         return counters["index.row_writes"]
 
@@ -184,10 +188,10 @@ class TestMaintenanceScaling:
 
     #: minidb rows (read, written) of the indexed insert below: the
     #: unindexed insert's (Global's reads 9, the others' 4) plus what
-    #: the index adds, 6 read and 2 written on every encoding.
+    #: the index adds, 5 read and 2 written on every encoding.
     INDEXED_INSERT_COST = {
-        "global": (15, 6), "local": (10, 5), "dewey": (10, 5),
-        "ordpath": (10, 5),
+        "global": (14, 6), "local": (9, 5), "dewey": (9, 5),
+        "ordpath": (9, 5),
     }
 
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
@@ -225,12 +229,41 @@ class TestMaintenanceScaling:
         assert costs[1000, True] == costs[16000, True], costs
         assert costs[16000, True] == self.INDEXED_INSERT_COST[encoding]
 
-    #: Statements an index adds to one write: the parent's stored path,
-    #: the new rows, and the read and repair of the parent's value; a
-    #: rename reads its subtree back and deletes its old rows instead
-    #: of touching the parent's value.  No write reads or extends a
-    #: table of paths.
-    INDEX_STATEMENTS = {"leaf": 4, "subtree": 4, "rename": 5}
+    #: Statements an index adds to one write under a ``para`` leaf:
+    #: one read of the parent's stored row, the new rows, and the
+    #: parent's row, which changes (the ``para`` stops being a leaf, or
+    #: its text changes).  A delete of the ``para`` drops its row and
+    #: leaves its ``section`` parent's as it was; a rename reads its
+    #: subtree back and deletes its old rows first; a ``set_text`` is a
+    #: delete and an insert of text, each repairing its own rows.  No
+    #: write reads or extends a table of paths.
+    INDEX_STATEMENTS = {
+        "leaf": 3, "subtree": 3, "rename": 4, "delete": 2, "text": 2,
+        "set_text": 4,
+    }
+
+    #: Each write, given the store, the document, the ``para``'s id and
+    #: its number of children.
+    WRITES = {
+        "leaf": lambda store, doc, para, end: store.updates.insert(
+            doc, para, end, "<b/>"
+        ),
+        "subtree": lambda store, doc, para, end: store.updates.insert(
+            doc, para, end, "<b><i>x</i><i>y</i></b>"
+        ),
+        "rename": lambda store, doc, para, end: store.updates.rename(
+            doc, para, "note"
+        ),
+        "delete": lambda store, doc, para, end: store.updates.delete(
+            doc, para
+        ),
+        "text": lambda store, doc, para, end: store.updates.insert(
+            doc, para, end, "t"
+        ),
+        "set_text": lambda store, doc, para, end: store.updates.set_text(
+            doc, para, "t"
+        ),
+    }
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
@@ -239,10 +272,7 @@ class TestMaintenanceScaling:
     ):
         document = sized_article_corpus(300)
         added = {}
-        for op, fragment in (
-            ("leaf", "<b/>"), ("subtree", "<b><i>x</i><i>y</i></b>"),
-            ("rename", None),
-        ):
+        for op, write in self.WRITES.items():
             statements = []
             for indexed in (False, True):
                 store = XmlStore(backend=backend, encoding=encoding)
@@ -252,16 +282,13 @@ class TestMaintenanceScaling:
                 (para,) = store.query(
                     "/journal/article[1]/section[1]/para[1]", doc
                 )
-                position = len(store.fetch_children(doc, para.node_id))
+                end = len(store.fetch_children(doc, para.node_id))
                 with counters() as count:
-                    if fragment is None:
-                        store.updates.rename(doc, para.node_id, "note")
-                    else:
-                        store.updates.insert(
-                            doc, para.node_id, position, fragment
-                        )
+                    write(store, doc, para.node_id, end)
                     statements.append(count("backend.statements"))
                     assert count("index.fallback_rebuild") == 0
+                if indexed:
+                    assert audit_document(store, doc) == [], op
                 store.close()
             added[op] = statements[1] - statements[0]
         assert added == self.INDEX_STATEMENTS
@@ -296,7 +323,8 @@ class TestMaintenanceScaling:
 
 class TestFreshRows:
     """Inserted rows are indexed as they were written, never read back;
-    ids an operation minted have no index rows to delete."""
+    a later write in the same transaction repairs them like any
+    other rows."""
 
     #: 20 nodes, the root's children all elements.
     DOCUMENT = random_document(1, max_depth=4, max_children=3)
@@ -311,26 +339,21 @@ class TestFreshRows:
         parent = incr.fetch_children(doc_i, root)[0]["id"]
 
         def compound(store, doc):
-            # The shape of set_text: one outermost operation whose
-            # steps are public operations, maintained once at the end.
+            # Three public operations in one transaction: the first
+            # insert's subtree is gone before the commit.
             updates = store.updates
 
-            def body(_info):
-                report = updates.insert(doc, parent, 0, "<gone>a<b/></gone>")
-                report.absorb(updates.insert(doc, parent, 0, "<kept>c</kept>"))
-                report.absorb(updates.delete(doc, report.new_root_id))
-                return report
+            def body():
+                gone = updates.insert(doc, parent, 0, "<gone>a<b/></gone>")
+                updates.insert(doc, parent, 0, "<kept>c</kept>")
+                updates.delete(doc, gone.new_root_id)
 
-            return store.transactionally(
-                lambda: updates._tracked(doc, body)
-            )
+            store.transactionally(body)
 
-        log = statement_log(incr)
         with counters() as count:
             compound(incr, doc_i)
-            assert count("index.incremental") == 1
+            assert count("index.incremental") == 3
             assert count("index.fallback_rebuild") == 0
-        assert not [sql for sql in log if sql.startswith("DELETE FROM idx_")]
         compound(eager, doc_e)
         eager.indexes.create(doc_e)
         assert audit_document(incr, doc_i) == []
@@ -393,9 +416,9 @@ class TestOneMaintenancePath:
                 for child in incr.fetch_children(doc_i, root["id"])
                 if child["kind"] == "elem"
             ),
-            key=lambda child: len(incr.updates._subtree_ids(doc_i, child)),
+            key=lambda child: len(ordered_rows(incr, doc_i, child)),
         )
-        assert len(incr.updates._subtree_ids(doc_i, target)) == 17
+        assert len(ordered_rows(incr, doc_i, target)) == 17
 
         def elements() -> int:
             return incr.backend.execute(
@@ -419,8 +442,9 @@ class TestOneMaintenancePath:
     def test_the_ci_index_twin_fuzz_rebuilds_nothing(self, capsys):
         """The tier-1 CI step's seeds: all 210 updates of the 120
         operations (an insert run is ten inserts) on all eight indexed
-        stores repair the index (the check fails on any rebuild, and
-        the summary counts both)."""
+        stores repair the index, 223 repairs a store: a ``set_text``
+        repairs once for each of its steps (the check fails on any
+        rebuild, and the summary counts both)."""
         assert main([
             "fuzz", "--seeds", "3", "--ops", "40",
             "--backends", "sqlite,minidb", "--check-every", "5",
@@ -428,21 +452,27 @@ class TestOneMaintenancePath:
         ]) == 0
         (summary,) = capsys.readouterr().out.splitlines()
         assert summary.endswith(
-            "maintenance: repaired=1680 rebuilt=0: OK"
+            "maintenance: repaired=1784 rebuilt=0: OK"
         ), summary
 
     def test_no_rebuild_budget_and_no_second_table_return(self):
         """Maintenance has one path and the index one row per element:
-        no size budget routes an update to the rebuild, every update
-        hands maintenance a report, and no occurrence table stands
-        beside ``idx_sval``."""
+        no size budget routes an update to the rebuild, no touched set
+        rides on a report, no nesting depth picks the operation that
+        repairs, and no occurrence table stands beside ``idx_sval``."""
         src = Path(__file__).resolve().parents[1] / "src" / "repro"
         for path in sorted(src.rglob("*.py")):
             text = path.read_text(encoding="utf-8")
             for name in (
                 "idx_pathmap", "INCR_FALLBACK_FRACTION", "report is None",
+                "inserted_subtrees", "reshred_roots", "sval_anchors",
+                "_apply_delta_in_transaction",
             ):
                 assert name not in text, f"{path.name} names {name}"
+        # No nesting depth decides which operation repairs the index.
+        updates = (src / "core" / "updates.py").read_text(encoding="utf-8")
+        for name in ("_tls", "threading"):
+            assert name not in updates, f"updates.py names {name}"
 
 
 class TestSatelliteFixes:
@@ -480,24 +510,25 @@ class TestSatelliteFixes:
         assert real.get("index.fallback_rebuild", 0) == 0
         store.close()
 
-    def test_noop_update_skips_eager_rebuild_too(self, monkeypatch):
-        """With every touched set reported as having a hole a real
-        multi-row update rebuilds; the zero-row no-op still does
-        nothing at all."""
-        monkeypatch.setattr(
-            IndexManager, "_apply_delta_in_transaction",
-            lambda self, info, encoding, report: False,
-        )
+    def test_noop_update_skips_eager_rebuild_too(self):
+        """A parent with no index row is the one hole left, and only a
+        corrupt index has it: an insert under it rebuilds the
+        document's rows, after which the audit is clean; the zero-row
+        no-op still does nothing at all."""
         store, doc = self._indexed_catalog()
         catalog = store.fetch_children(doc, 0)[0]
         product = store.fetch_children(doc, catalog["id"])[0]
+        store.backend.execute(
+            "DELETE FROM idx_sval WHERE doc = ? AND id = ?",
+            (doc, product["id"]),
+        )
         was_enabled = METRICS.enabled
         METRICS.reset()
         METRICS.enabled = True
         try:
             store.updates.set_attribute(doc, catalog["id"], "nope", None)
             noop = METRICS.snapshot()["counters"]
-            store.updates.delete(doc, product["id"])
+            store.updates.insert(doc, product["id"], 0, "<x/>")
             real = METRICS.snapshot()["counters"]
         finally:
             METRICS.enabled = was_enabled

@@ -859,11 +859,7 @@ def run_e16_adaptive_migration(
     from repro.migrate import MigrationAdvisor, migrate_document
 
     document = article_corpus(articles=articles)
-    queries = [
-        q
-        for q in ORDERED_QUERIES + UNORDERED_QUERIES
-        if q.local_translatable
-    ]
+    queries = [*ORDERED_QUERIES, *UNORDERED_QUERIES]
     # The probe is carved out of the update-heavy phase: the advisor
     # needs one observed slice of the new regime before it can react,
     # and it pays for that slice at the old encoding's prices.

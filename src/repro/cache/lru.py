@@ -19,12 +19,13 @@ A :class:`StoreCache` holds four LRU layers:
   document is indexed.
 * **result** — materialized query results, keyed on
   ``(doc, xpath, context_id)``.
-* **keys** — Local's order keys, keyed on the doc id: one dict per
-  document, ``node id -> (anchor, lpos path from the anchor)``, to
-  which every client-order walk that fetched adds the nodes it
-  resolved (see ``XmlStore._order_keys``).  A put merges into the
-  document's dict rather than replacing it, so a read pays for the
-  keys it adds, not for the ones already kept.
+* **keys** — what Local's order keys are built from, keyed on the doc
+  id: one dict per document of its parent pointers, ``node id ->
+  (parent id, sibling order value)``, to which every client-order walk
+  that fetched adds its rows' and its fetched nodes' (see
+  ``XmlStore._order_keys``).  A put merges into the document's dict
+  rather than replacing it, so a read pays for the pointers it adds,
+  not for the ones already kept.
 
 Catalog, result and keys entries belong to one document each, and are
 invalidated **per document** under this protocol:
@@ -63,7 +64,7 @@ store checks ``_in_own_transaction()`` before every lookup/insert), so
 uncommitted state is never cached and update-internal catalogue reads
 stay fresh.  The keys layer is also bypassed by a read scope that lets
 writers commit beside it (a file): its snapshot may be older than the
-kept keys.
+kept pointers.
 """
 
 from __future__ import annotations
@@ -302,14 +303,16 @@ class StoreCache:
         return self._put(self._result, key, value, observed_epoch)
 
     def get_keys(self, doc: int) -> Optional[dict]:
-        """*doc*'s kept order keys: the live dict, which later puts
-        extend in place.  Read it, never write it, inside a read scope
-        that holds writers off (in memory one scope runs at a time)."""
+        """*doc*'s kept parent pointers: the live dict, which later
+        puts extend in place.  Read it, never write it, inside a read
+        scope that holds writers off (in memory one scope runs at a
+        time)."""
         return self._get(self._keys, (doc, "keys"))
 
     def put_keys(self, doc: int, keys: dict, observed_epoch: int) -> bool:
-        """Add *keys* (``node id -> (anchor, key)``) to *doc*'s kept
-        keys; *keys* becomes the kept dict if there is none."""
+        """Add *keys* (``node id -> (parent id, sibling order
+        value)``) to *doc*'s kept parent pointers; *keys* becomes the
+        kept dict if there is none."""
         layer, key = self._keys, (doc, "keys")
         evicted = 0
         with self._lock:

@@ -123,6 +123,16 @@ def _read_counters(path: Optional[str]) -> dict:
             f"cannot read counters from '{path}': expected a JSON "
             f"object, found {type(counters).__name__}"
         )
+    # Unwrapped as the advisors do: a snapshot's counters, or the file.
+    inner = counters.get("counters")
+    if isinstance(inner, dict):
+        counters = inner
+    for name, value in counters.items():
+        if type(value) is not int:
+            raise ReproError(
+                f"cannot read counters from '{path}': counter "
+                f"'{name}' is not an integer"
+            )
     return counters
 
 

@@ -19,9 +19,9 @@ that makes its descendant-axis queries slow), sorts each sibling list
 and walks.  One more reader re-derives stored structure from parent pointers
 besides this one and the auditor: Local's client-order pass
 (``XmlStore._order_keys``) climbs each result's ancestor chain until
-the chains meet or reach nodes whose keys a caching store kept from an
-earlier walk (kept per document until its next write, and never used
-here: a reconstruction sorts by the rows it reads).  Index maintenance
+the chains meet, through the parent pointers a caching store kept from
+earlier walks where it can (kept per document until its next write,
+and never used here: a reconstruction sorts by the rows it reads).  Index maintenance
 climbs nothing: no index row depends on more than its element's own
 children.
 """

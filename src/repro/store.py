@@ -59,22 +59,6 @@ _ID_BATCH = 400
 _T = TypeVar("_T")
 
 
-def _resolve(
-    kept: Optional[dict], node: int
-) -> tuple[int, tuple[int, ...]]:
-    """``(anchor, path from it)`` of *node* by the kept keys, climbing
-    past every anchor the keys also hold; a node they do not hold is
-    its own anchor."""
-    entry = kept.get(node) if kept else None
-    if entry is None:
-        return node, ()
-    anchor, key = entry
-    while anchor in kept:
-        above, path = kept[anchor]
-        anchor, key = above, path + key
-    return anchor, key
-
-
 @lru_cache(maxsize=512)
 def _parse_and_extract(xpath: str):
     """Parse *xpath* and abstract its safe literals into slots.
@@ -682,104 +666,61 @@ class XmlStore:
 
     # -- client-side order resolution (Local encoding) ---------------------------------
 
-    def _fetch_structure(
-        self, encoding: OrderEncoding, doc: int, ids: Iterable[int]
-    ) -> dict[int, tuple[int, int]]:
-        """Fetch ``id -> (parent, sibling order value)`` for the ids."""
-        statements = self.in_batches(
-            f"SELECT id, parent, {encoding.sibling_order_column} "
-            f"FROM {encoding.node_table.name} WHERE doc = ?",
-            "id", ids, (doc,),
-        )
-        return {
-            node_id: (parent, order_value)
-            for sql, params in statements
-            for node_id, parent, order_value
-            in self.backend.execute(sql, params).rows
-        }
-
     def _order_keys(
         self,
         encoding: OrderEncoding,
         doc: int,
-        chains: dict[int, tuple[int, list[int], list[int]]],
-        kept: Optional[dict[int, tuple[int, tuple[int, ...]]]],
+        starts: Iterable[int],
+        known: dict[int, tuple[int, int]],
+        kept: dict[int, tuple[int, int]],
         epoch: Optional[int],
     ) -> dict[int, tuple[int, ...]]:
-        """Client sort keys: each chain's sibling-order path down from
-        one node all the chains reach, its *anchor*.
+        """Client sort keys: each of *starts*' sibling-order path down
+        from the node where all their ancestor chains meet.
 
-        *chains* maps a result id to ``(head, nodes, path)``: the walk
-        stands on *head*, and *path* holds the sibling-order values of
-        *nodes*, the chain below it, bottom up (a node row's chain
-        starts at the row itself, whose parent and position the row
-        carries).  A head resolves to an anchor through *kept* — the
-        document's keys from earlier walks, ``node id -> (anchor, path
-        from it)`` — or is its own anchor (the document node, 0, always
-        is), and the walk stops as soon as every head resolves to one
-        anchor: where the chains meet, which with nothing kept is their
-        common ancestor, the document node at worst, or lower down at
-        nodes whose keys are kept.  Every chain moves up one level per
-        step, fetching the heads neither the rows nor an earlier step
-        hold in one statement per batch.
-
-        With *kept* (``None``: no caching here) a walk that fetched
-        anything adds every node it resolved to the document's kept
-        keys, under *epoch*.
+        A head's ``(parent, sibling order value)`` comes from *known*
+        (what the rows carry), from *kept* (the document's parent
+        pointers from earlier walks) or from a step's fetch of the heads
+        neither holds, one statement per batch.  Every chain climbs one
+        level per step until all stand on one node, the document node
+        (0) when their depths differ; a chain that reaches 0 waits
+        there.  With *epoch* (``None``: no caching here) a walk that
+        fetched anything adds *known*, the fetched pairs included, to
+        the kept pointers under it.
         """
-        structure: Optional[dict[int, tuple[int, int]]] = None
+        heads = {node: node for node in starts}
+        paths: dict[int, list[int]] = {node: [] for node in heads}
         fetched = False
         steps = 0
-        while True:
-            resolved = {
-                chain: _resolve(kept, head)
-                for chain, (head, _nodes, _path) in chains.items()
-            }
-            if len({anchor for anchor, _key in resolved.values()}) <= 1:
-                break
-            if structure is None:
-                structure = {
-                    nodes[0]: (head, path[0])
-                    for head, nodes, path in chains.values() if nodes
-                }
-            elif steps > len(structure):
-                # A valid chain reaches 0 within as many steps as it
-                # has rows; only a corrupt parent cycle, which never
-                # reaches 0, gets here, and keeps whatever order it has.
-                kept = None
-                break
+        # A valid chain reaches 0 within as many steps as it has nodes,
+        # each of them known or kept; only a corrupt parent cycle, which
+        # never reaches 0, outlasts that, and keeps whatever order it has.
+        while len(set(heads.values())) > 1 and (
+            steps <= len(known) + len(kept)
+        ):
             missing = {
-                head for head, _nodes, _path in chains.values()
-                if head not in structure
-            } - {0}
+                head for head in heads.values()
+                if head and head not in kept and head not in known
+            }
             if missing:
-                structure.update(
-                    self._fetch_structure(encoding, doc, missing)
-                )
                 fetched = True
-            for chain, (head, nodes, path) in chains.items():
-                if head != 0:
-                    parent, order_value = structure[head]
-                    nodes.append(head)
-                    path.append(order_value)
-                    chains[chain] = (parent, nodes, path)
+                for sql, params in self.in_batches(
+                    f"SELECT id, parent, {encoding.sibling_order_column} "
+                    f"FROM {encoding.node_table.name} WHERE doc = ?",
+                    "id", missing, (doc,),
+                ):
+                    for row_id, parent, order_value in self.backend.execute(
+                        sql, params
+                    ).rows:
+                        known[row_id] = (parent, order_value)
+            for node, head in heads.items():
+                if head:
+                    heads[node], order_value = kept.get(head) or known[head]
+                    paths[node].append(order_value)
             steps += 1
-        keys = {
-            chain: resolved[chain][1] + tuple(reversed(path))
-            for chain, (_head, _nodes, path) in chains.items()
-        }
-        if kept is not None and fetched:
-            adding = {}
-            for chain, (_head, nodes, _path) in chains.items():
-                anchor, _key = resolved[chain]
-                key = keys[chain]
-                for below, node in enumerate(nodes):
-                    # (A node is its own anchor only on a corrupt
-                    # parent cycle; keeping it would make one.)
-                    if node != anchor:
-                        adding[node] = (anchor, key[:len(key) - below])
-            self.cache.put_keys(doc, adding, epoch)
-        return keys
+        if fetched and epoch is not None:
+            self.cache.put_keys(doc, known, epoch)
+        return {node: tuple(reversed(path)) for node, path in paths.items()}
 
     def _client_order(
         self, doc: int, rows: list[tuple], translated: TranslatedQuery,
@@ -790,30 +731,23 @@ class XmlStore:
         or owners in the plan's encoding (the rows' table).
 
         A caching read (*epoch* is the one its result is put under)
-        resolves them through the document's kept keys, except in a
-        read scope writers commit beside (a file), whose snapshot may be
-        older than the keys.  When every node row's parent resolves to
-        one anchor, the walk stops at its first step: the rows sort by
-        their parents' keys and their own positions, and nothing is
-        fetched."""
+        climbs through and adds to the document's kept parent pointers,
+        except in a read scope writers commit beside (a file), whose
+        snapshot may be older than the pointers."""
         encoding = ENCODINGS[translated.encoding]
-        kept = None
-        if epoch is not None and not self.backend.reads_beside_writers():
-            kept = self.cache.get_keys(doc) or {}
+        if epoch is not None and self.backend.reads_beside_writers():
+            epoch = None
+        kept = (None if epoch is None else self.cache.get_keys(doc)) or {}
         if translated.result_kind == "attribute":
             # The walk starts at the owners (several rows may share one).
             keys = self._order_keys(
-                encoding, doc, {row[0]: (row[0], [], []) for row in rows},
-                kept, epoch,
+                encoding, doc, {row[0] for row in rows}, {}, kept, epoch
             )
             return sorted(rows, key=lambda row: (keys[row[0]], row[1] or ""))
         parent = translated.columns.index("parent")
         order = translated.columns.index(encoding.sibling_order_column)
-        keys = self._order_keys(
-            encoding, doc,
-            {row[0]: (row[parent], [row[0]], [row[order]]) for row in rows},
-            kept, epoch,
-        )
+        known = {row[0]: (row[parent], row[order]) for row in rows}
+        keys = self._order_keys(encoding, doc, list(known), known, kept, epoch)
         return sorted(rows, key=lambda row: keys[row[0]])
 
     # -- reconstruction ------------------------------------------------------------------

@@ -45,11 +45,7 @@ class MixedWorkload:
     ) -> None:
         self.store = store
         self.doc = doc
-        self.queries = [
-            q
-            for q in queries
-            if q.local_translatable or store.encoding.name != "local"
-        ]
+        self.queries = list(queries)
         self.updater = UpdateWorkload(store, doc, seed=seed)
         self.insert_parents = self.updater.container_ids(
             insert_parent_xpath

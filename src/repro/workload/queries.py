@@ -23,9 +23,6 @@ class WorkloadQuery:
     id: str
     xpath: str
     feature: str
-    #: Whether the Local encoding can translate it (document-order
-    #: positional predicates cannot be expressed with local order).
-    local_translatable: bool = True
 
 
 ORDERED_QUERIES: tuple[WorkloadQuery, ...] = (

@@ -383,32 +383,17 @@ class TestSchemaBootstrap:
         (line,) = capsys.readouterr().err.splitlines()
         assert "older build, whose element index" in line
 
-    #: The sibling index of builds before the child index:
-    #: ``(doc, parent, <order>)`` under its old name.
-    OLD_SIBLING_INDEX = {
-        "global": ("ix_node_global_parent", "pos"),
-        "local": ("ix_node_local_sib", "lpos"),
-        "dewey": ("ix_node_dewey_parent", "dkey"),
-        "ordpath": ("ix_node_ordpath_parent", "okey"),
-    }
-
     @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
-    def test_a_file_with_the_older_sibling_index_gets_the_child_index(
-        self, tmp_path, encoding
-    ):
-        """A file written with the ``(doc, parent, <order>)`` sibling
-        index opens, builds ``(doc, parent, tag, <order>)`` under its
-        own name, and answers and updates as a new file does."""
-        path = tmp_path / "old.db"
-        table = get_encoding(encoding).node_table.name
-        child = f"ix_{table}_child"
-        old_name, order = self.OLD_SIBLING_INDEX[encoding]
+    def test_a_dropped_child_index_is_rebuilt(self, tmp_path, encoding):
+        """A file whose child index ``(doc, parent, tag, <order>)`` was
+        dropped gets it back when it opens, and answers and updates as
+        a new file does."""
+        path = tmp_path / "dropped.db"
+        scheme = get_encoding(encoding)
+        child = f"ix_{scheme.node_table.name}_child"
         store = XmlStore(backend=SqliteBackend(str(path)), encoding=encoding)
         doc = store.load(BIB_XML)
         store.backend.execute(f"DROP INDEX {child}")
-        store.backend.execute(
-            f"CREATE INDEX {old_name} ON {table} (doc, parent, {order})"
-        )
         store.close()
 
         store = XmlStore(backend=SqliteBackend(str(path)), encoding=encoding)
@@ -418,7 +403,9 @@ class TestSchemaBootstrap:
                     f"PRAGMA index_info({child})"
                 ).rows
             ]
-            assert columns == ["doc", "parent", "tag", order]
+            assert columns == [
+                "doc", "parent", "tag", scheme.sibling_order_column,
+            ]
             fresh = XmlStore(encoding=encoding)
             fresh_doc = fresh.load(BIB_XML)
             for xpath in ("/bib/book[2]/author[3]", "//book/title",

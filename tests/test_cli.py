@@ -388,8 +388,8 @@ class TestIndexCommand:
 
 
 class TestCountersFile:
-    """``--counters`` names a JSON object; anything else is a typed
-    error, on both commands that read one."""
+    """``--counters`` names a JSON object of integer counters; anything
+    else is a typed error, on both commands that read one."""
 
     @pytest.mark.parametrize("command", (
         ["index", "--advise"], ["migrate", "--advise"],
@@ -416,6 +416,29 @@ class TestCountersFile:
         assert line.startswith(f"error: cannot read counters from '{path}': ")
         if case == "array":
             assert line.endswith("expected a JSON object, found list")
+
+    @pytest.mark.parametrize("command", (
+        ["index", "--advise"], ["migrate", "--advise"],
+    ))
+    @pytest.mark.parametrize("content, name", (
+        ('{"counters": {"index.miss": "many"}}', "index.miss"),
+        ('{"updates.renumber_ops": null}', "updates.renumber_ops"),
+    ))
+    def test_a_counter_that_is_not_an_integer_is_an_error(
+        self, bib_file, db, tmp_path, capsys, command, content, name
+    ):
+        run(["load", bib_file, "--db", db])
+        path = tmp_path / "c.json"
+        path.write_text(content)
+        capsys.readouterr()
+        assert run([*command, "--db", db, "--counters", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == (
+            f"error: cannot read counters from '{path}': counter "
+            f"'{name}' is not an integer"
+        )
 
 
 class TestObservabilityCommands:

@@ -354,23 +354,38 @@ class TestLocalClosureAtDepth:
                 == store.translate(xpath, deep).sql
             ), xpath
 
+    CYCLE_QUERIES = (
+        "/r//x", "//b//x", "//x/ancestor::*", "/r/a/following::x",
+        "//b/following::x", "//x/preceding::*", "//b[x = 't']",
+        "//b[a = 't']",
+    )
+
     @pytest.mark.skip_audit
+    @pytest.mark.parametrize("cache", (False, True))
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_a_parent_cycle_ends_every_walk(self, backend):
-        store = XmlStore(backend=backend, encoding="local", cache=False)
+    def test_a_parent_cycle_ends_every_walk(self, backend, cache):
+        """On a caching store the queries run once before the cycle and
+        twice after it; the second run, its results dropped, climbs the
+        parent pointers the first kept, the cycle's included."""
+        store = XmlStore(backend=backend, encoding="local", cache=cache)
         doc = store.load("<r><a><b><x>t</x></b></a><x/></r>")
+        if cache:
+            for xpath in self.CYCLE_QUERIES:
+                store.query(xpath, doc)
         # a (id 2) becomes the child of its own child b (id 3).
         store.backend.execute(
             "UPDATE node_local SET parent = 3 WHERE doc = ? AND id = 2",
             (doc,),
         )
+        store.cache.clear()
         assert len(store.query("//x", doc)) == 2
-        for xpath in (
-            "/r//x", "//b//x", "//x/ancestor::*", "/r/a/following::x",
-            "//b/following::x", "//x/preceding::*", "//b[x = 't']",
-            "//b[a = 't']",
-        ):
+        for xpath in self.CYCLE_QUERIES:
             store.query(xpath, doc)  # returns; the rows are what they are
+        if cache:
+            assert store.cache.get_keys(doc)
+            store.cache._result.clear()
+            for xpath in self.CYCLE_QUERIES:
+                store.query(xpath, doc)
 
 
 class TestMiniDbCorners:

@@ -1,13 +1,15 @@
-"""Local's kept order keys: a warm read sorts without a fetch, and no
-write leaves a key behind that the next read could sort by.
+"""Local's kept parent pointers: a warm read sorts without a fetch, a
+walk fetches no node an earlier read kept, and no write leaves a
+pointer behind that the next read could sort by.
 
-A caching store keeps each node a Local client-order walk resolved as
-``(anchor, lpos path from it)`` in the store cache's keys layer, per
+A caching store keeps the ``(parent id, lpos)`` of each node a Local
+client-order walk read or fetched in the store cache's keys layer, per
 document, until the next write to that document.  The write-then-read
 cases below each change sibling positions (or the document behind an
-id) under keys an earlier read kept; the query pool that runs after
-every write mixes reads that refresh some keys with reads that sort by
-all of them, so a key the write left behind shows as a wrong order.
+id) under pointers an earlier read kept; the query pool that runs after
+every write mixes reads that add some pointers with reads that climb
+through all of them, so a pointer the write left behind shows as a
+wrong order.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ DOCUMENT = (
     "<t><g/><u><g/></u></t></r>"
 )
 
-#: Reads that resolve a few chains (and so refresh their keys) before
-#: reads that sort by every kept key.  The first refreshes the two
-#: newest of the ``n`` elements the writes insert before ``y`` only.
+#: Reads that walk a few chains (and so add their pointers) before
+#: reads that climb through every kept pointer.  The first walks the
+#: two newest of the ``n`` elements the writes insert before ``y`` only.
 POOL = (
     "/r/s/n[position() <= 2]/g",
     "/r/s/y/g",
@@ -144,3 +146,31 @@ def test_a_warm_local_read_runs_one_statement(backend):
     assert len({item.node_id for item in items}) > 1
     got = [item.identity() for item in items]
     assert got == stored_oracle_identities(store, doc, warm)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_walk_fetches_no_node_an_earlier_read_kept(backend):
+    """``…/para[1]`` after ``…/para[2]``: the first read keeps the
+    parent pointers of its rows and of the sections and articles above
+    them, so the second fetches only the heads that neither its rows
+    nor the kept pointers hold."""
+    document = sized_article_corpus(1114)
+    store = XmlStore(backend=backend, encoding="local")
+    doc = store.load(document)
+    fetched: list[int] = []
+    execute = store.backend.execute
+
+    def recording(sql, params=()):
+        if sql.startswith("SELECT id, parent, lpos "):
+            fetched.extend(params[1:])
+        return execute(sql, params)
+
+    store.backend.execute = recording
+    first = "/journal/article/section[2]/para[2]"
+    second = "/journal/article/section[2]/para[1]"
+    held = {item.node_id for item in store.query(first, doc)} | set(fetched)
+    fetched.clear()
+    items = store.query(second, doc)
+    assert fetched and held.isdisjoint(fetched)
+    got = [item.identity() for item in items]
+    assert got == stored_oracle_identities(store, doc, second)

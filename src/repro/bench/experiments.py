@@ -171,7 +171,7 @@ def run_e2_loading(
 
 
 # ---------------------------------------------------------------------------
-# E3/E4/E13: query logical I/O
+# E3/E4: query logical I/O
 # ---------------------------------------------------------------------------
 
 
@@ -633,27 +633,6 @@ def run_e12_scaling(
             table.add_row(
                 query.id, name, *counts, round(fit.slope, 2)
             )
-    return table
-
-
-def run_e13_logical_io(articles: int = 10) -> ExperimentTable:
-    """Rows read and statements per query, both suites, on minidb.
-
-    Wall-clock numbers depend on Python and the host; *rows touched* is
-    the engine-independent unit the paper's analysis reasons in.  The
-    minidb executor counts every row fetched from a table (via index or
-    scan), giving the logical-I/O profile of each translation.
-    """
-    table = _query_io(
-        "E13",
-        "Logical I/O: rows read and statements per query (minidb)",
-        ORDERED_QUERIES + UNORDERED_QUERIES,
-        articles,
-    )
-    table.add_note(
-        "counts include index-assisted fetches and the client-side "
-        "order-resolution fetches Local needs (its extra statements)"
-    )
     return table
 
 
@@ -1234,7 +1213,6 @@ EXPERIMENTS = (
     run_e10_sparse_numbering,
     run_e11_ordpath,
     run_e12_scaling,
-    run_e13_logical_io,
     run_e14_concurrency,
     run_e15_cache,
     run_e16_adaptive_migration,

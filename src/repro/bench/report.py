@@ -76,10 +76,6 @@ EXPECTED_SHAPES = {
            "milliseconds — \"Local's document-order queries degrade "
            "fastest\" — is **not** reproduced on counts: Q7 is linear "
            "on every encoding.",
-    "E13": "Local's logical reads are the highest on the document-order "
-           "axes and within a small factor elsewhere; Global and Dewey "
-           "stay near result size and answer in one statement after "
-           "the catalogue read.",
     "E14": "(Extension beyond the paper.)  With one write transaction "
            "held open, a store on a file completes every read on WAL "
            "connections of its own; the serialized in-memory store's "
@@ -176,7 +172,7 @@ def compute_verdicts(
             and all(len(counts) == 1 for counts in statements.values()),
         )
 
-    # E3, E4, E13: (query, feature, results, global/local/dewey rows,
+    # E3, E4: (query, feature, results, global/local/dewey rows,
     # global/local/dewey statements).
     t = by_id.get("E3")
     if t is not None:
@@ -327,21 +323,6 @@ def compute_verdicts(
             "U2, Q5 and Q7 rows read grow linearly with the document "
             f"(exponent {_range(linear)} and {_range(q7)}, at most 1.2)",
             max(linear + q7) <= 1.2,
-        )
-
-    t = by_id.get("E13")
-    if t is not None:
-        q7 = next(r for r in t.rows if r[0] == "Q7")
-        # A walk probes one row per level; what stays above the other
-        # encodings is the walks plus the client-side order-resolution
-        # fetches, a factor that shrinks as the result grows - so it is
-        # reported, not bounded.
-        record(
-            "E13",
-            "Local logical I/O highest on following:: "
-            f"({q7[4]} rows, {q7[4] / max(q7[3], q7[5]):.1f}x; walks "
-            "plus client order resolution)",
-            q7[4] > max(q7[3], q7[5]),
         )
 
     t = by_id.get("E14")

@@ -11,7 +11,9 @@ Evaluation model:
   the :mod:`repro.minidb.planner` access-path selection (index equality
   prefix + optional IN probe or range), everything else is a residual
   filter applied as soon as its aliases are bound; each FROM item is
-  given the one row loop of its access path when the plan is compiled;
+  given one of three row loops when the plan is compiled: an index read
+  over the row ids of a point, prefix, IN-list or range lookup, a heap
+  scan, or the listed rows of a common or derived table;
 * subqueries (EXISTS / scalar) compile recursively with the outer scope
   chained, and see the outer row bindings through the shared
   environment at run time;
@@ -1133,24 +1135,19 @@ class _JoinStep:
         #: What a candidate row must pass: the WHERE conjuncts placed
         #: here — one callable, or None.
         self.test = _all_true(self.residual_fns)
-        if self.subplan is not None:
-            self.matches = _derived_rows(self)
-        elif self.table is None:
-            self.matches = _common_table_rows(self)
+        if self.table is None:
+            self.matches = _listed_rows(self)
         elif self.index is None:
             self.matches = _full_scan(self)
-        elif self.in_fns is not None:
-            self.matches = _in_probe(self)
-        elif self.lower_fns or self.upper_fns:
-            self.matches = _range_read(self)
         else:
-            self.matches = _probe(self)
+            self.matches = _index_read(self)
 
 
-# The row loops.  Each counts exactly what the engine reports —
-# ``index_scans`` / ``full_scans`` once per run, ``rows_read`` once per
-# heap row fetched — when the consumer first advances it, so logical
-# I/O does not depend on which loop a step got.
+# The row loops: an index read, a heap scan and listed rows.  Each
+# counts what the engine reports (``index_scans`` / ``full_scans`` once
+# per run, ``rows_read`` once per heap row fetched) when the consumer
+# first advances it.  The kind of index read is chosen when the plan
+# compiles (:func:`_lookup`): the body each row runs stays flat.
 
 
 def _all_true(fns: Sequence[ExprFn]) -> Optional[ExprFn]:
@@ -1179,27 +1176,16 @@ def _probe_key(
     return None if None in values else tuple(map(sort_key, values))
 
 
-def _probe(step: _JoinStep) -> RowLoop:
-    """Equality on the index's leading columns: a point lookup when they
-    are all of its columns, else the range the prefix spans."""
+def _index_read(step: _JoinStep) -> RowLoop:
+    """The heap rows at the row ids :func:`_lookup` lists, in order."""
     alias, rowid_key, test = step.alias, step.rowid_key, step.test
-    table, index, eq_fns = step.table, step.index, step.eq_fns
-    point = len(eq_fns) == len(index.column_positions)
+    rows = step.table.rows
+    lookup = _lookup(step)
 
     def matches(env: Env, state: ExecState) -> Iterator[Env]:
         stats = state.stats
         stats.index_scans += 1
-        key = _probe_key(eq_fns, env, state)
-        if key is None:
-            return
-        if point:
-            rowids = index.tree.get(key)
-        else:
-            rowids = index.tree.range_rowids(
-                key, (*key, AFTER_EVERY_VALUE), True, False
-            )
-        rows = table.rows
-        for rowid in rowids:
+        for rowid in lookup(env, state):
             stats.rows_read += 1
             env[alias] = rows[rowid]
             env[rowid_key] = rowid
@@ -1208,68 +1194,54 @@ def _probe(step: _JoinStep) -> RowLoop:
     return matches
 
 
-def _in_probe(step: _JoinStep) -> RowLoop:
-    """An equality prefix plus an IN list on the next column: one probe
-    per distinct non-NULL list value, in list order (a value listed
-    twice still matches its rows once)."""
-    alias, rowid_key, test = step.alias, step.rowid_key, step.test
-    table, index = step.table, step.index
-    eq_fns, in_fns = step.eq_fns, step.in_fns
-    point = len(eq_fns) + 1 == len(index.column_positions)
-
-    def matches(env: Env, state: ExecState) -> Iterator[Env]:
-        stats = state.stats
-        stats.index_scans += 1
-        prefix = _probe_key(eq_fns, env, state)
-        if prefix is None:
-            return
-        keys = {}
-        for fn in in_fns:
-            value = fn(env, state)
-            if value is not None:
-                keys[(*prefix, sort_key(value))] = None
-        tree = index.tree
-        rows = table.rows
-        for key in keys:
-            if point:
-                rowids = tree.get(key)
-            else:
-                rowids = tree.range_rowids(
+def _lookup(step: _JoinStep) -> Callable[[Env, ExecState], Sequence[int]]:
+    """The row ids an index read walks, as one list: a point ``get``
+    for a key as wide as the index, else the range a key prefix spans;
+    one of those per distinct non-NULL IN value, in list order; or the
+    range between the tightest bounds on the column after the prefix.
+    Each read is its own closure: a call less per probe is measurable."""
+    tree, eq_fns, in_fns = step.index.tree, step.eq_fns, step.in_fns
+    lower_fns, upper_fns = step.lower_fns, step.upper_fns
+    get, between = tree.get, tree.range_rowids
+    width = len(eq_fns) + (in_fns is not None)
+    point = width == len(step.index.column_positions)
+    if lower_fns or upper_fns:
+        def range_read(env: Env, state: ExecState) -> Sequence[int]:
+            prefix = _probe_key(eq_fns, env, state)
+            if prefix is None:
+                return ()
+            bounds = _range_bounds(prefix, lower_fns, upper_fns, env, state)
+            return () if bounds is None else between(*bounds)
+        return range_read
+    if in_fns is not None:
+        def in_probe(env: Env, state: ExecState) -> Sequence[int]:
+            prefix = _probe_key(eq_fns, env, state)
+            if prefix is None:
+                return ()
+            keys = {}  # a value listed twice matches its rows once
+            for fn in in_fns:
+                value = fn(env, state)
+                if value is not None:
+                    keys[(*prefix, sort_key(value))] = None
+            rowids: list[int] = []
+            for key in keys:
+                rowids += get(key) if point else between(
                     key, (*key, AFTER_EVERY_VALUE), True, False
                 )
-            for rowid in rowids:
-                stats.rows_read += 1
-                env[alias] = rows[rowid]
-                env[rowid_key] = rowid
-                if test is None or test(env, state):
-                    yield env
-    return matches
+            return rowids
+        return in_probe
+    if point:
+        def point_read(env: Env, state: ExecState) -> Sequence[int]:
+            key = _probe_key(eq_fns, env, state)
+            return () if key is None else get(key)
+        return point_read
 
-
-def _range_read(step: _JoinStep) -> RowLoop:
-    """An equality prefix plus bounds on the next column: one list read
-    of the B-tree between the tightest bounds."""
-    alias, rowid_key, test = step.alias, step.rowid_key, step.test
-    table, index, eq_fns = step.table, step.index, step.eq_fns
-    lower_fns, upper_fns = step.lower_fns, step.upper_fns
-
-    def matches(env: Env, state: ExecState) -> Iterator[Env]:
-        stats = state.stats
-        stats.index_scans += 1
-        prefix = _probe_key(eq_fns, env, state)
-        if prefix is None:
-            return
-        bounds = _range_bounds(prefix, lower_fns, upper_fns, env, state)
-        if bounds is None:
-            return
-        rows = table.rows
-        for rowid in index.tree.range_rowids(*bounds):
-            stats.rows_read += 1
-            env[alias] = rows[rowid]
-            env[rowid_key] = rowid
-            if test is None or test(env, state):
-                yield env
-    return matches
+    def prefix_read(env: Env, state: ExecState) -> Sequence[int]:
+        key = _probe_key(eq_fns, env, state)
+        return () if key is None else between(
+            key, (*key, AFTER_EVERY_VALUE), True, False
+        )
+    return prefix_read
 
 
 def _range_bounds(
@@ -1346,34 +1318,23 @@ def _full_scan(step: _JoinStep) -> RowLoop:
     return matches
 
 
-def _common_table_rows(step: _JoinStep) -> RowLoop:
-    """A common table expression: its rows so far (the step of a
-    recursion sees the round's delta) ride in the environment."""
-    alias, test, cte_key = step.alias, step.test, step.cte_key
-
-    def matches(env: Env, state: ExecState) -> Iterator[Env]:
-        for row in env[cte_key]:
-            env[alias] = row
-            if test is None or test(env, state):
-                yield env
-    return matches
-
-
-def _derived_rows(step: _JoinStep) -> RowLoop:
-    """A derived table, materialised once per execution — or once per
-    outer row when it is correlated, whose rows depend on the current
-    environment: never serve one outer row's rows to another."""
+def _listed_rows(step: _JoinStep) -> RowLoop:
+    """A common table's rows so far, which ride in the environment (the
+    step of a recursion sees the round's delta), or a derived table's,
+    materialised once per execution — or per outer row when correlated:
+    never serve one outer row's rows to another."""
     alias, test, subplan = step.alias, step.test, step.subplan
-    correlated = step.correlated
-    cache_key = id(step)
+    cte_key, correlated, cache_key = step.cte_key, step.correlated, id(step)
 
     def matches(env: Env, state: ExecState) -> Iterator[Env]:
-        if correlated:
+        if cte_key is not None:
+            rows = env[cte_key]
+        elif correlated:
             rows = subplan.rows(env, state)
         else:
             rows = state.derived_cache.get(cache_key)
             if rows is None:
-                rows = list(subplan.rows(env, state))
+                rows = subplan.rows(env, state)
                 state.derived_cache[cache_key] = rows
         for row in rows:
             env[alias] = row

@@ -135,11 +135,11 @@ class AccessPath:
     def order_positions(self) -> tuple[int, ...]:
         """The table columns whose order this path's rows arrive in.
 
-        A probe or range reads the B-tree between two keys, so its rows
-        come in the order of the index columns after the equality prefix
-        (rows with equal keys in the order they were inserted).  An
-        IN probe reads its list in list order and a heap scan in heap
-        order: neither delivers one.
+        An index read of one point or one range reads the B-tree between
+        two keys, so its rows come in the order of the index columns
+        after the equality prefix (rows with equal keys in the order they
+        were inserted).  An IN lookup reads its list in list order and a
+        heap scan in heap order: neither delivers one.
         """
         if self.index is None or self.in_exprs is not None:
             return ()

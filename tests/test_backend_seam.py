@@ -182,6 +182,24 @@ def test_the_path_index_is_a_column():
     assert hits == []
 
 
+def test_minidb_reads_an_index_one_way():
+    """A base table is read by one index loop over the row ids its
+    lookup lists, a heap scan, or listed rows: no loop per kind of
+    index read, and no second loop for listed rows, comes back."""
+    banned = {
+        "_probe", "_in_probe", "_range_read", "_common_table_rows",
+        "_derived_rows",
+    }
+    hits = [
+        f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+        for path in _files("minidb")
+        for node in _nodes(path)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in banned
+    ]
+    assert hits == []
+
+
 def _backend_classes() -> list[tuple[Path, ast.ClassDef]]:
     """``Backend`` and every class under src that names it as a base."""
     return [

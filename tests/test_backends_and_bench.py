@@ -130,22 +130,22 @@ class TestExperimentsFastPath:
         assert by_encoding["local"][3] == 4.0
         assert by_encoding["dewey"][3] > 4.0  # variable-length keys
 
-    def test_e13_local_reads_most_on_document_order_by_a_small_factor(self):
-        """E13's verdict is a count: Local reads more rows than Global
+    def test_e3_local_reads_most_on_document_order_by_a_small_factor(self):
+        """E3's verdict is a count: Local reads more rows than Global
         and Dewey on Q7/Q8 — 97 and 251 at ten articles, hundreds of
         times fewer than the depth expansion did (49,672 and
         110,890)."""
-        from repro.bench.experiments import run_e13_logical_io
+        from repro.bench.experiments import run_e3_ordered_queries
         from repro.bench.report import compute_verdicts
 
-        table = run_e13_logical_io(articles=10)
+        table = run_e3_ordered_queries(articles=10)
         local = table.columns.index("local rows")
         rows = {row[0]: row for row in table.rows}
         assert (rows["Q7"][local], rows["Q8"][local]) == (97, 251)
         verdicts = {v.experiment: v for v in compute_verdicts([table])}
-        assert verdicts.keys() == {"E13"}
-        assert verdicts["E13"].ok
-        assert "97 rows" in verdicts["E13"].claim
+        assert verdicts.keys() == {"E3"}
+        assert verdicts["E3"].ok
+        assert "(97 vs " in verdicts["E3"].claim
 
     def test_e9_local_most_expensive_on_document_order(self):
         from repro.bench.experiments import run_e9_translation

@@ -548,6 +548,22 @@ class TestIndexOrder:
         assert rows == [("a",)]
         assert read == 1 + 1 + 1  # one, the scalar's row, EXISTS's row
 
+    @pytest.mark.parametrize("sql, want", [
+        # An IN key as wide as the index: a point read per value.
+        ("SELECT v FROM s WHERE g = 1 AND o IN (4, ?, 4)", ["z", "e"]),
+        # An IN key shorter than the index: the range each value spans.
+        ("SELECT v FROM s WHERE g IN (1, ?, 1)",
+         [r[2] for r in ROWS if r[0] == 1]),
+    ])
+    def test_an_in_list_reads_each_matching_row_once(self, s, sql, want):
+        """A value listed twice, and a NULL parameter, read nothing
+        twice and nothing at all."""
+        s.reset_stats()
+        rows = s.execute(sql, (None,)).rows
+        assert sorted(r[0] for r in rows) == sorted(want)
+        assert s.stats.rows_read == len(want)
+        assert s.stats.index_scans == 1
+
     @pytest.mark.parametrize("sql, groups, key", [
         # A column after the one the index orders by.
         ("SELECT g, o, v FROM s WHERE g = 1 ORDER BY o, v",

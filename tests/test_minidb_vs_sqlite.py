@@ -100,6 +100,7 @@ BOUND_QUERIES = [
     "SELECT a, b, c FROM t WHERE a = ? AND b = ? ORDER BY a, b, c",
     "SELECT a, b, c FROM t WHERE a IN (?, ?) ORDER BY a, b, c",
     "SELECT a, b, c FROM t WHERE a IN (1, ?, 3, ?) ORDER BY a, b, c",
+    "SELECT a, b, c FROM t WHERE a IN (?, 2, ?, 2) ORDER BY a, b, c",
     "SELECT a, b, c FROM t WHERE NOT (b IN (?, 3, ?)) ORDER BY a, b, c",
     "SELECT k.id, t.c FROM k, t WHERE t.a = k.a AND t.b >= ? "
     "AND k.id < ? ORDER BY k.id, t.c",

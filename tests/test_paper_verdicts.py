@@ -29,7 +29,6 @@ SMALL = {
     ex.run_e10_sparse_numbering: {"articles": 8, "inserts": 10},
     ex.run_e11_ordpath: {"articles": 6, "inserts": 10},
     ex.run_e12_scaling: {"sizes": (150, 500, 1500)},
-    ex.run_e13_logical_io: {"articles": 10},
     ex.run_e14_concurrency: {"articles": 8},
     ex.run_e15_cache: {"articles": 6, "operations": 8},
     ex.run_e16_adaptive_migration: {

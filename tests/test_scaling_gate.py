@@ -9,7 +9,7 @@ from 9 to 97 articles) and fits the exponent of a power law through
 them, for
 
 * every Mix R' template of the benchmark (fixed literals),
-* every query of E3, E12 and E13 (Q1-Q8, U1-U4),
+* every query of E3, E4 and E12 (Q1-Q8, U1-U4),
 * the probes ROADMAP measured quadratic families with, among them the
   ancestor axes from many contexts, from one and inside a predicate,
   and a pick whose node test names no tag,

@@ -24,10 +24,10 @@ def main() -> None:
         operations=operations,
         fractions=(0.0, 0.1, 0.25, 0.5, 0.75, 1.0),
     )
-    print(table.render())
+    print(table.render_markdown())
 
     print("\nStorage cost of each encoding (label bytes per node):\n")
-    print(run_e1_storage(sizes=(2000,)).render())
+    print(run_e1_storage(sizes=(2000,)).render_markdown())
 
     print(
         "\nRule of thumb, as in the paper:\n"

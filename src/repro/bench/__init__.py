@@ -10,7 +10,7 @@ from repro.bench.report import (
     EXPECTED_SHAPES,
     Verdict,
     compute_verdicts,
-    render_verdicts,
+    experiments_page,
 )
 
 __all__ = [
@@ -20,6 +20,6 @@ __all__ = [
     "Verdict",
     "build_store",
     "compute_verdicts",
-    "render_verdicts",
+    "experiments_page",
     "run_all",
 ]

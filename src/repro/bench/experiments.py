@@ -2,28 +2,26 @@
 
 Each ``run_eN_*`` function executes one experiment and returns an
 :class:`~repro.bench.harness.ExperimentTable` of counts — label bytes,
-rows read and written, statements, relabels, compiles, completed
-reads — and never a wall-clock time, so a table repeats exactly and the
-verdict :func:`~repro.bench.report.compute_verdicts` reads off it is a
-function of the commit.  ``run_all`` runs the suite at its one set of
-sizes (``benchmarks/run_experiments.py`` writes EXPERIMENTS.md from it,
-``repro experiments`` prints it); ``tests/test_paper_verdicts.py``
+rows read and written, statements, relabels — and never a wall-clock
+time, so a table repeats exactly and the verdict
+:func:`~repro.bench.report.compute_verdicts` reads off it is a function
+of the commit.  ``run_all`` runs the suite at its one set of sizes
+(``repro experiments`` prints EXPERIMENTS.md from it, see
+:func:`~repro.bench.report.render_page`); ``tests/test_paper_verdicts.py``
 asserts the same verdicts with smaller sizes passed as arguments.
 These functions are the only implementation of E1-E18: DESIGN.md's
 experiment index points at them by name.
 
 Rows read are minidb's: its executor counts every row an access path
 fetches, which sqlite does not expose, so the experiments that report
-them run on minidb.  Relabels, rows written, statements and compiles
-are counted the same on both engines, and those experiments run on the
+them run on minidb.  Relabels, rows written and statements are
+counted the same on both engines, and those experiments run on the
 default sqlite backend.
 """
 
 from __future__ import annotations
 
 import statistics
-import threading
-import time
 from collections import Counter
 from contextlib import contextmanager
 from math import log
@@ -47,7 +45,6 @@ from repro.workload import (
     UpdateWorkload,
     article_corpus,
     document_stats,
-    make_fragment,
     sized_article_corpus,
 )
 from repro.xmldom import parse
@@ -353,11 +350,13 @@ def run_e7_mixed_workload(
             with _engine_io(store) as io:
                 mix.run(operations, fraction)
             cells[name] = io["rows_read"] + io["rows_written"]
-        winner = min(cells, key=cells.get)
+        # Every encoding that shares the minimum wins: a tie is named
+        # as one, not settled by name order.
+        least = min(cells.values())
         table.add_row(
             int(fraction * 100),
             *(cells[n] for n in ENCODING_NAMES),
-            winner,
+            "=".join(n for n in ENCODING_NAMES if cells[n] == least),
         )
     return table
 
@@ -437,52 +436,6 @@ def run_e9_translation() -> ExperimentTable:
         "for following/preceding) whatever the document's depth; the "
         "SQL-92-style expansion they replaced counted one arm per level "
         "instead (Q7/Q8: 12 ops at depth 6, growing linearly with depth)"
-    )
-    return table
-
-
-def run_e9b_compile_cache(articles: int = 8) -> ExperimentTable:
-    """Translation work: cold compile vs warm shape-keyed plans.
-
-    A cold pass over the query mix (plan cache emptied) compiles every
-    query; a warm pass compiles none and binds each query's parameters
-    into the plan its shape already has.
-    """
-    document = article_corpus(articles=articles)
-    table = ExperimentTable(
-        "E9b",
-        "Translation work: cold compile vs warm shape-keyed plan cache",
-        ("encoding", "queries", "cold compiles", "warm compiles",
-         "warm plans shared"),
-    )
-    for name in ENCODING_NAMES:
-        store = XmlStore(encoding=name)
-        doc = store.load(document)
-        queries = []
-        for query in ORDERED_QUERIES + UNORDERED_QUERIES:
-            try:
-                store.translate(query.xpath, doc)
-            except TranslationError:
-                continue
-            queries.append(query.xpath)
-
-        def translate_all() -> None:
-            for xpath in queries:
-                store.translate(xpath, doc)
-
-        store.cache.clear()
-        with counting() as cold:
-            translate_all()
-        with counting() as warm:
-            translate_all()
-        table.add_row(
-            name, len(queries), cold["translate.compile"],
-            warm["translate.compile"], warm["translate.plan_shared"],
-        )
-    table.add_note(
-        "Plans are keyed on query shape (encoding, XPath shape, context "
-        "kind, indexed) — never on document id, depth or literal values — so "
-        "warm translations skip parsing and compilation entirely"
     )
     return table
 
@@ -633,182 +586,6 @@ def run_e12_scaling(
             table.add_row(
                 query.id, name, *counts, round(fit.slope, 2)
             )
-    return table
-
-
-# ---------------------------------------------------------------------------
-# E14: concurrent serving (a connection per statement vs one shared)
-# ---------------------------------------------------------------------------
-
-#: How long E14's write transaction waits for its readers.  A read on
-#: a connection of its own takes milliseconds; a serialized one cannot
-#: finish before the commit, so this is how long that mode holds the
-#: transaction open.
-_E14_HOLD_SECONDS = 1.0
-
-
-def _reads_during_write(store: XmlStore, doc: int, readers: int) -> int:
-    """How many of *readers* concurrent reads of *doc* complete while
-    the calling thread holds one write transaction open on *store*."""
-    parent = store.query("/journal", doc)[0].node_id
-    done = [threading.Event() for _ in range(readers)]
-    committing = threading.Event()
-    during: list[int] = []
-
-    def read(slot: int) -> None:
-        store.query("//para", doc)
-        if not committing.is_set():
-            during.append(slot)
-        done[slot].set()
-
-    threads = [
-        threading.Thread(target=read, args=(slot,), daemon=True)
-        for slot in range(readers)
-    ]
-
-    def write() -> None:
-        store.updates.insert(doc, parent, 0, make_fragment("w"))
-        for thread in threads:
-            thread.start()
-        deadline = time.monotonic() + _E14_HOLD_SECONDS
-        for event in done:
-            event.wait(max(0.0, deadline - time.monotonic()))
-        committing.set()
-
-    store.transactionally(write)
-    for thread in threads:
-        thread.join(timeout=30)
-    if any(thread.is_alive() for thread in threads):
-        raise RuntimeError("E14: a reader never completed")
-    return len(during)
-
-
-def run_e14_concurrency(
-    articles: int = 20, readers: int = 4
-) -> ExperimentTable:
-    """Reads completed while one write transaction is held open.
-
-    Both modes run the same uncached ``store.query`` against the same
-    document on sqlite.  *serialized* is the in-memory store, whose one
-    connection's lock every write transaction and every read scope
-    holds — readers wait for the commit.  *file* is the store on a
-    file, where a read scope is a deferred BEGIN on a WAL connection of
-    its own, so reads proceed during the write.  The write is a Global
-    front insert (the relabeling worst case); every run is followed by
-    a full invariant audit.
-    """
-    import tempfile
-
-    from repro.backends.sqlite_backend import SqliteBackend
-    from repro.check import audit_store
-
-    document = article_corpus(articles=articles)
-    table = ExperimentTable(
-        "E14",
-        "Concurrent serving: reads completed during an open write "
-        "transaction",
-        ("mode", "readers", "reads during write", "reads after commit",
-         "violations"),
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-e14-") as tmp:
-        for mode, path in (("serialized", None),
-                           ("file", f"{tmp}/store.db")):
-            store = XmlStore(SqliteBackend(path), "global", cache=False)
-            try:
-                doc = store.load(document)
-                during = _reads_during_write(store, doc, readers)
-                table.add_row(
-                    mode, readers, during, readers - during,
-                    len(audit_store(store)),
-                )
-            finally:
-                store.close()
-    table.add_note(
-        f"the write transaction waits up to {_E14_HOLD_SECONDS:g} s for "
-        "its readers before it commits"
-    )
-    return table
-
-
-# ---------------------------------------------------------------------------
-# E15: plan/result caching (extension beyond the paper)
-# ---------------------------------------------------------------------------
-
-
-def run_e15_cache(
-    articles: int = 12,
-    operations: int = 24,
-) -> ExperimentTable:
-    """Backend statements per warm pass of the ordered mix, cached vs.
-    uncached, plus a mixed update/query correctness check against the
-    uncached store.
-
-    The correctness half replays a seeded E7-style interleaving of
-    updates and the full query mix on both stores simultaneously and
-    counts result mismatches (must be zero: every update invalidates
-    its document's catalogue row and results, so the caching store may
-    never serve a pre-update depth or result).
-    """
-    import random
-
-    from repro.check.fuzz import apply_operation, plan_operation
-
-    document = article_corpus(articles=articles)
-    table = ExperimentTable(
-        "E15",
-        "Plan/result caching: backend statements per warm ordered mix",
-        ("encoding", "queries", "uncached statements",
-         "cached statements", "mixed mismatches"),
-    )
-
-    def run_mix(store: XmlStore, doc: int) -> int:
-        answered = 0
-        for query in ORDERED_QUERIES:
-            try:
-                store.query(query.xpath, doc)
-                answered += 1
-            except TranslationError:
-                pass
-        return answered
-
-    for name in (*ENCODING_NAMES, "ordpath"):
-        cached = XmlStore(encoding=name, cache=True)
-        uncached = XmlStore(encoding=name, cache=False)
-        doc_c = cached.load(document)
-        doc_u = uncached.load(document)
-
-        run_mix(cached, doc_c)  # steady state: warm every cache layer
-        statements = {}
-        for store, doc in ((uncached, doc_u), (cached, doc_c)):
-            with counting() as grew:
-                answered = run_mix(store, doc)
-            statements[store] = grew["backend.statements"]
-
-        mismatches = 0
-        rng = random.Random(151_515)
-        for _ in range(operations):
-            op = plan_operation(rng, cached, doc_c)
-            apply_operation(cached, doc_c, op)
-            apply_operation(uncached, doc_u, op)
-            for query in ORDERED_QUERIES:
-                try:
-                    got = _identities(cached, query.xpath, doc_c)
-                    want = _identities(uncached, query.xpath, doc_u)
-                except TranslationError:
-                    continue
-                if got != want:
-                    mismatches += 1
-
-        table.add_row(
-            name, answered, statements[uncached], statements[cached],
-            mismatches,
-        )
-        cached.close()
-        uncached.close()
-    table.add_note(
-        f"the mixed check interleaves {operations} seeded updates with "
-        "the full mix on both stores"
-    )
     return table
 
 
@@ -1209,12 +986,9 @@ EXPERIMENTS = (
     run_e7_mixed_workload,
     run_e8_reconstruction,
     run_e9_translation,
-    run_e9b_compile_cache,
     run_e10_sparse_numbering,
     run_e11_ordpath,
     run_e12_scaling,
-    run_e14_concurrency,
-    run_e15_cache,
     run_e16_adaptive_migration,
     run_e17_sharding,
     run_e18_indexing,

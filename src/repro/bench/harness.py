@@ -20,8 +20,6 @@ def build_store(
 
     Caching is off: these stores count raw per-encoding engine work,
     and a result-cache hit would count the cache instead of the query.
-    Experiments that study caching itself
-    (E9b, E15) construct their stores explicitly.
     """
     store = XmlStore(
         backend=backend, encoding=encoding, gap=gap, cache=False
@@ -54,30 +52,6 @@ class ExperimentTable:
     def add_note(self, note: str) -> None:
         self.notes.append(note)
 
-    def render(self) -> str:
-        """Render as a fixed-width text table."""
-        header = [str(c) for c in self.columns]
-        body = [[str(v) for v in row] for row in self.rows]
-        widths = [
-            max(len(header[i]), *(len(row[i]) for row in body))
-            if body
-            else len(header[i])
-            for i in range(len(header))
-        ]
-        lines = [f"{self.id}: {self.title}"]
-        lines.append(
-            "  ".join(h.ljust(w) for h, w in zip(header, widths))
-        )
-        lines.append("  ".join("-" * w for w in widths))
-        for row in body:
-            lines.append(
-                "  ".join(c.rjust(w) if _is_numeric(c) else c.ljust(w)
-                          for c, w in zip(row, widths))
-            )
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        return "\n".join(lines)
-
     def render_markdown(self) -> str:
         """Render as a GitHub-flavoured markdown table."""
         lines = [
@@ -89,11 +63,3 @@ class ExperimentTable:
         for note in self.notes:
             lines.append(f"\n*{note}*")
         return "\n".join(lines)
-
-
-def _is_numeric(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False

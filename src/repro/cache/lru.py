@@ -329,7 +329,7 @@ class StoreCache:
     # -- introspection ----------------------------------------------------
 
     def stats(self) -> dict:
-        """A JSON-serializable snapshot (for ``repro stats`` and E15)."""
+        """A JSON-serializable snapshot (for ``repro stats``)."""
         with self._lock:
             return {
                 "enabled": self.enabled,

@@ -505,16 +505,11 @@ def cmd_crashtest(args: argparse.Namespace) -> int:
 
 def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.bench.experiments import run_all
-    from repro.bench.report import compute_verdicts, render_verdicts
+    from repro.bench.report import experiments_page
 
-    tables = run_all()
-    for table in tables:
-        print(table.render())
-        print()
-    verdicts = compute_verdicts(tables)
-    for line in render_verdicts(verdicts):
-        print(line)
-    return 0 if all(v.ok for v in verdicts) else 1
+    page, passed = experiments_page(run_all())
+    print(page, end="")
+    return 0 if passed else 1
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -1019,8 +1014,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "experiments",
-        help="run the E1-E18 experiment suite: print its counted "
-             "tables and shape verdicts, exit 1 on any FAIL",
+        help="run the E1-E18 experiment suite: print EXPERIMENTS.md, "
+             "its shape verdicts and counted tables, exit 1 on any FAIL",
     )
     p.set_defaults(func=cmd_experiments)
 

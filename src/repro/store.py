@@ -227,29 +227,55 @@ class XmlStore:
             self.encoding.node_table, self.encoding.attr_table,
             self._docs_table, index_table(),
         )
+        # The bootstrap would re-create a dropped node or attribute
+        # table empty, and the documents catalogued over it would read
+        # as documents without those rows, so every encoding the
+        # catalogue names must still have both of its tables.  A
+        # backend that cannot list its tables skips this, as the
+        # auditor does.
+        try:
+            existing = set(self.backend.list_tables())
+        except NotImplementedError:
+            existing = set()
+        if self._docs_table.name in existing:
+            catalogue = self._read_schema(_CATALOGUE_SELECT,
+                                          "document catalogue")
+            named = {row[4] for row in catalogue} & ENCODINGS.keys()
+            for name in sorted(named):
+                encoding = ENCODINGS[name]
+                for table in (encoding.node_table, encoding.attr_table):
+                    if table.name not in existing:
+                        raise StorageError(
+                            f"the store has {name} documents but no "
+                            f"{table.name!r} table"
+                        )
         self._bootstrap(table.to_sql() for table in tables)
         # CREATE TABLE IF NOT EXISTS keeps a table an older build
         # wrote, columns and all.  This build reads only its own
         # columns and upgrades nothing, so such a file is refused here,
         # before an index over a missing column fails or anything reads
-        # or writes it.  Only an engine's error says so: every backend
-        # raises this library's errors, and anything else is a bug that
-        # must surface as itself.
-        for probe, what in (
-            (f"{_CATALOGUE_SELECT} WHERE doc = 0", "document catalogue"),
-            ("SELECT leaf_text, path FROM idx_sval WHERE doc = 0",
-             "element index"),
-        ):
-            try:
-                self.backend.execute(probe)
-            except ReproError as exc:
-                raise StorageError(
-                    "the store was written by an older build, whose "
-                    f"{what} this build cannot read ({exc})"
-                ) from exc
+        # or writes it.
+        self._read_schema(f"{_CATALOGUE_SELECT} WHERE doc = 0",
+                          "document catalogue")
+        self._read_schema("SELECT leaf_text, path FROM idx_sval "
+                          "WHERE doc = 0", "element index")
         self._bootstrap(
             index.to_sql() for table in tables for index in table.indexes
         )
+
+    def _read_schema(self, probe: str, what: str) -> list[tuple]:
+        """Run *probe* against the schema; a table of an older build,
+        which lacks a column it names, refuses the store.  Only an
+        engine's error says so: every backend raises this library's
+        errors, and anything else is a bug that must surface as
+        itself."""
+        try:
+            return self.backend.execute(probe).rows
+        except ReproError as exc:
+            raise StorageError(
+                "the store was written by an older build, whose "
+                f"{what} this build cannot read ({exc})"
+            ) from exc
 
     def _bootstrap(self, statements: Iterable[str]) -> None:
         for statement in statements:

@@ -93,18 +93,6 @@ class TestHarness:
             store, doc = build_store(document, encoding)
             assert store.node_count(doc) == document.node_count()
 
-    def test_experiment_table_render(self):
-        table = ExperimentTable(
-            "EX", "demo", ("name", "rows"),
-        )
-        table.add_row("alpha", 1.5)
-        table.add_row("beta", 120)
-        table.add_note("a note")
-        text = table.render()
-        assert "EX: demo" in text
-        assert "alpha" in text and "120" in text
-        assert "note: a note" in text
-
     def test_experiment_table_markdown(self):
         table = ExperimentTable("EX", "demo", ("a", "b"))
         table.add_row(1, 2)

@@ -32,6 +32,11 @@ from repro.backends.sqlite_backend import SqliteBackend
 from repro.cache import StoreCache
 from repro.errors import StorageError
 from repro.store import XmlStore
+from repro.workload import (
+    ORDERED_QUERIES,
+    UNORDERED_QUERIES,
+    article_corpus,
+)
 
 SHALLOW = "<r><a><b>x</b></a><a><b>y</b></a></r>"
 DEEP_FRAGMENT = "<c><d><e><f>deep</f></e></d></c>"
@@ -356,6 +361,47 @@ def test_unknown_write_set_invalidates_store_wide(kind):
         assert not served_from_cache(store, "//b", doc)
     assert layer(store, "plan")["size"] == plans
     assert layer(store, "plan")["invalidations"] == 0
+
+
+@pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+def test_a_warm_pass_compiles_nothing_and_shares_every_plan(encoding):
+    """Plans are keyed on a query's shape, never on the document or a
+    literal: a cold pass over the query mix compiles each query once,
+    and a warm pass compiles none and binds each into the plan its
+    shape already has."""
+    store = XmlStore(encoding=encoding)
+    doc = store.load(article_corpus(articles=4))
+    queries = [q.xpath for q in ORDERED_QUERIES + UNORDERED_QUERIES]
+
+    def compiled_and_shared() -> tuple[int, int]:
+        with counters() as count:
+            for xpath in queries:
+                store.translate(xpath, doc)
+            return count("translate.compile"), count("translate.plan_shared")
+
+    store.cache.clear()
+    assert compiled_and_shared() == (len(queries), 0)  # cold
+    assert compiled_and_shared() == (0, len(queries))  # warm
+
+
+@pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+def test_a_warm_cached_pass_of_the_ordered_mix_runs_no_statement(encoding):
+    """Once a caching store has answered the ordered mix, the result
+    layer answers it again without a backend statement; an uncached
+    store runs the mix's statements every time."""
+    document = article_corpus(articles=4)
+    statements = {}
+    for cache in (True, False):
+        store = XmlStore(encoding=encoding, cache=cache)
+        doc = store.load(document)
+        for query in ORDERED_QUERIES:
+            store.query(query.xpath, doc)
+        with counters() as count:
+            for query in ORDERED_QUERIES:
+                store.query(query.xpath, doc)
+            statements[cache] = count("backend.statements")
+    assert statements[True] == 0
+    assert statements[False] >= len(ORDERED_QUERIES)
 
 
 def test_plan_survives_a_write_and_is_not_recompiled():

@@ -173,6 +173,40 @@ class TestSchemaBootstrap:
                 backend.execute(statement)
             assert len(backend.list_tables()) == len(tables)
 
+    @pytest.mark.skip_audit
+    @pytest.mark.parametrize("table", ["node_dewey", "attr_dewey"])
+    def test_a_dropped_node_or_attribute_table_is_refused(
+        self, table, tmp_path, capsys
+    ):
+        """A file whose catalogue names an encoding that has lost its
+        node or attribute table used to open: the bootstrap re-created
+        the table empty, so ``dump`` printed the document without those
+        rows, a query answered nothing and ``check`` passed.  The store
+        now refuses the file when it opens, naming the table, and
+        leaves the file as it found it."""
+        path = tmp_path / "dropped.db"
+        source = tmp_path / "doc.xml"
+        source.write_text('<r><a k="1"/><a k="2"/></r>')
+        assert main(
+            ["load", str(source), "--db", str(path), "--encoding", "dewey"]
+        ) == 0
+        backend = SqliteBackend(str(path))
+        backend.execute(f"DROP TABLE {table}")
+        backend.close()
+        capsys.readouterr()
+        for command in (["query", "//a/@k"], ["dump"], ["check"]):
+            assert main([*command, "--db", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith(f"error: cannot open {str(path)!r}: ")
+            assert f"{table!r}" in line
+        backend = SqliteBackend(str(path))
+        with pytest.raises(StorageError, match=table):
+            XmlStore(backend=backend)
+        assert table not in backend.list_tables()
+        backend.close()
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_a_file_of_an_older_build_is_refused(
         self, backend, tmp_path, capsys

@@ -501,6 +501,10 @@ class TestExperimentsCommand:
     def test_suite_prints_tables_and_verdicts(self, capsys):
         assert run(["experiments"]) == 0
         out = capsys.readouterr().out
+        # The printed page is EXPERIMENTS.md.
+        assert out.startswith(
+            "# EXPERIMENTS — reconstructed evaluation, paper vs. measured\n"
+        )
         # Every experiment table renders with its id and title, and
         # every verdict passes (the exit code says so too).
         for eid in ("E1:", "E3:", "E7:", "E11:", "E18:"):

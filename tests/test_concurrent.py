@@ -239,6 +239,45 @@ class TestFileSqliteBackend:
         assert "u" in backend.list_tables()
         backend.close()
 
+    def test_readers_finish_inside_an_open_write_transaction(
+        self, tmp_path
+    ):
+        """A read on a file is a deferred BEGIN on a WAL connection of
+        its own, so readers started inside an open write transaction —
+        a Global front insert, the relabeling worst case — all finish
+        before it commits, and see the document as it was."""
+        store = XmlStore(
+            SqliteBackend(str(tmp_path / "r.db")), "global", cache=False
+        )
+        doc = store.load(BIB_XML)
+        before = [i.identity() for i in store.query("/bib/*", doc)]
+        readers = 4
+        done = [threading.Event() for _ in range(readers)]
+        seen = []
+
+        def read(slot):
+            seen.append([i.identity() for i in store.query("/bib/*", doc)])
+            done[slot].set()
+
+        threads = [
+            threading.Thread(target=read, args=(slot,), daemon=True)
+            for slot in range(readers)
+        ]
+
+        def write():
+            store.updates.insert(doc, 1, 0, make_fragment("w"))
+            for thread in threads:
+                thread.start()
+            return all(event.wait(10) for event in done)
+
+        assert store.transactionally(write), "a reader waited for the commit"
+        for thread in threads:
+            thread.join(10)
+        assert seen == [before] * readers
+        assert len(store.query("/bib/*", doc)) == len(before) + 1
+        assert audit_store(store) == []
+        store.close()
+
     def test_close_truncates_wal_and_is_idempotent(self, tmp_path):
         path = tmp_path / "p.db"
         backend = SqliteBackend(str(path))

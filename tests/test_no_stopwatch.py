@@ -22,7 +22,6 @@ ALLOWED = {
     "obs/tracer.py": "span start and end times",
     "store.py": "the slow-query log's threshold",
     "serve/supervisor.py": "spawn and shutdown deadlines",
-    "bench/experiments.py": "E14's bound on how long a write is held",
 }
 CLOCKS = {"perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns"}
 WALL = {"time", "time_ns"}

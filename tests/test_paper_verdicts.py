@@ -25,12 +25,9 @@ SMALL = {
     },
     ex.run_e8_reconstruction: {"articles": 6},
     ex.run_e9_translation: {},
-    ex.run_e9b_compile_cache: {"articles": 4},
     ex.run_e10_sparse_numbering: {"articles": 8, "inserts": 10},
     ex.run_e11_ordpath: {"articles": 6, "inserts": 10},
     ex.run_e12_scaling: {"sizes": (150, 500, 1500)},
-    ex.run_e14_concurrency: {"articles": 8},
-    ex.run_e15_cache: {"articles": 6, "operations": 8},
     ex.run_e16_adaptive_migration: {
         "articles": 3, "query_ops": 120, "update_ops": 48, "probe_ops": 4
     },
@@ -63,6 +60,18 @@ def test_local_document_order_counts_at_ten_articles(tables):
     local = table.columns.index("local rows")
     rows = {row[0]: row[local] for row in table.rows}
     assert (rows["Q7"], rows["Q8"]) == (97, 251)
+
+
+def test_a_tie_wins_together(tables):
+    """Global and Dewey read the same rows on the read-only mix: E7
+    names both winners, in the table's encoding order, and its verdict
+    accepts the pair."""
+    table = tables[ex.run_e7_mixed_workload]
+    read_only = table.rows[0]
+    assert read_only[1] == read_only[3]
+    assert read_only[-1] == "global=dewey"
+    (verdict,) = compute_verdicts([table])
+    assert verdict.ok and "(global=dewey: " in verdict.claim
 
 
 @pytest.mark.parametrize(

@@ -668,21 +668,11 @@ def _print_span_tree(span, depth: int = 0) -> None:
         _print_span_tree(child, depth + 1)
 
 
-def _print_metrics_snapshot(snapshot: dict) -> None:
-    counters = snapshot.get("counters", {})
-    histograms = snapshot.get("histograms", {})
+def _print_counters(counters: dict) -> None:
     if counters:
         print("counters:")
         for name, value in counters.items():
             print(f"  {name:<32} {value}")
-    if histograms:
-        print("histograms:")
-        for name, hist in histograms.items():
-            print(
-                f"  {name:<32} count={hist['count']} "
-                f"mean={hist['mean']:.6f} min={hist['min']:.6f} "
-                f"max={hist['max']:.6f}"
-            )
 
 
 def _print_cache_stats(cache: dict) -> None:
@@ -703,9 +693,37 @@ def _print_cache_stats(cache: dict) -> None:
         )
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import METRICS, Tracer, tracing
+def _run_traced(store: XmlStore, doc: int, xpaths: list[str],
+                rounds: int = 1):
+    """Run *xpaths* against *doc*, *rounds* times over, under a fresh
+    tracer and with the metrics counting: the tracer, the counters that
+    grew and the last query's items."""
+    from repro.obs import counting, tracing
 
+    items: list = []
+    with counting() as grew, tracing() as tracer:
+        for _ in range(rounds):
+            for xpath in xpaths:
+                items = store.query(xpath, doc)
+    return tracer, dict(sorted(grew.items())), items
+
+
+def _render_slow_query(root) -> str:
+    """A traced ``query`` span as the lines ``repro stats`` lists it
+    with: elapsed time, phases (slowest first), SQL and parameters."""
+    phases = ", ".join(
+        f"{child.name}={child.duration_ms:.2f}ms"
+        for child in sorted(root.children, key=lambda c: -c.duration_ms)
+    )
+    return "\n".join((
+        f"slow query ({root.duration_ms:.2f} ms) {root.attrs['xpath']}",
+        f"  phases: {phases}",
+        f"  sql: {root.attrs['sql']}",
+        f"  params: {root.attrs['params']!r}",
+    ))
+
+
+def cmd_trace(args: argparse.Namespace) -> int:
     store = open_store(args.db, args.encoding, None)
     # Tracing documents the translate/execute/materialize pipeline; a
     # result-cache hit would short-circuit it into a single empty span.
@@ -715,15 +733,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         # A warm-up run keeps one-time costs (sqlite statement
         # preparation, page cache) out of the traced timings.
         store.query(args.xpath, doc)
-    was_enabled = METRICS.enabled
-    METRICS.reset()
-    METRICS.enabled = True
-    tracer = Tracer()
-    try:
-        with tracing(tracer):
-            items = store.query(args.xpath, doc)
-    finally:
-        METRICS.enabled = was_enabled
+    tracer, counters, items = _run_traced(store, doc, [args.xpath])
     if args.json:
         print(tracer.to_json())
     else:
@@ -738,7 +748,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if total > 0:
             print(f"-- total {total:.3f} ms, leaf spans cover "
                   f"{leaf:.3f} ms ({100.0 * leaf / total:.1f}%)")
-        _print_metrics_snapshot(METRICS.snapshot())
+        _print_counters(counters)
     print(f"-- {len(items)} result(s)", file=sys.stderr)
     return 0
 
@@ -746,23 +756,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.obs import METRICS, disable_slow_log, enable_slow_log
-
     store = open_store(args.db, args.encoding, None)
     doc = _trace_doc(store, args.doc)
     xpaths = args.xpath or ["/*", "//*"]
-    was_enabled = METRICS.enabled
-    METRICS.reset()
-    METRICS.enabled = True
-    log = enable_slow_log(threshold_ms=args.slow_ms)
-    try:
-        for _ in range(args.repeat):
-            for xpath in xpaths:
-                store.query(xpath, doc)
-    finally:
-        METRICS.enabled = was_enabled
-        disable_slow_log()
-    snapshot = METRICS.snapshot()
+    tracer, counters, _ = _run_traced(store, doc, xpaths, args.repeat)
     # The migration counters always appear (zero-defaulted), so
     # monitoring that greps `repro stats` output sees them before the
     # first migration ever runs.
@@ -770,23 +767,34 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "migrate.started", "migrate.completed", "migrate.aborted",
         "migrate.rows_copied",
     ):
-        snapshot["counters"].setdefault(name, 0)
-    snapshot["cache"] = store.cache.stats()
+        counters.setdefault(name, 0)
+    snapshot = {
+        "counters": counters,
+        "spans": tracer.aggregate(),
+        "cache": store.cache.stats(),
+    }
     if args.json:
         print(json_module.dumps(snapshot, indent=2))
-    else:
-        print(f"ran {args.repeat} round(s) of {len(xpaths)} "
-              f"quer{'y' if len(xpaths) == 1 else 'ies'} against "
-              f"document {doc}")
-        _print_metrics_snapshot(snapshot)
-        _print_cache_stats(snapshot["cache"])
-        entries = log.entries()
-        if entries:
-            print(f"slow queries (>= {log.threshold_ms:g} ms):")
-            for entry in entries:
-                print(entry.render())
-        else:
-            print(f"slow queries (>= {log.threshold_ms:g} ms): none")
+        return 0
+    print(f"ran {args.repeat} round(s) of {len(xpaths)} "
+          f"quer{'y' if len(xpaths) == 1 else 'ies'} against "
+          f"document {doc}")
+    _print_counters(counters)
+    print("spans:")
+    for name, entry in snapshot["spans"].items():
+        print(f"  {name:<32} count={entry['count']} "
+              f"total={entry['total_ms']:.3f}ms")
+    _print_cache_stats(snapshot["cache"])
+    # A result-cache hit returns before the query span opens, so only
+    # the queries that ran are listed, as they are timed.
+    slow = [
+        root for root in tracer.roots
+        if root.name == "query" and root.duration_ms >= args.slow_ms
+    ]
+    print(f"slow queries (>= {args.slow_ms:g} ms):"
+          f"{'' if slow else ' none'}")
+    for root in slow:
+        print(_render_slow_query(root))
     return 0
 
 
@@ -1072,8 +1080,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "stats",
-        help="run queries with metrics + slow-query log enabled and "
-             "print the counter/histogram snapshot",
+        help="run queries under the tracer with metrics counting and "
+             "print the counters, span totals and slow queries",
     )
     p.add_argument("xpath", nargs="*",
                    help="XPath queries to run (default: /* and //*)")
@@ -1086,7 +1094,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slow-ms", type=float, default=1.0,
                    help="slow-query threshold in ms (default 1.0)")
     p.add_argument("--json", action="store_true",
-                   help="print the metrics snapshot as JSON")
+                   help="print the counters, span totals and cache "
+                        "statistics as JSON")
     p.set_defaults(func=cmd_stats)
 
     return parser

@@ -1,37 +1,27 @@
-"""Observability: hierarchical tracing, metrics, and a slow-query log.
+"""Observability: hierarchical tracing and metrics.
 
 Zero-dependency and off by default — every instrumentation site in the
-store, backends, minidb engine, translator, update manager, the
-serving layer, and the concurrency layer goes through :func:`span` or
+store, backends, minidb engine, translator, update manager, index
+manager, cache and serving layer goes through :func:`span` or
 :data:`METRICS`, both of which short-circuit after one check when
-nothing is enabled.
+nothing is enabled.  The tracer is the one timer: a span reads the
+clock only under a tracer (or with a ``collect`` dict), and metrics
+count.
 
 Quick start::
 
     from repro import obs
 
-    obs.enable()                      # counters + histograms
-    with obs.tracing() as tracer:     # span trees (per activation)
-        store.query("//item[2]/name", doc)
+    with obs.counting() as grew:      # counters, for this block only
+        with obs.tracing() as tracer: # span trees (per activation)
+            store.query("//item[2]/name", doc)
     print(tracer.to_json())
-    print(obs.METRICS.snapshot())
-
-    log = obs.enable_slow_log(threshold_ms=5.0)
-    ...
-    for entry in log.entries():
-        print(entry.render())
+    print(grew["query.executed"])
 
 CLI equivalents: ``repro trace <xpath>`` and ``repro stats``.
 """
 
 from repro.obs.metrics import METRICS, Histogram, MetricsRegistry, counting
-from repro.obs.slowlog import (
-    SlowQuery,
-    SlowQueryLog,
-    disable_slow_log,
-    enable_slow_log,
-    slow_log,
-)
 from repro.obs.tracer import Span, Tracer, current_tracer, span, tracing
 
 
@@ -41,10 +31,9 @@ def enable() -> None:
 
 
 def disable() -> None:
-    """Turn off metrics and the slow-query log (tracers deactivate
-    with their ``tracing()`` scope)."""
+    """Turn off metrics (tracers deactivate with their ``tracing()``
+    scope)."""
     METRICS.enabled = False
-    disable_slow_log()
 
 
 __all__ = [
@@ -52,16 +41,11 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Span",
-    "SlowQuery",
-    "SlowQueryLog",
     "Tracer",
     "counting",
     "current_tracer",
     "disable",
-    "disable_slow_log",
     "enable",
-    "enable_slow_log",
-    "slow_log",
     "span",
     "tracing",
 ]

@@ -23,9 +23,11 @@ Naming convention (the counter glossary lives in DESIGN.md):
   errors, worker respawns
 * ``cache.*``      — store cache hits/misses/evictions/invalidations
   (aggregate, plus ``cache.plan.*`` / ``cache.catalog.*`` /
-  ``cache.result.*`` per layer; see :mod:`repro.cache`)
-* ``span.<name>``  — histogram of each span's duration (seconds), recorded
-  by :func:`repro.obs.tracer.span` whenever metrics are enabled
+  ``cache.result.*`` / ``cache.keys.*`` per layer; see :mod:`repro.cache`)
+* ``index.*``      — index builds, repairs and the plans that use one
+* ``migrate.*``    — migrations, plus the ``migrate.blocked_ms`` histogram
+
+Metrics count; time is the tracer's (:mod:`repro.obs.tracer`).
 """
 
 from __future__ import annotations

@@ -7,17 +7,17 @@ root to the tracer takes the tracer's lock.
 
 The one instrumentation primitive is :func:`span`:
 
-* with **no tracer active and metrics disabled** it returns a shared
-  no-op context manager — the disabled hot path pays one contextvar
-  read, one attribute read, and two trivial method calls;
+* with **no tracer active and no** ``collect`` **dict** it returns a
+  shared no-op context manager — the untraced hot path pays one
+  contextvar read and two trivial method calls, and reads no clock;
 * with a tracer active it opens a child of the current span (or a new
   root) and closes it on exit, exception or not;
-* with metrics enabled it additionally records the duration into the
-  ``span.<name>`` histogram — which is how the bench harness gets
-  per-phase timings even on worker threads that have no tracer;
 * with a ``collect`` dict it adds the elapsed seconds under the span
-  name — which is how the slow-query log gets its phase breakdown
-  without requiring a tracer.
+  name — which is how a caller times one phase without a tracer
+  (a migration's ``blocked_ms``).
+
+The tracer is the one timer in the package: metrics count, and
+``repro trace`` and ``repro stats`` read their timings off a tracer.
 
 Exportable as a JSON span tree via :meth:`Tracer.to_json`.
 """
@@ -30,8 +30,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from time import perf_counter
 from typing import Any, Iterator, Optional
-
-from repro.obs.metrics import METRICS
 
 _tracer_var: ContextVar[Optional["Tracer"]] = ContextVar(
     "repro_obs_tracer", default=None
@@ -179,12 +177,11 @@ _NULL_SPAN = _NullSpan()
 
 
 class _ActiveSpan:
-    __slots__ = ("tracer", "record_metric", "name", "attrs", "collect",
-                 "span", "started", "token")
+    __slots__ = ("tracer", "name", "attrs", "collect", "span", "started",
+                 "token")
 
-    def __init__(self, tracer, record_metric, name, attrs, collect):
+    def __init__(self, tracer, name, attrs, collect):
         self.tracer = tracer
-        self.record_metric = record_metric
         self.name = name
         self.attrs = attrs
         self.collect = collect
@@ -217,8 +214,6 @@ class _ActiveSpan:
             if self.token is not None:
                 _stack_var.reset(self.token)
             self.tracer._closed(span)
-        if self.record_metric:
-            METRICS.observe(f"span.{self.name}", elapsed)
         if self.collect is not None:
             self.collect[self.name] = (
                 self.collect.get(self.name, 0.0) + elapsed
@@ -230,11 +225,10 @@ def span(name: str, collect: Optional[dict] = None, **attrs):
     """Time one operation under *name*.
 
     Returns a context manager.  See the module docstring for what it
-    does under each observability mode; when nothing is enabled and no
-    *collect* dict is given, it is a shared no-op.
+    does under each observability mode; with no tracer active and no
+    *collect* dict given, it is a shared no-op.
     """
     tracer = _tracer_var.get()
-    record_metric = METRICS.enabled
-    if tracer is None and not record_metric and collect is None:
+    if tracer is None and collect is None:
         return _NULL_SPAN
-    return _ActiveSpan(tracer, record_metric, name, attrs, collect)
+    return _ActiveSpan(tracer, name, attrs, collect)

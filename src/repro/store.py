@@ -28,7 +28,6 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from time import perf_counter
 from typing import (
     Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
     TypeVar, Union,
@@ -36,7 +35,7 @@ from typing import (
 
 from repro.backends import Backend, make_backend
 from repro.cache import StoreCache
-from repro.obs import METRICS, slow_log, span
+from repro.obs import METRICS, span
 from repro.core.encodings import ENCODINGS, OrderEncoding, get_encoding
 from repro.core.reconstruct import (
     ordered_rows, reconstruct_document, reconstruct_subtree,
@@ -223,16 +222,17 @@ class XmlStore:
     def _create_schema(self) -> None:
         # Every statement carries IF NOT EXISTS, so reusing a backend
         # that already has the schema is fine and any failure is real.
+        sval = index_table()
         tables = (
             self.encoding.node_table, self.encoding.attr_table,
-            self._docs_table, index_table(),
+            self._docs_table, sval,
         )
-        # The bootstrap would re-create a dropped node or attribute
-        # table empty, and the documents catalogued over it would read
-        # as documents without those rows, so every encoding the
-        # catalogue names must still have both of its tables.  A
-        # backend that cannot list its tables skips this, as the
-        # auditor does.
+        # The bootstrap would re-create a dropped node, attribute or
+        # element index table empty, and the documents catalogued over
+        # it would read as documents without those rows, so every
+        # encoding the catalogue names must still have both of its
+        # tables, and an indexed document the index table.  A backend
+        # that cannot list its tables skips this, as the auditor does.
         try:
             existing = set(self.backend.list_tables())
         except NotImplementedError:
@@ -241,14 +241,20 @@ class XmlStore:
             catalogue = self._read_schema(_CATALOGUE_SELECT,
                                           "document catalogue")
             named = {row[4] for row in catalogue} & ENCODINGS.keys()
-            for name in sorted(named):
-                encoding = ENCODINGS[name]
-                for table in (encoding.node_table, encoding.attr_table):
-                    if table.name not in existing:
-                        raise StorageError(
-                            f"the store has {name} documents but no "
-                            f"{table.name!r} table"
-                        )
+            required = [
+                (name, table)
+                for name in sorted(named)
+                for table in (ENCODINGS[name].node_table,
+                              ENCODINGS[name].attr_table)
+            ]
+            if any(row[5] for row in catalogue):
+                required.append(("indexed", sval))
+            for name, table in required:
+                if table.name not in existing:
+                    raise StorageError(
+                        f"the store has {name} documents but no "
+                        f"{table.name!r} table"
+                    )
         self._bootstrap(table.to_sql() for table in tables)
         # CREATE TABLE IF NOT EXISTS keeps a table an older build
         # wrote, columns and all.  This build reads only its own
@@ -618,28 +624,12 @@ class XmlStore:
             epoch = cache.epoch(doc)
         else:
             epoch = None
-        log = slow_log()
-        phases: Optional[dict[str, float]] = None if log is None else {}
-        started = perf_counter()
-        with span("query", xpath=xpath):
-            translated, items = self._run_query(
-                xpath, doc, context_id, phases, epoch
-            )
-        if log is not None:
-            elapsed_ms = (perf_counter() - started) * 1000.0
-            # Short-circuit below the threshold: dropped records pay
-            # neither the per-phase dict conversion nor the log call.
-            if elapsed_ms >= log.threshold_ms:
-                log.maybe_record(
-                    xpath=xpath,
-                    sql=translated.sql,
-                    params=translated.params,
-                    elapsed_ms=elapsed_ms,
-                    breakdown_ms={
-                        name: seconds * 1000.0
-                        for name, seconds in phases.items()
-                    },
-                )
+        with span("query", xpath=xpath) as traced:
+            translated, items = self._run_query(xpath, doc, context_id, epoch)
+            if traced is not None:
+                # Which plan ran: `repro trace` and `repro stats` show it.
+                traced.attrs["sql"] = translated.sql
+                traced.attrs["params"] = translated.params
         if use_cache:
             # Stored as a tuple of immutable ResultItems; every hit
             # hands out a fresh list, so callers may mutate what they
@@ -652,25 +642,24 @@ class XmlStore:
         xpath: str,
         doc: int,
         context_id: Optional[int],
-        collect: Optional[dict],
         epoch: Optional[int],
     ) -> tuple[TranslatedQuery, list[ResultItem]]:
         with self.backend.snapshot():
-            with span("translate", collect):
+            with span("translate"):
                 translated = self.translate(xpath, doc, context_id)
             METRICS.inc("query.executed")
-            with span("execute", collect):
+            with span("execute"):
                 rows = self.backend.execute(
                     translated.sql, translated.params
                 ).rows
             if ENCODINGS[translated.encoding].order_by_column is None:
                 METRICS.inc("query.client_order_sorts")
-                with span("client_order", collect):
+                with span("client_order"):
                     rows = self._client_order(doc, rows, translated, epoch)
         METRICS.inc("query.rows", len(rows))
         if translated.access_path != "scan":
             METRICS.inc("index.plan_queries")
-        with span("materialize", collect):
+        with span("materialize"):
             # Built as the tuples they are: ResultItem's own __new__
             # takes keywords, and a result may hold thousands of rows.
             if translated.result_kind == "attribute":

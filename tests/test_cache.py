@@ -762,37 +762,39 @@ def test_rows_written_counts_dml_not_row_returning_reads(tmp_path):
         backend.close()
 
 
-# -- satellite: slow-log short-circuit ------------------------------------
+# -- the slow-query listing of `repro stats` ------------------------------
 
 
-def test_slowlog_below_threshold_records_nothing():
-    from repro.obs import disable_slow_log, enable_slow_log
+def _stats_out(tmp_path, capsys, *args: str) -> list[str]:
+    from repro.cli import main
 
-    store = XmlStore(cache=False)
-    doc = store.load(SHALLOW)
-    log = enable_slow_log(threshold_ms=10_000.0)
-    try:
-        for _ in range(5):
-            store.query("//b", doc)
-        assert log.entries() == []
-    finally:
-        disable_slow_log()
+    source = tmp_path / "shallow.xml"
+    source.write_text(SHALLOW)
+    db = str(tmp_path / "store.db")
+    assert main(["load", str(source), "--db", db]) == 0
+    capsys.readouterr()
+    assert main(["stats", "//b", "--db", db, *args]) == 0
+    return capsys.readouterr().out.splitlines()
 
 
-def test_slowlog_above_threshold_still_records_breakdown():
-    from repro.obs import disable_slow_log, enable_slow_log
+def test_slowlog_below_threshold_records_nothing(tmp_path, capsys):
+    out = _stats_out(tmp_path, capsys, "--repeat", "5",
+                     "--slow-ms", "10000")
+    assert "slow queries (>= 10000 ms): none" in out
+    assert not [line for line in out if line.startswith("slow query (")]
 
-    store = XmlStore(cache=False)
-    doc = store.load(SHALLOW)
-    log = enable_slow_log(threshold_ms=0.0)
-    try:
-        store.query("//b", doc)
-        entries = log.entries()
-        assert len(entries) == 1
-        assert entries[0].xpath == "//b"
-        assert "execute" in entries[0].breakdown_ms
-    finally:
-        disable_slow_log()
+
+def test_slowlog_above_threshold_still_records_breakdown(tmp_path, capsys):
+    out = _stats_out(tmp_path, capsys, "--repeat", "1", "--slow-ms", "0")
+    heads = [line for line in out if line.startswith("slow query (")]
+    assert len(heads) == 1
+    assert heads[0].endswith(" ms) //b")
+    phases = out[out.index(heads[0]) + 1]
+    assert phases.startswith("  phases: ")
+    assert "execute" in {
+        part.split("=")[0]
+        for part in phases[len("  phases: "):].split(", ")
+    }
 
 
 # -- the fuzzer's cache-twin mode -----------------------------------------

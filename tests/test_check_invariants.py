@@ -174,27 +174,37 @@ class TestSchemaBootstrap:
             assert len(backend.list_tables()) == len(tables)
 
     @pytest.mark.skip_audit
-    @pytest.mark.parametrize("table", ["node_dewey", "attr_dewey"])
+    @pytest.mark.parametrize("table", ["node_dewey", "attr_dewey",
+                                       "idx_sval"])
     def test_a_dropped_node_or_attribute_table_is_refused(
         self, table, tmp_path, capsys
     ):
         """A file whose catalogue names an encoding that has lost its
-        node or attribute table used to open: the bootstrap re-created
-        the table empty, so ``dump`` printed the document without those
+        node or attribute table, or an indexed document that has lost
+        the element index, used to open: the bootstrap re-created the
+        table empty, so ``dump`` printed the document without those
         rows, a query answered nothing and ``check`` passed.  The store
         now refuses the file when it opens, naming the table, and
         leaves the file as it found it."""
         path = tmp_path / "dropped.db"
         source = tmp_path / "doc.xml"
-        source.write_text('<r><a k="1"/><a k="2"/></r>')
+        source.write_text(
+            '<r><a k="1"><b>x</b></a><a k="2"><b>y</b></a></r>'
+        )
         assert main(
             ["load", str(source), "--db", str(path), "--encoding", "dewey"]
         ) == 0
+        if table == "idx_sval":
+            assert main(
+                ["index", "--db", str(path), "--doc", "1", "--create"]
+            ) == 0
         backend = SqliteBackend(str(path))
         backend.execute(f"DROP TABLE {table}")
         backend.close()
         capsys.readouterr()
-        for command in (["query", "//a/@k"], ["dump"], ["check"]):
+        for command in (
+            ["query", "//a/@k"], ["query", "//b"], ["dump"], ["check"]
+        ):
             assert main([*command, "--db", str(path)]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""

@@ -420,6 +420,25 @@ class TestCountersFile:
     @pytest.mark.parametrize("command", (
         ["index", "--advise"], ["migrate", "--advise"],
     ))
+    def test_stats_json_feeds_both_advisors(
+        self, bib_file, db, tmp_path, capsys, command
+    ):
+        """The file ``repro stats --json`` writes is what both
+        ``--counters`` options read."""
+        run(["load", bib_file, "--db", db])
+        capsys.readouterr()
+        assert run(["stats", "//book/title", "--db", db, "--repeat", "2",
+                    "--json"]) == 0
+        path = tmp_path / "stats.json"
+        path.write_text(capsys.readouterr().out)
+        assert run([*command, "--db", db, "--counters", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "advisor:" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("command", (
+        ["index", "--advise"], ["migrate", "--advise"],
+    ))
     @pytest.mark.parametrize("content, name", (
         ('{"counters": {"index.miss": "many"}}', "index.miss"),
         ('{"updates.renumber_ops": null}', "updates.renumber_ops"),
@@ -451,6 +470,14 @@ class TestObservabilityCommands:
         assert "execute" in out
         assert "leaf spans cover" in out
         assert "query.executed" in out
+        # The query line shows which plan ran; the SQL quotes 'elem',
+        # so its repr is double-quoted.
+        (query_line,) = [
+            line for line in out.splitlines() if line.startswith("query ")
+        ]
+        assert "xpath='//book/title'" in query_line
+        assert ' sql="SELECT ' in query_line
+        assert "params=(1, " in query_line
 
     def test_trace_seeds_empty_store(self, db, capsys):
         assert run(["trace", "//item[2]/name", "--db", db]) == 0
@@ -470,13 +497,45 @@ class TestObservabilityCommands:
 
     def test_stats_prints_counters_and_slow_log(self, bib_file, db,
                                                 capsys):
+        """At threshold 0 each query that ran is listed with its time,
+        its phases, the SQL and the parameters it was bound with; the
+        second round is answered by the result cache and runs none."""
         run(["load", bib_file, "--db", db])
-        assert run(["stats", "//book/title", "--db", db,
+        capsys.readouterr()
+        assert run(["stats", "//book/title", "//author", "--db", db,
                     "--repeat", "2", "--slow-ms", "0"]) == 0
         out = capsys.readouterr().out
         assert "counters:" in out
         assert "query.executed" in out
-        assert "slow query" in out
+        spans = out[out.index("spans:\n"):].splitlines()[1:]
+        assert spans[0].split()[:2] == ["query", "count=2"]
+        assert "translate" in {line.split()[0] for line in spans[:5]}
+        listed = out[out.index("slow queries (>= 0 ms):\n"):].splitlines()
+        heads = [line for line in listed if line.startswith("slow query (")]
+        assert [head.split(" ms) ")[1] for head in heads] == [
+            "//book/title", "//author",
+        ]
+        for head in heads:
+            at = listed.index(head)
+            phases, sql, params = listed[at + 1:at + 4]
+            assert phases.startswith("  phases: ")
+            assert {"translate", "execute", "materialize"} <= {
+                part.split("=")[0]
+                for part in phases[len("  phases: "):].split(", ")
+            }
+            assert sql.startswith("  sql: SELECT ")
+            assert params.startswith("  params: (1, ")
+
+    def test_stats_over_a_high_threshold_lists_no_query(
+        self, bib_file, db, capsys
+    ):
+        run(["load", bib_file, "--db", db])
+        capsys.readouterr()
+        assert run(["stats", "//book/title", "--db", db,
+                    "--repeat", "3", "--slow-ms", "100000"]) == 0
+        out = capsys.readouterr().out
+        assert "slow queries (>= 100000 ms): none" in out
+        assert "slow query (" not in out
 
     def test_stats_json(self, db, capsys):
         import json
@@ -486,14 +545,17 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         snapshot = json.loads(out)
         assert snapshot["counters"]["query.executed"] == 2
+        assert snapshot["spans"]["query"]["count"] == 2
+        assert snapshot["spans"]["execute"]["total_ms"] >= 0
+        assert snapshot["cache"]["enabled"] is True
 
     def test_observability_is_off_afterwards(self, db):
-        from repro.obs import METRICS, slow_log
+        from repro.obs import METRICS, current_tracer
 
         run(["trace", "//item/name", "--db", db])
         run(["stats", "--db", db, "--repeat", "1"])
         assert not METRICS.enabled
-        assert slow_log() is None
+        assert current_tracer() is None
 
 
 class TestExperimentsCommand:

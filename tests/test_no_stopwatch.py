@@ -2,8 +2,8 @@
 
 The paper's table is counted, not timed, and wall-clock throughput is
 ``benchmarks/perf``'s job, so a module under ``src/repro`` reads a clock
-only to enforce a deadline or a timeout, or to fill the tracer and the
-histograms it feeds.  This scan keeps the timed drivers that were
+only to enforce a deadline or a timeout, or to fill the tracer, the one
+timer a query has.  This scan keeps the timed drivers that were
 deleted (the serve benchmark command, its thread-mode and multi-process
 load generators) from coming back.
 """
@@ -20,7 +20,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: The modules that read a clock, each with what it reads it for.
 ALLOWED = {
     "obs/tracer.py": "span start and end times",
-    "store.py": "the slow-query log's threshold",
     "serve/supervisor.py": "spawn and shutdown deadlines",
 }
 CLOCKS = {"perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns"}

@@ -11,8 +11,6 @@ from repro.errors import StorageError
 from repro.obs import (
     METRICS,
     current_tracer,
-    disable_slow_log,
-    enable_slow_log,
     span,
     tracing,
 )
@@ -30,12 +28,6 @@ def metrics():
     yield METRICS
     METRICS.enabled = was_enabled
     METRICS.reset()
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_slow_log():
-    yield
-    disable_slow_log()
 
 
 class TestSpans:
@@ -88,13 +80,17 @@ class TestSpans:
         assert [r.name for r in tracer.roots] == ["outer", "after"]
 
     def test_span_metrics_and_collect(self, metrics):
+        # Metrics count; only a tracer or a ``collect`` dict makes a
+        # span read the clock.
+        assert current_tracer() is None
+        assert span("phase-a") is _NULL_SPAN
         phases: dict[str, float] = {}
         with span("phase-a", collect=phases):
             pass
         with span("phase-a", collect=phases):
             pass
-        snapshot = metrics.snapshot()
-        assert snapshot["histograms"]["span.phase-a"]["count"] == 2
+        # With metrics on, a span still records no histogram of its own.
+        assert metrics.snapshot()["histograms"] == {}
         assert list(phases) == ["phase-a"]
         assert phases["phase-a"] >= 0.0
 
@@ -184,6 +180,25 @@ class TestInstrumentedStore:
         names = {s.name for s in tracer.iter_spans()}
         assert {"query", "translate", "execute"} <= names
         assert tracer.open_span_count() == 0
+        # The query span names the plan that ran.
+        (root,) = tracer.roots
+        assert root.attrs["xpath"] == "//b"
+        assert root.attrs["sql"].startswith("SELECT ")
+        assert "node_dewey" in root.attrs["sql"]
+        assert root.attrs["params"] == (doc, "b")
+
+    def test_updates_counters_through_store(self, metrics):
+        store = XmlStore(backend="sqlite", encoding="global", gap=1)
+        doc = store.load("<list><i>a</i><i>b</i></list>")
+        store.updates.insert(doc, 1, 0, "<i>new</i>")
+        store.updates.delete(doc, store.fetch_children(doc, 1)[0]["id"])
+        counters = metrics.snapshot()["counters"]
+        assert counters["updates.inserts"] == 1
+        assert counters["updates.deletes"] == 1
+        # A dense global-encoding head insert must relabel followers.
+        assert counters["updates.renumber_ops"] >= 1
+        assert counters["updates.relabeled"] >= 1
+        assert counters["updates.rows_touched"] >= 2
 
     @pytest.mark.skip_audit  # the crashed store has no engine left
     def test_faulted_runs_leave_no_open_spans(self):
@@ -221,45 +236,46 @@ class TestInstrumentedStore:
 
 
 class TestSlowQueryLog:
-    def test_threshold_and_breakdown(self):
-        store = XmlStore(backend="sqlite", encoding="dewey")
-        doc = store.load("<a><b>x</b></a>")
-        log = enable_slow_log(threshold_ms=0.0, capacity=10)
-        store.query("//b", doc)
-        entries = log.entries()
-        assert len(entries) == 1
-        entry = entries[0]
-        assert entry.xpath == "//b"
-        assert "SELECT" in entry.sql
-        assert entry.elapsed_ms > 0
-        assert {"translate", "execute"} <= set(entry.breakdown_ms)
-        assert sum(entry.breakdown_ms.values()) <= entry.elapsed_ms
-        assert "slow query" in entry.render()
+    """``repro stats --slow-ms`` lists the traced ``query`` roots at or
+    over the threshold."""
 
-    def test_fast_queries_not_recorded(self):
-        store = XmlStore(backend="sqlite", encoding="dewey")
-        doc = store.load("<a/>")
-        log = enable_slow_log(threshold_ms=10_000.0)
-        store.query("/a", doc)
-        assert log.entries() == []
-        assert log.recorded == 0
+    @staticmethod
+    def _stats(tmp_path, capsys, xml: str, xpath: str,
+               slow_ms: str) -> list[str]:
+        from repro.cli import main
 
-    def test_ring_buffer_evicts_oldest(self):
-        log = enable_slow_log(threshold_ms=0.0, capacity=2)
-        for n in range(4):
-            log.maybe_record(f"//q{n}", "SELECT 1", (), 5.0)
-        assert [e.xpath for e in log.entries()] == ["//q2", "//q3"]
-        assert log.recorded == 4
+        source = tmp_path / "doc.xml"
+        source.write_text(xml)
+        db = str(tmp_path / "store.db")
+        assert main(["load", str(source), "--db", db,
+                     "--encoding", "dewey"]) == 0
+        capsys.readouterr()
+        assert main(["stats", xpath, "--db", db, "--repeat", "1",
+                     "--slow-ms", slow_ms]) == 0
+        return capsys.readouterr().out.splitlines()
 
-    def test_updates_counters_through_store(self, metrics):
-        store = XmlStore(backend="sqlite", encoding="global", gap=1)
-        doc = store.load("<list><i>a</i><i>b</i></list>")
-        store.updates.insert(doc, 1, 0, "<i>new</i>")
-        store.updates.delete(doc, store.fetch_children(doc, 1)[0]["id"])
-        counters = metrics.snapshot()["counters"]
-        assert counters["updates.inserts"] == 1
-        assert counters["updates.deletes"] == 1
-        # A dense global-encoding head insert must relabel followers.
-        assert counters["updates.renumber_ops"] >= 1
-        assert counters["updates.relabeled"] >= 1
-        assert counters["updates.rows_touched"] >= 2
+    def test_threshold_and_breakdown(self, tmp_path, capsys):
+        out = self._stats(tmp_path, capsys, "<a><b>x</b></a>", "//b", "0")
+        (head,) = [line for line in out if line.startswith("slow query (")]
+        elapsed_ms, xpath = head[len("slow query ("):].split(" ms) ")
+        assert xpath == "//b"
+        assert float(elapsed_ms) > 0
+        phases, sql = out[out.index(head) + 1:out.index(head) + 3]
+        breakdown = {
+            name: float(ms.removesuffix("ms"))
+            for name, ms in (
+                part.split("=")
+                for part in phases[len("  phases: "):].split(", ")
+            )
+        }
+        assert {"translate", "execute"} <= set(breakdown)
+        # Rounded to 0.01 ms per phase, so allow that much per phase.
+        assert sum(breakdown.values()) <= (
+            float(elapsed_ms) + 0.01 * len(breakdown)
+        )
+        assert sql.startswith("  sql: ") and "SELECT" in sql
+
+    def test_fast_queries_not_recorded(self, tmp_path, capsys):
+        out = self._stats(tmp_path, capsys, "<a/>", "/a", "10000")
+        assert "slow queries (>= 10000 ms): none" in out
+        assert not [line for line in out if line.startswith("slow query (")]
